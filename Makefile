@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check ci serve-smoke fmt fuzz fuzz-serve fuzz-store fuzz-journal soak bench bench-cache bench-journal bench-infer chaos-train lint
+.PHONY: build test vet race check ci serve-smoke fmt fuzz fuzz-serve fuzz-store fuzz-journal soak bench bench-journal bench-infer chaos-train lint
 
 build:
 	$(GO) build ./...
@@ -60,17 +60,12 @@ serve-smoke:
 	$(GO) run ./cmd/cardestd -smoke -rows 2000 -train 800 -entries 16
 
 # bench compares the sequential and parallel hot paths (labeling, GB
-# training, NN training) and writes BENCH_parallel.json, then runs the
-# serving-cache replay and writes BENCH_serve_cache.json. All three parallel
+# training, NN training) and writes BENCH_parallel.json. All three parallel
 # paths are bit-identical across worker counts; the report is wall-clock only.
+# (The serving figures — cache hit vs. miss included — come from the
+# end-to-end benchmark, `go run ./cmd/bench`.)
 bench:
-	$(GO) run ./cmd/parbench -out BENCH_parallel.json -cache-out BENCH_serve_cache.json
-
-# bench-cache replays a repeated workload through the HTTP estimate handler
-# three ways — cache off, cold cache, warm cache — and writes the throughput
-# comparison (cold vs. warm vs. off) to BENCH_serve_cache.json.
-bench-cache:
-	$(GO) run ./cmd/parbench -cache-only -cache-out BENCH_serve_cache.json
+	$(GO) run ./cmd/parbench -out BENCH_parallel.json
 
 # bench-journal measures the feedback journal: durable append throughput
 # with batched fsync vs. one fsync per record (the justification for the

@@ -1,15 +1,17 @@
 // Command cardestd is the long-lived estimation daemon: it serves the
 // trained (QFT × model) estimators of this reproduction over an HTTP JSON
-// API, with a hot-swappable model registry, request batching, admission
-// control, and graceful drain (see internal/serve).
+// API, with a hot-swappable model registry, a semantic estimate cache,
+// admission control, and graceful drain (see internal/serve). A single query
+// is estimated on its own request goroutine; a client batch fans out over
+// -workers goroutines.
 //
 // Usage:
 //
 //	cardestd [-addr :8482] [-load name=path[,name=path...]] [-default name]
 //	         [-qft conjunctive] [-model GB] [-train 2000] [-rows 20000]
 //	         [-entries 32] [-seed 1] [-workers 0] [-save file]
-//	         [-timeout 100ms] [-fallback] [-max-batch 16] [-batch-delay 2ms]
-//	         [-max-inflight 64] [-drain-timeout 10s] [-smoke] [-pprof addr]
+//	         [-timeout 100ms] [-fallback] [-max-inflight 64]
+//	         [-drain-timeout 10s] [-smoke] [-pprof addr]
 //	         [-cache-entries 4096] [-cache-off]
 //	         [-store dir] [-canary 200] [-canary-median 10] [-canary-p95 100]
 //	         [-probe-interval 30s] [-model-root dir]
@@ -96,6 +98,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -124,25 +127,23 @@ import (
 )
 
 type options struct {
-	addr       string
-	load       string
-	defName    string
-	qft        string
-	model      string
-	trainN     int
-	rows       int
-	entries    int
-	seed       int64
-	workers    int
-	save       string
-	timeout    time.Duration
-	fallback   bool
-	maxBatch   int
-	batchDelay time.Duration
-	maxInFly   int
-	drainTO    time.Duration
-	smoke      bool
-	pprofAddr  string
+	addr      string
+	load      string
+	defName   string
+	qft       string
+	model     string
+	trainN    int
+	rows      int
+	entries   int
+	seed      int64
+	workers   int
+	save      string
+	timeout   time.Duration
+	fallback  bool
+	maxInFly  int
+	drainTO   time.Duration
+	smoke     bool
+	pprofAddr string
 
 	cacheEntries int
 	cacheOff     bool
@@ -168,50 +169,62 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.addr, "addr", ":8482", "listen address")
-	flag.StringVar(&o.load, "load", "", "comma-separated name=path model snapshots to serve (default: train one at boot)")
-	flag.StringVar(&o.defName, "default", "", "name of the default model (default: first registered)")
-	flag.StringVar(&o.qft, "qft", "conjunctive", "featurization for the boot-trained model")
-	flag.StringVar(&o.model, "model", "GB", "regressor for the boot-trained model: GB or NN")
-	flag.IntVar(&o.trainN, "train", 2_000, "training queries for the boot-trained model")
-	flag.IntVar(&o.rows, "rows", 20_000, "forest table rows")
-	flag.IntVar(&o.entries, "entries", 32, "per-attribute feature entries (n)")
-	flag.Int64Var(&o.seed, "seed", 1, "generation seed")
-	flag.IntVar(&o.workers, "workers", 0, "training goroutines (0 = one per logical CPU)")
-	flag.StringVar(&o.save, "save", "", "write the boot-trained model snapshot to this file")
-	flag.DurationVar(&o.timeout, "timeout", 100*time.Millisecond, "default per-request estimation deadline (0 = none)")
-	flag.BoolVar(&o.fallback, "fallback", true, "degrade through sampling → independence → row-count when the learned model fails")
-	flag.IntVar(&o.maxBatch, "max-batch", 16, "largest coalesced request batch")
-	flag.DurationVar(&o.batchDelay, "batch-delay", 2*time.Millisecond, "how long an open batch waits before flushing")
-	flag.IntVar(&o.maxInFly, "max-inflight", 64, "concurrent estimate requests admitted before shedding with 429")
-	flag.DurationVar(&o.drainTO, "drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
-	flag.BoolVar(&o.smoke, "smoke", false, "run the self-test (random port, batched estimate, metrics scrape) and exit")
-	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty disables)")
-	flag.IntVar(&o.cacheEntries, "cache-entries", 4096, "generation-scoped estimate cache capacity (semantic fingerprint keys)")
-	flag.BoolVar(&o.cacheOff, "cache-off", false, "disable the estimate cache (every request pays full featurize+inference)")
-	flag.StringVar(&o.storeDir, "store", "", "crash-safe model store directory (enables canary-gated publishes, recovery, and rollback)")
-	flag.IntVar(&o.canaryN, "canary", 200, "held-out labeled queries for the canary gate (0 disables the gate)")
-	flag.Float64Var(&o.canaryMedian, "canary-median", 10, "canary ceiling on median q-error")
-	flag.Float64Var(&o.canaryP95, "canary-p95", 100, "canary ceiling on p95 q-error")
-	flag.DurationVar(&o.probeEvery, "probe-interval", 30*time.Second, "how often the supervisor re-probes the live model (0 disables)")
-	flag.StringVar(&o.modelRoot, "model-root", "", "directory POST /v1/models/load may read snapshots from (default: -store dir, else the working directory)")
-	flag.BoolVar(&o.retrain, "retrain", false, "arm self-healing retraining: drift alarms trigger supervised, checkpointed retrains published through the canary (requires -store)")
-	flag.DurationVar(&o.retrainCooldown, "retrain-cooldown", time.Minute, "minimum gap between drift-triggered retrains")
-	flag.Float64Var(&o.driftDelta, "drift-delta", 0.05, "Page-Hinkley tolerated drift of the mean log2 q-error")
-	flag.Float64Var(&o.driftLambda, "drift-lambda", 25, "Page-Hinkley alarm threshold on accumulated deviation")
-	flag.IntVar(&o.driftMin, "drift-min-samples", 50, "feedback observations before either drift detector may alarm")
-	flag.IntVar(&o.driftWindow, "drift-window", 200, "recent numeric predicate literals the domain detector considers")
-	flag.Float64Var(&o.driftOOD, "drift-ood-fraction", 0.25, "out-of-domain literal fraction that trips the domain detector")
-	flag.StringVar(&o.journalDir, "journal", "", "feedback journal directory (enables durable traffic capture, GET /v1/journal, and traffic-derived canaries)")
-	flag.Int64Var(&o.journalSegSz, "journal-segment-size", 4<<20, "journal segment rotation threshold in bytes")
-	flag.IntVar(&o.journalRetain, "journal-retention", 8, "sealed journal segments kept before GC (negative keeps all)")
-	flag.Parse()
-
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(2) // the flag set already printed the error and usage
+	}
 	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cardestd:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags parses the daemon's command line. Unknown flags are an error —
+// notably the retired -max-batch and -batch-delay, so a deployment script
+// that still sets them fails loudly instead of keeping a knob that does
+// nothing.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("cardestd", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8482", "listen address")
+	fs.StringVar(&o.load, "load", "", "comma-separated name=path model snapshots to serve (default: train one at boot)")
+	fs.StringVar(&o.defName, "default", "", "name of the default model (default: first registered)")
+	fs.StringVar(&o.qft, "qft", "conjunctive", "featurization for the boot-trained model")
+	fs.StringVar(&o.model, "model", "GB", "regressor for the boot-trained model: GB or NN")
+	fs.IntVar(&o.trainN, "train", 2_000, "training queries for the boot-trained model")
+	fs.IntVar(&o.rows, "rows", 20_000, "forest table rows")
+	fs.IntVar(&o.entries, "entries", 32, "per-attribute feature entries (n)")
+	fs.Int64Var(&o.seed, "seed", 1, "generation seed")
+	fs.IntVar(&o.workers, "workers", 0, "goroutines for training and for each client batch (0 = one per logical CPU)")
+	fs.StringVar(&o.save, "save", "", "write the boot-trained model snapshot to this file")
+	fs.DurationVar(&o.timeout, "timeout", 100*time.Millisecond, "default per-request estimation deadline (0 = none)")
+	fs.BoolVar(&o.fallback, "fallback", true, "degrade through sampling → independence → row-count when the learned model fails")
+	fs.IntVar(&o.maxInFly, "max-inflight", 64, "concurrent estimate requests admitted before shedding with 429")
+	fs.DurationVar(&o.drainTO, "drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
+	fs.BoolVar(&o.smoke, "smoke", false, "run the self-test (random port, batched estimate, metrics scrape) and exit")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty disables)")
+	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "generation-scoped estimate cache capacity (semantic fingerprint keys)")
+	fs.BoolVar(&o.cacheOff, "cache-off", false, "disable the estimate cache (every request pays full featurize+inference)")
+	fs.StringVar(&o.storeDir, "store", "", "crash-safe model store directory (enables canary-gated publishes, recovery, and rollback)")
+	fs.IntVar(&o.canaryN, "canary", 200, "held-out labeled queries for the canary gate (0 disables the gate)")
+	fs.Float64Var(&o.canaryMedian, "canary-median", 10, "canary ceiling on median q-error")
+	fs.Float64Var(&o.canaryP95, "canary-p95", 100, "canary ceiling on p95 q-error")
+	fs.DurationVar(&o.probeEvery, "probe-interval", 30*time.Second, "how often the supervisor re-probes the live model (0 disables)")
+	fs.StringVar(&o.modelRoot, "model-root", "", "directory POST /v1/models/load may read snapshots from (default: -store dir, else the working directory)")
+	fs.BoolVar(&o.retrain, "retrain", false, "arm self-healing retraining: drift alarms trigger supervised, checkpointed retrains published through the canary (requires -store)")
+	fs.DurationVar(&o.retrainCooldown, "retrain-cooldown", time.Minute, "minimum gap between drift-triggered retrains")
+	fs.Float64Var(&o.driftDelta, "drift-delta", 0.05, "Page-Hinkley tolerated drift of the mean log2 q-error")
+	fs.Float64Var(&o.driftLambda, "drift-lambda", 25, "Page-Hinkley alarm threshold on accumulated deviation")
+	fs.IntVar(&o.driftMin, "drift-min-samples", 50, "feedback observations before either drift detector may alarm")
+	fs.IntVar(&o.driftWindow, "drift-window", 200, "recent numeric predicate literals the domain detector considers")
+	fs.Float64Var(&o.driftOOD, "drift-ood-fraction", 0.25, "out-of-domain literal fraction that trips the domain detector")
+	fs.StringVar(&o.journalDir, "journal", "", "feedback journal directory (enables durable traffic capture, GET /v1/journal, and traffic-derived canaries)")
+	fs.Int64Var(&o.journalSegSz, "journal-segment-size", 4<<20, "journal segment rotation threshold in bytes")
+	fs.IntVar(&o.journalRetain, "journal-retention", 8, "sealed journal segments kept before GC (negative keeps all)")
+	return o, fs.Parse(args)
 }
 
 func run(o options, out io.Writer) error {
@@ -468,7 +481,7 @@ func run(o options, out io.Writer) error {
 	cfg := serve.Config{
 		Registry:       reg,
 		DB:             env.DB,
-		Batcher:        serve.BatcherConfig{MaxBatch: o.maxBatch, MaxDelay: o.batchDelay, Workers: o.workers},
+		Batcher:        serve.BatcherConfig{Workers: o.workers},
 		MaxInFlight:    o.maxInFly,
 		DefaultTimeout: o.timeout,
 		ModelRoot:      modelRoot,
@@ -481,32 +494,7 @@ func run(o options, out io.Writer) error {
 		cfg.CacheBypass = mon.AlarmActive
 	}
 	if mon != nil || jnl != nil {
-		cfg.Feedback = func(ev serve.FeedbackEvent) {
-			if mon != nil {
-				mon.ObserveFeedback(ev.Query, ev.Estimate, ev.Actual, ev.HasActual)
-			}
-			if jnl != nil {
-				fp := core.Fingerprint(ev.Query)
-				// Append is a non-blocking enqueue: a wedged journal sheds
-				// records (counted in journal_shed) and the estimate path
-				// never waits.
-				jnl.Append(journal.Record{
-					SQL:           ev.SQL,
-					Fingerprint:   fp,
-					Model:         ev.Model,
-					Generation:    ev.Generation,
-					Estimate:      ev.Estimate,
-					Actual:        ev.Actual,
-					HasActual:     ev.HasActual,
-					LatencyMicros: ev.Latency.Microseconds(),
-				})
-				if ev.HasActual {
-					actuals.Put(fp, ev.Actual)
-				}
-			}
-		}
-	}
-	if mon != nil || jnl != nil {
+		cfg.Feedback = feedbackHook(mon, jnl, actuals)
 		cfg.ExtraMetrics = func() map[string]any {
 			extra := map[string]any{}
 			if mon != nil {
@@ -556,6 +544,41 @@ func run(o options, out io.Writer) error {
 		return smoke(srv, cacheEntries > 0, out)
 	}
 	return listenAndServe(srv, o, out)
+}
+
+// feedbackHook is the daemon's serve.Config.Feedback: every served estimate
+// feeds the drift monitor and is appended to the feedback journal, whichever
+// of the two is armed (nil otherwise; actuals accompanies jnl).
+func feedbackHook(mon *drift.Monitor, jnl *journal.Journal, actuals *replay.ActualIndex) func(serve.FeedbackEvent) {
+	return func(ev serve.FeedbackEvent) {
+		if mon != nil {
+			mon.ObserveFeedback(ev.Query, ev.Estimate, ev.Actual, ev.HasActual)
+		}
+		if jnl == nil {
+			return
+		}
+		// The request path fingerprints the query once, for the estimate
+		// cache; only with the cache off or bypassed is it computed here.
+		fp := ev.Fingerprint
+		if fp == "" {
+			fp = core.Fingerprint(ev.Query)
+		}
+		// Append is a non-blocking enqueue: a wedged journal sheds records
+		// (counted in journal_shed) and the estimate path never waits.
+		jnl.Append(journal.Record{
+			SQL:           ev.SQL,
+			Fingerprint:   fp,
+			Model:         ev.Model,
+			Generation:    ev.Generation,
+			Estimate:      ev.Estimate,
+			Actual:        ev.Actual,
+			HasActual:     ev.HasActual,
+			LatencyMicros: ev.Latency.Microseconds(),
+		})
+		if ev.HasActual {
+			actuals.Put(fp, ev.Actual)
+		}
+	}
 }
 
 // journalCounters flattens the journal's stats into /metrics keys.

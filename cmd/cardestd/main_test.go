@@ -2,29 +2,44 @@ package main
 
 import (
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"qfe/internal/core"
+	"qfe/internal/journal"
+	"qfe/internal/replay"
+	"qfe/internal/resilience"
+	"qfe/internal/serve"
+	"qfe/internal/sqlparse"
+	"qfe/internal/testutil"
 )
 
-// tinyOptions keeps boot training fast enough for a unit test.
-func tinyOptions() options {
-	return options{
-		qft:        "conjunctive",
-		model:      "GB",
-		trainN:     300,
-		rows:       1500,
-		entries:    8,
-		seed:       1,
-		timeout:    200 * time.Millisecond,
-		fallback:   true,
-		maxBatch:   8,
-		batchDelay: time.Millisecond,
-		maxInFly:   16,
-		drainTO:    5 * time.Second,
-		smoke:      true,
+// tinyOptions keeps boot training fast enough for a unit test. It goes
+// through parseFlags, so every test also covers the command line.
+func tinyOptions(t *testing.T) options {
+	t.Helper()
+	o, err := parseFlags(strings.Fields(
+		"-smoke -rows 1500 -train 300 -entries 8 -timeout 200ms -max-inflight 16 -drain-timeout 5s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// TestRetiredBatcherFlagsRejected: the coalescing batcher is gone, and its
+// two knobs with it. A stale deployment script must fail at the command
+// line, not silently keep a flag that does nothing.
+func TestRetiredBatcherFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-max-batch", "16"}, {"-batch-delay", "2ms"}} {
+		fs := append([]string{"-smoke"}, args...)
+		if _, err := parseFlags(fs); err == nil || !strings.Contains(err.Error(), "not defined: "+args[0]) {
+			t.Errorf("parseFlags(%v): err = %v, want an unknown-flag error naming %s", fs, err, args[0])
+		}
 	}
 }
 
@@ -33,7 +48,7 @@ func tinyOptions() options {
 // clean shutdown.
 func TestRunSmoke(t *testing.T) {
 	var out strings.Builder
-	if err := run(tinyOptions(), &out); err != nil {
+	if err := run(tinyOptions(t), &out); err != nil {
 		t.Fatalf("smoke run failed: %v\noutput:\n%s", err, out.String())
 	}
 	for _, want := range []string{"single estimate", "3 results", "metrics ok", "clean shutdown"} {
@@ -46,13 +61,13 @@ func TestRunSmoke(t *testing.T) {
 // TestRunSaveAndLoad round-trips a boot snapshot through -save and -load.
 func TestRunSaveAndLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "boot.json")
-	o := tinyOptions()
+	o := tinyOptions(t)
 	o.save = path
 	if err := run(o, io.Discard); err != nil {
 		t.Fatalf("save run: %v", err)
 	}
 
-	o = tinyOptions()
+	o = tinyOptions(t)
 	o.load = "m1=" + path + ", m2=" + path
 	o.defName = "m2"
 	var out strings.Builder
@@ -65,19 +80,19 @@ func TestRunSaveAndLoad(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	o := tinyOptions()
+	o := tinyOptions(t)
 	o.workers = -3
 	if err := run(o, io.Discard); err == nil || !strings.Contains(err.Error(), "-workers") {
 		t.Errorf("negative workers: err = %v, want a -workers error", err)
 	}
 
-	o = tinyOptions()
+	o = tinyOptions(t)
 	o.load = "missing-equals-sign"
 	if err := run(o, io.Discard); err == nil || !strings.Contains(err.Error(), "name=path") {
 		t.Errorf("malformed -load: err = %v, want a name=path error", err)
 	}
 
-	o = tinyOptions()
+	o = tinyOptions(t)
 	o.defName = "ghost"
 	if err := run(o, io.Discard); err == nil {
 		t.Error("-default with an unknown model accepted")
@@ -92,7 +107,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 func TestRunStoreRecovery(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	withStore := func() options {
-		o := tinyOptions()
+		o := tinyOptions(t)
 		o.storeDir = dir
 		o.canaryN = 60
 		// Generous ceilings: this test exercises persistence and recovery,
@@ -141,5 +156,78 @@ func TestRunStoreRecovery(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("post-corruption run missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestJournaledFingerprint: the request path fingerprints a query once, for
+// the estimate cache, and hands it to the feedback hook; the hook computes
+// it only when the cache is off. Either way the journal must hold exactly
+// core.Fingerprint of the served query — on a miss, a hit, inside a client
+// batch, and with the cache off.
+func TestJournaledFingerprint(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	const sqlA = "SELECT count(*) FROM t WHERE a >= 1 AND b < 7"
+	const sqlB = "SELECT count(*) FROM t WHERE b <> 3"
+	for _, tc := range []struct {
+		name    string
+		entries int
+		hits    int64
+	}{{"cache on", 64, 2}, {"cache off", 0, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jnl, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jnl.Close()
+			reg := serve.NewRegistry()
+			if _, err := reg.Register("const", resilience.Constant{Value: 5}, serve.ModelInfo{}); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := serve.New(serve.Config{
+				Registry: reg,
+				Cache:    serve.CacheConfig{Entries: tc.entries},
+				Feedback: feedbackHook(nil, jnl, replay.NewActualIndex(0)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A miss, a hit on the same query, then a client batch holding a
+			// hit and a miss.
+			bodies := []string{
+				`{"sql":"` + sqlA + `","actual":4}`,
+				`{"sql":"` + sqlA + `"}`,
+				`{"queries":[{"sql":"` + sqlA + `"},{"sql":"` + sqlB + `"}]}`,
+			}
+			for _, body := range bodies {
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("POST %s: status %d: %s", body, rec.Code, rec.Body)
+				}
+			}
+			if got := srv.Metrics().Snapshot()["cache_hits"]; got != tc.hits {
+				t.Fatalf("cache_hits = %v, want %d: the requests did not take the paths under test", got, tc.hits)
+			}
+			if err := jnl.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err := journal.Read(nil, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 4 {
+				t.Fatalf("journal holds %d records, want 4", len(recs))
+			}
+			for _, r := range recs {
+				q, err := sqlparse.Parse(r.SQL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := core.Fingerprint(q); r.Fingerprint != want {
+					t.Errorf("journaled fingerprint of %q = %q, want %q", r.SQL, r.Fingerprint, want)
+				}
+			}
+		})
 	}
 }

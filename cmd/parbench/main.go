@@ -5,15 +5,9 @@
 // BENCH_parallel.json. Every path is bit-identical across worker counts, so
 // the numbers compare wall-clock only.
 //
-// It also benchmarks the serving estimate cache: a repeated workload is
-// replayed through the HTTP handler against a cache-off server, a cold
-// cache, and a warm cache, and the throughput comparison is written to
-// BENCH_serve_cache.json.
-//
 // Usage:
 //
 //	go run ./cmd/parbench [-out BENCH_parallel.json] [-workers N] [-quick]
-//	go run ./cmd/parbench -cache-only [-cache-out BENCH_serve_cache.json]
 package main
 
 import (
@@ -22,24 +16,14 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"qfe/internal/cli"
-	"qfe/internal/estimator"
 	"qfe/internal/exec"
 	"qfe/internal/ml/gb"
 	"qfe/internal/ml/nn"
 	"qfe/internal/parallel"
-	"qfe/internal/serve"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -58,8 +42,6 @@ func main() {
 	out := flag.String("out", "BENCH_parallel.json", "output JSON path")
 	workers := flag.Int("workers", 0, "parallel worker count (0 = one per logical CPU)")
 	quick := flag.Bool("quick", false, "shrink problem sizes for a fast smoke run")
-	cacheOut := flag.String("cache-out", "BENCH_serve_cache.json", "serving-cache benchmark output JSON path")
-	cacheOnly := flag.Bool("cache-only", false, "run only the serving-cache benchmark")
 	flag.Parse()
 
 	w := parallel.Workers(*workers)
@@ -73,33 +55,22 @@ func main() {
 		scale = 4
 	}
 
-	if !*cacheOnly {
-		var results []result
-		results = append(results, benchLabeling(w, scale))
-		results = append(results, benchGB(w, scale))
-		results = append(results, benchNN(w, scale))
-
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "parbench:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "parbench:", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-12s seq %12d ns/op   par %12d ns/op   speedup %.2fx\n",
-				r.Name, r.SeqNsOp, r.ParNsOp, r.Speedup)
-		}
-		fmt.Println("parbench: wrote", *out)
-	}
-
-	if err := benchServeCache(scale, *cacheOut); err != nil {
+	results := []result{benchLabeling(w, scale), benchGB(w, scale), benchNN(w, scale)}
+	data, err := json.MarshalIndent(results, "", "  ")
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "parbench:", err)
 		os.Exit(1)
 	}
+	data = append(data, '\n')
+	if err := os.WriteFile(*out, data, 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "parbench:", err)
+		os.Exit(1)
+	}
+	for _, r := range results {
+		fmt.Printf("%-12s seq %12d ns/op   par %12d ns/op   speedup %.2fx\n",
+			r.Name, r.SeqNsOp, r.ParNsOp, r.Speedup)
+	}
+	fmt.Println("parbench: wrote", *out)
 }
 
 func report(name string, w int, seq, par testing.BenchmarkResult) result {
@@ -191,179 +162,6 @@ func benchNN(w, scale int) result {
 		})
 	}
 	return report("nn-train", w, run(1), run(w))
-}
-
-// cacheBenchRow is one serving configuration's throughput measurement.
-type cacheBenchRow struct {
-	Name      string  `json:"name"`
-	Requests  int64   `json:"requests"`
-	NsOp      int64   `json:"ns_op"`
-	QPS       float64 `json:"qps"`
-	CacheHits int64   `json:"cache_hits"`
-}
-
-// cacheBenchReport is the BENCH_serve_cache.json payload.
-type cacheBenchReport struct {
-	Distinct    int             `json:"distinct_queries"`
-	Clients     int             `json:"clients"`
-	Rows        []cacheBenchRow `json:"rows"`
-	WarmSpeedup float64         `json:"warm_vs_off_speedup"`
-	Maxprocs    int             `json:"gomaxprocs"`
-}
-
-// benchServeCache replays a repeated workload through the HTTP estimate
-// handler with cmd/cardestd's default batcher settings (MaxBatch 16,
-// MaxDelay 2ms) and compares three servings of the same traffic: the cache
-// disabled, a cold cache (first sight of every query), and a warm cache.
-// The workload repeats on purpose — the cache's case is exactly the
-// dashboard/optimizer pattern where identical queries recur.
-func benchServeCache(scale int, out string) error {
-	env, err := cli.BuildForestEnv(cli.ForestSpec{
-		Rows: 50_000 / scale, TrainN: 64, TestN: 0, Seed: 7, QFT: "complex",
-	})
-	if err != nil {
-		return err
-	}
-	const (
-		distinct = 32
-		clients  = 8
-	)
-	rounds := 12 / scale
-	if rounds < 2 {
-		rounds = 2
-	}
-	sqls := make([]string, distinct)
-	for i := range sqls {
-		sqls[i] = env.Train[i].Query.String()
-	}
-
-	newServer := func(cacheEntries int) (*serve.Server, error) {
-		reg := serve.NewRegistry()
-		if _, err := reg.Register("bench", &estimator.Independence{DB: env.DB}, serve.ModelInfo{Kind: "baseline", Source: "parbench"}); err != nil {
-			return nil, err
-		}
-		return serve.New(serve.Config{
-			Registry:    reg,
-			DB:          env.DB,
-			MaxInFlight: 256,
-			Batcher:     serve.BatcherConfig{MaxBatch: 16, MaxDelay: 2 * time.Millisecond},
-			Cache:       serve.CacheConfig{Entries: cacheEntries},
-		})
-	}
-
-	// replay fires clients goroutines, each posting every query `rounds`
-	// times (offset per client so the mix interleaves), and returns the
-	// aggregate request count and wall time.
-	replay := func(h http.Handler, rounds int) (int64, time.Duration, error) {
-		var requests atomic.Int64
-		var failures atomic.Int64
-		start := time.Now()
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			c := c
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := 0; r < rounds; r++ {
-					for i := 0; i < len(sqls); i++ {
-						sql := sqls[(i+c)%len(sqls)]
-						body := `{"sql":` + strconv.Quote(sql) + `}`
-						req := httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body))
-						req.Header.Set("Content-Type", "application/json")
-						rec := httptest.NewRecorder()
-						h.ServeHTTP(rec, req)
-						requests.Add(1)
-						if rec.Code != http.StatusOK {
-							failures.Add(1)
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		if n := failures.Load(); n > 0 {
-			return 0, 0, fmt.Errorf("serve-cache bench: %d of %d requests failed", n, requests.Load())
-		}
-		return requests.Load(), elapsed, nil
-	}
-
-	row := func(name string, n int64, elapsed time.Duration, hits int64) cacheBenchRow {
-		r := cacheBenchRow{Name: name, Requests: n, CacheHits: hits, QPS: float64(n) / elapsed.Seconds()}
-		if n > 0 {
-			r.NsOp = elapsed.Nanoseconds() / n
-		}
-		return r
-	}
-
-	report := cacheBenchReport{Distinct: distinct, Clients: clients, Maxprocs: runtime.GOMAXPROCS(0)}
-
-	// Cache off: every request rides the coalescing batcher to the model.
-	srvOff, err := newServer(0)
-	if err != nil {
-		return err
-	}
-	nOff, dOff, err := replay(srvOff.Handler(), rounds)
-	srvOff.Close()
-	if err != nil {
-		return err
-	}
-	report.Rows = append(report.Rows, row("cache-off", nOff, dOff, 0))
-
-	// Cache on: one cold pass over the distinct set fills it, then the warm
-	// replay is measured separately.
-	srvOn, err := newServer(4096)
-	if err != nil {
-		return err
-	}
-	defer srvOn.Close()
-	h := srvOn.Handler()
-	nCold, dCold, err := replay(h, 1)
-	if err != nil {
-		return err
-	}
-	hitsAfterCold := metricCounter(h, "cache_hits")
-	report.Rows = append(report.Rows, row("cache-cold", nCold, dCold, hitsAfterCold))
-
-	nWarm, dWarm, err := replay(h, rounds)
-	if err != nil {
-		return err
-	}
-	report.Rows = append(report.Rows, row("cache-warm", nWarm, dWarm, metricCounter(h, "cache_hits")-hitsAfterCold))
-
-	qpsOff := float64(nOff) / dOff.Seconds()
-	qpsWarm := float64(nWarm) / dWarm.Seconds()
-	if qpsOff > 0 {
-		report.WarmSpeedup = qpsWarm / qpsOff
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	for _, r := range report.Rows {
-		fmt.Printf("%-12s %8d req   %10d ns/op   %12.0f qps   hits %d\n", r.Name, r.Requests, r.NsOp, r.QPS, r.CacheHits)
-	}
-	fmt.Printf("serve-cache: warm vs off speedup %.2fx\n", report.WarmSpeedup)
-	fmt.Println("parbench: wrote", out)
-	return nil
-}
-
-// metricCounter scrapes one integer counter from the server's /metrics.
-func metricCounter(h http.Handler, name string) int64 {
-	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	var snap map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		return 0
-	}
-	v, _ := snap[name].(float64)
-	return int64(v)
 }
 
 func synthData(n, d int) ([][]float64, []float64) {

@@ -8,9 +8,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-
-	"qfe/internal/core"
-	"qfe/internal/sqlparse"
 )
 
 // The estimate cache is the serving hot path's semantic memo: a sharded,
@@ -48,8 +45,8 @@ type CacheConfig struct {
 
 // cacheKey scopes a query's fingerprint to the model generation that will
 // answer it.
-func cacheKey(generation uint64, q *sqlparse.Query) string {
-	return strconv.FormatUint(generation, 10) + ":" + core.Fingerprint(q)
+func cacheKey(generation uint64, fingerprint string) string {
+	return strconv.FormatUint(generation, 10) + ":" + fingerprint
 }
 
 // cacheable reports whether an estimate may be served again: only clean,
@@ -127,7 +124,7 @@ func (c *estCache) shard(key string) *cacheShard {
 }
 
 // get looks key up without joining or starting a flight (the client-batch
-// path, which computes its misses in one parallel flush). Counts a hit or
+// path, which computes its misses in one parallel fan-out). Counts a hit or
 // a miss.
 func (c *estCache) get(key string) (EstResult, bool) {
 	s := c.shard(key)

@@ -384,7 +384,6 @@ func TestCachePublishInvalidates(t *testing.T) {
 		Registry:  reg,
 		Lifecycle: lc,
 		Cache:     CacheConfig{Entries: 128},
-		Batcher:   BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +436,6 @@ func TestCacheRollbackInvalidates(t *testing.T) {
 		Registry:  reg,
 		Lifecycle: lc,
 		Cache:     CacheConfig{Entries: 128},
-		Batcher:   BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,15 +14,14 @@ import (
 )
 
 // TestGracefulDrain covers the shutdown contract end to end over a real
-// listener: a request in flight when drain begins runs to completion, new
-// requests are refused with 503 while draining, and the listener closes
-// within the drain deadline once the in-flight tail finishes.
+// listener: a request in flight when drain begins runs to completion with
+// 200, new requests are refused with 503 while draining, the listener closes
+// within the drain deadline once the in-flight tail finishes, and Close —
+// which has no queue or goroutine left to wait for — returns at once.
 func TestGracefulDrain(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	est := &blockingEst{started: make(chan struct{}), release: make(chan struct{})}
-	srv := newStubServer(t, est, func(c *Config) {
-		c.Batcher = BatcherConfig{MaxBatch: 1}
-	})
+	srv := newStubServer(t, est, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

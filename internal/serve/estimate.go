@@ -1,0 +1,65 @@
+package serve
+
+import (
+	"context"
+	"time"
+
+	"qfe/internal/estimator"
+	"qfe/internal/parallel"
+	"qfe/internal/resilience"
+	"qfe/internal/sqlparse"
+)
+
+// Every query is estimated by one function, estimateOne, on the goroutine
+// that asked: a single-query request calls it on its HTTP request goroutine,
+// and a client batch fans it out over Workers goroutines (internal/parallel,
+// the same worker discipline as the labeling and training pools). There is
+// no queue, timer or background goroutine between a request and its model.
+
+// BatcherConfig bounds the fan-out of client batches. The name predates the
+// removal of request coalescing.
+type BatcherConfig struct {
+	// Deprecated: ignored; coalescing was removed. Kept only so cmd/bench compiles — delete with the next benchmark change.
+	MaxBatch int
+	// Deprecated: ignored; coalescing was removed. Kept only so cmd/bench compiles — delete with the next benchmark change.
+	MaxDelay time.Duration
+	// Workers bounds the goroutines a client batch fans out over
+	// (internal/parallel semantics: <1 means one per logical CPU).
+	Workers int
+}
+
+// EstResult is one query's outcome.
+type EstResult struct {
+	Estimate float64
+	// Stage and Degraded carry through from the resilience chain when the
+	// estimator is a *resilience.Resilient; otherwise Stage is empty.
+	Stage    string
+	Degraded bool
+	Err      error
+}
+
+// estimateOne dispatches one query, preserving the resilience chain's
+// detailed outcome when available.
+func estimateOne(ctx context.Context, est estimator.Estimator, q *sqlparse.Query) EstResult {
+	if res, ok := est.(*resilience.Resilient); ok {
+		d := res.EstimateDetailed(ctx, q)
+		return EstResult{Estimate: d.Estimate, Stage: d.Stage, Degraded: d.Degraded}
+	}
+	v, err := estimator.EstimateWithContext(ctx, est, q)
+	return EstResult{Estimate: v, Err: err}
+}
+
+// doBatch estimates a client-supplied batch in input order — estimateOne
+// per query, over at most Batcher.Workers goroutines — and counts it in
+// /metrics (batches_total, batched_queries_total).
+func (s *Server) doBatch(ctx context.Context, est estimator.Estimator, qs []*sqlparse.Query) []EstResult {
+	out := make([]EstResult, len(qs))
+	if len(qs) == 0 {
+		return out
+	}
+	s.metrics.observeBatch(len(qs))
+	parallel.Do(len(qs), parallel.Workers(s.cfg.Batcher.Workers), func(i int) {
+		out[i] = estimateOne(ctx, est, qs[i])
+	})
+	return out
+}

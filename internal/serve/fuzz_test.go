@@ -89,7 +89,7 @@ func FuzzEstimateHandler(f *testing.F) {
 	}
 	// The fuzzed server runs with the estimate cache on, so every accepted
 	// query also exercises fingerprinting and cache insertion end to end.
-	srv, err := New(Config{Registry: reg, DB: db, Batcher: BatcherConfig{MaxBatch: 4}, Cache: CacheConfig{Entries: 256}})
+	srv, err := New(Config{Registry: reg, DB: db, Cache: CacheConfig{Entries: 256}})
 	if err != nil {
 		f.Fatal(err)
 	}

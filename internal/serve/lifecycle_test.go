@@ -471,7 +471,6 @@ func TestCanaryGateEndToEnd(t *testing.T) {
 	srv, err := New(Config{
 		Registry:  reg,
 		DB:        db,
-		Batcher:   BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond},
 		ModelRoot: root,
 		Lifecycle: lc,
 	})
@@ -619,7 +618,7 @@ func TestRollbackEndpoint(t *testing.T) {
 	p1 := publish()
 	publish()
 
-	srv, err := New(Config{Registry: reg, DB: db, Lifecycle: lc, Batcher: BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond}})
+	srv, err := New(Config{Registry: reg, DB: db, Lifecycle: lc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,8 @@ type Metrics struct {
 
 	requests  atomic.Int64 // HTTP requests to /v1/estimate (single or batch)
 	queries   atomic.Int64 // individual queries estimated
-	batches   atomic.Int64 // batches flushed through the parallel path
-	batchedQs atomic.Int64 // queries carried by those batches
+	batches   atomic.Int64 // client batches fanned out over the worker pool (singles never count)
+	batchedQs atomic.Int64 // queries carried by those batches (cache hits excluded)
 	shed      atomic.Int64 // requests rejected by admission control (429)
 	drained   atomic.Int64 // requests rejected because the server is draining (503)
 	degraded  atomic.Int64 // queries answered by a non-primary resilience stage
@@ -123,10 +123,10 @@ type Metrics struct {
 func newMetrics() *Metrics {
 	return &Metrics{
 		start: time.Now(),
-		// Latency buckets span 100µs to 1s in roughly 1-2.5-5 steps; the
-		// paper's featurization costs sit well under the first bucket, so
-		// the low end resolves model inference, the high end deadline blowups.
-		latency: newHistogram(100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000),
+		// Latency buckets span 10µs to 1s in roughly 1-2.5-5 steps. A cache
+		// hit costs ~20µs and an inline miss ~100µs, so the low end tells
+		// the two apart; the high end resolves deadline blowups.
+		latency: newHistogram(10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000),
 		// Q-error buckets follow the paper's reporting granularity.
 		qerror: newHistogram(1.5, 2, 3, 5, 10, 25, 100, 1_000, 10_000),
 	}
@@ -144,7 +144,7 @@ func (m *Metrics) observeQuery(d time.Duration, degraded bool, err error) {
 	}
 }
 
-// observeBatch records one coalesced batch of n queries.
+// observeBatch records one client batch of n queries sent to the worker pool.
 func (m *Metrics) observeBatch(n int) {
 	m.batches.Add(1)
 	m.batchedQs.Add(int64(n))

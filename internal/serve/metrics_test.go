@@ -133,6 +133,28 @@ func TestMetricsSnapshotAndServeHTTP(t *testing.T) {
 	}
 }
 
+// TestLatencyBucketsResolveHitFromMiss: with no timer on the single-query
+// path a cache hit is ~20µs and an inline miss ~100µs; latency_micros must
+// put them in different buckets, and count/sum keep their meaning.
+func TestLatencyBucketsResolveHitFromMiss(t *testing.T) {
+	m := newMetrics()
+	m.observeQuery(20*time.Microsecond, false, nil)
+	m.observeQuery(100*time.Microsecond, false, nil)
+	snap := m.latency.snapshot()
+	for _, b := range snap["buckets"].([]bucket) {
+		want := int64(0)
+		if b.LE == 25.0 || b.LE == 100.0 {
+			want = 1
+		}
+		if b.N != want {
+			t.Errorf("bucket le=%v holds %d, want %d", b.LE, b.N, want)
+		}
+	}
+	if snap["count"] != int64(2) || snap["sum"] != 120.0 {
+		t.Errorf("count/sum = %v/%v, want 2/120", snap["count"], snap["sum"])
+	}
+}
+
 // errTest is a fixed error for metrics accounting.
 var errTest = &testError{}
 

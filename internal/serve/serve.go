@@ -1,8 +1,9 @@
 // Package serve is the production front door of the estimation system: a
 // long-lived HTTP server that routes estimate requests to a hot-swappable
-// model registry, coalesces concurrent single-query requests into batches
-// for the parallel estimation path, and protects itself with admission
-// control, per-request deadlines, and graceful drain.
+// model registry, answers each single query on its own request goroutine
+// (behind a generation-scoped estimate cache) and fans client batches out
+// over a bounded worker pool, and protects itself with admission control,
+// per-request deadlines, and graceful drain.
 //
 // Endpoints:
 //
@@ -43,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
 	"qfe/internal/metrics"
@@ -59,7 +61,7 @@ type Config struct {
 	// schema-validates loaded snapshots. May be nil when queries carry no
 	// string predicates and snapshots are trusted.
 	DB *table.DB
-	// Batcher tunes request coalescing.
+	// Batcher bounds the worker fan-out of client batches.
 	Batcher BatcherConfig
 	// MaxInFlight bounds concurrent estimate requests; excess is shed with
 	// 429. Default 64.
@@ -128,20 +130,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.Batcher.Queue < c.MaxInFlight {
-		// An admitted request must always find queue room; see batcher.
-		c.Batcher.Queue = c.MaxInFlight
-	}
 	return c
 }
 
-// Server wires the registry, batcher, admission control, and metrics behind
-// an http.Handler. Create with New, expose via Handler, stop with Drain
-// then Close.
+// Server wires the registry, estimate cache, admission control, and metrics
+// behind an http.Handler. Create with New, expose via Handler, stop with
+// Drain then http.Server.Shutdown. It owns no goroutine.
 type Server struct {
 	cfg      Config
 	reg      *Registry
-	batcher  *batcher
 	limiter  *limiter
 	cache    *estCache // nil when Config.Cache left zero
 	metrics  *Metrics
@@ -161,7 +158,6 @@ func New(cfg Config) (*Server, error) {
 		limiter: newLimiter(cfg.MaxInFlight),
 		metrics: newMetrics(),
 	}
-	s.batcher = newBatcher(cfg.Batcher, s.metrics.observeBatch)
 	s.cache = newEstCache(cfg.Cache, s.metrics)
 	if cfg.Lifecycle != nil {
 		cfg.Lifecycle.bindMetrics(s.metrics)
@@ -210,9 +206,10 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // beyond the in-flight tail.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Close stops the batcher after flushing everything queued. Call after the
-// HTTP listener is down.
-func (s *Server) Close() { s.batcher.Close() }
+// Close is a no-op: every estimate runs on the goroutine of the request
+// that asked for it, so once http.Server.Shutdown returns the server is
+// idle. The method stays because embedders (cmd/bench among them) call it.
+func (s *Server) Close() {}
 
 // statusWriter captures the response code for metrics.
 type statusWriter struct {
@@ -263,6 +260,11 @@ type FeedbackEvent struct {
 	// Latency is the server-side estimation time (per-query share for
 	// client batches).
 	Latency time.Duration
+	// Fingerprint is core.Fingerprint(Query) when the request path already
+	// computed it for the estimate cache; empty when the cache is off or
+	// bypassed. Consumers that need one regardless compute it themselves
+	// only in the empty case.
+	Fingerprint string
 }
 
 // ---- request/response shapes ----
@@ -409,31 +411,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		idx = append(idx, i)
 	}
 	start := time.Now()
-	batchRes := s.estimateBatch(ctx, est, info.Generation, qs)
-	elapsed := time.Since(start)
-	perQuery := elapsed / time.Duration(max(1, len(batchRes)))
+	batchRes, fps := s.estimateBatch(ctx, est, info.Generation, qs)
+	perQuery := time.Since(start) / time.Duration(max(1, len(batchRes)))
 	for j, br := range batchRes {
 		i := idx[j]
-		results[i] = toResult(br, perQuery)
-		s.metrics.observeQuery(perQuery, br.Degraded, br.Err)
-		if br.Err == nil {
-			actual, hasActual := actualValue(req.Queries[i].Actual)
-			if hasActual && actual > 0 {
-				s.metrics.ObserveQError(metrics.QError(actual, br.Estimate))
-			}
-			if s.cfg.Feedback != nil {
-				s.cfg.Feedback(FeedbackEvent{
-					Query:      qs[j],
-					SQL:        req.Queries[i].SQL,
-					Model:      info.Name,
-					Generation: info.Generation,
-					Estimate:   br.Estimate,
-					Actual:     actual,
-					HasActual:  hasActual,
-					Latency:    perQuery,
-				})
-			}
-		}
+		results[i] = s.record(info, qs[j], req.Queries[i].SQL, fps[j], br, req.Queries[i].Actual, perQuery)
 	}
 	writeJSON(w, http.StatusOK, estimateResponse{Model: info.Name, Results: results})
 }
@@ -450,20 +432,31 @@ func (s *Server) activeCache() *estCache {
 	return s.cache
 }
 
-// estimateTimed runs one query through the estimate cache and the
-// coalescing batcher, and records its metrics. Feedback (drift monitoring,
-// q-error accounting) observes cached answers too: the client still
-// received that estimate, so the detectors must still see it.
+// estimateTimed answers one query on the calling (HTTP request) goroutine:
+// a lookup in the estimate cache, and on a miss estimateOne inline, under
+// the cache's singleflight so concurrent identical misses cost one
+// inference. Nothing on this path queues, waits on a timer, or hands off to
+// another goroutine.
 func (s *Server) estimateTimed(ctx context.Context, est estimator.Estimator, info ModelInfo, q *sqlparse.Query, sql string, reported *float64) estimateResult {
 	start := time.Now()
 	var br EstResult
+	var fp string
 	if c := s.activeCache(); c != nil {
-		br = c.do(ctx, cacheKey(info.Generation, q), func() EstResult { return s.batcher.Do(ctx, est, q) })
+		fp = core.Fingerprint(q)
+		br = c.do(ctx, cacheKey(info.Generation, fp), func() EstResult { return estimateOne(ctx, est, q) })
 	} else {
-		br = s.batcher.Do(ctx, est, q)
+		br = estimateOne(ctx, est, q)
 	}
-	elapsed := time.Since(start)
-	s.metrics.observeQuery(elapsed, br.Degraded, br.Err)
+	return s.record(info, q, sql, fp, br, reported, time.Since(start))
+}
+
+// record accounts one answered query — latency and degradation metrics, the
+// q-error when the client reported a true cardinality, the Feedback hook —
+// and renders its wire result. Feedback (drift monitoring, q-error
+// accounting) observes cached answers too: the client still received that
+// estimate, so the detectors must still see it.
+func (s *Server) record(info ModelInfo, q *sqlparse.Query, sql, fp string, br EstResult, reported *float64, latency time.Duration) estimateResult {
+	s.metrics.observeQuery(latency, br.Degraded, br.Err)
 	if br.Err == nil {
 		actual, hasActual := actualValue(reported)
 		if hasActual && actual > 0 {
@@ -471,36 +464,40 @@ func (s *Server) estimateTimed(ctx context.Context, est estimator.Estimator, inf
 		}
 		if s.cfg.Feedback != nil {
 			s.cfg.Feedback(FeedbackEvent{
-				Query:      q,
-				SQL:        sql,
-				Model:      info.Name,
-				Generation: info.Generation,
-				Estimate:   br.Estimate,
-				Actual:     actual,
-				HasActual:  hasActual,
-				Latency:    elapsed,
+				Query:       q,
+				SQL:         sql,
+				Model:       info.Name,
+				Generation:  info.Generation,
+				Estimate:    br.Estimate,
+				Actual:      actual,
+				HasActual:   hasActual,
+				Latency:     latency,
+				Fingerprint: fp,
 			})
 		}
 	}
-	return toResult(br, elapsed)
+	return toResult(br, latency)
 }
 
 // estimateBatch answers a client-supplied batch, serving what it can from
-// the estimate cache and pushing only the misses through the parallel
-// path in one flush. The batch path skips the singleflight — the client
-// already batched, so there is nothing concurrent to collapse — but reads
-// and feeds the same cache as the single path.
-func (s *Server) estimateBatch(ctx context.Context, est estimator.Estimator, gen uint64, qs []*sqlparse.Query) []EstResult {
+// the estimate cache and fanning only the misses out over the worker pool.
+// The batch path skips the singleflight — the client already batched, so
+// there is nothing concurrent to collapse — but reads and feeds the same
+// cache as the single path. The second result holds each query's
+// fingerprint (empty strings when the cache is off or bypassed).
+func (s *Server) estimateBatch(ctx context.Context, est estimator.Estimator, gen uint64, qs []*sqlparse.Query) ([]EstResult, []string) {
+	fps := make([]string, len(qs))
 	c := s.activeCache()
 	if c == nil {
-		return s.batcher.DoBatch(ctx, est, qs)
+		return s.doBatch(ctx, est, qs), fps
 	}
 	out := make([]EstResult, len(qs))
 	keys := make([]string, len(qs))
 	missQ := make([]*sqlparse.Query, 0, len(qs))
 	missIdx := make([]int, 0, len(qs))
 	for i, q := range qs {
-		keys[i] = cacheKey(gen, q)
+		fps[i] = core.Fingerprint(q)
+		keys[i] = cacheKey(gen, fps[i])
 		if res, ok := c.get(keys[i]); ok {
 			out[i] = res
 			continue
@@ -508,13 +505,11 @@ func (s *Server) estimateBatch(ctx context.Context, est estimator.Estimator, gen
 		missQ = append(missQ, q)
 		missIdx = append(missIdx, i)
 	}
-	if len(missQ) > 0 {
-		for k, res := range s.batcher.DoBatch(ctx, est, missQ) {
-			out[missIdx[k]] = res
-			c.put(keys[missIdx[k]], res)
-		}
+	for k, res := range s.doBatch(ctx, est, missQ) {
+		out[missIdx[k]] = res
+		c.put(keys[missIdx[k]], res)
 	}
-	return out
+	return out, fps
 }
 
 // retryAfterSeconds renders the Retry-After hint: the configured duration

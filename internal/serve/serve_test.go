@@ -113,8 +113,8 @@ func (b *blockingEst) Estimate(*sqlparse.Query) (float64, error) {
 const stubSQL = "SELECT count(*) FROM t WHERE a >= 1"
 
 // newStubServer builds a server around a single registered stub estimator.
-// Every stub-server test also verifies that no server goroutine outlives it
-// (the leak check registers first, so it runs after srv.Close).
+// Every stub-server test also verifies that the server leaves no goroutine
+// behind — without calling Close: New starts none.
 func newStubServer(tb testing.TB, est estimator.Estimator, mutate func(*Config)) *Server {
 	tb.Helper()
 	testutil.VerifyNoLeaks(tb)
@@ -122,7 +122,7 @@ func newStubServer(tb testing.TB, est estimator.Estimator, mutate func(*Config))
 	if _, err := reg.Register("stub", est, ModelInfo{Kind: "stub", Source: "test"}); err != nil {
 		tb.Fatal(err)
 	}
-	cfg := Config{Registry: reg, Batcher: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}}
+	cfg := Config{Registry: reg}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -130,7 +130,6 @@ func newStubServer(tb testing.TB, est estimator.Estimator, mutate func(*Config))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(srv.Close)
 	return srv
 }
 
@@ -390,7 +389,6 @@ func TestAdmissionControl(t *testing.T) {
 	srv := newStubServer(t, est, func(c *Config) {
 		c.MaxInFlight = 2
 		c.RetryAfter = 3 * time.Second
-		c.Batcher = BatcherConfig{MaxBatch: 1} // flush each request alone
 	})
 	h := srv.Handler()
 
@@ -504,7 +502,6 @@ func TestHotSwapEndToEnd(t *testing.T) {
 	srv, err := New(Config{
 		Registry:    reg,
 		DB:          db,
-		Batcher:     BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond},
 		MaxInFlight: 64,
 	})
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 
 // VerifyNoLeaks registers a cleanup that fails the test if goroutines
 // running this module's code outlive it. Call it FIRST in a test (before
-// starting servers, batchers, or supervisors): testing cleanups run LIFO,
+// starting servers, journals, or supervisors): testing cleanups run LIFO,
 // so the leak check executes after every later-registered cleanup has shut
 // its component down — exactly the moment all qfe goroutines should be
 // gone.
