@@ -27,11 +27,15 @@ check: vet race
 # fault point so the pipeline stays fast. `make check` runs the default
 # width; `make soak` runs the wide sweep. staticcheck and govulncheck run
 # when installed and are skipped (not failed) when absent, so the target
-# works in hermetic containers without network access.
+# works in hermetic containers without network access. The allocation pins
+# of the miss path (featurize 0, fingerprint <= 2, Local.Estimate <= 6, one
+# token slice per lex) skip themselves under the race detector, which
+# defeats sync.Pool, so they get a run of their own without it.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -short ./...
+	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal
 	$(GO) run ./cmd/infbench -quick -out BENCH_infer.quick.json
 	$(MAKE) lint
@@ -75,9 +79,9 @@ bench-journal:
 	$(GO) run ./cmd/journalbench -out BENCH_journal.json
 
 # bench-infer measures the compiled inference fast path against the
-# pre-flattening reference implementations — gb/nn single-vector predict,
-# featurization into a reused buffer, and the amortized estimator batch
-# path — and writes the before/after report to BENCH_infer.json. All fast
+# pre-flattening reference implementations — gb/nn single-vector predict
+# and the amortized estimator batch path — and writes the before/after
+# report to BENCH_infer.json. All fast
 # paths are bit-identical to their references (see the differential tests
 # next to each); the report compares wall-clock and steady-state allocations.
 bench-infer:

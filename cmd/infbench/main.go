@@ -1,22 +1,22 @@
 // Command infbench measures the compiled inference fast path against the
 // pre-flattening reference implementations and writes the before/after
-// comparison to BENCH_infer.json. Four rows cover the serving hot path end
-// to end:
+// comparison to BENCH_infer.json. Three rows, one per path that still has a
+// reference twin to be compared with:
 //
 //   - gb-predict: single-vector gradient-boosting inference — the reference
 //     per-tree pointer walk vs. the compiled packed-node forest with the
 //     lane-interleaved descent.
 //   - nn-predict: single-vector MLP inference — per-call activation
 //     allocation vs. the pooled ping-pong scratch.
-//   - featurize: query featurization — append-based Featurize vs.
-//     fixed-offset FeaturizeInto writing a reused buffer.
 //   - estimate-batch: the full estimator path — per-query Local.Estimate
 //     vs. EstimateBatch amortizing one feature matrix and one batched
 //     predict per sub-schema (per-query cost reported).
 //
 // Every "after" path is bit-identical to its "before" path by construction
 // (see the differential tests next to each implementation); the numbers
-// here compare wall-clock and steady-state allocations only.
+// here compare wall-clock and steady-state allocations only. Featurization
+// has one implementation and therefore no row; cmd/bench's trace times it
+// in place (core.featurize_us, core.featurize_allocs).
 //
 // Usage:
 //
@@ -74,12 +74,11 @@ func main() {
 		benchGBPredict(scale),
 		benchNNPredict(scale),
 	}
-	fr, er, err := benchFeaturizeAndEstimate(scale)
+	er, err := benchEstimate(scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "infbench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	rows = append(rows, fr, er)
+	rows = append(rows, er)
 
 	data, err := json.MarshalIndent(report{Rows: rows, Maxprocs: runtime.GOMAXPROCS(0), Quick: *quick}, "", "  ")
 	if err != nil {
@@ -177,47 +176,16 @@ func benchNNPredict(scale int) result {
 	return row("nn-predict", before, after, 1)
 }
 
-// benchFeaturizeAndEstimate shares one forest environment between the
-// featurization row and the estimator row.
-func benchFeaturizeAndEstimate(scale int) (fr, er result, err error) {
+// benchEstimate compares per-query Local.Estimate with the amortized batch
+// path over the mixed workload, same trained model.
+func benchEstimate(scale int) (er result, err error) {
 	env, err := cli.BuildForestEnv(cli.ForestSpec{
 		Rows: 20_000 / scale, TrainN: 512 / scale, TestN: 256 / scale, Seed: 7, QFT: "complex",
 	})
 	if err != nil {
-		return fr, er, err
+		return er, err
 	}
 	opts := core.Options{MaxEntriesPerAttr: 32, AttrSel: true}
-
-	// Featurize vs FeaturizeInto over the mixed workload's expressions.
-	meta := core.NewTableMeta(env.Table, opts.MaxEntriesPerAttr)
-	feat, err := core.New("complex", meta, opts)
-	if err != nil {
-		return fr, er, err
-	}
-	exprs := make([]sqlparse.Expr, len(env.Test))
-	for i, lq := range env.Test {
-		exprs[i] = lq.Query.Where
-	}
-	before := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := feat.Featurize(exprs[i%len(exprs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	dst := make([]float64, feat.Dim())
-	after := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := feat.FeaturizeInto(dst, exprs[i%len(exprs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	fr = row("featurize", before, after, 1)
-
-	// Per-query Estimate vs the amortized batch path, same trained model.
 	cfg := gb.DefaultConfig()
 	cfg.NumTrees = 100 / scale
 	loc, err := estimator.NewLocal(env.DB, estimator.LocalConfig{
@@ -226,18 +194,17 @@ func benchFeaturizeAndEstimate(scale int) (fr, er result, err error) {
 		NewRegressor: estimator.NewGBFactory(cfg),
 	})
 	if err != nil {
-		return fr, er, err
+		return er, err
 	}
 	if err := loc.Train(env.Train); err != nil {
-		return fr, er, err
+		return er, err
 	}
 	qs := make([]*sqlparse.Query, len(env.Test))
 	for i, lq := range env.Test {
 		qs[i] = lq.Query
 	}
-	// Batches arrive from the serve-layer batcher, whose coalescing window
-	// caps them at tens of queries, not the whole workload — chunk to that
-	// size so the feature matrix matches what serving actually hands the
+	// Chunk to the size of a client batch — tens of queries, not the whole
+	// workload — so the feature matrix is the size a caller would hand the
 	// estimator.
 	const batchSize = 64
 	ctx := context.Background()
@@ -268,8 +235,7 @@ func benchFeaturizeAndEstimate(scale int) (fr, er result, err error) {
 			}
 		}
 	})
-	er = row("estimate-batch", single, batch, len(qs))
-	return fr, er, nil
+	return row("estimate-batch", single, batch, len(qs)), nil
 }
 
 func fatal(err error) {

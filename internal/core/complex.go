@@ -25,171 +25,54 @@ import (
 // On purely conjunctive input the encoding degenerates to Universal
 // Conjunction Encoding and produces the identical vector (the reason
 // Table 1 omits the "complex" rows for JOB-light).
-type Complex struct {
-	meta *TableMeta
-	opts Options
-	// offsets mirrors Conjunctive's fixed per-attribute layout; maxN is the
-	// widest per-attribute partition vector, sizing FeaturizeInto's scratch.
-	offsets []int
-	maxN    int
-}
+type Complex struct{ partitioned }
 
-// NewComplex returns Limited Disjunction Encoding over meta.
+// NewComplex returns Limited Disjunction Encoding over meta; the layout
+// matches Universal Conjunction Encoding exactly.
 func NewComplex(meta *TableMeta, opts Options) *Complex {
-	c := &Complex{meta: meta, opts: opts, offsets: attrOffsets(meta, opts)}
-	for _, a := range meta.Attrs {
-		if a.NEntries > c.maxN {
-			c.maxN = a.NEntries
-		}
-	}
-	return c
-}
-
-// Name implements Featurizer.
-func (c *Complex) Name() string { return "complex" }
-
-// Dim implements Featurizer; the layout matches Universal Conjunction
-// Encoding exactly.
-func (c *Complex) Dim() int { return partitionedDim(c.meta, c.opts) }
-
-// Featurize implements Featurizer (Algorithm 2). expr must be a mixed query
-// per Definition 3.3; anything wider (a disjunction spanning attributes)
-// returns an error.
-func (c *Complex) Featurize(expr sqlparse.Expr) ([]float64, error) {
-	compounds, err := sqlparse.CompoundPredicates(expr)
-	if err != nil {
-		return nil, fmt.Errorf("core/complex: %w", err)
-	}
-	byAttr := make(map[int]sqlparse.Expr, len(compounds))
-	for _, cp := range compounds {
-		ai := c.meta.AttrIndex(cp.Attr)
-		if ai < 0 {
-			return nil, fmt.Errorf("core/complex: unknown attribute %q", cp.Attr)
-		}
-		byAttr[ai] = cp.Expr
-	}
-
-	vec := make([]float64, 0, c.Dim())
-	for ai, a := range c.meta.Attrs {
-		cpExpr, has := byAttr[ai]
-		if !has {
-			// No compound predicate on this attribute: the all-one vector,
-			// full selectivity.
-			av := make([]float64, a.NEntries)
-			for i := range av {
-				av[i] = 1
-			}
-			vec = append(vec, av...)
-			if c.opts.AttrSel {
-				vec = append(vec, 1)
-			}
-			continue
-		}
-		av, sel, err := FeaturizeAttrCompound(a, cpExpr)
-		if err != nil {
-			return nil, err
-		}
-		vec = append(vec, av...)
-		if c.opts.AttrSel {
-			vec = append(vec, sel)
-		}
-	}
-	return vec, nil
-}
-
-// FeaturizeInto implements Featurizer (Algorithm 2) at fixed per-attribute
-// offsets. One scratch vector is shared by every disjunct of every compound
-// predicate (each disjunct featurization fully overwrites it), so the only
-// per-call garbage left is the DNF normalization itself.
-func (c *Complex) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
-	if err := checkDst("complex", dst, c.Dim()); err != nil {
-		return err
-	}
-	compounds, err := sqlparse.CompoundPredicates(expr)
-	if err != nil {
-		return fmt.Errorf("core/complex: %w", err)
-	}
-	byAttr := make(map[int]sqlparse.Expr, len(compounds))
-	for _, cp := range compounds {
-		ai := c.meta.AttrIndex(cp.Attr)
-		if ai < 0 {
-			return fmt.Errorf("core/complex: unknown attribute %q", cp.Attr)
-		}
-		byAttr[ai] = cp.Expr
-	}
-
-	var scratch []float64
-	for ai, a := range c.meta.Attrs {
-		off := c.offsets[ai]
-		block := dst[off : off+a.NEntries]
-		cpExpr, has := byAttr[ai]
-		if !has {
-			for i := range block {
-				block[i] = 1
-			}
-			if c.opts.AttrSel {
-				dst[off+a.NEntries] = 1
-			}
-			continue
-		}
-		if scratch == nil {
-			scratch = make([]float64, c.maxN)
-		}
-		sel, err := FeaturizeAttrCompoundInto(a, cpExpr, block, scratch[:a.NEntries])
-		if err != nil {
-			return err
-		}
-		if c.opts.AttrSel {
-			dst[off+a.NEntries] = sel
-		}
-	}
-	return nil
+	return &Complex{newPartitioned("complex", meta, opts, nil)}
 }
 
 // FeaturizeAttrCompound runs Algorithm 2 for one attribute: the compound
-// predicate expr (all of whose simple predicates must reference attribute a)
-// is converted to DNF, each disjunct is featurized with Algorithm 1, and the
-// per-disjunct vectors are merged entry-wise by max.
+// predicate expr (all of whose simple predicates are taken to reference
+// attribute a) is converted to DNF, each disjunct is featurized with
+// Algorithm 1, and the per-disjunct vectors are merged entry-wise by max.
 //
 // The merged selectivity estimate is the sum of the per-disjunct estimates
 // clamped to 1 — an upper bound that is exact when the disjuncts cover
 // disjoint value ranges, as they do in the paper's mixed workload.
 func FeaturizeAttrCompound(a AttrMeta, expr sqlparse.Expr) ([]float64, float64, error) {
+	sc := getScratch()
+	defer putScratch(sc)
 	merged := make([]float64, a.NEntries)
-	sel, err := FeaturizeAttrCompoundInto(a, expr, merged, make([]float64, a.NEntries))
+	sc.kids = append(sc.kids[:0], expr)
+	sel, err := sc.attrCompound(&a, sc.kids, merged)
 	if err != nil {
 		return nil, 0, err
 	}
 	return merged, sel, nil
 }
 
-// FeaturizeAttrCompoundInto is FeaturizeAttrCompound merging into dst
-// (length a.NEntries, fully overwritten). scratch (same length) holds each
-// disjunct's Algorithm 1 vector before the max-merge; it may be reused
-// across calls since every disjunct featurization fully overwrites it.
-func FeaturizeAttrCompoundInto(a AttrMeta, expr sqlparse.Expr, dst, scratch []float64) (float64, error) {
-	if len(dst) != a.NEntries || len(scratch) != a.NEntries {
-		return 0, fmt.Errorf("core/complex: attribute %q: destination/scratch length %d/%d, want %d", a.Name, len(dst), len(scratch), a.NEntries)
-	}
-	dnf, err := sqlparse.ToDNF(expr)
-	if err != nil {
+// attrCompound is Algorithm 2 for attribute a, whose compound predicate is
+// the conjunction of kids, merging into dst (length a.NEntries, fully
+// overwritten).
+func (sc *scratch) attrCompound(a *AttrMeta, kids []sqlparse.Expr, dst []float64) (float64, error) {
+	sc.preds, sc.terms = sc.preds[:0], sc.terms[:0]
+	if err := sc.dnfAnd(kids); err != nil {
 		return 0, fmt.Errorf("core/complex: attribute %q: %w", a.Name, err)
 	}
-	for i := range dst {
-		dst[i] = 0 // all-zero (Algorithm 2, line 3)
+	if cap(sc.part) < a.NEntries {
+		sc.part = make([]float64, a.NEntries)
 	}
+	part := sc.part[:a.NEntries]
+	fill(dst, 0) // all-zero (Algorithm 2, line 3)
 	var mergedSel float64
-	for _, conj := range dnf {
-		for _, p := range conj {
-			if got := p.Attr; got != a.Name && !qualifiedMatch(got, a.Name) {
-				return 0, fmt.Errorf("core/complex: compound predicate mixes attributes %q and %q", a.Name, got)
-			}
-		}
-		sel, err := FeaturizeAttrConjunctionInto(a, conj, scratch)
+	for _, t := range sc.terms {
+		sel, err := sc.attrConjunction(a, sc.preds[t.lo:t.hi], part)
 		if err != nil {
 			return 0, err
 		}
-		for i, v := range scratch {
+		for i, v := range part {
 			if v > dst[i] {
 				dst[i] = v
 			}
@@ -207,13 +90,71 @@ func FeaturizeAttrCompoundInto(a AttrMeta, expr sqlparse.Expr, dst, scratch []fl
 	return mergedSel, nil
 }
 
-// qualifiedMatch reports whether name is a table-qualified spelling whose
-// column part equals attr.
-func qualifiedMatch(name, attr string) bool {
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '.' {
-			return name[i+1:] == attr
+// maxDNFTerms bounds the disjunction blow-up of a compound predicate, at
+// sqlparse.ToDNF's limit: adversarial inputs become errors, not memory.
+const maxDNFTerms = 4096
+
+var errDNFTerms = fmt.Errorf("DNF exceeds %d terms", maxDNFTerms)
+
+// dnf appends expr's disjunctive normal form to the term arena, in the order
+// sqlparse.ToDNF enumerates it (the merged selectivity is a float sum, so
+// term order is part of the encoding): sc.terms grows by exactly expr's
+// terms, each a span of sc.preds.
+func (sc *scratch) dnf(expr sqlparse.Expr) error {
+	switch n := expr.(type) {
+	case *sqlparse.Pred:
+		sc.preds = append(sc.preds, n)
+		sc.terms = append(sc.terms, span{int32(len(sc.preds) - 1), int32(len(sc.preds))})
+	case *sqlparse.And:
+		return sc.dnfAnd(n.Kids)
+	case *sqlparse.Or:
+		base := len(sc.terms)
+		for _, k := range n.Kids {
+			if err := sc.dnf(k); err != nil {
+				return err
+			}
+			if len(sc.terms)-base > maxDNFTerms {
+				return errDNFTerms
+			}
 		}
 	}
-	return false
+	return nil
+}
+
+// dnfAnd is dnf for the conjunction of kids. The kids that are simple
+// predicates form the stem shared by every term; each remaining kid
+// multiplies the terms so far by its own, earlier kids varying slowest.
+func (sc *scratch) dnfAnd(kids []sqlparse.Expr) error {
+	base := len(sc.terms)
+	stem := int32(len(sc.preds))
+	for _, k := range kids {
+		if p, ok := k.(*sqlparse.Pred); ok {
+			sc.preds = append(sc.preds, p)
+		}
+	}
+	sc.terms = append(sc.terms, span{stem, int32(len(sc.preds))})
+	for _, k := range kids {
+		if _, ok := k.(*sqlparse.Pred); ok {
+			continue
+		}
+		out := len(sc.terms) // terms[base:out]: the product so far
+		if err := sc.dnf(k); err != nil {
+			return err
+		}
+		sub := len(sc.terms) // terms[out:sub]: k's terms
+		if (out-base)*(sub-out) > maxDNFTerms {
+			return errDNFTerms
+		}
+		for _, a := range sc.terms[base:out] {
+			for _, b := range sc.terms[out:sub] {
+				lo := int32(len(sc.preds))
+				sc.preds = append(sc.preds, sc.preds[a.lo:a.hi]...)
+				sc.preds = append(sc.preds, sc.preds[b.lo:b.hi]...)
+				sc.terms = append(sc.terms, span{lo, int32(len(sc.preds))})
+			}
+		}
+		// Slide the new product down over the two factors it replaces.
+		sc.terms = sc.terms[:base+copy(sc.terms[base:], sc.terms[sub:])]
+	}
+	return nil
 }

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 
 	"qfe/internal/sqlparse"
 )
@@ -27,132 +31,230 @@ import (
 // implementation then emits only 0/1 entries (the small-domain refinement
 // noted at the end of Section 3.2). More generally, literals that align
 // with partition boundaries are resolved to 0/1 instead of ½.
-type Conjunctive struct {
-	meta *TableMeta
-	opts Options
-	// offsets[ai] is attribute ai's block start in the feature vector;
-	// offsets[NumAttrs] is the total dim. Precomputed so FeaturizeInto can
-	// write each attribute at its fixed offset.
-	offsets []int
-}
+type Conjunctive struct{ partitioned }
 
 // NewConjunctive returns Universal Conjunction Encoding over meta.
 func NewConjunctive(meta *TableMeta, opts Options) *Conjunctive {
-	return &Conjunctive{meta: meta, opts: opts, offsets: attrOffsets(meta, opts)}
+	return &Conjunctive{newPartitioned("conjunctive", meta, opts,
+		errors.New("core/conjunctive: disjunctions require Limited Disjunction Encoding"))}
 }
 
-// attrOffsets precomputes the per-attribute block offsets of the
-// partition-based layout shared by Universal Conjunction Encoding and
-// Limited Disjunction Encoding.
-func attrOffsets(meta *TableMeta, opts Options) []int {
-	offsets := make([]int, meta.NumAttrs()+1)
+// partitioned is what Universal Conjunction Encoding and Limited Disjunction
+// Encoding share: the layout — per attribute a block of NEntries partition
+// entries, plus one selectivity entry when AttrSel is set — and the body
+// that fills it. The two differ only in whether disjunctions are admitted.
+type partitioned struct {
+	name string
+	meta *TableMeta
+	opts Options
+	// offsets[ai] is attribute ai's block start in the feature vector;
+	// offsets[NumAttrs] is the total dim.
+	offsets []int
+	// orErr, when non-nil, is what a disjunction is rejected with.
+	orErr error
+}
+
+func newPartitioned(name string, meta *TableMeta, opts Options, orErr error) partitioned {
+	p := partitioned{name: name, meta: meta, opts: opts, orErr: orErr, offsets: make([]int, meta.NumAttrs()+1)}
 	for i, a := range meta.Attrs {
-		stride := a.NEntries
+		p.offsets[i+1] = p.offsets[i] + a.NEntries
 		if opts.AttrSel {
-			stride++
+			p.offsets[i+1]++
 		}
-		offsets[i+1] = offsets[i] + stride
 	}
-	return offsets
+	return p
 }
 
 // Name implements Featurizer.
-func (c *Conjunctive) Name() string { return "conjunctive" }
+func (p *partitioned) Name() string { return p.name }
 
 // Dim implements Featurizer: sum of per-attribute entry counts, plus one
 // selectivity entry per attribute when AttrSel is enabled.
-func (c *Conjunctive) Dim() int { return partitionedDim(c.meta, c.opts) }
+func (p *partitioned) Dim() int { return p.offsets[len(p.offsets)-1] }
 
-func partitionedDim(meta *TableMeta, opts Options) int {
-	dim := 0
-	for _, a := range meta.Attrs {
-		dim += a.NEntries
-		if opts.AttrSel {
-			dim++
-		}
-	}
-	return dim
-}
-
-// Featurize implements Featurizer (Algorithm 1). expr must be conjunctive.
-func (c *Conjunctive) Featurize(expr sqlparse.Expr) ([]float64, error) {
-	if !sqlparse.IsConjunctive(expr) {
-		return nil, fmt.Errorf("core/conjunctive: disjunctions require Limited Disjunction Encoding")
-	}
-	perAttr := sqlparse.PredsPerAttr(expr)
-	if err := checkKnownAttrs(c.meta, perAttr); err != nil {
-		return nil, fmt.Errorf("core/conjunctive: %w", err)
-	}
-	vec := make([]float64, 0, c.Dim())
-	for _, a := range c.meta.Attrs {
-		av, sel, err := FeaturizeAttrConjunction(a, predsFor(perAttr, c.meta, a))
-		if err != nil {
-			return nil, err
-		}
-		vec = append(vec, av...)
-		if c.opts.AttrSel {
-			vec = append(vec, sel)
-		}
+// Featurize implements Featurizer. expr must be conjunctive (Universal
+// Conjunction Encoding) or a mixed query per Definition 3.3 (Limited
+// Disjunction Encoding); anything wider returns an error.
+func (p *partitioned) Featurize(expr sqlparse.Expr) ([]float64, error) {
+	vec := make([]float64, p.Dim())
+	if err := p.FeaturizeInto(vec, expr); err != nil {
+		return nil, err
 	}
 	return vec, nil
 }
 
-// FeaturizeInto implements Featurizer: Algorithm 1 writing each attribute's
-// partition block (and optional selectivity entry) at its precomputed offset.
-func (c *Conjunctive) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
-	if err := checkDst("conjunctive", dst, c.Dim()); err != nil {
+// FeaturizeInto implements Featurizer at fixed per-attribute offsets: one
+// walk chains the top-level conjuncts per attribute, then each attribute's
+// compound predicate is enumerated as DNF terms (one term, when it is a
+// plain conjunction), each term featurized with Algorithm 1 and max-merged
+// straight into the attribute's block of dst (Algorithm 2).
+func (p *partitioned) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
+	if err := checkDst(p.name, dst, p.Dim()); err != nil {
 		return err
 	}
-	if !sqlparse.IsConjunctive(expr) {
-		return fmt.Errorf("core/conjunctive: disjunctions require Limited Disjunction Encoding")
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.group(p.name, p.meta, expr, p.orErr); err != nil {
+		return err
 	}
-	perAttr := sqlparse.PredsPerAttr(expr)
-	if err := checkKnownAttrs(c.meta, perAttr); err != nil {
-		return fmt.Errorf("core/conjunctive: %w", err)
-	}
-	for ai, a := range c.meta.Attrs {
-		off := c.offsets[ai]
-		sel, err := FeaturizeAttrConjunctionInto(a, predsFor(perAttr, c.meta, a), dst[off:off+a.NEntries])
-		if err != nil {
-			return err
+	for ai := range p.meta.Attrs {
+		a := &p.meta.Attrs[ai]
+		off := p.offsets[ai]
+		block := dst[off : off+a.NEntries]
+		sel := 1.0
+		if p.orErr == nil && sc.head[ai] < 0 {
+			// Limited Disjunction Encoding without a compound predicate on
+			// the attribute: the all-one vector, full selectivity. (Universal
+			// Conjunction Encoding runs Algorithm 1 on the empty conjunction
+			// instead; with frequency weights that selectivity is their sum,
+			// which need not round to exactly 1.)
+			fill(block, 1)
+		} else {
+			var err error
+			if sel, err = sc.attrCompound(a, sc.attrKids(ai), block); err != nil {
+				return err
+			}
 		}
-		if c.opts.AttrSel {
+		if p.opts.AttrSel {
 			dst[off+a.NEntries] = sel
 		}
 	}
 	return nil
 }
 
-// predsFor collects the predicates of attribute a from the per-attribute
-// grouping, matching both bare and table-qualified spellings. The qualified
-// match scans the (small) grouping instead of building "table.attr", keeping
-// the per-query hot path free of string garbage.
-func predsFor(perAttr map[string][]*sqlparse.Pred, meta *TableMeta, a AttrMeta) []*sqlparse.Pred {
-	if ps, ok := perAttr[a.Name]; ok {
-		return ps
+// scratch is the workspace of one featurization call. Every slice in it is
+// reset and regrown by the step that uses it, so a steady stream of queries
+// featurizes without allocating. FeaturizeInto draws one from scratchPool
+// for the duration of the call and never lets it escape; the featurizers
+// themselves stay stateless and safe for concurrent use.
+type scratch struct {
+	// The query's top-level conjuncts in order of appearance (nested ANDs
+	// flattened), chained per attribute *index* — "t.a" and "a" share a
+	// chain: head[ai] is attribute ai's first conjunct, next[i] the one
+	// after conjunct i, -1 ending a chain; tail makes appending O(1).
+	conj             []sqlparse.Expr
+	head, tail, next []int32
+	kids             []sqlparse.Expr  // one attribute's chain, gathered
+	preds            []*sqlparse.Pred // the predicates of all DNF terms, term after term
+	terms            []span           // each DNF term as a span of preds
+	nots             []int64          // one term's not-equal literals
+	part             []float64        // one term's partition vector, before the max-merge
+	ands             []sqlparse.And   // the per-table split of a multi-table query (GlobalFeaturizer)
+}
+
+// span is a half-open index range into one of the scratch arenas.
+type span struct{ lo, hi int32 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch returns sc to the pool, unless a DNF close to the term bound
+// inflated it: that memory is better left to the collector than pinned.
+func putScratch(sc *scratch) {
+	if cap(sc.preds) <= 1<<14 {
+		scratchPool.Put(sc)
 	}
-	nt, na := len(meta.Name), len(a.Name)
-	for name, ps := range perAttr {
-		if len(name) == nt+1+na && name[nt] == '.' && name[:nt] == meta.Name && name[nt+1:] == a.Name {
-			return ps
+}
+
+// group walks the top-level conjunction of expr once and chains every
+// conjunct to the attribute it constrains. A conjunct is a simple predicate
+// or, unless orErr forbids it, a disjunction over a single attribute
+// (Definition 3.3); anything else is an error.
+func (sc *scratch) group(qft string, meta *TableMeta, expr sqlparse.Expr, orErr error) error {
+	sc.conj, sc.next = sc.conj[:0], sc.next[:0]
+	sc.head, sc.tail = sc.head[:0], sc.tail[:0]
+	for range meta.Attrs {
+		sc.head = append(sc.head, -1)
+		sc.tail = append(sc.tail, -1)
+	}
+	return sc.addConjuncts(qft, meta, expr, orErr)
+}
+
+func (sc *scratch) addConjuncts(qft string, meta *TableMeta, expr sqlparse.Expr, orErr error) error {
+	switch n := expr.(type) {
+	case nil:
+		return nil
+	case *sqlparse.And:
+		for _, k := range n.Kids {
+			if err := sc.addConjuncts(qft, meta, k, orErr); err != nil {
+				return err
+			}
+		}
+		return nil
+	case *sqlparse.Or:
+		if orErr != nil {
+			return orErr
 		}
 	}
+	ai, err := conjunctAttr(qft, meta, expr, -1)
+	if err != nil {
+		return err
+	}
+	if ai < 0 {
+		return fmt.Errorf("core/%s: conjunct %q has no predicates", qft, expr)
+	}
+	i := int32(len(sc.conj))
+	sc.conj = append(sc.conj, expr)
+	sc.next = append(sc.next, -1)
+	if t := sc.tail[ai]; t >= 0 {
+		sc.next[t] = i
+	} else {
+		sc.head[ai] = i
+	}
+	sc.tail[ai] = i
 	return nil
 }
 
-// checkKnownAttrs verifies every referenced attribute resolves in meta.
-func checkKnownAttrs(meta *TableMeta, perAttr map[string][]*sqlparse.Pred) error {
-	for name, ps := range perAttr {
-		if meta.AttrIndex(name) < 0 {
-			return fmt.Errorf("unknown attribute %q", name)
+// conjunctAttr resolves the one attribute all predicates under expr
+// reference, given that the predicates seen so far reference attribute ai
+// (-1: none yet).
+func conjunctAttr(qft string, meta *TableMeta, expr sqlparse.Expr, ai int) (int, error) {
+	var kids []sqlparse.Expr
+	switch n := expr.(type) {
+	case *sqlparse.Pred:
+		if n.Str != nil {
+			return 0, fmt.Errorf("core/%s: unbound string predicate %s", qft, n)
 		}
-		for _, p := range ps {
-			if p.Str != nil {
-				return fmt.Errorf("unbound string predicate %s", p)
-			}
+		i := meta.AttrIndex(n.Attr)
+		if i < 0 {
+			return 0, fmt.Errorf("core/%s: unknown attribute %q", qft, n.Attr)
+		}
+		if ai >= 0 && i != ai {
+			return 0, fmt.Errorf("core/%s: not a mixed query (Definition 3.3): a conjunct mixes attributes %q and %q", qft, meta.Attrs[ai].Name, n.Attr)
+		}
+		return i, nil
+	case *sqlparse.And:
+		kids = n.Kids
+	case *sqlparse.Or:
+		kids = n.Kids
+	}
+	for _, k := range kids {
+		var err error
+		if ai, err = conjunctAttr(qft, meta, k, ai); err != nil {
+			return 0, err
 		}
 	}
-	return nil
+	return ai, nil
+}
+
+// attrKids gathers attribute ai's conjuncts, in order of appearance.
+func (sc *scratch) attrKids(ai int) []sqlparse.Expr {
+	sc.kids = sc.kids[:0]
+	for i := sc.head[ai]; i >= 0; i = sc.next[i] {
+		sc.kids = append(sc.kids, sc.conj[i])
+	}
+	return sc.kids
+}
+
+// attrPreds is attrKids for a grouping made with disjunctions forbidden,
+// where every conjunct is a simple predicate.
+func (sc *scratch) attrPreds(ai int) []*sqlparse.Pred {
+	sc.preds = sc.preds[:0]
+	for i := sc.head[ai]; i >= 0; i = sc.next[i] {
+		sc.preds = append(sc.preds, sc.conj[i].(*sqlparse.Pred))
+	}
+	return sc.preds
 }
 
 // FeaturizeAttrConjunction runs Algorithm 1 for a single attribute: it
@@ -166,48 +268,27 @@ func checkKnownAttrs(meta *TableMeta, perAttr map[string][]*sqlparse.Pred) error
 // n_A == domain size every partition is a single value, so the vector is
 // purely 0/1.
 func FeaturizeAttrConjunction(a AttrMeta, preds []*sqlparse.Pred) ([]float64, float64, error) {
+	sc := getScratch()
+	defer putScratch(sc)
 	vec := make([]float64, a.NEntries)
-	sel, err := FeaturizeAttrConjunctionInto(a, preds, vec)
+	sel, err := sc.attrConjunction(&a, preds, vec)
 	if err != nil {
 		return nil, 0, err
 	}
 	return vec, sel, nil
 }
 
-// FeaturizeAttrConjunctionInto is FeaturizeAttrConjunction writing the
-// partition vector into vec, which must have length a.NEntries and is fully
-// overwritten. It is the allocation-free core both featurization paths share.
-func FeaturizeAttrConjunctionInto(a AttrMeta, preds []*sqlparse.Pred, vec []float64) (float64, error) {
-	if len(vec) != a.NEntries {
-		return 0, fmt.Errorf("core: attribute %q: destination length %d, want %d", a.Name, len(vec), a.NEntries)
-	}
-	for i := range vec {
-		vec[i] = 1
-	}
+// attrConjunction is Algorithm 1 writing the partition vector into vec
+// (length a.NEntries, fully overwritten) — the one implementation behind
+// every partition-based featurization.
+func (sc *scratch) attrConjunction(a *AttrMeta, preds []*sqlparse.Pred, vec []float64) (float64, error) {
+	fill(vec, 1)
 	// Running bounds for the selectivity estimate; equality predicates also
 	// narrow them (a refinement over the paper's pseudocode, which tracks
-	// bounds only for range operators).
+	// bounds only for range operators). Bounds with maxA < minA are empty,
+	// and stay empty: minA only grows, maxA only shrinks.
 	minA, maxA := a.Min, a.Max
-	var nots map[int64]struct{}
-
-	// markSplit lowers entry idx to ½ unless a previous predicate already
-	// zeroed it: entries only ever decrease (Algorithm 1, line 5).
-	markSplit := func(idx int) {
-		if vec[idx] == 1 {
-			vec[idx] = 0.5
-		}
-	}
-	zero := func(from, to int) { // [from, to)
-		if from < 0 {
-			from = 0
-		}
-		if to > len(vec) {
-			to = len(vec)
-		}
-		for i := from; i < to; i++ {
-			vec[i] = 0
-		}
-	}
+	sc.nots = sc.nots[:0]
 
 	for _, p := range preds {
 		if p.Str != nil {
@@ -223,75 +304,73 @@ func FeaturizeAttrConjunctionInto(a AttrMeta, preds []*sqlparse.Pred, vec []floa
 		switch p.Op {
 		case sqlparse.OpEq:
 			if !inRange {
-				zero(0, a.NEntries) // impossible predicate
-				minA, maxA = 1, 0   // empty bounds
+				fill(vec, 0)      // impossible predicate
+				minA, maxA = 1, 0 // empty bounds
 				continue
 			}
-			zero(0, idx)
-			zero(idx+1, a.NEntries)
+			fill(vec[:idx], 0)
+			fill(vec[idx+1:], 0)
 			if lo != hi {
-				markSplit(idx)
+				markSplit(vec, idx)
 			}
-			if val > minA {
-				minA = val
-			}
-			if val < maxA {
-				maxA = val
-			}
+			minA, maxA = max(minA, val), min(maxA, val)
 		case sqlparse.OpNe:
 			if inRange {
 				if lo == hi {
 					vec[idx] = 0
 				} else {
-					markSplit(idx)
+					markSplit(vec, idx)
 				}
 			}
-			if nots == nil {
-				nots = make(map[int64]struct{})
-			}
-			nots[val] = struct{}{}
+			sc.nots = append(sc.nots, val)
 		case sqlparse.OpGt, sqlparse.OpGe:
 			bound := val // smallest qualifying value
 			if p.Op == sqlparse.OpGt {
+				if val == math.MaxInt64 {
+					fill(vec, 0) // nothing exceeds the largest integer
+					minA, maxA = 1, 0
+					continue
+				}
 				bound = val + 1
 			}
 			switch {
 			case bound <= a.Min:
 				// Everything qualifies; nothing to do.
 			case bound > a.Max:
-				zero(0, a.NEntries)
+				fill(vec, 0)
 			default:
 				bIdx := a.BucketOf(bound)
 				bLo, _ := a.BucketRange(bIdx)
-				zero(0, bIdx)
+				fill(vec[:bIdx], 0)
 				if bound != bLo {
-					markSplit(bIdx)
+					markSplit(vec, bIdx)
 				}
 			}
-			if bound > minA {
-				minA = bound
-			}
+			minA = max(minA, bound)
 		case sqlparse.OpLt, sqlparse.OpLe:
 			bound := val // largest qualifying value
 			if p.Op == sqlparse.OpLt {
+				if val == math.MinInt64 {
+					fill(vec, 0) // nothing precedes the smallest integer
+					minA, maxA = 1, 0
+					continue
+				}
 				bound = val - 1
 			}
 			switch {
 			case bound >= a.Max:
 				// Everything qualifies; nothing to do.
 			case bound < a.Min:
-				zero(0, a.NEntries)
+				fill(vec, 0)
 			default:
 				bIdx := a.BucketOf(bound)
 				_, bHi := a.BucketRange(bIdx)
-				zero(bIdx+1, a.NEntries)
+				fill(vec[bIdx+1:], 0)
 				if bound != bHi {
-					markSplit(bIdx)
+					markSplit(vec, bIdx)
 				}
 			}
-			if bound < maxA {
-				maxA = bound
-			}
+			maxA = min(maxA, bound)
 		default:
 			return 0, fmt.Errorf("core: unknown operator in %s", p)
 		}
@@ -300,26 +379,37 @@ func FeaturizeAttrConjunctionInto(a AttrMeta, preds []*sqlparse.Pred, vec []floa
 	// Per-attribute selectivity estimate. With frequency weights attached
 	// (NewTableMetaWeighted), the estimate is the weighted coverage
 	// Σ_b Weights[b]·entry_b; otherwise the paper's uniformity assumption
-	// (gray lines): the qualifying share of the domain, with not-equal
-	// exclusions inside the surviving range counted out.
+	// (gray lines): the qualifying share of the domain, with the distinct
+	// not-equal literals inside the surviving range counted out.
 	var sel float64
 	switch {
 	case a.Weights != nil:
 		sel = weightedSel(a.Weights, vec)
 	case maxA >= minA:
-		excluded := int64(0)
-		for v := range nots {
-			if v >= minA && v <= maxA {
-				excluded++
+		slices.Sort(sc.nots)
+		r := maxA - minA + 1
+		for i, v := range sc.nots {
+			if v >= minA && v <= maxA && (i == 0 || v != sc.nots[i-1]) {
+				r--
 			}
-		}
-		r := maxA - minA + 1 - excluded
-		if r < 0 {
-			r = 0
 		}
 		sel = float64(r) / float64(a.DomainSize())
 	}
 	return sel, nil
+}
+
+func fill(vec []float64, v float64) {
+	for i := range vec {
+		vec[i] = v
+	}
+}
+
+// markSplit lowers entry idx to ½ unless a previous predicate already
+// zeroed it: entries only ever decrease (Algorithm 1, line 5).
+func markSplit(vec []float64, idx int) {
+	if vec[idx] == 1 {
+		vec[idx] = 0.5
+	}
 }
 
 // weightedSel combines per-partition frequency shares with partition

@@ -135,19 +135,16 @@ func ceilDiv(a, b int64) int64 {
 
 // Normalize maps val into [0, 1] relative to the attribute domain, the
 // literal encoding used by Singular Predicate Encoding and Range Predicate
-// Encoding (Section 2.1.1). Out-of-domain values are clamped.
+// Encoding (Section 2.1.1). Out-of-domain values are clamped — by comparison,
+// before any arithmetic that could wrap at the int64 extremes.
 func (a AttrMeta) Normalize(val int64) float64 {
-	if a.Max == a.Min {
+	switch {
+	case a.Max == a.Min, val <= a.Min:
 		return 0
-	}
-	x := float64(val-a.Min) / float64(a.Max-a.Min)
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
+	case val >= a.Max:
 		return 1
 	}
-	return x
+	return float64(val-a.Min) / float64(a.Max-a.Min)
 }
 
 // TableMeta holds the featurization metadata for one table (or one
@@ -443,16 +440,16 @@ type Featurizer interface {
 	// vector of exactly this length.
 	Dim() int
 	// Featurize encodes expr. A nil expr (no selection predicates) encodes
-	// the match-everything query. Implementations return an error when expr
-	// is outside the QFT's supported query class (e.g. disjunctions under
-	// Universal Conjunction Encoding).
+	// the match-everything query, and so does an And without children (what
+	// SplitWhereByTable hands a table the query does not restrict).
+	// Implementations return an error when expr is outside the QFT's
+	// supported query class (e.g. disjunctions under Universal Conjunction
+	// Encoding). Featurize is make + FeaturizeInto.
 	Featurize(expr sqlparse.Expr) ([]float64, error)
 	// FeaturizeInto encodes expr into dst, which must have length Dim(); dst
-	// is fully overwritten (no caller-side zeroing needed). The written
-	// vector is bit-identical to Featurize's — implementations write each
-	// attribute's block at its fixed offset instead of concatenating appends,
-	// which lets callers reuse one buffer across queries. On error dst's
-	// contents are unspecified.
+	// is fully overwritten (no caller-side zeroing needed): every attribute's
+	// block is written at its fixed offset, which lets callers reuse one
+	// buffer across queries. On error dst's contents are unspecified.
 	FeaturizeInto(dst []float64, expr sqlparse.Expr) error
 }
 

@@ -82,8 +82,8 @@ func (d *DecodedAttr) Exact() bool {
 // back into per-attribute admission structures. meta and opts must be the
 // ones the vector was featurized with.
 func DecodePartitioned(meta *TableMeta, opts Options, vec []float64) ([]DecodedAttr, error) {
-	want := partitionedDim(meta, opts)
-	if len(vec) != want {
+	layout := newPartitioned("", meta, opts, nil)
+	if want := layout.Dim(); len(vec) != want {
 		return nil, fmt.Errorf("core: vector has %d entries, meta expects %d", len(vec), want)
 	}
 	out := make([]DecodedAttr, 0, len(meta.Attrs))

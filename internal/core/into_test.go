@@ -8,10 +8,10 @@ import (
 	"qfe/internal/sqlparse"
 )
 
-// Differential coverage for the FeaturizeInto fast path: for every QFT, on
-// randomized expressions and dirty reused buffers, the fixed-offset writer
-// must reproduce the append-based Featurize byte for byte — the bit-identity
-// contract the pooled estimator buffers rely on.
+// Differential coverage for FeaturizeInto: for every QFT, on randomized
+// expressions and dirty reused buffers, the scratch-based walk must reproduce
+// the allocating implementation it replaced (oracle_test.go) bit for bit —
+// the contract that keeps models trained before the rewrite valid after it.
 
 // poison fills dst with NaN so any entry FeaturizeInto fails to overwrite is
 // caught by the comparison.
@@ -33,10 +33,10 @@ func sameVec(t *testing.T, trial int, name string, want, got []float64) {
 	}
 }
 
-// TestFeaturizeIntoMatchesFeaturize runs every QFT (with and without the
+// TestFeaturizeIntoMatchesOracle runs every QFT (with and without the
 // selectivity entries, with and without frequency weights) over randomized
 // conjunctions, comparing both paths bit for bit on a single reused buffer.
-func TestFeaturizeIntoMatchesFeaturize(t *testing.T) {
+func TestFeaturizeIntoMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	tbl := randTable(rng, 300)
 	for _, attrSel := range []bool{false, true} {
@@ -56,7 +56,7 @@ func TestFeaturizeIntoMatchesFeaturize(t *testing.T) {
 				dst := make([]float64, f.Dim())
 				for trial := 0; trial < 400; trial++ {
 					expr := randConjunction(rng, meta, 5)
-					want, err := f.Featurize(expr)
+					want, err := oracleFeaturize(f, expr)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -67,7 +67,7 @@ func TestFeaturizeIntoMatchesFeaturize(t *testing.T) {
 					sameVec(t, trial, name, want, dst)
 				}
 				// The no-predicate encoding must match too.
-				want, err := f.Featurize(nil)
+				want, err := oracleFeaturize(f, nil)
 				if err != nil {
 					t.Fatalf("%s: nil expr: %v", name, err)
 				}
@@ -81,10 +81,10 @@ func TestFeaturizeIntoMatchesFeaturize(t *testing.T) {
 	}
 }
 
-// TestFeaturizeIntoMatchesFeaturizeMixed exercises Limited Disjunction
+// TestFeaturizeIntoMatchesOracleMixed exercises Limited Disjunction
 // Encoding on mixed queries (Definition 3.3), where the shared scratch
-// buffer crosses disjuncts and attributes.
-func TestFeaturizeIntoMatchesFeaturizeMixed(t *testing.T) {
+// crosses disjuncts and attributes.
+func TestFeaturizeIntoMatchesOracleMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5353))
 	tbl := randTable(rng, 300)
 	for _, attrSel := range []bool{false, true} {
@@ -93,7 +93,7 @@ func TestFeaturizeIntoMatchesFeaturizeMixed(t *testing.T) {
 		dst := make([]float64, f.Dim())
 		for trial := 0; trial < 400; trial++ {
 			expr := randMixed(rng, meta)
-			want, err := f.Featurize(expr)
+			want, err := oracleComplex(f, expr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,9 +106,9 @@ func TestFeaturizeIntoMatchesFeaturizeMixed(t *testing.T) {
 	}
 }
 
-// TestFeaturizeIntoRepeatedAttrsSimple pins the map-free dedupe of the
-// Simple fast path against the map-based reference on expressions that
-// repeat attributes (first predicate wins).
+// TestFeaturizeIntoRepeatedAttrsSimple pins Simple's first-of-the-chain
+// dedupe against the map-based oracle on expressions that repeat attributes
+// (first predicate wins).
 func TestFeaturizeIntoRepeatedAttrsSimple(t *testing.T) {
 	rng := rand.New(rand.NewSource(6464))
 	tbl := randTable(rng, 100)
@@ -118,7 +118,7 @@ func TestFeaturizeIntoRepeatedAttrsSimple(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		// High predicate count over 3 attributes guarantees repeats.
 		expr := randConjunction(rng, meta, 8)
-		want, err := f.Featurize(expr)
+		want, err := oracleSimple(f, expr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestFeaturizeIntoGlobal(t *testing.T) {
 			"SELECT count(*) FROM cast_info WHERE role_id = 3 AND movie_id > 40",
 		} {
 			q := sqlparse.MustParse(sql)
-			want, err := g.Featurize(q)
+			want, err := oracleGlobal(g, q)
 			if err != nil {
 				t.Fatalf("%s: %v", qft, err)
 			}
@@ -182,7 +182,7 @@ func TestFeaturizeIntoGlobal(t *testing.T) {
 	}
 }
 
-// TestFeaturizeIntoErrors: both paths must agree on rejection, and a
+// TestFeaturizeIntoErrors: walk and oracle must agree on rejection, and a
 // wrong-length destination is refused outright.
 func TestFeaturizeIntoErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(8686))
@@ -194,6 +194,8 @@ func TestFeaturizeIntoErrors(t *testing.T) {
 		&sqlparse.Pred{Attr: "b", Op: sqlparse.OpEq, Val: 2},
 	)
 	unknown := &sqlparse.Pred{Attr: "nope", Op: sqlparse.OpEq, Val: 1}
+	str := "x"
+	unbound := &sqlparse.Pred{Attr: "a", Op: sqlparse.OpEq, Str: &str}
 	for _, name := range QFTNames() {
 		f, err := New(name, meta, opts)
 		if err != nil {
@@ -202,11 +204,11 @@ func TestFeaturizeIntoErrors(t *testing.T) {
 		if err := f.FeaturizeInto(make([]float64, f.Dim()+1), nil); err == nil {
 			t.Errorf("%s: oversized destination accepted", name)
 		}
-		for _, bad := range []sqlparse.Expr{disj, unknown} {
-			_, refErr := f.Featurize(bad)
+		for _, bad := range []sqlparse.Expr{disj, unknown, unbound} {
+			_, refErr := oracleFeaturize(f, bad)
 			intoErr := f.FeaturizeInto(make([]float64, f.Dim()), bad)
 			if (refErr == nil) != (intoErr == nil) {
-				t.Errorf("%s: Featurize err %v but FeaturizeInto err %v", name, refErr, intoErr)
+				t.Errorf("%s: oracle err %v but FeaturizeInto err %v", name, refErr, intoErr)
 			}
 		}
 	}

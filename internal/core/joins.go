@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"qfe/internal/catalog"
@@ -60,104 +61,110 @@ func (g *GlobalFeaturizer) Dim() int {
 // Featurize encodes the query. Selection conjuncts are routed to their
 // table's featurizer; the trailing block is the table bit-vector.
 func (g *GlobalFeaturizer) Featurize(q *sqlparse.Query) ([]float64, error) {
-	perTable, err := SplitWhereByTable(q)
-	if err != nil {
+	vec := make([]float64, g.Dim())
+	if err := g.FeaturizeInto(vec, q); err != nil {
 		return nil, err
 	}
-	inQuery := make(map[string]bool, len(q.Tables))
-	for _, t := range q.Tables {
-		inQuery[t] = true
-	}
-	vec := make([]float64, 0, g.Dim())
-	for _, t := range g.Schema.Tables {
-		f := g.QFTs[t]
-		if !inQuery[t] {
-			vec = append(vec, make([]float64, f.Dim())...)
-			continue
-		}
-		sub, err := f.Featurize(perTable[t])
-		if err != nil {
-			return nil, fmt.Errorf("core: table %q: %w", t, err)
-		}
-		vec = append(vec, sub...)
-	}
-	vec = append(vec, g.Schema.TableBitvector(q.Tables)...)
 	return vec, nil
 }
 
 // FeaturizeInto is Featurize writing into dst (length Dim(), fully
 // overwritten): each table's block sits at its fixed schema-order offset,
-// absent tables zero theirs, and the table bit-vector is written in place
-// instead of materialized.
+// absent tables zero theirs, and the table bit-vector is written in place.
 func (g *GlobalFeaturizer) FeaturizeInto(dst []float64, q *sqlparse.Query) error {
 	if err := checkDst("global", dst, g.Dim()); err != nil {
 		return err
 	}
-	perTable, err := SplitWhereByTable(q)
-	if err != nil {
+	tables := g.Schema.Tables
+	sc := getScratch()
+	defer putScratch(sc)
+	if len(sc.ands) < len(tables) {
+		sc.ands = make([]sqlparse.And, len(tables))
+	}
+	if err := SplitWhereByTable(q, tables, sc.ands); err != nil {
 		return err
 	}
-	inQuery := make(map[string]bool, len(q.Tables))
-	for _, t := range q.Tables {
-		inQuery[t] = true
-	}
-	off := 0
-	for _, t := range g.Schema.Tables {
+	off, bits := 0, dst[len(dst)-len(tables):]
+	for i, t := range tables {
 		f := g.QFTs[t]
-		d := f.Dim()
-		block := dst[off : off+d]
-		if !inQuery[t] {
-			for i := range block {
-				block[i] = 0
-			}
-		} else if err := f.FeaturizeInto(block, perTable[t]); err != nil {
+		block := dst[off : off+f.Dim()]
+		off += len(block)
+		if !slices.Contains(q.Tables, t) {
+			fill(block, 0)
+			bits[i] = 0
+			continue
+		}
+		if err := f.FeaturizeInto(block, &sc.ands[i]); err != nil {
 			return fmt.Errorf("core: table %q: %w", t, err)
 		}
-		off += d
-	}
-	for i, t := range g.Schema.Tables {
-		if inQuery[t] {
-			dst[off+i] = 1
-		} else {
-			dst[off+i] = 0
-		}
+		bits[i] = 1
 	}
 	return nil
 }
 
 // SplitWhereByTable splits the top-level conjunction of a multi-table
-// query's WHERE into per-table selection expressions, keyed by table name.
-// Every conjunct must reference exactly one table. For a single-table query
-// unqualified attributes are allowed and map to that table.
-func SplitWhereByTable(q *sqlparse.Query) (map[string]sqlparse.Expr, error) {
-	byTable := make(map[string][]sqlparse.Expr)
+// query's WHERE by table: dst[i].Kids becomes the conjuncts over tables[i],
+// so &dst[i] is that table's selection (an And of one conjunct, or of none —
+// no predicates — is read by every featurizer as what it says). dst must be
+// at least len(tables) long; its Kids are overwritten and their capacity
+// reused, so a caller that keeps dst across calls splits without allocating.
+// Every conjunct must reference exactly one table; conjuncts over tables
+// not listed are dropped. For a single-table query unqualified attributes
+// are allowed and map to that table.
+func SplitWhereByTable(q *sqlparse.Query, tables []string, dst []sqlparse.And) error {
 	single := ""
 	if len(q.Tables) == 1 {
 		single = q.Tables[0]
 	}
-	for _, kid := range sqlparse.Conjuncts(q.Where) {
-		tbl := ""
-		for _, p := range sqlparse.CollectPreds(kid) {
-			pt := tableOf(p.Attr, single)
-			if pt == "" {
-				return nil, fmt.Errorf("core: unqualified attribute %q in multi-table query", p.Attr)
-			}
-			if tbl == "" {
-				tbl = pt
-			} else if tbl != pt {
-				return nil, fmt.Errorf("core: conjunct %q spans tables %q and %q", kid, tbl, pt)
-			}
-		}
-		if tbl == "" {
-			continue
-		}
-		byTable[tbl] = append(byTable[tbl], kid)
+	for i := range tables {
+		dst[i].Kids = dst[i].Kids[:0]
 	}
-	out := make(map[string]sqlparse.Expr, len(byTable))
-	for t, kids := range byTable {
-		out[t] = sqlparse.NewAnd(kids...)
+	var one [1]sqlparse.Expr
+	kids := one[:0]
+	if and, ok := q.Where.(*sqlparse.And); ok {
+		kids = and.Kids
+	} else if q.Where != nil {
+		kids = append(kids, q.Where)
 	}
-	return out, nil
+	for _, kid := range kids {
+		tbl, err := conjunctTable(kid, kid, single, "")
+		if err != nil {
+			return err
+		}
+		if i := slices.Index(tables, tbl); i >= 0 {
+			dst[i].Kids = append(dst[i].Kids, kid)
+		}
+	}
+	return nil
+}
+
+// conjunctTable resolves the one table every predicate under expr (part of
+// the top-level conjunct conj) references, given that the predicates seen so
+// far reference tbl ("": none yet).
+func conjunctTable(conj, expr sqlparse.Expr, single, tbl string) (string, error) {
+	var kids []sqlparse.Expr
+	switch n := expr.(type) {
+	case *sqlparse.Pred:
+		pt := tableOf(n.Attr, single)
+		if pt == "" {
+			return "", fmt.Errorf("core: unqualified attribute %q in multi-table query", n.Attr)
+		}
+		if tbl != "" && tbl != pt {
+			return "", fmt.Errorf("core: conjunct %q spans tables %q and %q", conj, tbl, pt)
+		}
+		return pt, nil
+	case *sqlparse.And:
+		kids = n.Kids
+	case *sqlparse.Or:
+		kids = n.Kids
+	}
+	for _, k := range kids {
+		var err error
+		if tbl, err = conjunctTable(conj, k, single, tbl); err != nil {
+			return "", err
+		}
+	}
+	return tbl, nil
 }
 
 func tableOf(attr, single string) string {

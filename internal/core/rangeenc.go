@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"errors"
+	"math"
 
 	"qfe/internal/sqlparse"
 )
@@ -34,37 +35,27 @@ func (r *Range) Dim() int { return 2 * r.meta.NumAttrs() }
 
 // Featurize implements Featurizer. expr must be conjunctive.
 func (r *Range) Featurize(expr sqlparse.Expr) ([]float64, error) {
-	if !sqlparse.IsConjunctive(expr) {
-		return nil, fmt.Errorf("core/range: disjunctions are not supported by Range Predicate Encoding")
-	}
-	perAttr := sqlparse.PredsPerAttr(expr)
-	if err := checkKnownAttrs(r.meta, perAttr); err != nil {
-		return nil, fmt.Errorf("core/range: %w", err)
-	}
-	vec := make([]float64, 0, r.Dim())
-	for _, a := range r.meta.Attrs {
-		lo, hi := FeaturizeAttrRange(a, predsFor(perAttr, r.meta, a))
-		vec = append(vec, lo, hi)
+	vec := make([]float64, r.Dim())
+	if err := r.FeaturizeInto(vec, expr); err != nil {
+		return nil, err
 	}
 	return vec, nil
 }
+
+var errRangeOr = errors.New("core/range: disjunctions are not supported by Range Predicate Encoding")
 
 // FeaturizeInto implements Featurizer: attribute i owns dst[2*i : 2*i+2].
 func (r *Range) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 	if err := checkDst("range", dst, r.Dim()); err != nil {
 		return err
 	}
-	if !sqlparse.IsConjunctive(expr) {
-		return fmt.Errorf("core/range: disjunctions are not supported by Range Predicate Encoding")
-	}
-	perAttr := sqlparse.PredsPerAttr(expr)
-	if err := checkKnownAttrs(r.meta, perAttr); err != nil {
-		return fmt.Errorf("core/range: %w", err)
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.group("range", r.meta, expr, errRangeOr); err != nil {
+		return err
 	}
 	for i, a := range r.meta.Attrs {
-		lo, hi := FeaturizeAttrRange(a, predsFor(perAttr, r.meta, a))
-		dst[2*i] = lo
-		dst[2*i+1] = hi
+		dst[2*i], dst[2*i+1] = FeaturizeAttrRange(a, sc.attrPreds(i))
 	}
 	return nil
 }
@@ -110,10 +101,16 @@ func closedRange(op sqlparse.CmpOp, val int64) (lo, hi int64, ok bool) {
 	case sqlparse.OpEq:
 		return val, val, true
 	case sqlparse.OpLt:
+		if val == math.MinInt64 {
+			return posInf, negInf, true // nothing precedes the smallest integer
+		}
 		return negInf, val - 1, true
 	case sqlparse.OpLe:
 		return negInf, val, true
 	case sqlparse.OpGt:
+		if val == math.MaxInt64 {
+			return posInf, negInf, true // nothing exceeds the largest integer
+		}
 		return val + 1, posInf, true
 	case sqlparse.OpGe:
 		return val, posInf, true

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 
 	"qfe/internal/sqlparse"
 )
@@ -37,65 +37,36 @@ func (s *Simple) Dim() int { return 4 * s.meta.NumAttrs() }
 // and >, <= sets both = and <, <> sets > and < ("at most two entries can be
 // meaningfully set").
 func (s *Simple) Featurize(expr sqlparse.Expr) ([]float64, error) {
-	if !sqlparse.IsConjunctive(expr) {
-		return nil, fmt.Errorf("core/simple: disjunctions are not supported by Singular Predicate Encoding")
-	}
 	vec := make([]float64, s.Dim())
-	seen := make(map[int]bool)
-	for _, p := range sqlparse.CollectPreds(expr) {
-		if p.Str != nil {
-			return nil, fmt.Errorf("core/simple: unbound string predicate %s", p)
-		}
-		ai := s.meta.AttrIndex(p.Attr)
-		if ai < 0 {
-			return nil, fmt.Errorf("core/simple: unknown attribute %q", p.Attr)
-		}
-		if seen[ai] {
-			continue // information loss: only one predicate per attribute fits
-		}
-		seen[ai] = true
-		base := 4 * ai
-		eq, gt, lt := opBits(p.Op)
-		vec[base+0] = eq
-		vec[base+1] = gt
-		vec[base+2] = lt
-		vec[base+3] = s.meta.Attrs[ai].Normalize(p.Val)
+	if err := s.FeaturizeInto(vec, expr); err != nil {
+		return nil, err
 	}
 	return vec, nil
 }
 
-// FeaturizeInto implements Featurizer. It is the fixed-offset twin of
-// Featurize (attribute ai owns dst[4*ai : 4*ai+4]) and dedupes repeated
-// attributes without a map: an attribute has been featurized exactly when one
-// of its three operator bits is set (every supported operator sets at least
-// one).
+var errSimpleOr = errors.New("core/simple: disjunctions are not supported by Singular Predicate Encoding")
+
+// FeaturizeInto implements Featurizer: attribute ai owns dst[4*ai : 4*ai+4].
 func (s *Simple) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 	if err := checkDst("simple", dst, s.Dim()); err != nil {
 		return err
 	}
-	if !sqlparse.IsConjunctive(expr) {
-		return fmt.Errorf("core/simple: disjunctions are not supported by Singular Predicate Encoding")
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.group("simple", s.meta, expr, errSimpleOr); err != nil {
+		return err
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, p := range sqlparse.CollectPreds(expr) {
-		if p.Str != nil {
-			return fmt.Errorf("core/simple: unbound string predicate %s", p)
+	fill(dst, 0)
+	for ai := range s.meta.Attrs {
+		first := sc.head[ai]
+		if first < 0 {
+			continue
 		}
-		ai := s.meta.AttrIndex(p.Attr)
-		if ai < 0 {
-			return fmt.Errorf("core/simple: unknown attribute %q", p.Attr)
-		}
-		base := 4 * ai
-		if dst[base] != 0 || dst[base+1] != 0 || dst[base+2] != 0 {
-			continue // information loss: only one predicate per attribute fits
-		}
-		eq, gt, lt := opBits(p.Op)
-		dst[base+0] = eq
-		dst[base+1] = gt
-		dst[base+2] = lt
-		dst[base+3] = s.meta.Attrs[ai].Normalize(p.Val)
+		// Information loss: only one predicate per attribute fits.
+		p := sc.conj[first].(*sqlparse.Pred)
+		block := dst[4*ai : 4*ai+4]
+		block[0], block[1], block[2] = opBits(p.Op)
+		block[3] = s.meta.Attrs[ai].Normalize(p.Val)
 	}
 	return nil
 }

@@ -38,45 +38,6 @@ func (o *Oracle) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, e
 	return float64(c), nil
 }
 
-// splitConjunctsByTable groups the top-level conjuncts of q.Where by the
-// table they reference (the single table for unqualified attributes).
-func splitConjunctsByTable(q *sqlparse.Query) (map[string]sqlparse.Expr, error) {
-	single := ""
-	if len(q.Tables) == 1 {
-		single = q.Tables[0]
-	}
-	byTable := make(map[string][]sqlparse.Expr)
-	for _, kid := range sqlparse.Conjuncts(q.Where) {
-		tbl := ""
-		for _, p := range sqlparse.CollectPreds(kid) {
-			pt := tableOfAttr(p.Attr, single)
-			if pt == "" {
-				return nil, fmt.Errorf("estimator: unqualified attribute %q in multi-table query", p.Attr)
-			}
-			if tbl == "" {
-				tbl = pt
-			} else if tbl != pt {
-				return nil, fmt.Errorf("estimator: conjunct %q spans tables", kid)
-			}
-		}
-		byTable[tbl] = append(byTable[tbl], kid)
-	}
-	out := make(map[string]sqlparse.Expr, len(byTable))
-	for tn, kids := range byTable {
-		out[tn] = sqlparse.NewAnd(kids...)
-	}
-	return out, nil
-}
-
-func tableOfAttr(attr, single string) string {
-	for i := 0; i < len(attr); i++ {
-		if attr[i] == '.' {
-			return attr[:i]
-		}
-	}
-	return single
-}
-
 // Sampling is the Bernoulli-sampling baseline of Section 5.2: a fresh
 // p-fraction sample of the table is drawn per query, the predicates are
 // evaluated exactly on the sample, and the count is scaled by 1/p. Small

@@ -8,12 +8,10 @@ import (
 )
 
 // The estimator half of the compiled inference fast path: Local and Global
-// featurize into pooled buffers at fixed per-table offsets (FeaturizeInto)
-// instead of concatenating appends, and batch estimation fills one reused
-// flat matrix per sub-schema and hands it to the regressor's compiled batch
-// predict. Outputs are bit-identical to the append-and-Predict path, which
-// is kept (featurizeWith, Featurize) as the training encoder and the ground
-// truth for the differential tests.
+// featurize into pooled buffers at fixed per-table offsets (FeaturizeInto),
+// and batch estimation fills one reused flat matrix per sub-schema and hands
+// it to the regressor's compiled batch predict. Training encodes through the
+// same code into fresh vectors, so there is one encoder to keep right.
 
 // BatchEstimator is an Estimator with a batch form that amortizes buffer
 // reuse and model dispatch across many queries. Results are positional:
@@ -32,11 +30,20 @@ type batchPredictor interface {
 	PredictInto(dst []float64, X [][]float64)
 }
 
-// newVecPool pools single-query featurization buffers of a fixed dimension.
-func newVecPool(dim int) *sync.Pool {
+// featScratch is the workspace of one single-query featurization: the
+// feature vector the regressor reads, and the per-table split of the query's
+// WHERE (core.SplitWhereByTable) that feeds each table's featurizer. It is
+// owned by whoever took it from the pool, for one query at a time.
+type featScratch struct {
+	vec  []float64
+	ands []sqlparse.And
+}
+
+// newVecPool pools featurization workspaces for vectors of a fixed dimension
+// over a fixed number of tables.
+func newVecPool(dim, tables int) *sync.Pool {
 	return &sync.Pool{New: func() any {
-		b := make([]float64, dim)
-		return &b
+		return &featScratch{vec: make([]float64, dim), ands: make([]sqlparse.And, tables)}
 	}}
 }
 

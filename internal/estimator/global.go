@@ -26,14 +26,14 @@ type Global struct {
 	opts  core.Options
 	metas map[string]*core.TableMeta
 
-	vecPool   *sync.Pool // *[]float64, single-query featurization buffers
+	vecPool   *sync.Pool // *featScratch, single-query featurization buffers
 	batchPool *sync.Pool // *batchScratch, batch matrices
 }
 
 // initPools sizes the featurization buffer pools from the featurizer's
 // fixed dimension; called by both NewGlobal and LoadGlobal.
 func (g *Global) initPools() {
-	g.vecPool = newVecPool(g.feat.Dim())
+	g.vecPool = newVecPool(g.feat.Dim(), 0)
 	g.batchPool = newBatchPool()
 }
 
@@ -98,14 +98,12 @@ func (g *Global) Train(train workload.Set) error {
 // Estimate implements Estimator: featurize into a pooled buffer, predict
 // through the model's compiled layout, invert the label transform.
 func (g *Global) Estimate(q *sqlparse.Query) (float64, error) {
-	bufp := g.vecPool.Get().(*[]float64)
-	if err := g.feat.FeaturizeInto(*bufp, q); err != nil {
-		g.vecPool.Put(bufp)
+	fs := g.vecPool.Get().(*featScratch)
+	defer g.vecPool.Put(fs)
+	if err := g.feat.FeaturizeInto(fs.vec, q); err != nil {
 		return 0, err
 	}
-	pred := g.reg.Predict(*bufp)
-	g.vecPool.Put(bufp)
-	return g.transform.inverse(pred), nil
+	return g.transform.inverse(g.reg.Predict(fs.vec)), nil
 }
 
 // EstimateBatch implements BatchEstimator: the whole batch featurizes into

@@ -2,8 +2,10 @@ package estimator
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
+	"qfe/internal/core"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -202,8 +204,8 @@ const defaultRangeSel = 0.005
 func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
 	ind.mu.Lock()
 	defer ind.mu.Unlock()
-	perTable, err := splitConjunctsByTable(q)
-	if err != nil {
+	perTable := make([]sqlparse.And, len(q.Tables))
+	if err := core.SplitWhereByTable(q, q.Tables, perTable); err != nil {
 		return 0, err
 	}
 	est := 1.0
@@ -213,7 +215,8 @@ func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
 			return 0, fmt.Errorf("estimator: unknown table %q", tn)
 		}
 		est *= float64(t.NumRows())
-		compounds, err := sqlparse.CompoundPredicates(perTable[tn])
+		// A table listed twice (self-join) sees its predicates both times.
+		compounds, err := sqlparse.CompoundPredicates(&perTable[slices.Index(q.Tables, tn)])
 		if err != nil {
 			return 0, fmt.Errorf("estimator: independence baseline requires per-attribute compounds: %w", err)
 		}

@@ -47,7 +47,7 @@ type localModel struct {
 	// construction, so the pooled fast path writes each table's encoding
 	// in place instead of appending.
 	offsets   []int
-	vecPool   *sync.Pool // *[]float64, single-query featurization buffers
+	vecPool   *sync.Pool // *featScratch, single-query featurization workspaces
 	batchPool *sync.Pool // *batchScratch, batch matrices
 }
 
@@ -85,39 +85,7 @@ func (l *Local) Name() string {
 // sub-schema needs enough queries for its regressor; sub-schemas without
 // training queries simply have no model and fail at Estimate time.
 func (l *Local) Train(train workload.Set) error {
-	grouped := make(map[string]workload.Set)
-	for _, lq := range train {
-		key := catalog.SubSchemaKey(lq.Query.Tables)
-		grouped[key] = append(grouped[key], lq)
-	}
-	// Deterministic training order.
-	keys := make([]string, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	for _, key := range keys {
-		set := grouped[key]
-		lm, err := l.modelFor(set[0].Query.Tables)
-		if err != nil {
-			return err
-		}
-		X := make([][]float64, len(set))
-		for i, lq := range set {
-			vec, err := l.featurizeWith(lm, lq.Query)
-			if err != nil {
-				return fmt.Errorf("estimator: featurize training query %d of %s: %w", i, key, err)
-			}
-			X[i] = vec
-		}
-		y := l.transform.transformAll(set.Cards())
-		if err := lm.reg.Fit(X, y); err != nil {
-			return fmt.Errorf("estimator: fit sub-schema %s: %w", key, err)
-		}
-		l.models[key] = lm
-	}
-	return nil
+	return l.TrainCtx(context.Background(), train, nil)
 }
 
 // modelFor creates the (untrained) local model for a table set.
@@ -140,39 +108,20 @@ func (l *Local) modelFor(tables []string) (*localModel, error) {
 	for i, f := range lm.feats {
 		lm.offsets[i+1] = lm.offsets[i] + f.Dim()
 	}
-	lm.vecPool = newVecPool(lm.dim())
+	lm.vecPool = newVecPool(lm.dim(), len(lm.tables))
 	lm.batchPool = newBatchPool()
 	return lm, nil
 }
 
-// featurizeWith encodes q's selection predicates: per-table featurizations
-// concatenated in the sub-schema's canonical (sorted) table order.
-func (l *Local) featurizeWith(lm *localModel, q *sqlparse.Query) ([]float64, error) {
-	perTable, err := core.SplitWhereByTable(q)
-	if err != nil {
-		return nil, err
-	}
-	var vec []float64
-	for i, tn := range lm.tables {
-		sub, err := lm.feats[i].Featurize(perTable[tn])
-		if err != nil {
-			return nil, fmt.Errorf("table %q: %w", tn, err)
-		}
-		vec = append(vec, sub...)
-	}
-	return vec, nil
-}
-
-// featurizeInto is the pooled-buffer form of featurizeWith: each table's
-// encoding is written in place at its precomputed offset. dst must be
-// lm.dim() long. Output is bit-identical to featurizeWith.
-func (l *Local) featurizeInto(lm *localModel, dst []float64, q *sqlparse.Query) error {
-	perTable, err := core.SplitWhereByTable(q)
-	if err != nil {
+// featurizeInto writes q's encoding into dst (lm.dim() long): the WHERE is
+// split by table into fs, and each table's featurization lands in place at
+// its precomputed offset, in the sub-schema's canonical (sorted) table order.
+func featurizeInto(lm *localModel, fs *featScratch, dst []float64, q *sqlparse.Query) error {
+	if err := core.SplitWhereByTable(q, lm.tables, fs.ands); err != nil {
 		return err
 	}
 	for i, tn := range lm.tables {
-		if err := lm.feats[i].FeaturizeInto(dst[lm.offsets[i]:lm.offsets[i+1]], perTable[tn]); err != nil {
+		if err := lm.feats[i].FeaturizeInto(dst[lm.offsets[i]:lm.offsets[i+1]], &fs.ands[i]); err != nil {
 			return fmt.Errorf("table %q: %w", tn, err)
 		}
 	}
@@ -188,14 +137,12 @@ func (l *Local) Estimate(q *sqlparse.Query) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("estimator: no local model trained for sub-schema %q", key)
 	}
-	bufp := lm.vecPool.Get().(*[]float64)
-	if err := l.featurizeInto(lm, *bufp, q); err != nil {
-		lm.vecPool.Put(bufp)
+	fs := lm.vecPool.Get().(*featScratch)
+	defer lm.vecPool.Put(fs)
+	if err := featurizeInto(lm, fs, fs.vec, q); err != nil {
 		return 0, err
 	}
-	pred := lm.reg.Predict(*bufp)
-	lm.vecPool.Put(bufp)
-	return l.transform.inverse(pred), nil
+	return l.transform.inverse(lm.reg.Predict(fs.vec)), nil
 }
 
 // EstimateBatch implements BatchEstimator: queries are grouped by
@@ -220,6 +167,7 @@ func (l *Local) EstimateBatch(ctx context.Context, qs []*sqlparse.Query) ([]floa
 			}
 			continue
 		}
+		fs := lm.vecPool.Get().(*featScratch)
 		sc := lm.batchPool.Get().(*batchScratch)
 		sc.resize(len(idxs), lm.dim())
 		n := 0
@@ -228,7 +176,7 @@ func (l *Local) EstimateBatch(ctx context.Context, qs []*sqlparse.Query) ([]floa
 				errs[qi] = err
 				continue
 			}
-			if err := l.featurizeInto(lm, sc.rows[n], qs[qi]); err != nil {
+			if err := featurizeInto(lm, fs, sc.rows[n], qs[qi]); err != nil {
 				errs[qi] = err
 				continue
 			}
@@ -240,6 +188,7 @@ func (l *Local) EstimateBatch(ctx context.Context, qs []*sqlparse.Query) ([]floa
 			ests[sc.idx[r]] = l.transform.inverse(sc.preds[r])
 		}
 		lm.batchPool.Put(sc)
+		lm.vecPool.Put(fs)
 	}
 	return ests, errs
 }

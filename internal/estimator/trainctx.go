@@ -104,14 +104,16 @@ func (l *Local) TrainCtx(ctx context.Context, train workload.Set, opts *TrainOpt
 		if err != nil {
 			return err
 		}
+		// Training encodes through the serving encoder, into fresh vectors.
+		fs := lm.vecPool.Get().(*featScratch)
 		X := make([][]float64, len(set))
 		for i, lq := range set {
-			vec, err := l.featurizeWith(lm, lq.Query)
-			if err != nil {
+			X[i] = make([]float64, lm.dim())
+			if err := featurizeInto(lm, fs, X[i], lq.Query); err != nil {
 				return fmt.Errorf("estimator: featurize training query %d of %s: %w", i, key, err)
 			}
-			X[i] = vec
 		}
+		lm.vecPool.Put(fs)
 		y := l.transform.transformAll(set.Cards())
 
 		if err := l.fitOne(ctx, lm, key, X, y, opts, &progress); err != nil {

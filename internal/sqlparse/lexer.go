@@ -47,7 +47,9 @@ type lexer struct {
 // lex tokenizes src. It returns an error with a byte offset for any
 // character it cannot handle.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Tokens of this grammar average about three source bytes, so half the
+	// source length holds them all without the token slice ever regrowing.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/2+1)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {

@@ -318,3 +318,25 @@ func TestParseDepthLimit(t *testing.T) {
 		t.Fatalf("sibling parenthesized groups rejected: %v", err)
 	}
 }
+
+// TestLexAllocs: the token slice is sized from the source
+// length, so lexing a query is one allocation however many tokens it has —
+// not the seven or eight regrowths of an append from nil.
+func TestLexAllocs(t *testing.T) {
+	for _, src := range []string{
+		"SELECT count(*) FROM t WHERE a = 1",
+		"SELECT count(*) FROM a, b WHERE a.id = b.a_id AND a.x > 0",
+		"SELECT count(*) FROM forest WHERE (A1 >= 2600 AND A1 <= 2700 AND A1 <> 2650 OR A1 >= 3000) AND A2 = 1 AND (A3 >= 5 AND A3 <= 19)",
+	} {
+		toks, err := lex(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(toks) > len(src)/2+1 {
+			t.Errorf("%q: %d tokens outgrow the presized slice (%d)", src, len(toks), len(src)/2+1)
+		}
+		if got := testing.AllocsPerRun(100, func() { lex(src) }); got > 1 {
+			t.Errorf("lex(%q) allocs/op = %v, want 1", src, got)
+		}
+	}
+}
