@@ -15,10 +15,12 @@ race:
 	$(GO) test -race ./...
 
 # check is the pre-merge gate: static analysis plus the full test suite under
-# the race detector. The resilience layer runs estimators on watched
-# goroutines and labeling/training now fan out across worker pools
-# (internal/parallel, exec.CountManyWorkers, gb/nn Workers), so
-# race-cleanliness is a correctness property here, not a nicety.
+# the race detector. The daemon answers every request on its own goroutine
+# over pooled scratch (parser, featurizer, fingerprint), the resilience layer
+# still guards an estimator that takes no context with a goroutine of its
+# own, and labeling/training fan out across worker pools (internal/parallel,
+# exec.CountManyWorkers, gb/nn Workers), so race-cleanliness is a
+# correctness property here, not a nicety.
 check: vet race
 
 # ci is the one-shot pipeline entry point: vet, build everything, then the
@@ -28,14 +30,16 @@ check: vet race
 # width; `make soak` runs the wide sweep. staticcheck and govulncheck run
 # when installed and are skipped (not failed) when absent, so the target
 # works in hermetic containers without network access. The allocation pins
-# of the miss path (featurize 0, fingerprint <= 2, Local.Estimate <= 6, one
-# token slice per lex) skip themselves under the race detector, which
-# defeats sync.Pool, so they get a run of their own without it.
+# of the miss path (Parse <= 25 and <= 4 KiB, Bind of a numeric query 0,
+# featurize 0, fingerprint <= 2, Local.Estimate <= 6, an inline resilience
+# stage 0) skip themselves under the race detector, which defeats sync.Pool,
+# so they get a run of their own without it.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -short ./...
-	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse
+	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience
+	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/sqlparse
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal
 	$(GO) run ./cmd/infbench -quick -out BENCH_infer.quick.json
 	$(MAKE) lint

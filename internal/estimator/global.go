@@ -106,6 +106,14 @@ func (g *Global) Estimate(q *sqlparse.Query) (float64, error) {
 	return g.transform.inverse(g.reg.Predict(fs.vec)), nil
 }
 
+// EstimateCtx implements ContextEstimator; see Local.EstimateCtx.
+func (g *Global) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return g.Estimate(q)
+}
+
 // EstimateBatch implements BatchEstimator: the whole batch featurizes into
 // one reused flat matrix and goes through the regressor's batch predict.
 // Per-query failures land in errs without aborting the rest.
@@ -214,6 +222,14 @@ func (m *MSCN) Estimate(q *sqlparse.Query) (float64, error) {
 		return 0, err
 	}
 	return m.transform.inverse(m.model.Predict(s)), nil
+}
+
+// EstimateCtx implements ContextEstimator; see Local.EstimateCtx.
+func (m *MSCN) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return m.Estimate(q)
 }
 
 // MemoryBytes reports the trained network's footprint.

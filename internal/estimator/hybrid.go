@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -111,6 +112,16 @@ func (h *Hybrid) Estimate(q *sqlparse.Query) (float64, error) {
 		return h.local.Estimate(q)
 	}
 	return h.fallback.Estimate(q)
+}
+
+// EstimateCtx implements ContextEstimator: the local model's arithmetic is
+// bounded (see Local.EstimateCtx), and the fallback gets the context when it
+// takes one.
+func (h *Hybrid) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
+	if h.modeled[catalog.SubSchemaKey(q.Tables)] {
+		return h.local.EstimateCtx(ctx, q)
+	}
+	return EstimateWithContext(ctx, h.fallback, q)
 }
 
 // NumModels returns the number of trained local models (pruned sub-schemas

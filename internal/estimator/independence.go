@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -256,6 +257,17 @@ func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
 		est = 1
 	}
 	return est, nil
+}
+
+// EstimateCtx implements ContextEstimator: the context is checked on entry;
+// what follows is histogram arithmetic plus, the first time a column is
+// seen, one pass over it to gather its statistics — bounded work with
+// nowhere to block (see Local.EstimateCtx).
+func (ind *Independence) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return ind.Estimate(q)
 }
 
 func splitTableAttr(attr, deflt string) (tbl, col string) {

@@ -145,6 +145,18 @@ func (l *Local) Estimate(q *sqlparse.Query) (float64, error) {
 	return l.transform.inverse(lm.reg.Predict(fs.vec)), nil
 }
 
+// EstimateCtx implements ContextEstimator. An estimate is microseconds of
+// bounded arithmetic with nowhere to block, so the context is checked on
+// entry and there is nothing further to interrupt. What the method buys is
+// the type: the resilience chain runs a ContextEstimator on the caller's
+// goroutine instead of guarding it with one of its own.
+func (l *Local) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return l.Estimate(q)
+}
+
 // EstimateBatch implements BatchEstimator: queries are grouped by
 // sub-schema, each group featurized into one reused flat matrix and pushed
 // through the regressor's batch predict. Per-query failures (unknown

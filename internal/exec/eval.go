@@ -42,9 +42,12 @@ func Bind(q *sqlparse.Query, db *table.DB) error {
 	return nil
 }
 
-// bindExpr rewrites string predicates bottom-up. LIKE leaves may expand
-// into a conjunction of two range predicates, so the rewrite rebuilds the
-// tree instead of mutating leaves.
+// bindExpr rewrites the string predicates under expr and returns expr
+// itself — the same node, nothing allocated — when there is none. A leaf
+// is never mutated (see bindStringPred), and a LIKE leaf may expand into a
+// conjunction of two range predicates, so an AND/OR node with a rewritten
+// child is rebuilt around its children; the rest of the tree is shared
+// with the input.
 func bindExpr(expr sqlparse.Expr, db *table.DB, q *sqlparse.Query) (sqlparse.Expr, error) {
 	switch n := expr.(type) {
 	case *sqlparse.Pred:
@@ -63,27 +66,45 @@ func bindExpr(expr sqlparse.Expr, db *table.DB, q *sqlparse.Query) (sqlparse.Exp
 		}
 		return bindStringPred(n, col.Dict), nil
 	case *sqlparse.And:
-		kids := make([]sqlparse.Expr, len(n.Kids))
-		for i, k := range n.Kids {
-			b, err := bindExpr(k, db, q)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = b
+		kids, err := bindKids(n.Kids, db, q)
+		if err != nil {
+			return nil, err
+		}
+		if kids == nil {
+			return n, nil
 		}
 		return sqlparse.NewAnd(kids...), nil
 	case *sqlparse.Or:
-		kids := make([]sqlparse.Expr, len(n.Kids))
-		for i, k := range n.Kids {
-			b, err := bindExpr(k, db, q)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = b
+		kids, err := bindKids(n.Kids, db, q)
+		if err != nil {
+			return nil, err
+		}
+		if kids == nil {
+			return n, nil
 		}
 		return sqlparse.NewOr(kids...), nil
 	}
 	return nil, fmt.Errorf("exec: unknown expr %T", expr)
+}
+
+// bindKids binds every child of an AND/OR node. It returns nil when no child
+// changed, otherwise a copy of kids with the rewritten children in place.
+func bindKids(kids []sqlparse.Expr, db *table.DB, q *sqlparse.Query) ([]sqlparse.Expr, error) {
+	var bound []sqlparse.Expr
+	for i, k := range kids {
+		b, err := bindExpr(k, db, q)
+		if err != nil {
+			return nil, err
+		}
+		if b == k {
+			continue
+		}
+		if bound == nil {
+			bound = append([]sqlparse.Expr(nil), kids...)
+		}
+		bound[i] = b
+	}
+	return bound, nil
 }
 
 // bindLikePred rewrites "attr LIKE 'p%'" into the code range covering all

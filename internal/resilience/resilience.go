@@ -13,7 +13,10 @@
 // estimate wins. Every stage is guarded by:
 //
 //   - a per-call deadline (context.Context), enforced even when the
-//     underlying estimator ignores contexts;
+//     underlying estimator ignores contexts: an estimator.ContextEstimator
+//     runs on the caller's goroutine and is trusted to return at the
+//     deadline, any other estimator runs on a goroutine that is abandoned
+//     at it;
 //   - panic recovery, converting panics in model code into stage errors;
 //   - retry with capped exponential backoff and deterministic jitter for
 //     transient faults;
@@ -257,11 +260,23 @@ func (r *Resilient) attempt(ctx context.Context, s *stageState, q *sqlparse.Quer
 }
 
 // callGuarded runs one estimate attempt with panic isolation and deadline
-// enforcement. The estimator runs in its own goroutine so a deadline is
-// honored even when the estimator ignores contexts; on timeout the goroutine
-// is abandoned (its eventual result goes to a buffered channel and is
-// dropped).
+// enforcement. The estimator's type decides how.
+//
+// A ContextEstimator has promised to return ctx.Err() promptly, so it runs on
+// the caller's goroutine under recover: the deadline is checked before the
+// call and the stage's own return is final. This is the path of every stage
+// the daemon configures, and it costs neither a goroutine nor an allocation.
+//
+// A plain Estimator is uninterruptible. It runs in a goroutine of its own so
+// the deadline holds even while it is stuck; on timeout the goroutine is
+// abandoned (its eventual result goes to a buffered channel and is dropped).
 func callGuarded(ctx context.Context, name string, est estimator.Estimator, q *sqlparse.Query) (float64, error) {
+	if ce, ok := est.(estimator.ContextEstimator); ok {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		return callInline(ctx, name, ce, q)
+	}
 	type outcome struct {
 		v   float64
 		err error
@@ -270,7 +285,7 @@ func callGuarded(ctx context.Context, name string, est estimator.Estimator, q *s
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
-				ch <- outcome{err: fmt.Errorf("resilience: panic in stage %s: %v", name, p)}
+				ch <- outcome{err: stagePanic(name, p)}
 			}
 		}()
 		v, err := estimator.EstimateWithContext(ctx, est, q)
@@ -282,6 +297,21 @@ func callGuarded(ctx context.Context, name string, est estimator.Estimator, q *s
 	case o := <-ch:
 		return o.v, o.err
 	}
+}
+
+// callInline is the ContextEstimator half of callGuarded: the call, with a
+// panic in model code converted into the stage's error.
+func callInline(ctx context.Context, name string, est estimator.ContextEstimator, q *sqlparse.Query) (v float64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			v, err = 0, stagePanic(name, p)
+		}
+	}()
+	return est.EstimateCtx(ctx, q)
+}
+
+func stagePanic(name string, p any) error {
+	return fmt.Errorf("resilience: panic in stage %s: %v", name, p)
 }
 
 // lastResortEstimate is total: panics and invalid values collapse to the

@@ -436,10 +436,10 @@ func (s *Server) activeCache() *estCache {
 // a lookup in the estimate cache, and on a miss estimateOne inline, under
 // the cache's singleflight so concurrent identical misses cost one
 // inference. The serve layer itself never queues, waits on a timer, or hands
-// off to another goroutine here. The estimator may: behind -fallback, est is
-// the resilience chain, whose callGuarded starts one goroutine per stage
-// attempt so a deadline holds even against a model that ignores contexts
-// (about 30 µs a miss, resilience.self_us in cmd/bench; DESIGN §11).
+// off to another goroutine here. Nor does the resilience chain behind
+// -fallback for the estimators the daemon configures: a stage that is an
+// estimator.ContextEstimator runs on this goroutine, and only one that takes
+// no context is guarded by a goroutine of the chain's own (DESIGN §11).
 func (s *Server) estimateTimed(ctx context.Context, est estimator.Estimator, info ModelInfo, q *sqlparse.Query, sql string, reported *float64) estimateResult {
 	start := time.Now()
 	var br EstResult

@@ -3,11 +3,11 @@ package sqlparse
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer tokens.
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -23,164 +23,185 @@ const (
 	tokOp // comparison operator
 )
 
-// token is a lexed token with its source position for error messages.
+// token is a span of the source: its text is src[lo:end]. It carries no
+// pointer, so the token buffer is invisible to the garbage collector and
+// can be reused from parse to parse.
 type token struct {
-	kind tokenKind
-	text string
-	pos  int
+	kind    tokenKind
+	lo, end int
 }
 
-func (t token) String() string {
-	if t.kind == tokEOF {
-		return "end of input"
+// Character classes of the lexer, one table lookup per source byte.
+const (
+	classSpace uint8 = 1 << iota
+	classDigit
+	classIdentStart // [A-Za-z_]
+	classIdentPart  // [A-Za-z0-9_]
+)
+
+// charClass classifies bytes. Identifiers are ASCII: a byte >= 0x80 has no
+// class, so it is rejected wherever it appears outside a string literal.
+var charClass = func() (t [256]uint8) {
+	for _, c := range " \t\n\r" {
+		t[c] = classSpace
 	}
-	return fmt.Sprintf("%q", t.text)
+	for c := '0'; c <= '9'; c++ {
+		t[c] = classDigit | classIdentPart
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = classIdentStart | classIdentPart
+		t[c-'a'+'A'] = classIdentStart | classIdentPart
+	}
+	t['_'] = classIdentStart | classIdentPart
+	return t
+}()
+
+func isDigit(c byte) bool { return charClass[c]&classDigit != 0 }
+
+// isKeyword reports whether the identifier text spells kw, which must be
+// lower-case letters, in any case. Identifier bytes are [A-Za-z0-9_], and
+// of those only a letter can equal a lower-case letter once bit 0x20 is set.
+func isKeyword(text, kw string) bool {
+	if len(text) != len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		if text[i]|0x20 != kw[i] {
+			return false
+		}
+	}
+	return true
 }
 
-// lexer splits a SQL string into tokens.
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
-
-// lex tokenizes src. It returns an error with a byte offset for any
-// character it cannot handle.
-func lex(src string) ([]token, error) {
-	// Tokens of this grammar average about three source bytes, so half the
-	// source length holds them all without the token slice ever regrowing.
-	l := &lexer{src: src, toks: make([]token, 0, len(src)/2+1)}
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+// lex tokenizes p.src into p.toks, ending with a tokEOF, and counts in
+// p.ncmp the tokens that can each produce one predicate leaf (comparison
+// operators and LIKE). It returns an error with a byte offset for any
+// character it cannot handle. The whole source is lexed before parsing
+// starts, so a lexical error anywhere wins over a syntax error.
+func (p *parser) lex() error {
+	src := p.src
+	i := 0
+	for i < len(src) {
+		c := src[i]
+		class := charClass[c]
 		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
+		case class&classSpace != 0:
+			i++
+		case class&classIdentStart != 0:
+			lo := i
+			for i++; i < len(src) && charClass[src[i]]&classIdentPart != 0; i++ {
+			}
+			p.emit(tokIdent, lo, i)
+			if isKeyword(src[lo:i], "like") {
+				p.ncmp++
+			}
 		case c == ',':
-			l.emit(tokComma, ",")
-		case c == '.' && !l.nextIsDigit():
-			l.emit(tokDot, ".")
+			i = p.emit(tokComma, i, i+1)
 		case c == '(':
-			l.emit(tokLParen, "(")
+			i = p.emit(tokLParen, i, i+1)
 		case c == ')':
-			l.emit(tokRParen, ")")
+			i = p.emit(tokRParen, i, i+1)
 		case c == '*':
-			l.emit(tokStar, "*")
+			i = p.emit(tokStar, i, i+1)
 		case c == ';':
-			l.emit(tokSemi, ";")
+			i = p.emit(tokSemi, i, i+1)
+		case c == '.' && !(i+1 < len(src) && isDigit(src[i+1])):
+			i = p.emit(tokDot, i, i+1)
 		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
+			end, err := lexString(src, i)
+			if err != nil {
+				return err
 			}
+			i = p.emit(tokString, i, end)
 		case c == '=' || c == '<' || c == '>' || c == '!':
-			if err := l.lexOp(); err != nil {
-				return nil, err
+			end, err := lexOp(src, i)
+			if err != nil {
+				return err
 			}
-		case c == '-' || c == '+' || isDigit(c) || c == '.':
-			if err := l.lexNumber(); err != nil {
-				return nil, err
+			i = p.emit(tokOp, i, end)
+			p.ncmp++
+		case c == '-' || c == '+' || c == '.' || class&classDigit != 0:
+			end, err := lexNumber(src, i)
+			if err != nil {
+				return err
 			}
-		case isIdentStart(c):
-			l.lexIdent()
+			i = p.emit(tokNumber, i, end)
 		default:
-			return nil, fmt.Errorf("sqlparse: unexpected character %q at offset %d", c, l.pos)
+			return unexpectedCharacter(src, i)
 		}
 	}
-	l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
-	return l.toks, nil
+	p.toks = append(p.toks, token{tokEOF, i, i})
+	return nil
 }
 
-func (l *lexer) emit(kind tokenKind, text string) {
-	l.toks = append(l.toks, token{kind: kind, text: text, pos: l.pos})
-	l.pos += len(text)
+// emit appends one token and returns the offset lexing resumes at.
+func (p *parser) emit(kind tokenKind, lo, end int) int {
+	p.toks = append(p.toks, token{kind, lo, end})
+	return end
 }
 
-func (l *lexer) nextIsDigit() bool {
-	return l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])
+// unexpectedCharacter names the character at offset i: the decoded rune, or
+// the byte itself where the source is not valid UTF-8 there.
+func unexpectedCharacter(src string, i int) error {
+	r, size := utf8.DecodeRuneInString(src[i:])
+	if r == utf8.RuneError && size == 1 {
+		return fmt.Errorf("sqlparse: invalid UTF-8 byte 0x%02x at offset %d", src[i], i)
+	}
+	return fmt.Errorf("sqlparse: unexpected character %q at offset %d", r, i)
 }
 
-func (l *lexer) lexString() error {
-	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			// '' is an escaped quote inside a string literal.
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
-			return nil
+// lexString returns the offset just past the string literal opening at lo.
+// The token keeps the quotes; stringText strips them.
+func lexString(src string, lo int) (int, error) {
+	for i := lo + 1; i < len(src); i++ {
+		if src[i] != '\'' {
+			continue
 		}
-		b.WriteByte(c)
-		l.pos++
+		// '' is an escaped quote inside a string literal.
+		if i+1 < len(src) && src[i+1] == '\'' {
+			i++
+			continue
+		}
+		return i + 1, nil
 	}
-	return fmt.Errorf("sqlparse: unterminated string literal at offset %d", start)
+	return 0, fmt.Errorf("sqlparse: unterminated string literal at offset %d", lo)
 }
 
-func (l *lexer) lexOp() error {
-	start := l.pos
-	two := ""
-	if l.pos+1 < len(l.src) {
-		two = l.src[l.pos : l.pos+2]
-	}
-	switch two {
-	case "<=", ">=", "<>", "!=":
-		l.toks = append(l.toks, token{kind: tokOp, text: two, pos: start})
-		l.pos += 2
-		return nil
-	}
-	one := l.src[l.pos : l.pos+1]
-	switch one {
-	case "=", "<", ">":
-		l.toks = append(l.toks, token{kind: tokOp, text: one, pos: start})
-		l.pos++
-		return nil
-	}
-	return fmt.Errorf("sqlparse: bad operator starting with %q at offset %d", one, start)
+// stringText returns the value of a string-literal token spanning quoted:
+// a substring of the source unless the literal contains an escaped quote.
+func stringText(quoted string) string {
+	return strings.ReplaceAll(quoted[1:len(quoted)-1], "''", "'")
 }
 
-func (l *lexer) lexNumber() error {
-	start := l.pos
-	if c := l.src[l.pos]; c == '-' || c == '+' {
-		l.pos++
+func lexOp(src string, lo int) (int, error) {
+	if lo+1 < len(src) {
+		switch src[lo : lo+2] {
+		case "<=", ">=", "<>", "!=":
+			return lo + 2, nil
+		}
+	}
+	if src[lo] == '!' {
+		return 0, fmt.Errorf("sqlparse: bad operator starting with %q at offset %d", "!", lo)
+	}
+	return lo + 1, nil
+}
+
+func lexNumber(src string, lo int) (int, error) {
+	i := lo
+	if c := src[i]; c == '-' || c == '+' {
+		i++
 	}
 	digits := 0
-	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-		l.pos++
+	for ; i < len(src) && isDigit(src[i]); i++ {
 		digits++
 	}
-	if l.pos < len(l.src) && l.src[l.pos] == '.' {
-		l.pos++
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
+	if i < len(src) && src[i] == '.' {
+		for i++; i < len(src) && isDigit(src[i]); i++ {
 			digits++
 		}
 	}
 	if digits == 0 {
-		return fmt.Errorf("sqlparse: malformed number at offset %d", start)
+		return 0, fmt.Errorf("sqlparse: malformed number at offset %d", lo)
 	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
-	return nil
-}
-
-func (l *lexer) lexIdent() {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-		l.pos++
-	}
-	l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
-
-func isIdentPart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || isDigit(c)
+	return i, nil
 }

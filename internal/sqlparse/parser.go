@@ -2,8 +2,10 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Parse parses a COUNT(*) SQL query of the paper's query class.
@@ -19,19 +21,18 @@ import (
 // tables are joined along key/foreign-key relationships while selections
 // carry the AND/OR structure.
 //
-// Literals must be integers or strings; decimal attributes are expected to
-// be fixed-point scaled at load time (see package table).
+// Identifiers are ASCII ([A-Za-z_][A-Za-z0-9_]*). Literals must be integers
+// or strings; decimal attributes are expected to be fixed-point scaled at
+// load time (see package table).
+//
+// The returned query is ordinary garbage-collected memory that the caller
+// owns; its names and string literals are substrings of src wherever the
+// source spells them contiguously.
 func Parse(src string) (*Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	q, err := p.parseQuery()
-	if err != nil {
-		return nil, err
-	}
-	return q, nil
+	p := parserPool.Get().(*parser)
+	q, err := p.parse(src)
+	p.release()
+	return q, err
 }
 
 // MustParse is Parse but panics on error; intended for tests and static
@@ -49,22 +50,84 @@ func MustParse(src string) *Query {
 // into stack growth; real workload queries nest a handful of levels at most.
 const maxExprDepth = 100
 
-// parser is a recursive-descent parser over the token stream.
+// parser is a recursive-descent parser over the token stream. Its buffers
+// are scratch that never outlives one Parse, so parsers are pooled; what a
+// parse returns is allocated fresh (the Query, the predicate slab, one
+// exactly-sized Kids per AND/OR node).
 type parser struct {
+	src   string
 	toks  []token
 	pos   int
 	depth int // current parenthesis nesting inside the WHERE expression
+
+	// ncmp is the lexer's count of comparison tokens, an upper bound on the
+	// predicate leaves of the query; preds is the not yet used tail of the
+	// slab of that size the leaves are carved from.
+	ncmp  int
+	preds []Pred
+	// kids holds the children of every AND/OR node under construction, the
+	// innermost node's on top.
+	kids []Expr
+	// joinRight holds the right-hand columns of the join leaves, indexed by
+	// the leaf's Val.
+	joinRight []string
+}
+
+var parserPool = sync.Pool{New: func() any { return new(parser) }}
+
+// maxPooledTokens bounds what a pooled parser may pin: one whose token
+// buffer grew past it on a huge input is left to the collector instead. The
+// other buffers hold at most one entry per predicate, so this bounds them too.
+const maxPooledTokens = 1024
+
+func (p *parser) parse(src string) (*Query, error) {
+	p.src = src
+	// Tokens of this grammar average about three source bytes, so half the
+	// source length holds them all without the buffer regrowing.
+	if need := len(src)/2 + 1; cap(p.toks) < need {
+		p.toks = make([]token, 0, need)
+	}
+	if err := p.lex(); err != nil {
+		return nil, err
+	}
+	return p.parseQuery()
+}
+
+// release returns p to the pool holding no reference to the source or to
+// the AST it built.
+func (p *parser) release() {
+	if cap(p.toks) > maxPooledTokens {
+		return
+	}
+	clear(p.kids)
+	clear(p.joinRight)
+	*p = parser{toks: p.toks[:0], kids: p.kids[:0], joinRight: p.joinRight[:0]}
+	parserPool.Put(p)
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
-// expectKeyword consumes an identifier token equal (case-insensitively) to kw.
+func (p *parser) text(t token) string { return p.src[t.lo:t.end] }
+
+// describe renders a token for error messages: the quoted text (a string
+// literal's value, not its spelling) or "end of input".
+func (p *parser) describe(t token) string {
+	switch t.kind {
+	case tokEOF:
+		return "end of input"
+	case tokString:
+		return strconv.Quote(stringText(p.text(t)))
+	}
+	return strconv.Quote(p.text(t))
+}
+
+// expectKeyword consumes an identifier token spelling the lower-case kw in
+// any case.
 func (p *parser) expectKeyword(kw string) error {
 	t := p.next()
-	if t.kind != tokIdent || !strings.EqualFold(t.text, kw) {
-		return fmt.Errorf("sqlparse: expected %s, got %s at offset %d", strings.ToUpper(kw), t, t.pos)
+	if t.kind != tokIdent || !isKeyword(p.text(t), kw) {
+		return fmt.Errorf("sqlparse: expected %s, got %s at offset %d", strings.ToUpper(kw), p.describe(t), t.lo)
 	}
 	return nil
 }
@@ -72,21 +135,22 @@ func (p *parser) expectKeyword(kw string) error {
 func (p *parser) expect(kind tokenKind, what string) (token, error) {
 	t := p.next()
 	if t.kind != kind {
-		return t, fmt.Errorf("sqlparse: expected %s, got %s at offset %d", what, t, t.pos)
+		return t, fmt.Errorf("sqlparse: expected %s, got %s at offset %d", what, p.describe(t), t.lo)
 	}
 	return t, nil
 }
 
 func (p *parser) peekKeyword(kw string) bool {
 	t := p.peek()
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+	return t.kind == tokIdent && isKeyword(p.text(t), kw)
 }
 
 func (p *parser) parseQuery() (*Query, error) {
-	for _, kw := range []string{"select", "count"} {
-		if err := p.expectKeyword(kw); err != nil {
-			return nil, err
-		}
+	if err := p.expectKeyword("select"); err != nil {
+		return nil, err
+	}
+	if err := p.expectKeyword("count"); err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(tokLParen, "("); err != nil {
 		return nil, err
@@ -101,26 +165,26 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, err
 	}
 
-	q := &Query{}
+	q := &Query{Tables: make([]string, 0, p.fromLen())}
 	for {
 		t, err := p.expect(tokIdent, "table name")
 		if err != nil {
 			return nil, err
 		}
-		q.Tables = append(q.Tables, t.text)
+		q.Tables = append(q.Tables, p.text(t))
 		if p.peek().kind != tokComma {
 			break
 		}
-		p.next()
+		p.pos++
 	}
 
 	if p.peekKeyword("where") {
-		p.next()
-		expr, err := p.parseOr()
+		p.pos++
+		expr, err := p.parseNary(false)
 		if err != nil {
 			return nil, err
 		}
-		where, joins, err := splitJoins(expr)
+		where, joins, err := p.splitJoins(expr)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +193,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	}
 
 	if p.peekKeyword("group") {
-		p.next()
+		p.pos++
 		if err := p.expectKeyword("by"); err != nil {
 			return nil, err
 		}
@@ -142,16 +206,15 @@ func (p *parser) parseQuery() (*Query, error) {
 			if p.peek().kind != tokComma {
 				break
 			}
-			p.next()
+			p.pos++
 		}
 	}
 
 	if p.peek().kind == tokSemi {
-		p.next()
+		p.pos++
 	}
-	if !p.atEOF() {
-		t := p.peek()
-		return nil, fmt.Errorf("sqlparse: trailing input starting with %s at offset %d", t, t.pos)
+	if t := p.peek(); t.kind != tokEOF {
+		return nil, fmt.Errorf("sqlparse: trailing input starting with %s at offset %d", p.describe(t), t.lo)
 	}
 	if err := validateJoins(q); err != nil {
 		return nil, err
@@ -159,48 +222,74 @@ func (p *parser) parseQuery() (*Query, error) {
 	return q, nil
 }
 
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+// fromLen is the length of the FROM list starting at the current token: its
+// first name plus one per ", name" that follows.
+func (p *parser) fromLen() int {
+	n := 1
+	for i := p.pos + 1; i+1 < len(p.toks) && p.toks[i].kind == tokComma && p.toks[i+1].kind == tokIdent; i += 2 {
+		n++
 	}
-	kids := []Expr{left}
-	for p.peekKeyword("or") {
-		p.next()
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		kids = append(kids, right)
-	}
-	return NewOr(kids...), nil
+	return n
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
+// parseNary parses a disjunction of conjunctions (isAnd false) or a
+// conjunction of primaries (isAnd true). The operands collect on p.kids —
+// an operand that is itself a node of the same kind contributes its
+// children, so nesting flattens — and are copied once into a Kids slice of
+// exactly their number; a single operand is returned as it is.
+func (p *parser) parseNary(isAnd bool) (Expr, error) {
+	kw := "or"
+	if isAnd {
+		kw = "and"
 	}
-	kids := []Expr{left}
-	for p.peekKeyword("and") {
-		p.next()
-		right, err := p.parsePrimary()
+	base := len(p.kids)
+	for {
+		var e Expr
+		var err error
+		if isAnd {
+			e, err = p.parsePrimary()
+		} else {
+			e, err = p.parseNary(true)
+		}
 		if err != nil {
 			return nil, err
 		}
-		kids = append(kids, right)
+		if n, ok := e.(*And); ok && isAnd {
+			p.kids = append(p.kids, n.Kids...)
+		} else if n, ok := e.(*Or); ok && !isAnd {
+			p.kids = append(p.kids, n.Kids...)
+		} else {
+			p.kids = append(p.kids, e)
+		}
+		if !p.peekKeyword(kw) {
+			break
+		}
+		p.pos++
 	}
-	return NewAnd(kids...), nil
+	top := p.kids[base:]
+	p.kids = p.kids[:base]
+	e := top[0]
+	if len(top) > 1 {
+		kids := make([]Expr, len(top))
+		copy(kids, top)
+		if isAnd {
+			e = &And{Kids: kids}
+		} else {
+			e = &Or{Kids: kids}
+		}
+	}
+	clear(top)
+	return e, nil
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
 	if t := p.peek(); t.kind == tokLParen {
 		p.depth++
 		if p.depth > maxExprDepth {
-			return nil, fmt.Errorf("sqlparse: expression nesting exceeds %d levels at offset %d", maxExprDepth, t.pos)
+			return nil, fmt.Errorf("sqlparse: expression nesting exceeds %d levels at offset %d", maxExprDepth, t.lo)
 		}
-		p.next()
-		e, err := p.parseOr()
+		p.pos++
+		e, err := p.parseNary(false)
 		if err != nil {
 			return nil, err
 		}
@@ -211,6 +300,18 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return e, nil
 	}
 	return p.parseComparison()
+}
+
+// newPred carves the next leaf from the per-parse slab, allocating the slab
+// on the first call: lex counted a comparison token for every leaf.
+func (p *parser) newPred(pr Pred) *Pred {
+	if p.preds == nil {
+		p.preds = make([]Pred, p.ncmp)
+	}
+	leaf := &p.preds[0]
+	p.preds = p.preds[1:]
+	*leaf = pr
+	return leaf
 }
 
 // operand is a comparison operand: either a column reference or a literal.
@@ -233,10 +334,7 @@ func (p *parser) parseComparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	op, err := parseOp(opTok.text)
-	if err != nil {
-		return nil, err
-	}
+	op := cmpOpOf(p.text(opTok))
 	right, err := p.parseOperand()
 	if err != nil {
 		return nil, err
@@ -244,21 +342,21 @@ func (p *parser) parseComparison() (Expr, error) {
 
 	switch {
 	case !left.isLit && right.isLit:
-		return &Pred{Attr: left.col, Op: op, Val: right.val, Str: right.str}, nil
+		return p.newPred(Pred{Attr: left.col, Op: op, Val: right.val, Str: right.str}), nil
 	case left.isLit && !right.isLit:
 		// Normalize "5 < A" to "A > 5": swap operands and mirror the
 		// operator. = and <> are symmetric.
-		return &Pred{Attr: right.col, Op: mirror(op), Val: left.val, Str: left.str}, nil
+		return p.newPred(Pred{Attr: right.col, Op: mirror(op), Val: left.val, Str: left.str}), nil
 	case !left.isLit && !right.isLit:
 		if op != OpEq {
 			return nil, fmt.Errorf("sqlparse: column-to-column comparison %s %s %s must use =", left.col, op, right.col)
 		}
-		// A join leaf, encoded as a Pred with a sentinel Str carrying the
-		// right column; splitJoins lifts it out of the expression tree.
-		rc := joinSentinel + right.col
-		return &Pred{Attr: left.col, Op: OpEq, Str: &rc}, nil
+		// A join leaf: Op is the opJoin marker and Val indexes the right
+		// column in p.joinRight; splitJoins lifts it out of the tree.
+		p.joinRight = append(p.joinRight, right.col)
+		return p.newPred(Pred{Attr: left.col, Op: opJoin, Val: int64(len(p.joinRight) - 1)}), nil
 	default:
-		return nil, fmt.Errorf("sqlparse: literal-to-literal comparison near offset %d", opTok.pos)
+		return nil, fmt.Errorf("sqlparse: literal-to-literal comparison near offset %d", opTok.lo)
 	}
 }
 
@@ -268,41 +366,40 @@ func (p *parser) parseComparison() (Expr, error) {
 func (p *parser) parseLike(left operand) (Expr, error) {
 	likeTok := p.next() // the LIKE keyword
 	if left.isLit {
-		return nil, fmt.Errorf("sqlparse: LIKE requires a column on the left at offset %d", likeTok.pos)
+		return nil, fmt.Errorf("sqlparse: LIKE requires a column on the left at offset %d", likeTok.lo)
 	}
 	t, err := p.expect(tokString, "string pattern after LIKE")
 	if err != nil {
 		return nil, err
 	}
-	pat := t.text
+	pat := stringText(p.text(t))
 	if len(pat) == 0 || pat[len(pat)-1] != '%' {
 		return nil, fmt.Errorf("sqlparse: LIKE pattern %q must end with %% (prefix patterns only)", pat)
 	}
 	prefix := pat[:len(pat)-1]
-	for i := 0; i < len(prefix); i++ {
-		if prefix[i] == '%' || prefix[i] == '_' {
-			return nil, fmt.Errorf("sqlparse: LIKE pattern %q: only a single trailing %% wildcard is supported", pat)
-		}
+	if strings.ContainsAny(prefix, "%_") {
+		return nil, fmt.Errorf("sqlparse: LIKE pattern %q: only a single trailing %% wildcard is supported", pat)
 	}
-	return &Pred{Attr: left.col, Op: OpGe, Str: &prefix, Like: true}, nil
+	return p.newPred(Pred{Attr: left.col, Op: OpGe, Str: &prefix, Like: true}), nil
 }
 
 func (p *parser) parseOperand() (operand, error) {
 	t := p.peek()
 	switch t.kind {
 	case tokNumber:
-		p.next()
-		if strings.Contains(t.text, ".") {
-			return operand{}, fmt.Errorf("sqlparse: decimal literal %q at offset %d: decimal attributes must be fixed-point scaled at load time", t.text, t.pos)
+		p.pos++
+		text := p.text(t)
+		if strings.IndexByte(text, '.') >= 0 {
+			return operand{}, fmt.Errorf("sqlparse: decimal literal %q at offset %d: decimal attributes must be fixed-point scaled at load time", text, t.lo)
 		}
-		v, err := strconv.ParseInt(t.text, 10, 64)
+		v, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return operand{}, fmt.Errorf("sqlparse: bad integer %q at offset %d: %w", t.text, t.pos, err)
+			return operand{}, fmt.Errorf("sqlparse: bad integer %q at offset %d: %w", text, t.lo, err)
 		}
 		return operand{val: v, isLit: true}, nil
 	case tokString:
-		p.next()
-		s := t.text
+		p.pos++
+		s := stringText(p.text(t))
 		return operand{str: &s, isLit: true}, nil
 	case tokIdent:
 		name, err := p.parseColumnName()
@@ -311,43 +408,46 @@ func (p *parser) parseOperand() (operand, error) {
 		}
 		return operand{col: name}, nil
 	}
-	return operand{}, fmt.Errorf("sqlparse: expected operand, got %s at offset %d", t, t.pos)
+	return operand{}, fmt.Errorf("sqlparse: expected operand, got %s at offset %d", p.describe(t), t.lo)
 }
 
-// parseColumnName parses "col" or "table.col".
+// parseColumnName parses "col" or "table.col". The qualified name is a
+// substring of the source unless the source puts space around the dot.
 func (p *parser) parseColumnName() (string, error) {
 	t, err := p.expect(tokIdent, "column name")
 	if err != nil {
 		return "", err
 	}
-	name := t.text
-	if p.peek().kind == tokDot {
-		p.next()
-		t2, err := p.expect(tokIdent, "column name after '.'")
-		if err != nil {
-			return "", err
-		}
-		name = name + "." + t2.text
+	dot := p.peek()
+	if dot.kind != tokDot {
+		return p.text(t), nil
 	}
-	return name, nil
+	p.pos++
+	t2, err := p.expect(tokIdent, "column name after '.'")
+	if err != nil {
+		return "", err
+	}
+	if t.end == dot.lo && dot.end == t2.lo {
+		return p.src[t.lo:t2.end], nil
+	}
+	return p.text(t) + "." + p.text(t2), nil
 }
 
-func parseOp(text string) (CmpOp, error) {
+// cmpOpOf maps the text of a tokOp token to its operator.
+func cmpOpOf(text string) CmpOp {
 	switch text {
 	case "=":
-		return OpEq, nil
-	case "<>", "!=":
-		return OpNe, nil
+		return OpEq
 	case "<":
-		return OpLt, nil
+		return OpLt
 	case "<=":
-		return OpLe, nil
+		return OpLe
 	case ">":
-		return OpGt, nil
+		return OpGt
 	case ">=":
-		return OpGe, nil
+		return OpGe
 	}
-	return 0, fmt.Errorf("sqlparse: unknown operator %q", text)
+	return OpNe // "<>" and "!=": lexOp admits no other spelling
 }
 
 // mirror flips an operator's direction for operand swapping.
@@ -365,57 +465,72 @@ func mirror(op CmpOp) CmpOp {
 	return op // = and <> are symmetric
 }
 
-// joinSentinel marks a Pred whose Str field carries the right-hand column of
-// a column = column comparison. Such leaves never escape this package.
-const joinSentinel = "\x00join:"
+// opJoin marks a Pred that is a column = column comparison. Such leaves
+// never escape this package: splitJoins removes or rejects every one.
+const opJoin CmpOp = -1
 
 // splitJoins removes join leaves from the top-level conjunction of expr and
 // returns the remaining selection expression plus the join predicates. A
 // join leaf anywhere else (under OR, or nested) is an error: the paper's
-// query class joins along key/foreign-key edges unconditionally.
-func splitJoins(expr Expr) (Expr, []JoinPred, error) {
-	var joins []JoinPred
-	var keep []Expr
-	for _, kid := range Conjuncts(expr) {
-		if jp, ok := asJoinLeaf(kid); ok {
-			joins = append(joins, jp)
+// query class joins along key/foreign-key edges unconditionally. An
+// expression without join leaves is returned as it is.
+func (p *parser) splitJoins(expr Expr) (Expr, []JoinPred, error) {
+	if len(p.joinRight) == 0 {
+		return expr, nil, nil
+	}
+	joins := make([]JoinPred, 0, len(p.joinRight))
+	conj := []Expr{expr}
+	and, isAnd := expr.(*And)
+	if isAnd {
+		conj = and.Kids
+	}
+	// The conjunction is this parse's own, so the selections are kept by
+	// filtering its children in place.
+	keep := conj[:0]
+	for _, kid := range conj {
+		if leaf, ok := kid.(*Pred); ok && leaf.Op == opJoin {
+			joins = append(joins, p.joinPred(leaf))
 			continue
 		}
-		if err := rejectJoinLeaves(kid); err != nil {
+		if err := p.rejectJoinLeaves(kid); err != nil {
 			return nil, nil, err
 		}
 		keep = append(keep, kid)
 	}
-	return NewAnd(keep...), joins, nil
-}
-
-func asJoinLeaf(e Expr) (JoinPred, bool) {
-	p, ok := e.(*Pred)
-	if !ok || p.Str == nil || !strings.HasPrefix(*p.Str, joinSentinel) {
-		return JoinPred{}, false
+	clear(conj[len(keep):])
+	switch len(keep) {
+	case 0:
+		return nil, joins, nil
+	case 1:
+		return keep[0], joins, nil
 	}
-	right := strings.TrimPrefix(*p.Str, joinSentinel)
-	lt, lc := splitQualified(p.Attr)
-	rt, rc := splitQualified(right)
-	return JoinPred{LeftTable: lt, LeftCol: lc, RightTable: rt, RightCol: rc}, true
+	and.Kids = keep // two or more conjuncts: expr was the *And
+	return and, joins, nil
 }
 
-func rejectJoinLeaves(e Expr) error {
+func (p *parser) joinPred(leaf *Pred) JoinPred {
+	lt, lc := splitQualified(leaf.Attr)
+	rt, rc := splitQualified(p.joinRight[leaf.Val])
+	return JoinPred{LeftTable: lt, LeftCol: lc, RightTable: rt, RightCol: rc}
+}
+
+// rejectJoinLeaves reports the first join leaf under e, if any.
+func (p *parser) rejectJoinLeaves(e Expr) error {
 	switch n := e.(type) {
 	case *Pred:
-		if n.Str != nil && strings.HasPrefix(*n.Str, joinSentinel) {
+		if n.Op == opJoin {
 			return fmt.Errorf("sqlparse: join predicate %s = %s may only appear in the top-level conjunction",
-				n.Attr, strings.TrimPrefix(*n.Str, joinSentinel))
+				n.Attr, p.joinRight[n.Val])
 		}
 	case *And:
 		for _, k := range n.Kids {
-			if err := rejectJoinLeaves(k); err != nil {
+			if err := p.rejectJoinLeaves(k); err != nil {
 				return err
 			}
 		}
 	case *Or:
 		for _, k := range n.Kids {
-			if err := rejectJoinLeaves(k); err != nil {
+			if err := p.rejectJoinLeaves(k); err != nil {
 				return err
 			}
 		}
@@ -436,28 +551,44 @@ func splitQualified(name string) (tbl, col string) {
 // FROM list (when qualified) and that multi-table queries qualify their
 // selection attributes.
 func validateJoins(q *Query) error {
-	inFrom := make(map[string]bool, len(q.Tables))
-	for _, t := range q.Tables {
-		inFrom[t] = true
-	}
 	for _, j := range q.Joins {
-		for _, t := range []string{j.LeftTable, j.RightTable} {
+		for _, t := range [2]string{j.LeftTable, j.RightTable} {
 			if t == "" {
 				return fmt.Errorf("sqlparse: join predicate %s must use qualified column names", j)
 			}
-			if !inFrom[t] {
+			if !slices.Contains(q.Tables, t) {
 				return fmt.Errorf("sqlparse: join predicate %s references table %q not in FROM", j, t)
 			}
 		}
 	}
-	if len(q.Tables) > 1 && q.Where != nil {
-		for _, p := range CollectPreds(q.Where) {
-			tbl, _ := splitQualified(p.Attr)
-			if tbl == "" {
-				return fmt.Errorf("sqlparse: attribute %q must be table-qualified in a multi-table query", p.Attr)
+	if len(q.Tables) > 1 {
+		return validateQualified(q.Where, q.Tables)
+	}
+	return nil
+}
+
+// validateQualified reports the first predicate of e, left to right, whose
+// attribute is not qualified by one of tables.
+func validateQualified(e Expr, tables []string) error {
+	switch n := e.(type) {
+	case *Pred:
+		tbl, _ := splitQualified(n.Attr)
+		if tbl == "" {
+			return fmt.Errorf("sqlparse: attribute %q must be table-qualified in a multi-table query", n.Attr)
+		}
+		if !slices.Contains(tables, tbl) {
+			return fmt.Errorf("sqlparse: attribute %q references table not in FROM", n.Attr)
+		}
+	case *And:
+		for _, k := range n.Kids {
+			if err := validateQualified(k, tables); err != nil {
+				return err
 			}
-			if !inFrom[tbl] {
-				return fmt.Errorf("sqlparse: attribute %q references table not in FROM", p.Attr)
+		}
+	case *Or:
+		for _, k := range n.Kids {
+			if err := validateQualified(k, tables); err != nil {
+				return err
 			}
 		}
 	}

@@ -160,24 +160,25 @@ func TestParseGroupBy(t *testing.T) {
 	}
 }
 
+var parseErrorCases = []struct {
+	name, src, wantSub string
+}{
+	{"not a count query", "SELECT * FROM t", "COUNT"},
+	{"missing from", "SELECT count(*) WHERE a = 1", "FROM"},
+	{"decimal literal", "SELECT count(*) FROM t WHERE a < 4.9", "decimal"},
+	{"trailing garbage", "SELECT count(*) FROM t WHERE a = 1 banana", "trailing"},
+	{"unterminated string", "SELECT count(*) FROM t WHERE a = 'x", "unterminated"},
+	{"bad operator", "SELECT count(*) FROM t WHERE a ! 1", "operator"},
+	{"literal vs literal", "SELECT count(*) FROM t WHERE 1 = 2", "literal"},
+	{"join under or", "SELECT count(*) FROM a, b WHERE a.x = b.y OR a.z = 1", "top-level"},
+	{"join non-eq", "SELECT count(*) FROM a, b WHERE a.x < b.y", "="},
+	{"join unknown table", "SELECT count(*) FROM a, b WHERE a.x = c.y", "FROM"},
+	{"unqualified in join query", "SELECT count(*) FROM a, b WHERE a.x = b.y AND z = 1", "qualified"},
+	{"empty input", "", "SELECT"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, src, wantSub string
-	}{
-		{"not a count query", "SELECT * FROM t", "COUNT"},
-		{"missing from", "SELECT count(*) WHERE a = 1", "FROM"},
-		{"decimal literal", "SELECT count(*) FROM t WHERE a < 4.9", "decimal"},
-		{"trailing garbage", "SELECT count(*) FROM t WHERE a = 1 banana", "trailing"},
-		{"unterminated string", "SELECT count(*) FROM t WHERE a = 'x", "unterminated"},
-		{"bad operator", "SELECT count(*) FROM t WHERE a ! 1", "operator"},
-		{"literal vs literal", "SELECT count(*) FROM t WHERE 1 = 2", "literal"},
-		{"join under or", "SELECT count(*) FROM a, b WHERE a.x = b.y OR a.z = 1", "top-level"},
-		{"join non-eq", "SELECT count(*) FROM a, b WHERE a.x < b.y", "="},
-		{"join unknown table", "SELECT count(*) FROM a, b WHERE a.x = c.y", "FROM"},
-		{"unqualified in join query", "SELECT count(*) FROM a, b WHERE a.x = b.y AND z = 1", "qualified"},
-		{"empty input", "", "SELECT"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse(tc.src)
 			if err == nil {
@@ -190,16 +191,17 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+var roundTripQueries = []string{
+	"SELECT count(*) FROM t WHERE a = 1 AND b > 2;",
+	"SELECT count(*) FROM t WHERE (a = 1 OR a = 2) AND b <= 3;",
+	"SELECT count(*) FROM t;",
+	"SELECT count(*) FROM title, cast_info WHERE title.id = cast_info.movie_id AND title.kind_id = 7;",
+	"SELECT count(*) FROM t WHERE a = 1 GROUP BY b;",
+}
+
 func TestStringRoundTrip(t *testing.T) {
 	// Parsing a query's String() must reproduce the same structure.
-	srcs := []string{
-		"SELECT count(*) FROM t WHERE a = 1 AND b > 2;",
-		"SELECT count(*) FROM t WHERE (a = 1 OR a = 2) AND b <= 3;",
-		"SELECT count(*) FROM t;",
-		"SELECT count(*) FROM title, cast_info WHERE title.id = cast_info.movie_id AND title.kind_id = 7;",
-		"SELECT count(*) FROM t WHERE a = 1 GROUP BY b;",
-	}
-	for _, src := range srcs {
+	for _, src := range roundTripQueries {
 		q1 := MustParse(src)
 		q2, err := Parse(q1.String())
 		if err != nil {
@@ -273,16 +275,17 @@ func TestParseLike(t *testing.T) {
 	}
 }
 
+var likeErrorQueries = []string{
+	"SELECT count(*) FROM t WHERE name LIKE 'ab'",   // no wildcard
+	"SELECT count(*) FROM t WHERE name LIKE '%ab'",  // leading wildcard
+	"SELECT count(*) FROM t WHERE name LIKE 'a%b%'", // infix wildcard
+	"SELECT count(*) FROM t WHERE name LIKE 'a_b%'", // underscore
+	"SELECT count(*) FROM t WHERE 'ab%' LIKE name",  // literal LHS
+	"SELECT count(*) FROM t WHERE name LIKE 5",      // non-string pattern
+}
+
 func TestParseLikeErrors(t *testing.T) {
-	cases := []string{
-		"SELECT count(*) FROM t WHERE name LIKE 'ab'",   // no wildcard
-		"SELECT count(*) FROM t WHERE name LIKE '%ab'",  // leading wildcard
-		"SELECT count(*) FROM t WHERE name LIKE 'a%b%'", // infix wildcard
-		"SELECT count(*) FROM t WHERE name LIKE 'a_b%'", // underscore
-		"SELECT count(*) FROM t WHERE 'ab%' LIKE name",  // literal LHS
-		"SELECT count(*) FROM t WHERE name LIKE 5",      // non-string pattern
-	}
-	for _, src := range cases {
+	for _, src := range likeErrorQueries {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
@@ -319,24 +322,27 @@ func TestParseDepthLimit(t *testing.T) {
 	}
 }
 
-// TestLexAllocs: the token slice is sized from the source
-// length, so lexing a query is one allocation however many tokens it has —
-// not the seven or eight regrowths of an append from nil.
-func TestLexAllocs(t *testing.T) {
-	for _, src := range []string{
-		"SELECT count(*) FROM t WHERE a = 1",
-		"SELECT count(*) FROM a, b WHERE a.id = b.a_id AND a.x > 0",
-		"SELECT count(*) FROM forest WHERE (A1 >= 2600 AND A1 <= 2700 AND A1 <> 2650 OR A1 >= 3000) AND A2 = 1 AND (A3 >= 5 AND A3 <= 19)",
+// TestIdentifiersAreASCII: the lexer used to classify raw bytes as Latin-1
+// runes, so it blamed a continuation byte at a mid-rune offset for "é" and
+// "中" and accepted the invalid UTF-8 "a\xff" as an identifier. Identifiers
+// are ASCII; any other byte outside a string literal is rejected naming the
+// decoded rune, or the invalid byte, at the offset of its first byte.
+func TestIdentifiersAreASCII(t *testing.T) {
+	const prefix = "SELECT count(*) FROM t WHERE " // 29 bytes
+	for _, tc := range []struct{ src, want string }{
+		{prefix + "é = 1", "sqlparse: unexpected character 'é' at offset 29"},
+		{prefix + "中 = 1", "sqlparse: unexpected character '中' at offset 29"},
+		{prefix + "a\xff = 1", "sqlparse: invalid UTF-8 byte 0xff at offset 30"},
+		{prefix + "caf\u00e9 = 1", "sqlparse: unexpected character 'é' at offset 32"},
 	} {
-		toks, err := lex(src)
-		if err != nil {
-			t.Fatal(err)
+		_, err := Parse(tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) error = %v, want %s", tc.src, err, tc.want)
 		}
-		if len(toks) > len(src)/2+1 {
-			t.Errorf("%q: %d tokens outgrow the presized slice (%d)", src, len(toks), len(src)/2+1)
-		}
-		if got := testing.AllocsPerRun(100, func() { lex(src) }); got > 1 {
-			t.Errorf("lex(%q) allocs/op = %v, want 1", src, got)
-		}
+	}
+	// Inside a string literal every byte passes through unchanged.
+	q := MustParse(prefix + "s = 'é中\xff'")
+	if got := *CollectPreds(q.Where)[0].Str; got != "é中\xff" {
+		t.Errorf("string literal = %q", got)
 	}
 }

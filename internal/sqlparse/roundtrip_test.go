@@ -44,6 +44,9 @@ func TestRandomQueryRoundTrip(t *testing.T) {
 		if got := q2.String(); got != src {
 			t.Fatalf("trial %d: round trip changed query:\n  %s\n  %s", trial, src, got)
 		}
+		if err := diffOracle(src); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		// Semantics must also survive: evaluate both trees on random rows.
 		for probe := 0; probe < 20; probe++ {
 			row := map[string]int64{}
@@ -90,6 +93,9 @@ func TestRandomJoinQueryRoundTrip(t *testing.T) {
 		}
 		if got := q2.String(); got != src {
 			t.Fatalf("trial %d: round trip changed query:\n  %s\n  %s", trial, src, got)
+		}
+		if err := diffOracle(src); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
