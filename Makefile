@@ -30,17 +30,22 @@ check: vet race
 # width; `make soak` runs the wide sweep. staticcheck and govulncheck run
 # when installed and are skipped (not failed) when absent, so the target
 # works in hermetic containers without network access. The allocation pins
-# of the miss path (Parse <= 25 and <= 4 KiB, Bind of a numeric query 0,
+# of the request path (Parse <= 25 and <= 4 KiB, Bind of a numeric query 0,
 # featurize 0, fingerprint <= 2, Local.Estimate <= 6, an inline resilience
-# stage 0) skip themselves under the race detector, which defeats sync.Pool,
-# so they get a run of their own without it.
+# stage 0, a cache lookup 0, the whole handler on a hit <= Parse + 8) skip
+# themselves under the race detector, which defeats sync.Pool, so they get a
+# run of their own without it. Four fuzz targets get 5 s each: the parser and
+# the journal reader, and the two on /v1/estimate — the handler ("4xx never
+# 5xx") and its wire codec against encoding/json.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -short ./...
-	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience
+	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience ./internal/serve
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/sqlparse
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal
+	$(GO) test -fuzz=FuzzEstimateHandler -fuzztime=5s ./internal/serve
+	$(GO) test -fuzz=FuzzEstimateCodec -fuzztime=5s ./internal/serve
 	$(GO) run ./cmd/infbench -quick -out BENCH_infer.quick.json
 	$(MAKE) lint
 
@@ -99,10 +104,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=30s ./internal/journal
 
-# Fuzz the HTTP estimate handler: malformed SQL/JSON must yield 4xx, never
-# a 5xx or a panic.
+# Fuzz /v1/estimate: through the handler, malformed SQL/JSON must yield 4xx,
+# never a 5xx or a panic; and its wire codec must agree with encoding/json on
+# every body and every response.
 fuzz-serve:
 	$(GO) test -fuzz=FuzzEstimateHandler -fuzztime=30s ./internal/serve
+	$(GO) test -fuzz=FuzzEstimateCodec -fuzztime=30s ./internal/serve
 
 # Fuzz the persistence loaders: LoadEstimator must never panic on mutated
 # snapshot bytes — the property the crash-safe store's recovery path leans

@@ -4,9 +4,7 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"hash/fnv"
 	"math"
-	"strconv"
 	"sync"
 )
 
@@ -44,9 +42,11 @@ type CacheConfig struct {
 }
 
 // cacheKey scopes a query's fingerprint to the model generation that will
-// answer it.
-func cacheKey(generation uint64, fingerprint string) string {
-	return strconv.FormatUint(generation, 10) + ":" + fingerprint
+// answer it. It is the shard maps' key as it stands, so looking a query up
+// copies its fingerprint nowhere.
+type cacheKey struct {
+	gen uint64
+	fp  string
 }
 
 // cacheable reports whether an estimate may be served again: only clean,
@@ -65,15 +65,15 @@ type flight struct {
 }
 
 type cacheEntry struct {
-	key string
+	key cacheKey
 	res EstResult
 }
 
 type cacheShard struct {
 	mu      sync.Mutex
-	entries map[string]*list.Element // key → element holding *cacheEntry
-	lru     *list.List               // front = most recently used
-	flights map[string]*flight
+	entries map[cacheKey]*list.Element // key → element holding *cacheEntry
+	lru     *list.List                 // front = most recently used
+	flights map[cacheKey]*flight
 }
 
 // estCache is the sharded LRU + singleflight store. Create with
@@ -109,24 +109,29 @@ func newEstCache(cfg CacheConfig, m *Metrics) *estCache {
 	}
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
-			entries: make(map[string]*list.Element),
+			entries: make(map[cacheKey]*list.Element),
 			lru:     list.New(),
-			flights: make(map[string]*flight),
+			flights: make(map[cacheKey]*flight),
 		}
 	}
 	return c
 }
 
-func (c *estCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key)) //nolint:errcheck // fnv.Write never fails
-	return c.shards[h.Sum32()&c.mask]
+// shard picks key's shard by FNV-1a over the fingerprint. The generation
+// stays out of the hash: a displaced generation's entries age out of
+// whichever shard they share with their successors.
+func (c *estCache) shard(key cacheKey) *cacheShard {
+	h := uint32(2166136261)
+	for i := 0; i < len(key.fp); i++ {
+		h = (h ^ uint32(key.fp[i])) * 16777619
+	}
+	return c.shards[h&c.mask]
 }
 
-// get looks key up without joining or starting a flight (the client-batch
-// path, which computes its misses in one parallel fan-out). Counts a hit or
-// a miss.
-func (c *estCache) get(key string) (EstResult, bool) {
+// lookup returns key's cached result, counting a hit when there is one and
+// nothing otherwise: the single-query path asks here first, before it has
+// built anything a hit does not need, and goes on to do on a miss.
+func (c *estCache) lookup(key cacheKey) (EstResult, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
@@ -137,13 +142,23 @@ func (c *estCache) get(key string) (EstResult, bool) {
 		return res, true
 	}
 	s.mu.Unlock()
-	c.metrics.cacheMisses.Add(1)
 	return EstResult{}, false
+}
+
+// get looks key up without joining or starting a flight (the client-batch
+// path, which computes its misses in one parallel fan-out). Counts a hit or
+// a miss.
+func (c *estCache) get(key cacheKey) (EstResult, bool) {
+	res, ok := c.lookup(key)
+	if !ok {
+		c.metrics.cacheMisses.Add(1)
+	}
+	return res, ok
 }
 
 // put stores a computed result (batch path); uncacheable results are
 // dropped.
-func (c *estCache) put(key string, res EstResult) {
+func (c *estCache) put(key cacheKey, res EstResult) {
 	if !cacheable(res) {
 		return
 	}
@@ -159,7 +174,7 @@ func (c *estCache) put(key string, res EstResult) {
 // immediately, and a follower that inherits a leader's context-shaped
 // failure recomputes for itself rather than propagating an error that says
 // nothing about its own request.
-func (c *estCache) do(ctx context.Context, key string, compute func() EstResult) EstResult {
+func (c *estCache) do(ctx context.Context, key cacheKey, compute func() EstResult) EstResult {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
@@ -222,7 +237,7 @@ func isContextErr(err error) bool {
 
 // insertLocked adds or refreshes key under s.mu, evicting the shard's LRU
 // tail past capacity.
-func (c *estCache) insertLocked(s *cacheShard, key string, res EstResult) {
+func (c *estCache) insertLocked(s *cacheShard, key cacheKey, res EstResult) {
 	if e, ok := s.entries[key]; ok {
 		e.Value.(*cacheEntry).res = res
 		s.lru.MoveToFront(e)

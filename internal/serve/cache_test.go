@@ -18,6 +18,9 @@ import (
 // okRes wraps a value as a clean primary-stage result.
 func okRes(v float64) EstResult { return EstResult{Estimate: v, Stage: "learned"} }
 
+// ck is a cache key of generation 1.
+func ck(fp string) cacheKey { return cacheKey{gen: 1, fp: fp} }
+
 func newTestCache(entries, shards int) (*estCache, *Metrics) {
 	m := newMetrics()
 	return newEstCache(CacheConfig{Entries: entries, Shards: shards}, m), m
@@ -41,19 +44,19 @@ func TestCacheHitMissEvict(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	if res := c.do(ctx, "a", compute(1)); res.Estimate != 1 {
+	if res := c.do(ctx, ck("a"), compute(1)); res.Estimate != 1 {
 		t.Fatalf("first a: %+v", res)
 	}
-	if res := c.do(ctx, "a", compute(99)); res.Estimate != 1 {
+	if res := c.do(ctx, ck("a"), compute(99)); res.Estimate != 1 {
 		t.Fatalf("cached a: %+v, want the first computation's value", res)
 	}
-	c.do(ctx, "b", compute(2))
-	c.do(ctx, "a", compute(99)) // refreshes a's recency
-	c.do(ctx, "c", compute(3))  // capacity 2: evicts b, the LRU entry
-	if res := c.do(ctx, "a", compute(99)); res.Estimate != 1 {
+	c.do(ctx, ck("b"), compute(2))
+	c.do(ctx, ck("a"), compute(99)) // refreshes a's recency
+	c.do(ctx, ck("c"), compute(3))  // capacity 2: evicts b, the LRU entry
+	if res := c.do(ctx, ck("a"), compute(99)); res.Estimate != 1 {
 		t.Fatalf("a must have survived (its hit refreshed recency): %+v", res)
 	}
-	if res := c.do(ctx, "b", compute(4)); res.Estimate != 4 {
+	if res := c.do(ctx, ck("b"), compute(4)); res.Estimate != 4 {
 		t.Fatalf("b after eviction: %+v, want recomputed 4", res)
 	}
 
@@ -65,6 +68,42 @@ func TestCacheHitMissEvict(t *testing.T) {
 	}
 	if got := c.len(); got != 2 {
 		t.Errorf("cache holds %d entries, want 2", got)
+	}
+}
+
+// TestCacheKeyIsGenerationScoped: the same fingerprint under two generations
+// is two entries, and neither answers for the other.
+func TestCacheKeyIsGenerationScoped(t *testing.T) {
+	c, _ := newTestCache(8, 4)
+	old, cur := cacheKey{gen: 1, fp: "q"}, cacheKey{gen: 2, fp: "q"}
+	c.put(old, okRes(10))
+	if _, ok := c.get(cur); ok {
+		t.Fatal("generation 2 was answered from generation 1's entry")
+	}
+	c.put(cur, okRes(20))
+	if res, ok := c.get(old); !ok || res.Estimate != 10 {
+		t.Errorf("generation 1: %+v, %v, want its own 10", res, ok)
+	}
+	if res, ok := c.get(cur); !ok || res.Estimate != 20 {
+		t.Errorf("generation 2: %+v, %v, want its own 20", res, ok)
+	}
+}
+
+// TestCacheGetAllocs pins a hit at zero allocations: the key is the
+// fingerprint as it stands, hashed in place.
+func TestCacheGetAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	c, _ := newTestCache(64, 16)
+	key := cacheKey{gen: 7, fp: "forest|A1\x01>=\x002600|A2\x01<\x0040"}
+	c.put(key, okRes(5))
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, ok := c.get(key); !ok {
+			t.Fatal("present key missed")
+		}
+	}); allocs != 0 {
+		t.Errorf("get on a present key allocates %v times, want 0", allocs)
 	}
 }
 
@@ -80,7 +119,7 @@ func TestCacheUncacheableResults(t *testing.T) {
 		res := res
 		key := fmt.Sprintf("k%d", i)
 		for j := 0; j < 2; j++ {
-			got := c.do(ctx, key, func() EstResult { calls++; return res })
+			got := c.do(ctx, ck(key), func() EstResult { calls++; return res })
 			if got != res {
 				t.Fatalf("key %s round %d: %+v, want %+v", key, j, got, res)
 			}
@@ -103,7 +142,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan EstResult, 1)
 	go func() {
-		leaderDone <- c.do(context.Background(), "k", func() EstResult {
+		leaderDone <- c.do(context.Background(), ck("k"), func() EstResult {
 			computes.Add(1)
 			close(entered)
 			<-release
@@ -119,7 +158,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i] = c.do(context.Background(), "k", func() EstResult {
+			results[i] = c.do(context.Background(), ck("k"), func() EstResult {
 				computes.Add(1)
 				return okRes(-1)
 			})
@@ -158,7 +197,7 @@ func TestCacheFollowerCancellation(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	go c.do(context.Background(), "k", func() EstResult {
+	go c.do(context.Background(), ck("k"), func() EstResult {
 		close(entered)
 		<-release
 		return okRes(1)
@@ -168,7 +207,7 @@ func TestCacheFollowerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(5 * time.Millisecond); cancel() }()
 	start := time.Now()
-	res := c.do(ctx, "k", func() EstResult { return okRes(-1) })
+	res := c.do(ctx, ck("k"), func() EstResult { return okRes(-1) })
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("canceled follower got %+v, want context.Canceled", res)
 	}
@@ -184,7 +223,7 @@ func TestCacheLeaderCanceledFollowerRecomputes(t *testing.T) {
 	c, _ := newTestCache(8, 1)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	go c.do(context.Background(), "k", func() EstResult {
+	go c.do(context.Background(), ck("k"), func() EstResult {
 		close(entered)
 		<-release
 		return EstResult{Err: context.DeadlineExceeded}
@@ -193,7 +232,7 @@ func TestCacheLeaderCanceledFollowerRecomputes(t *testing.T) {
 
 	followerDone := make(chan EstResult, 1)
 	go func() {
-		followerDone <- c.do(context.Background(), "k", func() EstResult { return okRes(7) })
+		followerDone <- c.do(context.Background(), ck("k"), func() EstResult { return okRes(7) })
 	}()
 	// The follower is parked on the flight; release the doomed leader.
 	time.Sleep(5 * time.Millisecond)

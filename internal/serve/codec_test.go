@@ -1,0 +1,701 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"qfe/internal/dataset"
+	"qfe/internal/sqlparse"
+	"qfe/internal/table"
+	"qfe/internal/testutil"
+	"qfe/internal/workload"
+)
+
+// ---- the oracle: encoding/json, as the handler used it before the codec ----
+
+// errorResponse is the {"error": ...} shape appendErrorResponse renders.
+type errorResponse struct {
+	Error string `json:"error"`
+}
+
+func oracleDecode(body []byte) (estimateRequest, int64, error) {
+	var req estimateRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, dec.InputOffset(), err
+}
+
+func oracleEncode(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// stricterThanOracle reports whether body, which encoding/json decoded up to
+// offset end, shows one of the two things the codec rejects on purpose:
+// something other than white space after the value, or an object key that
+// names a field only once letter case is ignored.
+func stricterThanOracle(body []byte, end int64) bool {
+	if strings.TrimLeft(string(body[end:]), " \t\r\n") != "" {
+		return true
+	}
+	fields := []string{"model", "timeoutMs", "sql", "actual", "queries"}
+	dec := json.NewDecoder(bytes.NewReader(body[:end]))
+	var walk func() bool
+	walk = func() bool {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		folded := false
+		switch tok {
+		case json.Delim('{'):
+			for dec.More() {
+				key, _ := dec.Token()
+				for _, f := range fields {
+					if k, ok := key.(string); ok && k != f && strings.EqualFold(k, f) {
+						folded = true
+					}
+				}
+				folded = walk() || folded
+			}
+			dec.Token() //nolint:errcheck // the closing brace of a value already decoded once
+		case json.Delim('['):
+			for dec.More() {
+				folded = walk() || folded
+			}
+			dec.Token() //nolint:errcheck // the closing bracket
+		}
+		return folded
+	}
+	return walk()
+}
+
+// checkDecode holds the decoder to the oracle on one body: both fail, or
+// both succeed with equal requests, or the codec alone fails for one of its
+// two documented reasons. d is reused across calls, as a pooled one is.
+func checkDecode(t testing.TB, d *wireDecoder, body []byte) {
+	t.Helper()
+	want, end, wantErr := oracleDecode(body)
+	var got estimateRequest
+	gotErr := d.decode(body, &got)
+	switch {
+	case gotErr == nil && wantErr != nil:
+		t.Fatalf("body %q: the codec accepts (%+v) what encoding/json rejects: %v", body, got, wantErr)
+	case gotErr != nil && wantErr == nil:
+		if !stricterThanOracle(body, end) {
+			t.Fatalf("body %q: the codec rejects (%v) what encoding/json accepts as %+v", body, gotErr, want)
+		}
+	case gotErr == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("body %q:\n codec %s\noracle %s", body, dumpRequest(got), dumpRequest(want))
+	}
+}
+
+func dumpRequest(r estimateRequest) string {
+	b, _ := json.Marshal(r)
+	return fmt.Sprintf("%s (queries nil: %v)", b, r.Queries == nil)
+}
+
+// checkEncode holds the encoder to json.Encoder on one response and on the
+// error shape of each of its strings.
+func checkEncode(t testing.TB, resp estimateResponse) {
+	t.Helper()
+	want, err := oracleEncode(resp)
+	got, ok := appendEstimateResponse([]byte("kept"), &resp)
+	if ok != (err == nil) {
+		t.Fatalf("response %+v: codec ok=%v, json.Encoder err=%v", resp, ok, err)
+	}
+	if ok && string(got) != "kept"+string(want) {
+		t.Fatalf("response %+v:\n codec %q\noracle %q", resp, got[len("kept"):], want)
+	}
+	for _, msg := range []string{resp.Model, resp.Error} {
+		want, _ := oracleEncode(errorResponse{Error: msg})
+		if got := appendErrorResponse(nil, msg); !bytes.Equal(got, want) {
+			t.Fatalf("error %q:\n codec %q\noracle %q", msg, got, want)
+		}
+	}
+}
+
+// ---- bodies as cmd/bench sends them ----
+
+// benchBodies renders n single-query bodies (every other one carrying its
+// true cardinality, as feedback-hot does) and one n-query batch the way
+// cmd/bench does: mixed AND/OR queries over a forest table of the
+// benchmark's shape, through json.Marshal — which escapes every < and > as
+// \u003c and \u003e, so these strings take the decoder's unescaping path.
+func benchBodies(tb testing.TB, n int) (db *table.DB, singles [][]byte, batch []byte) {
+	tb.Helper()
+	forest, err := dataset.Forest(dataset.ForestConfig{Rows: 2000, QuantAttrs: 12, BinaryAttrs: 4, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db = table.NewDB()
+	db.MustAdd(forest)
+	set, err := workload.Mixed(forest, workload.MixedConfig{
+		ConjConfig:  workload.ConjConfig{Count: n, MaxAttrs: 8, MaxNotEquals: 5, Seed: 1_000_004},
+		MaxBranches: 3,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var items []estimateItem
+	for i, l := range set {
+		item := estimateItem{SQL: l.Query.String()}
+		if i%2 == 1 {
+			card := float64(l.Card)
+			item.Actual = &card
+		}
+		body, err := json.Marshal(estimateRequest{SQL: item.SQL, Actual: item.Actual})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		singles = append(singles, body)
+		items = append(items, item)
+	}
+	if batch, err = json.Marshal(estimateRequest{Queries: items}); err != nil {
+		tb.Fatal(err)
+	}
+	return db, singles, batch
+}
+
+// ---- decoder ----
+
+func TestDecodeMatchesOracle(t *testing.T) {
+	bodies := []string{
+		// Shapes and white space.
+		`{"sql":"a"}`, " \t\r\n{ \"sql\" : \"a\" , \"timeoutMs\" : 5 } \n", `{}`, `null`, ` null `, ``, ` `,
+		`{"model":"m","timeoutMs":250,"sql":"s","actual":12.5}`,
+		`{"queries":[{"sql":"a"},{"sql":"b","actual":0},{"actual":3,"sql":"c"}]}`,
+		`{"queries":[]}`, `{"queries":[ ]}`, `{"queries":null}`, `{"queries":[null]}`, `{"queries":[{}]}`,
+		`{"queries":[{"sql":"a"},null,{"sql":"c"}]}`,
+		// Null leaves strings and numbers alone, empties pointers and slices.
+		`{"sql":"a","sql":null}`, `{"timeoutMs":7,"timeoutMs":null}`, `{"model":null}`,
+		`{"actual":1,"actual":null}`, `{"actual":null,"actual":2}`,
+		`{"queries":[{"sql":"a"}],"queries":null}`, `{"queries":null,"queries":[{"sql":"a"}]}`,
+		// A repeated key: the last value wins, and a repeated array merges into
+		// the slots the earlier one filled.
+		`{"sql":"a","sql":"b"}`, `{"actual":1,"actual":2}`,
+		`{"queries":[{"sql":"a","actual":1}],"queries":[{"sql":"b"}]}`,
+		`{"queries":[{"sql":"a"},{"sql":"b","actual":2}],"queries":[{}],"queries":[{"actual":3},{},{"sql":"z"}]}`,
+		`{"queries":[{"sql":"a"},{"sql":"b"}],"queries":[null]}`,
+		`{"queries":[{"sql":"a"}],"queries":[]}`,
+		`{"queries":[{"sql":"a","sql":"b","actual":1,"actual":null}]}`,
+		// Numbers.
+		`{"timeoutMs":0}`, `{"timeoutMs":-0}`, `{"timeoutMs":-12}`, `{"timeoutMs":9223372036854775807}`,
+		`{"timeoutMs":9223372036854775808}`, `{"timeoutMs":1.0}`, `{"timeoutMs":1e2}`, `{"timeoutMs":01}`,
+		`{"timeoutMs":+1}`, `{"timeoutMs":-}`, `{"timeoutMs":"5"}`, `{"timeoutMs":1 2}`,
+		`{"actual":0}`, `{"actual":-0}`, `{"actual":-0.0}`, `{"actual":1e3}`, `{"actual":1E+3}`, `{"actual":1e-3}`,
+		`{"actual":1.5e300}`, `{"actual":1e309}`, `{"actual":-1e309}`, `{"actual":1e-400}`, `{"actual":4.9e-324}`,
+		`{"actual":0.1}`, `{"actual":1.}`, `{"actual":.5}`, `{"actual":1e}`, `{"actual":1e+}`, `{"actual":00}`,
+		`{"actual":0x10}`, `{"actual":NaN}`, `{"actual":Infinity}`, `{"actual":"1"}`, `{"actual":true}`,
+		`{"actual":123456789012345678901234567890}`, `{"actual":1}x`,
+		// Strings: every escape, surrogates whole and broken, raw and
+		// invalid UTF-8, control characters.
+		`{"sql":"\"\\\/\b\f\n\r\t"}`, `{"sql":"\u0041\u00e9\u4e2d\u003c\u003E"}`, `{"sql":"\ud83d\ude00"}`,
+		`{"sql":"\ud83d"}`, `{"sql":"\ude00"}`, `{"sql":"\ud83dx"}`, `{"sql":"\ud83d\u0041"}`, `{"sql":"\ud83d\ud83d\ude00"}`,
+		`{"sql":"\ude00\ud83d"}`, `{"sql":"\ud83d\n"}`, `{"sql":"\ud83d\u"}`, `{"sql":"\ud83d\ude0"}`, `{"sql":"\ud83d\`,
+		`{"sql":"\u12"}`, `{"sql":"\u12g4"}`, `{"sql":"\x"}`, `{"sql":"\U0041"}`, `{"sql":"\`, `{"sql":"\"}`, `{"sql":"abc`,
+		"{\"sql\":\"é中😀\"}", "{\"sql\":\"a\xffb\"}", "{\"sql\":\"\xc3\"}", "{\"sql\":\"\xed\xa0\x80\"}", "{\"sql\":\"\xf4\x90\x80\x80\"}",
+		"{\"sql\":\"\xef\xbf\xbd\"}", "{\"sql\":\"a\x00b\"}", "{\"sql\":\"a\nb\"}", "{\"sql\":\"a\x1fb\"}", "{\"sql\":\"a\x7fb\"}",
+		"{\"sql\":\"tab\tin\"}", `{"model":"\u0000"}`,
+		// Keys: escaped, unknown, case-folded, not strings.
+		`{"s\u0071l":"a"}`, `{"\u0073ql":"a","que\u0072ies":[]}`, `{"sq\l":"a"}`, `{"bogus":1}`, `{"sql":"a","bogus":{"deep":[1,2,{"x":null}]}}`,
+		`{"":"a"}`, `{"SQL":"a"}`, `{"Sql":"a","sql":"b"}`, `{"timeoutms":5}`, `{"TimeoutMs":5}`, `{"ſql":"a"}`, `{"queries":[{"SQL":"a"}]}`,
+		`{"queries":[{"Actual":1}]}`, `{"sql\u0000":"a"}`, "{\"sql\xff\":\"a\"}", `{sql:"a"}`, `{'sql':"a"}`, `{1:"a"}`, `{"queries":[{"model":"m"}]}`,
+		// Wrong types and broken structure.
+		`{"sql":1}`, `{"sql":true}`, `{"sql":["a"]}`, `{"sql":{"a":1}}`, `{"model":1}`, `{"queries":{}}`, `{"queries":"a"}`,
+		`{"queries":[1]}`, `{"queries":["a"]}`, `{"queries":[[]]}`, `{"queries":[{"sql":1}]}`, `{"queries":[{"sql":"a"},]}`,
+		`{"queries":[{"sql":"a"}`, `{"queries":[{"sql":"a"}}`, `{"queries":[,]}`, `{"sql":"a",}`, `{,}`, `{"sql"}`, `{"sql":}`,
+		`{"sql" "a"}`, `{"sql":"a" "model":"m"}`, `{`, `}`, `[`, `[]`, `[{"sql":"a"}]`, `"sql"`, `1`, `true`, `false`, `nul`, `nulll`, `nullx`,
+		`{"sql":nul}`, `{"sql":nullx}`, `{"sql":"a"}}`, `{"sql":"a"}{"sql":"b"}`, `{"sql":"a"} x`, `{"sql":"a"}` + "\x00", `null null`,
+		"\xef\xbb\xbf{\"sql\":\"a\"}", `{"sql":"a"}` + "\xff",
+	}
+	var d wireDecoder
+	for _, body := range bodies {
+		checkDecode(t, &d, []byte(body))
+	}
+	for _, body := range estimateBodySeeds() {
+		checkDecode(t, &d, []byte(body))
+	}
+	_, singles, batch := benchBodies(t, 64)
+	for _, body := range append(singles, batch) {
+		var req estimateRequest
+		if err := d.decode(body, &req); err != nil {
+			t.Fatalf("a benchmark body is rejected: %v\n%s", err, body)
+		}
+		checkDecode(t, &d, body)
+	}
+}
+
+// TestDecodeTightenings pins the two places where the codec is stricter than
+// encoding/json, so a future change cannot widen or narrow them silently.
+func TestDecodeTightenings(t *testing.T) {
+	var d wireDecoder
+	for _, body := range []string{
+		`{"sql":"a"} x`, `{"sql":"a"}{"sql":"b"}`, `{"sql":"a"}]`, `null 1`,
+		`{"SQL":"a"}`, `{"sql":"a","Model":"m"}`, `{"queries":[{"Sql":"a"}]}`, `{"ſql":"a"}`,
+	} {
+		if _, _, err := oracleDecode([]byte(body)); err != nil {
+			t.Errorf("body %q: encoding/json rejects it too (%v); it is no divergence", body, err)
+		}
+		var req estimateRequest
+		if err := d.decode([]byte(body), &req); err == nil {
+			t.Errorf("body %q: accepted as %+v, want it rejected", body, req)
+		}
+	}
+}
+
+// TestDecodedStringsAreOwned: the journal queue and the drift monitor keep
+// FeedbackEvent.SQL after the response is written, so no decoded string may
+// share memory with the pooled body or the decoder's unescape buffer.
+func TestDecodedStringsAreOwned(t *testing.T) {
+	body := []byte(`{"model":"m\u0031","sql":"plain text","queries":[{"sql":"a \u003c 5"},{"sql":"b = 1"}]}`)
+	var d wireDecoder
+	var req estimateRequest
+	if err := d.decode(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = 'X'
+	}
+	for i := range d.text[:cap(d.text)] {
+		d.text[:cap(d.text)][i] = 'Y'
+	}
+	want := estimateRequest{Model: "m1", SQL: "plain text", Queries: []estimateItem{{SQL: "a < 5"}, {SQL: "b = 1"}}}
+	if !reflect.DeepEqual(req, want) {
+		t.Errorf("after the buffers were overwritten the request reads %s, want %s", dumpRequest(req), dumpRequest(want))
+	}
+}
+
+// ---- encoder ----
+
+var (
+	floatSeeds = []float64{
+		0, math.Copysign(0, -1), 1, -1, 42, 0.1, 123456.789, 1e20, 1e21, 999999999999999868928, 1.5e21, 1e-6, 1e-7, 9.99e-7,
+		1.5e-9, 1e-10, 5e-324, 2.2250738585072014e-308, math.MaxFloat64, -math.MaxFloat64, 1e300, 0.30000000000000004,
+		float64(1 << 53), math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	textSeeds = []string{
+		"", "learned", "forest_gb", "<script>&amp;</script>", "a\u2028b\u2029c", "\x00\x01\x1f\x7f", "\xff\xfe bad \xc3",
+		`quote " and \ backslash`, "tab\tnl\n\b\f\r", "日本語 é 😀", "\xed\xa0\x80", "\xf4\x90\x80\x80", "\xe2\x80", "\ufffd",
+		`unknown field "bogus"`, "unexpected character '©' at offset 30",
+	}
+)
+
+// responsesOf spreads one fuzzed tuple over the response shapes the handler
+// sends: a single answer, a failed single, and a batch mixing both.
+func responsesOf(est float64, micros int64, degraded bool, text string) []estimateResponse {
+	res := estimateResult{Estimate: est, Stage: text, Degraded: degraded, Micros: micros}
+	failed := estimateResult{Micros: micros, Error: text}
+	return []estimateResponse{
+		{Model: text, estimateResult: res},
+		{Model: "m", estimateResult: failed},
+		{Model: text, Results: []estimateResult{res, failed, {Estimate: -est, Micros: -micros}, {}}},
+		{Model: "m", estimateResult: estimateResult{Estimate: est, Stage: "s", Degraded: degraded, Micros: micros, Error: text}, Results: []estimateResult{res}},
+	}
+}
+
+func TestEncodeMatchesOracle(t *testing.T) {
+	for i, f := range floatSeeds {
+		for j, text := range textSeeds {
+			for _, resp := range responsesOf(f, int64(i*1000-j), j%2 == 0, text) {
+				checkEncode(t, resp)
+			}
+		}
+	}
+	checkEncode(t, estimateResponse{})
+	checkEncode(t, estimateResponse{estimateResult: estimateResult{Micros: math.MinInt64}})
+}
+
+// ---- both, under fuzzing ----
+
+// FuzzEstimateCodec holds the wire codec to encoding/json. For any body the
+// decoder and json.Decoder (DisallowUnknownFields) either both fail or yield
+// equal requests; the only permitted divergences are the two tightenings
+// stricterThanOracle recognises, both in the rejecting direction. For any
+// response — fuzzed floats and strings spread over the shapes the handler
+// sends — the encoder's bytes equal json.Encoder's, and it refuses exactly
+// the values json.Encoder refuses (NaN, ±Inf).
+//
+// Explore with `go test -fuzz=FuzzEstimateCodec ./internal/serve`.
+func FuzzEstimateCodec(f *testing.F) {
+	bodies := estimateBodySeeds()
+	_, singles, batch := benchBodies(f, 4)
+	for _, b := range append(singles, batch) {
+		bodies = append(bodies, string(b))
+	}
+	bodies = append(bodies,
+		`{"queries":[{"sql":"a","actual":1}],"queries":[{"sql":"b"}],"SQL":"x"}`,
+		`{"sql":"\ud83d\ude00 \ud83d \u003c","actual":1e21} trailing`,
+	)
+	for i, body := range bodies {
+		f.Add(body, floatSeeds[i%len(floatSeeds)], int64(i)*37-5, i%3 == 0, textSeeds[i%len(textSeeds)])
+	}
+	for i, v := range floatSeeds {
+		f.Add(`{"sql":"x"}`, v, int64(i), i%2 == 0, textSeeds[i%len(textSeeds)])
+	}
+	var d wireDecoder
+	f.Fuzz(func(t *testing.T, body string, est float64, micros int64, degraded bool, text string) {
+		checkDecode(t, &d, []byte(body))
+		for _, resp := range responsesOf(est, micros, degraded, text) {
+			checkEncode(t, resp)
+		}
+	})
+}
+
+// ---- the handler around the codec ----
+
+// TestServedBytesAreJSONEncoderBytes: what the handler writes is, byte for
+// byte, what json.Encoder writes for the same values — checked by reading
+// each response back and rendering it through the oracle.
+func TestServedBytesAreJSONEncoderBytes(t *testing.T) {
+	post := func(h http.Handler, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body)))
+		if got := rec.Header().Get("Content-Type"); got != "application/json" {
+			t.Errorf("body %q: Content-Type %q", body, got)
+		}
+		return rec
+	}
+	reencode := func(rec *httptest.ResponseRecorder, into any) []byte {
+		dec := json.NewDecoder(bytes.NewReader(rec.Body.Bytes()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(into); err != nil {
+			t.Fatalf("response %q: %v", rec.Body, err)
+		}
+		out, err := oracleEncode(into)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	ok := cachedServer(t, constEst(1234.5), nil).Handler()
+	failing := newStubServer(t, errEst{}, nil).Handler()
+	for _, c := range []struct {
+		h    http.Handler
+		body string
+		code int
+	}{
+		{ok, `{"sql":"` + stubSQL + `"}`, 200},
+		{ok, `{"sql":"` + stubSQL + `","actual":7}`, 200}, // the same key again: a hit
+		{ok, `{"queries":[{"sql":"` + stubSQL + `"},{"sql":"DROP <b>&\u2028"},{"sql":"SELECT count(*) FROM t WHERE b = 2","actual":1e999}]}`, 400},
+		{ok, `{"queries":[{"sql":"` + stubSQL + `"},{"sql":"DROP <b>&\u2028"},{"sql":"SELECT count(*) FROM t WHERE b = 2"}]}`, 200},
+		{failing, `{"sql":"` + stubSQL + `"}`, 422},
+		{failing, `{"queries":[{"sql":"` + stubSQL + `"}]}`, 200},
+	} {
+		rec := post(c.h, c.body)
+		if rec.Code != c.code {
+			t.Fatalf("body %q: status %d, want %d: %s", c.body, rec.Code, c.code, rec.Body)
+		}
+		var want []byte
+		if rec.Code == 400 {
+			want = reencode(rec, &errorResponse{})
+		} else {
+			want = reencode(rec, &estimateResponse{})
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("body %q:\nserved %q\noracle %q", c.body, rec.Body.Bytes(), want)
+		}
+	}
+
+	// Error strings echo client input; every class of byte json.Encoder
+	// escapes must arrive escaped.
+	rec := post(ok, "{\"<b>&\u2028\xff\":1}")
+	if rec.Code != 400 {
+		t.Fatalf("status %d, want 400", rec.Code)
+	}
+	if want := reencode(rec, &errorResponse{}); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("served %q\noracle %q", rec.Body.Bytes(), want)
+	}
+	for _, raw := range []string{"<", ">", "&", "\u2028", "\xff"} {
+		if bytes.Contains(rec.Body.Bytes(), []byte(raw)) {
+			t.Errorf("the error response carries a raw %q: %q", raw, rec.Body.Bytes())
+		}
+	}
+}
+
+// TestOversizeBodyIs413: a body past MaxBodyBytes is too large, not
+// malformed — the same status the batch-size limit answers with.
+func TestOversizeBodyIs413(t *testing.T) {
+	srv := newStubServer(t, constEst(1), func(c *Config) { c.MaxBodyBytes = 64 })
+	body := `{"sql":"` + stubSQL + ` AND b = 1 AND c = 2 AND d = 3 AND e = 4"}`
+	code, resp := rawPost(t, srv.Handler(), "/v1/estimate", []byte(body))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a %d-byte body against a 64-byte limit: status %d (%v), want 413", len(body), code, resp)
+	}
+	if msg, _ := resp["error"].(string); !strings.Contains(msg, "64") {
+		t.Errorf("error %q does not name the limit", msg)
+	}
+	if code, _ := rawPost(t, srv.Handler(), "/v1/estimate", []byte(`{"sql":"`+stubSQL+`"}`)); code != http.StatusOK {
+		t.Errorf("a body under the limit: status %d, want 200", code)
+	}
+}
+
+// TestTightenedBodiesAre400 is the handler's side of TestDecodeTightenings.
+func TestTightenedBodiesAre400(t *testing.T) {
+	h := newStubServer(t, constEst(1), nil).Handler()
+	for _, body := range []string{
+		`{"sql":"` + stubSQL + `"} trailing`,
+		`{"sql":"` + stubSQL + `"}{"sql":"` + stubSQL + `"}`,
+		`{"SQL":"` + stubSQL + `"}`,
+		`{"sql":"` + stubSQL + `","TimeoutMS":5}`,
+	} {
+		if code, resp := rawPost(t, h, "/v1/estimate", []byte(body)); code != http.StatusBadRequest {
+			t.Errorf("body %q: status %d (%v), want 400", body, code, resp)
+		}
+	}
+}
+
+// TestDeadlineIsAnchoredAtEntry: the deadline context is built late, only
+// when something is about to be estimated, but counts from the handler's
+// entry; without a timeout there is no context to build at all.
+func TestDeadlineIsAnchoredAtEntry(t *testing.T) {
+	srv := newStubServer(t, constEst(1), func(c *Config) {
+		c.DefaultTimeout = 100 * time.Millisecond
+		c.MaxTimeout = time.Second
+	})
+	entry := time.Now().Add(-40 * time.Millisecond) // the handler was entered 40 ms ago
+	for _, c := range []struct {
+		timeoutMS int64
+		want      time.Duration
+	}{{0, 100 * time.Millisecond}, {-5, 100 * time.Millisecond}, {250, 250 * time.Millisecond}, {5000, time.Second}} {
+		if got := srv.deadlineFrom(entry, c.timeoutMS); !got.Equal(entry.Add(c.want)) {
+			t.Errorf("timeoutMs %d: deadline %v after entry, want %v", c.timeoutMS, got.Sub(entry), c.want)
+		}
+	}
+	parent := context.WithValue(context.Background(), struct{}{}, 1)
+	ctx, cancel := deadline{parent: parent, at: srv.deadlineFrom(entry, 0)}.context()
+	defer cancel()
+	if at, ok := ctx.Deadline(); !ok || !at.Equal(entry.Add(100*time.Millisecond)) {
+		t.Errorf("context deadline %v (%v), want entry + 100ms", at, ok)
+	}
+
+	none := newStubServer(t, constEst(1), nil) // no DefaultTimeout
+	if at := none.deadlineFrom(entry, 0); !at.IsZero() {
+		t.Errorf("no timeout configured or requested: deadline %v, want none", at)
+	}
+	if ctx, _ := (deadline{parent: parent}).context(); ctx != parent {
+		t.Error("without a deadline the context must be the parent itself")
+	}
+}
+
+// ---- allocation pins ----
+
+// parseAllocPin is what sqlparse pins a mixed query's Parse at
+// (TestParseSteadyStateAllocs); the handler's pins are stated on top of it.
+const parseAllocPin = 25
+
+// replayBody is a request body that can be rewound and sent again.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// discardWriter is the least a handler can write to.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// handlerAllocs is the mean allocation count of one request through h, over
+// bodies sent in turn, each once before counting (to fill the cache and the
+// pools).
+func handlerAllocs(t *testing.T, h http.Handler, bodies [][]byte) float64 {
+	t.Helper()
+	body := &replayBody{}
+	req := httptest.NewRequest(http.MethodPost, "/v1/estimate", nil)
+	req.Body = body
+	w := &discardWriter{h: http.Header{}}
+	i := 0
+	send := func() {
+		body.Reset(bodies[i%len(bodies)])
+		i++
+		h.ServeHTTP(w, req)
+	}
+	for range bodies {
+		send()
+	}
+	return testing.AllocsPerRun(4*len(bodies), send)
+}
+
+// TestEstimateHitAllocs pins the whole handler on a cache hit. Above the
+// parse the request cannot avoid (the AST is how it finds its key), a hit
+// allocates its own copy of the SQL, the fingerprint, the "actual" pointer
+// when there is one, and the two small wrappers of net/http's body limit and
+// the status-counting writer — no decoder state, no deadline, no timer, no
+// key copy, no encoder state, no header slice.
+func TestEstimateHitAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector defeats sync.Pool")
+	}
+	db, singles, batch := benchBodies(t, 64)
+	var events int
+	srv := cachedServer(t, constEst(77), func(c *Config) {
+		c.DB = db
+		c.DefaultTimeout = 100 * time.Millisecond // cardestd's default: a miss would arm a timer
+		c.Feedback = func(FeedbackEvent) { events++ }
+	})
+	h := srv.Handler()
+
+	got := handlerAllocs(t, h, singles)
+	t.Logf("single hit: %.1f allocs/request", got)
+	if limit := float64(parseAllocPin + 8); got > limit {
+		t.Errorf("a cached single allocates %.1f times, want <= %v", got, limit)
+	}
+	got = handlerAllocs(t, h, [][]byte{batch})
+	t.Logf("64-query batch, all hits: %.1f allocs/request", got)
+	if limit := float64(64*(parseAllocPin+4) + 16); got > limit {
+		t.Errorf("a cached 64-query batch allocates %.1f times, want <= %v", got, limit)
+	}
+	if misses := srv.Metrics().Snapshot()["cache_misses"].(int64); misses > 64 {
+		t.Errorf("cache_misses = %d, want <= 64 (the first pass over the singles): every counted request must have been a hit", misses)
+	}
+	if events == 0 {
+		t.Error("the feedback hook saw nothing")
+	}
+}
+
+// ---- benchmarks: the decoder and encoder against encoding/json ----
+
+func BenchmarkEstimateDecode(b *testing.B) {
+	_, singles, batch := benchBodies(b, 64)
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{{"single", singles[0]}, {"batch64", batch}} {
+		b.Run(c.name+"/codec", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.body)))
+			var d wireDecoder
+			for i := 0; i < b.N; i++ {
+				var req estimateRequest
+				if err := d.decode(c.body, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/json", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.body)))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := oracleDecode(c.body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkEstimateEncode(b *testing.B) {
+	resp := estimateResponse{Model: "forest_gb", estimateResult: estimateResult{Estimate: 1234.5678, Stage: "learned", Micros: 17}}
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf, _ = appendEstimateResponse(buf[:0], &resp)
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// textEst answers every query with a value derived from its text, so a
+// response that carries another request's estimate is visible.
+type textEst struct{}
+
+func (textEst) Name() string { return "text" }
+func (textEst) Estimate(q *sqlparse.Query) (float64, error) {
+	return textEstimate(q.String()), nil
+}
+
+func textEstimate(sql string) float64 {
+	h := fnv.New32a()
+	h.Write([]byte(sql)) //nolint:errcheck // never fails
+	return float64(h.Sum32()%1_000_000) + 1.5
+}
+
+// TestConcurrentRequestsShareNoScratch: singles and batches from many
+// goroutines at once, over a cache too small to hold them, so pooled
+// scratches are recycled between request shapes all the time. Every answer
+// must be the estimate of the query it was asked about: a body, result slice
+// or response buffer shared between two requests would mix them up (and trip
+// the race detector).
+func TestConcurrentRequestsShareNoScratch(t *testing.T) {
+	db, singles, batch := benchBodies(t, 48)
+	var batchReq estimateRequest
+	if err := json.Unmarshal(batch, &batchReq); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(batchReq.Queries))
+	for i, item := range batchReq.Queries {
+		want[i] = textEstimate(sqlparse.MustParse(item.SQL).String())
+	}
+	srv := newStubServer(t, textEst{}, func(c *Config) {
+		c.DB = db
+		c.Cache = CacheConfig{Entries: 16, Shards: 2}
+		c.Batcher.Workers = 2
+		c.Feedback = func(FeedbackEvent) {}
+	})
+	h := srv.Handler()
+
+	const goroutines, rounds = 6, 40
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			for r := 0; r < rounds; r++ {
+				i := (g*7 + r) % len(singles)
+				body, wantResults := singles[i], want[i:i+1]
+				if (g+r)%3 == 0 {
+					body, wantResults = batch, want
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", bytes.NewReader(body)))
+				var resp estimateResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+					errs <- fmt.Errorf("status %d, %v: %s", rec.Code, err, rec.Body)
+					return
+				}
+				got := resp.Results
+				if len(got) == 0 {
+					got = []estimateResult{resp.estimateResult}
+				}
+				if len(got) != len(wantResults) {
+					errs <- fmt.Errorf("%d results for %d queries", len(got), len(wantResults))
+					return
+				}
+				for k := range got {
+					if got[k].Estimate != wantResults[k] || got[k].Error != "" {
+						errs <- fmt.Errorf("goroutine %d round %d result %d: %+v, want estimate %v", g, r, k, got[k], wantResults[k])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

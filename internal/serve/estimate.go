@@ -49,17 +49,15 @@ func estimateOne(ctx context.Context, est estimator.Estimator, q *sqlparse.Query
 	return EstResult{Estimate: v, Err: err}
 }
 
-// doBatch estimates a client-supplied batch in input order — estimateOne
-// per query, over at most Batcher.Workers goroutines — and counts it in
-// /metrics (batches_total, batched_queries_total).
-func (s *Server) doBatch(ctx context.Context, est estimator.Estimator, qs []*sqlparse.Query) []EstResult {
-	out := make([]EstResult, len(qs))
+// doBatch estimates a client-supplied batch — estimateOne per query, over
+// at most Batcher.Workers goroutines, out[i] answering qs[i] — and counts it
+// in /metrics (batches_total, batched_queries_total).
+func (s *Server) doBatch(ctx context.Context, est estimator.Estimator, qs []*sqlparse.Query, out []EstResult) {
 	if len(qs) == 0 {
-		return out
+		return
 	}
 	s.metrics.observeBatch(len(qs))
 	parallel.Do(len(qs), parallel.Workers(s.cfg.Batcher.Workers), func(i int) {
 		out[i] = estimateOne(ctx, est, qs[i])
 	})
-	return out
 }

@@ -48,18 +48,14 @@ func TestDoBatchKeepsOrder(t *testing.T) {
 		qs[i] = parseQ(t, stubSQL)
 		est[qs[i]] = float64(i * 10)
 	}
-	out := srv.doBatch(context.Background(), est, qs)
-	if len(out) != len(qs) {
-		t.Fatalf("got %d results, want %d", len(out), len(qs))
-	}
+	out := make([]EstResult, len(qs))
+	srv.doBatch(context.Background(), est, qs, out)
 	for i, r := range out {
 		if r.Err != nil || r.Estimate != float64(i*10) {
 			t.Errorf("result %d = %+v, want estimate %d", i, r, i*10)
 		}
 	}
-	if out := srv.doBatch(context.Background(), est, nil); len(out) != 0 {
-		t.Errorf("empty batch returned %d results", len(out))
-	}
+	srv.doBatch(context.Background(), est, nil, nil)
 	snap := srv.Metrics().Snapshot()
 	if snap["batches_total"] != int64(1) || snap["batched_queries_total"] != int64(8) {
 		t.Errorf("recorded %v batches carrying %v queries, want one batch of 8 (an empty batch is not one)",
@@ -79,8 +75,8 @@ func TestEstimateOneContextCancelled(t *testing.T) {
 }
 
 // TestDoBatchSteadyStateAllocs pins the serve layer's own cost of a client
-// batch on the per-query path: the result slice plus the worker pool's fixed
-// overhead, nothing per query.
+// batch on the per-query path: the worker pool's fixed overhead, nothing per
+// query.
 func TestDoBatchSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -91,8 +87,9 @@ func TestDoBatchSteadyStateAllocs(t *testing.T) {
 		qs[i] = parseQ(t, stubSQL)
 	}
 	ctx := context.Background()
+	out := make([]EstResult, len(qs))
 	allocs := testing.AllocsPerRun(100, func() {
-		srv.doBatch(ctx, constEst(7), qs)
+		srv.doBatch(ctx, constEst(7), qs, out)
 	})
 	t.Logf("doBatch(64) allocs/op = %v", allocs)
 	if allocs > 8 {

@@ -13,15 +13,12 @@ import (
 	"qfe/internal/sqlparse"
 )
 
-// FuzzEstimateHandler feeds arbitrary bodies to POST /v1/estimate. The
-// contract under fuzzing: malformed SQL or JSON is always a client error
-// (4xx) — never a 5xx, never a panic. The SQL seeds mirror the sqlparse
-// fuzz corpus (internal/sqlparse/fuzz_test.go) so everything the parser's
-// fuzzer has learned to probe also hits the HTTP surface, wrapped in the
-// request shapes the handler accepts.
-//
-// Explore with `go test -fuzz=FuzzEstimateHandler ./internal/serve`.
-func FuzzEstimateHandler(f *testing.F) {
+// estimateBodySeeds is the seed corpus of POST /v1/estimate bodies, shared by
+// FuzzEstimateHandler and FuzzEstimateCodec. The SQL seeds mirror the
+// sqlparse fuzz corpus (internal/sqlparse/fuzz_test.go) so everything the
+// parser's fuzzer has learned to probe also hits the HTTP surface, wrapped in
+// the request shapes the handler accepts.
+func estimateBodySeeds() []string {
 	sqlSeeds := []string{
 		"SELECT count(*) FROM t",
 		"SELECT count(*) FROM t WHERE a = 1;",
@@ -50,18 +47,17 @@ func FuzzEstimateHandler(f *testing.F) {
 		"SELECT count(*) FROM t WHERE a > 9223372036854775807",
 		"SELECT count(*) FROM t WHERE s = 'x\x01B\x00=\x00\"y\"'",
 	}
+	var seeds []string
 	for _, s := range sqlSeeds {
 		// Each parser seed in both request shapes the handler accepts.
 		single, _ := json.Marshal(map[string]any{"sql": s})
-		f.Add(string(single))
 		batch, _ := json.Marshal(map[string]any{"queries": []map[string]any{{"sql": s}, {"sql": s, "actual": 3.5}}})
-		f.Add(string(batch))
 		// And raw, as a malformed JSON body.
-		f.Add(s)
+		seeds = append(seeds, string(single), string(batch), s)
 	}
 	// JSON-shape seeds: unknown fields, wrong types, contradictory shapes,
 	// hostile numbers.
-	for _, s := range []string{
+	return append(seeds,
 		`{}`,
 		`{"sql":""}`,
 		`{"sql":"SELECT count(*) FROM forest WHERE A1 = 1","queries":[{"sql":"x"}]}`,
@@ -78,7 +74,16 @@ func FuzzEstimateHandler(f *testing.F) {
 		`[1,2,3]`,
 		`null`,
 		"{\"sql\":\"\x00\"}",
-	} {
+	)
+}
+
+// FuzzEstimateHandler feeds arbitrary bodies to POST /v1/estimate. The
+// contract under fuzzing: malformed SQL or JSON is always a client error
+// (4xx) — never a 5xx, never a panic.
+//
+// Explore with `go test -fuzz=FuzzEstimateHandler ./internal/serve`.
+func FuzzEstimateHandler(f *testing.F) {
+	for _, s := range estimateBodySeeds() {
 		f.Add(s)
 	}
 

@@ -10,7 +10,9 @@
 //	POST /v1/estimate    — estimate one query ({"sql": ...}) or a batch
 //	                       ({"queries": [{"sql": ...}, ...]}); optional
 //	                       "model", "timeoutMs", and per-query "actual"
-//	                       (true cardinality feedback, recorded as q-error)
+//	                       (true cardinality feedback, recorded as q-error);
+//	                       the body is that one object and nothing else,
+//	                       its keys case-sensitive (the wire codec, codec.go)
 //	GET  /v1/models      — list registered models (with store generation and
 //	                       canary status) and the default
 //	POST /v1/models/load — load a persisted snapshot from disk (confined to
@@ -301,23 +303,24 @@ type estimateResponse struct {
 	Results []estimateResult `json:"results,omitempty"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
+// writeJSON renders v by reflection: the admin, status and health endpoints,
+// whose shapes vary and whose rate does not matter. /v1/estimate renders
+// through the wire codec (codec.go).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away
 }
 
+// writeError answers {"error": ...} on every endpoint.
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+	writeWire(w, code, appendErrorResponse(nil, fmt.Sprintf(format, args...)))
 }
 
 // ---- handlers ----
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	entry := time.Now() // the request's deadline, if it comes to need one, counts from here
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -339,11 +342,19 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
 
+	sc := scratchPool.Get().(*reqScratch)
+	defer sc.release()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
+			return
+		}
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
 	var req estimateRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := sc.dec.decode(sc.body.Bytes(), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -369,9 +380,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
-	defer cancel()
+	dl := deadline{parent: r.Context(), at: s.deadlineFrom(entry, req.TimeoutMS)}
 
 	if single {
 		q, err := s.parseAndBind(req.SQL)
@@ -379,45 +388,44 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		res := s.estimateTimed(ctx, est, info, q, req.SQL, req.Actual)
+		res := s.estimateTimed(dl, est, info, q, req.SQL, req.Actual)
+		code := http.StatusOK
 		if res.Error != "" {
 			// The query parsed but could not be estimated (e.g. no model for
 			// its sub-schema): the request, not the server, is at fault.
-			writeJSON(w, http.StatusUnprocessableEntity, estimateResponse{Model: info.Name, estimateResult: res})
-			return
+			code = http.StatusUnprocessableEntity
 		}
-		writeJSON(w, http.StatusOK, estimateResponse{Model: info.Name, estimateResult: res})
+		writeEstimate(w, sc, code, &estimateResponse{Model: info.Name, estimateResult: res})
 		return
 	}
 
 	// Client batch: parse everything first (parse errors are per-item), then
 	// push the parseable queries through the parallel path in one go.
-	results := make([]estimateResult, len(req.Queries))
-	qs := make([]*sqlparse.Query, 0, len(req.Queries))
-	idx := make([]int, 0, len(req.Queries))
-	for i, item := range req.Queries {
+	sc.results = zeroed(sc.results, len(req.Queries))
+	for i := range req.Queries {
+		item := &req.Queries[i]
 		if !finiteActual(item.Actual) {
-			results[i] = estimateResult{Error: `"actual" must be a finite number`}
+			sc.results[i] = estimateResult{Error: `"actual" must be a finite number`}
 			s.metrics.estErrors.Add(1)
 			continue
 		}
 		q, err := s.parseAndBind(item.SQL)
 		if err != nil {
-			results[i] = estimateResult{Error: err.Error()}
+			sc.results[i] = estimateResult{Error: err.Error()}
 			s.metrics.estErrors.Add(1)
 			continue
 		}
-		qs = append(qs, q)
-		idx = append(idx, i)
+		sc.qs = append(sc.qs, q)
+		sc.idx = append(sc.idx, i)
 	}
 	start := time.Now()
-	batchRes, fps := s.estimateBatch(ctx, est, info.Generation, qs)
-	perQuery := time.Since(start) / time.Duration(max(1, len(batchRes)))
-	for j, br := range batchRes {
-		i := idx[j]
-		results[i] = s.record(info, qs[j], req.Queries[i].SQL, fps[j], br, req.Queries[i].Actual, perQuery)
+	s.estimateBatch(dl, est, info.Generation, sc)
+	perQuery := time.Since(start) / time.Duration(max(1, len(sc.qs)))
+	for j, q := range sc.qs {
+		item := &req.Queries[sc.idx[j]]
+		sc.results[sc.idx[j]] = s.record(info, q, item.SQL, sc.fps[j], sc.out[j], item.Actual, perQuery)
 	}
-	writeJSON(w, http.StatusOK, estimateResponse{Model: info.Name, Results: results})
+	writeEstimate(w, sc, http.StatusOK, &estimateResponse{Model: info.Name, Results: sc.results})
 }
 
 // activeCache returns the estimate cache, or nil when it is disabled or
@@ -435,22 +443,38 @@ func (s *Server) activeCache() *estCache {
 // estimateTimed answers one query on the calling (HTTP request) goroutine:
 // a lookup in the estimate cache, and on a miss estimateOne inline, under
 // the cache's singleflight so concurrent identical misses cost one
-// inference. The serve layer itself never queues, waits on a timer, or hands
-// off to another goroutine here. Nor does the resilience chain behind
-// -fallback for the estimators the daemon configures: a stage that is an
-// estimator.ContextEstimator runs on this goroutine, and only one that takes
-// no context is guarded by a goroutine of the chain's own (DESIGN §11).
-func (s *Server) estimateTimed(ctx context.Context, est estimator.Estimator, info ModelInfo, q *sqlparse.Query, sql string, reported *float64) estimateResult {
+// inference. A hit returns before anything only a miss needs exists — the
+// deadline context and its timer first of all. The serve layer itself never
+// queues, waits on a timer, or hands off to another goroutine here. Nor does
+// the resilience chain behind -fallback for the estimators the daemon
+// configures: a stage that is an estimator.ContextEstimator runs on this
+// goroutine, and only one that takes no context is guarded by a goroutine of
+// the chain's own (DESIGN §11).
+func (s *Server) estimateTimed(dl deadline, est estimator.Estimator, info ModelInfo, q *sqlparse.Query, sql string, reported *float64) estimateResult {
 	start := time.Now()
+	c := s.activeCache()
+	var key cacheKey
 	var br EstResult
-	var fp string
-	if c := s.activeCache(); c != nil {
-		fp = core.Fingerprint(q)
-		br = c.do(ctx, cacheKey(info.Generation, fp), func() EstResult { return estimateOne(ctx, est, q) })
-	} else {
-		br = estimateOne(ctx, est, q)
+	hit := false
+	if c != nil {
+		key = cacheKey{gen: info.Generation, fp: core.Fingerprint(q)}
+		br, hit = c.lookup(key)
 	}
-	return s.record(info, q, sql, fp, br, reported, time.Since(start))
+	if !hit {
+		br = s.estimateMiss(dl, c, key, est, q)
+	}
+	return s.record(info, q, sql, key.fp, br, reported, time.Since(start))
+}
+
+// estimateMiss computes what lookup did not find, under the request's
+// deadline; c is nil when the cache is off or bypassed.
+func (s *Server) estimateMiss(dl deadline, c *estCache, key cacheKey, est estimator.Estimator, q *sqlparse.Query) EstResult {
+	ctx, cancel := dl.context()
+	defer cancel()
+	if c == nil {
+		return estimateOne(ctx, est, q)
+	}
+	return c.do(ctx, key, func() EstResult { return estimateOne(ctx, est, q) })
 }
 
 // record accounts one answered query — latency and degradation metrics, the
@@ -482,37 +506,42 @@ func (s *Server) record(info ModelInfo, q *sqlparse.Query, sql, fp string, br Es
 	return toResult(br, latency)
 }
 
-// estimateBatch answers a client-supplied batch, serving what it can from
-// the estimate cache and fanning only the misses out over the worker pool.
-// The batch path skips the singleflight — the client already batched, so
-// there is nothing concurrent to collapse — but reads and feeds the same
-// cache as the single path. The second result holds each query's
-// fingerprint (empty strings when the cache is off or bypassed).
-func (s *Server) estimateBatch(ctx context.Context, est estimator.Estimator, gen uint64, qs []*sqlparse.Query) ([]EstResult, []string) {
-	fps := make([]string, len(qs))
+// estimateBatch answers the parsed queries of a client batch (sc.qs) into
+// sc.out, serving what it can from the estimate cache and fanning only the
+// misses out over the worker pool; a batch the cache answers whole builds no
+// deadline. The batch path skips the singleflight — the client already
+// batched, so there is nothing concurrent to collapse — but reads and feeds
+// the same cache as the single path. sc.fps holds each query's fingerprint
+// (empty strings when the cache is off or bypassed).
+func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, gen uint64, sc *reqScratch) {
+	sc.fps = zeroed(sc.fps, len(sc.qs))
+	sc.out = zeroed(sc.out, len(sc.qs))
 	c := s.activeCache()
-	if c == nil {
-		return s.doBatch(ctx, est, qs), fps
-	}
-	out := make([]EstResult, len(qs))
-	keys := make([]string, len(qs))
-	missQ := make([]*sqlparse.Query, 0, len(qs))
-	missIdx := make([]int, 0, len(qs))
-	for i, q := range qs {
-		fps[i] = core.Fingerprint(q)
-		keys[i] = cacheKey(gen, fps[i])
-		if res, ok := c.get(keys[i]); ok {
-			out[i] = res
-			continue
+	for j, q := range sc.qs {
+		if c != nil {
+			sc.fps[j] = core.Fingerprint(q)
+			if res, ok := c.get(cacheKey{gen: gen, fp: sc.fps[j]}); ok {
+				sc.out[j] = res
+				continue
+			}
 		}
-		missQ = append(missQ, q)
-		missIdx = append(missIdx, i)
+		sc.missQ = append(sc.missQ, q)
+		sc.missIdx = append(sc.missIdx, j)
 	}
-	for k, res := range s.doBatch(ctx, est, missQ) {
-		out[missIdx[k]] = res
-		c.put(keys[missIdx[k]], res)
+	if len(sc.missQ) == 0 {
+		return
 	}
-	return out, fps
+	ctx, cancel := dl.context()
+	defer cancel()
+	sc.missOut = zeroed(sc.missOut, len(sc.missQ))
+	s.doBatch(ctx, est, sc.missQ, sc.missOut)
+	for k, res := range sc.missOut {
+		j := sc.missIdx[k]
+		sc.out[j] = res
+		if c != nil {
+			c.put(cacheKey{gen: gen, fp: sc.fps[j]}, res)
+		}
+	}
 }
 
 // retryAfterSeconds renders the Retry-After hint: the configured duration
@@ -560,9 +589,25 @@ func toResult(br EstResult, elapsed time.Duration) estimateResult {
 	return res
 }
 
-// requestContext derives the estimation deadline: the client's timeoutMs
-// (capped at MaxTimeout) or the server default.
-func (s *Server) requestContext(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
+// deadline is a request's estimation budget before anything has been spent
+// on it: the context is only built by the code that is about to estimate, so
+// a request the cache answers never arms a timer.
+type deadline struct {
+	parent context.Context
+	at     time.Time // zero: no deadline beyond the parent's
+}
+
+func (dl deadline) context() (context.Context, context.CancelFunc) {
+	if dl.at.IsZero() {
+		return dl.parent, func() {}
+	}
+	return context.WithDeadline(dl.parent, dl.at)
+}
+
+// deadlineFrom places the estimation deadline: the client's timeoutMs
+// (capped at MaxTimeout) or the server default, counted from the handler's
+// entry — building the context late must not lengthen the budget.
+func (s *Server) deadlineFrom(entry time.Time, timeoutMS int64) time.Time {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
@@ -571,9 +616,9 @@ func (s *Server) requestContext(parent context.Context, timeoutMS int64) (contex
 		d = s.cfg.MaxTimeout
 	}
 	if d <= 0 {
-		return context.WithCancel(parent)
+		return time.Time{}
 	}
-	return context.WithTimeout(parent, d)
+	return entry.Add(d)
 }
 
 // parseAndBind turns SQL text into a bound query. All failures here are the
