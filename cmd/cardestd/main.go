@@ -107,6 +107,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -242,6 +243,10 @@ func run(o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	labeled := len(env.Train) + len(env.Test)
+	fmt.Fprintf(out, "built table in %.2fs; labeled %d queries in %.2fs, %.0f q/s on %d workers\n",
+		env.DataTime.Seconds(), labeled, env.LabelTime.Seconds(),
+		float64(labeled)/env.LabelTime.Seconds(), runtime.GOMAXPROCS(0))
 
 	reg := serve.NewRegistry()
 	reg.Wrap = resilienceWrap(env.DB, o)

@@ -8,6 +8,7 @@ package cli
 
 import (
 	"fmt"
+	"time"
 
 	"qfe/internal/core"
 	"qfe/internal/dataset"
@@ -60,6 +61,10 @@ type ForestEnv struct {
 	Table *table.Table
 	Train workload.Set
 	Test  workload.Set
+
+	// DataTime and LabelTime split the build for the boot log: generating
+	// the table, then drawing and labeling the Train and Test queries.
+	DataTime, LabelTime time.Duration
 }
 
 // BuildForestEnv builds the forest dataset and generates + labels the
@@ -69,12 +74,14 @@ func BuildForestEnv(spec ForestSpec) (*ForestEnv, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	forest, err := dataset.Forest(dataset.ForestConfig{Rows: spec.Rows, QuantAttrs: 12, BinaryAttrs: 4, Seed: spec.Seed})
 	if err != nil {
 		return nil, err
 	}
 	db := table.NewDB()
 	db.MustAdd(forest)
+	dataTime := time.Since(start)
 
 	count := spec.TrainN + spec.TestN
 	var set workload.Set
@@ -92,7 +99,10 @@ func BuildForestEnv(spec ForestSpec) (*ForestEnv, error) {
 		return nil, err
 	}
 	train, test := set.Split(spec.TrainN)
-	return &ForestEnv{DB: db, Table: forest, Train: train, Test: test}, nil
+	return &ForestEnv{
+		DB: db, Table: forest, Train: train, Test: test,
+		DataTime: dataTime, LabelTime: time.Since(start) - dataTime,
+	}, nil
 }
 
 // TrainSpec configures a local estimator build shared by cardest and

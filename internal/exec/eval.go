@@ -199,49 +199,86 @@ func EvalPred(t *table.Table, p *sqlparse.Pred) (*table.Bitmap, error) {
 	if col == nil {
 		return nil, fmt.Errorf("exec: table %q has no column %q", t.Name, colName)
 	}
-	bm := table.NewBitmap(col.Len())
-	vals, lit := col.Vals, p.Val
-	switch p.Op {
-	case sqlparse.OpEq:
-		for i, v := range vals {
-			if v == lit {
-				bm.Set(i)
-			}
-		}
-	case sqlparse.OpNe:
-		for i, v := range vals {
-			if v != lit {
-				bm.Set(i)
-			}
-		}
-	case sqlparse.OpLt:
-		for i, v := range vals {
-			if v < lit {
-				bm.Set(i)
-			}
-		}
-	case sqlparse.OpLe:
-		for i, v := range vals {
-			if v <= lit {
-				bm.Set(i)
-			}
-		}
-	case sqlparse.OpGt:
-		for i, v := range vals {
-			if v > lit {
-				bm.Set(i)
-			}
-		}
-	case sqlparse.OpGe:
-		for i, v := range vals {
-			if v >= lit {
-				bm.Set(i)
-			}
-		}
-	default:
+	if p.Op < sqlparse.OpEq || p.Op > sqlparse.OpGe {
 		return nil, fmt.Errorf("exec: unknown operator in %s", p)
 	}
-	return bm, nil
+	vals := col.Vals
+	words := make([]uint64, (len(vals)+63)/64)
+	full := len(vals) >> 6
+	for wi := 0; wi < full; wi++ {
+		words[wi] = predWord(p.Op, (*[64]int64)(vals[wi<<6:]), p.Val)
+	}
+	if full < len(words) {
+		// The last rows do not fill a word: evaluate them padded with zeros.
+		// Whatever the padding compares to, BitmapFromWords clears its bits.
+		var tail [64]int64
+		copy(tail[:], vals[full<<6:])
+		words[full] = predWord(p.Op, &tail, p.Val)
+	}
+	return table.BitmapFromWords(words, len(vals)), nil
+}
+
+// predWord evaluates "row op lit" over 64 rows and returns the
+// qualifying-row word, bit j for rows[j]. Three comparisons serve the six
+// operators: <> is not =, >= is not <, > is not <=.
+func predWord(op sqlparse.CmpOp, rows *[64]int64, lit int64) uint64 {
+	switch op {
+	case sqlparse.OpEq:
+		return eqWord(rows, lit)
+	case sqlparse.OpNe:
+		return ^eqWord(rows, lit)
+	case sqlparse.OpLt:
+		return ltWord(rows, lit)
+	case sqlparse.OpGe:
+		return ^ltWord(rows, lit)
+	case sqlparse.OpLe:
+		return leWord(rows, lit)
+	default: // OpGt; EvalPred has rejected anything else
+		return ^leWord(rows, lit)
+	}
+}
+
+// The comparison kernels. Each assembles its word in a register — eight rows
+// at a time, so that every shift is by a constant — from compares the
+// compiler turns into flag sets, not branches, and the caller stores it
+// once. A row-at-a-time Bitmap.Set pays a bounds check and a
+// read-modify-write of memory for every qualifying row, and a branch that
+// mispredicts whenever the selectivity is far from 0 or 1.
+
+func eqWord(rows *[64]int64, lit int64) (w uint64) {
+	for k := 0; k < 64; k += 8 {
+		r := rows[k : k+8 : k+8]
+		w |= (bit(r[0] == lit) | bit(r[1] == lit)<<1 | bit(r[2] == lit)<<2 | bit(r[3] == lit)<<3 |
+			bit(r[4] == lit)<<4 | bit(r[5] == lit)<<5 | bit(r[6] == lit)<<6 | bit(r[7] == lit)<<7) << (uint(k) & 63)
+	}
+	return w
+}
+
+func ltWord(rows *[64]int64, lit int64) (w uint64) {
+	for k := 0; k < 64; k += 8 {
+		r := rows[k : k+8 : k+8]
+		w |= (bit(r[0] < lit) | bit(r[1] < lit)<<1 | bit(r[2] < lit)<<2 | bit(r[3] < lit)<<3 |
+			bit(r[4] < lit)<<4 | bit(r[5] < lit)<<5 | bit(r[6] < lit)<<6 | bit(r[7] < lit)<<7) << (uint(k) & 63)
+	}
+	return w
+}
+
+func leWord(rows *[64]int64, lit int64) (w uint64) {
+	for k := 0; k < 64; k += 8 {
+		r := rows[k : k+8 : k+8]
+		w |= (bit(r[0] <= lit) | bit(r[1] <= lit)<<1 | bit(r[2] <= lit)<<2 | bit(r[3] <= lit)<<3 |
+			bit(r[4] <= lit)<<4 | bit(r[5] <= lit)<<5 | bit(r[6] <= lit)<<6 | bit(r[7] <= lit)<<7) << (uint(k) & 63)
+	}
+	return w
+}
+
+// bit is 1 when cond holds, else 0, without a branch.
+func bit(cond bool) uint64 {
+	var b uint64
+	if cond {
+		b = 1
+	}
+	return b
 }
 
 // EvalExpr evaluates a boolean selection expression over t and returns the

@@ -36,6 +36,23 @@ func BenchmarkTrainHistogram(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainQFT measures training at the daemon's shape: 2000 queries,
+// the 408 entries the complex QFT makes of the forest table at 32 entries
+// per attribute, the default config, and — what BenchmarkTrainHistogram's
+// dense uniform features hide — columns where most rows share one value, so
+// that a histogram's additions queue up behind one bin.
+func BenchmarkTrainQFT(b *testing.B) {
+	X, y := qftLike(rand.New(rand.NewSource(1)), 2_000, 408)
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(X, y, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTrainExact measures the exact-split ablation path at a reduced
 // size (it is the slow reference).
 func BenchmarkTrainExact(b *testing.B) {

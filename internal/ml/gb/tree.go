@@ -12,8 +12,8 @@ import (
 type builder struct {
 	X       [][]float64
 	cfg     Config
-	n, d    int
-	codes   []uint8     // n*d bin codes, row-major
+	n       int         // training rows
+	codes   []uint8     // bin codes, feature-major: feature f's are codes[f*n : (f+1)*n]
 	edges   [][]float64 // per feature: upper edge of each bin except the last
 	allCols []int
 	workers int
@@ -31,11 +31,14 @@ type splitResult struct {
 
 // newBuilder bins every feature once; bins are reused by every tree of the
 // boosting run (the histogram trick). Binning is embarrassingly parallel
-// across features: feature f writes only edges[f] and the codes[i*d+f]
-// column, so the parallel sweep is race-free and order-independent.
+// across features: feature f writes only edges[f] and its own column of
+// codes, so the parallel sweep is race-free and order-independent. Codes are
+// stored feature-major because split search reads them that way — one
+// feature's codes for the rows of a node — and a column of n bytes stays in
+// cache across the nodes of a tree where a stride of d bytes would not.
 func newBuilder(X [][]float64, cfg Config) *builder {
 	n, d := len(X), len(X[0])
-	b := &builder{X: X, cfg: cfg, n: n, d: d, workers: parallel.Workers(cfg.Workers)}
+	b := &builder{X: X, cfg: cfg, n: n, workers: parallel.Workers(cfg.Workers)}
 	b.allCols = make([]int, d)
 	for i := range b.allCols {
 		b.allCols[i] = i
@@ -66,12 +69,18 @@ func newBuilder(X [][]float64, cfg Config) *builder {
 				edges[k] = mn + width*float64(k+1)
 			}
 			b.edges[f] = edges
+			col := b.column(f)
 			for i := 0; i < n; i++ {
-				b.codes[i*d+f] = binCode(X[i][f], mn, width, bins)
+				col[i] = binCode(X[i][f], mn, width, bins)
 			}
 		}
 	})
 	return b
+}
+
+// column returns feature f's bin codes, one per training row.
+func (b *builder) column(f int) []uint8 {
+	return b.codes[f*b.n : (f+1)*b.n : (f+1)*b.n]
 }
 
 func binCode(v, mn, width float64, bins int) uint8 {
@@ -169,10 +178,13 @@ func (b *builder) bestSplit(rows, cols []int, resid []float64, sumTotal float64)
 		})
 	} else {
 		parallel.DoChunks(len(cols), workers, func(lo, hi int) {
-			histSum := make([]float64, b.cfg.MaxBins)
-			histCnt := make([]int, b.cfg.MaxBins)
-			for ci := lo; ci < hi; ci++ {
-				results[ci] = b.histFeatureSplit(rows, cols[ci], resid, sumTotal, parentScore, histSum, histCnt)
+			h := new(histograms)
+			ci := lo
+			for ; ci+histWidth <= hi; ci += histWidth {
+				b.histSplits(h, rows, (*[histWidth]int)(cols[ci:]), resid, sumTotal, parentScore, (*[histWidth]splitResult)(results[ci:]))
+			}
+			for ; ci < hi; ci++ {
+				results[ci] = b.histFeatureSplit(h, rows, cols[ci], resid, sumTotal, parentScore)
 			}
 		})
 	}
@@ -185,43 +197,90 @@ func (b *builder) bestSplit(rows, cols []int, resid []float64, sumTotal float64)
 	return feat, thr, gain, ok
 }
 
-// histFeatureSplit finds feature f's best histogram split. The gain of a
-// split is
-//
-//	sumL^2/cntL + sumR^2/cntR - sumTotal^2/cntTotal,
-//
-// the standard decomposition of squared-error reduction. The histogram
-// accumulates rows in input order — the same order as the sequential code —
-// so gains are bit-identical regardless of which worker runs the feature.
-func (b *builder) histFeatureSplit(rows []int, f int, resid []float64, sumTotal, parentScore float64, histSum []float64, histCnt []int) splitResult {
+// histWidth is how many features one pass over a node's rows accumulates.
+const histWidth = 4
+
+// histograms is one worker's scratch for split search: per feature of a
+// pass, the residual sum and row count of every bin. The arrays are 256 long
+// whatever MaxBins is, so indexing one by a uint8 bin code needs no bounds
+// check.
+type histograms struct {
+	sum [histWidth][256]float64
+	cnt [histWidth][256]int32
+}
+
+// histSplits finds the best histogram split of histWidth features in one
+// pass over rows. Most rows of a QFT feature fall in one bin, so a pass over
+// a single feature is a chain of additions to one memory cell, each waiting
+// for the store before it; with histWidth features the chains are
+// independent and overlap. A feature's bins still receive its rows in input
+// order and nothing else, so each histogram — and every gain, threshold and
+// tie-break computed from it — is the float the one-feature pass produces.
+func (b *builder) histSplits(h *histograms, rows []int, fs *[histWidth]int, resid []float64, sumTotal, parentScore float64, out *[histWidth]splitResult) {
+	for k, f := range fs {
+		nb := len(b.edges[f]) + 1
+		clear(h.sum[k][:nb])
+		clear(h.cnt[k][:nb])
+	}
+	c0, c1, c2, c3 := b.column(fs[0]), b.column(fs[1]), b.column(fs[2]), b.column(fs[3])
+	s0, s1, s2, s3 := &h.sum[0], &h.sum[1], &h.sum[2], &h.sum[3]
+	n0, n1, n2, n3 := &h.cnt[0], &h.cnt[1], &h.cnt[2], &h.cnt[3]
+	for _, r := range rows {
+		g := resid[r]
+		s0[c0[r]] += g
+		n0[c0[r]]++
+		s1[c1[r]] += g
+		n1[c1[r]]++
+		s2[c2[r]] += g
+		n2[c2[r]]++
+		s3[c3[r]] += g
+		n3[c3[r]]++
+	}
+	for k, f := range fs {
+		out[k] = b.scanHistogram(&h.sum[k], &h.cnt[k], b.edges[f], len(rows), sumTotal, parentScore)
+	}
+}
+
+// histFeatureSplit is histSplits for one feature: the remainder when the
+// features of a worker's share do not divide by histWidth.
+func (b *builder) histFeatureSplit(h *histograms, rows []int, f int, resid []float64, sumTotal, parentScore float64) splitResult {
 	edges := b.edges[f]
 	if len(edges) == 0 {
 		return splitResult{} // constant feature
 	}
-	cnt := len(rows)
-	nb := len(edges) + 1
-	for k := 0; k < nb; k++ {
-		histSum[k] = 0
-		histCnt[k] = 0
-	}
+	col, sum, cnt := b.column(f), &h.sum[0], &h.cnt[0]
+	clear(sum[:len(edges)+1])
+	clear(cnt[:len(edges)+1])
 	for _, r := range rows {
-		c := b.codes[r*b.d+f]
-		histSum[c] += resid[r]
-		histCnt[c]++
+		c := col[r]
+		sum[c] += resid[r]
+		cnt[c]++
 	}
+	return b.scanHistogram(sum, cnt, edges, len(rows), sumTotal, parentScore)
+}
+
+// scanHistogram picks the best threshold among a feature's bin edges from
+// its finished histogram. The gain of a split is
+//
+//	sumL^2/cntL + sumR^2/cntR - sumTotal^2/cntTotal,
+//
+// the standard decomposition of squared-error reduction.
+func (b *builder) scanHistogram(sum *[256]float64, cnt *[256]int32, edges []float64, total int, sumTotal, parentScore float64) splitResult {
 	var best splitResult
 	var accSum float64
 	accCnt := 0
-	for k := 0; k < nb-1; k++ {
-		accSum += histSum[k]
-		accCnt += histCnt[k]
-		if accCnt < b.cfg.MinSamplesLeaf || cnt-accCnt < b.cfg.MinSamplesLeaf {
+	for k, edge := range edges {
+		accSum += sum[k]
+		accCnt += int(cnt[k])
+		// An empty bin leaves both sides as they were at the edge before
+		// it: the gain is the same float, which never beats itself.
+		if cnt[k] == 0 || accCnt < b.cfg.MinSamplesLeaf || total-accCnt < b.cfg.MinSamplesLeaf {
 			continue
 		}
 		rSum := sumTotal - accSum
-		score := accSum*accSum/float64(accCnt) + rSum*rSum/float64(cnt-accCnt)
+		score := accSum*accSum/float64(accCnt) + rSum*rSum/float64(total-accCnt)
 		if g := score - parentScore; g > best.gain {
-			best = splitResult{thr: edges[k], gain: g, ok: true}
+			best = splitResult{thr: edge, gain: g, ok: true}
 		}
 	}
 	return best

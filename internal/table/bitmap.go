@@ -26,6 +26,20 @@ func NewFullBitmap(n int) *Bitmap {
 	return b
 }
 
+// BitmapFromWords wraps words, built 64 rows at a time by a predicate kernel,
+// as the bitmap over n rows: bit i&63 of words[i>>6] is row i. It takes
+// ownership of words and clears the bits past row n-1, so a kernel may leave
+// anything there. It panics unless len(words) is exactly the word count of n
+// rows.
+func BitmapFromWords(words []uint64, n int) *Bitmap {
+	if n < 0 || len(words) != (n+63)/64 {
+		panic("table: bitmap word count does not match its length")
+	}
+	b := &Bitmap{words: words, n: n}
+	b.clearTail()
+	return b
+}
+
 // Len returns the number of rows the bitmap covers.
 func (b *Bitmap) Len() int { return b.n }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -61,15 +60,8 @@ func Conjunctive(tbl *table.Table, cfg ConjConfig) (Set, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	db := singleDB(tbl)
 	names := tbl.ColumnNames()
-	cache := exec.NewPredCache(0)
-
-	var out Set
-	for attempts := 0; len(out) < cfg.Count; attempts++ {
-		if attempts > maxAttemptFactor*cfg.Count {
-			return nil, errTooManyRejects
-		}
+	return generate(singleDB(tbl), cfg.Count, func() (*sqlparse.Query, error) {
 		anchor := rng.Intn(tbl.NumRows())
 		k := cfg.MinAttrs + rng.Intn(cfg.MaxAttrs-cfg.MinAttrs+1)
 		attrs := pickDistinctAttrs(rng, names, k)
@@ -77,15 +69,8 @@ func Conjunctive(tbl *table.Table, cfg ConjConfig) (Set, error) {
 		for _, a := range attrs {
 			conj = append(conj, attrPreds(rng, tbl, a, anchor, cfg.MaxNotEquals)...)
 		}
-		q := &sqlparse.Query{Tables: []string{tbl.Name}, Where: sqlparse.NewAnd(conj...)}
-		var ok bool
-		out, ok, err = label(db, q, out, cache)
-		if err != nil {
-			return nil, err
-		}
-		_ = ok
-	}
-	return out, nil
+		return &sqlparse.Query{Tables: []string{tbl.Name}, Where: sqlparse.NewAnd(conj...)}, nil
+	})
 }
 
 // attrPreds generates the per-attribute predicate list: a closed range (or a
@@ -183,15 +168,8 @@ func Mixed(tbl *table.Table, cfg MixedConfig) (Set, error) {
 		return nil, fmt.Errorf("workload: MaxBranches = %d, want >= 1", cfg.MaxBranches)
 	}
 	rng := rand.New(rand.NewSource(base.Seed))
-	db := singleDB(tbl)
 	names := tbl.ColumnNames()
-	cache := exec.NewPredCache(0)
-
-	var out Set
-	for attempts := 0; len(out) < base.Count; attempts++ {
-		if attempts > maxAttemptFactor*base.Count {
-			return nil, errTooManyRejects
-		}
+	return generate(singleDB(tbl), base.Count, func() (*sqlparse.Query, error) {
 		anchor := rng.Intn(tbl.NumRows())
 		k := base.MinAttrs + rng.Intn(base.MaxAttrs-base.MinAttrs+1)
 		attrs := pickDistinctAttrs(rng, names, k)
@@ -209,11 +187,6 @@ func Mixed(tbl *table.Table, cfg MixedConfig) (Set, error) {
 			}
 			compounds = append(compounds, sqlparse.NewOr(branches...))
 		}
-		q := &sqlparse.Query{Tables: []string{tbl.Name}, Where: sqlparse.NewAnd(compounds...)}
-		out, _, err = label(db, q, out, cache)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+		return &sqlparse.Query{Tables: []string{tbl.Name}, Where: sqlparse.NewAnd(compounds...)}, nil
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"qfe/internal/catalog"
-	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -96,13 +95,7 @@ func generateJoins(db *table.DB, schema *catalog.Schema, cfg JoinConfig, include
 		cfg.MaxPreds = 5
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	cache := exec.NewPredCache(0)
-
-	var out Set
-	for attempts := 0; len(out) < cfg.Count; attempts++ {
-		if attempts > maxAttemptFactor*cfg.Count {
-			return nil, errTooManyRejects
-		}
+	return generate(db, cfg.Count, func() (*sqlparse.Query, error) {
 		var tables []string
 		if includeBase && rng.Intn(3) == 0 {
 			// Base-table query: a single table, satellite or hub.
@@ -120,17 +113,8 @@ func generateJoins(db *table.DB, schema *catalog.Schema, cfg JoinConfig, include
 				tables = append(tables, satellites[perm[i]])
 			}
 		}
-
-		q, err := buildJoinQuery(db, schema, rng, tables, cfg.MaxPreds)
-		if err != nil {
-			return nil, err
-		}
-		out, _, err = label(db, q, out, cache)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+		return buildJoinQuery(db, schema, rng, tables, cfg.MaxPreds)
+	})
 }
 
 // buildJoinQuery assembles the query over the given table set: join
@@ -232,24 +216,9 @@ func JoinForTables(db *table.DB, schema *catalog.Schema, tables []string, count,
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	cache := exec.NewPredCache(0)
-	var out Set
-	for attempts := 0; len(out) < count; attempts++ {
-		if attempts > maxAttemptFactor*count {
-			return nil, errTooManyRejects
-		}
-		q, err := buildJoinQuery(db, schema, rng, tables, maxPreds)
-		if err != nil {
-			return nil, err
-		}
-		var ok bool
-		out, ok, err = label(db, q, out, cache)
-		if err != nil {
-			return nil, err
-		}
-		_ = ok
-	}
-	return out, nil
+	return generate(db, count, func() (*sqlparse.Query, error) {
+		return buildJoinQuery(db, schema, rng, tables, maxPreds)
+	})
 }
 
 // StratifiedJoinTraining generates perSubSchema labeled queries for every

@@ -114,19 +114,45 @@ func (s Set) MeanCard() float64 {
 	return sum / float64(len(s))
 }
 
-// label counts q against db and appends it to dst when non-empty, returning
-// the updated set and whether the query qualified. The per-run cache
-// memoizes simple-predicate bitmaps across the generate-and-reject loop —
-// counts are exact with or without it, so generated sets are identical.
-func label(db *table.DB, q *sqlparse.Query, dst Set, cache *exec.PredCache) (Set, bool, error) {
-	card, err := exec.CountCached(context.Background(), db, q, cache)
-	if err != nil {
-		return dst, false, err
+// generate runs the generators' draw-label-reject loop: it returns the first
+// count queries with a non-empty result, in the order draw produces them.
+// No draw depends on a label, so the queries still outstanding are drawn
+// first and then labeled as one batch — exec.CountManyResume over one worker
+// per logical CPU and one predicate-bitmap cache for the whole run — and the
+// rounds repeat until count are kept. A round draws only as many queries as
+// are outstanding, which a loop labeling each query before drawing the next
+// would have drawn too: the RNG is consumed identically, the set is the one
+// that loop returns for every worker count, and a longer run has a shorter
+// run as its prefix.
+func generate(db *table.DB, count int, draw func() (*sqlparse.Query, error)) (Set, error) {
+	cache := exec.NewPredCache(0)
+	out := make(Set, 0, count)
+	budget := maxAttemptFactor*count + 1
+	for len(out) < count {
+		n := min(count-len(out), budget)
+		if n == 0 {
+			return nil, errTooManyRejects
+		}
+		budget -= n
+		qs := make([]*sqlparse.Query, n)
+		for i := range qs {
+			q, err := draw()
+			if err != nil {
+				return nil, err
+			}
+			qs[i] = q
+		}
+		cards, err := exec.CountManyResume(context.Background(), db, qs, nil, cache, 0)
+		if err != nil {
+			return nil, err
+		}
+		for i, q := range qs {
+			if cards[i] > 0 {
+				out = append(out, Labeled{Query: q, Card: cards[i]})
+			}
+		}
 	}
-	if card == 0 {
-		return dst, false, nil
-	}
-	return append(dst, Labeled{Query: q, Card: card}), true, nil
+	return out, nil
 }
 
 // LabelMany labels qs in parallel (one worker per logical CPU, shared
@@ -156,8 +182,8 @@ func singleDB(t *table.Table) *table.DB {
 }
 
 // maxAttemptFactor bounds the generate-and-reject loop: generators give up
-// after this many attempts per requested query, so impossible configurations
-// fail with an error instead of spinning.
+// after this many draws per requested query (and one more), so impossible
+// configurations fail with an error instead of spinning.
 const maxAttemptFactor = 50
 
 var errTooManyRejects = fmt.Errorf("workload: too many empty-result rejects; check generator configuration")
