@@ -36,7 +36,10 @@ check: vet race
 # themselves under the race detector, which defeats sync.Pool, so they get a
 # run of their own without it. Four fuzz targets get 5 s each: the parser and
 # the journal reader, and the two on /v1/estimate — the handler ("4xx never
-# 5xx") and its wire codec against encoding/json.
+# 5xx") and its wire codec against encoding/json. The gb training benchmarks
+# run one iteration each: they label their own training sets and report the
+# share of the matrix split search accumulates, and a benchmark nothing
+# executes stops compiling, or stops measuring what its comment says.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -46,6 +49,7 @@ ci:
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal
 	$(GO) test -fuzz=FuzzEstimateHandler -fuzztime=5s ./internal/serve
 	$(GO) test -fuzz=FuzzEstimateCodec -fuzztime=5s ./internal/serve
+	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers' -benchtime 1x ./internal/ml/gb
 	$(GO) run ./cmd/infbench -quick -out BENCH_infer.quick.json
 	$(MAKE) lint
 

@@ -42,34 +42,38 @@ func trainInterrupted(t *testing.T, X [][]float64, y []float64, cfg Config, ever
 // TestCheckpointResumeBitIdentical is the per-model-kind round-trip of the
 // resumable-training contract: save mid-training, cancel, resume from the
 // payload, and the finished ensemble must match an uninterrupted run
-// exactly (RNG replay makes the subsampling draws line up).
+// exactly (RNG replay makes the subsampling draws line up) — also when the
+// job comes back on a different worker count, which changes nothing about
+// the model and so must not be a reason to refuse the checkpoint.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	X, y := makeRegression(rng, 600, 4)
+	Xt, _ := makeRegression(rng, 100, 4)
 	cfg := DefaultConfig()
 	cfg.Seed = 3
 	cfg.NumTrees = 30
-
-	baseline, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Workers = 1
 	ck := trainInterrupted(t, X, y, cfg, 5, 2) // canceled after tree 10
-	resumed, err := TrainCtx(context.Background(), X, y, cfg, &TrainOpts{Resume: ck})
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	want, _ := json.Marshal(baseline)
-	got, _ := json.Marshal(resumed)
-	if string(want) != string(got) {
-		t.Fatal("resumed model differs from the uninterrupted ensemble")
-	}
-	Xt, yt := makeRegression(rng, 100, 4)
-	_ = yt
-	for i := range Xt {
-		if baseline.Predict(Xt[i]) != resumed.Predict(Xt[i]) {
-			t.Fatalf("prediction %d diverged after resume", i)
+	for _, workers := range []int{1, 3} {
+		cfg.Workers = workers
+		baseline, err := Train(X, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := TrainCtx(context.Background(), X, y, cfg, &TrainOpts{Resume: ck})
+		if err != nil {
+			t.Fatalf("resume on %d workers a checkpoint taken on 1: %v", workers, err)
+		}
+		want, _ := json.Marshal(baseline)
+		got, _ := json.Marshal(resumed)
+		if string(want) != string(got) {
+			t.Fatalf("workers=%d: resumed model differs from the uninterrupted ensemble", workers)
+		}
+		for i := range Xt {
+			if baseline.Predict(Xt[i]) != resumed.Predict(Xt[i]) {
+				t.Fatalf("workers=%d: prediction %d diverged after resume", workers, i)
+			}
 		}
 	}
 }

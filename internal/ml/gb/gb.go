@@ -65,12 +65,16 @@ type Config struct {
 	ExactSplits bool
 	// Seed drives subsampling; training is deterministic given a seed.
 	Seed int64
-	// Workers bounds the goroutines used for feature binning, per-feature
-	// split search, and batch prediction; < 1 means one per logical CPU.
-	// The trained model is bit-identical for every Workers value: each
-	// feature's histogram accumulates in the same row order as the
-	// sequential code, and the cross-feature winner is reduced in fixed
-	// feature order after the pool drains.
+	// Workers bounds the goroutines used for feature binning, split search
+	// and batch prediction; < 1 means one per logical CPU. Split search cuts
+	// the features into Workers contiguous ranges and fans a node out over
+	// them only when its rows carry enough histogram entries to repay the
+	// wake-up (fanOutEntries), so on small training sets it is the binning
+	// and prediction sweeps that use the extra cores. The trained model is
+	// bit-identical for every Workers value: each histogram cell accumulates
+	// its rows in input order whichever goroutine owns it, and the
+	// cross-feature winner is reduced in fixed feature order after the pool
+	// drains — which is why a checkpoint resumes under any Workers.
 	Workers int `json:",omitempty"`
 }
 
@@ -108,9 +112,15 @@ func (c Config) validate(n, d int) error {
 		return fmt.Errorf("gb: no training samples")
 	case d == 0:
 		return fmt.Errorf("gb: zero-dimensional features")
+	case d > maxFeatures:
+		return fmt.Errorf("gb: %d features, want at most %d", d, maxFeatures)
 	}
 	return nil
 }
+
+// maxFeatures bounds the width of a training matrix so that split search can
+// number every histogram cell — at most 255 per feature — in a uint32.
+const maxFeatures = math.MaxUint32 / 256
 
 // node is one regression-tree node. Leaves carry Value; internal nodes send
 // x[Feature] <= Threshold left.
@@ -212,8 +222,12 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 		if err := json.Unmarshal(opts.Resume, &ck); err != nil {
 			return nil, fmt.Errorf("gb: decode checkpoint: %w", err)
 		}
+		// Workers is not compared: it changes how fast a model is fit, not
+		// which one, so a job restarted on a different core count resumes.
+		ckCfg := ck.Cfg
+		ckCfg.Workers = cfg.Workers
 		switch {
-		case ck.Cfg != cfg:
+		case ckCfg != cfg:
 			return nil, fmt.Errorf("gb: checkpoint config %+v does not match %+v", ck.Cfg, cfg)
 		case ck.Dim != d:
 			return nil, fmt.Errorf("gb: checkpoint dim %d, training data has %d", ck.Dim, d)

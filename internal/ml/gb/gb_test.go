@@ -204,6 +204,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Train([][]float64{{1, 2}, {3}}, []float64{1, 2}, DefaultConfig()); err == nil {
 		t.Error("ragged features accepted")
 	}
+	if err := DefaultConfig().validate(1, maxFeatures+1); err == nil {
+		t.Error("a matrix too wide to number its histogram cells accepted")
+	}
 }
 
 func TestPredictDimPanic(t *testing.T) {

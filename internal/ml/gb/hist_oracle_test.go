@@ -2,18 +2,18 @@ package gb
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// oracleBuilder is the histogram split search as it was before histSplits:
-// bin codes stored row-major, one feature accumulated per pass over the
-// node's rows, every bin edge scored, on one goroutine. oracleTrain drives it
-// through the boosting loop of TrainCtx, so a model it returns is what Train
-// returned then.
+// oracleBuilder is the dense histogram split search the sparse one replaced:
+// a bin code for every row and feature, one feature accumulated per pass over
+// the node's rows into all of its bins — the last and the empty ones too —
+// every bin edge scored, on one goroutine. oracleTrain drives it through the
+// boosting loop of TrainCtx, so a model it returns is what Train returned
+// then.
 type oracleBuilder struct {
 	X     [][]float64
 	cfg   Config
@@ -207,60 +207,117 @@ func qftLike(rng *rand.Rand, n, d int) ([][]float64, []float64) {
 	return X, y
 }
 
-// withConstantColumn makes column f of X constant: a feature with no bin
-// edges, which the wide pass accumulates like any other and the remainder
-// pass skips.
+// withConstantColumn makes column f of X constant: a feature with one bin,
+// which is its last, and so no cell at all.
 func withConstantColumn(X [][]float64, f int) {
 	for i := range X {
 		X[i][f] = 1
 	}
 }
 
-// TestTrainMatchesSingleFeatureOracle: the interleaved, feature-major split
-// search trains, byte for byte, the model the one-feature-per-pass search
-// trains — for every worker count (each worker's share of the columns has
-// its own remainder), for column counts leaving every remainder mod
-// histWidth after SubsampleCols, at the smallest, the default and the
-// largest MaxBins, and through a checkpoint and resume.
+// oracleCase is one input of the differential tests below.
+type oracleCase struct {
+	name string
+	X    [][]float64
+	y    []float64
+	cfg  Config
+}
+
+// oracleCases spans what the sparse search must not get wrong: where the
+// rows of a column sit relative to its last bin (nearly all in it, as in the
+// QFTs that start from ones; spread evenly; nearly all in the first bin, as
+// in the simple QFT; all in it but one; all in it), how many cells there are
+// (MaxBins 2 makes one per feature, MaxBins 256 over 300 dense features more
+// than a uint16 could number), whether a tree samples its columns, and
+// whether a node is large enough to be searched by several goroutines.
+func oracleCases(t testing.TB) []oracleCase {
+	small := DefaultConfig()
+	small.NumTrees = 6
+
+	var cases []oracleCase
+	add := func(name string, X [][]float64, y []float64, edit func(*Config)) {
+		cfg := small
+		cfg.Seed = int64(len(cases) + 1)
+		if edit != nil {
+			edit(&cfg)
+		}
+		cases = append(cases, oracleCase{name, X, y, cfg})
+	}
+
+	for _, bins := range []int{2, 64, 256} {
+		X, y := qftLike(rand.New(rand.NewSource(int64(bins))), 700, 23)
+		withConstantColumn(X, 5)
+		withConstantColumn(X, 22)
+		add(fmt.Sprintf("qftLike/bins=%d", bins), X, y, func(c *Config) { c.MaxBins = bins })
+	}
+
+	X, y := benchData(600, 20)
+	add("dense", X, y, nil)
+	add("dense/all columns", X, y, func(c *Config) { c.SubsampleCols = 1 })
+
+	// The simple QFT's shape: zero where the query says nothing about an
+	// attribute, so the first bin is the modal one.
+	rng := rand.New(rand.NewSource(3))
+	X, y = qftLike(rng, 700, 20)
+	for _, row := range X {
+		for f := range row {
+			row[f] = 1 - row[f]
+		}
+	}
+	add("first bin modal", X, y, nil)
+
+	// One row below the last bin: a single cell, with a single entry.
+	X, y = qftLike(rng, 500, 12)
+	for i := range X {
+		X[i][3] = 1
+		X[i][7] = 1
+	}
+	X[0][3], X[499][7] = 0, 0.5
+	add("all rows but one in the last bin", X, y, nil)
+
+	// The one input wide enough to need 32-bit cell ids, and large enough
+	// that the top of each tree is searched by several goroutines at once.
+	X, y = benchData(1200, 300)
+	add("bins=256 x 300 dense", X, y, func(c *Config) { c.MaxBins, c.NumTrees = 256, 3 })
+	wide := cases[len(cases)-1].cfg
+	b := newBuilder(X, wide)
+	if cells := len(b.cellEdge); cells <= math.MaxUint16 {
+		t.Fatalf("%d cells in the widest case, want more than %d", cells, math.MaxUint16)
+	}
+	if root := int(wide.SubsampleRows*1200) * b.entries / b.n; root < fanOutEntries {
+		t.Fatalf("%d entries in a root of the widest case, want at least fanOutEntries = %d", root, fanOutEntries)
+	}
+	return cases
+}
+
+// TestTrainMatchesSingleFeatureOracle: the sparse split search trains, byte
+// for byte, the model the dense one-feature-per-pass search trains — on every
+// input of oracleCases, for worker counts that cut the features into one,
+// two, three and seven ranges, and through a checkpoint and resume.
 func TestTrainMatchesSingleFeatureOracle(t *testing.T) {
-	for _, d := range []int{20, 21, 22, 23} { // ceil(0.8*d) = 16, 17, 18, 19
-		for _, bins := range []int{2, 64, 256} {
-			rng := rand.New(rand.NewSource(int64(d*1000 + bins)))
-			X, y := qftLike(rng, 700, d)
-			withConstantColumn(X, 5)
-			withConstantColumn(X, d-1)
-			cfg := DefaultConfig()
-			cfg.NumTrees = 8
-			cfg.MaxBins = bins
-			cfg.Seed = int64(d + bins)
-			if got := int(math.Ceil(cfg.SubsampleCols*float64(d))) % histWidth; got != d%histWidth {
-				t.Fatalf("d=%d: %d columns left over after subsampling, want %d", d, got, d%histWidth)
+	for _, tc := range oracleCases(t) {
+		cfg := tc.cfg
+		want := marshalNormalized(t, oracleTrain(tc.X, tc.y, cfg))
+		for _, workers := range []int{1, 2, 3, 7} {
+			cfg.Workers = workers
+			name := fmt.Sprintf("%s workers=%d", tc.name, workers)
+			m, err := Train(tc.X, tc.y, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			for _, workers := range []int{1, 2, 3} {
-				cfg.Workers = workers
-				name := fmt.Sprintf("d=%d bins=%d workers=%d", d, bins, workers)
-				want, err := json.Marshal(oracleTrain(X, y, cfg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, err := Train(X, y, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if got, _ := json.Marshal(m); string(got) != string(want) {
-					t.Fatalf("%s: trained model differs from the oracle's", name)
-				}
-				if m.NumNodes() < 3*cfg.NumTrees {
-					t.Fatalf("%s: %d nodes in %d trees: nothing was split", name, m.NumNodes(), cfg.NumTrees)
-				}
-				ck := trainInterrupted(t, X, y, cfg, 3, 1) // canceled after tree 3
-				resumed, err := TrainCtx(context.Background(), X, y, cfg, &TrainOpts{Resume: ck})
-				if err != nil {
-					t.Fatalf("%s: resume: %v", name, err)
-				}
-				if got, _ := json.Marshal(resumed); string(got) != string(want) {
-					t.Fatalf("%s: resumed model differs from the oracle's", name)
-				}
+			if marshalNormalized(t, m) != want {
+				t.Fatalf("%s: trained model differs from the oracle's", name)
+			}
+			if m.NumNodes() < 3*cfg.NumTrees {
+				t.Fatalf("%s: %d nodes in %d trees: nothing was split", name, m.NumNodes(), cfg.NumTrees)
+			}
+			ck := trainInterrupted(t, tc.X, tc.y, cfg, 2, 1) // canceled after tree 2
+			resumed, err := TrainCtx(context.Background(), tc.X, tc.y, cfg, &TrainOpts{Resume: ck})
+			if err != nil {
+				t.Fatalf("%s: resume: %v", name, err)
+			}
+			if marshalNormalized(t, resumed) != want {
+				t.Fatalf("%s: resumed model differs from the oracle's", name)
 			}
 		}
 	}
@@ -269,24 +326,20 @@ func TestTrainMatchesSingleFeatureOracle(t *testing.T) {
 // TestSplitGainsMatchOracleBitForBit compares what the model does not store:
 // a trained model depends on the histograms only through which split wins,
 // so a last-bit difference in a gain changes it only on a tie. Here every
-// feature's best split — gain, threshold, found or not — is compared with
-// the oracle's on random nodes, both through the histWidth-wide pass and
-// through the one-feature remainder.
+// sampled feature's best split — gain, threshold, found or not — is compared
+// with the oracle's on random nodes of every input of oracleCases, small
+// enough to be searched on one goroutine and large enough to fan out.
 func TestSplitGainsMatchOracleBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	const n, d = 900, 23
-	X, _ := qftLike(rng, n, d)
-	withConstantColumn(X, 5)
-	withConstantColumn(X, d-1)
-	for _, bins := range []int{2, 64, 256} {
-		cfg := DefaultConfig()
-		cfg.MaxBins = bins
-		b, ob := newBuilder(X, cfg), newOracleBuilder(X, cfg)
-		h := new(histograms)
-		histSum, histCnt := make([]float64, bins), make([]int, bins)
-		for trial := 0; trial < 40; trial++ {
+	for _, tc := range oracleCases(t) {
+		n, d := len(tc.X), len(tc.X[0])
+		cfg := tc.cfg
+		cfg.Workers = 3
+		b, ob := newBuilder(tc.X, cfg), newOracleBuilder(tc.X, cfg)
+		histSum, histCnt := make([]float64, cfg.MaxBins), make([]int, cfg.MaxBins)
+		resid := make([]float64, n)
+		for trial := 0; trial < 12; trial++ {
 			rows := sampleInts(rng, n, 20+rng.Intn(n-20))
-			resid := make([]float64, n)
 			var sumTotal float64
 			for i := range resid {
 				resid[i] = rng.NormFloat64()
@@ -296,18 +349,20 @@ func TestSplitGainsMatchOracleBitForBit(t *testing.T) {
 			}
 			parentScore := sumTotal * sumTotal / float64(len(rows))
 			cols := sampleInts(rng, d, d-rng.Intn(4))
-			got := make([]splitResult, len(cols))
-			ci := 0
-			for ; ci+histWidth <= len(cols); ci += histWidth {
-				b.histSplits(h, rows, (*[histWidth]int)(cols[ci:]), resid, sumTotal, parentScore, (*[histWidth]splitResult)(got[ci:]))
+			clear(b.sampled)
+			for _, f := range cols {
+				b.sampled[f] = true
 			}
-			for ; ci < len(cols); ci++ {
-				got[ci] = b.histFeatureSplit(h, rows, cols[ci], resid, sumTotal, parentScore)
-			}
-			for ci, f := range cols {
+			b.cellSplits(rows, resid, sumTotal, parentScore)
+			for _, f := range cols {
 				want := ob.histFeatureSplit(rows, f, resid, sumTotal, parentScore, histSum, histCnt)
-				if got[ci] != want {
-					t.Fatalf("bins=%d trial %d feature %d: split %+v, oracle %+v", bins, trial, f, got[ci], want)
+				if b.results[f] != want {
+					t.Fatalf("%s trial %d feature %d: split %+v, oracle %+v", tc.name, trial, f, b.results[f], want)
+				}
+			}
+			for c, h := range b.hist {
+				if h != (histCell{}) {
+					t.Fatalf("%s trial %d: cell %d left at %+v after the search", tc.name, trial, c, h)
 				}
 			}
 		}

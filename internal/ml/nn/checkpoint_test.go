@@ -26,10 +26,14 @@ func synthXY(rng *rand.Rand, n, d int) (X [][]float64, y []float64) {
 // last checkpoint, and the finished network — weights, Adam moments, and
 // therefore every later update — must match an uninterrupted run exactly.
 // Early stopping is exercised too: the checkpoint carries the best-snapshot
-// state so a resumed run restores the same validation bookkeeping.
+// state so a resumed run restores the same validation bookkeeping. The
+// checkpoint is taken on one worker and resumed on one and on three: the
+// worker count changes nothing about the weights, so it must not be a reason
+// to refuse the checkpoint.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	X, y := synthXY(rng, 400, 5)
+	Xt, _ := synthXY(rng, 50, 5)
 	cfg := Config{
 		Hidden:       []int{16, 8},
 		LearningRate: 1e-3,
@@ -38,18 +42,14 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		ValFraction:  0.2,
 		Patience:     12,
 		Seed:         4,
-	}
-
-	baseline, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
+		Workers:      1,
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var last []byte
 	seen := 0
-	_, err = TrainCtx(ctx, X, y, cfg, &TrainOpts{
+	_, err := TrainCtx(ctx, X, y, cfg, &TrainOpts{
 		CheckpointEvery: 3,
 		OnCheckpoint: func(payload []byte) error {
 			last = append([]byte(nil), payload...)
@@ -66,19 +66,25 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatal("no checkpoint was emitted before cancellation")
 	}
 
-	resumed, err := TrainCtx(context.Background(), X, y, cfg, &TrainOpts{Resume: last})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(baseline)
-	got, _ := json.Marshal(resumed)
-	if string(want) != string(got) {
-		t.Fatal("resumed network differs from the uninterrupted one")
-	}
-	Xt, _ := synthXY(rng, 50, 5)
-	for i := range Xt {
-		if baseline.Predict(Xt[i]) != resumed.Predict(Xt[i]) {
-			t.Fatalf("prediction %d diverged after resume", i)
+	for _, workers := range []int{1, 3} {
+		cfg.Workers = workers
+		baseline, err := Train(X, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := TrainCtx(context.Background(), X, y, cfg, &TrainOpts{Resume: last})
+		if err != nil {
+			t.Fatalf("resume on %d workers a checkpoint taken on 1: %v", workers, err)
+		}
+		want, _ := json.Marshal(baseline)
+		got, _ := json.Marshal(resumed)
+		if string(want) != string(got) {
+			t.Fatalf("workers=%d: resumed network differs from the uninterrupted one", workers)
+		}
+		for i := range Xt {
+			if baseline.Predict(Xt[i]) != resumed.Predict(Xt[i]) {
+				t.Fatalf("workers=%d: prediction %d diverged after resume", workers, i)
+			}
 		}
 	}
 }

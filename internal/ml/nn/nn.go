@@ -56,6 +56,10 @@ type checkpoint struct {
 	BestSnap  [][]float64         `json:"bestSnap,omitempty"`
 }
 
+// cfgEqual reports whether a checkpoint taken under a may resume under b:
+// every hyperparameter must match. Workers is not one — the weights are
+// bit-identical for every value — so a job restarted on a different core
+// count resumes.
 func cfgEqual(a, b Config) bool {
 	return slices.Equal(a.Hidden, b.Hidden) &&
 		a.LearningRate == b.LearningRate &&
@@ -63,8 +67,7 @@ func cfgEqual(a, b Config) bool {
 		a.BatchSize == b.BatchSize &&
 		a.ValFraction == b.ValFraction &&
 		a.Patience == b.Patience &&
-		a.Seed == b.Seed &&
-		a.Workers == b.Workers
+		a.Seed == b.Seed
 }
 
 // Config holds the network hyperparameters.
