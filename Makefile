@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check ci serve-smoke fmt fuzz fuzz-serve fuzz-store fuzz-journal soak bench bench-journal bench-infer chaos-train lint
+.PHONY: build test vet race check ci serve-smoke fmt fuzz fuzz-serve fuzz-store fuzz-journal soak bench chaos-train lint
 
 build:
 	$(GO) build ./...
@@ -36,10 +36,14 @@ check: vet race
 # themselves under the race detector, which defeats sync.Pool, so they get a
 # run of their own without it. Four fuzz targets get 5 s each: the parser and
 # the journal reader, and the two on /v1/estimate — the handler ("4xx never
-# 5xx") and its wire codec against encoding/json. The gb training benchmarks
-# run one iteration each: they label their own training sets and report the
-# share of the matrix split search accumulates, and a benchmark nothing
-# executes stops compiling, or stops measuring what its comment says.
+# 5xx") and its wire codec against encoding/json. The in-package benchmarks
+# that are the only home of a measurement run one iteration each — gb training
+# (they label their own training sets and report the share of the matrix split
+# search accumulates), the journal's batched-vs-per-record fsync, labeling
+# across workers — because a benchmark nothing executes stops compiling, or
+# stops measuring what its comment says. The grep is the one-inference-path
+# invariant: outside tests and cmd/bench, no reference twin, no batch form of
+# Predict, no EstimateBatch method.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -49,8 +53,8 @@ ci:
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal
 	$(GO) test -fuzz=FuzzEstimateHandler -fuzztime=5s ./internal/serve
 	$(GO) test -fuzz=FuzzEstimateCodec -fuzztime=5s ./internal/serve
-	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers' -benchtime 1x ./internal/ml/gb
-	$(GO) run ./cmd/infbench -quick -out BENCH_infer.quick.json
+	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|CountManyWorkers' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec
+	! grep -rnE 'PredictReference|PredictInto|PredictBatch|func \(.*\) EstimateBatch' --include='*.go' internal cmd | grep -vE '_test\.go:|^cmd/bench/'
 	$(MAKE) lint
 
 # lint runs the optional static analyzers. Both are gated on availability:
@@ -76,29 +80,16 @@ chaos-train:
 serve-smoke:
 	$(GO) run ./cmd/cardestd -smoke -rows 2000 -train 800 -entries 16
 
-# bench compares the sequential and parallel hot paths (labeling, GB
-# training, NN training) and writes BENCH_parallel.json. All three parallel
-# paths are bit-identical across worker counts; the report is wall-clock only.
-# (The serving figures — cache hit vs. miss included — come from the
-# end-to-end benchmark, `go run ./cmd/bench`.)
+# bench is the one benchmark harness: a real cardestd under four workloads,
+# end-to-end and per layer (cmd/bench/README.md). What the retired micro tools
+# measured lives there or next to the code: label throughput, training time
+# and the journal append as workload.label_qps, estimator.train_ms, gb.predict_us
+# and journal.append_us; sequential vs parallel labeling and training as
+# BenchmarkCountManyWorkers (internal/exec) and BenchmarkTrainWorkers
+# (internal/ml/gb, internal/ml/nn); batched vs per-record fsync as
+# BenchmarkAppendDurable (internal/journal).
 bench:
-	$(GO) run ./cmd/parbench -out BENCH_parallel.json
-
-# bench-journal measures the feedback journal: durable append throughput
-# with batched fsync vs. one fsync per record (the justification for the
-# journal's batching writer), and replay throughput in queries/sec. Real
-# disk, real fsyncs; writes BENCH_journal.json.
-bench-journal:
-	$(GO) run ./cmd/journalbench -out BENCH_journal.json
-
-# bench-infer measures the compiled inference fast path against the
-# pre-flattening reference implementations — gb/nn single-vector predict
-# and the amortized estimator batch path — and writes the before/after
-# report to BENCH_infer.json. All fast
-# paths are bit-identical to their references (see the differential tests
-# next to each); the report compares wall-clock and steady-state allocations.
-bench-infer:
-	$(GO) run ./cmd/infbench -out BENCH_infer.json
+	$(GO) run ./cmd/bench
 
 fmt:
 	gofmt -l -w .

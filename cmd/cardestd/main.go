@@ -12,7 +12,7 @@
 //	         [-entries 32] [-seed 1] [-workers 0] [-save file]
 //	         [-timeout 100ms] [-fallback] [-max-inflight 64]
 //	         [-drain-timeout 10s] [-smoke] [-pprof addr]
-//	         [-cache-entries 4096] [-cache-off]
+//	         [-cache-entries 4096]
 //	         [-store dir] [-canary 200] [-canary-median 10] [-canary-p95 100]
 //	         [-probe-interval 30s] [-model-root dir]
 //	         [-retrain] [-retrain-cooldown 1m] [-drift-delta 0.05]
@@ -59,7 +59,7 @@
 // job table; /metrics grows drift_* and retrain_* counters.
 //
 // The daemon memoizes estimates in a generation-scoped semantic cache
-// (-cache-entries, default 4096; -cache-off disables): requests are keyed
+// (-cache-entries, default 4096; 0 disables): requests are keyed
 // on the live model's registry generation plus a canonical fingerprint of
 // their predicate set, so syntactic variants the featurization treats as
 // equivalent share one cached estimate, concurrent identical queries
@@ -147,7 +147,6 @@ type options struct {
 	pprofAddr string
 
 	cacheEntries int
-	cacheOff     bool
 
 	storeDir     string
 	canaryN      int
@@ -207,8 +206,7 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.drainTO, "drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 	fs.BoolVar(&o.smoke, "smoke", false, "run the self-test (random port, batched estimate, metrics scrape) and exit")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty disables)")
-	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "generation-scoped estimate cache capacity (semantic fingerprint keys)")
-	fs.BoolVar(&o.cacheOff, "cache-off", false, "disable the estimate cache (every request pays full featurize+inference)")
+	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "generation-scoped estimate cache capacity (semantic fingerprint keys); 0 disables the cache, so every request pays full featurize+inference")
 	fs.StringVar(&o.storeDir, "store", "", "crash-safe model store directory (enables canary-gated publishes, recovery, and rollback)")
 	fs.IntVar(&o.canaryN, "canary", 200, "held-out labeled queries for the canary gate (0 disables the gate)")
 	fs.Float64Var(&o.canaryMedian, "canary-median", 10, "canary ceiling on median q-error")
@@ -473,12 +471,8 @@ func run(o options, out io.Writer) error {
 			o.driftLambda, o.driftWindow, o.retrainCooldown)
 	}
 
-	cacheEntries := o.cacheEntries
-	if o.cacheOff {
-		cacheEntries = 0
-	}
-	if cacheEntries > 0 {
-		fmt.Fprintf(out, "estimate cache: %d entries, keyed on (generation, query fingerprint)\n", cacheEntries)
+	if o.cacheEntries > 0 {
+		fmt.Fprintf(out, "estimate cache: %d entries, keyed on (generation, query fingerprint)\n", o.cacheEntries)
 	} else {
 		fmt.Fprintln(out, "estimate cache: off")
 	}
@@ -491,7 +485,7 @@ func run(o options, out io.Writer) error {
 		DefaultTimeout: o.timeout,
 		ModelRoot:      modelRoot,
 		Lifecycle:      lc,
-		Cache:          serve.CacheConfig{Entries: cacheEntries},
+		Cache:          serve.CacheConfig{Entries: o.cacheEntries},
 	}
 	if mon != nil {
 		// While a drift alarm is pending, serving a memoized estimate would
@@ -546,7 +540,7 @@ func run(o options, out io.Writer) error {
 	}
 
 	if o.smoke {
-		return smoke(srv, cacheEntries > 0, out)
+		return smoke(srv, o.cacheEntries > 0, out)
 	}
 	return listenAndServe(srv, o, out)
 }

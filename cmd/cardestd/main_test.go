@@ -32,10 +32,11 @@ func tinyOptions(t *testing.T) options {
 }
 
 // TestRetiredBatcherFlagsRejected: the coalescing batcher is gone, and its
-// two knobs with it. A stale deployment script must fail at the command
+// two knobs with it; so is -cache-off, the second spelling of
+// -cache-entries 0. A stale deployment script must fail at the command
 // line, not silently keep a flag that does nothing.
 func TestRetiredBatcherFlagsRejected(t *testing.T) {
-	for _, args := range [][]string{{"-max-batch", "16"}, {"-batch-delay", "2ms"}} {
+	for _, args := range [][]string{{"-max-batch", "16"}, {"-batch-delay", "2ms"}, {"-cache-off"}} {
 		fs := append([]string{"-smoke"}, args...)
 		if _, err := parseFlags(fs); err == nil || !strings.Contains(err.Error(), "not defined: "+args[0]) {
 			t.Errorf("parseFlags(%v): err = %v, want an unknown-flag error naming %s", fs, err, args[0])

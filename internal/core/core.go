@@ -75,18 +75,20 @@ func (a AttrMeta) Exact() bool { return int64(a.NEntries) == a.DomainSize() }
 // BucketOf returns the zero-based feature-vector index of value val. For
 // uniform partitions this is floor((val-min) / (max-min+1) * n_A), the
 // index formula of Algorithm 1, line 4; with explicit Boundaries the index
-// is found by binary search. Values outside the domain yield out-of-range
-// indices (negative or >= NEntries); callers handle clamping per operator
-// semantics.
+// is found by binary search. Values outside the domain yield -1 (below Min)
+// or NEntries (above Max), decided before any arithmetic: the index formula
+// truncates toward zero, so it would put Min-1 into bucket 0, and its product
+// overflows for values near the ends of int64. Callers handle clamping per
+// operator semantics.
 func (a AttrMeta) BucketOf(val int64) int {
-	if a.Boundaries == nil {
-		return int((val - a.Min) * int64(a.NEntries) / a.DomainSize())
-	}
 	if val < a.Min {
 		return -1
 	}
 	if val > a.Max {
 		return a.NEntries
+	}
+	if a.Boundaries == nil {
+		return int((val - a.Min) * int64(a.NEntries) / a.DomainSize())
 	}
 	// First partition whose inclusive upper bound admits val.
 	lo, hi := 0, len(a.Boundaries)

@@ -48,6 +48,15 @@ type ContextEstimator interface {
 	EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error)
 }
 
+// BatchEstimator was the batch form of an Estimator.
+//
+// Deprecated: no implementer; kept only so cmd/bench compiles — delete with
+// the next benchmark change.
+type BatchEstimator interface {
+	Estimator
+	EstimateBatch(ctx context.Context, qs []*sqlparse.Query) (ests []float64, errs []error)
+}
+
 // EstimateWithContext estimates q with est under ctx: estimators that
 // implement ContextEstimator get the context threaded through; for plain
 // estimators the context is checked before the (uninterruptible) call. It is

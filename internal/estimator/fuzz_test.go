@@ -80,7 +80,8 @@ func snapshotSeeds(tb testing.TB) [][]byte {
 //
 // Explore with `go test -fuzz=FuzzLoadEstimator ./internal/estimator`.
 func FuzzLoadEstimator(f *testing.F) {
-	for _, seed := range snapshotSeeds(f) {
+	seeds := snapshotSeeds(f)
+	for _, seed := range seeds {
 		f.Add(seed)
 		// Hand the fuzzer structured near-misses too, not just full
 		// snapshots: truncations and envelope edits.
@@ -88,6 +89,7 @@ func FuzzLoadEstimator(f *testing.F) {
 		f.Add(bytes.Replace(seed, []byte(`"format":1`), []byte(`"format":9`), 1))
 		f.Add(bytes.Replace(seed, []byte(`"kind":"`), []byte(`"kind":"x`), 1))
 	}
+	f.Add(withFirstPayload(f, seeds[0], sharedChildPayload)) // a forest that validates node by node but does not compile
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"format":1,"kind":"local"}`))
 	f.Add([]byte(`{"format":1,"kind":"hybrid","fallback":"independence"}`))

@@ -26,15 +26,7 @@ type Global struct {
 	opts  core.Options
 	metas map[string]*core.TableMeta
 
-	vecPool   *sync.Pool // *featScratch, single-query featurization buffers
-	batchPool *sync.Pool // *batchScratch, batch matrices
-}
-
-// initPools sizes the featurization buffer pools from the featurizer's
-// fixed dimension; called by both NewGlobal and LoadGlobal.
-func (g *Global) initPools() {
-	g.vecPool = newVecPool(g.feat.Dim(), 0)
-	g.batchPool = newBatchPool()
+	vecPool *sync.Pool // *featScratch, one per query in flight
 }
 
 // NewGlobal builds the estimator over the schema using the named QFT.
@@ -52,9 +44,10 @@ func NewGlobal(db *table.DB, schema *catalog.Schema, qft string, opts core.Optio
 	if err != nil {
 		return nil, err
 	}
-	g := &Global{feat: gf, reg: factory(), transform: labelTransform{raw: rawLabels}, qft: qft, opts: opts, metas: metas}
-	g.initPools()
-	return g, nil
+	return &Global{
+		feat: gf, reg: factory(), transform: labelTransform{raw: rawLabels}, qft: qft, opts: opts, metas: metas,
+		vecPool: newVecPool(gf.Dim(), 0),
+	}, nil
 }
 
 // ValidateSchema checks that the estimator's featurization metadata is
@@ -112,35 +105,6 @@ func (g *Global) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, e
 		return 0, err
 	}
 	return g.Estimate(q)
-}
-
-// EstimateBatch implements BatchEstimator: the whole batch featurizes into
-// one reused flat matrix and goes through the regressor's batch predict.
-// Per-query failures land in errs without aborting the rest.
-func (g *Global) EstimateBatch(ctx context.Context, qs []*sqlparse.Query) ([]float64, []error) {
-	ests := make([]float64, len(qs))
-	errs := make([]error, len(qs))
-	sc := g.batchPool.Get().(*batchScratch)
-	sc.resize(len(qs), g.feat.Dim())
-	n := 0
-	for qi, q := range qs {
-		if err := ctx.Err(); err != nil {
-			errs[qi] = err
-			continue
-		}
-		if err := g.feat.FeaturizeInto(sc.rows[n], q); err != nil {
-			errs[qi] = err
-			continue
-		}
-		sc.idx[n] = qi
-		n++
-	}
-	predictBatch(g.reg, sc, n)
-	for r := 0; r < n; r++ {
-		ests[sc.idx[r]] = g.transform.inverse(sc.preds[r])
-	}
-	g.batchPool.Put(sc)
-	return ests, errs
 }
 
 // MemoryBytes reports the trained model's footprint.

@@ -44,11 +44,27 @@ type localModel struct {
 	reg    Regressor
 	// offsets[i] is where feats[i]'s block starts in the concatenated
 	// vector; offsets[len(tables)] is the total dimension. Fixed at
-	// construction, so the pooled fast path writes each table's encoding
-	// in place instead of appending.
-	offsets   []int
-	vecPool   *sync.Pool // *featScratch, single-query featurization workspaces
-	batchPool *sync.Pool // *batchScratch, batch matrices
+	// construction, so Estimate writes each table's encoding in place
+	// instead of appending.
+	offsets []int
+	vecPool *sync.Pool // *featScratch, one per query in flight
+}
+
+// featScratch is the workspace of one single-query featurization: the
+// feature vector the regressor reads, and the per-table split of the query's
+// WHERE (core.SplitWhereByTable) that feeds each table's featurizer. It is
+// owned by whoever took it from the pool, for one query at a time.
+type featScratch struct {
+	vec  []float64
+	ands []sqlparse.And
+}
+
+// newVecPool pools featurization workspaces for vectors of a fixed dimension
+// over a fixed number of tables.
+func newVecPool(dim, tables int) *sync.Pool {
+	return &sync.Pool{New: func() any {
+		return &featScratch{vec: make([]float64, dim), ands: make([]sqlparse.And, tables)}
+	}}
 }
 
 func (lm *localModel) dim() int { return lm.offsets[len(lm.offsets)-1] }
@@ -109,7 +125,6 @@ func (l *Local) modelFor(tables []string) (*localModel, error) {
 		lm.offsets[i+1] = lm.offsets[i] + f.Dim()
 	}
 	lm.vecPool = newVecPool(lm.dim(), len(lm.tables))
-	lm.batchPool = newBatchPool()
 	return lm, nil
 }
 
@@ -155,54 +170,6 @@ func (l *Local) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, er
 		return 0, err
 	}
 	return l.Estimate(q)
-}
-
-// EstimateBatch implements BatchEstimator: queries are grouped by
-// sub-schema, each group featurized into one reused flat matrix and pushed
-// through the regressor's batch predict. Per-query failures (unknown
-// sub-schema, featurization errors, cancellation) land in errs without
-// aborting the rest of the batch.
-func (l *Local) EstimateBatch(ctx context.Context, qs []*sqlparse.Query) ([]float64, []error) {
-	ests := make([]float64, len(qs))
-	errs := make([]error, len(qs))
-	groups := make(map[string][]int)
-	for i, q := range qs {
-		key := catalog.SubSchemaKey(q.Tables)
-		groups[key] = append(groups[key], i)
-	}
-	for key, idxs := range groups {
-		lm, ok := l.models[key]
-		if !ok {
-			err := fmt.Errorf("estimator: no local model trained for sub-schema %q", key)
-			for _, qi := range idxs {
-				errs[qi] = err
-			}
-			continue
-		}
-		fs := lm.vecPool.Get().(*featScratch)
-		sc := lm.batchPool.Get().(*batchScratch)
-		sc.resize(len(idxs), lm.dim())
-		n := 0
-		for _, qi := range idxs {
-			if err := ctx.Err(); err != nil {
-				errs[qi] = err
-				continue
-			}
-			if err := featurizeInto(lm, fs, sc.rows[n], qs[qi]); err != nil {
-				errs[qi] = err
-				continue
-			}
-			sc.idx[n] = qi
-			n++
-		}
-		predictBatch(lm.reg, sc, n)
-		for r := 0; r < n; r++ {
-			ests[sc.idx[r]] = l.transform.inverse(sc.preds[r])
-		}
-		lm.batchPool.Put(sc)
-		lm.vecPool.Put(fs)
-	}
-	return ests, errs
 }
 
 // ValidateSchema checks that the estimator's featurization metadata is

@@ -258,8 +258,8 @@ func LoadGlobal(r io.Reader) (*Global, error) {
 		qft:       s.QFT,
 		opts:      s.Opts,
 		metas:     metas,
+		vecPool:   newVecPool(gf.Dim(), 0),
 	}
-	g.initPools()
 	if err := unmarshalRegressor(g.reg, s.Payload); err != nil {
 		return nil, fmt.Errorf("estimator: restore global model: %w", err)
 	}

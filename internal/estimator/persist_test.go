@@ -193,15 +193,27 @@ func TestLoadLocalRejectsWrongKindPayload(t *testing.T) {
 	}
 }
 
-func TestLoadLocalRejectsCorruptedTreePayload(t *testing.T) {
-	data := savedGB(t)
+// withFirstPayload returns the saved local estimator data with its first
+// sub-schema's model payload replaced.
+func withFirstPayload(tb testing.TB, data []byte, payload string) []byte {
+	tb.Helper()
 	var s savedLocal
 	if err := json.Unmarshal(data, &s); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if len(s.Models) == 0 {
-		t.Fatal("saved estimator has no models")
+		tb.Fatal("saved estimator has no models")
 	}
+	s.Models[0].Payload = json.RawMessage(payload)
+	out, err := json.Marshal(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+func TestLoadLocalRejectsCorruptedTreePayload(t *testing.T) {
+	data := savedGB(t)
 	corruptions := []struct {
 		name    string
 		payload string
@@ -215,17 +227,33 @@ func TestLoadLocalRejectsCorruptedTreePayload(t *testing.T) {
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
-			damaged := s
-			damaged.Models = append([]savedSubSchema(nil), s.Models...)
-			damaged.Models[0] = savedSubSchema{Tables: s.Models[0].Tables, Payload: json.RawMessage(c.payload)}
-			out, err := json.Marshal(damaged)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := LoadLocal(bytes.NewReader(out)); err == nil {
+			if _, err := LoadLocal(bytes.NewReader(withFirstPayload(t, data, c.payload))); err == nil {
 				t.Errorf("corrupted payload (%s) accepted", c.name)
 			}
 		})
+	}
+}
+
+// sharedChildPayload is a forest every per-node check of gb.Model.Validate
+// accepts — child ids in range and above their parent's — but in which nodes
+// 1 and 2 of tree 1 both claim node 4. It walks and terminates, so it used to
+// be served by the per-tree interpreter; the forest compiler cannot lay it
+// out, and there is no other interpreter now.
+const sharedChildPayload = `{"cfg":{"LearningRate":0.1},"base":1,"dim":3,"trees":[` +
+	`{"nodes":[{"leaf":true,"v":1}]},` +
+	`{"nodes":[{"f":0,"t":0.5,"l":1,"r":2},{"f":1,"t":0.2,"l":3,"r":4},{"f":1,"t":0.8,"l":4,"r":5},` +
+	`{"leaf":true,"v":1},{"leaf":true,"v":2},{"leaf":true,"v":3}]}]}`
+
+// TestLoadEstimatorRejectsUncompilableForest: a snapshot whose forest the
+// compiler refuses is a load error that names the tree, not an estimator.
+func TestLoadEstimatorRejectsUncompilableForest(t *testing.T) {
+	data := withFirstPayload(t, savedGB(t), sharedChildPayload)
+	est, _, err := LoadEstimator(bytes.NewReader(data), env(t).db)
+	if err == nil {
+		t.Fatalf("loaded %s from a forest with a shared child", est.Name())
+	}
+	if !strings.Contains(err.Error(), "tree 1 node 2") {
+		t.Errorf("err = %v, want it to name tree 1 node 2", err)
 	}
 }
 

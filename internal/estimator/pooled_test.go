@@ -1,7 +1,6 @@
 package estimator
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -195,53 +194,9 @@ func TestEstimateBothSpellingsOfOneAttribute(t *testing.T) {
 	}
 }
 
-// TestLocalEstimateBatchMatchesEstimate: the grouped batch path must agree
-// bit for bit with per-query Estimate, and per-query failures must not
-// disturb neighbors.
-func TestLocalEstimateBatchMatchesEstimate(t *testing.T) {
-	l, e := trainedLocalGB(t)
-	qs := make([]*sqlparse.Query, 0, 101)
-	for _, lq := range e.test[:100] {
-		qs = append(qs, lq.Query)
-	}
-	// An unroutable query in the middle: its slot errors, the rest succeed.
-	unknown := sqlparse.MustParse("SELECT count(*) FROM nowhere WHERE x = 1")
-	qs = append(qs[:50], append([]*sqlparse.Query{unknown}, qs[50:]...)...)
-
-	ests, errs := l.EstimateBatch(context.Background(), qs)
-	for i, q := range qs {
-		if q == unknown {
-			if errs[i] == nil {
-				t.Fatal("unknown sub-schema did not error")
-			}
-			continue
-		}
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
-		}
-		want, err := l.Estimate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ests[i] != want {
-			t.Fatalf("query %d: batch %v != single %v", i, ests[i], want)
-		}
-	}
-
-	// A dead context fails every slot without touching the models.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, errs = l.EstimateBatch(ctx, qs[:3])
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("slot %d survived canceled context", i)
-		}
-	}
-}
-
 // TestGlobalPooledAndBatch: same contract for the global estimator — pooled
-// Estimate matches the append-based reference, and EstimateBatch matches
-// Estimate.
+// Estimate matches the append-based reference. (The name predates the removal
+// of EstimateBatch, whose agreement with Estimate was the other half.)
 func TestGlobalPooledAndBatch(t *testing.T) {
 	e := env(t)
 	schema := &catalog.Schema{Tables: []string{"forest"}}
@@ -253,11 +208,8 @@ func TestGlobalPooledAndBatch(t *testing.T) {
 	if err := g.Train(e.train[:600]); err != nil {
 		t.Fatal(err)
 	}
-	qs := make([]*sqlparse.Query, 0, 100)
-	for _, lq := range e.test[:100] {
-		qs = append(qs, lq.Query)
-	}
-	for i, q := range qs {
+	for i, lq := range e.test[:100] {
+		q := lq.Query
 		vec, err := g.feat.Featurize(q)
 		if err != nil {
 			t.Fatal(err)
@@ -269,19 +221,6 @@ func TestGlobalPooledAndBatch(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("query %d: pooled %v != reference %v", i, got, want)
-		}
-	}
-	ests, errs := g.EstimateBatch(context.Background(), qs)
-	for i, q := range qs {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		want, err := g.Estimate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ests[i] != want {
-			t.Fatalf("query %d: batch %v != single %v", i, ests[i], want)
 		}
 	}
 }
@@ -310,17 +249,5 @@ func TestEstimateSteadyStateAllocs(t *testing.T) {
 	t.Logf("Local.Estimate allocs/op = %v", allocs)
 	if allocs > 6 {
 		t.Errorf("Local.Estimate allocs/op = %v, want <= 6 (pooled miss path regressed)", allocs)
-	}
-
-	// The batch path shares one matrix and one predict call per sub-schema;
-	// its fixed cost (result slices, grouping map) amortizes over the batch.
-	batch := qs[:64]
-	l.EstimateBatch(context.Background(), batch)
-	allocs = testing.AllocsPerRun(50, func() {
-		l.EstimateBatch(context.Background(), batch)
-	})
-	t.Logf("Local.EstimateBatch(64) allocs/op = %v (%.2f per query)", allocs, allocs/64)
-	if allocs/64 > 6 {
-		t.Errorf("EstimateBatch allocs per query = %v, want <= 6", allocs/64)
 	}
 }

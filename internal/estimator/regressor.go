@@ -96,14 +96,6 @@ func (r *GBRegressor) Predict(x []float64) float64 {
 	return r.model.Predict(x)
 }
 
-// PredictInto implements the batch fast path over the compiled forest.
-func (r *GBRegressor) PredictInto(dst []float64, X [][]float64) {
-	if r.model == nil {
-		panic("estimator: GBRegressor used before Fit")
-	}
-	r.model.PredictInto(dst, X)
-}
-
 // MemoryBytes implements Regressor.
 func (r *GBRegressor) MemoryBytes() int {
 	if r.model == nil {
@@ -154,14 +146,6 @@ func (r *NNRegressor) Predict(x []float64) float64 {
 	return r.model.Predict(x)
 }
 
-// PredictInto implements the batch fast path over the pooled activations.
-func (r *NNRegressor) PredictInto(dst []float64, X [][]float64) {
-	if r.model == nil {
-		panic("estimator: NNRegressor used before Fit")
-	}
-	r.model.PredictInto(dst, X)
-}
-
 // MemoryBytes implements Regressor.
 func (r *NNRegressor) MemoryBytes() int {
 	if r.model == nil {
@@ -209,15 +193,6 @@ func (r *LinRegRegressor) Predict(x []float64) float64 {
 		panic("estimator: LinRegRegressor used before Fit")
 	}
 	return r.model.Predict(x)
-}
-
-// PredictInto implements the batch fast path (linear prediction is already
-// allocation-free; this keeps batch dispatch uniform across model kinds).
-func (r *LinRegRegressor) PredictInto(dst []float64, X [][]float64) {
-	if r.model == nil {
-		panic("estimator: LinRegRegressor used before Fit")
-	}
-	r.model.PredictInto(dst, X)
 }
 
 // MemoryBytes implements Regressor.

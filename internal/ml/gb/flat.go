@@ -1,19 +1,23 @@
 package gb
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// This file implements the compiled inference fast path: the trained forest
-// is flattened once — at the end of training or at decode time — into a
-// single contiguous packed-node layout, and Predict walks that layout
-// iteratively instead of pointer-chasing per-tree node slices. The
-// serialization format is unchanged (Model.Trees remains the only persisted
-// representation); the flat form is a derived, in-memory artifact.
+// This file implements compiled inference: the trained forest is flattened
+// once — at the end of training or at decode time — into a single contiguous
+// packed-node layout, and Predict walks that layout iteratively instead of
+// pointer-chasing per-tree node slices. The serialization format is unchanged
+// (Model.Trees remains the only persisted representation); the flat form is a
+// derived, in-memory artifact.
 //
-// The compiled walk is bit-identical to the reference walk: node traversal
-// takes the same comparisons against the same thresholds, and the ensemble
-// accumulates in the same order with the same FMA-free expression
-// (out += LearningRate * leaf, tree by tree), so serving caches, canaries,
-// and replay reports see byte-for-byte identical estimates.
+// The compiled walk is bit-identical to the per-tree walk it replaced (kept
+// as predictReference in flat_test.go): node traversal takes the same
+// comparisons against the same thresholds, and the ensemble accumulates in
+// the same order with the same FMA-free expression (out += LearningRate *
+// leaf, tree by tree), so serving caches, canaries, and replay reports see
+// byte-for-byte identical estimates.
 
 // flatNode is one packed node of the compiled layout. Internal nodes carry
 // feat >= 0, the split threshold in thr, and their left child's absolute id
@@ -46,20 +50,23 @@ type flatForest struct {
 // breadth-first order with each internal node's children adjacent (right =
 // left+1) — the id permutation changes nothing about which comparisons run,
 // and BFS keeps every tree's top levels, the part every walk crosses, packed
-// in its first few cache lines. It returns nil when the forest is empty or
-// structurally unfit for compilation (nil/empty trees, feature ids outside
-// int32) — callers then keep the reference path, and Validate still reports
-// the corruption to loaders.
-func compileForest(trees []*tree) *flatForest {
+// in its first few cache lines. A forest that is empty or structurally unfit
+// (nil/empty trees, feature ids outside int32, child ids that do not form a
+// tree) is an error naming the tree: there is no second interpreter to fall
+// back to, so Validate passes the error on to loaders.
+func compileForest(trees []*tree) (*flatForest, error) {
 	total := 0
-	for _, t := range trees {
+	for ti, t := range trees {
 		if t == nil || len(t.Nodes) == 0 {
-			return nil
+			return nil, fmt.Errorf("gb: tree %d is empty", ti)
 		}
 		total += len(t.Nodes)
 	}
-	if total == 0 || total > math.MaxInt32 {
-		return nil
+	if total == 0 {
+		return nil, fmt.Errorf("gb: model has no trees")
+	}
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("gb: %d nodes, want at most %d", total, math.MaxInt32)
 	}
 	f := &flatForest{
 		nodes: make([]flatNode, total),
@@ -74,8 +81,8 @@ func compileForest(trees []*tree) *flatForest {
 		// The sentinel doubles as the structural check: compile runs on
 		// decoded bytes before Validate, so a corrupt tree (child id out of
 		// range, two parents claiming one child, an edge back to an assigned
-		// node) must land in the reference fallback, never index out of
-		// bounds or build a layout that walks differently than Trees.
+		// node) must be refused, never index out of bounds or build a layout
+		// that walks differently than Trees.
 		slot := make([]int32, len(t.Nodes))
 		for i := range slot {
 			slot[i] = -1
@@ -92,13 +99,13 @@ func compileForest(trees []*tree) *flatForest {
 				f.nodes[j] = flatNode{thr: n.Value, feat: -1}
 				continue
 			}
-			if n.Feature < 0 || n.Feature > math.MaxInt32 || next+2 > limit {
-				return nil
+			if n.Feature < 0 || n.Feature > math.MaxInt32 {
+				return nil, fmt.Errorf("gb: tree %d node %d: feature %d out of range", ti, old, n.Feature)
 			}
 			l, r := n.Left, n.Right
-			if l < 1 || int(l) >= len(t.Nodes) || r < 1 || int(r) >= len(t.Nodes) ||
+			if next+2 > limit || l < 1 || int(l) >= len(t.Nodes) || r < 1 || int(r) >= len(t.Nodes) ||
 				slot[l] != -1 || slot[r] != -1 || l == r {
-				return nil
+				return nil, fmt.Errorf("gb: tree %d node %d: children %d and %d do not form a tree (out of range, or already another node's child)", ti, old, l, r)
 			}
 			slot[l] = next
 			slot[r] = next + 1
@@ -111,20 +118,21 @@ func compileForest(trees []*tree) *flatForest {
 		// start where this tree's block ends.
 		next = limit
 	}
-	return f
+	return f, nil
 }
 
 // predictLanes is how many trees predict walks in lockstep. One tree's walk
 // is a serial chain of dependent loads — the CPU cannot start fetching a
 // child before the parent arrives — so a naive tree-by-tree loop is bound by
 // memory latency, not bandwidth. Interleaving W trees keeps W independent
-// chains in flight per pass, which is where the fast path's speedup actually
-// comes from; the packed layout keeps each of those loads to one cache line.
+// chains in flight per pass, which is where the compiled walk's speedup
+// actually comes from; the packed layout keeps each of those loads to one
+// cache line.
 const predictLanes = 8
 
 // predict walks every tree of the flat layout and accumulates the ensemble
 // in training order: out = base + Σ lr·leaf, the same FMA-free expression as
-// the reference walk, so the result is bit-identical — lanes only reorder
+// the per-tree walk, so the result is bit-identical — lanes only reorder
 // the loads, never the accumulation, because leaf ids are collected per lane
 // and summed in tree index order after the group finishes. The node
 // comparison matches tree.predict exactly: x[feat] <= threshold goes left,
@@ -171,35 +179,10 @@ func (f *flatForest) memoryBytes() int {
 
 // compile (re)builds the model's flat forest from its serialized tree form.
 // It runs at the end of training and after decoding, so any model obtained
-// from Train/TrainCtx or UnmarshalJSON predicts through the fast path.
-// Hand-assembled models without a compiled form fall back to the reference
-// walk transparently.
-func (m *Model) compile() {
-	m.flat = compileForest(m.Trees)
-}
-
-// PredictReference evaluates the model through the serialization-format
-// per-tree walk — the pre-flattening code path, kept as the ground truth for
-// the differential tests and the before/after inference benchmark.
-func (m *Model) PredictReference(x []float64) float64 {
-	if len(x) != m.Dim {
-		panic(predictDimPanic(len(x), m.Dim))
-	}
-	out := m.Base
-	for _, t := range m.Trees {
-		out += m.Cfg.LearningRate * t.predict(x)
-	}
-	return out
-}
-
-// PredictInto writes the model output for every row of X into dst, which
-// must hold at least len(X) entries. It is the allocation-free batch form of
-// Predict: rows evaluate sequentially through the compiled layout, so the
-// outputs are bit-identical to per-row Predict calls (and to PredictBatch,
-// which is its parallel, allocating cousin).
-func (m *Model) PredictInto(dst []float64, X [][]float64) {
-	_ = dst[:len(X)]
-	for i, x := range X {
-		dst[i] = m.Predict(x)
-	}
+// from Train/TrainCtx, or from UnmarshalJSON and accepted by Validate,
+// predicts through it.
+func (m *Model) compile() error {
+	f, err := compileForest(m.Trees)
+	m.flat = f
+	return err
 }

@@ -3,6 +3,7 @@ package gb
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +21,20 @@ func randRegression(rng *rand.Rand, n, d int) ([][]float64, []float64) {
 		y[i] = row[0]*3 + row[1%d]*row[2%d]*0.25 + rng.NormFloat64()
 	}
 	return X, y
+}
+
+// predictReference evaluates the model through the serialization-format
+// per-tree walk — the pre-flattening Predict, kept as the ground truth the
+// compiled walk is held to (and timed against in BenchmarkPredictReference).
+func (m *Model) predictReference(x []float64) float64 {
+	if len(x) != m.Dim {
+		panic(predictDimPanic(len(x), m.Dim))
+	}
+	out := m.Base
+	for _, t := range m.Trees {
+		out += m.Cfg.LearningRate * t.predict(x)
+	}
+	return out
 }
 
 // TestFlatPredictBitIdentical trains randomized forests across several
@@ -47,7 +62,7 @@ func TestFlatPredictBitIdentical(t *testing.T) {
 			for j := range x {
 				x[j] = rng.NormFloat64() * 50
 			}
-			got, want := m.Predict(x), m.PredictReference(x)
+			got, want := m.Predict(x), m.predictReference(x)
 			if got != want {
 				t.Fatalf("cfg %d trial %d: flat %v != reference %v", ci, trial, got, want)
 			}
@@ -86,18 +101,21 @@ func TestFlatSurvivesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUncompiledFallback: a hand-assembled model (no compile step) must keep
-// predicting through the reference walk.
-func TestUncompiledFallback(t *testing.T) {
-	m := &Model{
-		Cfg:  Config{LearningRate: 0.5},
-		Base: 1,
-		Dim:  1,
-		Trees: []*tree{{Nodes: []node{
-			{Feature: 0, Threshold: 0, Left: 1, Right: 2},
-			{Leaf: true, Value: -2},
-			{Leaf: true, Value: 4},
-		}}},
+// handBuilt is a one-split model assembled without Train or a decoder.
+func handBuilt(nodes ...node) *Model {
+	return &Model{Cfg: Config{LearningRate: 0.5}, Base: 1, Dim: 1, Trees: []*tree{{Nodes: nodes}}}
+}
+
+// TestCompileHandBuilt: Validate compiles a model nothing has compiled yet,
+// and the compiled form walks the tree it was given.
+func TestCompileHandBuilt(t *testing.T) {
+	m := handBuilt(
+		node{Feature: 0, Threshold: 0, Left: 1, Right: 2},
+		node{Leaf: true, Value: -2},
+		node{Leaf: true, Value: 4},
+	)
+	if err := m.Validate(); err != nil {
+		t.Fatalf("valid hand-built model: %v", err)
 	}
 	if got := m.Predict([]float64{-1}); got != 1+0.5*-2 {
 		t.Errorf("left leaf: got %v", got)
@@ -106,51 +124,53 @@ func TestUncompiledFallback(t *testing.T) {
 		t.Errorf("right leaf: got %v", got)
 	}
 	if got, want := m.MemoryBytes(), 3*flatNodeBytes+4+16; got != want {
-		t.Errorf("uncompiled MemoryBytes = %d, want %d", got, want)
-	}
-	m.compile()
-	if m.flat == nil {
-		t.Fatal("compile failed on valid hand-built model")
-	}
-	if got, want := m.MemoryBytes(), 3*flatNodeBytes+4+16; got != want {
-		t.Errorf("compiled MemoryBytes = %d, want %d", got, want)
+		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}
 }
 
-// TestCompileRejectsUnfit: structurally unfit forests must yield a nil flat
-// form (reference fallback), not a bad compile.
+// TestCompileRejectsUnfit: a forest the compiler cannot lay out is an error
+// that names the tree, from compileForest and — for the one shape Validate's
+// per-node checks accept, two parents claiming one child with child ids in
+// range and ascending — from Validate too. There is no other interpreter to
+// hand such a forest to.
 func TestCompileRejectsUnfit(t *testing.T) {
-	if f := compileForest(nil); f != nil {
-		t.Error("nil trees compiled")
-	}
-	if f := compileForest([]*tree{nil}); f != nil {
-		t.Error("nil tree compiled")
-	}
-	if f := compileForest([]*tree{{}}); f != nil {
-		t.Error("empty tree compiled")
-	}
-}
-
-// TestPredictIntoMatchesPredict: the batch form is row-for-row identical to
-// single-row calls.
-func TestPredictIntoMatchesPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	X, y := randRegression(rng, 300, 5)
-	m, err := Train(X, y, Config{NumTrees: 15, LearningRate: 0.2, MaxDepth: 5, MinSamplesLeaf: 2, MaxBins: 32, SubsampleRows: 1, SubsampleCols: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, len(X))
-	m.PredictInto(dst, X)
-	for i, x := range X {
-		if dst[i] != m.Predict(x) {
-			t.Fatalf("row %d: PredictInto %v != Predict %v", i, dst[i], m.Predict(x))
+	for name, trees := range map[string][]*tree{
+		"nil trees":  nil,
+		"nil tree":   {nil},
+		"empty tree": {{}},
+	} {
+		if f, err := compileForest(trees); err == nil || f != nil {
+			t.Errorf("%s compiled (err %v)", name, err)
 		}
+	}
+	shared := handBuilt(
+		node{Feature: 0, Threshold: 0, Left: 1, Right: 2},
+		node{Feature: 0, Threshold: -5, Left: 3, Right: 4},
+		node{Feature: 0, Threshold: 5, Left: 4, Right: 5},
+		node{Leaf: true, Value: 1},
+		node{Leaf: true, Value: 2},
+		node{Leaf: true, Value: 3},
+	)
+	shared.Trees = append([]*tree{{Nodes: []node{{Leaf: true, Value: 7}}}}, shared.Trees...)
+	err := shared.Validate()
+	if err == nil || !strings.Contains(err.Error(), "tree 1 node 2") {
+		t.Fatalf("Validate on a shared child = %v, want an error naming tree 1 node 2", err)
+	}
+	data, jerr := json.Marshal(shared)
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	var back Model
+	if jerr := json.Unmarshal(data, &back); jerr != nil {
+		t.Fatalf("decode must leave the verdict to Validate, got %v", jerr)
+	}
+	if got := back.Validate(); got == nil || got.Error() != err.Error() {
+		t.Errorf("decoded model: Validate = %v, want %v", got, err)
 	}
 }
 
 // TestPredictZeroAllocs pins the steady-state allocation count of the
-// compiled single-row and batch paths at zero.
+// compiled walk at zero.
 func TestPredictZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	X, y := randRegression(rng, 300, 5)
@@ -163,12 +183,5 @@ func TestPredictZeroAllocs(t *testing.T) {
 		m.Predict(x)
 	}); allocs != 0 {
 		t.Errorf("Predict allocs/op = %v, want 0", allocs)
-	}
-	dst := make([]float64, 64)
-	batch := X[:64]
-	if allocs := testing.AllocsPerRun(100, func() {
-		m.PredictInto(dst, batch)
-	}); allocs != 0 {
-		t.Errorf("PredictInto allocs/op = %v, want 0", allocs)
 	}
 }

@@ -66,15 +66,16 @@ type Config struct {
 	// Seed drives subsampling; training is deterministic given a seed.
 	Seed int64
 	// Workers bounds the goroutines used for feature binning, split search
-	// and batch prediction; < 1 means one per logical CPU. Split search cuts
-	// the features into Workers contiguous ranges and fans a node out over
-	// them only when its rows carry enough histogram entries to repay the
-	// wake-up (fanOutEntries), so on small training sets it is the binning
-	// and prediction sweeps that use the extra cores. The trained model is
-	// bit-identical for every Workers value: each histogram cell accumulates
-	// its rows in input order whichever goroutine owns it, and the
-	// cross-feature winner is reduced in fixed feature order after the pool
-	// drains — which is why a checkpoint resumes under any Workers.
+	// and the per-tree update of the running predictions; < 1 means one per
+	// logical CPU. Split search cuts the features into Workers contiguous
+	// ranges and fans a node out over them only when its rows carry enough
+	// histogram entries to repay the wake-up (fanOutEntries), so on small
+	// training sets it is the binning and prediction sweeps that use the
+	// extra cores. The trained model is bit-identical for every Workers
+	// value: each histogram cell accumulates its rows in input order
+	// whichever goroutine owns it, and the cross-feature winner is reduced in
+	// fixed feature order after the pool drains — which is why a checkpoint
+	// resumes under any Workers.
 	Workers int `json:",omitempty"`
 }
 
@@ -160,9 +161,10 @@ type Model struct {
 	Trees []*tree `json:"trees"`
 	Dim   int     `json:"dim"`
 
-	// flat is the compiled struct-of-arrays form of Trees (see flat.go),
-	// derived at train/decode time and never serialized. nil falls back to
-	// the reference per-tree walk.
+	// flat is the compiled form of Trees — one packed 16-byte node per tree
+	// node, all trees in one array (see flat.go) — derived at train/decode
+	// time and never serialized. It is what Predict walks; nil only on a
+	// decoded model that Validate rejects.
 	flat *flatForest
 }
 
@@ -295,7 +297,10 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 			}
 		}
 	}
-	m.compile()
+	// Only a resumed checkpoint can carry trees the compiler refuses.
+	if err := m.compile(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -303,35 +308,15 @@ func predictDimPanic(got, want int) string {
 	return fmt.Sprintf("gb: input dim %d, model dim %d", got, want)
 }
 
-// Predict returns the model output for one feature vector. Trained or
-// deserialized models evaluate through the compiled flat layout — the same
-// tree walks and the same accumulation order as PredictReference, so the
-// result is bit-identical — without allocating.
+// Predict returns the model output for one feature vector by walking the
+// compiled flat layout, without allocating. The model must come from
+// Train/TrainCtx, or from UnmarshalJSON followed by a Validate that returned
+// nil.
 func (m *Model) Predict(x []float64) float64 {
 	if len(x) != m.Dim {
 		panic(predictDimPanic(len(x), m.Dim))
 	}
-	f := m.flat
-	if f == nil {
-		out := m.Base
-		for _, t := range m.Trees {
-			out += m.Cfg.LearningRate * t.predict(x)
-		}
-		return out
-	}
-	return f.predict(x, m.Base, m.Cfg.LearningRate)
-}
-
-// PredictBatch applies Predict to every row, fanning the rows out across
-// m.Cfg.Workers goroutines (each row writes only its own output slot).
-func (m *Model) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	parallel.DoChunks(len(X), parallel.Workers(m.Cfg.Workers), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = m.Predict(X[i])
-		}
-	})
-	return out
+	return m.flat.predict(x, m.Base, m.Cfg.LearningRate)
 }
 
 // NumNodes returns the total node count over all trees.
@@ -345,14 +330,10 @@ func (m *Model) NumNodes() int {
 
 // MemoryBytes reports the model's resident inference size — the Section 5.7
 // accounting that finds GB the smallest estimator. It measures the compiled
-// flat layout that Predict actually walks (per-node featID, threshold,
-// children, leaf value, plus per-tree root offsets); an uncompiled model
-// reports the equivalent cost its flattening would have.
+// flat layout that Predict walks (per node: threshold or leaf value, feature
+// id, left child; plus per-tree root offsets).
 func (m *Model) MemoryBytes() int {
-	if m.flat != nil {
-		return m.flat.memoryBytes() + 16
-	}
-	return m.NumNodes()*flatNodeBytes + 4*len(m.Trees) + 16
+	return m.flat.memoryBytes() + 16
 }
 
 // MarshalJSON / model persistence: models serialize to plain JSON so that
@@ -362,22 +343,27 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	return json.Marshal((*alias)(m))
 }
 
-// UnmarshalJSON restores a serialized model and recompiles its inference
-// fast path (the flat form is derived state, never part of the wire format).
+// UnmarshalJSON restores a serialized model and recompiles its flat forest
+// (derived state, never part of the wire format). Trees the compiler refuses
+// decode without error and without a flat form; Validate, which every loader
+// must call before Predict, says what is wrong with them.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	type alias Model
 	if err := json.Unmarshal(data, (*alias)(m)); err != nil {
 		return err
 	}
-	m.compile()
+	_ = m.compile() // reported by Validate, after its more specific checks
 	return nil
 }
 
 // Validate checks the structural invariants a deserialized model must hold
 // before Predict may run on it. The builder appends children after their
-// parent, so every child index must exceed its parent's — together with the
-// in-range checks this guarantees Predict terminates and never indexes out
-// of bounds, even on hand-edited or corrupted files.
+// parent, so every child index must exceed its parent's; what those local
+// checks cannot see — two nodes claiming one child — the forest compiler
+// does (Validate runs it if nothing has compiled the model yet), so a model
+// that passes has a flat form that walks exactly its Trees, and Predict
+// terminates and never indexes out of bounds, even on hand-edited or
+// corrupted files.
 func (m *Model) Validate() error {
 	if m.Dim < 1 {
 		return fmt.Errorf("gb: model dim %d, want >= 1", m.Dim)
@@ -411,6 +397,9 @@ func (m *Model) Validate() error {
 				}
 			}
 		}
+	}
+	if m.flat == nil {
+		return m.compile()
 	}
 	return nil
 }

@@ -269,23 +269,6 @@ func TestMemoryAccounting(t *testing.T) {
 	}
 }
 
-func TestPredictBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	X, y := makeRegression(rng, 100, 3)
-	cfg := DefaultConfig()
-	cfg.NumTrees = 5
-	m, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := m.PredictBatch(X[:10])
-	for i, p := range batch {
-		if p != m.Predict(X[i]) {
-			t.Fatal("PredictBatch differs from Predict")
-		}
-	}
-}
-
 func TestSampleInts(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	got := sampleInts(rng, 10, 4)

@@ -53,23 +53,3 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestPredictBatchMatchesPredict: batch prediction fans rows across workers
-// but must return exactly the per-row Predict values.
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	X, y := makeRegression(rng, 800, 5)
-	cfg := DefaultConfig()
-	cfg.Seed = 12
-	cfg.Workers = 4
-	m, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := m.PredictBatch(X)
-	for i := range X {
-		if batch[i] != m.Predict(X[i]) {
-			t.Fatalf("row %d: PredictBatch %v, Predict %v", i, batch[i], m.Predict(X[i]))
-		}
-	}
-}

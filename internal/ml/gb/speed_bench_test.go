@@ -9,7 +9,7 @@ import (
 // serving sees it: a different feature vector per call (X[i%len(X)], as in
 // BenchmarkPredict), so each walk takes a different path through the forest
 // and the layouts' cache behavior — not a warmed-up single path — is what's
-// being compared. cmd/infbench reuses the same shape for BENCH_infer.json.
+// being compared.
 
 func predictBenchModel(b *testing.B) (*Model, [][]float64) {
 	b.Helper()
@@ -38,6 +38,6 @@ func BenchmarkPredictReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictReference(X[i%len(X)])
+		m.predictReference(X[i%len(X)])
 	}
 }

@@ -120,16 +120,6 @@ func (m *Model) Predict(x []float64) float64 {
 	return out
 }
 
-// PredictInto writes w·x + b for every row of X into dst (at least len(X)
-// long). Predict is already allocation-free; this is the batch form the
-// pooled estimator path calls uniformly across model kinds.
-func (m *Model) PredictInto(dst []float64, X [][]float64) {
-	_ = dst[:len(X)]
-	for i, x := range X {
-		dst[i] = m.Predict(x)
-	}
-}
-
 // MemoryBytes reports the model size (8 bytes per coefficient).
 func (m *Model) MemoryBytes() int { return (len(m.W) + 1) * 8 }
 

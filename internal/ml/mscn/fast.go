@@ -1,17 +1,15 @@
 package mscn
 
-import (
-	"sync"
+import "qfe/internal/ml/mlmath"
 
-	"qfe/internal/ml/mlmath"
-)
-
-// The inference fast path: Predict on a trained model borrows one scratch —
-// per-element hidden buffers, the pooled concatenation, and the output MLP
-// activations — from a sync.Pool instead of allocating four slices per set
-// element plus the concat and output activations on every call. Evaluation
-// order matches the reference path exactly (per-element accumulate, then one
-// scale by 1/len, then the output MLP), so outputs are bit-identical.
+// Inference: Predict borrows one scratch — per-element hidden buffers, the
+// pooled concatenation, and the output MLP activations — from a sync.Pool
+// instead of allocating four slices per set element plus the concat and
+// output activations on every call. Evaluation order matches the allocating
+// forward it replaced (predictReference in fast_test.go; training's backprop
+// still runs that forward, because it needs the intermediates) exactly —
+// per-element accumulate, then one scale by 1/len, then the output MLP — so
+// outputs are bit-identical.
 
 // inferScratch is one borrowed inference workspace.
 type inferScratch struct {
@@ -19,22 +17,6 @@ type inferScratch struct {
 	pooled []float64 // concatenated pooled set outputs (3*HiddenSet)
 	o1     []float64 // output-MLP hidden activation (HiddenOut)
 	o2     []float64 // final output (1)
-}
-
-// initFastPath sizes the scratch pool from the trained layer widths. It runs
-// at the end of training; hand-assembled models (e.g. the gradient sanity
-// check) keep the allocating reference path.
-func (m *Model) initFastPath() {
-	h, ho := m.cfg.HiddenSet, m.cfg.HiddenOut
-	m.pool = &sync.Pool{New: func() any {
-		return &inferScratch{
-			h1:     make([]float64, h),
-			h2:     make([]float64, h),
-			pooled: make([]float64, 3*h),
-			o1:     make([]float64, ho),
-			o2:     make([]float64, 1),
-		}
-	}}
 }
 
 // forwardInto average-pools the set convolution into dst (HiddenSet wide,
@@ -69,43 +51,4 @@ func (m *Model) predictWith(sc *inferScratch, s *Sets) float64 {
 	mlmath.ReLU(sc.o1)
 	m.out2.ForwardInto(sc.o1, sc.o2)
 	return sc.o2[0]
-}
-
-// PredictReference is the pre-pooling Predict implementation, kept as the
-// ground truth for the differential tests and the inference benchmark.
-func (m *Model) PredictReference(s *Sets) float64 {
-	if err := checkDims(s, m.tableDim, m.joinDim, m.predDim); err != nil {
-		panic("mscn: " + err.Error())
-	}
-	tt := m.tableMod.forward(s.Tables)
-	jt := m.joinMod.forward(s.Joins)
-	pt := m.predMod.forward(s.Preds)
-	concat := make([]float64, 0, 3*m.cfg.HiddenSet)
-	concat = append(concat, tt.pooled...)
-	concat = append(concat, jt.pooled...)
-	concat = append(concat, pt.pooled...)
-	act1 := mlmath.ReLU(m.out1.Forward(concat))
-	return m.out2.Forward(act1)[0]
-}
-
-// PredictInto writes the network output for every sample into dst (at least
-// len(samples) long), borrowing one scratch for the whole batch.
-func (m *Model) PredictInto(dst []float64, samples []*Sets) {
-	_ = dst[:len(samples)]
-	p := m.pool
-	if p == nil {
-		for i, s := range samples {
-			dst[i] = m.PredictReference(s)
-		}
-		return
-	}
-	sc := p.Get().(*inferScratch)
-	for i, s := range samples {
-		if err := checkDims(s, m.tableDim, m.joinDim, m.predDim); err != nil {
-			p.Put(sc)
-			panic("mscn: " + err.Error())
-		}
-		dst[i] = m.predictWith(sc, s)
-	}
-	p.Put(sc)
 }

@@ -180,9 +180,34 @@ type Model struct {
 	out1, out2                 *mlmath.Dense
 	tableDim, joinDim, predDim int
 
-	// pool hands out inference scratch for the fast path (see fast.go);
-	// nil falls back to the allocating reference.
+	// pool hands out inference scratch for Predict (see fast.go).
 	pool *sync.Pool
+}
+
+// newModel builds the freshly initialized layer stack for the three per-set
+// vector dimensions, and with it the scratch pool sized from the layer
+// widths. It is the only place a Model is made, so none exists without a
+// pool.
+func newModel(cfg Config, td, jd, pd int, rng *rand.Rand) *Model {
+	h, ho := cfg.HiddenSet, cfg.HiddenOut
+	return &Model{
+		cfg:      cfg,
+		tableMod: newSetModule(td, h, rng),
+		joinMod:  newSetModule(jd, h, rng),
+		predMod:  newSetModule(pd, h, rng),
+		out1:     mlmath.NewDense(3*h, ho, rng),
+		out2:     mlmath.NewDense(ho, 1, rng),
+		tableDim: td, joinDim: jd, predDim: pd,
+		pool: &sync.Pool{New: func() any {
+			return &inferScratch{
+				h1:     make([]float64, h),
+				h2:     make([]float64, h),
+				pooled: make([]float64, 3*h),
+				o1:     make([]float64, ho),
+				o2:     make([]float64, 1),
+			}
+		}},
+	}
 }
 
 // denseLayers lists every trainable layer in a fixed order; checkpoints
@@ -228,15 +253,7 @@ func TrainCtx(ctx context.Context, samples []*Sets, y []float64, cfg Config, opt
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{
-		cfg:      cfg,
-		tableMod: newSetModule(td, cfg.HiddenSet, rng),
-		joinMod:  newSetModule(jd, cfg.HiddenSet, rng),
-		predMod:  newSetModule(pd, cfg.HiddenSet, rng),
-		out1:     mlmath.NewDense(3*cfg.HiddenSet, cfg.HiddenOut, rng),
-		out2:     mlmath.NewDense(cfg.HiddenOut, 1, rng),
-		tableDim: td, joinDim: jd, predDim: pd,
-	}
+	m := newModel(cfg, td, jd, pd, rng)
 
 	idx := make([]int, len(samples))
 	for i := range idx {
@@ -316,7 +333,6 @@ func TrainCtx(ctx context.Context, samples []*Sets, y []float64, cfg Config, opt
 			}
 		}
 	}
-	m.initFastPath()
 	return m, nil
 }
 
@@ -373,29 +389,15 @@ func (m *Model) backprop(s *Sets, target float64) {
 	m.predMod.backward(pt, dConcat[2*h:3*h])
 }
 
-// Predict returns the network output for one featurized query. Trained
-// models evaluate through pooled scratch buffers (see fast.go),
-// bit-identical to PredictReference without the per-element allocations.
+// Predict returns the network output for one featurized query, evaluated in
+// pooled scratch buffers (see fast.go) without allocating.
 func (m *Model) Predict(s *Sets) float64 {
-	p := m.pool
-	if p == nil {
-		return m.PredictReference(s)
-	}
 	if err := checkDims(s, m.tableDim, m.joinDim, m.predDim); err != nil {
 		panic("mscn: " + err.Error())
 	}
-	sc := p.Get().(*inferScratch)
+	sc := m.pool.Get().(*inferScratch)
 	out := m.predictWith(sc, s)
-	p.Put(sc)
-	return out
-}
-
-// PredictBatch applies Predict to every sample.
-func (m *Model) PredictBatch(samples []*Sets) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = m.Predict(s)
-	}
+	m.pool.Put(sc)
 	return out
 }
 
@@ -420,15 +422,7 @@ func SanityCheckGradients(seed int64) (maxRelErr float64, err error) {
 	}
 	target := 0.7
 	cfg := Config{HiddenSet: 4, HiddenOut: 5, LearningRate: 1e-3, Epochs: 1, BatchSize: 1, Seed: seed}
-	m := &Model{
-		cfg:      cfg,
-		tableMod: newSetModule(2, cfg.HiddenSet, rng),
-		joinMod:  newSetModule(1, cfg.HiddenSet, rng),
-		predMod:  newSetModule(3, cfg.HiddenSet, rng),
-		out1:     mlmath.NewDense(3*cfg.HiddenSet, cfg.HiddenOut, rng),
-		out2:     mlmath.NewDense(cfg.HiddenOut, 1, rng),
-		tableDim: 2, joinDim: 1, predDim: 3,
-	}
+	m := newModel(cfg, 2, 1, 3, rng)
 	loss := func() float64 {
 		diff := m.Predict(sample) - target
 		return 0.5 * diff * diff

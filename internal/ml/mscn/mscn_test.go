@@ -198,7 +198,4 @@ func TestNumParams(t *testing.T) {
 	if m.MemoryBytes() != want*8 {
 		t.Errorf("MemoryBytes = %d, want %d", m.MemoryBytes(), want*8)
 	}
-	if len(m.PredictBatch([]*Sets{s, s})) != 2 {
-		t.Error("PredictBatch length wrong")
-	}
 }

@@ -45,19 +45,3 @@ func BenchmarkTrainWorkers(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPredictBatch measures parallel batch inference.
-func BenchmarkPredictBatch(b *testing.B) {
-	X, y := benchData(4_000, 100)
-	cfg := DefaultConfig()
-	cfg.Epochs = 2
-	m, err := Train(X, y, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictBatch(X)
-	}
-}

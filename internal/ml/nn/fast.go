@@ -6,31 +6,29 @@ import (
 	"qfe/internal/ml/mlmath"
 )
 
-// The inference fast path: instead of allocating one activation slice per
-// layer per call, Predict borrows a per-goroutine scratch — two ping-pong
-// buffers sized to the widest layer — from a sync.Pool and forwards each
-// layer into the buffer the previous layer didn't write. Layer evaluation
-// order, per-output accumulation order, and the in-place ReLU are identical
-// to the allocating reference path, so the outputs are bit-identical.
+// Inference: instead of allocating one activation slice per layer per call,
+// Predict borrows a per-goroutine scratch — two ping-pong buffers sized to
+// the widest layer — from a sync.Pool and forwards each layer into the buffer
+// the previous layer didn't write. Layer evaluation order, per-output
+// accumulation order, and the in-place ReLU are identical to the allocating
+// forward it replaced (predictReference in fast_test.go), so the outputs are
+// bit-identical.
 
 // predictScratch is one borrowed activation workspace.
 type predictScratch struct {
 	a, b []float64
 }
 
-// initFastPath sizes the scratch pool to the network's widest layer. It runs
-// once the layer stack exists — at the top of training (so validation-loop
-// predictions use it too) and after decoding a persisted model. Models
-// assembled without it (zero value) fall back to PredictReference.
+// initFastPath sizes the scratch pool to the network's widest layer. Both
+// places that build a layer stack call it as soon as the stack exists — the
+// top of training (so validation-loop predictions use it too) and the decoder
+// of a persisted model — so there is no Model without a pool.
 func (m *Model) initFastPath() {
 	maxW := 0
 	for _, l := range m.layers {
 		if l.Out > maxW {
 			maxW = l.Out
 		}
-	}
-	if maxW == 0 {
-		return
 	}
 	m.pool = &sync.Pool{New: func() any {
 		return &predictScratch{a: make([]float64, maxW), b: make([]float64, maxW)}
@@ -51,44 +49,4 @@ func (m *Model) predictWith(sc *predictScratch, x []float64) float64 {
 		act = dst
 	}
 	return act[0]
-}
-
-// PredictReference is the pre-pooling Predict implementation — one fresh
-// activation slice per layer — kept as the ground truth for the differential
-// tests and the before/after inference benchmark.
-func (m *Model) PredictReference(x []float64) float64 {
-	if len(x) != m.dim {
-		panic(predictDimPanic(len(x), m.dim))
-	}
-	act := x
-	for li, l := range m.layers {
-		act = l.Forward(act)
-		if li < len(m.layers)-1 {
-			mlmath.ReLU(act)
-		}
-	}
-	return act[0]
-}
-
-// PredictInto writes the network output for every row of X into dst (at
-// least len(X) long), borrowing one scratch for the whole batch. Rows
-// evaluate sequentially, bit-identical to per-row Predict calls.
-func (m *Model) PredictInto(dst []float64, X [][]float64) {
-	_ = dst[:len(X)]
-	p := m.pool
-	if p == nil {
-		for i, x := range X {
-			dst[i] = m.PredictReference(x)
-		}
-		return
-	}
-	sc := p.Get().(*predictScratch)
-	for i, x := range X {
-		if len(x) != m.dim {
-			p.Put(sc)
-			panic(predictDimPanic(len(x), m.dim))
-		}
-		dst[i] = m.predictWith(sc, x)
-	}
-	p.Put(sc)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qfe/internal/ml/mlmath"
 	"qfe/internal/testutil"
 )
 
@@ -29,30 +30,36 @@ func trainSmallNet(t *testing.T, seed int64, hidden []int) (*Model, [][]float64)
 	return m, X
 }
 
+// predictReference is the pre-pooling Predict — one fresh activation slice
+// per layer — kept as the ground truth the pooled forward is held to.
+func (m *Model) predictReference(x []float64) float64 {
+	if len(x) != m.dim {
+		panic(predictDimPanic(len(x), m.dim))
+	}
+	act := x
+	for li, l := range m.layers {
+		act = l.Forward(act)
+		if li < len(m.layers)-1 {
+			mlmath.ReLU(act)
+		}
+	}
+	return act[0]
+}
+
 // TestPooledPredictBitIdentical: the pooled ping-pong path must reproduce
 // the allocating reference bit for bit, across layer shapes (including a
 // network whose widest layer is an inner one).
 func TestPooledPredictBitIdentical(t *testing.T) {
 	for _, hidden := range [][]int{{8}, {16, 8}, {4, 32, 4}} {
-		m, X := trainSmallNet(t, 21, hidden)
-		if m.pool == nil {
-			t.Fatal("trained model has no scratch pool")
-		}
+		m, _ := trainSmallNet(t, 21, hidden)
 		rng := rand.New(rand.NewSource(22))
 		for trial := 0; trial < 1000; trial++ {
 			x := make([]float64, 6)
 			for j := range x {
 				x[j] = rng.NormFloat64()
 			}
-			if got, want := m.Predict(x), m.PredictReference(x); got != want {
+			if got, want := m.Predict(x), m.predictReference(x); got != want {
 				t.Fatalf("hidden %v trial %d: pooled %v != reference %v", hidden, trial, got, want)
-			}
-		}
-		dst := make([]float64, len(X))
-		m.PredictInto(dst, X)
-		for i, x := range X {
-			if dst[i] != m.PredictReference(x) {
-				t.Fatalf("hidden %v row %d: PredictInto mismatch", hidden, i)
 			}
 		}
 	}
@@ -69,9 +76,6 @@ func TestPooledPredictSurvivesRoundTrip(t *testing.T) {
 	var back Model
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
-	}
-	if back.pool == nil {
-		t.Fatal("decoded model has no scratch pool")
 	}
 	for _, x := range X[:50] {
 		if back.Predict(x) != m.Predict(x) {
@@ -91,12 +95,5 @@ func TestPredictZeroAllocs(t *testing.T) {
 		m.Predict(x)
 	}); allocs != 0 {
 		t.Errorf("Predict allocs/op = %v, want 0", allocs)
-	}
-	dst := make([]float64, 64)
-	batch := X[:64]
-	if allocs := testing.AllocsPerRun(100, func() {
-		m.PredictInto(dst, batch)
-	}); allocs != 0 {
-		t.Errorf("PredictInto allocs/op = %v, want 0", allocs)
 	}
 }

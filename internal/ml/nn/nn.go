@@ -90,7 +90,7 @@ type Config struct {
 	// given a seed.
 	Seed int64
 	// Workers bounds the goroutines that fan mini-batch forward/backward
-	// passes and batch prediction across samples; < 1 means one per
+	// passes and the validation sweep across samples; < 1 means one per
 	// logical CPU. Trained weights are bit-identical for every Workers
 	// value: per-sample gradients accumulate within fixed 8-sample shards
 	// (see gradShardSize) and shards reduce in index order after the pool
@@ -139,8 +139,8 @@ type Model struct {
 	layers []*mlmath.Dense
 	dim    int
 
-	// pool hands out per-goroutine activation scratch for the inference
-	// fast path (see fast.go); nil falls back to the allocating reference.
+	// pool hands out per-goroutine activation scratch for Predict (see
+	// fast.go); set wherever layers is.
 	pool *sync.Pool
 }
 
@@ -409,33 +409,16 @@ func predictDimPanic(got, want int) string {
 	return fmt.Sprintf("nn: input dim %d, model dim %d", got, want)
 }
 
-// Predict returns the network output for one feature vector. Trained or
-// deserialized models evaluate through pooled ping-pong activation buffers
-// (see fast.go), bit-identical to PredictReference without the per-layer
-// allocations.
+// Predict returns the network output for one feature vector, forwarding
+// through pooled ping-pong activation buffers (see fast.go) without
+// allocating.
 func (m *Model) Predict(x []float64) float64 {
 	if len(x) != m.dim {
 		panic(predictDimPanic(len(x), m.dim))
 	}
-	p := m.pool
-	if p == nil {
-		return m.PredictReference(x)
-	}
-	sc := p.Get().(*predictScratch)
+	sc := m.pool.Get().(*predictScratch)
 	out := m.predictWith(sc, x)
-	p.Put(sc)
-	return out
-}
-
-// PredictBatch applies Predict to every row, fanning the rows out across
-// the configured workers (each row writes only its own output slot).
-func (m *Model) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	parallel.DoChunks(len(X), parallel.Workers(m.cfg.Workers), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = m.Predict(X[i])
-		}
-	})
+	m.pool.Put(sc)
 	return out
 }
 

@@ -170,23 +170,6 @@ func TestNumParamsAndMemory(t *testing.T) {
 	}
 }
 
-func TestPredictBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	X, y := makeData(rng, 100, func(x []float64) float64 { return x[0] })
-	cfg := DefaultConfig()
-	cfg.Epochs = 3
-	m, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := m.PredictBatch(X[:5])
-	for i := range batch {
-		if batch[i] != m.Predict(X[i]) {
-			t.Fatal("PredictBatch differs from Predict")
-		}
-	}
-}
-
 func TestPersistRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	X, y := makeData(rng, 200, func(x []float64) float64 { return x[0] + 2*x[1] })

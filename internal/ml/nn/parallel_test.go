@@ -52,25 +52,3 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestPredictBatchMatchesPredict: parallel batch inference returns exactly
-// the per-row Predict values.
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	f := func(x []float64) float64 { return 2*x[0] + x[2] }
-	X, y := makeData(rng, 600, f)
-	cfg := DefaultConfig()
-	cfg.Seed = 22
-	cfg.Epochs = 5
-	cfg.Workers = 4
-	m, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := m.PredictBatch(X)
-	for i := range X {
-		if batch[i] != m.Predict(X[i]) {
-			t.Fatalf("row %d: PredictBatch %v, Predict %v", i, batch[i], m.Predict(X[i]))
-		}
-	}
-}
