@@ -41,9 +41,13 @@ check: vet race
 # (they label their own training sets and report the share of the matrix split
 # search accumulates), the journal's batched-vs-per-record fsync, labeling
 # across workers — because a benchmark nothing executes stops compiling, or
-# stops measuring what its comment says. The grep is the one-inference-path
-# invariant: outside tests and cmd/bench, no reference twin, no batch form of
-# Predict, no EstimateBatch method.
+# stops measuring what its comment says. The first grep is the
+# one-inference-path invariant: outside tests and cmd/bench, no reference
+# twin, no batch form of Predict, no EstimateBatch method. The second is the
+# supervision invariant: background work is a goroutine owned by the object
+# whose work it is (trainer.Controller, Lifecycle.ProbeEvery, the journal
+# writer) and per-request gating is resilience.Breaker — no generic job
+# runner, no probe actor, no per-request retry policy, tests included.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -55,6 +59,7 @@ ci:
 	$(GO) test -fuzz=FuzzEstimateCodec -fuzztime=5s ./internal/serve
 	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|CountManyWorkers' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec
 	! grep -rnE 'PredictReference|PredictInto|PredictBatch|func \(.*\) EstimateBatch' --include='*.go' internal cmd | grep -vE '_test\.go:|^cmd/bench/'
+	! grep -rnE 'NewSupervisor|StartSupervisor|SupervisorConfig|JobSpec|JobFunc|ErrJobActive|ProbeNow|RetryConfig|IsPermanent' --include='*.go' internal cmd
 	$(MAKE) lint
 
 # lint runs the optional static analyzers. Both are gated on availability:
@@ -68,9 +73,11 @@ lint:
 # monitor, the retraining job is crashed mid-epoch twice (process crash,
 # then a torn checkpoint write), and the test demands resume-from-checkpoint,
 # a canary-gated publish, and zero quarantined generations — under the race
-# detector, with goroutine-leak verification.
+# detector, with goroutine-leak verification. Supervisor|Controller selects
+# the controller's retry loop and its alarm policy (controller_test.go),
+# Retrain the pipeline it runs.
 chaos-train:
-	$(GO) test -race -run 'SelfHealing|Checkpoint|Supervisor|QError|Domain|Monitor' \
+	$(GO) test -race -run 'SelfHealing|Checkpoint|Supervisor|Controller|Retrain|QError|Domain|Monitor' \
 		./internal/trainer/... ./internal/drift/... ./internal/store/... \
 		./internal/ml/gb/... ./internal/ml/nn/... ./internal/ml/mscn/...
 
@@ -121,8 +128,10 @@ fuzz-journal:
 # soak is the wide crash/chaos sweep: every filesystem fault kind (crash,
 # torn write, ENOSPC, short read, bit flip) at every mutating/reading
 # operation ordinal, QFE_SOAK widening the per-point seed sweep, all under
-# the race detector, plus the recovery and canary suites end to end.
+# the race detector, plus the recovery and canary suites end to end
+# (Supervisor|ProbeEvery: Lifecycle.Probe's auto-rollback and the loop that
+# runs it).
 soak:
-	QFE_SOAK=1 $(GO) test -race -run 'Crash|Chaos|Fault|Sweep|Recover|Canary|Rollback|Supervisor' \
+	QFE_SOAK=1 $(GO) test -race -run 'Crash|Chaos|Fault|Sweep|Recover|Canary|Rollback|Supervisor|ProbeEvery' \
 		./internal/store/... ./internal/resilience/faultinject/... ./internal/serve/... \
 		./internal/journal/... ./cmd/cardestd/...

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -23,29 +25,43 @@ import (
 )
 
 func main() {
-	scaleFlag := flag.String("scale", "", `scale profile: "smoke", "default", or "full" (default: $QFE_SCALE or "default")`)
-	expFlag := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	listFlag := flag.Bool("list", false, "list experiments and exit")
-	workersFlag := flag.Int("workers", 0, "training/labeling goroutines for the learned models (0 = one per logical CPU); results are bit-identical for every value")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: reports go to out, complaints to errOut, and the
+// result is the exit status (2 for a bad invocation, 1 when an experiment
+// failed).
+func run(args []string, out, errOut io.Writer) (exit int) {
+	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	scaleFlag := fs.String("scale", "", `scale profile: "smoke", "default", or "full" (default: $QFE_SCALE or "default")`)
+	expFlag := fs.String("exp", "", "comma-separated experiment ids (default: all)")
+	listFlag := fs.Bool("list", false, "list experiments and exit")
+	workersFlag := fs.Int("workers", 0, "training/labeling goroutines for the learned models (0 = one per logical CPU); results are bit-identical for every value")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag set already printed the error and usage
+	}
 
 	if *listFlag {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-6s %s\n", e.ID, e.Title)
+			fmt.Fprintf(out, "%-6s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	if err := cli.ValidateWorkers(*workersFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner:", err)
-		os.Exit(2)
+		fmt.Fprintln(errOut, "benchrunner:", err)
+		return 2
 	}
 
 	if *scaleFlag != "" {
 		os.Setenv("QFE_SCALE", *scaleFlag)
 	}
 	scale := bench.CurrentScale()
-	fmt.Printf("# scale profile: %s\n\n", scale.Name)
+	fmt.Fprintf(out, "# scale profile: %s\n\n", scale.Name)
 	env := bench.NewEnv(scale)
 	env.Workers = *workersFlag
 
@@ -57,8 +73,8 @@ func main() {
 			id = strings.TrimSpace(id)
 			exp, ok := bench.ExperimentByID(id)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "benchrunner: unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
+				fmt.Fprintf(errOut, "benchrunner: unknown experiment %q (use -list)\n", id)
+				return 2
 			}
 			selected = append(selected, exp)
 		}
@@ -69,14 +85,15 @@ func main() {
 		start := time.Now()
 		rep, err := exp.Run(env)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %s failed: %v\n", exp.ID, err)
+			fmt.Fprintf(errOut, "benchrunner: %s failed: %v\n", exp.ID, err)
 			failed++
 			continue
 		}
-		fmt.Println(rep)
-		fmt.Printf("(%s took %v)\n\n", exp.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(out, rep)
+		fmt.Fprintf(out, "(%s took %v)\n\n", exp.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

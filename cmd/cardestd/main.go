@@ -35,9 +35,10 @@
 // quarantined and skipped); every publish — boot, recovery, or
 // POST /v1/models/load — must clear a canary gate over -canary held-out
 // labeled queries (median/p95 q-error ceilings -canary-median/-canary-p95,
-// rejected loads get 409); a background supervisor re-probes the live model
-// every -probe-interval and, on degradation, quarantines its generation and
-// rolls the registry back to the previous good one automatically.
+// rejected loads get 409); a background loop re-probes the live model
+// every -probe-interval (0 disables it) and, on degradation, quarantines its
+// generation and rolls the registry back to the previous good one
+// automatically.
 // POST /v1/models/rollback does the same on demand.
 //
 // POST /v1/models/load is confined to -model-root (default: the -store
@@ -48,15 +49,16 @@
 // in internal/drift and internal/trainer: a Page-Hinkley detector over the
 // log2 q-error of /v1/estimate feedback plus a column-domain detector over
 // live predicate literals raise drift alarms; each alarm (rate-limited by
-// -retrain-cooldown) submits a supervised retraining job that relabels the
-// training workload against the live data, refits the boot model family,
-// and publishes only through the canary gate. Retraining is crash-safe —
+// -retrain-cooldown, and dropped while a retrain is already running) starts
+// one retrain on the controller's goroutine: it relabels the training
+// workload against the live data, refits the boot model family, and
+// publishes only through the canary gate. Retraining is crash-safe —
 // progress checkpoints ride the -store directory's fsync+rename machinery —
 // and supervised: failed attempts restart with exponential backoff and
 // quarantine after repeated failure, while a canary-rejected model is never
 // retried (its detector rearms with a widened threshold instead).
-// GET /v1/drift reports detector state, recent alarms, and the retraining
-// job table; /metrics grows drift_* and retrain_* counters.
+// GET /v1/drift reports detector state, recent alarms, and the latest
+// retrain; /metrics grows drift_* and retrain_* counters.
 //
 // The daemon memoizes estimates in a generation-scoped semantic cache
 // (-cache-entries, default 4096; 0 disables): requests are keyed
@@ -410,9 +412,9 @@ func run(o options, out io.Writer) error {
 	}
 
 	// -retrain closes the self-healing loop: drift detectors tap the
-	// /v1/estimate feedback stream, alarms submit supervised checkpointed
-	// retraining jobs, and a retrained model takes traffic only by clearing
-	// the same canary gate as any other publish.
+	// /v1/estimate feedback stream, an alarm starts a checkpointed retrain
+	// on the controller's goroutine, and a retrained model takes traffic only
+	// by clearing the same canary gate as any other publish.
 	var mon *drift.Monitor
 	var ctrl *trainer.Controller
 	if o.retrain {
@@ -444,8 +446,6 @@ func run(o options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tsup := trainer.NewSupervisor()
-		defer tsup.Close()
 		qcfg := drift.DefaultQErrorConfig()
 		qcfg.Delta, qcfg.Lambda, qcfg.MinSamples = o.driftDelta, o.driftLambda, o.driftMin
 		dcfg := drift.DefaultDomainConfig()
@@ -459,14 +459,14 @@ func run(o options, out io.Writer) error {
 			return err
 		}
 		ctrl, err = trainer.NewController(trainer.ControllerConfig{
-			Supervisor: tsup,
-			Retrainer:  ret,
-			Monitor:    mon,
-			Cooldown:   o.retrainCooldown,
+			Retrain:  ret.Run,
+			Monitor:  mon,
+			Cooldown: o.retrainCooldown,
 		})
 		if err != nil {
 			return err
 		}
+		defer ctrl.Close()
 		fmt.Fprintf(out, "self-healing retraining armed (lambda %.0f, window %d, cooldown %v)\n",
 			o.driftLambda, o.driftWindow, o.retrainCooldown)
 	}
@@ -534,8 +534,8 @@ func run(o options, out io.Writer) error {
 	}
 
 	if lc != nil && o.probeEvery > 0 {
-		sup := serve.StartSupervisor(serve.SupervisorConfig{Lifecycle: lc, Interval: o.probeEvery})
-		defer sup.Close()
+		stopProbes := lc.ProbeEvery(context.Background(), o.probeEvery)
+		defer stopProbes()
 		fmt.Fprintf(out, "supervisor probing the live model every %v\n", o.probeEvery)
 	}
 

@@ -245,7 +245,7 @@ func fullJoinVectorBytes(db *table.DB, n int) int {
 
 // runWorkloadFor plans and executes the queries under est's estimates.
 func runWorkloadFor(db *table.DB, est estimator.Estimator, queries []*sqlparse.Query) (time.Duration, []engine.ExecStats, error) {
-	opt := &engine.Optimizer{DB: db, Est: est}
+	opt := &engine.Optimizer{Est: est}
 	return engine.RunWorkload(db, opt, queries)
 }
 

@@ -33,13 +33,6 @@ type ForestConfig struct {
 	Seed int64
 }
 
-// DefaultForestConfig mirrors the covertype shape at reduced width: enough
-// attributes for queries mentioning up to 8+ distinct attributes (the
-// paper's Figures 2 and 5) while keeping feature vectors laptop-sized.
-func DefaultForestConfig() ForestConfig {
-	return ForestConfig{Rows: 40_000, QuantAttrs: 10, BinaryAttrs: 6, Seed: 20230328}
-}
-
 // Forest generates the covertype-shaped table. Attributes are named A1, A2,
 // ... (quantitative first, binary last), matching the paper's example query
 // style ("A7 >= 160 AND A8 <= 237").

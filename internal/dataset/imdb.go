@@ -20,11 +20,6 @@ type IMDBConfig struct {
 	Seed int64
 }
 
-// DefaultIMDBConfig is sized for laptop-scale experiments.
-func DefaultIMDBConfig() IMDBConfig {
-	return IMDBConfig{Titles: 8_000, Seed: 20190112}
-}
-
 // IMDBSchema returns the JOB-light sub-schema of IMDb: the hub table
 // `title` plus five satellite tables, each referencing title.id via
 // movie_id. This is exactly the key/foreign-key star that JOB-light queries

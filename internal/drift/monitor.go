@@ -18,7 +18,7 @@ type MonitorConfig struct {
 	Domain DomainConfig
 	// OnEvent, when non-nil, receives every alarm synchronously from the
 	// observing goroutine. Keep it fast and non-blocking: the trainer's
-	// controller hands the event to a channel and returns.
+	// controller starts a goroutine, or counts the alarm, and returns.
 	OnEvent func(Event)
 }
 

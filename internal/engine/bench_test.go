@@ -20,7 +20,7 @@ func BenchmarkChoosePlan(b *testing.B) {
 		WHERE cast_info.movie_id = title.id AND movie_info.movie_id = title.id
 		AND movie_companies.movie_id = title.id AND movie_keyword.movie_id = title.id
 		AND title.production_year >= 1990 AND cast_info.role_id = 1`)
-	opt := &Optimizer{DB: db, Est: &estimator.Independence{DB: db}}
+	opt := &Optimizer{Est: &estimator.Independence{DB: db}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,7 +40,7 @@ func BenchmarkExecutePlan(b *testing.B) {
 	q := sqlparse.MustParse(`SELECT count(*) FROM title, cast_info, movie_keyword
 		WHERE cast_info.movie_id = title.id AND movie_keyword.movie_id = title.id
 		AND title.production_year >= 1990`)
-	opt := &Optimizer{DB: db, Est: &estimator.Independence{DB: db}}
+	opt := &Optimizer{Est: &estimator.Independence{DB: db}}
 	plan, err := opt.ChoosePlan(q)
 	if err != nil {
 		b.Fatal(err)

@@ -14,14 +14,12 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
-	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -33,11 +31,6 @@ type Plan struct {
 	Satellites []string
 	// EstCost is the optimizer's estimated total cost of the plan.
 	EstCost float64
-	// DegradedEstimates counts cardinality requests the estimator failed
-	// and the optimizer replaced with the row-count heuristic (only when
-	// Optimizer.Degrade is set). A plan built from degraded estimates is
-	// worse, not wrong: execution still produces the exact count.
-	DegradedEstimates int
 }
 
 // String renders the join order.
@@ -49,18 +42,11 @@ func (p *Plan) String() string {
 	return s
 }
 
-// Optimizer chooses join orders using cardinality estimates from Est.
+// Optimizer chooses join orders using cardinality estimates from Est. A
+// failed or non-finite estimate aborts planning; wrap Est in
+// resilience.NewResilient for an optimizer that always gets an answer.
 type Optimizer struct {
-	DB  *table.DB
 	Est estimator.Estimator
-	// Degrade makes planning resilient to estimator failures: when set, a
-	// failed (or non-finite) cardinality estimate is replaced by the
-	// resilience.RowCount heuristic instead of aborting the plan — a bad
-	// estimate degrades the join order, never the query. Wrapping Est in
-	// resilience.NewResilient achieves the same end-to-end with deadlines
-	// and circuit breaking on top; Degrade is the engine's own safety net
-	// for plain estimators.
-	Degrade bool
 }
 
 // ChoosePlan picks the cheapest left-deep satellite order for the star
@@ -68,14 +54,6 @@ type Optimizer struct {
 // step is |probe input| + |build side| + |output|, all under Est's
 // estimates; cardinalities per subset are requested once and memoized.
 func (o *Optimizer) ChoosePlan(q *sqlparse.Query) (*Plan, error) {
-	return o.ChoosePlanCtx(context.Background(), q)
-}
-
-// ChoosePlanCtx is ChoosePlan under a context: the deadline is threaded into
-// every cardinality estimate (context-aware estimators stop early). With
-// Degrade set, a spent deadline degrades the remaining estimates rather than
-// failing the plan.
-func (o *Optimizer) ChoosePlanCtx(ctx context.Context, q *sqlparse.Query) (*Plan, error) {
 	hub, sats, err := starShape(q)
 	if err != nil {
 		return nil, err
@@ -88,7 +66,6 @@ func (o *Optimizer) ChoosePlanCtx(ctx context.Context, q *sqlparse.Query) (*Plan
 		return nil, fmt.Errorf("engine: %d satellites exceed the optimizer's subset budget", n)
 	}
 
-	degraded := 0
 	// Memoized estimates: card[mask] is the estimated cardinality of the
 	// sub-join of hub + the satellites in mask; satCard[i] the estimated
 	// filtered size of satellite i alone.
@@ -98,7 +75,7 @@ func (o *Optimizer) ChoosePlanCtx(ctx context.Context, q *sqlparse.Query) (*Plan
 		if err != nil {
 			return nil, err
 		}
-		c, err := o.estimate(ctx, sub, &degraded)
+		c, err := o.estimate(sub)
 		if err != nil {
 			return nil, fmt.Errorf("engine: estimate for %v: %w", sub.Tables, err)
 		}
@@ -110,7 +87,7 @@ func (o *Optimizer) ChoosePlanCtx(ctx context.Context, q *sqlparse.Query) (*Plan
 		if err != nil {
 			return nil, err
 		}
-		c, err := o.estimate(ctx, sub, &degraded)
+		c, err := o.estimate(sub)
 		if err != nil {
 			return nil, fmt.Errorf("engine: estimate for %s: %w", s, err)
 		}
@@ -148,29 +125,20 @@ func (o *Optimizer) ChoosePlanCtx(ctx context.Context, q *sqlparse.Query) (*Plan
 	for l, r := 0, len(order)-1; l < r; l, r = l+1, r-1 {
 		order[l], order[r] = order[r], order[l]
 	}
-	return &Plan{Hub: hub, Satellites: order, EstCost: best[1<<n-1], DegradedEstimates: degraded}, nil
+	return &Plan{Hub: hub, Satellites: order, EstCost: best[1<<n-1]}, nil
 }
 
-// estimate requests one cardinality under ctx. With Degrade set, estimator
-// errors and non-finite results fall back to the row-count heuristic and are
-// counted; otherwise they propagate.
-func (o *Optimizer) estimate(ctx context.Context, sub *sqlparse.Query, degraded *int) (float64, error) {
-	c, err := estimator.EstimateWithContext(ctx, o.Est, sub)
-	if err == nil && !math.IsNaN(c) && !math.IsInf(c, 0) && c >= 0 {
-		if c < 1 {
-			c = 1
-		}
-		return c, nil
-	}
-	if !o.Degrade {
-		if err == nil {
-			err = fmt.Errorf("engine: non-finite estimate %v", c)
-		}
+// estimate requests one cardinality, refusing what a cost cannot be built
+// from: an estimator error, NaN, an infinity, a negative value.
+func (o *Optimizer) estimate(sub *sqlparse.Query) (float64, error) {
+	c, err := o.Est.Estimate(sub)
+	if err != nil {
 		return 0, err
 	}
-	*degraded++
-	c, _ = resilience.RowCount{DB: o.DB}.Estimate(sub)
-	return c, nil
+	if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
+		return 0, fmt.Errorf("engine: non-finite estimate %v", c)
+	}
+	return max(c, 1), nil
 }
 
 // ExecStats reports what executing a plan actually did.
@@ -260,17 +228,10 @@ func Execute(db *table.DB, q *sqlparse.Query, plan *Plan) (ExecStats, error) {
 // RunWorkload optimizes and executes every query, returning the summed
 // wall time and stats — one cell of Table 4.
 func RunWorkload(db *table.DB, opt *Optimizer, queries []*sqlparse.Query) (time.Duration, []ExecStats, error) {
-	return RunWorkloadCtx(context.Background(), db, opt, queries)
-}
-
-// RunWorkloadCtx is RunWorkload under a context. The context bounds
-// planning (estimation); execution of an already-chosen plan runs to
-// completion so results stay exact.
-func RunWorkloadCtx(ctx context.Context, db *table.DB, opt *Optimizer, queries []*sqlparse.Query) (time.Duration, []ExecStats, error) {
 	var total time.Duration
 	stats := make([]ExecStats, len(queries))
 	for i, q := range queries {
-		plan, err := opt.ChoosePlanCtx(ctx, q)
+		plan, err := opt.ChoosePlan(q)
 		if err != nil {
 			return 0, nil, fmt.Errorf("engine: plan query %d: %w", i, err)
 		}

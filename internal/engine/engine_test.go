@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
@@ -34,7 +32,7 @@ func TestExecuteMatchesExactCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := &Optimizer{DB: db, Est: &estimator.Oracle{DB: db}}
+	opt := &Optimizer{Est: &estimator.Oracle{DB: db}}
 	for i, l := range set {
 		plan, err := opt.ChoosePlan(l.Query)
 		if err != nil {
@@ -62,7 +60,7 @@ func TestExecuteResultIndependentOfPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := &Optimizer{DB: db, Est: &estimator.Oracle{DB: db}}
+	opt := &Optimizer{Est: &estimator.Oracle{DB: db}}
 	plan, err := opt.ChoosePlan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +98,7 @@ func TestOptimizerPrefersSelectiveSatelliteFirst(t *testing.T) {
 	q := sqlparse.MustParse(`SELECT count(*) FROM title, cast_info, movie_keyword
 		WHERE title.id = cast_info.movie_id AND title.id = movie_keyword.movie_id
 		AND cast_info.role_id = 9 AND title.production_year >= 1950`)
-	opt := &Optimizer{DB: db, Est: &estimator.Oracle{DB: db}}
+	opt := &Optimizer{Est: &estimator.Oracle{DB: db}}
 	plan, err := opt.ChoosePlan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +132,7 @@ func TestOptimizerPrefersSelectiveSatelliteFirst(t *testing.T) {
 func TestChoosePlanSingleTable(t *testing.T) {
 	db := testDB(t)
 	q := sqlparse.MustParse("SELECT count(*) FROM title WHERE kind_id = 1")
-	opt := &Optimizer{DB: db, Est: &estimator.Oracle{DB: db}}
+	opt := &Optimizer{Est: &estimator.Oracle{DB: db}}
 	plan, err := opt.ChoosePlan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -168,46 +166,10 @@ func (brokenEst) Estimate(q *sqlparse.Query) (float64, error) {
 	panic("model corrupted")
 }
 
-func TestChoosePlanDegradesOnFailingEstimator(t *testing.T) {
-	db := testDB(t)
-	q := sqlparse.MustParse(`SELECT count(*) FROM title, cast_info, movie_keyword
-		WHERE title.id = cast_info.movie_id AND title.id = movie_keyword.movie_id
-		AND cast_info.role_id = 1 AND title.production_year >= 1980`)
-	want, err := exec.Count(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Without Degrade, a failing estimator aborts planning (panics are only
-	// absorbed by the resilience wrapper, so use the erroring path).
-	strict := &Optimizer{DB: db, Est: &estimator.Independence{DB: table.NewDB()}}
-	if _, err := strict.ChoosePlan(q); err == nil {
-		t.Fatal("strict optimizer accepted a failing estimator")
-	}
-
-	// With Degrade, the same estimator produces a (worse) plan whose
-	// execution is still exact.
-	degrading := &Optimizer{DB: db, Est: &estimator.Independence{DB: table.NewDB()}, Degrade: true}
-	plan, err := degrading.ChoosePlan(q)
-	if err != nil {
-		t.Fatalf("degrading optimizer aborted: %v", err)
-	}
-	if plan.DegradedEstimates == 0 {
-		t.Error("no degraded estimates counted for an always-failing estimator")
-	}
-	st, err := Execute(db, q, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Count != want {
-		t.Fatalf("degraded plan count %d, want %d", st.Count, want)
-	}
-}
-
 func TestOptimizerWithResilientEstimatorNeverAborts(t *testing.T) {
 	// The intended production wiring: the estimator is wrapped in the
 	// resilience chain, so even an estimator that errors AND panics yields
-	// a plan — without the optimizer's own Degrade net.
+	// a plan. Handed a failing estimator bare, the optimizer aborts.
 	db := testDB(t)
 	q := sqlparse.MustParse(`SELECT count(*) FROM title, cast_info, movie_keyword
 		WHERE title.id = cast_info.movie_id AND title.id = movie_keyword.movie_id
@@ -215,12 +177,16 @@ func TestOptimizerWithResilientEstimatorNeverAborts(t *testing.T) {
 	want, err := exec.Count(db, q)
 	if err != nil {
 		t.Fatal(err)
+	}
+	strict := &Optimizer{Est: &estimator.Independence{DB: table.NewDB()}}
+	if _, err := strict.ChoosePlan(q); err == nil {
+		t.Fatal("the optimizer accepted a failing estimator")
 	}
 	res := resilience.NewResilient(resilience.Config{
 		LastResort: resilience.RowCount{DB: db},
 	}, resilience.Stage{Name: "broken", Est: brokenEst{}})
-	opt := &Optimizer{DB: db, Est: res}
-	plan, err := opt.ChoosePlanCtx(context.Background(), q)
+	opt := &Optimizer{Est: res}
+	plan, err := opt.ChoosePlan(q)
 	if err != nil {
 		t.Fatalf("resilient optimizer aborted: %v", err)
 	}
@@ -234,30 +200,6 @@ func TestOptimizerWithResilientEstimatorNeverAborts(t *testing.T) {
 	stats := res.Stats()
 	if stats[0].Failed == 0 {
 		t.Error("broken stage never charged — the chain was not exercised")
-	}
-}
-
-func TestChoosePlanCtxHonorsSpentDeadline(t *testing.T) {
-	db := testDB(t)
-	q := sqlparse.MustParse(`SELECT count(*) FROM title, cast_info
-		WHERE title.id = cast_info.movie_id AND cast_info.role_id = 1`)
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-
-	// Strict: a spent deadline aborts planning.
-	strict := &Optimizer{DB: db, Est: &estimator.Oracle{DB: db}}
-	if _, err := strict.ChoosePlanCtx(ctx, q); err == nil {
-		t.Fatal("spent deadline did not abort strict planning")
-	}
-
-	// Degrading: the plan is built entirely from heuristic estimates.
-	degrading := &Optimizer{DB: db, Est: &estimator.Oracle{DB: db}, Degrade: true}
-	plan, err := degrading.ChoosePlanCtx(ctx, q)
-	if err != nil {
-		t.Fatalf("degrading planner aborted on a spent deadline: %v", err)
-	}
-	if plan.DegradedEstimates == 0 {
-		t.Error("spent deadline produced no degraded estimates")
 	}
 }
 
@@ -292,11 +234,11 @@ func TestRunWorkloadOrdersEstimators(t *testing.T) {
 	}
 	queries := set.Queries()
 
-	indTime, indStats, err := RunWorkload(db, &Optimizer{DB: db, Est: &estimator.Independence{DB: db}}, queries)
+	indTime, indStats, err := RunWorkload(db, &Optimizer{Est: &estimator.Independence{DB: db}}, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oraTime, oraStats, err := RunWorkload(db, &Optimizer{DB: db, Est: &estimator.Oracle{DB: db}}, queries)
+	oraTime, oraStats, err := RunWorkload(db, &Optimizer{Est: &estimator.Oracle{DB: db}}, queries)
 	if err != nil {
 		t.Fatal(err)
 	}

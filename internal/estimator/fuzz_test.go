@@ -90,6 +90,9 @@ func FuzzLoadEstimator(f *testing.F) {
 		f.Add(bytes.Replace(seed, []byte(`"kind":"`), []byte(`"kind":"x`), 1))
 	}
 	f.Add(withFirstPayload(f, seeds[0], sharedChildPayload)) // a forest that validates node by node but does not compile
+	for _, snap := range wrongWidthSnapshots(f) {            // valid models of the wrong input width
+		f.Add(snap.data)
+	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"format":1,"kind":"local"}`))
 	f.Add([]byte(`{"format":1,"kind":"hybrid","fallback":"independence"}`))

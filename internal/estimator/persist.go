@@ -171,6 +171,9 @@ func LoadLocal(r io.Reader) (*Local, error) {
 		if err := unmarshalRegressor(lm.reg, sm.Payload); err != nil {
 			return nil, fmt.Errorf("estimator: restore sub-schema %v: %w", sm.Tables, err)
 		}
+		if got := regressorDim(lm.reg); got != lm.dim() {
+			return nil, fmt.Errorf("estimator: sub-schema %v model expects dim %d but featurizer produces %d", sm.Tables, got, lm.dim())
+		}
 		l.models[catalog.SubSchemaKey(lm.tables)] = lm
 	}
 	return l, nil
@@ -263,10 +266,8 @@ func LoadGlobal(r io.Reader) (*Global, error) {
 	if err := unmarshalRegressor(g.reg, s.Payload); err != nil {
 		return nil, fmt.Errorf("estimator: restore global model: %w", err)
 	}
-	// A structurally valid model trained for a different schema still has the
-	// wrong input width; catch the mismatch at load time, not per estimate.
-	if gbr, ok := g.reg.(*GBRegressor); ok && gbr.model.Dim != gf.Dim() {
-		return nil, fmt.Errorf("estimator: global model expects dim %d but featurizer produces %d", gbr.model.Dim, gf.Dim())
+	if got := regressorDim(g.reg); got != gf.Dim() {
+		return nil, fmt.Errorf("estimator: global model expects dim %d but featurizer produces %d", got, gf.Dim())
 	}
 	return g, nil
 }
@@ -443,4 +444,19 @@ func unmarshalRegressor(r Regressor, payload json.RawMessage) error {
 		return nil
 	}
 	return fmt.Errorf("regressor %T is not restorable", r)
+}
+
+// regressorDim returns the input width of a regressor unmarshalRegressor has
+// restored. A structurally valid model trained for another schema or another
+// MaxEntriesPerAttr still has the wrong width, and Predict panics on it; the
+// loaders compare it with their featurizer's so the mismatch fails the load,
+// not the first estimate.
+func regressorDim(r Regressor) int {
+	switch reg := r.(type) {
+	case *GBRegressor:
+		return reg.model.Dim
+	case *NNRegressor:
+		return reg.model.Dim()
+	}
+	return -1
 }

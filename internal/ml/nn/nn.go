@@ -422,6 +422,10 @@ func (m *Model) Predict(x []float64) float64 {
 	return out
 }
 
+// Dim reports the input width the network was trained for; Predict panics on
+// any other.
+func (m *Model) Dim() int { return m.dim }
+
 // NumParams returns the trainable parameter count.
 func (m *Model) NumParams() int {
 	total := 0

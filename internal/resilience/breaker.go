@@ -70,13 +70,12 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu          sync.Mutex
-	state       BreakerState
-	failures    int // consecutive failures while closed
-	successes   int // consecutive probe successes while half-open
-	openedAt    time.Time
-	probeInUse  bool // a half-open probe is in flight
-	transitions int
+	mu         sync.Mutex
+	state      BreakerState
+	failures   int // consecutive failures while closed
+	successes  int // consecutive probe successes while half-open
+	openedAt   time.Time
+	probeInUse bool // a half-open probe is in flight
 }
 
 // NewBreaker builds a breaker with cfg (zero fields take defaults).
@@ -97,7 +96,7 @@ func (b *Breaker) Allow() bool {
 		if b.cfg.Clock().Sub(b.openedAt) < b.cfg.Cooldown {
 			return false
 		}
-		b.setState(StateHalfOpen)
+		b.state = StateHalfOpen
 		b.successes = 0
 		b.probeInUse = true
 		return true
@@ -122,7 +121,7 @@ func (b *Breaker) Success() {
 		b.probeInUse = false
 		b.successes++
 		if b.successes >= b.cfg.HalfOpenProbes {
-			b.setState(StateClosed)
+			b.state = StateClosed
 			b.failures = 0
 		}
 	}
@@ -137,12 +136,12 @@ func (b *Breaker) Failure() {
 	case StateClosed:
 		b.failures++
 		if b.failures >= b.cfg.FailureThreshold {
-			b.setState(StateOpen)
+			b.state = StateOpen
 			b.openedAt = b.cfg.Clock()
 		}
 	case StateHalfOpen:
 		b.probeInUse = false
-		b.setState(StateOpen)
+		b.state = StateOpen
 		b.openedAt = b.cfg.Clock()
 	}
 }
@@ -153,19 +152,4 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Transitions counts state changes; useful to assert breaker activity in
-// tests without poking at internals.
-func (b *Breaker) Transitions() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.transitions
-}
-
-func (b *Breaker) setState(s BreakerState) {
-	if b.state != s {
-		b.state = s
-		b.transitions++
-	}
 }

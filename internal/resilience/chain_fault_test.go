@@ -18,15 +18,12 @@ import (
 // fixed seeds, so a failure here reproduces exactly.
 
 // buildFaultyChain wires a three-stage chain (each stage a fault-injected
-// constant estimator) with a row-count last resort and instant retry sleeps.
+// constant estimator) with a row-count last resort.
 func buildFaultyChain(cfg faultinject.Config, chainCfg Config) (*Resilient, []*faultinject.Injector) {
 	injectors := []*faultinject.Injector{
 		faultinject.New(Constant{Value: 1000}, cfg),
 		faultinject.New(Constant{Value: 500}, withSeed(cfg, cfg.Seed+1)),
 		faultinject.New(Constant{Value: 250}, withSeed(cfg, cfg.Seed+2)),
-	}
-	if chainCfg.Sleep == nil {
-		chainCfg.Sleep = noSleep
 	}
 	if chainCfg.LastResort == nil {
 		chainCfg.LastResort = RowCount{}
@@ -55,7 +52,6 @@ func TestChainSurvivesMixedFaultStorm(t *testing.T) {
 		InfRate:      0.05,
 		NegativeRate: 0.05,
 	}, Config{
-		Retry:   RetryConfig{MaxAttempts: 2, JitterSeed: 9},
 		Breaker: BreakerConfig{FailureThreshold: 4, Cooldown: time.Millisecond, HalfOpenProbes: 1},
 	})
 	const calls = 1000
@@ -164,7 +160,6 @@ func TestChainIsDeterministic(t *testing.T) {
 			NaNRate:      0.1,
 			NegativeRate: 0.1,
 		}, Config{
-			Retry:   RetryConfig{MaxAttempts: 2, JitterSeed: 3},
 			Breaker: BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour},
 		})
 		out := make([]outcome, 300)
@@ -190,7 +185,6 @@ func TestChainBreakerRecoversViaHalfOpenProbes(t *testing.T) {
 	clock := newFakeClock()
 	primary := failing(faultinject.ErrInjected)
 	r := NewResilient(Config{
-		Sleep: noSleep,
 		Breaker: BreakerConfig{
 			FailureThreshold: 2,
 			Cooldown:         30 * time.Second,
@@ -254,7 +248,6 @@ func TestChainUnderConcurrentLoad(t *testing.T) {
 		ErrorRate: 0.2,
 		NaNRate:   0.1,
 	}, Config{
-		Retry:   RetryConfig{MaxAttempts: 2, JitterSeed: 5},
 		Breaker: BreakerConfig{FailureThreshold: 5, Cooldown: time.Millisecond},
 	})
 	const workers, perWorker = 8, 100

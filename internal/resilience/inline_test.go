@@ -133,7 +133,7 @@ func TestInlinePanicIsIsolated(t *testing.T) {
 		}
 	}
 
-	r := NewResilient(Config{Sleep: noSleep},
+	r := NewResilient(Config{},
 		Stage{Name: "learned", Est: local},
 		Stage{Name: "independence", Est: &estimator.Independence{DB: db}},
 	)

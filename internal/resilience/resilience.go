@@ -1,6 +1,6 @@
 // Package resilience hardens the estimation pipeline for serving: it wraps
-// any estimator.Estimator in deadlines, panic isolation, retries, a circuit
-// breaker, and a graceful-degradation chain so that an estimate is *always*
+// any estimator.Estimator in deadlines, panic isolation, a circuit breaker,
+// and a graceful-degradation chain so that an estimate is *always*
 // returned — a failing learned model degrades the answer's quality, never
 // the system's availability.
 //
@@ -10,7 +10,10 @@
 //	learned model → Bernoulli sampling → independence assumption → row-count heuristic
 //
 // where each stage is tried in order and the first valid (finite, >= 1)
-// estimate wins. Every stage is guarded by:
+// estimate wins. A stage that fails is not tried again within the request —
+// the estimators are deterministic in-process code, so the same call would
+// fail the same way; the chain moves on to the next stage instead. Every
+// stage is guarded by:
 //
 //   - a per-call deadline (context.Context), enforced even when the
 //     underlying estimator ignores contexts: an estimator.ContextEstimator
@@ -18,8 +21,6 @@
 //     deadline, any other estimator runs on a goroutine that is abandoned
 //     at it;
 //   - panic recovery, converting panics in model code into stage errors;
-//   - retry with capped exponential backoff and deterministic jitter for
-//     transient faults;
 //   - a circuit breaker with half-open probing, so a persistently failing
 //     stage stops being invoked on the hot path and is re-admitted only
 //     after it proves healthy again.
@@ -63,8 +64,6 @@ type Config struct {
 	Timeout time.Duration
 	// Breaker configures every stage's circuit breaker.
 	Breaker BreakerConfig
-	// Retry configures every stage's retry policy (default: no retries).
-	Retry RetryConfig
 	// LastResort produces the estimate when every stage fails or the
 	// deadline is spent. It should be total (never error); RowCount is the
 	// intended choice. Nil means a constant estimate of DefaultEstimate.
@@ -72,9 +71,6 @@ type Config struct {
 	// DefaultEstimate is returned if even LastResort fails. Default 1, the
 	// paper's minimum cardinality.
 	DefaultEstimate float64
-	// Sleep overrides the retry-backoff sleep for tests. Default sleeps on
-	// a real timer, honoring ctx.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 // stageState is a Stage plus its runtime guards and counters.
@@ -82,11 +78,10 @@ type stageState struct {
 	name    string
 	est     estimator.Estimator
 	breaker *Breaker
-	backoff *backoff
 
 	mu      sync.Mutex
 	served  int // calls this stage answered
-	failed  int // calls this stage failed (after retries)
+	failed  int // calls this stage failed
 	skipped int // calls skipped because the breaker was open
 }
 
@@ -106,7 +101,6 @@ type Resilient struct {
 	cfg        Config
 	stages     []*stageState
 	lastResort estimator.Estimator
-	sleep      func(ctx context.Context, d time.Duration) error
 }
 
 // NewResilient builds the degradation chain over stages, tried in order.
@@ -114,28 +108,16 @@ func NewResilient(cfg Config, stages ...Stage) *Resilient {
 	if cfg.DefaultEstimate < 1 || math.IsNaN(cfg.DefaultEstimate) || math.IsInf(cfg.DefaultEstimate, 0) {
 		cfg.DefaultEstimate = 1
 	}
-	r := &Resilient{cfg: cfg, lastResort: cfg.LastResort, sleep: cfg.Sleep}
+	r := &Resilient{cfg: cfg, lastResort: cfg.LastResort}
 	if r.lastResort == nil {
 		r.lastResort = Constant{Value: cfg.DefaultEstimate}
 	}
-	if r.sleep == nil {
-		r.sleep = sleepCtx
-	}
-	for i, s := range stages {
+	for _, s := range stages {
 		name := s.Name
 		if name == "" {
 			name = s.Est.Name()
 		}
-		// Each stage gets its own jitter stream so retry timing stays
-		// deterministic per stage regardless of the others' call volume.
-		rc := cfg.Retry
-		rc.JitterSeed += int64(i)
-		r.stages = append(r.stages, &stageState{
-			name:    name,
-			est:     s.Est,
-			breaker: NewBreaker(cfg.Breaker),
-			backoff: newBackoff(rc),
-		})
+		r.stages = append(r.stages, &stageState{name: name, est: s.Est, breaker: NewBreaker(cfg.Breaker)})
 	}
 	return r
 }
@@ -227,39 +209,23 @@ func (r *Resilient) EstimateDetailed(ctx context.Context, q *sqlparse.Query) Res
 	return res
 }
 
-// attempt runs one stage with retries. Exactly one breaker outcome is
-// reported per call: Success on a valid estimate, Failure once every attempt
-// is exhausted (pairing the Allow that admitted the call).
+// attempt runs one stage once and reports exactly one breaker outcome,
+// pairing the Allow that admitted the call: Success on a valid estimate,
+// Failure on an error, a panic, a spent deadline or an invalid value.
 func (r *Resilient) attempt(ctx context.Context, s *stageState, q *sqlparse.Query) (float64, error) {
-	var lastErr error
-	for k := 0; k < s.backoff.cfg.MaxAttempts; k++ {
-		if k > 0 {
-			if err := r.sleep(ctx, s.backoff.delay(k)); err != nil {
-				lastErr = err
-				break
-			}
-		}
-		v, err := callGuarded(ctx, s.name, s.est, q)
-		if err == nil {
-			if validEstimate(v) {
-				s.breaker.Success()
-				if v < 1 {
-					v = 1
-				}
-				return v, nil
-			}
-			err = fmt.Errorf("resilience: stage %s returned invalid estimate %v", s.name, v)
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break // the deadline is spent; retrying cannot help
-		}
+	v, err := callGuarded(ctx, s.name, s.est, q)
+	if err == nil && !validEstimate(v) {
+		err = fmt.Errorf("resilience: stage %s returned invalid estimate %v", s.name, v)
 	}
-	s.breaker.Failure()
-	return 0, lastErr
+	if err != nil {
+		s.breaker.Failure()
+		return 0, err
+	}
+	s.breaker.Success()
+	return max(v, 1), nil
 }
 
-// callGuarded runs one estimate attempt with panic isolation and deadline
+// callGuarded runs one stage call with panic isolation and deadline
 // enforcement. The estimator's type decides how.
 //
 // A ContextEstimator has promised to return ctx.Err() promptly, so it runs on

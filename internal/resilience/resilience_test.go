@@ -52,9 +52,6 @@ func panicking() *stubEst {
 	return &stubEst{name: "panicking", fn: func(int) (float64, error) { panic("model exploded") }}
 }
 
-// noSleep replaces the backoff sleep so retry tests run instantly.
-func noSleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
-
 // fakeClock drives breaker cooldowns without real time.
 type fakeClock struct {
 	mu sync.Mutex
@@ -88,7 +85,7 @@ func TestHealthyFirstStageServes(t *testing.T) {
 
 func TestDegradesPastFailingStage(t *testing.T) {
 	boom := errors.New("boom")
-	r := NewResilient(Config{Sleep: noSleep},
+	r := NewResilient(Config{},
 		Stage{Est: failing(boom)},
 		Stage{Est: healthy(7)},
 	)
@@ -105,7 +102,7 @@ func TestDegradesPastFailingStage(t *testing.T) {
 }
 
 func TestPanicIsIsolated(t *testing.T) {
-	r := NewResilient(Config{Sleep: noSleep},
+	r := NewResilient(Config{},
 		Stage{Est: panicking()},
 		Stage{Est: healthy(9)},
 	)
@@ -120,7 +117,7 @@ func TestPanicIsIsolated(t *testing.T) {
 
 func TestInvalidEstimatesAreRejected(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3} {
-		r := NewResilient(Config{Sleep: noSleep},
+		r := NewResilient(Config{},
 			Stage{Name: "bad", Est: healthy(bad)},
 			Stage{Est: healthy(5)},
 		)
@@ -138,7 +135,7 @@ func TestInvalidEstimatesAreRejected(t *testing.T) {
 }
 
 func TestLastResortAlwaysAnswers(t *testing.T) {
-	r := NewResilient(Config{Sleep: noSleep, LastResort: RowCount{}},
+	r := NewResilient(Config{LastResort: RowCount{}},
 		Stage{Est: failing(errors.New("a"))},
 		Stage{Est: panicking()},
 	)
@@ -201,56 +198,6 @@ func TestCallerDeadlineWins(t *testing.T) {
 	if res.Estimate != 3 {
 		t.Fatalf("expected last resort, got %+v", res)
 	}
-}
-
-func TestRetryRecoversTransientFault(t *testing.T) {
-	transient := &stubEst{name: "flaky", fn: func(call int) (float64, error) {
-		if call%3 != 0 {
-			return 0, errors.New("transient")
-		}
-		return 50, nil
-	}}
-	r := NewResilient(Config{
-		Sleep: noSleep,
-		Retry: RetryConfig{MaxAttempts: 3, JitterSeed: 1},
-	}, Stage{Est: transient})
-	res := r.EstimateDetailed(context.Background(), testQuery)
-	if res.Estimate != 50 || res.Stage != "flaky" {
-		t.Fatalf("retry did not recover the transient fault: %+v", res)
-	}
-	if transient.callCount() != 3 {
-		t.Fatalf("expected 3 attempts, saw %d", transient.callCount())
-	}
-	// The stage succeeded after retries, so the breaker must still be
-	// closed and uncharged.
-	if st := r.Stats()[0]; st.State != StateClosed || st.Failed != 0 || st.Served != 1 {
-		t.Fatalf("unexpected stage stats %+v", st)
-	}
-}
-
-func TestBackoffIsDeterministicAndCapped(t *testing.T) {
-	a := newBackoff(RetryConfig{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, JitterSeed: 42})
-	b := newBackoff(RetryConfig{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, JitterSeed: 42})
-	for k := 1; k <= 8; k++ {
-		da, db := a.delay(k), b.delay(k)
-		if da != db {
-			t.Fatalf("same seed diverged at attempt %d: %v vs %v", k, da, db)
-		}
-		if da > 10*time.Millisecond {
-			t.Fatalf("attempt %d delay %v exceeds the cap", k, da)
-		}
-		if da < time.Millisecond/2 && k >= 1 {
-			t.Fatalf("attempt %d delay %v below the half-base jitter floor", k, da)
-		}
-	}
-	c := newBackoff(RetryConfig{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, JitterSeed: 43})
-	diverged := false
-	for k := 1; k <= 8; k++ {
-		if c.delay(k) != a.delay(k) {
-			diverged = true
-		}
-	}
-	_ = diverged // different seeds usually differ, but equality is not an error
 }
 
 func TestBreakerLifecycle(t *testing.T) {
@@ -319,7 +266,6 @@ func TestBreakerShortCircuitsHotPath(t *testing.T) {
 	dead := failing(boom)
 	backup := healthy(5)
 	r := NewResilient(Config{
-		Sleep:   noSleep,
 		Breaker: BreakerConfig{FailureThreshold: 3, Cooldown: time.Minute, HalfOpenProbes: 1, Clock: clock.now},
 	},
 		Stage{Est: dead},
@@ -361,7 +307,7 @@ func TestBreakerShortCircuitsHotPath(t *testing.T) {
 }
 
 func TestEstimateNeverErrors(t *testing.T) {
-	r := NewResilient(Config{Sleep: noSleep},
+	r := NewResilient(Config{},
 		Stage{Est: failing(errors.New("x"))},
 		Stage{Est: panicking()},
 		Stage{Est: healthy(math.NaN())},

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"time"
 
@@ -19,8 +20,8 @@ import (
 // passing candidate is durably persisted to the crash-safe store before it
 // takes traffic, and the reverse path — quarantine a degraded generation,
 // roll the registry back to the previous good one — is the same machinery
-// run in the other direction. The supervisor (supervisor.go) drives the
-// reverse path automatically; POST /v1/models/rollback drives it manually.
+// run in the other direction. ProbeEvery drives the reverse path
+// automatically; POST /v1/models/rollback drives it manually.
 //
 // Locking: one mutex serializes lifecycle transitions (publish, probe,
 // rollback). Canary runs execute under it — transitions are rare and must
@@ -74,7 +75,7 @@ type PublishSpec struct {
 	MakeDefault bool
 }
 
-// liveModel tracks the store-backed default the supervisor watches.
+// liveModel tracks the store-backed default the probe loop watches.
 type liveModel struct {
 	name     string
 	gen      uint64 // store generation, 0 when not persisted
@@ -357,7 +358,7 @@ func (lc *Lifecycle) registerLocked(name string, est estimator.Estimator, kind, 
 	return Publication{Info: info, Canary: res}, nil
 }
 
-// ProbeOutcome reports one supervisor probe.
+// ProbeOutcome reports one probe of the live model.
 type ProbeOutcome struct {
 	// Probed is false when no lifecycle-managed model is live.
 	Probed bool `json:"probed"`
@@ -384,7 +385,7 @@ func (lc *Lifecycle) Probe(ctx context.Context) (ProbeOutcome, error) {
 	baseline := lc.live.baseline
 	res := RunCanary(ctx, lc.live.bare, lc.canary, &baseline)
 	if !res.Pass && ctx.Err() != nil {
-		// An interrupted probe (supervisor shutting down, caller gone) says
+		// An interrupted probe (probe loop stopping, caller gone) says
 		// nothing about the model: report the cancellation without recording
 		// a verdict or rolling anything back.
 		return ProbeOutcome{Probed: true, Result: res}, fmt.Errorf("serve: probe interrupted: %w", ctx.Err())
@@ -406,4 +407,41 @@ func (lc *Lifecycle) Probe(ctx context.Context) (ProbeOutcome, error) {
 	out.RolledBack = true
 	out.RolledBackTo = pub
 	return out, nil
+}
+
+// ProbeEvery re-runs Probe every interval (which must be positive) on a
+// goroutine of its own until ctx ends, so a model that degrades after publish
+// — drifted data, a dependency gone bad, memory corruption — is caught by
+// the gate that admitted it, quarantined and rolled back without an operator.
+// All judgement lives in Probe, which serializes with every other lifecycle
+// transition; the loop provides only the clock and logs what deserves a
+// human's attention. The returned stop cancels an in-flight canary run and
+// waits for the goroutine; it is safe to call more than once.
+func (lc *Lifecycle) ProbeEvery(ctx context.Context, interval time.Duration) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+			}
+			out, err := lc.Probe(ctx)
+			switch {
+			case err != nil:
+				log.Printf("serve: supervisor probe: %v", err)
+			case out.RolledBack:
+				log.Printf("serve: supervisor rolled back to generation %d: %s",
+					out.RolledBackTo.Info.StoreGeneration, out.Result.Reason)
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
 }

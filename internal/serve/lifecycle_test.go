@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,13 +364,12 @@ func TestQuarantineFailureAbortsWalk(t *testing.T) {
 	}
 }
 
-// ---- supervisor ----
+// ---- supervision: Probe and the loop that runs it ----
 
 // TestSupervisorAutoRollback is the live-degradation scenario: a model that
 // passed its admission canary starts failing in production (injected via
-// faultinject), the supervisor's probe catches it, quarantines its
-// generation, and promotes the previous good generation — all without an
-// operator.
+// faultinject), a probe catches it, quarantines its generation, and promotes
+// the previous good generation — all without an operator.
 func TestSupervisorAutoRollback(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	db, canaryWS, good, _ := lifecycleEnv(t)
@@ -395,22 +397,15 @@ func TestSupervisorAutoRollback(t *testing.T) {
 		t.Fatalf("clean injector failed its admission canary: %v", err)
 	}
 
-	sv := StartSupervisor(SupervisorConfig{
-		Lifecycle: lc,
-		Interval:  time.Hour, // probes only via ProbeNow: deterministic
-		Logf:      t.Logf,
-	})
-	defer sv.Close()
-
 	// Healthy probe: no rollback, canary status refreshed in the registry.
-	out, err := sv.ProbeNow()
+	out, err := lc.Probe(context.Background())
 	if err != nil || !out.Probed || !out.Result.Pass || out.RolledBack {
 		t.Fatalf("healthy probe: %+v err=%v", out, err)
 	}
 
 	// The live model degrades: every call now errors.
 	inj.SetConfig(faultinject.Config{Seed: 2, ErrorRate: 1})
-	out, err = sv.ProbeNow()
+	out, err = lc.Probe(context.Background())
 	if err != nil {
 		t.Fatalf("degraded probe: %v", err)
 	}
@@ -428,24 +423,105 @@ func TestSupervisorAutoRollback(t *testing.T) {
 	}
 
 	// A post-rollback probe of the restored model passes again.
-	if out, err := sv.ProbeNow(); err != nil || !out.Result.Pass || out.RolledBack {
+	if out, err := lc.Probe(context.Background()); err != nil || !out.Result.Pass || out.RolledBack {
 		t.Fatalf("post-rollback probe: %+v err=%v", out, err)
 	}
 }
 
+// TestSupervisorCloseIdempotent: the probe loop's stop waits for the goroutine
+// (VerifyNoLeaks) and may be called again; with nothing live its scheduled
+// probes are no-ops.
 func TestSupervisorCloseIdempotent(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	lc, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := StartSupervisor(SupervisorConfig{Lifecycle: lc, Interval: time.Millisecond, Logf: t.Logf})
+	stop := lc.ProbeEvery(context.Background(), time.Millisecond)
 	time.Sleep(5 * time.Millisecond) // let a few (no-op) scheduled probes fire
-	sv.Close()
-	sv.Close()
-	if out, err := sv.ProbeNow(); err != nil || out.Probed {
-		t.Fatalf("probe after close: %+v err=%v, want zero outcome", out, err)
+	stop()
+	stop()
+}
+
+// TestProbeEveryRollsBackAndStopsMidCanary drives the loop itself: on its own
+// clock it catches a model that degraded after publish, rolls back and logs
+// the line an operator greps for; and stop returns promptly while a canary
+// run is stuck inside a slow model, because it cancels the probe's context.
+func TestProbeEveryRollsBackAndStopsMidCanary(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	var logged bytes.Buffer // read only after stop has joined the one goroutine that logs
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	db, canaryWS, good, _ := lifecycleEnv(t)
+	lc, reg := newLifecycle(t, t.TempDir(), looseCanary(canaryWS), db)
+	publish := func(est estimator.Estimator) uint64 {
+		t.Helper()
+		pub, err := lc.Publish(context.Background(), PublishSpec{
+			Name: "live", Est: est, Kind: "local", Snapshot: snapshotBytes(t, good), MakeDefault: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pub.Info.StoreGeneration
 	}
+	liveGen := func() uint64 {
+		_, info, _ := reg.Resolve("")
+		return info.StoreGeneration
+	}
+	gen1 := publish(good)
+	inj := faultinject.New(good, faultinject.Config{Seed: 1})
+	publish(inj)
+	inj.SetConfig(faultinject.Config{Seed: 2, ErrorRate: 1})
+
+	stop := lc.ProbeEvery(context.Background(), time.Millisecond)
+	for deadline := time.Now().Add(10 * time.Second); liveGen() != gen1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	if want := fmt.Sprintf("serve: supervisor rolled back to generation %d: ", gen1); !strings.Contains(logged.String(), want) {
+		t.Fatalf("live generation %d, log %q: want a rollback to %d and %q", liveGen(), logged.String(), gen1, want)
+	}
+
+	// A third generation that, once published, hangs in every estimate until
+	// its context ends: the probe that picks it up sits in its canary until
+	// stop cancels it, and an interrupted probe is no verdict on the model.
+	hung := &hangingEst{Estimator: good, entered: make(chan struct{}, 1)}
+	gen3 := publish(hung)
+	hung.hang.Store(true)
+	stop = lc.ProbeEvery(context.Background(), time.Millisecond)
+	select {
+	case <-hung.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the probe loop never reached the hanging model")
+	}
+	stop()
+	if !strings.Contains(logged.String(), "serve: supervisor probe: serve: probe interrupted") {
+		t.Fatalf("log %q lacks the interrupted-probe line", logged.String())
+	}
+	if liveGen() != gen3 {
+		t.Fatalf("an interrupted probe moved the default to generation %d", liveGen())
+	}
+}
+
+// hangingEst is its embedded estimator until hang is set; from then on every
+// estimate announces itself on entered and blocks until its context ends.
+type hangingEst struct {
+	estimator.Estimator
+	hang    atomic.Bool
+	entered chan struct{}
+}
+
+func (h *hangingEst) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
+	if !h.hang.Load() {
+		return estimator.EstimateWithContext(ctx, h.Estimator, q)
+	}
+	select {
+	case h.entered <- struct{}{}:
+	default:
+	}
+	<-ctx.Done()
+	return 0, ctx.Err()
 }
 
 // ---- end-to-end over a real listener ----
@@ -541,10 +617,8 @@ func TestCanaryGateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := StartSupervisor(SupervisorConfig{Lifecycle: lc, Interval: time.Hour, Logf: t.Logf})
-	defer sv.Close()
 	inj.SetConfig(faultinject.Config{Seed: 2, ErrorRate: 1})
-	out, err := sv.ProbeNow()
+	out, err := lc.Probe(context.Background())
 	if err != nil || !out.RolledBack {
 		t.Fatalf("supervised rollback: %+v err=%v", out, err)
 	}

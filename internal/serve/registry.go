@@ -45,7 +45,7 @@ type ModelInfo struct {
 	// (0 when the model was never persisted through the lifecycle).
 	StoreGeneration uint64 `json:"storeGeneration,omitempty"`
 	// Canary is the latest canary verdict for this entry: the admitting run
-	// at publish time, refreshed by every supervisor probe.
+	// at publish time, refreshed by every Probe.
 	Canary *CanaryResult `json:"canary,omitempty"`
 }
 
@@ -140,7 +140,7 @@ func (r *Registry) List() ([]ModelInfo, string) {
 }
 
 // UpdateInfo rewrites name's published info in place (same estimator, no
-// re-wrap, no registry generation bump): the supervisor uses it to refresh
+// re-wrap, no registry generation bump): Probe uses it to refresh
 // canary status without disturbing traffic. mutate receives a copy; the
 // mutated copy is published atomically.
 func (r *Registry) UpdateInfo(name string, mutate func(*ModelInfo)) error {

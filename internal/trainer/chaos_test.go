@@ -1,9 +1,9 @@
 package trainer
 
 // The self-healing acceptance test: injected drift trips the monitor, the
-// controller submits a supervised retraining job, the job's first two
-// attempts die mid-training — a process crash and a torn write, both on
-// the checkpoint path — and the third attempt resumes from the last
+// controller starts a retrain whose first two attempts die mid-training —
+// a process crash and a torn write, both on the checkpoint path — and the
+// third attempt resumes from the last
 // durable checkpoint, clears the canary gate, and publishes a new store
 // generation. No model reaches traffic except through the lifecycle, no
 // valid generation is quarantined, and no goroutine outlives the test.
@@ -195,8 +195,6 @@ func TestSelfHealingRetrainSurvivesChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sup := NewSupervisor()
-	defer sup.Close()
 	var ctrl *Controller
 	mon, err := drift.NewMonitor(env.db, drift.MonitorConfig{
 		QError:  drift.QErrorConfig{Delta: 0.05, Lambda: 2, MinSamples: 5, MaxLogQ: 20},
@@ -207,8 +205,7 @@ func TestSelfHealingRetrainSurvivesChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl, err = NewController(ControllerConfig{
-		Supervisor: sup,
-		Retrainer:  ret,
+		Retrain:    ret.Run,
 		Monitor:    mon,
 		Backoff:    time.Millisecond,
 		MaxBackoff: 4 * time.Millisecond,
@@ -216,6 +213,7 @@ func TestSelfHealingRetrainSurvivesChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ctrl.Close()
 
 	// Inject drift: healthy feedback to seed the baseline, then a burst of
 	// three-orders-of-magnitude q-errors until the alarm fires.
@@ -223,22 +221,14 @@ func TestSelfHealingRetrainSurvivesChaos(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		mon.ObserveFeedback(q, 100, 100, true)
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 20 && len(jobs(ctrl)) == 0; i++ {
 		mon.ObserveFeedback(q, 1, 1e6, true)
-		if _, ok := sup.Job("retrain"); ok {
-			break
-		}
 	}
-	if _, ok := sup.Job("retrain"); !ok {
+	if len(jobs(ctrl)) == 0 {
 		t.Fatal("injected drift never started a retraining job")
 	}
 
-	select {
-	case <-sup.Done("retrain"):
-	case <-time.After(120 * time.Second):
-		t.Fatal("retraining job did not finish")
-	}
-	st, _ := sup.Job("retrain")
+	st := waitTerminal(t, ctrl)
 	if st.State != JobDone {
 		t.Fatalf("job state = %v (attempts %d, last error %q), want done", st.State, st.Attempts, st.LastError)
 	}

@@ -1,7 +1,7 @@
 // Package trainer closes the self-healing loop around the serving stack:
-// when internal/drift detects that the live model has gone stale, a
-// supervised retraining job relabels the training workload against the
-// current data, refits the estimator, and offers the result to the
+// when internal/drift detects that the live model has gone stale, the
+// Controller starts a retrain that relabels the training workload against
+// the current data, refits the estimator, and offers the result to the
 // serve.Lifecycle canary gate. Nothing in this package publishes a model
 // directly — a retrained model that cannot beat the canary never takes
 // traffic, exactly like any other candidate.
@@ -10,9 +10,10 @@
 // epoch/tree loop periodically persist CRC-framed checkpoints through
 // internal/store's fsync+rename machinery, so a crashed or SIGTERM'd
 // retrain resumes from its last durable checkpoint instead of restarting.
-// Jobs run under a Supervisor with exponential-backoff restarts, a
-// poison-pill counter that quarantines a job after repeated failures, and
-// per-attempt deadlines.
+// The Controller owns the one goroutine a retrain runs on — stopped through
+// a context and joined by Close — and restarts a failed attempt after an
+// exponential backoff, with a poison-pill counter that quarantines the
+// retrain after repeated failures; a canary rejection is never retried.
 package trainer
 
 import (

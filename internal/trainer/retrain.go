@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
@@ -32,9 +31,6 @@ type RetrainConfig struct {
 	Name string
 	// Checkpoint, when non-nil, makes the job resumable across crashes.
 	Checkpoint Checkpointer
-	// LabelChunk is how many queries are labeled between checkpoints.
-	// Default 256.
-	LabelChunk int
 	// CheckpointEvery is the model-level checkpoint cadence (trees for GB,
 	// epochs for NN). Default 10.
 	CheckpointEvery int
@@ -61,9 +57,6 @@ func (c *RetrainConfig) withDefaults() error {
 	if c.Name == "" {
 		c.Name = "retrained"
 	}
-	if c.LabelChunk <= 0 {
-		c.LabelChunk = 256
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 10
 	}
@@ -84,29 +77,17 @@ type jobCheckpoint struct {
 const (
 	phaseLabel = "label"
 	phaseTrain = "train"
+
+	// labelChunk is how many queries are labeled between checkpoints.
+	labelChunk = 256
 )
 
 // Retrainer is one resumable retraining pipeline: relabel → refit →
-// canary-gated publish. Run is a JobFunc modulo the error wrapping the
-// Controller adds; a Retrainer is stateless between runs except for its
-// durable checkpoint.
+// canary-gated publish. Run is the Controller's Retrain function; a
+// Retrainer is stateless between runs except for its durable checkpoint.
 type Retrainer struct {
 	cfg RetrainConfig
-
-	journalLabels atomic.Uint64
 }
-
-// noteJournalLabels accumulates how many labels came from journaled
-// feedback instead of exact execution.
-func (r *Retrainer) noteJournalLabels(n int) {
-	if n > 0 {
-		r.journalLabels.Add(uint64(n))
-	}
-}
-
-// JournalLabels reports how many training labels, across all attempts, were
-// satisfied from journaled feedback instead of exact COUNT(*) execution.
-func (r *Retrainer) JournalLabels() uint64 { return r.journalLabels.Load() }
 
 // NewRetrainer validates cfg and returns a Retrainer.
 func NewRetrainer(cfg RetrainConfig) (*Retrainer, error) {
@@ -116,30 +97,32 @@ func NewRetrainer(cfg RetrainConfig) (*Retrainer, error) {
 	return &Retrainer{cfg: cfg}, nil
 }
 
-// Run executes one retraining attempt end to end and returns the
-// publication of the admitted model. A canary rejection surfaces as an
-// error wrapping serve.ErrCanaryRejected with nothing published. The
-// checkpoint is cleared only after a successful publish: a rejected model's
-// checkpoint would resume into the identical rejected model, so it is
-// cleared on rejection too.
-func (r *Retrainer) Run(ctx context.Context) (serve.Publication, error) {
+// Run executes one retraining attempt end to end: the admitted model is the
+// registry default under cfg.Name when it returns nil. journalLabels is how
+// many training labels this attempt took from journaled feedback instead of
+// exact COUNT(*) execution, whatever the outcome. A canary rejection
+// surfaces as an error wrapping serve.ErrCanaryRejected with nothing
+// published. The checkpoint is cleared only after a successful publish: a
+// rejected model's checkpoint would resume into the identical rejected
+// model, so it is cleared on rejection too.
+func (r *Retrainer) Run(ctx context.Context) (journalLabels int, err error) {
 	ck := r.loadCheckpoint()
 
-	labels, err := r.label(ctx, ck)
+	labels, journalLabels, err := r.label(ctx, ck)
 	if err != nil {
-		return serve.Publication{}, err
+		return journalLabels, err
 	}
 
 	loc, err := r.train(ctx, ck, labels)
 	if err != nil {
-		return serve.Publication{}, err
+		return journalLabels, err
 	}
 
 	var snap bytes.Buffer
 	if err := loc.SaveJSON(&snap); err != nil {
-		return serve.Publication{}, fmt.Errorf("trainer: serialize retrained model: %w", err)
+		return journalLabels, fmt.Errorf("trainer: serialize retrained model: %w", err)
 	}
-	pub, err := r.cfg.Lifecycle.Publish(ctx, serve.PublishSpec{
+	_, err = r.cfg.Lifecycle.Publish(ctx, serve.PublishSpec{
 		Name:        r.cfg.Name,
 		Est:         loc,
 		Kind:        estimator.KindLocal,
@@ -147,23 +130,21 @@ func (r *Retrainer) Run(ctx context.Context) (serve.Publication, error) {
 		Snapshot:    snap.Bytes(),
 		MakeDefault: true,
 	})
-	if err != nil {
-		if errors.Is(err, serve.ErrCanaryRejected) {
-			// Resuming this checkpoint would deterministically rebuild the
-			// same rejected model; drop it so the next attempt starts fresh.
-			r.clearCheckpoint()
-		}
-		return pub, err
+	if err == nil || errors.Is(err, serve.ErrCanaryRejected) {
+		// Resuming a rejected model's checkpoint would deterministically
+		// rebuild the same rejected model; drop it so the next attempt
+		// starts fresh.
+		r.clearCheckpoint()
 	}
-	r.clearCheckpoint()
-	return pub, nil
+	return journalLabels, err
 }
 
 // label recomputes ground-truth cardinalities against the live database,
-// resuming from — and periodically saving — the durable label vector.
-func (r *Retrainer) label(ctx context.Context, ck *jobCheckpoint) ([]int64, error) {
+// resuming from — and periodically saving — the durable label vector. hits
+// counts the labels ActualLookup supplied.
+func (r *Retrainer) label(ctx context.Context, ck *jobCheckpoint) (labels []int64, hits int, err error) {
 	n := len(r.cfg.Queries)
-	labels := ck.Labels
+	labels = ck.Labels
 	if len(labels) != n {
 		// No checkpoint, or one for a different workload: start over.
 		labels = make([]int64, n)
@@ -174,14 +155,13 @@ func (r *Retrainer) label(ctx context.Context, ck *jobCheckpoint) ([]int64, erro
 		ck.Phase = phaseLabel
 	}
 	if ck.Phase == phaseTrain {
-		return labels, nil // labeling finished in a previous attempt
+		return labels, 0, nil // labeling finished in a previous attempt
 	}
 
 	if r.cfg.ActualLookup != nil {
 		// Journaled feedback first: every hit is one exact COUNT(*) the
 		// labeling pass no longer pays for. Only still-unlabeled slots are
 		// consulted, so resumed checkpoints keep their earlier labels.
-		hits := 0
 		for i, q := range r.cfg.Queries {
 			if labels[i] >= 0 {
 				continue
@@ -191,12 +171,11 @@ func (r *Retrainer) label(ctx context.Context, ck *jobCheckpoint) ([]int64, erro
 				hits++
 			}
 		}
-		r.noteJournalLabels(hits)
 	}
 
 	cache := exec.NewPredCache(0)
-	for lo := 0; lo < n; lo += r.cfg.LabelChunk {
-		hi := lo + r.cfg.LabelChunk
+	for lo := 0; lo < n; lo += labelChunk {
+		hi := lo + labelChunk
 		if hi > n {
 			hi = n
 		}
@@ -216,15 +195,15 @@ func (r *Retrainer) label(ctx context.Context, ck *jobCheckpoint) ([]int64, erro
 			// Persist what did label before failing: the retry pays only for
 			// the rest.
 			r.saveCheckpoint(&jobCheckpoint{Phase: phaseLabel, Labels: labels})
-			return nil, fmt.Errorf("trainer: label queries [%d,%d): %w", lo, hi, lerr)
+			return nil, hits, fmt.Errorf("trainer: label queries [%d,%d): %w", lo, hi, lerr)
 		}
 		if hi < n {
 			if err := r.saveCheckpoint(&jobCheckpoint{Phase: phaseLabel, Labels: labels}); err != nil {
-				return nil, err
+				return nil, hits, err
 			}
 		}
 	}
-	return labels, nil
+	return labels, hits, nil
 }
 
 // train fits a fresh estimator over the labeled workload, checkpointing

@@ -101,14 +101,110 @@ func TestRetrainResumesOnDifferentWorkerCount(t *testing.T) {
 
 	cfg.Workers = 3
 	ck.saves = -1 // never fail again
-	pub, err := ret.Run(context.Background())
-	if err != nil {
+	if _, err := ret.Run(context.Background()); err != nil {
 		t.Fatalf("second attempt, on 3 workers: %v", err)
 	}
-	if _, def := reg.List(); def != "retrained" || pub.Info.Name != "retrained" {
-		t.Fatalf("registry default %q, publication %+v: the resumed model was not published", def, pub)
+	if _, def := reg.List(); def != "retrained" {
+		t.Fatalf("registry default %q: the resumed model was not published", def)
 	}
 	if ck.payload != nil {
 		t.Error("checkpoint survived a successful publish")
 	}
+}
+
+// TestRetrainLabelsFromJournaledActuals: ActualLookup, which the daemon
+// points at the feedback journal's index, labels the queries it knows
+// without executing them — its answers here are cardinalities the executor
+// cannot produce, and they reach the training set untouched — while the rest
+// are counted exactly; Run reports the hits, once; and a resumed label-phase
+// checkpoint keeps its labels and asks the lookup only about the rest.
+func TestRetrainLabelsFromJournaledActuals(t *testing.T) {
+	env := buildChaosEnv(t)
+	reg := serve.NewRegistry()
+	lc, err := serve.NewLifecycle(serve.LifecycleConfig{
+		Registry: reg,
+		DB:       env.db,
+		// Half the labels below are fiction; the gate is not under test.
+		Canary: serve.CanaryConfig{Workload: env.test, MaxMedian: 1e12, MaxP95: 1e12},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(env.train)
+	index := make(map[*sqlparse.Query]int, n)
+	qs := make([]*sqlparse.Query, n)
+	for i := range env.train {
+		qs[i] = env.train[i].Query
+		index[qs[i]] = i
+	}
+	var asked []int
+	ck := &memCheckpointer{saves: 1}
+	ret, err := NewRetrainer(RetrainConfig{
+		DB:              env.db,
+		Queries:         qs,
+		NewEstimator:    newLocalFactory(env.db),
+		Lifecycle:       lc,
+		Checkpoint:      ck,
+		CheckpointEvery: 5,
+		ActualLookup: func(q *sqlparse.Query) (int64, bool) { // knows the even queries
+			asked = append(asked, index[q])
+			return 1_000_000 + int64(index[q]), index[q]%2 == 0 // the table has 3000 rows
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// checkLabels: the first done slots hold a resumed checkpoint's labels,
+	// the even ones after them the lookup's, the odd ones the executor's.
+	checkLabels := func(labels []int64, done int) {
+		t.Helper()
+		for i, got := range labels {
+			want := env.train[i].Card
+			if i < done {
+				want = 5_000_000 + int64(i)
+			} else if i%2 == 0 {
+				want = 1_000_000 + int64(i)
+			}
+			if got != want {
+				t.Fatalf("label %d = %d, want %d", i, got, want)
+			}
+		}
+	}
+
+	// The second mid-fit save fails, which leaves the first — and with it
+	// the label vector the fit is running on — in the checkpointer.
+	hits, err := ret.Run(context.Background())
+	if !errors.Is(err, errDiskFull) || hits != n/2 || len(asked) != n {
+		t.Fatalf("first attempt: %d journal labels from %d lookups, error %v; want %d from %d and the failed save", hits, len(asked), err, n/2, n)
+	}
+	var saved jobCheckpoint
+	if err := json.Unmarshal(ck.payload, &saved); err != nil || saved.Phase != phaseTrain || len(saved.Labels) != n {
+		t.Fatalf("checkpoint phase %q with %d labels (decode error %v), want a train-phase one with %d", saved.Phase, len(saved.Labels), err, n)
+	}
+	checkLabels(saved.Labels, 0)
+
+	// The resumed attempt finds labeling finished: no lookup, no hit counted
+	// twice, and the model fitted on those labels is published.
+	asked, ck.saves = nil, -1
+	if hits, err = ret.Run(context.Background()); err != nil || hits != 0 || len(asked) != 0 {
+		t.Fatalf("resumed attempt: %d journal labels, %d lookups, error %v; want 0, 0, nil", hits, len(asked), err)
+	}
+	if _, def := reg.List(); def != "retrained" {
+		t.Fatalf("registry default %q: the retrained model was not published", def)
+	}
+
+	// A checkpoint written mid-labeling, its first 40 queries labeled.
+	const done = 40
+	partial := &jobCheckpoint{Phase: phaseLabel, Labels: make([]int64, n)}
+	for i := range partial.Labels {
+		partial.Labels[i] = -1
+		if i < done {
+			partial.Labels[i] = 5_000_000 + int64(i)
+		}
+	}
+	labels, hits, err := ret.label(context.Background(), partial)
+	if err != nil || hits != (n-done)/2 || len(asked) != n-done || asked[0] != done {
+		t.Fatalf("resumed labeling: %d journal labels from lookups %v, error %v; want %d from queries %d..%d", hits, asked, err, (n-done)/2, done, n-1)
+	}
+	checkLabels(labels, done)
 }

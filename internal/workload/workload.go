@@ -155,25 +155,6 @@ func generate(db *table.DB, count int, draw func() (*sqlparse.Query, error)) (Se
 	return out, nil
 }
 
-// LabelMany labels qs in parallel (one worker per logical CPU, shared
-// predicate-bitmap cache) and returns the non-empty queries as a Set,
-// preserving input order. Queries with empty results are discarded, matching
-// the generators' rejection rule. Labels are bit-identical to sequential
-// labeling; see exec.CountManyCtx.
-func LabelMany(ctx context.Context, db *table.DB, qs []*sqlparse.Query) (Set, error) {
-	cards, err := exec.CountManyCtx(ctx, db, qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(Set, 0, len(qs))
-	for i, q := range qs {
-		if cards[i] > 0 {
-			out = append(out, Labeled{Query: q, Card: cards[i]})
-		}
-	}
-	return out, nil
-}
-
 // singleDB wraps one table as a DB for the executor.
 func singleDB(t *table.Table) *table.DB {
 	db := table.NewDB()

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 
@@ -472,56 +471,5 @@ func TestGroupByConfigValidation(t *testing.T) {
 	}
 	if _, err := GroupBy(tbl, GroupByConfig{Count: 1, MaxGroupAttrs: 0}); err == nil {
 		t.Error("MaxGroupAttrs=0 accepted")
-	}
-}
-
-func TestLabelManyMatchesSequential(t *testing.T) {
-	tbl := testForest(t)
-	db := singleDB(tbl)
-
-	// Reuse the conjunctive generator's queries so LabelMany sees a
-	// realistic mix, then label them both ways.
-	set, err := Conjunctive(tbl, ConjConfig{Count: 150, MaxAttrs: 4, MaxNotEquals: 2, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := set.Queries()
-
-	got, err := LabelMany(context.Background(), db, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(set) {
-		t.Fatalf("LabelMany kept %d queries, generator labeled %d", len(got), len(set))
-	}
-	for i := range got {
-		if got[i].Query != set[i].Query {
-			t.Fatalf("query %d: order not preserved", i)
-		}
-		if got[i].Card != set[i].Card {
-			t.Fatalf("query %d: LabelMany card %d, sequential %d", i, got[i].Card, set[i].Card)
-		}
-	}
-}
-
-func TestLabelManyDiscardsEmptyAndPropagatesErrors(t *testing.T) {
-	tbl := testForest(t)
-	db := singleDB(tbl)
-	qs := []*sqlparse.Query{
-		// An always-true range keeps every row; an impossible one is empty.
-		sqlparse.MustParse("SELECT count(*) FROM forest WHERE A1 >= 0"),
-		sqlparse.MustParse("SELECT count(*) FROM forest WHERE A1 < 0 AND A1 > 100000"),
-	}
-	got, err := LabelMany(context.Background(), db, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Query != qs[0] {
-		t.Fatalf("LabelMany kept %d queries, want only the non-empty one", len(got))
-	}
-
-	bad := append(qs, &sqlparse.Query{Tables: []string{"nosuch"}})
-	if _, err := LabelMany(context.Background(), db, bad); err == nil {
-		t.Fatal("expected error for unknown table")
 	}
 }
