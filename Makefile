@@ -19,8 +19,9 @@ race:
 # over pooled scratch (parser, featurizer, fingerprint), the resilience layer
 # still guards an estimator that takes no context with a goroutine of its
 # own, and labeling/training fan out across worker pools (internal/parallel,
-# exec.CountManyWorkers, gb/nn Workers), so race-cleanliness is a
-# correctness property here, not a nicety.
+# exec.CountManyWorkers — whose workers meet each column's lazily built
+# dictionary together — gb/nn Workers), so race-cleanliness is a correctness
+# property here, not a nicety.
 check: vet race
 
 # ci is the one-shot pipeline entry point: vet, build everything, then the
@@ -34,20 +35,26 @@ check: vet race
 # featurize 0, fingerprint <= 2, Local.Estimate <= 6, an inline resilience
 # stage 0, a cache lookup 0, the whole handler on a hit <= Parse + 8) skip
 # themselves under the race detector, which defeats sync.Pool, so they get a
-# run of their own without it. Four fuzz targets get 5 s each: the parser and
-# the journal reader, and the two on /v1/estimate — the handler ("4xx never
-# 5xx") and its wire codec against encoding/json. The in-package benchmarks
+# run of their own without it. Five fuzz targets get 5 s each: the parser and
+# the journal reader, the two on /v1/estimate — the handler ("4xx never
+# 5xx") and its wire codec against encoding/json — and the executor's
+# dictionary evaluator against the scan kernels it replaced, on whatever
+# selection the parser makes of the input. The in-package benchmarks
 # that are the only home of a measurement run one iteration each — gb training
 # (they label their own training sets and report the share of the matrix split
 # search accumulates), the journal's batched-vs-per-record fsync, labeling
-# across workers — because a benchmark nothing executes stops compiling, or
-# stops measuring what its comment says. The first grep is the
+# across workers and the boot's label phase with its dictionaries cold —
+# because a benchmark nothing executes stops compiling, or stops measuring
+# what its comment says. The first grep is the
 # one-inference-path invariant: outside tests and cmd/bench, no reference
 # twin, no batch form of Predict, no EstimateBatch method. The second is the
 # supervision invariant: background work is a goroutine owned by the object
 # whose work it is (trainer.Controller, Lifecycle.ProbeEvery, the journal
 # writer) and per-request gating is resilience.Breaker — no generic job
-# runner, no probe actor, no per-request retry policy, tests included.
+# runner, no probe actor, no per-request retry policy, tests included. The
+# third is the one-evaluator invariant: exec counts on column dictionaries,
+# and outside tests — where the scan kernels live on as its oracle — there is
+# no row-scan comparison kernel and no predicate-bitmap cache to fall back to.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -57,9 +64,11 @@ ci:
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal
 	$(GO) test -fuzz=FuzzEstimateHandler -fuzztime=5s ./internal/serve
 	$(GO) test -fuzz=FuzzEstimateCodec -fuzztime=5s ./internal/serve
-	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|CountManyWorkers' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec
+	$(GO) test -fuzz=FuzzEvalExpr -fuzztime=5s ./internal/exec
+	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|CountManyWorkers|LabelBoot' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec
 	! grep -rnE 'PredictReference|PredictInto|PredictBatch|func \(.*\) EstimateBatch' --include='*.go' internal cmd | grep -vE '_test\.go:|^cmd/bench/'
 	! grep -rnE 'NewSupervisor|StartSupervisor|SupervisorConfig|JobSpec|JobFunc|ErrJobActive|ProbeNow|RetryConfig|IsPermanent' --include='*.go' internal cmd
+	! grep -rnE 'PredCache|NewPredCache|EvalExprCached|CountCached|eqWord|ltWord|leWord' --include='*.go' . | grep -vE '_test\.go:'
 	$(MAKE) lint
 
 # lint runs the optional static analyzers. Both are gated on availability:
@@ -91,7 +100,8 @@ serve-smoke:
 # end-to-end and per layer (cmd/bench/README.md). What the retired micro tools
 # measured lives there or next to the code: label throughput, training time
 # and the journal append as workload.label_qps, estimator.train_ms, gb.predict_us
-# and journal.append_us; sequential vs parallel labeling and training as
+# and journal.append_us; the boot's label phase as BenchmarkLabelBoot and
+# sequential vs parallel labeling and training as
 # BenchmarkCountManyWorkers (internal/exec) and BenchmarkTrainWorkers
 # (internal/ml/gb, internal/ml/nn); batched vs per-record fsync as
 # BenchmarkAppendDurable (internal/journal).

@@ -244,9 +244,12 @@ func run(o options, out io.Writer) error {
 		return err
 	}
 	labeled := len(env.Train) + len(env.Test)
-	fmt.Fprintf(out, "built table in %.2fs; labeled %d queries in %.2fs, %.0f q/s on %d workers\n",
+	fmt.Fprintf(out, "built table in %.2fs; labeled %d queries in %.2fs, %.0f q/s on %d workers (%d column dictionaries built in %.1f ms)\n",
 		env.DataTime.Seconds(), labeled, env.LabelTime.Seconds(),
-		float64(labeled)/env.LabelTime.Seconds(), runtime.GOMAXPROCS(0))
+		float64(labeled)/env.LabelTime.Seconds(), runtime.GOMAXPROCS(0),
+		env.DictBuilt, float64(env.DictTime.Microseconds())/1000)
+	// Nothing counts rows again until a retrain, which builds them anew.
+	env.DB.DropDictionaries()
 
 	reg := serve.NewRegistry()
 	reg.Wrap = resilienceWrap(env.DB, o)

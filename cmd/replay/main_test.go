@@ -14,6 +14,7 @@ import (
 	"qfe/internal/journal"
 	"qfe/internal/ml/gb"
 	"qfe/internal/replay"
+	"qfe/internal/store"
 	"qfe/internal/table"
 	"qfe/internal/workload"
 )
@@ -23,11 +24,10 @@ const (
 	testSeed = 3
 )
 
-// fixture writes what a small daemon would have left behind: a boot snapshot
-// trained on the forest table replay rebuilds from -rows/-seed, and a journal
-// of labeled held-out queries plus one record without feedback and one whose
-// SQL does not parse. It returns the two paths and the records as written.
-func fixture(t *testing.T) (snapshot, journalDir string, records []journal.Record) {
+// testWorkload rebuilds the forest table replay derives from -rows/-seed and
+// a labeled workload over it: the first 100 queries train, the rest are
+// traffic.
+func testWorkload(t *testing.T) (*table.DB, workload.Set) {
 	t.Helper()
 	forest, err := dataset.Forest(dataset.ForestConfig{Rows: testRows, QuantAttrs: 12, BinaryAttrs: 4, Seed: testSeed})
 	if err != nil {
@@ -39,8 +39,15 @@ func fixture(t *testing.T) (snapshot, journalDir string, records []journal.Recor
 	if err != nil {
 		t.Fatal(err)
 	}
+	return db, set
+}
+
+// trainSnapshot is the -save output of a GB model of the given size trained
+// on the first 100 queries.
+func trainSnapshot(t *testing.T, db *table.DB, set workload.Set, trees int) []byte {
+	t.Helper()
 	cfg := gb.DefaultConfig()
-	cfg.NumTrees = 10
+	cfg.NumTrees = trees
 	loc, err := estimator.NewLocal(db, estimator.LocalConfig{
 		QFT:          "conjunctive",
 		Opts:         core.Options{MaxEntriesPerAttr: 8, AttrSel: true},
@@ -52,13 +59,23 @@ func fixture(t *testing.T) (snapshot, journalDir string, records []journal.Recor
 	if err := loc.Train(set[:100]); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	snapshot = filepath.Join(dir, "boot.json")
 	var buf bytes.Buffer
 	if err := loc.SaveJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(snapshot, buf.Bytes(), 0o644); err != nil {
+	return buf.Bytes()
+}
+
+// fixture writes what a small daemon would have left behind: a boot snapshot
+// trained on the forest table replay rebuilds from -rows/-seed, and a journal
+// of labeled held-out queries plus one record without feedback and one whose
+// SQL does not parse. It returns the two paths and the records as written.
+func fixture(t *testing.T) (snapshot, journalDir string, records []journal.Record) {
+	t.Helper()
+	db, set := testWorkload(t)
+	dir := t.TempDir()
+	snapshot = filepath.Join(dir, "boot.json")
+	if err := os.WriteFile(snapshot, trainSnapshot(t, db, set, 10), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,6 +170,75 @@ func TestRunScoresSnapshotAndDerivesCanary(t *testing.T) {
 	for _, l := range want {
 		if !strings.Contains(out.String(), l.Query.String()) {
 			t.Errorf("canary query %s missing from:\n%s", l.Query, out.String())
+		}
+	}
+}
+
+// TestRunScoresEveryStoreGeneration: -store scores each valid generation of
+// a crash-safe model store under gen-N (published-as name) — the first holds
+// the bytes -snapshot scored, so its report is that one; the second is a
+// smaller model and scores differently; and a snapshot given alongside comes
+// first.
+func TestRunScoresEveryStoreGeneration(t *testing.T) {
+	snapshot, dir, _ := fixture(t)
+	boot, err := os.ReadFile(snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, set := testWorkload(t)
+	storeDir := filepath.Join(t.TempDir(), "store")
+	st, err := store.Open(storeDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put("boot", "local", "", boot); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put("retrained", "local", "", trainSnapshot(t, db, set, 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	o := options{journalDir: dir, snapshots: "file=" + snapshot, storeDir: storeDir, rows: testRows, seed: testSeed, asJSON: true}
+	var out bytes.Buffer
+	if err := run(o, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	_, doc, _ := strings.Cut(out.String(), "\n")
+	var got struct {
+		Reports []replay.Report `json:"reports"`
+	}
+	if err := json.Unmarshal([]byte(doc), &got); err != nil {
+		t.Fatalf("output after the summary line is not one JSON document: %v\n%s", err, doc)
+	}
+	if len(got.Reports) != 3 {
+		t.Fatalf("%d reports, want the snapshot and two generations", len(got.Reports))
+	}
+	file, gen1, gen2 := got.Reports[0], got.Reports[1], got.Reports[2]
+	if file.Model != "file" || gen1.Model != "gen-1 (boot)" || gen2.Model != "gen-2 (retrained)" {
+		t.Errorf("models = %q, %q, %q", file.Model, gen1.Model, gen2.Model)
+	}
+	for _, r := range got.Reports {
+		if r.Records != 42 || r.Scored != 40 || r.Failed != 0 {
+			t.Errorf("%s: %d records, %d scored, %d failed; want 42 / 40 / 0", r.Model, r.Records, r.Scored, r.Failed)
+		}
+	}
+	if gen1.Median != file.Median || gen1.P95 != file.P95 || gen1.Max != file.Max {
+		t.Errorf("gen-1 holds the snapshot's bytes but scores %v/%v/%v, the snapshot %v/%v/%v",
+			gen1.Median, gen1.P95, gen1.Max, file.Median, file.P95, file.Max)
+	}
+	if gen2.Median == gen1.Median && gen2.P95 == gen1.P95 && gen2.Max == gen1.Max {
+		t.Errorf("a 2-tree generation scores exactly as the 10-tree one (%v/%v/%v): was its own payload read?",
+			gen2.Median, gen2.P95, gen2.Max)
+	}
+
+	// The table form names both generations too.
+	out.Reset()
+	if err := run(options{journalDir: dir, storeDir: storeDir, rows: testRows, seed: testSeed}, &out); err != nil {
+		t.Fatalf("run -store: %v", err)
+	}
+	for _, want := range []string{"model gen-1 (boot)", "model gen-2 (retrained)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("%q missing from:\n%s", want, out.String())
 		}
 	}
 }

@@ -64,7 +64,12 @@ type ForestEnv struct {
 
 	// DataTime and LabelTime split the build for the boot log: generating
 	// the table, then drawing and labeling the Train and Test queries.
+	// Labeling builds the dictionary of every column a query names, once:
+	// DictBuilt of them, DictTime in all, so LabelTime splits into build and
+	// evaluate.
 	DataTime, LabelTime time.Duration
+	DictBuilt           int
+	DictTime            time.Duration
 }
 
 // BuildForestEnv builds the forest dataset and generates + labels the
@@ -98,10 +103,13 @@ func BuildForestEnv(spec ForestSpec) (*ForestEnv, error) {
 	if err != nil {
 		return nil, err
 	}
+	labelTime := time.Since(start) - dataTime
 	train, test := set.Split(spec.TrainN)
+	dictBuilt, dictTime := forest.DictionaryBuilds()
 	return &ForestEnv{
 		DB: db, Table: forest, Train: train, Test: test,
-		DataTime: dataTime, LabelTime: time.Since(start) - dataTime,
+		DataTime: dataTime, LabelTime: labelTime,
+		DictBuilt: dictBuilt, DictTime: dictTime,
 	}, nil
 }
 

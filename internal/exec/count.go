@@ -25,16 +25,6 @@ func Count(db *table.DB, q *sqlparse.Query) (int64, error) {
 // per-table evaluation step, so a deadline bounds the work at table
 // granularity rather than letting a large join run to completion.
 func CountCtx(ctx context.Context, db *table.DB, q *sqlparse.Query) (int64, error) {
-	return CountCached(ctx, db, q, nil)
-}
-
-// CountCached is CountCtx with simple-predicate bitmaps served from cache
-// (nil disables caching). Workload generators and the batch labeler share
-// one cache across thousands of queries: generated workloads reuse the same
-// bound predicates on the same columns constantly, so memoized EvalPred
-// bitmaps turn repeated column scans into word-wise AND/OR. Counting is
-// exact either way — the cache changes cost, never results.
-func CountCached(ctx context.Context, db *table.DB, q *sqlparse.Query, cache *PredCache) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -46,13 +36,10 @@ func CountCached(ctx context.Context, db *table.DB, q *sqlparse.Query, cache *Pr
 		if t == nil {
 			return 0, fmt.Errorf("exec: unknown table %q", q.Tables[0])
 		}
-		bm, err := EvalExprCached(t, q.Where, cache)
-		if err != nil {
-			return 0, err
-		}
-		return int64(bm.Count()), nil
+		n, err := countExpr(t, q.Where)
+		return int64(n), err
 	}
-	return countJoin(ctx, db, q, cache)
+	return countJoin(ctx, db, q)
 }
 
 // perTableFilters splits the top-level conjunction of q.Where into
@@ -144,7 +131,7 @@ func buildJoinTree(q *sqlparse.Query) (*joinTreeNode, error) {
 // parent a map from join-key value to the number of join-result tuples its
 // subtree contributes for that key; the root sums the products over its
 // qualifying rows.
-func countJoin(ctx context.Context, db *table.DB, q *sqlparse.Query, cache *PredCache) (int64, error) {
+func countJoin(ctx context.Context, db *table.DB, q *sqlparse.Query) (int64, error) {
 	filters, err := perTableFilters(q)
 	if err != nil {
 		return 0, err
@@ -167,7 +154,7 @@ func countJoin(ctx context.Context, db *table.DB, q *sqlparse.Query, cache *Pred
 		if t == nil {
 			return fmt.Errorf("exec: unknown table %q", node.tbl)
 		}
-		bm, err := EvalExprCached(t, filters[node.tbl], cache)
+		bm, err := EvalExpr(t, filters[node.tbl])
 		if err != nil {
 			return err
 		}
@@ -248,10 +235,9 @@ func (e *QueryError) Error() string {
 func (e *QueryError) Unwrap() error { return e.Err }
 
 // CountManyCtx labels a batch of queries with their true cardinalities
-// across one worker per logical CPU, sharing a per-predicate bitmap cache
-// between workers. It is the workhorse behind workload labeling — the step
-// the paper spends 3.5 days on (Section 5.5.2); queries must already be
-// bound.
+// across one worker per logical CPU. It is the workhorse behind workload
+// labeling — the step the paper spends 3.5 days on (Section 5.5.2); queries
+// must already be bound.
 //
 // The returned slice always has len(qs): out[i] is query i's cardinality,
 // or -1 where query i failed. A non-nil error is a *QueryError describing
@@ -261,49 +247,27 @@ func (e *QueryError) Unwrap() error { return e.Err }
 // bit-identical to sequential execution: each query's count is exact and
 // independent, and parallelism never reorders per-query computation.
 func CountManyCtx(ctx context.Context, db *table.DB, qs []*sqlparse.Query) ([]int64, error) {
-	return CountManyWorkers(ctx, db, qs, 0)
+	return CountManyResume(ctx, db, qs, nil, 0)
 }
 
 // CountManyWorkers is CountManyCtx with an explicit worker count
 // (workers < 1 means GOMAXPROCS).
 func CountManyWorkers(ctx context.Context, db *table.DB, qs []*sqlparse.Query, workers int) ([]int64, error) {
-	out := make([]int64, len(qs))
-	errs := make([]error, len(qs))
-	cache := NewPredCache(0)
-	parallel.Do(len(qs), parallel.Workers(workers), func(i int) {
-		out[i] = -1
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		c, err := CountCached(ctx, db, qs[i], cache)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		out[i] = c
-	})
-	for i, err := range errs {
-		if err != nil {
-			return out, &QueryError{Index: i, Query: qs[i].String(), Err: err}
-		}
-	}
-	return out, nil
+	return CountManyResume(ctx, db, qs, nil, workers)
 }
 
 // CountManyResume is CountManyWorkers for interrupted labeling runs: prior
 // holds the labels computed so far (-1 marks "not yet labeled", matching the
-// failure sentinel of CountManyCtx), and only those entries are executed —
-// completed labels are copied through untouched. cache may be shared across
-// resume attempts (nil disables caching). The returned slice always has
-// len(qs); error semantics match CountManyCtx (deterministic smallest-index
-// *QueryError).
+// failure sentinel of CountManyCtx; nil means none), and only those entries
+// are executed — completed labels are copied through untouched. The returned
+// slice always has len(qs); error semantics match CountManyCtx
+// (deterministic smallest-index *QueryError).
 //
 // A checkpointing labeler alternates CountManyResume over a slice of the
 // batch with persisting the partial label vector: after a crash it reloads
 // the vector and hands it straight back as prior, paying only for the
 // queries whose labels were never made durable.
-func CountManyResume(ctx context.Context, db *table.DB, qs []*sqlparse.Query, prior []int64, cache *PredCache, workers int) ([]int64, error) {
+func CountManyResume(ctx context.Context, db *table.DB, qs []*sqlparse.Query, prior []int64, workers int) ([]int64, error) {
 	if prior != nil && len(prior) != len(qs) {
 		return nil, fmt.Errorf("exec: %d prior labels for %d queries", len(prior), len(qs))
 	}
@@ -320,11 +284,7 @@ func CountManyResume(ctx context.Context, db *table.DB, qs []*sqlparse.Query, pr
 	errs := make([]error, len(qs))
 	parallel.Do(len(todo), parallel.Workers(workers), func(j int) {
 		i := todo[j]
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		c, err := CountCached(ctx, db, qs[i], cache)
+		c, err := CountCtx(ctx, db, qs[i])
 		if err != nil {
 			errs[i] = err
 			return

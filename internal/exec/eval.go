@@ -1,7 +1,8 @@
 // Package exec is the query executor of the reproduction. It evaluates the
-// paper's COUNT(*) query class exactly: vectorized simple-predicate
-// evaluation over column bitmaps, AND/OR combination, and exact counting of
-// acyclic key/foreign-key joins via multiplicity message passing.
+// paper's COUNT(*) query class exactly: each per-attribute compound predicate
+// as a set of its column's dictionary codes (table.Dictionary), row bitmaps
+// and AND/OR over them only where a query spans columns, and exact counting
+// of acyclic key/foreign-key joins via multiplicity message passing.
 //
 // The executor serves three roles: it labels every generated training and
 // test query with its true cardinality (the paper spends 3.5 days on this
@@ -12,6 +13,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -184,168 +186,202 @@ func splitAttr(attr string) (tbl, col string) {
 	return "", attr
 }
 
-// EvalPred evaluates a single simple predicate over t and returns the
-// qualifying-row bitmap. The predicate must already be bound (no string
-// literal). Attribute qualification, if present, must match t's name.
-func EvalPred(t *table.Table, p *sqlparse.Pred) (*table.Bitmap, error) {
-	if p.Str != nil {
-		return nil, fmt.Errorf("exec: unbound string predicate %s (call Bind first)", p)
-	}
-	tblName, colName := splitAttr(p.Attr)
-	if tblName != "" && tblName != t.Name {
-		return nil, fmt.Errorf("exec: predicate %s does not reference table %q", p, t.Name)
-	}
-	col := t.Column(colName)
-	if col == nil {
-		return nil, fmt.Errorf("exec: table %q has no column %q", t.Name, colName)
-	}
-	if p.Op < sqlparse.OpEq || p.Op > sqlparse.OpGe {
-		return nil, fmt.Errorf("exec: unknown operator in %s", p)
-	}
-	vals := col.Vals
-	words := make([]uint64, (len(vals)+63)/64)
-	full := len(vals) >> 6
-	for wi := 0; wi < full; wi++ {
-		words[wi] = predWord(p.Op, (*[64]int64)(vals[wi<<6:]), p.Val)
-	}
-	if full < len(words) {
-		// The last rows do not fill a word: evaluate them padded with zeros.
-		// Whatever the padding compares to, BitmapFromWords clears its bits.
-		var tail [64]int64
-		copy(tail[:], vals[full<<6:])
-		words[full] = predWord(p.Op, &tail, p.Val)
-	}
-	return table.BitmapFromWords(words, len(vals)), nil
+// selection is what a subtree of a selection expression evaluates to. A
+// subtree whose predicates all name one column is a set of that column's
+// dictionary codes — exactly the values the subtree admits — and stays one
+// for as long as it is combined with more of the same column; anything
+// spanning columns is a row bitmap. Every selection is freshly built and
+// owned by whoever asked for it.
+type selection struct {
+	dict  *table.Dictionary // the one column's dictionary; nil for a row bitmap
+	codes *table.Bitmap     // over dict.Values
+	rows  *table.Bitmap     // set when dict is nil
 }
 
-// predWord evaluates "row op lit" over 64 rows and returns the
-// qualifying-row word, bit j for rows[j]. Three comparisons serve the six
-// operators: <> is not =, >= is not <, > is not <=.
-func predWord(op sqlparse.CmpOp, rows *[64]int64, lit int64) uint64 {
-	switch op {
-	case sqlparse.OpEq:
-		return eqWord(rows, lit)
-	case sqlparse.OpNe:
-		return ^eqWord(rows, lit)
-	case sqlparse.OpLt:
-		return ltWord(rows, lit)
-	case sqlparse.OpGe:
-		return ^ltWord(rows, lit)
-	case sqlparse.OpLe:
-		return leWord(rows, lit)
-	default: // OpGt; EvalPred has rejected anything else
-		return ^leWord(rows, lit)
+// count is the number of qualifying rows. A code set never touches a row for
+// it: the rows of codes lo..hi-1 are Offsets[hi]-Offsets[lo] many.
+func (s selection) count() int {
+	if s.dict == nil {
+		return s.rows.Count()
 	}
+	off, total := s.dict.Offsets, 0
+	s.codes.ForEachRun(func(lo, hi int) { total += int(off[hi] - off[lo]) })
+	return total
 }
 
-// The comparison kernels. Each assembles its word in a register — eight rows
-// at a time, so that every shift is by a constant — from compares the
-// compiler turns into flag sets, not branches, and the caller stores it
-// once. A row-at-a-time Bitmap.Set pays a bounds check and a
-// read-modify-write of memory for every qualifying row, and a branch that
-// mispredicts whenever the selectivity is far from 0 or 1.
-
-func eqWord(rows *[64]int64, lit int64) (w uint64) {
-	for k := 0; k < 64; k += 8 {
-		r := rows[k : k+8 : k+8]
-		w |= (bit(r[0] == lit) | bit(r[1] == lit)<<1 | bit(r[2] == lit)<<2 | bit(r[3] == lit)<<3 |
-			bit(r[4] == lit)<<4 | bit(r[5] == lit)<<5 | bit(r[6] == lit)<<6 | bit(r[7] == lit)<<7) << (uint(k) & 63)
+// into combines the selection into acc, by AND (and) or by OR, and returns
+// the result; a nil acc starts one, which is how a selection becomes a row
+// bitmap. A code set gets there by visiting the rows of its codes, or, when
+// more than half the rows qualify, the rows of the others: a minority is set
+// in an empty bitmap or OR-ed straight into acc, the complement of a
+// majority is cleared from a full bitmap or straight from acc under AND, and
+// only the two remaining cases build a bitmap to combine. Either way the
+// selection is consumed.
+func (s selection) into(acc *table.Bitmap, and bool) *table.Bitmap {
+	if s.dict == nil {
+		return combine(acc, s.rows, and)
 	}
-	return w
+	d := s.dict
+	minority := 2*s.count() <= len(d.Rows)
+	switch {
+	case acc == nil && minority:
+		acc = table.NewBitmap(len(d.Rows))
+	case acc == nil:
+		acc = table.NewFullBitmap(len(d.Rows))
+	case and == minority:
+		return combine(acc, s.into(nil, and), and)
+	}
+	mark := acc.SetRows
+	if !minority {
+		s.codes.Not()
+		mark = acc.ClearRows
+	}
+	s.codes.ForEachRun(func(lo, hi int) { mark(d.Rows[d.Offsets[lo]:d.Offsets[hi]]) })
+	return acc
 }
 
-func ltWord(rows *[64]int64, lit int64) (w uint64) {
-	for k := 0; k < 64; k += 8 {
-		r := rows[k : k+8 : k+8]
-		w |= (bit(r[0] < lit) | bit(r[1] < lit)<<1 | bit(r[2] < lit)<<2 | bit(r[3] < lit)<<3 |
-			bit(r[4] < lit)<<4 | bit(r[5] < lit)<<5 | bit(r[6] < lit)<<6 | bit(r[7] < lit)<<7) << (uint(k) & 63)
+// combine folds bm into acc in place, by AND (and) or by OR; a nil acc
+// becomes bm.
+func combine(acc, bm *table.Bitmap, and bool) *table.Bitmap {
+	switch {
+	case acc == nil:
+		return bm
+	case and:
+		acc.And(bm)
+	default:
+		acc.Or(bm)
 	}
-	return w
-}
-
-func leWord(rows *[64]int64, lit int64) (w uint64) {
-	for k := 0; k < 64; k += 8 {
-		r := rows[k : k+8 : k+8]
-		w |= (bit(r[0] <= lit) | bit(r[1] <= lit)<<1 | bit(r[2] <= lit)<<2 | bit(r[3] <= lit)<<3 |
-			bit(r[4] <= lit)<<4 | bit(r[5] <= lit)<<5 | bit(r[6] <= lit)<<6 | bit(r[7] <= lit)<<7) << (uint(k) & 63)
-	}
-	return w
-}
-
-// bit is 1 when cond holds, else 0, without a branch.
-func bit(cond bool) uint64 {
-	var b uint64
-	if cond {
-		b = 1
-	}
-	return b
+	return acc
 }
 
 // EvalExpr evaluates a boolean selection expression over t and returns the
-// qualifying-row bitmap. A nil expression qualifies every row. The returned
-// bitmap is freshly allocated and owned by the caller.
+// qualifying-row bitmap. A nil expression qualifies every row. Predicates
+// must already be bound (no string literal), and an attribute's table
+// qualifier, if present, must match t's name. The returned bitmap is freshly
+// allocated and owned by the caller.
 func EvalExpr(t *table.Table, expr sqlparse.Expr) (*table.Bitmap, error) {
-	bm, _, err := evalExpr(t, expr, nil)
-	return bm, err
+	s, err := evalExpr(t, expr)
+	if err != nil {
+		return nil, err
+	}
+	return s.into(nil, true), nil
 }
 
-// EvalExprCached is EvalExpr with leaf bitmaps served from cache (which may
-// be nil for the uncached path). The returned bitmap may be shared with the
-// cache and MUST be treated as read-only by the caller.
-func EvalExprCached(t *table.Table, expr sqlparse.Expr, cache *PredCache) (*table.Bitmap, error) {
-	bm, _, err := evalExpr(t, expr, cache)
-	return bm, err
+// countExpr is the number of t's rows qualifying expr. An expression over a
+// single column — one compound predicate of the paper's query class — is
+// answered from the column's dictionary alone.
+func countExpr(t *table.Table, expr sqlparse.Expr) (int, error) {
+	s, err := evalExpr(t, expr)
+	if err != nil {
+		return 0, err
+	}
+	return s.count(), nil
 }
 
-// evalExpr is the shared evaluator core. It reports via owned whether the
-// returned bitmap is private to the caller (true) or shared with cache
-// (false); And/Or combination clones shared accumulators before mutating,
-// so cached bitmaps stay immutable.
-func evalExpr(t *table.Table, expr sqlparse.Expr, cache *PredCache) (bm *table.Bitmap, owned bool, err error) {
+// evalExpr is the one selection evaluator: every count, bitmap, join filter
+// and label in the package comes through it.
+func evalExpr(t *table.Table, expr sqlparse.Expr) (selection, error) {
 	switch n := expr.(type) {
 	case nil:
-		return table.NewFullBitmap(t.NumRows()), true, nil
+		return selection{rows: table.NewFullBitmap(t.NumRows())}, nil
 	case *sqlparse.Pred:
-		if cache != nil {
-			bm, err := cache.eval(t, n)
-			return bm, false, err
-		}
-		bm, err := EvalPred(t, n)
-		return bm, true, err
+		return evalPred(t, n)
 	case *sqlparse.And:
-		acc, owned, err := evalExpr(t, n.Kids[0], cache)
-		if err != nil {
-			return nil, false, err
-		}
-		for _, k := range n.Kids[1:] {
-			bm, _, err := evalExpr(t, k, cache)
-			if err != nil {
-				return nil, false, err
-			}
-			if !owned {
-				acc, owned = acc.Clone(), true
-			}
-			acc.And(bm)
-		}
-		return acc, owned, nil
+		return evalNary(t, n.Kids, true)
 	case *sqlparse.Or:
-		acc, owned, err := evalExpr(t, n.Kids[0], cache)
-		if err != nil {
-			return nil, false, err
-		}
-		for _, k := range n.Kids[1:] {
-			bm, _, err := evalExpr(t, k, cache)
-			if err != nil {
-				return nil, false, err
-			}
-			if !owned {
-				acc, owned = acc.Clone(), true
-			}
-			acc.Or(bm)
-		}
-		return acc, owned, nil
+		return evalNary(t, n.Kids, false)
 	}
-	return nil, false, fmt.Errorf("exec: unknown expr %T", expr)
+	return selection{}, fmt.Errorf("exec: unknown expr %T", expr)
+}
+
+// evalPred evaluates one simple predicate as a set of its column's codes. The
+// dictionary's values are distinct and ascending, so one binary search finds
+// the first code whose value is >= the literal, the first whose value is >
+// it is the same code or the next, and each operator admits one or two runs
+// of codes bounded by those. The literal is only ever compared, never
+// incremented, so the ends of the int64 range need no care.
+func evalPred(t *table.Table, p *sqlparse.Pred) (selection, error) {
+	if p.Str != nil {
+		return selection{}, fmt.Errorf("exec: unbound string predicate %s (call Bind first)", p)
+	}
+	tblName, colName := splitAttr(p.Attr)
+	if tblName != "" && tblName != t.Name {
+		return selection{}, fmt.Errorf("exec: predicate %s does not reference table %q", p, t.Name)
+	}
+	col := t.Column(colName)
+	if col == nil {
+		return selection{}, fmt.Errorf("exec: table %q has no column %q", t.Name, colName)
+	}
+	if p.Op < sqlparse.OpEq || p.Op > sqlparse.OpGe {
+		return selection{}, fmt.Errorf("exec: unknown operator in %s", p)
+	}
+	d := col.Dictionary()
+	n := len(d.Values)
+	ge, found := slices.BinarySearch(d.Values, p.Val)
+	gt := ge
+	if found {
+		gt++
+	}
+	codes := table.NewBitmap(n)
+	switch p.Op {
+	case sqlparse.OpEq:
+		codes.SetRange(ge, gt)
+	case sqlparse.OpNe:
+		codes.SetRange(0, ge)
+		codes.SetRange(gt, n)
+	case sqlparse.OpLt:
+		codes.SetRange(0, ge)
+	case sqlparse.OpLe:
+		codes.SetRange(0, gt)
+	case sqlparse.OpGt:
+		codes.SetRange(gt, n)
+	case sqlparse.OpGe:
+		codes.SetRange(ge, n)
+	}
+	return selection{dict: d, codes: codes}, nil
+}
+
+// evalNary combines the children of an AND (and) or OR node. Children over
+// the same column are combined code set with code set, wherever they stand
+// among the others — AND and OR commute — so a compound predicate on one
+// attribute costs words of its dictionary, not of the table, even after
+// NewAnd has flattened it into its parent. Only when the node spans columns
+// do the per-column sets become row bitmaps. The same column is the same
+// dictionary: were one dropped and rebuilt between two children, they would
+// meet as row bitmaps instead, and no two code sets over different domains
+// are ever combined. Children are evaluated in order and the first error
+// wins.
+func evalNary(t *table.Table, kids []sqlparse.Expr, and bool) (selection, error) {
+	if len(kids) == 0 {
+		return selection{}, fmt.Errorf("exec: AND/OR node without children")
+	}
+	cols := make([]selection, 0, 8) // one code set per column some child names alone
+	var rows *table.Bitmap          // the children spanning columns, combined
+kids:
+	for _, k := range kids {
+		s, err := evalExpr(t, k)
+		if err != nil {
+			return selection{}, err
+		}
+		if s.dict == nil {
+			rows = combine(rows, s.rows, and)
+			continue
+		}
+		for _, c := range cols {
+			if c.dict == s.dict {
+				combine(c.codes, s.codes, and)
+				continue kids
+			}
+		}
+		cols = append(cols, s)
+	}
+	if rows == nil && len(cols) == 1 {
+		return cols[0], nil
+	}
+	for _, c := range cols {
+		rows = c.into(rows, and)
+	}
+	return selection{rows: rows}, nil
 }
 
 // Selectivity returns the fraction of t's rows qualifying expr.
@@ -353,9 +389,9 @@ func Selectivity(t *table.Table, expr sqlparse.Expr) (float64, error) {
 	if t.NumRows() == 0 {
 		return 0, nil
 	}
-	bm, err := EvalExpr(t, expr)
+	n, err := countExpr(t, expr)
 	if err != nil {
 		return 0, err
 	}
-	return float64(bm.Count()) / float64(t.NumRows()), nil
+	return float64(n) / float64(t.NumRows()), nil
 }

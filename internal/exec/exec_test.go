@@ -99,14 +99,14 @@ func TestSelectivity(t *testing.T) {
 
 func TestEvalErrors(t *testing.T) {
 	tbl := smallTable()
-	if _, err := EvalPred(tbl, &sqlparse.Pred{Attr: "missing", Op: sqlparse.OpEq, Val: 1}); err == nil {
+	if _, err := EvalExpr(tbl, &sqlparse.Pred{Attr: "missing", Op: sqlparse.OpEq, Val: 1}); err == nil {
 		t.Error("expected error for unknown column")
 	}
 	s := "x"
-	if _, err := EvalPred(tbl, &sqlparse.Pred{Attr: "a", Op: sqlparse.OpEq, Str: &s}); err == nil {
+	if _, err := EvalExpr(tbl, &sqlparse.Pred{Attr: "a", Op: sqlparse.OpEq, Str: &s}); err == nil {
 		t.Error("expected error for unbound string predicate")
 	}
-	if _, err := EvalPred(tbl, &sqlparse.Pred{Attr: "other.a", Op: sqlparse.OpEq, Val: 1}); err == nil {
+	if _, err := EvalExpr(tbl, &sqlparse.Pred{Attr: "other.a", Op: sqlparse.OpEq, Val: 1}); err == nil {
 		t.Error("expected error for wrong table qualifier")
 	}
 }

@@ -11,8 +11,7 @@ import (
 )
 
 // genTable builds a randomized table large enough that parallel labeling
-// does real work, with a skewed low-cardinality column so predicates repeat
-// and the bitmap cache gets hits.
+// does real work: a 1000-value column and two low-cardinality ones.
 func genTable(seed int64, rows int) *table.Table {
 	rng := rand.New(rand.NewSource(seed))
 	a := make([]int64, rows)
@@ -31,7 +30,7 @@ func genTable(seed int64, rows int) *table.Table {
 }
 
 // genQueries produces count random conjunctive/disjunctive queries over
-// genTable's schema, with heavy predicate reuse.
+// genTable's schema.
 func genQueries(seed int64, count int) []*sqlparse.Query {
 	rng := rand.New(rand.NewSource(seed))
 	qs := make([]*sqlparse.Query, count)
@@ -67,8 +66,9 @@ func countMany(db *table.DB, qs []*sqlparse.Query) ([]int64, error) {
 }
 
 // TestCountManyCtxMatchesSequential: the tentpole determinism guarantee —
-// parallel labeling with a shared bitmap cache produces bit-identical
-// labels to the sequential path, for several worker counts.
+// parallel labeling, every worker reading the same column dictionaries,
+// produces bit-identical labels to the sequential path, for several worker
+// counts.
 func TestCountManyCtxMatchesSequential(t *testing.T) {
 	tbl := genTable(1, 20_000)
 	db := singleDB(tbl)
@@ -159,65 +159,6 @@ func TestCountManyOldWrapper(t *testing.T) {
 	}
 	if out != nil {
 		t.Fatalf("countMany must return nil results on error, got %v", out)
-	}
-}
-
-// TestEvalExprCachedMatchesUncached: cached evaluation returns the same
-// bitmaps as direct evaluation, and cached leaves survive in-place And/Or
-// combination uncorrupted (the read-only discipline).
-func TestEvalExprCachedMatchesUncached(t *testing.T) {
-	tbl := genTable(9, 5000)
-	qs := genQueries(10, 200)
-	cache := NewPredCache(0)
-	for pass := 0; pass < 2; pass++ { // second pass exercises hits
-		for i, q := range qs {
-			want, err := EvalExpr(tbl, q.Where)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := EvalExprCached(tbl, q.Where, cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Count() != want.Count() {
-				t.Fatalf("pass %d query %d: cached count %d, uncached %d", pass, i, got.Count(), want.Count())
-			}
-		}
-	}
-	hits, misses, entries := cache.Stats()
-	if hits == 0 {
-		t.Error("cache registered no hits across repeated queries")
-	}
-	if misses == 0 || entries == 0 {
-		t.Errorf("cache stats: %d misses, %d entries", misses, entries)
-	}
-}
-
-// TestPredCacheEviction: the byte budget is enforced via FIFO eviction and
-// results stay exact after eviction churn.
-func TestPredCacheEviction(t *testing.T) {
-	tbl := genTable(11, 4096) // 64 words = 512 bytes per bitmap
-	// Budget for ~4 bitmaps; 50 distinct predicates force constant churn.
-	cache := NewPredCache(4 * 512)
-	for round := 0; round < 3; round++ {
-		for v := int64(0); v < 50; v++ {
-			p := &sqlparse.Pred{Attr: "a", Op: sqlparse.OpLe, Val: v * 20}
-			want, err := EvalPred(tbl, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := cache.eval(tbl, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Count() != want.Count() {
-				t.Fatalf("v=%d: cached %d, direct %d", v, got.Count(), want.Count())
-			}
-		}
-	}
-	_, _, entries := cache.Stats()
-	if entries > 4 {
-		t.Errorf("cache holds %d entries, budget allows 4", entries)
 	}
 }
 

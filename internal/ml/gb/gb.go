@@ -6,7 +6,12 @@
 // depth-limited regression trees fit to the residuals of their predecessors
 // — each shrunk by a learning rate, plus a constant. Split search uses
 // feature histograms (the strategy of LightGBM, which the paper uses), with
-// an exact-search mode retained for the ablation benchmark.
+// an exact-search mode retained for the ablation benchmark. The histograms
+// are sparse — only the occupied bins below a feature's last one are
+// accumulated — which is what a QFT matrix rewards (its "no predicate" is a
+// column's last bin) and the one input it costs: dense uniform features, every
+// bin of every feature occupied, fit 159 → 189 ms (2000 × 200, 30 trees) when
+// the dense pass went. No QFT produces such a matrix.
 package gb
 
 import (

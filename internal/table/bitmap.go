@@ -26,8 +26,8 @@ func NewFullBitmap(n int) *Bitmap {
 	return b
 }
 
-// BitmapFromWords wraps words, built 64 rows at a time by a predicate kernel,
-// as the bitmap over n rows: bit i&63 of words[i>>6] is row i. It takes
+// BitmapFromWords wraps words, built 64 rows at a time by a scan kernel (the
+// executor's retired ones, kept as its test oracle), as the bitmap over n rows: bit i&63 of words[i>>6] is row i. It takes
 // ownership of words and clears the bits past row n-1, so a kernel may leave
 // anything there. It panics unless len(words) is exactly the word count of n
 // rows.
@@ -48,6 +48,43 @@ func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << uint(i&63) }
 
 // Clear marks row i as not qualifying.
 func (b *Bitmap) Clear(i int) { b.words[i>>6] &^= 1 << uint(i&63) }
+
+// SetRange marks rows lo..hi-1 as qualifying, a word at a time. It panics
+// unless 0 <= lo and hi <= Len(); an empty range is a no-op.
+func (b *Bitmap) SetRange(lo, hi int) {
+	if lo < 0 || hi > b.n {
+		panic("table: bitmap range out of bounds")
+	}
+	if lo >= hi {
+		return
+	}
+	first, last := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << uint(lo&63)
+	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
+	if first == last {
+		b.words[first] |= loMask & hiMask
+		return
+	}
+	b.words[first] |= loMask
+	for i := first + 1; i < last; i++ {
+		b.words[i] = ^uint64(0)
+	}
+	b.words[last] |= hiMask
+}
+
+// SetRows marks every row in rows as qualifying.
+func (b *Bitmap) SetRows(rows []uint32) {
+	for _, r := range rows {
+		b.words[r>>6] |= 1 << (r & 63)
+	}
+}
+
+// ClearRows marks every row in rows as not qualifying.
+func (b *Bitmap) ClearRows(rows []uint32) {
+	for _, r := range rows {
+		b.words[r>>6] &^= 1 << (r & 63)
+	}
+}
 
 // Get reports whether row i qualifies.
 func (b *Bitmap) Get(i int) bool { return b.words[i>>6]&(1<<uint(i&63)) != 0 }
@@ -122,6 +159,38 @@ func (b *Bitmap) ForEach(fn func(i int)) {
 			fn(base + bits.TrailingZeros64(w))
 			w &= w - 1
 		}
+	}
+}
+
+// ForEachRun calls fn for every maximal run lo..hi-1 of qualifying rows, in
+// ascending order, without visiting the rows inside a run.
+func (b *Bitmap) ForEachRun(fn func(lo, hi int)) {
+	lo := -1 // start of a run still open at the end of the previous word
+	for wi, w := range b.words {
+		base := wi << 6
+		if lo >= 0 {
+			if w == ^uint64(0) {
+				continue
+			}
+			z := bits.TrailingZeros64(^w)
+			fn(lo, base+z)
+			lo = -1
+			w &^= 1<<uint(z) - 1
+		}
+		for w != 0 {
+			s := bits.TrailingZeros64(w)
+			n := bits.TrailingZeros64(^(w >> uint(s)))
+			if s+n == 64 {
+				lo = base + s
+				break
+			}
+			fn(base+s, base+s+n)
+			w &^= (1<<uint(n) - 1) << uint(s)
+		}
+	}
+	if lo >= 0 {
+		// Bits past the last row are never set, so an open run ends at it.
+		fn(lo, b.n)
 	}
 }
 

@@ -186,3 +186,116 @@ func TestBitmapFromWords(t *testing.T) {
 		}()
 	}
 }
+
+// TestBitmapSetRange: every range of every length in lengths, both ends on,
+// before and past each word boundary, sets exactly its rows and leaves the
+// others — set or not — as they were.
+func TestBitmapSetRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range lengths {
+		ends := []int{0, 1, 62, 63, 64, 65, 127, 128, 129, n - 1, n}
+		for _, lo := range ends {
+			for _, hi := range ends {
+				if lo < 0 || hi > n || lo > n {
+					continue
+				}
+				bm, ref := randomBitmap(rng, n)
+				bm.SetRange(lo, hi)
+				count := 0
+				for i := 0; i < n; i++ {
+					want := ref[i] || (lo <= i && i < hi)
+					if bm.Get(i) != want {
+						t.Fatalf("n=%d SetRange(%d, %d): row %d is %v", n, lo, hi, i, bm.Get(i))
+					}
+					if want {
+						count++
+					}
+				}
+				if bm.Count() != count {
+					t.Fatalf("n=%d SetRange(%d, %d): Count %d, want %d — bits set past the last row", n, lo, hi, bm.Count(), count)
+				}
+			}
+		}
+	}
+	for _, bad := range [][2]int{{-1, 3}, {0, 11}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetRange(%d, %d) over 10 rows accepted", bad[0], bad[1])
+				}
+			}()
+			NewBitmap(10).SetRange(bad[0], bad[1])
+		}()
+	}
+}
+
+// TestBitmapForEachRun: the runs are maximal, ascending, and cover exactly
+// the qualifying rows — on random bitmaps, on long runs crossing several
+// words, and on the full and empty bitmaps of every length.
+func TestBitmapForEachRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(name string, bm *Bitmap) {
+		t.Helper()
+		covered, prevHi := 0, -1
+		bm.ForEachRun(func(lo, hi int) {
+			if lo >= hi || hi > bm.Len() {
+				t.Fatalf("%s: run %d..%d", name, lo, hi)
+			}
+			if lo <= prevHi {
+				t.Fatalf("%s: run %d..%d follows one ending at %d: not maximal or not ascending", name, lo, hi, prevHi)
+			}
+			for i := lo; i < hi; i++ {
+				if !bm.Get(i) {
+					t.Fatalf("%s: run %d..%d covers row %d, which is not set", name, lo, hi, i)
+				}
+			}
+			covered += hi - lo
+			prevHi = hi
+		})
+		if covered != bm.Count() {
+			t.Fatalf("%s: runs cover %d rows of %d", name, covered, bm.Count())
+		}
+	}
+	for _, n := range lengths {
+		check("empty", NewBitmap(n))
+		check("full", NewFullBitmap(n))
+		for trial := 0; trial < 20; trial++ {
+			bm, _ := randomBitmap(rng, n)
+			check("random", bm)
+			if n > 0 {
+				long := NewBitmap(n)
+				for k := 0; k < 3; k++ {
+					lo := rng.Intn(n)
+					long.SetRange(lo, lo+rng.Intn(n-lo+1))
+				}
+				check("long runs", long)
+			}
+		}
+	}
+}
+
+// TestBitmapSetClearRows: the bulk forms agree with Set and Clear row by row.
+func TestBitmapSetClearRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range lengths[1:] {
+		got, _ := randomBitmap(rng, n)
+		want := got.Clone()
+		rows := make([]uint32, n/2+1)
+		for i := range rows {
+			rows[i] = uint32(rng.Intn(n))
+		}
+		got.SetRows(rows)
+		for _, r := range rows {
+			want.Set(int(r))
+		}
+		got.ClearRows(rows[:len(rows)/2])
+		for _, r := range rows[:len(rows)/2] {
+			want.Clear(int(r))
+		}
+		for i := 0; i < n; i++ {
+			if got.Get(i) != want.Get(i) {
+				t.Fatalf("n=%d: row %d is %v, row-at-a-time %v", n, i, got.Get(i), want.Get(i))
+			}
+		}
+	}
+}

@@ -1,0 +1,134 @@
+package table
+
+import "time"
+
+// Dictionary is a column's value dictionary: its distinct values in ascending
+// order, and for each the rows that carry it. A value's position in Values is
+// its code. It is what the executor evaluates single-column predicates on —
+// a comparison with a literal admits a contiguous run of codes, found by
+// binary search, and the rows of a run of codes are a contiguous stretch of
+// Rows — so a predicate costs a function of the distinct values, and only
+// the rows that qualify (or, when they are the majority, those that do not)
+// are ever touched.
+//
+// It is not the string dictionary Column.Dict, which decodes the values of a
+// string column; a string column has both.
+//
+// A Dictionary is immutable once built and shared by every reader.
+type Dictionary struct {
+	// Values holds the distinct values, ascending.
+	Values []int64
+	// Offsets has len(Values)+1 entries: the rows carrying Values[c] are
+	// Rows[Offsets[c]:Offsets[c+1]], so codes [lo,hi) cover
+	// Offsets[hi]-Offsets[lo] rows.
+	Offsets []uint32
+	// Rows holds every row id once, grouped by code and ascending within a
+	// code.
+	Rows []uint32
+	// BuildTime is what building the dictionary took: one sort of the column.
+	BuildTime time.Duration
+}
+
+// Dictionary returns the column's value dictionary, building it on first use
+// and after InvalidateStats. Like the statistics it is safe to ask for from
+// many goroutines at once: the first caller builds it under the stats mutex
+// and the rest wait for that one build.
+func (c *Column) Dictionary() *Dictionary {
+	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	if c.dict == nil {
+		c.dict = buildDictionary(c.Vals)
+	}
+	return c.dict
+}
+
+// buildDictionary sorts the rows by value with a least-significant-byte-first
+// radix sort: it is stable, so rows stay ascending within a value, and a byte
+// every value agrees on — for a column whose values span less than 65 536,
+// six of the eight — costs no pass. A comparison sort of the 20 000-row
+// forest columns took 3.6 ms each, two thirds of the labeling they were
+// built for.
+func buildDictionary(vals []int64) *Dictionary {
+	start := time.Now()
+	n := len(vals)
+	// Flipping the sign bit maps the order of int64 onto that of uint64.
+	keys, rows := make([]uint64, n), make([]uint32, n)
+	var differ uint64 // the bits some two keys differ in
+	for i, v := range vals {
+		k := uint64(v) ^ 1<<63
+		keys[i], rows[i] = k, uint32(i)
+		differ |= k ^ keys[0]
+	}
+	keys2, rows2 := make([]uint64, n), make([]uint32, n)
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		var next [256]uint32 // where the next key with this byte goes
+		for _, k := range keys {
+			next[byte(k>>shift)]++
+		}
+		var sum uint32
+		for b, c := range next {
+			next[b], sum = sum, sum+c
+		}
+		for i, k := range keys {
+			b := byte(k >> shift)
+			keys2[next[b]], rows2[next[b]] = k, rows[i]
+			next[b]++
+		}
+		keys, keys2, rows, rows2 = keys2, keys, rows2, rows
+	}
+	distinct := 0
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			distinct++
+		}
+	}
+	d := &Dictionary{
+		Values:  make([]int64, 0, distinct),
+		Offsets: make([]uint32, 0, distinct+1),
+		Rows:    rows,
+	}
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			d.Values = append(d.Values, int64(k^1<<63))
+			d.Offsets = append(d.Offsets, uint32(i))
+		}
+	}
+	d.Offsets = append(d.Offsets, uint32(n))
+	d.BuildTime = time.Since(start)
+	return d
+}
+
+// DropDictionaries frees every column's value dictionary; the next evaluation
+// that needs one builds it again. A dictionary is half its column's size
+// again — four bytes a row — which is worth holding while queries are counted
+// by the thousand and not between two such batches: cardestd labels at boot
+// and at each retrain, serves in between, and with forest's 16 dictionaries
+// held served at 22.3 MiB resident where it serves at 19.9 without, for the
+// ~7 ms a retrain spends building them again. Unlike InvalidateStats it is
+// safe at any time: a reader that holds a dictionary keeps it.
+func (db *DB) DropDictionaries() {
+	for _, t := range db.tables {
+		for _, c := range t.cols {
+			c.statsMu.Lock()
+			c.dict = nil
+			c.statsMu.Unlock()
+		}
+	}
+}
+
+// DictionaryBuilds reports how many of the table's columns hold a built
+// dictionary and the time those builds took, summed. It builds nothing.
+func (t *Table) DictionaryBuilds() (built int, took time.Duration) {
+	for _, c := range t.cols {
+		c.statsMu.Lock()
+		if c.dict != nil {
+			built++
+			took += c.dict.BuildTime
+		}
+		c.statsMu.Unlock()
+	}
+	return built, took
+}

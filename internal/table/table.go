@@ -1,6 +1,7 @@
 // Package table implements the in-memory column store that underlies the
 // reproduction: typed columns, per-attribute statistics (min, max, distinct
-// count), bitmap selection vectors, and CSV import/export.
+// count), per-column value dictionaries (the distinct values in order, with
+// the rows carrying each), bitmap selection vectors, and CSV import/export.
 //
 // The paper's QFTs are defined over attributes with known min/max domains
 // (Sections 2.1.1 and 3.2); the statistics kept here are exactly the
@@ -29,15 +30,17 @@ type Column struct {
 	// (Section 6, "String predicates").
 	Dict []string
 
-	// statsMu guards the lazily computed statistics below, making the
-	// stats accessors safe under concurrent readers (parallel labeling and
-	// training read Min/Max/Distinct from many goroutines). Mutating Vals
-	// or calling InvalidateStats concurrently with readers remains the
-	// caller's responsibility to serialize.
+	// statsMu guards the lazily computed statistics and the lazily built
+	// value dictionary below, making their accessors safe under concurrent
+	// readers (parallel labeling and training read Min/Max/Distinct and
+	// Dictionary from many goroutines). Mutating Vals or calling
+	// InvalidateStats concurrently with readers remains the caller's
+	// responsibility to serialize.
 	statsMu    sync.Mutex
 	statsValid bool
 	min, max   int64
 	distinct   int
+	dict       *Dictionary // nil until Dictionary builds it
 }
 
 // NewColumn returns a column with the given name and values.
@@ -94,11 +97,14 @@ func (c *Column) Decode(v int64) string {
 	return fmt.Sprintf("%d", v)
 }
 
-// InvalidateStats forces statistics to be recomputed on next access. Call it
-// after mutating Vals (e.g. when simulating data drift).
+// InvalidateStats forces the statistics and the value dictionary to be
+// recomputed on next access. Call it after mutating Vals (e.g. when
+// simulating data drift): everything the executor counts, it counts on the
+// dictionary.
 func (c *Column) InvalidateStats() {
 	c.statsMu.Lock()
 	c.statsValid = false
+	c.dict = nil
 	c.statsMu.Unlock()
 }
 

@@ -141,8 +141,11 @@ func (r *Retrainer) Run(ctx context.Context) (journalLabels int, err error) {
 
 // label recomputes ground-truth cardinalities against the live database,
 // resuming from — and periodically saving — the durable label vector. hits
-// counts the labels ActualLookup supplied.
+// counts the labels ActualLookup supplied. The column dictionaries the counts
+// build are dropped on the way out: the daemon serves until the next retrain
+// and does not hold them for it.
 func (r *Retrainer) label(ctx context.Context, ck *jobCheckpoint) (labels []int64, hits int, err error) {
+	defer r.cfg.DB.DropDictionaries()
 	n := len(r.cfg.Queries)
 	labels = ck.Labels
 	if len(labels) != n {
@@ -173,7 +176,6 @@ func (r *Retrainer) label(ctx context.Context, ck *jobCheckpoint) (labels []int6
 		}
 	}
 
-	cache := exec.NewPredCache(0)
 	for lo := 0; lo < n; lo += labelChunk {
 		hi := lo + labelChunk
 		if hi > n {
@@ -189,7 +191,7 @@ func (r *Retrainer) label(ctx context.Context, ck *jobCheckpoint) (labels []int6
 		if done {
 			continue
 		}
-		sub, lerr := exec.CountManyResume(ctx, r.cfg.DB, r.cfg.Queries[lo:hi], labels[lo:hi], cache, r.cfg.Workers)
+		sub, lerr := exec.CountManyResume(ctx, r.cfg.DB, r.cfg.Queries[lo:hi], labels[lo:hi], r.cfg.Workers)
 		copy(labels[lo:hi], sub)
 		if lerr != nil {
 			// Persist what did label before failing: the retry pays only for

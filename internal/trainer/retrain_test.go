@@ -182,6 +182,13 @@ func TestRetrainLabelsFromJournaledActuals(t *testing.T) {
 		t.Fatalf("checkpoint phase %q with %d labels (decode error %v), want a train-phase one with %d", saved.Phase, len(saved.Labels), err, n)
 	}
 	checkLabels(saved.Labels, 0)
+	// The executor counted the odd half on the columns' dictionaries; the
+	// daemon does not hold them until the next retrain.
+	for _, name := range env.db.TableNames() {
+		if built, _ := env.db.Table(name).DictionaryBuilds(); built != 0 {
+			t.Errorf("table %s holds %d dictionaries after labeling", name, built)
+		}
+	}
 
 	// The resumed attempt finds labeling finished: no lookup, no hit counted
 	// twice, and the model fitted on those labels is published.

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -20,8 +19,8 @@ import (
 // same order, same cardinalities, same give-up point.
 
 // labelOracle counts q against db and appends it to dst when non-empty.
-func labelOracle(db *table.DB, q *sqlparse.Query, dst Set, cache *exec.PredCache) (Set, error) {
-	card, err := exec.CountCached(context.Background(), db, q, cache)
+func labelOracle(db *table.DB, q *sqlparse.Query, dst Set) (Set, error) {
+	card, err := exec.Count(db, q)
 	if err != nil || card == 0 {
 		return dst, err
 	}
@@ -36,7 +35,6 @@ func conjunctiveOracle(tbl *table.Table, cfg ConjConfig) (Set, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	db := singleDB(tbl)
 	names := tbl.ColumnNames()
-	cache := exec.NewPredCache(0)
 
 	var out Set
 	for attempts := 0; len(out) < cfg.Count; attempts++ {
@@ -51,7 +49,7 @@ func conjunctiveOracle(tbl *table.Table, cfg ConjConfig) (Set, error) {
 			conj = append(conj, attrPreds(rng, tbl, a, anchor, cfg.MaxNotEquals)...)
 		}
 		q := &sqlparse.Query{Tables: []string{tbl.Name}, Where: sqlparse.NewAnd(conj...)}
-		if out, err = labelOracle(db, q, out, cache); err != nil {
+		if out, err = labelOracle(db, q, out); err != nil {
 			return nil, err
 		}
 	}
@@ -69,7 +67,6 @@ func mixedOracle(tbl *table.Table, cfg MixedConfig) (Set, error) {
 	rng := rand.New(rand.NewSource(base.Seed))
 	db := singleDB(tbl)
 	names := tbl.ColumnNames()
-	cache := exec.NewPredCache(0)
 
 	var out Set
 	for attempts := 0; len(out) < base.Count; attempts++ {
@@ -91,7 +88,7 @@ func mixedOracle(tbl *table.Table, cfg MixedConfig) (Set, error) {
 			compounds = append(compounds, sqlparse.NewOr(branches...))
 		}
 		q := &sqlparse.Query{Tables: []string{tbl.Name}, Where: sqlparse.NewAnd(compounds...)}
-		if out, err = labelOracle(db, q, out, cache); err != nil {
+		if out, err = labelOracle(db, q, out); err != nil {
 			return nil, err
 		}
 	}
@@ -112,7 +109,6 @@ func generateJoinsOracle(db *table.DB, schema *catalog.Schema, cfg JoinConfig, i
 		cfg.MaxPreds = 5
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	cache := exec.NewPredCache(0)
 
 	var out Set
 	attempts := 0
@@ -139,7 +135,7 @@ func generateJoinsOracle(db *table.DB, schema *catalog.Schema, cfg JoinConfig, i
 		if err != nil {
 			return nil, attempts, err
 		}
-		if out, err = labelOracle(db, q, out, cache); err != nil {
+		if out, err = labelOracle(db, q, out); err != nil {
 			return nil, attempts, err
 		}
 	}
@@ -148,7 +144,6 @@ func generateJoinsOracle(db *table.DB, schema *catalog.Schema, cfg JoinConfig, i
 
 func joinForTablesOracle(db *table.DB, schema *catalog.Schema, tables []string, count, maxPreds int, seed int64) (Set, int, error) {
 	rng := rand.New(rand.NewSource(seed))
-	cache := exec.NewPredCache(0)
 	var out Set
 	attempts := 0
 	for ; len(out) < count; attempts++ {
@@ -159,7 +154,7 @@ func joinForTablesOracle(db *table.DB, schema *catalog.Schema, tables []string, 
 		if err != nil {
 			return nil, attempts, err
 		}
-		if out, err = labelOracle(db, q, out, cache); err != nil {
+		if out, err = labelOracle(db, q, out); err != nil {
 			return nil, attempts, err
 		}
 	}

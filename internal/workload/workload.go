@@ -117,15 +117,13 @@ func (s Set) MeanCard() float64 {
 // generate runs the generators' draw-label-reject loop: it returns the first
 // count queries with a non-empty result, in the order draw produces them.
 // No draw depends on a label, so the queries still outstanding are drawn
-// first and then labeled as one batch — exec.CountManyResume over one worker
-// per logical CPU and one predicate-bitmap cache for the whole run — and the
-// rounds repeat until count are kept. A round draws only as many queries as
-// are outstanding, which a loop labeling each query before drawing the next
-// would have drawn too: the RNG is consumed identically, the set is the one
+// first and then labeled as one batch — exec.CountManyCtx, one worker per
+// logical CPU — and the rounds repeat until count are kept. A round draws
+// only as many queries as are outstanding, which a loop labeling each query
+// before drawing the next would have drawn too: the RNG is consumed identically, the set is the one
 // that loop returns for every worker count, and a longer run has a shorter
 // run as its prefix.
 func generate(db *table.DB, count int, draw func() (*sqlparse.Query, error)) (Set, error) {
-	cache := exec.NewPredCache(0)
 	out := make(Set, 0, count)
 	budget := maxAttemptFactor*count + 1
 	for len(out) < count {
@@ -142,7 +140,7 @@ func generate(db *table.DB, count int, draw func() (*sqlparse.Query, error)) (Se
 			}
 			qs[i] = q
 		}
-		cards, err := exec.CountManyResume(context.Background(), db, qs, nil, cache, 0)
+		cards, err := exec.CountManyCtx(context.Background(), db, qs)
 		if err != nil {
 			return nil, err
 		}
