@@ -33,7 +33,8 @@ check: vet race
 # works in hermetic containers without network access. The allocation pins
 # of the request path (Parse <= 25 and <= 4 KiB, Bind of a numeric query 0,
 # featurize 0, fingerprint <= 2, Local.Estimate <= 6, an inline resilience
-# stage 0, a cache lookup 0, the whole handler on a hit <= Parse + 8) skip
+# stage 0, keying and looking up a query text 0, the whole handler on a hit
+# <= 6, or <= Parse + 8 when a Feedback hook is owed the parsed query) skip
 # themselves under the race detector, which defeats sync.Pool, so they get a
 # run of their own without it. Five fuzz targets get 5 s each: the parser and
 # the journal reader, the two on /v1/estimate — the handler ("4xx never
@@ -55,6 +56,9 @@ check: vet race
 # third is the one-evaluator invariant: exec counts on column dictionaries,
 # and outside tests — where the scan kernels live on as its oracle — there is
 # no row-scan comparison kernel and no predicate-bitmap cache to fall back to.
+# The fourth keeps the request path off the canonical fingerprint: the
+# estimate cache is keyed on the query text, and the class key is computed
+# where it is filed (cardestd's feedback hook, replay, the trainer).
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -69,6 +73,7 @@ ci:
 	! grep -rnE 'PredictReference|PredictInto|PredictBatch|func \(.*\) EstimateBatch' --include='*.go' internal cmd | grep -vE '_test\.go:|^cmd/bench/'
 	! grep -rnE 'NewSupervisor|StartSupervisor|SupervisorConfig|JobSpec|JobFunc|ErrJobActive|ProbeNow|RetryConfig|IsPermanent' --include='*.go' internal cmd
 	! grep -rnE 'PredCache|NewPredCache|EvalExprCached|CountCached|eqWord|ltWord|leWord' --include='*.go' . | grep -vE '_test\.go:'
+	! grep -rn 'core\.Fingerprint' --include='*.go' internal/serve | grep -v _test.go
 	$(MAKE) lint
 
 # lint runs the optional static analyzers. Both are gated on availability:

@@ -1,9 +1,9 @@
 // Command cardestd is the long-lived estimation daemon: it serves the
 // trained (QFT × model) estimators of this reproduction over an HTTP JSON
-// API, with a hot-swappable model registry, a semantic estimate cache,
-// admission control, and graceful drain (see internal/serve). A single query
-// is estimated on its own request goroutine; a client batch fans out over
-// -workers goroutines.
+// API, with a hot-swappable model registry, an estimate cache keyed on the
+// query text, admission control, and graceful drain (see internal/serve). A
+// single query is estimated on its own request goroutine; a client batch fans
+// out over -workers goroutines.
 //
 // Usage:
 //
@@ -60,15 +60,20 @@
 // GET /v1/drift reports detector state, recent alarms, and the latest
 // retrain; /metrics grows drift_* and retrain_* counters.
 //
-// The daemon memoizes estimates in a generation-scoped semantic cache
-// (-cache-entries, default 4096; 0 disables): requests are keyed
-// on the live model's registry generation plus a canonical fingerprint of
-// their predicate set, so syntactic variants the featurization treats as
-// equivalent share one cached estimate, concurrent identical queries
-// collapse into a single model inference, and every publish or rollback
-// invalidates the cache implicitly by changing the generation. While a
-// drift alarm is active (-retrain) the cache is bypassed. /metrics reports
-// cache_hits, cache_misses, cache_evictions, and cache_collapsed.
+// The daemon memoizes estimates in a generation-scoped cache
+// (-cache-entries, default 4096; 0 disables): requests are keyed on the live
+// model's registry generation plus the SHA-256 of the query text as sent, so
+// a repeated text is answered before it is parsed, concurrent identical
+// queries collapse into a single model inference, and every publish or
+// rollback invalidates the cache implicitly by changing the generation. A
+// different spelling of a cached query (reordered conjuncts, "a > 5" for
+// "a >= 6") is a different key: it recomputes, a few microseconds, and gets
+// the same estimate. While a drift alarm is active (-retrain) the cache is
+// bypassed. /metrics reports cache_hits, cache_misses, cache_evictions, and
+// cache_collapsed. The journal still files every record under
+// core.Fingerprint, the key of the featurization class; cmd/replay counts
+// how many of a journal's records a class key would have served that a text
+// key does not (its "traffic:" line).
 //
 // -journal arms the durable query-feedback journal (see internal/journal):
 // every served estimate — SQL, fingerprint, estimate, client-reported
@@ -208,7 +213,7 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.drainTO, "drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 	fs.BoolVar(&o.smoke, "smoke", false, "run the self-test (random port, batched estimate, metrics scrape) and exit")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty disables)")
-	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "generation-scoped estimate cache capacity (semantic fingerprint keys); 0 disables the cache, so every request pays full featurize+inference")
+	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "estimate cache capacity, keyed on (generation, query text): a repeated text is answered before the parse; 0 disables the cache, so every request pays parse+featurize+inference")
 	fs.StringVar(&o.storeDir, "store", "", "crash-safe model store directory (enables canary-gated publishes, recovery, and rollback)")
 	fs.IntVar(&o.canaryN, "canary", 200, "held-out labeled queries for the canary gate (0 disables the gate)")
 	fs.Float64Var(&o.canaryMedian, "canary-median", 10, "canary ceiling on median q-error")
@@ -475,7 +480,7 @@ func run(o options, out io.Writer) error {
 	}
 
 	if o.cacheEntries > 0 {
-		fmt.Fprintf(out, "estimate cache: %d entries, keyed on (generation, query fingerprint)\n", o.cacheEntries)
+		fmt.Fprintf(out, "estimate cache: %d entries, keyed on (generation, query text)\n", o.cacheEntries)
 	} else {
 		fmt.Fprintln(out, "estimate cache: off")
 	}
@@ -559,12 +564,10 @@ func feedbackHook(mon *drift.Monitor, jnl *journal.Journal, actuals *replay.Actu
 		if jnl == nil {
 			return
 		}
-		// The request path fingerprints the query once, for the estimate
-		// cache; only with the cache off or bypassed is it computed here.
-		fp := ev.Fingerprint
-		if fp == "" {
-			fp = core.Fingerprint(ev.Query)
-		}
+		// The request path never fingerprints (the estimate cache is keyed
+		// on the query text); the journal and the actuals index name the
+		// featurization class, so it is computed here.
+		fp := core.Fingerprint(ev.Query)
 		// Append is a non-blocking enqueue: a wedged journal sheds records
 		// (counted in journal_shed) and the estimate path never waits.
 		jnl.Append(journal.Record{
@@ -622,14 +625,19 @@ func resilienceWrap(db *table.DB, o options) func(estimator.Estimator) estimator
 	}
 }
 
-// listenAndServe runs the daemon until SIGTERM/SIGINT, then drains: new
-// requests are refused with 503, in-flight requests finish, and the
-// listener closes within the drain deadline.
+// listenAndServe runs the daemon until SIGTERM/SIGINT, then drains.
 func listenAndServe(srv *serve.Server, o options, out io.Writer) error {
-	httpSrv := &http.Server{Addr: o.addr, Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	return serveUntil(ctx, srv, o, out)
+}
 
+// serveUntil binds -addr, serves until ctx is done, then drains: new requests
+// are refused with 503, in-flight requests finish, and the listener closes
+// within the drain deadline. The "listening on" line is printed once the
+// socket is bound and names the address it is bound to (with -addr :0, the
+// port the kernel chose); a bind that fails prints nothing and is the error.
+func serveUntil(ctx context.Context, srv *serve.Server, o options, out io.Writer) error {
 	// -pprof exposes the profiling handlers on their own listener, never on
 	// the serving address, so the fast path can be profiled in production
 	// without widening the public API surface. Off by default.
@@ -644,9 +652,14 @@ func listenAndServe(srv *serve.Server, o options, out io.Writer) error {
 		fmt.Fprintf(out, "pprof listening on %s\n", o.pprofAddr)
 	}
 
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(out, "cardestd listening on %s\n", o.addr)
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	fmt.Fprintf(out, "cardestd listening on %s\n", ln.Addr())
 
 	select {
 	case err := <-errCh:
@@ -657,7 +670,7 @@ func listenAndServe(srv *serve.Server, o options, out io.Writer) error {
 	srv.Drain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), o.drainTO)
 	defer cancel()
-	err := httpSrv.Shutdown(shutCtx)
+	err = httpSrv.Shutdown(shutCtx)
 	srv.Close()
 	if err != nil {
 		return fmt.Errorf("drain did not finish within %v: %w", o.drainTO, err)

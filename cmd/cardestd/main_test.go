@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -160,9 +162,9 @@ func TestRunStoreRecovery(t *testing.T) {
 	}
 }
 
-// TestJournaledFingerprint: the request path fingerprints a query once, for
-// the estimate cache, and hands it to the feedback hook; the hook computes
-// it only when the cache is off. Either way the journal must hold exactly
+// TestJournaledFingerprint: the request path never fingerprints (the estimate
+// cache is keyed on the query text); the feedback hook does, from the bound
+// query the server owes it even on a cache hit. The journal must hold exactly
 // core.Fingerprint of the served query — on a miss, a hit, inside a client
 // batch, and with the cache off.
 func TestJournaledFingerprint(t *testing.T) {
@@ -230,5 +232,96 @@ func TestJournaledFingerprint(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// constServer is a serve.Server over one constant model.
+func constServer(t *testing.T) *serve.Server {
+	t.Helper()
+	reg := serve.NewRegistry()
+	if _, err := reg.Register("const", resilience.Constant{Value: 5}, serve.ModelInfo{}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// lineWriter hands each Write (the daemon prints one line per Fprintf) to a
+// channel, so a test can wait for a line instead of polling a buffer.
+type lineWriter chan string
+
+func (w lineWriter) Write(p []byte) (int, error) {
+	w <- string(p)
+	return len(p), nil
+}
+
+// TestServeAnnouncesBoundAddress: with -addr :0 the "listening on" line names
+// the port the kernel chose, and by the time it is printed the socket
+// accepts — a script can read the line and connect.
+func TestServeAnnouncesBoundAddress(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	o := tinyOptions(t)
+	o.addr = "127.0.0.1:0"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := make(lineWriter, 8) // every line the daemon prints here fits: the test reads as it goes
+	done := make(chan error, 1)
+	go func() { done <- serveUntil(ctx, constServer(t), o, out) }()
+
+	var line string
+	select {
+	case line = <-out:
+	case err := <-done:
+		t.Fatalf("serveUntil returned before announcing: %v", err)
+	}
+	addr, ok := strings.CutPrefix(strings.TrimSpace(line), "cardestd listening on ")
+	if !ok || strings.HasSuffix(addr, ":0") {
+		t.Fatalf("first line %q, want the bound address", line)
+	}
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatalf("the announced address does not answer: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz on the announced address: status %d", resp.StatusCode)
+	}
+	http.DefaultClient.CloseIdleConnections()
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	close(out)
+	var rest []string
+	for l := range out {
+		rest = append(rest, l)
+	}
+	if got := strings.Join(rest, ""); !strings.Contains(got, "drained cleanly") {
+		t.Errorf("after cancel the daemon printed %q, want a clean drain", got)
+	}
+}
+
+// TestServeBindFailureAnnouncesNothing: an address that cannot be bound is an
+// error and no "listening on" line — the old code printed the line first and
+// failed after it.
+func TestServeBindFailureAnnouncesNothing(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	o := tinyOptions(t)
+	o.addr = taken.Addr().String()
+	var out strings.Builder
+	if err := serveUntil(context.Background(), constServer(t), o, &out); err == nil {
+		t.Fatal("binding an address in use succeeded")
+	}
+	if out.Len() != 0 {
+		t.Errorf("a failed bind printed %q, want nothing", out.String())
 	}
 }

@@ -3,14 +3,20 @@
 // it reads the journal's segments offline — tolerantly, without mutating
 // them, so it is safe to point at a live daemon's directory — and streams
 // every labeled record through each requested estimator, printing a
-// per-model q-error report (median/p95/max, per-table breakdowns).
+// per-model q-error report (median/p95/max, per-table breakdowns). Before
+// that it prints how the journal's traffic repeats: records, distinct_texts,
+// distinct_fingerprints, and semantic_only — the records whose featurization
+// class (core.Fingerprint) had been seen before under a different text, which
+// is what the daemon's text-keyed estimate cache recomputes and a class-keyed
+// one would have served. With no model given that is the whole report.
 //
 // Usage:
 //
 //	replay -journal dir [-snapshot name=path[,name=path...]] [-store dir]
 //	       [-rows 20000] [-seed 1] [-derive-canary 0] [-json]
 //
-// Models come from two places, combinable:
+// Models come from two places, combinable (with neither, only the journal
+// summary and the traffic line are printed):
 //
 //   - -snapshot name=path pairs load persistence-layer snapshots (the
 //     -save output of cardest/cardestd, or anything POST /v1/models/load
@@ -98,6 +104,11 @@ func run(o options, out io.Writer) error {
 	if len(records) == 0 {
 		return fmt.Errorf("journal holds no records")
 	}
+	traffic := replay.Traffic(records)
+	if !o.asJSON {
+		fmt.Fprintf(out, "traffic: records %d | distinct_texts %d | distinct_fingerprints %d | semantic_only %d (%.2f%% of records)\n",
+			traffic.Records, traffic.DistinctTexts, traffic.DistinctFingerprints, traffic.SemanticOnly, 100*traffic.SemanticOnlyShare())
+	}
 
 	forest, err := dataset.Forest(dataset.ForestConfig{Rows: o.rows, QuantAttrs: 12, BinaryAttrs: 4, Seed: o.seed})
 	if err != nil {
@@ -110,8 +121,8 @@ func run(o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if len(ests) == 0 && o.deriveCanary <= 0 {
-		return fmt.Errorf("nothing to do: give -snapshot and/or -store (or -derive-canary)")
+	if len(ests) == 0 && o.storeDir != "" && o.deriveCanary <= 0 {
+		return fmt.Errorf("nothing to score: store %s holds no loadable generation", o.storeDir)
 	}
 
 	reports := make([]replay.Report, 0, len(ests))
@@ -122,7 +133,7 @@ func run(o options, out io.Writer) error {
 	}
 
 	if o.asJSON {
-		doc := map[string]any{"journal": rep, "reports": reports}
+		doc := map[string]any{"journal": rep, "traffic": traffic, "reports": reports}
 		if o.deriveCanary > 0 {
 			doc["canary"] = canaryDoc(records, o)
 		}

@@ -121,8 +121,9 @@ func TestRunScoresSnapshotAndDerivesCanary(t *testing.T) {
 		t.Errorf("summary line = %q", summary)
 	}
 	var got struct {
-		Journal journal.ReadReport `json:"journal"`
-		Reports []replay.Report    `json:"reports"`
+		Journal journal.ReadReport  `json:"journal"`
+		Traffic replay.TrafficStats `json:"traffic"`
+		Reports []replay.Report     `json:"reports"`
 		Canary  []struct {
 			SQL  string `json:"sql"`
 			Card int64  `json:"card"`
@@ -133,6 +134,9 @@ func TestRunScoresSnapshotAndDerivesCanary(t *testing.T) {
 	}
 	if got.Journal.Records != len(records) {
 		t.Errorf("journal.records = %d, want %d", got.Journal.Records, len(records))
+	}
+	if want := replay.Traffic(records); got.Traffic != want {
+		t.Errorf("traffic = %+v, want %+v", got.Traffic, want)
 	}
 	if len(got.Reports) != 1 {
 		t.Fatalf("%d reports, want 1", len(got.Reports))
@@ -171,6 +175,24 @@ func TestRunScoresSnapshotAndDerivesCanary(t *testing.T) {
 		if !strings.Contains(out.String(), l.Query.String()) {
 			t.Errorf("canary query %s missing from:\n%s", l.Query, out.String())
 		}
+	}
+}
+
+// TestRunPrintsTraffic: with no model to score, the journal summary and the
+// traffic line — replay.Traffic of the journal's records — are the report.
+func TestRunPrintsTraffic(t *testing.T) {
+	_, dir, records := fixture(t)
+	var out bytes.Buffer
+	if err := run(options{journalDir: dir, rows: testRows, seed: testSeed}, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	want := replay.Traffic(records)
+	if want != (replay.TrafficStats{Records: 42, DistinctTexts: 42, DistinctFingerprints: 41}) {
+		t.Fatalf("fixture traffic = %+v, want 42 records, 42 texts, 41 classes (one text does not parse), none a respelling", want)
+	}
+	const line = "traffic: records 42 | distinct_texts 42 | distinct_fingerprints 41 | semantic_only 0 (0.00% of records)\n"
+	if !strings.HasSuffix(out.String(), line) {
+		t.Errorf("output %q does not end in %q", out.String(), line)
 	}
 }
 
@@ -253,7 +275,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	}{
 		"no -journal":      {options{snapshots: "boot=" + snapshot}, "-journal is required"},
 		"empty journal":    {options{journalDir: t.TempDir(), snapshots: "boot=" + snapshot}, "no records"},
-		"nothing to do":    {options{journalDir: dir}, "nothing to do"},
+		"empty store":      {options{journalDir: dir, storeDir: t.TempDir()}, "nothing to score"},
 		"malformed pair":   {options{journalDir: dir, snapshots: "boot"}, "name=path"},
 		"missing snapshot": {options{journalDir: dir, snapshots: "boot=" + snapshot + ".gone"}, "no such file"},
 	} {

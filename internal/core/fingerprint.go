@@ -19,18 +19,22 @@ import (
 // irrelevant (Algorithm 1 intersects per-attribute qualifying sets),
 // duplicate predicates are absorbed, and over the integer domains of
 // Section 3 the open and closed comparison forms ("a > 5" vs. "a >= 6")
-// qualify identical value sets. Two queries with the same fingerprint are
-// therefore featurized identically by every QFT here and must receive the
-// same estimate from the same model; the serving layer exploits exactly
-// that to cache estimates across syntactic variants.
+// qualify identical value sets. Two queries with the same fingerprint have
+// the same true cardinality, which is what its consumers file under it: the
+// feedback journal's records, replay's traffic-derived canary, and the
+// trainer's ActualIndex of journaled actuals. (The serving layer's estimate
+// cache was keyed on it until a miss became cheaper than the key; it is
+// keyed on the query text now — DESIGN §6, which also notes the one rewrite
+// below that Limited Disjunction Encoding's summed selectivity entry does
+// not absorb, a repeated disjunct.)
 //
 // Every rewrite applied below is an exact semantic equivalence, never a
 // heuristic: sorting and deduplicating AND/OR children (commutativity,
 // idempotence), normalizing strict integer comparisons to their closed
 // forms, ordering the sides of an equi-join, and sorting table / GROUP BY
 // lists. Distinct fingerprints may still denote equivalent queries (the
-// relation is sound, not complete) — that costs a cache miss, never a
-// wrong answer.
+// relation is sound, not complete) — that costs a journaled label that is
+// not found, never a wrong one.
 
 // Fingerprint returns a fixed-length, collision-resistant key for q's
 // featurization equivalence class: the hex-encoded SHA-256 of
@@ -50,7 +54,7 @@ func Fingerprint(q *sqlparse.Query) string {
 
 // CanonicalQuery renders q in a canonical textual form: two queries render
 // identically iff Fingerprint treats them as equivalent. Exposed for tests
-// and debugging; the serving cache keys on the hash.
+// and debugging; the journal and the ActualIndex key on the hash.
 func CanonicalQuery(q *sqlparse.Query) string {
 	c := canonPool.Get().(*canon)
 	c.query(q)

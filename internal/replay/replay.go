@@ -4,7 +4,7 @@
 // distributions, so the journal's labeled records — not generated ones —
 // are what publish gates and offline comparisons should run on.
 //
-// Three tools live here:
+// Four tools live here:
 //
 //   - Replay streams journaled records through any estimator and produces a
 //     q-error report (median/p95/max, per-table breakdowns) from the
@@ -14,7 +14,10 @@
 //     gate;
 //   - ActualIndex is a bounded fingerprint → actual-cardinality map the
 //     retrainer consults to label queries from journaled feedback before
-//     paying for exact execution.
+//     paying for exact execution;
+//   - Traffic counts a journal's distinct texts and featurization classes,
+//     and the repeats only a class-keyed cache would have served — the
+//     measurement behind keying serve's estimate cache on the query text.
 package replay
 
 import (
@@ -171,6 +174,53 @@ func DeriveCanary(records []journal.Record, n int, seed int64) workload.Set {
 		}
 	}
 	return reservoir
+}
+
+// TrafficStats says how a journal's records repeat. serve's estimate cache is
+// keyed on the query text; core.Fingerprint keys the coarser featurization
+// class. A record whose class was seen earlier but whose text was not is what
+// the text key forgoes: SemanticOnly counts them.
+type TrafficStats struct {
+	Records              int `json:"records"`
+	DistinctTexts        int `json:"distinct_texts"`
+	DistinctFingerprints int `json:"distinct_fingerprints"`
+	// SemanticOnly is how many records repeat an earlier record's fingerprint
+	// under a text no earlier record had.
+	SemanticOnly int `json:"semantic_only"`
+}
+
+// SemanticOnlyShare is SemanticOnly over Records (0 for an empty journal).
+func (t TrafficStats) SemanticOnlyShare() float64 {
+	if t.Records == 0 {
+		return 0
+	}
+	return float64(t.SemanticOnly) / float64(t.Records)
+}
+
+// Traffic computes TrafficStats over records in journal order. A record
+// journaled without a fingerprint gets the one its SQL parses to; one that
+// has neither is counted by its text alone (no cache ever held it).
+func Traffic(records []journal.Record) TrafficStats {
+	st := TrafficStats{Records: len(records)}
+	texts, fps := map[string]bool{}, map[string]bool{}
+	for _, rec := range records {
+		newText := !texts[rec.SQL]
+		texts[rec.SQL] = true
+		fp := rec.Fingerprint
+		if fp == "" {
+			q, err := sqlparse.Parse(rec.SQL)
+			if err != nil {
+				continue
+			}
+			fp = core.Fingerprint(q)
+		}
+		if fps[fp] && newText {
+			st.SemanticOnly++
+		}
+		fps[fp] = true
+	}
+	st.DistinctTexts, st.DistinctFingerprints = len(texts), len(fps)
+	return st
 }
 
 // ActualIndex is a bounded fingerprint → actual-cardinality index over

@@ -177,3 +177,38 @@ func TestActualIndexBoundedAndPicky(t *testing.T) {
 		t.Errorf("zero actual = (%d, %v), want (0, true)", v, ok)
 	}
 }
+
+// TestTraffic: a synthetic journal with known counts. Eight records, five
+// texts, three classes; the two records that respell an earlier class under a
+// new text are what a text-keyed cache recomputes and a class-keyed one would
+// have served.
+func TestTraffic(t *testing.T) {
+	sql := func(where string) string { return "SELECT count(*) FROM t WHERE " + where }
+	rec := func(text string, journaledFP bool) journal.Record {
+		r := journal.Record{SQL: text}
+		if journaledFP {
+			r.Fingerprint = core.Fingerprint(sqlparse.MustParse(text))
+		}
+		return r
+	}
+	records := []journal.Record{
+		rec(sql("a >= 1 AND b = 2"), true),  // class 1, text 1
+		rec(sql("a >= 1 AND b = 2"), true),  // exact repeat: both keys hit
+		rec(sql("b = 2 AND a >= 1"), true),  // class 1 under a new text: semantic-only
+		rec(sql("b = 2 AND a >= 1"), false), // repeat of that text (fingerprint recovered from the SQL)
+		rec(sql("a > 0 AND b = 2"), false),  // class 1 again, third text: semantic-only
+		rec(sql("c <> 3"), true),            // class 2, first sight
+		{SQL: "this is not SQL"},            // no class at all
+		{SQL: "this is not SQL"},            // and repeating it changes nothing
+	}
+	want := replay.TrafficStats{Records: 8, DistinctTexts: 5, DistinctFingerprints: 2, SemanticOnly: 2}
+	if got := replay.Traffic(records); got != want {
+		t.Errorf("Traffic = %+v, want %+v", got, want)
+	}
+	if got := want.SemanticOnlyShare(); got != 0.25 {
+		t.Errorf("SemanticOnlyShare = %v, want 0.25", got)
+	}
+	if got := (replay.TrafficStats{}).SemanticOnlyShare(); got != 0 {
+		t.Errorf("SemanticOnlyShare of an empty journal = %v, want 0", got)
+	}
+}

@@ -3,22 +3,31 @@ package serve
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math"
 	"sync"
+	"unsafe"
 )
 
-// The estimate cache is the serving hot path's semantic memo: a sharded,
-// LRU-evicted map from (model generation, canonical query fingerprint) to
-// the estimate the model produced. The fingerprint (core.Fingerprint) keys
-// the featurization equivalence class, so syntactically different queries
-// that the paper's QFTs featurize identically — reordered conjuncts,
-// duplicated predicates, "a > 5" vs. "a >= 6" — collide on purpose and a
-// hit is bit-identical to recomputation against the same model. The
-// registry generation in the key makes invalidation free: every
-// Lifecycle.Publish or Rollback registers a fresh entry with a new
-// generation, so all keys minted against the displaced model simply stop
-// matching and age out of the LRU.
+// The estimate cache is the serving hot path's memo: a sharded, LRU-evicted
+// map from (model generation, SHA-256 of the query text) to the estimate the
+// model produced. The key is the request's "sql" string as the client sent
+// it, so a hit is found straight after decode — before sqlparse.Parse,
+// exec.Bind or anything else that needs an AST — and a miss pays no
+// canonicalization on its way to the model. It is the only cache: a spelling
+// variant of a cached query (reordered conjuncts, a duplicated predicate,
+// "a > 5" for "a >= 6") is a different key, recomputes, and gets the
+// bit-identical estimate anyway, because the estimate is a function of the
+// featurization class and not of the cache (DESIGN §6 prices the trade; the
+// class's own key, the fingerprint of package core, stays with the journal,
+// replay and the trainer's ActualIndex — `make ci` greps that this package
+// does not call it). Text that does not parse or bind is never
+// estimated, so never inserted, so never served. The registry generation in
+// the key makes invalidation free: every Lifecycle.Publish or Rollback
+// registers a fresh entry with a new generation, so all keys minted against
+// the displaced model simply stop matching and age out of the LRU.
 //
 // Misses are collapsed with a singleflight: when N requests for the same
 // key arrive concurrently, one computes and the rest wait for its result,
@@ -41,12 +50,19 @@ type CacheConfig struct {
 	Shards int
 }
 
-// cacheKey scopes a query's fingerprint to the model generation that will
-// answer it. It is the shard maps' key as it stands, so looking a query up
-// copies its fingerprint nowhere.
+// cacheKey scopes a query's text to the model generation that will answer
+// it: a fixed-size value — no string, no hex — so minting one and looking it
+// up allocate nothing.
 type cacheKey struct {
 	gen uint64
-	fp  string
+	sum [sha256.Size]byte
+}
+
+// textKey mints sql's key. The digest reads the string's bytes in place
+// ([]byte(sql) would copy them to the heap on every request); nothing writes
+// through the slice and it does not outlive the call.
+func textKey(gen uint64, sql string) cacheKey {
+	return cacheKey{gen: gen, sum: sha256.Sum256(unsafe.Slice(unsafe.StringData(sql), len(sql)))}
 }
 
 // cacheable reports whether an estimate may be served again: only clean,
@@ -117,20 +133,17 @@ func newEstCache(cfg CacheConfig, m *Metrics) *estCache {
 	return c
 }
 
-// shard picks key's shard by FNV-1a over the fingerprint. The generation
-// stays out of the hash: a displaced generation's entries age out of
-// whichever shard they share with their successors.
+// shard picks key's shard by the digest's leading bytes. The generation
+// stays out of it: a displaced generation's entries age out of whichever
+// shard they share with their successors.
 func (c *estCache) shard(key cacheKey) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key.fp); i++ {
-		h = (h ^ uint32(key.fp[i])) * 16777619
-	}
-	return c.shards[h&c.mask]
+	return c.shards[binary.LittleEndian.Uint32(key.sum[:])&c.mask]
 }
 
 // lookup returns key's cached result, counting a hit when there is one and
-// nothing otherwise: the single-query path asks here first, before it has
-// built anything a hit does not need, and goes on to do on a miss.
+// nothing otherwise: both request paths ask here first, before they have
+// parsed the text, and count the miss once it has turned out to be a query
+// (the single path in do, the client-batch path itself).
 func (c *estCache) lookup(key cacheKey) (EstResult, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -143,17 +156,6 @@ func (c *estCache) lookup(key cacheKey) (EstResult, bool) {
 	}
 	s.mu.Unlock()
 	return EstResult{}, false
-}
-
-// get looks key up without joining or starting a flight (the client-batch
-// path, which computes its misses in one parallel fan-out). Counts a hit or
-// a miss.
-func (c *estCache) get(key cacheKey) (EstResult, bool) {
-	res, ok := c.lookup(key)
-	if !ok {
-		c.metrics.cacheMisses.Add(1)
-	}
-	return res, ok
 }
 
 // put stores a computed result (batch path); uncacheable results are

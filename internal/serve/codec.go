@@ -50,10 +50,10 @@ type reqScratch struct {
 	resp []byte
 
 	results []estimateResult  // per item of the batch, in request order
-	qs      []*sqlparse.Query // the items that parsed
-	idx     []int             // qs[j] is item idx[j]
-	fps     []string          // fingerprint of qs[j]; empty without a cache
-	out     []EstResult       // outcome of qs[j]
+	idx     []int             // the items that got an answer: j is item idx[j]
+	qs      []*sqlparse.Query // j's query; nil when a cache hit spared the parse
+	keys    []cacheKey        // j's cache key; zero without a cache
+	out     []EstResult       // j's outcome
 	missQ   []*sqlparse.Query // the qs the cache did not answer
 	missIdx []int             // missQ[k] is qs[missIdx[k]]
 	missOut []EstResult       // outcome of missQ[k]
@@ -70,9 +70,9 @@ func (sc *reqScratch) release() {
 	}
 	sc.body.Reset()
 	sc.dec.data = nil
-	sc.results, sc.qs, sc.fps, sc.out = emptied(sc.results), emptied(sc.qs), emptied(sc.fps), emptied(sc.out)
+	sc.results, sc.qs, sc.out = emptied(sc.results), emptied(sc.qs), emptied(sc.out)
 	sc.missQ, sc.missOut = emptied(sc.missQ), emptied(sc.missOut)
-	sc.idx, sc.missIdx = sc.idx[:0], sc.missIdx[:0]
+	sc.idx, sc.keys, sc.missIdx = sc.idx[:0], sc.keys[:0], sc.missIdx[:0]
 	scratchPool.Put(sc)
 }
 

@@ -530,12 +530,45 @@ func handlerAllocs(t *testing.T, h http.Handler, bodies [][]byte) float64 {
 	return testing.AllocsPerRun(4*len(bodies), send)
 }
 
-// TestEstimateHitAllocs pins the whole handler on a cache hit. Above the
-// parse the request cannot avoid (the AST is how it finds its key), a hit
-// allocates its own copy of the SQL, the fingerprint, the "actual" pointer
-// when there is one, and the two small wrappers of net/http's body limit and
-// the status-counting writer — no decoder state, no deadline, no timer, no
-// key copy, no encoder state, no header slice.
+// TestEstimateTextHitAllocs pins the whole handler on a cache hit with no
+// Feedback hook installed — the daemon without -journal or -retrain, and the
+// benchmark's single-hot: the key is the digest of the text, so no AST is
+// built. What is left is the request's own copy of the SQL, the "actual"
+// pointer when there is one, and the two small wrappers of net/http's body
+// limit and the status-counting writer — no parse, no fingerprint, no decoder
+// state, no deadline, no timer, no key on the heap, no encoder state, no
+// header slice. A batch of hits parses nothing either.
+func TestEstimateTextHitAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector defeats sync.Pool")
+	}
+	db, singles, batch := benchBodies(t, 64)
+	srv := cachedServer(t, constEst(77), func(c *Config) {
+		c.DB = db
+		c.Cache.Entries = 1024                    // no shard of 16 evicts among 64 keys
+		c.DefaultTimeout = 100 * time.Millisecond // cardestd's default: a miss would arm a timer
+	})
+	h := srv.Handler()
+
+	got := handlerAllocs(t, h, singles)
+	t.Logf("single hit: %.1f allocs/request", got)
+	if got > 6 {
+		t.Errorf("a cached single allocates %.1f times, want <= 6", got)
+	}
+	got = handlerAllocs(t, h, [][]byte{batch})
+	t.Logf("64-query batch, all hits: %.1f allocs/request", got)
+	if limit := float64(64*2 + 16); got > limit {
+		t.Errorf("a cached 64-query batch allocates %.1f times, want <= %v", got, limit)
+	}
+	if misses := srv.Metrics().Snapshot()["cache_misses"].(int64); misses != 64 {
+		t.Errorf("cache_misses = %d, want 64 (the first pass over the singles): every counted request must have been a hit", misses)
+	}
+}
+
+// TestEstimateHitAllocs pins the handler on a cache hit when a Feedback hook
+// is installed: the hook is owed the bound query, so the text is parsed even
+// though the cache answered, and the hit costs the parse plus what
+// TestEstimateTextHitAllocs counts.
 func TestEstimateHitAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector defeats sync.Pool")
@@ -544,6 +577,7 @@ func TestEstimateHitAllocs(t *testing.T) {
 	var events int
 	srv := cachedServer(t, constEst(77), func(c *Config) {
 		c.DB = db
+		c.Cache.Entries = 1024                    // no shard of 16 evicts among 64 keys
 		c.DefaultTimeout = 100 * time.Millisecond // cardestd's default: a miss would arm a timer
 		c.Feedback = func(FeedbackEvent) { events++ }
 	})

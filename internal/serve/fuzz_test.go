@@ -3,13 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"qfe/internal/core"
-	"qfe/internal/estimator"
 	"qfe/internal/sqlparse"
 )
 
@@ -36,9 +33,10 @@ func estimateBodySeeds() []string {
 		"",
 		"\x00\xff\xfe",
 		"SELECT count(*) FROM t WHERE " + strings.Repeat("(", 10000) + "a = 1" + strings.Repeat(")", 10000),
-		// Fingerprint equivalence-class probes: reordering, duplication,
-		// strict/closed comparison pairs, and literals that try to forge the
-		// canonical form's separators.
+		// Fingerprint equivalence-class probes (the journal and the trainer's
+		// ActualIndex key on it): reordering, duplication, strict/closed
+		// comparison pairs, and literals that try to forge the canonical
+		// form's separators.
 		"SELECT count(*) FROM t WHERE b = 1 AND a > 5",
 		"SELECT count(*) FROM t WHERE a >= 6 AND b = 1",
 		"SELECT count(*) FROM t WHERE a = 1 OR a = 1 OR b = 2",
@@ -77,41 +75,27 @@ func estimateBodySeeds() []string {
 	)
 }
 
-// FuzzEstimateHandler feeds arbitrary bodies to POST /v1/estimate. The
+// FuzzEstimateHandler feeds arbitrary bodies to POST /v1/estimate, each twice
+// to a server with the estimate cache on and once to one with it off. The
 // contract under fuzzing: malformed SQL or JSON is always a client error
-// (4xx) — never a 5xx, never a panic.
+// (4xx) — never a 5xx, never a panic — and the cache changes no answer: the
+// second request, served from whatever the first inserted, gets the status
+// and body (modulo "micros") of the uncached server, a 400 included.
 //
 // Explore with `go test -fuzz=FuzzEstimateHandler ./internal/serve`.
 func FuzzEstimateHandler(f *testing.F) {
 	for _, s := range estimateBodySeeds() {
 		f.Add(s)
 	}
-
 	db, _ := testEnv(f)
-	reg := NewRegistry()
-	if _, err := reg.Register("indep", &estimator.Independence{DB: db}, ModelInfo{Kind: "baseline"}); err != nil {
-		f.Fatal(err)
-	}
-	// The fuzzed server runs with the estimate cache on, so every accepted
-	// query also exercises fingerprinting and cache insertion end to end.
-	srv, err := New(Config{Registry: reg, DB: db, Cache: CacheConfig{Entries: 256}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(srv.Close)
-	h := srv.Handler()
+	cached, uncached := diffServers(f, db)
 
 	f.Fuzz(func(t *testing.T, body string) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req) // must not panic
-		if rec.Code >= 500 {
-			t.Fatalf("body %q produced status %d:\n%s", body, rec.Code, rec.Body.String())
-		}
+		sameAsUncached(t, cached, uncached, body) // must not panic
 
-		// The cache-key contract, on every SQL string the fuzzer reaches the
-		// handler with: raw bodies and the sql fields of JSON bodies.
+		// The class-key contract of core.Fingerprint, on every SQL string the
+		// fuzzer reaches the handler with: raw bodies and the sql fields of
+		// JSON bodies.
 		fingerprintInvariants(t, body)
 		var shape struct {
 			SQL     string `json:"sql"`
@@ -128,11 +112,12 @@ func FuzzEstimateHandler(f *testing.F) {
 	})
 }
 
-// fingerprintInvariants checks core.Fingerprint's cache-key contract on any
-// string the parser accepts: no panics, Clone-stable, non-mutating, and no
-// collision between inequivalent predicate sets — a perturbed literal may
-// only keep the fingerprint when the perturbed query is semantically
-// identical (which grid evaluation then has to confirm).
+// fingerprintInvariants checks core.Fingerprint's contract as the key of a
+// featurization class (journal records and the trainer's ActualIndex are
+// filed under it) on any string the parser accepts: no panics, Clone-stable,
+// non-mutating, and no collision between inequivalent predicate sets — a
+// perturbed literal may only keep the fingerprint when the perturbed query is
+// semantically identical (which grid evaluation then has to confirm).
 func fingerprintInvariants(t *testing.T, sql string) {
 	q, err := sqlparse.Parse(sql)
 	if err != nil {

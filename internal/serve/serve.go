@@ -46,7 +46,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
 	"qfe/internal/metrics"
@@ -90,7 +89,7 @@ type Config struct {
 	// enables POST /v1/models/rollback. Nil preserves the direct,
 	// ungated load path.
 	Lifecycle *Lifecycle
-	// Cache enables the generation-scoped semantic estimate cache on the
+	// Cache enables the generation-scoped, text-keyed estimate cache on the
 	// /v1/estimate hot path (see cache.go). The zero value disables it.
 	Cache CacheConfig
 	// CacheBypass, when non-nil, is consulted per request: while it returns
@@ -262,11 +261,6 @@ type FeedbackEvent struct {
 	// Latency is the server-side estimation time (per-query share for
 	// client batches).
 	Latency time.Duration
-	// Fingerprint is core.Fingerprint(Query) when the request path already
-	// computed it for the estimate cache; empty when the cache is off or
-	// bypassed. Consumers that need one regardless compute it themselves
-	// only in the empty case.
-	Fingerprint string
 }
 
 // ---- request/response shapes ----
@@ -383,12 +377,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	dl := deadline{parent: r.Context(), at: s.deadlineFrom(entry, req.TimeoutMS)}
 
 	if single {
-		q, err := s.parseAndBind(req.SQL)
+		res, err := s.estimateTimed(dl, est, info, req.SQL, req.Actual)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		res := s.estimateTimed(dl, est, info, q, req.SQL, req.Actual)
 		code := http.StatusOK
 		if res.Error != "" {
 			// The query parsed but could not be estimated (e.g. no model for
@@ -398,33 +391,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeEstimate(w, sc, code, &estimateResponse{Model: info.Name, estimateResult: res})
 		return
 	}
-
-	// Client batch: parse everything first (parse errors are per-item), then
-	// push the parseable queries through the parallel path in one go.
-	sc.results = zeroed(sc.results, len(req.Queries))
-	for i := range req.Queries {
-		item := &req.Queries[i]
-		if !finiteActual(item.Actual) {
-			sc.results[i] = estimateResult{Error: `"actual" must be a finite number`}
-			s.metrics.estErrors.Add(1)
-			continue
-		}
-		q, err := s.parseAndBind(item.SQL)
-		if err != nil {
-			sc.results[i] = estimateResult{Error: err.Error()}
-			s.metrics.estErrors.Add(1)
-			continue
-		}
-		sc.qs = append(sc.qs, q)
-		sc.idx = append(sc.idx, i)
-	}
-	start := time.Now()
-	s.estimateBatch(dl, est, info.Generation, sc)
-	perQuery := time.Since(start) / time.Duration(max(1, len(sc.qs)))
-	for j, q := range sc.qs {
-		item := &req.Queries[sc.idx[j]]
-		sc.results[sc.idx[j]] = s.record(info, q, item.SQL, sc.fps[j], sc.out[j], item.Actual, perQuery)
-	}
+	s.estimateBatch(dl, est, info, req.Queries, sc)
 	writeEstimate(w, sc, http.StatusOK, &estimateResponse{Model: info.Name, Results: sc.results})
 }
 
@@ -440,30 +407,43 @@ func (s *Server) activeCache() *estCache {
 	return s.cache
 }
 
+// answer resolves one query text as far as the calling goroutine can without
+// estimating: a lookup in the estimate cache under the text's key, then — only
+// when that missed, or a Feedback hook will want the query — parse and bind.
+// A hit with no hook installed therefore returns before an AST, a deadline
+// context or a timer exists. The error is the client's (unparseable or
+// unbindable text, 4xx); such text was never estimated, so it is never a hit.
+func (s *Server) answer(c *estCache, gen uint64, sql string) (key cacheKey, q *sqlparse.Query, br EstResult, hit bool, err error) {
+	if c != nil {
+		key = textKey(gen, sql)
+		br, hit = c.lookup(key)
+	}
+	if !hit || s.cfg.Feedback != nil {
+		q, err = s.parseAndBind(sql)
+	}
+	return key, q, br, hit, err
+}
+
 // estimateTimed answers one query on the calling (HTTP request) goroutine:
-// a lookup in the estimate cache, and on a miss estimateOne inline, under
-// the cache's singleflight so concurrent identical misses cost one
-// inference. A hit returns before anything only a miss needs exists — the
-// deadline context and its timer first of all. The serve layer itself never
-// queues, waits on a timer, or hands off to another goroutine here. Nor does
-// the resilience chain behind -fallback for the estimators the daemon
+// answer, and on a miss estimateOne inline, under the cache's singleflight so
+// concurrent identical misses cost one inference. The serve layer itself
+// never queues, waits on a timer, or hands off to another goroutine here. Nor
+// does the resilience chain behind -fallback for the estimators the daemon
 // configures: a stage that is an estimator.ContextEstimator runs on this
 // goroutine, and only one that takes no context is guarded by a goroutine of
-// the chain's own (DESIGN §11).
-func (s *Server) estimateTimed(dl deadline, est estimator.Estimator, info ModelInfo, q *sqlparse.Query, sql string, reported *float64) estimateResult {
+// the chain's own (DESIGN §11). The latency it records counts from the
+// lookup, so a miss's includes its parse.
+func (s *Server) estimateTimed(dl deadline, est estimator.Estimator, info ModelInfo, sql string, reported *float64) (estimateResult, error) {
 	start := time.Now()
 	c := s.activeCache()
-	var key cacheKey
-	var br EstResult
-	hit := false
-	if c != nil {
-		key = cacheKey{gen: info.Generation, fp: core.Fingerprint(q)}
-		br, hit = c.lookup(key)
+	key, q, br, hit, err := s.answer(c, info.Generation, sql)
+	if err != nil {
+		return estimateResult{}, err
 	}
 	if !hit {
 		br = s.estimateMiss(dl, c, key, est, q)
 	}
-	return s.record(info, q, sql, key.fp, br, reported, time.Since(start))
+	return s.record(info, q, sql, br, reported, time.Since(start)), nil
 }
 
 // estimateMiss computes what lookup did not find, under the request's
@@ -482,7 +462,7 @@ func (s *Server) estimateMiss(dl deadline, c *estCache, key cacheKey, est estima
 // and renders its wire result. Feedback (drift monitoring, q-error
 // accounting) observes cached answers too: the client still received that
 // estimate, so the detectors must still see it.
-func (s *Server) record(info ModelInfo, q *sqlparse.Query, sql, fp string, br EstResult, reported *float64, latency time.Duration) estimateResult {
+func (s *Server) record(info ModelInfo, q *sqlparse.Query, sql string, br EstResult, reported *float64, latency time.Duration) estimateResult {
 	s.metrics.observeQuery(latency, br.Degraded, br.Err)
 	if br.Err == nil {
 		actual, hasActual := actualValue(reported)
@@ -491,56 +471,68 @@ func (s *Server) record(info ModelInfo, q *sqlparse.Query, sql, fp string, br Es
 		}
 		if s.cfg.Feedback != nil {
 			s.cfg.Feedback(FeedbackEvent{
-				Query:       q,
-				SQL:         sql,
-				Model:       info.Name,
-				Generation:  info.Generation,
-				Estimate:    br.Estimate,
-				Actual:      actual,
-				HasActual:   hasActual,
-				Latency:     latency,
-				Fingerprint: fp,
+				Query:      q,
+				SQL:        sql,
+				Model:      info.Name,
+				Generation: info.Generation,
+				Estimate:   br.Estimate,
+				Actual:     actual,
+				HasActual:  hasActual,
+				Latency:    latency,
 			})
 		}
 	}
 	return toResult(br, latency)
 }
 
-// estimateBatch answers the parsed queries of a client batch (sc.qs) into
-// sc.out, serving what it can from the estimate cache and fanning only the
-// misses out over the worker pool; a batch the cache answers whole builds no
-// deadline. The batch path skips the singleflight — the client already
+// estimateBatch answers a client batch into sc.results, in request order:
+// answer per item (errors are per-item), then only the misses fanned out over
+// the worker pool; a batch the cache answers whole parses nothing and builds
+// no deadline. The batch path skips the singleflight — the client already
 // batched, so there is nothing concurrent to collapse — but reads and feeds
-// the same cache as the single path. sc.fps holds each query's fingerprint
-// (empty strings when the cache is off or bypassed).
-func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, gen uint64, sc *reqScratch) {
-	sc.fps = zeroed(sc.fps, len(sc.qs))
-	sc.out = zeroed(sc.out, len(sc.qs))
+// the same cache as the single path.
+func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, info ModelInfo, items []estimateItem, sc *reqScratch) {
+	start := time.Now()
+	sc.results = zeroed(sc.results, len(items))
 	c := s.activeCache()
-	for j, q := range sc.qs {
-		if c != nil {
-			sc.fps[j] = core.Fingerprint(q)
-			if res, ok := c.get(cacheKey{gen: gen, fp: sc.fps[j]}); ok {
-				sc.out[j] = res
-				continue
+	for i := range items {
+		if !finiteActual(items[i].Actual) {
+			sc.results[i] = estimateResult{Error: `"actual" must be a finite number`}
+			s.metrics.estErrors.Add(1)
+			continue
+		}
+		key, q, br, hit, err := s.answer(c, info.Generation, items[i].SQL)
+		if err != nil {
+			sc.results[i] = estimateResult{Error: err.Error()}
+			s.metrics.estErrors.Add(1)
+			continue
+		}
+		if !hit {
+			sc.missQ = append(sc.missQ, q)
+			sc.missIdx = append(sc.missIdx, len(sc.idx))
+		}
+		sc.idx = append(sc.idx, i)
+		sc.qs = append(sc.qs, q)
+		sc.keys = append(sc.keys, key)
+		sc.out = append(sc.out, br)
+	}
+	if len(sc.missQ) > 0 {
+		ctx, cancel := dl.context()
+		defer cancel()
+		sc.missOut = zeroed(sc.missOut, len(sc.missQ))
+		s.doBatch(ctx, est, sc.missQ, sc.missOut)
+		for k, res := range sc.missOut {
+			j := sc.missIdx[k]
+			sc.out[j] = res
+			if c != nil {
+				s.metrics.cacheMisses.Add(1)
+				c.put(sc.keys[j], res)
 			}
 		}
-		sc.missQ = append(sc.missQ, q)
-		sc.missIdx = append(sc.missIdx, j)
 	}
-	if len(sc.missQ) == 0 {
-		return
-	}
-	ctx, cancel := dl.context()
-	defer cancel()
-	sc.missOut = zeroed(sc.missOut, len(sc.missQ))
-	s.doBatch(ctx, est, sc.missQ, sc.missOut)
-	for k, res := range sc.missOut {
-		j := sc.missIdx[k]
-		sc.out[j] = res
-		if c != nil {
-			c.put(cacheKey{gen: gen, fp: sc.fps[j]}, res)
-		}
+	perQuery := time.Since(start) / time.Duration(max(1, len(sc.idx)))
+	for j, i := range sc.idx {
+		sc.results[i] = s.record(info, sc.qs[j], items[i].SQL, sc.out[j], items[i].Actual, perQuery)
 	}
 }
 

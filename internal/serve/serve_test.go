@@ -58,15 +58,21 @@ func testEnv(tb testing.TB) (*table.DB, workload.Set) {
 	return envDB, envSet
 }
 
-// trainLocal fits a small GB-backed local estimator on train.
+// trainLocal fits a small GB-backed conjunctive-QFT local estimator on train.
 func trainLocal(tb testing.TB, db *table.DB, train workload.Set, entries int) *estimator.Local {
+	tb.Helper()
+	return trainLocalQFT(tb, db, "conjunctive", train, entries)
+}
+
+// trainLocalQFT is trainLocal for any QFT.
+func trainLocalQFT(tb testing.TB, db *table.DB, qft string, train workload.Set, entries int) *estimator.Local {
 	tb.Helper()
 	cfg := gb.DefaultConfig()
 	cfg.NumTrees = 40
 	cfg.MaxDepth = 5
 	cfg.Seed = 1
 	loc, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          "conjunctive",
+		QFT:          qft,
 		Opts:         core.Options{MaxEntriesPerAttr: entries, AttrSel: true},
 		NewRegressor: estimator.NewGBFactory(cfg),
 	})
