@@ -34,7 +34,8 @@ check: vet race
 # of the request path (Parse <= 25 and <= 4 KiB, Bind of a numeric query 0,
 # featurize 0, fingerprint <= 2, Local.Estimate <= 6, an inline resilience
 # stage 0, keying and looking up a query text 0, the whole handler on a hit
-# <= 6, or <= Parse + 8 when a Feedback hook is owed the parsed query) skip
+# <= 6, or <= 8 when a Feedback hook is installed — it is handed the query the
+# entry kept from its miss, so neither hit parses) skip
 # themselves under the race detector, which defeats sync.Pool, so they get a
 # run of their own without it. Five fuzz targets get 5 s each: the parser and
 # the journal reader, the two on /v1/estimate — the handler ("4xx never
@@ -58,7 +59,9 @@ check: vet race
 # no row-scan comparison kernel and no predicate-bitmap cache to fall back to.
 # The fourth keeps the request path off the canonical fingerprint: the
 # estimate cache is keyed on the query text, and the class key is computed
-# where it is filed (cardestd's feedback hook, replay, the trainer).
+# where it is filed (cardestd's feedback hook, replay, the trainer). The fifth
+# keeps the journal's writer woken per batch: Append stages under the mutex
+# and no per-record channel handoff comes back.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -74,6 +77,7 @@ ci:
 	! grep -rnE 'NewSupervisor|StartSupervisor|SupervisorConfig|JobSpec|JobFunc|ErrJobActive|ProbeNow|RetryConfig|IsPermanent' --include='*.go' internal cmd
 	! grep -rnE 'PredCache|NewPredCache|EvalExprCached|CountCached|eqWord|ltWord|leWord' --include='*.go' . | grep -vE '_test\.go:'
 	! grep -rn 'core\.Fingerprint' --include='*.go' internal/serve | grep -v _test.go
+	! grep -rn 'chan Record' --include='*.go' internal/journal | grep -v _test.go
 	$(MAKE) lint
 
 # lint runs the optional static analyzers. Both are gated on availability:

@@ -116,6 +116,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -396,12 +397,15 @@ func run(o options, out io.Writer) error {
 			}
 			fmt.Fprintf(out, "journal: canary workload refreshed from traffic (%d queries)\n", len(bound))
 		}
+		canary := &coalesced{fn: refreshCanary}
+		defer canary.wait() // deferred before the journal's Close, so a rotation in its last flush is waited for too
 		jnl, err = journal.Open(o.journalDir, journal.Options{
 			SegmentBytes: o.journalSegSz,
 			Retain:       o.journalRetain,
 			// Rotation means a fresh slab of real traffic just sealed; canary
-			// derivation reads and re-estimates, so it runs off the writer.
-			OnRotate: func(journal.SegmentInfo) { go refreshCanary() },
+			// derivation reads every retained segment and re-estimates, so it
+			// runs off the writer, and one at a time however fast segments seal.
+			OnRotate: func(journal.SegmentInfo) { canary.trigger() },
 		})
 		if err != nil {
 			return fmt.Errorf("open feedback journal: %w", err)
@@ -553,6 +557,47 @@ func run(o options, out io.Writer) error {
 	return listenAndServe(srv, o, out)
 }
 
+// coalesced runs fn on a goroutine of its own, at most one at a time: a
+// trigger that lands while fn runs marks the run stale, and fn runs once more
+// when it returns — so however many triggers land during a run they cost one
+// more, and the last run always starts after the last trigger.
+type coalesced struct {
+	fn func()
+
+	mu      sync.Mutex
+	running bool
+	stale   bool
+	wg      sync.WaitGroup
+}
+
+func (c *coalesced) trigger() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.running {
+		c.stale = true
+		return
+	}
+	c.running = true
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		for {
+			c.fn()
+			c.mu.Lock()
+			again := c.stale
+			c.stale = false
+			c.running = again
+			c.mu.Unlock()
+			if !again {
+				return
+			}
+		}
+	}()
+}
+
+// wait returns once no run is in flight.
+func (c *coalesced) wait() { c.wg.Wait() }
+
 // feedbackHook is the daemon's serve.Config.Feedback: every served estimate
 // feeds the drift monitor and is appended to the feedback journal, whichever
 // of the two is armed (nil otherwise; actuals accompanies jnl).
@@ -566,9 +611,10 @@ func feedbackHook(mon *drift.Monitor, jnl *journal.Journal, actuals *replay.Actu
 		}
 		// The request path never fingerprints (the estimate cache is keyed
 		// on the query text); the journal and the actuals index name the
-		// featurization class, so it is computed here.
+		// featurization class, so it is computed here — on a cache hit from
+		// the entry's shared query, which is only read.
 		fp := core.Fingerprint(ev.Query)
-		// Append is a non-blocking enqueue: a wedged journal sheds records
+		// Append stages the record and returns: a wedged journal sheds records
 		// (counted in journal_shed) and the estimate path never waits.
 		jnl.Append(journal.Record{
 			SQL:           ev.SQL,
@@ -594,7 +640,9 @@ func journalCounters(jnl *journal.Journal) map[string]any {
 		"journal_shed":         s.Shed,
 		"journal_persisted":    s.Persisted,
 		"journal_dropped":      s.Dropped,
+		"journal_staged":       s.Staged,
 		"journal_flushes":      s.Flushes,
+		"journal_flush_micros": s.FlushMicros,
 		"journal_flush_errors": s.FlushErrors,
 		"journal_rotations":    s.Rotations,
 		"journal_gc_removed":   s.GCRemoved,

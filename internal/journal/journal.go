@@ -5,14 +5,18 @@
 // confused with "no feedback"), latency, model generation, timestamp.
 //
 // The write path is built for a serving hot path that must never block on
-// disk: Append enqueues onto a bounded channel and returns immediately —
-// when the queue is full (the disk is slow, wedged, or gone) records are
-// shed and counted, never waited on. A single writer goroutine drains the
-// queue, encodes records into QFES frames (the same checksummed envelope
-// the model store uses, payload kind PayloadJournal), and commits batches
-// with one fsync per batch (Options.FlushBatch / Options.FlushEvery). The
-// segment rotates on size or age; sealed segments beyond the retention
-// horizon are garbage-collected.
+// disk: Append stages the record in a bounded slice under the journal's
+// mutex and returns immediately — when Options.Queue records are already
+// staged (the disk is slow, wedged, or gone) records are shed and counted,
+// never waited on. A single writer goroutine is woken per batch, not per
+// record: by Append when the staging depth reaches Options.FlushBatch (the
+// count trigger, there so a burst is written out before it sheds) and by a
+// timer Options.FlushEvery after its last flush (the bound on how long an
+// accepted record waits un-fsynced). Either way it takes everything staged,
+// encodes it into QFES frames (the same checksummed envelope the model store
+// uses, payload kind PayloadJournal), and commits it with one write and one
+// fsync. The segment rotates on size or age; sealed segments beyond the
+// retention horizon are garbage-collected.
 //
 // Crash recovery follows the store's discipline in miniature. A batch is
 // committed iff its AppendFile (write + fsync) returned: a crash mid-append
@@ -83,11 +87,13 @@ type SegmentInfo struct {
 // Stats are the journal's cumulative counters, served under /v1/journal and
 // merged into /metrics as journal_*.
 type Stats struct {
-	Appended    uint64 `json:"appended"`  // accepted into the queue
-	Shed        uint64 `json:"shed"`      // rejected without blocking (queue full / closed)
+	Appended    uint64 `json:"appended"`  // accepted into staging
+	Shed        uint64 `json:"shed"`      // rejected without blocking (staging full / closed)
 	Persisted   uint64 `json:"persisted"` // durably committed (their batch fsync returned)
 	Dropped     uint64 `json:"dropped"`   // lost to a failed flush (ENOSPC, I/O error)
+	Staged      int    `json:"staged"`    // accepted, not yet taken by the writer
 	Flushes     uint64 `json:"flushes"`
+	FlushMicros int64  `json:"flushMicros"` // cumulative time inside AppendFile (write + fsync)
 	FlushErrors uint64 `json:"flushErrors"`
 	Rotations   uint64 `json:"rotations"`
 	GCRemoved   int    `json:"gcRemoved"` // sealed segments removed by retention GC
@@ -113,14 +119,20 @@ type Options struct {
 	// Retain is how many sealed segments survive retention GC. 0 means the
 	// default 8; negative keeps all.
 	Retain int
-	// Queue bounds records waiting for the writer; Append sheds past it.
+	// Queue bounds records staged for the writer; Append sheds past it.
 	// 0 means the default 1024.
 	Queue int
-	// FlushBatch commits as soon as this many records are pending (one
-	// fsync for the whole batch). 0 means the default 64; 1 means every
-	// record pays its own fsync.
+	// FlushBatch is the staging depth at which Append wakes the writer
+	// instead of leaving the records to the FlushEvery timer. The writer
+	// commits everything staged by the time it runs with one fsync, so a
+	// commit may carry more than FlushBatch records (and the timer's carry
+	// fewer). 0 means half of Queue: the count trigger exists to write a
+	// burst out before it sheds, not to bound the wait. 1 wakes the writer
+	// for every record, so a producer that waits for each record to persist
+	// pays one fsync per record.
 	FlushBatch int
-	// FlushEvery bounds how long an accepted record may wait un-fsynced.
+	// FlushEvery bounds how long an accepted record may wait un-fsynced: the
+	// writer flushes this long after its last flush, whatever is staged.
 	// 0 means the default 50ms.
 	FlushEvery time.Duration
 	// OnRotate, when non-nil, observes every sealed segment from the writer
@@ -147,7 +159,7 @@ func (o Options) withDefaults() Options {
 		o.Queue = 1024
 	}
 	if o.FlushBatch <= 0 {
-		o.FlushBatch = 64
+		o.FlushBatch = max(1, o.Queue/2)
 	}
 	if o.FlushEvery <= 0 {
 		o.FlushEvery = 50 * time.Millisecond
@@ -169,13 +181,19 @@ type Journal struct {
 	fs   store.FS
 	opts Options
 
-	ch   chan Record
+	wake chan struct{} // 1-buffered: staging reached FlushBatch
 	sync chan chan error
 	quit chan struct{}
 	done chan struct{}
-	once sync.Once
+
+	// Writer goroutine only: the batch being committed and its frames. batch
+	// and staged swap backing arrays at every flush.
+	batch []Record
+	buf   []byte
 
 	mu          sync.Mutex
+	staged      []Record // accepted, not yet taken by the writer; len <= Queue
+	closed      bool
 	stats       Stats
 	sealed      []SegmentInfo // ascending by number
 	active      SegmentInfo
@@ -194,7 +212,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 		dir:  dir,
 		fs:   opts.FS,
 		opts: opts,
-		ch:   make(chan Record, opts.Queue),
+		wake: make(chan struct{}, 1),
 		sync: make(chan chan error),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
@@ -308,38 +326,34 @@ func (j *Journal) truncateTo(path string, prefix []byte) error {
 func (j *Journal) Dir() string { return j.dir }
 
 // Append offers one record to the journal and returns whether it was
-// accepted. It NEVER blocks: a full queue (slow or wedged disk) or a closed
-// journal sheds the record and counts it. Acceptance means "queued", not
-// "durable" — durability follows within FlushEvery if the disk cooperates.
+// accepted. It NEVER blocks: full staging (slow or wedged disk) or a closed
+// journal sheds the record and counts it, both decided under the mutex the
+// counters already need. Acceptance means "staged", not "durable" —
+// durability follows within FlushEvery if the disk cooperates.
 func (j *Journal) Append(rec Record) bool {
 	if rec.UnixMicros == 0 {
 		rec.UnixMicros = j.opts.Now().UnixMicro()
 	}
-	select {
-	case <-j.quit:
-		j.addShed()
-		return false
-	default:
-	}
-	select {
-	case j.ch <- rec:
-		j.mu.Lock()
-		j.stats.Appended++
-		j.mu.Unlock()
-		return true
-	default:
-		j.addShed()
-		return false
-	}
-}
-
-func (j *Journal) addShed() {
 	j.mu.Lock()
-	j.stats.Shed++
+	if j.closed || len(j.staged) >= j.opts.Queue {
+		j.stats.Shed++
+		j.mu.Unlock()
+		return false
+	}
+	j.staged = append(j.staged, rec)
+	j.stats.Appended++
+	wake := len(j.staged) == j.opts.FlushBatch
 	j.mu.Unlock()
+	if wake {
+		select {
+		case j.wake <- struct{}{}:
+		default: // a wake is already pending; its flush takes these too
+		}
+	}
+	return true
 }
 
-// Sync flushes everything queued at the moment of the call and returns the
+// Sync flushes everything staged at the moment of the call and returns the
 // flush error, if any. Tests and shutdown paths use it; the hot path never
 // does.
 func (j *Journal) Sync() error {
@@ -352,10 +366,15 @@ func (j *Journal) Sync() error {
 	}
 }
 
-// Close flushes pending records, stops the writer, and returns. Idempotent;
+// Close flushes staged records, stops the writer, and returns. Idempotent;
 // Append after Close sheds.
 func (j *Journal) Close() error {
-	j.once.Do(func() { close(j.quit) })
+	j.mu.Lock()
+	if !j.closed {
+		j.closed = true // nothing is staged past this point, so the writer's last flush takes all
+		close(j.quit)
+	}
+	j.mu.Unlock()
 	<-j.done
 	return nil
 }
@@ -365,6 +384,7 @@ func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := j.stats
+	s.Staged = len(j.staged)
 	s.SealedSegments = len(j.sealed)
 	s.ActiveRecords = j.active.Records
 	s.ActiveBytes = j.active.Bytes
@@ -405,85 +425,59 @@ func (j *Journal) ReadSealed() ([]Record, error) {
 
 func (j *Journal) writer() {
 	defer close(j.done)
-	ticker := time.NewTicker(j.opts.FlushEvery)
-	defer ticker.Stop()
-	pending := make([]Record, 0, j.opts.FlushBatch)
-	var buf []byte
-
-	flush := func() {
-		// Rotate FIRST when a failed flush dirtied the active segment:
-		// appending frames behind a torn one would make the whole segment
-		// scan as corrupt and cost the committed prefix its recovery.
-		j.maybeRotate()
-		if len(pending) > 0 {
-			buf = buf[:0]
-			for _, rec := range pending {
-				payload, err := json.Marshal(rec)
-				if err != nil {
-					continue // unencodable records cannot exist; Record is plain data
-				}
-				buf = store.AppendFrame(buf, store.PayloadJournal, payload)
-			}
-			err := j.fs.AppendFile(j.activePath(), buf)
-			j.noteFlush(pending, int64(len(buf)), err)
-			pending = pending[:0]
-		}
-		j.maybeRotate()
-	}
-	drain := func() {
-		for {
-			select {
-			case rec := <-j.ch:
-				pending = append(pending, rec)
-				if len(pending) >= j.opts.FlushBatch {
-					flush()
-				}
-			default:
-				return
-			}
-		}
-	}
-
+	timer := time.NewTimer(j.opts.FlushEvery)
+	defer timer.Stop()
 	for {
+		var ack chan error
 		select {
-		case rec := <-j.ch:
-			pending = append(pending, rec)
-			drain()
-			if len(pending) >= j.opts.FlushBatch {
-				flush()
-			}
-		case <-ticker.C:
-			flush()
-		case ack := <-j.sync:
-			drain()
-			ack <- j.flushAcked(&pending, &buf)
+		case <-j.wake:
+		case <-timer.C:
+		case ack = <-j.sync:
 		case <-j.quit:
-			drain()
-			flush()
+			j.flush() //nolint:errcheck // counted in FlushErrors
 			return
 		}
+		err := j.flush()
+		if ack != nil {
+			ack <- err
+		}
+		// The timer bounds the wait since the last flush, so every flush
+		// re-arms it; under a steady count trigger it never fires.
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(j.opts.FlushEvery)
 	}
 }
 
-// flushAcked is the Sync path: like flush but the commit error is reported
-// to the caller instead of only counted.
-func (j *Journal) flushAcked(pending *[]Record, buf *[]byte) error {
-	j.maybeRotate() // seal a dirty segment before appending behind its torn tail
-	if len(*pending) == 0 {
+// flush commits everything staged with one AppendFile and returns its error
+// (which Sync reports and every other caller leaves to the counters).
+func (j *Journal) flush() error {
+	// Rotate FIRST when a failed flush dirtied the active segment:
+	// appending frames behind a torn one would make the whole segment
+	// scan as corrupt and cost the committed prefix its recovery.
+	j.maybeRotate()
+	j.mu.Lock()
+	j.batch, j.staged = j.staged, j.batch[:0]
+	j.mu.Unlock()
+	if len(j.batch) == 0 {
 		return nil
 	}
-	b := (*buf)[:0]
-	for _, rec := range *pending {
+	j.buf = j.buf[:0]
+	for _, rec := range j.batch {
 		payload, err := json.Marshal(rec)
 		if err != nil {
-			continue
+			continue // unencodable records cannot exist; Record is plain data
 		}
-		b = store.AppendFrame(b, store.PayloadJournal, payload)
+		j.buf = store.AppendFrame(j.buf, store.PayloadJournal, payload)
 	}
-	*buf = b
-	err := j.fs.AppendFile(j.activePath(), b)
-	j.noteFlush(*pending, int64(len(b)), err)
-	*pending = (*pending)[:0]
+	start := time.Now()
+	err := j.fs.AppendFile(j.activePath(), j.buf)
+	j.noteFlush(j.batch, int64(len(j.buf)), time.Since(start), err)
+	clear(j.batch) // the array is the next staging area: do not pin the texts
 	j.maybeRotate()
 	if err != nil {
 		return fmt.Errorf("journal: flush: %w", err)
@@ -495,10 +489,11 @@ func (j *Journal) flushAcked(pending *[]Record, buf *[]byte) error {
 // active segment's tail, so the segment is marked dirty and the next
 // maybeRotate seals it — appending more frames after a torn one would make
 // the committed prefix unreadable.
-func (j *Journal) noteFlush(batch []Record, bytes int64, err error) {
+func (j *Journal) noteFlush(batch []Record, bytes int64, took time.Duration, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.stats.Flushes++
+	j.stats.FlushMicros += took.Microseconds()
 	if err != nil {
 		j.stats.FlushErrors++
 		j.stats.Dropped += uint64(len(batch))

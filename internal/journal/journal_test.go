@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -260,47 +262,59 @@ func (g *gateFS) AppendFile(path string, data []byte) error {
 	return g.FS.AppendFile(path, data)
 }
 
+// TestAppendShedsInsteadOfBlockingOnWedgedDisk: with the writer stuck inside
+// a commit, staging takes exactly Queue more records and sheds every append
+// past that — none before, none late — without ever waiting on the disk.
 func TestAppendShedsInsteadOfBlockingOnWedgedDisk(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
+	const queue, extra = 8, 5
 	fsys := &gateFS{FS: store.OSFS(), entered: make(chan struct{}, 16), gate: make(chan struct{})}
 	dir := t.TempDir()
 	jnl := mustOpen(t, dir, testOptions(func(o *journal.Options) {
-		o.Queue = 2
+		o.Queue = queue
 		o.FlushBatch = 1
 		o.FS = fsys
 	}))
 	if !jnl.Append(testRec(0)) {
 		t.Fatal("first append shed")
 	}
-	select { // the writer is now stuck inside AppendFile
+	select { // the writer has taken record 0 and is now stuck inside AppendFile
 	case <-fsys.entered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("writer never reached the wedged disk")
 	}
-	if !jnl.Append(testRec(1)) || !jnl.Append(testRec(2)) {
-		t.Fatal("queue-filling appends shed early")
+	for i := 1; i <= queue; i++ {
+		if !jnl.Append(testRec(i)) {
+			t.Fatalf("append %d of %d into empty staging shed early", i, queue)
+		}
+	}
+	if s := jnl.Stats(); s.Staged != queue || s.Shed != 0 {
+		t.Fatalf("stats = %+v, want %d staged and none shed", s, queue)
 	}
 	start := time.Now()
-	ok := jnl.Append(testRec(3))
-	elapsed := time.Since(start)
-	if ok {
-		t.Fatal("append into a full queue over a wedged disk was accepted")
+	for i := 0; i < extra; i++ {
+		if jnl.Append(testRec(queue + 1 + i)) {
+			t.Fatal("append into full staging over a wedged disk was accepted")
+		}
 	}
-	if elapsed > time.Second {
-		t.Fatalf("shedding append took %v; it must not wait on the disk", elapsed)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("shedding appends took %v; they must not wait on the disk", elapsed)
 	}
-	if s := jnl.Stats(); s.Shed < 1 {
-		t.Fatalf("stats = %+v, want the blocked append counted as shed", s)
+	if s := jnl.Stats(); s.Shed != extra || s.Appended != queue+1 || s.Staged != queue {
+		t.Fatalf("stats = %+v, want exactly the %d appends past Queue shed", s, extra)
 	}
 
 	close(fsys.gate) // disk recovers; everything accepted must drain
 	if err := jnl.Sync(); err != nil {
 		t.Fatalf("Sync after recovery: %v", err)
 	}
+	if s := jnl.Stats(); s.Staged != 0 || s.FlushMicros <= 0 {
+		t.Fatalf("stats after recovery = %+v, want empty staging and time booked inside AppendFile", s)
+	}
 	jnl.Close()
 	recs, _, err := journal.Read(nil, dir)
-	if err != nil || len(recs) != 3 {
-		t.Fatalf("recovered %d records (err %v), want the 3 accepted", len(recs), err)
+	if err != nil || len(recs) != queue+1 {
+		t.Fatalf("recovered %d records (err %v), want the %d accepted", len(recs), err, queue+1)
 	}
 }
 
@@ -322,6 +336,194 @@ func TestCloseIsIdempotentAndAppendAfterCloseSheds(t *testing.T) {
 	}
 	if s := jnl.Stats(); s.Shed != 1 || s.Persisted != 1 {
 		t.Fatalf("stats = %+v, want the pre-close record persisted and the post-close one shed", s)
+	}
+}
+
+// TestAppendAfterCloseSheds: appends racing Close are decided under the
+// journal's mutex, so each is either accepted — and then committed by the
+// writer's last flush — or shed; none is accepted and lost.
+func TestAppendAfterCloseSheds(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	dir := t.TempDir()
+	jnl := mustOpen(t, dir, testOptions(nil))
+	var accepted, rejected atomic.Int64
+	var wg sync.WaitGroup
+	started := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if i == 20 && g == 0 {
+					close(started)
+				}
+				if jnl.Append(testRec(g*1000 + i)) {
+					accepted.Add(1)
+				} else {
+					rejected.Add(1)
+				}
+			}
+		}(g)
+	}
+	<-started
+	jnl.Close()
+	wg.Wait()
+	if jnl.Append(testRec(9999)) {
+		t.Fatal("Append after Close was accepted")
+	}
+	s := jnl.Stats()
+	if int64(s.Appended) != accepted.Load() || int64(s.Shed) != rejected.Load()+1 {
+		t.Fatalf("stats = %+v, want %d appended and %d shed", s, accepted.Load(), rejected.Load()+1)
+	}
+	if s.Persisted != s.Appended || s.Staged != 0 {
+		t.Fatalf("stats = %+v: a record accepted before Close was not committed by it", s)
+	}
+	recs, _, err := journal.Read(nil, dir)
+	if err != nil || int64(len(recs)) != accepted.Load() {
+		t.Fatalf("read back %d records (err %v), want the %d accepted", len(recs), err, accepted.Load())
+	}
+}
+
+// TestConcurrentAppendsAtDefaults: 10 000 records from 8 goroutines through a
+// journal opened with no options. The writer is woken per batch: the commits
+// are bounded by the count trigger's crossings (one per half Queue of
+// appends), the timer's firings and the final Sync — not by the record count
+// — and every record comes back exactly once, each goroutine's in the order
+// it appended them.
+func TestConcurrentAppendsAtDefaults(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	const (
+		goroutines = 8
+		each       = 1250
+		threshold  = 512                   // half of the default Queue
+		flushEvery = 50 * time.Millisecond // the default
+	)
+	dir := t.TempDir()
+	jnl := mustOpen(t, dir, journal.Options{})
+	start := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				rec := journal.Record{SQL: "q", Generation: uint64(g), LatencyMicros: int64(i)}
+				for !jnl.Append(rec) {
+					runtime.Gosched() // staging is full: the producers outran the disk
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := jnl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	s := jnl.Stats()
+	if s.Appended != goroutines*each || s.Persisted != s.Appended {
+		t.Fatalf("stats = %+v, want %d appended and persisted", s, goroutines*each)
+	}
+	bound := uint64((goroutines*each+threshold-1)/threshold) + uint64(elapsed/flushEvery) + 1
+	t.Logf("%d flushes for %d records in %v (bound %d), %d shed and retried, %d µs inside AppendFile",
+		s.Flushes, s.Appended, elapsed, bound, s.Shed, s.FlushMicros)
+	if s.Flushes > bound {
+		t.Errorf("%d flushes, want <= %d: the writer is not committing per batch", s.Flushes, bound)
+	}
+	jnl.Close()
+
+	recs, _, err := journal.Read(nil, dir)
+	if err != nil || len(recs) != goroutines*each {
+		t.Fatalf("read back %d records (err %v), want %d", len(recs), err, goroutines*each)
+	}
+	next := make([]int64, goroutines)
+	for _, rec := range recs {
+		if rec.LatencyMicros != next[rec.Generation] {
+			t.Fatalf("goroutine %d: read back record %d where %d was due", rec.Generation, rec.LatencyMicros, next[rec.Generation])
+		}
+		next[rec.Generation]++
+	}
+}
+
+// slowFS announces every AppendFile on entered and then takes at least delay
+// over it.
+type slowFS struct {
+	store.FS
+	entered chan struct{}
+	delay   time.Duration
+}
+
+func (f slowFS) AppendFile(path string, data []byte) error {
+	select {
+	case f.entered <- struct{}{}:
+	default:
+	}
+	time.Sleep(f.delay)
+	return f.FS.AppendFile(path, data)
+}
+
+// TestRecordWaitsAtMostFlushEveryPlusOneFlush: the timer is re-armed by
+// every flush, the count-triggered ones included, so a record staged just
+// after a commit began waits that commit out and then one FlushEvery, below
+// the count trigger and with no Sync to help it. The writer's timer is a real
+// one (Options.Now stamps records and ages segments, nothing else), so this
+// runs on the wall clock, with slack for a loaded box.
+func TestRecordWaitsAtMostFlushEveryPlusOneFlush(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	const (
+		rounds     = 5
+		flushEvery = 20 * time.Millisecond
+		oneFlush   = 5 * time.Millisecond
+		slack      = 500 * time.Millisecond
+	)
+	fsys := slowFS{FS: store.OSFS(), entered: make(chan struct{}, 1), delay: oneFlush}
+	jnl := mustOpen(t, t.TempDir(), testOptions(func(o *journal.Options) {
+		o.FlushBatch = 4
+		o.FlushEvery = flushEvery
+		o.FS = fsys
+	}))
+	var worst time.Duration
+	for n := 0; n < 5*rounds; n += 5 {
+		appendAll(t, jnl, n, n+4) // reaches FlushBatch: a count-triggered commit
+		select {
+		case <-fsys.entered: // the four are taken and being written
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the count trigger never woke the writer: stats %+v", jnl.Stats())
+		}
+		start := time.Now()
+		appendAll(t, jnl, n+4, n+5) // staged behind that commit: the timer's to flush
+		for jnl.Stats().Persisted < uint64(n)+5 {
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("record %d still not durable after %v: stats %+v", n+4, time.Since(start), jnl.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		worst = max(worst, time.Since(start))
+		<-fsys.entered // the timer's commit, which nothing but the timer asked for
+	}
+	t.Logf("worst wait %v over %d flushes (FlushEvery %v, one flush >= %v)", worst, jnl.Stats().Flushes, flushEvery, oneFlush)
+	if limit := flushEvery + 2*oneFlush + slack; worst > limit {
+		t.Errorf("a record waited %v to become durable, want <= %v", worst, limit)
+	}
+}
+
+// TestFlushBatchOneCommitsEachRecord: at FlushBatch 1 every append wakes the
+// writer, so a producer that waits for each record to persist pays exactly
+// one fsync per record and never waits for the timer.
+func TestFlushBatchOneCommitsEachRecord(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	jnl := mustOpen(t, t.TempDir(), testOptions(func(o *journal.Options) { o.FlushBatch = 1 }))
+	const n = 20
+	for i := 0; i < n; i++ {
+		appendAll(t, jnl, i, i+1)
+		for deadline := time.Now().Add(10 * time.Second); jnl.Stats().Persisted < uint64(i)+1; {
+			if time.Now().After(deadline) {
+				t.Fatalf("record %d never persisted without a Sync or a timer: stats %+v", i, jnl.Stats())
+			}
+			runtime.Gosched()
+		}
+	}
+	if s := jnl.Stats(); s.Flushes != n {
+		t.Errorf("%d flushes for %d records appended one at a time, want one each", s.Flushes, n)
 	}
 }
 

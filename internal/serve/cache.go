@@ -9,6 +9,8 @@ import (
 	"math"
 	"sync"
 	"unsafe"
+
+	"qfe/internal/sqlparse"
 )
 
 // The estimate cache is the serving hot path's memo: a sharded, LRU-evicted
@@ -28,6 +30,11 @@ import (
 // the key makes invalidation free: every Lifecycle.Publish or Rollback
 // registers a fresh entry with a new generation, so all keys minted against
 // the displaced model simply stop matching and age out of the LRU.
+//
+// For a server with a Feedback hook an entry also keeps the parsed, bound
+// query its miss produced, and a hit hands that query to the hook instead of
+// parsing the text again (see cacheEntry for the sharing rule); a server
+// without a hook keeps estimates only.
 //
 // Misses are collapsed with a singleflight: when N requests for the same
 // key arrive concurrently, one computes and the rest wait for its result,
@@ -80,9 +87,18 @@ type flight struct {
 	res  EstResult
 }
 
+// cacheEntry is one memoized estimate. q is the parsed, bound query the miss
+// produced, kept only for a server with a Feedback hook — the hook is owed
+// the query on every hit, and re-parsing text the cache has just answered was
+// most of what a feedback hit cost — and nil otherwise, so a server without a
+// hook retains no AST. A cached query is shared by every request that hits
+// its key and is read-only from the moment it is stored: exec.Bind is
+// copy-on-write and has already run, estimators and the fingerprint only read,
+// and a hook must not write through FeedbackEvent.Query.
 type cacheEntry struct {
 	key cacheKey
 	res EstResult
+	q   *sqlparse.Query
 }
 
 type cacheShard struct {
@@ -98,10 +114,11 @@ type estCache struct {
 	shards  []*cacheShard
 	mask    uint32
 	perCap  int      // per-shard entry capacity, >= 1
+	keepQ   bool     // entries keep their query (the server has a Feedback hook)
 	metrics *Metrics // hit/miss/eviction/collapse counters
 }
 
-func newEstCache(cfg CacheConfig, m *Metrics) *estCache {
+func newEstCache(cfg CacheConfig, m *Metrics, keepQ bool) *estCache {
 	if cfg.Entries <= 0 {
 		return nil
 	}
@@ -118,6 +135,7 @@ func newEstCache(cfg CacheConfig, m *Metrics) *estCache {
 		shards:  make([]*cacheShard, pow),
 		mask:    uint32(pow - 1),
 		perCap:  (cfg.Entries + pow - 1) / pow,
+		keepQ:   keepQ,
 		metrics: m,
 	}
 	if c.perCap < 1 {
@@ -140,43 +158,45 @@ func (c *estCache) shard(key cacheKey) *cacheShard {
 	return c.shards[binary.LittleEndian.Uint32(key.sum[:])&c.mask]
 }
 
-// lookup returns key's cached result, counting a hit when there is one and
+// lookup returns key's cached result and the query stored with it (nil
+// unless the server keeps them), counting a hit when there is one and
 // nothing otherwise: both request paths ask here first, before they have
 // parsed the text, and count the miss once it has turned out to be a query
 // (the single path in do, the client-batch path itself).
-func (c *estCache) lookup(key cacheKey) (EstResult, bool) {
+func (c *estCache) lookup(key cacheKey) (EstResult, *sqlparse.Query, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
 		s.lru.MoveToFront(e)
-		res := e.Value.(*cacheEntry).res
+		ent := e.Value.(*cacheEntry)
+		res, q := ent.res, ent.q
 		s.mu.Unlock()
 		c.metrics.cacheHits.Add(1)
-		return res, true
+		return res, q, true
 	}
 	s.mu.Unlock()
-	return EstResult{}, false
+	return EstResult{}, nil, false
 }
 
-// put stores a computed result (batch path); uncacheable results are
-// dropped.
-func (c *estCache) put(key cacheKey, res EstResult) {
+// put stores a computed result and the query to hand its hits (batch path);
+// uncacheable results are dropped.
+func (c *estCache) put(key cacheKey, res EstResult, q *sqlparse.Query) {
 	if !cacheable(res) {
 		return
 	}
 	s := c.shard(key)
 	s.mu.Lock()
-	c.insertLocked(s, key, res)
+	c.insertLocked(s, key, res, q)
 	s.mu.Unlock()
 }
 
 // do returns the cached result for key or computes it, collapsing
-// concurrent identical misses into one compute call. The caller's ctx only
-// bounds its own wait: a follower whose context expires unblocks
-// immediately, and a follower that inherits a leader's context-shaped
-// failure recomputes for itself rather than propagating an error that says
-// nothing about its own request.
-func (c *estCache) do(ctx context.Context, key cacheKey, compute func() EstResult) EstResult {
+// concurrent identical misses into one compute call; q is stored with a
+// result that is cached. The caller's ctx only bounds its own wait: a
+// follower whose context expires unblocks immediately, and a follower that
+// inherits a leader's context-shaped failure recomputes for itself rather
+// than propagating an error that says nothing about its own request.
+func (c *estCache) do(ctx context.Context, key cacheKey, q *sqlparse.Query, compute func() EstResult) EstResult {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
@@ -225,7 +245,7 @@ func (c *estCache) do(ctx context.Context, key cacheKey, compute func() EstResul
 	s.mu.Lock()
 	delete(s.flights, key)
 	if cacheable(res) {
-		c.insertLocked(s, key, res)
+		c.insertLocked(s, key, res, q)
 	}
 	s.mu.Unlock()
 	f.res = res
@@ -238,14 +258,19 @@ func isContextErr(err error) bool {
 }
 
 // insertLocked adds or refreshes key under s.mu, evicting the shard's LRU
-// tail past capacity.
-func (c *estCache) insertLocked(s *cacheShard, key cacheKey, res EstResult) {
+// tail past capacity. This is the one place that decides whether an entry
+// keeps its query.
+func (c *estCache) insertLocked(s *cacheShard, key cacheKey, res EstResult, q *sqlparse.Query) {
+	if !c.keepQ {
+		q = nil
+	}
 	if e, ok := s.entries[key]; ok {
-		e.Value.(*cacheEntry).res = res
+		ent := e.Value.(*cacheEntry)
+		ent.res, ent.q = res, q
 		s.lru.MoveToFront(e)
 		return
 	}
-	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, res: res})
+	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, res: res, q: q})
 	for s.lru.Len() > c.perCap {
 		tail := s.lru.Back()
 		s.lru.Remove(tail)

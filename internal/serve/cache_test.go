@@ -24,14 +24,14 @@ func ck(sql string) cacheKey { return textKey(1, sql) }
 
 func newTestCache(entries, shards int) (*estCache, *Metrics) {
 	m := newMetrics()
-	return newEstCache(CacheConfig{Entries: entries, Shards: shards}, m), m
+	return newEstCache(CacheConfig{Entries: entries, Shards: shards}, m, false), m
 }
 
 func TestCacheDisabledByZeroConfig(t *testing.T) {
-	if c := newEstCache(CacheConfig{}, newMetrics()); c != nil {
+	if c := newEstCache(CacheConfig{}, newMetrics(), false); c != nil {
 		t.Fatal("zero CacheConfig must disable the cache")
 	}
-	if c := newEstCache(CacheConfig{Entries: -1}, newMetrics()); c != nil {
+	if c := newEstCache(CacheConfig{Entries: -1}, newMetrics(), false); c != nil {
 		t.Fatal("negative Entries must disable the cache")
 	}
 }
@@ -45,19 +45,19 @@ func TestCacheHitMissEvict(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	if res := c.do(ctx, ck("a"), compute(1)); res.Estimate != 1 {
+	if res := c.do(ctx, ck("a"), nil, compute(1)); res.Estimate != 1 {
 		t.Fatalf("first a: %+v", res)
 	}
-	if res := c.do(ctx, ck("a"), compute(99)); res.Estimate != 1 {
+	if res := c.do(ctx, ck("a"), nil, compute(99)); res.Estimate != 1 {
 		t.Fatalf("cached a: %+v, want the first computation's value", res)
 	}
-	c.do(ctx, ck("b"), compute(2))
-	c.do(ctx, ck("a"), compute(99)) // refreshes a's recency
-	c.do(ctx, ck("c"), compute(3))  // capacity 2: evicts b, the LRU entry
-	if res := c.do(ctx, ck("a"), compute(99)); res.Estimate != 1 {
+	c.do(ctx, ck("b"), nil, compute(2))
+	c.do(ctx, ck("a"), nil, compute(99)) // refreshes a's recency
+	c.do(ctx, ck("c"), nil, compute(3))  // capacity 2: evicts b, the LRU entry
+	if res := c.do(ctx, ck("a"), nil, compute(99)); res.Estimate != 1 {
 		t.Fatalf("a must have survived (its hit refreshed recency): %+v", res)
 	}
-	if res := c.do(ctx, ck("b"), compute(4)); res.Estimate != 4 {
+	if res := c.do(ctx, ck("b"), nil, compute(4)); res.Estimate != 4 {
 		t.Fatalf("b after eviction: %+v, want recomputed 4", res)
 	}
 
@@ -77,15 +77,15 @@ func TestCacheHitMissEvict(t *testing.T) {
 func TestCacheKeyIsGenerationScoped(t *testing.T) {
 	c, _ := newTestCache(8, 4)
 	old, cur := textKey(1, stubSQL), textKey(2, stubSQL)
-	c.put(old, okRes(10))
-	if _, ok := c.lookup(cur); ok {
+	c.put(old, okRes(10), nil)
+	if _, _, ok := c.lookup(cur); ok {
 		t.Fatal("generation 2 was answered from generation 1's entry")
 	}
-	c.put(cur, okRes(20))
-	if res, ok := c.lookup(old); !ok || res.Estimate != 10 {
+	c.put(cur, okRes(20), nil)
+	if res, _, ok := c.lookup(old); !ok || res.Estimate != 10 {
 		t.Errorf("generation 1: %+v, %v, want its own 10", res, ok)
 	}
-	if res, ok := c.lookup(cur); !ok || res.Estimate != 20 {
+	if res, _, ok := c.lookup(cur); !ok || res.Estimate != 20 {
 		t.Errorf("generation 2: %+v, %v, want its own 20", res, ok)
 	}
 }
@@ -99,9 +99,9 @@ func TestCacheGetAllocs(t *testing.T) {
 	}
 	c, _ := newTestCache(64, 16)
 	sql := "SELECT count(*) FROM forest WHERE " + strings.Repeat("(A1 >= 2600 OR A2 < 40) AND ", 16) + "A3 = 1"
-	c.put(textKey(7, sql), okRes(5))
+	c.put(textKey(7, sql), okRes(5), nil)
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := c.lookup(textKey(7, sql)); !ok {
+		if _, _, ok := c.lookup(textKey(7, sql)); !ok {
 			t.Fatal("present key missed")
 		}
 	}); allocs != 0 {
@@ -121,7 +121,7 @@ func TestCacheUncacheableResults(t *testing.T) {
 		res := res
 		key := fmt.Sprintf("k%d", i)
 		for j := 0; j < 2; j++ {
-			got := c.do(ctx, ck(key), func() EstResult { calls++; return res })
+			got := c.do(ctx, ck(key), nil, func() EstResult { calls++; return res })
 			if got != res {
 				t.Fatalf("key %s round %d: %+v, want %+v", key, j, got, res)
 			}
@@ -144,7 +144,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan EstResult, 1)
 	go func() {
-		leaderDone <- c.do(context.Background(), ck("k"), func() EstResult {
+		leaderDone <- c.do(context.Background(), ck("k"), nil, func() EstResult {
 			computes.Add(1)
 			close(entered)
 			<-release
@@ -160,7 +160,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i] = c.do(context.Background(), ck("k"), func() EstResult {
+			results[i] = c.do(context.Background(), ck("k"), nil, func() EstResult {
 				computes.Add(1)
 				return okRes(-1)
 			})
@@ -199,7 +199,7 @@ func TestCacheFollowerCancellation(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	go c.do(context.Background(), ck("k"), func() EstResult {
+	go c.do(context.Background(), ck("k"), nil, func() EstResult {
 		close(entered)
 		<-release
 		return okRes(1)
@@ -209,7 +209,7 @@ func TestCacheFollowerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(5 * time.Millisecond); cancel() }()
 	start := time.Now()
-	res := c.do(ctx, ck("k"), func() EstResult { return okRes(-1) })
+	res := c.do(ctx, ck("k"), nil, func() EstResult { return okRes(-1) })
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("canceled follower got %+v, want context.Canceled", res)
 	}
@@ -225,7 +225,7 @@ func TestCacheLeaderCanceledFollowerRecomputes(t *testing.T) {
 	c, _ := newTestCache(8, 1)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	go c.do(context.Background(), ck("k"), func() EstResult {
+	go c.do(context.Background(), ck("k"), nil, func() EstResult {
 		close(entered)
 		<-release
 		return EstResult{Err: context.DeadlineExceeded}
@@ -234,7 +234,7 @@ func TestCacheLeaderCanceledFollowerRecomputes(t *testing.T) {
 
 	followerDone := make(chan EstResult, 1)
 	go func() {
-		followerDone <- c.do(context.Background(), ck("k"), func() EstResult { return okRes(7) })
+		followerDone <- c.do(context.Background(), ck("k"), nil, func() EstResult { return okRes(7) })
 	}()
 	// The follower is parked on the flight; release the doomed leader.
 	time.Sleep(5 * time.Millisecond)

@@ -1,11 +1,18 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"qfe/internal/core"
+	"qfe/internal/sqlparse"
+	"qfe/internal/table"
 )
 
 func TestFiniteActual(t *testing.T) {
@@ -179,5 +186,202 @@ func TestStatusPages(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/drift status %d, want 405", rec.Code)
+	}
+}
+
+// ---- the hook's query on a cache hit ----
+
+// ordersDB is one table with a string column, so Bind has something to
+// rewrite.
+func ordersDB() *table.DB {
+	tbl := table.New("orders")
+	tbl.MustAddColumn(table.NewStringColumn("status", []string{"F", "P", "F", "O", "P"}))
+	tbl.MustAddColumn(table.NewColumn("n", []int64{1, 2, 3, 4, 5}))
+	db := table.NewDB()
+	db.MustAdd(tbl)
+	return db
+}
+
+// TestFeedbackHitHandsHookTheBoundQuery: with a hook installed a hit hands
+// over the query its entry kept from the miss — the same pointer, so nothing
+// was parsed — string literals already bound; a new generation or a bypassed
+// cache parses afresh; and a server without a hook keeps no query at all.
+func TestFeedbackHitHandsHookTheBoundQuery(t *testing.T) {
+	const sql = "SELECT count(*) FROM orders WHERE status = 'P' AND n >= 2"
+	var seen []FeedbackEvent
+	var bypass atomic.Bool
+	var reg *Registry
+	srv := cachedServer(t, constEst(7), func(cfg *Config) {
+		cfg.DB = ordersDB()
+		cfg.CacheBypass = bypass.Load
+		cfg.Feedback = func(ev FeedbackEvent) { seen = append(seen, ev) }
+		reg = cfg.Registry
+	})
+	h := srv.Handler()
+	// post sends body and returns the query of the last event it produced.
+	post := func(body map[string]any) *sqlparse.Query {
+		t.Helper()
+		if code, resp := postJSON(t, h, "/v1/estimate", body); code != http.StatusOK {
+			t.Fatalf("POST: %d %v", code, resp)
+		}
+		q := seen[len(seen)-1].Query
+		if q == nil {
+			t.Fatalf("event %d: the hook was handed a nil query", len(seen))
+		}
+		return q
+	}
+	single := map[string]any{"sql": sql, "actual": 2}
+
+	miss := post(single)
+	want := core.Fingerprint(miss)
+	eachNode(miss.Where, func(e sqlparse.Expr) {
+		if p, ok := e.(*sqlparse.Pred); ok && p.Str != nil {
+			t.Errorf("predicate %v reached the hook with its string literal unbound", p)
+		}
+	})
+	if hit := post(single); hit != miss {
+		t.Error("a hit handed the hook a query other than the one its miss bound: the text was parsed again")
+	} else if got := core.Fingerprint(hit); got != want {
+		t.Errorf("fingerprint on the hit %s, on the miss %s", got, want)
+	}
+	before := len(seen)
+	post(map[string]any{"queries": []map[string]any{{"sql": sql}, {"sql": sql, "actual": 0}}})
+	for _, ev := range seen[before:] {
+		if ev.Query != miss {
+			t.Error("a batch hit handed the hook a query other than the one its miss bound")
+		}
+	}
+	if n := len(seen) - before; n != 2 {
+		t.Errorf("the batch produced %d events, want 2", n)
+	}
+
+	bypass.Store(true)
+	if q := post(single); q == miss {
+		t.Error("a bypassed cache handed out its entry's query")
+	} else if got := core.Fingerprint(q); got != want {
+		t.Errorf("fingerprint under bypass %s, want %s", got, want)
+	}
+	bypass.Store(false)
+
+	if _, err := reg.Register("stub", constEst(8), ModelInfo{Kind: "stub"}); err != nil {
+		t.Fatal(err)
+	}
+	swapped := post(single)
+	if swapped == miss {
+		t.Error("the new generation's first request was handed the displaced generation's query")
+	}
+	if seen[len(seen)-1].Estimate != 8 {
+		t.Errorf("estimate %v after the swap, want the new model's 8", seen[len(seen)-1].Estimate)
+	}
+	if hit := post(single); hit != swapped {
+		t.Error("the new generation's hit did not hand over its own miss's query")
+	}
+
+	// No hook, nothing retained: the entry is the estimate alone.
+	bare := cachedServer(t, constEst(7), func(cfg *Config) { cfg.DB = ordersDB() })
+	for i := 0; i < 2; i++ {
+		for _, body := range []map[string]any{single, {"queries": []map[string]any{{"sql": sql + " AND n <= 4"}}}} {
+			if code, resp := postJSON(t, bare.Handler(), "/v1/estimate", body); code != http.StatusOK {
+				t.Fatalf("POST: %d %v", code, resp)
+			}
+		}
+	}
+	if n := bare.cache.len(); n != 2 {
+		t.Fatalf("the hookless server cached %d entries, want 2", n)
+	}
+	for _, s := range bare.cache.shards {
+		for e := s.lru.Front(); e != nil; e = e.Next() {
+			if e.Value.(*cacheEntry).q != nil {
+				t.Error("a server without a Feedback hook retained a parsed query")
+			}
+		}
+	}
+}
+
+// TestCachedQuerySharedReadOnly: many requests hit one key at once and every
+// hook fingerprints the one shared query; the race detector is the referee.
+func TestCachedQuerySharedReadOnly(t *testing.T) {
+	db, singles, _ := benchBodies(t, 1)
+	var want atomic.Pointer[string]
+	var mismatches atomic.Int64
+	srv := cachedServer(t, constEst(7), func(cfg *Config) {
+		cfg.DB = db
+		cfg.MaxInFlight = 64
+		cfg.Feedback = func(ev FeedbackEvent) {
+			fp := core.Fingerprint(ev.Query)
+			if !want.CompareAndSwap(nil, &fp) && *want.Load() != fp {
+				mismatches.Add(1)
+			}
+		}
+	})
+	h := srv.Handler()
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if code, _ := rawPost(t, h, "/v1/estimate", singles[0]); code != http.StatusOK {
+					t.Errorf("status %d", code)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := mismatches.Load(); n != 0 {
+		t.Errorf("%d hooks fingerprinted the shared query differently", n)
+	}
+	if hits := srv.Metrics().cacheHits.Load(); hits < 32*50-32 {
+		t.Errorf("cache_hits = %d of %d requests: the key was not shared", hits, 32*50)
+	}
+}
+
+// TestCachedQueryBytesPerEntry reports what keeping the query costs a cache
+// entry on the benchmark's own texts (benchBodies draws them as cmd/bench
+// does): live heap over 512 inserted entries, with and without a hook.
+func TestCachedQueryBytesPerEntry(t *testing.T) {
+	const n = 512
+	db, singles, _ := benchBodies(t, n)
+	var textBytes int
+	for _, b := range singles {
+		var req estimateRequest
+		if err := json.Unmarshal(b, &req); err != nil {
+			t.Fatal(err)
+		}
+		textBytes += len(req.SQL)
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second cycle empties the pools' victim caches
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	heapPerEntry := func(hook func(FeedbackEvent)) float64 {
+		srv := cachedServer(t, constEst(7), func(cfg *Config) {
+			cfg.DB = db
+			cfg.Cache.Entries = 16 * n // no shard evicts
+			cfg.Feedback = hook
+		})
+		h := srv.Handler()
+		before := liveHeap()
+		for _, body := range singles {
+			if code, resp := rawPost(t, h, "/v1/estimate", body); code != http.StatusOK {
+				t.Fatalf("POST: %d %v", code, resp)
+			}
+		}
+		after := liveHeap()
+		if got := srv.cache.len(); got != n {
+			t.Fatalf("cached %d entries, want %d", got, n)
+		}
+		return (float64(after) - float64(before)) / n
+	}
+	bare := heapPerEntry(nil)
+	kept := heapPerEntry(func(FeedbackEvent) {})
+	t.Logf("%d entries, mean text %d bytes: %.0f live heap bytes/entry without a hook, %.0f with (the query and the text its names point into: +%.0f)",
+		n, textBytes/n, bare, kept, kept-bare)
+	if kept-bare > 8<<10 {
+		t.Errorf("keeping the query costs %.0f bytes per entry, want <= 8 KiB", kept-bare)
 	}
 }

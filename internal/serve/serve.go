@@ -159,7 +159,7 @@ func New(cfg Config) (*Server, error) {
 		limiter: newLimiter(cfg.MaxInFlight),
 		metrics: newMetrics(),
 	}
-	s.cache = newEstCache(cfg.Cache, s.metrics)
+	s.cache = newEstCache(cfg.Cache, s.metrics, cfg.Feedback != nil)
 	if cfg.Lifecycle != nil {
 		cfg.Lifecycle.bindMetrics(s.metrics)
 	}
@@ -244,7 +244,9 @@ func (w *statusWriter) status() int {
 // need, with the has-actual bit made explicit so a genuine zero-row actual
 // is never mistaken for absent feedback.
 type FeedbackEvent struct {
-	// Query is the parsed, bound query.
+	// Query is the parsed, bound query, never nil. On a cache hit it is the
+	// one the entry's miss bound, shared with every other hit of that text:
+	// read it, never write through it.
 	Query *sqlparse.Query
 	// SQL is the query text as the client sent it.
 	SQL string
@@ -409,16 +411,19 @@ func (s *Server) activeCache() *estCache {
 
 // answer resolves one query text as far as the calling goroutine can without
 // estimating: a lookup in the estimate cache under the text's key, then — only
-// when that missed, or a Feedback hook will want the query — parse and bind.
-// A hit with no hook installed therefore returns before an AST, a deadline
-// context or a timer exists. The error is the client's (unparseable or
-// unbindable text, 4xx); such text was never estimated, so it is never a hit.
+// when that missed — parse and bind. A hit therefore returns before a parse,
+// a deadline context or a timer exists, with or without a Feedback hook: the
+// hook is owed the query, and the entry of a server that has one carries the
+// query its miss bound (shared and read-only, see cacheEntry); a hit that
+// carries none is parsed for the hook. The error is the client's (unparseable
+// or unbindable text, 4xx); such text was never estimated, so it is never a
+// hit.
 func (s *Server) answer(c *estCache, gen uint64, sql string) (key cacheKey, q *sqlparse.Query, br EstResult, hit bool, err error) {
 	if c != nil {
 		key = textKey(gen, sql)
-		br, hit = c.lookup(key)
+		br, q, hit = c.lookup(key)
 	}
-	if !hit || s.cfg.Feedback != nil {
+	if !hit || (q == nil && s.cfg.Feedback != nil) {
 		q, err = s.parseAndBind(sql)
 	}
 	return key, q, br, hit, err
@@ -454,7 +459,7 @@ func (s *Server) estimateMiss(dl deadline, c *estCache, key cacheKey, est estima
 	if c == nil {
 		return estimateOne(ctx, est, q)
 	}
-	return c.do(ctx, key, func() EstResult { return estimateOne(ctx, est, q) })
+	return c.do(ctx, key, q, func() EstResult { return estimateOne(ctx, est, q) })
 }
 
 // record accounts one answered query — latency and degradation metrics, the
@@ -526,7 +531,7 @@ func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, info ModelI
 			sc.out[j] = res
 			if c != nil {
 				s.metrics.cacheMisses.Add(1)
-				c.put(sc.keys[j], res)
+				c.put(sc.keys[j], res, sc.qs[j])
 			}
 		}
 	}

@@ -258,43 +258,48 @@ func serveBody(t testing.TB, h http.Handler, body string) (int, string) {
 	return code, string(out)
 }
 
-// sameAsUncached sends body to the cached server twice — the second time
+// sameAsUncached sends body to each cached server twice — the second time
 // whatever the first inserted is served — and to the uncached one, and
-// requires one answer from all three. A request cut short by its own
+// requires one answer from them all. A request cut short by its own
 // timeoutMs is the one thing a cache legitimately changes (a hit arms no
 // timer), so such answers are not compared.
-func sameAsUncached(t testing.TB, cached, uncached http.Handler, body string) {
+func sameAsUncached(t testing.TB, cached []http.Handler, uncached http.Handler, body string) {
 	t.Helper()
 	wantCode, want := serveBody(t, uncached, body)
-	for round := 1; round <= 2; round++ {
-		code, got := serveBody(t, cached, body)
-		if code >= 500 {
-			t.Fatalf("body %q produced status %d:\n%s", body, code, got)
-		}
-		if deadline := context.DeadlineExceeded.Error(); strings.Contains(got, deadline) || strings.Contains(want, deadline) {
-			return
-		}
-		if code != wantCode || got != want {
-			t.Fatalf("body %q, request %d to the cached server: %d %s\nuncached server: %d %s", body, round, code, got, wantCode, want)
+	for i, h := range cached {
+		for round := 1; round <= 2; round++ {
+			code, got := serveBody(t, h, body)
+			if code >= 500 {
+				t.Fatalf("body %q produced status %d:\n%s", body, code, got)
+			}
+			if deadline := context.DeadlineExceeded.Error(); strings.Contains(got, deadline) || strings.Contains(want, deadline) {
+				return
+			}
+			if code != wantCode || got != want {
+				t.Fatalf("body %q, request %d to cached server %d: %d %s\nuncached server: %d %s", body, round, i, code, got, wantCode, want)
+			}
 		}
 	}
 }
 
-// diffServers is a cached and a Cache.Entries = 0 server over one database
-// and one deterministic estimator.
-func diffServers(tb testing.TB, db *table.DB) (cached, uncached http.Handler) {
-	build := func(entries int) http.Handler {
+// diffServers is two cached servers — one bare, one whose Feedback hook
+// fingerprints the query it is handed, as cardestd's does, so its entries
+// keep their queries and a hit hands one over — and a Cache.Entries = 0
+// server, over one database and one deterministic estimator.
+func diffServers(tb testing.TB, db *table.DB) (cached []http.Handler, uncached http.Handler) {
+	build := func(entries int, hook func(FeedbackEvent)) http.Handler {
 		reg := NewRegistry()
 		if _, err := reg.Register("indep", &estimator.Independence{DB: db}, ModelInfo{Kind: "baseline"}); err != nil {
 			tb.Fatal(err)
 		}
-		srv, err := New(Config{Registry: reg, DB: db, Cache: CacheConfig{Entries: entries}})
+		srv, err := New(Config{Registry: reg, DB: db, Cache: CacheConfig{Entries: entries}, Feedback: hook})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return srv.Handler()
 	}
-	return build(256), build(0)
+	fingerprint := func(ev FeedbackEvent) { core.Fingerprint(ev.Query) } // a nil query panics here
+	return []http.Handler{build(256, nil), build(256, fingerprint)}, build(0, nil)
 }
 
 // TestCachedServerAnswersAsUncached: status code and body, over the fuzz
