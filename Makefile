@@ -24,60 +24,67 @@ race:
 # property here, not a nicety.
 check: vet race
 
-# ci is the one-shot pipeline entry point: vet, build everything, then the
-# suite under the race detector in -short mode — the crash/chaos sweeps
-# (internal/store, internal/resilience/faultinject) collapse to one seed per
-# fault point so the pipeline stays fast. `make check` runs the default
-# width; `make soak` runs the wide sweep. staticcheck and govulncheck run
-# when installed and are skipped (not failed) when absent, so the target
-# works in hermetic containers without network access. The allocation pins
-# of the request path (Parse <= 25 and <= 4 KiB, Bind of a numeric query 0,
-# featurize 0, fingerprint <= 2, Local.Estimate <= 6, an inline resilience
-# stage 0, keying and looking up a query text 0, the whole handler on a hit
-# <= 6, or <= 8 when a Feedback hook is installed — it is handed the query the
-# entry kept from its miss, so neither hit parses) skip
-# themselves under the race detector, which defeats sync.Pool, so they get a
-# run of their own without it. Five fuzz targets get 5 s each: the parser and
-# the journal reader, the two on /v1/estimate — the handler ("4xx never
-# 5xx") and its wire codec against encoding/json — and the executor's
-# dictionary evaluator against the scan kernels it replaced, on whatever
-# selection the parser makes of the input. The in-package benchmarks
-# that are the only home of a measurement run one iteration each — gb training
-# (they label their own training sets and report the share of the matrix split
-# search accumulates), the journal's batched-vs-per-record fsync, labeling
-# across workers and the boot's label phase with its dictionaries cold —
-# because a benchmark nothing executes stops compiling, or stops measuring
-# what its comment says. The first grep is the
-# one-inference-path invariant: outside tests and cmd/bench, no reference
-# twin, no batch form of Predict, no EstimateBatch method. The second is the
-# supervision invariant: background work is a goroutine owned by the object
-# whose work it is (trainer.Controller, Lifecycle.ProbeEvery, the journal
-# writer) and per-request gating is resilience.Breaker — no generic job
-# runner, no probe actor, no per-request retry policy, tests included. The
-# third is the one-evaluator invariant: exec counts on column dictionaries,
-# and outside tests — where the scan kernels live on as its oracle — there is
-# no row-scan comparison kernel and no predicate-bitmap cache to fall back to.
-# The fourth keeps the request path off the canonical fingerprint: the
-# estimate cache is keyed on the query text, and the class key is computed
-# where it is filed (cardestd's feedback hook, replay, the trainer). The fifth
-# keeps the journal's writer woken per batch: Append stages under the mutex
-# and no per-record channel handoff comes back.
+# ci is the one-shot pipeline entry point; each step's reason sits above it.
+# (`make check` runs the suite at default width, `make soak` the wide sweep.)
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
+# The suite under the race detector in -short mode: the crash/chaos sweeps
+# (internal/store, internal/resilience/faultinject) collapse to one seed per
+# fault point so the pipeline stays fast.
 	$(GO) test -race -short ./...
+# The request path's allocation pins skip themselves under the race detector,
+# which defeats sync.Pool, so they get a run without it: Parse <= 25 and
+# <= 4 KiB, Bind of a numeric query 0, featurize 0, fingerprint <= 2,
+# Local.Estimate <= 6, an inline resilience stage 0, keying and looking up a
+# query text 0, the whole handler on a hit <= 6, or <= 8 with a Feedback hook
+# (it is handed the query the entry kept from its miss: neither hit parses).
 	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience ./internal/serve
+# Five fuzz targets, 5 s each: the parser and the journal reader ...
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/sqlparse
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal
+# ... /v1/estimate through the handler ("4xx never 5xx") and its wire codec
+# against encoding/json ...
 	$(GO) test -fuzz=FuzzEstimateHandler -fuzztime=5s ./internal/serve
 	$(GO) test -fuzz=FuzzEstimateCodec -fuzztime=5s ./internal/serve
+# ... and the executor's dictionary evaluator against the scan kernels it
+# replaced, on whatever selection the parser makes of the input.
 	$(GO) test -fuzz=FuzzEvalExpr -fuzztime=5s ./internal/exec
+# The in-package benchmarks that are the only home of a measurement, one
+# iteration each, because a benchmark nothing executes stops compiling or
+# stops measuring what its comment says: gb training (labels its own training
+# sets, reports the share of the matrix split search accumulates), the
+# journal's batched-vs-per-record fsync, labeling across workers and the
+# boot's label phase with its dictionaries cold.
 	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|CountManyWorkers|LabelBoot' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec
+# Guard 1, one inference path: outside tests and cmd/bench, no reference twin,
+# no batch form of Predict, no EstimateBatch method.
 	! grep -rnE 'PredictReference|PredictInto|PredictBatch|func \(.*\) EstimateBatch' --include='*.go' internal cmd | grep -vE '_test\.go:|^cmd/bench/'
+# Guard 2, one supervision idiom: background work is a goroutine owned by the
+# object whose work it is (trainer.Controller, Lifecycle.ProbeEvery, the
+# journal writer), per-request gating is resilience.Breaker — no generic job
+# runner, no probe actor, no per-request retry policy, tests included.
 	! grep -rnE 'NewSupervisor|StartSupervisor|SupervisorConfig|JobSpec|JobFunc|ErrJobActive|ProbeNow|RetryConfig|IsPermanent' --include='*.go' internal cmd
+# Guard 3, one evaluator: exec counts on column dictionaries; outside tests,
+# where the scan kernels live on as its oracle, there is no row-scan
+# comparison kernel and no predicate-bitmap cache to fall back to.
 	! grep -rnE 'PredCache|NewPredCache|EvalExprCached|CountCached|eqWord|ltWord|leWord' --include='*.go' . | grep -vE '_test\.go:'
+# Guard 4, the request path stays off the canonical fingerprint: the estimate
+# cache is keyed on the query text, and the class key is computed where it is
+# filed (cardestd's feedback hook, replay, the trainer).
 	! grep -rn 'core\.Fingerprint' --include='*.go' internal/serve | grep -v _test.go
+# Guard 5, the journal's writer is woken per batch: Append stages under the
+# mutex and no per-record channel handoff comes back.
 	! grep -rn 'chan Record' --include='*.go' internal/journal | grep -v _test.go
+# Guard 6, the production tree holds what a serving or training binary can
+# reach: no dependency of a serving, training or benchmark binary lives under
+# internal/bench (cmd/benchrunner is the harness's own binary) ...
+	! $(GO) list -deps ./cmd/cardestd ./cmd/cardest ./cmd/replay ./cmd/datagen ./cmd/bench | grep 'qfe/internal/bench'
+# ... and the snapshot kinds nothing can write, and the regressor nothing can
+# serve, do not come back outside the harness.
+	! grep -rnE 'KindGlobal|KindHybrid|LoadGlobal|LoadHybrid|NewLinRegFactory' --include='*.go' internal cmd | grep -v '^internal/bench/'
+# staticcheck and govulncheck run when installed and are skipped (not failed)
+# when absent, so the target works in a container without network access.
 	$(MAKE) lint
 
 # lint runs the optional static analyzers. Both are gated on availability:

@@ -38,7 +38,7 @@ import (
 
 func main() {
 	qft := flag.String("qft", "conjunctive", "featurization: simple, range, conjunctive, or complex")
-	model := flag.String("model", "GB", "regressor: GB or NN")
+	model := flag.String("model", "GB", "regressor: GB or NN; any other name is refused before the table is built")
 	trainN := flag.Int("train", 2_000, "number of training queries")
 	rows := flag.Int("rows", 20_000, "forest table rows")
 	entries := flag.Int("entries", 32, "per-attribute feature entries (n)")
@@ -60,6 +60,22 @@ func main() {
 func run(qft, model string, trainN, rows, entries int, query string, seed int64, savePath, loadPath string, timeout time.Duration, fallback bool, workers int) error {
 	if err := cli.ValidateWorkers(workers); err != nil {
 		return err
+	}
+	if err := cli.ValidateModel(model); err != nil {
+		return err
+	}
+	// -query is read with the flags too: text that does not parse, or asks
+	// for a group count no model here estimates, fails before the table is
+	// built. Binding needs the table and happens after training.
+	var q *sqlparse.Query
+	if query != "" {
+		var err error
+		if q, err = sqlparse.Parse(query); err != nil {
+			return err
+		}
+		if err := estimator.RefuseGroupBy(q); err != nil {
+			return err
+		}
 	}
 	fmt.Printf("building forest dataset (%d rows)...\n", rows)
 	fmt.Printf("generating and labeling %d training queries...\n", trainN+500)
@@ -138,11 +154,7 @@ func run(qft, model string, trainN, rows, entries int, query string, seed int64,
 			len(stages), timeout, resilience.RowCount{}.Name())
 	}
 
-	if query != "" {
-		q, err := sqlparse.Parse(query)
-		if err != nil {
-			return err
-		}
+	if q != nil {
 		if err := exec.Bind(q, db); err != nil {
 			return err
 		}

@@ -32,11 +32,22 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	if err := run("nope", "GB", 100, 1_000, 16, "", 1, "", "", 0, false, 0); err == nil {
 		t.Error("unknown QFT accepted")
 	}
-	if err := run("conjunctive", "SVM", 100, 1_000, 16, "", 1, "", "", 0, false, 0); err == nil {
-		t.Error("unknown model accepted")
+	// A model no factory builds (LR is ext1's, in the harness) is refused with
+	// the flags, before a table is built: Rows 0 would be the next error.
+	for _, model := range []string{"SVM", "LR"} {
+		err := run("conjunctive", model, 100, 0, 16, "", 1, "", "", 0, false, 0)
+		if err == nil || !strings.Contains(err.Error(), "-model") || !strings.Contains(err.Error(), "GB or NN") {
+			t.Errorf("-model %s: err = %v, want a -model error naming GB and NN", model, err)
+		}
 	}
 	if err := run("conjunctive", "GB", 100, 1_000, 16, "not sql", 1, "", "", 0, false, 0); err == nil {
 		t.Error("unparseable query accepted")
+	}
+	// A grouped query asks for a group count; the row estimate of its WHERE
+	// is not an answer to it. Refused with the flags, like the model name.
+	err := run("conjunctive", "GB", 100, 0, 16, "SELECT count(*) FROM forest WHERE A1 >= 3 GROUP BY A2", 1, "", "", 0, false, 0)
+	if err == nil || !strings.Contains(err.Error(), "group counts") {
+		t.Errorf("GROUP BY query: err = %v, want a refusal naming group counts", err)
 	}
 }
 

@@ -23,9 +23,9 @@
 //
 // Without -load, the daemon builds the synthetic forest database and trains
 // a model at boot (same flags as cardest), registered as "boot". With
-// -load, each name=path pair is restored via the persistence layer (local,
-// global, or hybrid snapshots); the database is still built so string
-// literals bind and snapshots schema-validate. Further models can be loaded
+// -load, each name=path pair is restored via the persistence layer (local
+// snapshots, the one kind any binary writes); the database is still built so
+// string literals bind and snapshots schema-validate. Further models can be loaded
 // at runtime via POST /v1/models/load without dropping in-flight requests.
 //
 // -store arms the crash-safe model lifecycle (see internal/store and
@@ -201,7 +201,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.load, "load", "", "comma-separated name=path model snapshots to serve (default: train one at boot)")
 	fs.StringVar(&o.defName, "default", "", "name of the default model (default: first registered)")
 	fs.StringVar(&o.qft, "qft", "conjunctive", "featurization for the boot-trained model")
-	fs.StringVar(&o.model, "model", "GB", "regressor for the boot-trained model: GB or NN")
+	fs.StringVar(&o.model, "model", "GB", "regressor for the boot-trained model: GB or NN; any other name is refused before the table is built")
 	fs.IntVar(&o.trainN, "train", 2_000, "training queries for the boot-trained model")
 	fs.IntVar(&o.rows, "rows", 20_000, "forest table rows")
 	fs.IntVar(&o.entries, "entries", 32, "per-attribute feature entries (n)")
@@ -214,7 +214,7 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.drainTO, "drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 	fs.BoolVar(&o.smoke, "smoke", false, "run the self-test (random port, batched estimate, metrics scrape) and exit")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty disables)")
-	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "estimate cache capacity, keyed on (generation, query text): a repeated text is answered before the parse; 0 disables the cache, so every request pays parse+featurize+inference")
+	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "estimate cache capacity, keyed on (generation, query text): a repeated text is answered before the parse; 0 disables the cache, so every request pays parse+featurize+inference; under -journal or -retrain an entry also retains the bound AST of its miss (~2.4 KB, ~9 MB for a full 4096-entry cache)")
 	fs.StringVar(&o.storeDir, "store", "", "crash-safe model store directory (enables canary-gated publishes, recovery, and rollback)")
 	fs.IntVar(&o.canaryN, "canary", 200, "held-out labeled queries for the canary gate (0 disables the gate)")
 	fs.Float64Var(&o.canaryMedian, "canary-median", 10, "canary ceiling on median q-error")
@@ -236,6 +236,9 @@ func parseFlags(args []string) (options, error) {
 
 func run(o options, out io.Writer) error {
 	if err := cli.ValidateWorkers(o.workers); err != nil {
+		return err
+	}
+	if err := cli.ValidateModel(o.model); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "building forest environment (%d rows)...\n", o.rows)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -88,6 +89,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	o.workers = -3
 	if err := run(o, io.Discard); err == nil || !strings.Contains(err.Error(), "-workers") {
 		t.Errorf("negative workers: err = %v, want a -workers error", err)
+	}
+
+	// LR is ext1's model, not the daemon's: the name is refused with the
+	// flags — before a table is built (Rows 0 would be the next error) — and
+	// not, as it was, after boot-training with "not serializable".
+	o = tinyOptions(t)
+	o.model, o.rows = "LR", 0
+	var out bytes.Buffer
+	if err := run(o, &out); err == nil || !strings.Contains(err.Error(), "-model") || !strings.Contains(err.Error(), "GB or NN") {
+		t.Errorf("-model LR: err = %v, want a -model error naming GB and NN", err)
+	}
+	if strings.Contains(out.String(), "building forest environment") {
+		t.Errorf("-model LR built the table before it was refused:\n%s", out.String())
 	}
 
 	o = tinyOptions(t)

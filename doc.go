@@ -13,10 +13,11 @@
 // Postgres-style and sampling baselines (internal/estimator), synthetic
 // stand-ins for the forest-covertype and IMDb datasets
 // (internal/dataset), workload generators and exact labeling
-// (internal/workload), a cardinality-driven join-order optimizer and
-// executor for the end-to-end experiment (internal/engine), and an
-// experiment harness regenerating every table and figure of the paper's
-// Section 5 (internal/bench).
+// (internal/workload), and an experiment harness regenerating every table
+// and figure of the paper's Section 5 (internal/bench), which also holds what
+// only it reaches: the cardinality-driven join-order optimizer and executor
+// of the end-to-end experiment (internal/bench/engine), the histogram
+// partitioners and the excluded linear model of the extensions.
 //
 // Start with README.md for the tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

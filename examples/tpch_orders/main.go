@@ -23,11 +23,10 @@ import (
 	"log"
 	"math"
 
+	"qfe/internal/bench/histogram"
 	"qfe/internal/core"
-	"qfe/internal/dataset"
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
-	"qfe/internal/histogram"
 	"qfe/internal/metrics"
 	"qfe/internal/ml/gb"
 	"qfe/internal/sqlparse"
@@ -36,7 +35,7 @@ import (
 )
 
 func main() {
-	orders, err := dataset.TPCHOrders(dataset.DefaultTPCHConfig())
+	orders, err := tpchOrders(defaultTPCHConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,15 +44,15 @@ func main() {
 	fmt.Printf("orders: %d rows, columns %v\n\n", orders.NumRows(), orders.ColumnNames())
 
 	// The paper's example query, dates written as the integer yyyymmdd
-	// encoding (dataset.EncodeDate) and statuses as string literals that
+	// encoding (encodeDate) and statuses as string literals that
 	// exec.Bind resolves against the dictionary.
 	src := fmt.Sprintf(`SELECT count(*) FROM orders WHERE
 		(o_orderdate >= %d AND o_orderdate <= %d AND o_orderdate <> %d
 		 OR o_orderdate >= %d AND o_orderdate <= %d AND o_orderdate <> %d) AND
 		(o_orderstatus = 'P' OR o_orderstatus = 'F') AND
 		(o_totalprice > 1000 AND o_totalprice < 2000)`,
-		dataset.EncodeDate(1994, 1, 1), dataset.EncodeDate(1994, 12, 31), dataset.EncodeDate(1994, 7, 4),
-		dataset.EncodeDate(1996, 1, 1), dataset.EncodeDate(1996, 12, 31), dataset.EncodeDate(1996, 7, 4))
+		encodeDate(1994, 1, 1), encodeDate(1994, 12, 31), encodeDate(1994, 7, 4),
+		encodeDate(1996, 1, 1), encodeDate(1996, 12, 31), encodeDate(1996, 7, 4))
 	q, err := sqlparse.Parse(src)
 	if err != nil {
 		log.Fatal(err)

@@ -1,4 +1,4 @@
-package dataset
+package main
 
 import (
 	"fmt"
@@ -7,31 +7,31 @@ import (
 	"qfe/internal/table"
 )
 
-// TPCHConfig configures the TPC-H-shaped Orders generator — the table of
+// tpchConfig configures the TPC-H-shaped Orders generator — the table of
 // the paper's running mixed-query example below Definition 3.3 ("orders
 // from either 1994 or 1996, ... either in progress or finished, with a
 // price range").
-type TPCHConfig struct {
+type tpchConfig struct {
 	// Rows is the Orders row count (TPC-H SF1 has 1.5M).
 	Rows int
 	// Seed drives generation.
 	Seed int64
 }
 
-// DefaultTPCHConfig is sized for examples and tests.
-func DefaultTPCHConfig() TPCHConfig { return TPCHConfig{Rows: 50_000, Seed: 19940704} }
+// defaultTPCHConfig is sized for this example and its test.
+func defaultTPCHConfig() tpchConfig { return tpchConfig{Rows: 50_000, Seed: 19940704} }
 
-// EncodeDate packs a calendar date into the integer yyyymmdd encoding the
+// encodeDate packs a calendar date into the integer yyyymmdd encoding the
 // generated o_orderdate column uses, so the paper's date predicates
 // ("o_orderdate >= '1994-01'") translate directly to integer literals
 // (19940101). The encoding is order-preserving; its impossible gaps
 // (month 13..99 etc.) are exactly the kind of skew the equi-depth
-// partitioner of internal/histogram absorbs.
-func EncodeDate(year, month, day int) int64 {
+// partitioner of internal/bench/histogram absorbs.
+func encodeDate(year, month, day int) int64 {
 	return int64(year)*10_000 + int64(month)*100 + int64(day)
 }
 
-// TPCHOrders generates the Orders table with the columns the paper's
+// tpchOrders generates the Orders table with the columns the paper's
 // example queries touch:
 //
 //   - o_orderdate: integer yyyymmdd over 1992-01-01 .. 1998-12-31, denser
@@ -41,9 +41,9 @@ func EncodeDate(year, month, day int) int64 {
 //     old orders are almost always finished;
 //   - o_totalprice: long-tailed integer prices (units of 1);
 //   - o_orderpriority: small categorical 1..5.
-func TPCHOrders(cfg TPCHConfig) (*table.Table, error) {
+func tpchOrders(cfg tpchConfig) (*table.Table, error) {
 	if cfg.Rows < 1 {
-		return nil, fmt.Errorf("dataset: Rows = %d, want >= 1", cfg.Rows)
+		return nil, fmt.Errorf("tpch_orders: Rows = %d, want >= 1", cfg.Rows)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.Rows
@@ -73,7 +73,7 @@ func TPCHOrders(cfg TPCHConfig) (*table.Table, error) {
 		yr = 1998 - (yr - 1992)
 		mo := 1 + rng.Intn(12)
 		dy := 1 + rng.Intn(daysIn(mo))
-		dates[i] = EncodeDate(yr, mo, dy)
+		dates[i] = encodeDate(yr, mo, dy)
 
 		// Status correlated with age: pre-1996 orders are finished with
 		// high probability; recent ones split between open and finished,

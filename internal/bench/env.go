@@ -227,6 +227,16 @@ func (e *Env) coreOptions() core.Options {
 	return core.Options{MaxEntriesPerAttr: e.Scale.Entries, AttrSel: true}
 }
 
+// regressorFactory resolves a model name for the harness: the paper's GB and
+// NN at the scale profile's configuration, plus ext1's LR, which only the
+// harness can name.
+func (e *Env) regressorFactory(model string) (estimator.RegressorFactory, error) {
+	if model == "LR" {
+		return func() estimator.Regressor { return &linRegRegressor{} }, nil
+	}
+	return estimator.FactoryByName(model, e.gbConfig(), e.nnConfig())
+}
+
 // trainLocal builds and trains a local estimator for the given QFT and
 // model name over the forest table.
 func (e *Env) trainLocal(qft, model string, opts core.Options, train workload.Set) (*estimator.Local, error) {
@@ -234,7 +244,7 @@ func (e *Env) trainLocal(qft, model string, opts core.Options, train workload.Se
 	if err != nil {
 		return nil, err
 	}
-	factory, err := estimator.FactoryByName(model, e.gbConfig(), e.nnConfig())
+	factory, err := e.regressorFactory(model)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +268,7 @@ func (e *Env) trainJoinLocal(qft, model string, opts core.Options, train workloa
 	if err != nil {
 		return nil, err
 	}
-	factory, err := estimator.FactoryByName(model, e.gbConfig(), e.nnConfig())
+	factory, err := e.regressorFactory(model)
 	if err != nil {
 		return nil, err
 	}

@@ -5,10 +5,10 @@ import (
 	"math"
 	"time"
 
+	"qfe/internal/bench/histogram"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
-	"qfe/internal/histogram"
 	"qfe/internal/metrics"
 	"qfe/internal/ml/gb"
 	"qfe/internal/sqlparse"
@@ -518,7 +518,7 @@ func ExtensionPruning(env *Env) (*Report, error) {
 		float64(full.MemoryBytes())/1024, fullSum)
 
 	for _, bar := range []float64{1.5, 3, 10} {
-		h, err := estimator.NewHybrid(db, estimator.HybridConfig{Local: localCfg, MaxQuantileError: bar}, fallback)
+		h, err := newHybrid(db, hybridConfig{Local: localCfg, MaxQuantileError: bar}, fallback)
 		if err != nil {
 			return nil, err
 		}

@@ -1,19 +1,19 @@
-package estimator
+package bench
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"qfe/internal/catalog"
+	"qfe/internal/estimator"
 	"qfe/internal/metrics"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 	"qfe/internal/workload"
 )
 
-// Hybrid implements the local-model pruning of Section 2.1.2: "in real
-// applications, this number [of 2^n - 1 sub-schema models] is reduced by
+// hybrid implements the local-model pruning of Section 2.1.2 for ext8: "in
+// real applications, this number [of 2^n - 1 sub-schema models] is reduced by
 // relying on System R formulas, where models are built exactly for those
 // sub-schemata for which the assumptions from [25] do not hold."
 //
@@ -23,18 +23,18 @@ import (
 // that sub-schema route to the fallback; everywhere else a local model is
 // trained. The decision is query-feedback driven, following Larson et
 // al. [15] whom the paper cites for when to (re)build.
-type Hybrid struct {
-	local    *Local
-	fallback Estimator
-	cfg      HybridConfig
+type hybrid struct {
+	local    *estimator.Local
+	fallback estimator.Estimator
+	cfg      hybridConfig
 	// modeled records which sub-schema keys carry a trained local model.
 	modeled map[string]bool
 }
 
-// HybridConfig configures pruning.
-type HybridConfig struct {
+// hybridConfig configures pruning.
+type hybridConfig struct {
 	// Local configures the models built for non-pruned sub-schemas.
-	Local LocalConfig
+	Local estimator.LocalConfig
 	// MaxQuantileError is the pruning bar: a sub-schema is pruned when the
 	// fallback's q-error at Quantile stays at or below this value on the
 	// sub-schema's training queries.
@@ -43,35 +43,35 @@ type HybridConfig struct {
 	Quantile float64
 }
 
-// NewHybrid builds the estimator skeleton. fallback must not be nil.
-func NewHybrid(db *table.DB, cfg HybridConfig, fallback Estimator) (*Hybrid, error) {
+// newHybrid builds the estimator skeleton. fallback must not be nil.
+func newHybrid(db *table.DB, cfg hybridConfig, fallback estimator.Estimator) (*hybrid, error) {
 	if fallback == nil {
-		return nil, fmt.Errorf("estimator: Hybrid needs a fallback estimator")
+		return nil, fmt.Errorf("bench: hybrid needs a fallback estimator")
 	}
 	if cfg.MaxQuantileError < 1 {
-		return nil, fmt.Errorf("estimator: MaxQuantileError = %v, want >= 1", cfg.MaxQuantileError)
+		return nil, fmt.Errorf("bench: MaxQuantileError = %v, want >= 1", cfg.MaxQuantileError)
 	}
 	if cfg.Quantile == 0 {
 		cfg.Quantile = 0.9
 	}
 	if cfg.Quantile < 0 || cfg.Quantile > 1 {
-		return nil, fmt.Errorf("estimator: Quantile = %v, want in [0, 1]", cfg.Quantile)
+		return nil, fmt.Errorf("bench: Quantile = %v, want in [0, 1]", cfg.Quantile)
 	}
-	loc, err := NewLocal(db, cfg.Local)
+	loc, err := estimator.NewLocal(db, cfg.Local)
 	if err != nil {
 		return nil, err
 	}
-	return &Hybrid{local: loc, fallback: fallback, cfg: cfg, modeled: make(map[string]bool)}, nil
+	return &hybrid{local: loc, fallback: fallback, cfg: cfg, modeled: make(map[string]bool)}, nil
 }
 
-// Name implements Estimator.
-func (h *Hybrid) Name() string {
+// Name implements estimator.Estimator.
+func (h *hybrid) Name() string {
 	return fmt.Sprintf("%s pruned by %s", h.local.Name(), h.fallback.Name())
 }
 
 // Train prunes and fits. It returns how many sub-schemas kept a model and
 // how many were pruned to the fallback.
-func (h *Hybrid) Train(train workload.Set) (kept, pruned int, err error) {
+func (h *hybrid) Train(train workload.Set) (kept, pruned int, err error) {
 	grouped := make(map[string]workload.Set)
 	for _, lq := range train {
 		grouped[catalog.SubSchemaKey(lq.Query.Tables)] = append(grouped[catalog.SubSchemaKey(lq.Query.Tables)], lq)
@@ -85,9 +85,9 @@ func (h *Hybrid) Train(train workload.Set) (kept, pruned int, err error) {
 	var modeledSet workload.Set
 	for _, key := range keys {
 		set := grouped[key]
-		qerrs, err := Evaluate(h.fallback, set)
+		qerrs, err := estimator.Evaluate(h.fallback, set)
 		if err != nil {
-			return 0, 0, fmt.Errorf("estimator: probe fallback on %s: %w", key, err)
+			return 0, 0, fmt.Errorf("bench: probe fallback on %s: %w", key, err)
 		}
 		if metrics.Quantile(qerrs, h.cfg.Quantile) <= h.cfg.MaxQuantileError {
 			pruned++
@@ -105,29 +105,19 @@ func (h *Hybrid) Train(train workload.Set) (kept, pruned int, err error) {
 	return kept, pruned, nil
 }
 
-// Estimate implements Estimator: modeled sub-schemas use their local model,
-// pruned ones the fallback.
-func (h *Hybrid) Estimate(q *sqlparse.Query) (float64, error) {
+// Estimate implements estimator.Estimator: modeled sub-schemas use their
+// local model, pruned ones the fallback.
+func (h *hybrid) Estimate(q *sqlparse.Query) (float64, error) {
 	if h.modeled[catalog.SubSchemaKey(q.Tables)] {
 		return h.local.Estimate(q)
 	}
 	return h.fallback.Estimate(q)
 }
 
-// EstimateCtx implements ContextEstimator: the local model's arithmetic is
-// bounded (see Local.EstimateCtx), and the fallback gets the context when it
-// takes one.
-func (h *Hybrid) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
-	if h.modeled[catalog.SubSchemaKey(q.Tables)] {
-		return h.local.EstimateCtx(ctx, q)
-	}
-	return EstimateWithContext(ctx, h.fallback, q)
-}
-
 // NumModels returns the number of trained local models (pruned sub-schemas
 // carry none).
-func (h *Hybrid) NumModels() int { return h.local.NumModels() }
+func (h *hybrid) NumModels() int { return h.local.NumModels() }
 
 // MemoryBytes sums the trained models' footprints — the quantity pruning
 // reduces.
-func (h *Hybrid) MemoryBytes() int { return h.local.MemoryBytes() }
+func (h *hybrid) MemoryBytes() int { return h.local.MemoryBytes() }

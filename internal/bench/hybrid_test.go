@@ -1,4 +1,4 @@
-package estimator
+package bench
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
+	"qfe/internal/estimator"
 	"qfe/internal/metrics"
 	"qfe/internal/workload"
 )
@@ -28,15 +29,15 @@ func TestHybridPrunesAndRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fallback := &Independence{DB: imdb}
-	localCfg := LocalConfig{
+	fallback := &estimator.Independence{DB: imdb}
+	localCfg := estimator.LocalConfig{
 		QFT:          "conjunctive",
 		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewRegressor: estimator.NewGBFactory(smokeEnv().gbConfig()),
 	}
 
 	// A loose bar prunes everything; a bar of 1 keeps everything.
-	loose, err := NewHybrid(imdb, HybridConfig{Local: localCfg, MaxQuantileError: 1e12}, fallback)
+	loose, err := newHybrid(imdb, hybridConfig{Local: localCfg, MaxQuantileError: 1e12}, fallback)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestHybridPrunesAndRoutes(t *testing.T) {
 		t.Errorf("loose bar trained %d models", loose.NumModels())
 	}
 
-	strict, err := NewHybrid(imdb, HybridConfig{Local: localCfg, MaxQuantileError: 1.0}, fallback)
+	strict, err := newHybrid(imdb, hybridConfig{Local: localCfg, MaxQuantileError: 1.0}, fallback)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestHybridPrunesAndRoutes(t *testing.T) {
 	// the test is robust to workload regeneration.
 	perSub := map[string][]float64{}
 	for _, l := range train {
-		qe, err := Evaluate(fallback, workload.Set{l})
+		qe, err := estimator.Evaluate(fallback, workload.Set{l})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestHybridPrunesAndRoutes(t *testing.T) {
 		bar = 1
 	}
 
-	mid, err := NewHybrid(imdb, HybridConfig{Local: localCfg, MaxQuantileError: bar}, fallback)
+	mid, err := newHybrid(imdb, hybridConfig{Local: localCfg, MaxQuantileError: bar}, fallback)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestHybridPrunesAndRoutes(t *testing.T) {
 	if kept == 0 || pruned == 0 {
 		t.Fatalf("median bar should split the sub-schemas (kept=%d pruned=%d)", kept, pruned)
 	}
-	sum, err := Summarize(mid, test)
+	sum, err := estimator.Summarize(mid, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,18 +131,18 @@ func TestHybridValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localCfg := LocalConfig{
+	localCfg := estimator.LocalConfig{
 		QFT:          "conjunctive",
 		Opts:         core.Options{MaxEntriesPerAttr: 8, AttrSel: false},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewRegressor: estimator.NewGBFactory(smokeEnv().gbConfig()),
 	}
-	if _, err := NewHybrid(imdb, HybridConfig{Local: localCfg, MaxQuantileError: 2}, nil); err == nil {
+	if _, err := newHybrid(imdb, hybridConfig{Local: localCfg, MaxQuantileError: 2}, nil); err == nil {
 		t.Error("nil fallback accepted")
 	}
-	if _, err := NewHybrid(imdb, HybridConfig{Local: localCfg, MaxQuantileError: 0.5}, &Independence{DB: imdb}); err == nil {
+	if _, err := newHybrid(imdb, hybridConfig{Local: localCfg, MaxQuantileError: 0.5}, &estimator.Independence{DB: imdb}); err == nil {
 		t.Error("bar below 1 accepted")
 	}
-	if _, err := NewHybrid(imdb, HybridConfig{Local: localCfg, MaxQuantileError: 2, Quantile: 1.5}, &Independence{DB: imdb}); err == nil {
+	if _, err := newHybrid(imdb, hybridConfig{Local: localCfg, MaxQuantileError: 2, Quantile: 1.5}, &estimator.Independence{DB: imdb}); err == nil {
 		t.Error("quantile above 1 accepted")
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"qfe/internal/bench/engine"
 	"qfe/internal/core"
-	"qfe/internal/engine"
 	"qfe/internal/estimator"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"

@@ -30,6 +30,16 @@ func ValidateWorkers(n int) error {
 	return nil
 }
 
+// ValidateModel rejects a -model no factory builds while the flags are being
+// validated, so a typo costs nothing: without it the name is first looked at
+// after the table is built and the workload labeled.
+func ValidateModel(name string) error {
+	if _, err := estimator.FactoryByName(name, gb.Config{}, nn.Config{}); err != nil {
+		return fmt.Errorf("-model: %w", err)
+	}
+	return nil
+}
+
 // ForestSpec describes the synthetic forest environment the CLIs share:
 // dataset shape, workload style (derived from the QFT), and sizes.
 type ForestSpec struct {
@@ -117,7 +127,7 @@ func BuildForestEnv(spec ForestSpec) (*ForestEnv, error) {
 // cardestd's boot-training path.
 type TrainSpec struct {
 	QFT     string
-	Model   string // "GB", "NN", or "LR"
+	Model   string // "GB" or "NN" (estimator.FactoryByName)
 	Entries int    // per-attribute feature entries (n)
 	Workers int    // training goroutines (0 = one per CPU)
 }

@@ -23,6 +23,20 @@ func TestValidateWorkers(t *testing.T) {
 	}
 }
 
+func TestValidateModel(t *testing.T) {
+	for _, name := range []string{"GB", "NN", "gb", "nn"} {
+		if err := ValidateModel(name); err != nil {
+			t.Errorf("ValidateModel(%q) = %v, want nil", name, err)
+		}
+	}
+	for _, name := range []string{"LR", "SVM", ""} {
+		err := ValidateModel(name)
+		if err == nil || !strings.Contains(err.Error(), "-model") || !strings.Contains(err.Error(), "GB or NN") {
+			t.Errorf("ValidateModel(%q) = %v, want an error naming the flag, GB and NN", name, err)
+		}
+	}
+}
+
 func TestForestSpecValidate(t *testing.T) {
 	good := ForestSpec{Rows: 100, TrainN: 10, TestN: 5, Seed: 1, QFT: "conjunctive"}
 	if err := good.Validate(); err != nil {

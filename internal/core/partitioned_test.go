@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"qfe/internal/bench/histogram"
 	"qfe/internal/exec"
-	"qfe/internal/histogram"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )

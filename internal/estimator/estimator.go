@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 
 	"qfe/internal/metrics"
 	"qfe/internal/sqlparse"
@@ -46,6 +47,20 @@ type ContextEstimator interface {
 	// EstimateCtx is Estimate under a context: it returns ctx.Err() promptly
 	// once the context is cancelled or its deadline passes.
 	EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error)
+}
+
+// RefuseGroupBy is the serving edge's answer to a grouped query (the daemon's
+// parse step, cardest -query): a GROUP BY query's cardinality is its number
+// of groups, every Estimator here is trained on row counts, and answering
+// with the estimate of the WHERE alone would be a silently wrong number. The
+// group-count featurization of the paper's Section 6 (core.WithGroupBy) has a
+// model only in the experiment harness (ext6).
+func RefuseGroupBy(q *sqlparse.Query) error {
+	if len(q.GroupBy) == 0 {
+		return nil
+	}
+	return fmt.Errorf("GROUP BY %s: no served model estimates group counts (drop the GROUP BY to estimate the rows it groups)",
+		strings.Join(q.GroupBy, ", "))
 }
 
 // BatchEstimator was the batch form of an Estimator.

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"qfe/internal/catalog"
@@ -441,8 +442,12 @@ func TestFactoryByName(t *testing.T) {
 	if _, err := FactoryByName("nn", gb.DefaultConfig(), nn.DefaultConfig()); err != nil {
 		t.Error(err)
 	}
-	if _, err := FactoryByName("svm", gb.DefaultConfig(), nn.DefaultConfig()); err == nil {
-		t.Error("unknown model accepted")
+	// LR is the harness's (ext1): nothing that serves or persists can name it.
+	for _, name := range []string{"svm", "LR"} {
+		_, err := FactoryByName(name, gb.DefaultConfig(), nn.DefaultConfig())
+		if err == nil || !strings.Contains(err.Error(), "want GB or NN") {
+			t.Errorf("FactoryByName(%q): err = %v, want one naming GB and NN", name, err)
+		}
 	}
 }
 

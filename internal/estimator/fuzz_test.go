@@ -2,14 +2,16 @@ package estimator
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"qfe/internal/core"
 )
 
-// snapshotSeeds serializes one trained estimator of every persistable kind.
-// These are the fuzzer's starting corpus: mutations of real snapshots probe
-// much deeper into the loaders than random bytes would.
+// snapshotSeeds serializes one trained local estimator — the one persistable
+// kind — and dresses it as the two deleted ones. These are the fuzzer's
+// starting corpus: mutations of real snapshots probe much deeper into the
+// loader than random bytes would.
 func snapshotSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	e := env(tb)
@@ -32,39 +34,11 @@ func snapshotSeeds(tb testing.TB) [][]byte {
 	}
 	seeds = append(seeds, lb.Bytes())
 
-	g, err := NewGlobal(e.db, forestSchema(), "conjunctive",
-		core.Options{MaxEntriesPerAttr: 16, AttrSel: true}, NewGBFactory(smallGB()), false)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := g.Train(e.train[:300]); err != nil {
-		tb.Fatal(err)
-	}
-	var gb bytes.Buffer
-	if err := g.SaveJSON(&gb); err != nil {
-		tb.Fatal(err)
-	}
-	seeds = append(seeds, gb.Bytes())
-
-	h, err := NewHybrid(e.db, HybridConfig{
-		Local: LocalConfig{
-			QFT:          "conjunctive",
-			Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-			NewRegressor: NewGBFactory(smallGB()),
-		},
-		MaxQuantileError: 1e12, // prune everything: small, fast snapshot
-	}, &Independence{DB: e.db})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, _, err := h.Train(e.train[:300]); err != nil {
-		tb.Fatal(err)
-	}
-	var hb bytes.Buffer
-	if err := h.SaveJSON(&hb); err != nil {
-		tb.Fatal(err)
-	}
-	seeds = append(seeds, hb.Bytes())
+	// The two kinds this build no longer reads, at full size: every mutant
+	// of them must be refused too (FuzzLoadEstimator checks the kind of
+	// whatever loads).
+	global, hybrid := deletedKindDocuments(tb, lb.Bytes())
+	seeds = append(seeds, global, hybrid)
 
 	return seeds
 }
@@ -95,6 +69,7 @@ func FuzzLoadEstimator(f *testing.F) {
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"format":1,"kind":"local"}`))
+	f.Add([]byte(`{"format":1,"kind":"global","tables":["forest"]}`))
 	f.Add([]byte(`{"format":1,"kind":"hybrid","fallback":"independence"}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte{0x00, 0xff})
@@ -109,8 +84,16 @@ func FuzzLoadEstimator(f *testing.F) {
 			}
 			return
 		}
-		if est == nil || kind == "" {
-			t.Fatalf("LoadEstimator returned nil estimator / kind %q without error", kind)
+		if est == nil || kind != KindLocal {
+			t.Fatalf("LoadEstimator returned estimator %v / kind %q without error", est, kind)
+		}
+		// Whatever loaded called itself local or nothing: a document of any
+		// other kind, the deleted global and hybrid included, is an error.
+		var doc struct {
+			Kind string `json:"kind"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil || (doc.Kind != "" && doc.Kind != KindLocal) {
+			t.Fatalf("LoadEstimator accepted a document of kind %q (decode error %v)", doc.Kind, err)
 		}
 		// An accepted snapshot must estimate without panicking.
 		if v, err := est.Estimate(probe); err == nil && v < 0 {

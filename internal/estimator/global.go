@@ -21,10 +21,6 @@ type Global struct {
 	reg       Regressor
 	transform labelTransform
 	qft       string
-	// opts and metas are retained so a trained Global can be persisted
-	// (SaveJSON) and later rebuilt without the data.
-	opts  core.Options
-	metas map[string]*core.TableMeta
 
 	vecPool *sync.Pool // *featScratch, one per query in flight
 }
@@ -45,29 +41,9 @@ func NewGlobal(db *table.DB, schema *catalog.Schema, qft string, opts core.Optio
 		return nil, err
 	}
 	return &Global{
-		feat: gf, reg: factory(), transform: labelTransform{raw: rawLabels}, qft: qft, opts: opts, metas: metas,
+		feat: gf, reg: factory(), transform: labelTransform{raw: rawLabels}, qft: qft,
 		vecPool: newVecPool(gf.Dim(), 0),
 	}, nil
-}
-
-// ValidateSchema checks that the estimator's featurization metadata is
-// compatible with db, mirroring Local.ValidateSchema: every schema table
-// must exist and carry every featurized attribute.
-func (g *Global) ValidateSchema(db *table.DB) error {
-	for _, name := range g.feat.Schema.Tables {
-		t := db.Table(name)
-		if t == nil {
-			return fmt.Errorf("estimator: schema mismatch: estimator was trained on table %q, which the database does not have (tables: %v)",
-				name, db.TableNames())
-		}
-		for _, a := range g.metas[name].Attrs {
-			if t.Column(a.Name) == nil {
-				return fmt.Errorf("estimator: schema mismatch: table %q has no column %q the estimator was trained on (columns: %v)",
-					name, a.Name, t.ColumnNames())
-			}
-		}
-	}
-	return nil
 }
 
 // Name implements Estimator.

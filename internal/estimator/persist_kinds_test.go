@@ -2,169 +2,30 @@ package estimator
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
-	"qfe/internal/catalog"
-	"qfe/internal/core"
+	"qfe/internal/table"
 )
 
-// These tests cover every snapshot kind the serving registry can hot-load
-// via LoadEstimator — Local (covered more deeply in persist_test.go),
-// Global, and Hybrid, each with GB- and NN-backed models where applicable —
-// plus the corrupted-file rejections that let hot-reload trust a snapshot
-// the moment it loads.
+// LoadEstimator restores the one kind a binary writes. These tests pin its
+// envelope checks: a local document loads with or without the "kind" field,
+// and a document of any other kind — the global and hybrid documents earlier
+// builds could write included — is refused by name before anything in it is
+// parsed.
 
-func forestSchema() *catalog.Schema {
-	return &catalog.Schema{Tables: []string{"forest"}}
-}
-
-func trainGlobal(t *testing.T, factory RegressorFactory, qft string) *Global {
-	t.Helper()
-	e := env(t)
-	g, err := NewGlobal(e.db, forestSchema(), qft, core.Options{MaxEntriesPerAttr: 16, AttrSel: true}, factory, false)
-	if err != nil {
-		t.Fatal(err)
+// deletedKindDocuments are well-formed documents of the two kinds this build
+// no longer reads, made from a real local snapshot: the same fields under
+// "kind":"global", and the snapshot inside the envelope a hybrid used.
+func deletedKindDocuments(tb testing.TB, local []byte) (global, hybrid []byte) {
+	tb.Helper()
+	global = bytes.Replace(local, []byte(`"kind":"local"`), []byte(`"kind":"global"`), 1)
+	if bytes.Equal(global, local) {
+		tb.Fatal("kind field not found in local snapshot — format changed?")
 	}
-	if err := g.Train(e.train[:400]); err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-func roundTripGlobal(t *testing.T, g *Global) *Global {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := g.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadGlobal(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return back
-}
-
-func TestSaveLoadGlobalGB(t *testing.T) {
-	e := env(t)
-	g := trainGlobal(t, NewGBFactory(smallGB()), "conjunctive")
-	back := roundTripGlobal(t, g)
-	if back.Name() != g.Name() {
-		t.Errorf("restored Name = %q, want %q", back.Name(), g.Name())
-	}
-	for _, l := range e.test[:40] {
-		want, err := g.Estimate(l.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.Estimate(l.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("restored global estimate %v != original %v for %s", got, want, l.Query)
-		}
-	}
-	if err := back.ValidateSchema(e.db); err != nil {
-		t.Errorf("restored global fails schema validation against its own database: %v", err)
-	}
-}
-
-func TestSaveLoadGlobalNN(t *testing.T) {
-	e := env(t)
-	g := trainGlobal(t, NewNNFactory(smallNN()), "range")
-	back := roundTripGlobal(t, g)
-	for _, l := range e.test[:25] {
-		want, err := g.Estimate(l.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.Estimate(l.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("restored NN global estimate %v != original %v", got, want)
-		}
-	}
-}
-
-func trainHybrid(t *testing.T, maxQErr float64) *Hybrid {
-	t.Helper()
-	e := env(t)
-	h, err := NewHybrid(e.db, HybridConfig{
-		Local: LocalConfig{
-			QFT:          "conjunctive",
-			Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-			NewRegressor: NewGBFactory(smallGB()),
-		},
-		MaxQuantileError: maxQErr,
-	}, &Independence{DB: e.db})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := h.Train(e.train[:400]); err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
-func TestSaveLoadHybrid(t *testing.T) {
-	e := env(t)
-	for _, tc := range []struct {
-		name    string
-		maxQErr float64
-	}{
-		{"modeled", 1.05}, // the bar is strict: the sub-schema keeps its model
-		{"pruned", 1e12},  // the bar is trivial: everything routes to the fallback
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h := trainHybrid(t, tc.maxQErr)
-			var buf bytes.Buffer
-			if err := h.SaveJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			back, err := LoadHybrid(bytes.NewReader(buf.Bytes()), e.db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, l := range e.test[:40] {
-				want, err := h.Estimate(l.Query)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := back.Estimate(l.Query)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("restored hybrid estimate %v != original %v for %s", got, want, l.Query)
-				}
-			}
-			if _, err := LoadHybrid(bytes.NewReader(buf.Bytes()), nil); err == nil {
-				t.Error("hybrid load without a database accepted; the fallback needs one")
-			}
-		})
-	}
-}
-
-func TestHybridSaveRejectsForeignFallback(t *testing.T) {
-	e := env(t)
-	h, err := NewHybrid(e.db, HybridConfig{
-		Local: LocalConfig{
-			QFT:          "conjunctive",
-			Opts:         core.Options{MaxEntriesPerAttr: 8},
-			NewRegressor: NewGBFactory(smallGB()),
-		},
-		MaxQuantileError: 2,
-	}, NewSampling(e.db, 0.01, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.SaveJSON(&bytes.Buffer{}); err == nil {
-		t.Error("hybrid with a Sampling fallback serialized; only Independence is restorable")
-	}
+	hybrid = []byte(`{"format":1,"kind":"hybrid","fallback":"independence","maxQuantileError":3,"quantile":0.9,"modeled":["forest"],"local":` +
+		string(bytes.TrimSpace(local)) + "}\n")
+	return global, hybrid
 }
 
 func TestLoadEstimatorDispatch(t *testing.T) {
@@ -187,109 +48,38 @@ func TestLoadEstimatorDispatch(t *testing.T) {
 		t.Fatalf("legacy (kind-less) local dispatch: kind=%q err=%v", kind, err)
 	}
 
-	// Global.
-	var gb bytes.Buffer
-	if err := trainGlobal(t, NewGBFactory(smallGB()), "conjunctive").SaveJSON(&gb); err != nil {
-		t.Fatal(err)
-	}
-	if est, kind, err = LoadEstimator(bytes.NewReader(gb.Bytes()), e.db); err != nil || kind != KindGlobal {
-		t.Fatalf("global dispatch: kind=%q err=%v", kind, err)
-	}
-	if _, ok := est.(*Global); !ok {
-		t.Fatalf("global dispatch returned %T", est)
-	}
-
-	// Hybrid.
-	var hb bytes.Buffer
-	if err := trainHybrid(t, 1.05).SaveJSON(&hb); err != nil {
-		t.Fatal(err)
-	}
-	if est, kind, err = LoadEstimator(bytes.NewReader(hb.Bytes()), e.db); err != nil || kind != KindHybrid {
-		t.Fatalf("hybrid dispatch: kind=%q err=%v", kind, err)
-	}
-	if _, ok := est.(*Hybrid); !ok {
-		t.Fatalf("hybrid dispatch returned %T", est)
-	}
-
 	// Rejections.
 	if _, _, err := LoadEstimator(strings.NewReader("not json"), e.db); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, _, err := LoadEstimator(strings.NewReader(`{"format":1,"kind":"mscn"}`), e.db); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	// Kind/loader mismatches must fail loudly, not mis-restore.
-	if _, err := LoadLocal(bytes.NewReader(gb.Bytes())); err == nil {
-		t.Error("LoadLocal accepted a global snapshot")
-	}
-	if _, err := LoadGlobal(bytes.NewReader(localBytes)); err == nil {
-		t.Error("LoadGlobal accepted a local snapshot")
-	}
-}
-
-func TestLoadGlobalRejectsTruncatedFile(t *testing.T) {
-	var buf bytes.Buffer
-	if err := trainGlobal(t, NewGBFactory(smallGB()), "conjunctive").SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, frac := range []float64{0.1, 0.5, 0.9, 0.99} {
-		cut := data[:int(float64(len(data))*frac)]
-		if _, err := LoadGlobal(bytes.NewReader(cut)); err == nil {
-			t.Errorf("truncation to %d/%d bytes accepted", len(cut), len(data))
+	global, hybrid := deletedKindDocuments(t, localBytes)
+	for _, doc := range []struct {
+		kind string
+		data []byte
+	}{
+		{"mscn", []byte(`{"format":1,"kind":"mscn"}`)},
+		{"global", global},
+		{"hybrid", hybrid},
+	} {
+		for _, db := range []*table.DB{e.db, nil} {
+			est, kind, err := LoadEstimator(bytes.NewReader(doc.data), db)
+			if err == nil || est != nil || kind != "" {
+				t.Errorf("%s document (db %v): est=%v kind=%q err=%v, want only an error", doc.kind, db != nil, est, kind, err)
+				continue
+			}
+			if want := `unknown snapshot kind "` + doc.kind + `"`; !strings.Contains(err.Error(), want) {
+				t.Errorf("%s document (db %v): err = %v, want it to say %s", doc.kind, db != nil, err, want)
+			}
 		}
 	}
-}
-
-func TestLoadGlobalRejectsCorruptedPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := trainGlobal(t, NewGBFactory(smallGB()), "conjunctive").SaveJSON(&buf); err != nil {
-		t.Fatal(err)
+	// The format is checked before the kind: a future-format document of a
+	// kind this build has never heard of is a version error.
+	future := bytes.Replace(global, []byte(`"format":1`), []byte(`"format":2`), 1)
+	if _, _, err := LoadEstimator(bytes.NewReader(future), e.db); err == nil || !strings.Contains(err.Error(), "format 2") {
+		t.Errorf("future-format global document: err = %v, want a format-version error", err)
 	}
-	var s savedGlobal
-	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name    string
-		payload string
-	}{
-		{"no trees", `{"cfg":{},"base":1,"trees":[],"dim":3}`},
-		{"dangling child index", `{"cfg":{},"base":1,"dim":3,"trees":[{"nodes":[{"f":0,"t":0.5,"l":7,"r":9}]}]}`},
-		// Structurally valid but trained for a 3-wide input: the dim check
-		// must refuse to pair it with this schema's featurizer.
-		{"dim mismatch", `{"cfg":{},"base":1,"dim":3,"trees":[{"nodes":[{"f":0,"t":0.5,"l":1,"r":2},{"leaf":true,"v":1},{"leaf":true,"v":2}]}]}`},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			damaged := s
-			damaged.Payload = json.RawMessage(c.payload)
-			out, err := json.Marshal(damaged)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := LoadGlobal(bytes.NewReader(out)); err == nil {
-				t.Errorf("corrupted global payload (%s) accepted", c.name)
-			}
-		})
-	}
-}
-
-func TestLoadHybridRejectsDanglingModeledKey(t *testing.T) {
-	e := env(t)
-	var buf bytes.Buffer
-	if err := trainHybrid(t, 1.05).SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var s savedHybrid
-	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
-		t.Fatal(err)
-	}
-	s.Modeled = append(s.Modeled, "no+such+subschema")
-	out, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadHybrid(bytes.NewReader(out), e.db); err == nil {
-		t.Error("hybrid with a modeled key missing from the local snapshot accepted")
+	// LoadLocal refuses a foreign kind too, so no caller can mis-restore one.
+	if _, err := LoadLocal(bytes.NewReader(global)); err == nil {
+		t.Error("LoadLocal accepted a global document")
 	}
 }

@@ -3,7 +3,6 @@ package estimator
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"strings"
 	"testing"
 
@@ -318,10 +317,7 @@ func wrongWidthSnapshots(tb testing.TB) []namedSnapshot {
 	opts := core.Options{MaxEntriesPerAttr: 16, AttrSel: true}
 	gbCfg, nnCfg := smallGB(), smallNN()
 	gbCfg.NumTrees, nnCfg.Epochs = 5, 2
-	relabelled := func(est interface {
-		Train(workload.Set) error
-		SaveJSON(io.Writer) error
-	}, err error) []byte {
+	relabelled := func(est *Local, err error) []byte {
 		tb.Helper()
 		if err != nil {
 			tb.Fatal(err)
@@ -341,7 +337,6 @@ func wrongWidthSnapshots(tb testing.TB) []namedSnapshot {
 	return []namedSnapshot{
 		{"local GB", relabelled(NewLocal(e.db, LocalConfig{QFT: "conjunctive", Opts: opts, NewRegressor: NewGBFactory(gbCfg)}))},
 		{"local NN", relabelled(NewLocal(e.db, LocalConfig{QFT: "conjunctive", Opts: opts, NewRegressor: NewNNFactory(nnCfg)}))},
-		{"global NN", relabelled(NewGlobal(e.db, forestSchema(), "conjunctive", opts, NewNNFactory(nnCfg), false))},
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"qfe/internal/ml/gb"
-	"qfe/internal/ml/linreg"
 	"qfe/internal/ml/nn"
 )
 
@@ -25,9 +24,8 @@ type FitOpts struct {
 }
 
 // CtxRegressor extends Regressor with a cancelable, checkpointable fit.
-// All built-in regressors implement it; models with nothing worth
-// checkpointing (closed-form linear regression) honor cancellation and
-// ignore the checkpoint options.
+// Both built-in regressors implement it; one that does not is fit with Fit
+// and retrained from scratch on resume.
 type CtxRegressor interface {
 	Regressor
 	FitCtx(ctx context.Context, X [][]float64, y []float64, opts FitOpts) error
@@ -154,55 +152,6 @@ func (r *NNRegressor) MemoryBytes() int {
 	return r.model.MemoryBytes()
 }
 
-// LinRegRegressor adapts linreg.Model to the Regressor interface. Linear
-// regression is the "simpler model" the paper tested and excluded because
-// its estimates trail GB and NN by a significant factor (Section 2.2); it
-// is kept so that exclusion is reproducible.
-type LinRegRegressor struct {
-	Cfg   linreg.Config
-	model *linreg.Model
-}
-
-// NewLinRegFactory returns a factory producing ridge-regression regressors.
-func NewLinRegFactory(cfg linreg.Config) RegressorFactory {
-	return func() Regressor { return &LinRegRegressor{Cfg: cfg} }
-}
-
-// Name implements Regressor.
-func (r *LinRegRegressor) Name() string { return "LR" }
-
-// Fit implements Regressor.
-func (r *LinRegRegressor) Fit(X [][]float64, y []float64) error {
-	return r.FitCtx(context.Background(), X, y, FitOpts{})
-}
-
-// FitCtx implements CtxRegressor. The closed-form solve honors
-// cancellation but has no resumable state; checkpoint options are ignored.
-func (r *LinRegRegressor) FitCtx(ctx context.Context, X [][]float64, y []float64, _ FitOpts) error {
-	m, err := linreg.TrainCtx(ctx, X, y, r.Cfg)
-	if err != nil {
-		return err
-	}
-	r.model = m
-	return nil
-}
-
-// Predict implements Regressor.
-func (r *LinRegRegressor) Predict(x []float64) float64 {
-	if r.model == nil {
-		panic("estimator: LinRegRegressor used before Fit")
-	}
-	return r.model.Predict(x)
-}
-
-// MemoryBytes implements Regressor.
-func (r *LinRegRegressor) MemoryBytes() int {
-	if r.model == nil {
-		return 0
-	}
-	return r.model.MemoryBytes()
-}
-
 // FactoryByName resolves the paper's model abbreviations to factories with
 // the given configs; convenient for the experiment harness and CLIs.
 func FactoryByName(name string, gbCfg gb.Config, nnCfg nn.Config) (RegressorFactory, error) {
@@ -211,8 +160,6 @@ func FactoryByName(name string, gbCfg gb.Config, nnCfg nn.Config) (RegressorFact
 		return NewGBFactory(gbCfg), nil
 	case "NN", "nn":
 		return NewNNFactory(nnCfg), nil
-	case "LR", "lr":
-		return NewLinRegFactory(linreg.DefaultConfig()), nil
 	}
-	return nil, fmt.Errorf("estimator: unknown model %q (want GB, NN, or LR)", name)
+	return nil, fmt.Errorf("estimator: unknown model %q (want GB or NN)", name)
 }

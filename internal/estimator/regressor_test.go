@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qfe/internal/ml/gb"
-	"qfe/internal/ml/linreg"
 	"qfe/internal/ml/nn"
 )
 
@@ -36,7 +35,6 @@ func TestRegressorAdapters(t *testing.T) {
 	}{
 		{"GB", NewGBFactory(gbCfg), 0.2},
 		{"NN", NewNNFactory(nnCfg), 0.2},
-		{"LR", NewLinRegFactory(linreg.DefaultConfig()), 0.05},
 	}
 	for _, f := range factories {
 		r := f.factory()
@@ -68,7 +66,6 @@ func TestRegressorPredictBeforeFitPanics(t *testing.T) {
 	for _, factory := range []RegressorFactory{
 		NewGBFactory(gb.DefaultConfig()),
 		NewNNFactory(nn.DefaultConfig()),
-		NewLinRegFactory(linreg.DefaultConfig()),
 	} {
 		r := factory()
 		func() {

@@ -123,7 +123,8 @@ func (l *Local) TrainCtx(ctx context.Context, train workload.Set, opts *TrainOpt
 
 		if opts != nil && opts.OnCheckpoint != nil {
 			// Record the finished regressor so a later crash never refits it.
-			// Unserializable regressors (LR) are simply retrained on resume.
+			// A regressor that is not serializable (any but GB and NN) is
+			// simply retrained on resume.
 			if payload, err := marshalRegressor(lm.reg); err == nil {
 				progress.Done[key] = payload
 				progress.Current, progress.CurrentCk = "", nil

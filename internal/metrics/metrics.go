@@ -46,29 +46,6 @@ func QError(truth, estimate float64) float64 {
 	return estimate / truth
 }
 
-// QErrors applies QError pairwise. It panics if the slices differ in length,
-// since that is always a programming error in the harness.
-func QErrors(truths, estimates []float64) []float64 {
-	if len(truths) != len(estimates) {
-		panic(fmt.Sprintf("metrics: %d truths vs %d estimates", len(truths), len(estimates)))
-	}
-	out := make([]float64, len(truths))
-	for i := range truths {
-		out[i] = QError(truths[i], estimates[i])
-	}
-	return out
-}
-
-// RelativeError returns |e-x| / x. The paper discusses why this metric is
-// insufficient for estimator comparison (it systematically prefers
-// underestimation, [28]); it is provided for completeness and tests only.
-func RelativeError(truth, estimate float64) float64 {
-	if truth == 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(estimate-truth) / math.Abs(truth)
-}
-
 // Summary holds the aggregate statistics the paper reports in its tables:
 // mean, median, the 99% quantile, and the maximum.
 type Summary struct {
@@ -179,20 +156,4 @@ func Mean(vals []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vals))
-}
-
-// GeometricMean returns the geometric mean of vals, a robust aggregate for
-// heavy-tailed q-error distributions. Non-positive values are clamped to 1.
-func GeometricMean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range vals {
-		if v < 1 {
-			v = 1
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vals)))
 }

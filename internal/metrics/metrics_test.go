@@ -57,42 +57,6 @@ func TestQErrorAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestQErrorsPairwise(t *testing.T) {
-	got := QErrors([]float64{10, 20, 30}, []float64{10, 40, 10})
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("QErrors[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestQErrorsLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("QErrors did not panic on length mismatch")
-		}
-	}()
-	QErrors([]float64{1}, []float64{1, 2})
-}
-
-func TestRelativeErrorAsymmetry(t *testing.T) {
-	// Documents the insufficiency the paper cites: under relative error, an
-	// underestimate by half scores better than an overestimate by double.
-	under := RelativeError(100, 50)
-	over := RelativeError(100, 200)
-	if !(under < over) {
-		t.Errorf("relative error should prefer underestimates: under=%v over=%v", under, over)
-	}
-	// The q-error treats them identically.
-	if QError(100, 50) != QError(100, 200) {
-		t.Error("q-error should treat 2x under and over identically")
-	}
-	if !math.IsInf(RelativeError(0, 5), 1) {
-		t.Error("RelativeError(0, e) should be +Inf")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 100})
 	if s.Count != 5 {
@@ -191,20 +155,12 @@ func TestBoxplotKnown(t *testing.T) {
 	}
 }
 
-func TestMeanAndGeometricMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if got := Mean([]float64{2, 4, 6}); got != 4 {
 		t.Errorf("Mean = %v, want 4", got)
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-	if got := GeometricMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeometricMean = %v, want 2", got)
-	}
-	// Geometric mean is robust to one huge outlier relative to the mean.
-	vals := []float64{1, 1, 1, 1, 1e9}
-	if gm, m := GeometricMean(vals), Mean(vals); gm >= m {
-		t.Errorf("geometric mean %v should be far below mean %v", gm, m)
 	}
 }
 

@@ -42,8 +42,8 @@ type LifecycleConfig struct {
 	// nil: the canary gate still applies, but nothing is durable and
 	// rollback has nothing to roll back to.
 	Store *store.Store
-	// DB schema-validates snapshots restored from the store (and binds
-	// hybrid fallbacks). Pass the serving database.
+	// DB schema-validates snapshots restored from the store. Pass the
+	// serving database.
 	DB *table.DB
 	// Canary parameterizes the gate.
 	Canary CanaryConfig
@@ -63,7 +63,8 @@ type PublishSpec struct {
 	// Est is the bare (unwrapped) estimator; the canary probes it directly
 	// so a resilience chain cannot mask a bad model with good fallbacks.
 	Est estimator.Estimator
-	// Kind is the snapshot kind ("local", "global", "hybrid").
+	// Kind is the snapshot kind LoadEstimator reported ("local"), or the
+	// caller's tag for an estimator that never was a snapshot.
 	Kind string
 	// Source labels the origin in ModelInfo ("boot", a file path, ...).
 	Source string

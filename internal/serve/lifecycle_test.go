@@ -524,6 +524,58 @@ func (h *hangingEst) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float6
 	return 0, ctx.Err()
 }
 
+// TestLoadRefusesDeletedSnapshotKinds: earlier builds could write "global"
+// and "hybrid" documents and this one reads neither. A well-formed one —
+// a real local snapshot under the other name, or inside a hybrid's envelope —
+// POSTed to /v1/models/load is the client's error on both load paths, the
+// direct one and the canary-gated one, and registers and persists nothing.
+func TestLoadRefusesDeletedSnapshotKinds(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	db, canaryWS, good, _ := lifecycleEnv(t)
+	root := t.TempDir()
+	local := snapshotBytes(t, good)
+	docs := map[string][]byte{
+		"global": bytes.Replace(local, []byte(`"kind":"local"`), []byte(`"kind":"global"`), 1),
+		"hybrid": []byte(`{"format":1,"kind":"hybrid","fallback":"independence","maxQuantileError":3,"quantile":0.9,"modeled":[],"local":` +
+			string(bytes.TrimSpace(local)) + `}`),
+	}
+	if bytes.Equal(docs["global"], local) {
+		t.Fatal("kind field not found in local snapshot — format changed?")
+	}
+	for kind, doc := range docs {
+		if err := os.WriteFile(filepath.Join(root, kind+".json"), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	lc, gated := newLifecycle(t, filepath.Join(root, "store"), looseCanary(canaryWS), db)
+	for _, path := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"direct", Config{Registry: NewRegistry(), DB: db, ModelRoot: root}},
+		{"lifecycle", Config{Registry: gated, DB: db, ModelRoot: root, Lifecycle: lc}},
+	} {
+		srv, err := New(path.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind := range docs {
+			code, resp := postJSON(t, srv.Handler(), "/v1/models/load", map[string]any{"name": "x", "path": kind + ".json", "default": true})
+			want := `unknown snapshot kind "` + kind + `"`
+			if msg, _ := resp["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, want) {
+				t.Errorf("%s load of a %s document: status %d body %v, want 400 saying %s", path.name, kind, code, resp, want)
+			}
+		}
+		if models, def := path.cfg.Registry.List(); len(models) != 0 || def != "" {
+			t.Errorf("%s: registry holds %v (default %q) after refused loads", path.name, models, def)
+		}
+	}
+	if g, ok := lc.Store().Latest(); ok {
+		t.Errorf("store holds generation %+v after refused loads", g)
+	}
+}
+
 // ---- end-to-end over a real listener ----
 
 // TestCanaryGateEndToEnd is the acceptance scenario: over a real listener,

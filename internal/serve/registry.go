@@ -34,7 +34,7 @@ type Registry struct {
 // GET /v1/models.
 type ModelInfo struct {
 	Name        string `json:"name"`
-	Kind        string `json:"kind"`      // "local", "global", "hybrid", ...
+	Kind        string `json:"kind"`      // snapshot kind ("local"), or the registrant's tag
 	Estimator   string `json:"estimator"` // the (possibly wrapped) estimator's Name()
 	Source      string `json:"source"`    // file path, or a caller-chosen tag like "boot"
 	Models      int    `json:"models,omitempty"`
@@ -180,9 +180,9 @@ func (r *Registry) SetDefault(name string) error {
 }
 
 // LoadFile restores a persisted estimator snapshot from path and registers
-// it under name, optionally making it the default. db (may be nil for pure
-// local/global snapshots, but servers should pass theirs) schema-validates
-// the snapshot before it can take traffic. The slow work — file IO, JSON
+// it under name, optionally making it the default. db (may be nil, but
+// servers should pass theirs) schema-validates the snapshot before it can
+// take traffic. The slow work — file IO, JSON
 // decode, model validation — happens before the write lock, so a load never
 // stalls concurrent resolves or swaps for longer than a pointer publish.
 func (r *Registry) LoadFile(name, path string, db *table.DB, makeDefault bool) (ModelInfo, error) {

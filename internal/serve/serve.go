@@ -619,10 +619,14 @@ func (s *Server) deadlineFrom(entry time.Time, timeoutMS int64) time.Time {
 }
 
 // parseAndBind turns SQL text into a bound query. All failures here are the
-// client's (4xx): syntax errors, unknown tables/columns, type mismatches.
+// client's (4xx): syntax errors, unknown tables/columns, type mismatches, and
+// a GROUP BY, which parses but asks for a group count no served model has.
 func (s *Server) parseAndBind(sql string) (*sqlparse.Query, error) {
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
+		return nil, err
+	}
+	if err := estimator.RefuseGroupBy(q); err != nil {
 		return nil, err
 	}
 	if s.cfg.DB != nil {

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,7 +255,12 @@ func TestEstimateBatch(t *testing.T) {
 }
 
 func TestEstimateValidation(t *testing.T) {
-	srv := newStubServer(t, constEst(1), func(c *Config) { c.MaxQueriesPerRequest = 2 })
+	var fed atomic.Int64 // what the journal would have been handed
+	srv := newStubServer(t, constEst(1), func(c *Config) {
+		c.MaxQueriesPerRequest = 2
+		c.Cache = CacheConfig{Entries: 16}
+		c.Feedback = func(FeedbackEvent) { fed.Add(1) }
+	})
 	h := srv.Handler()
 
 	t.Run("method", func(t *testing.T) {
@@ -310,9 +316,44 @@ func TestEstimateValidation(t *testing.T) {
 		}
 	})
 
+	// A grouped query parses, but its cardinality is a group count and no
+	// served model estimates one: the client's error — never answered with
+	// the row estimate of its WHERE, never cached, never handed to Feedback.
+	t.Run("group by", func(t *testing.T) {
+		const grouped = stubSQL + " GROUP BY b"
+		for i := 0; i < 2; i++ { // the second must not be a hit on the first
+			code, resp := postJSON(t, h, "/v1/estimate", map[string]any{"sql": grouped, "actual": 7})
+			if msg, _ := resp["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "group counts") {
+				t.Errorf("single, attempt %d: status %d body %v, want 400 naming group counts", i, code, resp)
+			}
+		}
+		snap := srv.Metrics().Snapshot()
+		if snap["cache_misses"] != int64(0) || snap["cache_hits"] != int64(0) || fed.Load() != 0 {
+			t.Errorf("a refused query reached the cache or the feedback hook: misses=%v hits=%v fed=%d",
+				snap["cache_misses"], snap["cache_hits"], fed.Load())
+		}
+		code, resp := postJSON(t, h, "/v1/estimate", map[string]any{
+			"queries": []map[string]any{{"sql": grouped}, {"sql": stubSQL}},
+		})
+		results, _ := resp["results"].([]any)
+		if code != http.StatusOK || len(results) != 2 {
+			t.Fatalf("batch: status %d body %v, want 200 with two results", code, resp)
+		}
+		if msg, _ := results[0].(map[string]any)["error"].(string); !strings.Contains(msg, "group counts") {
+			t.Errorf("batch item 0 = %v, want a per-item error naming group counts", results[0])
+		}
+		if results[1].(map[string]any)["estimate"] != 1.0 {
+			t.Errorf("batch item 1 = %v, want the ungrouped query answered", results[1])
+		}
+		snap = srv.Metrics().Snapshot()
+		if snap["cache_misses"] != int64(1) || fed.Load() != 1 {
+			t.Errorf("after the batch: misses=%v fed=%d, want 1 and 1 (the ungrouped item alone)", snap["cache_misses"], fed.Load())
+		}
+	})
+
 	snap := srv.Metrics().Snapshot()
-	if snap["responses_4xx"].(int64) < 7 {
-		t.Errorf("responses_4xx = %v, want >= 7", snap["responses_4xx"])
+	if snap["responses_4xx"].(int64) < 9 {
+		t.Errorf("responses_4xx = %v, want >= 9", snap["responses_4xx"])
 	}
 	if snap["responses_5xx"] != int64(0) {
 		t.Errorf("responses_5xx = %v, want 0", snap["responses_5xx"])

@@ -17,17 +17,6 @@ func Conjuncts(expr Expr) []Expr {
 	return []Expr{expr}
 }
 
-// Disjuncts flattens the top-level disjunction of expr into its children.
-func Disjuncts(expr Expr) []Expr {
-	if expr == nil {
-		return nil
-	}
-	if o, ok := expr.(*Or); ok {
-		return o.Kids
-	}
-	return []Expr{expr}
-}
-
 // CollectPreds returns all simple-predicate leaves of expr in left-to-right
 // order.
 func CollectPreds(expr Expr) []*Pred {

@@ -207,7 +207,7 @@ func TestAttrsSortedUnique(t *testing.T) {
 	}
 }
 
-func TestConjunctsAndDisjuncts(t *testing.T) {
+func TestConjuncts(t *testing.T) {
 	q := MustParse("SELECT count(*) FROM t WHERE a = 1 AND b = 2 AND c = 3")
 	if got := len(Conjuncts(q.Where)); got != 3 {
 		t.Errorf("Conjuncts = %d, want 3", got)
@@ -216,11 +216,8 @@ func TestConjunctsAndDisjuncts(t *testing.T) {
 		t.Errorf("Conjuncts(nil) = %d", got)
 	}
 	q2 := MustParse("SELECT count(*) FROM t WHERE a = 1 OR a = 2")
-	if got := len(Disjuncts(q2.Where)); got != 2 {
-		t.Errorf("Disjuncts = %d, want 2", got)
-	}
-	if got := len(Disjuncts(q.Where)); got != 1 {
-		t.Errorf("Disjuncts of And = %d, want 1", got)
+	if got := len(Conjuncts(q2.Where)); got != 1 {
+		t.Errorf("Conjuncts of Or = %d, want 1", got)
 	}
 }
 

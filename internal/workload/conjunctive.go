@@ -26,11 +26,6 @@ type ConjConfig struct {
 	Seed int64
 }
 
-// DefaultConjConfig mirrors the paper's parameters at reduced count.
-func DefaultConjConfig() ConjConfig {
-	return ConjConfig{Count: 2000, MaxNotEquals: 5, Seed: 1}
-}
-
 func (c ConjConfig) normalized(numAttrs int) (ConjConfig, error) {
 	if c.Count < 1 {
 		return c, fmt.Errorf("workload: Count = %d, want >= 1", c.Count)
@@ -149,11 +144,6 @@ type MixedConfig struct {
 	// MaxBranches bounds m, the number of OR-ed conjunctions per compound
 	// predicate (the paper uses 3).
 	MaxBranches int
-}
-
-// DefaultMixedConfig mirrors the paper's parameters at reduced count.
-func DefaultMixedConfig() MixedConfig {
-	return MixedConfig{ConjConfig: DefaultConjConfig(), MaxBranches: 3}
 }
 
 // Mixed generates the mixed workload over tbl: one compound predicate per

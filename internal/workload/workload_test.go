@@ -76,11 +76,10 @@ func TestConjunctiveDeterminism(t *testing.T) {
 
 func TestMixedWorkload(t *testing.T) {
 	tbl := testForest(t)
-	cfg := DefaultMixedConfig()
-	cfg.Count = 150
-	cfg.MaxAttrs = 4
-	cfg.Seed = 2
-	set, err := Mixed(tbl, cfg)
+	set, err := Mixed(tbl, MixedConfig{
+		ConjConfig:  ConjConfig{Count: 150, MaxAttrs: 4, MaxNotEquals: 5, Seed: 2},
+		MaxBranches: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +106,10 @@ func TestMixedWorkload(t *testing.T) {
 
 func TestMixedQueriesRoundTripThroughParser(t *testing.T) {
 	tbl := testForest(t)
-	cfg := DefaultMixedConfig()
-	cfg.Count = 30
-	cfg.MaxAttrs = 3
-	cfg.Seed = 3
-	set, err := Mixed(tbl, cfg)
+	set, err := Mixed(tbl, MixedConfig{
+		ConjConfig:  ConjConfig{Count: 30, MaxAttrs: 3, MaxNotEquals: 5, Seed: 3},
+		MaxBranches: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
