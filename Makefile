@@ -53,7 +53,8 @@ ci:
 # The in-package benchmarks that are the only home of a measurement, one
 # iteration each, because a benchmark nothing executes stops compiling or
 # stops measuring what its comment says: gb training (labels its own training
-# sets, reports the share of the matrix split search accumulates), the
+# sets, reports the share of the matrix split search accumulates; TrainHistogram
+# is the dense input that histograms by subtraction must not slow down), the
 # journal's batched-vs-per-record fsync, labeling across workers and the
 # boot's label phase with its dictionaries cold.
 	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|CountManyWorkers|LabelBoot' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec
@@ -83,6 +84,11 @@ ci:
 # ... and the snapshot kinds nothing can write, and the regressor nothing can
 # serve, do not come back outside the harness.
 	! grep -rnE 'KindGlobal|KindHybrid|LoadGlobal|LoadHybrid|NewLinRegFactory' --include='*.go' internal cmd | grep -v '^internal/bench/'
+# Guard 7, one accumulation path: gb accumulates a tree's root and the smaller
+# child of each split and takes every other histogram as parent less sibling;
+# the per-node accumulate-scan-clear lives on only in _test.go, as the dense
+# oracle, and does not come back beside it.
+	! grep -rnE 'func \(b \*builder\) (rangeSplits|cellSplits)' --include='*.go' internal/ml/gb | grep -v '_test\.go:'
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

@@ -61,7 +61,14 @@ func bootMatrices(t testing.TB, rows, queries int) []bootSet {
 // TestBootShapedModelMatchesOracle is the model-identity check on real
 // feature vectors rather than synthetic ones: for each QFT, on the matrix a
 // boot trains on, Train returns the dense oracle's model byte for byte, for
-// every worker count.
+// every worker count. Train accumulates the root of a tree and the smaller
+// child of each split and takes every other histogram by subtraction; the
+// oracle passes over each node's rows from scratch, one feature at a time.
+// Both fit residuals rounded to the stage's grid (residuals), and it is the
+// exactness of sums on that grid that carries the identity, not luck: with the
+// rounding taken out of residuals, and so out of both sides, this test fails
+// at its first comparison (simple, workers=1), a parent's cells less one
+// child's then being a last bit away from the other child's summed directly.
 func TestBootShapedModelMatchesOracle(t *testing.T) {
 	rows, queries, trees := 20_000, 2_000, 12
 	if testing.Short() {

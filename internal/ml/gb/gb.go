@@ -8,10 +8,12 @@
 // feature histograms (the strategy of LightGBM, which the paper uses), with
 // an exact-search mode retained for the ablation benchmark. The histograms
 // are sparse — only the occupied bins below a feature's last one are
-// accumulated — which is what a QFT matrix rewards (its "no predicate" is a
-// column's last bin) and the one input it costs: dense uniform features, every
-// bin of every feature occupied, fit 159 → 189 ms (2000 × 200, 30 trees) when
-// the dense pass went. No QFT produces such a matrix.
+// accumulated, which is what a QFT matrix rewards (its "no predicate" is a
+// column's last bin) — and their sums are exact: each stage rounds its
+// residuals to a grid on which float64 addition commutes (residuals), so a
+// node's histogram is its parent's less its sibling's, only the smaller child
+// of a split is accumulated, and the model does not depend on the order
+// anything is summed in.
 package gb
 
 import (
@@ -70,17 +72,16 @@ type Config struct {
 	ExactSplits bool
 	// Seed drives subsampling; training is deterministic given a seed.
 	Seed int64
-	// Workers bounds the goroutines used for feature binning, split search
-	// and the per-tree update of the running predictions; < 1 means one per
-	// logical CPU. Split search cuts the features into Workers contiguous
-	// ranges and fans a node out over them only when its rows carry enough
-	// histogram entries to repay the wake-up (fanOutEntries), so on small
-	// training sets it is the binning and prediction sweeps that use the
-	// extra cores. The trained model is bit-identical for every Workers
-	// value: each histogram cell accumulates its rows in input order
-	// whichever goroutine owns it, and the cross-feature winner is reduced in
-	// fixed feature order after the pool drains — which is why a checkpoint
-	// resumes under any Workers.
+	// Workers bounds the goroutines used for feature binning and split
+	// search; < 1 means one per logical CPU. Split search cuts the features
+	// into Workers contiguous ranges and fans the accumulation of a histogram
+	// out over them only when the rows carry enough entries to repay the
+	// wake-up (fanOutEntries), so on small training sets it is the binning
+	// that uses the extra cores. The trained model is bit-identical for every
+	// Workers value: sums of a stage's residuals are exact, so a cell holds
+	// the same float whoever adds to it in whatever order, and the
+	// cross-feature winner is reduced in fixed feature order — which is why a
+	// checkpoint resumes under any Workers.
 	Workers int `json:",omitempty"`
 }
 
@@ -199,6 +200,9 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 		if len(row) != d {
 			return nil, fmt.Errorf("gb: sample %d has %d features, want %d", i, len(row), d)
 		}
+		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
+			return nil, fmt.Errorf("gb: target %d is %v, want a finite value", i, y[i])
+		}
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -218,10 +222,6 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 		pred[i] = m.Base
 	}
 	resid := make([]float64, n)
-	allRows := make([]int, n)
-	for i := range allRows {
-		allRows[i] = i
-	}
 
 	startTree := 0
 	if opts != nil && len(opts.Resume) > 0 {
@@ -246,12 +246,7 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 		// Replay the subsampling draws the completed trees consumed, so the
 		// remaining trees see the exact RNG stream they would have seen.
 		for t := 0; t < startTree; t++ {
-			if cfg.SubsampleRows < 1 {
-				sampleInts(rng, n, int(math.Ceil(cfg.SubsampleRows*float64(n))))
-			}
-			if cfg.SubsampleCols < 1 {
-				sampleInts(rng, d, int(math.Ceil(cfg.SubsampleCols*float64(d))))
-			}
+			b.draw(rng)
 		}
 		// Rebuild the running predictions from the restored ensemble.
 		parallel.DoChunks(n, b.workers, func(lo, hi int) {
@@ -269,28 +264,11 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
 		}
-		for i := range resid {
-			resid[i] = y[i] - pred[i]
+		tr, err := b.boost(rng, y, pred, resid)
+		if err != nil {
+			return nil, fmt.Errorf("gb: tree %d: %w", t+1, err)
 		}
-		rows := allRows
-		if cfg.SubsampleRows < 1 {
-			k := int(math.Ceil(cfg.SubsampleRows * float64(n)))
-			rows = sampleInts(rng, n, k)
-		}
-		cols := b.allCols
-		if cfg.SubsampleCols < 1 {
-			k := int(math.Ceil(cfg.SubsampleCols * float64(d)))
-			cols = sampleInts(rng, d, k)
-		}
-		tr := b.build(rows, cols, resid)
 		m.Trees = append(m.Trees, tr)
-		// Per-row prediction updates write disjoint slots, so the parallel
-		// sweep is bit-identical to the sequential loop.
-		parallel.DoChunks(n, b.workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				pred[i] += cfg.LearningRate * tr.predict(X[i])
-			}
-		})
 		if opts != nil && opts.OnCheckpoint != nil && opts.CheckpointEvery > 0 &&
 			(t+1)%opts.CheckpointEvery == 0 && t+1 < cfg.NumTrees {
 			payload, err := json.Marshal(m)
@@ -307,6 +285,59 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 		return nil, err
 	}
 	return m, nil
+}
+
+// boost fits the next tree of the ensemble to the residuals of pred, on the
+// rows and columns it draws, and advances pred by it: the leaves do so for
+// the rows the tree is grown on, the others walk the tree.
+func (b *builder) boost(rng *rand.Rand, y, pred, resid []float64) (*tree, error) {
+	if err := residuals(resid, y, pred); err != nil {
+		return nil, err
+	}
+	rows, cols := b.draw(rng)
+	t := &tree{}
+	var hist []histCell
+	if !b.cfg.ExactSplits && b.searches(len(rows), 1) {
+		hist = b.takeHist()
+		b.accumulate(hist, rows, resid)
+	}
+	b.grow(t, rows, cols, resid, pred, 1, hist)
+	for _, i := range rows[len(rows):cap(rows)] { // sampleInts keeps the rows it left out there
+		pred[i] += b.cfg.LearningRate * t.predict(b.X[i])
+	}
+	return t, nil
+}
+
+// draw takes one tree's row and column samples from rng; a rate of 1 draws
+// nothing.
+func (b *builder) draw(rng *rand.Rand) (rows, cols []int) {
+	n, d := b.n, len(b.X[0])
+	rows = sampleInts(rng, n, int(math.Ceil(b.cfg.SubsampleRows*float64(n))))
+	return rows, sampleInts(rng, d, int(math.Ceil(b.cfg.SubsampleCols*float64(d))))
+}
+
+// residuals sets resid to y - pred rounded to multiples of a power of two, the
+// stage's grid, coarse enough that the sum of any of them in any order is a
+// float64 and so exact: n·max|resid| < 2^e puts the unit at 2^(e-52), every
+// residual at under 2^52/n + 1 units and every sum under 2^53. That is what
+// lets childHists take a histogram as its parent's less its sibling's. The
+// unit stops at the smallest subnormal, of which every float64 is a multiple.
+func residuals(resid, y, pred []float64) error {
+	var mx float64
+	for i := range resid {
+		resid[i] = y[i] - pred[i]
+		mx = math.Max(mx, math.Abs(resid[i]))
+	}
+	bound := float64(len(resid)) * mx
+	if !(2*bound <= math.MaxFloat64) {
+		return fmt.Errorf("%d residuals of magnitude up to %v: their sums overflow", len(resid), mx)
+	}
+	_, e := math.Frexp(bound)
+	unit := math.Ldexp(1, max(e-52, -1074))
+	for i, g := range resid {
+		resid[i] = math.RoundToEven(g/unit) * unit
+	}
+	return nil
 }
 
 func predictDimPanic(got, want int) string {
@@ -410,7 +441,8 @@ func (m *Model) Validate() error {
 }
 
 // sampleInts draws k distinct ints from [0, n) via partial Fisher-Yates,
-// returned sorted-free (order is random but deterministic under the rng).
+// returned sorted-free (order is random but deterministic under the rng). The
+// ints it did not draw follow the sample, up to the capacity of the slice.
 func sampleInts(rng *rand.Rand, n, k int) []int {
 	if k >= n {
 		out := make([]int, n)

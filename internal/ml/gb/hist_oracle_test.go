@@ -11,9 +11,10 @@ import (
 // oracleBuilder is the dense histogram split search the sparse one replaced:
 // a bin code for every row and feature, one feature accumulated per pass over
 // the node's rows into all of its bins — the last and the empty ones too —
-// every bin edge scored, on one goroutine. oracleTrain drives it through the
-// boosting loop of TrainCtx, so a model it returns is what Train returned
-// then.
+// every bin edge scored, on one goroutine, every node from scratch: no
+// histogram is derived from another. oracleTrain drives it through the
+// boosting loop TrainCtx had then — every row walks every finished tree — on
+// residuals rounded to the stage's grid as Train's are.
 type oracleBuilder struct {
 	X     [][]float64
 	cfg   Config
@@ -151,8 +152,8 @@ func oracleTrain(X [][]float64, y []float64, cfg Config) *Model {
 	}
 	resid := make([]float64, n)
 	for t := 0; t < cfg.NumTrees; t++ {
-		for i := range resid {
-			resid[i] = y[i] - pred[i]
+		if err := residuals(resid, y, pred); err != nil {
+			panic(err)
 		}
 		rows := sampleInts(rng, n, n) // all rows, in order; draws nothing
 		if cfg.SubsampleRows < 1 {
@@ -290,8 +291,9 @@ func oracleCases(t testing.TB) []oracleCase {
 	return cases
 }
 
-// TestTrainMatchesSingleFeatureOracle: the sparse split search trains, byte
-// for byte, the model the dense one-feature-per-pass search trains — on every
+// TestTrainMatchesSingleFeatureOracle: the sparse split search, most of its
+// histograms a parent's less a sibling's, trains, byte for byte, the model
+// the dense one-feature-per-pass search trains from scratch at every node — on every
 // input of oracleCases, for worker counts that cut the features into one,
 // two, three and seven ranges, and through a checkpoint and resume.
 func TestTrainMatchesSingleFeatureOracle(t *testing.T) {
@@ -328,42 +330,113 @@ func TestTrainMatchesSingleFeatureOracle(t *testing.T) {
 // so a last-bit difference in a gain changes it only on a tie. Here every
 // sampled feature's best split — gain, threshold, found or not — is compared
 // with the oracle's on random nodes of every input of oracleCases, small
-// enough to be searched on one goroutine and large enough to fan out.
+// enough to be accumulated on one goroutine and large enough to fan out: on
+// a node whose histogram was accumulated, and on both children of a random
+// split of it, the smaller accumulated and the larger left over in the
+// parent's buffer once the smaller was subtracted from it. The oracle passes
+// over each child's rows from scratch. Afterwards every buffer is back on
+// the free list, zeroed.
 func TestSplitGainsMatchOracleBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	leftSmaller, rightSmaller := 0, 0
 	for _, tc := range oracleCases(t) {
 		n, d := len(tc.X), len(tc.X[0])
 		cfg := tc.cfg
 		cfg.Workers = 3
 		b, ob := newBuilder(tc.X, cfg), newOracleBuilder(tc.X, cfg)
 		histSum, histCnt := make([]float64, cfg.MaxBins), make([]int, cfg.MaxBins)
-		resid := make([]float64, n)
-		for trial := 0; trial < 12; trial++ {
-			rows := sampleInts(rng, n, 20+rng.Intn(n-20))
+		raw, resid := make([]float64, n), make([]float64, n)
+		var cols []int
+		compare := func(where string, rows []int, hist []histCell) {
+			t.Helper()
 			var sumTotal float64
-			for i := range resid {
-				resid[i] = rng.NormFloat64()
-			}
 			for _, r := range rows {
 				sumTotal += resid[r]
 			}
 			parentScore := sumTotal * sumTotal / float64(len(rows))
-			cols := sampleInts(rng, d, d-rng.Intn(4))
-			clear(b.sampled)
-			for _, f := range cols {
-				b.sampled[f] = true
-			}
-			b.cellSplits(rows, resid, sumTotal, parentScore)
+			b.bestSplit(rows, cols, resid, sumTotal, hist)
 			for _, f := range cols {
 				want := ob.histFeatureSplit(rows, f, resid, sumTotal, parentScore, histSum, histCnt)
 				if b.results[f] != want {
-					t.Fatalf("%s trial %d feature %d: split %+v, oracle %+v", tc.name, trial, f, b.results[f], want)
+					t.Fatalf("%s, %s, feature %d: split %+v, oracle %+v", tc.name, where, f, b.results[f], want)
 				}
 			}
-			for c, h := range b.hist {
-				if h != (histCell{}) {
-					t.Fatalf("%s trial %d: cell %d left at %+v after the search", tc.name, trial, c, h)
+		}
+		for trial := 0; trial < 12; trial++ {
+			rows := sampleInts(rng, n, n/2+rng.Intn(n/2))
+			for i := range raw {
+				raw[i] = rng.NormFloat64()
+			}
+			if err := residuals(resid, raw, make([]float64, n)); err != nil {
+				t.Fatal(err)
+			}
+			cols = sampleInts(rng, d, d-rng.Intn(4))
+			hist := b.takeHist()
+			b.accumulate(hist, rows, resid)
+			compare("accumulated node", rows, hist)
+
+			// Split where both children are large enough to search a
+			// histogram of their own, as grow would have partitioned them.
+			nl := 0
+			for try := 0; try < 50 && (nl < 2*cfg.MinSamplesLeaf || len(rows)-nl < 2*cfg.MinSamplesLeaf); try++ {
+				f := rng.Intn(d)
+				if b.cellLo[f] == b.cellLo[f+1] {
+					continue
 				}
+				thr := b.cellEdge[b.cellLo[f]+rng.Intn(b.cellLo[f+1]-b.cellLo[f])]
+				nl = 0
+				for i, r := range rows {
+					if tc.X[r][f] <= thr {
+						rows[i], rows[nl] = rows[nl], r
+						nl++
+					}
+				}
+			}
+			if nl < 2*cfg.MinSamplesLeaf || len(rows)-nl < 2*cfg.MinSamplesLeaf {
+				t.Fatalf("%s trial %d: found no split with two searchable children", tc.name, trial)
+			}
+			hl, hr := b.childHists(hist, rows, nl, resid, 2)
+			small, large := hl, hr
+			if nl <= len(rows)-nl {
+				leftSmaller++
+			} else {
+				rightSmaller++
+				small, large = hr, hl
+			}
+			if &large[0] != &hist[0] || &small[0] == &hist[0] {
+				t.Fatalf("%s trial %d: the larger child's histogram is not the parent's buffer", tc.name, trial)
+			}
+			compare("left child", rows[:nl], hl)
+			compare("right child", rows[nl:], hr)
+			b.recycle(hl)
+			b.recycle(hr)
+			assertHistsFree(t, b)
+		}
+	}
+	// Where most rows sit in a column's last bin the left child is always
+	// the smaller; the dense inputs put it on either side.
+	if leftSmaller < 12 || rightSmaller < 12 {
+		t.Fatalf("the smaller child was on the left %d times and on the right %d: want a dozen of each", leftSmaller, rightSmaller)
+	}
+}
+
+// assertHistsFree fails unless every histogram b ever made is on its free
+// list with every cell zero, and there are no more of them than a tree can
+// hold at once.
+func assertHistsFree(t *testing.T, b *builder) {
+	t.Helper()
+	if len(b.free) != b.made || b.made > b.cfg.MaxDepth {
+		t.Fatalf("%d histograms on the free list of %d made, want all of at most MaxDepth = %d", len(b.free), b.made, b.cfg.MaxDepth)
+	}
+	for i, h := range b.free {
+		for c, cell := range h {
+			if cell != (histCell{}) {
+				t.Fatalf("free histogram %d: cell %d left at %+v", i, c, cell)
+			}
+		}
+		for _, other := range b.free[:i] {
+			if &other[0] == &h[0] {
+				t.Fatalf("free histogram %d is on the list twice", i)
 			}
 		}
 	}

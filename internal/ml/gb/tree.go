@@ -23,18 +23,15 @@ type builder struct {
 	X       [][]float64
 	cfg     Config
 	n       int // training rows
-	allCols []int
 	workers int
 
 	cellLo   []int         // per feature f: its cells are cellLo[f] .. cellLo[f+1]-1
 	cellEdge []float64     // per cell: inclusive upper edge of its bin, the threshold of a split after it
-	hist     []histCell    // per cell: the current node's accumulators; all zero between nodes
+	free     [][]histCell  // zeroed per-cell accumulators no node holds
+	made     int           // histograms allocated so far, free or held: fewer than MaxDepth
 	ranges   []cellRange   // the features in contiguous blocks, each walked by one worker
 	entries  int           // (row, cell) pairs over all training rows: the additions one pass over them costs
-	sampled  []bool        // per feature: whether the tree being built may split on it
 	results  []splitResult // per feature: its best split at the current node
-	rowBuf   []int         // the rows of the tree being built; a node owns a contiguous stretch
-	rightBuf []int         // partition scratch: the rows going right, until they are copied back
 }
 
 // histCell accumulates one cell over the rows of a node.
@@ -62,9 +59,9 @@ type splitResult struct {
 }
 
 // fanOutEntries is the least work — histogram additions, entries of the
-// node's rows — for which waking a second worker pays; below it a node's
-// split search runs on the calling goroutine. Measured, not configured: see
-// DESIGN.md, "Sparse histograms".
+// rows to accumulate — for which waking a second worker pays; below it a
+// histogram is accumulated on the calling goroutine. Measured, not
+// configured: see DESIGN.md, "Sparse histograms".
 const fanOutEntries = 1 << 18
 
 // newBuilder bins every feature once; bins are reused by every tree of the
@@ -77,14 +74,7 @@ const fanOutEntries = 1 << 18
 func newBuilder(X [][]float64, cfg Config) *builder {
 	n, d := len(X), len(X[0])
 	b := &builder{X: X, cfg: cfg, n: n, workers: parallel.Workers(cfg.Workers)}
-	b.allCols = make([]int, d)
-	for i := range b.allCols {
-		b.allCols[i] = i
-	}
-	b.sampled = make([]bool, d)
 	b.results = make([]splitResult, d)
-	b.rowBuf = make([]int, n)
-	b.rightBuf = make([]int, n)
 
 	codes := make([]uint8, n*d)
 	last := make([]uint8, d)      // per feature: the code of its last bin
@@ -133,7 +123,6 @@ func newBuilder(X [][]float64, cfg Config) *builder {
 		b.cellEdge = append(b.cellEdge, edges[f]...)
 		b.entries += featEntries[f]
 	}
-	b.hist = make([]histCell, len(b.cellEdge))
 
 	// One range per worker: range i ends at the first feature that brings
 	// the running entry count to (i+1)/workers of the total, so the ranges
@@ -192,23 +181,37 @@ func binCode(v, mn, width float64, bins int) uint8 {
 	return uint8(k)
 }
 
-// build grows one regression tree on the residuals, over the given row and
-// column subsets.
-func (b *builder) build(rows, cols []int, resid []float64) *tree {
-	clear(b.sampled)
-	for _, f := range cols {
-		b.sampled[f] = true
+// searches reports whether a node of n rows at depth looks for a split.
+func (b *builder) searches(n, depth int) bool {
+	return depth < b.cfg.MaxDepth && n >= 2*b.cfg.MinSamplesLeaf
+}
+
+// takeHist returns a zeroed histogram, recycle takes one back from the node
+// that held it: a tree has fewer than MaxDepth in use at any time.
+func (b *builder) takeHist() []histCell {
+	if k := len(b.free) - 1; k >= 0 {
+		h := b.free[k]
+		b.free = b.free[:k]
+		return h
 	}
-	t := &tree{}
-	b.grow(t, b.rowBuf[:copy(b.rowBuf, rows)], cols, resid, 1)
-	return t
+	b.made++
+	return make([]histCell, len(b.cellEdge))
+}
+
+func (b *builder) recycle(h []histCell) {
+	if h != nil {
+		clear(h)
+		b.free = append(b.free, h)
+	}
 }
 
 // grow appends the subtree for rows to t and returns its root index. rows is
-// a stretch of b.rowBuf that the node owns: it is partitioned in place, the
-// left child's rows first, both in their input order — the order every sum
-// below is taken in.
-func (b *builder) grow(t *tree, rows, cols []int, resid []float64, depth int) int32 {
+// a stretch of the tree's rows that the node owns and partitions in place, the
+// left child's rows first. hist holds the node's cells over rows and is the
+// node's to recycle or hand down; it is nil when the node does not search
+// one. A leaf advances pred for the rows it owns by its shrunken value, the
+// float a walk of the finished tree adds.
+func (b *builder) grow(t *tree, rows, cols []int, resid, pred []float64, depth int, hist []histCell) int32 {
 	idx := int32(len(t.Nodes))
 	t.Nodes = append(t.Nodes, node{})
 
@@ -216,50 +219,78 @@ func (b *builder) grow(t *tree, rows, cols []int, resid []float64, depth int) in
 	for _, r := range rows {
 		sum += resid[r]
 	}
-	mean := sum / float64(len(rows))
 
-	if depth >= b.cfg.MaxDepth || len(rows) < 2*b.cfg.MinSamplesLeaf {
-		t.Nodes[idx] = node{Leaf: true, Value: mean}
-		return idx
+	var feat, nl int
+	var thr float64
+	var ok bool
+	if b.searches(len(rows), depth) {
+		feat, thr, ok = b.bestSplit(rows, cols, resid, sum, hist)
 	}
-
-	feat, thr, gain, ok := b.bestSplit(rows, cols, resid, sum)
-	if !ok || gain <= 1e-12 {
-		t.Nodes[idx] = node{Leaf: true, Value: mean}
-		return idx
-	}
-
-	nl, nr := 0, 0
-	for _, r := range rows {
-		if b.X[r][feat] <= thr {
-			rows[nl] = r
-			nl++
-		} else {
-			b.rightBuf[nr] = r
-			nr++
+	if ok {
+		for i, r := range rows {
+			if b.X[r][feat] <= thr {
+				rows[i], rows[nl] = rows[nl], r
+				nl++
+			}
 		}
+		ok = nl >= b.cfg.MinSamplesLeaf && len(rows)-nl >= b.cfg.MinSamplesLeaf
 	}
-	copy(rows[nl:], b.rightBuf[:nr])
-	if nl < b.cfg.MinSamplesLeaf || nr < b.cfg.MinSamplesLeaf {
+	if !ok {
+		b.recycle(hist)
+		mean := sum / float64(len(rows))
 		t.Nodes[idx] = node{Leaf: true, Value: mean}
+		step := b.cfg.LearningRate * mean
+		for _, r := range rows {
+			pred[r] += step
+		}
 		return idx
 	}
 
-	l := b.grow(t, rows[:nl], cols, resid, depth+1)
-	r := b.grow(t, rows[nl:], cols, resid, depth+1)
+	hl, hr := b.childHists(hist, rows, nl, resid, depth+1)
+	l := b.grow(t, rows[:nl], cols, resid, pred, depth+1, hl)
+	r := b.grow(t, rows[nl:], cols, resid, pred, depth+1, hr)
 	t.Nodes[idx] = node{Feature: feat, Threshold: thr, Left: l, Right: r}
 	return idx
 }
 
+// childHists turns the histogram of a node split after its first nl rows
+// into those of its children, which sit at depth. Only the smaller child's
+// rows are walked: sums of residuals are exact, so the parent's cells less
+// the smaller child's are, to the bit, what a pass over the larger child's
+// rows would leave, and hist becomes the larger child's in place. A child
+// that will not search a histogram gets none.
+func (b *builder) childHists(hist []histCell, rows []int, nl int, resid []float64, depth int) (hl, hr []histCell) {
+	small, large := rows[:nl], rows[nl:]
+	if len(small) > len(large) {
+		small, large = large, small
+	}
+	if hist == nil || !b.searches(len(large), depth) {
+		b.recycle(hist)
+		return nil, nil
+	}
+	hs := b.takeHist()
+	b.accumulate(hs, small, resid)
+	for c := range hist {
+		hist[c].sum -= hs[c].sum
+		hist[c].cnt -= hs[c].cnt
+	}
+	if !b.searches(len(small), depth) {
+		b.recycle(hs)
+		hs = nil
+	}
+	if len(small) == nl {
+		return hs, hist
+	}
+	return hist, hs
+}
+
 // bestSplit searches every candidate feature for the variance-reduction-
-// maximizing split and leaves each one's best in b.results. The search fans
-// out across workers over disjoint features — ranges of them for the
-// histogram search, chunks of cols for the exact scan — so no two workers
-// write the same accumulator or result. The winner is then reduced in cols
-// order with the same strictly-greater comparison the sequential scan used,
-// so ties break toward the earlier feature and the chosen split is
-// bit-identical for every worker count.
-func (b *builder) bestSplit(rows, cols []int, resid []float64, sumTotal float64) (feat int, thr, gain float64, ok bool) {
+// maximizing split and leaves each one's best in b.results: scored from the
+// node's finished histogram, or by the exact scan fanned out over chunks of
+// cols. The winner is then reduced in cols order with a strictly-greater
+// comparison, so ties break toward the earlier feature and the chosen split
+// is bit-identical for every worker count.
+func (b *builder) bestSplit(rows, cols []int, resid []float64, sumTotal float64, hist []histCell) (feat int, thr float64, ok bool) {
 	parentScore := sumTotal * sumTotal / float64(len(rows))
 	if b.cfg.ExactSplits {
 		workers := b.workers
@@ -272,56 +303,42 @@ func (b *builder) bestSplit(rows, cols []int, resid []float64, sumTotal float64)
 				b.results[f] = b.exactFeatureSplit(rows, f, resid, sumTotal, parentScore, pairs)
 			}
 		})
-	} else {
-		b.cellSplits(rows, resid, sumTotal, parentScore)
 	}
+	var gain float64
 	for _, f := range cols {
-		if res := b.results[f]; res.ok && res.gain > gain {
-			gain, feat, thr, ok = res.gain, f, res.thr, true
-		}
-	}
-	return feat, thr, gain, ok
-}
-
-// cellSplits finds the best histogram split of every sampled feature, one
-// worker per range. Near the leaves a node's rows hold too few entries to
-// repay waking a second goroutine (the mean row stands in for the node's),
-// and the ranges are walked in turn without so much as a closure.
-func (b *builder) cellSplits(rows []int, resid []float64, sumTotal, parentScore float64) {
-	if b.workers == 1 || len(rows)*b.entries/b.n < fanOutEntries {
-		for i := range b.ranges {
-			b.rangeSplits(&b.ranges[i], rows, resid, sumTotal, parentScore)
-		}
-		return
-	}
-	parallel.Do(len(b.ranges), b.workers, func(i int) {
-		b.rangeSplits(&b.ranges[i], rows, resid, sumTotal, parentScore)
-	})
-}
-
-// rangeSplits accumulates the cells of one range over the node's rows in one
-// pass, scores the range's sampled features and zeroes the accumulators
-// again. A cell receives exactly the rows that fall in its bin, in input
-// order — what a dense histogram's bin receives — an unoccupied bin would
-// have stayed at zero, and the last bin is never an operand of a gain, so
-// every gain and threshold is the float a pass over all bins produces.
-func (b *builder) rangeSplits(rg *cellRange, rows []int, resid []float64, sumTotal, parentScore float64) {
-	hist := b.hist
-	for _, r := range rows {
-		g := resid[r]
-		for _, c := range rg.ids[rg.start[r]:rg.start[r+1]] {
-			h := &hist[c]
-			h.sum += g
-			h.cnt++
-		}
-	}
-	for f := rg.flo; f < rg.fhi; f++ {
-		if b.sampled[f] {
+		if !b.cfg.ExactSplits {
 			lo, hi := b.cellLo[f], b.cellLo[f+1]
 			b.results[f] = b.scanCells(hist[lo:hi], b.cellEdge[lo:hi], len(rows), sumTotal, parentScore)
 		}
+		if res := b.results[f]; res.ok && res.gain > gain {
+			gain, feat, thr = res.gain, f, res.thr
+		}
 	}
-	clear(hist[b.cellLo[rg.flo]:b.cellLo[rg.fhi]])
+	return feat, thr, gain > 1e-12
+}
+
+// accumulate adds rows to hist, one worker per range, so no two write the
+// same cell — or, near the leaves, where the rows hold too few entries to
+// repay waking a second goroutine (the mean row stands in for the node's),
+// one after the other. A cell receives exactly the rows in its bin, an
+// unoccupied bin would have stayed at zero and the last bin is never an
+// operand of a gain, so every gain is the float a pass over all bins yields.
+func (b *builder) accumulate(hist []histCell, rows []int, resid []float64) {
+	workers := b.workers
+	if len(rows)*b.entries/b.n < fanOutEntries {
+		workers = 1
+	}
+	parallel.Do(len(b.ranges), workers, func(i int) {
+		rg := &b.ranges[i]
+		for _, r := range rows {
+			g := resid[r]
+			for _, c := range rg.ids[rg.start[r]:rg.start[r+1]] {
+				h := &hist[c]
+				h.sum += g
+				h.cnt++
+			}
+		}
+	})
 }
 
 // scanCells picks the best threshold among a feature's cell edges from its
