@@ -40,6 +40,8 @@ ci:
 # query text 0, the whole handler on a hit <= 6, or <= 8 with a Feedback hook
 # (it is handed the query the entry kept from its miss: neither hit parses).
 	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience ./internal/serve
+# So does the serving-heap pin: a booted daemon holds table + model (+ canary) + <= 1 MiB, -journal or not (the parent held its training set too: +4.6 MiB).
+	$(GO) test -short -run 'ServingHeap' ./cmd/cardestd
 # Five fuzz targets, 5 s each: the parser and the journal reader ...
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/sqlparse
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal

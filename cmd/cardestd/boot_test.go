@@ -1,0 +1,163 @@
+package main
+
+import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"qfe/internal/testutil"
+)
+
+// liveHeap is the heap that survives two collections: the first moves what
+// the sync.Pools cache (the JSON encoder's snapshot-sized buffers, after a
+// boot) to their victim caches, the second drops it.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// servingHeap boots and arms a daemon at -rows 2000 -train 2000 and returns
+// the live heap it holds once it could serve, next to what its table and its
+// model account for.
+func servingHeap(t *testing.T, flags ...string) (held, tableAndModel int64) {
+	t.Helper()
+	o, err := parseFlags(append(strings.Fields("-qft complex -rows 2000 -train 2000 -probe-interval 0"), flags...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	before := liveHeap()
+	b, err := boot(o, &out)
+	if err != nil {
+		t.Fatalf("boot: %v\n%s", err, out.String())
+	}
+	forest := b.db.Table("forest")
+	tableAndModel = int64(forest.NumRows() * forest.NumCols() * 8)
+	d, err := arm(b, o, &out)
+	if err != nil {
+		t.Fatalf("arm: %v\n%s", err, out.String())
+	}
+	defer d.close()
+	held = liveHeap() - before
+	runtime.KeepAlive(d)
+
+	m := regexp.MustCompile(`model size ([0-9.]+) kB`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("the boot log does not state the model's size:\n%s", out.String())
+	}
+	kb, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return held, tableAndModel + int64(kb*1024)
+}
+
+// TestServingHeapIsTableAndModel: what a daemon holds once it serves is its
+// table and its model, whichever of -journal and -store is armed — not the
+// 2 000 bound ASTs it trained on. Before boot was a function of its own, -journal's
+// canary-refresh closure named the boot environment and kept all of it alive
+// for the life of the process: with that capture put back this test reads
+// 0.73 MiB held without -journal and 5.32 MiB with it (+4.8 MB, the training
+// set; resident about twice that at GOGC=100). -store hid a second holder, the
+// canary workload being the tail of the array whose head is the training set:
+// 5.79 MiB when the lifecycle is handed env.Test itself.
+func TestServingHeapIsTableAndModel(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's shadow allocations are counted in the heap")
+	}
+	const slack, journalSlack = 1 << 20, 512 << 10
+	// The canary queries are the lifecycle's to keep, at the ~2.4 KB of bound
+	// AST a drawn query costs (-retrain's help does the same sum for -train).
+	const canary = 200 * 2400
+	mib := func(n int64) string { return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20)) }
+
+	bare, budget := servingHeap(t)
+	t.Logf("no -journal: %s held, table + model %s", mib(bare), mib(budget))
+	if bare > budget+slack {
+		t.Errorf("a daemon without -journal holds %s, want at most table + model (%s) + %s", mib(bare), mib(budget), mib(slack))
+	}
+	for _, tc := range []struct {
+		name   string
+		flags  []string
+		base   int64 // the no-journal heap the case is held to, 0 for none
+		canary int64
+	}{
+		{"-journal", []string{"-journal", filepath.Join(t.TempDir(), "journal")}, bare, 0},
+		{"-store", []string{"-canary", "200", "-store", filepath.Join(t.TempDir(), "store")}, 0, canary},
+		{"-store -journal", []string{"-canary", "200", "-store", filepath.Join(t.TempDir(), "store"), "-journal", filepath.Join(t.TempDir(), "journal")}, 0, canary},
+	} {
+		held, budget := servingHeap(t, tc.flags...)
+		budget += tc.canary
+		t.Logf("%s: %s held, table + model + canary %s", tc.name, mib(held), mib(budget))
+		if held > budget+slack {
+			t.Errorf("a %s daemon holds %s, want at most table + model + canary (%s) + %s", tc.name, mib(held), mib(budget), mib(slack))
+		}
+		if tc.base != 0 && held-tc.base > journalSlack {
+			t.Errorf("%s costs %s of live heap over a daemon without it (%s → %s), want under %s",
+				tc.name, mib(held-tc.base), mib(tc.base), mib(held), mib(journalSlack))
+		}
+	}
+}
+
+// TestCanaryRefresherNeedsALifecycle: a rotation refreshes the canary gate's
+// workload, and without -store there is no gate. Such a daemon used to start
+// a goroutine per rotation that returned on its first line (and whose closure
+// was what kept the boot environment alive); now it arms no refresher and
+// gives the journal no OnRotate. With -store the same traffic still replaces
+// the canary workload.
+func TestCanaryRefresherNeedsALifecycle(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	for _, withStore := range []bool{false, true} {
+		t.Run(fmt.Sprintf("store=%v", withStore), func(t *testing.T) {
+			o := tinyOptions(t)
+			o.journalDir = filepath.Join(t.TempDir(), "journal")
+			o.journalSegSz = 1 // every flush seals a segment
+			o.probeEvery = 0
+			if withStore {
+				o.storeDir = filepath.Join(t.TempDir(), "store")
+				o.canaryN, o.canaryMedian, o.canaryP95 = 20, 1e18, 1e18
+			}
+			var out strings.Builder
+			b, err := boot(o, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := arm(b, o, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if armed := d.canary != nil; armed != withStore {
+				t.Errorf("canary refresher armed = %v with store = %v", armed, withStore)
+			}
+			for i := 0; i < 8; i++ {
+				body := fmt.Sprintf(`{"sql":"SELECT count(*) FROM forest WHERE A1 >= %d","actual":%d}`, i, 40+i)
+				rec := httptest.NewRecorder()
+				d.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("POST %s: status %d: %s", body, rec.Code, rec.Body)
+				}
+			}
+			if err := d.jnl.Sync(); err != nil {
+				t.Error(err)
+			}
+			// close joins the journal's writer and then the refresher, so what
+			// the rotation set off has been printed when it returns.
+			d.close()
+			if n := d.jnl.Stats().Rotations; n < 1 {
+				t.Fatalf("%d rotations: the traffic did not seal a segment, so the test saw nothing", n)
+			}
+			if refreshed := strings.Contains(out.String(), "canary workload refreshed from traffic"); refreshed != withStore {
+				t.Errorf("canary refreshed = %v with store = %v:\n%s", refreshed, withStore, out.String())
+			}
+		})
+	}
+}

@@ -52,7 +52,9 @@
 // -retrain-cooldown, and dropped while a retrain is already running) starts
 // one retrain on the controller's goroutine: it relabels the training
 // workload against the live data, refits the boot model family, and
-// publishes only through the canary gate. Retraining is crash-safe —
+// publishes only through the canary gate. The retrainer is the one part of
+// the serving daemon that keeps the training queries (boot.go drops them
+// otherwise: ~2.4 KB of bound AST each). Retraining is crash-safe —
 // progress checkpoints ride the -store directory's fsync+rename machinery —
 // and supervised: failed attempts restart with exponential backoff and
 // quarantine after repeated failure, while a canary-rejected model is never
@@ -115,7 +117,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -129,8 +130,6 @@ import (
 	"qfe/internal/replay"
 	"qfe/internal/resilience"
 	"qfe/internal/serve"
-	"qfe/internal/sqlparse"
-	"qfe/internal/store"
 	"qfe/internal/table"
 	"qfe/internal/trainer"
 )
@@ -221,7 +220,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&o.canaryP95, "canary-p95", 100, "canary ceiling on p95 q-error")
 	fs.DurationVar(&o.probeEvery, "probe-interval", 30*time.Second, "how often the supervisor re-probes the live model (0 disables)")
 	fs.StringVar(&o.modelRoot, "model-root", "", "directory POST /v1/models/load may read snapshots from (default: -store dir, else the working directory)")
-	fs.BoolVar(&o.retrain, "retrain", false, "arm self-healing retraining: drift alarms trigger supervised, checkpointed retrains published through the canary (requires -store)")
+	fs.BoolVar(&o.retrain, "retrain", false, "arm self-healing retraining: drift alarms trigger supervised, checkpointed retrains published through the canary (requires -store); the retrainer keeps the -train queries' bound ASTs resident to relabel them (~2.4 KB each: ~4.8 MB live, about twice that resident, at the default 2 000)")
 	fs.DurationVar(&o.retrainCooldown, "retrain-cooldown", time.Minute, "minimum gap between drift-triggered retrains")
 	fs.Float64Var(&o.driftDelta, "drift-delta", 0.05, "Page-Hinkley tolerated drift of the mean log2 q-error")
 	fs.Float64Var(&o.driftLambda, "drift-lambda", 25, "Page-Hinkley alarm threshold on accumulated deviation")
@@ -241,124 +240,67 @@ func run(o options, out io.Writer) error {
 	if err := cli.ValidateModel(o.model); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "building forest environment (%d rows)...\n", o.rows)
-	canaryN := 0
-	if o.storeDir != "" {
-		canaryN = o.canaryN
+	if o.retrain && o.storeDir == "" {
+		return fmt.Errorf("-retrain requires -store (retrained models publish through the canary-gated lifecycle)")
 	}
-	env, err := cli.BuildForestEnv(cli.ForestSpec{
-		Rows: o.rows, TrainN: o.trainN, TestN: canaryN, Seed: o.seed, QFT: o.qft,
-	})
+	b, err := boot(o, out)
 	if err != nil {
 		return err
 	}
-	labeled := len(env.Train) + len(env.Test)
-	fmt.Fprintf(out, "built table in %.2fs; labeled %d queries in %.2fs, %.0f q/s on %d workers (%d column dictionaries built in %.1f ms)\n",
-		env.DataTime.Seconds(), labeled, env.LabelTime.Seconds(),
-		float64(labeled)/env.LabelTime.Seconds(), runtime.GOMAXPROCS(0),
-		env.DictBuilt, float64(env.DictTime.Microseconds())/1000)
-	// Nothing counts rows again until a retrain, which builds them anew.
-	env.DB.DropDictionaries()
-
-	reg := serve.NewRegistry()
-	reg.Wrap = resilienceWrap(env.DB, o)
-
-	// -store arms the crash-safe lifecycle: recovery at boot, canary-gated
-	// publishes, supervised rollback.
-	var lc *serve.Lifecycle
-	var st *store.Store
-	recovered := false
-	if o.storeDir != "" {
-		st, err = store.Open(o.storeDir, store.Options{})
-		if err != nil {
-			return fmt.Errorf("open model store: %w", err)
-		}
-		rep := st.Recovery()
-		fmt.Fprintf(out, "model store %s: %d valid generation(s), %d corrupt rejected, %d quarantined, %d temp swept\n",
-			o.storeDir, rep.Valid, rep.Corrupt, rep.Quarantined, rep.TempSwept)
-		lc, err = serve.NewLifecycle(serve.LifecycleConfig{
-			Registry: reg,
-			Store:    st,
-			DB:       env.DB,
-			Canary: serve.CanaryConfig{
-				Workload:  env.Test,
-				MaxMedian: o.canaryMedian,
-				MaxP95:    o.canaryP95,
-			},
-		})
-		if err != nil {
-			return err
-		}
-		if o.load == "" {
-			pub, ok, err := lc.Recover(context.Background(), "boot", true)
-			if err != nil {
-				return err
-			}
-			if ok {
-				recovered = true
-				fmt.Fprintf(out, "recovered %s (%s) from store generation %d: canary %s\n",
-					pub.Info.Name, pub.Info.Kind, pub.Info.StoreGeneration, pub.Canary.Reason)
-			} else {
-				fmt.Fprintln(out, "no recoverable generation in the store; training a boot model")
-			}
-		}
+	d, err := arm(b, o, out)
+	if err != nil {
+		return err
 	}
+	defer d.close()
+	if o.smoke {
+		return smoke(d.srv, o.cacheEntries > 0, out)
+	}
+	return listenAndServe(d.srv, o, out)
+}
 
-	if o.load != "" {
-		for _, pair := range strings.Split(o.load, ",") {
-			name, path, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok || name == "" || path == "" {
-				return fmt.Errorf("-load wants name=path pairs, got %q", pair)
-			}
-			info, err := reg.LoadFile(name, path, env.DB, false)
-			if err != nil {
-				return fmt.Errorf("load %q: %w", name, err)
-			}
-			fmt.Fprintf(out, "loaded %s (%s, %s) from %s\n", info.Name, info.Kind, info.Estimator, path)
-		}
-	} else if !recovered {
-		loc, err := cli.NewLocalEstimator(env.DB, cli.TrainSpec{
-			QFT: o.qft, Model: o.model, Entries: o.entries, Workers: o.workers,
-		})
+// daemon is the serving phase: the server and the background work armed
+// around it. Nothing in it reaches back into the boot (boot.go): its closures
+// name the table, the registry and the lifecycle, never the environment they
+// were built from.
+type daemon struct {
+	srv        *serve.Server
+	jnl        *journal.Journal    // -journal
+	canary     *coalesced          // -journal with -store: the traffic-derived canary refresh
+	ctrl       *trainer.Controller // -retrain
+	stopProbes func()              // -store with a -probe-interval
+}
+
+// close stops the background work in the reverse of the order arm started
+// it. The refresher is waited for after the journal's Close, so a rotation in
+// its last flush is waited for too.
+func (d *daemon) close() {
+	if d.stopProbes != nil {
+		d.stopProbes()
+	}
+	if d.ctrl != nil {
+		d.ctrl.Close()
+	}
+	if d.jnl != nil {
+		d.jnl.Close()
+	}
+	if d.canary != nil {
+		d.canary.wait()
+	}
+}
+
+// arm builds the serving phase over a finished boot: the feedback journal,
+// the drift monitor and retrainer, the server, the supervisor's probes. On an
+// error whatever it had started is stopped again.
+func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
+	// d is a local, not the named result: `return nil, err` must not take
+	// away what the deferred close and the closures below hold on to.
+	d := &daemon{}
+	defer func() {
 		if err != nil {
-			return err
+			d.close()
 		}
-		fmt.Fprintf(out, "training boot model %s + %s on %d queries...\n", o.model, o.qft, len(env.Train))
-		start := time.Now()
-		if err := loc.Train(env.Train); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "trained in %v (model size %.1f kB)\n",
-			time.Since(start).Round(time.Millisecond), float64(loc.MemoryBytes())/1024)
-		var snap bytes.Buffer
-		if err := loc.SaveJSON(&snap); err != nil {
-			return err
-		}
-		if o.save != "" {
-			if err := os.WriteFile(o.save, snap.Bytes(), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "saved boot snapshot to %s\n", o.save)
-		}
-		if lc != nil {
-			pub, err := lc.Publish(context.Background(), serve.PublishSpec{
-				Name: "boot", Est: loc, Kind: estimator.KindLocal, Source: "boot",
-				Snapshot: snap.Bytes(), MakeDefault: true,
-			})
-			if err != nil {
-				return fmt.Errorf("boot model: %w", err)
-			}
-			fmt.Fprintf(out, "boot model admitted (canary %s), persisted as generation %d\n",
-				pub.Canary.Reason, pub.Info.StoreGeneration)
-		} else if _, err := reg.Register("boot", loc, serve.ModelInfo{Kind: estimator.KindLocal, Source: "boot"}); err != nil {
-			return err
-		}
-	}
-	if o.defName != "" {
-		if err := reg.SetDefault(o.defName); err != nil {
-			return err
-		}
-	}
+	}()
+	db, reg, lc := b.db, b.reg, b.lc
 
 	modelRoot := o.modelRoot
 	if modelRoot == "" {
@@ -370,121 +312,84 @@ func run(o options, out io.Writer) error {
 
 	// -journal arms the durable feedback journal: every served estimate is
 	// appended (shed-not-block) to a segmented CRC-framed log, recovered
-	// actuals seed the retrainer's label index, and each segment rotation
-	// derives a fresh canary workload from recent real traffic.
-	var jnl *journal.Journal
+	// actuals seed the retrainer's label index, and — when there is a
+	// lifecycle whose gate to refresh — each segment rotation derives a fresh
+	// canary workload from recent real traffic.
 	var actuals *replay.ActualIndex
 	if o.journalDir != "" {
 		actuals = replay.NewActualIndex(0)
-		refreshCanary := func() {
-			if lc == nil {
-				return
-			}
-			recs, err := jnl.ReadSealed()
-			if err != nil || len(recs) == 0 {
-				return
-			}
-			ws := replay.DeriveCanary(recs, o.canaryN, o.seed)
-			bound := ws[:0]
-			for _, l := range ws {
-				if exec.Bind(l.Query, env.DB) == nil {
-					bound = append(bound, l)
-				}
-			}
-			if len(bound) == 0 {
-				return
-			}
-			if err := lc.SetCanaryWorkload(context.Background(), bound); err != nil {
-				fmt.Fprintf(out, "journal: canary refresh skipped: %v\n", err)
-				return
-			}
-			fmt.Fprintf(out, "journal: canary workload refreshed from traffic (%d queries)\n", len(bound))
-		}
-		canary := &coalesced{fn: refreshCanary}
-		defer canary.wait() // deferred before the journal's Close, so a rotation in its last flush is waited for too
-		jnl, err = journal.Open(o.journalDir, journal.Options{
-			SegmentBytes: o.journalSegSz,
-			Retain:       o.journalRetain,
+		jopts := journal.Options{SegmentBytes: o.journalSegSz, Retain: o.journalRetain}
+		if lc != nil {
+			d.canary = &coalesced{fn: func() { refreshCanary(d.jnl, lc, db, o, out) }}
 			// Rotation means a fresh slab of real traffic just sealed; canary
 			// derivation reads every retained segment and re-estimates, so it
 			// runs off the writer, and one at a time however fast segments seal.
-			OnRotate: func(journal.SegmentInfo) { canary.trigger() },
-		})
-		if err != nil {
-			return fmt.Errorf("open feedback journal: %w", err)
+			jopts.OnRotate = func(journal.SegmentInfo) { d.canary.trigger() }
 		}
-		defer jnl.Close()
-		js := jnl.Stats()
+		d.jnl, err = journal.Open(o.journalDir, jopts)
+		if err != nil {
+			return nil, fmt.Errorf("open feedback journal: %w", err)
+		}
+		js := d.jnl.Stats()
 		fmt.Fprintf(out, "feedback journal %s: %d sealed segment(s), %d torn tail(s) repaired, %d quarantined\n",
 			o.journalDir, js.SealedSegments, js.TornTailsRepaired, js.SegmentsQuarantined)
 		// Actuals that survived the restart label retraining for free.
-		if recs, err := jnl.ReadSealed(); err == nil {
+		if recs, err := d.jnl.ReadSealed(); err == nil {
 			actuals.PutRecords(recs)
 			if n := actuals.Len(); n > 0 {
 				fmt.Fprintf(out, "feedback journal: %d journaled actual(s) indexed for retraining\n", n)
 			}
 		}
 	}
+	jnl := d.jnl
 
 	// -retrain closes the self-healing loop: drift detectors tap the
 	// /v1/estimate feedback stream, an alarm starts a checkpointed retrain
 	// on the controller's goroutine, and a retrained model takes traffic only
 	// by clearing the same canary gate as any other publish.
 	var mon *drift.Monitor
-	var ctrl *trainer.Controller
 	if o.retrain {
-		if lc == nil {
-			return fmt.Errorf("-retrain requires -store (retrained models publish through the canary-gated lifecycle)")
-		}
-		qs := make([]*sqlparse.Query, len(env.Train))
-		for i := range env.Train {
-			qs[i] = env.Train[i].Query
-		}
 		retCfg := trainer.RetrainConfig{
-			DB:      env.DB,
-			Queries: qs,
-			NewEstimator: func() (*estimator.Local, error) {
-				return cli.NewLocalEstimator(env.DB, cli.TrainSpec{
-					QFT: o.qft, Model: o.model, Entries: o.entries, Workers: o.workers,
-				})
-			},
-			Lifecycle:  lc,
-			Checkpoint: trainer.NewStoreCheckpointer(st, "retrain"),
-			Workers:    o.workers,
+			DB:           db,
+			Queries:      b.train,
+			NewEstimator: func() (*estimator.Local, error) { return newLocal(db, o) },
+			Lifecycle:    lc,
+			Checkpoint:   trainer.NewStoreCheckpointer(lc.Store(), "retrain"),
+			Workers:      o.workers,
 		}
 		if actuals != nil {
 			// Journaled actuals label matching training queries for free
 			// before the exact executor runs.
 			retCfg.ActualLookup = actuals.Lookup
 		}
-		ret, err := trainer.NewRetrainer(retCfg)
-		if err != nil {
-			return err
+		var ret *trainer.Retrainer
+		if ret, err = trainer.NewRetrainer(retCfg); err != nil {
+			return nil, err
 		}
 		qcfg := drift.DefaultQErrorConfig()
 		qcfg.Delta, qcfg.Lambda, qcfg.MinSamples = o.driftDelta, o.driftLambda, o.driftMin
 		dcfg := drift.DefaultDomainConfig()
 		dcfg.Window, dcfg.MaxOODFraction, dcfg.MinSamples = o.driftWindow, o.driftOOD, o.driftMin
-		mon, err = drift.NewMonitor(env.DB, drift.MonitorConfig{
+		mon, err = drift.NewMonitor(db, drift.MonitorConfig{
 			QError:  qcfg,
 			Domain:  dcfg,
-			OnEvent: func(ev drift.Event) { ctrl.HandleEvent(ev) },
+			OnEvent: func(ev drift.Event) { d.ctrl.HandleEvent(ev) },
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		ctrl, err = trainer.NewController(trainer.ControllerConfig{
+		d.ctrl, err = trainer.NewController(trainer.ControllerConfig{
 			Retrain:  ret.Run,
 			Monitor:  mon,
 			Cooldown: o.retrainCooldown,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer ctrl.Close()
 		fmt.Fprintf(out, "self-healing retraining armed (lambda %.0f, window %d, cooldown %v)\n",
 			o.driftLambda, o.driftWindow, o.retrainCooldown)
 	}
+	ctrl := d.ctrl
 
 	if o.cacheEntries > 0 {
 		fmt.Fprintf(out, "estimate cache: %d entries, keyed on (generation, query text)\n", o.cacheEntries)
@@ -494,7 +399,7 @@ func run(o options, out io.Writer) error {
 
 	cfg := serve.Config{
 		Registry:       reg,
-		DB:             env.DB,
+		DB:             db,
 		Batcher:        serve.BatcherConfig{Workers: o.workers},
 		MaxInFlight:    o.maxInFly,
 		DefaultTimeout: o.timeout,
@@ -543,21 +448,42 @@ func run(o options, out io.Writer) error {
 			}
 		}
 	}
-	srv, err := serve.New(cfg)
+	d.srv, err = serve.New(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	if lc != nil && o.probeEvery > 0 {
-		stopProbes := lc.ProbeEvery(context.Background(), o.probeEvery)
-		defer stopProbes()
+		d.stopProbes = lc.ProbeEvery(context.Background(), o.probeEvery)
 		fmt.Fprintf(out, "supervisor probing the live model every %v\n", o.probeEvery)
 	}
+	return d, nil
+}
 
-	if o.smoke {
-		return smoke(srv, o.cacheEntries > 0, out)
+// refreshCanary replaces the lifecycle's canary workload with a deterministic
+// reservoir sample of the journal's sealed, labeled traffic — the queries that
+// still bind against the live table — so publish gates score candidates on
+// what production asks.
+func refreshCanary(jnl *journal.Journal, lc *serve.Lifecycle, db *table.DB, o options, out io.Writer) {
+	recs, err := jnl.ReadSealed()
+	if err != nil || len(recs) == 0 {
+		return
 	}
-	return listenAndServe(srv, o, out)
+	ws := replay.DeriveCanary(recs, o.canaryN, o.seed)
+	bound := ws[:0]
+	for _, l := range ws {
+		if exec.Bind(l.Query, db) == nil {
+			bound = append(bound, l)
+		}
+	}
+	if len(bound) == 0 {
+		return
+	}
+	if err := lc.SetCanaryWorkload(context.Background(), bound); err != nil {
+		fmt.Fprintf(out, "journal: canary refresh skipped: %v\n", err)
+		return
+	}
+	fmt.Fprintf(out, "journal: canary workload refreshed from traffic (%d queries)\n", len(bound))
 }
 
 // coalesced runs fn on a goroutine of its own, at most one at a time: a
@@ -823,6 +749,9 @@ func smoke(srv *serve.Server, cacheOn bool, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "smoke: models default=%v\n", models["default"])
 
+	// heap_live_bytes is what the last GC cycle marked: zero until one has
+	// finished, and a small boot never reaches the first trigger by itself.
+	runtime.GC()
 	m, err := get("/metrics")
 	if err != nil {
 		return err
@@ -840,6 +769,13 @@ func smoke(srv *serve.Server, cacheOn bool, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "smoke: estimate cache ok (%v hits)\n", hits)
 	}
+	live, _ := m["heap_live_bytes"].(float64)
+	goal, _ := m["heap_goal_bytes"].(float64)
+	mapped, _ := m["mem_mapped_bytes"].(float64)
+	if live <= 0 || goal <= 0 || mapped <= 0 {
+		return fmt.Errorf("smoke: metrics report heap_live_bytes %v, heap_goal_bytes %v, mem_mapped_bytes %v, want all three positive", live, goal, mapped)
+	}
+	fmt.Fprintf(out, "smoke: memory ok (%.1f MiB live heap, %.1f MiB mapped)\n", live/(1<<20), mapped/(1<<20))
 
 	srv.Drain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

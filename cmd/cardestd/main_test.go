@@ -56,7 +56,7 @@ func TestRunSmoke(t *testing.T) {
 	if err := run(tinyOptions(t), &out); err != nil {
 		t.Fatalf("smoke run failed: %v\noutput:\n%s", err, out.String())
 	}
-	for _, want := range []string{"single estimate", "3 results", "metrics ok", "clean shutdown"} {
+	for _, want := range []string{"single estimate", "3 results", "metrics ok", "memory ok", "clean shutdown"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("smoke output missing %q:\n%s", want, out.String())
 		}
@@ -102,6 +102,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "building forest environment") {
 		t.Errorf("-model LR built the table before it was refused:\n%s", out.String())
+	}
+
+	// -retrain publishes through the lifecycle -store arms; without one it
+	// is refused with the flags too, not after a boot it has no use for.
+	o = tinyOptions(t)
+	o.retrain = true
+	out.Reset()
+	if err := run(o, &out); err == nil || !strings.Contains(err.Error(), "-retrain requires -store") || out.Len() != 0 {
+		t.Errorf("-retrain without -store: err = %v after printing %q, want it refused before the boot", err, out.String())
 	}
 
 	o = tinyOptions(t)
@@ -177,6 +186,78 @@ func TestRunStoreRecovery(t *testing.T) {
 	}
 }
 
+// TestRunRetrainSmoke: the self-test with everything armed — store, journal,
+// drift monitor, retrainer, probes — boots, serves and shuts down cleanly.
+// The retrainer is the one holder of the training queries after the boot.
+func TestRunRetrainSmoke(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	o := tinyOptions(t)
+	o.storeDir = filepath.Join(t.TempDir(), "store")
+	o.journalDir = filepath.Join(t.TempDir(), "journal")
+	o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
+	o.retrain = true
+	var out strings.Builder
+	if err := run(o, &out); err != nil {
+		t.Fatalf("smoke run failed: %v\noutput:\n%s", err, out.String())
+	}
+	for _, want := range []string{"self-healing retraining armed", "supervisor probing", "metrics ok", "clean shutdown"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("smoke output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestArmFailureStopsWhatItStarted: a step of arm that fails is the daemon's
+// error, not a nil dereference in the cleanup, and the journal writer and
+// the controller's goroutine that earlier steps started are joined before
+// arm returns. The three cases fail at the first step, in the middle, and at
+// the last step with everything before it running.
+func TestArmFailureStopsWhatItStarted(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	armed := func(t *testing.T) options {
+		o := tinyOptions(t)
+		o.storeDir = filepath.Join(t.TempDir(), "store")
+		o.journalDir = filepath.Join(t.TempDir(), "journal")
+		o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
+		o.retrain = true
+		return o
+	}
+	t.Run("journal directory is a file", func(t *testing.T) {
+		o := tinyOptions(t)
+		o.journalDir = filepath.Join(t.TempDir(), "journal")
+		if err := os.WriteFile(o.journalDir, []byte("not a directory"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(o, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "open feedback journal") {
+			t.Fatalf("run over a journal path that is a file: err = %v, want one naming the feedback journal", err)
+		}
+	})
+	t.Run("drift monitor refuses its config", func(t *testing.T) {
+		o := armed(t)
+		o.driftLambda = 0
+		err := run(o, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "Lambda") {
+			t.Fatalf("run with -drift-lambda 0: err = %v, want the monitor's", err)
+		}
+	})
+	t.Run("server refuses its config", func(t *testing.T) {
+		o := armed(t)
+		b, err := boot(o, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.reg = nil // serve.New is arm's last step that can fail
+		d, err := arm(b, o, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "Registry") {
+			t.Fatalf("arm without a registry: err = %v, want serve.New's", err)
+		}
+		if d != nil {
+			t.Errorf("arm returned a daemon beside its error")
+		}
+	})
+}
+
 // TestJournaledFingerprint: the request path never fingerprints (the estimate
 // cache is keyed on the query text); the feedback hook does, from the bound
 // query the server owes it even on a cache hit. The journal must hold exactly
@@ -247,6 +328,39 @@ func TestJournaledFingerprint(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFeedbackActualBeyondInt64: 2^63 is a finite number, so the handler takes
+// it and answers 200; the actuals index holds int64 and must leave the label
+// it already has for that query alone (it stored math.MinInt64 over it).
+func TestFeedbackActualBeyondInt64(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	const sql = "SELECT count(*) FROM t WHERE a >= 1"
+	jnl, err := journal.Open(t.TempDir(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	reg := serve.NewRegistry()
+	if _, err := reg.Register("const", resilience.Constant{Value: 5}, serve.ModelInfo{}); err != nil {
+		t.Fatal(err)
+	}
+	actuals := replay.NewActualIndex(0)
+	srv, err := serve.New(serve.Config{Registry: reg, Feedback: feedbackHook(nil, jnl, actuals)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, actual := range []string{"7", "9223372036854775808"} {
+		body := `{"sql":"` + sql + `","actual":` + actual + `}`
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+	}
+	if v, ok := actuals.Lookup(sqlparse.MustParse(sql)); !ok || v != 7 || actuals.Len() != 1 {
+		t.Errorf("after an actual of 2^63 the index holds (%d, %v) in %d entries, want the earlier 7 alone", v, ok, actuals.Len())
 	}
 }
 

@@ -245,9 +245,11 @@ func NewActualIndex(capacity int) *ActualIndex {
 }
 
 // Put records the actual cardinality for a fingerprint. Non-negative
-// integral actuals only; anything else is ignored.
+// integral actuals an int64 holds only; anything else is ignored. As a
+// float64 math.MaxInt64 is 2^63, one more than an int64 holds, so the bound is
+// exclusive: the largest actual kept is the float64 below it, 2^63-1024.
 func (ix *ActualIndex) Put(fingerprint string, actual float64) {
-	if fingerprint == "" || !(actual >= 0) || actual != math.Trunc(actual) || actual > math.MaxInt64 {
+	if fingerprint == "" || !(actual >= 0) || actual != math.Trunc(actual) || actual >= math.MaxInt64 {
 		return
 	}
 	ix.mu.Lock()

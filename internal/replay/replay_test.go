@@ -178,6 +178,30 @@ func TestActualIndexBoundedAndPicky(t *testing.T) {
 	}
 }
 
+// TestActualIndexInt64Boundary: 2^63 is finite, integral and non-negative, and
+// one more than an int64 holds — converted it is math.MinInt64. The bound was
+// "> math.MaxInt64", which as a float64 comparison is "> 2^63" and let exactly
+// that value through, overwriting a good label with -9223372036854775808.
+func TestActualIndexInt64Boundary(t *testing.T) {
+	ix := replay.NewActualIndex(0)
+	largest := math.Nextafter(1<<63, 0) // 2^63-1024, the largest float64 an int64 holds
+	ix.Put("fp", largest)
+	if v, ok := ix.LookupFingerprint("fp"); !ok || v != math.MaxInt64-1023 {
+		t.Fatalf("Put(2^63-1024) indexed (%d, %v), want (%d, true)", v, ok, int64(math.MaxInt64-1023))
+	}
+	for _, over := range []float64{1 << 63, math.Nextafter(1<<63, math.Inf(1)), math.MaxFloat64, math.Inf(1)} {
+		ix.Put("fp", 42)
+		ix.Put("fp", over)
+		if v, ok := ix.LookupFingerprint("fp"); !ok || v != 42 {
+			t.Errorf("Put(%g) left (%d, %v) in the index, want the earlier 42 to survive", over, v, ok)
+		}
+		ix.Put("new", over)
+	}
+	if ix.Len() != 1 {
+		t.Errorf("Len = %d, want 1: an actual no int64 holds must not be indexed", ix.Len())
+	}
+}
+
 // TestTraffic: a synthetic journal with known counts. Eight records, five
 // texts, three classes; the two records that respell an earlier class under a
 // new text are what a text-keyed cache recomputes and a class-keyed one would

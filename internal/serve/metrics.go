@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 )
@@ -215,9 +216,26 @@ func (m *Metrics) observeStatus(code int) {
 	}
 }
 
+// memory reads the process's memory from runtime/metrics, which stops
+// nothing (runtime.ReadMemStats stops the world, and a scrape must not): the
+// heap the last GC marked live, the heap size the next cycle starts at, and
+// what the runtime holds mapped and has not returned to the OS — the part of
+// it VmRSS can count.
+func memory() (live, goal, mapped uint64) {
+	s := []metrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/memory/classes/total:bytes"},
+		{Name: "/memory/classes/heap/released:bytes"},
+	}
+	metrics.Read(s)
+	return s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64() - s[3].Value.Uint64()
+}
+
 // Snapshot renders every counter into a flat, JSON-marshalable map.
 // encoding/json sorts map keys, so the output is deterministic.
 func (m *Metrics) Snapshot() map[string]any {
+	heapLive, heapGoal, memMapped := memory()
 	snap := map[string]any{
 		"uptime_seconds":        time.Since(m.start).Seconds(),
 		"requests_total":        m.requests.Load(),
@@ -245,6 +263,9 @@ func (m *Metrics) Snapshot() map[string]any {
 		"responses_4xx":         m.err4xx.Load(),
 		"responses_5xx":         m.err5xx.Load(),
 		"in_flight":             m.inFlight.Load(),
+		"heap_live_bytes":       heapLive,
+		"heap_goal_bytes":       heapGoal,
+		"mem_mapped_bytes":      memMapped,
 		"latency_micros":        m.latency.snapshot(),
 		"qerror":                m.qerror.snapshot(),
 	}

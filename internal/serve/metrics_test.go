@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -130,6 +131,21 @@ func TestMetricsSnapshotAndServeHTTP(t *testing.T) {
 	lat := rendered["latency_micros"].(map[string]any)
 	if lat["count"] != 2.0 {
 		t.Errorf("rendered latency count = %v, want 2", lat["count"])
+	}
+}
+
+// TestSnapshotReportsMemory: the process's memory is on /metrics, read from
+// runtime/metrics: what the last collection marked live, the heap size the
+// next one starts at (never below it), and what the runtime holds mapped
+// (the live heap is part of it).
+func TestSnapshotReportsMemory(t *testing.T) {
+	runtime.GC() // heap_live_bytes is zero until a first cycle has marked
+	snap := newMetrics().Snapshot()
+	live, _ := snap["heap_live_bytes"].(uint64)
+	goal, _ := snap["heap_goal_bytes"].(uint64)
+	mapped, _ := snap["mem_mapped_bytes"].(uint64)
+	if live == 0 || live > goal || live > mapped {
+		t.Errorf("heap_live_bytes %d, heap_goal_bytes %d, mem_mapped_bytes %d: want 0 < live <= goal and live <= mapped", live, goal, mapped)
 	}
 }
 
