@@ -42,9 +42,11 @@ ci:
 	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience ./internal/serve
 # So does the serving-heap pin: a booted daemon holds table + model (+ canary) + <= 1 MiB, -journal or not (the parent held its training set too: +4.6 MiB).
 	$(GO) test -short -run 'ServingHeap' ./cmd/cardestd
-# Five fuzz targets, 5 s each: the parser and the journal reader ...
+# Six fuzz targets, 5 s each: the parser, the journal reader and the
+# journal's record encoder against encoding/json ...
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/sqlparse
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal
+	$(GO) test -fuzz=FuzzRecordEncoding -fuzztime=5s ./internal/journal
 # ... /v1/estimate through the handler ("4xx never 5xx") and its wire codec
 # against encoding/json ...
 	$(GO) test -fuzz=FuzzEstimateHandler -fuzztime=5s ./internal/serve
@@ -57,9 +59,10 @@ ci:
 # stops measuring what its comment says: gb training (labels its own training
 # sets, reports the share of the matrix split search accumulates; TrainHistogram
 # is the dense input that histograms by subtraction must not slow down), the
-# journal's batched-vs-per-record fsync, labeling across workers and the
-# boot's label phase with its dictionaries cold.
-	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|CountManyWorkers|LabelBoot' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec
+# journal's batched-vs-per-record fsync and a commit's class keys over shared
+# vs distinct queries (reports fingerprints/record), labeling across workers
+# and the boot's label phase with its dictionaries cold.
+	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|FlushFingerprints|CountManyWorkers|LabelBoot' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec
 # Guard 1, one inference path: outside tests and cmd/bench, no reference twin,
 # no batch form of Predict, no EstimateBatch method.
 	! grep -rnE 'PredictReference|PredictInto|PredictBatch|func \(.*\) EstimateBatch' --include='*.go' internal cmd | grep -vE '_test\.go:|^cmd/bench/'
@@ -74,7 +77,7 @@ ci:
 	! grep -rnE 'PredCache|NewPredCache|EvalExprCached|CountCached|eqWord|ltWord|leWord' --include='*.go' . | grep -vE '_test\.go:'
 # Guard 4, the request path stays off the canonical fingerprint: the estimate
 # cache is keyed on the query text, and the class key is computed where it is
-# filed (cardestd's feedback hook, replay, the trainer).
+# filed (the journal writer, replay, the trainer).
 	! grep -rn 'core\.Fingerprint' --include='*.go' internal/serve | grep -v _test.go
 # Guard 5, the journal's writer is woken per batch: Append stages under the
 # mutex and no per-record channel handoff comes back.
@@ -91,6 +94,11 @@ ci:
 # the per-node accumulate-scan-clear lives on only in _test.go, as the dense
 # oracle, and does not come back beside it.
 	! grep -rnE 'func \(b \*builder\) (rangeSplits|cellSplits)' --include='*.go' internal/ml/gb | grep -v '_test\.go:'
+# Guard 8, the journal's class key has one home: the writer names each
+# distinct query once per commit, so the daemon's feedback hook computes none,
+# and frames records by hand, so no reflection encoder comes back beside it.
+	! grep -n 'core\.Fingerprint(' cmd/cardestd/main.go
+	! grep -rn 'json\.Marshal(' --include='*.go' internal/journal | grep -v _test.go
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint
@@ -135,10 +143,11 @@ bench:
 fmt:
 	gofmt -l -w .
 
-# Explore the parser and journal-reader fuzz targets.
+# Explore the parser, journal-reader and journal-encoder fuzz targets.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=30s ./internal/journal
+	$(GO) test -fuzz=FuzzRecordEncoding -fuzztime=30s ./internal/journal
 
 # Fuzz /v1/estimate: through the handler, malformed SQL/JSON must yield 4xx,
 # never a 5xx or a panic; and its wire codec must agree with encoding/json on
@@ -155,9 +164,11 @@ fuzz-store:
 
 # Fuzz the journal segment scanner: arbitrary mutations of segment bytes
 # must classify as clean / truncated / corrupt — never panic, never trust
-# damaged frames. This is what journal recovery and cmd/replay lean on.
+# damaged frames. This is what journal recovery and cmd/replay lean on. The
+# writer's record encoder must produce json.Marshal's bytes for any record.
 fuzz-journal:
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=30s ./internal/journal
+	$(GO) test -fuzz=FuzzRecordEncoding -fuzztime=30s ./internal/journal
 
 # soak is the wide crash/chaos sweep: every filesystem fault kind (crash,
 # torn write, ENOSPC, short read, bit flip) at every mutating/reading

@@ -122,7 +122,6 @@ import (
 	"time"
 
 	"qfe/internal/cli"
-	"qfe/internal/core"
 	"qfe/internal/drift"
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
@@ -253,7 +252,7 @@ func run(o options, out io.Writer) error {
 	}
 	defer d.close()
 	if o.smoke {
-		return smoke(d.srv, o.cacheEntries > 0, out)
+		return smoke(d.srv, o.cacheEntries > 0, d.jnl != nil, out)
 	}
 	return listenAndServe(d.srv, o, out)
 }
@@ -265,6 +264,7 @@ func run(o options, out io.Writer) error {
 type daemon struct {
 	srv        *serve.Server
 	jnl        *journal.Journal    // -journal
+	actuals    *replay.ActualIndex // -journal: the committed feedback's labels
 	canary     *coalesced          // -journal with -store: the traffic-derived canary refresh
 	ctrl       *trainer.Controller // -retrain
 	stopProbes func()              // -store with a -probe-interval
@@ -311,14 +311,19 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 	}
 
 	// -journal arms the durable feedback journal: every served estimate is
-	// appended (shed-not-block) to a segmented CRC-framed log, recovered
-	// actuals seed the retrainer's label index, and — when there is a
-	// lifecycle whose gate to refresh — each segment rotation derives a fresh
-	// canary workload from recent real traffic.
-	var actuals *replay.ActualIndex
+	// appended (shed-not-block) to a segmented CRC-framed log, recovered and
+	// then every committed batch's actuals feed the retrainer's label index,
+	// and — when there is a lifecycle whose gate to refresh — each segment
+	// rotation derives a fresh canary workload from recent real traffic.
 	if o.journalDir != "" {
-		actuals = replay.NewActualIndex(0)
-		jopts := journal.Options{SegmentBytes: o.journalSegSz, Retain: o.journalRetain}
+		d.actuals = replay.NewActualIndex(0)
+		jopts := journal.Options{
+			SegmentBytes: o.journalSegSz,
+			Retain:       o.journalRetain,
+			// The index learns an actual when its record is durable, named
+			// by the writer: live, it holds what a restart recovers.
+			OnCommit: d.actuals.PutRecords,
+		}
 		if lc != nil {
 			d.canary = &coalesced{fn: func() { refreshCanary(d.jnl, lc, db, o, out) }}
 			// Rotation means a fresh slab of real traffic just sealed; canary
@@ -335,13 +340,13 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 			o.journalDir, js.SealedSegments, js.TornTailsRepaired, js.SegmentsQuarantined)
 		// Actuals that survived the restart label retraining for free.
 		if recs, err := d.jnl.ReadSealed(); err == nil {
-			actuals.PutRecords(recs)
-			if n := actuals.Len(); n > 0 {
+			d.actuals.PutRecords(recs)
+			if n := d.actuals.Len(); n > 0 {
 				fmt.Fprintf(out, "feedback journal: %d journaled actual(s) indexed for retraining\n", n)
 			}
 		}
 	}
-	jnl := d.jnl
+	jnl, actuals := d.jnl, d.actuals
 
 	// -retrain closes the self-healing loop: drift detectors tap the
 	// /v1/estimate feedback stream, an alarm starts a checkpointed retrain
@@ -413,7 +418,7 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 		cfg.CacheBypass = mon.AlarmActive
 	}
 	if mon != nil || jnl != nil {
-		cfg.Feedback = feedbackHook(mon, jnl, actuals)
+		cfg.Feedback = feedbackHook(mon, jnl)
 		cfg.ExtraMetrics = func() map[string]any {
 			extra := map[string]any{}
 			if mon != nil {
@@ -529,8 +534,13 @@ func (c *coalesced) wait() { c.wg.Wait() }
 
 // feedbackHook is the daemon's serve.Config.Feedback: every served estimate
 // feeds the drift monitor and is appended to the feedback journal, whichever
-// of the two is armed (nil otherwise; actuals accompanies jnl).
-func feedbackHook(mon *drift.Monitor, jnl *journal.Journal, actuals *replay.ActualIndex) func(serve.FeedbackEvent) {
+// of the two is armed (nil otherwise). The hook computes no class key: it
+// stages the bound query — on a cache hit the entry's shared one, which the
+// journal writer only reads — and the writer fingerprints each distinct query
+// once per commit. The actuals index learns a record's actual when its batch
+// is committed (journal.Options.OnCommit), so an actual whose record was shed
+// or lost to a failed flush is not indexed; it used to be, at once.
+func feedbackHook(mon *drift.Monitor, jnl *journal.Journal) func(serve.FeedbackEvent) {
 	return func(ev serve.FeedbackEvent) {
 		if mon != nil {
 			mon.ObserveFeedback(ev.Query, ev.Estimate, ev.Actual, ev.HasActual)
@@ -538,16 +548,11 @@ func feedbackHook(mon *drift.Monitor, jnl *journal.Journal, actuals *replay.Actu
 		if jnl == nil {
 			return
 		}
-		// The request path never fingerprints (the estimate cache is keyed
-		// on the query text); the journal and the actuals index name the
-		// featurization class, so it is computed here — on a cache hit from
-		// the entry's shared query, which is only read.
-		fp := core.Fingerprint(ev.Query)
 		// Append stages the record and returns: a wedged journal sheds records
 		// (counted in journal_shed) and the estimate path never waits.
 		jnl.Append(journal.Record{
 			SQL:           ev.SQL,
-			Fingerprint:   fp,
+			Query:         ev.Query,
 			Model:         ev.Model,
 			Generation:    ev.Generation,
 			Estimate:      ev.Estimate,
@@ -555,9 +560,6 @@ func feedbackHook(mon *drift.Monitor, jnl *journal.Journal, actuals *replay.Actu
 			HasActual:     ev.HasActual,
 			LatencyMicros: ev.Latency.Microseconds(),
 		})
-		if ev.HasActual {
-			actuals.Put(fp, ev.Actual)
-		}
 	}
 }
 
@@ -566,6 +568,7 @@ func journalCounters(jnl *journal.Journal) map[string]any {
 	s := jnl.Stats()
 	return map[string]any{
 		"journal_appended":     s.Appended,
+		"journal_fingerprints": s.Fingerprints,
 		"journal_shed":         s.Shed,
 		"journal_persisted":    s.Persisted,
 		"journal_dropped":      s.Dropped,
@@ -672,7 +675,7 @@ func pprofMux() *http.ServeMux {
 // smoke is the self-test behind `make serve-smoke`: serve on a random
 // port, exercise the API end to end, verify the metrics reflect the load,
 // and shut down cleanly.
-func smoke(srv *serve.Server, cacheOn bool, out io.Writer) error {
+func smoke(srv *serve.Server, cacheOn, journalOn bool, out io.Writer) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -776,6 +779,16 @@ func smoke(srv *serve.Server, cacheOn bool, out io.Writer) error {
 		return fmt.Errorf("smoke: metrics report heap_live_bytes %v, heap_goal_bytes %v, mem_mapped_bytes %v, want all three positive", live, goal, mapped)
 	}
 	fmt.Fprintf(out, "smoke: memory ok (%.1f MiB live heap, %.1f MiB mapped)\n", live/(1<<20), mapped/(1<<20))
+	if journalOn {
+		// The writer names the records' classes: journal_fingerprints over
+		// journal_appended is the share of records that cost one.
+		appended, okA := m["journal_appended"].(float64)
+		fps, okF := m["journal_fingerprints"].(float64)
+		if !okA || !okF || appended < 5 {
+			return fmt.Errorf("smoke: metrics report journal_appended %v, journal_fingerprints %v, want both, >= 5 appended", m["journal_appended"], m["journal_fingerprints"])
+		}
+		fmt.Fprintf(out, "smoke: journal ok (%v appended, %v fingerprints)\n", appended, fps)
+	}
 
 	srv.Drain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

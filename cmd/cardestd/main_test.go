@@ -51,16 +51,35 @@ func TestRetiredBatcherFlagsRejected(t *testing.T) {
 // TestRunSmoke drives the daemon's built-in self-test: boot-train, serve on
 // a random port, single + batched estimates, model listing, metrics scrape,
 // clean shutdown.
+// With -journal it also finds journal_fingerprints beside journal_appended.
 func TestRunSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := run(tinyOptions(t), &out); err != nil {
-		t.Fatalf("smoke run failed: %v\noutput:\n%s", err, out.String())
-	}
-	for _, want := range []string{"single estimate", "3 results", "metrics ok", "memory ok", "clean shutdown"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("smoke output missing %q:\n%s", want, out.String())
+	t.Run("plain", func(t *testing.T) {
+		var out strings.Builder
+		if err := run(tinyOptions(t), &out); err != nil {
+			t.Fatalf("smoke run failed: %v\noutput:\n%s", err, out.String())
 		}
-	}
+		for _, want := range []string{"single estimate", "3 results", "metrics ok", "memory ok", "clean shutdown"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("smoke output missing %q:\n%s", want, out.String())
+			}
+		}
+		if strings.Contains(out.String(), "journal ok") {
+			t.Errorf("smoke without -journal checked a journal:\n%s", out.String())
+		}
+	})
+	t.Run("journal", func(t *testing.T) {
+		o := tinyOptions(t)
+		o.journalDir = t.TempDir()
+		var out strings.Builder
+		if err := run(o, &out); err != nil {
+			t.Fatalf("smoke run failed: %v\noutput:\n%s", err, out.String())
+		}
+		for _, want := range []string{"metrics ok", "journal ok (5 appended", "clean shutdown"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("smoke output missing %q:\n%s", want, out.String())
+			}
+		}
+	})
 }
 
 // TestRunSaveAndLoad round-trips a boot snapshot through -save and -load.
@@ -259,8 +278,9 @@ func TestArmFailureStopsWhatItStarted(t *testing.T) {
 }
 
 // TestJournaledFingerprint: the request path never fingerprints (the estimate
-// cache is keyed on the query text); the feedback hook does, from the bound
-// query the server owes it even on a cache hit. The journal must hold exactly
+// cache is keyed on the query text) and neither does the feedback hook: it
+// stages the bound query the server owes it even on a cache hit, and the
+// journal writer names it. The journal must hold exactly
 // core.Fingerprint of the served query — on a miss, a hit, inside a client
 // batch, and with the cache off.
 func TestJournaledFingerprint(t *testing.T) {
@@ -286,7 +306,7 @@ func TestJournaledFingerprint(t *testing.T) {
 			srv, err := serve.New(serve.Config{
 				Registry: reg,
 				Cache:    serve.CacheConfig{Entries: tc.entries},
-				Feedback: feedbackHook(nil, jnl, replay.NewActualIndex(0)),
+				Feedback: feedbackHook(nil, jnl),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -333,11 +353,13 @@ func TestJournaledFingerprint(t *testing.T) {
 
 // TestFeedbackActualBeyondInt64: 2^63 is a finite number, so the handler takes
 // it and answers 200; the actuals index holds int64 and must leave the label
-// it already has for that query alone (it stored math.MinInt64 over it).
+// it already has for that query alone (it stored math.MinInt64 over it). The
+// index learns from committed batches, so the test syncs before it looks.
 func TestFeedbackActualBeyondInt64(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	const sql = "SELECT count(*) FROM t WHERE a >= 1"
-	jnl, err := journal.Open(t.TempDir(), journal.Options{})
+	actuals := replay.NewActualIndex(0)
+	jnl, err := journal.Open(t.TempDir(), journal.Options{OnCommit: actuals.PutRecords})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +368,7 @@ func TestFeedbackActualBeyondInt64(t *testing.T) {
 	if _, err := reg.Register("const", resilience.Constant{Value: 5}, serve.ModelInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	actuals := replay.NewActualIndex(0)
-	srv, err := serve.New(serve.Config{Registry: reg, Feedback: feedbackHook(nil, jnl, actuals)})
+	srv, err := serve.New(serve.Config{Registry: reg, Feedback: feedbackHook(nil, jnl)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,9 +380,87 @@ func TestFeedbackActualBeyondInt64(t *testing.T) {
 			t.Fatalf("POST %s: status %d: %s", body, rec.Code, rec.Body)
 		}
 	}
+	if err := jnl.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if v, ok := actuals.Lookup(sqlparse.MustParse(sql)); !ok || v != 7 || actuals.Len() != 1 {
 		t.Errorf("after an actual of 2^63 the index holds (%d, %v) in %d entries, want the earlier 7 alone", v, ok, actuals.Len())
 	}
+}
+
+// TestLiveActualsAreWhatARestartRecovers: the daemon's actuals index is fed
+// from the batches its journal commits, so after a Sync it equals PutRecords
+// over every committed record — misses, hits, a client batch and a respelling
+// of a cached query that reports a newer actual for the same class — and a
+// daemon re-armed over the same journal recovers exactly that index.
+func TestLiveActualsAreWhatARestartRecovers(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	o := tinyOptions(t)
+	o.journalDir = t.TempDir()
+	b, err := boot(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := arm(b, o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { d.close() }()
+	const (
+		qA  = "SELECT count(*) FROM forest WHERE A1 >= 3 AND A2 <= 7"
+		qB  = "SELECT count(*) FROM forest WHERE A3 < 9"
+		qC  = "SELECT count(*) FROM forest WHERE A4 = 2"
+		qA2 = "SELECT count(*) FROM forest WHERE A2 <= 7 AND A1 > 2" // qA's class, another text
+	)
+	bodies := []string{
+		`{"sql":"` + qA + `","actual":10}`,
+		`{"sql":"` + qA + `","actual":11}`, // a hit
+		`{"sql":"` + qB + `"}`,             // no feedback
+		`{"queries":[{"sql":"` + qB + `","actual":0},{"sql":"` + qC + `","actual":4},{"sql":"` + qA + `"}]}`,
+		`{"sql":"` + qA2 + `","actual":12}`, // the class's newest actual
+	}
+	for _, body := range bodies {
+		rec := httptest.NewRecorder()
+		d.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+	}
+	if err := d.jnl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := journal.Read(nil, o.journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 7 {
+		t.Fatalf("journal holds %d records, want 7", len(recs))
+	}
+	want := replay.NewActualIndex(0)
+	want.PutRecords(recs)
+	sameIndex := func(t *testing.T, what string, got *replay.ActualIndex) {
+		t.Helper()
+		if got.Len() != want.Len() || want.Len() != 3 {
+			t.Fatalf("%s indexes %d classes, the committed records %d, want 3", what, got.Len(), want.Len())
+		}
+		for _, r := range recs {
+			g, gok := got.LookupFingerprint(r.Fingerprint)
+			w, wok := want.LookupFingerprint(r.Fingerprint)
+			if g != w || gok != wok {
+				t.Errorf("%s holds (%d, %v) for %q, the committed records (%d, %v)", what, g, gok, r.SQL, w, wok)
+			}
+		}
+	}
+	sameIndex(t, "the live index", d.actuals)
+	if v, ok := d.actuals.LookupFingerprint(core.Fingerprint(sqlparse.MustParse(qA))); !ok || v != 12 {
+		t.Errorf("qA's class holds (%d, %v), want the respelling's 12", v, ok)
+	}
+
+	d.close()
+	if d, err = arm(b, o, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	sameIndex(t, "the recovered index", d.actuals)
 }
 
 // TestCanaryRefreshCoalesces: segments can seal faster than a refresh reads

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"qfe/internal/store"
@@ -58,6 +59,31 @@ func FuzzJournalRead(f *testing.F) {
 		}
 		if len(re.records) != len(scan.records) {
 			t.Fatalf("valid prefix yields %d records, original scan %d", len(re.records), len(scan.records))
+		}
+	})
+}
+
+// FuzzRecordEncoding holds the writer's hand-written record encoder to
+// encoding/json, its oracle: any Record encodes to json.Marshal's bytes, and
+// one that json.Marshal refuses (a NaN or infinite estimate or actual) is
+// refused by both, so flush skips it either way.
+func FuzzRecordEncoding(f *testing.F) {
+	f.Add(int64(1), "SELECT count(*) FROM t WHERE a >= 1", "fp", "boot", uint64(1), 2.5, 1.0, true, int64(3))
+	f.Add(int64(0), "", "", "", uint64(0), 0.0, 0.0, false, int64(0))
+	f.Add(int64(-7), "<b>&\"\\\n\x00 \xff", "\t", "m ", uint64(1<<63), -1e-7, 1e21, false, int64(-1))
+	f.Add(int64(9), "q", "", "", uint64(0), math.NaN(), 4.0, true, int64(0))
+	f.Add(int64(9), "q", "", "", uint64(0), 2.0, math.Inf(-1), true, int64(0))
+	f.Add(int64(9), "q", "", "", uint64(0), math.Copysign(0, -1), math.Copysign(0, -1), true, int64(0))
+	f.Fuzz(func(t *testing.T, ts int64, sql, fp, model string, gen uint64, est, actual float64, has bool, lat int64) {
+		rec := Record{UnixMicros: ts, SQL: sql, Fingerprint: fp, Model: model, Generation: gen,
+			Estimate: est, Actual: actual, HasActual: has, LatencyMicros: lat}
+		want, err := json.Marshal(rec)
+		got, ok := appendRecord(nil, &rec)
+		if ok != (err == nil) {
+			t.Fatalf("appendRecord ok = %v, json.Marshal err = %v, for %+v", ok, err, rec)
+		}
+		if ok && string(got) != string(want) {
+			t.Fatalf("appendRecord(%+v)\n got %s\nwant %s", rec, got, want)
 		}
 	})
 }

@@ -225,8 +225,8 @@ func Traffic(records []journal.Record) TrafficStats {
 
 // ActualIndex is a bounded fingerprint → actual-cardinality index over
 // journaled feedback. The retrainer consults it to label queries for free
-// before falling back to exact execution; the serving layer feeds it from
-// live feedback events. When full, new fingerprints are dropped (the
+// before falling back to exact execution; the daemon feeds it from the
+// batches its journal commits. When full, new fingerprints are dropped (the
 // retrainer's fallback path still labels them) while known fingerprints
 // keep updating to the freshest actual.
 type ActualIndex struct {
@@ -249,22 +249,30 @@ func NewActualIndex(capacity int) *ActualIndex {
 // float64 math.MaxInt64 is 2^63, one more than an int64 holds, so the bound is
 // exclusive: the largest actual kept is the float64 below it, 2^63-1024.
 func (ix *ActualIndex) Put(fingerprint string, actual float64) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.put(fingerprint, actual)
+}
+
+func (ix *ActualIndex) put(fingerprint string, actual float64) {
 	if fingerprint == "" || !(actual >= 0) || actual != math.Trunc(actual) || actual >= math.MaxInt64 {
 		return
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	if _, ok := ix.m[fingerprint]; !ok && len(ix.m) >= ix.cap {
 		return
 	}
 	ix.m[fingerprint] = int64(actual)
 }
 
-// PutRecords indexes every labeled record (e.g. a recovered journal).
+// PutRecords indexes every labeled record, in order, under one lock: a
+// recovered journal at boot, and each batch the live journal commits
+// (journal.Options.OnCommit), so the live index is what a restart recovers.
 func (ix *ActualIndex) PutRecords(records []journal.Record) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	for _, rec := range records {
 		if rec.HasActual {
-			ix.Put(rec.Fingerprint, rec.Actual)
+			ix.put(rec.Fingerprint, rec.Actual)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"qfe/internal/jsonenc"
 	"qfe/internal/sqlparse"
 )
 
@@ -499,7 +500,7 @@ func hex4(b []byte) rune {
 // which it reports as false.
 func appendEstimateResponse(dst []byte, resp *estimateResponse) ([]byte, bool) {
 	dst = append(dst, `{"model":`...)
-	dst = appendJSONString(dst, resp.Model)
+	dst = jsonenc.String(dst, resp.Model)
 	dst = append(dst, ',')
 	dst, ok := appendResultFields(dst, &resp.estimateResult)
 	if len(resp.Results) > 0 {
@@ -529,12 +530,12 @@ func appendResultFields(dst []byte, r *estimateResult) ([]byte, bool) {
 			ok = false
 		}
 		dst = append(dst, `"estimate":`...)
-		dst = appendJSONFloat(dst, r.Estimate)
+		dst = jsonenc.Float(dst, r.Estimate)
 		dst = append(dst, ',')
 	}
 	if r.Stage != "" {
 		dst = append(dst, `"stage":`...)
-		dst = appendJSONString(dst, r.Stage)
+		dst = jsonenc.String(dst, r.Stage)
 		dst = append(dst, ',')
 	}
 	if r.Degraded {
@@ -544,7 +545,7 @@ func appendResultFields(dst []byte, r *estimateResult) ([]byte, bool) {
 	dst = strconv.AppendInt(dst, r.Micros, 10)
 	if r.Error != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendJSONString(dst, r.Error)
+		dst = jsonenc.String(dst, r.Error)
 	}
 	return dst, ok
 }
@@ -553,86 +554,8 @@ func appendResultFields(dst []byte, r *estimateResult) ([]byte, bool) {
 // renders it.
 func appendErrorResponse(dst []byte, msg string) []byte {
 	dst = append(dst, `{"error":`...)
-	dst = appendJSONString(dst, msg)
+	dst = jsonenc.String(dst, msg)
 	return append(dst, "}\n"...)
-}
-
-// appendJSONFloat formats a finite f as encoding/json does: the shortest
-// text that reads back as f, in exponent form below 1e-6 and from 1e21 on,
-// with a one-digit negative exponent written without its padding zero.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
-}
-
-// jsonSafe marks the ASCII bytes json.Encoder copies into a string as they
-// are: everything printable but the quote, the backslash and — its HTML
-// escaping is on by default — <, > and &.
-var jsonSafe = func() (t [utf8.RuneSelf]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-	}
-	return t
-}()
-
-// appendJSONString appends s as the quoted string json.Encoder writes. Error
-// strings echo client input, so everything it escapes matters: control
-// characters, the HTML-sensitive three, U+2028/U+2029, and invalid UTF-8
-// (as U+FFFD).
-func appendJSONString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if jsonSafe[c] {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			start = i + size
-		case r == '\u2028' || r == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }
 
 // ---- writing ----

@@ -77,17 +77,19 @@ func (r *Registry) Register(name string, est estimator.Estimator, info ModelInfo
 	if est == nil {
 		return ModelInfo{}, fmt.Errorf("serve: model %q has a nil estimator", name)
 	}
-	if r.Wrap != nil {
-		est = r.Wrap(est)
-	}
-	info.Name = name
-	info.Estimator = est.Name()
+	// The model is introspected before it is wrapped: a wrapper (the
+	// resilience chain) reports no models and no memory of its own.
 	if nm, ok := est.(interface{ NumModels() int }); ok && info.Models == 0 {
 		info.Models = nm.NumModels()
 	}
 	if mb, ok := est.(interface{ MemoryBytes() int }); ok && info.MemoryBytes == 0 {
 		info.MemoryBytes = mb.MemoryBytes()
 	}
+	if r.Wrap != nil {
+		est = r.Wrap(est)
+	}
+	info.Name = name
+	info.Estimator = est.Name()
 
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"qfe/internal/estimator"
+	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
 )
 
@@ -111,6 +114,41 @@ func TestRegistryWrap(t *testing.T) {
 	v, err := est.Estimate(nil)
 	if err != nil || v != 42 {
 		t.Errorf("wrapped estimate = %v, %v; want 42", v, err)
+	}
+}
+
+// TestModelsReportTheWrappedModel: under the resilience chain the daemon puts
+// in front of every model (the default -timeout arms it), GET /v1/models
+// reports the GB model's own size and model count, not the wrapper's zeros,
+// and names the wrapper as the estimator that serves.
+func TestModelsReportTheWrappedModel(t *testing.T) {
+	db, set := testEnv(t)
+	loc := trainLocal(t, db, set[:200], 8)
+	reg := NewRegistry()
+	reg.Wrap = func(e estimator.Estimator) estimator.Estimator {
+		return resilience.NewResilient(resilience.Config{Timeout: time.Second, LastResort: resilience.RowCount{DB: db}},
+			resilience.Stage{Name: "learned", Est: e})
+	}
+	if _, err := reg.Register("boot", loc, ModelInfo{Kind: estimator.KindLocal, Source: "boot"}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Registry: reg, DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, resp := getJSON(t, srv.Handler(), "/v1/models")
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	m := resp["models"].([]any)[0].(map[string]any)
+	if mem, _ := m["memoryBytes"].(float64); loc.MemoryBytes() == 0 || int(mem) != loc.MemoryBytes() {
+		t.Errorf("memoryBytes = %v, want the model's %d", m["memoryBytes"], loc.MemoryBytes())
+	}
+	if n, _ := m["models"].(float64); int(n) != loc.NumModels() {
+		t.Errorf("models = %v, want the model's %d", m["models"], loc.NumModels())
+	}
+	if name, _ := m["estimator"].(string); name == loc.Name() {
+		t.Errorf("estimator = %q, want the wrapper's name", name)
 	}
 }
 
