@@ -167,16 +167,22 @@ func newBuilder(X [][]float64, cfg Config) *builder {
 	return b
 }
 
+// binCode returns v's bin among bins uniform bins of width from mn: the k
+// whose edges hold mn+width*k < v <= mn+width*(k+1), with the first bin
+// unbounded below and the last above. The upper edge is the threshold a split
+// after bin k is priced at, and grow partitions on X <= thr, so a value on an
+// edge belongs to the bin below it, not the one the quotient floors to. The
+// quotient lands at most one bin off at an edge, so one compare each way,
+// against the edge expression newBuilder uses, settles it.
 func binCode(v, mn, width float64, bins int) uint8 {
 	if bins == 1 || width == 0 {
 		return 0
 	}
-	k := int((v - mn) / width)
-	if k < 0 {
-		k = 0
-	}
-	if k >= bins {
-		k = bins - 1
+	k := min(max(int((v-mn)/width), 0), bins-1)
+	if k > 0 && v <= mn+width*float64(k) {
+		k--
+	} else if k < bins-1 && v > mn+width*float64(k+1) {
+		k++
 	}
 	return uint8(k)
 }
