@@ -40,9 +40,10 @@ ci:
 # query text 0, the whole handler on a hit <= 6, or <= 8 with a Feedback hook
 # (it is handed the query the entry kept from its miss: neither hit parses).
 	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience ./internal/serve
-# So does the serving-heap pin: a booted daemon holds table + model (+ canary) + <= 1 MiB, -journal or not (the parent held its training set too: +4.6 MiB).
+# So does the serving-heap pin: a booted daemon holds table + model (+ canary) + <= 192 KiB, -journal or not.
+# A GB model is its flat forest alone; one that also kept the arenas it was fit in reads +0.33 MiB and fails.
 	$(GO) test -short -run 'ServingHeap' ./cmd/cardestd
-# Six fuzz targets, 5 s each: the parser, the journal reader and the
+# Seven fuzz targets, 5 s each: the parser, the journal reader and the
 # journal's record encoder against encoding/json ...
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/sqlparse
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal
@@ -54,6 +55,10 @@ ci:
 # ... and the executor's dictionary evaluator against the scan kernels it
 # replaced, on whatever selection the parser makes of the input.
 	$(GO) test -fuzz=FuzzEvalExpr -fuzztime=5s ./internal/exec
+# ... and the snapshot loader, which store recovery and hot-load run on
+# whatever bytes they find, seeded with a format-1 (per-tree) and a format-2
+# (packed forest) snapshot: it loads a working estimator or errors, never panics.
+	$(GO) test -fuzz=FuzzLoadEstimator -fuzztime=5s ./internal/estimator
 # The in-package benchmarks that are the only home of a measurement, one
 # iteration each, because a benchmark nothing executes stops compiling or
 # stops measuring what its comment says: gb training (labels its own training
@@ -99,6 +104,10 @@ ci:
 # and frames records by hand, so no reflection encoder comes back beside it.
 	! grep -n 'core\.Fingerprint(' cmd/cardestd/main.go
 	! grep -rn 'json\.Marshal(' --include='*.go' internal/journal | grep -v _test.go
+# Guard 9, one GB representation: a model is its flat forest; the per-tree
+# arenas live only inside the fit (and in format-1 decoding, which packs them
+# at once), so no Trees field and no compile of a model's trees comes back.
+	! grep -rnwE 'Trees|compileForest\(m\.' --include='*.go' internal/ml/gb | grep -v '_test\.go:'
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

@@ -9,9 +9,10 @@ import (
 )
 
 // snapshotSeeds serializes one trained local estimator — the one persistable
-// kind — and dresses it as the two deleted ones. These are the fuzzer's
-// starting corpus: mutations of real snapshots probe much deeper into the
-// loader than random bytes would.
+// kind — and dresses it as the two deleted ones, and adds the format-1
+// snapshot in testdata, whose GB payload is per-tree arenas rather than
+// packed nodes. These are the fuzzer's starting corpus: mutations of real
+// snapshots probe much deeper into the loader than random bytes would.
 func snapshotSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	e := env(tb)
@@ -40,7 +41,7 @@ func snapshotSeeds(tb testing.TB) [][]byte {
 	global, hybrid := deletedKindDocuments(tb, lb.Bytes())
 	seeds = append(seeds, global, hybrid)
 
-	return seeds
+	return append(seeds, format1Snapshot(tb))
 }
 
 // FuzzLoadEstimator is the persistence layer's robustness contract: for ANY
@@ -60,7 +61,7 @@ func FuzzLoadEstimator(f *testing.F) {
 		// Hand the fuzzer structured near-misses too, not just full
 		// snapshots: truncations and envelope edits.
 		f.Add(seed[:len(seed)/2])
-		f.Add(bytes.Replace(seed, []byte(`"format":1`), []byte(`"format":9`), 1))
+		f.Add(bytes.Replace(seed, []byte(`"format":`), []byte(`"format":9`), 1))
 		f.Add(bytes.Replace(seed, []byte(`"kind":"`), []byte(`"kind":"x`), 1))
 	}
 	f.Add(withFirstPayload(f, seeds[0], sharedChildPayload)) // a forest that validates node by node but does not compile
@@ -69,6 +70,7 @@ func FuzzLoadEstimator(f *testing.F) {
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"format":1,"kind":"local"}`))
+	f.Add([]byte(`{"format":2,"kind":"local"}`))
 	f.Add([]byte(`{"format":1,"kind":"global","tables":["forest"]}`))
 	f.Add([]byte(`{"format":1,"kind":"hybrid","fallback":"independence"}`))
 	f.Add([]byte(`null`))
@@ -137,12 +139,12 @@ func TestLoadEstimatorMutationSweep(t *testing.T) {
 // refused with a version error before any kind-specific parsing.
 func TestLoadEstimatorRejectsForeignFormat(t *testing.T) {
 	seed := snapshotSeeds(t)[0]
-	future := bytes.Replace(seed, []byte(`"format":1`), []byte(`"format":2`), 1)
+	future := bytes.Replace(seed, []byte(`"format":2`), []byte(`"format":3`), 1)
 	if bytes.Equal(future, seed) {
 		t.Fatal("seed snapshot carries no format field to rewrite")
 	}
 	_, _, err := LoadEstimator(bytes.NewReader(future), env(t).db)
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("format 2")) {
+	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("format 3")) {
 		t.Fatalf("future-format load: err = %v, want a format-version error", err)
 	}
 }

@@ -45,22 +45,28 @@ type savedSubSchema struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// FormatVersion is the snapshot format this build writes and reads. Every
-// SaveJSON output is self-identifying — the top-level envelope carries both
-// "format" and "kind" — so any tool (or a future build with a different
-// format) can classify a snapshot from its first bytes without kind-specific
-// parsing. Loaders reject other versions loudly.
-const FormatVersion = 1
+// FormatVersion is the snapshot format this build writes. Every SaveJSON
+// output is self-identifying — the top-level envelope carries both "format"
+// and "kind" — so any tool (or a future build with a different format) can
+// classify a snapshot from its first bytes without kind-specific parsing.
+//
+// Format 2 stores a GB model as its packed forest (parallel node arrays, see
+// gb.Model.MarshalJSON); format 1 stored its per-tree arenas. Loaders read
+// both, because a stored generation the loader refuses is quarantined: a
+// build that refused format 1 would retire every generation in an upgraded
+// daemon's store. A format-1 GB payload is packed once on load and the arenas
+// dropped. Other versions are rejected loudly.
+const FormatVersion = 2
 
-// currentFormat guards against silently loading incompatible files.
-const currentFormat = FormatVersion
+// readsFormat reports whether this build loads snapshots of format v.
+func readsFormat(v int) bool { return v == 1 || v == FormatVersion }
 
 // SaveJSON writes the trained estimator to w. Only GB- and NN-backed locals
 // are serializable (MSCN-backed estimators are global models with their own
 // lifecycle).
 func (l *Local) SaveJSON(w io.Writer) error {
 	s := savedLocal{
-		Format:    currentFormat,
+		Format:    FormatVersion,
 		Kind:      KindLocal,
 		QFT:       l.cfg.QFT,
 		Opts:      l.cfg.Opts,
@@ -118,8 +124,8 @@ func LoadLocal(r io.Reader) (*Local, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("estimator: decode: %w", err)
 	}
-	if s.Format != currentFormat {
-		return nil, fmt.Errorf("estimator: unsupported format %d (want %d)", s.Format, currentFormat)
+	if !readsFormat(s.Format) {
+		return nil, fmt.Errorf("estimator: unsupported format %d (want 1 or %d)", s.Format, FormatVersion)
 	}
 	if s.Kind != "" && s.Kind != KindLocal {
 		return nil, fmt.Errorf("estimator: snapshot kind %q is not a local estimator", s.Kind)
@@ -196,8 +202,8 @@ func LoadEstimator(r io.Reader, db *table.DB) (Estimator, string, error) {
 	}
 	// Check the format before the kind so a version mismatch reads as
 	// exactly that, not as some kind-specific field error downstream.
-	if probe.Format != FormatVersion {
-		return nil, "", fmt.Errorf("estimator: snapshot format %d is not supported (this build reads format %d)", probe.Format, FormatVersion)
+	if !readsFormat(probe.Format) {
+		return nil, "", fmt.Errorf("estimator: snapshot format %d is not supported (this build reads formats 1 and %d)", probe.Format, FormatVersion)
 	}
 	if probe.Kind != "" && probe.Kind != KindLocal {
 		return nil, "", fmt.Errorf("estimator: unknown snapshot kind %q", probe.Kind)
@@ -222,8 +228,8 @@ func unmarshalRegressor(r Regressor, payload json.RawMessage) error {
 			return err
 		}
 		// A wrong-kind or hand-damaged payload can unmarshal "successfully"
-		// into a structurally broken model (no trees, dangling child
-		// indices); reject it here rather than panic at estimation time.
+		// into a structurally broken model (no trees, child ids outside their
+		// tree); reject it here rather than panic at estimation time.
 		if err := m.Validate(); err != nil {
 			return err
 		}

@@ -74,8 +74,8 @@ func TestLoadEstimatorDispatch(t *testing.T) {
 	}
 	// The format is checked before the kind: a future-format document of a
 	// kind this build has never heard of is a version error.
-	future := bytes.Replace(global, []byte(`"format":1`), []byte(`"format":2`), 1)
-	if _, _, err := LoadEstimator(bytes.NewReader(future), e.db); err == nil || !strings.Contains(err.Error(), "format 2") {
+	future := bytes.Replace(global, []byte(`"format":2`), []byte(`"format":3`), 1)
+	if _, _, err := LoadEstimator(bytes.NewReader(future), e.db); err == nil || !strings.Contains(err.Error(), "format 3") {
 		t.Errorf("future-format global document: err = %v, want a format-version error", err)
 	}
 	// LoadLocal refuses a foreign kind too, so no caller can mis-restore one.

@@ -3,10 +3,15 @@ package estimator
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"qfe/internal/core"
+	"qfe/internal/exec"
+	"qfe/internal/sqlparse"
 	"qfe/internal/workload"
 )
 
@@ -224,6 +229,11 @@ func TestLoadLocalRejectsCorruptedTreePayload(t *testing.T) {
 		{"self-loop child", `{"cfg":{},"base":1,"dim":3,"trees":[{"nodes":[{"f":0,"t":0.5,"l":0,"r":0}]}]}`},
 		{"feature out of range", `{"cfg":{},"base":1,"dim":3,"trees":[{"nodes":[{"f":12,"t":0.5,"l":1,"r":2},{"leaf":true,"v":1},{"leaf":true,"v":2}]}]}`},
 		{"zero dim", `{"cfg":{},"base":1,"dim":0,"trees":[{"nodes":[{"leaf":true,"v":1}]}]}`},
+		{"packed: no roots", `{"cfg":{},"base":1,"dim":3,"feat":[-1],"thr":[1],"left":[0]}`},
+		{"packed: child past its tree", `{"cfg":{},"base":1,"dim":3,"roots":[0,1],"feat":[0,-1,-1],"thr":[0.5,1,2],"left":[1,0,0]}`},
+		{"packed: child before its parent", `{"cfg":{},"base":1,"dim":3,"roots":[0],"feat":[-1,0,-1],"thr":[1,0.5,2],"left":[0,0,0]}`},
+		{"packed: feature out of range", `{"cfg":{},"base":1,"dim":3,"roots":[0],"feat":[12,-1,-1],"thr":[0.5,1,2],"left":[1,0,0]}`},
+		{"packed: arrays of different lengths", `{"cfg":{},"base":1,"dim":3,"roots":[0],"feat":[0,-1,-1],"thr":[0.5,1],"left":[1,0,0]}`},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
@@ -234,18 +244,19 @@ func TestLoadLocalRejectsCorruptedTreePayload(t *testing.T) {
 	}
 }
 
-// sharedChildPayload is a forest every per-node check of gb.Model.Validate
-// accepts — child ids in range and above their parent's — but in which nodes
-// 1 and 2 of tree 1 both claim node 4. It walks and terminates, so it used to
-// be served by the per-tree interpreter; the forest compiler cannot lay it
-// out, and there is no other interpreter now.
+// sharedChildPayload is a format-1 forest whose nodes are each in range —
+// child ids inside the tree and above their parent's — but in which nodes 1
+// and 2 of tree 1 both claim node 4. It walks and terminates, so it used to
+// be served by the per-tree interpreter; it cannot be packed into a flat
+// forest, and there is no other interpreter now.
 const sharedChildPayload = `{"cfg":{"LearningRate":0.1},"base":1,"dim":3,"trees":[` +
 	`{"nodes":[{"leaf":true,"v":1}]},` +
 	`{"nodes":[{"f":0,"t":0.5,"l":1,"r":2},{"f":1,"t":0.2,"l":3,"r":4},{"f":1,"t":0.8,"l":4,"r":5},` +
 	`{"leaf":true,"v":1},{"leaf":true,"v":2},{"leaf":true,"v":3}]}]}`
 
-// TestLoadEstimatorRejectsUncompilableForest: a snapshot whose forest the
-// compiler refuses is a load error that names the tree, not an estimator.
+// TestLoadEstimatorRejectsUncompilableForest: a snapshot whose format-1
+// forest cannot be packed is a load error that names the tree, not an
+// estimator.
 func TestLoadEstimatorRejectsUncompilableForest(t *testing.T) {
 	data := withFirstPayload(t, savedGB(t), sharedChildPayload)
 	est, _, err := LoadEstimator(bytes.NewReader(data), env(t).db)
@@ -364,5 +375,120 @@ func TestLoadEstimatorRejectsWrongInputWidth(t *testing.T) {
 				t.Errorf("err = %v, want it to name the two widths", err)
 			}
 		})
+	}
+}
+
+// format1Snapshot is testdata/v1_gb_local.json: a GB-backed local estimator
+// over env's table, saved in format 1 — its payload the per-tree arenas — by
+// the build before format 2. testdata/v1_gb_local_estimates.json holds what
+// that build estimated with it for env's first 100 test queries.
+func format1Snapshot(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "v1_gb_local.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte(`{"format":1,`)) || !bytes.Contains(data, []byte(`"trees":`)) {
+		tb.Fatal("testdata/v1_gb_local.json is not a format-1 GB snapshot")
+	}
+	return data
+}
+
+// TestLoadsFormat1Snapshot: an upgraded daemon's store holds snapshots of the
+// format before this one, and a generation LoadEstimator refuses is
+// quarantined. The format-1 snapshot loads, answers every recorded query
+// exactly as the build that wrote it did, and saves as format 2 — 39 % of
+// the bytes here, the table's metadata included — which loads and answers
+// the same again.
+func TestLoadsFormat1Snapshot(t *testing.T) {
+	e := env(t)
+	data := format1Snapshot(t)
+	raw, err := os.ReadFile(filepath.Join("testdata", "v1_gb_local_estimates.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded []struct {
+		SQL      string  `json:"sql"`
+		Estimate float64 `json:"estimate"`
+	}
+	if err := json.Unmarshal(raw, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	if len(recorded) != 100 {
+		t.Fatalf("%d recorded estimates, want 100", len(recorded))
+	}
+	answers := func(est Estimator) {
+		t.Helper()
+		for _, r := range recorded {
+			q, err := sqlparse.Parse(r.SQL)
+			if err == nil {
+				err = exec.Bind(q, e.db)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := est.Estimate(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(r.Estimate) {
+				t.Fatalf("%s: estimate %v, the format-1 build's %v", r.SQL, got, r.Estimate)
+			}
+		}
+	}
+
+	est, kind, err := LoadEstimator(bytes.NewReader(data), e.db)
+	if err != nil || kind != KindLocal {
+		t.Fatalf("format-1 snapshot: kind %q, error %v", kind, err)
+	}
+	answers(est)
+	var v2 bytes.Buffer
+	if err := est.(*Local).SaveJSON(&v2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(v2.Bytes(), []byte(`{"format":2,`)) || bytes.Contains(v2.Bytes(), []byte(`"trees"`)) {
+		t.Fatalf("a loaded format-1 snapshot saves as %.40q…, want format 2 with packed nodes", v2.String())
+	}
+	t.Logf("format 1: %d bytes, format 2: %d bytes", len(data), v2.Len())
+	if 4*v2.Len() > 3*len(data) {
+		t.Errorf("format 2 takes %d bytes against format 1's %d, want under three quarters", v2.Len(), len(data))
+	}
+	est2, _, err := LoadEstimator(bytes.NewReader(v2.Bytes()), e.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers(est2)
+}
+
+// TestSnapshotRoundTripIsByteStable: a format-2 snapshot that is loaded and
+// saved again is the same bytes, so a model moved between stores, or
+// re-published, is recognisably the same file.
+func TestSnapshotRoundTripIsByteStable(t *testing.T) {
+	for _, factory := range []RegressorFactory{NewGBFactory(smallGB()), NewNNFactory(smallNN())} {
+		loc, err := NewLocal(env(t).db, LocalConfig{
+			QFT:          "conjunctive",
+			Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+			NewRegressor: factory,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loc.Train(env(t).train[:300]); err != nil {
+			t.Fatal(err)
+		}
+		var first, second bytes.Buffer
+		if err := loc.SaveJSON(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadLocal(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := back.SaveJSON(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%s: save → load → save changed the snapshot (%d → %d bytes)", loc.Name(), first.Len(), second.Len())
+		}
 	}
 }

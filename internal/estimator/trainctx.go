@@ -3,10 +3,13 @@ package estimator
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
 	"qfe/internal/catalog"
+	"qfe/internal/ml/gb"
+	"qfe/internal/ml/nn"
 	"qfe/internal/workload"
 )
 
@@ -27,6 +30,13 @@ type TrainOpts struct {
 	// resumes from its embedded model-level checkpoint.
 	Resume []byte
 }
+
+// ErrBadProgress reports that a Resume payload cannot be continued: it does
+// not decode, was written for another QFT or model type, or holds a finished
+// regressor of another input width, or one or a model-level checkpoint its
+// regressor refuses. The payload is
+// what is wrong, not the training set, so a fit without it can succeed.
+var ErrBadProgress = errors.New("estimator: training progress cannot be resumed")
 
 // localProgress is the serialized resumable state of Local.TrainCtx: the
 // regressors already fitted (keyed by sub-schema), plus at most one
@@ -67,11 +77,11 @@ func (l *Local) TrainCtx(ctx context.Context, train workload.Set, opts *TrainOpt
 	if opts != nil && len(opts.Resume) > 0 {
 		var saved localProgress
 		if err := json.Unmarshal(opts.Resume, &saved); err != nil {
-			return fmt.Errorf("estimator: decode training progress: %w", err)
+			return fmt.Errorf("%w: decode: %w", ErrBadProgress, err)
 		}
 		if saved.QFT != l.cfg.QFT || saved.ModelType != l.modelName {
-			return fmt.Errorf("estimator: training progress is for %s/%s, estimator is %s/%s",
-				saved.ModelType, saved.QFT, l.modelName, l.cfg.QFT)
+			return fmt.Errorf("%w: it is for %s/%s, estimator is %s/%s",
+				ErrBadProgress, saved.ModelType, saved.QFT, l.modelName, l.cfg.QFT)
 		}
 		for key, payload := range saved.Done {
 			set, ok := grouped[key]
@@ -83,7 +93,10 @@ func (l *Local) TrainCtx(ctx context.Context, train workload.Set, opts *TrainOpt
 				return err
 			}
 			if err := unmarshalRegressor(lm.reg, payload); err != nil {
-				return fmt.Errorf("estimator: restore sub-schema %q from progress: %w", key, err)
+				return fmt.Errorf("%w: restore sub-schema %q: %w", ErrBadProgress, key, err)
+			}
+			if got := regressorDim(lm.reg); got != lm.dim() {
+				return fmt.Errorf("%w: sub-schema %q model expects dim %d but featurizer produces %d", ErrBadProgress, key, got, lm.dim())
 			}
 			l.models[key] = lm
 			progress.Done[key] = payload
@@ -158,7 +171,11 @@ func (l *Local) fitOne(ctx context.Context, lm *localModel, key string, X [][]fl
 			fo.Resume = progress.CurrentCk
 		}
 	}
-	return creg.FitCtx(ctx, X, y, fo)
+	err := creg.FitCtx(ctx, X, y, fo)
+	if errors.Is(err, gb.ErrBadCheckpoint) || errors.Is(err, nn.ErrBadCheckpoint) {
+		return fmt.Errorf("%w: %w", ErrBadProgress, err)
+	}
+	return err
 }
 
 func emitProgress(p *localProgress, emit func([]byte) error) error {

@@ -78,6 +78,38 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestResumeFromFormat1Checkpoint: a checkpoint written before the flat
+// forest was the model's only form stores the arenas of the trees fit so far.
+// It decodes, packs, and resumes into the forest of an uninterrupted run,
+// node for node, on any worker count.
+func TestResumeFromFormat1Checkpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	X, y := makeRegression(rng, 600, 4)
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.NumTrees = 3, 30
+	first := cfg
+	first.NumTrees = 10
+	base, trees := fitTrees(t, X, y, first)
+	ck := format1(t, cfg, base, 4, trees)
+	for _, workers := range []int{1, 3} {
+		cfg.Workers = workers
+		baseline, err := Train(X, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := TrainCtx(context.Background(), X, y, cfg, &TrainOpts{Resume: ck})
+		if err != nil {
+			t.Fatalf("workers=%d: resume from a format-1 checkpoint: %v", workers, err)
+		}
+		if !sameForest(resumed, baseline) || resumed.Base != baseline.Base {
+			t.Fatalf("workers=%d: resumed forest differs from the uninterrupted one", workers)
+		}
+	}
+}
+
+// TestCheckpointResumeRejectsMismatch: a checkpoint this fit cannot continue
+// is refused as ErrBadCheckpoint, whatever is wrong with it — so a caller can
+// tell it from a fit that failed on its own and start over without it.
 func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	X, y := makeRegression(rng, 300, 3)
@@ -88,11 +120,40 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 
 	other := cfg
 	other.LearningRate = cfg.LearningRate / 2
-	if _, err := TrainCtx(context.Background(), X, y, other, &TrainOpts{Resume: ck}); err == nil {
-		t.Error("resume with a different Config succeeded, want error")
+	shifted := append([]float64(nil), y...)
+	shifted[0]++
+	var doc map[string]json.RawMessage
+	err := json.Unmarshal(ck, &doc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := TrainCtx(context.Background(), X, y, cfg, &TrainOpts{Resume: []byte("garbage")}); err == nil {
-		t.Error("resume from garbage succeeded, want error")
+	var roots []int32
+	if err := json.Unmarshal(doc["roots"], &roots); err != nil {
+		t.Fatal(err)
+	}
+	roots[0] = 1 // the forest no longer starts at node 0: Validate refuses it
+	if doc["roots"], err = json.Marshal(roots); err != nil {
+		t.Fatal(err)
+	}
+	misrooted, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		y    []float64
+		cfg  Config
+		ck   []byte
+	}{
+		{"another Config", y, other, ck},
+		{"other targets", shifted, cfg, ck},
+		{"garbage", y, cfg, []byte("garbage")},
+		{"a forest Validate refuses", y, cfg, misrooted},
+	} {
+		_, err := TrainCtx(context.Background(), X, tc.y, tc.cfg, &TrainOpts{Resume: tc.ck})
+		if !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("resume from %s: error %v, want ErrBadCheckpoint", tc.name, err)
+		}
 	}
 }
 

@@ -134,10 +134,11 @@ func TestTrainRefusesNonFiniteTargets(t *testing.T) {
 // not sample walk it afterwards. The sweep that was replaced — every row
 // walks every finished tree — is the oracle: after each tree the two agree
 // bit for bit, with every row sampled, nine in ten and half, on histogram and
-// exact splits. The stages driven here are the ones Train runs (same trees),
-// and a run resumed from a checkpoint, which rebuilds the predictions by
-// walking the restored trees, goes on to fit the same trees again. After
-// every tree the histograms are all back on the free list.
+// exact splits. The stages driven here are the ones Train runs (their arenas
+// pack, tree by tree, into the forest Train returns, node for node), and a
+// run resumed from a checkpoint, which rebuilds the predictions by walking
+// the restored flat forest, goes on to pack the same forest. After every tree
+// the histograms are all back on the free list.
 func TestLeafUpdatesMatchTreeWalk(t *testing.T) {
 	X, y := qftLike(rand.New(rand.NewSource(9)), 700, 23)
 	for _, exact := range []bool{false, true} {
@@ -160,6 +161,7 @@ func TestLeafUpdatesMatchTreeWalk(t *testing.T) {
 			for i := range pred {
 				pred[i], sweep[i] = m.Base, m.Base
 			}
+			var packed flatForest
 			for k := 0; k < cfg.NumTrees; k++ {
 				tr, err := b.boost(rng, y, pred, resid)
 				if err != nil {
@@ -173,7 +175,11 @@ func TestLeafUpdatesMatchTreeWalk(t *testing.T) {
 						t.Fatalf("%s: after tree %d row %d is at %v, the sweep puts it at %v", name, k+1, i, pred[i], sweep[i])
 					}
 				}
-				if !reflect.DeepEqual(tr, m.Trees[k]) {
+				if err := packed.appendTree(tr); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(packed.nodes); n > len(m.flat.nodes) || !reflect.DeepEqual(packed.nodes, m.flat.nodes[:n]) ||
+					!reflect.DeepEqual(packed.roots, m.flat.roots[:k+1]) {
 					t.Fatalf("%s: tree %d is not the one Train fit", name, k+1)
 				}
 				if len(tr.Nodes) < 3 {
@@ -187,7 +193,7 @@ func TestLeafUpdatesMatchTreeWalk(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: resume: %v", name, err)
 			}
-			if !reflect.DeepEqual(resumed.Trees, m.Trees) {
+			if !sameForest(resumed, m) {
 				t.Fatalf("%s: resumed run fit different trees", name)
 			}
 		}

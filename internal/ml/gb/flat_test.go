@@ -2,7 +2,9 @@ package gb
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -23,24 +25,69 @@ func randRegression(rng *rand.Rand, n, d int) ([][]float64, []float64) {
 	return X, y
 }
 
-// predictReference evaluates the model through the serialization-format
-// per-tree walk — the pre-flattening Predict, kept as the ground truth the
-// compiled walk is held to (and timed against in BenchmarkPredictReference).
-func (m *Model) predictReference(x []float64) float64 {
-	if len(x) != m.Dim {
-		panic(predictDimPanic(len(x), m.Dim))
+// fitTrees runs the boosting loop of Train on the arenas it grows and
+// returns them, unpacked, with the base: the per-tree form a model held
+// before the flat forest became its only representation, and what a
+// format-1 payload stores.
+func fitTrees(t testing.TB, X [][]float64, y []float64, cfg Config) (base float64, trees []*tree) {
+	t.Helper()
+	for _, v := range y {
+		base += v
 	}
-	out := m.Base
-	for _, t := range m.Trees {
-		out += m.Cfg.LearningRate * t.predict(x)
+	base /= float64(len(y))
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	b := newBuilder(X, cfg)
+	pred, resid := make([]float64, len(X)), make([]float64, len(X))
+	for i := range pred {
+		pred[i] = base
+	}
+	for k := 0; k < cfg.NumTrees; k++ {
+		tr, err := b.boost(rng, y, pred, resid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tr)
+	}
+	return base, trees
+}
+
+// format1 encodes a model as format 1 did: its arenas under "trees".
+func format1(t testing.TB, cfg Config, base float64, dim int, trees []*tree) []byte {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		Cfg   Config  `json:"cfg"`
+		Base  float64 `json:"base"`
+		Trees []*tree `json:"trees"`
+		Dim   int     `json:"dim"`
+	}{cfg, base, trees, dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// predictReference evaluates a forest through the per-tree arena walk — the
+// Predict before the flat forest, kept as the ground truth the packed walk
+// is held to (and timed against in BenchmarkPredictReference).
+func predictReference(trees []*tree, base, lr float64, x []float64) float64 {
+	out := base
+	for _, t := range trees {
+		out += lr * t.predict(x)
 	}
 	return out
 }
 
+// sameForest reports whether two models hold the same flat forest, node for
+// node.
+func sameForest(a, b *Model) bool {
+	return reflect.DeepEqual(a.flat.nodes, b.flat.nodes) && reflect.DeepEqual(a.flat.roots, b.flat.roots)
+}
+
 // TestFlatPredictBitIdentical trains randomized forests across several
-// configurations and demands the compiled flat walk reproduce the reference
-// per-tree walk bit for bit, on in-distribution and far-out-of-distribution
-// inputs alike.
+// configurations and demands the packed walk reproduce the per-tree walk of
+// the arenas the same fit grew bit for bit, on in-distribution and
+// far-out-of-distribution inputs alike; and that packing those arenas
+// afterwards gives the forest the fit packed as it went.
 func TestFlatPredictBitIdentical(t *testing.T) {
 	cfgs := []Config{
 		{NumTrees: 30, LearningRate: 0.2, MaxDepth: 5, MinSamplesLeaf: 2, MaxBins: 32, SubsampleRows: 0.8, SubsampleCols: 0.7, Seed: 1},
@@ -54,15 +101,23 @@ func TestFlatPredictBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %d: Train: %v", ci, err)
 		}
-		if m.flat == nil {
-			t.Fatalf("cfg %d: trained model has no compiled forest", ci)
+		if len(m.flat.roots) != cfg.NumTrees {
+			t.Fatalf("cfg %d: trained model holds %d trees, want %d", ci, len(m.flat.roots), cfg.NumTrees)
+		}
+		base, trees := fitTrees(t, X, y, cfg)
+		packed, err := compileForest(trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base != m.Base || !sameForest(m, &Model{flat: packed}) {
+			t.Fatalf("cfg %d: the forest Train packed tree by tree is not its arenas packed afterwards", ci)
 		}
 		for trial := 0; trial < 2000; trial++ {
 			x := make([]float64, 6)
 			for j := range x {
 				x[j] = rng.NormFloat64() * 50
 			}
-			got, want := m.Predict(x), m.predictReference(x)
+			got, want := m.Predict(x), predictReference(trees, base, cfg.LearningRate, x)
 			if got != want {
 				t.Fatalf("cfg %d trial %d: flat %v != reference %v", ci, trial, got, want)
 			}
@@ -70,8 +125,9 @@ func TestFlatPredictBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFlatSurvivesRoundTrip checks a JSON round-trip recompiles the fast
-// path and preserves bit-identity — the path every loaded snapshot takes.
+// TestFlatSurvivesRoundTrip checks a JSON round trip restores the packed
+// forest node for node and re-encodes to the same bytes — the path every
+// snapshot and checkpoint takes.
 func TestFlatSurvivesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	X, y := randRegression(rng, 200, 4)
@@ -87,8 +143,18 @@ func TestFlatSurvivesRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.flat == nil {
-		t.Fatal("decoded model has no compiled forest")
+	if err := back.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !sameForest(&back, m) {
+		t.Fatal("decoded forest differs from the encoded one")
+	}
+	again, err := json.Marshal(&back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(data) {
+		t.Fatal("re-encoding a decoded model changed its bytes")
 	}
 	for trial := 0; trial < 500; trial++ {
 		x := make([]float64, 4)
@@ -101,15 +167,20 @@ func TestFlatSurvivesRoundTrip(t *testing.T) {
 	}
 }
 
-// handBuilt is a one-split model assembled without Train or a decoder.
-func handBuilt(nodes ...node) *Model {
-	return &Model{Cfg: Config{LearningRate: 0.5}, Base: 1, Dim: 1, Trees: []*tree{{Nodes: nodes}}}
+// handBuilt is a one-tree model packed from an arena, without Train.
+func handBuilt(t *testing.T, nodes ...node) *Model {
+	t.Helper()
+	f, err := compileForest([]*tree{{Nodes: nodes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Model{Cfg: Config{LearningRate: 0.5}, Base: 1, Dim: 1, flat: f}
 }
 
-// TestCompileHandBuilt: Validate compiles a model nothing has compiled yet,
-// and the compiled form walks the tree it was given.
+// TestCompileHandBuilt: a packed arena validates and walks the tree it was
+// given.
 func TestCompileHandBuilt(t *testing.T) {
-	m := handBuilt(
+	m := handBuilt(t,
 		node{Feature: 0, Threshold: 0, Left: 1, Right: 2},
 		node{Leaf: true, Value: -2},
 		node{Leaf: true, Value: 4},
@@ -128,44 +199,59 @@ func TestCompileHandBuilt(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsUnfit: a forest the compiler cannot lay out is an error
-// that names the tree, from compileForest and — for the one shape Validate's
-// per-node checks accept, two parents claiming one child with child ids in
-// range and ascending — from Validate too. There is no other interpreter to
-// hand such a forest to.
+// TestCompileRejectsUnfit: arenas the packer cannot lay out are an error
+// that names the tree, from compileForest and from decoding a format-1
+// payload — including the one shape that is in range node by node, two
+// parents claiming one child. Packing only what the root reaches drops an
+// unreferenced node instead of leaving a hole.
 func TestCompileRejectsUnfit(t *testing.T) {
 	for name, trees := range map[string][]*tree{
-		"nil trees":  nil,
 		"nil tree":   {nil},
 		"empty tree": {{}},
 	} {
-		if f, err := compileForest(trees); err == nil || f != nil {
+		if f, err := compileForest(trees); err == nil || f.nodes != nil || f.roots != nil {
 			t.Errorf("%s compiled (err %v)", name, err)
 		}
 	}
-	shared := handBuilt(
-		node{Feature: 0, Threshold: 0, Left: 1, Right: 2},
-		node{Feature: 0, Threshold: -5, Left: 3, Right: 4},
-		node{Feature: 0, Threshold: 5, Left: 4, Right: 5},
-		node{Leaf: true, Value: 1},
-		node{Leaf: true, Value: 2},
-		node{Leaf: true, Value: 3},
-	)
-	shared.Trees = append([]*tree{{Nodes: []node{{Leaf: true, Value: 7}}}}, shared.Trees...)
-	err := shared.Validate()
+	leaf := &tree{Nodes: []node{{Leaf: true, Value: 7}}}
+	shared := []*tree{leaf, {Nodes: []node{
+		{Feature: 0, Threshold: 0, Left: 1, Right: 2},
+		{Feature: 0, Threshold: -5, Left: 3, Right: 4},
+		{Feature: 0, Threshold: 5, Left: 4, Right: 5},
+		{Leaf: true, Value: 1},
+		{Leaf: true, Value: 2},
+		{Leaf: true, Value: 3},
+	}}}
+	_, err := compileForest(shared)
 	if err == nil || !strings.Contains(err.Error(), "tree 1 node 2") {
-		t.Fatalf("Validate on a shared child = %v, want an error naming tree 1 node 2", err)
-	}
-	data, jerr := json.Marshal(shared)
-	if jerr != nil {
-		t.Fatal(jerr)
+		t.Fatalf("compileForest on a shared child = %v, want an error naming tree 1 node 2", err)
 	}
 	var back Model
-	if jerr := json.Unmarshal(data, &back); jerr != nil {
-		t.Fatalf("decode must leave the verdict to Validate, got %v", jerr)
+	if got := json.Unmarshal(format1(t, Config{LearningRate: 0.1}, 1, 1, shared), &back); got == nil || got.Error() != err.Error() {
+		t.Errorf("decoding it: %v, want %v", got, err)
 	}
-	if got := back.Validate(); got == nil || got.Error() != err.Error() {
-		t.Errorf("decoded model: Validate = %v, want %v", got, err)
+
+	var f flatForest
+	if err := f.appendTree(leaf); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.appendTree(shared[1]); err == nil || len(f.nodes) != 1 || len(f.roots) != 1 {
+		t.Errorf("a refused tree left %d nodes and %d roots (err %v), want the forest as it was", len(f.nodes), len(f.roots), err)
+	}
+	unreached := &tree{Nodes: []node{
+		{Feature: 0, Threshold: 0, Left: 2, Right: 3},
+		{Leaf: true, Value: 9}, // no edge points here
+		{Leaf: true, Value: 1},
+		{Leaf: true, Value: 2},
+	}}
+	if err := f.appendTree(unreached); err != nil {
+		t.Fatal(err)
+	}
+	if want := []flatNode{{thr: 7, feat: -1}, {left: 2}, {thr: 1, feat: -1}, {thr: 2, feat: -1}}; !reflect.DeepEqual(f.nodes, want) {
+		t.Errorf("packed %+v, want %+v", f.nodes, want)
+	}
+	if err := f.validate(1); err != nil {
+		t.Errorf("the packed forest does not validate: %v", err)
 	}
 }
 
@@ -183,5 +269,104 @@ func TestPredictZeroAllocs(t *testing.T) {
 		m.Predict(x)
 	}); allocs != 0 {
 		t.Errorf("Predict allocs/op = %v, want 0", allocs)
+	}
+}
+
+// TestDecodeRefusesUnpackableNodes: a payload whose node arrays cannot be one
+// node each, or that carries both formats, is a decode error; the rest of
+// what a payload can get wrong is Validate's.
+func TestDecodeRefusesUnpackableNodes(t *testing.T) {
+	for name, payload := range map[string]string{
+		"short thr":    `{"dim":1,"roots":[0],"feat":[0,-1,-1],"thr":[0,1],"left":[1,0,0]}`,
+		"long left":    `{"dim":1,"roots":[0],"feat":[-1],"thr":[1],"left":[0,0]}`,
+		"both formats": `{"dim":1,"roots":[0],"feat":[-1],"thr":[1],"left":[0],"trees":[{"nodes":[{"leaf":true,"v":1}]}]}`,
+	} {
+		var m Model
+		if err := json.Unmarshal([]byte(payload), &m); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	var m Model
+	if err := json.Unmarshal([]byte(`{"dim":1,"roots":[0],"feat":[0],"thr":[1],"left":[1]}`), &m); err != nil {
+		t.Fatalf("a payload only Validate can refuse: %v", err)
+	}
+	if err := m.Validate(); err == nil {
+		t.Error("a node whose children lie past the last node validated")
+	}
+}
+
+// TestValidatedForestsWalkSafely is the mutation test of Validate's claim:
+// whatever forest it accepts, Predict walks without panicking, and each tree
+// is left within its block's size of steps (counted here by a walk of the
+// test's own). Mutants of a trained model get one to three edits — a node's
+// feature, threshold or left child, a root, the input width — drawn mostly
+// at and around the edges Validate checks, so both verdicts are common.
+func TestValidatedForestsWalkSafely(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	X, y := randRegression(rng, 300, 4)
+	m, err := Train(X, y, Config{NumTrees: 12, LearningRate: 0.2, MaxDepth: 4, MinSamplesLeaf: 2, MaxBins: 16, SubsampleRows: 1, SubsampleCols: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := func(vals ...int) int { return vals[rng.Intn(len(vals))] }
+	accepted, refused := 0, 0
+	for trial := 0; trial < 20_000; trial++ {
+		mut := *m
+		mut.flat = flatForest{nodes: append([]flatNode(nil), m.flat.nodes...), roots: append([]int32(nil), m.flat.roots...)}
+		f := &mut.flat
+		for e := 0; e <= rng.Intn(3); e++ {
+			j := rng.Intn(len(f.nodes))
+			switch rng.Intn(5) {
+			case 0:
+				f.nodes[j].feat = int32(pick(-2, -1, 0, m.Dim-1, m.Dim, rng.Intn(m.Dim)))
+			case 1:
+				f.nodes[j].thr = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, rng.NormFloat64() * 10}[rng.Intn(5)]
+			case 2:
+				f.nodes[j].left = int32(pick(j-1, j, j+1, j+2, len(f.nodes)-2, len(f.nodes)-1, rng.Intn(len(f.nodes))))
+			case 3:
+				r := rng.Intn(len(f.roots))
+				f.roots[r] = int32(pick(int(f.roots[r])-1, int(f.roots[r])+1, len(f.nodes), rng.Intn(len(f.nodes))))
+			case 4:
+				mut.Dim = pick(0, 1, 3, m.Dim+1)
+			}
+		}
+		if mut.Validate() != nil {
+			refused++
+			continue
+		}
+		accepted++
+		x := make([]float64, mut.Dim)
+		for i := range x {
+			x[i] = rng.NormFloat64() * 20
+		}
+		for ti, lo := range f.roots {
+			hi := len(f.nodes)
+			if ti+1 < len(f.roots) {
+				hi = int(f.roots[ti+1])
+			}
+			steps := 0
+			for j := int(lo); f.nodes[j].feat >= 0; steps++ {
+				if steps >= hi-int(lo) {
+					t.Fatalf("trial %d: tree %d is still walking after %d steps, its block's size", trial, ti, steps)
+				}
+				n := f.nodes[j]
+				j = int(n.left) + 1
+				if x[n.feat] <= n.thr {
+					j = int(n.left)
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("trial %d: Predict on a validated forest panicked: %v", trial, r)
+				}
+			}()
+			mut.Predict(x)
+		}()
+	}
+	t.Logf("%d mutants validated and walked, %d refused", accepted, refused)
+	if accepted < 2000 || refused < 2000 {
+		t.Fatalf("%d mutants validated and %d were refused: want both verdicts common", accepted, refused)
 	}
 }

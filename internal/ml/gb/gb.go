@@ -32,6 +32,11 @@ import (
 // either errors.Is(err, ErrCanceled) or errors.Is(err, context.Canceled).
 var ErrCanceled = errors.New("gb: training canceled")
 
+// ErrBadCheckpoint reports that a Resume payload cannot be continued: it does
+// not decode, holds a model Validate refuses, or was taken under another
+// Config, input width or target set. A fit without it can still succeed.
+var ErrBadCheckpoint = errors.New("gb: checkpoint cannot be resumed")
+
 // TrainOpts carries the optional checkpointing hooks of TrainCtx. The zero
 // value (or a nil pointer) trains without checkpoints.
 type TrainOpts struct {
@@ -129,49 +134,15 @@ func (c Config) validate(n, d int) error {
 // number every histogram cell — at most 255 per feature — in a uint32.
 const maxFeatures = math.MaxUint32 / 256
 
-// node is one regression-tree node. Leaves carry Value; internal nodes send
-// x[Feature] <= Threshold left.
-type node struct {
-	Feature   int     `json:"f"`
-	Threshold float64 `json:"t"`
-	Left      int32   `json:"l"`
-	Right     int32   `json:"r"`
-	Leaf      bool    `json:"leaf"`
-	Value     float64 `json:"v"`
-}
-
-// tree is a regression tree stored as a node arena rooted at index 0.
-type tree struct {
-	Nodes []node `json:"nodes"`
-}
-
-func (t *tree) predict(x []float64) float64 {
-	i := int32(0)
-	for {
-		n := &t.Nodes[i]
-		if n.Leaf {
-			return n.Value
-		}
-		if x[n.Feature] <= n.Threshold {
-			i = n.Left
-		} else {
-			i = n.Right
-		}
-	}
-}
-
-// Model is a trained gradient-boosting regressor.
+// Model is a trained gradient-boosting regressor: a constant plus its trees,
+// packed into one flat forest (flat.go) — the form Predict walks, snapshots
+// and checkpoints store, and the only one a model holds after its fit.
 type Model struct {
-	Cfg   Config  `json:"cfg"`
-	Base  float64 `json:"base"` // the constant c of Equation 5
-	Trees []*tree `json:"trees"`
-	Dim   int     `json:"dim"`
+	Cfg  Config
+	Base float64 // the constant c of Equation 5
+	Dim  int
 
-	// flat is the compiled form of Trees — one packed 16-byte node per tree
-	// node, all trees in one array (see flat.go) — derived at train/decode
-	// time and never serialized. It is what Predict walks; nil only on a
-	// decoded model that Validate rejects.
-	flat *flatForest
+	flat flatForest
 }
 
 // Train fits a gradient-boosting model on X (row-major samples) and targets
@@ -227,7 +198,7 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 	if opts != nil && len(opts.Resume) > 0 {
 		var ck Model
 		if err := json.Unmarshal(opts.Resume, &ck); err != nil {
-			return nil, fmt.Errorf("gb: decode checkpoint: %w", err)
+			return nil, fmt.Errorf("%w: decode: %w", ErrBadCheckpoint, err)
 		}
 		// Workers is not compared: it changes how fast a model is fit, not
 		// which one, so a job restarted on a different core count resumes.
@@ -235,27 +206,29 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 		ckCfg.Workers = cfg.Workers
 		switch {
 		case ckCfg != cfg:
-			return nil, fmt.Errorf("gb: checkpoint config %+v does not match %+v", ck.Cfg, cfg)
+			return nil, fmt.Errorf("%w: config %+v does not match %+v", ErrBadCheckpoint, ck.Cfg, cfg)
 		case ck.Dim != d:
-			return nil, fmt.Errorf("gb: checkpoint dim %d, training data has %d", ck.Dim, d)
-		case len(ck.Trees) > cfg.NumTrees:
-			return nil, fmt.Errorf("gb: checkpoint has %d trees, config wants %d", len(ck.Trees), cfg.NumTrees)
+			return nil, fmt.Errorf("%w: dim %d, training data has %d", ErrBadCheckpoint, ck.Dim, d)
+		case ck.Base != m.Base:
+			return nil, fmt.Errorf("%w: base %v, the training targets' mean is %v", ErrBadCheckpoint, ck.Base, m.Base)
+		case len(ck.flat.roots) > cfg.NumTrees:
+			return nil, fmt.Errorf("%w: %d trees, config wants %d", ErrBadCheckpoint, len(ck.flat.roots), cfg.NumTrees)
 		}
-		m.Trees = ck.Trees
-		startTree = len(ck.Trees)
+		if err := ck.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
+		}
+		m.flat = ck.flat
+		startTree = len(m.flat.roots)
 		// Replay the subsampling draws the completed trees consumed, so the
 		// remaining trees see the exact RNG stream they would have seen.
 		for t := 0; t < startTree; t++ {
 			b.draw(rng)
 		}
-		// Rebuild the running predictions from the restored ensemble.
+		// Rebuild the running predictions from the restored forest: the walk
+		// adds lr·leaf to Base tree by tree, as the fit did.
 		parallel.DoChunks(n, b.workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				p := m.Base
-				for _, tr := range m.Trees {
-					p += cfg.LearningRate * tr.predict(X[i])
-				}
-				pred[i] = p
+				pred[i] = m.flat.predict(X[i], m.Base, cfg.LearningRate)
 			}
 		})
 	}
@@ -268,7 +241,9 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 		if err != nil {
 			return nil, fmt.Errorf("gb: tree %d: %w", t+1, err)
 		}
-		m.Trees = append(m.Trees, tr)
+		if err := m.flat.appendTree(tr); err != nil {
+			return nil, err
+		}
 		if opts != nil && opts.OnCheckpoint != nil && opts.CheckpointEvery > 0 &&
 			(t+1)%opts.CheckpointEvery == 0 && t+1 < cfg.NumTrees {
 			payload, err := json.Marshal(m)
@@ -280,16 +255,14 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 			}
 		}
 	}
-	// Only a resumed checkpoint can carry trees the compiler refuses.
-	if err := m.compile(); err != nil {
-		return nil, err
-	}
+	m.flat.trim()
 	return m, nil
 }
 
 // boost fits the next tree of the ensemble to the residuals of pred, on the
 // rows and columns it draws, and advances pred by it: the leaves do so for
-// the rows the tree is grown on, the others walk the tree.
+// the rows the tree is grown on, the others walk the tree. The tree is an
+// arena the caller packs onto the forest and drops.
 func (b *builder) boost(rng *rand.Rand, y, pred, resid []float64) (*tree, error) {
 	if err := residuals(resid, y, pred); err != nil {
 		return nil, err
@@ -345,9 +318,8 @@ func predictDimPanic(got, want int) string {
 }
 
 // Predict returns the model output for one feature vector by walking the
-// compiled flat layout, without allocating. The model must come from
-// Train/TrainCtx, or from UnmarshalJSON followed by a Validate that returned
-// nil.
+// flat forest, without allocating. The model must come from Train/TrainCtx,
+// or from UnmarshalJSON followed by a Validate that returned nil.
 func (m *Model) Predict(x []float64) float64 {
 	if len(x) != m.Dim {
 		panic(predictDimPanic(len(x), m.Dim))
@@ -357,87 +329,29 @@ func (m *Model) Predict(x []float64) float64 {
 
 // NumNodes returns the total node count over all trees.
 func (m *Model) NumNodes() int {
-	total := 0
-	for _, t := range m.Trees {
-		total += len(t.Nodes)
-	}
-	return total
+	return len(m.flat.nodes)
 }
 
 // MemoryBytes reports the model's resident inference size — the Section 5.7
-// accounting that finds GB the smallest estimator. It measures the compiled
-// flat layout that Predict walks (per node: threshold or leaf value, feature
-// id, left child; plus per-tree root offsets).
+// accounting that finds GB the smallest estimator: the flat forest (per node:
+// threshold or leaf value, feature id, left child; plus per-tree root
+// offsets), which is all a trained model holds, plus its scalars.
 func (m *Model) MemoryBytes() int {
 	return m.flat.memoryBytes() + 16
 }
 
-// MarshalJSON / model persistence: models serialize to plain JSON so that
-// trained estimators can be shipped next to the data they describe.
-func (m *Model) MarshalJSON() ([]byte, error) {
-	type alias Model
-	return json.Marshal((*alias)(m))
-}
-
-// UnmarshalJSON restores a serialized model and recompiles its flat forest
-// (derived state, never part of the wire format). Trees the compiler refuses
-// decode without error and without a flat form; Validate, which every loader
-// must call before Predict, says what is wrong with them.
-func (m *Model) UnmarshalJSON(data []byte) error {
-	type alias Model
-	if err := json.Unmarshal(data, (*alias)(m)); err != nil {
-		return err
-	}
-	_ = m.compile() // reported by Validate, after its more specific checks
-	return nil
-}
-
-// Validate checks the structural invariants a deserialized model must hold
-// before Predict may run on it. The builder appends children after their
-// parent, so every child index must exceed its parent's; what those local
-// checks cannot see — two nodes claiming one child — the forest compiler
-// does (Validate runs it if nothing has compiled the model yet), so a model
-// that passes has a flat form that walks exactly its Trees, and Predict
-// terminates and never indexes out of bounds, even on hand-edited or
-// corrupted files.
+// Validate checks the invariants a deserialized model must hold before
+// Predict may run on it: a positive input width, a finite base, and a flat
+// forest whose walk terminates and never indexes out of bounds (see
+// flatForest.validate), even on hand-edited or corrupted files.
 func (m *Model) Validate() error {
 	if m.Dim < 1 {
 		return fmt.Errorf("gb: model dim %d, want >= 1", m.Dim)
 	}
-	if len(m.Trees) == 0 {
-		return fmt.Errorf("gb: model has no trees")
-	}
 	if math.IsNaN(m.Base) || math.IsInf(m.Base, 0) {
 		return fmt.Errorf("gb: base prediction %v is not finite", m.Base)
 	}
-	for ti, t := range m.Trees {
-		if t == nil || len(t.Nodes) == 0 {
-			return fmt.Errorf("gb: tree %d is empty", ti)
-		}
-		for ni, n := range t.Nodes {
-			if n.Leaf {
-				if math.IsNaN(n.Value) || math.IsInf(n.Value, 0) {
-					return fmt.Errorf("gb: tree %d node %d: leaf value %v is not finite", ti, ni, n.Value)
-				}
-				continue
-			}
-			if n.Feature < 0 || n.Feature >= m.Dim {
-				return fmt.Errorf("gb: tree %d node %d: feature %d out of range [0, %d)", ti, ni, n.Feature, m.Dim)
-			}
-			if math.IsNaN(n.Threshold) {
-				return fmt.Errorf("gb: tree %d node %d: NaN threshold", ti, ni)
-			}
-			for _, child := range []int32{n.Left, n.Right} {
-				if child <= int32(ni) || int(child) >= len(t.Nodes) {
-					return fmt.Errorf("gb: tree %d node %d: child index %d out of range (%d, %d)", ti, ni, child, ni, len(t.Nodes))
-				}
-			}
-		}
-	}
-	if m.flat == nil {
-		return m.compile()
-	}
-	return nil
+	return m.flat.validate(m.Dim)
 }
 
 // sampleInts draws k distinct ints from [0, n) via partial Fisher-Yates,

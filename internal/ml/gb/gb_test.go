@@ -370,26 +370,37 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("trained model fails validation: %v", err)
 	}
 
-	leaf := func(v float64) *tree { return &tree{Nodes: []node{{Leaf: true, Value: v}}} }
+	// forest is a model over a hand-packed flat forest: roots, then nodes.
+	forest := func(dim int, base float64, roots []int32, nodes ...flatNode) Model {
+		return Model{Dim: dim, Base: base, flat: flatForest{nodes: nodes, roots: roots}}
+	}
+	leaf := func(v float64) flatNode { return flatNode{thr: v, feat: -1} }
+	split := func(feat int32, thr float64, left int32) flatNode { return flatNode{thr: thr, feat: feat, left: left} }
+	zero := []int32{0}
+	if good := forest(1, 1, []int32{0, 3}, split(0, 0, 1), leaf(1), leaf(2), leaf(3)); good.Validate() != nil {
+		t.Fatalf("a hand-packed forest fails validation: %v", good.Validate())
+	}
 	bad := []struct {
 		name string
 		m    Model
 	}{
-		{"zero dim", Model{Dim: 0, Trees: []*tree{leaf(1)}}},
-		{"no trees", Model{Dim: 1}},
-		{"nil tree", Model{Dim: 1, Trees: []*tree{nil}}},
-		{"empty tree", Model{Dim: 1, Trees: []*tree{{}}}},
-		{"nan base", Model{Dim: 1, Base: math.NaN(), Trees: []*tree{leaf(1)}}},
-		{"nan leaf", Model{Dim: 1, Trees: []*tree{leaf(math.NaN())}}},
-		{"inf leaf", Model{Dim: 1, Trees: []*tree{leaf(math.Inf(1))}}},
-		{"nan threshold", Model{Dim: 1, Trees: []*tree{{Nodes: []node{
-			{Feature: 0, Threshold: math.NaN(), Left: 1, Right: 2}, {Leaf: true}, {Leaf: true}}}}}},
-		{"feature out of range", Model{Dim: 1, Trees: []*tree{{Nodes: []node{
-			{Feature: 3, Threshold: 0, Left: 1, Right: 2}, {Leaf: true}, {Leaf: true}}}}}},
-		{"child before parent", Model{Dim: 1, Trees: []*tree{{Nodes: []node{
-			{Leaf: true}, {Feature: 0, Left: 0, Right: 2}, {Leaf: true}}}}}},
-		{"child out of range", Model{Dim: 1, Trees: []*tree{{Nodes: []node{
-			{Feature: 0, Left: 1, Right: 5}, {Leaf: true}}}}}},
+		{"zero dim", forest(0, 0, zero, leaf(1))},
+		{"no trees", forest(1, 0, nil)},
+		{"nan base", forest(1, math.NaN(), zero, leaf(1))},
+		{"nan leaf", forest(1, 0, zero, leaf(math.NaN()))},
+		{"inf leaf", forest(1, 0, zero, leaf(math.Inf(1)))},
+		{"nan threshold", forest(1, 0, zero, split(0, math.NaN(), 1), leaf(0), leaf(0))},
+		{"feature out of range", forest(1, 0, zero, split(3, 0, 1), leaf(0), leaf(0))},
+		{"feature below the leaf mark", forest(1, 0, zero, split(-2, 0, 1), leaf(0), leaf(0))},
+		{"child before parent", forest(1, 0, zero, leaf(0), split(0, 0, 0), leaf(0))},
+		{"child is its parent", forest(1, 0, zero, split(0, 0, 0), leaf(0))},
+		{"child out of range", forest(1, 0, zero, split(0, 0, 5), leaf(0))},
+		{"right child past the end", forest(1, 0, zero, split(0, 0, 1), leaf(0))},
+		{"child in the next tree", forest(1, 0, []int32{0, 2}, split(0, 0, 1), leaf(0), leaf(0))},
+		{"first root not 0", forest(1, 0, []int32{1}, leaf(0), leaf(0))},
+		{"roots repeat", forest(1, 0, []int32{0, 1, 1}, leaf(0), leaf(0))},
+		{"roots descend", forest(1, 0, []int32{0, 2, 1}, leaf(0), leaf(0), leaf(0))},
+		{"root past the last node", forest(1, 0, []int32{0, 1}, leaf(0))},
 	}
 	for _, b := range bad {
 		if err := b.m.Validate(); err == nil {

@@ -165,7 +165,9 @@ func oracleTrain(X [][]float64, y []float64, cfg Config) *Model {
 		}
 		tr := &tree{}
 		b.grow(tr, rows, cols, resid, 1)
-		m.Trees = append(m.Trees, tr)
+		if err := m.flat.appendTree(tr); err != nil {
+			panic(err)
+		}
 		for i := range pred {
 			pred[i] += cfg.LearningRate * tr.predict(X[i])
 		}

@@ -11,7 +11,7 @@ import (
 // and the layouts' cache behavior — not a warmed-up single path — is what's
 // being compared.
 
-func predictBenchModel(b *testing.B) (*Model, [][]float64) {
+func predictBenchModel(b *testing.B) (*Model, [][]float64, []float64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	X, y := randRegression(rng, 2000, 200)
@@ -21,11 +21,11 @@ func predictBenchModel(b *testing.B) (*Model, [][]float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return m, X
+	return m, X, y
 }
 
 func BenchmarkPredictFlat(b *testing.B) {
-	m, X := predictBenchModel(b)
+	m, X, _ := predictBenchModel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,10 +34,11 @@ func BenchmarkPredictFlat(b *testing.B) {
 }
 
 func BenchmarkPredictReference(b *testing.B) {
-	m, X := predictBenchModel(b)
+	m, X, y := predictBenchModel(b)
+	base, trees := fitTrees(b, X, y, m.Cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.predictReference(X[i%len(X)])
+		predictReference(trees, base, m.Cfg.LearningRate, X[i%len(X)])
 	}
 }

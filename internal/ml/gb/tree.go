@@ -7,6 +7,40 @@ import (
 	"qfe/internal/parallel"
 )
 
+// node is one node of a tree being grown. Leaves carry Value; internal nodes
+// send x[Feature] <= Threshold left. The JSON tags are format 1's, which
+// stored these arenas (flat.go decodes it).
+type node struct {
+	Feature   int     `json:"f"`
+	Threshold float64 `json:"t"`
+	Left      int32   `json:"l"`
+	Right     int32   `json:"r"`
+	Leaf      bool    `json:"leaf"`
+	Value     float64 `json:"v"`
+}
+
+// tree is the fit's working arena for one regression tree, rooted at index
+// 0: grow appends to it, boost walks it for the rows the tree was not grown
+// on, and TrainCtx packs it onto the flat forest and drops it.
+type tree struct {
+	Nodes []node `json:"nodes"`
+}
+
+func (t *tree) predict(x []float64) float64 {
+	i := int32(0)
+	for {
+		n := &t.Nodes[i]
+		if n.Leaf {
+			return n.Value
+		}
+		if x[n.Feature] <= n.Threshold {
+			i = n.Left
+		} else {
+			i = n.Right
+		}
+	}
+}
+
 // builder holds the per-training-run state shared by all trees: the binned
 // features in the sparse form split search walks, the buffers a tree is grown
 // in, and the resolved worker count.

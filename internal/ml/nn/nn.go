@@ -27,6 +27,11 @@ import (
 // returned error also wraps the context's own error.
 var ErrCanceled = errors.New("nn: training canceled")
 
+// ErrBadCheckpoint reports that a Resume payload cannot be continued: it does
+// not decode, or was taken under another Config, input width or layer stack.
+// A fit without it can still succeed.
+var ErrBadCheckpoint = errors.New("nn: checkpoint cannot be resumed")
+
 // TrainOpts carries the optional checkpointing hooks of TrainCtx. The zero
 // value (or a nil pointer) trains without checkpoints.
 type TrainOpts struct {
@@ -208,21 +213,21 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 	if opts != nil && len(opts.Resume) > 0 {
 		var ck checkpoint
 		if err := json.Unmarshal(opts.Resume, &ck); err != nil {
-			return nil, fmt.Errorf("nn: decode checkpoint: %w", err)
+			return nil, fmt.Errorf("%w: decode: %w", ErrBadCheckpoint, err)
 		}
 		switch {
 		case !cfgEqual(ck.Cfg, cfg):
-			return nil, fmt.Errorf("nn: checkpoint config %+v does not match %+v", ck.Cfg, cfg)
+			return nil, fmt.Errorf("%w: config %+v does not match %+v", ErrBadCheckpoint, ck.Cfg, cfg)
 		case ck.Dim != d:
-			return nil, fmt.Errorf("nn: checkpoint dim %d, training data has %d", ck.Dim, d)
+			return nil, fmt.Errorf("%w: dim %d, training data has %d", ErrBadCheckpoint, ck.Dim, d)
 		case len(ck.Layers) != len(m.layers):
-			return nil, fmt.Errorf("nn: checkpoint has %d layers, model has %d", len(ck.Layers), len(m.layers))
+			return nil, fmt.Errorf("%w: %d layers, model has %d", ErrBadCheckpoint, len(ck.Layers), len(m.layers))
 		case ck.Epoch < 0 || ck.Epoch > cfg.Epochs:
-			return nil, fmt.Errorf("nn: checkpoint epoch %d out of range [0, %d]", ck.Epoch, cfg.Epochs)
+			return nil, fmt.Errorf("%w: epoch %d out of range [0, %d]", ErrBadCheckpoint, ck.Epoch, cfg.Epochs)
 		}
 		for li, l := range m.layers {
 			if err := l.SetState(ck.Layers[li]); err != nil {
-				return nil, fmt.Errorf("nn: checkpoint layer %d: %w", li, err)
+				return nil, fmt.Errorf("%w: layer %d: %w", ErrBadCheckpoint, li, err)
 			}
 		}
 		startEpoch = ck.Epoch

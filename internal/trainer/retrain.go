@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
@@ -209,12 +210,13 @@ func (r *Retrainer) label(ctx context.Context, ck *jobCheckpoint) (labels []int6
 }
 
 // train fits a fresh estimator over the labeled workload, checkpointing
-// through the estimator's resumable-progress hook.
+// through the estimator's resumable-progress hook. Fit progress the
+// estimator cannot resume (estimator.ErrBadProgress: written under another
+// -qft or -model on the same store, undecodable, or a model that fails
+// validation) would fail every attempt the same way until the Controller
+// quarantined the retrain, so it is dropped and the fit starts over in the
+// same attempt, on the checkpoint's labels, which are still good.
 func (r *Retrainer) train(ctx context.Context, ck *jobCheckpoint, labels []int64) (*estimator.Local, error) {
-	loc, err := r.cfg.NewEstimator()
-	if err != nil {
-		return nil, fmt.Errorf("trainer: build estimator: %w", err)
-	}
 	set := make(workload.Set, len(r.cfg.Queries))
 	for i, q := range r.cfg.Queries {
 		set[i] = workload.Labeled{Query: q, Card: labels[i]}
@@ -227,6 +229,21 @@ func (r *Retrainer) train(ctx context.Context, ck *jobCheckpoint, labels []int64
 	}
 	if ck.Phase == phaseTrain && len(ck.Train) > 0 {
 		opts.Resume = ck.Train
+	}
+	loc, err := r.fit(ctx, set, opts)
+	if errors.Is(err, estimator.ErrBadProgress) {
+		log.Printf("trainer: refitting from the labels without the training checkpoint: %v", err)
+		opts.Resume = nil
+		loc, err = r.fit(ctx, set, opts)
+	}
+	return loc, err
+}
+
+// fit trains one fresh estimator.
+func (r *Retrainer) fit(ctx context.Context, set workload.Set, opts *estimator.TrainOpts) (*estimator.Local, error) {
+	loc, err := r.cfg.NewEstimator()
+	if err != nil {
+		return nil, fmt.Errorf("trainer: build estimator: %w", err)
 	}
 	if err := loc.TrainCtx(ctx, set, opts); err != nil {
 		return nil, fmt.Errorf("trainer: fit: %w", err)

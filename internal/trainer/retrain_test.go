@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/ml/gb"
@@ -214,4 +215,111 @@ func TestRetrainLabelsFromJournaledActuals(t *testing.T) {
 		t.Fatalf("resumed labeling: %d journal labels from lookups %v, error %v; want %d from queries %d..%d", hits, asked, err, (n-done)/2, done, n-1)
 	}
 	checkLabels(labels, done)
+}
+
+// TestRetrainRefitsOverUnresumableProgress: a train-phase checkpoint whose fit
+// progress the estimator cannot continue — written under another -qft or
+// another model config on the same -store, no longer decodable, or holding a
+// model that fails validation or reads another input width — used to fail every attempt the same way, because it is cleared only by a
+// publish, until the Controller quarantined the retrain. The attempt now
+// drops the progress, refits on the checkpoint's labels (nothing is labeled
+// again) and publishes.
+func TestRetrainRefitsOverUnresumableProgress(t *testing.T) {
+	env := buildChaosEnv(t)
+	qs := make([]*sqlparse.Query, len(env.train))
+	for i := range env.train {
+		qs[i] = env.train[i].Query
+	}
+	lookups := 0
+	retrainer := func(ck *memCheckpointer, qft string, trees int) (*Retrainer, *serve.Registry) {
+		t.Helper()
+		reg := serve.NewRegistry()
+		lc, err := serve.NewLifecycle(serve.LifecycleConfig{
+			Registry: reg,
+			DB:       env.db,
+			Canary:   serve.CanaryConfig{Workload: env.test, MaxMedian: 100, MaxP95: 1e5},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := gb.DefaultConfig()
+		cfg.NumTrees, cfg.MaxDepth, cfg.Seed = trees, 5, 1
+		ret, err := NewRetrainer(RetrainConfig{
+			DB:      env.db,
+			Queries: qs,
+			NewEstimator: func() (*estimator.Local, error) {
+				return estimator.NewLocal(env.db, estimator.LocalConfig{
+					QFT:          qft,
+					Opts:         core.Options{MaxEntriesPerAttr: 24, AttrSel: true},
+					NewRegressor: estimator.NewGBFactory(cfg),
+				})
+			},
+			Lifecycle:       lc,
+			Checkpoint:      ck,
+			CheckpointEvery: 5,
+			ActualLookup:    func(*sqlparse.Query) (int64, bool) { lookups++; return 0, false },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ret, reg
+	}
+
+	// A conjunctive fit whose second mid-fit save fails leaves its first.
+	ck := &memCheckpointer{saves: 1}
+	ret, _ := retrainer(ck, "conjunctive", 40)
+	if _, err := ret.Run(context.Background()); !errors.Is(err, errDiskFull) {
+		t.Fatalf("first attempt: error %v, want the failed checkpoint save", err)
+	}
+	var saved jobCheckpoint
+	if err := json.Unmarshal(ck.payload, &saved); err != nil || saved.Phase != phaseTrain || len(saved.Train) == 0 {
+		t.Fatalf("checkpoint phase %q with %d bytes of fit progress (decode error %v), want a mid-fit one", saved.Phase, len(saved.Train), err)
+	}
+	finished := func(model string) []byte {
+		t.Helper()
+		progress, err := json.Marshal(map[string]any{
+			"qft": "conjunctive", "modelType": "GB",
+			"done": map[string]json.RawMessage{catalog.SubSchemaKey([]string{"forest"}): json.RawMessage(model)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return progress
+	}
+
+	for _, tc := range []struct {
+		name, qft string
+		trees     int
+		train     []byte
+	}{
+		{"written under another QFT", "range", 40, saved.Train},
+		{"written under another GB config", "conjunctive", 30, saved.Train},
+		{"undecodable", "conjunctive", 40, []byte("{not json")},
+		{"holding a model that fails validation", "conjunctive", 40,
+			finished(`{"cfg":{},"base":1,"dim":3,"roots":[0],"feat":[9],"thr":[0.5],"left":[1]}`)},
+		{"holding a model of another input width", "conjunctive", 40,
+			finished(`{"cfg":{},"base":1,"dim":3,"roots":[0],"feat":[-1],"thr":[0.5],"left":[0]}`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload, err := json.Marshal(jobCheckpoint{Phase: phaseTrain, Labels: saved.Labels, Train: tc.train})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck := &memCheckpointer{payload: payload, saves: -1}
+			ret, reg := retrainer(ck, tc.qft, tc.trees)
+			lookups = 0
+			if _, err := ret.Run(context.Background()); err != nil {
+				t.Fatalf("attempt over the checkpoint: %v", err)
+			}
+			if _, def := reg.List(); def != "retrained" {
+				t.Fatalf("registry default %q: the refit model was not published", def)
+			}
+			if lookups != 0 {
+				t.Errorf("%d label lookups: the refit labeled again instead of using the checkpoint's labels", lookups)
+			}
+			if ck.payload != nil {
+				t.Error("checkpoint survived a successful publish")
+			}
+		})
+	}
 }
