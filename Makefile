@@ -38,7 +38,8 @@ ci:
 # <= 4 KiB, Bind of a numeric query 0, featurize 0, fingerprint <= 2,
 # Local.Estimate <= 6, an inline resilience stage 0, keying and looking up a
 # query text 0, the whole handler on a hit <= 6, or <= 8 with a Feedback hook
-# (it is handed the query the entry kept from its miss: neither hit parses).
+# (it is handed the query the entry kept from its miss: neither hit parses),
+# and on a miss that evicts <= 26 (no timer, no list node, no flight).
 	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience ./internal/serve
 # So does the serving-heap pin: a booted daemon holds table + model (+ canary) + <= 192 KiB, -journal or not.
 # A GB model is its flat forest alone; one that also kept the arenas it was fit in reads +0.33 MiB and fails.
@@ -108,6 +109,13 @@ ci:
 # arenas live only inside the fit (and in format-1 decoding, which packs them
 # at once), so no Trees field and no compile of a model's trees comes back.
 	! grep -rnwE 'Trees|compileForest\(m\.' --include='*.go' internal/ml/gb | grep -v '_test\.go:'
+# Guard 10, a miss arms no timer and allocates no list node: the estimate
+# cache is a slot array per shard (container/list lives on in cache_test.go as
+# its oracle), and the request path's deadline is resilience.WithDeadline,
+# which arms a timer only for a caller that selects on Done. The canary's
+# once-per-canary timeout (canary.go) is not on the request path.
+	! grep -rn 'container/list' --include='*.go' internal/serve | grep -v '_test\.go:'
+	! grep -nE 'context\.With(Deadline|Timeout)' internal/serve/serve.go internal/serve/estimate.go internal/serve/cache.go internal/resilience/resilience.go
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

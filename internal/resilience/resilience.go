@@ -59,8 +59,8 @@ type Stage struct {
 // Config tunes a Resilient estimator. The zero value is usable.
 type Config struct {
 	// Timeout is the per-call estimation budget applied when the caller's
-	// context carries no deadline of its own. Zero means no implicit
-	// deadline.
+	// context carries no deadline of its own, as a WithDeadline context.
+	// Zero means no implicit deadline.
 	Timeout time.Duration
 	// Breaker configures every stage's circuit breaker.
 	Breaker BreakerConfig
@@ -169,7 +169,7 @@ func (r *Resilient) EstimateDetailed(ctx context.Context, q *sqlparse.Query) Res
 	if r.cfg.Timeout > 0 {
 		if _, has := ctx.Deadline(); !has {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, r.cfg.Timeout)
+			ctx, cancel = WithDeadline(ctx, time.Now().Add(r.cfg.Timeout))
 			defer cancel()
 		}
 	}
@@ -236,6 +236,8 @@ func (r *Resilient) attempt(ctx context.Context, s *stageState, q *sqlparse.Quer
 // A plain Estimator is uninterruptible. It runs in a goroutine of its own so
 // the deadline holds even while it is stuck; on timeout the goroutine is
 // abandoned (its eventual result goes to a buffered channel and is dropped).
+// Its select on ctx.Done is what arms a WithDeadline context's timer; the
+// inline path only reads ctx.Err and arms none.
 func callGuarded(ctx context.Context, name string, est estimator.Estimator, q *sqlparse.Query) (float64, error) {
 	if ce, ok := est.(estimator.ContextEstimator); ok {
 		if err := ctx.Err(); err != nil {

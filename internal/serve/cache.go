@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -80,8 +79,10 @@ func cacheable(res EstResult) bool {
 		!math.IsNaN(res.Estimate) && !math.IsInf(res.Estimate, 0)
 }
 
-// flight is one in-progress computation other requests for the same key
-// wait on.
+// flight is what requests for a key that is being computed wait on. A
+// leader registers its key in flights with a nil *flight and the first
+// follower makes one, so a miss nobody else asks for allocates neither the
+// flight nor its channel.
 type flight struct {
 	done chan struct{} // closed when res is set
 	res  EstResult
@@ -95,17 +96,52 @@ type flight struct {
 // its key and is read-only from the moment it is stored: exec.Bind is
 // copy-on-write and has already run, estimators and the fingerprint only read,
 // and a hook must not write through FeedbackEvent.Query.
+//
+// An entry is a slot of its shard's slots array, linked into the shard's LRU
+// ring by index.
 type cacheEntry struct {
-	key cacheKey
-	res EstResult
-	q   *sqlparse.Query
+	key        cacheKey
+	res        EstResult
+	q          *sqlparse.Query
+	prev, next int32 // ring neighbours: prev toward the tail, next toward the head
 }
 
+// cacheShard is one lock's worth of the cache: an LRU over a slice of slots.
+// The slots form a circular doubly linked list by index; head is the most
+// recently used slot and slots[head].prev the least. A shard at capacity
+// evicts by overwriting its tail slot in place and making it the head, so a
+// miss that evicts allocates nothing but what the map may need for its key.
+// slots grows by append as the shard fills and is never preallocated: a
+// booted daemon would otherwise hold every shard's full array before its
+// first request (DESIGN §6).
 type cacheShard struct {
 	mu      sync.Mutex
-	entries map[cacheKey]*list.Element // key → element holding *cacheEntry
-	lru     *list.List                 // front = most recently used
-	flights map[cacheKey]*flight
+	entries map[cacheKey]int32 // key → its slot
+	slots   []cacheEntry
+	head    int32                // most recently used slot; meaningless while slots is empty
+	flights map[cacheKey]*flight // key → its flight; nil until a follower waits
+}
+
+// touch makes slot i the most recently used.
+func (s *cacheShard) touch(i int32) {
+	if i == s.head {
+		return
+	}
+	e := &s.slots[i]
+	s.slots[e.prev].next = e.next
+	s.slots[e.next].prev = e.prev
+	s.link(i)
+}
+
+// link splices slot i into the ring in front of the head and makes it the
+// head; i must not be in the ring.
+func (s *cacheShard) link(i int32) {
+	h := &s.slots[s.head]
+	tail := h.prev
+	s.slots[i].prev, s.slots[i].next = tail, s.head
+	s.slots[tail].next = i
+	h.prev = i
+	s.head = i
 }
 
 // estCache is the sharded LRU + singleflight store. Create with
@@ -143,8 +179,7 @@ func newEstCache(cfg CacheConfig, m *Metrics, keepQ bool) *estCache {
 	}
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
-			entries: make(map[cacheKey]*list.Element),
-			lru:     list.New(),
+			entries: make(map[cacheKey]int32),
 			flights: make(map[cacheKey]*flight),
 		}
 	}
@@ -166,10 +201,9 @@ func (c *estCache) shard(key cacheKey) *cacheShard {
 func (c *estCache) lookup(key cacheKey) (EstResult, *sqlparse.Query, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(e)
-		ent := e.Value.(*cacheEntry)
-		res, q := ent.res, ent.q
+	if i, ok := s.entries[key]; ok {
+		s.touch(i)
+		res, q := s.slots[i].res, s.slots[i].q
 		s.mu.Unlock()
 		c.metrics.cacheHits.Add(1)
 		return res, q, true
@@ -199,14 +233,18 @@ func (c *estCache) put(key cacheKey, res EstResult, q *sqlparse.Query) {
 func (c *estCache) do(ctx context.Context, key cacheKey, q *sqlparse.Query, compute func() EstResult) EstResult {
 	s := c.shard(key)
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(e)
-		res := e.Value.(*cacheEntry).res
+	if i, ok := s.entries[key]; ok {
+		s.touch(i)
+		res := s.slots[i].res
 		s.mu.Unlock()
 		c.metrics.cacheHits.Add(1)
 		return res
 	}
 	if f, ok := s.flights[key]; ok {
+		if f == nil {
+			f = &flight{done: make(chan struct{})}
+			s.flights[key] = f
+		}
 		s.mu.Unlock()
 		c.metrics.cacheCollapsed.Add(1)
 		select {
@@ -217,13 +255,14 @@ func (c *estCache) do(ctx context.Context, key cacheKey, q *sqlparse.Query, comp
 		res := f.res
 		if res.Err != nil && isContextErr(res.Err) && ctx.Err() == nil {
 			// The leader was cut short by its own deadline or client; this
-			// request is still live, so its estimate is still owed.
-			return compute()
+			// request is still live, so its estimate is still owed — and
+			// cached, as the leader's would have been.
+			res = compute()
+			c.put(key, res, q)
 		}
 		return res
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
+	s.flights[key] = nil
 	s.mu.Unlock()
 	c.metrics.cacheMisses.Add(1)
 
@@ -232,51 +271,69 @@ func (c *estCache) do(ctx context.Context, key cacheKey, q *sqlparse.Query, comp
 		// On panic (propagated to the HTTP layer's recovery) the flight
 		// still resolves, so followers never hang on a leader that died.
 		if !finished {
-			f.res = EstResult{Err: errors.New("serve: estimate computation panicked")}
 			s.mu.Lock()
-			delete(s.flights, key)
+			s.landLocked(key, EstResult{Err: errors.New("serve: estimate computation panicked")})
 			s.mu.Unlock()
-			close(f.done)
 		}
 	}()
 	res := compute()
 	finished = true
 
 	s.mu.Lock()
-	delete(s.flights, key)
+	s.landLocked(key, res)
 	if cacheable(res) {
 		c.insertLocked(s, key, res, q)
 	}
 	s.mu.Unlock()
-	f.res = res
-	close(f.done)
 	return res
+}
+
+// landLocked ends key's flight under s.mu, handing res to its followers if
+// any came.
+func (s *cacheShard) landLocked(key cacheKey, res EstResult) {
+	if f := s.flights[key]; f != nil {
+		f.res = res
+		close(f.done)
+	}
+	delete(s.flights, key)
 }
 
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// insertLocked adds or refreshes key under s.mu, evicting the shard's LRU
-// tail past capacity. This is the one place that decides whether an entry
-// keeps its query.
+// insertLocked adds or refreshes key under s.mu as the shard's most recently
+// used entry; a new key in a full shard takes over the least recently used
+// slot. This is the one place that decides whether an entry keeps its query.
 func (c *estCache) insertLocked(s *cacheShard, key cacheKey, res EstResult, q *sqlparse.Query) {
 	if !c.keepQ {
 		q = nil
 	}
-	if e, ok := s.entries[key]; ok {
-		ent := e.Value.(*cacheEntry)
-		ent.res, ent.q = res, q
-		s.lru.MoveToFront(e)
+	if i, ok := s.entries[key]; ok {
+		s.slots[i].res, s.slots[i].q = res, q
+		s.touch(i)
 		return
 	}
-	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, res: res, q: q})
-	for s.lru.Len() > c.perCap {
-		tail := s.lru.Back()
-		s.lru.Remove(tail)
-		delete(s.entries, tail.Value.(*cacheEntry).key)
-		c.metrics.cacheEvictions.Add(1)
+	if len(s.slots) < c.perCap {
+		i := int32(len(s.slots))
+		s.slots = append(s.slots, cacheEntry{key: key, res: res, q: q, prev: i, next: i})
+		if i == 0 {
+			s.head = 0
+		} else {
+			s.link(i)
+		}
+		s.entries[key] = i
+		return
 	}
+	// The tail is the head's predecessor in the ring, so making it the head
+	// is all the relinking an eviction needs.
+	tail := s.slots[s.head].prev
+	e := &s.slots[tail]
+	delete(s.entries, e.key)
+	e.key, e.res, e.q = key, res, q
+	s.entries[key] = tail
+	s.head = tail
+	c.metrics.cacheEvictions.Add(1)
 }
 
 // len reports the cached entry count across shards (tests and status).
@@ -287,7 +344,7 @@ func (c *estCache) len() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += s.lru.Len()
+		n += len(s.slots)
 		s.mu.Unlock()
 	}
 	return n

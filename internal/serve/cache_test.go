@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"container/list"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -242,6 +245,320 @@ func TestCacheLeaderCanceledFollowerRecomputes(t *testing.T) {
 	res := <-followerDone
 	if res.Err != nil || res.Estimate != 7 {
 		t.Fatalf("follower after canceled leader: %+v, want its own 7", res)
+	}
+}
+
+// TestCacheFollowerRecomputeIsCached: a follower that recomputes after its
+// leader died of the leader's own deadline stores what it computed, as the
+// leader would have, so the next request for the key is a hit.
+func TestCacheFollowerRecomputeIsCached(t *testing.T) {
+	c, m := newTestCache(8, 1)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		c.do(context.Background(), ck("k"), nil, func() EstResult {
+			close(entered)
+			<-release
+			return EstResult{Err: context.DeadlineExceeded}
+		})
+	}()
+	<-entered
+
+	followerDone := make(chan EstResult, 1)
+	go func() {
+		followerDone <- c.do(context.Background(), ck("k"), nil, func() EstResult { return okRes(7) })
+	}()
+	for deadline := time.Now().Add(5 * time.Second); m.cacheCollapsed.Load() < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never joined the flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-leaderDone
+	if res := <-followerDone; res.Err != nil || res.Estimate != 7 {
+		t.Fatalf("follower after a timed-out leader: %+v, want its own 7", res)
+	}
+	if res, _, ok := c.lookup(ck("k")); !ok || res.Estimate != 7 {
+		t.Errorf("after the follower's recompute: %+v, hit %v; want a hit on its 7", res, ok)
+	}
+}
+
+// TestCollapsedFollowerHonorsItsDeadline: a follower parked on a slow leader
+// under the request's own deadline — whose Done is armed only by that wait —
+// gives up with DeadlineExceeded at that deadline, not at the leader's pace.
+func TestCollapsedFollowerHonorsItsDeadline(t *testing.T) {
+	c, _ := newTestCache(8, 1)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	go c.do(context.Background(), ck("k"), nil, func() EstResult {
+		close(entered)
+		<-release
+		return okRes(1)
+	})
+	<-entered
+
+	const budget, slack = 40 * time.Millisecond, time.Second
+	at := time.Now().Add(budget)
+	ctx, cancel := deadline{parent: context.Background(), at: at}.context()
+	defer cancel()
+	res := c.do(ctx, ck("k"), nil, func() EstResult { return okRes(-1) })
+	now := time.Now()
+	if !errors.Is(res.Err, context.DeadlineExceeded) {
+		t.Fatalf("follower past its deadline got %+v, want DeadlineExceeded", res)
+	}
+	if now.Before(at) {
+		t.Errorf("follower gave up %v before its deadline", at.Sub(now))
+	}
+	if late := now.Sub(at); late > slack {
+		t.Errorf("follower gave up %v after its deadline", late)
+	}
+}
+
+// ---- the slot LRU against the container/list LRU it replaced ----
+
+// listCache is the estimate cache as it was before the slot array: each
+// shard an LRU of container/list elements holding *listEntry, evicting the
+// back past capacity. TestSlotLRUMatchesListLRU holds estCache to it.
+type listCache struct {
+	shards  []*listShard
+	mask    uint32
+	perCap  int
+	keepQ   bool
+	metrics *Metrics
+}
+
+type listEntry struct {
+	key cacheKey
+	res EstResult
+	q   *sqlparse.Query
+}
+
+type listShard struct {
+	mu      sync.Mutex
+	entries map[cacheKey]*list.Element
+	lru     *list.List
+	flights map[cacheKey]*flight
+}
+
+func newListCache(cfg CacheConfig, m *Metrics, keepQ bool) *listCache {
+	n := cfg.Shards
+	if n <= 0 {
+		n = 16
+	}
+	pow := 1
+	for pow < n {
+		pow <<= 1
+	}
+	c := &listCache{
+		shards:  make([]*listShard, pow),
+		mask:    uint32(pow - 1),
+		perCap:  max(1, (cfg.Entries+pow-1)/pow),
+		keepQ:   keepQ,
+		metrics: m,
+	}
+	for i := range c.shards {
+		c.shards[i] = &listShard{
+			entries: make(map[cacheKey]*list.Element),
+			lru:     list.New(),
+			flights: make(map[cacheKey]*flight),
+		}
+	}
+	return c
+}
+
+func (c *listCache) shard(key cacheKey) *listShard {
+	return c.shards[binary.LittleEndian.Uint32(key.sum[:])&c.mask]
+}
+
+func (c *listCache) lookup(key cacheKey) (EstResult, *sqlparse.Query, bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	if e, ok := s.entries[key]; ok {
+		s.lru.MoveToFront(e)
+		ent := e.Value.(*listEntry)
+		res, q := ent.res, ent.q
+		s.mu.Unlock()
+		c.metrics.cacheHits.Add(1)
+		return res, q, true
+	}
+	s.mu.Unlock()
+	return EstResult{}, nil, false
+}
+
+func (c *listCache) put(key cacheKey, res EstResult, q *sqlparse.Query) {
+	if !cacheable(res) {
+		return
+	}
+	s := c.shard(key)
+	s.mu.Lock()
+	c.insertLocked(s, key, res, q)
+	s.mu.Unlock()
+}
+
+func (c *listCache) do(ctx context.Context, key cacheKey, q *sqlparse.Query, compute func() EstResult) EstResult {
+	s := c.shard(key)
+	s.mu.Lock()
+	if e, ok := s.entries[key]; ok {
+		s.lru.MoveToFront(e)
+		res := e.Value.(*listEntry).res
+		s.mu.Unlock()
+		c.metrics.cacheHits.Add(1)
+		return res
+	}
+	if f, ok := s.flights[key]; ok {
+		s.mu.Unlock()
+		c.metrics.cacheCollapsed.Add(1)
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return EstResult{Err: ctx.Err()}
+		}
+		res := f.res
+		if res.Err != nil && isContextErr(res.Err) && ctx.Err() == nil {
+			return compute()
+		}
+		return res
+	}
+	f := &flight{done: make(chan struct{})}
+	s.flights[key] = f
+	s.mu.Unlock()
+	c.metrics.cacheMisses.Add(1)
+
+	finished := false
+	defer func() {
+		if !finished {
+			f.res = EstResult{Err: errors.New("serve: estimate computation panicked")}
+			s.mu.Lock()
+			delete(s.flights, key)
+			s.mu.Unlock()
+			close(f.done)
+		}
+	}()
+	res := compute()
+	finished = true
+
+	s.mu.Lock()
+	delete(s.flights, key)
+	if cacheable(res) {
+		c.insertLocked(s, key, res, q)
+	}
+	s.mu.Unlock()
+	f.res = res
+	close(f.done)
+	return res
+}
+
+func (c *listCache) insertLocked(s *listShard, key cacheKey, res EstResult, q *sqlparse.Query) {
+	if !c.keepQ {
+		q = nil
+	}
+	if e, ok := s.entries[key]; ok {
+		ent := e.Value.(*listEntry)
+		ent.res, ent.q = res, q
+		s.lru.MoveToFront(e)
+		return
+	}
+	s.entries[key] = s.lru.PushFront(&listEntry{key: key, res: res, q: q})
+	for s.lru.Len() > c.perCap {
+		tail := s.lru.Back()
+		s.lru.Remove(tail)
+		delete(s.entries, tail.Value.(*listEntry).key)
+		c.metrics.cacheEvictions.Add(1)
+	}
+}
+
+func (c *listCache) len() int {
+	n := 0
+	for _, s := range c.shards {
+		s.mu.Lock()
+		n += s.lru.Len()
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// TestSlotLRUMatchesListLRU drives the slot LRU and the list LRU through the
+// same random lookup/put/do sequences, keys drawn from a pool a few times the
+// capacity, results sometimes uncacheable, queries sometimes absent: every
+// call answers the same, and after every call the two hold the same count,
+// and have counted the same hits, misses and evictions. A final sweep of
+// lookups over the whole pool compares what each retained, queries included.
+func TestSlotLRUMatchesListLRU(t *testing.T) {
+	boom := errors.New("boom")
+	queries := []*sqlparse.Query{nil, {}, {}, {}}
+	for _, perCap := range []int{1, 2, 3, 8} {
+		for _, shards := range []int{1, 4} {
+			for _, keepQ := range []bool{false, true} {
+				name := fmt.Sprintf("perCap=%d/shards=%d/keepQ=%v", perCap, shards, keepQ)
+				cfg := CacheConfig{Entries: perCap * shards, Shards: shards}
+				gm, wm := newMetrics(), newMetrics()
+				got, want := newEstCache(cfg, gm, keepQ), newListCache(cfg, wm, keepQ)
+				if got.perCap != perCap || want.perCap != perCap {
+					t.Fatalf("%s: perCap %d / %d", name, got.perCap, want.perCap)
+				}
+				rng := rand.New(rand.NewSource(int64(100*perCap + shards)))
+				keys := make([]cacheKey, 3*perCap*shards+2)
+				for i := range keys {
+					keys[i] = ck(fmt.Sprint("q", i))
+				}
+				result := func() EstResult {
+					switch rng.Intn(8) {
+					case 0:
+						return EstResult{Err: boom}
+					case 1:
+						return EstResult{Estimate: 3, Stage: "sampling", Degraded: true}
+					default:
+						return okRes(float64(rng.Intn(1000)))
+					}
+				}
+				for step := 0; step < 4000; step++ {
+					key := keys[rng.Intn(len(keys))]
+					q := queries[rng.Intn(len(queries))]
+					switch rng.Intn(3) {
+					case 0:
+						gr, gq, gok := got.lookup(key)
+						wr, wq, wok := want.lookup(key)
+						if gr != wr || gq != wq || gok != wok {
+							t.Fatalf("%s step %d: lookup = %+v %p %v, want %+v %p %v", name, step, gr, gq, gok, wr, wq, wok)
+						}
+					case 1:
+						res := result()
+						got.put(key, res, q)
+						want.put(key, res, q)
+					case 2:
+						res := result()
+						gr := got.do(context.Background(), key, q, func() EstResult { return res })
+						wr := want.do(context.Background(), key, q, func() EstResult { return res })
+						if gr != wr {
+							t.Fatalf("%s step %d: do = %+v, want %+v", name, step, gr, wr)
+						}
+					}
+					if g, w := got.len(), want.len(); g != w {
+						t.Fatalf("%s step %d: len %d, want %d", name, step, g, w)
+					}
+					if g, w := gm.Snapshot(), wm.Snapshot(); g["cache_hits"] != w["cache_hits"] ||
+						g["cache_misses"] != w["cache_misses"] || g["cache_evictions"] != w["cache_evictions"] {
+						t.Fatalf("%s step %d: hits/misses/evictions %v/%v/%v, want %v/%v/%v", name, step,
+							g["cache_hits"], g["cache_misses"], g["cache_evictions"],
+							w["cache_hits"], w["cache_misses"], w["cache_evictions"])
+					}
+				}
+				if wm.cacheEvictions.Load() == 0 {
+					t.Errorf("%s: nothing was evicted; the sequence does not exercise the LRU", name)
+				}
+				for _, key := range keys {
+					gr, gq, gok := got.lookup(key)
+					wr, wq, wok := want.lookup(key)
+					if gr != wr || gq != wq || gok != wok {
+						t.Errorf("%s: retained %+v %p %v, want %+v %p %v", name, gr, gq, gok, wr, wq, wok)
+					}
+				}
+			}
+		}
 	}
 }
 

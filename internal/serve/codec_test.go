@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"qfe/internal/dataset"
+	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 	"qfe/internal/testutil"
@@ -558,6 +559,55 @@ func TestEstimateTextHitAllocs(t *testing.T) {
 	}
 	if misses := srv.Metrics().Snapshot()["cache_misses"].(int64); misses != 64 {
 		t.Errorf("cache_misses = %d, want 64 (the first pass over the singles): every counted request must have been a hit", misses)
+	}
+}
+
+// ctxConstEst is a constant estimator that takes a context, as the daemon's
+// learned stage does: behind a resilience chain it runs inline and only reads
+// its context's Err.
+type ctxConstEst float64
+
+func (c ctxConstEst) Name() string                              { return "learned" }
+func (c ctxConstEst) Estimate(*sqlparse.Query) (float64, error) { return float64(c), nil }
+func (c ctxConstEst) EstimateCtx(ctx context.Context, _ *sqlparse.Query) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return float64(c), nil
+}
+
+// TestEstimateMissAllocs pins the whole handler on a single-query miss in the
+// daemon's shape — a resilience chain whose first stage takes a context, the
+// 100 ms default deadline, and a cache so small that every miss evicts (the
+// benchmark's single-cold). Parse, bind and the model's own work are what is
+// left: the deadline arms no timer and registers no child on the request's
+// context, a miss nobody else waits for makes no singleflight flight, and
+// the new entry takes over the evicted one's slot instead of allocating a
+// list node and an entry (measured 26; 32 with a context.WithDeadline per
+// miss and a container/list LRU).
+func TestEstimateMissAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector defeats sync.Pool")
+	}
+	db, singles, _ := benchBodies(t, 64)
+	chain := resilience.NewResilient(resilience.Config{LastResort: resilience.Constant{Value: 1}},
+		resilience.Stage{Est: ctxConstEst(77)})
+	srv := cachedServer(t, chain, func(c *Config) {
+		c.DB = db
+		c.Cache = CacheConfig{Entries: 8, Shards: 1} // 64 keys in turn through 8 slots: every request misses
+		c.DefaultTimeout = 100 * time.Millisecond
+	})
+	got := handlerAllocs(t, srv.Handler(), singles)
+	t.Logf("single miss: %.1f allocs/request", got)
+	if limit := 26.0; got > limit {
+		t.Errorf("a single miss allocates %.1f times, want <= %v: does it arm a timer or allocate an LRU node again?", got, limit)
+	}
+	m := srv.Metrics().Snapshot()
+	if hits := m["cache_hits"].(int64); hits != 0 {
+		t.Errorf("cache_hits = %d, want 0: every counted request must have been a miss", hits)
+	}
+	if ev, misses := m["cache_evictions"].(int64), m["cache_misses"].(int64); ev != misses-8 {
+		t.Errorf("cache_evictions = %d over %d misses, want every miss past the first 8 to evict", ev, misses)
 	}
 }
 

@@ -290,8 +290,8 @@ func TestFeedbackHitHandsHookTheBoundQuery(t *testing.T) {
 		t.Fatalf("the hookless server cached %d entries, want 2", n)
 	}
 	for _, s := range bare.cache.shards {
-		for e := s.lru.Front(); e != nil; e = e.Next() {
-			if e.Value.(*cacheEntry).q != nil {
+		for _, e := range s.slots {
+			if e.q != nil {
 				t.Error("a server without a Feedback hook retained a parsed query")
 			}
 		}

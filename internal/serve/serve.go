@@ -49,6 +49,7 @@ import (
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
 	"qfe/internal/metrics"
+	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -588,7 +589,12 @@ func toResult(br EstResult, elapsed time.Duration) estimateResult {
 
 // deadline is a request's estimation budget before anything has been spent
 // on it: the context is only built by the code that is about to estimate, so
-// a request the cache answers never arms a timer.
+// a request the cache answers builds none. The one it builds is
+// resilience.WithDeadline's, which arms no timer either unless something
+// selects on its Done (a singleflight follower, the goroutine guarding an
+// estimator that takes no context); a miss the chain answers inline only
+// reads Err. It is not pooled with reqScratch: such a guard goroutine may
+// still hold it after the request has returned.
 type deadline struct {
 	parent context.Context
 	at     time.Time // zero: no deadline beyond the parent's
@@ -598,7 +604,7 @@ func (dl deadline) context() (context.Context, context.CancelFunc) {
 	if dl.at.IsZero() {
 		return dl.parent, func() {}
 	}
-	return context.WithDeadline(dl.parent, dl.at)
+	return resilience.WithDeadline(dl.parent, dl.at)
 }
 
 // deadlineFrom places the estimation deadline: the client's timeoutMs
