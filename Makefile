@@ -116,6 +116,13 @@ ci:
 # once-per-canary timeout (canary.go) is not on the request path.
 	! grep -rn 'container/list' --include='*.go' internal/serve | grep -v '_test\.go:'
 	! grep -nE 'context\.With(Deadline|Timeout)' internal/serve/serve.go internal/serve/estimate.go internal/serve/cache.go internal/resilience/resilience.go
+# Guard 11, one serving chain: every binary wraps its models in cli.Chain,
+# learned → independence → row-count, as ext9 measured it. Bernoulli sampling
+# is a harness baseline (fig4, ext9; cmd/bench mirrors the old chain until its
+# next change): no serving package constructs it, and cardestd has no
+# -fallback flag to arm or disarm the chain with.
+	! grep -rnE 'NewSampling|Sampling\{' --include='*.go' cmd/cardestd cmd/cardest internal/cli internal/serve internal/resilience | grep -v '_test\.go:'
+	! grep -n '"fallback"' cmd/cardestd/main.go
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

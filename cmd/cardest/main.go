@@ -14,21 +14,23 @@
 // workload style follows the QFT: mixed queries (AND + OR) for "complex",
 // conjunctive queries for everything else.
 //
-// -timeout bounds each estimation call; -fallback arms the graceful-
-// degradation chain (learned → sampling → independence → row-count
-// heuristic) so an estimate is always produced even when the learned model
-// fails or the deadline is spent. Either flag wraps the learned estimator in
-// the resilience layer (see internal/resilience).
+// -timeout bounds each estimation call; it and -fallback each wrap the
+// learned estimator in the degradation chain cardestd serves (cli.Chain:
+// learned → independence → row-count heuristic, see internal/resilience), so
+// an estimate is always produced even when the learned model fails, refuses
+// the query or the deadline is spent.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"qfe/internal/cli"
+	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
 	"qfe/internal/metrics"
@@ -46,8 +48,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	save := flag.String("save", "", "write the trained estimator to this JSON file")
 	load := flag.String("load", "", "load a trained estimator from this JSON file instead of training")
-	timeout := flag.Duration("timeout", 0, "per-call estimation deadline (0 = none); implies the resilience wrapper")
-	fallback := flag.Bool("fallback", false, "degrade through sampling → independence → row-count when the learned model fails")
+	timeout := flag.Duration("timeout", 0, "per-call estimation deadline (0 = none); implies -fallback")
+	fallback := flag.Bool("fallback", false, "degrade through independence → row-count when the learned model fails or refuses a query")
 	workers := flag.Int("workers", 0, "training goroutines for the learned models (0 = one per logical CPU); trained models are bit-identical for every value")
 	flag.Parse()
 
@@ -132,26 +134,16 @@ func run(qft, model string, trainN, rows, entries int, query string, seed int64,
 		fmt.Printf("saved estimator to %s\n", savePath)
 	}
 
-	// -timeout / -fallback arm the resilience layer: the learned model is
-	// the first stage, cheaper baselines degrade behind it, and the
-	// row-count heuristic guarantees an answer.
+	// -timeout / -fallback arm the serving chain: the learned model is the
+	// first stage, independence degrades behind it, and the row-count
+	// heuristic guarantees an answer.
 	var serving estimator.Estimator = loc
 	var resilient *resilience.Resilient
 	if timeout > 0 || fallback {
-		stages := []resilience.Stage{{Name: "learned", Est: loc}}
-		if fallback {
-			stages = append(stages,
-				resilience.Stage{Name: "sampling", Est: estimator.NewSampling(db, 0.001, seed)},
-				resilience.Stage{Name: "independence", Est: &estimator.Independence{DB: db}},
-			)
-		}
-		resilient = resilience.NewResilient(resilience.Config{
-			Timeout:    timeout,
-			LastResort: resilience.RowCount{DB: db},
-		}, stages...)
+		resilient = cli.Chain(db, loc, timeout)
 		serving = resilient
 		fmt.Printf("resilience: %d-stage chain, timeout %v, last resort %s\n",
-			len(stages), timeout, resilience.RowCount{}.Name())
+			len(resilient.Stats()), timeout, resilience.RowCount{}.Name())
 	}
 
 	if q != nil {
@@ -163,7 +155,11 @@ func run(qft, model string, trainN, rows, entries int, query string, seed int64,
 			res := resilient.EstimateDetailed(context.Background(), q)
 			est = res.Estimate
 			for _, se := range res.Errors {
-				fmt.Printf("degraded:  stage %s failed: %v\n", se.Stage, se.Err)
+				verb := "failed"
+				if errors.Is(se.Err, core.ErrUnsupported) {
+					verb = "refused the query"
+				}
+				fmt.Printf("degraded:  stage %s %s: %v\n", se.Stage, verb, se.Err)
 			}
 			fmt.Printf("served by: %s\n", res.Stage)
 		} else {
@@ -190,8 +186,8 @@ func run(qft, model string, trainN, rows, entries int, query string, seed int64,
 	fmt.Printf("held-out evaluation over %d queries: %v\n", len(test), sum)
 	if resilient != nil {
 		for _, st := range resilient.Stats() {
-			fmt.Printf("stage %-12s breaker=%s served=%d failed=%d skipped=%d\n",
-				st.Name, st.State, st.Served, st.Failed, st.Skipped)
+			fmt.Printf("stage %-12s breaker=%s served=%d failed=%d refused=%d skipped=%d\n",
+				st.Name, st.State, st.Served, st.Failed, st.Refused, st.Skipped)
 		}
 	}
 	return nil

@@ -58,7 +58,7 @@ func boot(o options, out io.Writer) (*booted, error) {
 	env.DB.DropDictionaries()
 
 	b := &booted{db: env.DB, reg: serve.NewRegistry()}
-	b.reg.Wrap = resilienceWrap(b.db, o)
+	b.reg.Wrap = func(est estimator.Estimator) estimator.Estimator { return cli.Chain(b.db, est, o.timeout) }
 
 	// -store arms the crash-safe lifecycle: recovery at boot, canary-gated
 	// publishes, supervised rollback.

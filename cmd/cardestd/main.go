@@ -10,7 +10,7 @@
 //	cardestd [-addr :8482] [-load name=path[,name=path...]] [-default name]
 //	         [-qft conjunctive] [-model GB] [-train 2000] [-rows 20000]
 //	         [-entries 32] [-seed 1] [-workers 0] [-save file]
-//	         [-timeout 100ms] [-fallback] [-max-inflight 64]
+//	         [-timeout 100ms] [-max-inflight 64]
 //	         [-drain-timeout 10s] [-smoke] [-pprof addr]
 //	         [-cache-entries 4096]
 //	         [-store dir] [-canary 200] [-canary-median 10] [-canary-p95 100]
@@ -92,11 +92,12 @@
 // reports stats and segments; /metrics grows journal_* counters; the
 // cmd/replay CLI replays segments offline against saved models.
 //
-// -timeout and -fallback arm the resilience chain around every registered
-// model, exactly as in cardest: a deadline-bound learned stage degrading
-// through sampling → independence → row-count, so the daemon always
-// answers. SIGTERM/SIGINT drain gracefully: in-flight requests finish, new
-// ones get 503, and the listener closes within -drain-timeout.
+// Every registered model serves inside cli.Chain, as in cardest: learned →
+// independence → row-count heuristic, so the daemon always answers; a query
+// the model does not encode (an OR under -qft conjunctive) passes on without
+// counting against the model's breaker. -timeout bounds each estimate (0 =
+// none). SIGTERM/SIGINT drain gracefully: in-flight requests finish, new ones
+// get 503, and the listener closes within -drain-timeout.
 //
 // -smoke runs a self-test instead of serving: boot on a random port, fire a
 // single and a batched estimate, hot-list the models, scrape /metrics, and
@@ -127,7 +128,6 @@ import (
 	"qfe/internal/exec"
 	"qfe/internal/journal"
 	"qfe/internal/replay"
-	"qfe/internal/resilience"
 	"qfe/internal/serve"
 	"qfe/internal/table"
 	"qfe/internal/trainer"
@@ -146,7 +146,6 @@ type options struct {
 	workers   int
 	save      string
 	timeout   time.Duration
-	fallback  bool
 	maxInFly  int
 	drainTO   time.Duration
 	smoke     bool
@@ -189,9 +188,9 @@ func main() {
 }
 
 // parseFlags parses the daemon's command line. Unknown flags are an error —
-// notably the retired -max-batch and -batch-delay, so a deployment script
-// that still sets them fails loudly instead of keeping a knob that does
-// nothing.
+// notably the retired -max-batch, -batch-delay and -fallback, so a deployment
+// script that still sets them fails loudly instead of keeping a knob that
+// does nothing.
 func parseFlags(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("cardestd", flag.ContinueOnError)
@@ -206,8 +205,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "generation seed")
 	fs.IntVar(&o.workers, "workers", 0, "goroutines for training and for each client batch (0 = one per logical CPU)")
 	fs.StringVar(&o.save, "save", "", "write the boot-trained model snapshot to this file")
-	fs.DurationVar(&o.timeout, "timeout", 100*time.Millisecond, "default per-request estimation deadline (0 = none)")
-	fs.BoolVar(&o.fallback, "fallback", true, "degrade through sampling → independence → row-count when the learned model fails")
+	fs.DurationVar(&o.timeout, "timeout", 100*time.Millisecond, "default per-request estimation deadline (0 = none); past it, or when the learned model fails or refuses a query, independence and then the row-count heuristic answer")
 	fs.IntVar(&o.maxInFly, "max-inflight", 64, "concurrent estimate requests admitted before shedding with 429")
 	fs.DurationVar(&o.drainTO, "drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 	fs.BoolVar(&o.smoke, "smoke", false, "run the self-test (random port, batched estimate, metrics scrape) and exit")
@@ -580,28 +578,6 @@ func journalCounters(jnl *journal.Journal) map[string]any {
 		"journal_gc_removed":   s.GCRemoved,
 		"journal_segments":     s.SealedSegments,
 		"journal_active_bytes": s.ActiveBytes,
-	}
-}
-
-// resilienceWrap arms the graceful-degradation chain around each registered
-// model when a timeout or fallback is configured; otherwise models serve
-// bare.
-func resilienceWrap(db *table.DB, o options) func(estimator.Estimator) estimator.Estimator {
-	if o.timeout <= 0 && !o.fallback {
-		return nil
-	}
-	return func(est estimator.Estimator) estimator.Estimator {
-		stages := []resilience.Stage{{Name: "learned", Est: est}}
-		if o.fallback {
-			stages = append(stages,
-				resilience.Stage{Name: "sampling", Est: estimator.NewSampling(db, 0.001, o.seed)},
-				resilience.Stage{Name: "independence", Est: &estimator.Independence{DB: db}},
-			)
-		}
-		return resilience.NewResilient(resilience.Config{
-			Timeout:    o.timeout,
-			LastResort: resilience.RowCount{DB: db},
-		}, stages...)
 	}
 }
 

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -35,12 +37,13 @@ func tinyOptions(t *testing.T) options {
 	return o
 }
 
-// TestRetiredBatcherFlagsRejected: the coalescing batcher is gone, and its
-// two knobs with it; so is -cache-off, the second spelling of
-// -cache-entries 0. A stale deployment script must fail at the command
-// line, not silently keep a flag that does nothing.
-func TestRetiredBatcherFlagsRejected(t *testing.T) {
-	for _, args := range [][]string{{"-max-batch", "16"}, {"-batch-delay", "2ms"}, {"-cache-off"}} {
+// TestRetiredFlagsRejected: the coalescing batcher is gone, and its two knobs
+// with it; so is -cache-off, the second spelling of -cache-entries 0, and
+// -fallback, since every model serves inside the one chain. A stale
+// deployment script must fail at the command line, not silently keep a flag
+// that does nothing.
+func TestRetiredFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-max-batch", "16"}, {"-batch-delay", "2ms"}, {"-cache-off"}, {"-fallback"}} {
 		fs := append([]string{"-smoke"}, args...)
 		if _, err := parseFlags(fs); err == nil || !strings.Contains(err.Error(), "not defined: "+args[0]) {
 			t.Errorf("parseFlags(%v): err = %v, want an unknown-flag error naming %s", fs, err, args[0])
@@ -142,6 +145,99 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	o.defName = "ghost"
 	if err := run(o, io.Discard); err == nil {
 		t.Error("-default with an unknown model accepted")
+	}
+}
+
+// armedDaemon boots and arms a daemon of the test size with -qft qft.
+func armedDaemon(t *testing.T, qft string) *daemon {
+	t.Helper()
+	o := tinyOptions(t)
+	o.qft = qft
+	b, err := boot(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := arm(b, o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.close)
+	return d
+}
+
+// estimateOne POSTs one query to h and returns the stage that answered it and
+// its estimate.
+func estimateOne(t *testing.T, h http.Handler, sql string) (stage string, estimate float64) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(`{"sql":"`+sql+`"}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST %s: status %d: %s", sql, rec.Code, rec.Body)
+	}
+	var resp struct {
+		Estimate float64 `json:"estimate"`
+		Stage    string  `json:"stage"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.Stage, resp.Estimate
+}
+
+// TestRefusedQueriesLeaveTheModelServing: a query the learned model does not
+// encode — an OR under -qft conjunctive, an OR across attributes under -qft
+// complex — is answered further down the chain, and it is not a failure of
+// the model. Each used to count as one: five in a row opened the learned
+// stage's breaker for its 30 s cooldown, and the conjunctive query the model
+// had just answered was then answered "stage":"sampling", estimate 1.
+func TestRefusedQueriesLeaveTheModelServing(t *testing.T) {
+	const conj = "SELECT count(*) FROM forest WHERE A1 >= 2500 AND A2 <= 200"
+	for _, tc := range []struct {
+		qft, stage string // the stage that answers the refused queries
+		refused    []string
+	}{
+		{"conjunctive", "independence", []string{
+			"A1 <= 1 OR A1 >= 30", "A1 <= 2000 OR A1 >= 3000", "A2 < 90 OR A2 > 270",
+			"A3 <= 5 OR A3 >= 40", "A4 = 0 OR A4 > 500", "A2 = 7 OR A2 = 9",
+		}},
+		// Independence refuses these too: the row-count heuristic answers.
+		{"complex", "row-count heuristic", []string{
+			"A1 >= 3 OR A2 <= 7", "A1 <= 2000 OR A3 >= 30", "A2 < 90 OR A4 > 500",
+			"A3 <= 5 OR A1 >= 3000", "A4 = 0 OR A2 = 9", "A1 = 2500 OR A2 = 180",
+		}},
+	} {
+		t.Run(tc.qft, func(t *testing.T) {
+			h := armedDaemon(t, tc.qft).srv.Handler()
+			if stage, _ := estimateOne(t, h, conj); stage != "learned" {
+				t.Fatalf("%s before any refusal: stage %q, want learned", conj, stage)
+			}
+			for _, where := range tc.refused {
+				if stage, _ := estimateOne(t, h, "SELECT count(*) FROM forest WHERE "+where); stage != tc.stage {
+					t.Errorf("%s: stage %q, want %q", where, stage, tc.stage)
+				}
+			}
+			if stage, _ := estimateOne(t, h, conj+" AND A3 >= 2"); stage != "learned" {
+				t.Errorf("after %d refusals a query the model encodes got stage %q, want learned", len(tc.refused), stage)
+			}
+		})
+	}
+}
+
+// TestDegradedAnswerIsStable: the same query answered by a fallback stage
+// gets the same answer every time. Degraded answers are not cached, so each
+// of the 20 POSTs recomputes it; the sampling stage drew each call's sample
+// from a call counter and answered this query differently from call to call.
+func TestDegradedAnswerIsStable(t *testing.T) {
+	const or = "SELECT count(*) FROM forest WHERE A1 <= 2500 OR A1 >= 3000"
+	h := armedDaemon(t, "conjunctive").srv.Handler()
+	stage, first := estimateOne(t, h, or)
+	if stage == "learned" {
+		t.Fatalf("a conjunctive model answered %s itself: nothing degraded", or)
+	}
+	for i := 1; i < 20; i++ {
+		if s, v := estimateOne(t, h, or); s != stage || math.Float64bits(v) != math.Float64bits(first) {
+			t.Fatalf("POST %d: stage %q estimate %v, the first was stage %q estimate %v", i+1, s, v, stage, first)
+		}
 	}
 }
 

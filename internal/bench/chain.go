@@ -1,0 +1,140 @@
+package bench
+
+import (
+	"fmt"
+	"math"
+	"time"
+
+	"qfe/internal/cli"
+	"qfe/internal/estimator"
+	"qfe/internal/metrics"
+	"qfe/internal/resilience"
+	"qfe/internal/table"
+	"qfe/internal/workload"
+)
+
+// ExtensionServingChain scores each stage of the serving degradation chain
+// alone, the way the comprehensive benchmark of learned cardinality
+// estimators scores the traditional baselines next to the learned ones: the
+// learned model, Bernoulli sampling at the paper's 0.1 %, independence and the
+// row-count heuristic, each asked every query of an input on its own, twice.
+// Per stage: median, p95 and max q-error over the queries it answers, the
+// microseconds a call costs, the share of queries it refuses (returns an error
+// for), and the share whose second call gives a different estimate. A last row
+// per input is the chain cardestd serves (cli.Chain), which never refuses.
+//
+// The inputs: the forest mixed workload through GB + complex (the benchmark's
+// shape); the same queries through GB + conjunctive (cardestd's default -qft,
+// which refuses every OR); the JOB-light-style suite through Table 1's
+// GB + conjunctive local models (sampling refuses joins).
+func ExtensionServingChain(env *Env) (*Report, error) {
+	r := &Report{ID: "ext9", Title: "The serving degradation chain, stage by stage"}
+	forest, err := env.ForestDB()
+	if err != nil {
+		return nil, err
+	}
+	conjTrain, _, err := env.ConjWorkload()
+	if err != nil {
+		return nil, err
+	}
+	mixTrain, mixTest, err := env.MixedWorkload()
+	if err != nil {
+		return nil, err
+	}
+	imdb, _, err := env.IMDB()
+	if err != nil {
+		return nil, err
+	}
+	joinTrain, err := env.JoinTraining()
+	if err != nil {
+		return nil, err
+	}
+	jobLight, err := env.JOBLight()
+	if err != nil {
+		return nil, err
+	}
+	opts := env.coreOptions()
+	complexGB, err := env.trainLocal("complex", "GB", opts, mixTrain)
+	if err != nil {
+		return nil, fmt.Errorf("ext9 GB+complex: %w", err)
+	}
+	conjGB, err := env.trainLocal("conjunctive", "GB", opts, conjTrain)
+	if err != nil {
+		return nil, fmt.Errorf("ext9 GB+conjunctive: %w", err)
+	}
+	joinGB, err := env.trainJoinLocal("conjunctive", "GB", opts, joinTrain)
+	if err != nil {
+		return nil, fmt.Errorf("ext9 GB+conjunctive (JOB-light): %w", err)
+	}
+
+	for _, in := range []struct {
+		label   string
+		db      *table.DB
+		learned estimator.Estimator
+		test    workload.Set
+	}{
+		{"forest mixed, GB + complex", forest, complexGB, mixTest},
+		{"forest mixed, GB + conjunctive", forest, conjGB, mixTest},
+		{"JOB-light, GB + conjunctive (local)", imdb, joinGB, jobLight},
+	} {
+		r.Printf("--- %s (%d queries) ---", in.label, len(in.test))
+		for _, st := range []struct {
+			name string
+			est  estimator.Estimator
+		}{
+			{"learned", in.learned},
+			{"sampling 0.1%", estimator.NewSampling(in.db, 0.001, 1)},
+			{"independence", &estimator.Independence{DB: in.db}},
+			{"row-count", resilience.RowCount{DB: in.db}},
+			{"chain", cli.Chain(in.db, in.learned, 0)},
+		} {
+			r.Lines = append(r.Lines, stageRow(st.name, scoreStage(st.est, in.test)))
+		}
+	}
+	r.Printf("(q-errors over the queries a stage answers; refused: it returned an error; repeat differs: a second call's estimate is not bit-identical to the first)")
+	return r, nil
+}
+
+// stageScore is one stage asked every query of a set, twice.
+type stageScore struct {
+	qerrs            []float64 // of the answered queries
+	queries          int
+	refused, differs int
+	perCall          time.Duration // the first pass, refusals included
+}
+
+// scoreStage asks est every query of set and then every answered one again.
+func scoreStage(est estimator.Estimator, set workload.Set) stageScore {
+	s := stageScore{queries: len(set)}
+	first := make([]float64, len(set))
+	errs := make([]error, len(set))
+	start := time.Now()
+	for i, l := range set {
+		first[i], errs[i] = est.Estimate(l.Query)
+	}
+	s.perCall = time.Since(start) / time.Duration(max(len(set), 1))
+	for i, l := range set {
+		if errs[i] != nil {
+			s.refused++
+			continue
+		}
+		s.qerrs = append(s.qerrs, metrics.QError(float64(l.Card), first[i]))
+		if again, err := est.Estimate(l.Query); err != nil || math.Float64bits(again) != math.Float64bits(first[i]) {
+			s.differs++
+		}
+	}
+	return s
+}
+
+// stageRow renders a stageScore; a stage that answered nothing has no
+// q-errors to show.
+func stageRow(name string, s stageScore) string {
+	errs := fmt.Sprintf("%-48s", "answers no query")
+	if len(s.qerrs) > 0 {
+		errs = fmt.Sprintf("median=%7.2f  p95=%9.2f  max=%10.2f",
+			metrics.Quantile(s.qerrs, 0.5), metrics.Quantile(s.qerrs, 0.95), metrics.Quantile(s.qerrs, 1))
+	}
+	share := func(n int) float64 { return 100 * float64(n) / float64(max(s.queries, 1)) }
+	return fmt.Sprintf("%-14s %s  us/call=%8.2f  refused=%5.1f%%  repeat-differs=%5.1f%%",
+		name, errs, float64(s.perCall.Nanoseconds())/1000, share(s.refused), share(s.differs))
+}

@@ -90,6 +90,7 @@ func Experiments() []Experiment {
 		{"ext6", "Extension: filtered GROUP BY estimation (Section 6)", ExtensionGroupBy},
 		{"ext7", "Extension: uniform vs frequency-weighted attrSel", ExtensionWeightedSel},
 		{"ext8", "Extension: sub-schema pruning via System-R feedback (Section 2.1.2)", ExtensionPruning},
+		{"ext9", "Extension: the serving degradation chain, stage by stage (Section 5.2 baselines)", ExtensionServingChain},
 	}
 }
 

@@ -2,8 +2,8 @@
 // shared by the command-line entry points (cardest, benchrunner, cardestd).
 // The commands differ in what they do with a trained estimator — one-shot
 // evaluation, paper-table regeneration, long-lived serving — but they build
-// the synthetic forest environment and configure training identically, so
-// that logic lives here once.
+// the synthetic forest environment, configure training and wrap a served
+// model in the degradation chain identically, so that logic lives here once.
 package cli
 
 import (
@@ -15,9 +15,26 @@ import (
 	"qfe/internal/estimator"
 	"qfe/internal/ml/gb"
 	"qfe/internal/ml/nn"
+	"qfe/internal/resilience"
 	"qfe/internal/table"
 	"qfe/internal/workload"
 )
+
+// Chain wraps learned in the one degradation chain every binary serves:
+// learned → independence (the Postgres-style baseline), with the row-count
+// heuristic as the last resort. ext9 (EXPERIMENTS.md) scored each stage alone;
+// Bernoulli sampling lost to independence wherever it answers, refuses joins,
+// and is not in it. timeout bounds a call that brings no deadline of its own;
+// 0 means none.
+func Chain(db *table.DB, learned estimator.Estimator, timeout time.Duration) *resilience.Resilient {
+	return resilience.NewResilient(resilience.Config{
+		Timeout:    timeout,
+		LastResort: resilience.RowCount{DB: db},
+	},
+		resilience.Stage{Name: "learned", Est: learned},
+		resilience.Stage{Name: "independence", Est: &estimator.Independence{DB: db}},
+	)
+}
 
 // ValidateWorkers rejects negative -workers values with a clear error before
 // they reach the training configs. (internal/parallel treats every value

@@ -1,8 +1,13 @@
 package cli
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
+
+	"qfe/internal/resilience"
+	"qfe/internal/sqlparse"
 )
 
 func TestValidateWorkers(t *testing.T) {
@@ -101,5 +106,44 @@ func TestNewLocalEstimator(t *testing.T) {
 	}
 	if err := loc.Train(env.Train); err != nil {
 		t.Fatalf("training the built estimator: %v", err)
+	}
+}
+
+// TestChain: the one serving chain is learned → independence, with the
+// row-count heuristic last. A query the learned model does not encode (an OR
+// under conjunctive) is independence's, one neither encodes (an OR across
+// attributes) the heuristic's, and neither refusal is a stage failure.
+func TestChain(t *testing.T) {
+	env, err := BuildForestEnv(ForestSpec{Rows: 500, TrainN: 100, Seed: 2, QFT: "conjunctive"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, err := NewLocalEstimator(env.DB, TrainSpec{QFT: "conjunctive", Model: "GB", Entries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loc.Train(env.Train); err != nil {
+		t.Fatal(err)
+	}
+	chain := Chain(env.DB, loc, time.Second)
+	for _, tc := range []struct{ where, stage string }{
+		{"A1 >= 2500 AND A2 <= 200", "learned"},
+		{"A1 <= 2000 OR A1 >= 3000", "independence"},
+		{"A1 >= 3 OR A2 <= 7", "row-count heuristic"},
+	} {
+		q := sqlparse.MustParse("SELECT count(*) FROM forest WHERE " + tc.where)
+		if res := chain.EstimateDetailed(context.Background(), q); res.Stage != tc.stage || res.Estimate < 1 {
+			t.Errorf("%s: %+v, want an estimate from %s", tc.where, res, tc.stage)
+		}
+	}
+	var names []string
+	for _, st := range chain.Stats() {
+		names = append(names, st.Name)
+		if st.State != resilience.StateClosed || st.Failed != 0 {
+			t.Errorf("stage %s: %+v, want closed with no failures", st.Name, st)
+		}
+	}
+	if got := strings.Join(names, " → "); got != "learned → independence" {
+		t.Errorf("stages %s, want learned → independence", got)
 	}
 }

@@ -94,7 +94,7 @@ func (sc *scratch) attrCompound(a *AttrMeta, kids []sqlparse.Expr, dst []float64
 // sqlparse.ToDNF's limit: adversarial inputs become errors, not memory.
 const maxDNFTerms = 4096
 
-var errDNFTerms = fmt.Errorf("DNF exceeds %d terms", maxDNFTerms)
+var errDNFTerms = Unsupported(fmt.Errorf("DNF exceeds %d terms", maxDNFTerms))
 
 // dnf appends expr's disjunctive normal form to the term arena, in the order
 // sqlparse.ToDNF enumerates it (the merged selectivity is a float sum, so

@@ -36,7 +36,7 @@ type Conjunctive struct{ partitioned }
 // NewConjunctive returns Universal Conjunction Encoding over meta.
 func NewConjunctive(meta *TableMeta, opts Options) *Conjunctive {
 	return &Conjunctive{newPartitioned("conjunctive", meta, opts,
-		errors.New("core/conjunctive: disjunctions require Limited Disjunction Encoding"))}
+		Unsupported(errors.New("core/conjunctive: disjunctions require Limited Disjunction Encoding")))}
 }
 
 // partitioned is what Universal Conjunction Encoding and Limited Disjunction
@@ -192,7 +192,7 @@ func (sc *scratch) addConjuncts(qft string, meta *TableMeta, expr sqlparse.Expr,
 		return err
 	}
 	if ai < 0 {
-		return fmt.Errorf("core/%s: conjunct %q has no predicates", qft, expr)
+		return Unsupported(fmt.Errorf("core/%s: conjunct %q has no predicates", qft, expr))
 	}
 	i := int32(len(sc.conj))
 	sc.conj = append(sc.conj, expr)
@@ -221,7 +221,7 @@ func conjunctAttr(qft string, meta *TableMeta, expr sqlparse.Expr, ai int) (int,
 			return 0, fmt.Errorf("core/%s: unknown attribute %q", qft, n.Attr)
 		}
 		if ai >= 0 && i != ai {
-			return 0, fmt.Errorf("core/%s: not a mixed query (Definition 3.3): a conjunct mixes attributes %q and %q", qft, meta.Attrs[ai].Name, n.Attr)
+			return 0, Unsupported(fmt.Errorf("core/%s: not a mixed query (Definition 3.3): a conjunct mixes attributes %q and %q", qft, meta.Attrs[ai].Name, n.Attr))
 		}
 		return i, nil
 	case *sqlparse.And:

@@ -33,6 +33,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -454,6 +455,22 @@ type Featurizer interface {
 	// buffer across queries. On error dst's contents are unspecified.
 	FeaturizeInto(dst []float64, expr sqlparse.Expr) error
 }
+
+// ErrUnsupported marks an error that depends only on the query's shape: the
+// query is outside the class a featurization — or an estimator built on one —
+// encodes (a disjunction under a QFT without Limited Disjunction Encoding, a
+// conjunct over two attributes, a sub-schema without a model, ...). The same
+// query is refused the same way on every call, and nothing is wrong with the
+// estimator; a serving chain passes over it without counting it against the
+// stage's health. Test for it with errors.Is.
+var ErrUnsupported = errors.New("query outside the estimator's supported class")
+
+// Unsupported marks err with ErrUnsupported. The error's text stays err's.
+func Unsupported(err error) error { return unsupported{err} }
+
+type unsupported struct{ error }
+
+func (e unsupported) Unwrap() []error { return []error{e.error, ErrUnsupported} }
 
 // checkDst verifies the FeaturizeInto contract on the destination length.
 func checkDst(qft string, dst []float64, dim int) error {

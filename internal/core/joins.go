@@ -150,7 +150,7 @@ func conjunctTable(conj, expr sqlparse.Expr, single, tbl string) (string, error)
 			return "", fmt.Errorf("core: unqualified attribute %q in multi-table query", n.Attr)
 		}
 		if tbl != "" && tbl != pt {
-			return "", fmt.Errorf("core: conjunct %q spans tables %q and %q", conj, tbl, pt)
+			return "", Unsupported(fmt.Errorf("core: conjunct %q spans tables %q and %q", conj, tbl, pt))
 		}
 		return pt, nil
 	case *sqlparse.And:

@@ -42,7 +42,7 @@ func (r *Range) Featurize(expr sqlparse.Expr) ([]float64, error) {
 	return vec, nil
 }
 
-var errRangeOr = errors.New("core/range: disjunctions are not supported by Range Predicate Encoding")
+var errRangeOr = Unsupported(errors.New("core/range: disjunctions are not supported by Range Predicate Encoding"))
 
 // FeaturizeInto implements Featurizer: attribute i owns dst[2*i : 2*i+2].
 func (r *Range) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {

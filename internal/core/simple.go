@@ -44,7 +44,7 @@ func (s *Simple) Featurize(expr sqlparse.Expr) ([]float64, error) {
 	return vec, nil
 }
 
-var errSimpleOr = errors.New("core/simple: disjunctions are not supported by Singular Predicate Encoding")
+var errSimpleOr = Unsupported(errors.New("core/simple: disjunctions are not supported by Singular Predicate Encoding"))
 
 // FeaturizeInto implements Featurizer: attribute ai owns dst[4*ai : 4*ai+4].
 func (s *Simple) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {

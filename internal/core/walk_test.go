@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -349,5 +350,46 @@ func TestDNFBound(t *testing.T) {
 	}
 	if _, err := f.Featurize(sqlparse.NewOr(wide...)); err == nil {
 		t.Fatal("Complex accepted a 4097-way disjunction")
+	}
+}
+
+// TestShapeErrorsAreUnsupported: every error that depends only on the query's
+// shape is marked ErrUnsupported and keeps its text — a disjunction under
+// simple, range and conjunctive, a conjunct mixing attributes or tables or
+// holding no predicates, the DNF bound — and an error about the schema is not.
+func TestShapeErrorsAreUnsupported(t *testing.T) {
+	meta := NewTableMetaFromAttrs("t", []AttrMeta{{Name: "a", Min: 0, Max: 99}, {Name: "b", Min: 0, Max: 9}}, 10)
+	opts := Options{MaxEntriesPerAttr: 10, AttrSel: true}
+	where := func(s string) sqlparse.Expr { return sqlparse.MustParse("SELECT count(*) FROM t WHERE " + s).Where }
+	var dnf []sqlparse.Expr // 2^13 terms on one attribute
+	for i := 0; i < 13; i++ {
+		dnf = append(dnf, sqlparse.NewOr(
+			&sqlparse.Pred{Attr: "a", Op: sqlparse.OpGe, Val: int64(i)},
+			&sqlparse.Pred{Attr: "a", Op: sqlparse.OpLe, Val: int64(90 - i)}))
+	}
+	empty := &sqlparse.And{Kids: []sqlparse.Expr{where("a >= 1"), &sqlparse.Or{}}}
+	for _, tc := range []struct {
+		f    Featurizer
+		expr sqlparse.Expr
+		text string
+	}{
+		{NewSimple(meta), where("a >= 1 OR a <= 0"), "core/simple: disjunctions are not supported by Singular Predicate Encoding"},
+		{NewRange(meta), where("a >= 1 OR a <= 0"), "core/range: disjunctions are not supported by Range Predicate Encoding"},
+		{NewConjunctive(meta, opts), where("a >= 1 OR a <= 0"), "core/conjunctive: disjunctions require Limited Disjunction Encoding"},
+		{NewComplex(meta, opts), where("a >= 1 OR b <= 3"), `core/complex: not a mixed query (Definition 3.3): a conjunct mixes attributes "a" and "b"`},
+		{NewComplex(meta, opts), empty, `core/complex: conjunct "" has no predicates`},
+		{NewComplex(meta, opts), sqlparse.NewAnd(dnf...), `core/complex: attribute "a": DNF exceeds 4096 terms`},
+	} {
+		err := tc.f.FeaturizeInto(make([]float64, tc.f.Dim()), tc.expr)
+		if !errors.Is(err, ErrUnsupported) || err.Error() != tc.text {
+			t.Errorf("%s: err = %v, want %q marked ErrUnsupported", tc.f.Name(), err, tc.text)
+		}
+	}
+	q := sqlparse.MustParse("SELECT count(*) FROM a, b WHERE a.id = b.a_id AND (a.x = 1 OR b.y = 2)")
+	if err := SplitWhereByTable(q, q.Tables, make([]sqlparse.And, 2)); !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), "spans tables") {
+		t.Errorf("a conjunct over two tables: err = %v, want a spans-tables error marked ErrUnsupported", err)
+	}
+	if err := NewComplex(meta, opts).FeaturizeInto(make([]float64, NewComplex(meta, opts).Dim()), where("z >= 1")); err == nil || errors.Is(err, ErrUnsupported) {
+		t.Errorf("an unknown attribute: err = %v, want an error not marked ErrUnsupported", err)
 	}
 }

@@ -47,6 +47,10 @@ func (o *Oracle) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, e
 // Only single-table queries are supported, matching the paper's use of the
 // baseline on the forest workloads; join sampling would need correlated
 // sampling [29], which is out of scope.
+//
+// It is a harness baseline (Figure 4, ext9), not a serving stage: ext9 scored
+// it below independence wherever it answers, and a call rescans the table and
+// answers a repeated query differently.
 type Sampling struct {
 	DB *table.DB
 	// Fraction is p; the paper uses 0.001 (0.1%).

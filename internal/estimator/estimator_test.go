@@ -1,6 +1,8 @@
 package estimator
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -482,5 +484,48 @@ func TestZeroOptionsGetPaperDefaults(t *testing.T) {
 	// entries keep it in the usual band.
 	if sum.Median > 4 {
 		t.Errorf("zero-options median %v; defaults not applied?", sum.Median)
+	}
+}
+
+// TestRefusalsAreUnsupported: an error that depends only on the query's shape
+// is marked core.ErrUnsupported, with its own text, so a serving chain passes
+// over the stage without counting a failure; an error about the estimator or
+// the data is not.
+func TestRefusalsAreUnsupported(t *testing.T) {
+	e := env(t)
+	newLocal := func(qft string) *Local {
+		cfg := smallGB()
+		cfg.NumTrees = 5
+		loc, err := NewLocal(e.db, LocalConfig{QFT: qft, Opts: core.Options{MaxEntriesPerAttr: 8}, NewRegressor: NewGBFactory(cfg)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loc
+	}
+	conj := newLocal("conjunctive")
+	if err := conj.Train(e.train[:200]); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		est  Estimator
+		sql  string
+		text string // the error's prefix
+	}{
+		{"no sub-schema model", newLocal("conjunctive"), "SELECT count(*) FROM forest WHERE A1 >= 3",
+			`estimator: no local model trained for sub-schema "forest"`},
+		{"OR under conjunctive", conj, "SELECT count(*) FROM forest WHERE A1 <= 2000 OR A1 >= 3000",
+			`table "forest": core/conjunctive: disjunctions require Limited Disjunction Encoding`},
+		{"independence, OR across attributes", &Independence{DB: e.db}, "SELECT count(*) FROM forest WHERE A1 >= 3 OR A2 <= 7",
+			"estimator: independence baseline requires per-attribute compounds: sqlparse: not a mixed query"},
+	} {
+		_, err := tc.est.Estimate(sqlparse.MustParse(tc.sql))
+		if !errors.Is(err, core.ErrUnsupported) || !strings.HasPrefix(fmt.Sprint(err), tc.text) {
+			t.Errorf("%s: err = %v, want one marked core.ErrUnsupported starting %q", tc.name, err, tc.text)
+		}
+	}
+	// Unknown tables are a catalog matter, not the query's shape.
+	if _, err := (&Independence{DB: e.db}).Estimate(sqlparse.MustParse("SELECT count(*) FROM meadow WHERE B1 >= 3")); err == nil || errors.Is(err, core.ErrUnsupported) {
+		t.Errorf("unknown table: err = %v, want an error not marked core.ErrUnsupported", err)
 	}
 }

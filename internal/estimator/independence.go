@@ -34,7 +34,8 @@ type Independence struct {
 	Buckets int
 
 	// mu guards the lazily-built stats cache so the estimator is safe for
-	// concurrent use (e.g. behind a deadline-enforcing wrapper).
+	// concurrent use; a colStats in it is never written again, so it is read
+	// without the lock.
 	mu    sync.Mutex
 	stats map[string]*colStats
 }
@@ -53,6 +54,8 @@ type colStats struct {
 
 func (ind *Independence) statsFor(t *table.Table, colName string) (*colStats, error) {
 	key := t.Name + "." + colName
+	ind.mu.Lock()
+	defer ind.mu.Unlock()
 	if ind.stats == nil {
 		ind.stats = make(map[string]*colStats)
 	}
@@ -201,10 +204,9 @@ func (s *colStats) selExpr(expr sqlparse.Expr) float64 {
 // degenerate ranges.
 const defaultRangeSel = 0.005
 
-// Estimate implements Estimator.
+// Estimate implements Estimator. Concurrent calls share only the statistics
+// cache, and hold its lock only while statsFor looks a column up or gathers it.
 func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
-	ind.mu.Lock()
-	defer ind.mu.Unlock()
 	perTable := make([]sqlparse.And, len(q.Tables))
 	if err := core.SplitWhereByTable(q, q.Tables, perTable); err != nil {
 		return 0, err
@@ -219,7 +221,7 @@ func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
 		// A table listed twice (self-join) sees its predicates both times.
 		compounds, err := sqlparse.CompoundPredicates(&perTable[slices.Index(q.Tables, tn)])
 		if err != nil {
-			return 0, fmt.Errorf("estimator: independence baseline requires per-attribute compounds: %w", err)
+			return 0, core.Unsupported(fmt.Errorf("estimator: independence baseline requires per-attribute compounds: %w", err))
 		}
 		for _, cp := range compounds {
 			_, colName := splitTableAttr(cp.Attr, tn)

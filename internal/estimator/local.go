@@ -150,7 +150,7 @@ func (l *Local) Estimate(q *sqlparse.Query) (float64, error) {
 	key := catalog.SubSchemaKey(q.Tables)
 	lm, ok := l.models[key]
 	if !ok {
-		return 0, fmt.Errorf("estimator: no local model trained for sub-schema %q", key)
+		return 0, core.Unsupported(fmt.Errorf("estimator: no local model trained for sub-schema %q", key))
 	}
 	fs := lm.vecPool.Get().(*featScratch)
 	defer lm.vecPool.Put(fs)

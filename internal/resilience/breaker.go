@@ -146,6 +146,14 @@ func (b *Breaker) Failure() {
 	}
 }
 
+// Release reports a call without an outcome (the stage refused the query): it
+// counts nothing and frees the half-open probe slot the call may have held.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probeInUse = false
+}
+
 // State returns the current state (open breakers past their cooldown still
 // report open until the next Allow promotes them to half-open).
 func (b *Breaker) State() BreakerState {

@@ -5,14 +5,16 @@
 // the system's availability.
 //
 // The degradation chain mirrors the paper's own framing of the learned
-// estimator as one option among cheaper baselines: a typical serving stack is
+// estimator as one option among cheaper baselines; every binary serves the one
+// cli.Chain builds (ext9 in EXPERIMENTS.md scores its stages one by one),
 //
-//	learned model → Bernoulli sampling → independence assumption → row-count heuristic
+//	learned model → independence assumption → row-count heuristic
 //
 // where each stage is tried in order and the first valid (finite, >= 1)
 // estimate wins. A stage that fails is not tried again within the request —
 // the estimators are deterministic in-process code, so the same call would
-// fail the same way; the chain moves on to the next stage instead. Every
+// fail the same way; the chain moves on, as it does past a stage that refuses
+// the query (core.ErrUnsupported), which its breaker does not count. Every
 // stage is guarded by:
 //
 //   - a per-call deadline (context.Context), enforced even when the
@@ -39,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/sqlparse"
 )
@@ -82,7 +85,15 @@ type stageState struct {
 	mu      sync.Mutex
 	served  int // calls this stage answered
 	failed  int // calls this stage failed
+	refused int // calls whose query this stage does not encode
 	skipped int // calls skipped because the breaker was open
+}
+
+// count adds one to the counter n of s.
+func (s *stageState) count(n *int) {
+	s.mu.Lock()
+	*n++
+	s.mu.Unlock()
 }
 
 // StageStats is a snapshot of one stage's counters.
@@ -91,6 +102,7 @@ type StageStats struct {
 	State   BreakerState
 	Served  int
 	Failed  int
+	Refused int
 	Skipped int
 }
 
@@ -182,25 +194,17 @@ func (r *Resilient) EstimateDetailed(ctx context.Context, q *sqlparse.Query) Res
 			break
 		}
 		if !s.breaker.Allow() {
-			s.mu.Lock()
-			s.skipped++
-			s.mu.Unlock()
+			s.count(&s.skipped)
 			res.Errors = append(res.Errors, StageError{s.name, ErrBreakerOpen})
 			continue
 		}
 		v, err := r.attempt(ctx, s, q)
 		if err == nil {
-			s.mu.Lock()
-			s.served++
-			s.mu.Unlock()
 			res.Estimate = v
 			res.Stage = s.name
 			res.Degraded = i > 0
 			return res
 		}
-		s.mu.Lock()
-		s.failed++
-		s.mu.Unlock()
 		res.Errors = append(res.Errors, StageError{s.name, err})
 	}
 	res.Estimate = r.lastResortEstimate(q)
@@ -209,20 +213,29 @@ func (r *Resilient) EstimateDetailed(ctx context.Context, q *sqlparse.Query) Res
 	return res
 }
 
-// attempt runs one stage once and reports exactly one breaker outcome,
-// pairing the Allow that admitted the call: Success on a valid estimate,
-// Failure on an error, a panic, a spent deadline or an invalid value.
+// attempt runs one stage once, counts the call and reports exactly one breaker
+// outcome, pairing the Allow that admitted the call: Success on a valid
+// estimate, Release on a refusal (the query's shape decided it, not the
+// stage's health), Failure on any other error, a panic, a spent deadline or an
+// invalid value.
 func (r *Resilient) attempt(ctx context.Context, s *stageState, q *sqlparse.Query) (float64, error) {
 	v, err := callGuarded(ctx, s.name, s.est, q)
 	if err == nil && !validEstimate(v) {
 		err = fmt.Errorf("resilience: stage %s returned invalid estimate %v", s.name, v)
 	}
-	if err != nil {
+	switch {
+	case err == nil:
+		s.breaker.Success()
+		s.count(&s.served)
+		return max(v, 1), nil
+	case errors.Is(err, core.ErrUnsupported):
+		s.breaker.Release()
+		s.count(&s.refused)
+	default:
 		s.breaker.Failure()
-		return 0, err
+		s.count(&s.failed)
 	}
-	s.breaker.Success()
-	return max(v, 1), nil
+	return 0, err
 }
 
 // callGuarded runs one stage call with panic isolation and deadline
@@ -311,6 +324,7 @@ func (r *Resilient) Stats() []StageStats {
 			State:   s.breaker.State(),
 			Served:  s.served,
 			Failed:  s.failed,
+			Refused: s.refused,
 			Skipped: s.skipped,
 		}
 		s.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"qfe/internal/core"
 	"qfe/internal/sqlparse"
 )
 
@@ -338,5 +339,74 @@ func TestRowCountHeuristicIsTotal(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 1 {
 			t.Fatalf("RowCount returned %v for %v", v, q)
 		}
+	}
+}
+
+// refusing is a stage that does not encode the query: its error is marked
+// core.ErrUnsupported.
+func refusing() *stubEst {
+	return &stubEst{name: "refusing", fn: func(int) (float64, error) {
+		return 0, core.Unsupported(errors.New("core/conjunctive: disjunctions require Limited Disjunction Encoding"))
+	}}
+}
+
+// TestRefusalIsNotAFailure: the chain passes over a stage that refuses the
+// query, but the refusal is not a failure. Five in a row used to open the
+// stage's breaker, and every query was then served by the fallback for the
+// cooldown, whether the stage encoded it or not.
+func TestRefusalIsNotAFailure(t *testing.T) {
+	refuser := refusing()
+	r := NewResilient(Config{}, Stage{Name: "learned", Est: refuser}, Stage{Est: healthy(7)})
+	for i := 0; i < 10; i++ {
+		res := r.EstimateDetailed(context.Background(), testQuery)
+		if res.Estimate != 7 || res.Stage != "healthy" || !res.Degraded {
+			t.Fatalf("call %d: %+v, want the second stage's 7, degraded", i, res)
+		}
+		if len(res.Errors) != 1 || !errors.Is(res.Errors[0].Err, core.ErrUnsupported) ||
+			res.Errors[0].Err.Error() != "core/conjunctive: disjunctions require Limited Disjunction Encoding" {
+			t.Fatalf("call %d: errors %v, want the refusal with its own text", i, res.Errors)
+		}
+	}
+	st := r.Stats()[0]
+	if st.State != StateClosed || st.Refused != 10 || st.Failed != 0 || st.Skipped != 0 || refuser.callCount() != 10 {
+		t.Fatalf("after ten refusals: %+v, %d calls; want closed, 10 refused, 0 failed or skipped, 10 calls", st, refuser.callCount())
+	}
+}
+
+// TestRefusalFreesTheHalfOpenProbe: a refusal while the breaker is half-open
+// reports no outcome, so the probe slot it held is free and the next call is
+// the probe; it used to count as the probe's failure and re-open the breaker.
+func TestRefusalFreesTheHalfOpenProbe(t *testing.T) {
+	clock := newFakeClock()
+	refused := core.Unsupported(errors.New("refused"))
+	stage := &stubEst{name: "learned", fn: func(call int) (float64, error) {
+		switch call {
+		case 1:
+			return 0, errors.New("down")
+		case 2:
+			return 0, refused
+		}
+		return 42, nil
+	}}
+	r := NewResilient(Config{
+		Breaker: BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute, HalfOpenProbes: 1, Clock: clock.now},
+	}, Stage{Est: stage}, Stage{Est: healthy(5)})
+
+	r.EstimateDetailed(context.Background(), testQuery) // the failure opens the breaker
+	if st := r.Breaker(0).State(); st != StateOpen {
+		t.Fatalf("after the failure: %v, want open", st)
+	}
+	clock.advance(2 * time.Minute)
+	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 5 {
+		t.Fatalf("the refused probe: %+v, want the fallback's 5", res)
+	}
+	if st := r.Breaker(0).State(); st != StateHalfOpen {
+		t.Fatalf("after a refused probe: %v, want still half-open", st)
+	}
+	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 42 || res.Stage != "learned" {
+		t.Fatalf("the next call: %+v, want it admitted as the probe and served by the stage", res)
+	}
+	if st := r.Breaker(0).State(); st != StateClosed {
+		t.Fatalf("after a successful probe: %v, want closed", st)
 	}
 }

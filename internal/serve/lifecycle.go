@@ -232,7 +232,7 @@ func (lc *Lifecycle) Recover(ctx context.Context, name string, makeDefault bool)
 
 // Rollback quarantines the live generation and promotes the newest prior
 // generation that loads and passes the canary. reason is recorded in the
-// rollback metrics trail. Serving is never interrupted: until the
+// rollback metrics trail (last_rollback_reason on /metrics). Serving is never interrupted: until the
 // replacement is registered the incumbent keeps answering, and if no
 // replacement exists the incumbent stays (with the error telling the
 // caller so).
@@ -263,8 +263,7 @@ func (lc *Lifecycle) rollbackLocked(ctx context.Context, reason string) (Publica
 	if err != nil {
 		return Publication{}, err
 	}
-	lc.metrics.observeRollback(time.Now())
-	_ = reason // recorded by callers' logs; metrics count the event itself
+	lc.metrics.observeRollback(time.Now(), reason)
 	return pub, nil
 }
 

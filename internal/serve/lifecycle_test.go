@@ -775,6 +775,55 @@ func TestRollbackEndpoint(t *testing.T) {
 	}
 }
 
+// TestRollbackRecordsItsReason: /metrics says why the last rollback happened —
+// "auto: " and the canary's verdict after a probe, the request's reason after
+// a POST, "manual" after a POST that gives none. Rollback used to drop it.
+func TestRollbackRecordsItsReason(t *testing.T) {
+	db, canaryWS, good, _ := lifecycleEnv(t)
+	lc, reg := newLifecycle(t, t.TempDir(), looseCanary(canaryWS), db)
+	inj := faultinject.New(good, faultinject.Config{Seed: 1})
+	for _, est := range []estimator.Estimator{good, good, good, inj} {
+		if _, err := lc.Publish(context.Background(), PublishSpec{
+			Name: "live", Est: est, Kind: "local",
+			Snapshot: snapshotBytes(t, good), MakeDefault: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := New(Config{Registry: reg, DB: db, Lifecycle: lc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reason := func() any { return srv.Metrics().Snapshot()["last_rollback_reason"] }
+	if got := reason(); got != "" {
+		t.Errorf("before any rollback last_rollback_reason = %q, want empty", got)
+	}
+
+	inj.SetConfig(faultinject.Config{Seed: 2, ErrorRate: 1})
+	out, err := lc.Probe(context.Background())
+	if err != nil || !out.RolledBack {
+		t.Fatalf("probe of a failing model: %+v err=%v, want a rollback", out, err)
+	}
+	if got, want := reason(), "auto: "+out.Result.Reason; got != want {
+		t.Errorf("after a probe rollback last_rollback_reason = %q, want %q", got, want)
+	}
+
+	h := srv.Handler()
+	if code, resp := postJSON(t, h, "/v1/models/rollback", map[string]any{"reason": "operator test"}); code != http.StatusOK {
+		t.Fatalf("rollback with a reason: status %d body %v", code, resp)
+	}
+	if got := reason(); got != "operator test" {
+		t.Errorf("after POST {\"reason\":\"operator test\"} last_rollback_reason = %q", got)
+	}
+	if code, resp := rawPost(t, h, "/v1/models/rollback", nil); code != http.StatusOK {
+		t.Fatalf("rollback without a body: status %d body %v", code, resp)
+	}
+	if got := reason(); got != "manual" {
+		t.Errorf("after a POST without a reason last_rollback_reason = %q, want %q", got, "manual")
+	}
+}
+
 // TestModelRootConfinement covers resolveModelPath directly.
 func TestModelRootConfinement(t *testing.T) {
 	srv := newStubServer(t, constEst(1), func(c *Config) { c.ModelRoot = "/models" })

@@ -102,10 +102,11 @@ type Metrics struct {
 	rollbacks   atomic.Int64 // registry rollbacks to a previous generation
 	quarantines atomic.Int64 // generations quarantined (publish-time or live)
 
-	lastRollbackUnix atomic.Int64  // unix seconds of the last rollback, 0 = never
-	storeGeneration  atomic.Uint64 // store generation backing the live model
-	canaryMaxMedian  atomic.Uint64 // configured gate thresholds, float64 bits
-	canaryMaxP95     atomic.Uint64
+	lastRollbackUnix   atomic.Int64  // unix seconds of the last rollback, 0 = never
+	lastRollbackReason atomic.Value  // string: why it happened, unset = never
+	storeGeneration    atomic.Uint64 // store generation backing the live model
+	canaryMaxMedian    atomic.Uint64 // configured gate thresholds, float64 bits
+	canaryMaxP95       atomic.Uint64
 
 	ok2xx  atomic.Int64
 	err4xx atomic.Int64
@@ -170,13 +171,14 @@ func (m *Metrics) observeCanary(pass bool) {
 	}
 }
 
-// observeRollback records a registry rollback at time t.
-func (m *Metrics) observeRollback(t time.Time) {
+// observeRollback records a registry rollback at time t, and why.
+func (m *Metrics) observeRollback(t time.Time, reason string) {
 	if m == nil {
 		return
 	}
 	m.rollbacks.Add(1)
 	m.lastRollbackUnix.Store(t.Unix())
+	m.lastRollbackReason.Store(reason)
 }
 
 // observeQuarantine records one quarantined generation.
@@ -236,6 +238,7 @@ func memory() (live, goal, mapped uint64) {
 // encoding/json sorts map keys, so the output is deterministic.
 func (m *Metrics) Snapshot() map[string]any {
 	heapLive, heapGoal, memMapped := memory()
+	rollbackReason, _ := m.lastRollbackReason.Load().(string)
 	snap := map[string]any{
 		"uptime_seconds":        time.Since(m.start).Seconds(),
 		"requests_total":        m.requests.Load(),
@@ -256,6 +259,7 @@ func (m *Metrics) Snapshot() map[string]any {
 		"rollbacks_total":       m.rollbacks.Load(),
 		"quarantined_total":     m.quarantines.Load(),
 		"last_rollback_unix":    m.lastRollbackUnix.Load(),
+		"last_rollback_reason":  rollbackReason,
 		"store_generation":      m.storeGeneration.Load(),
 		"canary_max_median":     math.Float64frombits(m.canaryMaxMedian.Load()),
 		"canary_max_p95":        math.Float64frombits(m.canaryMaxP95.Load()),

@@ -208,21 +208,22 @@ func TestLifecycleMetrics(t *testing.T) {
 	m.observeCanary(true)
 	m.observeCanary(false)
 	at := time.Unix(1_700_000_000, 0)
-	m.observeRollback(at)
+	m.observeRollback(at, "manual")
 	m.observeQuarantine()
 	m.setStoreGeneration(7)
 	m.setCanaryThresholds(10, 100)
 
 	snap := m.Snapshot()
 	want := map[string]any{
-		"canary_pass_total":  int64(2),
-		"canary_fail_total":  int64(1),
-		"rollbacks_total":    int64(1),
-		"quarantined_total":  int64(1),
-		"last_rollback_unix": at.Unix(),
-		"store_generation":   uint64(7),
-		"canary_max_median":  10.0,
-		"canary_max_p95":     100.0,
+		"canary_pass_total":    int64(2),
+		"canary_fail_total":    int64(1),
+		"rollbacks_total":      int64(1),
+		"quarantined_total":    int64(1),
+		"last_rollback_unix":   at.Unix(),
+		"last_rollback_reason": "manual",
+		"store_generation":     uint64(7),
+		"canary_max_median":    10.0,
+		"canary_max_p95":       100.0,
 	}
 	for k, v := range want {
 		if snap[k] != v {
@@ -234,7 +235,7 @@ func TestLifecycleMetrics(t *testing.T) {
 	// them (nil receiver).
 	var unbound *Metrics
 	unbound.observeCanary(true)
-	unbound.observeRollback(at)
+	unbound.observeRollback(at, "manual")
 	unbound.observeQuarantine()
 	unbound.setStoreGeneration(1)
 	unbound.setCanaryThresholds(1, 1)

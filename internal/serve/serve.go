@@ -434,8 +434,7 @@ func (s *Server) answer(c *estCache, gen uint64, sql string) (key cacheKey, q *s
 // answer, and on a miss estimateOne inline, under the cache's singleflight so
 // concurrent identical misses cost one inference. The serve layer itself
 // never queues, waits on a timer, or hands off to another goroutine here. Nor
-// does the resilience chain behind -fallback for the estimators the daemon
-// configures: a stage that is an estimator.ContextEstimator runs on this
+// does the resilience chain the daemon wraps its estimators in: a stage that is an estimator.ContextEstimator runs on this
 // goroutine, and only one that takes no context is guarded by a goroutine of
 // the chain's own (DESIGN §11). The latency it records counts from the
 // lookup, so a miss's includes its parse.
