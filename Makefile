@@ -123,6 +123,14 @@ ci:
 # -fallback flag to arm or disarm the chain with.
 	! grep -rnE 'NewSampling|Sampling\{' --include='*.go' cmd/cardestd cmd/cardest internal/cli internal/serve internal/resilience | grep -v '_test\.go:'
 	! grep -n '"fallback"' cmd/cardestd/main.go
+# Guard 12, a retrain learns only from feedback: the daemon's table never
+# changes after boot, so a retrain refits the boot's labels with journaled
+# actuals in place of the ones they match. No relabel pass (nor the resumable
+# count and label-phase checkpoint it needed), no column-domain detector, no
+# estimate-cache bypass latched by an alarm, and no flag for a drift
+# threshold or the retrain cooldown, whose defaults are the only values.
+	! grep -rnE 'DomainDetector|DomainConfig|CacheBypass|AlarmActive|CountManyResume|phaseLabel' --include='*.go' . | grep -v '_test\.go:'
+	! grep -nE '"(drift-[a-z-]+|retrain-cooldown)"' cmd/cardestd/main.go
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint
@@ -142,7 +150,7 @@ lint:
 # the controller's retry loop and its alarm policy (controller_test.go),
 # Retrain the pipeline it runs.
 chaos-train:
-	$(GO) test -race -run 'SelfHealing|Checkpoint|Supervisor|Controller|Retrain|QError|Domain|Monitor' \
+	$(GO) test -race -run 'SelfHealing|Checkpoint|Supervisor|Controller|Retrain|QError|Monitor' \
 		./internal/trainer/... ./internal/drift/... ./internal/store/... \
 		./internal/ml/gb/... ./internal/ml/nn/... ./internal/ml/mscn/...
 

@@ -14,9 +14,9 @@ import (
 	"qfe/internal/cli"
 	"qfe/internal/estimator"
 	"qfe/internal/serve"
-	"qfe/internal/sqlparse"
 	"qfe/internal/store"
 	"qfe/internal/table"
+	"qfe/internal/workload"
 )
 
 // booted is what the boot phase leaves behind: what serving reads, and
@@ -30,9 +30,9 @@ type booted struct {
 	// lc is nil without -store. It holds the model store and the canary
 	// workload, the one part of the labeled set that outlives the boot.
 	lc *serve.Lifecycle
-	// train is the -train queries, set only under -retrain: the retrainer
-	// relabels and refits on them, and is the one holder they have.
-	train []*sqlparse.Query
+	// train is the labeled -train set, kept only under -retrain: the
+	// retrainer refits on it, and is the one holder it has.
+	train workload.Set
 }
 
 // boot builds the table, draws and labels the workload, then recovers, loads
@@ -102,16 +102,18 @@ func boot(o options, out io.Writer) (*booted, error) {
 	}
 
 	if o.load != "" {
+		def := o.defName
 		for _, pair := range strings.Split(o.load, ",") {
 			name, path, ok := strings.Cut(strings.TrimSpace(pair), "=")
 			if !ok || name == "" || path == "" {
 				return nil, fmt.Errorf("-load wants name=path pairs, got %q", pair)
 			}
-			info, err := b.reg.LoadFile(name, path, b.db, false)
-			if err != nil {
+			if def == "" {
+				def = name
+			}
+			if err := b.load(name, path, name == def, out); err != nil {
 				return nil, fmt.Errorf("load %q: %w", name, err)
 			}
-			fmt.Fprintf(out, "loaded %s (%s, %s) from %s\n", info.Name, info.Kind, info.Estimator, path)
 		}
 	} else if !recovered {
 		loc, err := newLocal(b.db, o)
@@ -156,12 +158,41 @@ func boot(o options, out io.Writer) (*booted, error) {
 	}
 
 	if o.retrain {
-		b.train = make([]*sqlparse.Query, len(env.Train))
-		for i := range env.Train {
-			b.train[i] = env.Train[i].Query
-		}
+		// A copy, like the canary workload: the two share one array.
+		b.train = slices.Clone(env.Train)
 	}
 	return b, nil
+}
+
+// load registers the snapshot at path under name. Under -store it is
+// published as POST /v1/models/load publishes one: through the canary gate,
+// persisted as a store generation, and — made the default — the model
+// rollback and the supervisor's probes manage. A snapshot the canary refuses
+// is the error, with the canary's reason.
+func (b *booted) load(name, path string, makeDefault bool, out io.Writer) error {
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	est, kind, err := estimator.LoadEstimator(bytes.NewReader(snap), b.db)
+	if err != nil {
+		return err
+	}
+	if b.lc == nil {
+		info, err := b.reg.Register(name, est, serve.ModelInfo{Kind: kind, Source: path})
+		if err == nil {
+			fmt.Fprintf(out, "loaded %s (%s, %s) from %s\n", info.Name, info.Kind, info.Estimator, path)
+		}
+		return err
+	}
+	pub, err := b.lc.Publish(context.Background(), serve.PublishSpec{
+		Name: name, Est: est, Kind: kind, Source: path, Snapshot: snap, MakeDefault: makeDefault,
+	})
+	if err == nil {
+		fmt.Fprintf(out, "loaded %s (%s, %s) from %s: canary %s, persisted as generation %d\n",
+			pub.Info.Name, pub.Info.Kind, pub.Info.Estimator, path, pub.Canary.Reason, pub.Info.StoreGeneration)
+	}
+	return err
 }
 
 // newLocal builds the untrained estimator of the boot model's family: what

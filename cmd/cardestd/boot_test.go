@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -11,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"qfe/internal/serve"
 	"qfe/internal/testutil"
 )
 
@@ -161,5 +165,74 @@ func TestCanaryRefresherNeedsALifecycle(t *testing.T) {
 				t.Errorf("canary refreshed = %v with store = %v:\n%s", refreshed, withStore, out.String())
 			}
 		})
+	}
+}
+
+// TestLoadUnderStorePublishes: under -store a -load snapshot is published
+// like any other model, so the daemon's rule that every publish clears the
+// canary holds at boot too. It used to be registered directly: no canary
+// verdict, no store generation, and nothing lifecycle-managed for a rollback
+// to act on. A snapshot the canary refuses fails the boot with its reason.
+func TestLoadUnderStorePublishes(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	snapDir := t.TempDir()
+	snap := filepath.Join(snapDir, "boot.json")
+	o := tinyOptions(t)
+	o.save = snap
+	if _, err := boot(o, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+
+	withStore := func() options {
+		o := tinyOptions(t)
+		o.storeDir, o.modelRoot, o.probeEvery = filepath.Join(t.TempDir(), "store"), snapDir, 0
+		o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
+		o.load = "m=" + snap
+		return o
+	}
+	o = withStore()
+	b, err := boot(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := arm(b, o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	h := d.srv.Handler()
+	do := func(method, path, body string) (int, string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	models := func() []serve.ModelInfo {
+		t.Helper()
+		code, body := do(http.MethodGet, "/v1/models", "")
+		var v struct{ Models []serve.ModelInfo }
+		if err := json.Unmarshal([]byte(body), &v); code != http.StatusOK || err != nil {
+			t.Fatalf("GET /v1/models: %d %s (%v)", code, body, err)
+		}
+		return v.Models
+	}
+	if ms := models(); len(ms) != 1 || ms[0].Name != "m" || ms[0].Canary == nil || !ms[0].Canary.Pass || ms[0].StoreGeneration != 1 {
+		t.Fatalf("/v1/models lists %+v, want m admitted by the canary as store generation 1", ms)
+	}
+	// A second publish of m, then a rollback: back to the -load generation.
+	if code, body := do(http.MethodPost, "/v1/models/load", `{"name":"m","path":"boot.json","default":true}`); code != http.StatusOK {
+		t.Fatalf("POST /v1/models/load: %d %s", code, body)
+	}
+	if code, body := do(http.MethodPost, "/v1/models/rollback", ""); code != http.StatusOK {
+		t.Fatalf("POST /v1/models/rollback: %d %s", code, body)
+	}
+	if ms := models(); len(ms) != 1 || ms[0].StoreGeneration != 1 {
+		t.Errorf("after the rollback /v1/models lists %+v, want m at store generation 1", ms)
+	}
+
+	o = withStore()
+	o.canaryMedian = 1 // no model's median q-error is below 1
+	if _, err := boot(o, io.Discard); !errors.Is(err, serve.ErrCanaryRejected) || !strings.Contains(err.Error(), "median") {
+		t.Errorf("-load of a snapshot the canary refuses: err = %v, want the canary's rejection and its reason", err)
 	}
 }

@@ -14,10 +14,7 @@
 //	         [-drain-timeout 10s] [-smoke] [-pprof addr]
 //	         [-cache-entries 4096]
 //	         [-store dir] [-canary 200] [-canary-median 10] [-canary-p95 100]
-//	         [-probe-interval 30s] [-model-root dir]
-//	         [-retrain] [-retrain-cooldown 1m] [-drift-delta 0.05]
-//	         [-drift-lambda 25] [-drift-min-samples 50] [-drift-window 200]
-//	         [-drift-ood-fraction 0.25]
+//	         [-probe-interval 30s] [-model-root dir] [-retrain]
 //	         [-journal dir] [-journal-segment-size 4194304]
 //	         [-journal-retention 8]
 //
@@ -25,8 +22,10 @@
 // a model at boot (same flags as cardest), registered as "boot". With
 // -load, each name=path pair is restored via the persistence layer (local
 // snapshots, the one kind any binary writes); the database is still built so
-// string literals bind and snapshots schema-validate. Further models can be loaded
-// at runtime via POST /v1/models/load without dropping in-flight requests.
+// string literals bind and snapshots schema-validate; under -store each pair
+// is published like any other model (below), and the first, or -default, is
+// made the default. Further models can be loaded at runtime via
+// POST /v1/models/load without dropping in-flight requests.
 //
 // -store arms the crash-safe model lifecycle (see internal/store and
 // internal/serve): admitted models are persisted as checksummed, fsync'd
@@ -47,18 +46,20 @@
 //
 // -retrain (which requires -store) closes the self-healing loop described
 // in internal/drift and internal/trainer: a Page-Hinkley detector over the
-// log2 q-error of /v1/estimate feedback plus a column-domain detector over
-// live predicate literals raise drift alarms; each alarm (rate-limited by
-// -retrain-cooldown, and dropped while a retrain is already running) starts
-// one retrain on the controller's goroutine: it relabels the training
-// workload against the live data, refits the boot model family, and
-// publishes only through the canary gate. The retrainer is the one part of
-// the serving daemon that keeps the training queries (boot.go drops them
-// otherwise: ~2.4 KB of bound AST each). Retraining is crash-safe —
-// progress checkpoints ride the -store directory's fsync+rename machinery —
-// and supervised: failed attempts restart with exponential backoff and
-// quarantine after repeated failure, while a canary-rejected model is never
-// retried (its detector rearms with a widened threshold instead).
+// log2 q-error of /v1/estimate feedback raises drift alarms; each alarm (at
+// most one a minute, and dropped while a retrain is already running) starts
+// one retrain on the controller's goroutine: it refits the boot model family
+// on the boot's labeled training set, with the journaled actual of every
+// training query -journal has feedback for in place of its label, and
+// publishes only through the canary gate. The table never changes after
+// boot, so those actuals are all a retrain can learn from: without any, it
+// republishes the boot model. The retrainer is the one part of the serving
+// daemon that keeps the training set (boot.go drops it otherwise: ~2.4 KB of
+// bound AST per query). Retraining is crash-safe — progress checkpoints ride
+// the -store directory's fsync+rename machinery — and supervised: failed
+// attempts restart with exponential backoff and quarantine after repeated
+// failure, while a canary-rejected model is never retried (the detector
+// rearms with a widened threshold instead).
 // GET /v1/drift reports detector state, recent alarms, and the latest
 // retrain; /metrics grows drift_* and retrain_* counters.
 //
@@ -70,12 +71,11 @@
 // rollback invalidates the cache implicitly by changing the generation. A
 // different spelling of a cached query (reordered conjuncts, "a > 5" for
 // "a >= 6") is a different key: it recomputes, a few microseconds, and gets
-// the same estimate. While a drift alarm is active (-retrain) the cache is
-// bypassed. /metrics reports cache_hits, cache_misses, cache_evictions, and
-// cache_collapsed. The journal still files every record under
-// core.Fingerprint, the key of the featurization class; cmd/replay counts
-// how many of a journal's records a class key would have served that a text
-// key does not (its "traffic:" line).
+// the same estimate. /metrics reports cache_hits, cache_misses,
+// cache_evictions, and cache_collapsed. The journal still files every record
+// under core.Fingerprint, the key of the featurization class; cmd/replay
+// counts how many of a journal's records a class key would have served that a
+// text key does not (its "traffic:" line).
 //
 // -journal arms the durable query-feedback journal (see internal/journal):
 // every served estimate — SQL, fingerprint, estimate, client-reported
@@ -87,10 +87,10 @@
 // the newest -journal-retention sealed segments survive GC. On rotation,
 // when a lifecycle is armed, a deterministic reservoir sample of recent
 // labeled traffic replaces the canary workload, so publish gates score
-// candidates on what production actually asks. Journaled actuals also label
-// retraining queries before the exact executor runs. GET /v1/journal
-// reports stats and segments; /metrics grows journal_* counters; the
-// cmd/replay CLI replays segments offline against saved models.
+// candidates on what production actually asks. Journaled actuals also
+// replace the labels of the training queries a retrain refits on.
+// GET /v1/journal reports stats and segments; /metrics grows journal_*
+// counters; the cmd/replay CLI replays segments offline against saved models.
 //
 // Every registered model serves inside cli.Chain, as in cardest: learned →
 // independence → row-count heuristic, so the daemon always answers; a query
@@ -112,6 +112,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -160,13 +161,7 @@ type options struct {
 	probeEvery   time.Duration
 	modelRoot    string
 
-	retrain         bool
-	retrainCooldown time.Duration
-	driftDelta      float64
-	driftLambda     float64
-	driftMin        int
-	driftWindow     int
-	driftOOD        float64
+	retrain bool
 
 	journalDir    string
 	journalSegSz  int64
@@ -188,9 +183,9 @@ func main() {
 }
 
 // parseFlags parses the daemon's command line. Unknown flags are an error —
-// notably the retired -max-batch, -batch-delay and -fallback, so a deployment
-// script that still sets them fails loudly instead of keeping a knob that
-// does nothing.
+// notably the retired -max-batch, -batch-delay, -fallback, -retrain-cooldown
+// and -drift-*, so a deployment script that still sets them fails loudly
+// instead of keeping a knob that does nothing.
 func parseFlags(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("cardestd", flag.ContinueOnError)
@@ -217,13 +212,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&o.canaryP95, "canary-p95", 100, "canary ceiling on p95 q-error")
 	fs.DurationVar(&o.probeEvery, "probe-interval", 30*time.Second, "how often the supervisor re-probes the live model (0 disables)")
 	fs.StringVar(&o.modelRoot, "model-root", "", "directory POST /v1/models/load may read snapshots from (default: -store dir, else the working directory)")
-	fs.BoolVar(&o.retrain, "retrain", false, "arm self-healing retraining: drift alarms trigger supervised, checkpointed retrains published through the canary (requires -store); the retrainer keeps the -train queries' bound ASTs resident to relabel them (~2.4 KB each: ~4.8 MB live, about twice that resident, at the default 2 000)")
-	fs.DurationVar(&o.retrainCooldown, "retrain-cooldown", time.Minute, "minimum gap between drift-triggered retrains")
-	fs.Float64Var(&o.driftDelta, "drift-delta", 0.05, "Page-Hinkley tolerated drift of the mean log2 q-error")
-	fs.Float64Var(&o.driftLambda, "drift-lambda", 25, "Page-Hinkley alarm threshold on accumulated deviation")
-	fs.IntVar(&o.driftMin, "drift-min-samples", 50, "feedback observations before either drift detector may alarm")
-	fs.IntVar(&o.driftWindow, "drift-window", 200, "recent numeric predicate literals the domain detector considers")
-	fs.Float64Var(&o.driftOOD, "drift-ood-fraction", 0.25, "out-of-domain literal fraction that trips the domain detector")
+	fs.BoolVar(&o.retrain, "retrain", false, "arm self-healing retraining: q-error drift alarms trigger supervised, checkpointed refits on the -train set, journaled actuals replacing its labels, published through the canary (requires -store); the retrainer keeps the labeled -train set resident (~2.4 KB of bound AST a query: ~4.8 MB live, about twice that resident, at the default 2 000)")
 	fs.StringVar(&o.journalDir, "journal", "", "feedback journal directory (enables durable traffic capture, GET /v1/journal, and traffic-derived canaries)")
 	fs.Int64Var(&o.journalSegSz, "journal-segment-size", 4<<20, "journal segment rotation threshold in bytes")
 	fs.IntVar(&o.journalRetain, "journal-retention", 8, "sealed journal segments kept before GC (negative keeps all)")
@@ -346,51 +335,35 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 	}
 	jnl, actuals := d.jnl, d.actuals
 
-	// -retrain closes the self-healing loop: drift detectors tap the
+	// -retrain closes the self-healing loop: the drift monitor taps the
 	// /v1/estimate feedback stream, an alarm starts a checkpointed retrain
 	// on the controller's goroutine, and a retrained model takes traffic only
 	// by clearing the same canary gate as any other publish.
 	var mon *drift.Monitor
 	if o.retrain {
 		retCfg := trainer.RetrainConfig{
-			DB:           db,
-			Queries:      b.train,
+			Train:        b.train,
 			NewEstimator: func() (*estimator.Local, error) { return newLocal(db, o) },
 			Lifecycle:    lc,
 			Checkpoint:   trainer.NewStoreCheckpointer(lc.Store(), "retrain"),
-			Workers:      o.workers,
 		}
 		if actuals != nil {
-			// Journaled actuals label matching training queries for free
-			// before the exact executor runs.
+			// Journaled actuals replace the labels of the training queries
+			// they match: the only new truth a retrain can learn.
 			retCfg.ActualLookup = actuals.Lookup
 		}
 		var ret *trainer.Retrainer
 		if ret, err = trainer.NewRetrainer(retCfg); err != nil {
 			return nil, err
 		}
-		qcfg := drift.DefaultQErrorConfig()
-		qcfg.Delta, qcfg.Lambda, qcfg.MinSamples = o.driftDelta, o.driftLambda, o.driftMin
-		dcfg := drift.DefaultDomainConfig()
-		dcfg.Window, dcfg.MaxOODFraction, dcfg.MinSamples = o.driftWindow, o.driftOOD, o.driftMin
-		mon, err = drift.NewMonitor(db, drift.MonitorConfig{
-			QError:  qcfg,
-			Domain:  dcfg,
-			OnEvent: func(ev drift.Event) { d.ctrl.HandleEvent(ev) },
-		})
+		mon, err = drift.NewMonitor(drift.MonitorConfig{OnEvent: func(ev drift.Event) { d.ctrl.HandleEvent(ev) }})
 		if err != nil {
 			return nil, err
 		}
-		d.ctrl, err = trainer.NewController(trainer.ControllerConfig{
-			Retrain:  ret.Run,
-			Monitor:  mon,
-			Cooldown: o.retrainCooldown,
-		})
-		if err != nil {
+		if d.ctrl, err = trainer.NewController(trainer.ControllerConfig{Retrain: ret.Run, Monitor: mon}); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(out, "self-healing retraining armed (lambda %.0f, window %d, cooldown %v)\n",
-			o.driftLambda, o.driftWindow, o.retrainCooldown)
+		fmt.Fprintf(out, "self-healing retraining armed: a q-error drift alarm refits the %d boot-labeled queries\n", len(b.train))
 	}
 	ctrl := d.ctrl
 
@@ -410,27 +383,16 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 		Lifecycle:      lc,
 		Cache:          serve.CacheConfig{Entries: o.cacheEntries},
 	}
-	if mon != nil {
-		// While a drift alarm is pending, serving a memoized estimate would
-		// hide exactly the staleness the detectors just flagged.
-		cfg.CacheBypass = mon.AlarmActive
-	}
 	if mon != nil || jnl != nil {
 		cfg.Feedback = feedbackHook(mon, jnl)
 		cfg.ExtraMetrics = func() map[string]any {
 			extra := map[string]any{}
 			if mon != nil {
-				for k, v := range mon.Counters() {
-					extra[k] = v
-				}
-				for k, v := range ctrl.Counters() {
-					extra[k] = v
-				}
+				maps.Copy(extra, mon.Counters())
+				maps.Copy(extra, ctrl.Counters())
 			}
 			if jnl != nil {
-				for k, v := range journalCounters(jnl) {
-					extra[k] = v
-				}
+				maps.Copy(extra, journalCounters(jnl))
 			}
 			return extra
 		}
@@ -541,7 +503,7 @@ func (c *coalesced) wait() { c.wg.Wait() }
 func feedbackHook(mon *drift.Monitor, jnl *journal.Journal) func(serve.FeedbackEvent) {
 	return func(ev serve.FeedbackEvent) {
 		if mon != nil {
-			mon.ObserveFeedback(ev.Query, ev.Estimate, ev.Actual, ev.HasActual)
+			mon.ObserveFeedback(ev.Estimate, ev.Actual, ev.HasActual)
 		}
 		if jnl == nil {
 			return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -17,12 +18,14 @@ import (
 	"time"
 
 	"qfe/internal/core"
+	"qfe/internal/drift"
 	"qfe/internal/journal"
 	"qfe/internal/replay"
 	"qfe/internal/resilience"
 	"qfe/internal/serve"
 	"qfe/internal/sqlparse"
 	"qfe/internal/testutil"
+	"qfe/internal/trainer"
 )
 
 // tinyOptions keeps boot training fast enough for a unit test. It goes
@@ -39,11 +42,17 @@ func tinyOptions(t *testing.T) options {
 
 // TestRetiredFlagsRejected: the coalescing batcher is gone, and its two knobs
 // with it; so is -cache-off, the second spelling of -cache-entries 0, and
-// -fallback, since every model serves inside the one chain. A stale
-// deployment script must fail at the command line, not silently keep a flag
-// that does nothing.
+// -fallback, since every model serves inside the one chain; and so are the
+// drift thresholds and the retrain cooldown, whose defaults are now the only
+// values, and the domain detector two of them tuned. A stale deployment
+// script must fail at the command line, not silently keep a flag that does
+// nothing.
 func TestRetiredFlagsRejected(t *testing.T) {
-	for _, args := range [][]string{{"-max-batch", "16"}, {"-batch-delay", "2ms"}, {"-cache-off"}, {"-fallback"}} {
+	for _, args := range [][]string{
+		{"-max-batch", "16"}, {"-batch-delay", "2ms"}, {"-cache-off"}, {"-fallback"},
+		{"-drift-delta", "0.05"}, {"-drift-lambda", "25"}, {"-drift-min-samples", "50"},
+		{"-drift-window", "200"}, {"-drift-ood-fraction", "0.25"}, {"-retrain-cooldown", "1m"},
+	} {
 		fs := append([]string{"-smoke"}, args...)
 		if _, err := parseFlags(fs); err == nil || !strings.Contains(err.Error(), "not defined: "+args[0]) {
 			t.Errorf("parseFlags(%v): err = %v, want an unknown-flag error naming %s", fs, err, args[0])
@@ -322,11 +331,167 @@ func TestRunRetrainSmoke(t *testing.T) {
 	}
 }
 
+// retrainingOptions is tinyOptions with the self-healing loop armed over a
+// store, and -journal when journalDir is set. The canary ceilings are
+// generous: these tests are about the loop, not the tiny model's accuracy.
+func retrainingOptions(t *testing.T, journalDir string) options {
+	t.Helper()
+	o := tinyOptions(t)
+	o.storeDir, o.journalDir = filepath.Join(t.TempDir(), "store"), journalDir
+	o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
+	o.retrain, o.probeEvery = true, 0
+	return o
+}
+
+// postOK POSTs body to /v1/estimate and fails the test unless it is a 200.
+func postOK(t *testing.T, h http.Handler, body string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST %s: status %d: %s", body, rec.Code, rec.Body)
+	}
+}
+
+// waitRetrained waits for the controller's retrain to publish.
+func waitRetrained(t *testing.T, ctrl *trainer.Controller) {
+	t.Helper()
+	for deadline := time.Now().Add(60 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if js := ctrl.Status()["jobs"].([]trainer.JobStatus); len(js) == 1 && js[0].State != trainer.JobRunning && js[0].State != trainer.JobBackoff {
+			if js[0].State != trainer.JobDone {
+				t.Fatalf("retrain ended %s: %s", js[0].State, js[0].LastError)
+			}
+			return
+		}
+	}
+	t.Fatal("the retrain did not finish")
+}
+
+// TestDriftAlarmLeavesTheCacheOn: a drift alarm never turns the estimate
+// cache off. It used to: the monitor latched an alarm until a retrain ended,
+// the server bypassed the cache while one was latched, and an alarm the
+// retrain cooldown suppressed started no retrain to unlatch it, so the cache
+// stayed off for good. A hit is only ever what the same generation would
+// recompute, so the bypass changed no answer; it cost CPU. Here the second
+// alarm lands inside the cooldown of the first one's retrain, and a query
+// repeated n times afterwards is n-1 hits.
+func TestDriftAlarmLeavesTheCacheOn(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	o := retrainingOptions(t, "")
+	b, err := boot(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := arm(b, o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	h := d.srv.Handler()
+	counter := func(key string) uint64 { return d.ctrl.Counters()[key].(uint64) }
+	// alarm feeds healthy feedback, then actuals a billion rows off, through
+	// the handler until the controller has seen n alarms.
+	alarm := func(n uint64) {
+		t.Helper()
+		const fed = "SELECT count(*) FROM forest WHERE A1 >= 2500 AND A2 <= 200"
+		_, est := estimateOne(t, h, fed)
+		for i := 0; i < 60; i++ {
+			postOK(t, h, fmt.Sprintf(`{"sql":"%s","actual":%v}`, fed, est))
+		}
+		for i := 0; i < 20 && counter("retrain_events_seen") < n; i++ {
+			postOK(t, h, `{"sql":"`+fed+`","actual":1e9}`)
+		}
+		if got := counter("retrain_events_seen"); got != n {
+			t.Fatalf("the controller saw %d drift alarms, want %d", got, n)
+		}
+	}
+	alarm(1)
+	waitRetrained(t, d.ctrl)
+	alarm(2)
+	if got := counter("retrain_events_suppressed"); got != 1 {
+		t.Fatalf("%d alarms suppressed, want the second one, inside the cooldown", got)
+	}
+
+	const repeated, n = "SELECT count(*) FROM forest WHERE A3 >= 2", 20
+	before := d.srv.Metrics().Snapshot()["cache_hits"].(int64)
+	for i := 0; i < n; i++ {
+		estimateOne(t, h, repeated)
+	}
+	if hits := d.srv.Metrics().Snapshot()["cache_hits"].(int64) - before; hits != n-1 {
+		t.Errorf("%d repeats of one query after a drift alarm: %d cache hits, want %d", n, hits, n-1)
+	}
+}
+
+// TestRetrainRefitsTheBootLabels: what a retrain can change. The table never
+// changes after boot, so a retrain with no journaled actual refits the boot
+// model on the boot's labels: the generation it publishes holds the boot
+// generation's snapshot byte for byte. A wrong actual journaled for a
+// training query's class replaces that query's label, and the next retrain
+// publishes a different model.
+func TestRetrainRefitsTheBootLabels(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	o := retrainingOptions(t, filepath.Join(t.TempDir(), "journal"))
+	b, err := boot(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := b.lc.Store()
+	bootSnap, _, err := st.Read(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// retrain arms a daemon over the boot, starts a retrain as an alarm
+	// does, and returns its journal labels and the snapshot it published.
+	retrain := func(wantGen uint64) (uint64, []byte) {
+		t.Helper()
+		d, err := arm(b, o, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.close()
+		if !d.ctrl.HandleEvent(drift.Event{}) {
+			t.Fatal("the alarm started no retrain")
+		}
+		waitRetrained(t, d.ctrl)
+		gen, _ := st.Latest()
+		if gen.Number != wantGen {
+			t.Fatalf("the retrain published store generation %d, want %d", gen.Number, wantGen)
+		}
+		snap, _, err := st.Read(gen.Number)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.ctrl.Counters()["retrain_journal_labels"].(uint64), snap
+	}
+
+	if labels, snap := retrain(2); labels != 0 || !bytes.Equal(snap, bootSnap) {
+		t.Errorf("a retrain with no journaled actual took %d journal labels and published %d bytes, equal to the boot's %d: %v; want 0 and equal",
+			labels, len(snap), len(bootSnap), bytes.Equal(snap, bootSnap))
+	}
+
+	d, err := arm(b, o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := b.train[0]
+	postOK(t, d.srv.Handler(), fmt.Sprintf(`{"sql":"%s","actual":%d}`, l.Query.String(), 1000*l.Card+7))
+	if err := d.jnl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	d.close()
+	if labels, snap := retrain(3); labels < 1 || bytes.Equal(snap, bootSnap) {
+		t.Errorf("a retrain after a wrong actual for a training query took %d journal labels and published the boot's snapshot: %v; want >= 1 and a different one",
+			labels, bytes.Equal(snap, bootSnap))
+	}
+}
+
 // TestArmFailureStopsWhatItStarted: a step of arm that fails is the daemon's
 // error, not a nil dereference in the cleanup, and the journal writer and
 // the controller's goroutine that earlier steps started are joined before
-// arm returns. The three cases fail at the first step, in the middle, and at
-// the last step with everything before it running.
+// arm returns. The three cases fail at the first step, in the middle (the
+// retrainer, between the journal and the server; the drift monitor there has
+// only its defaults and cannot fail), and at the last step with everything
+// before it running.
 func TestArmFailureStopsWhatItStarted(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	armed := func(t *testing.T) options {
@@ -348,12 +513,19 @@ func TestArmFailureStopsWhatItStarted(t *testing.T) {
 			t.Fatalf("run over a journal path that is a file: err = %v, want one naming the feedback journal", err)
 		}
 	})
-	t.Run("drift monitor refuses its config", func(t *testing.T) {
+	t.Run("retrainer refuses its config", func(t *testing.T) {
 		o := armed(t)
-		o.driftLambda = 0
-		err := run(o, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "Lambda") {
-			t.Fatalf("run with -drift-lambda 0: err = %v, want the monitor's", err)
+		b, err := boot(o, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.train = nil // the journal is open when the retrainer is built
+		d, err := arm(b, o, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "Train is empty") {
+			t.Fatalf("arm without a training set: err = %v, want the retrainer's", err)
+		}
+		if d != nil {
+			t.Errorf("arm returned a daemon beside its error")
 		}
 	})
 	t.Run("server refuses its config", func(t *testing.T) {

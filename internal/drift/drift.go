@@ -1,48 +1,38 @@
 // Package drift detects when a served cardinality model has gone stale.
 //
-// Two complementary detectors run over the live feedback that /v1/estimate
-// already collects:
+// Monitor is a streaming Page-Hinkley test over the log2 q-error of the
+// feedback /v1/estimate already collects. The q-error of a fresh model is a
+// roughly stationary signal; when the data or workload shifts, its mean rises
+// and stays risen. Page-Hinkley accumulates deviations of the signal from its
+// running mean and alarms when the accumulated deviation exceeds a threshold —
+// a classic change-point test that reacts to sustained degradation, not to a
+// single catastrophically mis-estimated query.
 //
-//   - QErrorDetector: a streaming Page-Hinkley test over log2(q-error). The
-//     q-error of a fresh model is a roughly stationary signal; when the data
-//     or workload shifts, its mean rises and stays risen. Page-Hinkley
-//     accumulates deviations of the signal from its running mean and alarms
-//     when the accumulated deviation exceeds a threshold — a classic
-//     change-point test that reacts to sustained degradation, not to a
-//     single catastrophically mis-estimated query.
+// The only input is the client's reported actuals. The daemon's table is
+// built once at boot and never changes, so those actuals are the only new
+// truth there is, and the only thing a retrain can learn from; a query whose
+// literals fall outside a column's range is not a symptom of anything (a
+// predicate below a column's minimum simply selects every row).
 //
-//   - DomainDetector: compares the literals of incoming predicates against
-//     the column domains the model was trained on. Queries probing values
-//     outside every trained column's [min, max] are the earliest symptom of
-//     data drift — they can arrive before any feedback label does — so the
-//     detector alarms when the out-of-domain fraction over a sliding window
-//     exceeds a threshold.
-//
-// Detectors emit typed Events. They never retrain or publish anything
-// themselves: internal/trainer owns the response, and every model produced
-// in response to drift still passes the serve.Lifecycle canary gate.
+// The monitor emits typed Events. It never retrains or publishes anything
+// itself: internal/trainer owns the response, and every model produced in
+// response to drift still passes the serve.Lifecycle canary gate.
 package drift
 
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
-	"qfe/internal/sqlparse"
-	"qfe/internal/table"
+	"qfe/internal/metrics"
 )
 
 // Kind labels which detector produced an Event.
 type Kind string
 
-const (
-	// KindQError marks events from the Page-Hinkley q-error detector.
-	KindQError Kind = "qerror"
-	// KindDomain marks events from the column-domain detector.
-	KindDomain Kind = "domain"
-)
+// KindQError marks events from the Page-Hinkley q-error detector.
+const KindQError Kind = "qerror"
 
 // Severity grades an Event by how far past its threshold the detector
 // statistic landed.
@@ -60,8 +50,7 @@ type Event struct {
 	Kind     Kind      `json:"kind"`
 	Severity Severity  `json:"severity"`
 	At       time.Time `json:"at"`
-	// Stat is the detector statistic at alarm time (Page-Hinkley deviation
-	// for q-error drift, out-of-domain fraction for domain drift).
+	// Stat is the Page-Hinkley deviation at alarm time.
 	Stat float64 `json:"stat"`
 	// Threshold is the effective threshold the statistic exceeded.
 	Threshold float64 `json:"threshold"`
@@ -69,13 +58,6 @@ type Event struct {
 	Samples int `json:"samples"`
 	// Detail is a human-readable summary.
 	Detail string `json:"detail"`
-}
-
-func severityFor(stat, threshold float64) Severity {
-	if threshold > 0 && stat >= 2*threshold {
-		return SeverityCritical
-	}
-	return SeverityWarn
 }
 
 // QErrorConfig tunes the Page-Hinkley detector.
@@ -112,272 +94,154 @@ func (c QErrorConfig) validate() error {
 	return nil
 }
 
-// QErrorDetector is a streaming Page-Hinkley change-point test over
-// log2(q-error). Safe for concurrent use.
-type QErrorDetector struct {
-	cfg QErrorConfig
+// maxRecentEvents bounds the event history Status reports.
+const maxRecentEvents = 32
 
-	mu    sync.Mutex
-	n     int
-	mean  float64 // running mean of the clamped log2 q-error
-	mT    float64 // accumulated deviation
-	minMT float64 // running minimum of mT
-	widen float64 // threshold multiplier, raised by Rearm after failed canaries
+// MonitorConfig configures a Monitor.
+type MonitorConfig struct {
+	// QError tunes the detector; the zero value means DefaultQErrorConfig.
+	QError QErrorConfig
+	// OnEvent, when non-nil, receives every alarm synchronously from the
+	// observing goroutine. Keep it fast and non-blocking: the trainer's
+	// controller starts a goroutine, or counts the alarm, and returns.
+	OnEvent func(Event)
 }
 
-// NewQErrorDetector validates cfg and returns an armed detector.
-func NewQErrorDetector(cfg QErrorConfig) (*QErrorDetector, error) {
-	if err := cfg.validate(); err != nil {
+// Monitor runs the Page-Hinkley test over the serving feedback stream, keeps
+// the counters and recent-event history behind /v1/drift, and forwards
+// alarms to the retraining controller. Safe for concurrent use.
+type Monitor struct {
+	cfg     QErrorConfig
+	onEvent func(Event)
+
+	mu       sync.Mutex
+	n        int
+	mean     float64 // running mean of the clamped log2 q-error
+	mT       float64 // accumulated deviation
+	minMT    float64 // running minimum of mT
+	widen    float64 // threshold multiplier, raised by Rearm after failed canaries
+	observed uint64
+	alarms   uint64
+	recent   []Event
+}
+
+// NewMonitor validates cfg and returns an armed monitor.
+func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
+	if cfg.QError == (QErrorConfig{}) {
+		cfg.QError = DefaultQErrorConfig()
+	}
+	if err := cfg.QError.validate(); err != nil {
 		return nil, err
 	}
-	return &QErrorDetector{cfg: cfg, widen: 1}, nil
+	return &Monitor{cfg: cfg.QError, onEvent: cfg.OnEvent, widen: 1}, nil
 }
 
-// Observe feeds one q-error observation. It returns an Event and true when
-// the observation triggers the alarm; the detector then resets itself and
-// starts accumulating fresh (its widened threshold, if any, is kept until
-// Reset).
-func (d *QErrorDetector) Observe(qerr float64) (Event, bool) {
-	x := math.Log2(qerr)
+// ObserveFeedback feeds one served estimate to the detector. hasActual says
+// whether actual is real ground truth: a genuine zero-row actual drives the
+// detector (QError clamps the truth to 1), while an observation without
+// feedback is only counted. The explicit bit exists because a bare actual==0
+// used to mean both "no feedback" and "empty result", and phantom zero
+// actuals must never reach the detector. An alarm resets the statistic, so
+// one episode yields one event; a widened threshold is kept until Reset.
+func (m *Monitor) ObserveFeedback(est, actual float64, hasActual bool) {
+	m.mu.Lock()
+	m.observed++
+	if !hasActual {
+		m.mu.Unlock()
+		return
+	}
+	x := math.Log2(metrics.QError(actual, est))
 	if math.IsNaN(x) || x < 0 {
 		x = 0 // q-error is defined >= 1; defend against bad callers
 	}
-	if x > d.cfg.MaxLogQ {
-		x = d.cfg.MaxLogQ
+	x = min(x, m.cfg.MaxLogQ)
+	m.n++
+	m.mean += (x - m.mean) / float64(m.n)
+	m.mT += x - m.mean - m.cfg.Delta
+	m.minMT = min(m.minMT, m.mT)
+	ph := m.mT - m.minMT
+	threshold := m.cfg.Lambda * m.widen
+	if m.n < m.cfg.MinSamples || ph <= threshold {
+		m.mu.Unlock()
+		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.n++
-	d.mean += (x - d.mean) / float64(d.n)
-	d.mT += x - d.mean - d.cfg.Delta
-	if d.mT < d.minMT {
-		d.minMT = d.mT
-	}
-	ph := d.mT - d.minMT
-	threshold := d.cfg.Lambda * d.widen
-	if d.n < d.cfg.MinSamples || ph <= threshold {
-		return Event{}, false
+	severity := SeverityWarn
+	if ph >= 2*threshold {
+		severity = SeverityCritical
 	}
 	ev := Event{
 		Kind:      KindQError,
-		Severity:  severityFor(ph, threshold),
+		Severity:  severity,
 		At:        time.Now(),
 		Stat:      ph,
 		Threshold: threshold,
-		Samples:   d.n,
+		Samples:   m.n,
 		Detail: fmt.Sprintf("Page-Hinkley deviation %.2f exceeded %.2f after %d samples (mean log2 q-error %.2f)",
-			ph, threshold, d.n, d.mean),
+			ph, threshold, m.n, m.mean),
 	}
-	d.resetLocked()
-	return ev, true
+	m.resetLocked()
+	m.alarms++
+	m.recent = append(m.recent, ev)
+	if len(m.recent) > maxRecentEvents {
+		m.recent = m.recent[len(m.recent)-maxRecentEvents:]
+	}
+	cb := m.onEvent
+	m.mu.Unlock()
+	if cb != nil {
+		cb(ev)
+	}
 }
 
-func (d *QErrorDetector) resetLocked() {
-	d.n, d.mean, d.mT, d.minMT = 0, 0, 0, 0
+func (m *Monitor) resetLocked() {
+	m.n, m.mean, m.mT, m.minMT = 0, 0, 0, 0
 }
 
 // Reset clears the accumulated statistic and restores the original
 // threshold; called after a retrained model passes the canary and publishes.
-func (d *QErrorDetector) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.resetLocked()
-	d.widen = 1
+func (m *Monitor) Reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.resetLocked()
+	m.widen = 1
 }
 
 // Rearm resets the statistic but multiplies the effective threshold by
 // factor (> 1). It is the response to a failed canary: the drift is real
 // but retraining did not help, so alarming again at the same sensitivity
 // would only burn retraining capacity. Successive Rearms compound.
-func (d *QErrorDetector) Rearm(factor float64) {
-	if factor < 1 {
-		factor = 1
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.resetLocked()
-	d.widen *= factor
+func (m *Monitor) Rearm(factor float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.resetLocked()
+	m.widen *= max(factor, 1)
 }
 
-// State reports the detector's live statistic for status endpoints.
-func (d *QErrorDetector) State() map[string]any {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// Counters returns the monitor's cumulative counters in a flat, /metrics
+// friendly form.
+func (m *Monitor) Counters() map[string]any {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return map[string]any{
-		"samples":   d.n,
-		"mean_logq": d.mean,
-		"stat":      d.mT - d.minMT,
-		"threshold": d.cfg.Lambda * d.widen,
-		"widen":     d.widen,
+		"drift_feedback_observed": m.observed,
+		"drift_alarms_qerror":     m.alarms,
 	}
 }
 
-// DomainConfig tunes the column-domain detector.
-type DomainConfig struct {
-	// Window is the number of recent numeric predicate literals considered.
-	Window int
-	// MaxOODFraction alarms when the fraction of out-of-domain literals in
-	// the window exceeds it.
-	MaxOODFraction float64
-	// MinSamples suppresses alarms until the window has this many literals.
-	MinSamples int
-}
-
-// DefaultDomainConfig alarms when over a quarter of the last 200 literals
-// fall outside the trained column domains.
-func DefaultDomainConfig() DomainConfig {
-	return DomainConfig{Window: 200, MaxOODFraction: 0.25, MinSamples: 50}
-}
-
-func (c DomainConfig) validate() error {
-	switch {
-	case c.Window < 1:
-		return fmt.Errorf("drift: Window = %d, want >= 1", c.Window)
-	case c.MaxOODFraction <= 0 || c.MaxOODFraction >= 1:
-		return fmt.Errorf("drift: MaxOODFraction = %v, want in (0, 1)", c.MaxOODFraction)
-	case c.MinSamples < 1 || c.MinSamples > c.Window:
-		return fmt.Errorf("drift: MinSamples = %d, want in [1, Window=%d]", c.MinSamples, c.Window)
-	}
-	return nil
-}
-
-// colBounds is the trained [min, max] of one column.
-type colBounds struct{ min, max int64 }
-
-// DomainDetector compares live numeric predicate literals against the
-// column domains captured at training time. Safe for concurrent use.
-type DomainDetector struct {
-	cfg    DomainConfig
-	bounds map[string]colBounds // "table.column" → trained bounds
-
-	mu   sync.Mutex
-	ring []bool // true = out-of-domain
-	pos  int
-	n    int // literals seen, capped at len(ring)
-	ood  int // out-of-domain literals currently in the window
-}
-
-// NewDomainDetector snapshots the column domains of db — the stats the
-// currently served model was trained against — and returns an armed
-// detector. Snapshotting (rather than reading db live) is deliberate: the
-// detector must compare against what the model knows, not what the data
-// has become.
-func NewDomainDetector(db *table.DB, cfg DomainConfig) (*DomainDetector, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if db == nil {
-		return nil, fmt.Errorf("drift: nil database")
-	}
-	bounds := make(map[string]colBounds)
-	for _, tn := range db.TableNames() {
-		t := db.Table(tn)
-		for _, cn := range t.ColumnNames() {
-			col := t.Column(cn)
-			bounds[tn+"."+cn] = colBounds{min: col.Min(), max: col.Max()}
-		}
-	}
-	return &DomainDetector{cfg: cfg, bounds: bounds, ring: make([]bool, cfg.Window)}, nil
-}
-
-// ObserveQuery feeds every numeric selection literal of q into the window
-// and reports whether the out-of-domain fraction crossed the threshold.
-// String-valued predicates are skipped (dictionary-encoded literals are
-// bound to in-domain codes or fail binding long before estimation).
-func (d *DomainDetector) ObserveQuery(q *sqlparse.Query) (Event, bool) {
-	if q == nil {
-		return Event{}, false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, p := range sqlparse.CollectPreds(q.Where) {
-		if p.Str != nil {
-			continue
-		}
-		b, ok := d.lookupBounds(p.Attr, q.Tables)
-		if !ok {
-			continue
-		}
-		d.push(p.Val < b.min || p.Val > b.max)
-	}
-	if d.n < d.cfg.MinSamples {
-		return Event{}, false
-	}
-	frac := float64(d.ood) / float64(d.n)
-	if frac <= d.cfg.MaxOODFraction {
-		return Event{}, false
-	}
-	ev := Event{
-		Kind:      KindDomain,
-		Severity:  severityFor(frac, d.cfg.MaxOODFraction),
-		At:        time.Now(),
-		Stat:      frac,
-		Threshold: d.cfg.MaxOODFraction,
-		Samples:   d.n,
-		Detail: fmt.Sprintf("%.0f%% of the last %d predicate literals fall outside the trained column domains",
-			frac*100, d.n),
-	}
-	d.resetLocked()
-	return ev, true
-}
-
-// lookupBounds resolves an attribute reference — qualified or bare — to
-// trained bounds. A bare column name is tried against each of the query's
-// tables; the first match wins (the paper's workloads never reuse a column
-// name across joined tables with different domains).
-func (d *DomainDetector) lookupBounds(attr string, tables []string) (colBounds, bool) {
-	if strings.Contains(attr, ".") {
-		b, ok := d.bounds[attr]
-		return b, ok
-	}
-	for _, tn := range tables {
-		if b, ok := d.bounds[tn+"."+attr]; ok {
-			return b, true
-		}
-	}
-	return colBounds{}, false
-}
-
-func (d *DomainDetector) push(ood bool) {
-	if d.n == len(d.ring) {
-		if d.ring[d.pos] {
-			d.ood--
-		}
-	} else {
-		d.n++
-	}
-	d.ring[d.pos] = ood
-	if ood {
-		d.ood++
-	}
-	d.pos = (d.pos + 1) % len(d.ring)
-}
-
-func (d *DomainDetector) resetLocked() {
-	for i := range d.ring {
-		d.ring[i] = false
-	}
-	d.pos, d.n, d.ood = 0, 0, 0
-}
-
-// Reset clears the window.
-func (d *DomainDetector) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.resetLocked()
-}
-
-// State reports the detector's live statistic for status endpoints.
-func (d *DomainDetector) State() map[string]any {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	frac := 0.0
-	if d.n > 0 {
-		frac = float64(d.ood) / float64(d.n)
-	}
+// Status returns the detector's live statistic plus recent events, the
+// payload behind /v1/drift.
+func (m *Monitor) Status() map[string]any {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return map[string]any{
-		"samples":      d.n,
-		"ood_fraction": frac,
-		"threshold":    d.cfg.MaxOODFraction,
+		"observed": m.observed,
+		"alarms":   map[string]uint64{string(KindQError): m.alarms},
+		"qerror": map[string]any{
+			"samples":   m.n,
+			"mean_logq": m.mean,
+			"stat":      m.mT - m.minMT,
+			"threshold": m.cfg.Lambda * m.widen,
+			"widen":     m.widen,
+		},
+		"recent": append([]Event(nil), m.recent...),
 	}
 }

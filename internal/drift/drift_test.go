@@ -3,8 +3,6 @@ package drift
 import (
 	"testing"
 
-	"qfe/internal/sqlparse"
-	"qfe/internal/table"
 	"qfe/internal/testutil"
 )
 
@@ -12,29 +10,38 @@ func qerrCfg() QErrorConfig {
 	return QErrorConfig{Delta: 0.05, Lambda: 5, MinSamples: 10, MaxLogQ: 20}
 }
 
-// feedUntilAlarm drives d with good-then-bad q-errors and returns how many
-// bad observations it took to alarm (0 = never alarmed within budget).
-func feedUntilAlarm(t *testing.T, d *QErrorDetector, good, maxBad int) (Event, int) {
+// newMonitor returns a monitor over cfg whose alarms land in *events.
+func newMonitor(t *testing.T, cfg QErrorConfig, events *[]Event) *Monitor {
 	t.Helper()
+	m, err := NewMonitor(MonitorConfig{QError: cfg, OnEvent: func(ev Event) { *events = append(*events, ev) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// feedUntilAlarm drives m with good-then-bad q-errors and returns how many
+// bad observations it took to alarm (0 = never alarmed within budget).
+func feedUntilAlarm(t *testing.T, m *Monitor, events *[]Event, good, maxBad int) (Event, int) {
+	t.Helper()
+	before := len(*events)
 	for i := 0; i < good; i++ {
-		if ev, fired := d.Observe(1); fired {
-			t.Fatalf("alarm after %d healthy observations: %+v", i+1, ev)
+		if m.ObserveFeedback(1, 1, true); len(*events) != before {
+			t.Fatalf("alarm after %d healthy observations: %+v", i+1, (*events)[before])
 		}
 	}
 	for i := 1; i <= maxBad; i++ {
-		if ev, fired := d.Observe(1024); fired {
-			return ev, i
+		if m.ObserveFeedback(1, 1024, true); len(*events) != before {
+			return (*events)[before], i
 		}
 	}
 	return Event{}, 0
 }
 
 func TestQErrorDetectorAlarmsOnDrift(t *testing.T) {
-	d, err := NewQErrorDetector(qerrCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, bad := feedUntilAlarm(t, d, 15, 50)
+	var events []Event
+	m := newMonitor(t, qerrCfg(), &events)
+	ev, bad := feedUntilAlarm(t, m, &events, 15, 50)
 	if bad == 0 {
 		t.Fatal("sustained 1024x q-errors never tripped the detector")
 	}
@@ -48,7 +55,7 @@ func TestQErrorDetectorAlarmsOnDrift(t *testing.T) {
 		t.Errorf("alarm stat %v <= threshold %v", ev.Stat, ev.Threshold)
 	}
 	// Alarming auto-resets the statistic so one episode yields one event.
-	if st := d.State(); st["samples"] != 0 {
+	if st := m.Status()["qerror"].(map[string]any); st["samples"] != 0 {
 		t.Errorf("post-alarm samples = %v, want 0 (auto-reset)", st["samples"])
 	}
 }
@@ -56,30 +63,23 @@ func TestQErrorDetectorAlarmsOnDrift(t *testing.T) {
 func TestQErrorDetectorRespectsMinSamples(t *testing.T) {
 	cfg := qerrCfg()
 	cfg.MinSamples = 50
-	d, err := NewQErrorDetector(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var events []Event
+	m := newMonitor(t, cfg, &events)
 	for i := 0; i < 49; i++ {
-		if ev, fired := d.Observe(1e6); fired {
-			t.Fatalf("alarm at observation %d, before MinSamples=50: %+v", i+1, ev)
+		if m.ObserveFeedback(1, 1e6, true); len(events) != 0 {
+			t.Fatalf("alarm at observation %d, before MinSamples=50: %+v", i+1, events[0])
 		}
 	}
 }
 
 func TestQErrorRearmWidensThreshold(t *testing.T) {
-	fresh, err := NewQErrorDetector(qerrCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rearmed, err := NewQErrorDetector(qerrCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	var freshEvents, rearmedEvents []Event
+	fresh := newMonitor(t, qerrCfg(), &freshEvents)
+	rearmed := newMonitor(t, qerrCfg(), &rearmedEvents)
 	rearmed.Rearm(4)
 
-	_, freshBad := feedUntilAlarm(t, fresh, 15, 50)
-	_, rearmedBad := feedUntilAlarm(t, rearmed, 15, 50)
+	_, freshBad := feedUntilAlarm(t, fresh, &freshEvents, 15, 50)
+	_, rearmedBad := feedUntilAlarm(t, rearmed, &rearmedEvents, 15, 50)
 	if freshBad == 0 || rearmedBad == 0 {
 		t.Fatalf("detectors never alarmed (fresh %d, rearmed %d)", freshBad, rearmedBad)
 	}
@@ -89,89 +89,21 @@ func TestQErrorRearmWidensThreshold(t *testing.T) {
 
 	// Reset restores full sensitivity.
 	rearmed.Reset()
-	_, resetBad := feedUntilAlarm(t, rearmed, 15, 50)
+	_, resetBad := feedUntilAlarm(t, rearmed, &rearmedEvents, 15, 50)
 	if resetBad != freshBad {
 		t.Errorf("reset detector alarmed after %d bad samples, fresh after %d; Reset must restore the original threshold", resetBad, freshBad)
-	}
-}
-
-func testDB(t *testing.T) *table.DB {
-	t.Helper()
-	tbl := table.New("t")
-	tbl.MustAddColumn(table.NewColumn("a", []int64{0, 2, 4, 6, 8, 9}))
-	tbl.MustAddColumn(table.NewColumn("b", []int64{100, 120, 140, 160, 180, 200}))
-	db := table.NewDB()
-	db.MustAdd(tbl)
-	return db
-}
-
-func parse(t *testing.T, sql string) *sqlparse.Query {
-	t.Helper()
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
-}
-
-func TestDomainDetectorAlarmsOnOutOfDomainLiterals(t *testing.T) {
-	d, err := NewDomainDetector(testDB(t), DomainConfig{Window: 10, MaxOODFraction: 0.5, MinSamples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := parse(t, "SELECT count(*) FROM t WHERE a >= 2 AND b <= 180")
-	for i := 0; i < 20; i++ {
-		if ev, fired := d.ObserveQuery(in); fired {
-			t.Fatalf("in-domain literals tripped the detector: %+v", ev)
-		}
-	}
-	out := parse(t, "SELECT count(*) FROM t WHERE a >= 50 AND b <= 9999")
-	var ev Event
-	fired := false
-	for i := 0; i < 10 && !fired; i++ {
-		ev, fired = d.ObserveQuery(out)
-	}
-	if !fired {
-		t.Fatal("sustained out-of-domain literals never tripped the detector")
-	}
-	if ev.Kind != KindDomain {
-		t.Errorf("event kind = %q, want %q", ev.Kind, KindDomain)
-	}
-	if ev.Stat <= 0.5 {
-		t.Errorf("alarm fraction %v, want > 0.5", ev.Stat)
-	}
-}
-
-func TestDomainDetectorSkipsUnknownColumns(t *testing.T) {
-	d, err := NewDomainDetector(testDB(t), DomainConfig{Window: 10, MaxOODFraction: 0.5, MinSamples: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := parse(t, "SELECT count(*) FROM t WHERE nosuch >= 99999")
-	for i := 0; i < 20; i++ {
-		if ev, fired := d.ObserveQuery(q); fired {
-			t.Fatalf("unknown column literal tripped the detector: %+v", ev)
-		}
 	}
 }
 
 func TestMonitorForwardsAlarmsAndCounts(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	var events []Event
-	mon, err := NewMonitor(testDB(t), MonitorConfig{
-		QError:  QErrorConfig{Delta: 0.05, Lambda: 2, MinSamples: 5, MaxLogQ: 20},
-		Domain:  DomainConfig{Window: 10, MaxOODFraction: 0.5, MinSamples: 5},
-		OnEvent: func(ev Event) { events = append(events, ev) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := parse(t, "SELECT count(*) FROM t WHERE a >= 2")
+	mon := newMonitor(t, QErrorConfig{Delta: 0.05, Lambda: 2, MinSamples: 5, MaxLogQ: 20}, &events)
 	for i := 0; i < 6; i++ {
-		mon.ObserveFeedback(q, 100, 100, true) // q-error 1: healthy
+		mon.ObserveFeedback(100, 100, true) // q-error 1: healthy
 	}
 	for i := 0; i < 10 && len(events) == 0; i++ {
-		mon.ObserveFeedback(q, 1, 1e6, true) // q-error 1e6: drifted
+		mon.ObserveFeedback(1, 1e6, true) // q-error 1e6: drifted
 	}
 	if len(events) == 0 {
 		t.Fatal("monitor never forwarded a q-error alarm")
@@ -193,69 +125,38 @@ func TestMonitorForwardsAlarmsAndCounts(t *testing.T) {
 		t.Error("Status reports no recent events after an alarm")
 	}
 
-	// Unlabeled feedback (actual <= 0) must not touch the q-error path.
-	before := mon.Counters()["drift_alarms_qerror"].(uint64)
+	// Unlabeled feedback is counted and never reaches the detector.
+	before := mon.Counters()
 	for i := 0; i < 20; i++ {
-		mon.ObserveFeedback(q, 1, 0, false)
+		mon.ObserveFeedback(1, 0, false)
 	}
-	if after := mon.Counters()["drift_alarms_qerror"].(uint64); after != before {
-		t.Errorf("unlabeled feedback moved the q-error alarm counter %d -> %d", before, after)
+	after := mon.Counters()
+	if after["drift_alarms_qerror"] != before["drift_alarms_qerror"] {
+		t.Errorf("unlabeled feedback moved the q-error alarm counter %v -> %v", before["drift_alarms_qerror"], after["drift_alarms_qerror"])
+	}
+	if got := after["drift_feedback_observed"].(uint64) - before["drift_feedback_observed"].(uint64); got != 20 {
+		t.Errorf("20 unlabeled observations moved drift_feedback_observed by %d", got)
+	}
+	if n := mon.Status()["qerror"].(map[string]any)["samples"]; n != 0 {
+		t.Errorf("the detector consumed %v unlabeled observations, want 0", n)
+	}
+	if len(after) != 2 {
+		t.Errorf("counters %v, want drift_feedback_observed and drift_alarms_qerror alone", after)
 	}
 
 	mon.Rearm(2)
 	mon.Reset()
 }
 
-// TestMonitorAlarmActive: the cache-bypass signal latches on the first
-// alarm and clears on Reset/Rearm — the lifetime the serving layer's
-// CacheBypass hook depends on.
-func TestMonitorAlarmActive(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	mon, err := NewMonitor(testDB(t), MonitorConfig{
-		QError: QErrorConfig{Delta: 0.05, Lambda: 2, MinSamples: 5, MaxLogQ: 20},
-		Domain: DomainConfig{Window: 10, MaxOODFraction: 0.5, MinSamples: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mon.AlarmActive() {
-		t.Fatal("fresh monitor reports an active alarm")
-	}
-
-	q := parse(t, "SELECT count(*) FROM t WHERE a >= 2")
-	for i := 0; i < 6; i++ {
-		mon.ObserveFeedback(q, 100, 100, true)
-	}
-	for i := 0; i < 10 && !mon.AlarmActive(); i++ {
-		mon.ObserveFeedback(q, 1, 1e6, true)
-	}
-	if !mon.AlarmActive() {
-		t.Fatal("sustained drift never raised AlarmActive")
-	}
-	if v := mon.Counters()["drift_alarm_active"]; v != true {
-		t.Errorf("drift_alarm_active counter = %v, want true", v)
-	}
-	if v := mon.Status()["alarmActive"]; v != true {
-		t.Errorf("Status alarmActive = %v, want true", v)
-	}
-
-	mon.Reset()
-	if mon.AlarmActive() {
-		t.Fatal("Reset did not clear the active alarm")
-	}
-
-	// Re-alarm, then Rearm (the rejected-retrain path) must clear it too.
-	for i := 0; i < 6; i++ {
-		mon.ObserveFeedback(q, 100, 100, true)
-	}
-	for i := 0; i < 10 && !mon.AlarmActive(); i++ {
-		mon.ObserveFeedback(q, 1, 1e6, true)
-	}
-	if !mon.AlarmActive() {
-		t.Fatal("monitor did not re-alarm after Reset")
-	}
-	mon.Rearm(2)
-	if mon.AlarmActive() {
-		t.Fatal("Rearm did not clear the active alarm")
+func TestMonitorRefusesBadConfig(t *testing.T) {
+	for _, cfg := range []QErrorConfig{
+		{Delta: -1, Lambda: 1, MinSamples: 1, MaxLogQ: 1},
+		{Delta: 0, Lambda: 0, MinSamples: 1, MaxLogQ: 1},
+		{Delta: 0, Lambda: 1, MinSamples: 0, MaxLogQ: 1},
+		{Delta: 0, Lambda: 1, MinSamples: 1, MaxLogQ: 0},
+	} {
+		if _, err := NewMonitor(MonitorConfig{QError: cfg}); err == nil {
+			t.Errorf("NewMonitor(%+v) accepted", cfg)
+		}
 	}
 }

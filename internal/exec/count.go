@@ -247,49 +247,19 @@ func (e *QueryError) Unwrap() error { return e.Err }
 // bit-identical to sequential execution: each query's count is exact and
 // independent, and parallelism never reorders per-query computation.
 func CountManyCtx(ctx context.Context, db *table.DB, qs []*sqlparse.Query) ([]int64, error) {
-	return CountManyResume(ctx, db, qs, nil, 0)
+	return CountManyWorkers(ctx, db, qs, 0)
 }
 
 // CountManyWorkers is CountManyCtx with an explicit worker count
 // (workers < 1 means GOMAXPROCS).
 func CountManyWorkers(ctx context.Context, db *table.DB, qs []*sqlparse.Query, workers int) ([]int64, error) {
-	return CountManyResume(ctx, db, qs, nil, workers)
-}
-
-// CountManyResume is CountManyWorkers for interrupted labeling runs: prior
-// holds the labels computed so far (-1 marks "not yet labeled", matching the
-// failure sentinel of CountManyCtx; nil means none), and only those entries
-// are executed — completed labels are copied through untouched. The returned
-// slice always has len(qs); error semantics match CountManyCtx
-// (deterministic smallest-index *QueryError).
-//
-// A checkpointing labeler alternates CountManyResume over a slice of the
-// batch with persisting the partial label vector: after a crash it reloads
-// the vector and hands it straight back as prior, paying only for the
-// queries whose labels were never made durable.
-func CountManyResume(ctx context.Context, db *table.DB, qs []*sqlparse.Query, prior []int64, workers int) ([]int64, error) {
-	if prior != nil && len(prior) != len(qs) {
-		return nil, fmt.Errorf("exec: %d prior labels for %d queries", len(prior), len(qs))
-	}
 	out := make([]int64, len(qs))
-	todo := make([]int, 0, len(qs))
-	for i := range qs {
-		if prior != nil && prior[i] >= 0 {
-			out[i] = prior[i]
-			continue
-		}
-		out[i] = -1
-		todo = append(todo, i)
-	}
 	errs := make([]error, len(qs))
-	parallel.Do(len(todo), parallel.Workers(workers), func(j int) {
-		i := todo[j]
-		c, err := CountCtx(ctx, db, qs[i])
-		if err != nil {
-			errs[i] = err
-			return
+	parallel.Do(len(qs), parallel.Workers(workers), func(i int) {
+		out[i], errs[i] = CountCtx(ctx, db, qs[i])
+		if errs[i] != nil {
+			out[i] = -1
 		}
-		out[i] = c
 	})
 	for i, err := range errs {
 		if err != nil {

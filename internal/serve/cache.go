@@ -40,9 +40,9 @@ import (
 // so a thundering herd of identical queries costs one model inference.
 //
 // What is never cached: failed estimates, degraded (fallback-stage)
-// results, and non-finite values — and the server bypasses the cache
-// entirely while the drift monitor has an active alarm, because a stale
-// estimate during drift is worse than recomputation.
+// results, and non-finite values. A hit is therefore exactly what the same
+// generation would recompute, and a drift alarm has no reason to turn the
+// cache off: the retrained model that answers it is a new generation.
 
 // CacheConfig tunes the estimate cache. The zero value disables it;
 // embedders (and cmd/cardestd) opt in by setting Entries.

@@ -620,34 +620,6 @@ func TestServerCacheHitIsBitIdentical(t *testing.T) {
 	}
 }
 
-func TestServerCacheBypass(t *testing.T) {
-	est := &countingEst{value: 9}
-	var bypass atomic.Bool
-	srv := cachedServer(t, est, func(cfg *Config) {
-		cfg.CacheBypass = bypass.Load
-	})
-	h := srv.Handler()
-
-	post := func() {
-		if code, body := postJSON(t, h, "/v1/estimate", map[string]any{"sql": stubSQL}); code != http.StatusOK {
-			t.Fatalf("POST: %d %v", code, body)
-		}
-	}
-	post()             // miss, cached
-	post()             // hit
-	bypass.Store(true) // drift alarm: every request recomputes
-	post()
-	post()
-	if n := est.calls.Load(); n != 3 {
-		t.Errorf("estimator ran %d times, want 3 (1 miss + 2 bypassed)", n)
-	}
-	bypass.Store(false) // alarm cleared: the cached entry serves again
-	post()
-	if n := est.calls.Load(); n != 3 {
-		t.Errorf("estimator ran %d times after alarm cleared, want still 3", n)
-	}
-}
-
 func TestServerCacheBatchPath(t *testing.T) {
 	est := &countingEst{value: 5}
 	srv := cachedServer(t, est, nil)

@@ -124,8 +124,8 @@ func TestSinglesDoNotWaitOnATimer(t *testing.T) {
 
 // TestOnePathSameAnswer: serve has one way to estimate a query, so the same
 // query must get the same estimate, stage and degraded bit as a single and
-// inside a client batch, on a cache miss and a cache hit, with the cache on,
-// off and bypassed — through the resilience chain and through a bare model.
+// inside a client batch, on a cache miss and a cache hit, with the cache on
+// and off — through the resilience chain and through a bare model.
 func TestOnePathSameAnswer(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	db, set := testEnv(t)
@@ -146,20 +146,17 @@ func TestOnePathSameAnswer(t *testing.T) {
 		for _, cache := range []struct {
 			name    string
 			entries int
-			bypass  bool
-		}{{"on", 64, false}, {"off", 0, false}, {"bypassed", 64, true}} {
+		}{{"on", 64}, {"off", 0}} {
 			name := wrap.name + ", cache " + cache.name
 			reg := NewRegistry()
 			reg.Wrap = wrap.wrap
 			if _, err := reg.Register("m", loc, ModelInfo{Kind: estimator.KindLocal}); err != nil {
 				t.Fatal(err)
 			}
-			bypass := cache.bypass
 			srv, err := New(Config{
-				Registry:    reg,
-				DB:          db,
-				Cache:       CacheConfig{Entries: cache.entries},
-				CacheBypass: func() bool { return bypass },
+				Registry: reg,
+				DB:       db,
+				Cache:    CacheConfig{Entries: cache.entries},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -182,7 +179,7 @@ func TestOnePathSameAnswer(t *testing.T) {
 				}
 			}
 			wantHits := int64(0)
-			if cache.entries > 0 && !cache.bypass {
+			if cache.entries > 0 {
 				wantHits = 2
 			}
 			if got := srv.Metrics().Snapshot()["cache_hits"]; got != wantHits {

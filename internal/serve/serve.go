@@ -93,12 +93,6 @@ type Config struct {
 	// Cache enables the generation-scoped, text-keyed estimate cache on the
 	// /v1/estimate hot path (see cache.go). The zero value disables it.
 	Cache CacheConfig
-	// CacheBypass, when non-nil, is consulted per request: while it returns
-	// true the cache is neither read nor written (hits, misses, and
-	// singleflight all skipped). The daemon wires the drift monitor's
-	// active-alarm state here — stale estimates during drift are worse
-	// than recomputation. Must be safe for concurrent use.
-	CacheBypass func() bool
 	// Feedback, when non-nil, observes every successfully estimated query.
 	// The event says explicitly whether the client reported a true
 	// cardinality (HasActual) — an actual of zero rows is real feedback,
@@ -398,18 +392,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeEstimate(w, sc, http.StatusOK, &estimateResponse{Model: info.Name, Results: sc.results})
 }
 
-// activeCache returns the estimate cache, or nil when it is disabled or
-// bypassed for this request (drift alarm active).
-func (s *Server) activeCache() *estCache {
-	if s.cache == nil {
-		return nil
-	}
-	if s.cfg.CacheBypass != nil && s.cfg.CacheBypass() {
-		return nil
-	}
-	return s.cache
-}
-
 // answer resolves one query text as far as the calling goroutine can without
 // estimating: a lookup in the estimate cache under the text's key, then — only
 // when that missed — parse and bind. A hit therefore returns before a parse,
@@ -419,10 +401,10 @@ func (s *Server) activeCache() *estCache {
 // carries none is parsed for the hook. The error is the client's (unparseable
 // or unbindable text, 4xx); such text was never estimated, so it is never a
 // hit.
-func (s *Server) answer(c *estCache, gen uint64, sql string) (key cacheKey, q *sqlparse.Query, br EstResult, hit bool, err error) {
-	if c != nil {
+func (s *Server) answer(gen uint64, sql string) (key cacheKey, q *sqlparse.Query, br EstResult, hit bool, err error) {
+	if s.cache != nil {
 		key = textKey(gen, sql)
-		br, q, hit = c.lookup(key)
+		br, q, hit = s.cache.lookup(key)
 	}
 	if !hit || (q == nil && s.cfg.Feedback != nil) {
 		q, err = s.parseAndBind(sql)
@@ -440,26 +422,25 @@ func (s *Server) answer(c *estCache, gen uint64, sql string) (key cacheKey, q *s
 // lookup, so a miss's includes its parse.
 func (s *Server) estimateTimed(dl deadline, est estimator.Estimator, info ModelInfo, sql string, reported *float64) (estimateResult, error) {
 	start := time.Now()
-	c := s.activeCache()
-	key, q, br, hit, err := s.answer(c, info.Generation, sql)
+	key, q, br, hit, err := s.answer(info.Generation, sql)
 	if err != nil {
 		return estimateResult{}, err
 	}
 	if !hit {
-		br = s.estimateMiss(dl, c, key, est, q)
+		br = s.estimateMiss(dl, key, est, q)
 	}
 	return s.record(info, q, sql, br, reported, time.Since(start)), nil
 }
 
 // estimateMiss computes what lookup did not find, under the request's
-// deadline; c is nil when the cache is off or bypassed.
-func (s *Server) estimateMiss(dl deadline, c *estCache, key cacheKey, est estimator.Estimator, q *sqlparse.Query) EstResult {
+// deadline.
+func (s *Server) estimateMiss(dl deadline, key cacheKey, est estimator.Estimator, q *sqlparse.Query) EstResult {
 	ctx, cancel := dl.context()
 	defer cancel()
-	if c == nil {
+	if s.cache == nil {
 		return estimateOne(ctx, est, q)
 	}
-	return c.do(ctx, key, q, func() EstResult { return estimateOne(ctx, est, q) })
+	return s.cache.do(ctx, key, q, func() EstResult { return estimateOne(ctx, est, q) })
 }
 
 // record accounts one answered query — latency and degradation metrics, the
@@ -499,14 +480,13 @@ func (s *Server) record(info ModelInfo, q *sqlparse.Query, sql string, br EstRes
 func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, info ModelInfo, items []estimateItem, sc *reqScratch) {
 	start := time.Now()
 	sc.results = zeroed(sc.results, len(items))
-	c := s.activeCache()
 	for i := range items {
 		if !finiteActual(items[i].Actual) {
 			sc.results[i] = estimateResult{Error: `"actual" must be a finite number`}
 			s.metrics.estErrors.Add(1)
 			continue
 		}
-		key, q, br, hit, err := s.answer(c, info.Generation, items[i].SQL)
+		key, q, br, hit, err := s.answer(info.Generation, items[i].SQL)
 		if err != nil {
 			sc.results[i] = estimateResult{Error: err.Error()}
 			s.metrics.estErrors.Add(1)
@@ -529,9 +509,9 @@ func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, info ModelI
 		for k, res := range sc.missOut {
 			j := sc.missIdx[k]
 			sc.out[j] = res
-			if c != nil {
+			if s.cache != nil {
 				s.metrics.cacheMisses.Add(1)
-				c.put(sc.keys[j], res, sc.qs[j])
+				s.cache.put(sc.keys[j], res, sc.qs[j])
 			}
 		}
 	}

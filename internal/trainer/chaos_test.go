@@ -21,7 +21,6 @@ import (
 	"qfe/internal/ml/gb"
 	"qfe/internal/resilience/faultinject"
 	"qfe/internal/serve"
-	"qfe/internal/sqlparse"
 	"qfe/internal/store"
 	"qfe/internal/table"
 	"qfe/internal/testutil"
@@ -72,7 +71,7 @@ func newLocalFactory(db *table.DB) func() (*estimator.Local, error) {
 // loadRecord is what the chaos checkpointer saw at the start of one attempt.
 type loadRecord struct {
 	ok        bool
-	phase     string
+	fit       bool // the checkpoint carries fit progress
 	tempSwept int
 }
 
@@ -110,7 +109,7 @@ func (c *chaosCheckpointer) Load() ([]byte, bool, error) {
 	if ok {
 		var ck jobCheckpoint
 		if json.Unmarshal(payload, &ck) == nil {
-			rec.phase = ck.Phase
+			rec.fit = len(ck.Train) > 0
 		}
 	}
 	c.loads = append(c.loads, rec)
@@ -178,13 +177,8 @@ func TestSelfHealingRetrainSurvivesChaos(t *testing.T) {
 		},
 	}
 
-	qs := make([]*sqlparse.Query, len(env.train))
-	for i := range env.train {
-		qs[i] = env.train[i].Query
-	}
 	ret, err := NewRetrainer(RetrainConfig{
-		DB:              env.db,
-		Queries:         qs,
+		Train:           env.train,
 		NewEstimator:    newLocalFactory(env.db),
 		Lifecycle:       lc,
 		Name:            "retrained",
@@ -196,9 +190,8 @@ func TestSelfHealingRetrainSurvivesChaos(t *testing.T) {
 	}
 
 	var ctrl *Controller
-	mon, err := drift.NewMonitor(env.db, drift.MonitorConfig{
+	mon, err := drift.NewMonitor(drift.MonitorConfig{
 		QError:  drift.QErrorConfig{Delta: 0.05, Lambda: 2, MinSamples: 5, MaxLogQ: 20},
-		Domain:  drift.DefaultDomainConfig(),
 		OnEvent: func(ev drift.Event) { ctrl.HandleEvent(ev) },
 	})
 	if err != nil {
@@ -217,12 +210,11 @@ func TestSelfHealingRetrainSurvivesChaos(t *testing.T) {
 
 	// Inject drift: healthy feedback to seed the baseline, then a burst of
 	// three-orders-of-magnitude q-errors until the alarm fires.
-	q := env.train[0].Query
 	for i := 0; i < 6; i++ {
-		mon.ObserveFeedback(q, 100, 100, true)
+		mon.ObserveFeedback(100, 100, true)
 	}
 	for i := 0; i < 20 && len(jobs(ctrl)) == 0; i++ {
-		mon.ObserveFeedback(q, 1, 1e6, true)
+		mon.ObserveFeedback(1, 1e6, true)
 	}
 	if len(jobs(ctrl)) == 0 {
 		t.Fatal("injected drift never started a retraining job")
@@ -237,7 +229,7 @@ func TestSelfHealingRetrainSurvivesChaos(t *testing.T) {
 	}
 
 	// The crashed attempts must have resumed, not restarted: attempts 2
-	// and 3 both loaded a durable train-phase checkpoint, and attempt 3's
+	// and 3 both loaded a durable checkpoint with fit progress, and attempt 3's
 	// reboot swept the torn temp file attempt 2 left behind.
 	if len(ck.loads) != 3 {
 		t.Fatalf("checkpointer saw %d attempts, want 3", len(ck.loads))
@@ -246,8 +238,8 @@ func TestSelfHealingRetrainSurvivesChaos(t *testing.T) {
 		t.Errorf("attempt 1 load = %+v, want no checkpoint", ck.loads[0])
 	}
 	for i, rec := range ck.loads[1:] {
-		if !rec.ok || rec.phase != phaseTrain {
-			t.Errorf("attempt %d load = %+v, want a durable train-phase checkpoint", i+2, rec)
+		if !rec.ok || !rec.fit {
+			t.Errorf("attempt %d load = %+v, want a durable checkpoint with fit progress", i+2, rec)
 		}
 	}
 	if ck.loads[2].tempSwept != 1 {

@@ -1,14 +1,18 @@
 // Package trainer closes the self-healing loop around the serving stack:
 // when internal/drift detects that the live model has gone stale, the
-// Controller starts a retrain that relabels the training workload against
-// the current data, refits the estimator, and offers the result to the
-// serve.Lifecycle canary gate. Nothing in this package publishes a model
-// directly — a retrained model that cannot beat the canary never takes
-// traffic, exactly like any other candidate.
+// Controller starts a retrain that refits the estimator on the boot's
+// labeled training set, with every label the feedback journal knows a true
+// cardinality for replaced by it, and offers the result to the
+// serve.Lifecycle canary gate. The table never changes after boot, so
+// journaled actuals are the only new truth a retrain has: with none that
+// match a training query, it refits the boot model (a GB one byte for
+// byte). Nothing in this package publishes a model directly — a retrained
+// model that cannot beat the canary never takes traffic, exactly like any
+// other candidate.
 //
-// Retraining is crash-safe: the labeling loop and every model family's
-// epoch/tree loop periodically persist CRC-framed checkpoints through
-// internal/store's fsync+rename machinery, so a crashed or SIGTERM'd
+// Retraining is crash-safe: every model family's epoch/tree loop
+// periodically persists CRC-framed checkpoints, with the labels it fits on,
+// through internal/store's fsync+rename machinery, so a crashed or SIGTERM'd
 // retrain resumes from its last durable checkpoint instead of restarting.
 // The Controller owns the one goroutine a retrain runs on — stopped through
 // a context and joined by Close — and restarts a failed attempt after an

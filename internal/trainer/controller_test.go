@@ -10,7 +10,6 @@ import (
 
 	"qfe/internal/drift"
 	"qfe/internal/serve"
-	"qfe/internal/table"
 	"qfe/internal/testutil"
 )
 
@@ -57,11 +56,11 @@ func wantCounters(t *testing.T, c *Controller, want map[string]uint64) {
 	}
 }
 
-// testMonitor is a real drift monitor over an empty database; widen reads
+// testMonitor is a real drift monitor at its defaults; widen reads
 // back what Reset (1) and Rearm (×factor) did to its q-error threshold.
 func testMonitor(t *testing.T) *drift.Monitor {
 	t.Helper()
-	mon, err := drift.NewMonitor(table.NewDB(), drift.MonitorConfig{})
+	mon, err := drift.NewMonitor(drift.MonitorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,22 +7,21 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 
 	"qfe/internal/estimator"
-	"qfe/internal/exec"
 	"qfe/internal/serve"
 	"qfe/internal/sqlparse"
-	"qfe/internal/table"
 	"qfe/internal/workload"
 )
 
 // RetrainConfig assembles a Retrainer.
 type RetrainConfig struct {
-	// DB is the live database; labels are recomputed against it, which is
-	// the whole point of retraining under data drift.
-	DB *table.DB
-	// Queries is the bound training workload to relabel and refit on.
-	Queries []*sqlparse.Query
+	// Train is the boot's labeled training set, bound queries and their true
+	// cardinalities. The daemon's table never changes after boot, so these
+	// labels stay true: a retrain refits on them, each overwritten by the
+	// actual ActualLookup knows for its query.
+	Train workload.Set
 	// NewEstimator builds a fresh, untrained local estimator per attempt.
 	NewEstimator func() (*estimator.Local, error)
 	// Lifecycle is the only path to traffic: the retrained model publishes
@@ -35,21 +34,17 @@ type RetrainConfig struct {
 	// CheckpointEvery is the model-level checkpoint cadence (trees for GB,
 	// epochs for NN). Default 10.
 	CheckpointEvery int
-	// Workers bounds labeling and training goroutines; 0 means one per CPU.
-	Workers int
-	// ActualLookup, when non-nil, is consulted per query before the exact
-	// executor: a hit (a true cardinality journaled from live feedback)
-	// labels the query for free. Misses fall back to CountManyResume as
-	// before. The daemon wires the feedback journal's actual index here.
+	// ActualLookup, when non-nil, is consulted per training query: a hit (a
+	// true cardinality journaled from live feedback) replaces the query's
+	// boot label. It is the only new truth a retrain can learn. The daemon
+	// wires the feedback journal's actual index here.
 	ActualLookup func(q *sqlparse.Query) (int64, bool)
 }
 
 func (c *RetrainConfig) withDefaults() error {
 	switch {
-	case c.DB == nil:
-		return fmt.Errorf("trainer: RetrainConfig.DB is required")
-	case len(c.Queries) == 0:
-		return fmt.Errorf("trainer: RetrainConfig.Queries is empty")
+	case len(c.Train) == 0:
+		return fmt.Errorf("trainer: RetrainConfig.Train is empty")
 	case c.NewEstimator == nil:
 		return fmt.Errorf("trainer: RetrainConfig.NewEstimator is required")
 	case c.Lifecycle == nil:
@@ -64,26 +59,18 @@ func (c *RetrainConfig) withDefaults() error {
 	return nil
 }
 
-// jobCheckpoint is the durable progress of one retraining job. Phase
-// "label" carries the partial label vector (-1 = not yet labeled); phase
-// "train" additionally carries the estimator's own opaque training-progress
-// payload. Labels ride along in both phases so a train-phase resume never
-// relabels.
+// jobCheckpoint is the durable progress of one retraining job: the label
+// vector its fit runs on and the estimator's own opaque fit progress. It is
+// written only from inside the fit, so it always carries both. (Earlier
+// builds also wrote a "phase" field, and label-phase checkpoints with no fit
+// progress and -1 for every query not yet counted; the first decodes into
+// this struct as a resumable checkpoint, the second is ignored.)
 type jobCheckpoint struct {
-	Phase  string  `json:"phase"` // "label" or "train"
 	Labels []int64 `json:"labels"`
 	Train  []byte  `json:"train,omitempty"`
 }
 
-const (
-	phaseLabel = "label"
-	phaseTrain = "train"
-
-	// labelChunk is how many queries are labeled between checkpoints.
-	labelChunk = 256
-)
-
-// Retrainer is one resumable retraining pipeline: relabel → refit →
+// Retrainer is one resumable retraining pipeline: label → refit →
 // canary-gated publish. Run is the Controller's Retrain function; a
 // Retrainer is stateless between runs except for its durable checkpoint.
 type Retrainer struct {
@@ -101,19 +88,14 @@ func NewRetrainer(cfg RetrainConfig) (*Retrainer, error) {
 // Run executes one retraining attempt end to end: the admitted model is the
 // registry default under cfg.Name when it returns nil. journalLabels is how
 // many training labels this attempt took from journaled feedback instead of
-// exact COUNT(*) execution, whatever the outcome. A canary rejection
-// surfaces as an error wrapping serve.ErrCanaryRejected with nothing
-// published. The checkpoint is cleared only after a successful publish: a
-// rejected model's checkpoint would resume into the identical rejected
-// model, so it is cleared on rejection too.
+// the boot's, whatever the outcome. A canary rejection surfaces as an error
+// wrapping serve.ErrCanaryRejected with nothing published. The checkpoint is
+// cleared only after a successful publish: a rejected model's checkpoint
+// would resume into the identical rejected model, so it is cleared on
+// rejection too.
 func (r *Retrainer) Run(ctx context.Context) (journalLabels int, err error) {
 	ck := r.loadCheckpoint()
-
-	labels, journalLabels, err := r.label(ctx, ck)
-	if err != nil {
-		return journalLabels, err
-	}
-
+	labels, journalLabels := r.label(ck)
 	loc, err := r.train(ctx, ck, labels)
 	if err != nil {
 		return journalLabels, err
@@ -140,95 +122,48 @@ func (r *Retrainer) Run(ctx context.Context) (journalLabels int, err error) {
 	return journalLabels, err
 }
 
-// label recomputes ground-truth cardinalities against the live database,
-// resuming from — and periodically saving — the durable label vector. hits
-// counts the labels ActualLookup supplied. The column dictionaries the counts
-// build are dropped on the way out: the daemon serves until the next retrain
-// and does not hold them for it.
-func (r *Retrainer) label(ctx context.Context, ck *jobCheckpoint) (labels []int64, hits int, err error) {
-	defer r.cfg.DB.DropDictionaries()
-	n := len(r.cfg.Queries)
-	labels = ck.Labels
-	if len(labels) != n {
-		// No checkpoint, or one for a different workload: start over.
-		labels = make([]int64, n)
-		for i := range labels {
-			labels[i] = -1
-		}
-		ck.Train = nil
-		ck.Phase = phaseLabel
+// label returns the labels this attempt fits on and how many of them
+// journaled feedback supplied. A checkpoint with fit progress resumes on the
+// labels its fit started from, so a resumed fit never mixes two label sets
+// and a lookup made after the checkpoint was written changes nothing.
+// Otherwise each label is the boot's, overwritten by the actual ActualLookup
+// knows for its query, and a checkpoint without fit progress is ignored.
+func (r *Retrainer) label(ck *jobCheckpoint) (labels []int64, hits int) {
+	if len(ck.Train) > 0 && len(ck.Labels) == len(r.cfg.Train) {
+		return ck.Labels, 0
 	}
-	if ck.Phase == phaseTrain {
-		return labels, 0, nil // labeling finished in a previous attempt
-	}
-
-	if r.cfg.ActualLookup != nil {
-		// Journaled feedback first: every hit is one exact COUNT(*) the
-		// labeling pass no longer pays for. Only still-unlabeled slots are
-		// consulted, so resumed checkpoints keep their earlier labels.
-		for i, q := range r.cfg.Queries {
-			if labels[i] >= 0 {
-				continue
-			}
-			if card, ok := r.cfg.ActualLookup(q); ok && card >= 0 {
-				labels[i] = card
-				hits++
-			}
-		}
-	}
-
-	for lo := 0; lo < n; lo += labelChunk {
-		hi := lo + labelChunk
-		if hi > n {
-			hi = n
-		}
-		done := true
-		for _, v := range labels[lo:hi] {
-			if v < 0 {
-				done = false
-				break
-			}
-		}
-		if done {
+	ck.Train = nil // no checkpoint, one without fit progress, or one for another workload
+	labels = make([]int64, len(r.cfg.Train))
+	for i, l := range r.cfg.Train {
+		labels[i] = l.Card
+		if r.cfg.ActualLookup == nil {
 			continue
 		}
-		sub, lerr := exec.CountManyResume(ctx, r.cfg.DB, r.cfg.Queries[lo:hi], labels[lo:hi], r.cfg.Workers)
-		copy(labels[lo:hi], sub)
-		if lerr != nil {
-			// Persist what did label before failing: the retry pays only for
-			// the rest.
-			r.saveCheckpoint(&jobCheckpoint{Phase: phaseLabel, Labels: labels})
-			return nil, hits, fmt.Errorf("trainer: label queries [%d,%d): %w", lo, hi, lerr)
-		}
-		if hi < n {
-			if err := r.saveCheckpoint(&jobCheckpoint{Phase: phaseLabel, Labels: labels}); err != nil {
-				return nil, hits, err
-			}
+		if card, ok := r.cfg.ActualLookup(l.Query); ok && card >= 0 {
+			labels[i] = card
+			hits++
 		}
 	}
-	return labels, hits, nil
+	return labels, hits
 }
 
-// train fits a fresh estimator over the labeled workload, checkpointing
-// through the estimator's resumable-progress hook. Fit progress the
-// estimator cannot resume (estimator.ErrBadProgress: written under another
+// train fits a fresh estimator over the training set under labels,
+// checkpointing through the estimator's resumable-progress hook. Fit progress
+// the estimator cannot resume (estimator.ErrBadProgress: written under another
 // -qft or -model on the same store, undecodable, or a model that fails
 // validation) would fail every attempt the same way until the Controller
 // quarantined the retrain, so it is dropped and the fit starts over in the
 // same attempt, on the checkpoint's labels, which are still good.
 func (r *Retrainer) train(ctx context.Context, ck *jobCheckpoint, labels []int64) (*estimator.Local, error) {
-	set := make(workload.Set, len(r.cfg.Queries))
-	for i, q := range r.cfg.Queries {
-		set[i] = workload.Labeled{Query: q, Card: labels[i]}
+	set := slices.Clone(r.cfg.Train)
+	for i := range set {
+		set[i].Card = labels[i]
 	}
-	opts := &estimator.TrainOpts{CheckpointEvery: r.cfg.CheckpointEvery}
+	opts := &estimator.TrainOpts{CheckpointEvery: r.cfg.CheckpointEvery, Resume: ck.Train}
 	if r.cfg.Checkpoint != nil {
 		opts.OnCheckpoint = func(payload []byte) error {
-			return r.saveCheckpoint(&jobCheckpoint{Phase: phaseTrain, Labels: labels, Train: payload})
+			return r.saveCheckpoint(&jobCheckpoint{Labels: labels, Train: payload})
 		}
-	}
-	if ck.Phase == phaseTrain && len(ck.Train) > 0 {
-		opts.Resume = ck.Train
 	}
 	loc, err := r.fit(ctx, set, opts)
 	if errors.Is(err, estimator.ErrBadProgress) {
@@ -255,15 +190,10 @@ func (r *Retrainer) fit(ctx context.Context, set workload.Set, opts *estimator.T
 // is none (or it is unreadable — corruption means start fresh, never fail).
 func (r *Retrainer) loadCheckpoint() *jobCheckpoint {
 	ck := &jobCheckpoint{}
-	if r.cfg.Checkpoint == nil {
-		return ck
-	}
-	payload, ok, err := r.cfg.Checkpoint.Load()
-	if err != nil || !ok {
-		return ck
-	}
-	if json.Unmarshal(payload, ck) != nil {
-		return &jobCheckpoint{}
+	if r.cfg.Checkpoint != nil {
+		if payload, ok, err := r.cfg.Checkpoint.Load(); err == nil && ok && json.Unmarshal(payload, ck) != nil {
+			return &jobCheckpoint{}
+		}
 	}
 	return ck
 }

@@ -68,14 +68,9 @@ func TestRetrainResumesOnDifferentWorkerCount(t *testing.T) {
 	cfg.MaxDepth = 5
 	cfg.Seed = 1
 	cfg.Workers = 1
-	qs := make([]*sqlparse.Query, len(env.train))
-	for i := range env.train {
-		qs[i] = env.train[i].Query
-	}
 	ck := &memCheckpointer{saves: 3}
 	ret, err := NewRetrainer(RetrainConfig{
-		DB:      env.db,
-		Queries: qs,
+		Train: env.train,
 		NewEstimator: func() (*estimator.Local, error) {
 			return estimator.NewLocal(env.db, estimator.LocalConfig{
 				QFT:          "conjunctive",
@@ -95,9 +90,9 @@ func TestRetrainResumesOnDifferentWorkerCount(t *testing.T) {
 		t.Fatalf("first attempt: error %v, want the failed checkpoint save", err)
 	}
 	var saved jobCheckpoint
-	if err := json.Unmarshal(ck.payload, &saved); err != nil || saved.Phase != phaseTrain || len(saved.Train) == 0 {
-		t.Fatalf("after the first attempt: checkpoint phase %q with %d bytes of fit progress (decode error %v), want a mid-fit one",
-			saved.Phase, len(saved.Train), err)
+	if err := json.Unmarshal(ck.payload, &saved); err != nil || len(saved.Train) == 0 {
+		t.Fatalf("after the first attempt: checkpoint with %d bytes of fit progress (decode error %v), want a mid-fit one",
+			len(saved.Train), err)
 	}
 
 	cfg.Workers = 3
@@ -113,14 +108,19 @@ func TestRetrainResumesOnDifferentWorkerCount(t *testing.T) {
 	}
 }
 
-// TestRetrainLabelsFromJournaledActuals: ActualLookup, which the daemon
-// points at the feedback journal's index, labels the queries it knows
-// without executing them — its answers here are cardinalities the executor
-// cannot produce, and they reach the training set untouched — while the rest
-// are counted exactly; Run reports the hits, once; and a resumed label-phase
-// checkpoint keeps its labels and asks the lookup only about the rest.
+// TestRetrainLabelsFromJournaledActuals: a retrain fits the boot's labels,
+// each overwritten by the actual ActualLookup — the feedback journal's index
+// in the daemon — knows for its query. The lookup's answers here are
+// cardinalities the 3000-row table cannot have; they reach the training set
+// untouched, every other label is the boot's, no row is counted, and Run
+// reports the hits, once. A checkpoint with fit progress resumes on its own
+// labels whatever the lookup has learned since, so a resumed fit never mixes
+// two label sets; one in the format older builds wrote (with a "phase")
+// resumes too, and an older label-phase checkpoint — no fit progress, -1 for
+// every query it had not counted — is ignored.
 func TestRetrainLabelsFromJournaledActuals(t *testing.T) {
 	env := buildChaosEnv(t)
+	env.db.DropDictionaries() // what labeling the fixture built
 	reg := serve.NewRegistry()
 	lc, err := serve.NewLifecycle(serve.LifecycleConfig{
 		Registry: reg,
@@ -133,43 +133,46 @@ func TestRetrainLabelsFromJournaledActuals(t *testing.T) {
 	}
 	n := len(env.train)
 	index := make(map[*sqlparse.Query]int, n)
-	qs := make([]*sqlparse.Query, n)
-	for i := range env.train {
-		qs[i] = env.train[i].Query
-		index[qs[i]] = i
+	for i, l := range env.train {
+		index[l.Query] = i
 	}
 	var asked []int
+	journaled := int64(1_000_000)
 	ck := &memCheckpointer{saves: 1}
 	ret, err := NewRetrainer(RetrainConfig{
-		DB:              env.db,
-		Queries:         qs,
+		Train:           env.train,
 		NewEstimator:    newLocalFactory(env.db),
 		Lifecycle:       lc,
 		Checkpoint:      ck,
 		CheckpointEvery: 5,
 		ActualLookup: func(q *sqlparse.Query) (int64, bool) { // knows the even queries
 			asked = append(asked, index[q])
-			return 1_000_000 + int64(index[q]), index[q]%2 == 0 // the table has 3000 rows
+			return journaled + int64(index[q]), index[q]%2 == 0
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// checkLabels: the first done slots hold a resumed checkpoint's labels,
-	// the even ones after them the lookup's, the odd ones the executor's.
-	checkLabels := func(labels []int64, done int) {
+	// saved decodes the checkpoint a failed save left and checks its labels:
+	// the even ones the lookup's answers when base was journaled, the odd
+	// ones the boot's.
+	saved := func(what string, base int64) jobCheckpoint {
 		t.Helper()
-		for i, got := range labels {
+		var ck1 jobCheckpoint
+		if err := json.Unmarshal(ck.payload, &ck1); err != nil || len(ck1.Train) == 0 || len(ck1.Labels) != n {
+			t.Fatalf("%s: checkpoint with %d labels and %d bytes of fit progress (decode error %v), want a mid-fit one with %d labels",
+				what, len(ck1.Labels), len(ck1.Train), err, n)
+		}
+		for i, got := range ck1.Labels {
 			want := env.train[i].Card
-			if i < done {
-				want = 5_000_000 + int64(i)
-			} else if i%2 == 0 {
-				want = 1_000_000 + int64(i)
+			if i%2 == 0 {
+				want = base + int64(i)
 			}
 			if got != want {
-				t.Fatalf("label %d = %d, want %d", i, got, want)
+				t.Fatalf("%s: label %d = %d, want %d", what, i, got, want)
 			}
 		}
+		return ck1
 	}
 
 	// The second mid-fit save fails, which leaves the first — and with it
@@ -178,43 +181,56 @@ func TestRetrainLabelsFromJournaledActuals(t *testing.T) {
 	if !errors.Is(err, errDiskFull) || hits != n/2 || len(asked) != n {
 		t.Fatalf("first attempt: %d journal labels from %d lookups, error %v; want %d from %d and the failed save", hits, len(asked), err, n/2, n)
 	}
-	var saved jobCheckpoint
-	if err := json.Unmarshal(ck.payload, &saved); err != nil || saved.Phase != phaseTrain || len(saved.Labels) != n {
-		t.Fatalf("checkpoint phase %q with %d labels (decode error %v), want a train-phase one with %d", saved.Phase, len(saved.Labels), err, n)
-	}
-	checkLabels(saved.Labels, 0)
-	// The executor counted the odd half on the columns' dictionaries; the
-	// daemon does not hold them until the next retrain.
+	first := saved("first attempt", 1_000_000)
 	for _, name := range env.db.TableNames() {
 		if built, _ := env.db.Table(name).DictionaryBuilds(); built != 0 {
-			t.Errorf("table %s holds %d dictionaries after labeling", name, built)
+			t.Errorf("table %s holds %d dictionaries after a retrain: it counted rows", name, built)
 		}
 	}
 
-	// The resumed attempt finds labeling finished: no lookup, no hit counted
-	// twice, and the model fitted on those labels is published.
-	asked, ck.saves = nil, -1
+	// The journal learns newer actuals. The resumed attempt fits on the
+	// checkpoint's labels all the same: no lookup, no hit counted twice, and
+	// the checkpoints its own fit writes carry the first attempt's labels.
+	journaled, asked, ck.saves = 7_000_000, nil, 1
+	if hits, err = ret.Run(context.Background()); !errors.Is(err, errDiskFull) || hits != 0 || len(asked) != 0 {
+		t.Fatalf("resumed attempt: %d journal labels, %d lookups, error %v; want 0, 0 and the failed save", hits, len(asked), err)
+	}
+	saved("resumed attempt", 1_000_000)
+
+	// The first checkpoint as older builds wrote it resumes and publishes.
+	older := func(fields map[string]any) []byte {
+		t.Helper()
+		payload, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	ck.payload, ck.saves = older(map[string]any{"phase": "train", "labels": first.Labels, "train": first.Train}), -1
 	if hits, err = ret.Run(context.Background()); err != nil || hits != 0 || len(asked) != 0 {
-		t.Fatalf("resumed attempt: %d journal labels, %d lookups, error %v; want 0, 0, nil", hits, len(asked), err)
+		t.Fatalf("attempt over an older train-phase checkpoint: %d journal labels, %d lookups, error %v; want 0, 0, nil", hits, len(asked), err)
 	}
 	if _, def := reg.List(); def != "retrained" {
 		t.Fatalf("registry default %q: the retrained model was not published", def)
 	}
+	if ck.payload != nil {
+		t.Error("checkpoint survived a successful publish")
+	}
 
-	// A checkpoint written mid-labeling, its first 40 queries labeled.
-	const done = 40
-	partial := &jobCheckpoint{Phase: phaseLabel, Labels: make([]int64, n)}
-	for i := range partial.Labels {
-		partial.Labels[i] = -1
-		if i < done {
-			partial.Labels[i] = 5_000_000 + int64(i)
+	// An older label-phase checkpoint, its first 40 queries counted.
+	partial := make([]int64, n)
+	for i := range partial {
+		partial[i] = -1
+		if i < 40 {
+			partial[i] = 5_000_000 + int64(i)
 		}
 	}
-	labels, hits, err := ret.label(context.Background(), partial)
-	if err != nil || hits != (n-done)/2 || len(asked) != n-done || asked[0] != done {
-		t.Fatalf("resumed labeling: %d journal labels from lookups %v, error %v; want %d from queries %d..%d", hits, asked, err, (n-done)/2, done, n-1)
+	ck.payload, ck.saves = older(map[string]any{"phase": "label", "labels": partial}), 1
+	if hits, err = ret.Run(context.Background()); !errors.Is(err, errDiskFull) || hits != n/2 || len(asked) != n {
+		t.Fatalf("attempt over an older label-phase checkpoint: %d journal labels from %d lookups, error %v; want %d from %d and the failed save",
+			hits, len(asked), err, n/2, n)
 	}
-	checkLabels(labels, done)
+	saved("attempt over an older label-phase checkpoint", 7_000_000)
 }
 
 // TestRetrainRefitsOverUnresumableProgress: a train-phase checkpoint whose fit
@@ -226,10 +242,6 @@ func TestRetrainLabelsFromJournaledActuals(t *testing.T) {
 // again) and publishes.
 func TestRetrainRefitsOverUnresumableProgress(t *testing.T) {
 	env := buildChaosEnv(t)
-	qs := make([]*sqlparse.Query, len(env.train))
-	for i := range env.train {
-		qs[i] = env.train[i].Query
-	}
 	lookups := 0
 	retrainer := func(ck *memCheckpointer, qft string, trees int) (*Retrainer, *serve.Registry) {
 		t.Helper()
@@ -245,8 +257,7 @@ func TestRetrainRefitsOverUnresumableProgress(t *testing.T) {
 		cfg := gb.DefaultConfig()
 		cfg.NumTrees, cfg.MaxDepth, cfg.Seed = trees, 5, 1
 		ret, err := NewRetrainer(RetrainConfig{
-			DB:      env.db,
-			Queries: qs,
+			Train: env.train,
 			NewEstimator: func() (*estimator.Local, error) {
 				return estimator.NewLocal(env.db, estimator.LocalConfig{
 					QFT:          qft,
@@ -272,8 +283,8 @@ func TestRetrainRefitsOverUnresumableProgress(t *testing.T) {
 		t.Fatalf("first attempt: error %v, want the failed checkpoint save", err)
 	}
 	var saved jobCheckpoint
-	if err := json.Unmarshal(ck.payload, &saved); err != nil || saved.Phase != phaseTrain || len(saved.Train) == 0 {
-		t.Fatalf("checkpoint phase %q with %d bytes of fit progress (decode error %v), want a mid-fit one", saved.Phase, len(saved.Train), err)
+	if err := json.Unmarshal(ck.payload, &saved); err != nil || len(saved.Train) == 0 {
+		t.Fatalf("checkpoint with %d bytes of fit progress (decode error %v), want a mid-fit one", len(saved.Train), err)
 	}
 	finished := func(model string) []byte {
 		t.Helper()
@@ -301,7 +312,7 @@ func TestRetrainRefitsOverUnresumableProgress(t *testing.T) {
 			finished(`{"cfg":{},"base":1,"dim":3,"roots":[0],"feat":[-1],"thr":[0.5],"left":[0]}`)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			payload, err := json.Marshal(jobCheckpoint{Phase: phaseTrain, Labels: saved.Labels, Train: tc.train})
+			payload, err := json.Marshal(jobCheckpoint{Labels: saved.Labels, Train: tc.train})
 			if err != nil {
 				t.Fatal(err)
 			}
