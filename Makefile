@@ -73,8 +73,8 @@ ci:
 # no batch form of Predict, no EstimateBatch method.
 	! grep -rnE 'PredictReference|PredictInto|PredictBatch|func \(.*\) EstimateBatch' --include='*.go' internal cmd | grep -vE '_test\.go:|^cmd/bench/'
 # Guard 2, one supervision idiom: background work is a goroutine owned by the
-# object whose work it is (trainer.Controller, Lifecycle.ProbeEvery, the
-# journal writer), per-request gating is resilience.Breaker — no generic job
+# object whose work it is (trainer.Controller, the journal writer),
+# per-request gating is resilience.Breaker — no generic job
 # runner, no probe actor, no per-request retry policy, tests included.
 	! grep -rnE 'NewSupervisor|StartSupervisor|SupervisorConfig|JobSpec|JobFunc|ErrJobActive|ProbeNow|RetryConfig|IsPermanent' --include='*.go' internal cmd
 # Guard 3, one evaluator: exec counts on column dictionaries; outside tests,
@@ -131,6 +131,15 @@ ci:
 # threshold or the retrain cooldown, whose defaults are the only values.
 	! grep -rnE 'DomainDetector|DomainConfig|CacheBypass|AlarmActive|CountManyResume|phaseLabel' --include='*.go' . | grep -v '_test\.go:'
 	! grep -nE '"(drift-[a-z-]+|retrain-cooldown)"' cmd/cardestd/main.go
+# Guard 13, a model is judged once, at one door: nothing alters an estimator
+# after it is published, so the lifecycle re-probes nothing and starts no
+# goroutine (no probe loop, no fault injector that changes its faults, no
+# -probe-interval), and every model reaches the registry through
+# Lifecycle.Publish, Recover or Rollback — no ungated load, and no branch for a
+# missing lifecycle where the server and the boot publish.
+	! grep -rnE 'ProbeEvery|ProbeOutcome|func \(lc \*Lifecycle\) Probe\(|\.LoadFile\(|SetConfig\(' --include='*.go' internal cmd | grep -v '_test\.go:'
+	! grep -n '"probe-interval"' cmd/cardestd/main.go
+	! grep -nE 'Lifecycle == nil|lc == nil' internal/serve/serve.go cmd/cardestd/boot.go
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint
@@ -205,10 +214,8 @@ fuzz-journal:
 # soak is the wide crash/chaos sweep: every filesystem fault kind (crash,
 # torn write, ENOSPC, short read, bit flip) at every mutating/reading
 # operation ordinal, QFE_SOAK widening the per-point seed sweep, all under
-# the race detector, plus the recovery and canary suites end to end
-# (Supervisor|ProbeEvery: Lifecycle.Probe's auto-rollback and the loop that
-# runs it).
+# the race detector, plus the recovery, canary and rollback suites end to end.
 soak:
-	QFE_SOAK=1 $(GO) test -race -run 'Crash|Chaos|Fault|Sweep|Recover|Canary|Rollback|Supervisor|ProbeEvery' \
+	QFE_SOAK=1 $(GO) test -race -run 'Crash|Chaos|Fault|Sweep|Recover|Canary|Rollback' \
 		./internal/store/... ./internal/resilience/faultinject/... ./internal/serve/... \
 		./internal/journal/... ./cmd/cardestd/...

@@ -27,8 +27,9 @@ import (
 type booted struct {
 	db  *table.DB
 	reg *serve.Registry
-	// lc is nil without -store. It holds the model store and the canary
-	// workload, the one part of the labeled set that outlives the boot.
+	// lc is every model's way into reg. Under -store it also holds the model
+	// store and the canary workload, the one part of the labeled set that
+	// outlives the boot.
 	lc *serve.Lifecycle
 	// train is the labeled -train set, kept only under -retrain: the
 	// retrainer refits on it, and is the one holder it has.
@@ -60,9 +61,14 @@ func boot(o options, out io.Writer) (*booted, error) {
 	b := &booted{db: env.DB, reg: serve.NewRegistry()}
 	b.reg.Wrap = func(est estimator.Estimator) estimator.Estimator { return cli.Chain(b.db, est, o.timeout) }
 
-	// -store arms the crash-safe lifecycle: recovery at boot, canary-gated
-	// publishes, supervised rollback.
-	recovered := false
+	// Every model reaches the registry through the lifecycle. -store gives it
+	// a store and a canary workload: recovery at boot, canary-gated
+	// publishes, rollback.
+	lcfg := serve.LifecycleConfig{
+		Registry: b.reg,
+		DB:       b.db,
+		Canary:   serve.CanaryConfig{MaxMedian: o.canaryMedian, MaxP95: o.canaryP95},
+	}
 	if o.storeDir != "" {
 		st, err := store.Open(o.storeDir, store.Options{})
 		if err != nil {
@@ -71,33 +77,26 @@ func boot(o options, out io.Writer) (*booted, error) {
 		rep := st.Recovery()
 		fmt.Fprintf(out, "model store %s: %d valid generation(s), %d corrupt rejected, %d quarantined, %d temp swept\n",
 			o.storeDir, rep.Valid, rep.Corrupt, rep.Quarantined, rep.TempSwept)
-		b.lc, err = serve.NewLifecycle(serve.LifecycleConfig{
-			Registry: b.reg,
-			Store:    st,
-			DB:       b.db,
-			Canary: serve.CanaryConfig{
-				// A copy: env.Test is the tail of the array env.Train heads,
-				// and the lifecycle would keep all of it alive.
-				Workload:  slices.Clone(env.Test),
-				MaxMedian: o.canaryMedian,
-				MaxP95:    o.canaryP95,
-			},
-		})
+		// A copy: env.Test is the tail of the array env.Train heads, and the
+		// lifecycle would keep all of it alive.
+		lcfg.Store, lcfg.Canary.Workload = st, slices.Clone(env.Test)
+	}
+	if b.lc, err = serve.NewLifecycle(lcfg); err != nil {
+		return nil, err
+	}
+
+	recovered := false
+	if o.storeDir != "" && o.load == "" {
+		pub, ok, err := b.lc.Recover(context.Background(), "boot", true)
 		if err != nil {
 			return nil, err
 		}
-		if o.load == "" {
-			pub, ok, err := b.lc.Recover(context.Background(), "boot", true)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				recovered = true
-				fmt.Fprintf(out, "recovered %s (%s) from store generation %d: canary %s\n",
-					pub.Info.Name, pub.Info.Kind, pub.Info.StoreGeneration, pub.Canary.Reason)
-			} else {
-				fmt.Fprintln(out, "no recoverable generation in the store; training a boot model")
-			}
+		if ok {
+			recovered = true
+			fmt.Fprintf(out, "recovered %s (%s) from store generation %d: canary %s\n",
+				pub.Info.Name, pub.Info.Kind, pub.Info.StoreGeneration, pub.Canary.Reason)
+		} else {
+			fmt.Fprintln(out, "no recoverable generation in the store; training a boot model")
 		}
 	}
 
@@ -137,18 +136,15 @@ func boot(o options, out io.Writer) (*booted, error) {
 			}
 			fmt.Fprintf(out, "saved boot snapshot to %s\n", o.save)
 		}
-		if b.lc != nil {
-			pub, err := b.lc.Publish(context.Background(), serve.PublishSpec{
-				Name: "boot", Est: loc, Kind: estimator.KindLocal, Source: "boot",
-				Snapshot: snap.Bytes(), MakeDefault: true,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("boot model: %w", err)
-			}
-			fmt.Fprintf(out, "boot model admitted (canary %s), persisted as generation %d\n",
-				pub.Canary.Reason, pub.Info.StoreGeneration)
-		} else if _, err := b.reg.Register("boot", loc, serve.ModelInfo{Kind: estimator.KindLocal, Source: "boot"}); err != nil {
-			return nil, err
+		pub, err := b.lc.Publish(context.Background(), serve.PublishSpec{
+			Name: "boot", Est: loc, Kind: estimator.KindLocal, Source: "boot",
+			Snapshot: snap.Bytes(), MakeDefault: true,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("boot model: %w", err)
+		}
+		if gen := pub.Info.StoreGeneration; gen != 0 {
+			fmt.Fprintf(out, "boot model admitted (canary %s), persisted as generation %d\n", pub.Canary.Reason, gen)
 		}
 	}
 	if o.defName != "" {
@@ -164,11 +160,10 @@ func boot(o options, out io.Writer) (*booted, error) {
 	return b, nil
 }
 
-// load registers the snapshot at path under name. Under -store it is
-// published as POST /v1/models/load publishes one: through the canary gate,
-// persisted as a store generation, and — made the default — the model
-// rollback and the supervisor's probes manage. A snapshot the canary refuses
-// is the error, with the canary's reason.
+// load publishes the snapshot at path under name as POST /v1/models/load
+// publishes one. Under -store that is through the canary gate, persisted as a
+// store generation, and — made the default — the model a rollback manages. A
+// snapshot the canary refuses is the error, with the canary's reason.
 func (b *booted) load(name, path string, makeDefault bool, out io.Writer) error {
 	snap, err := os.ReadFile(path)
 	if err != nil {
@@ -178,21 +173,18 @@ func (b *booted) load(name, path string, makeDefault bool, out io.Writer) error 
 	if err != nil {
 		return err
 	}
-	if b.lc == nil {
-		info, err := b.reg.Register(name, est, serve.ModelInfo{Kind: kind, Source: path})
-		if err == nil {
-			fmt.Fprintf(out, "loaded %s (%s, %s) from %s\n", info.Name, info.Kind, info.Estimator, path)
-		}
-		return err
-	}
 	pub, err := b.lc.Publish(context.Background(), serve.PublishSpec{
 		Name: name, Est: est, Kind: kind, Source: path, Snapshot: snap, MakeDefault: makeDefault,
 	})
-	if err == nil {
-		fmt.Fprintf(out, "loaded %s (%s, %s) from %s: canary %s, persisted as generation %d\n",
-			pub.Info.Name, pub.Info.Kind, pub.Info.Estimator, path, pub.Canary.Reason, pub.Info.StoreGeneration)
+	if err != nil {
+		return err
 	}
-	return err
+	fmt.Fprintf(out, "loaded %s (%s, %s) from %s: canary %s", pub.Info.Name, pub.Info.Kind, pub.Info.Estimator, path, pub.Canary.Reason)
+	if gen := pub.Info.StoreGeneration; gen != 0 {
+		fmt.Fprintf(out, ", persisted as generation %d", gen)
+	}
+	fmt.Fprintln(out)
+	return nil
 }
 
 // newLocal builds the untrained estimator of the boot model's family: what

@@ -34,7 +34,7 @@ func liveHeap() int64 {
 // model account for.
 func servingHeap(t *testing.T, flags ...string) (held, tableAndModel int64) {
 	t.Helper()
-	o, err := parseFlags(append(strings.Fields("-qft complex -rows 2000 -train 2000 -probe-interval 0"), flags...))
+	o, err := parseFlags(append(strings.Fields("-qft complex -rows 2000 -train 2000"), flags...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,6 @@ func TestCanaryRefresherNeedsALifecycle(t *testing.T) {
 			o := tinyOptions(t)
 			o.journalDir = filepath.Join(t.TempDir(), "journal")
 			o.journalSegSz = 1 // every flush seals a segment
-			o.probeEvery = 0
 			if withStore {
 				o.storeDir = filepath.Join(t.TempDir(), "store")
 				o.canaryN, o.canaryMedian, o.canaryP95 = 20, 1e18, 1e18
@@ -185,7 +184,7 @@ func TestLoadUnderStorePublishes(t *testing.T) {
 
 	withStore := func() options {
 		o := tinyOptions(t)
-		o.storeDir, o.modelRoot, o.probeEvery = filepath.Join(t.TempDir(), "store"), snapDir, 0
+		o.storeDir, o.modelRoot = filepath.Join(t.TempDir(), "store"), snapDir
 		o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
 		o.load = "m=" + snap
 		return o

@@ -14,7 +14,7 @@
 //	         [-drain-timeout 10s] [-smoke] [-pprof addr]
 //	         [-cache-entries 4096]
 //	         [-store dir] [-canary 200] [-canary-median 10] [-canary-p95 100]
-//	         [-probe-interval 30s] [-model-root dir] [-retrain]
+//	         [-model-root dir] [-retrain]
 //	         [-journal dir] [-journal-segment-size 4194304]
 //	         [-journal-retention 8]
 //
@@ -22,23 +22,24 @@
 // a model at boot (same flags as cardest), registered as "boot". With
 // -load, each name=path pair is restored via the persistence layer (local
 // snapshots, the one kind any binary writes); the database is still built so
-// string literals bind and snapshots schema-validate; under -store each pair
-// is published like any other model (below), and the first, or -default, is
-// made the default. Further models can be loaded at runtime via
-// POST /v1/models/load without dropping in-flight requests.
+// string literals bind and snapshots schema-validate; each pair is published
+// like any other model (below), and the first, or -default, is made the
+// default. Further models can be loaded at runtime via POST /v1/models/load
+// without dropping in-flight requests. Every model, whichever way it comes,
+// reaches the registry through the one lifecycle (internal/serve).
 //
-// -store arms the crash-safe model lifecycle (see internal/store and
+// -store gives that lifecycle a crash-safe store (see internal/store and
 // internal/serve): admitted models are persisted as checksummed, fsync'd
 // generations under the directory; at boot the newest valid generation is
 // recovered instead of retraining (torn or corrupt generations are
 // quarantined and skipped); every publish — boot, recovery, or
 // POST /v1/models/load — must clear a canary gate over -canary held-out
 // labeled queries (median/p95 q-error ceilings -canary-median/-canary-p95,
-// rejected loads get 409); a background loop re-probes the live model
-// every -probe-interval (0 disables it) and, on degradation, quarantines its
-// generation and rolls the registry back to the previous good one
-// automatically.
-// POST /v1/models/rollback does the same on demand.
+// rejected loads get 409). A model is judged once, at that gate: nothing
+// alters it after it is published, so there is nothing to re-probe.
+// POST /v1/models/rollback quarantines the live generation and rolls the
+// registry back to the previous good one. Without -store there is no canary
+// workload (every model is admitted) and rollback answers 501.
 //
 // POST /v1/models/load is confined to -model-root (default: the -store
 // directory, else the working directory): paths that escape it via ".." or
@@ -85,7 +86,7 @@
 // wedged journal sheds records (journal_shed in /metrics) instead of
 // stalling /v1/estimate. Segments rotate at -journal-segment-size bytes and
 // the newest -journal-retention sealed segments survive GC. On rotation,
-// when a lifecycle is armed, a deterministic reservoir sample of recent
+// under -store, a deterministic reservoir sample of recent
 // labeled traffic replaces the canary workload, so publish gates score
 // candidates on what production actually asks. Journaled actuals also
 // replace the labels of the training queries a retrain refits on.
@@ -158,7 +159,6 @@ type options struct {
 	canaryN      int
 	canaryMedian float64
 	canaryP95    float64
-	probeEvery   time.Duration
 	modelRoot    string
 
 	retrain bool
@@ -183,9 +183,9 @@ func main() {
 }
 
 // parseFlags parses the daemon's command line. Unknown flags are an error —
-// notably the retired -max-batch, -batch-delay, -fallback, -retrain-cooldown
-// and -drift-*, so a deployment script that still sets them fails loudly
-// instead of keeping a knob that does nothing.
+// notably the retired -max-batch, -batch-delay, -fallback, -retrain-cooldown,
+// -drift-* and -probe-interval, so a deployment script that still sets them
+// fails loudly instead of keeping a knob that does nothing.
 func parseFlags(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("cardestd", flag.ContinueOnError)
@@ -210,7 +210,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.canaryN, "canary", 200, "held-out labeled queries for the canary gate (0 disables the gate)")
 	fs.Float64Var(&o.canaryMedian, "canary-median", 10, "canary ceiling on median q-error")
 	fs.Float64Var(&o.canaryP95, "canary-p95", 100, "canary ceiling on p95 q-error")
-	fs.DurationVar(&o.probeEvery, "probe-interval", 30*time.Second, "how often the supervisor re-probes the live model (0 disables)")
 	fs.StringVar(&o.modelRoot, "model-root", "", "directory POST /v1/models/load may read snapshots from (default: -store dir, else the working directory)")
 	fs.BoolVar(&o.retrain, "retrain", false, "arm self-healing retraining: q-error drift alarms trigger supervised, checkpointed refits on the -train set, journaled actuals replacing its labels, published through the canary (requires -store); the retrainer keeps the labeled -train set resident (~2.4 KB of bound AST a query: ~4.8 MB live, about twice that resident, at the default 2 000)")
 	fs.StringVar(&o.journalDir, "journal", "", "feedback journal directory (enables durable traffic capture, GET /v1/journal, and traffic-derived canaries)")
@@ -249,21 +248,17 @@ func run(o options, out io.Writer) error {
 // name the table, the registry and the lifecycle, never the environment they
 // were built from.
 type daemon struct {
-	srv        *serve.Server
-	jnl        *journal.Journal    // -journal
-	actuals    *replay.ActualIndex // -journal: the committed feedback's labels
-	canary     *coalesced          // -journal with -store: the traffic-derived canary refresh
-	ctrl       *trainer.Controller // -retrain
-	stopProbes func()              // -store with a -probe-interval
+	srv     *serve.Server
+	jnl     *journal.Journal    // -journal
+	actuals *replay.ActualIndex // -journal: the committed feedback's labels
+	canary  *coalesced          // -journal with -store: the traffic-derived canary refresh
+	ctrl    *trainer.Controller // -retrain
 }
 
 // close stops the background work in the reverse of the order arm started
 // it. The refresher is waited for after the journal's Close, so a rotation in
 // its last flush is waited for too.
 func (d *daemon) close() {
-	if d.stopProbes != nil {
-		d.stopProbes()
-	}
 	if d.ctrl != nil {
 		d.ctrl.Close()
 	}
@@ -276,8 +271,8 @@ func (d *daemon) close() {
 }
 
 // arm builds the serving phase over a finished boot: the feedback journal,
-// the drift monitor and retrainer, the server, the supervisor's probes. On an
-// error whatever it had started is stopped again.
+// the drift monitor and retrainer, the server. On an error whatever it had
+// started is stopped again.
 func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 	// d is a local, not the named result: `return nil, err` must not take
 	// away what the deferred close and the closures below hold on to.
@@ -300,8 +295,9 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 	// -journal arms the durable feedback journal: every served estimate is
 	// appended (shed-not-block) to a segmented CRC-framed log, recovered and
 	// then every committed batch's actuals feed the retrainer's label index,
-	// and — when there is a lifecycle whose gate to refresh — each segment
-	// rotation derives a fresh canary workload from recent real traffic.
+	// and — under -store, the one lifecycle with a canary workload to
+	// refresh — each segment rotation derives a fresh one from recent real
+	// traffic.
 	if o.journalDir != "" {
 		d.actuals = replay.NewActualIndex(0)
 		jopts := journal.Options{
@@ -311,7 +307,7 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 			// by the writer: live, it holds what a restart recovers.
 			OnCommit: d.actuals.PutRecords,
 		}
-		if lc != nil {
+		if o.storeDir != "" {
 			d.canary = &coalesced{fn: func() { refreshCanary(d.jnl, lc, db, o, out) }}
 			// Rotation means a fresh slab of real traffic just sealed; canary
 			// derivation reads every retained segment and re-estimates, so it
@@ -413,14 +409,8 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 			}
 		}
 	}
-	d.srv, err = serve.New(cfg)
-	if err != nil {
+	if d.srv, err = serve.New(cfg); err != nil {
 		return nil, err
-	}
-
-	if lc != nil && o.probeEvery > 0 {
-		d.stopProbes = lc.ProbeEvery(context.Background(), o.probeEvery)
-		fmt.Fprintf(out, "supervisor probing the live model every %v\n", o.probeEvery)
 	}
 	return d, nil
 }

@@ -44,7 +44,8 @@ func tinyOptions(t *testing.T) options {
 // with it; so is -cache-off, the second spelling of -cache-entries 0, and
 // -fallback, since every model serves inside the one chain; and so are the
 // drift thresholds and the retrain cooldown, whose defaults are now the only
-// values, and the domain detector two of them tuned. A stale deployment
+// values, and the domain detector two of them tuned; and so is the probe
+// interval, since a published model is judged once. A stale deployment
 // script must fail at the command line, not silently keep a flag that does
 // nothing.
 func TestRetiredFlagsRejected(t *testing.T) {
@@ -52,6 +53,7 @@ func TestRetiredFlagsRejected(t *testing.T) {
 		{"-max-batch", "16"}, {"-batch-delay", "2ms"}, {"-cache-off"}, {"-fallback"},
 		{"-drift-delta", "0.05"}, {"-drift-lambda", "25"}, {"-drift-min-samples", "50"},
 		{"-drift-window", "200"}, {"-drift-ood-fraction", "0.25"}, {"-retrain-cooldown", "1m"},
+		{"-probe-interval", "30s"},
 	} {
 		fs := append([]string{"-smoke"}, args...)
 		if _, err := parseFlags(fs); err == nil || !strings.Contains(err.Error(), "not defined: "+args[0]) {
@@ -277,9 +279,7 @@ func TestRunStoreRecovery(t *testing.T) {
 	}
 
 	out.Reset()
-	o := withStore()
-	o.probeEvery = time.Hour // exercise supervisor start/stop too
-	if err := run(o, &out); err != nil {
+	if err := run(withStore(), &out); err != nil {
 		t.Fatalf("second run: %v\noutput:\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "recovered boot") ||
@@ -311,7 +311,7 @@ func TestRunStoreRecovery(t *testing.T) {
 }
 
 // TestRunRetrainSmoke: the self-test with everything armed — store, journal,
-// drift monitor, retrainer, probes — boots, serves and shuts down cleanly.
+// drift monitor, retrainer — boots, serves and shuts down cleanly.
 // The retrainer is the one holder of the training queries after the boot.
 func TestRunRetrainSmoke(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
@@ -324,7 +324,7 @@ func TestRunRetrainSmoke(t *testing.T) {
 	if err := run(o, &out); err != nil {
 		t.Fatalf("smoke run failed: %v\noutput:\n%s", err, out.String())
 	}
-	for _, want := range []string{"self-healing retraining armed", "supervisor probing", "metrics ok", "clean shutdown"} {
+	for _, want := range []string{"self-healing retraining armed", "metrics ok", "clean shutdown"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("smoke output missing %q:\n%s", want, out.String())
 		}
@@ -339,7 +339,7 @@ func retrainingOptions(t *testing.T, journalDir string) options {
 	o := tinyOptions(t)
 	o.storeDir, o.journalDir = filepath.Join(t.TempDir(), "store"), journalDir
 	o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
-	o.retrain, o.probeEvery = true, 0
+	o.retrain = true
 	return o
 }
 

@@ -99,7 +99,7 @@ type Counts struct {
 // get full determinism).
 type Injector struct {
 	inner estimator.Estimator
-	cfg   Config
+	cfg   Config // fixed at New
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -113,16 +113,6 @@ func New(inner estimator.Estimator, cfg Config) *Injector {
 
 // Name implements Estimator.
 func (in *Injector) Name() string { return "faulty(" + in.inner.Name() + ")" }
-
-// SetConfig replaces the fault configuration (and reseeds the stream) at
-// runtime. Chaos tests use it to make a healthy, already-published model
-// start misbehaving — the scenario a serving supervisor must detect.
-func (in *Injector) SetConfig(cfg Config) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.cfg = cfg
-	in.rng = rand.New(rand.NewSource(cfg.Seed))
-}
 
 // draw picks the next fault kind from the seeded stream and updates counts.
 func (in *Injector) draw() Kind {
@@ -170,11 +160,8 @@ func (in *Injector) Estimate(q *sqlparse.Query) (float64, error) {
 // by the context), then the drawn fault fires, then — for clean calls — the
 // wrapped estimator runs.
 func (in *Injector) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
-	in.mu.Lock()
-	latency := in.cfg.Latency
-	in.mu.Unlock()
-	if latency > 0 {
-		t := time.NewTimer(latency)
+	if in.cfg.Latency > 0 {
+		t := time.NewTimer(in.cfg.Latency)
 		select {
 		case <-ctx.Done():
 			t.Stop()

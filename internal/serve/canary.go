@@ -11,8 +11,8 @@ import (
 	"qfe/internal/workload"
 )
 
-// The canary gate is the validation step every model must clear before (and
-// while) it serves traffic: the candidate estimates a held-out labeled
+// The canary gate is the validation step every model must clear before it
+// serves traffic: the candidate estimates a held-out labeled
 // workload and its median and p95 q-errors are checked against absolute
 // ceilings and — when it would replace an incumbent — against the
 // incumbent's own numbers times a slack factor. This mirrors how learned
@@ -36,9 +36,10 @@ type CanaryConfig struct {
 	// median and p95) a candidate may be and still pass. 0 means the
 	// default 2.
 	Slack float64
-	// Timeout bounds one whole canary run. 0 means the default 10s.
-	Timeout time.Duration
 }
+
+// canaryTimeout bounds one whole canary run.
+const canaryTimeout = 10 * time.Second
 
 func (c CanaryConfig) withDefaults() CanaryConfig {
 	if c.MaxMedian <= 0 {
@@ -50,21 +51,20 @@ func (c CanaryConfig) withDefaults() CanaryConfig {
 	if c.Slack <= 0 {
 		c.Slack = 2
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Second
-	}
 	return c
 }
 
 // CanaryResult is one canary run's verdict, rendered into /v1/models.
 type CanaryResult struct {
-	Median     float64 `json:"median"`
-	P95        float64 `json:"p95"`
-	Queries    int     `json:"queries"`
-	Failed     int     `json:"failed"` // estimation errors (scored as +Inf q-error)
-	Pass       bool    `json:"pass"`
-	Reason     string  `json:"reason,omitempty"`
-	ProbedUnix int64   `json:"probedUnix"`
+	Median  float64 `json:"median"`
+	P95     float64 `json:"p95"`
+	Queries int     `json:"queries"`
+	Failed  int     `json:"failed"` // estimation errors (scored as +Inf q-error)
+	Pass    bool    `json:"pass"`
+	Reason  string  `json:"reason,omitempty"`
+	// ProbedUnix is when the run that admitted or re-baselined the model
+	// started (unix seconds).
+	ProbedUnix int64 `json:"probedUnix"`
 }
 
 // RunCanary estimates cfg.Workload with est and scores it. incumbent, when
@@ -80,7 +80,7 @@ func RunCanary(ctx context.Context, est estimator.Estimator, cfg CanaryConfig, i
 		res.Reason = "no canary workload configured"
 		return res
 	}
-	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, canaryTimeout)
 	defer cancel()
 
 	qerrs := make([]float64, 0, len(cfg.Workload))

@@ -168,9 +168,6 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 	if err := lc.SetCanaryWorkload(context.Background(), canary); err != nil {
 		t.Fatalf("SetCanaryWorkload: %v", err)
 	}
-	if lc.CanaryWorkloadSize() != len(canary) {
-		t.Fatalf("canary workload size %d, want %d", lc.CanaryWorkloadSize(), len(canary))
-	}
 	pub, err := lc.Publish(context.Background(), PublishSpec{Name: "good", Est: constEst(8), MakeDefault: true})
 	if err != nil || !pub.Canary.Pass {
 		t.Fatalf("honest model rejected by the traffic canary: %+v, %v", pub.Canary, err)

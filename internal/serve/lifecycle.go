@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"time"
 
@@ -15,18 +14,21 @@ import (
 	"qfe/internal/workload"
 )
 
-// Lifecycle is the guarded path between a trained model and the registry:
-// every candidate must clear the canary gate before it is registered, a
-// passing candidate is durably persisted to the crash-safe store before it
-// takes traffic, and the reverse path — quarantine a degraded generation,
-// roll the registry back to the previous good one — is the same machinery
-// run in the other direction. ProbeEvery drives the reverse path
-// automatically; POST /v1/models/rollback drives it manually.
+// Lifecycle is the one path between a trained model and the registry: every
+// candidate must clear the canary gate before it is registered, a passing
+// candidate is durably persisted to the crash-safe store (when there is one)
+// before it takes traffic, and the reverse path — quarantine the live
+// generation, roll the registry back to the previous good one — is the same
+// machinery run in the other direction, on POST /v1/models/rollback. A model
+// is judged once, at its door: an estimator is not altered after it is
+// published, so the verdict that admitted it stands until the model or the
+// canary workload changes, and both re-baseline (Publish, Recover, Rollback,
+// SetCanaryWorkload).
 //
-// Locking: one mutex serializes lifecycle transitions (publish, probe,
-// rollback). Canary runs execute under it — transitions are rare and must
-// not interleave — while estimate traffic keeps resolving models lock-free
-// through the registry snapshot.
+// Locking: one mutex serializes lifecycle transitions (publish, rollback,
+// workload swap). Canary runs execute under it — transitions are rare and
+// must not interleave — while estimate traffic keeps resolving models
+// lock-free through the registry snapshot.
 
 // ErrCanaryRejected wraps every publish refusal caused by a failed canary.
 var ErrCanaryRejected = errors.New("serve: canary rejected the model")
@@ -72,20 +74,24 @@ type PublishSpec struct {
 	// persisted to the store on admission.
 	Snapshot []byte
 	// MakeDefault promotes the model to the default on admission; the
-	// canary then also compares it against the incumbent default.
+	// canary then also compares it against the incumbent default. A publish
+	// under the live model's name replaces the default, so it is one whether
+	// or not this is set.
 	MakeDefault bool
 }
 
-// liveModel tracks the store-backed default the probe loop watches.
+// liveModel tracks the default the lifecycle last admitted: what a rollback
+// quarantines and what a candidate default is compared against.
 type liveModel struct {
 	name     string
 	gen      uint64 // store generation, 0 when not persisted
 	bare     estimator.Estimator
-	baseline CanaryResult // the admitting run; probes compare against it
+	baseline CanaryResult // the admitting run, re-run on a workload swap
 }
 
 // Lifecycle guards the registry. Create with NewLifecycle; pass it to
-// serve.Config so the server binds its metrics and exposes rollback.
+// serve.Config so the server binds its metrics, publishes loads through it
+// and, when it has a store, exposes rollback.
 type Lifecycle struct {
 	reg     *Registry
 	st      *store.Store
@@ -110,6 +116,17 @@ func NewLifecycle(cfg LifecycleConfig) (*Lifecycle, error) {
 	}, nil
 }
 
+// lifecycleOf is the lifecycle a server publishes through: cfg's own, or for
+// a Config that names none, one with no store and no canary workload — every
+// model is admitted ("no canary workload configured"), nothing is durable,
+// and there is nothing to roll back to.
+func lifecycleOf(cfg Config) *Lifecycle {
+	if cfg.Lifecycle != nil {
+		return cfg.Lifecycle
+	}
+	return &Lifecycle{reg: cfg.Registry, db: cfg.DB, canary: CanaryConfig{}.withDefaults()}
+}
+
 // bindMetrics attaches the server's metrics (serve.New calls this).
 func (lc *Lifecycle) bindMetrics(m *Metrics) {
 	lc.mu.Lock()
@@ -125,17 +142,17 @@ func (lc *Lifecycle) Store() *store.Store { return lc.st }
 // SetCanaryWorkload swaps the canary gate's workload — the traffic-derived
 // refresh path: as the feedback journal rotates segments, the daemon
 // derives a canary set from recent real traffic and installs it here, so
-// publish gates and supervisor probes score candidates on what production
-// actually asks rather than on a synthetic set frozen at boot. An empty
-// workload is refused (it would disable the gate).
+// publish gates score candidates on what production actually asks rather
+// than on a synthetic set frozen at boot. An empty workload is refused (it
+// would disable the gate).
 //
 // The live model, when present, is immediately re-scored on the new
-// workload and its baseline replaced: Probe and incumbent-relative publish
-// checks compare medians across runs, which is only meaningful when both
-// ran the same queries. A live model that fails outright on the new
-// workload keeps the old baseline and workload, and the error says so —
-// installing a workload the incumbent cannot pass would make every
-// subsequent probe a rollback.
+// workload and its baseline replaced: incumbent-relative publish checks
+// compare medians across runs, which is only meaningful when both ran the
+// same queries. A live model that fails outright on the new workload keeps
+// the old baseline and workload, and the error says so — installing a
+// workload the incumbent cannot pass would refuse every candidate judged
+// against it.
 func (lc *Lifecycle) SetCanaryWorkload(ctx context.Context, ws workload.Set) error {
 	if len(ws) == 0 {
 		return fmt.Errorf("serve: refusing an empty canary workload")
@@ -160,13 +177,6 @@ func (lc *Lifecycle) SetCanaryWorkload(ctx context.Context, ws workload.Set) err
 	return nil
 }
 
-// CanaryWorkloadSize reports the current gate workload's size (status pages).
-func (lc *Lifecycle) CanaryWorkloadSize() int {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return len(lc.canary.Workload)
-}
-
 // Publish runs spec.Est through the canary gate and, on admission,
 // persists the snapshot (when given and a store is configured) and
 // registers the model. On rejection nothing is registered or persisted and
@@ -179,8 +189,11 @@ func (lc *Lifecycle) Publish(ctx context.Context, spec PublishSpec) (Publication
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 
+	// Registering under the live model's name replaces the default, so it is
+	// judged, tracked and rolled back as a new default.
+	makeDefault := spec.MakeDefault || spec.Name == lc.live.name
 	var incumbent *CanaryResult
-	if spec.MakeDefault && lc.live.bare != nil {
+	if makeDefault && lc.live.bare != nil {
 		b := lc.live.baseline
 		incumbent = &b
 	}
@@ -205,7 +218,7 @@ func (lc *Lifecycle) Publish(ctx context.Context, spec PublishSpec) (Publication
 		}
 		gen = g.Number
 	}
-	pub, err := lc.registerLocked(spec.Name, spec.Est, spec.Kind, spec.Source, gen, res, spec.MakeDefault)
+	pub, err := lc.registerLocked(spec.Name, spec.Est, spec.Kind, spec.Source, gen, res, makeDefault)
 	if err != nil {
 		return Publication{Canary: res}, err
 	}
@@ -356,92 +369,4 @@ func (lc *Lifecycle) registerLocked(name string, est estimator.Estimator, kind, 
 		lc.metrics.setStoreGeneration(gen)
 	}
 	return Publication{Info: info, Canary: res}, nil
-}
-
-// ProbeOutcome reports one probe of the live model.
-type ProbeOutcome struct {
-	// Probed is false when no lifecycle-managed model is live.
-	Probed bool `json:"probed"`
-	// Result is the live model's canary run.
-	Result CanaryResult `json:"result"`
-	// RolledBack reports whether the probe quarantined the live model and
-	// promoted a prior generation.
-	RolledBack bool `json:"rolledBack"`
-	// RolledBackTo is the promoted publication when RolledBack.
-	RolledBackTo Publication `json:"rolledBackTo,omitempty"`
-}
-
-// Probe re-runs the canary against the live model's bare estimator —
-// bypassing any resilience wrapping, whose fallbacks would mask a decayed
-// model — and, on failure, quarantines its generation and rolls back to
-// the newest prior generation that still passes. The registry's published
-// canary status is refreshed either way.
-func (lc *Lifecycle) Probe(ctx context.Context) (ProbeOutcome, error) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.live.bare == nil {
-		return ProbeOutcome{}, nil
-	}
-	baseline := lc.live.baseline
-	res := RunCanary(ctx, lc.live.bare, lc.canary, &baseline)
-	if !res.Pass && ctx.Err() != nil {
-		// An interrupted probe (probe loop stopping, caller gone) says
-		// nothing about the model: report the cancellation without recording
-		// a verdict or rolling anything back.
-		return ProbeOutcome{Probed: true, Result: res}, fmt.Errorf("serve: probe interrupted: %w", ctx.Err())
-	}
-	lc.metrics.observeCanary(res.Pass)
-	out := ProbeOutcome{Probed: true, Result: res}
-	canary := res
-	lc.reg.UpdateInfo(lc.live.name, func(info *ModelInfo) { info.Canary = &canary }) //nolint:errcheck // entry may have been replaced concurrently
-	if res.Pass {
-		return out, nil
-	}
-	pub, err := lc.rollbackLocked(ctx, "auto: "+res.Reason)
-	if err != nil {
-		// Nothing to fall back to: the incumbent keeps serving (its
-		// resilience chain still guards individual estimates) and the
-		// failed probe stays visible in /v1/models.
-		return out, fmt.Errorf("serve: live model failed its canary (%s) and rollback failed: %w", res.Reason, err)
-	}
-	out.RolledBack = true
-	out.RolledBackTo = pub
-	return out, nil
-}
-
-// ProbeEvery re-runs Probe every interval (which must be positive) on a
-// goroutine of its own until ctx ends, so a model that degrades after publish
-// — drifted data, a dependency gone bad, memory corruption — is caught by
-// the gate that admitted it, quarantined and rolled back without an operator.
-// All judgement lives in Probe, which serializes with every other lifecycle
-// transition; the loop provides only the clock and logs what deserves a
-// human's attention. The returned stop cancels an in-flight canary run and
-// waits for the goroutine; it is safe to call more than once.
-func (lc *Lifecycle) ProbeEvery(ctx context.Context, interval time.Duration) (stop func()) {
-	ctx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-			out, err := lc.Probe(ctx)
-			switch {
-			case err != nil:
-				log.Printf("serve: supervisor probe: %v", err)
-			case out.RolledBack:
-				log.Printf("serve: supervisor rolled back to generation %d: %s",
-					out.RolledBackTo.Info.StoreGeneration, out.Result.Reason)
-			}
-		}
-	}()
-	return func() {
-		cancel()
-		<-done
-	}
 }

@@ -2,27 +2,25 @@ package serve
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"qfe/internal/estimator"
-	"qfe/internal/table"
 )
 
 // Registry holds the named estimators a server routes requests to. Reads
 // are lock-free: the whole name→entry view lives behind one atomic pointer
 // to an immutable snapshot, so resolving a model costs a single atomic load
-// and a map lookup. Writers (Register, SetDefault, LoadFile) serialize on a
+// and a map lookup. Writers (Register, SetDefault, UpdateInfo) serialize on a
 // mutex, build a fresh snapshot, and publish it atomically — in-flight
 // requests that already resolved an estimator keep the one they hold, which
 // is exactly what makes hot-swapping a model safe: no request ever observes
 // a half-replaced registry or loses its estimator mid-call.
 type Registry struct {
 	// Wrap, when non-nil, is applied to every estimator entering the
-	// registry (Register and LoadFile). The server uses it to put the
-	// resilience chain in front of each model.
+	// registry. The server uses it to put the resilience chain in front of
+	// each model.
 	Wrap func(estimator.Estimator) estimator.Estimator
 
 	mu   sync.Mutex // serializes writers
@@ -44,8 +42,8 @@ type ModelInfo struct {
 	// StoreGeneration is the crash-safe store generation backing this entry
 	// (0 when the model was never persisted through the lifecycle).
 	StoreGeneration uint64 `json:"storeGeneration,omitempty"`
-	// Canary is the latest canary verdict for this entry: the admitting run
-	// at publish time, refreshed by every Probe.
+	// Canary is the entry's canary verdict: the run that admitted it, or
+	// the re-run that re-baselined it on a new canary workload.
 	Canary *CanaryResult `json:"canary,omitempty"`
 }
 
@@ -142,9 +140,9 @@ func (r *Registry) List() ([]ModelInfo, string) {
 }
 
 // UpdateInfo rewrites name's published info in place (same estimator, no
-// re-wrap, no registry generation bump): Probe uses it to refresh
-// canary status without disturbing traffic. mutate receives a copy; the
-// mutated copy is published atomically.
+// re-wrap, no registry generation bump): a canary workload swap uses it to
+// publish the live model's new baseline without disturbing traffic. mutate
+// receives a copy; the mutated copy is published atomically.
 func (r *Registry) UpdateInfo(name string, mutate func(*ModelInfo)) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -179,32 +177,4 @@ func (r *Registry) SetDefault(name string) error {
 	next := &regSnapshot{entries: old.entries, names: old.names, def: name}
 	r.snap.Store(next)
 	return nil
-}
-
-// LoadFile restores a persisted estimator snapshot from path and registers
-// it under name, optionally making it the default. db (may be nil, but
-// servers should pass theirs) schema-validates the snapshot before it can
-// take traffic. The slow work — file IO, JSON
-// decode, model validation — happens before the write lock, so a load never
-// stalls concurrent resolves or swaps for longer than a pointer publish.
-func (r *Registry) LoadFile(name, path string, db *table.DB, makeDefault bool) (ModelInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ModelInfo{}, err
-	}
-	defer f.Close()
-	est, kind, err := estimator.LoadEstimator(f, db)
-	if err != nil {
-		return ModelInfo{}, err
-	}
-	info, err := r.Register(name, est, ModelInfo{Kind: kind, Source: path})
-	if err != nil {
-		return ModelInfo{}, err
-	}
-	if makeDefault {
-		if err := r.SetDefault(name); err != nil {
-			return ModelInfo{}, err
-		}
-	}
-	return info, nil
 }

@@ -16,11 +16,12 @@
 //	GET  /v1/models      — list registered models (with store generation and
 //	                       canary status) and the default
 //	POST /v1/models/load — load a persisted snapshot from disk (confined to
-//	                       the configured model root) and swap it in without
-//	                       dropping in-flight requests; canary-gated when a
-//	                       lifecycle is configured (409 on rejection)
+//	                       the configured model root) and publish it through
+//	                       the lifecycle's canary gate (409 on rejection)
+//	                       without dropping in-flight requests
 //	POST /v1/models/rollback — quarantine the live generation and promote
 //	                       the previous good one from the crash-safe store
+//	                       (501 when the lifecycle has no store)
 //	GET  /healthz        — 200 while serving, 503 while draining
 //	GET  /metrics        — expvar-style JSON counters and histograms
 //
@@ -85,10 +86,10 @@ type Config struct {
 	// escapes it (via ".." or an absolute path elsewhere) is refused with
 	// 400. Empty means unrestricted (embedders doing their own vetting).
 	ModelRoot string
-	// Lifecycle, when set, gates /v1/models/load through the canary (409 on
-	// rejection), persists admitted models to the crash-safe store, and
-	// enables POST /v1/models/rollback. Nil preserves the direct,
-	// ungated load path.
+	// Lifecycle publishes every POST /v1/models/load through its canary gate
+	// (409 on rejection) and, when it has a store, persists admitted models
+	// and enables POST /v1/models/rollback. Nil means one with no store and
+	// no canary workload: loads are admitted as they are and rollback is 501.
 	Lifecycle *Lifecycle
 	// Cache enables the generation-scoped, text-keyed estimate cache on the
 	// /v1/estimate hot path (see cache.go). The zero value disables it.
@@ -137,6 +138,7 @@ type Server struct {
 	reg      *Registry
 	limiter  *limiter
 	cache    *estCache // nil when Config.Cache left zero
+	lc       *Lifecycle
 	metrics  *Metrics
 	mux      *http.ServeMux
 	draining atomic.Bool
@@ -152,12 +154,11 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		limiter: newLimiter(cfg.MaxInFlight),
+		lc:      lifecycleOf(cfg),
 		metrics: newMetrics(),
 	}
 	s.cache = newEstCache(cfg.Cache, s.metrics, cfg.Feedback != nil)
-	if cfg.Lifecycle != nil {
-		cfg.Lifecycle.bindMetrics(s.metrics)
-	}
+	s.lc.bindMetrics(s.metrics)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/estimate", s.handleEstimate)
 	s.mux.HandleFunc("/v1/models", s.handleModels)
@@ -664,20 +665,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	if s.cfg.Lifecycle == nil {
-		info, err := s.reg.LoadFile(req.Name, path, s.cfg.DB, req.Default)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "load %q from %s: %v", req.Name, req.Path, err)
-			return
-		}
-		s.metrics.swaps.Add(1)
-		writeJSON(w, http.StatusOK, info)
-		return
-	}
-
-	// Lifecycle-gated load: the snapshot bytes are read once, probed by the
-	// canary, and — only on admission — persisted to the store and published.
+	// The snapshot bytes are read once, judged by the canary, and — only on
+	// admission — persisted to the store (when there is one) and published.
 	snap, err := os.ReadFile(path)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "load %q from %s: %v", req.Name, req.Path, err)
@@ -688,7 +677,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "load %q from %s: %v", req.Name, req.Path, err)
 		return
 	}
-	pub, err := s.cfg.Lifecycle.Publish(r.Context(), PublishSpec{
+	pub, err := s.lc.Publish(r.Context(), PublishSpec{
 		Name:        req.Name,
 		Est:         est,
 		Kind:        kind,
@@ -778,8 +767,8 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	if s.cfg.Lifecycle == nil {
-		writeError(w, http.StatusNotImplemented, "no model lifecycle configured (start with a snapshot store)")
+	if s.lc.Store() == nil {
+		writeError(w, http.StatusNotImplemented, "no snapshot store to roll back from")
 		return
 	}
 	var req rollbackRequest
@@ -798,7 +787,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	if reason == "" {
 		reason = "manual"
 	}
-	pub, err := s.cfg.Lifecycle.Rollback(r.Context(), reason)
+	pub, err := s.lc.Rollback(r.Context(), reason)
 	if err != nil {
 		if errors.Is(err, ErrNoRollbackTarget) {
 			writeError(w, http.StatusConflict, "%v", err)
