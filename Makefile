@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check ci serve-smoke fmt fuzz fuzz-serve fuzz-store fuzz-journal soak bench chaos-train lint
+.PHONY: build test vet race check ci serve-smoke fmt fuzz fuzz-serve fuzz-store fuzz-journal soak bench lint
 
 build:
 	$(GO) build ./...
@@ -73,8 +73,8 @@ ci:
 # no batch form of Predict, no EstimateBatch method.
 	! grep -rnE 'PredictReference|PredictInto|PredictBatch|func \(.*\) EstimateBatch' --include='*.go' internal cmd | grep -vE '_test\.go:|^cmd/bench/'
 # Guard 2, one supervision idiom: background work is a goroutine owned by the
-# object whose work it is (trainer.Controller, the journal writer),
-# per-request gating is resilience.Breaker — no generic job
+# object whose work it is (the journal writer), per-request gating is
+# resilience.Breaker — no generic job
 # runner, no probe actor, no per-request retry policy, tests included.
 	! grep -rnE 'NewSupervisor|StartSupervisor|SupervisorConfig|JobSpec|JobFunc|ErrJobActive|ProbeNow|RetryConfig|IsPermanent' --include='*.go' internal cmd
 # Guard 3, one evaluator: exec counts on column dictionaries; outside tests,
@@ -83,7 +83,7 @@ ci:
 	! grep -rnE 'PredCache|NewPredCache|EvalExprCached|CountCached|eqWord|ltWord|leWord' --include='*.go' . | grep -vE '_test\.go:'
 # Guard 4, the request path stays off the canonical fingerprint: the estimate
 # cache is keyed on the query text, and the class key is computed where it is
-# filed (the journal writer, replay, the trainer).
+# filed (the journal writer, replay).
 	! grep -rn 'core\.Fingerprint' --include='*.go' internal/serve | grep -v _test.go
 # Guard 5, the journal's writer is woken per batch: Append stages under the
 # mutex and no per-record channel handoff comes back.
@@ -123,14 +123,6 @@ ci:
 # -fallback flag to arm or disarm the chain with.
 	! grep -rnE 'NewSampling|Sampling\{' --include='*.go' cmd/cardestd cmd/cardest internal/cli internal/serve internal/resilience | grep -v '_test\.go:'
 	! grep -n '"fallback"' cmd/cardestd/main.go
-# Guard 12, a retrain learns only from feedback: the daemon's table never
-# changes after boot, so a retrain refits the boot's labels with journaled
-# actuals in place of the ones they match. No relabel pass (nor the resumable
-# count and label-phase checkpoint it needed), no column-domain detector, no
-# estimate-cache bypass latched by an alarm, and no flag for a drift
-# threshold or the retrain cooldown, whose defaults are the only values.
-	! grep -rnE 'DomainDetector|DomainConfig|CacheBypass|AlarmActive|CountManyResume|phaseLabel' --include='*.go' . | grep -v '_test\.go:'
-	! grep -nE '"(drift-[a-z-]+|retrain-cooldown)"' cmd/cardestd/main.go
 # Guard 13, a model is judged once, at one door: nothing alters an estimator
 # after it is published, so the lifecycle re-probes nothing and starts no
 # goroutine (no probe loop, no fault injector that changes its faults, no
@@ -140,6 +132,21 @@ ci:
 	! grep -rnE 'ProbeEvery|ProbeOutcome|func \(lc \*Lifecycle\) Probe\(|\.LoadFile\(|SetConfig\(' --include='*.go' internal cmd | grep -v '_test\.go:'
 	! grep -n '"probe-interval"' cmd/cardestd/main.go
 	! grep -nE 'Lifecycle == nil|lc == nil' internal/serve/serve.go cmd/cardestd/boot.go
+# Guard 14, the daemon retrains nothing: benchrunner's ext10 measured that no
+# retrain on feedback heals the paper's query drift by the bar it was held to
+# (>= 25 % off the drifted median at <= 5 % in-distribution cost), so the
+# loop went. No drift monitor or retrainer package, no -retrain flag and no
+# GET /v1/drift, and none of the checkpoint/resume plumbing only the
+# retrainer used: model-level checkpoints and Resume in gb/nn/mscn, the
+# estimator's resumable progress, the store's checkpoint slots, the Adam
+# state a resumed network needed, the journal's commit hook that fed the
+# actuals index. Folded in from guard 12, which held the loop while it lived:
+# no relabel pass (nor its resumable count and label-phase checkpoint), no
+# column-domain detector, no estimate-cache bypass latched by an alarm, and
+# no flag for a drift threshold or the retrain cooldown.
+	! grep -rnE '"qfe/internal/(trainer|drift)"' --include='*.go' .
+	! grep -nE '"(retrain|drift-[a-z-]+|retrain-cooldown)"|/v1/drift' cmd/cardestd/*.go | grep -v '_test\.go:'
+	! grep -rnE 'CheckpointEvery|OnCheckpoint|ErrBadCheckpoint|ErrBadProgress|PutCheckpoint|ReadCheckpoint|DenseState|OnCommit|DomainDetector|DomainConfig|CacheBypass|AlarmActive|CountManyResume|phaseLabel' --include='*.go' . | grep -v '_test\.go:'
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint
@@ -150,18 +157,6 @@ ci:
 lint:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipped"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "govulncheck not installed; skipped"; fi
-
-# chaos-train is the self-healing acceptance run: injected drift trips the
-# monitor, the retraining job is crashed mid-epoch twice (process crash,
-# then a torn checkpoint write), and the test demands resume-from-checkpoint,
-# a canary-gated publish, and zero quarantined generations — under the race
-# detector, with goroutine-leak verification. Supervisor|Controller selects
-# the controller's retry loop and its alarm policy (controller_test.go),
-# Retrain the pipeline it runs.
-chaos-train:
-	$(GO) test -race -run 'SelfHealing|Checkpoint|Supervisor|Controller|Retrain|QError|Monitor' \
-		./internal/trainer/... ./internal/drift/... ./internal/store/... \
-		./internal/ml/gb/... ./internal/ml/nn/... ./internal/ml/mscn/...
 
 # serve-smoke boots the estimation daemon on a random port, fires a single
 # and a batched estimate, scrapes /metrics, and shuts down cleanly — an

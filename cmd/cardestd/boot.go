@@ -16,7 +16,6 @@ import (
 	"qfe/internal/serve"
 	"qfe/internal/store"
 	"qfe/internal/table"
-	"qfe/internal/workload"
 )
 
 // booted is what the boot phase leaves behind: what serving reads, and
@@ -31,9 +30,6 @@ type booted struct {
 	// store and the canary workload, the one part of the labeled set that
 	// outlives the boot.
 	lc *serve.Lifecycle
-	// train is the labeled -train set, kept only under -retrain: the
-	// retrainer refits on it, and is the one holder it has.
-	train workload.Set
 }
 
 // boot builds the table, draws and labels the workload, then recovers, loads
@@ -55,7 +51,7 @@ func boot(o options, out io.Writer) (*booted, error) {
 		env.DataTime.Seconds(), labeled, env.LabelTime.Seconds(),
 		float64(labeled)/env.LabelTime.Seconds(), runtime.GOMAXPROCS(0),
 		env.DictBuilt, float64(env.DictTime.Microseconds())/1000)
-	// Nothing counts rows again until a retrain, which builds them anew.
+	// Nothing counts rows again.
 	env.DB.DropDictionaries()
 
 	b := &booted{db: env.DB, reg: serve.NewRegistry()}
@@ -115,7 +111,9 @@ func boot(o options, out io.Writer) (*booted, error) {
 			}
 		}
 	} else if !recovered {
-		loc, err := newLocal(b.db, o)
+		loc, err := cli.NewLocalEstimator(b.db, cli.TrainSpec{
+			QFT: o.qft, Model: o.model, Entries: o.entries, Workers: o.workers,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -152,11 +150,6 @@ func boot(o options, out io.Writer) (*booted, error) {
 			return nil, err
 		}
 	}
-
-	if o.retrain {
-		// A copy, like the canary workload: the two share one array.
-		b.train = slices.Clone(env.Train)
-	}
 	return b, nil
 }
 
@@ -185,12 +178,4 @@ func (b *booted) load(name, path string, makeDefault bool, out io.Writer) error 
 	}
 	fmt.Fprintln(out)
 	return nil
-}
-
-// newLocal builds the untrained estimator of the boot model's family: what
-// boot trains, and what every retrain refits.
-func newLocal(db *table.DB, o options) (*estimator.Local, error) {
-	return cli.NewLocalEstimator(db, cli.TrainSpec{
-		QFT: o.qft, Model: o.model, Entries: o.entries, Workers: o.workers,
-	})
 }

@@ -82,7 +82,7 @@ func TestServingHeapIsTableAndModel(t *testing.T) {
 	}
 	const slack, journalSlack = 192 << 10, 512 << 10
 	// The canary queries are the lifecycle's to keep, at the ~2.4 KB of bound
-	// AST a drawn query costs (-retrain's help does the same sum for -train).
+	// AST a drawn query costs (-cache-entries' help does the same sum).
 	const canary = 200 * 2400
 	mib := func(n int64) string { return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20)) }
 

@@ -14,7 +14,7 @@
 //	         [-drain-timeout 10s] [-smoke] [-pprof addr]
 //	         [-cache-entries 4096]
 //	         [-store dir] [-canary 200] [-canary-median 10] [-canary-p95 100]
-//	         [-model-root dir] [-retrain]
+//	         [-model-root dir]
 //	         [-journal dir] [-journal-segment-size 4194304]
 //	         [-journal-retention 8]
 //
@@ -45,24 +45,12 @@
 // directory, else the working directory): paths that escape it via ".." or
 // an absolute prefix elsewhere are refused with 400.
 //
-// -retrain (which requires -store) closes the self-healing loop described
-// in internal/drift and internal/trainer: a Page-Hinkley detector over the
-// log2 q-error of /v1/estimate feedback raises drift alarms; each alarm (at
-// most one a minute, and dropped while a retrain is already running) starts
-// one retrain on the controller's goroutine: it refits the boot model family
-// on the boot's labeled training set, with the journaled actual of every
-// training query -journal has feedback for in place of its label, and
-// publishes only through the canary gate. The table never changes after
-// boot, so those actuals are all a retrain can learn from: without any, it
-// republishes the boot model. The retrainer is the one part of the serving
-// daemon that keeps the training set (boot.go drops it otherwise: ~2.4 KB of
-// bound AST per query). Retraining is crash-safe — progress checkpoints ride
-// the -store directory's fsync+rename machinery — and supervised: failed
-// attempts restart with exponential backoff and quarantine after repeated
-// failure, while a canary-rejected model is never retried (the detector
-// rearms with a widened threshold instead).
-// GET /v1/drift reports detector state, recent alarms, and the latest
-// retrain; /metrics grows drift_* and retrain_* counters.
+// Retraining is an operator action through that one door: train a snapshot
+// offline (cardest -save) and publish it with POST /v1/models/load, where it
+// meets the canary like any other model; POST /v1/models/rollback undoes it.
+// The daemon retrains nothing itself: benchrunner's ext10 measured that no
+// retrain on served feedback heals the paper's query drift by the margin set
+// for it (EXPERIMENTS.md).
 //
 // The daemon memoizes estimates in a generation-scoped cache
 // (-cache-entries, default 4096; 0 disables): requests are keyed on the live
@@ -88,8 +76,7 @@
 // the newest -journal-retention sealed segments survive GC. On rotation,
 // under -store, a deterministic reservoir sample of recent
 // labeled traffic replaces the canary workload, so publish gates score
-// candidates on what production actually asks. Journaled actuals also
-// replace the labels of the training queries a retrain refits on.
+// candidates on what production actually asks.
 // GET /v1/journal reports stats and segments; /metrics grows journal_*
 // counters; the cmd/replay CLI replays segments offline against saved models.
 //
@@ -113,7 +100,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -125,14 +111,11 @@ import (
 	"time"
 
 	"qfe/internal/cli"
-	"qfe/internal/drift"
-	"qfe/internal/estimator"
 	"qfe/internal/exec"
 	"qfe/internal/journal"
 	"qfe/internal/replay"
 	"qfe/internal/serve"
 	"qfe/internal/table"
-	"qfe/internal/trainer"
 )
 
 type options struct {
@@ -161,8 +144,6 @@ type options struct {
 	canaryP95    float64
 	modelRoot    string
 
-	retrain bool
-
 	journalDir    string
 	journalSegSz  int64
 	journalRetain int
@@ -183,9 +164,9 @@ func main() {
 }
 
 // parseFlags parses the daemon's command line. Unknown flags are an error —
-// notably the retired -max-batch, -batch-delay, -fallback, -retrain-cooldown,
-// -drift-* and -probe-interval, so a deployment script that still sets them
-// fails loudly instead of keeping a knob that does nothing.
+// notably the retired -max-batch, -batch-delay, -fallback, -retrain,
+// -retrain-cooldown, -drift-* and -probe-interval, so a deployment script that
+// still sets them fails loudly instead of keeping a knob that does nothing.
 func parseFlags(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("cardestd", flag.ContinueOnError)
@@ -205,13 +186,12 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.drainTO, "drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 	fs.BoolVar(&o.smoke, "smoke", false, "run the self-test (random port, batched estimate, metrics scrape) and exit")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty disables)")
-	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "estimate cache capacity, keyed on (generation, query text): a repeated text is answered before the parse; 0 disables the cache, so every request pays parse+featurize+inference; under -journal or -retrain an entry also retains the bound AST of its miss (~2.4 KB, ~9 MB for a full 4096-entry cache)")
+	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "estimate cache capacity, keyed on (generation, query text): a repeated text is answered before the parse; 0 disables the cache, so every request pays parse+featurize+inference; under -journal an entry also retains the bound AST of its miss (~2.4 KB, ~9 MB for a full 4096-entry cache)")
 	fs.StringVar(&o.storeDir, "store", "", "crash-safe model store directory (enables canary-gated publishes, recovery, and rollback)")
 	fs.IntVar(&o.canaryN, "canary", 200, "held-out labeled queries for the canary gate (0 disables the gate)")
 	fs.Float64Var(&o.canaryMedian, "canary-median", 10, "canary ceiling on median q-error")
 	fs.Float64Var(&o.canaryP95, "canary-p95", 100, "canary ceiling on p95 q-error")
 	fs.StringVar(&o.modelRoot, "model-root", "", "directory POST /v1/models/load may read snapshots from (default: -store dir, else the working directory)")
-	fs.BoolVar(&o.retrain, "retrain", false, "arm self-healing retraining: q-error drift alarms trigger supervised, checkpointed refits on the -train set, journaled actuals replacing its labels, published through the canary (requires -store); the retrainer keeps the labeled -train set resident (~2.4 KB of bound AST a query: ~4.8 MB live, about twice that resident, at the default 2 000)")
 	fs.StringVar(&o.journalDir, "journal", "", "feedback journal directory (enables durable traffic capture, GET /v1/journal, and traffic-derived canaries)")
 	fs.Int64Var(&o.journalSegSz, "journal-segment-size", 4<<20, "journal segment rotation threshold in bytes")
 	fs.IntVar(&o.journalRetain, "journal-retention", 8, "sealed journal segments kept before GC (negative keeps all)")
@@ -224,9 +204,6 @@ func run(o options, out io.Writer) error {
 	}
 	if err := cli.ValidateModel(o.model); err != nil {
 		return err
-	}
-	if o.retrain && o.storeDir == "" {
-		return fmt.Errorf("-retrain requires -store (retrained models publish through the canary-gated lifecycle)")
 	}
 	b, err := boot(o, out)
 	if err != nil {
@@ -248,20 +225,15 @@ func run(o options, out io.Writer) error {
 // name the table, the registry and the lifecycle, never the environment they
 // were built from.
 type daemon struct {
-	srv     *serve.Server
-	jnl     *journal.Journal    // -journal
-	actuals *replay.ActualIndex // -journal: the committed feedback's labels
-	canary  *coalesced          // -journal with -store: the traffic-derived canary refresh
-	ctrl    *trainer.Controller // -retrain
+	srv    *serve.Server
+	jnl    *journal.Journal // -journal
+	canary *coalesced       // -journal with -store: the traffic-derived canary refresh
 }
 
 // close stops the background work in the reverse of the order arm started
 // it. The refresher is waited for after the journal's Close, so a rotation in
 // its last flush is waited for too.
 func (d *daemon) close() {
-	if d.ctrl != nil {
-		d.ctrl.Close()
-	}
 	if d.jnl != nil {
 		d.jnl.Close()
 	}
@@ -271,8 +243,7 @@ func (d *daemon) close() {
 }
 
 // arm builds the serving phase over a finished boot: the feedback journal,
-// the drift monitor and retrainer, the server. On an error whatever it had
-// started is stopped again.
+// then the server. On an error whatever it had started is stopped again.
 func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 	// d is a local, not the named result: `return nil, err` must not take
 	// away what the deferred close and the closures below hold on to.
@@ -293,20 +264,11 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 	}
 
 	// -journal arms the durable feedback journal: every served estimate is
-	// appended (shed-not-block) to a segmented CRC-framed log, recovered and
-	// then every committed batch's actuals feed the retrainer's label index,
-	// and — under -store, the one lifecycle with a canary workload to
-	// refresh — each segment rotation derives a fresh one from recent real
-	// traffic.
+	// appended (shed-not-block) to a segmented CRC-framed log, and — under
+	// -store, the one lifecycle with a canary workload to refresh — each
+	// segment rotation derives a fresh one from recent real traffic.
 	if o.journalDir != "" {
-		d.actuals = replay.NewActualIndex(0)
-		jopts := journal.Options{
-			SegmentBytes: o.journalSegSz,
-			Retain:       o.journalRetain,
-			// The index learns an actual when its record is durable, named
-			// by the writer: live, it holds what a restart recovers.
-			OnCommit: d.actuals.PutRecords,
-		}
+		jopts := journal.Options{SegmentBytes: o.journalSegSz, Retain: o.journalRetain}
 		if o.storeDir != "" {
 			d.canary = &coalesced{fn: func() { refreshCanary(d.jnl, lc, db, o, out) }}
 			// Rotation means a fresh slab of real traffic just sealed; canary
@@ -321,47 +283,8 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 		js := d.jnl.Stats()
 		fmt.Fprintf(out, "feedback journal %s: %d sealed segment(s), %d torn tail(s) repaired, %d quarantined\n",
 			o.journalDir, js.SealedSegments, js.TornTailsRepaired, js.SegmentsQuarantined)
-		// Actuals that survived the restart label retraining for free.
-		if recs, err := d.jnl.ReadSealed(); err == nil {
-			d.actuals.PutRecords(recs)
-			if n := d.actuals.Len(); n > 0 {
-				fmt.Fprintf(out, "feedback journal: %d journaled actual(s) indexed for retraining\n", n)
-			}
-		}
 	}
-	jnl, actuals := d.jnl, d.actuals
-
-	// -retrain closes the self-healing loop: the drift monitor taps the
-	// /v1/estimate feedback stream, an alarm starts a checkpointed retrain
-	// on the controller's goroutine, and a retrained model takes traffic only
-	// by clearing the same canary gate as any other publish.
-	var mon *drift.Monitor
-	if o.retrain {
-		retCfg := trainer.RetrainConfig{
-			Train:        b.train,
-			NewEstimator: func() (*estimator.Local, error) { return newLocal(db, o) },
-			Lifecycle:    lc,
-			Checkpoint:   trainer.NewStoreCheckpointer(lc.Store(), "retrain"),
-		}
-		if actuals != nil {
-			// Journaled actuals replace the labels of the training queries
-			// they match: the only new truth a retrain can learn.
-			retCfg.ActualLookup = actuals.Lookup
-		}
-		var ret *trainer.Retrainer
-		if ret, err = trainer.NewRetrainer(retCfg); err != nil {
-			return nil, err
-		}
-		mon, err = drift.NewMonitor(drift.MonitorConfig{OnEvent: func(ev drift.Event) { d.ctrl.HandleEvent(ev) }})
-		if err != nil {
-			return nil, err
-		}
-		if d.ctrl, err = trainer.NewController(trainer.ControllerConfig{Retrain: ret.Run, Monitor: mon}); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "self-healing retraining armed: a q-error drift alarm refits the %d boot-labeled queries\n", len(b.train))
-	}
-	ctrl := d.ctrl
+	jnl := d.jnl
 
 	if o.cacheEntries > 0 {
 		fmt.Fprintf(out, "estimate cache: %d entries, keyed on (generation, query text)\n", o.cacheEntries)
@@ -379,35 +302,12 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 		Lifecycle:      lc,
 		Cache:          serve.CacheConfig{Entries: o.cacheEntries},
 	}
-	if mon != nil || jnl != nil {
-		cfg.Feedback = feedbackHook(mon, jnl)
-		cfg.ExtraMetrics = func() map[string]any {
-			extra := map[string]any{}
-			if mon != nil {
-				maps.Copy(extra, mon.Counters())
-				maps.Copy(extra, ctrl.Counters())
-			}
-			if jnl != nil {
-				maps.Copy(extra, journalCounters(jnl))
-			}
-			return extra
-		}
-	}
-	cfg.StatusPages = map[string]func() any{}
-	if mon != nil {
-		cfg.StatusPages["/v1/drift"] = func() any {
-			return map[string]any{"drift": mon.Status(), "retrain": ctrl.Status()}
-		}
-	}
 	if jnl != nil {
-		cfg.StatusPages["/v1/journal"] = func() any {
-			return map[string]any{
-				"dir":      jnl.Dir(),
-				"stats":    jnl.Stats(),
-				"segments": jnl.Segments(),
-				"indexed":  actuals.Len(),
-			}
-		}
+		cfg.Feedback = feedbackHook(jnl)
+		cfg.ExtraMetrics = func() map[string]any { return journalCounters(jnl) }
+		cfg.StatusPages = map[string]func() any{"/v1/journal": func() any {
+			return map[string]any{"dir": jnl.Dir(), "stats": jnl.Stats(), "segments": jnl.Segments()}
+		}}
 	}
 	if d.srv, err = serve.New(cfg); err != nil {
 		return nil, err
@@ -482,22 +382,13 @@ func (c *coalesced) trigger() {
 // wait returns once no run is in flight.
 func (c *coalesced) wait() { c.wg.Wait() }
 
-// feedbackHook is the daemon's serve.Config.Feedback: every served estimate
-// feeds the drift monitor and is appended to the feedback journal, whichever
-// of the two is armed (nil otherwise). The hook computes no class key: it
-// stages the bound query — on a cache hit the entry's shared one, which the
-// journal writer only reads — and the writer fingerprints each distinct query
-// once per commit. The actuals index learns a record's actual when its batch
-// is committed (journal.Options.OnCommit), so an actual whose record was shed
-// or lost to a failed flush is not indexed; it used to be, at once.
-func feedbackHook(mon *drift.Monitor, jnl *journal.Journal) func(serve.FeedbackEvent) {
+// feedbackHook is the daemon's serve.Config.Feedback under -journal: every
+// served estimate is appended to the feedback journal. The hook computes no
+// class key: it stages the bound query — on a cache hit the entry's shared
+// one, which the journal writer only reads — and the writer fingerprints each
+// distinct query once per commit.
+func feedbackHook(jnl *journal.Journal) func(serve.FeedbackEvent) {
 	return func(ev serve.FeedbackEvent) {
-		if mon != nil {
-			mon.ObserveFeedback(ev.Estimate, ev.Actual, ev.HasActual)
-		}
-		if jnl == nil {
-			return
-		}
 		// Append stages the record and returns: a wedged journal sheds records
 		// (counted in journal_shed) and the estimate path never waits.
 		jnl.Append(journal.Record{

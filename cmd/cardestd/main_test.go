@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net"
@@ -15,17 +14,13 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"qfe/internal/core"
-	"qfe/internal/drift"
 	"qfe/internal/journal"
-	"qfe/internal/replay"
 	"qfe/internal/resilience"
 	"qfe/internal/serve"
 	"qfe/internal/sqlparse"
 	"qfe/internal/testutil"
-	"qfe/internal/trainer"
 )
 
 // tinyOptions keeps boot training fast enough for a unit test. It goes
@@ -45,15 +40,16 @@ func tinyOptions(t *testing.T) options {
 // -fallback, since every model serves inside the one chain; and so are the
 // drift thresholds and the retrain cooldown, whose defaults are now the only
 // values, and the domain detector two of them tuned; and so is the probe
-// interval, since a published model is judged once. A stale deployment
-// script must fail at the command line, not silently keep a flag that does
-// nothing.
+// interval, since a published model is judged once; and so is -retrain, with
+// the loop it armed, since no feedback retrain healed query drift (ext10). A
+// stale deployment script must fail at the command line, not silently keep a
+// flag that does nothing.
 func TestRetiredFlagsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-max-batch", "16"}, {"-batch-delay", "2ms"}, {"-cache-off"}, {"-fallback"},
 		{"-drift-delta", "0.05"}, {"-drift-lambda", "25"}, {"-drift-min-samples", "50"},
 		{"-drift-window", "200"}, {"-drift-ood-fraction", "0.25"}, {"-retrain-cooldown", "1m"},
-		{"-probe-interval", "30s"},
+		{"-probe-interval", "30s"}, {"-retrain"},
 	} {
 		fs := append([]string{"-smoke"}, args...)
 		if _, err := parseFlags(fs); err == nil || !strings.Contains(err.Error(), "not defined: "+args[0]) {
@@ -135,15 +131,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "building forest environment") {
 		t.Errorf("-model LR built the table before it was refused:\n%s", out.String())
-	}
-
-	// -retrain publishes through the lifecycle -store arms; without one it
-	// is refused with the flags too, not after a boot it has no use for.
-	o = tinyOptions(t)
-	o.retrain = true
-	out.Reset()
-	if err := run(o, &out); err == nil || !strings.Contains(err.Error(), "-retrain requires -store") || out.Len() != 0 {
-		t.Errorf("-retrain without -store: err = %v after printing %q, want it refused before the boot", err, out.String())
 	}
 
 	o = tinyOptions(t)
@@ -310,39 +297,6 @@ func TestRunStoreRecovery(t *testing.T) {
 	}
 }
 
-// TestRunRetrainSmoke: the self-test with everything armed — store, journal,
-// drift monitor, retrainer — boots, serves and shuts down cleanly.
-// The retrainer is the one holder of the training queries after the boot.
-func TestRunRetrainSmoke(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	o := tinyOptions(t)
-	o.storeDir = filepath.Join(t.TempDir(), "store")
-	o.journalDir = filepath.Join(t.TempDir(), "journal")
-	o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
-	o.retrain = true
-	var out strings.Builder
-	if err := run(o, &out); err != nil {
-		t.Fatalf("smoke run failed: %v\noutput:\n%s", err, out.String())
-	}
-	for _, want := range []string{"self-healing retraining armed", "metrics ok", "clean shutdown"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("smoke output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-// retrainingOptions is tinyOptions with the self-healing loop armed over a
-// store, and -journal when journalDir is set. The canary ceilings are
-// generous: these tests are about the loop, not the tiny model's accuracy.
-func retrainingOptions(t *testing.T, journalDir string) options {
-	t.Helper()
-	o := tinyOptions(t)
-	o.storeDir, o.journalDir = filepath.Join(t.TempDir(), "store"), journalDir
-	o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
-	o.retrain = true
-	return o
-}
-
 // postOK POSTs body to /v1/estimate and fails the test unless it is a 200.
 func postOK(t *testing.T, h http.Handler, body string) {
 	t.Helper()
@@ -353,31 +307,17 @@ func postOK(t *testing.T, h http.Handler, body string) {
 	}
 }
 
-// waitRetrained waits for the controller's retrain to publish.
-func waitRetrained(t *testing.T, ctrl *trainer.Controller) {
-	t.Helper()
-	for deadline := time.Now().Add(60 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if js := ctrl.Status()["jobs"].([]trainer.JobStatus); len(js) == 1 && js[0].State != trainer.JobRunning && js[0].State != trainer.JobBackoff {
-			if js[0].State != trainer.JobDone {
-				t.Fatalf("retrain ended %s: %s", js[0].State, js[0].LastError)
-			}
-			return
-		}
-	}
-	t.Fatal("the retrain did not finish")
-}
-
-// TestDriftAlarmLeavesTheCacheOn: a drift alarm never turns the estimate
-// cache off. It used to: the monitor latched an alarm until a retrain ended,
-// the server bypassed the cache while one was latched, and an alarm the
-// retrain cooldown suppressed started no retrain to unlatch it, so the cache
-// stayed off for good. A hit is only ever what the same generation would
-// recompute, so the bypass changed no answer; it cost CPU. Here the second
-// alarm lands inside the cooldown of the first one's retrain, and a query
-// repeated n times afterwards is n-1 hits.
-func TestDriftAlarmLeavesTheCacheOn(t *testing.T) {
+// TestRetrainLoopEndpointsAreGone: a daemon with everything that remains
+// armed — store and journal — serves no drift page and no drift or retrain
+// counters, and its journal page reports the journal, not the actuals index
+// the retrainer read ("indexed"). The loop went when ext10 measured that no
+// feedback retrain heals query drift.
+func TestRetrainLoopEndpointsAreGone(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	o := retrainingOptions(t, "")
+	o := tinyOptions(t)
+	o.storeDir = filepath.Join(t.TempDir(), "store")
+	o.journalDir = filepath.Join(t.TempDir(), "journal")
+	o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
 	b, err := boot(o, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -388,110 +328,43 @@ func TestDriftAlarmLeavesTheCacheOn(t *testing.T) {
 	}
 	defer d.close()
 	h := d.srv.Handler()
-	counter := func(key string) uint64 { return d.ctrl.Counters()[key].(uint64) }
-	// alarm feeds healthy feedback, then actuals a billion rows off, through
-	// the handler until the controller has seen n alarms.
-	alarm := func(n uint64) {
-		t.Helper()
-		const fed = "SELECT count(*) FROM forest WHERE A1 >= 2500 AND A2 <= 200"
-		_, est := estimateOne(t, h, fed)
-		for i := 0; i < 60; i++ {
-			postOK(t, h, fmt.Sprintf(`{"sql":"%s","actual":%v}`, fed, est))
-		}
-		for i := 0; i < 20 && counter("retrain_events_seen") < n; i++ {
-			postOK(t, h, `{"sql":"`+fed+`","actual":1e9}`)
-		}
-		if got := counter("retrain_events_seen"); got != n {
-			t.Fatalf("the controller saw %d drift alarms, want %d", got, n)
-		}
-	}
-	alarm(1)
-	waitRetrained(t, d.ctrl)
-	alarm(2)
-	if got := counter("retrain_events_suppressed"); got != 1 {
-		t.Fatalf("%d alarms suppressed, want the second one, inside the cooldown", got)
-	}
-
-	const repeated, n = "SELECT count(*) FROM forest WHERE A3 >= 2", 20
-	before := d.srv.Metrics().Snapshot()["cache_hits"].(int64)
-	for i := 0; i < n; i++ {
-		estimateOne(t, h, repeated)
-	}
-	if hits := d.srv.Metrics().Snapshot()["cache_hits"].(int64) - before; hits != n-1 {
-		t.Errorf("%d repeats of one query after a drift alarm: %d cache hits, want %d", n, hits, n-1)
-	}
-}
-
-// TestRetrainRefitsTheBootLabels: what a retrain can change. The table never
-// changes after boot, so a retrain with no journaled actual refits the boot
-// model on the boot's labels: the generation it publishes holds the boot
-// generation's snapshot byte for byte. A wrong actual journaled for a
-// training query's class replaces that query's label, and the next retrain
-// publishes a different model.
-func TestRetrainRefitsTheBootLabels(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	o := retrainingOptions(t, filepath.Join(t.TempDir(), "journal"))
-	b, err := boot(o, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := b.lc.Store()
-	bootSnap, _, err := st.Read(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// retrain arms a daemon over the boot, starts a retrain as an alarm
-	// does, and returns its journal labels and the snapshot it published.
-	retrain := func(wantGen uint64) (uint64, []byte) {
-		t.Helper()
-		d, err := arm(b, o, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.close()
-		if !d.ctrl.HandleEvent(drift.Event{}) {
-			t.Fatal("the alarm started no retrain")
-		}
-		waitRetrained(t, d.ctrl)
-		gen, _ := st.Latest()
-		if gen.Number != wantGen {
-			t.Fatalf("the retrain published store generation %d, want %d", gen.Number, wantGen)
-		}
-		snap, _, err := st.Read(gen.Number)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d.ctrl.Counters()["retrain_journal_labels"].(uint64), snap
-	}
-
-	if labels, snap := retrain(2); labels != 0 || !bytes.Equal(snap, bootSnap) {
-		t.Errorf("a retrain with no journaled actual took %d journal labels and published %d bytes, equal to the boot's %d: %v; want 0 and equal",
-			labels, len(snap), len(bootSnap), bytes.Equal(snap, bootSnap))
-	}
-
-	d, err := arm(b, o, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := b.train[0]
-	postOK(t, d.srv.Handler(), fmt.Sprintf(`{"sql":"%s","actual":%d}`, l.Query.String(), 1000*l.Card+7))
+	postOK(t, h, `{"sql":"SELECT count(*) FROM forest WHERE A1 >= 3","actual":10}`)
 	if err := d.jnl.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	d.close()
-	if labels, snap := retrain(3); labels < 1 || bytes.Equal(snap, bootSnap) {
-		t.Errorf("a retrain after a wrong actual for a training query took %d journal labels and published the boot's snapshot: %v; want >= 1 and a different one",
-			labels, bytes.Equal(snap, bootSnap))
+	get := func(path string) (int, map[string]any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		var body map[string]any
+		json.Unmarshal(rec.Body.Bytes(), &body) //nolint:errcheck // a 404 body is not JSON
+		return rec.Code, body
+	}
+	if code, _ := get("/v1/drift"); code != http.StatusNotFound {
+		t.Errorf("GET /v1/drift: status %d, want 404", code)
+	}
+	code, page := get("/v1/journal")
+	if code != http.StatusOK || page["stats"] == nil || page["segments"] == nil || page["dir"] == nil {
+		t.Fatalf("GET /v1/journal: status %d, body %v; want 200 with dir, stats and segments", code, page)
+	}
+	if _, ok := page["indexed"]; ok {
+		t.Errorf("GET /v1/journal reports indexed = %v: an actuals index is being kept again", page["indexed"])
+	}
+	_, metrics := get("/metrics")
+	if metrics["journal_appended"] == nil {
+		t.Fatalf("/metrics lacks journal_appended: %v", metrics)
+	}
+	for key := range metrics {
+		if strings.HasPrefix(key, "drift_") || strings.HasPrefix(key, "retrain_") {
+			t.Errorf("/metrics reports %s", key)
+		}
 	}
 }
 
 // TestArmFailureStopsWhatItStarted: a step of arm that fails is the daemon's
-// error, not a nil dereference in the cleanup, and the journal writer and
-// the controller's goroutine that earlier steps started are joined before
-// arm returns. The three cases fail at the first step, in the middle (the
-// retrainer, between the journal and the server; the drift monitor there has
-// only its defaults and cannot fail), and at the last step with everything
-// before it running.
+// error, not a nil dereference in the cleanup, and the journal writer an
+// earlier step started is joined before arm returns. The two cases fail at
+// the first step and at the last with everything before it running.
 func TestArmFailureStopsWhatItStarted(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	armed := func(t *testing.T) options {
@@ -499,7 +372,6 @@ func TestArmFailureStopsWhatItStarted(t *testing.T) {
 		o.storeDir = filepath.Join(t.TempDir(), "store")
 		o.journalDir = filepath.Join(t.TempDir(), "journal")
 		o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
-		o.retrain = true
 		return o
 	}
 	t.Run("journal directory is a file", func(t *testing.T) {
@@ -511,21 +383,6 @@ func TestArmFailureStopsWhatItStarted(t *testing.T) {
 		err := run(o, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "open feedback journal") {
 			t.Fatalf("run over a journal path that is a file: err = %v, want one naming the feedback journal", err)
-		}
-	})
-	t.Run("retrainer refuses its config", func(t *testing.T) {
-		o := armed(t)
-		b, err := boot(o, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.train = nil // the journal is open when the retrainer is built
-		d, err := arm(b, o, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "Train is empty") {
-			t.Fatalf("arm without a training set: err = %v, want the retrainer's", err)
-		}
-		if d != nil {
-			t.Errorf("arm returned a daemon beside its error")
 		}
 	})
 	t.Run("server refuses its config", func(t *testing.T) {
@@ -574,7 +431,7 @@ func TestJournaledFingerprint(t *testing.T) {
 			srv, err := serve.New(serve.Config{
 				Registry: reg,
 				Cache:    serve.CacheConfig{Entries: tc.entries},
-				Feedback: feedbackHook(nil, jnl),
+				Feedback: feedbackHook(jnl),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -620,14 +477,13 @@ func TestJournaledFingerprint(t *testing.T) {
 }
 
 // TestFeedbackActualBeyondInt64: 2^63 is a finite number, so the handler takes
-// it and answers 200; the actuals index holds int64 and must leave the label
-// it already has for that query alone (it stored math.MinInt64 over it). The
-// index learns from committed batches, so the test syncs before it looks.
+// it and answers 200, and the journal keeps it as the client sent it, beside
+// the earlier 7 for the same query, never as math.MinInt64.
 func TestFeedbackActualBeyondInt64(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	const sql = "SELECT count(*) FROM t WHERE a >= 1"
-	actuals := replay.NewActualIndex(0)
-	jnl, err := journal.Open(t.TempDir(), journal.Options{OnCommit: actuals.PutRecords})
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,7 +492,7 @@ func TestFeedbackActualBeyondInt64(t *testing.T) {
 	if _, err := reg.Register("const", resilience.Constant{Value: 5}, serve.ModelInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(serve.Config{Registry: reg, Feedback: feedbackHook(nil, jnl)})
+	srv, err := serve.New(serve.Config{Registry: reg, Feedback: feedbackHook(jnl)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,84 +507,13 @@ func TestFeedbackActualBeyondInt64(t *testing.T) {
 	if err := jnl.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := actuals.Lookup(sqlparse.MustParse(sql)); !ok || v != 7 || actuals.Len() != 1 {
-		t.Errorf("after an actual of 2^63 the index holds (%d, %v) in %d entries, want the earlier 7 alone", v, ok, actuals.Len())
-	}
-}
-
-// TestLiveActualsAreWhatARestartRecovers: the daemon's actuals index is fed
-// from the batches its journal commits, so after a Sync it equals PutRecords
-// over every committed record — misses, hits, a client batch and a respelling
-// of a cached query that reports a newer actual for the same class — and a
-// daemon re-armed over the same journal recovers exactly that index.
-func TestLiveActualsAreWhatARestartRecovers(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	o := tinyOptions(t)
-	o.journalDir = t.TempDir()
-	b, err := boot(o, io.Discard)
+	recs, _, err := journal.Read(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := arm(b, o, io.Discard)
-	if err != nil {
-		t.Fatal(err)
+	if len(recs) != 2 || recs[0].Actual != 7 || recs[1].Actual != 1<<63 || !recs[1].HasActual {
+		t.Errorf("the journal holds %+v, want the actuals 7 and 2^63 in order", recs)
 	}
-	defer func() { d.close() }()
-	const (
-		qA  = "SELECT count(*) FROM forest WHERE A1 >= 3 AND A2 <= 7"
-		qB  = "SELECT count(*) FROM forest WHERE A3 < 9"
-		qC  = "SELECT count(*) FROM forest WHERE A4 = 2"
-		qA2 = "SELECT count(*) FROM forest WHERE A2 <= 7 AND A1 > 2" // qA's class, another text
-	)
-	bodies := []string{
-		`{"sql":"` + qA + `","actual":10}`,
-		`{"sql":"` + qA + `","actual":11}`, // a hit
-		`{"sql":"` + qB + `"}`,             // no feedback
-		`{"queries":[{"sql":"` + qB + `","actual":0},{"sql":"` + qC + `","actual":4},{"sql":"` + qA + `"}]}`,
-		`{"sql":"` + qA2 + `","actual":12}`, // the class's newest actual
-	}
-	for _, body := range bodies {
-		rec := httptest.NewRecorder()
-		d.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("POST %s: status %d: %s", body, rec.Code, rec.Body)
-		}
-	}
-	if err := d.jnl.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	recs, _, err := journal.Read(nil, o.journalDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 7 {
-		t.Fatalf("journal holds %d records, want 7", len(recs))
-	}
-	want := replay.NewActualIndex(0)
-	want.PutRecords(recs)
-	sameIndex := func(t *testing.T, what string, got *replay.ActualIndex) {
-		t.Helper()
-		if got.Len() != want.Len() || want.Len() != 3 {
-			t.Fatalf("%s indexes %d classes, the committed records %d, want 3", what, got.Len(), want.Len())
-		}
-		for _, r := range recs {
-			g, gok := got.LookupFingerprint(r.Fingerprint)
-			w, wok := want.LookupFingerprint(r.Fingerprint)
-			if g != w || gok != wok {
-				t.Errorf("%s holds (%d, %v) for %q, the committed records (%d, %v)", what, g, gok, r.SQL, w, wok)
-			}
-		}
-	}
-	sameIndex(t, "the live index", d.actuals)
-	if v, ok := d.actuals.LookupFingerprint(core.Fingerprint(sqlparse.MustParse(qA))); !ok || v != 12 {
-		t.Errorf("qA's class holds (%d, %v), want the respelling's 12", v, ok)
-	}
-
-	d.close()
-	if d, err = arm(b, o, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	sameIndex(t, "the recovered index", d.actuals)
 }
 
 // TestCanaryRefreshCoalesces: segments can seal faster than a refresh reads

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"qfe/internal/sqlparse"
+	"qfe/internal/workload"
 )
 
 // TestLinRegRegressor holds ext1's adapter to what estimator.Local asks of a
@@ -53,5 +57,31 @@ func TestLinRegRegressor(t *testing.T) {
 	}
 	if _, err := smokeEnv().regressorFactory("svm"); err == nil {
 		t.Error("unknown model accepted")
+	}
+}
+
+// TestHealSet holds ext10's training set to its description: the boot set
+// whole, then the feedback pairs in order, each featurization class once
+// (a respelling of a boot query or of an earlier pair adds nothing), at most
+// healCap of them.
+func TestHealSet(t *testing.T) {
+	q := func(sql string) workload.Labeled { return workload.Labeled{Query: sqlparse.MustParse(sql), Card: 1} }
+	boot := workload.Set{q("SELECT count(*) FROM t WHERE a >= 1")}
+	feedback := workload.Set{
+		q("SELECT count(*) FROM t WHERE a > 0"), // boot's class
+		q("SELECT count(*) FROM t WHERE b = 2 AND c < 3"),
+		q("SELECT count(*) FROM t WHERE c < 3 AND b = 2"), // the pair before, reordered
+		q("SELECT count(*) FROM t WHERE d = 4"),
+	}
+	set := healSet(boot, feedback)
+	if len(set) != 3 || set[0].Query != boot[0].Query || set[1].Query != feedback[1].Query || set[2].Query != feedback[3].Query {
+		t.Fatalf("healSet = %v, want the boot query, then feedback pairs 1 and 3", set.Queries())
+	}
+	many := make(workload.Set, healCap+5)
+	for i := range many {
+		many[i] = q(fmt.Sprintf("SELECT count(*) FROM t WHERE a = %d", i+10))
+	}
+	if got := len(healSet(boot, many)) - len(boot); got != healCap {
+		t.Errorf("healSet kept %d feedback pairs of %d, want the cap %d", got, len(many), healCap)
 	}
 }

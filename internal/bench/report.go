@@ -91,6 +91,7 @@ func Experiments() []Experiment {
 		{"ext7", "Extension: uniform vs frequency-weighted attrSel", ExtensionWeightedSel},
 		{"ext8", "Extension: sub-schema pruning via System-R feedback (Section 2.1.2)", ExtensionPruning},
 		{"ext9", "Extension: the serving degradation chain, stage by stage (Section 5.2 baselines)", ExtensionServingChain},
+		{"ext10", "Extension: query drift healed from feedback, refit vs residual trees (Section 5.5.1)", ExtensionFeedbackHeal},
 	}
 }
 

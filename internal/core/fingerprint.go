@@ -21,12 +21,11 @@ import (
 // Section 3 the open and closed comparison forms ("a > 5" vs. "a >= 6")
 // qualify identical value sets. Two queries with the same fingerprint have
 // the same true cardinality, which is what its consumers file under it: the
-// feedback journal's records, replay's traffic-derived canary, and the
-// trainer's ActualIndex of journaled actuals. (The serving layer's estimate
-// cache was keyed on it until a miss became cheaper than the key; it is
-// keyed on the query text now — DESIGN §6, which also notes the one rewrite
-// below that Limited Disjunction Encoding's summed selectivity entry does
-// not absorb, a repeated disjunct.)
+// feedback journal's records and replay's traffic-derived canary. (The
+// serving layer's estimate cache was keyed on it until a miss became cheaper
+// than the key; it is keyed on the query text now — DESIGN §6, which also
+// notes the one rewrite below that Limited Disjunction Encoding's summed
+// selectivity entry does not absorb, a repeated disjunct.)
 //
 // Every rewrite applied below is an exact semantic equivalence, never a
 // heuristic: sorting and deduplicating AND/OR children (commutativity,
@@ -54,7 +53,7 @@ func Fingerprint(q *sqlparse.Query) string {
 
 // CanonicalQuery renders q in a canonical textual form: two queries render
 // identically iff Fingerprint treats them as equivalent. Exposed for tests
-// and debugging; the journal and the ActualIndex key on the hash.
+// and debugging; the journal keys on the hash.
 func CanonicalQuery(q *sqlparse.Query) string {
 	c := canonPool.Get().(*canon)
 	c.query(q)

@@ -97,11 +97,44 @@ func (l *Local) Name() string {
 	return fmt.Sprintf("%s + %s (local)", l.modelName, l.cfg.QFT)
 }
 
-// Train fits one model per sub-schema occurring in the training set. Each
-// sub-schema needs enough queries for its regressor; sub-schemas without
-// training queries simply have no model and fail at Estimate time.
+// Train fits one model per sub-schema occurring in the training set, in
+// sorted sub-schema order. Each sub-schema needs enough queries for its
+// regressor; sub-schemas without training queries simply have no model and
+// fail at Estimate time.
 func (l *Local) Train(train workload.Set) error {
-	return l.TrainCtx(context.Background(), train, nil)
+	grouped := make(map[string]workload.Set)
+	for _, lq := range train {
+		key := catalog.SubSchemaKey(lq.Query.Tables)
+		grouped[key] = append(grouped[key], lq)
+	}
+	keys := make([]string, 0, len(grouped))
+	for k := range grouped {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+
+	for _, key := range keys {
+		set := grouped[key]
+		lm, err := l.modelFor(set[0].Query.Tables)
+		if err != nil {
+			return err
+		}
+		// Training encodes through the serving encoder, into fresh vectors.
+		fs := lm.vecPool.Get().(*featScratch)
+		X := make([][]float64, len(set))
+		for i, lq := range set {
+			X[i] = make([]float64, lm.dim())
+			if err := featurizeInto(lm, fs, X[i], lq.Query); err != nil {
+				return fmt.Errorf("estimator: featurize training query %d of %s: %w", i, key, err)
+			}
+		}
+		lm.vecPool.Put(fs)
+		if err := lm.reg.Fit(X, l.transform.transformAll(set.Cards())); err != nil {
+			return fmt.Errorf("estimator: fit sub-schema %s: %w", key, err)
+		}
+		l.models[key] = lm
+	}
+	return nil
 }
 
 // modelFor creates the (untrained) local model for a table set.

@@ -1,35 +1,11 @@
 package estimator
 
 import (
-	"context"
 	"fmt"
 
 	"qfe/internal/ml/gb"
 	"qfe/internal/ml/nn"
 )
-
-// FitOpts carries the cancellation-era fitting options of CtxRegressor.
-// Checkpoint payloads are opaque to this layer: each model family defines
-// its own format, and the bytes round-trip through the caller unchanged.
-type FitOpts struct {
-	// CheckpointEvery emits a checkpoint every this-many model-specific
-	// units of progress (trees for GB, epochs for NN); 0 disables.
-	CheckpointEvery int
-	// OnCheckpoint receives each serialized checkpoint; a non-nil return
-	// aborts the fit.
-	OnCheckpoint func(payload []byte) error
-	// Resume, when non-empty, continues a fit from a payload previously
-	// passed to OnCheckpoint.
-	Resume []byte
-}
-
-// CtxRegressor extends Regressor with a cancelable, checkpointable fit.
-// Both built-in regressors implement it; one that does not is fit with Fit
-// and retrained from scratch on resume.
-type CtxRegressor interface {
-	Regressor
-	FitCtx(ctx context.Context, X [][]float64, y []float64, opts FitOpts) error
-}
 
 // Regressor is the model-agnostic fitting interface the QFT layer plugs
 // into — the paper's point that its featurizations are model-independent
@@ -69,16 +45,7 @@ func (r *GBRegressor) Name() string { return "GB" }
 
 // Fit implements Regressor.
 func (r *GBRegressor) Fit(X [][]float64, y []float64) error {
-	return r.FitCtx(context.Background(), X, y, FitOpts{})
-}
-
-// FitCtx implements CtxRegressor; checkpoints every CheckpointEvery trees.
-func (r *GBRegressor) FitCtx(ctx context.Context, X [][]float64, y []float64, opts FitOpts) error {
-	m, err := gb.TrainCtx(ctx, X, y, r.Cfg, &gb.TrainOpts{
-		CheckpointEvery: opts.CheckpointEvery,
-		OnCheckpoint:    opts.OnCheckpoint,
-		Resume:          opts.Resume,
-	})
+	m, err := gb.Train(X, y, r.Cfg)
 	if err != nil {
 		return err
 	}
@@ -119,16 +86,7 @@ func (r *NNRegressor) Name() string { return "NN" }
 
 // Fit implements Regressor.
 func (r *NNRegressor) Fit(X [][]float64, y []float64) error {
-	return r.FitCtx(context.Background(), X, y, FitOpts{})
-}
-
-// FitCtx implements CtxRegressor; checkpoints every CheckpointEvery epochs.
-func (r *NNRegressor) FitCtx(ctx context.Context, X [][]float64, y []float64, opts FitOpts) error {
-	m, err := nn.TrainCtx(ctx, X, y, r.Cfg, &nn.TrainOpts{
-		CheckpointEvery: opts.CheckpointEvery,
-		OnCheckpoint:    opts.OnCheckpoint,
-		Resume:          opts.Resume,
-	})
+	m, err := nn.Train(X, y, r.Cfg)
 	if err != nil {
 		return err
 	}

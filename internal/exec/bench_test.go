@@ -61,7 +61,7 @@ func BenchmarkEvalPredRange(b *testing.B) {
 // BenchmarkCountColdColumn is the price of the dictionary where it is not
 // shared: one Count on a 100 000-row column nothing has touched builds it
 // first — a sort of the column — where a scan kernel answered in ~80 us.
-// Every labeler and every retrain amortizes the build over thousands of
+// Every labeler amortizes the build over thousands of
 // counts; a caller that counts once on a table pays this.
 func BenchmarkCountColdColumn(b *testing.B) {
 	tbl := benchTable(b)

@@ -195,13 +195,6 @@ type Options struct {
 	// goroutine. Keep it cheap — hand heavy work (canary derivation) to
 	// another goroutine.
 	OnRotate func(sealed SegmentInfo)
-	// OnCommit, when non-nil, observes every committed batch from the writer
-	// goroutine, after its AppendFile returned: exactly the records now on
-	// disk, Fingerprint filled, in journal order — what a reopen reads back
-	// from the segment. A record that was shed, dropped by a failed flush or
-	// unencodable is never passed. The slice and the records' Query pointers
-	// are the writer's: read them during the call, retain neither.
-	OnCommit func(committed []Record)
 	// FS overrides the filesystem (fault injection); nil means the real one.
 	FS store.FS
 	// Now overrides the clock; nil means time.Now.
@@ -551,9 +544,6 @@ func (j *Journal) flush() error {
 	start := time.Now()
 	err := j.fs.AppendFile(j.activePath(), j.buf)
 	j.noteFlush(framed, len(j.batch)-len(framed), fingerprints, int64(len(j.buf)), time.Since(start), err)
-	if err == nil && len(framed) > 0 && j.opts.OnCommit != nil {
-		j.opts.OnCommit(framed)
-	}
 	clear(j.batch) // the array is the next staging area: do not pin the texts and queries
 	j.maybeRotate()
 	if err != nil {

@@ -2,17 +2,14 @@ package journal_test
 
 import (
 	"encoding/json"
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"qfe/internal/core"
 	"qfe/internal/journal"
-	"qfe/internal/replay"
 	"qfe/internal/sqlparse"
 	"qfe/internal/store"
 	"qfe/internal/testutil"
@@ -158,92 +155,5 @@ func TestSegmentMatchesParentHookPath(t *testing.T) {
 	}
 	if s := jnl.Stats(); s.Persisted != 7 || s.Dropped != 2 {
 		t.Errorf("stats = %+v, want the 7 encodable records persisted and the 2 others dropped", s)
-	}
-}
-
-// failFS fails every AppendFile while fail is set, writing nothing.
-type failFS struct {
-	store.FS
-	fail atomic.Bool
-}
-
-func (f *failFS) AppendFile(path string, data []byte) error {
-	if f.fail.Load() {
-		return errors.New("injected: disk full")
-	}
-	return f.FS.AppendFile(path, data)
-}
-
-// TestOnCommitSeesOnlyCommittedRecords: the actuals index the daemon feeds
-// from OnCommit learns an actual only once its record is on disk. A record
-// whose flush failed, one json.Marshal refuses, one shed by full staging and
-// one appended after Close are never passed; the records of the commits that
-// succeeded are, in order, named, and equal to what a reader gets back.
-func TestOnCommitSeesOnlyCommittedRecords(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	fsys := &failFS{FS: store.OSFS()}
-	ix := replay.NewActualIndex(0)
-	var committed []journal.Record
-	dir := t.TempDir()
-	jnl := mustOpen(t, dir, testOptions(func(o *journal.Options) {
-		o.FS = fsys
-		o.Queue = 2
-		o.OnCommit = func(recs []journal.Record) {
-			ix.PutRecords(recs)
-			for _, r := range recs {
-				r.Query = nil
-				committed = append(committed, r)
-			}
-		}
-	}))
-	queries := make([]*sqlparse.Query, 6)
-	rec := func(i int) journal.Record {
-		queries[i] = sqlparse.MustParse("SELECT count(*) FROM t WHERE a >= " + string(rune('1'+i)))
-		return journal.Record{UnixMicros: int64(i) + 1, SQL: queries[i].String(), Query: queries[i], Estimate: 1, Actual: float64(10 + i), HasActual: true}
-	}
-	sync := func(wantErr bool) {
-		t.Helper()
-		if err := jnl.Sync(); (err != nil) != wantErr {
-			t.Fatalf("Sync: err = %v, want an error: %v", err, wantErr)
-		}
-	}
-
-	jnl.Append(rec(0))
-	sync(false)
-	fsys.fail.Store(true)
-	jnl.Append(rec(1)) // its flush fails
-	sync(true)
-	fsys.fail.Store(false)
-	bad := rec(2)
-	bad.Estimate = math.NaN() // json.Marshal refuses it
-	jnl.Append(bad)
-	jnl.Append(rec(3))
-	if jnl.Append(rec(4)) { // staging holds 2
-		t.Fatal("Append past Queue accepted")
-	}
-	sync(false)
-	jnl.Close()
-	if jnl.Append(rec(5)) {
-		t.Fatal("Append after Close accepted")
-	}
-
-	onDisk, _, err := journal.Read(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(committed) != 2 || len(onDisk) != 2 {
-		t.Fatalf("OnCommit saw %d records and the journal holds %d, want records 0 and 3 in both", len(committed), len(onDisk))
-	}
-	for k, i := range []int{0, 3} {
-		want := onDisk[k]
-		if committed[k] != want || want.UnixMicros != int64(i)+1 || want.Fingerprint != core.Fingerprint(queries[i]) {
-			t.Errorf("commit %d = %+v, on disk %+v, want record %d named", k, committed[k], want, i)
-		}
-	}
-	for i := range queries {
-		v, ok := ix.LookupFingerprint(core.Fingerprint(queries[i]))
-		if indexed := i == 0 || i == 3; ok != indexed || (ok && v != int64(10+i)) {
-			t.Errorf("record %d's actual: index holds (%d, %v), want indexed = %v", i, v, ok, indexed)
-		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 // This file is the model's one representation: all trees packed into a
 // single contiguous node array, which Predict walks iteratively. The fit
 // grows each tree in an arena (tree.go) and appends it here the moment it is
-// finished; the arena is then garbage. Snapshots and checkpoints store the
-// packed nodes as they are (format 2); a format-1 payload, which stored the
-// arenas, is packed once on decode.
+// finished; the arena is then garbage. Snapshots store the packed nodes as
+// they are (format 2); a format-1 payload, which stored the arenas, is packed
+// once on decode.
 //
 // The walk is bit-identical to the per-tree arena walk it replaced (kept as
 // predictReference in flat_test.go): node traversal takes the same
@@ -225,9 +225,9 @@ func (f *flatForest) memoryBytes() int {
 // wireModel is a model's JSON form. Format 2 stores the forest as parallel
 // node arrays — feat, thr and left are one node's fields, roots each tree's
 // first node — which encode the packed nodes exactly and decode back into
-// them. Format 1 stored the fit's arenas under "trees"; such a payload (a
-// snapshot or a mid-fit checkpoint written before the arenas stopped
-// outliving the fit) decodes into V1 and is packed once.
+// them. Format 1 stored the fit's arenas under "trees"; such a snapshot
+// (written before the arenas stopped outliving the fit) decodes into V1 and
+// is packed once.
 type wireModel struct {
 	Cfg   Config    `json:"cfg"`
 	Base  float64   `json:"base"` // the constant c of Equation 5

@@ -17,41 +17,10 @@
 package gb
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-
-	"qfe/internal/parallel"
 )
-
-// ErrCanceled reports that training was aborted by its context. The
-// returned error also wraps the context's own error, so callers may test
-// either errors.Is(err, ErrCanceled) or errors.Is(err, context.Canceled).
-var ErrCanceled = errors.New("gb: training canceled")
-
-// ErrBadCheckpoint reports that a Resume payload cannot be continued: it does
-// not decode, holds a model Validate refuses, or was taken under another
-// Config, input width or target set. A fit without it can still succeed.
-var ErrBadCheckpoint = errors.New("gb: checkpoint cannot be resumed")
-
-// TrainOpts carries the optional checkpointing hooks of TrainCtx. The zero
-// value (or a nil pointer) trains without checkpoints.
-type TrainOpts struct {
-	// CheckpointEvery emits a checkpoint after every this-many completed
-	// trees; 0 disables checkpointing.
-	CheckpointEvery int
-	// OnCheckpoint receives each serialized checkpoint. A non-nil return
-	// aborts training with that error: a trainer that cannot persist its
-	// progress must not pretend the run is resumable.
-	OnCheckpoint func(payload []byte) error
-	// Resume, when non-empty, is a payload previously passed to
-	// OnCheckpoint; training continues from it bit-identically to a run
-	// that was never interrupted (same Config, X, and y required).
-	Resume []byte
-}
 
 // Config holds the gradient-boosting hyperparameters. The zero value is not
 // usable; start from DefaultConfig.
@@ -85,8 +54,7 @@ type Config struct {
 	// that uses the extra cores. The trained model is bit-identical for every
 	// Workers value: sums of a stage's residuals are exact, so a cell holds
 	// the same float whoever adds to it in whatever order, and the
-	// cross-feature winner is reduced in fixed feature order — which is why a
-	// checkpoint resumes under any Workers.
+	// cross-feature winner is reduced in fixed feature order.
 	Workers int `json:",omitempty"`
 }
 
@@ -135,8 +103,8 @@ func (c Config) validate(n, d int) error {
 const maxFeatures = math.MaxUint32 / 256
 
 // Model is a trained gradient-boosting regressor: a constant plus its trees,
-// packed into one flat forest (flat.go) — the form Predict walks, snapshots
-// and checkpoints store, and the only one a model holds after its fit.
+// packed into one flat forest (flat.go) — the form Predict walks and
+// snapshots store, and the only one a model holds after its fit.
 type Model struct {
 	Cfg  Config
 	Base float64 // the constant c of Equation 5
@@ -148,14 +116,6 @@ type Model struct {
 // Train fits a gradient-boosting model on X (row-major samples) and targets
 // y. X must be rectangular and len(X) == len(y).
 func Train(X [][]float64, y []float64, cfg Config) (*Model, error) {
-	return TrainCtx(context.Background(), X, y, cfg, nil)
-}
-
-// TrainCtx is Train with cancellation (checked between boosting stages) and
-// optional checkpointing. Resuming from a checkpoint replays the RNG draws
-// of the completed trees, so the finished ensemble is bit-identical to an
-// uninterrupted run with the same inputs.
-func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts *TrainOpts) (*Model, error) {
 	n := len(X)
 	d := 0
 	if n > 0 {
@@ -194,65 +154,13 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 	}
 	resid := make([]float64, n)
 
-	startTree := 0
-	if opts != nil && len(opts.Resume) > 0 {
-		var ck Model
-		if err := json.Unmarshal(opts.Resume, &ck); err != nil {
-			return nil, fmt.Errorf("%w: decode: %w", ErrBadCheckpoint, err)
-		}
-		// Workers is not compared: it changes how fast a model is fit, not
-		// which one, so a job restarted on a different core count resumes.
-		ckCfg := ck.Cfg
-		ckCfg.Workers = cfg.Workers
-		switch {
-		case ckCfg != cfg:
-			return nil, fmt.Errorf("%w: config %+v does not match %+v", ErrBadCheckpoint, ck.Cfg, cfg)
-		case ck.Dim != d:
-			return nil, fmt.Errorf("%w: dim %d, training data has %d", ErrBadCheckpoint, ck.Dim, d)
-		case ck.Base != m.Base:
-			return nil, fmt.Errorf("%w: base %v, the training targets' mean is %v", ErrBadCheckpoint, ck.Base, m.Base)
-		case len(ck.flat.roots) > cfg.NumTrees:
-			return nil, fmt.Errorf("%w: %d trees, config wants %d", ErrBadCheckpoint, len(ck.flat.roots), cfg.NumTrees)
-		}
-		if err := ck.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
-		}
-		m.flat = ck.flat
-		startTree = len(m.flat.roots)
-		// Replay the subsampling draws the completed trees consumed, so the
-		// remaining trees see the exact RNG stream they would have seen.
-		for t := 0; t < startTree; t++ {
-			b.draw(rng)
-		}
-		// Rebuild the running predictions from the restored forest: the walk
-		// adds lr·leaf to Base tree by tree, as the fit did.
-		parallel.DoChunks(n, b.workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				pred[i] = m.flat.predict(X[i], m.Base, cfg.LearningRate)
-			}
-		})
-	}
-
-	for t := startTree; t < cfg.NumTrees; t++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
-		}
+	for t := 0; t < cfg.NumTrees; t++ {
 		tr, err := b.boost(rng, y, pred, resid)
 		if err != nil {
 			return nil, fmt.Errorf("gb: tree %d: %w", t+1, err)
 		}
 		if err := m.flat.appendTree(tr); err != nil {
 			return nil, err
-		}
-		if opts != nil && opts.OnCheckpoint != nil && opts.CheckpointEvery > 0 &&
-			(t+1)%opts.CheckpointEvery == 0 && t+1 < cfg.NumTrees {
-			payload, err := json.Marshal(m)
-			if err != nil {
-				return nil, fmt.Errorf("gb: encode checkpoint: %w", err)
-			}
-			if err := opts.OnCheckpoint(payload); err != nil {
-				return nil, fmt.Errorf("gb: checkpoint after tree %d: %w", t+1, err)
-			}
 		}
 	}
 	m.flat.trim()
@@ -267,7 +175,10 @@ func (b *builder) boost(rng *rand.Rand, y, pred, resid []float64) (*tree, error)
 	if err := residuals(resid, y, pred); err != nil {
 		return nil, err
 	}
-	rows, cols := b.draw(rng)
+	// One tree's row and column samples; a rate of 1 draws nothing.
+	n, d := b.n, len(b.X[0])
+	rows := sampleInts(rng, n, int(math.Ceil(b.cfg.SubsampleRows*float64(n))))
+	cols := sampleInts(rng, d, int(math.Ceil(b.cfg.SubsampleCols*float64(d))))
 	t := &tree{}
 	var hist []histCell
 	if !b.cfg.ExactSplits && b.searches(len(rows), 1) {
@@ -279,14 +190,6 @@ func (b *builder) boost(rng *rand.Rand, y, pred, resid []float64) (*tree, error)
 		pred[i] += b.cfg.LearningRate * t.predict(b.X[i])
 	}
 	return t, nil
-}
-
-// draw takes one tree's row and column samples from rng; a rate of 1 draws
-// nothing.
-func (b *builder) draw(rng *rand.Rand) (rows, cols []int) {
-	n, d := b.n, len(b.X[0])
-	rows = sampleInts(rng, n, int(math.Ceil(b.cfg.SubsampleRows*float64(n))))
-	return rows, sampleInts(rng, d, int(math.Ceil(b.cfg.SubsampleCols*float64(d))))
 }
 
 // residuals sets resid to y - pred rounded to multiples of a power of two, the
@@ -318,7 +221,7 @@ func predictDimPanic(got, want int) string {
 }
 
 // Predict returns the model output for one feature vector by walking the
-// flat forest, without allocating. The model must come from Train/TrainCtx,
+// flat forest, without allocating. The model must come from Train,
 // or from UnmarshalJSON followed by a Validate that returned nil.
 func (m *Model) Predict(x []float64) float64 {
 	if len(x) != m.Dim {

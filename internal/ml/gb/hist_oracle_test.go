@@ -1,7 +1,6 @@
 package gb
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,7 +12,7 @@ import (
 // the node's rows into all of its bins — the last and the empty ones too —
 // every bin edge scored, on one goroutine, every node from scratch: no
 // histogram is derived from another. oracleTrain drives it through the
-// boosting loop TrainCtx had then — every row walks every finished tree — on
+// boosting loop Train had then — every row walks every finished tree — on
 // residuals rounded to the stage's grid as Train's are.
 type oracleBuilder struct {
 	X     [][]float64
@@ -297,7 +296,7 @@ func oracleCases(t testing.TB) []oracleCase {
 // histograms a parent's less a sibling's, trains, byte for byte, the model
 // the dense one-feature-per-pass search trains from scratch at every node — on every
 // input of oracleCases, for worker counts that cut the features into one,
-// two, three and seven ranges, and through a checkpoint and resume.
+// two, three and seven ranges.
 func TestTrainMatchesSingleFeatureOracle(t *testing.T) {
 	for _, tc := range oracleCases(t) {
 		cfg := tc.cfg
@@ -314,14 +313,6 @@ func TestTrainMatchesSingleFeatureOracle(t *testing.T) {
 			}
 			if m.NumNodes() < 3*cfg.NumTrees {
 				t.Fatalf("%s: %d nodes in %d trees: nothing was split", name, m.NumNodes(), cfg.NumTrees)
-			}
-			ck := trainInterrupted(t, tc.X, tc.y, cfg, 2, 1) // canceled after tree 2
-			resumed, err := TrainCtx(context.Background(), tc.X, tc.y, cfg, &TrainOpts{Resume: ck})
-			if err != nil {
-				t.Fatalf("%s: resume: %v", name, err)
-			}
-			if marshalNormalized(t, resumed) != want {
-				t.Fatalf("%s: resumed model differs from the oracle's", name)
 			}
 		}
 	}

@@ -21,7 +21,7 @@ type node struct {
 
 // tree is the fit's working arena for one regression tree, rooted at index
 // 0: grow appends to it, boost walks it for the rows the tree was not grown
-// on, and TrainCtx packs it onto the flat forest and drops it.
+// on, and Train packs it onto the flat forest and drops it.
 type tree struct {
 	Nodes []node `json:"nodes"`
 }

@@ -12,9 +12,6 @@
 package mscn
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -22,37 +19,6 @@ import (
 
 	"qfe/internal/ml/mlmath"
 )
-
-// ErrCanceled reports that training was aborted by its context; the
-// returned error also wraps the context's own error.
-var ErrCanceled = errors.New("mscn: training canceled")
-
-// TrainOpts carries the optional checkpointing hooks of TrainCtx. The zero
-// value (or a nil pointer) trains without checkpoints.
-type TrainOpts struct {
-	// CheckpointEvery emits a checkpoint after every this-many completed
-	// epochs; 0 disables checkpointing.
-	CheckpointEvery int
-	// OnCheckpoint receives each serialized checkpoint; a non-nil return
-	// aborts training with that error.
-	OnCheckpoint func(payload []byte) error
-	// Resume, when non-empty, is a payload previously passed to
-	// OnCheckpoint; training continues from it bit-identically to a run
-	// that was never interrupted (same Config, samples, and y required).
-	Resume []byte
-}
-
-// checkpoint is the serialized mid-training state: the completed-epoch
-// cursor plus the full state (weights and Adam moments) of the eight dense
-// layers in denseLayers order.
-type checkpoint struct {
-	Cfg    Config              `json:"cfg"`
-	TD     int                 `json:"td"`
-	JD     int                 `json:"jd"`
-	PD     int                 `json:"pd"`
-	Epoch  int                 `json:"epoch"`
-	Layers []mlmath.DenseState `json:"layers"`
-}
 
 // Sets is one featurized query: the three vector sets of Section 4.2. All
 // vectors within a set must share that set's dimension. Empty sets must be
@@ -210,29 +176,9 @@ func newModel(cfg Config, td, jd, pd int, rng *rand.Rand) *Model {
 	}
 }
 
-// denseLayers lists every trainable layer in a fixed order; checkpoints
-// serialize and restore layer state by position in this list.
-func (m *Model) denseLayers() []*mlmath.Dense {
-	return []*mlmath.Dense{
-		m.tableMod.l1, m.tableMod.l2,
-		m.joinMod.l1, m.joinMod.l2,
-		m.predMod.l1, m.predMod.l2,
-		m.out1, m.out2,
-	}
-}
-
 // Train fits the network. All samples must agree on the three per-set
 // vector dimensions.
 func Train(samples []*Sets, y []float64, cfg Config) (*Model, error) {
-	return TrainCtx(context.Background(), samples, y, cfg, nil)
-}
-
-// TrainCtx is Train with cancellation (checked every mini-batch) and
-// optional epoch-granularity checkpointing. Resuming restores the full
-// per-layer state and replays the per-epoch shuffles the completed epochs
-// consumed, so the finished network is bit-identical to an uninterrupted
-// run with the same inputs.
-func TrainCtx(ctx context.Context, samples []*Sets, y []float64, cfg Config, opts *TrainOpts) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -260,44 +206,10 @@ func TrainCtx(ctx context.Context, samples []*Sets, y []float64, cfg Config, opt
 		idx[i] = i
 	}
 
-	startEpoch := 0
-	if opts != nil && len(opts.Resume) > 0 {
-		var ck checkpoint
-		if err := json.Unmarshal(opts.Resume, &ck); err != nil {
-			return nil, fmt.Errorf("mscn: decode checkpoint: %w", err)
-		}
-		layers := m.denseLayers()
-		switch {
-		case ck.Cfg != cfg:
-			return nil, fmt.Errorf("mscn: checkpoint config %+v does not match %+v", ck.Cfg, cfg)
-		case ck.TD != td || ck.JD != jd || ck.PD != pd:
-			return nil, fmt.Errorf("mscn: checkpoint dims (%d,%d,%d), training data has (%d,%d,%d)",
-				ck.TD, ck.JD, ck.PD, td, jd, pd)
-		case len(ck.Layers) != len(layers):
-			return nil, fmt.Errorf("mscn: checkpoint has %d layers, model has %d", len(ck.Layers), len(layers))
-		case ck.Epoch < 0 || ck.Epoch > cfg.Epochs:
-			return nil, fmt.Errorf("mscn: checkpoint epoch %d out of range [0, %d]", ck.Epoch, cfg.Epochs)
-		}
-		for li, l := range layers {
-			if err := l.SetState(ck.Layers[li]); err != nil {
-				return nil, fmt.Errorf("mscn: checkpoint layer %d: %w", li, err)
-			}
-		}
-		startEpoch = ck.Epoch
-		// Replay the shuffles the completed epochs consumed so the remaining
-		// epochs see the exact RNG stream they would have seen.
-		for e := 0; e < startEpoch; e++ {
-			mlmath.Shuffle(idx, rng)
-		}
-	}
-
 	mods := []*setModule{m.tableMod, m.joinMod, m.predMod}
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		mlmath.Shuffle(idx, rng)
 		for start := 0; start < len(idx); start += cfg.BatchSize {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
-			}
 			end := start + cfg.BatchSize
 			if end > len(idx) {
 				end = len(idx)
@@ -316,21 +228,6 @@ func TrainCtx(ctx context.Context, samples []*Sets, y []float64, cfg Config, opt
 			}
 			m.out1.Step(cfg.LearningRate, len(batch))
 			m.out2.Step(cfg.LearningRate, len(batch))
-		}
-
-		if opts != nil && opts.OnCheckpoint != nil && opts.CheckpointEvery > 0 &&
-			(epoch+1)%opts.CheckpointEvery == 0 && epoch+1 < cfg.Epochs {
-			ck := checkpoint{Cfg: cfg, TD: td, JD: jd, PD: pd, Epoch: epoch + 1}
-			for _, l := range m.denseLayers() {
-				ck.Layers = append(ck.Layers, l.State())
-			}
-			payload, err := json.Marshal(ck)
-			if err != nil {
-				return nil, fmt.Errorf("mscn: encode checkpoint: %w", err)
-			}
-			if err := opts.OnCheckpoint(payload); err != nil {
-				return nil, fmt.Errorf("mscn: checkpoint after epoch %d: %w", epoch+1, err)
-			}
 		}
 	}
 	return m, nil

@@ -10,70 +10,14 @@
 package nn
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"qfe/internal/ml/mlmath"
 	"qfe/internal/parallel"
 )
-
-// ErrCanceled reports that training was aborted by its context; the
-// returned error also wraps the context's own error.
-var ErrCanceled = errors.New("nn: training canceled")
-
-// ErrBadCheckpoint reports that a Resume payload cannot be continued: it does
-// not decode, or was taken under another Config, input width or layer stack.
-// A fit without it can still succeed.
-var ErrBadCheckpoint = errors.New("nn: checkpoint cannot be resumed")
-
-// TrainOpts carries the optional checkpointing hooks of TrainCtx. The zero
-// value (or a nil pointer) trains without checkpoints.
-type TrainOpts struct {
-	// CheckpointEvery emits a checkpoint after every this-many completed
-	// epochs; 0 disables checkpointing.
-	CheckpointEvery int
-	// OnCheckpoint receives each serialized checkpoint; a non-nil return
-	// aborts training with that error.
-	OnCheckpoint func(payload []byte) error
-	// Resume, when non-empty, is a payload previously passed to
-	// OnCheckpoint; training continues from it bit-identically to a run
-	// that was never interrupted (same Config, X, and y required).
-	Resume []byte
-}
-
-// checkpoint is the serialized mid-training state: completed-epoch cursor,
-// full layer state (weights + Adam moments), and the early-stopping
-// bookkeeping. BestVal is a pointer because its in-memory "no best yet"
-// value is +Inf, which JSON cannot carry.
-type checkpoint struct {
-	Cfg       Config              `json:"cfg"`
-	Dim       int                 `json:"dim"`
-	Epoch     int                 `json:"epoch"` // completed epochs
-	Layers    []mlmath.DenseState `json:"layers"`
-	BestVal   *float64            `json:"bestVal,omitempty"`
-	SinceBest int                 `json:"sinceBest"`
-	BestSnap  [][]float64         `json:"bestSnap,omitempty"`
-}
-
-// cfgEqual reports whether a checkpoint taken under a may resume under b:
-// every hyperparameter must match. Workers is not one — the weights are
-// bit-identical for every value — so a job restarted on a different core
-// count resumes.
-func cfgEqual(a, b Config) bool {
-	return slices.Equal(a.Hidden, b.Hidden) &&
-		a.LearningRate == b.LearningRate &&
-		a.Epochs == b.Epochs &&
-		a.BatchSize == b.BatchSize &&
-		a.ValFraction == b.ValFraction &&
-		a.Patience == b.Patience &&
-		a.Seed == b.Seed
-}
 
 // Config holds the network hyperparameters.
 type Config struct {
@@ -151,15 +95,6 @@ type Model struct {
 
 // Train fits the network on X (row-major samples) and targets y.
 func Train(X [][]float64, y []float64, cfg Config) (*Model, error) {
-	return TrainCtx(context.Background(), X, y, cfg, nil)
-}
-
-// TrainCtx is Train with cancellation (checked every mini-batch) and
-// optional epoch-granularity checkpointing. Resuming restores the full
-// layer state — weights and Adam moments — and replays the per-epoch
-// shuffles the completed epochs consumed, so the finished network is
-// bit-identical to an uninterrupted run with the same inputs.
-func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts *TrainOpts) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -209,40 +144,6 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 	sinceBest := 0
 	var bestSnapshot [][]float64
 
-	startEpoch := 0
-	if opts != nil && len(opts.Resume) > 0 {
-		var ck checkpoint
-		if err := json.Unmarshal(opts.Resume, &ck); err != nil {
-			return nil, fmt.Errorf("%w: decode: %w", ErrBadCheckpoint, err)
-		}
-		switch {
-		case !cfgEqual(ck.Cfg, cfg):
-			return nil, fmt.Errorf("%w: config %+v does not match %+v", ErrBadCheckpoint, ck.Cfg, cfg)
-		case ck.Dim != d:
-			return nil, fmt.Errorf("%w: dim %d, training data has %d", ErrBadCheckpoint, ck.Dim, d)
-		case len(ck.Layers) != len(m.layers):
-			return nil, fmt.Errorf("%w: %d layers, model has %d", ErrBadCheckpoint, len(ck.Layers), len(m.layers))
-		case ck.Epoch < 0 || ck.Epoch > cfg.Epochs:
-			return nil, fmt.Errorf("%w: epoch %d out of range [0, %d]", ErrBadCheckpoint, ck.Epoch, cfg.Epochs)
-		}
-		for li, l := range m.layers {
-			if err := l.SetState(ck.Layers[li]); err != nil {
-				return nil, fmt.Errorf("%w: layer %d: %w", ErrBadCheckpoint, li, err)
-			}
-		}
-		startEpoch = ck.Epoch
-		sinceBest = ck.SinceBest
-		if ck.BestVal != nil {
-			bestVal = *ck.BestVal
-			bestSnapshot = ck.BestSnap
-		}
-		// Replay the shuffles the completed epochs consumed so the remaining
-		// epochs see the exact RNG stream they would have seen.
-		for e := 0; e < startEpoch; e++ {
-			mlmath.Shuffle(trainIdx, rng)
-		}
-	}
-
 	workers := parallel.Workers(cfg.Workers)
 	maxShards := (cfg.BatchSize + gradShardSize - 1) / gradShardSize
 	shards := make([]*shardGrads, maxShards)
@@ -251,12 +152,9 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 	}
 	valPred := make([]float64, nVal)
 
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		mlmath.Shuffle(trainIdx, rng)
 		for start := 0; start < len(trainIdx); start += cfg.BatchSize {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
-			}
 			end := start + cfg.BatchSize
 			if end > len(trainIdx) {
 				end = len(trainIdx)
@@ -317,26 +215,6 @@ func TrainCtx(ctx context.Context, X [][]float64, y []float64, cfg Config, opts 
 				if sinceBest >= cfg.Patience {
 					break
 				}
-			}
-		}
-
-		if opts != nil && opts.OnCheckpoint != nil && opts.CheckpointEvery > 0 &&
-			(epoch+1)%opts.CheckpointEvery == 0 && epoch+1 < cfg.Epochs {
-			ck := checkpoint{Cfg: cfg, Dim: d, Epoch: epoch + 1, SinceBest: sinceBest}
-			for _, l := range m.layers {
-				ck.Layers = append(ck.Layers, l.State())
-			}
-			if bestSnapshot != nil {
-				bv := bestVal
-				ck.BestVal = &bv
-				ck.BestSnap = bestSnapshot
-			}
-			payload, err := json.Marshal(ck)
-			if err != nil {
-				return nil, fmt.Errorf("nn: encode checkpoint: %w", err)
-			}
-			if err := opts.OnCheckpoint(payload); err != nil {
-				return nil, fmt.Errorf("nn: checkpoint after epoch %d: %w", epoch+1, err)
 			}
 		}
 	}

@@ -37,8 +37,7 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON restores a serialized network. The restored model predicts
-// identically to the original; optimizer state is not preserved (resume
-// training from scratch if needed).
+// identically to the original; optimizer state is not preserved.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var s savedModel
 	if err := json.Unmarshal(data, &s); err != nil {

@@ -12,9 +12,8 @@
 //   - DeriveCanary turns recent labeled traffic into a workload.Set via a
 //     deterministic reservoir sample, ready to drop into serve's canary
 //     gate;
-//   - ActualIndex is a bounded fingerprint → actual-cardinality map the
-//     retrainer consults to label queries from journaled feedback before
-//     paying for exact execution;
+//   - ActualIndex is a bounded fingerprint → actual-cardinality map that
+//     only cmd/bench's traced replay still builds;
 //   - Traffic counts a journal's distinct texts and featurization classes,
 //     and the repeats only a class-keyed cache would have served — the
 //     measurement behind keying serve's estimate cache on the query text.
@@ -223,12 +222,10 @@ func Traffic(records []journal.Record) TrafficStats {
 	return st
 }
 
-// ActualIndex is a bounded fingerprint → actual-cardinality index over
-// journaled feedback. The retrainer consults it to label queries for free
-// before falling back to exact execution; the daemon feeds it from the
-// batches its journal commits. When full, new fingerprints are dropped (the
-// retrainer's fallback path still labels them) while known fingerprints
-// keep updating to the freshest actual.
+// ActualIndex is a bounded fingerprint → actual-cardinality index. Nothing
+// reads it; it stays only because cmd/bench's traced replay of the feedback
+// hook still fills one. When full, new fingerprints are dropped while known
+// ones keep updating to the freshest actual.
 type ActualIndex struct {
 	mu  sync.Mutex
 	cap int
@@ -249,50 +246,13 @@ func NewActualIndex(capacity int) *ActualIndex {
 // float64 math.MaxInt64 is 2^63, one more than an int64 holds, so the bound is
 // exclusive: the largest actual kept is the float64 below it, 2^63-1024.
 func (ix *ActualIndex) Put(fingerprint string, actual float64) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.put(fingerprint, actual)
-}
-
-func (ix *ActualIndex) put(fingerprint string, actual float64) {
 	if fingerprint == "" || !(actual >= 0) || actual != math.Trunc(actual) || actual >= math.MaxInt64 {
 		return
 	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	if _, ok := ix.m[fingerprint]; !ok && len(ix.m) >= ix.cap {
 		return
 	}
 	ix.m[fingerprint] = int64(actual)
-}
-
-// PutRecords indexes every labeled record, in order, under one lock: a
-// recovered journal at boot, and each batch the live journal commits
-// (journal.Options.OnCommit), so the live index is what a restart recovers.
-func (ix *ActualIndex) PutRecords(records []journal.Record) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for _, rec := range records {
-		if rec.HasActual {
-			ix.put(rec.Fingerprint, rec.Actual)
-		}
-	}
-}
-
-// Lookup returns the journaled actual for q, keyed by core.Fingerprint.
-func (ix *ActualIndex) Lookup(q *sqlparse.Query) (int64, bool) {
-	return ix.LookupFingerprint(core.Fingerprint(q))
-}
-
-// LookupFingerprint returns the journaled actual for a fingerprint.
-func (ix *ActualIndex) LookupFingerprint(fp string) (int64, bool) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	v, ok := ix.m[fp]
-	return v, ok
-}
-
-// Len returns how many fingerprints are indexed.
-func (ix *ActualIndex) Len() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.m)
 }

@@ -133,75 +133,6 @@ func TestDeriveCanaryEligibility(t *testing.T) {
 	}
 }
 
-func TestActualIndexBoundedAndPicky(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	ix := replay.NewActualIndex(2)
-	ix.Put("a", 10)
-	ix.Put("b", 20)
-	ix.Put("c", 30) // over capacity: dropped
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d, want the 2-entry cap honored", ix.Len())
-	}
-	if _, ok := ix.LookupFingerprint("c"); ok {
-		t.Error("over-cap fingerprint was admitted")
-	}
-	ix.Put("a", 11) // known fingerprints keep updating at capacity
-	if v, ok := ix.LookupFingerprint("a"); !ok || v != 11 {
-		t.Errorf("LookupFingerprint(a) = (%d, %v), want the refreshed 11", v, ok)
-	}
-	ix.Put("", 5)    // no fingerprint
-	ix.Put("d", -1)  // negative
-	ix.Put("d", 1.5) // fractional
-	ix.Put("d", math.NaN())
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d after rejected puts, want 2", ix.Len())
-	}
-
-	// Lookup keys by core.Fingerprint of the parsed query, matching how the
-	// serving layer fed the index.
-	q, err := sqlparse.Parse("SELECT count(*) FROM t WHERE a >= 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := replay.NewActualIndex(0)
-	big.PutRecords([]journal.Record{{
-		SQL: "SELECT count(*) FROM t WHERE a >= 1", Fingerprint: core.Fingerprint(q),
-		Actual: 77, HasActual: true,
-	}})
-	if v, ok := big.Lookup(q); !ok || v != 77 {
-		t.Fatalf("Lookup = (%d, %v), want the journaled 77", v, ok)
-	}
-	// An explicit zero actual is legitimate feedback and indexable.
-	big.Put("zero", 0)
-	if v, ok := big.LookupFingerprint("zero"); !ok || v != 0 {
-		t.Errorf("zero actual = (%d, %v), want (0, true)", v, ok)
-	}
-}
-
-// TestActualIndexInt64Boundary: 2^63 is finite, integral and non-negative, and
-// one more than an int64 holds — converted it is math.MinInt64. The bound was
-// "> math.MaxInt64", which as a float64 comparison is "> 2^63" and let exactly
-// that value through, overwriting a good label with -9223372036854775808.
-func TestActualIndexInt64Boundary(t *testing.T) {
-	ix := replay.NewActualIndex(0)
-	largest := math.Nextafter(1<<63, 0) // 2^63-1024, the largest float64 an int64 holds
-	ix.Put("fp", largest)
-	if v, ok := ix.LookupFingerprint("fp"); !ok || v != math.MaxInt64-1023 {
-		t.Fatalf("Put(2^63-1024) indexed (%d, %v), want (%d, true)", v, ok, int64(math.MaxInt64-1023))
-	}
-	for _, over := range []float64{1 << 63, math.Nextafter(1<<63, math.Inf(1)), math.MaxFloat64, math.Inf(1)} {
-		ix.Put("fp", 42)
-		ix.Put("fp", over)
-		if v, ok := ix.LookupFingerprint("fp"); !ok || v != 42 {
-			t.Errorf("Put(%g) left (%d, %v) in the index, want the earlier 42 to survive", over, v, ok)
-		}
-		ix.Put("new", over)
-	}
-	if ix.Len() != 1 {
-		t.Errorf("Len = %d, want 1: an actual no int64 holds must not be indexed", ix.Len())
-	}
-}
-
 // TestTraffic: a synthetic journal with known counts. Eight records, five
 // texts, three classes; the two records that respell an earlier class under a
 // new text are what a text-keyed cache recomputes and a class-keyed one would

@@ -22,9 +22,8 @@ import (
 // "a > 5" for "a >= 6") is a different key, recomputes, and gets the
 // bit-identical estimate anyway, because the estimate is a function of the
 // featurization class and not of the cache (DESIGN §6 prices the trade; the
-// class's own key, the fingerprint of package core, stays with the journal,
-// replay and the trainer's ActualIndex — `make ci` greps that this package
-// does not call it). Text that does not parse or bind is never
+// class's own key, the fingerprint of package core, stays with the journal
+// and replay — `make ci` greps that this package does not call it). Text that does not parse or bind is never
 // estimated, so never inserted, so never served. The registry generation in
 // the key makes invalidation free: every Lifecycle.Publish or Rollback
 // registers a fresh entry with a new generation, so all keys minted against
@@ -41,8 +40,7 @@ import (
 //
 // What is never cached: failed estimates, degraded (fallback-stage)
 // results, and non-finite values. A hit is therefore exactly what the same
-// generation would recompute, and a drift alarm has no reason to turn the
-// cache off: the retrained model that answers it is a new generation.
+// generation would recompute.
 
 // CacheConfig tunes the estimate cache. The zero value disables it;
 // embedders (and cmd/cardestd) opt in by setting Entries.

@@ -27,9 +27,8 @@ import (
 //
 // Buffer ownership: nothing a request hands onward may point into the pooled
 // scratch. Each decoded "sql" and "model" is therefore copied once into a
-// string of its own (the feedback hook's consumers — the journal queue, the
-// drift monitor — keep FeedbackEvent.SQL and Query after the response is
-// written); keys, numbers and escapes are read in place and copied nowhere.
+// string of its own (the feedback hook's consumer, the journal queue, keeps
+// FeedbackEvent.SQL and Query after the response is written); keys, numbers and escapes are read in place and copied nowhere.
 
 // maxPooledBuf and maxPooledQueries bound what a pooled scratch may keep: a
 // request that needed more (a body near MaxBodyBytes, a batch near

@@ -257,9 +257,9 @@ func TestDecodeTightenings(t *testing.T) {
 	}
 }
 
-// TestDecodedStringsAreOwned: the journal queue and the drift monitor keep
-// FeedbackEvent.SQL after the response is written, so no decoded string may
-// share memory with the pooled body or the decoder's unescape buffer.
+// TestDecodedStringsAreOwned: the journal queue keeps FeedbackEvent.SQL after
+// the response is written, so no decoded string may share memory with the
+// pooled body or the decoder's unescape buffer.
 func TestDecodedStringsAreOwned(t *testing.T) {
 	body := []byte(`{"model":"m\u0031","sql":"plain text","queries":[{"sql":"a \u003c 5"},{"sql":"b = 1"}]}`)
 	var d wireDecoder
@@ -528,7 +528,7 @@ func handlerAllocs(t *testing.T, h http.Handler, bodies [][]byte) float64 {
 }
 
 // TestEstimateTextHitAllocs pins the whole handler on a cache hit with no
-// Feedback hook installed — the daemon without -journal or -retrain, and the
+// Feedback hook installed — the daemon without -journal, and the
 // benchmark's single-hot: the key is the digest of the text, so no AST is
 // built. What is left is the request's own copy of the SQL, the "actual"
 // pointer when there is one, and the two small wrappers of net/http's body

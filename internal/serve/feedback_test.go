@@ -58,7 +58,7 @@ func TestActualValue(t *testing.T) {
 // an out-of-range JSON number fails at the decoder, and a crafted non-finite
 // value that somehow got past it would fail the explicit check — either
 // way the request gets a 400, and nothing non-finite reaches the q-error
-// histogram or the drift detectors.
+// histogram or the journal.
 func TestEstimateRejectsNonFiniteActual(t *testing.T) {
 	srv := newStubServer(t, constEst(42), nil)
 	h := srv.Handler()
@@ -153,8 +153,8 @@ func TestExtraMetricsMergedIntoSnapshot(t *testing.T) {
 	srv := newStubServer(t, constEst(1), func(cfg *Config) {
 		cfg.ExtraMetrics = func() map[string]any {
 			return map[string]any{
-				"drift_alarms_qerror": uint64(3),
-				"requests_total":      int64(999999), // collision: the server's value must win
+				"journal_flushes": uint64(3),
+				"requests_total":  int64(999999), // collision: the server's value must win
 			}
 		}
 	})
@@ -162,8 +162,8 @@ func TestExtraMetricsMergedIntoSnapshot(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
-	if m["drift_alarms_qerror"] != 3.0 {
-		t.Errorf("drift_alarms_qerror = %v, want 3", m["drift_alarms_qerror"])
+	if m["journal_flushes"] != 3.0 {
+		t.Errorf("journal_flushes = %v, want 3", m["journal_flushes"])
 	}
 	if m["requests_total"] == 999999.0 {
 		t.Error("extra metrics overrode a built-in counter; built-ins must win")
@@ -173,19 +173,19 @@ func TestExtraMetricsMergedIntoSnapshot(t *testing.T) {
 func TestStatusPages(t *testing.T) {
 	srv := newStubServer(t, constEst(1), func(cfg *Config) {
 		cfg.StatusPages = map[string]func() any{
-			"/v1/drift": func() any { return map[string]any{"observed": 7} },
+			"/v1/journal": func() any { return map[string]any{"observed": 7} },
 		}
 	})
 	h := srv.Handler()
-	code, v := getJSON(t, h, "/v1/drift")
+	code, v := getJSON(t, h, "/v1/journal")
 	if code != http.StatusOK || v["observed"] != 7.0 {
-		t.Fatalf("GET /v1/drift = (%d, %v), want 200 with observed 7", code, v)
+		t.Fatalf("GET /v1/journal = (%d, %v), want 200 with observed 7", code, v)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/drift", nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/journal", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/drift status %d, want 405", rec.Code)
+		t.Errorf("POST /v1/journal status %d, want 405", rec.Code)
 	}
 }
 

@@ -33,10 +33,9 @@ func estimateBodySeeds() []string {
 		"",
 		"\x00\xff\xfe",
 		"SELECT count(*) FROM t WHERE " + strings.Repeat("(", 10000) + "a = 1" + strings.Repeat(")", 10000),
-		// Fingerprint equivalence-class probes (the journal and the trainer's
-		// ActualIndex key on it): reordering, duplication, strict/closed
-		// comparison pairs, and literals that try to forge the canonical
-		// form's separators.
+		// Fingerprint equivalence-class probes (the journal keys on it):
+		// reordering, duplication, strict/closed comparison pairs, and
+		// literals that try to forge the canonical form's separators.
 		"SELECT count(*) FROM t WHERE b = 1 AND a > 5",
 		"SELECT count(*) FROM t WHERE a >= 6 AND b = 1",
 		"SELECT count(*) FROM t WHERE a = 1 OR a = 1 OR b = 2",
@@ -113,9 +112,9 @@ func FuzzEstimateHandler(f *testing.F) {
 }
 
 // fingerprintInvariants checks core.Fingerprint's contract as the key of a
-// featurization class (journal records and the trainer's ActualIndex are
-// filed under it) on any string the parser accepts: no panics, Clone-stable,
-// non-mutating, and no collision between inequivalent predicate sets — a
+// featurization class (journal records are filed under it) on any string the
+// parser accepts: no panics, Clone-stable, non-mutating, and no collision
+// between inequivalent predicate sets — a
 // perturbed literal may only keep the fingerprint when the perturbed query is
 // semantically identical (which grid evaluation then has to confirm).
 func fingerprintInvariants(t *testing.T, sql string) {

@@ -98,14 +98,14 @@ type Config struct {
 	// The event says explicitly whether the client reported a true
 	// cardinality (HasActual) — an actual of zero rows is real feedback,
 	// distinct from no feedback at all. Called synchronously on the request
-	// path — keep it cheap (the drift monitor taps the stream here, and the
-	// daemon's journal append behind it is a non-blocking enqueue).
+	// path — keep it cheap (the daemon's journal append behind it is a
+	// non-blocking enqueue).
 	Feedback func(ev FeedbackEvent)
 	// ExtraMetrics, when non-nil, is merged into the /metrics snapshot;
-	// the server's own keys win on collision. Drift and retraining counters
-	// ride in this way.
+	// the server's own keys win on collision. The journal's counters ride in
+	// this way.
 	ExtraMetrics func() map[string]any
-	// StatusPages maps extra GET paths (e.g. "/v1/drift") to functions whose
+	// StatusPages maps extra GET paths (e.g. "/v1/journal") to functions whose
 	// result is rendered as JSON. Paths here must not collide with the
 	// built-in endpoints.
 	StatusPages map[string]func() any
@@ -236,9 +236,9 @@ func (w *statusWriter) status() int {
 }
 
 // FeedbackEvent is one successfully served estimate as observed by
-// Config.Feedback: everything the drift monitor and the feedback journal
-// need, with the has-actual bit made explicit so a genuine zero-row actual
-// is never mistaken for absent feedback.
+// Config.Feedback: everything the feedback journal needs, with the
+// has-actual bit made explicit so a genuine zero-row actual is never mistaken
+// for absent feedback.
 type FeedbackEvent struct {
 	// Query is the parsed, bound query, never nil. On a cache hit it is the
 	// one the entry's miss bound, shared with every other hit of that text:
@@ -446,9 +446,9 @@ func (s *Server) estimateMiss(dl deadline, key cacheKey, est estimator.Estimator
 
 // record accounts one answered query — latency and degradation metrics, the
 // q-error when the client reported a true cardinality, the Feedback hook —
-// and renders its wire result. Feedback (drift monitoring, q-error
-// accounting) observes cached answers too: the client still received that
-// estimate, so the detectors must still see it.
+// and renders its wire result. Feedback (the journal, q-error accounting)
+// observes cached answers too: the client still received that estimate, so
+// the record of what was served must still hold it.
 func (s *Server) record(info ModelInfo, q *sqlparse.Query, sql string, br EstResult, reported *float64, latency time.Duration) estimateResult {
 	s.metrics.observeQuery(latency, br.Degraded, br.Err)
 	if br.Err == nil {
@@ -546,8 +546,8 @@ func finiteActual(v *float64) bool {
 // nil means the field was absent; negative values are the pre-pointer wire
 // convention for "no feedback" and stay that. An explicit zero IS feedback:
 // the query truly returned no rows. This is the single point that decides
-// the has-actual bit — everything downstream (q-error histograms, the drift
-// monitor, the journal) trusts it rather than re-interpreting zero.
+// the has-actual bit — everything downstream (q-error histograms, the
+// journal) trusts it rather than re-interpreting zero.
 func actualValue(v *float64) (float64, bool) {
 	if v == nil || *v < 0 {
 		return 0, false

@@ -42,13 +42,11 @@ import (
 //	crc32c  uint32 LE         (Castagnoli CRC of the payload)
 //	payload length bytes
 //
-// Version 1 envelopes (written before training checkpoints existed) carry
-// no kind field and are read as PayloadSnapshot, so stores written by older
-// builds keep recovering. The kind keeps the two durable artifact classes —
-// published model snapshots and mid-training checkpoints — from ever being
-// confused for each other, even if a file is renamed by hand: a checkpoint
-// can never be promoted as a generation, and a snapshot can never resume a
-// training run.
+// Version 1 envelopes (written before payload kinds existed) carry no kind
+// field and are read as PayloadSnapshot, so stores written by older builds
+// keep recovering. The kind keeps durable artifact classes from ever being
+// confused for each other, even if a file is renamed by hand: only a
+// snapshot can be promoted as a generation.
 const (
 	envelopeMagic   = "QFES"
 	envelopeVersion = 2
@@ -60,11 +58,13 @@ const (
 const (
 	// PayloadSnapshot frames a published model snapshot (or its manifest).
 	PayloadSnapshot uint32 = 0
-	// PayloadCheckpoint frames a resumable training checkpoint.
+	// PayloadCheckpoint framed a resumable training checkpoint. Nothing
+	// writes one any more; the number stays reserved so that a checkpoint
+	// file an older build left behind, renamed into a generation, is refused.
 	PayloadCheckpoint uint32 = 1
 	// PayloadJournal frames one feedback-journal record (internal/journal).
 	// Journal segments are a concatenation of these frames, so a segment can
-	// never be confused with a snapshot or checkpoint even if renamed.
+	// never be confused with a snapshot even if renamed.
 	PayloadJournal uint32 = 2
 )
 
@@ -75,8 +75,10 @@ const (
 	genPrefix        = "gen-"
 	tmpPrefix        = "tmp-gen-"
 	quarantinePrefix = "quarantined-gen-"
-	ckptPrefix       = "ckpt-"
-	tmpCkptPrefix    = "tmp-ckpt-"
+	// Training checkpoints of older builds: committed (ckpt-<name>) and
+	// in flight (tmp-ckpt-<name>). Open removes both.
+	ckptPrefix    = "ckpt-"
+	tmpCkptPrefix = "tmp-ckpt-"
 
 	// manifestFormat guards MANIFEST.json compatibility.
 	manifestFormat = 1
@@ -124,7 +126,7 @@ type RecoveryReport struct {
 	Valid       int // generations that passed framing + checksum
 	Corrupt     int // generation directories rejected (torn, mismatched, bit-rotted)
 	Quarantined int // generations previously quarantined, skipped
-	TempSwept   int // leftover tmp- directories removed
+	TempSwept   int // leftover tmp- directories and older builds' checkpoint files removed
 }
 
 // Options configures a store.
@@ -182,9 +184,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	var cands []candidate
 	for _, name := range names {
 		switch {
-		case strings.HasPrefix(name, tmpCkptPrefix):
-			// A crash mid-PutCheckpoint left this behind; the committed
-			// checkpoint (if any) is untouched under its ckpt- name.
+		case strings.HasPrefix(name, tmpCkptPrefix), strings.HasPrefix(name, ckptPrefix):
+			// A training checkpoint an older build's retrainer wrote, or its
+			// torn write: nothing reads either any more.
 			if err := fsys.RemoveAll(filepath.Join(dir, name)); err != nil {
 				return nil, fmt.Errorf("store: sweep %s: %w", name, err)
 			}

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -339,6 +341,66 @@ func TestSweepsTempDirs(t *testing.T) {
 	// The torn number is burned, never reused: the next publish skips it.
 	if g := mustPut(t, s2, "next"); g.Number != 3 {
 		t.Errorf("generation after sweep = %d, want 3 (temp number burned)", g.Number)
+	}
+}
+
+// TestOpenSweepsRetiredCheckpoints: a store a -retrain daemon of an older
+// build used holds its training checkpoint (ckpt-<name>, committed) and may
+// hold a torn write of the next one (tmp-ckpt-<name>). Nothing reads either
+// now, so Open removes both and recovers the generations beside them. A
+// checkpoint file renamed into a generation directory is still refused: its
+// frame carries the checkpoint kind, not a snapshot's.
+func TestOpenSweepsRetiredCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, "real")
+	progress := []byte(`{"labels":[1,2,3],"train":"e30="}`)
+	ckpt := frameKind(PayloadCheckpoint, progress)
+	if err := os.WriteFile(filepath.Join(dir, ckptPrefix+"retrain"), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, tmpCkptPrefix+"retrain"), ckpt[:len(ckpt)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	renamed := filepath.Join(dir, genDirName(2))
+	if err := os.MkdirAll(renamed, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	man, err := json.Marshal(Manifest{Format: manifestFormat, Generation: 2, Name: "m",
+		PayloadBytes: len(progress), CRC32: crc32.Checksum(progress, crcTable)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{snapshotFile: ckpt, manifestFile: frame(man)} {
+		if err := os.WriteFile(filepath.Join(renamed, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := s2.Recovery(); rep.Valid != 1 || rep.Corrupt != 1 || rep.TempSwept != 2 {
+		t.Errorf("recovery report = %+v, want 1 valid / 1 corrupt / 2 swept", rep)
+	}
+	if g, ok := s2.Latest(); !ok || g.Number != 1 {
+		t.Fatalf("Latest = %+v, %v, want generation 1", g, ok)
+	}
+	if payload, _, err := s2.Read(1); err != nil || string(payload) != "real" {
+		t.Errorf("Read(1) = %q, %v", payload, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ckptPrefix) {
+			t.Errorf("%s survived Open", e.Name())
+		}
 	}
 }
 

@@ -105,9 +105,8 @@ func buildDictionary(vals []int64) *Dictionary {
 // that needs one builds it again. A dictionary is half its column's size
 // again — four bytes a row — which is worth holding while queries are counted
 // by the thousand and not between two such batches: cardestd labels at boot
-// and at each retrain, serves in between, and with forest's 16 dictionaries
-// held served at 22.3 MiB resident where it serves at 19.9 without, for the
-// ~7 ms a retrain spends building them again. Unlike InvalidateStats it is
+// and then only serves, and with forest's 16 dictionaries held served at
+// 22.3 MiB resident where it serves at 19.9 without. Unlike InvalidateStats it is
 // safe at any time: a reader that holds a dictionary keeps it.
 func (db *DB) DropDictionaries() {
 	for _, t := range db.tables {
