@@ -147,6 +147,19 @@ ci:
 	! grep -rnE '"qfe/internal/(trainer|drift)"' --include='*.go' .
 	! grep -nE '"(retrain|drift-[a-z-]+|retrain-cooldown)"|/v1/drift' cmd/cardestd/*.go | grep -v '_test\.go:'
 	! grep -rnE 'CheckpointEvery|OnCheckpoint|ErrBadCheckpoint|ErrBadProgress|PutCheckpoint|ReadCheckpoint|DenseState|OnCommit|DomainDetector|DomainConfig|CacheBypass|AlarmActive|CountManyResume|phaseLabel' --include='*.go' . | grep -v '_test\.go:'
+# Guard 15, one clock and no test-only knobs. The journal (record stamps,
+# segment age, the flush timer, FlushMicros) and the circuit breakers'
+# cooldowns read time only through internal/clock, so a test drives them on
+# clock.Fake without waiting. The wall clock stays, on purpose, on the request
+# path — the handler's entry and latency (serve.go), resilience.WithDeadline
+# (which must stay inlinable) and Resilient's Timeout — and for the
+# lifecycle's rollback and canary timestamps and the store's manifest stamp.
+# And the sizes and times no binary set are constants: none of the 17 retired
+# config fields comes back, nor BreakerConfig.
+	! grep -nE 'time\.(Now|Since|NewTimer|After)\(' internal/journal/*.go internal/resilience/breaker.go | grep -v '_test\.go:'
+	! for t in serve.Config serve.CacheConfig serve.CanaryConfig resilience.Config journal.Options store.Options; do $(GO) doc -u qfe/internal/$$t; done | grep -E '^\s+(RetryAfter|MaxTimeout|MaxQueriesPerRequest|MaxBodyBytes|Shards|Slack|Breaker|FailureThreshold|Cooldown|HalfOpenProbes|DefaultEstimate|SegmentAge|Queue|FlushBatch|FlushEvery|Now)\s'
+	! $(GO) doc -u qfe/internal/store.Options | grep -E '^\s+Retain\s'
+	! grep -rn 'BreakerConfig' --include='*.go' internal cmd
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

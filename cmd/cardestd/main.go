@@ -321,7 +321,11 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 // what production asks.
 func refreshCanary(jnl *journal.Journal, lc *serve.Lifecycle, db *table.DB, o options, out io.Writer) {
 	recs, err := jnl.ReadSealed()
-	if err != nil || len(recs) == 0 {
+	if err != nil {
+		fmt.Fprintf(out, "journal: canary refresh skipped: %v\n", err)
+		return
+	}
+	if len(recs) == 0 {
 		return
 	}
 	ws := replay.DeriveCanary(recs, o.canaryN, o.seed)

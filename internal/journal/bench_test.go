@@ -2,8 +2,8 @@ package journal_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
-	"time"
 
 	"qfe/internal/journal"
 	"qfe/internal/sqlparse"
@@ -12,22 +12,19 @@ import (
 
 // BenchmarkAppendDurable is the argument for the journal's batching writer:
 // durably journaled records per second when the writer is woken per batch
-// (FlushBatch 512, half of the default Queue, and everything staged goes out
-// under one fsync) against one fsync per record (FlushBatch 1 and a producer
-// that waits for each record to persist, which is what it takes: a producer
-// that runs ahead of the disk is group-committed whatever FlushBatch says).
-// Real temp directory, real fsyncs; the clock runs from the first Append
-// until the last Sync has returned.
+// (the count trigger at half of the staging queue, and everything staged goes
+// out under one fsync) against one fsync per record (Append then Sync, what a
+// producer that waits for each record to persist pays: one that runs ahead of
+// the disk is group-committed). Real temp directory, real fsyncs, the real
+// clock; the clock runs from the first Append until the last Sync has
+// returned.
 func BenchmarkAppendDurable(b *testing.B) {
 	for _, arm := range []struct {
 		name      string
-		batch     int
 		perRecord bool
-	}{{"batch=512", 512, false}, {"batch=1", 1, true}} {
+	}{{"batch", false}, {"per-record", true}} {
 		b.Run(arm.name, func(b *testing.B) {
-			jnl, err := journal.Open(b.TempDir(), testOptions(func(o *journal.Options) {
-				o.FlushBatch, o.FlushEvery, o.Queue = arm.batch, time.Millisecond, b.N
-			}))
+			jnl, err := journal.Open(b.TempDir(), journal.Options{SegmentBytes: 1 << 30, Retain: -1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -35,8 +32,8 @@ func BenchmarkAppendDurable(b *testing.B) {
 			rec := testRec(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !jnl.Append(rec) {
-					b.Fatal("Append shed a record")
+				for !jnl.Append(rec) {
+					runtime.Gosched() // staging is full: the producer outran the disk
 				}
 				if arm.perRecord {
 					if err := jnl.Sync(); err != nil {

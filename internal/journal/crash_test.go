@@ -5,8 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
+	"qfe/internal/clock"
 	"qfe/internal/journal"
 	"qfe/internal/resilience/faultinject"
 	"qfe/internal/store"
@@ -63,21 +63,19 @@ type planOutcome struct {
 	lastBatch []int64        // the most recent fully-acked batch, in order
 }
 
-// runSweepPlan drives 4 batches of 3 records through a journal on fsys. The
-// writer is configured so the ONLY filesystem activity is what Sync forces,
-// making the operation ordinals deterministic for the fault sweep. Open
+// runSweepPlan drives 4 batches of 3 records through a journal on fsys. Its
+// clock is a fake nothing advances, so the ONLY filesystem activity is what
+// Sync forces, making the operation ordinals deterministic for the fault
+// sweep. Open
 // failing (fault at MkdirAll) is a legal outcome: nothing was accepted.
 func runSweepPlan(t *testing.T, dir string, fsys store.FS, plan sweepPlan) planOutcome {
 	t.Helper()
 	out := planOutcome{appended: map[int64]bool{}, acked: map[int64]bool{}}
 	jnl, err := journal.Open(dir, journal.Options{
 		SegmentBytes: plan.segmentBytes,
-		SegmentAge:   -1,
 		Retain:       plan.retain,
-		Queue:        64,
-		FlushBatch:   4096,
-		FlushEvery:   time.Hour,
 		FS:           fsys,
+		Clock:        clock.NewFake(epoch),
 	})
 	if err != nil {
 		return out

@@ -6,20 +6,19 @@
 //
 // The write path is built for a serving hot path that must never block on
 // disk: Append stages the record in a bounded slice under the journal's
-// mutex and returns immediately — when Options.Queue records are already
-// staged (the disk is slow, wedged, or gone) records are shed and counted,
-// never waited on. A single writer goroutine is woken per batch, not per
-// record: by Append when the staging depth reaches Options.FlushBatch (the
-// count trigger, there so a burst is written out before it sheds) and by a
-// timer Options.FlushEvery after its last flush (the bound on how long an
-// accepted record waits un-fsynced). Either way it takes everything staged,
-// fingerprints each distinct query of the batch once (a record may be staged
-// with its parsed query instead of its class key, so the request path never
-// computes one), encodes the records by hand into QFES frames (the same
-// checksummed envelope the model store uses, payload kind PayloadJournal;
-// the bytes are json.Marshal's), and commits them with one write and one
-// fsync. The segment rotates on size or age; sealed segments beyond the
-// retention horizon are garbage-collected.
+// mutex and returns immediately — when queueCap records are already staged
+// (the disk is slow, wedged, or gone) records are shed and counted, never
+// waited on. A single writer goroutine is woken per batch, not per record: by
+// Append when the staging depth reaches flushBatch (the count trigger, there
+// so a burst is written out before it sheds) and by a timer flushEvery after
+// its last flush (the bound on how long an accepted record waits un-fsynced).
+// Either way it takes everything staged, fingerprints each distinct query of
+// the batch once (a record may be staged with its parsed query instead of its
+// class key, so the request path never computes one), encodes the records by
+// hand into QFES frames (the same checksummed envelope the model store uses,
+// payload kind PayloadJournal; the bytes are json.Marshal's), and commits them
+// with one write and one fsync. The segment rotates on size or age; sealed
+// segments beyond the retention horizon are garbage-collected.
 //
 // Crash recovery follows the store's discipline in miniature. A batch is
 // committed iff its AppendFile (write + fsync) returned: a crash mid-append
@@ -34,7 +33,9 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"path/filepath"
 	"sort"
@@ -43,6 +44,7 @@ import (
 	"sync"
 	"time"
 
+	"qfe/internal/clock"
 	"qfe/internal/core"
 	"qfe/internal/jsonenc"
 	"qfe/internal/sqlparse"
@@ -54,6 +56,13 @@ const (
 	tmpSegPrefix     = "tmp-seg-"
 	quarantinePrefix = "quarantined-seg-"
 	segSuffix        = ".qfej"
+
+	segmentAge = 15 * time.Minute // a non-empty active segment older than this rotates
+	queueCap   = 1024             // records staged for the writer; Append sheds past it
+	// flushBatch, the count trigger, is half of queueCap: it exists to write a
+	// burst out before it sheds, not to bound the wait; flushEvery does that.
+	flushBatch = queueCap / 2
+	flushEvery = 50 * time.Millisecond
 )
 
 // Record is one served estimate as journaled. The JSON keys are short
@@ -169,62 +178,31 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it reaches this size.
 	// 0 means the default 4 MiB.
 	SegmentBytes int64
-	// SegmentAge rotates a non-empty active segment older than this.
-	// 0 means the default 15 minutes; negative disables age rotation.
-	SegmentAge time.Duration
 	// Retain is how many sealed segments survive retention GC. 0 means the
 	// default 8; negative keeps all.
 	Retain int
-	// Queue bounds records staged for the writer; Append sheds past it.
-	// 0 means the default 1024.
-	Queue int
-	// FlushBatch is the staging depth at which Append wakes the writer
-	// instead of leaving the records to the FlushEvery timer. The writer
-	// commits everything staged by the time it runs with one fsync, so a
-	// commit may carry more than FlushBatch records (and the timer's carry
-	// fewer). 0 means half of Queue: the count trigger exists to write a
-	// burst out before it sheds, not to bound the wait. 1 wakes the writer
-	// for every record, so a producer that waits for each record to persist
-	// pays one fsync per record.
-	FlushBatch int
-	// FlushEvery bounds how long an accepted record may wait un-fsynced: the
-	// writer flushes this long after its last flush, whatever is staged.
-	// 0 means the default 50ms.
-	FlushEvery time.Duration
 	// OnRotate, when non-nil, observes every sealed segment from the writer
 	// goroutine. Keep it cheap — hand heavy work (canary derivation) to
 	// another goroutine.
 	OnRotate func(sealed SegmentInfo)
 	// FS overrides the filesystem (fault injection); nil means the real one.
 	FS store.FS
-	// Now overrides the clock; nil means time.Now.
-	Now func() time.Time
+	// Clock is the journal's only source of time; nil means clock.Real.
+	Clock clock.Clock
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
-	if o.SegmentAge == 0 {
-		o.SegmentAge = 15 * time.Minute
-	}
 	if o.Retain == 0 {
 		o.Retain = 8
-	}
-	if o.Queue <= 0 {
-		o.Queue = 1024
-	}
-	if o.FlushBatch <= 0 {
-		o.FlushBatch = max(1, o.Queue/2)
-	}
-	if o.FlushEvery <= 0 {
-		o.FlushEvery = 50 * time.Millisecond
 	}
 	if o.FS == nil {
 		o.FS = store.OSFS()
 	}
-	if o.Now == nil {
-		o.Now = time.Now
+	if o.Clock == nil {
+		o.Clock = clock.Real{}
 	}
 	return o
 }
@@ -237,7 +215,7 @@ type Journal struct {
 	fs   store.FS
 	opts Options
 
-	wake chan struct{} // 1-buffered: staging reached FlushBatch
+	wake chan struct{} // 1-buffered: staging reached flushBatch
 	sync chan chan error
 	quit chan struct{}
 	done chan struct{}
@@ -252,7 +230,7 @@ type Journal struct {
 	named   map[*sqlparse.Query]string
 
 	mu          sync.Mutex
-	staged      []Record // accepted, not yet taken by the writer; len <= Queue
+	staged      []Record // accepted, not yet taken by the writer; len <= queueCap
 	closed      bool
 	stats       Stats
 	sealed      []SegmentInfo // ascending by number
@@ -284,10 +262,10 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err := j.recover(); err != nil {
 		return nil, err
 	}
-	j.activeBorn = opts.Now()
+	j.activeBorn = j.opts.Clock.Now()
 	j.active = SegmentInfo{Number: j.nextSeg, Path: j.segPath(j.nextSeg)}
 	j.nextSeg++
-	go j.writer()
+	go j.writer(j.opts.Clock.NewTimer(flushEvery)) // armed before Open returns, for a fake clock to fire
 	return j, nil
 }
 
@@ -390,20 +368,20 @@ func (j *Journal) Dir() string { return j.dir }
 // accepted. It NEVER blocks: full staging (slow or wedged disk) or a closed
 // journal sheds the record and counts it, both decided under the mutex the
 // counters already need. Acceptance means "staged", not "durable" —
-// durability follows within FlushEvery if the disk cooperates.
+// durability follows within flushEvery if the disk cooperates.
 func (j *Journal) Append(rec Record) bool {
 	if rec.UnixMicros == 0 {
-		rec.UnixMicros = j.opts.Now().UnixMicro()
+		rec.UnixMicros = j.opts.Clock.Now().UnixMicro()
 	}
 	j.mu.Lock()
-	if j.closed || len(j.staged) >= j.opts.Queue {
+	if j.closed || len(j.staged) >= queueCap {
 		j.stats.Shed++
 		j.mu.Unlock()
 		return false
 	}
 	j.staged = append(j.staged, rec)
 	j.stats.Appended++
-	wake := len(j.staged) == j.opts.FlushBatch
+	wake := len(j.staged) == flushBatch
 	j.mu.Unlock()
 	if wake {
 		select {
@@ -466,7 +444,7 @@ func (j *Journal) Segments() []SegmentInfo {
 // ReadSealed returns every record in the sealed segments, oldest first.
 // Sealed segments are immutable (only retention GC unlinks them, and a
 // segment GC'd mid-read is simply skipped), so this is safe concurrently
-// with serving.
+// with serving. Any other read error is returned, never a partial journal.
 func (j *Journal) ReadSealed() ([]Record, error) {
 	j.mu.Lock()
 	sealed := append([]SegmentInfo(nil), j.sealed...)
@@ -474,8 +452,11 @@ func (j *Journal) ReadSealed() ([]Record, error) {
 	var out []Record
 	for _, seg := range sealed {
 		scan, err := scanSegment(j.fs, seg.Path)
-		if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
 			continue // GC won the race; the records are gone by policy
+		}
+		if err != nil {
+			return nil, fmt.Errorf("journal: read %s: %w", filepath.Base(seg.Path), err)
 		}
 		out = append(out, scan.records...)
 	}
@@ -484,33 +465,28 @@ func (j *Journal) ReadSealed() ([]Record, error) {
 
 // ---- writer goroutine ----
 
-func (j *Journal) writer() {
+func (j *Journal) writer(timer clock.Timer) {
 	defer close(j.done)
-	timer := time.NewTimer(j.opts.FlushEvery)
-	defer timer.Stop()
 	for {
 		var ack chan error
 		select {
 		case <-j.wake:
-		case <-timer.C:
+		case <-timer.C():
 		case ack = <-j.sync:
 		case <-j.quit:
+			timer.Stop()
 			j.flush() //nolint:errcheck // counted in FlushErrors
 			return
 		}
+		// The timer bounds the wait since the last flush: every flush stops
+		// it and arms a new one, before Sync is answered, once the commit is
+		// done. Under a steady count trigger it never fires.
+		timer.Stop()
 		err := j.flush()
+		timer = j.opts.Clock.NewTimer(flushEvery)
 		if ack != nil {
 			ack <- err
 		}
-		// The timer bounds the wait since the last flush, so every flush
-		// re-arms it; under a steady count trigger it never fires.
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(j.opts.FlushEvery)
 	}
 }
 
@@ -541,9 +517,9 @@ func (j *Journal) flush() error {
 		j.buf = store.AppendFrame(j.buf, store.PayloadJournal, payload)
 		framed = append(framed, j.batch[i])
 	}
-	start := time.Now()
+	start := j.opts.Clock.Now()
 	err := j.fs.AppendFile(j.activePath(), j.buf)
-	j.noteFlush(framed, len(j.batch)-len(framed), fingerprints, int64(len(j.buf)), time.Since(start), err)
+	j.noteFlush(framed, len(j.batch)-len(framed), fingerprints, int64(len(j.buf)), j.opts.Clock.Now().Sub(start), err)
 	clear(j.batch) // the array is the next staging area: do not pin the texts and queries
 	j.maybeRotate()
 	if err != nil {
@@ -614,17 +590,16 @@ func (j *Journal) maybeRotate() {
 	size := j.active.Bytes
 	records := j.active.Records
 	dirty := j.activeDirty
-	age := j.opts.Now().Sub(j.activeBorn)
+	age := j.opts.Clock.Now().Sub(j.activeBorn)
 	j.mu.Unlock()
 
-	ageUp := j.opts.SegmentAge > 0 && age >= j.opts.SegmentAge
-	if !(dirty || size >= j.opts.SegmentBytes || (ageUp && records > 0)) {
+	if !(dirty || size >= j.opts.SegmentBytes || (age >= segmentAge && records > 0)) {
 		return
 	}
 	if records == 0 && !dirty {
 		// Nothing on disk yet: restart the age clock instead of sealing air.
 		j.mu.Lock()
-		j.activeBorn = j.opts.Now()
+		j.activeBorn = j.opts.Clock.Now()
 		j.mu.Unlock()
 		return
 	}
@@ -638,7 +613,7 @@ func (j *Journal) maybeRotate() {
 	j.stats.Rotations++
 	j.active = SegmentInfo{Number: j.nextSeg, Path: j.segPath(j.nextSeg)}
 	j.nextSeg++
-	j.activeBorn = j.opts.Now()
+	j.activeBorn = j.opts.Clock.Now()
 	j.activeDirty = false
 	cb := j.opts.OnRotate
 	j.mu.Unlock()

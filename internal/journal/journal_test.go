@@ -2,6 +2,7 @@ package journal_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,24 +13,31 @@ import (
 	"testing"
 	"time"
 
+	"qfe/internal/clock"
 	"qfe/internal/journal"
+	"qfe/internal/resilience/faultinject"
 	"qfe/internal/store"
 	"qfe/internal/testutil"
 )
 
+// The journal's shipped sizes, which the tests drive it to.
+const (
+	queueCap   = 1024                  // staged records before Append sheds
+	flushBatch = queueCap / 2          // the staging depth that wakes the writer
+	flushEvery = 50 * time.Millisecond // the writer's timer
+	segmentAge = 15 * time.Minute
+)
+
+// epoch is where each test's fake clock starts.
+var epoch = time.Unix(1_700_000_000, 0)
+
 // testOptions returns options that make the journal fully deterministic for
-// tests: no timer-driven flushes (FlushEvery is an hour, FlushBatch larger
-// than any test batch), so the only commits are the ones Sync forces, and
-// the only rotations are the ones the options ask for.
+// tests: a fake clock nothing advances unless the test does, so the flush
+// timer never fires and no segment ages, and tests stage fewer than flushBatch
+// records, so the only commits are the ones Sync forces and the only
+// rotations are the ones the options ask for.
 func testOptions(mutate func(*journal.Options)) journal.Options {
-	opts := journal.Options{
-		SegmentBytes: 1 << 30,
-		SegmentAge:   -1,
-		Retain:       -1,
-		Queue:        1024,
-		FlushBatch:   4096,
-		FlushEvery:   time.Hour,
-	}
+	opts := journal.Options{SegmentBytes: 1 << 30, Retain: -1, Clock: clock.NewFake(epoch)}
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -214,28 +222,30 @@ func TestRotationBySizeAndRetentionGC(t *testing.T) {
 
 func TestRotationByAgeSparesEmptySegments(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	var nowMicros atomic.Int64
-	nowMicros.Store(1_000_000)
-	jnl := mustOpen(t, t.TempDir(), testOptions(func(o *journal.Options) {
-		o.SegmentAge = time.Minute
-		o.Now = func() time.Time { return time.UnixMicro(nowMicros.Load()) }
-	}))
+	clk := clock.NewFake(epoch)
+	jnl := mustOpen(t, t.TempDir(), testOptions(func(o *journal.Options) { o.Clock = clk }))
 	appendAll(t, jnl, 0, 1)
+	if err := jnl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Each Advance also fires the flush timer; a flush of nothing staged
+	// rotates on age alone, and the Sync after it sees the outcome.
+	clk.Advance(segmentAge - time.Nanosecond)
 	if err := jnl.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if s := jnl.Stats(); s.Rotations != 0 {
 		t.Fatalf("rotated %d times before the age threshold", s.Rotations)
 	}
-	nowMicros.Add(2 * time.Minute.Microseconds())
-	if err := jnl.Sync(); err != nil { // empty flush; rotation is age-driven
+	clk.Advance(time.Nanosecond)
+	if err := jnl.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if s := jnl.Stats(); s.Rotations != 1 || s.SealedSegments != 1 {
 		t.Fatalf("stats after aging = %+v, want exactly 1 rotation", s)
 	}
 	// An aged-out EMPTY segment is not sealed — the age clock restarts.
-	nowMicros.Add(2 * time.Minute.Microseconds())
+	clk.Advance(2 * segmentAge)
 	if err := jnl.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,58 +273,53 @@ func (g *gateFS) AppendFile(path string, data []byte) error {
 }
 
 // TestAppendShedsInsteadOfBlockingOnWedgedDisk: with the writer stuck inside
-// a commit, staging takes exactly Queue more records and sheds every append
-// past that — none before, none late — without ever waiting on the disk.
+// a commit, staging takes exactly queueCap more records and sheds every
+// append past that — none before, none late — without ever waiting on the
+// disk.
 func TestAppendShedsInsteadOfBlockingOnWedgedDisk(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	const queue, extra = 8, 5
+	const extra = 5
 	fsys := &gateFS{FS: store.OSFS(), entered: make(chan struct{}, 16), gate: make(chan struct{})}
 	dir := t.TempDir()
+	clk := clock.NewFake(epoch)
 	jnl := mustOpen(t, dir, testOptions(func(o *journal.Options) {
-		o.Queue = queue
-		o.FlushBatch = 1
 		o.FS = fsys
+		o.Clock = clk
 	}))
 	if !jnl.Append(testRec(0)) {
 		t.Fatal("first append shed")
 	}
-	select { // the writer has taken record 0 and is now stuck inside AppendFile
-	case <-fsys.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("writer never reached the wedged disk")
-	}
-	for i := 1; i <= queue; i++ {
+	clk.Advance(flushEvery) // the timer's commit takes record 0 ...
+	<-fsys.entered          // ... and is now stuck inside AppendFile
+	for i := 1; i <= queueCap; i++ {
 		if !jnl.Append(testRec(i)) {
-			t.Fatalf("append %d of %d into empty staging shed early", i, queue)
+			t.Fatalf("append %d of %d into empty staging shed early", i, queueCap)
 		}
 	}
-	if s := jnl.Stats(); s.Staged != queue || s.Shed != 0 {
-		t.Fatalf("stats = %+v, want %d staged and none shed", s, queue)
+	if s := jnl.Stats(); s.Staged != queueCap || s.Shed != 0 {
+		t.Fatalf("stats = %+v, want %d staged and none shed", s, queueCap)
 	}
-	start := time.Now()
 	for i := 0; i < extra; i++ {
-		if jnl.Append(testRec(queue + 1 + i)) {
+		if jnl.Append(testRec(queueCap + 1 + i)) {
 			t.Fatal("append into full staging over a wedged disk was accepted")
 		}
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("shedding appends took %v; they must not wait on the disk", elapsed)
-	}
-	if s := jnl.Stats(); s.Shed != extra || s.Appended != queue+1 || s.Staged != queue {
-		t.Fatalf("stats = %+v, want exactly the %d appends past Queue shed", s, extra)
+	if s := jnl.Stats(); s.Shed != extra || s.Appended != queueCap+1 || s.Staged != queueCap {
+		t.Fatalf("stats = %+v, want exactly the %d appends past queueCap shed", s, extra)
 	}
 
-	close(fsys.gate) // disk recovers; everything accepted must drain
+	clk.Advance(time.Second) // the disk hangs for a second, then recovers ...
+	close(fsys.gate)         // ... and everything accepted must drain
 	if err := jnl.Sync(); err != nil {
 		t.Fatalf("Sync after recovery: %v", err)
 	}
-	if s := jnl.Stats(); s.Staged != 0 || s.FlushMicros <= 0 {
-		t.Fatalf("stats after recovery = %+v, want empty staging and time booked inside AppendFile", s)
+	if s := jnl.Stats(); s.Staged != 0 || s.FlushMicros != time.Second.Microseconds() {
+		t.Fatalf("stats after recovery = %+v, want empty staging and the hung second booked inside AppendFile", s)
 	}
 	jnl.Close()
 	recs, _, err := journal.Read(nil, dir)
-	if err != nil || len(recs) != queue+1 {
-		t.Fatalf("recovered %d records (err %v), want the %d accepted", len(recs), err, queue+1)
+	if err != nil || len(recs) != queueCap+1 {
+		t.Fatalf("recovered %d records (err %v), want the %d accepted", len(recs), err, queueCap+1)
 	}
 }
 
@@ -385,22 +390,16 @@ func TestAppendAfterCloseSheds(t *testing.T) {
 }
 
 // TestConcurrentAppendsAtDefaults: 10 000 records from 8 goroutines through a
-// journal opened with no options. The writer is woken per batch: the commits
-// are bounded by the count trigger's crossings (one per half Queue of
-// appends), the timer's firings and the final Sync — not by the record count
-// — and every record comes back exactly once, each goroutine's in the order
-// it appended them.
+// journal opened with no options but a fake clock. The writer is woken per
+// batch: with the timer never firing, the commits are bounded by the count
+// trigger's crossings (one per flushBatch appends) and the final Sync — not by
+// the record count — and every record comes back exactly once, each
+// goroutine's in the order it appended them.
 func TestConcurrentAppendsAtDefaults(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	const (
-		goroutines = 8
-		each       = 1250
-		threshold  = 512                   // half of the default Queue
-		flushEvery = 50 * time.Millisecond // the default
-	)
+	const goroutines, each = 8, 1250
 	dir := t.TempDir()
-	jnl := mustOpen(t, dir, journal.Options{})
-	start := time.Now()
+	jnl := mustOpen(t, dir, journal.Options{Clock: clock.NewFake(epoch)})
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -418,14 +417,12 @@ func TestConcurrentAppendsAtDefaults(t *testing.T) {
 	if err := jnl.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
 	s := jnl.Stats()
 	if s.Appended != goroutines*each || s.Persisted != s.Appended {
 		t.Fatalf("stats = %+v, want %d appended and persisted", s, goroutines*each)
 	}
-	bound := uint64((goroutines*each+threshold-1)/threshold) + uint64(elapsed/flushEvery) + 1
-	t.Logf("%d flushes for %d records in %v (bound %d), %d shed and retried, %d µs inside AppendFile",
-		s.Flushes, s.Appended, elapsed, bound, s.Shed, s.FlushMicros)
+	bound := uint64(goroutines*each/flushBatch) + 1
+	t.Logf("%d flushes for %d records (bound %d), %d shed and retried", s.Flushes, s.Appended, bound, s.Shed)
 	if s.Flushes > bound {
 		t.Errorf("%d flushes, want <= %d: the writer is not committing per batch", s.Flushes, bound)
 	}
@@ -444,86 +441,101 @@ func TestConcurrentAppendsAtDefaults(t *testing.T) {
 	}
 }
 
-// slowFS announces every AppendFile on entered and then takes at least delay
-// over it.
-type slowFS struct {
+// stepFS hands every commit to the test: AppendFile announces itself on
+// entered and writes once the test sends on release, or at once after done.
+type stepFS struct {
 	store.FS
-	entered chan struct{}
-	delay   time.Duration
+	entered, release, done chan struct{}
 }
 
-func (f slowFS) AppendFile(path string, data []byte) error {
+func (f stepFS) AppendFile(path string, data []byte) error {
 	select {
 	case f.entered <- struct{}{}:
-	default:
+		select {
+		case <-f.release:
+		case <-f.done:
+		}
+	case <-f.done:
 	}
-	time.Sleep(f.delay)
 	return f.FS.AppendFile(path, data)
 }
 
 // TestRecordWaitsAtMostFlushEveryPlusOneFlush: the timer is re-armed by
 // every flush, the count-triggered ones included, so a record staged just
-// after a commit began waits that commit out and then one FlushEvery, below
-// the count trigger and with no Sync to help it. The writer's timer is a real
-// one (Options.Now stamps records and ages segments, nothing else), so this
-// runs on the wall clock, with slack for a loaded box.
+// after a commit began waits that commit out and then one flushEvery, below
+// the count trigger and with no Sync to help it. On the fake clock the bound
+// has no slack: the timer must still be armed one tick before flushEvery
+// after the commit ended, and must have fired at flushEvery.
 func TestRecordWaitsAtMostFlushEveryPlusOneFlush(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	const (
-		rounds     = 5
-		flushEvery = 20 * time.Millisecond
-		oneFlush   = 5 * time.Millisecond
-		slack      = 500 * time.Millisecond
+		rounds   = 3
+		oneFlush = 5 * time.Millisecond // fake time a count-triggered commit takes
 	)
-	fsys := slowFS{FS: store.OSFS(), entered: make(chan struct{}, 1), delay: oneFlush}
+	fsys := stepFS{FS: store.OSFS(), entered: make(chan struct{}), release: make(chan struct{}), done: make(chan struct{})}
+	clk := clock.NewFake(epoch)
 	jnl := mustOpen(t, t.TempDir(), testOptions(func(o *journal.Options) {
-		o.FlushBatch = 4
-		o.FlushEvery = flushEvery
 		o.FS = fsys
+		o.Clock = clk
 	}))
-	var worst time.Duration
-	for n := 0; n < 5*rounds; n += 5 {
-		appendAll(t, jnl, n, n+4) // reaches FlushBatch: a count-triggered commit
-		select {
-		case <-fsys.entered: // the four are taken and being written
-		case <-time.After(10 * time.Second):
-			t.Fatalf("the count trigger never woke the writer: stats %+v", jnl.Stats())
+	t.Cleanup(func() { close(fsys.done) }) // before the Close mustOpen defers, so a failure cannot hang it
+	n := 0
+	for r := 0; r < rounds; r++ {
+		appendAll(t, jnl, n, n+flushBatch)              // reaches flushBatch: a count-triggered commit
+		<-fsys.entered                                  // the batch is taken and being written
+		appendAll(t, jnl, n+flushBatch, n+flushBatch+1) // staged behind that commit: the timer's to flush
+		n += flushBatch + 1
+		clk.Advance(oneFlush) // the writer stopped its timer for the commit: nothing fires
+		fsys.release <- struct{}{}
+		clk.BlockUntil(1) // the commit is done and the writer has armed its timer
+		if clk.Advance(flushEvery-time.Nanosecond) != 0 {
+			t.Fatalf("round %d: the timer fired before flushEvery had passed since the commit", r)
 		}
-		start := time.Now()
-		appendAll(t, jnl, n+4, n+5) // staged behind that commit: the timer's to flush
-		for jnl.Stats().Persisted < uint64(n)+5 {
-			if time.Since(start) > 10*time.Second {
-				t.Fatalf("record %d still not durable after %v: stats %+v", n+4, time.Since(start), jnl.Stats())
-			}
-			time.Sleep(time.Millisecond)
+		if clk.Advance(time.Nanosecond) != 1 {
+			t.Fatalf("round %d: the timer had not fired flushEvery after the commit: the record waits longer", r)
 		}
-		worst = max(worst, time.Since(start))
 		<-fsys.entered // the timer's commit, which nothing but the timer asked for
+		fsys.release <- struct{}{}
 	}
-	t.Logf("worst wait %v over %d flushes (FlushEvery %v, one flush >= %v)", worst, jnl.Stats().Flushes, flushEvery, oneFlush)
-	if limit := flushEvery + 2*oneFlush + slack; worst > limit {
-		t.Errorf("a record waited %v to become durable, want <= %v", worst, limit)
+	if err := jnl.Sync(); err != nil { // nothing is staged: it only waits the last commit out
+		t.Fatal(err)
+	}
+	s := jnl.Stats()
+	if s.Persisted != uint64(n) || s.Flushes != 2*rounds || s.FlushMicros != rounds*oneFlush.Microseconds() {
+		t.Errorf("stats = %+v, want %d persisted in %d commits and %d µs inside AppendFile", s, n, 2*rounds, rounds*oneFlush.Microseconds())
 	}
 }
 
-// TestFlushBatchOneCommitsEachRecord: at FlushBatch 1 every append wakes the
-// writer, so a producer that waits for each record to persist pays exactly
-// one fsync per record and never waits for the timer.
-func TestFlushBatchOneCommitsEachRecord(t *testing.T) {
+// TestReadSealedReportsReadErrors: a sealed segment retention GC unlinked
+// mid-read is skipped, but one that cannot be read is an error — a canary
+// derived from what was left would score models on part of the journal.
+func TestReadSealedReportsReadErrors(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	jnl := mustOpen(t, t.TempDir(), testOptions(func(o *journal.Options) { o.FlushBatch = 1 }))
-	const n = 20
-	for i := 0; i < n; i++ {
-		appendAll(t, jnl, i, i+1)
-		for deadline := time.Now().Add(10 * time.Second); jnl.Stats().Persisted < uint64(i)+1; {
-			if time.Now().After(deadline) {
-				t.Fatalf("record %d never persisted without a Sync or a timer: stats %+v", i, jnl.Stats())
-			}
-			runtime.Gosched()
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ { // two opens: segments 1 and 2, sealed by the reopen
+		jnl := mustOpen(t, dir, testOptions(nil))
+		appendAll(t, jnl, 3*i, 3*i+3)
+		if err := jnl.Sync(); err != nil {
+			t.Fatal(err)
 		}
+		jnl.Close()
 	}
-	if s := jnl.Stats(); s.Flushes != n {
-		t.Errorf("%d flushes for %d records appended one at a time, want one each", s.Flushes, n)
+	// Op 1 is the reopen's MkdirAll; op 2, the next commit, crashes the
+	// filesystem, and every read after it fails.
+	fi := faultinject.NewFS(nil, faultinject.FSConfig{Kind: faultinject.FSCrash, Op: 2})
+	jnl := mustOpen(t, dir, testOptions(func(o *journal.Options) { o.FS = fi }))
+	if err := os.Remove(filepath.Join(dir, "seg-00000001.qfej")); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := jnl.ReadSealed(); err != nil || len(recs) != 3 || recs[0].UnixMicros != 4 {
+		t.Fatalf("ReadSealed with segment 1 unlinked = %d records (err %v), want segment 2's 3", len(recs), err)
+	}
+	appendAll(t, jnl, 6, 7)
+	if err := jnl.Sync(); !errors.Is(err, faultinject.ErrCrashed) {
+		t.Fatalf("Sync on the crashing filesystem: %v, want %v", err, faultinject.ErrCrashed)
+	}
+	if recs, err := jnl.ReadSealed(); !errors.Is(err, faultinject.ErrCrashed) || recs != nil {
+		t.Fatalf("ReadSealed over an unreadable segment = %d records, err %v; want no records and %v", len(recs), err, faultinject.ErrCrashed)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"qfe/internal/clock"
 	"qfe/internal/core"
 	"qfe/internal/journal"
 	"qfe/internal/sqlparse"
@@ -133,9 +134,7 @@ func TestSegmentMatchesParentHookPath(t *testing.T) {
 		{UnixMicros: math.MinInt64, SQL: "", Estimate: -4.25e-9},
 	}
 	dir := t.TempDir()
-	jnl := mustOpen(t, dir, testOptions(func(o *journal.Options) {
-		o.Now = func() time.Time { return now }
-	}))
+	jnl := mustOpen(t, dir, testOptions(func(o *journal.Options) { o.Clock = clock.NewFake(now) }))
 	for _, rec := range recs {
 		if !jnl.Append(rec) {
 			t.Fatal("Append shed")

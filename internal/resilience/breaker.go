@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"qfe/internal/clock"
 )
 
 // BreakerState is the classic three-state circuit-breaker automaton.
@@ -32,43 +34,20 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int(s))
 }
 
-// BreakerConfig tunes a circuit breaker. The zero value is usable: defaults
-// are filled in by NewBreaker.
-type BreakerConfig struct {
-	// FailureThreshold is the number of consecutive failures that opens the
-	// breaker. Default 5.
-	FailureThreshold int
-	// Cooldown is how long the breaker stays open before transitioning to
-	// half-open. Default 30s.
-	Cooldown time.Duration
-	// HalfOpenProbes is the number of consecutive probe successes required
-	// to close a half-open breaker. Default 2.
-	HalfOpenProbes int
-	// Clock overrides time.Now for deterministic tests.
-	Clock func() time.Time
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 2
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-	return c
-}
+// The breaker as shipped: it opens after failureThreshold consecutive
+// failures, stays open for cooldown, then admits one probe at a time and closes
+// after halfOpenProbes consecutive probe successes.
+const (
+	failureThreshold = 5
+	cooldown         = 30 * time.Second
+	halfOpenProbes   = 2
+)
 
 // Breaker is a mutex-guarded circuit breaker. A stage wrapped by Resilient
 // gets one; the hot path asks Allow before each call and reports the outcome
 // with Success or Failure.
 type Breaker struct {
-	cfg BreakerConfig
+	clk clock.Clock // times the cooldown
 
 	mu         sync.Mutex
 	state      BreakerState
@@ -76,11 +55,6 @@ type Breaker struct {
 	successes  int // consecutive probe successes while half-open
 	openedAt   time.Time
 	probeInUse bool // a half-open probe is in flight
-}
-
-// NewBreaker builds a breaker with cfg (zero fields take defaults).
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
 }
 
 // Allow reports whether a call may proceed. In the open state it returns
@@ -93,7 +67,7 @@ func (b *Breaker) Allow() bool {
 	case StateClosed:
 		return true
 	case StateOpen:
-		if b.cfg.Clock().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.clk.Now().Sub(b.openedAt) < cooldown {
 			return false
 		}
 		b.state = StateHalfOpen
@@ -120,7 +94,7 @@ func (b *Breaker) Success() {
 	case StateHalfOpen:
 		b.probeInUse = false
 		b.successes++
-		if b.successes >= b.cfg.HalfOpenProbes {
+		if b.successes >= halfOpenProbes {
 			b.state = StateClosed
 			b.failures = 0
 		}
@@ -135,14 +109,14 @@ func (b *Breaker) Failure() {
 	switch b.state {
 	case StateClosed:
 		b.failures++
-		if b.failures >= b.cfg.FailureThreshold {
+		if b.failures >= failureThreshold {
 			b.state = StateOpen
-			b.openedAt = b.cfg.Clock()
+			b.openedAt = b.clk.Now()
 		}
 	case StateHalfOpen:
 		b.probeInUse = false
 		b.state = StateOpen
-		b.openedAt = b.cfg.Clock()
+		b.openedAt = b.clk.Now()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"qfe/internal/clock"
 	"qfe/internal/resilience/faultinject"
 )
 
@@ -15,7 +16,7 @@ import (
 // return a finite estimate >= 1 within the deadline and never propagate a
 // panic; the circuit breaker must open after the configured failure
 // threshold and recover via half-open probes. Everything is driven from
-// fixed seeds, so a failure here reproduces exactly.
+// fixed seeds and fake clocks, so a failure here reproduces exactly.
 
 // buildFaultyChain wires a three-stage chain (each stage a fault-injected
 // constant estimator) with a row-count last resort.
@@ -44,6 +45,7 @@ func withSeed(cfg faultinject.Config, seed int64) faultinject.Config {
 // TestChainSurvivesMixedFaultStorm hammers the chain with every fault kind
 // at once at every stage and asserts the serving invariant on each call.
 func TestChainSurvivesMixedFaultStorm(t *testing.T) {
+	clk := clock.NewFake(epoch)
 	r, injectors := buildFaultyChain(faultinject.Config{
 		Seed:         12345,
 		PanicRate:    0.15,
@@ -51,12 +53,11 @@ func TestChainSurvivesMixedFaultStorm(t *testing.T) {
 		NaNRate:      0.10,
 		InfRate:      0.05,
 		NegativeRate: 0.05,
-	}, Config{
-		Breaker: BreakerConfig{FailureThreshold: 4, Cooldown: time.Millisecond, HalfOpenProbes: 1},
-	})
+	}, Config{Clock: clk})
 	const calls = 1000
 	degraded := 0
 	for i := 0; i < calls; i++ {
+		clk.Advance(cooldown / 10) // an open breaker probes again every tenth call
 		res := r.EstimateDetailed(context.Background(), testQuery)
 		if math.IsNaN(res.Estimate) || math.IsInf(res.Estimate, 0) || res.Estimate < 1 {
 			t.Fatalf("call %d: unusable estimate %v (stage %s)", i, res.Estimate, res.Stage)
@@ -95,9 +96,7 @@ func TestChainSurvivesEveryFaultKindAtFullRate(t *testing.T) {
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
-			r, _ := buildFaultyChain(k.cfg, Config{
-				Breaker: BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour},
-			})
+			r, _ := buildFaultyChain(k.cfg, Config{Clock: clock.NewFake(epoch)})
 			for i := 0; i < 50; i++ {
 				res := r.EstimateDetailed(context.Background(), testQuery)
 				if math.IsNaN(res.Estimate) || math.IsInf(res.Estimate, 0) || res.Estimate < 1 {
@@ -108,13 +107,13 @@ func TestChainSurvivesEveryFaultKindAtFullRate(t *testing.T) {
 				}
 			}
 			// Every stage's breaker must have opened after the threshold
-			// and stayed open (cooldown is an hour).
+			// and stayed open (the fake clock never reaches the cooldown).
 			for i, st := range r.Stats() {
 				if st.State != StateOpen {
 					t.Errorf("stage %d breaker state %v, want open", i, st.State)
 				}
-				if st.Failed != 3 {
-					t.Errorf("stage %d failed %d times before opening, want 3", i, st.Failed)
+				if st.Failed != failureThreshold {
+					t.Errorf("stage %d failed %d times before opening, want %d", i, st.Failed, failureThreshold)
 				}
 			}
 		})
@@ -159,9 +158,7 @@ func TestChainIsDeterministic(t *testing.T) {
 			ErrorRate:    0.2,
 			NaNRate:      0.1,
 			NegativeRate: 0.1,
-		}, Config{
-			Breaker: BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour},
-		})
+		}, Config{Clock: clock.NewFake(epoch)})
 		out := make([]outcome, 300)
 		for i := range out {
 			res := r.EstimateDetailed(context.Background(), testQuery)
@@ -182,23 +179,15 @@ func TestChainIsDeterministic(t *testing.T) {
 // open the breaker, traffic is served degraded while it is open, and after
 // the cooldown the configured number of half-open probes restores the stage.
 func TestChainBreakerRecoversViaHalfOpenProbes(t *testing.T) {
-	clock := newFakeClock()
+	clk := clock.NewFake(epoch)
 	primary := failing(faultinject.ErrInjected)
-	r := NewResilient(Config{
-		Breaker: BreakerConfig{
-			FailureThreshold: 2,
-			Cooldown:         30 * time.Second,
-			HalfOpenProbes:   2,
-			Clock:            clock.now,
-		},
-		LastResort: RowCount{},
-	},
+	r := NewResilient(Config{Clock: clk, LastResort: RowCount{}},
 		Stage{Name: "primary", Est: primary},
 		Stage{Name: "backup", Est: healthy(40)},
 	)
 
-	// Outage: two failures open the breaker.
-	for i := 0; i < 2; i++ {
+	// Outage: threshold failures open the breaker.
+	for i := 0; i < failureThreshold; i++ {
 		if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 40 {
 			t.Fatalf("outage call %d: %+v", i, res)
 		}
@@ -222,7 +211,7 @@ func TestChainBreakerRecoversViaHalfOpenProbes(t *testing.T) {
 	primary.mu.Lock()
 	primary.fn = func(int) (float64, error) { return 80, nil }
 	primary.mu.Unlock()
-	clock.advance(31 * time.Second)
+	clk.Advance(cooldown)
 
 	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 80 || res.Degraded {
 		t.Fatalf("first probe: %+v", res)
@@ -234,7 +223,7 @@ func TestChainBreakerRecoversViaHalfOpenProbes(t *testing.T) {
 		t.Fatalf("second probe: %+v", res)
 	}
 	if st := r.Stats()[0]; st.State != StateClosed {
-		t.Fatalf("breaker state %v after %d successful probes, want closed", st.State, 2)
+		t.Fatalf("breaker state %v after %d successful probes, want closed", st.State, halfOpenProbes)
 	}
 }
 
@@ -242,19 +231,19 @@ func TestChainBreakerRecoversViaHalfOpenProbes(t *testing.T) {
 // with -race in mind: the invariant must hold on every call and the internal
 // counters must stay consistent.
 func TestChainUnderConcurrentLoad(t *testing.T) {
+	clk := clock.NewFake(epoch)
 	r, _ := buildFaultyChain(faultinject.Config{
 		Seed:      99,
 		PanicRate: 0.2,
 		ErrorRate: 0.2,
 		NaNRate:   0.1,
-	}, Config{
-		Breaker: BreakerConfig{FailureThreshold: 5, Cooldown: time.Millisecond},
-	})
+	}, Config{Clock: clk})
 	const workers, perWorker = 8, 100
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := 0; i < perWorker; i++ {
+				clk.Advance(cooldown / 10) // breakers open, probe and close under the load
 				v, err := r.EstimateCtx(context.Background(), testQuery)
 				if err != nil {
 					errs <- err

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"qfe/internal/clock"
 	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/sqlparse"
@@ -65,16 +66,15 @@ type Config struct {
 	// context carries no deadline of its own, as a WithDeadline context.
 	// Zero means no implicit deadline.
 	Timeout time.Duration
-	// Breaker configures every stage's circuit breaker.
-	Breaker BreakerConfig
 	// LastResort produces the estimate when every stage fails or the
 	// deadline is spent. It should be total (never error); RowCount is the
-	// intended choice. Nil means a constant estimate of DefaultEstimate.
+	// intended choice. Nil means a constant estimate of defaultEstimate.
 	LastResort estimator.Estimator
-	// DefaultEstimate is returned if even LastResort fails. Default 1, the
-	// paper's minimum cardinality.
-	DefaultEstimate float64
+	// Clock times every stage's circuit-breaker cooldown; nil means clock.Real.
+	Clock clock.Clock
 }
+
+const defaultEstimate = 1 // returned if even LastResort fails: the paper's minimum cardinality
 
 // stageState is a Stage plus its runtime guards and counters.
 type stageState struct {
@@ -117,19 +117,19 @@ type Resilient struct {
 
 // NewResilient builds the degradation chain over stages, tried in order.
 func NewResilient(cfg Config, stages ...Stage) *Resilient {
-	if cfg.DefaultEstimate < 1 || math.IsNaN(cfg.DefaultEstimate) || math.IsInf(cfg.DefaultEstimate, 0) {
-		cfg.DefaultEstimate = 1
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Real{}
 	}
 	r := &Resilient{cfg: cfg, lastResort: cfg.LastResort}
 	if r.lastResort == nil {
-		r.lastResort = Constant{Value: cfg.DefaultEstimate}
+		r.lastResort = Constant{Value: defaultEstimate}
 	}
 	for _, s := range stages {
 		name := s.Name
 		if name == "" {
 			name = s.Est.Name()
 		}
-		r.stages = append(r.stages, &stageState{name: name, est: s.Est, breaker: NewBreaker(cfg.Breaker)})
+		r.stages = append(r.stages, &stageState{name: name, est: s.Est, breaker: &Breaker{clk: cfg.Clock}})
 	}
 	return r
 }
@@ -301,12 +301,12 @@ func stagePanic(name string, p any) error {
 func (r *Resilient) lastResortEstimate(q *sqlparse.Query) (v float64) {
 	defer func() {
 		if p := recover(); p != nil {
-			v = r.cfg.DefaultEstimate
+			v = defaultEstimate
 		}
 	}()
 	v, err := r.lastResort.Estimate(q)
 	if err != nil || !validEstimate(v) {
-		return r.cfg.DefaultEstimate
+		return defaultEstimate
 	}
 	if v < 1 {
 		v = 1
@@ -331,10 +331,6 @@ func (r *Resilient) Stats() []StageStats {
 	}
 	return out
 }
-
-// Breaker exposes stage i's circuit breaker (chain order) for tests and
-// operational tooling.
-func (r *Resilient) Breaker(i int) *Breaker { return r.stages[i].breaker }
 
 // validEstimate reports whether v can be served: finite and non-negative.
 // (Sub-1 values are clamped to 1 by the callers, matching the paper's

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"qfe/internal/clock"
 	"qfe/internal/core"
 	"qfe/internal/sqlparse"
 )
@@ -53,25 +54,8 @@ func panicking() *stubEst {
 	return &stubEst{name: "panicking", fn: func(int) (float64, error) { panic("model exploded") }}
 }
 
-// fakeClock drives breaker cooldowns without real time.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
+// epoch is where each test's fake clock starts.
+var epoch = time.Unix(1_700_000_000, 0)
 
 func TestHealthyFirstStageServes(t *testing.T) {
 	r := NewResilient(Config{}, Stage{Est: healthy(42)})
@@ -202,17 +186,12 @@ func TestCallerDeadlineWins(t *testing.T) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	clock := newFakeClock()
-	b := NewBreaker(BreakerConfig{
-		FailureThreshold: 3,
-		Cooldown:         10 * time.Second,
-		HalfOpenProbes:   2,
-		Clock:            clock.now,
-	})
+	clk := clock.NewFake(epoch)
+	b := &Breaker{clk: clk}
 	if b.State() != StateClosed {
 		t.Fatal("new breaker not closed")
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < failureThreshold; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker rejected call %d", i)
 		}
@@ -224,7 +203,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("open breaker admitted a call before cooldown")
 	}
-	clock.advance(11 * time.Second)
+	clk.Advance(cooldown)
 	if !b.Allow() {
 		t.Fatal("breaker did not admit a probe after cooldown")
 	}
@@ -240,15 +219,15 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	b.Success()
 	if b.State() != StateClosed {
-		t.Fatalf("breaker not closed after %d probe successes, state %v", 2, b.State())
+		t.Fatalf("breaker not closed after %d probe successes, state %v", halfOpenProbes, b.State())
 	}
 
 	// Re-open on a half-open failure.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < failureThreshold; i++ {
 		b.Allow()
 		b.Failure()
 	}
-	clock.advance(11 * time.Second)
+	clk.Advance(cooldown)
 	if !b.Allow() {
 		t.Fatal("no probe admitted")
 	}
@@ -261,14 +240,65 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerAutomatonAsShipped drives a chain built with no override through
+// the breaker's shipped sizes on a fake clock: four failures leave the breaker
+// closed and the fifth opens it; it is still open one nanosecond before 30 s
+// and half-open at 30 s, where a call that arrives while the probe is in
+// flight is not admitted; two successful probes close it.
+func TestBreakerAutomatonAsShipped(t *testing.T) {
+	clk := clock.NewFake(epoch)
+	var r *Resilient
+	var overlapped Result
+	stage := &stubEst{name: "learned", fn: func(call int) (float64, error) {
+		switch {
+		case call <= 5:
+			return 0, errors.New("down")
+		case call == 6: // the first probe: another request arrives meanwhile
+			overlapped = r.EstimateDetailed(context.Background(), testQuery)
+		}
+		return 42, nil
+	}}
+	r = NewResilient(Config{Clock: clk}, Stage{Est: stage}, Stage{Est: healthy(5)})
+	state := func() BreakerState { return r.Stats()[0].State }
+
+	for i := 1; i <= 4; i++ {
+		r.EstimateDetailed(context.Background(), testQuery)
+		if st := state(); st != StateClosed {
+			t.Fatalf("after %d failures: %v, want closed", i, st)
+		}
+	}
+	r.EstimateDetailed(context.Background(), testQuery)
+	if st := state(); st != StateOpen {
+		t.Fatalf("after 5 failures: %v, want open", st)
+	}
+	clk.Advance(30*time.Second - time.Nanosecond)
+	if res := r.EstimateDetailed(context.Background(), testQuery); res.Stage != "healthy" || stage.callCount() != 5 {
+		t.Fatalf("at 30 s - 1 ns: %+v after %d stage calls, want the breaker still open", res, stage.callCount())
+	}
+	clk.Advance(time.Nanosecond)
+	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 42 {
+		t.Fatalf("the first probe at 30 s: %+v, want the stage's 42", res)
+	}
+	if overlapped.Stage != "healthy" || len(overlapped.Errors) != 1 || !errors.Is(overlapped.Errors[0].Err, ErrBreakerOpen) {
+		t.Fatalf("a request during the probe: %+v, want it skipped past the half-open breaker", overlapped)
+	}
+	if st := state(); st != StateHalfOpen {
+		t.Fatalf("after one successful probe: %v, want half-open", st)
+	}
+	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 42 {
+		t.Fatalf("the second probe: %+v, want the stage's 42", res)
+	}
+	if st := state(); st != StateClosed {
+		t.Fatalf("after two successful probes: %v, want closed", st)
+	}
+}
+
 func TestBreakerShortCircuitsHotPath(t *testing.T) {
-	clock := newFakeClock()
+	clk := clock.NewFake(epoch)
 	boom := errors.New("down")
 	dead := failing(boom)
 	backup := healthy(5)
-	r := NewResilient(Config{
-		Breaker: BreakerConfig{FailureThreshold: 3, Cooldown: time.Minute, HalfOpenProbes: 1, Clock: clock.now},
-	},
+	r := NewResilient(Config{Clock: clk},
 		Stage{Est: dead},
 		Stage{Est: backup},
 	)
@@ -278,30 +308,32 @@ func TestBreakerShortCircuitsHotPath(t *testing.T) {
 			t.Fatalf("call %d: v=%v err=%v", i, v, err)
 		}
 	}
-	// After 3 failures the breaker opened; the dead stage must not have
-	// been invoked for the remaining 7 calls.
-	if got := dead.callCount(); got != 3 {
-		t.Fatalf("dead stage called %d times, want 3 (breaker should short-circuit)", got)
+	// After failureThreshold failures the breaker opened; the dead stage
+	// must not have been invoked for the remaining calls.
+	if got := dead.callCount(); got != failureThreshold {
+		t.Fatalf("dead stage called %d times, want %d (breaker should short-circuit)", got, failureThreshold)
 	}
 	st := r.Stats()[0]
-	if st.State != StateOpen || st.Skipped != 7 || st.Failed != 3 {
+	if st.State != StateOpen || st.Skipped != 10-failureThreshold || st.Failed != failureThreshold {
 		t.Fatalf("unexpected first-stage stats %+v", st)
 	}
 
-	// Recovery: the stage comes back; after the cooldown one probe closes
+	// Recovery: the stage comes back; after the cooldown the probes close
 	// the breaker and the stage serves again.
 	dead.mu.Lock()
 	dead.fn = func(int) (float64, error) { return 99, nil }
 	dead.mu.Unlock()
-	clock.advance(2 * time.Minute)
-	v, err := r.EstimateCtx(context.Background(), testQuery)
-	if err != nil || v != 99 {
-		t.Fatalf("probe call: v=%v err=%v", v, err)
+	clk.Advance(cooldown)
+	for i := 0; i < halfOpenProbes; i++ {
+		v, err := r.EstimateCtx(context.Background(), testQuery)
+		if err != nil || v != 99 {
+			t.Fatalf("probe call %d: v=%v err=%v", i, v, err)
+		}
 	}
 	if st := r.Stats()[0]; st.State != StateClosed {
-		t.Fatalf("breaker did not close after a successful probe: %+v", st)
+		t.Fatalf("breaker did not close after its successful probes: %+v", st)
 	}
-	v, _ = r.EstimateCtx(context.Background(), testQuery)
+	v, _ := r.EstimateCtx(context.Background(), testQuery)
 	if v != 99 {
 		t.Fatalf("recovered stage not serving, got %v", v)
 	}
@@ -377,36 +409,38 @@ func TestRefusalIsNotAFailure(t *testing.T) {
 // reports no outcome, so the probe slot it held is free and the next call is
 // the probe; it used to count as the probe's failure and re-open the breaker.
 func TestRefusalFreesTheHalfOpenProbe(t *testing.T) {
-	clock := newFakeClock()
+	clk := clock.NewFake(epoch)
 	refused := core.Unsupported(errors.New("refused"))
 	stage := &stubEst{name: "learned", fn: func(call int) (float64, error) {
-		switch call {
-		case 1:
+		switch {
+		case call <= failureThreshold:
 			return 0, errors.New("down")
-		case 2:
+		case call == failureThreshold+1:
 			return 0, refused
 		}
 		return 42, nil
 	}}
-	r := NewResilient(Config{
-		Breaker: BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute, HalfOpenProbes: 1, Clock: clock.now},
-	}, Stage{Est: stage}, Stage{Est: healthy(5)})
+	r := NewResilient(Config{Clock: clk}, Stage{Est: stage}, Stage{Est: healthy(5)})
 
-	r.EstimateDetailed(context.Background(), testQuery) // the failure opens the breaker
-	if st := r.Breaker(0).State(); st != StateOpen {
-		t.Fatalf("after the failure: %v, want open", st)
+	for i := 0; i < failureThreshold; i++ {
+		r.EstimateDetailed(context.Background(), testQuery) // the failures open the breaker
 	}
-	clock.advance(2 * time.Minute)
+	if st := r.Stats()[0].State; st != StateOpen {
+		t.Fatalf("after the failures: %v, want open", st)
+	}
+	clk.Advance(cooldown)
 	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 5 {
 		t.Fatalf("the refused probe: %+v, want the fallback's 5", res)
 	}
-	if st := r.Breaker(0).State(); st != StateHalfOpen {
+	if st := r.Stats()[0].State; st != StateHalfOpen {
 		t.Fatalf("after a refused probe: %v, want still half-open", st)
 	}
-	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 42 || res.Stage != "learned" {
-		t.Fatalf("the next call: %+v, want it admitted as the probe and served by the stage", res)
+	for i := 0; i < halfOpenProbes; i++ {
+		if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 42 || res.Stage != "learned" {
+			t.Fatalf("call %d after the refusal: %+v, want it admitted as a probe and served by the stage", i, res)
+		}
 	}
-	if st := r.Breaker(0).State(); st != StateClosed {
-		t.Fatalf("after a successful probe: %v, want closed", st)
+	if st := r.Stats()[0].State; st != StateClosed {
+		t.Fatalf("after the successful probes: %v, want closed", st)
 	}
 }

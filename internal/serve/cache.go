@@ -49,10 +49,9 @@ type CacheConfig struct {
 	// the least recently used entry of the insert's shard is evicted.
 	// <= 0 disables the cache.
 	Entries int
-	// Shards is the number of independently locked cache shards (rounded up
-	// to a power of two). Default 16.
-	Shards int
 }
+
+const cacheShards = 16 // independently locked shards; a power of two, so selection is a mask
 
 // cacheKey scopes a query's text to the model generation that will answer
 // it: a fixed-size value — no string, no hex — so minting one and looking it
@@ -156,24 +155,12 @@ func newEstCache(cfg CacheConfig, m *Metrics, keepQ bool) *estCache {
 	if cfg.Entries <= 0 {
 		return nil
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = 16
-	}
-	// Round up to a power of two so shard selection is a mask.
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
 	c := &estCache{
-		shards:  make([]*cacheShard, pow),
-		mask:    uint32(pow - 1),
-		perCap:  (cfg.Entries + pow - 1) / pow,
+		shards:  make([]*cacheShard, cacheShards),
+		mask:    cacheShards - 1,
+		perCap:  (cfg.Entries + cacheShards - 1) / cacheShards,
 		keepQ:   keepQ,
 		metrics: m,
-	}
-	if c.perCap < 1 {
-		c.perCap = 1
 	}
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{

@@ -25,9 +25,22 @@ func okRes(v float64) EstResult { return EstResult{Estimate: v, Stage: "learned"
 // ck is the cache key of a query text under generation 1.
 func ck(sql string) cacheKey { return textKey(1, sql) }
 
-func newTestCache(entries, shards int) (*estCache, *Metrics) {
+func newTestCache(entries int) (*estCache, *Metrics) {
 	m := newMetrics()
-	return newEstCache(CacheConfig{Entries: entries, Shards: shards}, m, false), m
+	return newEstCache(CacheConfig{Entries: entries}, m, false), m
+}
+
+// sameShard returns n query texts whose keys fall into one shard of c, so
+// that their LRU order is that shard's.
+func sameShard(c *estCache, n int) []string {
+	var out []string
+	for i := 0; len(out) < n; i++ {
+		sql := fmt.Sprint("q", i)
+		if len(out) == 0 || c.shard(ck(sql)) == c.shard(ck(out[0])) {
+			out = append(out, sql)
+		}
+	}
+	return out
 }
 
 func TestCacheDisabledByZeroConfig(t *testing.T) {
@@ -40,7 +53,9 @@ func TestCacheDisabledByZeroConfig(t *testing.T) {
 }
 
 func TestCacheHitMissEvict(t *testing.T) {
-	c, m := newTestCache(2, 1) // single shard: LRU order is deterministic
+	c, m := newTestCache(2 * cacheShards) // two entries per shard
+	keys := sameShard(c, 3)               // one shard's: LRU order is deterministic
+	a, b, cc := ck(keys[0]), ck(keys[1]), ck(keys[2])
 
 	calls := 0
 	compute := func(v float64) func() EstResult {
@@ -48,19 +63,19 @@ func TestCacheHitMissEvict(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	if res := c.do(ctx, ck("a"), nil, compute(1)); res.Estimate != 1 {
+	if res := c.do(ctx, a, nil, compute(1)); res.Estimate != 1 {
 		t.Fatalf("first a: %+v", res)
 	}
-	if res := c.do(ctx, ck("a"), nil, compute(99)); res.Estimate != 1 {
+	if res := c.do(ctx, a, nil, compute(99)); res.Estimate != 1 {
 		t.Fatalf("cached a: %+v, want the first computation's value", res)
 	}
-	c.do(ctx, ck("b"), nil, compute(2))
-	c.do(ctx, ck("a"), nil, compute(99)) // refreshes a's recency
-	c.do(ctx, ck("c"), nil, compute(3))  // capacity 2: evicts b, the LRU entry
-	if res := c.do(ctx, ck("a"), nil, compute(99)); res.Estimate != 1 {
+	c.do(ctx, b, nil, compute(2))
+	c.do(ctx, a, nil, compute(99)) // refreshes a's recency
+	c.do(ctx, cc, nil, compute(3)) // capacity 2: evicts b, the LRU entry
+	if res := c.do(ctx, a, nil, compute(99)); res.Estimate != 1 {
 		t.Fatalf("a must have survived (its hit refreshed recency): %+v", res)
 	}
-	if res := c.do(ctx, ck("b"), nil, compute(4)); res.Estimate != 4 {
+	if res := c.do(ctx, b, nil, compute(4)); res.Estimate != 4 {
 		t.Fatalf("b after eviction: %+v, want recomputed 4", res)
 	}
 
@@ -78,7 +93,7 @@ func TestCacheHitMissEvict(t *testing.T) {
 // TestCacheKeyIsGenerationScoped: the same text under two generations is two
 // entries, and neither answers for the other.
 func TestCacheKeyIsGenerationScoped(t *testing.T) {
-	c, _ := newTestCache(8, 4)
+	c, _ := newTestCache(2 * cacheShards) // the two keys share a shard: they differ only in generation
 	old, cur := textKey(1, stubSQL), textKey(2, stubSQL)
 	c.put(old, okRes(10), nil)
 	if _, _, ok := c.lookup(cur); ok {
@@ -100,7 +115,7 @@ func TestCacheGetAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	c, _ := newTestCache(64, 16)
+	c, _ := newTestCache(64)
 	sql := "SELECT count(*) FROM forest WHERE " + strings.Repeat("(A1 >= 2600 OR A2 < 40) AND ", 16) + "A3 = 1"
 	c.put(textKey(7, sql), okRes(5), nil)
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -113,7 +128,7 @@ func TestCacheGetAllocs(t *testing.T) {
 }
 
 func TestCacheUncacheableResults(t *testing.T) {
-	c, m := newTestCache(8, 1)
+	c, m := newTestCache(8)
 	ctx := context.Background()
 
 	calls := 0
@@ -139,7 +154,7 @@ func TestCacheUncacheableResults(t *testing.T) {
 }
 
 func TestCacheSingleflightCollapse(t *testing.T) {
-	c, m := newTestCache(8, 4)
+	c, m := newTestCache(8)
 	const followers = 8
 
 	var computes atomic.Int64
@@ -198,7 +213,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 // TestCacheFollowerCancellation: a follower whose own context dies must
 // unblock immediately instead of waiting for the leader's flush.
 func TestCacheFollowerCancellation(t *testing.T) {
-	c, _ := newTestCache(8, 1)
+	c, _ := newTestCache(8)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
@@ -225,7 +240,7 @@ func TestCacheFollowerCancellation(t *testing.T) {
 // deadline must not poison live followers with its context error — they
 // compute for themselves.
 func TestCacheLeaderCanceledFollowerRecomputes(t *testing.T) {
-	c, _ := newTestCache(8, 1)
+	c, _ := newTestCache(8)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	go c.do(context.Background(), ck("k"), nil, func() EstResult {
@@ -252,7 +267,7 @@ func TestCacheLeaderCanceledFollowerRecomputes(t *testing.T) {
 // leader died of the leader's own deadline stores what it computed, as the
 // leader would have, so the next request for the key is a hit.
 func TestCacheFollowerRecomputeIsCached(t *testing.T) {
-	c, m := newTestCache(8, 1)
+	c, m := newTestCache(8)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	leaderDone := make(chan struct{})
@@ -290,7 +305,7 @@ func TestCacheFollowerRecomputeIsCached(t *testing.T) {
 // under the request's own deadline — whose Done is armed only by that wait —
 // gives up with DeadlineExceeded at that deadline, not at the leader's pace.
 func TestCollapsedFollowerHonorsItsDeadline(t *testing.T) {
-	c, _ := newTestCache(8, 1)
+	c, _ := newTestCache(8)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
@@ -345,18 +360,10 @@ type listShard struct {
 }
 
 func newListCache(cfg CacheConfig, m *Metrics, keepQ bool) *listCache {
-	n := cfg.Shards
-	if n <= 0 {
-		n = 16
-	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
 	c := &listCache{
-		shards:  make([]*listShard, pow),
-		mask:    uint32(pow - 1),
-		perCap:  max(1, (cfg.Entries+pow-1)/pow),
+		shards:  make([]*listShard, cacheShards),
+		mask:    cacheShards - 1,
+		perCap:  max(1, (cfg.Entries+cacheShards-1)/cacheShards),
 		keepQ:   keepQ,
 		metrics: m,
 	}
@@ -491,71 +498,69 @@ func TestSlotLRUMatchesListLRU(t *testing.T) {
 	boom := errors.New("boom")
 	queries := []*sqlparse.Query{nil, {}, {}, {}}
 	for _, perCap := range []int{1, 2, 3, 8} {
-		for _, shards := range []int{1, 4} {
-			for _, keepQ := range []bool{false, true} {
-				name := fmt.Sprintf("perCap=%d/shards=%d/keepQ=%v", perCap, shards, keepQ)
-				cfg := CacheConfig{Entries: perCap * shards, Shards: shards}
-				gm, wm := newMetrics(), newMetrics()
-				got, want := newEstCache(cfg, gm, keepQ), newListCache(cfg, wm, keepQ)
-				if got.perCap != perCap || want.perCap != perCap {
-					t.Fatalf("%s: perCap %d / %d", name, got.perCap, want.perCap)
+		for _, keepQ := range []bool{false, true} {
+			name := fmt.Sprintf("perCap=%d/keepQ=%v", perCap, keepQ)
+			cfg := CacheConfig{Entries: perCap * cacheShards}
+			gm, wm := newMetrics(), newMetrics()
+			got, want := newEstCache(cfg, gm, keepQ), newListCache(cfg, wm, keepQ)
+			if got.perCap != perCap || want.perCap != perCap {
+				t.Fatalf("%s: perCap %d / %d", name, got.perCap, want.perCap)
+			}
+			rng := rand.New(rand.NewSource(int64(100 * perCap)))
+			keys := make([]cacheKey, 3*perCap*cacheShards+2)
+			for i := range keys {
+				keys[i] = ck(fmt.Sprint("q", i))
+			}
+			result := func() EstResult {
+				switch rng.Intn(8) {
+				case 0:
+					return EstResult{Err: boom}
+				case 1:
+					return EstResult{Estimate: 3, Stage: "sampling", Degraded: true}
+				default:
+					return okRes(float64(rng.Intn(1000)))
 				}
-				rng := rand.New(rand.NewSource(int64(100*perCap + shards)))
-				keys := make([]cacheKey, 3*perCap*shards+2)
-				for i := range keys {
-					keys[i] = ck(fmt.Sprint("q", i))
-				}
-				result := func() EstResult {
-					switch rng.Intn(8) {
-					case 0:
-						return EstResult{Err: boom}
-					case 1:
-						return EstResult{Estimate: 3, Stage: "sampling", Degraded: true}
-					default:
-						return okRes(float64(rng.Intn(1000)))
-					}
-				}
-				for step := 0; step < 4000; step++ {
-					key := keys[rng.Intn(len(keys))]
-					q := queries[rng.Intn(len(queries))]
-					switch rng.Intn(3) {
-					case 0:
-						gr, gq, gok := got.lookup(key)
-						wr, wq, wok := want.lookup(key)
-						if gr != wr || gq != wq || gok != wok {
-							t.Fatalf("%s step %d: lookup = %+v %p %v, want %+v %p %v", name, step, gr, gq, gok, wr, wq, wok)
-						}
-					case 1:
-						res := result()
-						got.put(key, res, q)
-						want.put(key, res, q)
-					case 2:
-						res := result()
-						gr := got.do(context.Background(), key, q, func() EstResult { return res })
-						wr := want.do(context.Background(), key, q, func() EstResult { return res })
-						if gr != wr {
-							t.Fatalf("%s step %d: do = %+v, want %+v", name, step, gr, wr)
-						}
-					}
-					if g, w := got.len(), want.len(); g != w {
-						t.Fatalf("%s step %d: len %d, want %d", name, step, g, w)
-					}
-					if g, w := gm.Snapshot(), wm.Snapshot(); g["cache_hits"] != w["cache_hits"] ||
-						g["cache_misses"] != w["cache_misses"] || g["cache_evictions"] != w["cache_evictions"] {
-						t.Fatalf("%s step %d: hits/misses/evictions %v/%v/%v, want %v/%v/%v", name, step,
-							g["cache_hits"], g["cache_misses"], g["cache_evictions"],
-							w["cache_hits"], w["cache_misses"], w["cache_evictions"])
-					}
-				}
-				if wm.cacheEvictions.Load() == 0 {
-					t.Errorf("%s: nothing was evicted; the sequence does not exercise the LRU", name)
-				}
-				for _, key := range keys {
+			}
+			for step := 0; step < 4000; step++ {
+				key := keys[rng.Intn(len(keys))]
+				q := queries[rng.Intn(len(queries))]
+				switch rng.Intn(3) {
+				case 0:
 					gr, gq, gok := got.lookup(key)
 					wr, wq, wok := want.lookup(key)
 					if gr != wr || gq != wq || gok != wok {
-						t.Errorf("%s: retained %+v %p %v, want %+v %p %v", name, gr, gq, gok, wr, wq, wok)
+						t.Fatalf("%s step %d: lookup = %+v %p %v, want %+v %p %v", name, step, gr, gq, gok, wr, wq, wok)
 					}
+				case 1:
+					res := result()
+					got.put(key, res, q)
+					want.put(key, res, q)
+				case 2:
+					res := result()
+					gr := got.do(context.Background(), key, q, func() EstResult { return res })
+					wr := want.do(context.Background(), key, q, func() EstResult { return res })
+					if gr != wr {
+						t.Fatalf("%s step %d: do = %+v, want %+v", name, step, gr, wr)
+					}
+				}
+				if g, w := got.len(), want.len(); g != w {
+					t.Fatalf("%s step %d: len %d, want %d", name, step, g, w)
+				}
+				if g, w := gm.Snapshot(), wm.Snapshot(); g["cache_hits"] != w["cache_hits"] ||
+					g["cache_misses"] != w["cache_misses"] || g["cache_evictions"] != w["cache_evictions"] {
+					t.Fatalf("%s step %d: hits/misses/evictions %v/%v/%v, want %v/%v/%v", name, step,
+						g["cache_hits"], g["cache_misses"], g["cache_evictions"],
+						w["cache_hits"], w["cache_misses"], w["cache_evictions"])
+				}
+			}
+			if wm.cacheEvictions.Load() == 0 {
+				t.Errorf("%s: nothing was evicted; the sequence does not exercise the LRU", name)
+			}
+			for _, key := range keys {
+				gr, gq, gok := got.lookup(key)
+				wr, wq, wok := want.lookup(key)
+				if gr != wr || gq != wq || gok != wok {
+					t.Errorf("%s: retained %+v %p %v, want %+v %p %v", name, gr, gq, gok, wr, wq, wok)
 				}
 			}
 		}

@@ -32,11 +32,11 @@ type CanaryConfig struct {
 	// MaxP95 is the absolute ceiling on the p95 q-error. 0 means the
 	// default 100.
 	MaxP95 float64
-	// Slack is how much worse than the incumbent (multiplicatively, on both
-	// median and p95) a candidate may be and still pass. 0 means the
-	// default 2.
-	Slack float64
 }
+
+// canarySlack is how much worse than the incumbent (multiplicatively, on both
+// median and p95) a candidate may be and still pass.
+const canarySlack = 2
 
 // canaryTimeout bounds one whole canary run.
 const canaryTimeout = 10 * time.Second
@@ -47,9 +47,6 @@ func (c CanaryConfig) withDefaults() CanaryConfig {
 	}
 	if c.MaxP95 <= 0 {
 		c.MaxP95 = 100
-	}
-	if c.Slack <= 0 {
-		c.Slack = 2
 	}
 	return c
 }
@@ -69,7 +66,7 @@ type CanaryResult struct {
 
 // RunCanary estimates cfg.Workload with est and scores it. incumbent, when
 // non-nil, is the canary result of the model the candidate would replace;
-// the candidate then additionally must stay within cfg.Slack of it. A
+// the candidate then additionally must stay within canarySlack of it. A
 // context cancellation mid-run fails the canary (a model too slow for its
 // canary budget is not fit to serve).
 func RunCanary(ctx context.Context, est estimator.Estimator, cfg CanaryConfig, incumbent *CanaryResult) CanaryResult {
@@ -107,10 +104,10 @@ func RunCanary(ctx context.Context, est estimator.Estimator, cfg CanaryConfig, i
 		res.Reason = fmt.Sprintf("median q-error %.3g exceeds ceiling %.3g", res.Median, cfg.MaxMedian)
 	case res.P95 > cfg.MaxP95:
 		res.Reason = fmt.Sprintf("p95 q-error %.3g exceeds ceiling %.3g", res.P95, cfg.MaxP95)
-	case incumbent != nil && res.Median > incumbent.Median*cfg.Slack:
-		res.Reason = fmt.Sprintf("median q-error %.3g regresses past incumbent %.3g × slack %.3g", res.Median, incumbent.Median, cfg.Slack)
-	case incumbent != nil && res.P95 > incumbent.P95*cfg.Slack:
-		res.Reason = fmt.Sprintf("p95 q-error %.3g regresses past incumbent %.3g × slack %.3g", res.P95, incumbent.P95, cfg.Slack)
+	case incumbent != nil && res.Median > incumbent.Median*canarySlack:
+		res.Reason = fmt.Sprintf("median q-error %.3g regresses past incumbent %.3g × slack %d", res.Median, incumbent.Median, canarySlack)
+	case incumbent != nil && res.P95 > incumbent.P95*canarySlack:
+		res.Reason = fmt.Sprintf("p95 q-error %.3g regresses past incumbent %.3g × slack %d", res.P95, incumbent.P95, canarySlack)
 	default:
 		res.Pass = true
 		res.Reason = fmt.Sprintf("median %.3g / p95 %.3g over %d queries", res.Median, res.P95, res.Queries)

@@ -31,8 +31,8 @@ import (
 // FeedbackEvent.SQL and Query after the response is written); keys, numbers and escapes are read in place and copied nowhere.
 
 // maxPooledBuf and maxPooledQueries bound what a pooled scratch may keep: a
-// request that needed more (a body near MaxBodyBytes, a batch near
-// MaxQueriesPerRequest) leaves its scratch to the garbage collector, so the
+// request that needed more (a body near maxBodyBytes, a batch near
+// maxQueriesPerRequest) leaves its reqScratch to the garbage collector, so the
 // pool's footprint is set by ordinary traffic and not by the largest request
 // ever seen.
 const (

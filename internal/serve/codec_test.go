@@ -427,16 +427,16 @@ func TestServedBytesAreJSONEncoderBytes(t *testing.T) {
 	}
 }
 
-// TestOversizeBodyIs413: a body past MaxBodyBytes is too large, not
+// TestOversizeBodyIs413: a body past maxBodyBytes is too large, not
 // malformed — the same status the batch-size limit answers with.
 func TestOversizeBodyIs413(t *testing.T) {
-	srv := newStubServer(t, constEst(1), func(c *Config) { c.MaxBodyBytes = 64 })
-	body := `{"sql":"` + stubSQL + ` AND b = 1 AND c = 2 AND d = 3 AND e = 4"}`
+	srv := newStubServer(t, constEst(1), nil)
+	body := `{"sql":"` + stubSQL + strings.Repeat(" ", maxBodyBytes) + `"}`
 	code, resp := rawPost(t, srv.Handler(), "/v1/estimate", []byte(body))
 	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("a %d-byte body against a 64-byte limit: status %d (%v), want 413", len(body), code, resp)
+		t.Fatalf("a %d-byte body against a %d-byte limit: status %d (%v), want 413", len(body), maxBodyBytes, code, resp)
 	}
-	if msg, _ := resp["error"].(string); !strings.Contains(msg, "64") {
+	if msg, _ := resp["error"].(string); !strings.Contains(msg, "1048576") {
 		t.Errorf("error %q does not name the limit", msg)
 	}
 	if code, _ := rawPost(t, srv.Handler(), "/v1/estimate", []byte(`{"sql":"`+stubSQL+`"}`)); code != http.StatusOK {
@@ -461,20 +461,29 @@ func TestTightenedBodiesAre400(t *testing.T) {
 
 // TestDeadlineIsAnchoredAtEntry: the deadline context is built late, only
 // when something is about to be estimated, but counts from the handler's
-// entry; without a timeout there is no context to build at all.
+// entry, capped at 30 s however large a timeoutMs the client sends; without
+// a timeout there is no context to build at all.
 func TestDeadlineIsAnchoredAtEntry(t *testing.T) {
-	srv := newStubServer(t, constEst(1), func(c *Config) {
-		c.DefaultTimeout = 100 * time.Millisecond
-		c.MaxTimeout = time.Second
-	})
+	srv := newStubServer(t, constEst(1), func(c *Config) { c.DefaultTimeout = 100 * time.Millisecond })
 	entry := time.Now().Add(-40 * time.Millisecond) // the handler was entered 40 ms ago
 	for _, c := range []struct {
 		timeoutMS int64
 		want      time.Duration
-	}{{0, 100 * time.Millisecond}, {-5, 100 * time.Millisecond}, {250, 250 * time.Millisecond}, {5000, time.Second}} {
+	}{
+		{0, 100 * time.Millisecond}, {-5, 100 * time.Millisecond}, {250, 250 * time.Millisecond},
+		{5000, 5 * time.Second}, {60_000, 30 * time.Second},
+		// Past these the milliseconds overflow a Duration: the first and the
+		// largest wrap to a negative budget (no deadline at all), the last to
+		// 448 µs.
+		{9_223_372_036_855, 30 * time.Second}, {math.MaxInt64, 30 * time.Second}, {18_446_744_073_710, 30 * time.Second},
+	} {
 		if got := srv.deadlineFrom(entry, c.timeoutMS); !got.Equal(entry.Add(c.want)) {
 			t.Errorf("timeoutMs %d: deadline %v after entry, want %v", c.timeoutMS, got.Sub(entry), c.want)
 		}
+	}
+	slow := newStubServer(t, constEst(1), func(c *Config) { c.DefaultTimeout = time.Minute })
+	if got := slow.deadlineFrom(entry, 0); !got.Equal(entry.Add(30 * time.Second)) {
+		t.Errorf("a one-minute server default: deadline %v after entry, want the 30 s cap", got.Sub(entry))
 	}
 	parent := context.WithValue(context.Background(), struct{}{}, 1)
 	ctx, cancel := deadline{parent: parent, at: srv.deadlineFrom(entry, 0)}.context()
@@ -589,12 +598,12 @@ func TestEstimateMissAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector defeats sync.Pool")
 	}
-	db, singles, _ := benchBodies(t, 64)
+	db, singles, _ := benchBodies(t, 128)
 	chain := resilience.NewResilient(resilience.Config{LastResort: resilience.Constant{Value: 1}},
 		resilience.Stage{Est: ctxConstEst(77)})
 	srv := cachedServer(t, chain, func(c *Config) {
 		c.DB = db
-		c.Cache = CacheConfig{Entries: 8, Shards: 1} // 64 keys in turn through 8 slots: every request misses
+		c.Cache = CacheConfig{Entries: cacheShards} // 128 keys in turn through one slot per shard: every request misses
 		c.DefaultTimeout = 100 * time.Millisecond
 	})
 	got := handlerAllocs(t, srv.Handler(), singles)
@@ -606,8 +615,8 @@ func TestEstimateMissAllocs(t *testing.T) {
 	if hits := m["cache_hits"].(int64); hits != 0 {
 		t.Errorf("cache_hits = %d, want 0: every counted request must have been a miss", hits)
 	}
-	if ev, misses := m["cache_evictions"].(int64), m["cache_misses"].(int64); ev != misses-8 {
-		t.Errorf("cache_evictions = %d over %d misses, want every miss past the first 8 to evict", ev, misses)
+	if ev, misses := m["cache_evictions"].(int64), m["cache_misses"].(int64); ev != misses-cacheShards {
+		t.Errorf("cache_evictions = %d over %d misses, want every miss past the first %d to evict", ev, misses, cacheShards)
 	}
 }
 
@@ -732,7 +741,7 @@ func TestConcurrentRequestsShareNoScratch(t *testing.T) {
 	}
 	srv := newStubServer(t, textEst{}, func(c *Config) {
 		c.DB = db
-		c.Cache = CacheConfig{Entries: 16, Shards: 2}
+		c.Cache = CacheConfig{Entries: 16}
 		c.Batcher.Workers = 2
 		c.Feedback = func(FeedbackEvent) {}
 	})

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"qfe/internal/clock"
 	"qfe/internal/core"
 	"qfe/internal/journal"
 	"qfe/internal/replay"
@@ -28,18 +29,11 @@ import (
 // second test pins the shed-not-block contract with the journal wired into
 // the serving feedback path.
 
-// journalTestOptions: all flushing is driven by explicit Sync calls so the
-// fault-injection op ordinals are deterministic.
+// journalTestOptions: on a fake clock only the test advances, all flushing is
+// driven by explicit Sync calls so the fault-injection op ordinals are
+// deterministic.
 func journalTestOptions(fsys store.FS) journal.Options {
-	return journal.Options{
-		SegmentBytes: 1 << 30,
-		SegmentAge:   -1,
-		Retain:       -1,
-		Queue:        256,
-		FlushBatch:   4096,
-		FlushEvery:   time.Hour,
-		FS:           fsys,
-	}
+	return journal.Options{SegmentBytes: 1 << 30, Retain: -1, FS: fsys, Clock: clock.NewFake(time.Unix(1_700_000_000, 0))}
 }
 
 // journalFeedback adapts serve feedback events into journal records exactly
@@ -201,10 +195,10 @@ func (w *wedgeFS) AppendFile(path string, data []byte) error {
 
 func TestJournalWedgedDiskShedsNotBlocks(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
+	const queueCap = 1024 // the journal's staging bound
 	fsys := &wedgeFS{FS: store.OSFS(), entered: make(chan struct{}, 16), gate: make(chan struct{})}
 	opts := journalTestOptions(fsys)
-	opts.Queue = 1
-	opts.FlushBatch = 1
+	clk := opts.Clock.(*clock.Fake)
 	jnl, err := journal.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -224,12 +218,15 @@ func TestJournalWedgedDiskShedsNotBlocks(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// First request parks the writer inside the wedged AppendFile.
+	// The first request's record is the flush timer's to commit, which parks
+	// the writer inside the wedged AppendFile; then staging fills up.
 	postEstimate(t, ts.URL, 0)
-	select {
-	case <-fsys.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("journal writer never reached the disk")
+	clk.Advance(time.Minute)
+	<-fsys.entered
+	for i := 0; i < queueCap; i++ {
+		if !jnl.Append(journal.Record{SQL: e2eSQL(100 + i)}) {
+			t.Fatalf("append %d of %d into empty staging shed", i, queueCap)
+		}
 	}
 	// Every further request must be served promptly — the journal sheds;
 	// serving latency must not inherit the disk's.
@@ -241,11 +238,8 @@ func TestJournalWedgedDiskShedsNotBlocks(t *testing.T) {
 		t.Fatalf("8 estimates over a wedged journal took %v; feedback must shed, not block", elapsed)
 	}
 	s := jnl.Stats()
-	if s.Shed == 0 {
-		t.Fatalf("stats = %+v, want sheds recorded while the disk hangs", s)
-	}
-	if s.Appended+s.Shed != 9 {
-		t.Fatalf("stats = %+v, want all 9 feedback events accounted (appended+shed)", s)
+	if s.Shed != 8 || s.Appended != queueCap+1 {
+		t.Fatalf("stats = %+v, want the 8 events past a full staging queue shed", s)
 	}
 	release() // disk recovers; whatever was accepted drains without loss
 	if err := jnl.Sync(); err != nil {

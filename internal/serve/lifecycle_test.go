@@ -85,7 +85,7 @@ func newLifecycle(tb testing.TB, dir string, canary CanaryConfig, db *table.DB) 
 // looseCanary passes any roughly-sane trained model but fails the poisoned
 // one by orders of magnitude.
 func looseCanary(ws workload.Set) CanaryConfig {
-	return CanaryConfig{Workload: ws, MaxMedian: 1_000, MaxP95: 100_000, Slack: 1e9}
+	return CanaryConfig{Workload: ws, MaxMedian: 1_000, MaxP95: 100_000}
 }
 
 // ---- canary gate ----

@@ -42,7 +42,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -69,18 +68,9 @@ type Config struct {
 	// MaxInFlight bounds concurrent estimate requests; excess is shed with
 	// 429. Default 64.
 	MaxInFlight int
-	// RetryAfter is the hint sent with 429 responses. Default 1s.
-	RetryAfter time.Duration
 	// DefaultTimeout bounds each request's estimation when the request
 	// itself asks for nothing tighter. Zero means no implicit deadline.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested timeouts. Default 30s.
-	MaxTimeout time.Duration
-	// MaxQueriesPerRequest bounds client batch size (413 past it).
-	// Default 256.
-	MaxQueriesPerRequest int
-	// MaxBodyBytes bounds request bodies. Default 1 MiB.
-	MaxBodyBytes int64
 	// ModelRoot, when set, confines POST /v1/models/load to snapshots under
 	// this directory: relative paths resolve against it, and any path that
 	// escapes it (via ".." or an absolute path elsewhere) is refused with
@@ -111,24 +101,13 @@ type Config struct {
 	StatusPages map[string]func() any
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxInFlight < 1 {
-		c.MaxInFlight = 64
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
-	}
-	if c.MaxQueriesPerRequest < 1 {
-		c.MaxQueriesPerRequest = 256
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	return c
-}
+// The request limits every server enforces.
+const (
+	retryAfter           = "1"              // the Retry-After header of a 429, in whole seconds
+	maxTimeout           = 30 * time.Second // caps a request's "timeoutMs" and the server default
+	maxQueriesPerRequest = 256              // a client batch past it is a 413
+	maxBodyBytes         = 1 << 20          // a request body past it is a 413
+)
 
 // Server wires the registry, estimate cache, admission control, and metrics
 // behind an http.Handler. Create with New, expose via Handler, stop with
@@ -149,7 +128,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("serve: Config.Registry is required")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.MaxInFlight < 1 {
+		cfg.MaxInFlight = 64
+	}
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
@@ -325,7 +306,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	if !s.limiter.tryAcquire() {
 		s.metrics.shed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "at capacity (%d requests in flight); retry later", s.limiter.capacity())
 		return
 	}
@@ -336,7 +317,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 	sc := scratchPool.Get().(*reqScratch)
 	defer sc.release()
-	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
@@ -362,8 +343,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, `"actual" must be a finite number`)
 		return
 	}
-	if len(req.Queries) > s.cfg.MaxQueriesPerRequest {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d queries exceeds the %d-query limit", len(req.Queries), s.cfg.MaxQueriesPerRequest)
+	if len(req.Queries) > maxQueriesPerRequest {
+		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d queries exceeds the %d-query limit", len(req.Queries), maxQueriesPerRequest)
 		return
 	}
 
@@ -522,19 +503,6 @@ func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, info ModelI
 	}
 }
 
-// retryAfterSeconds renders the Retry-After hint: the configured duration
-// rounded up to whole seconds and clamped to >= 1. The naive truncation it
-// replaces rendered sub-second durations as "Retry-After: 0", which invites
-// every shed client to retry immediately — a thundering herd aimed at a
-// server that just declared itself at capacity.
-func retryAfterSeconds(d time.Duration) int {
-	secs := (d + time.Second - 1) / time.Second
-	if secs < 1 {
-		secs = 1
-	}
-	return int(secs)
-}
-
 // finiteActual vets a client-reported true cardinality at the ingestion
 // edge. Absent (nil) and negative values are fine — they mean "no
 // feedback" — but NaN and ±Inf are malformed.
@@ -587,17 +555,16 @@ func (dl deadline) context() (context.Context, context.CancelFunc) {
 	return resilience.WithDeadline(dl.parent, dl.at)
 }
 
-// deadlineFrom places the estimation deadline: the client's timeoutMs
-// (capped at MaxTimeout) or the server default, counted from the handler's
-// entry — building the context late must not lengthen the budget.
+// deadlineFrom places the estimation deadline: the client's timeoutMs or the
+// server default, capped at maxTimeout, counted from the handler's entry —
+// building the context late must not lengthen the budget. timeoutMs is capped
+// before it becomes a Duration: past ~2^63 ns the product wraps around.
 func (s *Server) deadlineFrom(entry time.Time, timeoutMS int64) time.Time {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
+		d = time.Duration(min(timeoutMS, maxTimeout.Milliseconds())) * time.Millisecond
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
+	d = min(d, maxTimeout)
 	if d <= 0 {
 		return time.Time{}
 	}
@@ -650,7 +617,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loadRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -772,7 +739,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req rollbackRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return

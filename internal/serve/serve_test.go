@@ -257,7 +257,6 @@ func TestEstimateBatch(t *testing.T) {
 func TestEstimateValidation(t *testing.T) {
 	var fed atomic.Int64 // what the journal would have been handed
 	srv := newStubServer(t, constEst(1), func(c *Config) {
-		c.MaxQueriesPerRequest = 2
 		c.Cache = CacheConfig{Entries: 16}
 		c.Feedback = func(FeedbackEvent) { fed.Add(1) }
 	})
@@ -296,9 +295,11 @@ func TestEstimateValidation(t *testing.T) {
 		}
 	})
 	t.Run("batch too large", func(t *testing.T) {
-		code, _ := postJSON(t, h, "/v1/estimate", map[string]any{
-			"queries": []map[string]any{{"sql": stubSQL}, {"sql": stubSQL}, {"sql": stubSQL}},
-		})
+		items := make([]map[string]any, maxQueriesPerRequest+1)
+		for i := range items {
+			items[i] = map[string]any{"sql": stubSQL}
+		}
+		code, _ := postJSON(t, h, "/v1/estimate", map[string]any{"queries": items})
 		if code != http.StatusRequestEntityTooLarge {
 			t.Errorf("status %d, want 413", code)
 		}
@@ -435,7 +436,6 @@ func TestAdmissionControl(t *testing.T) {
 	est := &blockingEst{started: make(chan struct{}), release: make(chan struct{})}
 	srv := newStubServer(t, est, func(c *Config) {
 		c.MaxInFlight = 2
-		c.RetryAfter = 3 * time.Second
 	})
 	h := srv.Handler()
 
@@ -461,8 +461,8 @@ func TestAdmissionControl(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("third request: status %d, want 429", rec.Code)
 	}
-	if ra := rec.Header().Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want %q", ra, "3")
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want %q", ra, "1")
 	}
 
 	close(est.release)
@@ -656,39 +656,13 @@ func TestHotSwapEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRetryAfterSeconds: the Retry-After header takes integer seconds; any
-// positive configured delay must round up and never render as 0 (which
-// clients read as "retry immediately", regression for sub-second configs).
-func TestRetryAfterSeconds(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want int
-	}{
-		{0, 1},
-		{time.Nanosecond, 1},
-		{50 * time.Millisecond, 1},
-		{999 * time.Millisecond, 1},
-		{time.Second, 1},
-		{1001 * time.Millisecond, 2},
-		{1500 * time.Millisecond, 2},
-		{2 * time.Second, 2},
-		{90 * time.Second, 90},
-	}
-	for _, c := range cases {
-		if got := retryAfterSeconds(c.d); got != c.want {
-			t.Errorf("retryAfterSeconds(%v) = %d, want %d", c.d, got, c.want)
-		}
-	}
-}
-
-// TestShedSetsUsableRetryAfter: end to end, a shed request under a
-// sub-second RetryAfter config must carry a parseable, nonzero header.
+// TestShedSetsUsableRetryAfter: end to end, a shed request must carry a
+// parseable, nonzero header: "Retry-After: 0" invites every shed client to
+// retry at once, a thundering herd aimed at a server that just declared
+// itself at capacity.
 func TestShedSetsUsableRetryAfter(t *testing.T) {
 	est := &blockingEst{started: make(chan struct{}), release: make(chan struct{})}
-	srv := newStubServer(t, est, func(cfg *Config) {
-		cfg.MaxInFlight = 1
-		cfg.RetryAfter = 250 * time.Millisecond
-	})
+	srv := newStubServer(t, est, func(cfg *Config) { cfg.MaxInFlight = 1 })
 	h := srv.Handler()
 
 	done := make(chan struct{})

@@ -83,9 +83,7 @@ const (
 	// manifestFormat guards MANIFEST.json compatibility.
 	manifestFormat = 1
 
-	// DefaultRetain is how many valid generations a Put keeps when
-	// Options.Retain is zero.
-	DefaultRetain = 5
+	retain = 5 // newest valid generations the GC after each successful Put keeps
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -131,21 +129,15 @@ type RecoveryReport struct {
 
 // Options configures a store.
 type Options struct {
-	// Retain is how many newest valid generations survive the GC that runs
-	// after each successful Put. 0 means DefaultRetain; negative keeps all.
-	Retain int
 	// FS overrides the filesystem (fault injection); nil means the real one.
 	FS FS
-	// Now overrides the clock stamped into manifests; nil means time.Now.
-	Now func() time.Time
 }
 
 // Store is a handle on one store directory. It is safe for concurrent use;
 // writers serialize internally.
 type Store struct {
-	dir  string
-	fs   FS
-	opts Options
+	dir string
+	fs  FS
 
 	mu     sync.Mutex
 	gens   []Generation // valid generations, ascending by number
@@ -163,13 +155,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if fsys == nil {
 		fsys = OSFS()
 	}
-	if opts.Retain == 0 {
-		opts.Retain = DefaultRetain
-	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
-	s := &Store{dir: dir, fs: fsys, opts: opts, next: 1}
+	s := &Store{dir: dir, fs: fsys, next: 1}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
@@ -286,7 +272,7 @@ func (s *Store) Put(name, kind, note string, payload []byte) (Generation, error)
 		Generation:   n,
 		Name:         name,
 		Kind:         kind,
-		CreatedUnix:  s.opts.Now().Unix(),
+		CreatedUnix:  time.Now().Unix(),
 		PayloadBytes: len(payload),
 		CRC32:        crc32.Checksum(payload, crcTable),
 		Note:         note,
@@ -391,10 +377,10 @@ func (s *Store) Quarantine(number uint64) error {
 // gc removes generations beyond the retention horizon (called with s.mu
 // held, best-effort: a failed removal is retried implicitly next time).
 func (s *Store) gc() {
-	if s.opts.Retain < 0 || len(s.gens) <= s.opts.Retain {
+	if len(s.gens) <= retain {
 		return
 	}
-	cut := len(s.gens) - s.opts.Retain
+	cut := len(s.gens) - retain
 	for _, g := range s.gens[:cut] {
 		if err := s.fs.RemoveAll(filepath.Join(s.dir, genDirName(g.Number))); err != nil {
 			return // keep the suffix intact; retry on a later Put

@@ -157,17 +157,18 @@ func TestTruncatedSnapshotRejected(t *testing.T) {
 }
 
 func TestRetentionGC(t *testing.T) {
+	const kept = 5 // the store's retention horizon
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Retain: 2})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 5; i++ {
+	for i := 1; i <= kept+2; i++ {
 		mustPut(t, s, fmt.Sprintf("payload-%d", i))
 	}
 	gens := s.Generations()
-	if len(gens) != 2 || gens[0].Number != 4 || gens[1].Number != 5 {
-		t.Fatalf("generations after GC = %+v, want [4 5]", gens)
+	if len(gens) != kept || gens[0].Number != 3 || gens[kept-1].Number != kept+2 {
+		t.Fatalf("generations after GC = %+v, want [3 .. %d]", gens, kept+2)
 	}
 	names, err := os.ReadDir(dir)
 	if err != nil {
@@ -177,18 +178,18 @@ func TestRetentionGC(t *testing.T) {
 	for _, e := range names {
 		dirs = append(dirs, e.Name())
 	}
-	if len(dirs) != 2 {
-		t.Errorf("on-disk dirs = %v, want exactly the 2 retained", dirs)
+	if len(dirs) != kept {
+		t.Errorf("on-disk dirs = %v, want exactly the %d retained", dirs, kept)
 	}
 
 	// Numbers keep climbing after GC and reopen: no reuse, ever.
-	s2, err := Open(dir, Options{Retain: 2})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := mustPut(t, s2, "payload-6")
-	if g.Number != 6 {
-		t.Errorf("generation after reopen = %d, want 6", g.Number)
+	g := mustPut(t, s2, "payload-8")
+	if g.Number != kept+3 {
+		t.Errorf("generation after reopen = %d, want %d", g.Number, kept+3)
 	}
 }
 
