@@ -160,6 +160,16 @@ ci:
 	! for t in serve.Config serve.CacheConfig serve.CanaryConfig resilience.Config journal.Options store.Options; do $(GO) doc -u qfe/internal/$$t; done | grep -E '^\s+(RetryAfter|MaxTimeout|MaxQueriesPerRequest|MaxBodyBytes|Shards|Slack|Breaker|FailureThreshold|Cooldown|HalfOpenProbes|DefaultEstimate|SegmentAge|Queue|FlushBatch|FlushEvery|Now)\s'
 	! $(GO) doc -u qfe/internal/store.Options | grep -E '^\s+Retain\s'
 	! grep -rn 'BreakerConfig' --include='*.go' internal cmd
+# Guard 16, snapshot bytes are the only way in: the lifecycle decodes every
+# model it admits, in its one admit step, so the load endpoint, the daemon's
+# -load and its boot model hand it bytes and decode nothing themselves, and no
+# caller can hand it a model, or a kind that disagrees with the bytes. The
+# decoder alone decides the kind: the store's manifest records none.
+	! grep -rn 'LoadEstimator(' --include='*.go' internal/serve cmd/cardestd | grep -vE '_test\.go:|^internal/serve/lifecycle\.go:'
+	! grep -rn 'LoadEstimator(' --include='*.go' cmd/cardestd
+	test "$$(grep -c 'LoadEstimator(' internal/serve/lifecycle.go)" = 1
+	! $(GO) doc -u qfe/internal/serve.PublishSpec | grep -E '^\s+(Est|Kind)\s'
+	! $(GO) doc -u qfe/internal/store.Manifest | grep -E '^\s+Kind\s'
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

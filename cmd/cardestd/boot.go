@@ -134,9 +134,10 @@ func boot(o options, out io.Writer) (*booted, error) {
 			}
 			fmt.Fprintf(out, "saved boot snapshot to %s\n", o.save)
 		}
+		// What serves is what -save wrote and what a restart recovers: the
+		// lifecycle decodes these bytes like any other snapshot's.
 		pub, err := b.lc.Publish(context.Background(), serve.PublishSpec{
-			Name: "boot", Est: loc, Kind: estimator.KindLocal, Source: "boot",
-			Snapshot: snap.Bytes(), MakeDefault: true,
+			Name: "boot", Source: "boot", Snapshot: snap.Bytes(), MakeDefault: true,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("boot model: %w", err)
@@ -154,20 +155,16 @@ func boot(o options, out io.Writer) (*booted, error) {
 }
 
 // load publishes the snapshot at path under name as POST /v1/models/load
-// publishes one. Under -store that is through the canary gate, persisted as a
-// store generation, and — made the default — the model a rollback manages. A
-// snapshot the canary refuses is the error, with the canary's reason.
+// publishes one. Under -store that is through the canary gate and — made the
+// default — persisted as a store generation, the model a rollback manages. A
+// snapshot that does not decode, or that the canary refuses, is the error.
 func (b *booted) load(name, path string, makeDefault bool, out io.Writer) error {
 	snap, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	est, kind, err := estimator.LoadEstimator(bytes.NewReader(snap), b.db)
-	if err != nil {
-		return err
-	}
 	pub, err := b.lc.Publish(context.Background(), serve.PublishSpec{
-		Name: name, Est: est, Kind: kind, Source: path, Snapshot: snap, MakeDefault: makeDefault,
+		Name: name, Source: path, Snapshot: snap, MakeDefault: makeDefault,
 	})
 	if err != nil {
 		return err

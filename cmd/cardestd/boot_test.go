@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"qfe/internal/serve"
+	"qfe/internal/store"
 	"qfe/internal/testutil"
 )
 
@@ -164,6 +165,48 @@ func TestCanaryRefresherNeedsALifecycle(t *testing.T) {
 				t.Errorf("canary refreshed = %v with store = %v:\n%s", refreshed, withStore, out.String())
 			}
 		})
+	}
+}
+
+// TestBootVerdictsAreCounted: the lifecycle judges models at boot, before the
+// server exists, and /metrics counts those verdicts too. Here the store holds
+// a generation whose bytes decode to no model: recovery quarantines it, the
+// boot model is trained and admitted by the canary. The server used to bind
+// its own counters only when it was built, so this daemon's /v1/models showed
+// the boot model's passing canary while /metrics read canary_pass_total 0 and
+// quarantined_total 0.
+func TestBootVerdictsAreCounted(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	o := tinyOptions(t)
+	o.storeDir = filepath.Join(t.TempDir(), "store")
+	o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e6, 1e9
+	st, err := store.Open(o.storeDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put("boot", "", []byte("not a snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	b, err := boot(o, &out)
+	if err != nil {
+		t.Fatalf("boot: %v\n%s", err, out.String())
+	}
+	d, err := arm(b, o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	rec := httptest.NewRecorder()
+	d.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var m map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]float64{"canary_pass_total": 1, "canary_fail_total": 0, "quarantined_total": 1, "store_generation": 2} {
+		if m[key] != want {
+			t.Errorf("/metrics %s = %v, want %v\nboot log:\n%s", key, m[key], want, out.String())
+		}
 	}
 }
 

@@ -19,27 +19,32 @@
 //	         [-journal-retention 8]
 //
 // Without -load, the daemon builds the synthetic forest database and trains
-// a model at boot (same flags as cardest), registered as "boot". With
-// -load, each name=path pair is restored via the persistence layer (local
-// snapshots, the one kind any binary writes); the database is still built so
-// string literals bind and snapshots schema-validate; each pair is published
-// like any other model (below), and the first, or -default, is made the
-// default. Further models can be loaded at runtime via POST /v1/models/load
-// without dropping in-flight requests. Every model, whichever way it comes,
-// reaches the registry through the one lifecycle (internal/serve).
+// a model at boot (same flags as cardest), published as "boot" in the bytes
+// -save writes. With -load, each name=path pair is read and published as it
+// is (local snapshots, the one kind any binary writes); the database is still
+// built so string literals bind and snapshots schema-validate, and the first,
+// or -default, is made the default. Further models can be loaded at runtime
+// via POST /v1/models/load without dropping in-flight requests. Every model,
+// whichever way it comes, reaches the registry as snapshot bytes through the
+// one lifecycle (internal/serve), which decodes each one itself: what the
+// daemon serves is what -save wrote and what a restart recovers.
 //
 // -store gives that lifecycle a crash-safe store (see internal/store and
-// internal/serve): admitted models are persisted as checksummed, fsync'd
-// generations under the directory; at boot the newest valid generation is
-// recovered instead of retraining (torn or corrupt generations are
-// quarantined and skipped); every publish — boot, recovery, or
-// POST /v1/models/load — must clear a canary gate over -canary held-out
-// labeled queries (median/p95 q-error ceilings -canary-median/-canary-p95,
-// rejected loads get 409). A model is judged once, at that gate: nothing
+// internal/serve) and a canary workload of -canary held-out labeled queries:
+// every publish — boot, recovery, a -load pair or POST /v1/models/load — must
+// clear the canary gate (median/p95 q-error ceilings -canary-median and
+// -canary-p95; rejected loads get 409), and each admitted default is persisted
+// as a checksummed, fsync'd generation under the directory. A model published
+// beside the default (a -load pair that is not the default, a load without
+// "default") is judged and served but not persisted, so the store holds only
+// defaults and a rollback or restart returns to one. At boot the newest valid
+// generation is recovered instead of retraining (torn or corrupt generations
+// are quarantined and skipped). A model is judged once, at that gate: nothing
 // alters it after it is published, so there is nothing to re-probe.
 // POST /v1/models/rollback quarantines the live generation and rolls the
 // registry back to the previous good one. Without -store there is no canary
-// workload (every model is admitted) and rollback answers 501.
+// workload (-canary and its ceilings do nothing; every model is admitted) and
+// rollback answers 501.
 //
 // POST /v1/models/load is confined to -model-root (default: the -store
 // directory, else the working directory): paths that escape it via ".." or
@@ -188,7 +193,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty disables)")
 	fs.IntVar(&o.cacheEntries, "cache-entries", 4096, "estimate cache capacity, keyed on (generation, query text): a repeated text is answered before the parse; 0 disables the cache, so every request pays parse+featurize+inference; under -journal an entry also retains the bound AST of its miss (~2.4 KB, ~9 MB for a full 4096-entry cache)")
 	fs.StringVar(&o.storeDir, "store", "", "crash-safe model store directory (enables canary-gated publishes, recovery, and rollback)")
-	fs.IntVar(&o.canaryN, "canary", 200, "held-out labeled queries for the canary gate (0 disables the gate)")
+	fs.IntVar(&o.canaryN, "canary", 200, "held-out labeled queries for the canary gate under -store (0 disables the gate; without -store there is none)")
 	fs.Float64Var(&o.canaryMedian, "canary-median", 10, "canary ceiling on median q-error")
 	fs.Float64Var(&o.canaryP95, "canary-p95", 100, "canary ceiling on p95 q-error")
 	fs.StringVar(&o.modelRoot, "model-root", "", "directory POST /v1/models/load may read snapshots from (default: -store dir, else the working directory)")

@@ -213,10 +213,10 @@ func TestRunScoresEveryStoreGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Put("boot", "local", "", boot); err != nil {
+	if _, err := st.Put("boot", "", boot); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Put("retrained", "local", "", trainSnapshot(t, db, set, 2)); err != nil {
+	if _, err := st.Put("retrained", "", trainSnapshot(t, db, set, 2)); err != nil {
 		t.Fatal(err)
 	}
 

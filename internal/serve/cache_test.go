@@ -711,8 +711,9 @@ func TestServerCacheSingleflightE2E(t *testing.T) {
 // answered by the new model — no explicit invalidation call anywhere.
 func TestCachePublishInvalidates(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
+	db, canaryWS, good, other := lifecycleEnv(t)
 	reg := NewRegistry()
-	lc, err := NewLifecycle(LifecycleConfig{Registry: reg, Canary: looseCanary(canarySet(t, 20, 100))})
+	lc, err := NewLifecycle(LifecycleConfig{Registry: reg, DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -728,32 +729,41 @@ func TestCachePublishInvalidates(t *testing.T) {
 	h := srv.Handler()
 	ctx := context.Background()
 
-	publish := func(est estimator.Estimator) {
+	probe := canaryWS[0].Query
+	publish := func(loc *estimator.Local) float64 {
 		t.Helper()
-		if _, err := lc.Publish(ctx, PublishSpec{Name: "live", Est: est, Kind: "stub", MakeDefault: true}); err != nil {
+		if _, err := lc.Publish(ctx, PublishSpec{Name: "live", Snapshot: snapshotBytes(t, loc), MakeDefault: true}); err != nil {
 			t.Fatal(err)
 		}
+		want, err := loc.Estimate(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
 	}
 	estimate := func() float64 {
 		t.Helper()
-		code, body := postJSON(t, h, "/v1/estimate", map[string]any{"sql": stubSQL})
+		code, body := postJSON(t, h, "/v1/estimate", map[string]any{"sql": probe.String()})
 		if code != http.StatusOK {
 			t.Fatalf("POST: %d %v", code, body)
 		}
 		return body["estimate"].(float64)
 	}
 
-	publish(constEst(100))
-	if got := estimate(); got != 100 {
-		t.Fatalf("v1 estimate = %v, want 100", got)
+	v1 := publish(good)
+	if got := estimate(); got != v1 {
+		t.Fatalf("v1 estimate = %v, want %v", got, v1)
 	}
-	if got := estimate(); got != 100 {
-		t.Fatalf("v1 cached estimate = %v, want 100", got)
+	if got := estimate(); got != v1 {
+		t.Fatalf("v1 cached estimate = %v, want %v", got, v1)
 	}
 
-	publish(constEst(200))
-	if got := estimate(); got != 200 {
-		t.Fatalf("estimate after publish = %v, want the new model's 200 — the cache served a stale generation", got)
+	v2 := publish(other)
+	if v2 == v1 {
+		t.Fatal("the two models agree on the probe: the test cannot tell them apart")
+	}
+	if got := estimate(); got != v2 {
+		t.Fatalf("estimate after publish = %v, want the new model's %v — the cache served a stale generation", got, v2)
 	}
 	m := srv.Metrics()
 	if h2, mi := m.cacheHits.Load(), m.cacheMisses.Load(); h2 != 1 || mi != 2 {
@@ -780,10 +790,7 @@ func TestCacheRollbackInvalidates(t *testing.T) {
 	h := srv.Handler()
 	ctx := context.Background()
 
-	spec := PublishSpec{
-		Name: "live", Est: good, Kind: "local",
-		Snapshot: snapshotBytes(t, good), MakeDefault: true,
-	}
+	spec := PublishSpec{Name: "live", Snapshot: snapshotBytes(t, good), MakeDefault: true}
 	if _, err := lc.Publish(ctx, spec); err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"qfe/internal/resilience/faultinject"
 	"qfe/internal/store"
 	"qfe/internal/testutil"
+	"qfe/internal/workload"
 )
 
 // This file is the acceptance test for the feedback-journal subsystem: real
@@ -53,22 +54,38 @@ func journalFeedback(jnl *journal.Journal) func(FeedbackEvent) {
 	}
 }
 
-func e2eSQL(i int) string { return fmt.Sprintf("SELECT count(*) FROM t WHERE a >= %d", i) }
+// e2eTraffic is the test's traffic: 16 forest queries of at least one row,
+// none of them in lifecycleEnv's training or canary split, each sent once with
+// its true cardinality as the actual.
+func e2eTraffic(tb testing.TB) workload.Set {
+	tb.Helper()
+	_, set := testEnv(tb)
+	var traffic workload.Set
+	for _, l := range set[700:] {
+		if l.Card >= 1 && len(traffic) < 16 {
+			traffic = append(traffic, l)
+		}
+	}
+	if len(traffic) < 16 {
+		tb.Fatalf("only %d non-empty queries to send", len(traffic))
+	}
+	return traffic
+}
 
 // postEstimate fires one estimate with an actual over a real TCP listener.
-func postEstimate(t *testing.T, url string, i int) {
+func postEstimate(t *testing.T, url string, l workload.Labeled) {
 	t.Helper()
-	body, err := json.Marshal(map[string]any{"sql": e2eSQL(i), "actual": i + 1})
+	body, err := json.Marshal(map[string]any{"sql": l.Query.String(), "actual": l.Card})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(url+"/v1/estimate", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("estimate %d over the listener: %v", i, err)
+		t.Fatalf("estimate %s over the listener: %v", l.Query, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("estimate %d: status %d", i, resp.StatusCode)
+		t.Fatalf("estimate %s: status %d", l.Query, resp.StatusCode)
 	}
 }
 
@@ -83,14 +100,15 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	traffic := e2eTraffic(t)
 	srv := newStubServer(t, constEst(8), func(cfg *Config) {
 		cfg.Feedback = journalFeedback(jnl)
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for i := 0; i < 12; i++ {
-		postEstimate(t, ts.URL, i)
+	for _, l := range traffic[:12] {
+		postEstimate(t, ts.URL, l)
 	}
 	if err := jnl.Sync(); err != nil {
 		t.Fatalf("Sync of the first batch: %v", err)
@@ -99,8 +117,8 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 	if acked != 12 {
 		t.Fatalf("first batch persisted %d records, want 12", acked)
 	}
-	for i := 12; i < 16; i++ {
-		postEstimate(t, ts.URL, i)
+	for _, l := range traffic[12:] {
+		postEstimate(t, ts.URL, l)
 	}
 	if err := jnl.Sync(); err == nil {
 		t.Fatal("Sync across the torn write reported success")
@@ -118,22 +136,27 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byFirstPredicate := map[string]journal.Record{}
+	bySQL := map[string]journal.Record{}
 	for _, rec := range recs {
-		byFirstPredicate[rec.SQL] = rec
+		bySQL[rec.SQL] = rec
 	}
-	for i := 0; i < 12; i++ {
-		rec, ok := byFirstPredicate[e2eSQL(i)]
+	sent := map[string]bool{}
+	for i, l := range traffic {
+		sql := l.Query.String()
+		sent[sql] = true
+		if i >= 12 {
+			continue
+		}
+		rec, ok := bySQL[sql]
 		if !ok {
 			t.Fatalf("acked record %d lost in recovery (recovered %d total)", i, len(recs))
 		}
-		if !rec.HasActual || rec.Actual != float64(i)+1 || rec.Estimate != 8 || rec.Model == "" || rec.Fingerprint == "" {
+		if !rec.HasActual || rec.Actual != float64(l.Card) || rec.Estimate != 8 || rec.Model == "" || rec.Fingerprint == "" {
 			t.Fatalf("record %d recovered damaged: %+v", i, rec)
 		}
 	}
 	for _, rec := range recs {
-		var i int
-		if _, err := fmt.Sscanf(rec.SQL, "SELECT count(*) FROM t WHERE a >= %d", &i); err != nil || i < 0 || i >= 16 {
+		if !sent[rec.SQL] {
 			t.Fatalf("recovery resurrected a record that was never served: %+v", rec)
 		}
 	}
@@ -148,25 +171,27 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 		t.Fatalf("replay report %+v, want every recovered record scored", repA)
 	}
 
-	// Traffic-derived canary gating a Lifecycle publish. Actuals are 1..16
-	// against constEst(8), so the honest model's q-errors top out at 8 —
-	// inside the default ceilings — while the broken one fails by miles.
+	// Traffic-derived canary gating a Lifecycle publish. The recovered
+	// actuals are true cardinalities, so the canary scores a trained snapshot
+	// honestly: the good one clears it, the one trained on inflated labels
+	// fails by orders of magnitude.
 	canary := replay.DeriveCanary(recs, 8, 7)
 	if len(canary) == 0 {
 		t.Fatal("derived an empty canary from recovered traffic")
 	}
-	lc, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry()})
+	db, _, good, bad := lifecycleEnv(t)
+	lc, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry(), DB: db, Canary: looseCanary(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := lc.SetCanaryWorkload(context.Background(), canary); err != nil {
 		t.Fatalf("SetCanaryWorkload: %v", err)
 	}
-	pub, err := lc.Publish(context.Background(), PublishSpec{Name: "good", Est: constEst(8), MakeDefault: true})
+	pub, err := lc.Publish(context.Background(), PublishSpec{Name: "good", Snapshot: snapshotBytes(t, good), MakeDefault: true})
 	if err != nil || !pub.Canary.Pass {
 		t.Fatalf("honest model rejected by the traffic canary: %+v, %v", pub.Canary, err)
 	}
-	_, err = lc.Publish(context.Background(), PublishSpec{Name: "bad", Est: constEst(1e9), MakeDefault: true})
+	_, err = lc.Publish(context.Background(), PublishSpec{Name: "bad", Snapshot: snapshotBytes(t, bad), MakeDefault: true})
 	if !errors.Is(err, ErrCanaryRejected) {
 		t.Fatalf("broken model passed the traffic canary (err %v)", err)
 	}
@@ -212,6 +237,7 @@ func TestJournalWedgedDiskShedsNotBlocks(t *testing.T) {
 	}
 	defer func() { release(); jnl.Close() }()
 
+	traffic := e2eTraffic(t)
 	srv := newStubServer(t, constEst(8), func(cfg *Config) {
 		cfg.Feedback = journalFeedback(jnl)
 	})
@@ -220,19 +246,19 @@ func TestJournalWedgedDiskShedsNotBlocks(t *testing.T) {
 
 	// The first request's record is the flush timer's to commit, which parks
 	// the writer inside the wedged AppendFile; then staging fills up.
-	postEstimate(t, ts.URL, 0)
+	postEstimate(t, ts.URL, traffic[0])
 	clk.Advance(time.Minute)
 	<-fsys.entered
 	for i := 0; i < queueCap; i++ {
-		if !jnl.Append(journal.Record{SQL: e2eSQL(100 + i)}) {
+		if !jnl.Append(journal.Record{SQL: fmt.Sprintf("SELECT count(*) FROM t WHERE a >= %d", i)}) {
 			t.Fatalf("append %d of %d into empty staging shed", i, queueCap)
 		}
 	}
 	// Every further request must be served promptly — the journal sheds;
 	// serving latency must not inherit the disk's.
 	start := time.Now()
-	for i := 1; i <= 8; i++ {
-		postEstimate(t, ts.URL, i)
+	for _, l := range traffic[1:9] {
+		postEstimate(t, ts.URL, l)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("8 estimates over a wedged journal took %v; feedback must shed, not block", elapsed)

@@ -14,12 +14,14 @@ import (
 	"qfe/internal/workload"
 )
 
-// Lifecycle is the one path between a trained model and the registry: every
-// candidate must clear the canary gate before it is registered, a passing
-// candidate is durably persisted to the crash-safe store (when there is one)
-// before it takes traffic, and the reverse path — quarantine the live
-// generation, roll the registry back to the previous good one — is the same
-// machinery run in the other direction, on POST /v1/models/rollback. A model
+// Lifecycle is the one path from snapshot bytes to the registry: it decodes
+// every candidate itself, the model must clear the canary gate before it is
+// registered, a passing default is durably persisted to the crash-safe store
+// (when there is one) before it takes traffic, and the reverse path —
+// quarantine the live generation, roll the registry back to the previous good
+// one — is the same machinery run in the other direction, on
+// POST /v1/models/rollback. The default therefore always has a rollbackable
+// generation behind it, and the store holds nothing else. A model
 // is judged once, at its door: an estimator is not altered after it is
 // published, so the verdict that admitted it stands until the model or the
 // canary workload changes, and both re-baseline (Publish, Recover, Rollback,
@@ -33,6 +35,11 @@ import (
 // ErrCanaryRejected wraps every publish refusal caused by a failed canary.
 var ErrCanaryRejected = errors.New("serve: canary rejected the model")
 
+// ErrBadSnapshot wraps every publish refusal caused by the bytes themselves:
+// they do not decode into a model, or the model does not fit the serving
+// schema.
+var ErrBadSnapshot = errors.New("serve: bad snapshot")
+
 // ErrNoRollbackTarget is returned when no prior valid generation exists.
 var ErrNoRollbackTarget = errors.New("serve: no valid generation to roll back to")
 
@@ -40,11 +47,11 @@ var ErrNoRollbackTarget = errors.New("serve: no valid generation to roll back to
 type LifecycleConfig struct {
 	// Registry is where admitted models are published. Required.
 	Registry *Registry
-	// Store persists admitted snapshots and feeds recovery/rollback. May be
-	// nil: the canary gate still applies, but nothing is durable and
-	// rollback has nothing to roll back to.
+	// Store persists the snapshots of admitted defaults and feeds
+	// recovery/rollback. May be nil: the canary gate still applies, but
+	// nothing is durable and rollback has nothing to roll back to.
 	Store *store.Store
-	// DB schema-validates snapshots restored from the store. Pass the
+	// DB schema-validates every snapshot the lifecycle decodes. Pass the
 	// serving database.
 	DB *table.DB
 	// Canary parameterizes the gate.
@@ -58,25 +65,20 @@ type Publication struct {
 	Canary CanaryResult `json:"canary"`
 }
 
-// PublishSpec is one candidate model offered to Publish.
+// PublishSpec is one candidate model offered to Publish: the bytes of a
+// snapshot, never a model. The lifecycle decodes them itself, so what it
+// judges, serves and persists are the same bytes.
 type PublishSpec struct {
 	// Name is the registry name to publish under. Required.
 	Name string
-	// Est is the bare (unwrapped) estimator; the canary probes it directly
-	// so a resilience chain cannot mask a bad model with good fallbacks.
-	Est estimator.Estimator
-	// Kind is the snapshot kind LoadEstimator reported ("local"), or the
-	// caller's tag for an estimator that never was a snapshot.
-	Kind string
 	// Source labels the origin in ModelInfo ("boot", a file path, ...).
 	Source string
-	// Snapshot, when non-nil, is the serialized model (SaveJSON output)
-	// persisted to the store on admission.
+	// Snapshot is the serialized model (SaveJSON output). Required.
 	Snapshot []byte
 	// MakeDefault promotes the model to the default on admission; the
-	// canary then also compares it against the incumbent default. A publish
-	// under the live model's name replaces the default, so it is one whether
-	// or not this is set.
+	// canary then also compares it against the incumbent default, and a
+	// store persists it. A publish under the live model's name replaces the
+	// default, so it is one whether or not this is set.
 	MakeDefault bool
 }
 
@@ -84,20 +86,20 @@ type PublishSpec struct {
 // quarantines and what a candidate default is compared against.
 type liveModel struct {
 	name     string
-	gen      uint64 // store generation, 0 when not persisted
+	gen      uint64 // store generation, 0 without a store
 	bare     estimator.Estimator
 	baseline CanaryResult // the admitting run, re-run on a workload swap
 }
 
 // Lifecycle guards the registry. Create with NewLifecycle; pass it to
-// serve.Config so the server binds its metrics, publishes loads through it
+// serve.Config so the server adopts its metrics, publishes loads through it
 // and, when it has a store, exposes rollback.
 type Lifecycle struct {
 	reg     *Registry
 	st      *store.Store
 	db      *table.DB
 	canary  CanaryConfig
-	metrics *Metrics // nil until bound; observers are nil-safe
+	metrics *Metrics // created here, so verdicts reached before serve.New count
 
 	mu   sync.Mutex
 	live liveModel
@@ -108,12 +110,10 @@ func NewLifecycle(cfg LifecycleConfig) (*Lifecycle, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("serve: LifecycleConfig.Registry is required")
 	}
-	return &Lifecycle{
-		reg:    cfg.Registry,
-		st:     cfg.Store,
-		db:     cfg.DB,
-		canary: cfg.Canary.withDefaults(),
-	}, nil
+	canary := cfg.Canary.withDefaults()
+	m := newMetrics()
+	m.canaryMaxMedian, m.canaryMaxP95 = canary.MaxMedian, canary.MaxP95
+	return &Lifecycle{reg: cfg.Registry, st: cfg.Store, db: cfg.DB, canary: canary, metrics: m}, nil
 }
 
 // lifecycleOf is the lifecycle a server publishes through: cfg's own, or for
@@ -124,16 +124,8 @@ func lifecycleOf(cfg Config) *Lifecycle {
 	if cfg.Lifecycle != nil {
 		return cfg.Lifecycle
 	}
-	return &Lifecycle{reg: cfg.Registry, db: cfg.DB, canary: CanaryConfig{}.withDefaults()}
-}
-
-// bindMetrics attaches the server's metrics (serve.New calls this).
-func (lc *Lifecycle) bindMetrics(m *Metrics) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	lc.metrics = m
-	m.setCanaryThresholds(lc.canary.MaxMedian, lc.canary.MaxP95)
-	m.setStoreGeneration(lc.live.gen)
+	lc, _ := NewLifecycle(LifecycleConfig{Registry: cfg.Registry, DB: cfg.DB}) // New has checked the registry
+	return lc
 }
 
 // Store returns the backing store (nil when none).
@@ -177,27 +169,46 @@ func (lc *Lifecycle) SetCanaryWorkload(ctx context.Context, ws workload.Set) err
 	return nil
 }
 
-// Publish runs spec.Est through the canary gate and, on admission,
-// persists the snapshot (when given and a store is configured) and
-// registers the model. On rejection nothing is registered or persisted and
-// the returned error wraps ErrCanaryRejected; the returned Publication
-// still carries the failing canary result.
+// Publish decodes spec.Snapshot, runs the model through the canary gate and,
+// on admission, registers it; a model that becomes the default is persisted
+// to the store first, when there is one. Bytes that do not decode into a model
+// of the serving schema are refused with an error wrapping ErrBadSnapshot, a
+// model the canary refuses with one wrapping ErrCanaryRejected (the returned
+// Publication still carries the failing canary result); either way nothing is
+// registered or persisted.
 func (lc *Lifecycle) Publish(ctx context.Context, spec PublishSpec) (Publication, error) {
-	if spec.Name == "" || spec.Est == nil {
-		return Publication{}, fmt.Errorf("serve: publish needs a name and an estimator")
+	if spec.Name == "" {
+		return Publication{}, fmt.Errorf("serve: publish needs a name")
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 
 	// Registering under the live model's name replaces the default, so it is
 	// judged, tracked and rolled back as a new default.
-	makeDefault := spec.MakeDefault || spec.Name == lc.live.name
+	spec.MakeDefault = spec.MakeDefault || spec.Name == lc.live.name
 	var incumbent *CanaryResult
-	if makeDefault && lc.live.bare != nil {
+	if spec.MakeDefault && lc.live.bare != nil {
 		b := lc.live.baseline
 		incumbent = &b
 	}
-	res := RunCanary(ctx, spec.Est, lc.canary, incumbent)
+	return lc.admitLocked(ctx, spec, 0, incumbent)
+}
+
+// admitLocked is the one step from snapshot bytes to the registry: decode and
+// schema-check, canary, persist, register. gen is the store generation the
+// bytes were read from, 0 for a publish. A publish that makes the default is
+// persisted as a new generation (when there is a store) before it serves; one
+// that does not is registered without one, so the store holds only defaults
+// and neither a rollback nor a restart can promote a model that never was one.
+// incumbent, when non-nil, is the baseline the candidate must stay within
+// slack of. A failure registers nothing, and its error wraps ErrBadSnapshot or
+// ErrCanaryRejected when the model is at fault.
+func (lc *Lifecycle) admitLocked(ctx context.Context, spec PublishSpec, gen uint64, incumbent *CanaryResult) (Publication, error) {
+	est, kind, err := estimator.LoadEstimator(bytes.NewReader(spec.Snapshot), lc.db)
+	if err != nil {
+		return Publication{}, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+	}
+	res := RunCanary(ctx, est, lc.canary, incumbent)
 	if !res.Pass && ctx.Err() != nil {
 		// The run was cut short by cancellation, not failed by the model:
 		// report the interruption, not a canary verdict.
@@ -207,22 +218,16 @@ func (lc *Lifecycle) Publish(ctx context.Context, spec PublishSpec) (Publication
 	if !res.Pass {
 		return Publication{Canary: res}, fmt.Errorf("%w: %s", ErrCanaryRejected, res.Reason)
 	}
-
-	var gen uint64
-	if lc.st != nil && spec.Snapshot != nil {
-		g, err := lc.st.Put(spec.Name, spec.Kind, "canary: "+res.Reason, spec.Snapshot)
+	if gen == 0 && spec.MakeDefault && lc.st != nil {
+		g, err := lc.st.Put(spec.Name, "canary: "+res.Reason, spec.Snapshot)
 		if err != nil {
-			// Not durable ⇒ not published: a model that cannot be rolled
+			// Not durable ⇒ not published: a default that cannot be rolled
 			// back to must not displace one that can.
 			return Publication{Canary: res}, fmt.Errorf("serve: persist admitted model: %w", err)
 		}
 		gen = g.Number
 	}
-	pub, err := lc.registerLocked(spec.Name, spec.Est, spec.Kind, spec.Source, gen, res, makeDefault)
-	if err != nil {
-		return Publication{Canary: res}, err
-	}
-	return pub, nil
+	return lc.registerLocked(spec.Name, est, kind, spec.Source, gen, res, spec.MakeDefault)
 }
 
 // Recover restores the newest store generation that both loads and passes
@@ -233,7 +238,7 @@ func (lc *Lifecycle) Publish(ctx context.Context, spec PublishSpec) (Publication
 func (lc *Lifecycle) Recover(ctx context.Context, name string, makeDefault bool) (Publication, bool, error) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	pub, err := lc.promoteFromStoreLocked(ctx, name, makeDefault, nil)
+	pub, err := lc.promoteFromStoreLocked(ctx, name, makeDefault)
 	if err != nil {
 		if errors.Is(err, ErrNoRollbackTarget) {
 			return Publication{}, false, nil
@@ -267,12 +272,10 @@ func (lc *Lifecycle) rollbackLocked(ctx context.Context, reason string) (Publica
 		// POST /v1/models/rollback disconnected): leave everything in place.
 		return Publication{}, fmt.Errorf("serve: rollback aborted: %w", err)
 	}
-	if lc.live.gen != 0 {
-		if err := lc.quarantineLocked(lc.live.gen); err != nil {
-			return Publication{}, err
-		}
+	if err := lc.quarantineLocked(lc.live.gen); err != nil {
+		return Publication{}, err
 	}
-	pub, err := lc.promoteFromStoreLocked(ctx, lc.live.name, true, nil)
+	pub, err := lc.promoteFromStoreLocked(ctx, lc.live.name, true)
 	if err != nil {
 		return Publication{}, err
 	}
@@ -280,11 +283,11 @@ func (lc *Lifecycle) rollbackLocked(ctx context.Context, reason string) (Publica
 	return pub, nil
 }
 
-// promoteFromStoreLocked walks the store newest-first: load, schema-check,
-// canary. Failures are quarantined and the walk continues; success
-// registers and returns. incumbent (usually nil here: the model being
-// replaced is gone or distrusted) feeds the canary comparison.
-func (lc *Lifecycle) promoteFromStoreLocked(ctx context.Context, name string, makeDefault bool, incumbent *CanaryResult) (Publication, error) {
+// promoteFromStoreLocked walks the store newest-first and admits the first
+// generation that reads, decodes and passes the canary, judged on its own: the
+// model it replaces is gone or distrusted. A generation that fails is
+// quarantined and the walk goes on.
+func (lc *Lifecycle) promoteFromStoreLocked(ctx context.Context, name string, makeDefault bool) (Publication, error) {
 	if lc.st == nil {
 		return Publication{}, ErrNoRollbackTarget
 	}
@@ -294,40 +297,27 @@ func (lc *Lifecycle) promoteFromStoreLocked(ctx context.Context, name string, ma
 			return Publication{}, ErrNoRollbackTarget
 		}
 		payload, man, err := lc.st.Read(g.Number)
-		if err != nil {
-			// Bit rot between Open and now; quarantine and keep walking.
-			if qerr := lc.quarantineLocked(g.Number); qerr != nil {
-				return Publication{}, qerr
+		if err == nil {
+			source := fmt.Sprintf("store:gen-%d", g.Number)
+			if man.Name != "" && man.Name != name {
+				source += " (published as " + man.Name + ")"
 			}
-			continue
-		}
-		est, kind, err := estimator.LoadEstimator(bytes.NewReader(payload), lc.db)
-		if err != nil {
-			if qerr := lc.quarantineLocked(g.Number); qerr != nil {
-				return Publication{}, qerr
+			spec := PublishSpec{Name: name, Source: source, Snapshot: payload, MakeDefault: makeDefault}
+			pub, err := lc.admitLocked(ctx, spec, g.Number, nil)
+			if err == nil {
+				return pub, nil
 			}
-			continue
-		}
-		res := RunCanary(ctx, est, lc.canary, incumbent)
-		if !res.Pass && ctx.Err() != nil {
-			// The canary was cut short by cancellation, not failed by the
-			// model — quarantining here would burn every valid generation on
-			// a transient client disconnect or shutdown. Abort the walk and
-			// leave the store untouched.
-			return Publication{}, fmt.Errorf("serve: canary for generation %d interrupted: %w", g.Number, ctx.Err())
-		}
-		lc.metrics.observeCanary(res.Pass)
-		if !res.Pass {
-			if qerr := lc.quarantineLocked(g.Number); qerr != nil {
-				return Publication{}, qerr
+			if !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, ErrCanaryRejected) {
+				// Not the model's fault — a canceled canary above all:
+				// quarantining here would burn every valid generation on a
+				// client disconnect or shutdown. Leave the store untouched.
+				return Publication{}, fmt.Errorf("serve: generation %d: %w", g.Number, err)
 			}
-			continue
 		}
-		source := fmt.Sprintf("store:gen-%d", g.Number)
-		if man.Name != "" && man.Name != name {
-			source += " (published as " + man.Name + ")"
+		// Unreadable (bit rot since Open), undecodable or refused.
+		if qerr := lc.quarantineLocked(g.Number); qerr != nil {
+			return Publication{}, qerr
 		}
-		return lc.registerLocked(name, est, kind, source, g.Number, res, makeDefault)
 	}
 }
 
@@ -366,7 +356,7 @@ func (lc *Lifecycle) registerLocked(name string, est estimator.Estimator, kind, 
 			return Publication{}, err
 		}
 		lc.live = liveModel{name: name, gen: gen, bare: est, baseline: res}
-		lc.metrics.setStoreGeneration(gen)
+		lc.metrics.storeGeneration.Store(gen)
 	}
 	return Publication{Info: info, Canary: res}, nil
 }

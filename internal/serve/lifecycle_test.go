@@ -135,10 +135,7 @@ func TestLifecyclePublishGate(t *testing.T) {
 	lc, reg := newLifecycle(t, dir, looseCanary(canaryWS), db)
 
 	// The bad model is rejected: nothing registered, nothing persisted.
-	_, err := lc.Publish(context.Background(), PublishSpec{
-		Name: "live", Est: bad, Kind: "local", Source: "test",
-		Snapshot: snapshotBytes(t, bad), MakeDefault: true,
-	})
+	_, err := lc.Publish(context.Background(), PublishSpec{Name: "live", Source: "test", Snapshot: snapshotBytes(t, bad), MakeDefault: true})
 	if !errors.Is(err, ErrCanaryRejected) {
 		t.Fatalf("bad model publish: err = %v, want ErrCanaryRejected", err)
 	}
@@ -150,10 +147,7 @@ func TestLifecyclePublishGate(t *testing.T) {
 	}
 
 	// The good model is admitted, persisted, and becomes the default.
-	pub, err := lc.Publish(context.Background(), PublishSpec{
-		Name: "live", Est: good, Kind: "local", Source: "test",
-		Snapshot: snapshotBytes(t, good), MakeDefault: true,
-	})
+	pub, err := lc.Publish(context.Background(), PublishSpec{Name: "live", Source: "test", Snapshot: snapshotBytes(t, good), MakeDefault: true})
 	if err != nil {
 		t.Fatalf("good model publish: %v", err)
 	}
@@ -168,14 +162,94 @@ func TestLifecyclePublishGate(t *testing.T) {
 	}
 }
 
+// TestPublishRefusesBadSnapshots: the lifecycle decodes every model it admits,
+// so bytes that are no snapshot, and a snapshot of a table the serving
+// database does not have, are refused at the door with ErrBadSnapshot — before
+// any canary runs — and nothing is registered or persisted.
+func TestPublishRefusesBadSnapshots(t *testing.T) {
+	db, canaryWS, good, _ := lifecycleEnv(t)
+	lc, reg := newLifecycle(t, t.TempDir(), looseCanary(canaryWS), db)
+	snap := snapshotBytes(t, good)
+	renamed := bytes.ReplaceAll(snap, []byte(`"forest"`), []byte(`"meadow"`))
+	if bytes.Equal(renamed, snap) {
+		t.Fatal("table name not found in the snapshot — format changed?")
+	}
+	for name, doc := range map[string][]byte{
+		"junk":          []byte("not a snapshot"),
+		"empty":         nil,
+		"truncated":     snap[:len(snap)/2],
+		"foreign table": renamed,
+	} {
+		pub, err := lc.Publish(context.Background(), PublishSpec{Name: "live", Snapshot: doc, MakeDefault: true})
+		if !errors.Is(err, ErrBadSnapshot) || errors.Is(err, ErrCanaryRejected) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
+		}
+		if pub.Canary.Queries != 0 {
+			t.Errorf("%s: the canary ran (%+v) on bytes that decode to no model", name, pub.Canary)
+		}
+	}
+	if models, _ := reg.List(); len(models) != 0 {
+		t.Errorf("registry holds %v after refused publishes", models)
+	}
+	if g, ok := lc.Store().Latest(); ok {
+		t.Errorf("store holds generation %+v after refused publishes", g)
+	}
+	if m := lc.metrics.Snapshot(); m["canary_pass_total"] != int64(0) || m["canary_fail_total"] != int64(0) {
+		t.Errorf("canary verdicts %v / %v for bytes no canary judged", m["canary_pass_total"], m["canary_fail_total"])
+	}
+}
+
+// TestSideModelsAreNotPersisted: only a publish that makes the default becomes
+// a store generation. A side model is still judged by the canary and
+// registered, but it used to be persisted too, and the store walk takes the
+// newest generation: publish live (gen 1), side without default (gen 2), live
+// (gen 3), and a rollback served gen 2 "(published as side)" as the default,
+// and so did a restart after it.
+func TestSideModelsAreNotPersisted(t *testing.T) {
+	db, canaryWS, good, _ := lifecycleEnv(t)
+	dir := t.TempDir()
+	lc, reg := newLifecycle(t, dir, looseCanary(canaryWS), db)
+	snap := snapshotBytes(t, good)
+	var pubs []Publication
+	for _, spec := range []PublishSpec{
+		{Name: "live", Snapshot: snap, MakeDefault: true},
+		{Name: "side", Snapshot: snap},
+		{Name: "live", Snapshot: snap, MakeDefault: true},
+	} {
+		pub, err := lc.Publish(context.Background(), spec)
+		if err != nil || !pub.Canary.Pass {
+			t.Fatalf("publish %s: %+v, %v", spec.Name, pub, err)
+		}
+		pubs = append(pubs, pub)
+	}
+	if side := pubs[1].Info; side.StoreGeneration != 0 {
+		t.Errorf("side model persisted as generation %d", side.StoreGeneration)
+	}
+	if _, info, err := reg.Resolve("side"); err != nil || info.Canary == nil || !info.Canary.Pass {
+		t.Errorf("side model = %+v (err %v), want registered with its passing canary", info, err)
+	}
+	first := pubs[0].Info.StoreGeneration
+	if first != 1 || pubs[2].Info.StoreGeneration != 2 {
+		t.Fatalf("live published as generations %d and %d, want 1 and 2", first, pubs[2].Info.StoreGeneration)
+	}
+
+	want := "store:gen-1"
+	rb, err := lc.Rollback(context.Background(), "test")
+	if err != nil || rb.Info.StoreGeneration != first || rb.Info.Source != want {
+		t.Fatalf("rollback serves %+v (err %v), want %s", rb.Info, err, want)
+	}
+	lc2, _ := newLifecycle(t, dir, looseCanary(canaryWS), db)
+	rec, ok, err := lc2.Recover(context.Background(), "live", true)
+	if err != nil || !ok || rec.Info.Source != want {
+		t.Fatalf("restart recovers %+v (ok %v, err %v), want %s", rec.Info, ok, err, want)
+	}
+}
+
 func TestLifecycleRecoverAcrossRestart(t *testing.T) {
 	db, canaryWS, good, _ := lifecycleEnv(t)
 	dir := t.TempDir()
 	lc, _ := newLifecycle(t, dir, looseCanary(canaryWS), db)
-	pub, err := lc.Publish(context.Background(), PublishSpec{
-		Name: "live", Est: good, Kind: "local",
-		Snapshot: snapshotBytes(t, good), MakeDefault: true,
-	})
+	pub, err := lc.Publish(context.Background(), PublishSpec{Name: "live", Snapshot: snapshotBytes(t, good), MakeDefault: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +291,7 @@ func TestLifecycleRollback(t *testing.T) {
 
 	publish := func() Publication {
 		t.Helper()
-		pub, err := lc.Publish(context.Background(), PublishSpec{
-			Name: "live", Est: good, Kind: "local",
-			Snapshot: snapshotBytes(t, good), MakeDefault: true,
-		})
+		pub, err := lc.Publish(context.Background(), PublishSpec{Name: "live", Snapshot: snapshotBytes(t, good), MakeDefault: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,10 +335,7 @@ func TestCanceledContextDoesNotQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	lc, _ := newLifecycle(t, dir, looseCanary(canaryWS), db)
 	for i := 0; i < 2; i++ {
-		if _, err := lc.Publish(context.Background(), PublishSpec{
-			Name: "live", Est: good, Kind: "local",
-			Snapshot: snapshotBytes(t, good), MakeDefault: true,
-		}); err != nil {
+		if _, err := lc.Publish(context.Background(), PublishSpec{Name: "live", Snapshot: snapshotBytes(t, good), MakeDefault: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,10 +385,7 @@ func TestQuarantineFailureAbortsWalk(t *testing.T) {
 	// Admit the bad model through an empty canary (always passes) so the
 	// store holds a generation the real canary will reject at recover time.
 	lc, _ := newLifecycle(t, dir, CanaryConfig{}, db)
-	if _, err := lc.Publish(context.Background(), PublishSpec{
-		Name: "live", Est: bad, Kind: "local",
-		Snapshot: snapshotBytes(t, bad), MakeDefault: true,
-	}); err != nil {
+	if _, err := lc.Publish(context.Background(), PublishSpec{Name: "live", Snapshot: snapshotBytes(t, bad), MakeDefault: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -574,7 +639,7 @@ func TestCanaryRerunMatchesBaseline(t *testing.T) {
 			if err := loc.Train(set[:300]); err != nil {
 				t.Fatal(err)
 			}
-			spec := PublishSpec{Name: "live", Est: loc, Kind: estimator.KindLocal, Snapshot: snapshotBytes(t, loc), MakeDefault: true}
+			spec := PublishSpec{Name: "live", Snapshot: snapshotBytes(t, loc), MakeDefault: true}
 			dir := t.TempDir()
 			first, _ := newLifecycle(t, dir, looseCanary(set[500:600]), db)
 			if _, err := first.Publish(ctx, spec); err != nil {
@@ -692,10 +757,7 @@ func TestRollbackEndpoint(t *testing.T) {
 	lc, reg := newLifecycle(t, t.TempDir(), looseCanary(canaryWS), db)
 	publish := func() Publication {
 		t.Helper()
-		pub, err := lc.Publish(context.Background(), PublishSpec{
-			Name: "live", Est: good, Kind: "local",
-			Snapshot: snapshotBytes(t, good), MakeDefault: true,
-		})
+		pub, err := lc.Publish(context.Background(), PublishSpec{Name: "live", Snapshot: snapshotBytes(t, good), MakeDefault: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -742,10 +804,7 @@ func TestRollbackRecordsItsReason(t *testing.T) {
 	db, canaryWS, good, _ := lifecycleEnv(t)
 	lc, reg := newLifecycle(t, t.TempDir(), looseCanary(canaryWS), db)
 	for i := 0; i < 3; i++ {
-		if _, err := lc.Publish(context.Background(), PublishSpec{
-			Name: "live", Est: good, Kind: "local",
-			Snapshot: snapshotBytes(t, good), MakeDefault: true,
-		}); err != nil {
+		if _, err := lc.Publish(context.Background(), PublishSpec{Name: "live", Snapshot: snapshotBytes(t, good), MakeDefault: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

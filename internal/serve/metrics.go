@@ -96,7 +96,9 @@ type Metrics struct {
 	cacheEvictions atomic.Int64 // entries displaced by LRU pressure
 	cacheCollapsed atomic.Int64 // requests that waited on an identical in-flight compute
 
-	// Model-lifecycle counters (canary gate, supervisor, rollback).
+	// Model-lifecycle counters (canary gate, rollback). The lifecycle creates
+	// the Metrics and serve.New adopts them, so a verdict reached at boot,
+	// before the server exists, is counted.
 	canaryPass  atomic.Int64 // canary runs that admitted a model
 	canaryFail  atomic.Int64 // canary runs that rejected a model
 	rollbacks   atomic.Int64 // registry rollbacks to a previous generation
@@ -105,8 +107,8 @@ type Metrics struct {
 	lastRollbackUnix   atomic.Int64  // unix seconds of the last rollback, 0 = never
 	lastRollbackReason atomic.Value  // string: why it happened, unset = never
 	storeGeneration    atomic.Uint64 // store generation backing the live model
-	canaryMaxMedian    atomic.Uint64 // configured gate thresholds, float64 bits
-	canaryMaxP95       atomic.Uint64
+	canaryMaxMedian    float64       // configured gate thresholds, set by NewLifecycle
+	canaryMaxP95       float64
 
 	ok2xx  atomic.Int64
 	err4xx atomic.Int64
@@ -156,14 +158,8 @@ func (m *Metrics) observeBatch(n int) {
 // the client reported (post-execution feedback).
 func (m *Metrics) ObserveQError(q float64) { m.qerror.Observe(q) }
 
-// The lifecycle observers tolerate a nil receiver so a Lifecycle can run
-// before (or without) being bound to a server's metrics.
-
 // observeCanary records one canary verdict.
 func (m *Metrics) observeCanary(pass bool) {
-	if m == nil {
-		return
-	}
 	if pass {
 		m.canaryPass.Add(1)
 	} else {
@@ -173,39 +169,13 @@ func (m *Metrics) observeCanary(pass bool) {
 
 // observeRollback records a registry rollback at time t, and why.
 func (m *Metrics) observeRollback(t time.Time, reason string) {
-	if m == nil {
-		return
-	}
 	m.rollbacks.Add(1)
 	m.lastRollbackUnix.Store(t.Unix())
 	m.lastRollbackReason.Store(reason)
 }
 
 // observeQuarantine records one quarantined generation.
-func (m *Metrics) observeQuarantine() {
-	if m == nil {
-		return
-	}
-	m.quarantines.Add(1)
-}
-
-// setStoreGeneration publishes the generation number backing the live model.
-func (m *Metrics) setStoreGeneration(g uint64) {
-	if m == nil {
-		return
-	}
-	m.storeGeneration.Store(g)
-}
-
-// setCanaryThresholds records the configured gate so /metrics scrapes can
-// correlate q-error histograms with the thresholds in force.
-func (m *Metrics) setCanaryThresholds(maxMedian, maxP95 float64) {
-	if m == nil {
-		return
-	}
-	m.canaryMaxMedian.Store(math.Float64bits(maxMedian))
-	m.canaryMaxP95.Store(math.Float64bits(maxP95))
-}
+func (m *Metrics) observeQuarantine() { m.quarantines.Add(1) }
 
 func (m *Metrics) observeStatus(code int) {
 	switch {
@@ -261,8 +231,8 @@ func (m *Metrics) Snapshot() map[string]any {
 		"last_rollback_unix":    m.lastRollbackUnix.Load(),
 		"last_rollback_reason":  rollbackReason,
 		"store_generation":      m.storeGeneration.Load(),
-		"canary_max_median":     math.Float64frombits(m.canaryMaxMedian.Load()),
-		"canary_max_p95":        math.Float64frombits(m.canaryMaxP95.Load()),
+		"canary_max_median":     m.canaryMaxMedian,
+		"canary_max_p95":        m.canaryMaxP95,
 		"responses_2xx":         m.ok2xx.Load(),
 		"responses_4xx":         m.err4xx.Load(),
 		"responses_5xx":         m.err5xx.Load(),

@@ -210,8 +210,8 @@ func TestLifecycleMetrics(t *testing.T) {
 	at := time.Unix(1_700_000_000, 0)
 	m.observeRollback(at, "manual")
 	m.observeQuarantine()
-	m.setStoreGeneration(7)
-	m.setCanaryThresholds(10, 100)
+	m.storeGeneration.Store(7)
+	m.canaryMaxMedian, m.canaryMaxP95 = 10, 100
 
 	snap := m.Snapshot()
 	want := map[string]any{
@@ -230,13 +230,4 @@ func TestLifecycleMetrics(t *testing.T) {
 			t.Errorf("%s = %v (%T), want %v (%T)", k, snap[k], snap[k], v, v)
 		}
 	}
-
-	// The lifecycle observers must tolerate running before a server binds
-	// them (nil receiver).
-	var unbound *Metrics
-	unbound.observeCanary(true)
-	unbound.observeRollback(at, "manual")
-	unbound.observeQuarantine()
-	unbound.setStoreGeneration(1)
-	unbound.setCanaryThresholds(1, 1)
 }

@@ -31,7 +31,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,8 +58,9 @@ import (
 type Config struct {
 	// Registry resolves model names to estimators.
 	Registry *Registry
-	// DB binds string literals in incoming SQL to dictionary codes and
-	// schema-validates loaded snapshots. May be nil when queries carry no
+	// DB binds string literals in incoming SQL to dictionary codes and, for a
+	// Config without a Lifecycle, schema-validates loaded snapshots (a
+	// Lifecycle validates against its own). May be nil when queries carry no
 	// string predicates and snapshots are trusted.
 	DB *table.DB
 	// Batcher bounds the worker fan-out of client batches.
@@ -131,15 +131,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight < 1 {
 		cfg.MaxInFlight = 64
 	}
+	lc := lifecycleOf(cfg)
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		limiter: newLimiter(cfg.MaxInFlight),
-		lc:      lifecycleOf(cfg),
-		metrics: newMetrics(),
+		lc:      lc,
+		metrics: lc.metrics,
 	}
 	s.cache = newEstCache(cfg.Cache, s.metrics, cfg.Feedback != nil)
-	s.lc.bindMetrics(s.metrics)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/estimate", s.handleEstimate)
 	s.mux.HandleFunc("/v1/models", s.handleModels)
@@ -632,39 +632,26 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The snapshot bytes are read once, judged by the canary, and — only on
-	// admission — persisted to the store (when there is one) and published.
+	// The handler only reads the bytes. The lifecycle decodes them (400 when
+	// they are no model of this schema), judges the model (409) and — only on
+	// admission — persists a default (500 when it cannot) and publishes it.
 	snap, err := os.ReadFile(path)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "load %q from %s: %v", req.Name, req.Path, err)
 		return
 	}
-	est, kind, err := estimator.LoadEstimator(bytes.NewReader(snap), s.cfg.DB)
-	if err != nil {
+	pub, err := s.lc.Publish(r.Context(), PublishSpec{Name: req.Name, Source: path, Snapshot: snap, MakeDefault: req.Default})
+	switch {
+	case errors.Is(err, ErrBadSnapshot):
 		writeError(w, http.StatusBadRequest, "load %q from %s: %v", req.Name, req.Path, err)
-		return
-	}
-	pub, err := s.lc.Publish(r.Context(), PublishSpec{
-		Name:        req.Name,
-		Est:         est,
-		Kind:        kind,
-		Source:      path,
-		Snapshot:    snap,
-		MakeDefault: req.Default,
-	})
-	if err != nil {
-		if errors.Is(err, ErrCanaryRejected) {
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":  err.Error(),
-				"canary": pub.Canary,
-			})
-			return
-		}
+	case errors.Is(err, ErrCanaryRejected):
+		writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error(), "canary": pub.Canary})
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, "publish %q: %v", req.Name, err)
-		return
+	default:
+		s.metrics.swaps.Add(1)
+		writeJSON(w, http.StatusOK, pub)
 	}
-	s.metrics.swaps.Add(1)
-	writeJSON(w, http.StatusOK, pub)
 }
 
 // resolveModelPath confines a client-supplied snapshot path to the

@@ -42,7 +42,7 @@ func seededDir(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("m", "local", "seed", []byte(payloadOld)); err != nil {
+	if _, err := s.Put("m", "seed", []byte(payloadOld)); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -57,7 +57,7 @@ func countPublishOps(t *testing.T) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("m", "local", "count", []byte(payloadNew)); err != nil {
+	if _, err := s.Put("m", "count", []byte(payloadNew)); err != nil {
 		t.Fatal(err)
 	}
 	return ffs.MutatingOps()
@@ -87,7 +87,7 @@ func verifyRecovered(t *testing.T, dir string, acked bool, tag string) {
 		t.Fatalf("%s: latest %d carries corrupt payload %q", tag, latest.Number, payload)
 	}
 	// Recovery must also be able to publish again: the store self-heals.
-	if _, err := s.Put("m", "local", "post-recovery", []byte("after the storm")); err != nil {
+	if _, err := s.Put("m", "post-recovery", []byte("after the storm")); err != nil {
 		t.Fatalf("%s: publish after recovery: %v", tag, err)
 	}
 }
@@ -112,7 +112,7 @@ func TestCrashSweep(t *testing.T) {
 					acked := false
 					s, err := store.Open(dir, store.Options{FS: ffs})
 					if err == nil {
-						_, perr := s.Put("m", "local", "doomed?", []byte(payloadNew))
+						_, perr := s.Put("m", "doomed?", []byte(payloadNew))
 						acked = perr == nil
 					}
 					if ffs.Crashed() {
@@ -153,7 +153,7 @@ func TestENOSPCSweep(t *testing.T) {
 				verifyRecovered(t, dir, false, "enospc-open")
 				continue
 			}
-			_, perr := s.Put("m", "local", "first try", []byte(payloadNew))
+			_, perr := s.Put("m", "first try", []byte(payloadNew))
 			if perr != nil {
 				if !errors.Is(perr, faultinject.ErrNoSpace) {
 					t.Fatalf("op %d: Put failed with %v, want ErrNoSpace", op, perr)
@@ -172,7 +172,7 @@ func TestENOSPCSweep(t *testing.T) {
 			// the failed attempt died after its rename (root-sync ENOSPC),
 			// this also proves the retry takes a fresh generation number
 			// instead of colliding with the directory left behind.
-			g, err := s.Put("m", "local", "retry", []byte(payloadNew))
+			g, err := s.Put("m", "retry", []byte(payloadNew))
 			if err != nil {
 				t.Fatalf("op %d: retry after ENOSPC: %v", op, err)
 			}
@@ -199,7 +199,7 @@ func TestReadFaultSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Put("m", "local", "second", []byte(payloadNew)); err != nil {
+		if _, err := s.Put("m", "second", []byte(payloadNew)); err != nil {
 			t.Fatal(err)
 		}
 	}

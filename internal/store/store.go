@@ -101,12 +101,14 @@ var ErrUnknownGeneration = errors.New("store: unknown generation")
 var ErrTruncatedFrame = errors.New("store: frame truncated")
 
 // Manifest is the per-generation metadata, written last inside the temp
-// directory so a generation directory always carries a complete manifest.
+// directory so a generation directory always carries a complete manifest. It
+// says nothing about the model: what kind of snapshot the payload is, the
+// decoder that reads it decides. Manifests of older builds carry a "kind"
+// field; it is ignored.
 type Manifest struct {
 	Format       int    `json:"format"`
 	Generation   uint64 `json:"generation"`
-	Name         string `json:"name"`           // model name the snapshot was published under
-	Kind         string `json:"kind,omitempty"` // estimator snapshot kind ("local", ...)
+	Name         string `json:"name"` // model name the snapshot was published under
 	CreatedUnix  int64  `json:"createdUnix"`
 	PayloadBytes int    `json:"payloadBytes"`
 	CRC32        uint32 `json:"crc32"`
@@ -260,7 +262,7 @@ func (s *Store) PrevValid(number uint64) (Generation, bool) {
 // temp directory (if one survived) is swept by the next Open. After a
 // successful publish, generations beyond the retention horizon are removed
 // best-effort.
-func (s *Store) Put(name, kind, note string, payload []byte) (Generation, error) {
+func (s *Store) Put(name, note string, payload []byte) (Generation, error) {
 	if len(payload) == 0 {
 		return Generation{}, fmt.Errorf("store: refusing to publish an empty snapshot")
 	}
@@ -271,7 +273,6 @@ func (s *Store) Put(name, kind, note string, payload []byte) (Generation, error)
 		Format:       manifestFormat,
 		Generation:   n,
 		Name:         name,
-		Kind:         kind,
 		CreatedUnix:  time.Now().Unix(),
 		PayloadBytes: len(payload),
 		CRC32:        crc32.Checksum(payload, crcTable),

@@ -14,7 +14,7 @@ import (
 
 func mustPut(t *testing.T, s *Store, payload string) Generation {
 	t.Helper()
-	g, err := s.Put("m", "local", "test", []byte(payload))
+	g, err := s.Put("m", "test", []byte(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestPutReadRoundTrip(t *testing.T) {
 	if string(payload) != "payload-two" {
 		t.Errorf("Read payload = %q", payload)
 	}
-	if man.Name != "m" || man.Kind != "local" || man.Note != "test" || man.PayloadBytes != len("payload-two") {
+	if man.Name != "m" || man.Note != "test" || man.PayloadBytes != len("payload-two") {
 		t.Errorf("manifest = %+v", man)
 	}
 
@@ -73,8 +73,39 @@ func TestRejectsEmptyPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("m", "local", "", nil); err == nil {
+	if _, err := s.Put("m", "", nil); err == nil {
 		t.Error("empty payload accepted")
+	}
+}
+
+// TestManifestWithKindStillOpens: older builds wrote the snapshot's kind into
+// the manifest ("kind":"local"). The decoder alone decides the kind now, and
+// such a generation still opens as valid and reads back.
+func TestManifestWithKindStillOpens(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mustPut(t, s, "payload")
+	man, err := json.Marshal(g.Manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append(bytes.TrimSuffix(man, []byte("}")), `,"kind":"local"}`...)
+	if err := os.WriteFile(filepath.Join(dir, genDirName(g.Number), manifestFile), frame(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := s2.Recovery(); rep.Valid != 1 || rep.Corrupt != 0 {
+		t.Fatalf("recovery report = %+v, want the generation valid", rep)
+	}
+	payload, got, err := s2.Read(g.Number)
+	if err != nil || string(payload) != "payload" || got != g.Manifest {
+		t.Fatalf("Read = %q, %+v, %v; want the payload and the manifest Put wrote", payload, got, err)
 	}
 }
 
@@ -259,7 +290,7 @@ func TestRootSyncFailureBurnsNumber(t *testing.T) {
 	g1 := mustPut(t, s, "first")
 
 	fsys.arm = true
-	if _, err := s.Put("m", "local", "doomed", []byte("second")); err == nil {
+	if _, err := s.Put("m", "doomed", []byte("second")); err == nil {
 		t.Fatal("Put with failing root sync succeeded")
 	}
 	// Not acked: the incumbent still leads the valid set.
@@ -268,7 +299,7 @@ func TestRootSyncFailureBurnsNumber(t *testing.T) {
 	}
 
 	// The retry must take a fresh number — gen-2 exists on disk already.
-	g3, err := s.Put("m", "local", "retry", []byte("third"))
+	g3, err := s.Put("m", "retry", []byte("third"))
 	if err != nil {
 		t.Fatalf("retry after sync failure: %v", err)
 	}
