@@ -170,6 +170,14 @@ ci:
 	test "$$(grep -c 'LoadEstimator(' internal/serve/lifecycle.go)" = 1
 	! $(GO) doc -u qfe/internal/serve.PublishSpec | grep -E '^\s+(Est|Kind)\s'
 	! $(GO) doc -u qfe/internal/store.Manifest | grep -E '^\s+Kind\s'
+# Guard 17, a model is judged on traffic at its door: the lifecycle samples the
+# journal's sealed traffic when a publish, recovery or rollback brings it a
+# model, and nothing reads the journal in between. So no rotation hook, no
+# canary-workload swap, no in-place rewrite of a registered model's info and no
+# refresher goroutine come back, and the live model keeps no verdict of its
+# own: a candidate's incumbent is scored at the door, on the same workload.
+	! grep -rnwE 'OnRotate|SetCanaryWorkload|UpdateInfo|coalesced' --include='*.go' internal cmd | grep -v '_test\.go:'
+	! $(GO) doc -u qfe/internal/serve.liveModel | grep -E '^\s+baseline\s'
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

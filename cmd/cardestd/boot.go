@@ -13,6 +13,7 @@ import (
 
 	"qfe/internal/cli"
 	"qfe/internal/estimator"
+	"qfe/internal/journal"
 	"qfe/internal/serve"
 	"qfe/internal/store"
 	"qfe/internal/table"
@@ -30,11 +31,15 @@ type booted struct {
 	// store and the canary workload, the one part of the labeled set that
 	// outlives the boot.
 	lc *serve.Lifecycle
+	// jnl is the feedback journal (-journal), opened before lc, which judges
+	// models on its traffic. arm takes it over; on an error boot closes it.
+	jnl *journal.Journal
 }
 
-// boot builds the table, draws and labels the workload, then recovers, loads
-// or trains the models the daemon starts with and registers them.
-func boot(o options, out io.Writer) (*booted, error) {
+// boot builds the table, draws and labels the workload, opens the journal,
+// then recovers, loads or trains the models the daemon starts with and
+// registers them.
+func boot(o options, out io.Writer) (_ *booted, err error) {
 	fmt.Fprintf(out, "building forest environment (%d rows)...\n", o.rows)
 	canaryN := 0
 	if o.storeDir != "" {
@@ -57,11 +62,27 @@ func boot(o options, out io.Writer) (*booted, error) {
 	b := &booted{db: env.DB, reg: serve.NewRegistry()}
 	b.reg.Wrap = func(est estimator.Estimator) estimator.Estimator { return cli.Chain(b.db, est, o.timeout) }
 
+	if o.journalDir != "" {
+		b.jnl, err = journal.Open(o.journalDir, journal.Options{SegmentBytes: o.journalSegSz, Retain: o.journalRetain, FS: o.journalFS})
+		if err != nil {
+			return nil, fmt.Errorf("open feedback journal: %w", err)
+		}
+		defer func() {
+			if err != nil {
+				b.jnl.Close()
+			}
+		}()
+		js := b.jnl.Stats()
+		fmt.Fprintf(out, "feedback journal %s: %d sealed segment(s), %d torn tail(s) repaired, %d quarantined\n",
+			o.journalDir, js.SealedSegments, js.TornTailsRepaired, js.SegmentsQuarantined)
+	}
+
 	// Every model reaches the registry through the lifecycle. -store gives it
 	// a store and a canary workload: recovery at boot, canary-gated
-	// publishes, rollback.
+	// publishes, rollback; -journal the traffic those publishes are judged on.
 	lcfg := serve.LifecycleConfig{
 		Registry: b.reg,
+		Journal:  b.jnl,
 		DB:       b.db,
 		Canary:   serve.CanaryConfig{MaxMedian: o.canaryMedian, MaxP95: o.canaryP95},
 	}

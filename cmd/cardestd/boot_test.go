@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"qfe/internal/resilience/faultinject"
 	"qfe/internal/serve"
 	"qfe/internal/store"
 	"qfe/internal/testutil"
@@ -115,56 +116,100 @@ func TestServingHeapIsTableAndModel(t *testing.T) {
 	}
 }
 
-// TestCanaryRefresherNeedsALifecycle: a rotation refreshes the canary gate's
-// workload, and without -store there is no gate. Such a daemon used to start
-// a goroutine per rotation that returned on its first line (and whose closure
-// was what kept the boot environment alive); now it arms no refresher and
-// gives the journal no OnRotate. With -store the same traffic still replaces
-// the canary workload.
-func TestCanaryRefresherNeedsALifecycle(t *testing.T) {
+// storeJournalDaemon boots and arms a -store -journal daemon of the test size
+// under root, whose boot model is saved as root/boot.json for
+// POST /v1/models/load, with ceilings every model clears.
+func storeJournalDaemon(t *testing.T, root string, tune func(*options)) *daemon {
+	t.Helper()
+	o := tinyOptions(t)
+	o.storeDir, o.modelRoot, o.save = filepath.Join(root, "store"), root, filepath.Join(root, "boot.json")
+	o.journalDir = filepath.Join(root, "journal")
+	o.canaryN, o.canaryMedian, o.canaryP95 = 60, 1e18, 1e18
+	if tune != nil {
+		tune(&o)
+	}
+	b, err := boot(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := arm(b, o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// serveLabeled sends the 8 distinct labeled queries of the door tests, then
+// waits for the journal to commit them.
+func serveLabeled(t *testing.T, d *daemon) {
+	t.Helper()
+	for i := 0; i < 8; i++ {
+		postOK(t, d.srv.Handler(), fmt.Sprintf(`{"sql":"SELECT count(*) FROM forest WHERE A1 >= %d","actual":%d}`, i, 40+i))
+	}
+	if err := d.jnl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// loadBoot POSTs root/boot.json to /v1/models/load as the default and returns
+// the canary run that admitted it.
+func loadBoot(t *testing.T, d *daemon) serve.CanaryResult {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	d.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/load",
+		strings.NewReader(`{"name":"boot","path":"boot.json","default":true}`)))
+	var pub serve.Publication
+	if err := json.Unmarshal(rec.Body.Bytes(), &pub); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("POST /v1/models/load: %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	return pub.Canary
+}
+
+// TestJournalIsReadOnlyAtTheDoor: a -store -journal daemon whose every flush
+// seals a segment reads no segment while it serves labeled traffic, and reads
+// the sealed ones once when POST /v1/models/load brings a model to the
+// lifecycle's door, which judges it on their 8 distinct queries. The daemon
+// used to re-derive its canary on every rotation, reading back every retained
+// segment each time for a workload nothing used until the next load.
+func TestJournalIsReadOnlyAtTheDoor(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	for _, withStore := range []bool{false, true} {
-		t.Run(fmt.Sprintf("store=%v", withStore), func(t *testing.T) {
-			o := tinyOptions(t)
-			o.journalDir = filepath.Join(t.TempDir(), "journal")
-			o.journalSegSz = 1 // every flush seals a segment
-			if withStore {
-				o.storeDir = filepath.Join(t.TempDir(), "store")
-				o.canaryN, o.canaryMedian, o.canaryP95 = 20, 1e18, 1e18
-			}
-			var out strings.Builder
-			b, err := boot(o, &out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := arm(b, o, &out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if armed := d.canary != nil; armed != withStore {
-				t.Errorf("canary refresher armed = %v with store = %v", armed, withStore)
-			}
-			for i := 0; i < 8; i++ {
-				body := fmt.Sprintf(`{"sql":"SELECT count(*) FROM forest WHERE A1 >= %d","actual":%d}`, i, 40+i)
-				rec := httptest.NewRecorder()
-				d.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(body)))
-				if rec.Code != http.StatusOK {
-					t.Errorf("POST %s: status %d: %s", body, rec.Code, rec.Body)
-				}
-			}
-			if err := d.jnl.Sync(); err != nil {
-				t.Error(err)
-			}
-			// close joins the journal's writer and then the refresher, so what
-			// the rotation set off has been printed when it returns.
-			d.close()
-			if n := d.jnl.Stats().Rotations; n < 1 {
-				t.Fatalf("%d rotations: the traffic did not seal a segment, so the test saw nothing", n)
-			}
-			if refreshed := strings.Contains(out.String(), "canary workload refreshed from traffic"); refreshed != withStore {
-				t.Errorf("canary refreshed = %v with store = %v:\n%s", refreshed, withStore, out.String())
-			}
-		})
+	fi := faultinject.NewFS(nil, faultinject.FSConfig{Kind: faultinject.FSNone})
+	d := storeJournalDaemon(t, t.TempDir(), func(o *options) { o.journalSegSz, o.journalFS = 1, fi })
+	defer d.close()
+	for round := 0; round < 4; round++ {
+		serveLabeled(t, d)
+	}
+	s := d.jnl.Stats()
+	if s.Rotations < 4 {
+		t.Fatalf("%d rotations: the traffic did not seal a segment per commit, so the test saw nothing", s.Rotations)
+	}
+	if n := fi.Reads(); n != 0 {
+		t.Fatalf("%d segment reads across %d rotations with no model at the door, want 0", n, s.Rotations)
+	}
+	if canary := loadBoot(t, d); canary.Queries != 8 {
+		t.Errorf("the load was judged on %d queries, want the traffic's 8", canary.Queries)
+	}
+	if n := fi.Reads(); n != s.SealedSegments {
+		t.Errorf("%d segment reads for one load, want one pass over the %d sealed segments", n, s.SealedSegments)
+	}
+}
+
+// TestRestartJudgesOnRecoveredTraffic: a restarted daemon judges its first
+// load on the traffic its journal recovered — over the 8 distinct labeled
+// queries served before the restart, not the 60 held-out ones. It used to
+// keep the held-out set until its own first rotation.
+func TestRestartJudgesOnRecoveredTraffic(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	root := t.TempDir()
+	first := storeJournalDaemon(t, root, nil)
+	serveLabeled(t, first)
+	serveLabeled(t, first) // repeats: the canary keeps one of each
+	first.close()
+
+	d := storeJournalDaemon(t, root, nil)
+	defer d.close()
+	if canary := loadBoot(t, d); canary.Queries != 8 {
+		t.Errorf("the restarted daemon's first load was judged on %d queries, want the recovered traffic's 8", canary.Queries)
 	}
 }
 

@@ -78,10 +78,13 @@
 // log under the directory. The append path never blocks serving: a slow or
 // wedged journal sheds records (journal_shed in /metrics) instead of
 // stalling /v1/estimate. Segments rotate at -journal-segment-size bytes and
-// the newest -journal-retention sealed segments survive GC. On rotation,
-// under -store, a deterministic reservoir sample of recent
-// labeled traffic replaces the canary workload, so publish gates score
-// candidates on what production actually asks.
+// the newest -journal-retention sealed segments survive GC. Under -store the
+// lifecycle judges each model a load or a rollback brings on what production
+// asks: a deterministic reservoir sample of the sealed segments' labeled
+// traffic (up to -canary queries that bind against the table), taken at that
+// door and used when the live model passes it, else the held-out set. Nothing
+// reads the journal between those doors; a restarted daemon's first load is
+// judged on the traffic its journal recovered.
 // GET /v1/journal reports stats and segments; /metrics grows journal_*
 // counters; the cmd/replay CLI replays segments offline against saved models.
 //
@@ -111,16 +114,13 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
 	"qfe/internal/cli"
-	"qfe/internal/exec"
 	"qfe/internal/journal"
-	"qfe/internal/replay"
 	"qfe/internal/serve"
-	"qfe/internal/table"
+	"qfe/internal/store"
 )
 
 type options struct {
@@ -152,6 +152,7 @@ type options struct {
 	journalDir    string
 	journalSegSz  int64
 	journalRetain int
+	journalFS     store.FS // no flag: nil is the real filesystem; tests count its reads
 }
 
 func main() {
@@ -225,40 +226,26 @@ func run(o options, out io.Writer) error {
 	return listenAndServe(d.srv, o, out)
 }
 
-// daemon is the serving phase: the server and the background work armed
-// around it. Nothing in it reaches back into the boot (boot.go): its closures
-// name the table, the registry and the lifecycle, never the environment they
-// were built from.
+// daemon is the serving phase: the server and the journal writer feeding it,
+// the daemon's one background goroutine. Nothing in it reaches back into the
+// boot (boot.go): its closures name the table, the registry, the lifecycle
+// and the journal, never the environment they were built from.
 type daemon struct {
-	srv    *serve.Server
-	jnl    *journal.Journal // -journal
-	canary *coalesced       // -journal with -store: the traffic-derived canary refresh
+	srv *serve.Server
+	jnl *journal.Journal // -journal
 }
 
-// close stops the background work in the reverse of the order arm started
-// it. The refresher is waited for after the journal's Close, so a rotation in
-// its last flush is waited for too.
+// close stops the journal writer, flushing what it holds.
 func (d *daemon) close() {
 	if d.jnl != nil {
 		d.jnl.Close()
 	}
-	if d.canary != nil {
-		d.canary.wait()
-	}
 }
 
-// arm builds the serving phase over a finished boot: the feedback journal,
-// then the server. On an error whatever it had started is stopped again.
-func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
-	// d is a local, not the named result: `return nil, err` must not take
-	// away what the deferred close and the closures below hold on to.
-	d := &daemon{}
-	defer func() {
-		if err != nil {
-			d.close()
-		}
-	}()
-	db, reg, lc := b.db, b.reg, b.lc
+// arm builds the serving phase over a finished boot and takes over the
+// journal boot opened. On an error it closes the journal again.
+func arm(b *booted, o options, out io.Writer) (*daemon, error) {
+	db, reg, lc, jnl := b.db, b.reg, b.lc, b.jnl
 
 	modelRoot := o.modelRoot
 	if modelRoot == "" {
@@ -267,29 +254,6 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 	if modelRoot == "" {
 		modelRoot = "."
 	}
-
-	// -journal arms the durable feedback journal: every served estimate is
-	// appended (shed-not-block) to a segmented CRC-framed log, and — under
-	// -store, the one lifecycle with a canary workload to refresh — each
-	// segment rotation derives a fresh one from recent real traffic.
-	if o.journalDir != "" {
-		jopts := journal.Options{SegmentBytes: o.journalSegSz, Retain: o.journalRetain}
-		if o.storeDir != "" {
-			d.canary = &coalesced{fn: func() { refreshCanary(d.jnl, lc, db, o, out) }}
-			// Rotation means a fresh slab of real traffic just sealed; canary
-			// derivation reads every retained segment and re-estimates, so it
-			// runs off the writer, and one at a time however fast segments seal.
-			jopts.OnRotate = func(journal.SegmentInfo) { d.canary.trigger() }
-		}
-		d.jnl, err = journal.Open(o.journalDir, jopts)
-		if err != nil {
-			return nil, fmt.Errorf("open feedback journal: %w", err)
-		}
-		js := d.jnl.Stats()
-		fmt.Fprintf(out, "feedback journal %s: %d sealed segment(s), %d torn tail(s) repaired, %d quarantined\n",
-			o.journalDir, js.SealedSegments, js.TornTailsRepaired, js.SegmentsQuarantined)
-	}
-	jnl := d.jnl
 
 	if o.cacheEntries > 0 {
 		fmt.Fprintf(out, "estimate cache: %d entries, keyed on (generation, query text)\n", o.cacheEntries)
@@ -307,6 +271,7 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 		Lifecycle:      lc,
 		Cache:          serve.CacheConfig{Entries: o.cacheEntries},
 	}
+	// Every served estimate is appended (shed-not-block) to the journal.
 	if jnl != nil {
 		cfg.Feedback = feedbackHook(jnl)
 		cfg.ExtraMetrics = func() map[string]any { return journalCounters(jnl) }
@@ -314,82 +279,15 @@ func arm(b *booted, o options, out io.Writer) (_ *daemon, err error) {
 			return map[string]any{"dir": jnl.Dir(), "stats": jnl.Stats(), "segments": jnl.Segments()}
 		}}
 	}
-	if d.srv, err = serve.New(cfg); err != nil {
+	d := &daemon{jnl: jnl}
+	srv, err := serve.New(cfg)
+	if err != nil {
+		d.close()
 		return nil, err
 	}
+	d.srv = srv
 	return d, nil
 }
-
-// refreshCanary replaces the lifecycle's canary workload with a deterministic
-// reservoir sample of the journal's sealed, labeled traffic — the queries that
-// still bind against the live table — so publish gates score candidates on
-// what production asks.
-func refreshCanary(jnl *journal.Journal, lc *serve.Lifecycle, db *table.DB, o options, out io.Writer) {
-	recs, err := jnl.ReadSealed()
-	if err != nil {
-		fmt.Fprintf(out, "journal: canary refresh skipped: %v\n", err)
-		return
-	}
-	if len(recs) == 0 {
-		return
-	}
-	ws := replay.DeriveCanary(recs, o.canaryN, o.seed)
-	bound := ws[:0]
-	for _, l := range ws {
-		if exec.Bind(l.Query, db) == nil {
-			bound = append(bound, l)
-		}
-	}
-	if len(bound) == 0 {
-		return
-	}
-	if err := lc.SetCanaryWorkload(context.Background(), bound); err != nil {
-		fmt.Fprintf(out, "journal: canary refresh skipped: %v\n", err)
-		return
-	}
-	fmt.Fprintf(out, "journal: canary workload refreshed from traffic (%d queries)\n", len(bound))
-}
-
-// coalesced runs fn on a goroutine of its own, at most one at a time: a
-// trigger that lands while fn runs marks the run stale, and fn runs once more
-// when it returns — so however many triggers land during a run they cost one
-// more, and the last run always starts after the last trigger.
-type coalesced struct {
-	fn func()
-
-	mu      sync.Mutex
-	running bool
-	stale   bool
-	wg      sync.WaitGroup
-}
-
-func (c *coalesced) trigger() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.running {
-		c.stale = true
-		return
-	}
-	c.running = true
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			c.fn()
-			c.mu.Lock()
-			again := c.stale
-			c.stale = false
-			c.running = again
-			c.mu.Unlock()
-			if !again {
-				return
-			}
-		}
-	}()
-}
-
-// wait returns once no run is in flight.
-func (c *coalesced) wait() { c.wg.Wait() }
 
 // feedbackHook is the daemon's serve.Config.Feedback under -journal: every
 // served estimate is appended to the feedback journal. The hook computes no

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"qfe/internal/core"
@@ -513,54 +512,6 @@ func TestFeedbackActualBeyondInt64(t *testing.T) {
 	}
 	if len(recs) != 2 || recs[0].Actual != 7 || recs[1].Actual != 1<<63 || !recs[1].HasActual {
 		t.Errorf("the journal holds %+v, want the actuals 7 and 2^63 in order", recs)
-	}
-}
-
-// TestCanaryRefreshCoalesces: segments can seal faster than a refresh reads
-// them back. However many rotations land while one refresh is blocked, they
-// cost one more refresh, never a goroutine each, and that refresh starts
-// after the last rotation, so it sees the last sealed segment.
-func TestCanaryRefreshCoalesces(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	const rotations = 50
-	var sealed atomic.Uint64 // the newest sealed segment
-	var runs, inFlight, overlapped atomic.Int64
-	var lastSeen atomic.Uint64
-	entered, gate := make(chan struct{}, rotations), make(chan struct{})
-	c := &coalesced{fn: func() {
-		if inFlight.Add(1) > 1 {
-			overlapped.Add(1)
-		}
-		defer inFlight.Add(-1)
-		runs.Add(1)
-		lastSeen.Store(sealed.Load())
-		entered <- struct{}{}
-		<-gate
-	}}
-	rotate := func() { sealed.Add(1); c.trigger() }
-
-	rotate()
-	<-entered // the first refresh is reading segment 1
-	for i := 1; i < rotations; i++ {
-		rotate()
-	}
-	close(gate)
-	c.wait()
-	if n := runs.Load(); n != 2 {
-		t.Errorf("%d rotations cost %d refreshes, want 2 (the one in flight and one for all that landed during it)", rotations, n)
-	}
-	if n := overlapped.Load(); n != 0 {
-		t.Errorf("%d refreshes ran while another was in flight", n)
-	}
-	if got := lastSeen.Load(); got != rotations {
-		t.Errorf("the last refresh saw sealed segment %d, want the newest (%d)", got, rotations)
-	}
-
-	// Idle again: the next rotation starts a refresh of its own.
-	rotate()
-	c.wait()
-	if n, got := runs.Load(), lastSeen.Load(); n != 3 || got != rotations+1 {
-		t.Errorf("after going idle: %d refreshes, last saw segment %d; want 3 and %d", n, got, rotations+1)
 	}
 }
 

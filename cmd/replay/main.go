@@ -27,10 +27,12 @@
 // The forest database is rebuilt from -rows/-seed (match the serving
 // daemon's flags) so snapshots schema-validate and string literals bind.
 //
-// -derive-canary N additionally derives the N-query traffic canary exactly
-// as the daemon does on segment rotation (deterministic reservoir sample,
-// keyed by -seed) and prints it — useful for inspecting what a rotation
-// would install as the publish gate.
+// -derive-canary N additionally prints the traffic sample a cardestd with
+// -canary N judges a model on when a load or a rollback brings one to its
+// lifecycle (replay.TrafficCanary: the deterministic reservoir sample at
+// replay.CanarySeed, less the queries that do not bind against the rebuilt
+// table). The daemon uses it when its live model passes it, and its held-out
+// set otherwise.
 //
 // -json emits the reports as one JSON document for scripting; the default
 // is a human-readable table.
@@ -53,6 +55,7 @@ import (
 	"qfe/internal/replay"
 	"qfe/internal/store"
 	"qfe/internal/table"
+	"qfe/internal/workload"
 )
 
 type options struct {
@@ -96,9 +99,9 @@ func run(o options, out io.Writer) error {
 		return fmt.Errorf("read journal %s: %w", o.journalDir, err)
 	}
 	fmt.Fprintf(out, "journal %s: %d record(s) across %d segment(s)", o.journalDir, rep.Records, rep.Segments)
-	if rep.TornTails > 0 || rep.CorruptSegments > 0 || rep.Quarantined > 0 {
-		fmt.Fprintf(out, " (%d torn tail(s) tolerated, %d corrupt skipped, %d quarantined)",
-			rep.TornTails, rep.CorruptSegments, rep.Quarantined)
+	if rep.TornTails > 0 || rep.CorruptSegments > 0 || rep.Unreadable > 0 || rep.Quarantined > 0 {
+		fmt.Fprintf(out, " (%d torn tail(s) tolerated, %d corrupt skipped, %d unreadable skipped, %d quarantined)",
+			rep.TornTails, rep.CorruptSegments, rep.Unreadable, rep.Quarantined)
 	}
 	fmt.Fprintln(out)
 	if len(records) == 0 {
@@ -132,10 +135,11 @@ func run(o options, out io.Writer) error {
 		reports = append(reports, r)
 	}
 
+	canary := replay.TrafficCanary(records, o.deriveCanary, db)
 	if o.asJSON {
 		doc := map[string]any{"journal": rep, "traffic": traffic, "reports": reports}
 		if o.deriveCanary > 0 {
-			doc["canary"] = canaryDoc(records, o)
+			doc["canary"] = canaryDoc(canary)
 		}
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
@@ -146,9 +150,8 @@ func run(o options, out io.Writer) error {
 		printReport(out, r)
 	}
 	if o.deriveCanary > 0 {
-		ws := replay.DeriveCanary(records, o.deriveCanary, o.seed)
-		fmt.Fprintf(out, "\ntraffic-derived canary (%d of %d requested):\n", len(ws), o.deriveCanary)
-		for _, l := range ws {
+		fmt.Fprintf(out, "\ntraffic-derived canary (%d of %d requested):\n", len(canary), o.deriveCanary)
+		for _, l := range canary {
 			fmt.Fprintf(out, "  card=%-8d %s\n", l.Card, l.Query)
 		}
 	}
@@ -199,8 +202,7 @@ func loadEstimators(o options, db *table.DB) ([]namedEst, error) {
 	return ests, nil
 }
 
-func canaryDoc(records []journal.Record, o options) []map[string]any {
-	ws := replay.DeriveCanary(records, o.deriveCanary, o.seed)
+func canaryDoc(ws workload.Set) []map[string]any {
 	out := make([]map[string]any, len(ws))
 	for i, l := range ws {
 		out[i] = map[string]any{"sql": l.Query.String(), "card": l.Card}

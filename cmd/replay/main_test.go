@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,9 +13,12 @@ import (
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
+	"qfe/internal/exec"
 	"qfe/internal/journal"
 	"qfe/internal/ml/gb"
 	"qfe/internal/replay"
+	"qfe/internal/serve"
+	"qfe/internal/sqlparse"
 	"qfe/internal/store"
 	"qfe/internal/table"
 	"qfe/internal/workload"
@@ -107,7 +112,7 @@ func fixture(t *testing.T) (snapshot, journalDir string, records []journal.Recor
 
 // TestRunScoresSnapshotAndDerivesCanary: -snapshot boot=… -json reports every
 // record of the journal under the registry-style name, and -derive-canary
-// prints exactly the canary replay.DeriveCanary draws from the same records.
+// prints exactly the canary replay.TrafficCanary draws from the same records.
 func TestRunScoresSnapshotAndDerivesCanary(t *testing.T) {
 	snapshot, dir, records := fixture(t)
 	o := options{journalDir: dir, snapshots: "boot=" + snapshot, rows: testRows, seed: testSeed, deriveCanary: 8, asJSON: true}
@@ -153,7 +158,8 @@ func TestRunScoresSnapshotAndDerivesCanary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := replay.DeriveCanary(read, 8, testSeed)
+	db, _ := testWorkload(t)
+	want := replay.TrafficCanary(read, 8, db)
 	if len(want) != 8 || len(got.Canary) != len(want) {
 		t.Fatalf("canary has %d queries, DeriveCanary %d, want 8", len(got.Canary), len(want))
 	}
@@ -175,6 +181,86 @@ func TestRunScoresSnapshotAndDerivesCanary(t *testing.T) {
 		if !strings.Contains(out.String(), l.Query.String()) {
 			t.Errorf("canary query %s missing from:\n%s", l.Query, out.String())
 		}
+	}
+}
+
+// TestDerivedCanaryIsTheDoorsSample: -derive-canary N prints the sample a
+// serving lifecycle with an N-query held-out set judges a candidate on. The
+// candidate scored on the printed queries reads the verdict the lifecycle gave
+// it — query count, median and p95 bit for bit — over a journal whose traffic
+// repeats and holds a query on a column the table lacks, which the printed
+// sample leaves out as the lifecycle does.
+func TestDerivedCanaryIsTheDoorsSample(t *testing.T) {
+	const n = 12
+	const unbound = "SELECT count(*) FROM forest WHERE Z9 >= 3"
+	db, set := testWorkload(t)
+	dir := filepath.Join(t.TempDir(), "journal")
+	jnl, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for _, lq := range set[100:] {
+			jnl.Append(journal.Record{SQL: lq.Query.String(), Actual: float64(lq.Card), HasActual: true})
+		}
+		jnl.Append(journal.Record{SQL: unbound, Actual: 5, HasActual: true})
+	}
+	jnl.Close()
+	jnl, err = journal.Open(dir, journal.Options{}) // the reopen seals the segment
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+
+	ceilings := serve.CanaryConfig{MaxMedian: 1e18, MaxP95: 1e18}
+	gate := ceilings
+	gate.Workload = set[100 : 100+n]
+	lc, err := serve.NewLifecycle(serve.LifecycleConfig{Registry: serve.NewRegistry(), Journal: jnl, DB: db, Canary: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidate := trainSnapshot(t, db, set, 2)
+	var pub serve.Publication
+	for _, snap := range [][]byte{trainSnapshot(t, db, set, 10), candidate} {
+		if pub, err = lc.Publish(context.Background(), serve.PublishSpec{Name: "live", Snapshot: snap, MakeDefault: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var out bytes.Buffer
+	if err := run(options{journalDir: dir, rows: testRows, seed: testSeed, deriveCanary: n, asJSON: true}, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	_, doc, _ := strings.Cut(out.String(), "\n")
+	var got struct {
+		Canary []struct {
+			SQL  string `json:"sql"`
+			Card int64  `json:"card"`
+		} `json:"canary"`
+	}
+	if err := json.Unmarshal([]byte(doc), &got); err != nil {
+		t.Fatal(err)
+	}
+	printed := ceilings
+	for _, c := range got.Canary {
+		if c.SQL == unbound {
+			t.Errorf("the printed sample holds %s, which does not bind", c.SQL)
+		}
+		q := sqlparse.MustParse(c.SQL)
+		if err := exec.Bind(q, db); err != nil {
+			t.Fatal(err)
+		}
+		printed.Workload = append(printed.Workload, workload.Labeled{Query: q, Card: c.Card})
+	}
+	est, _, err := estimator.LoadEstimator(bytes.NewReader(candidate), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := serve.RunCanary(context.Background(), est, printed, nil)
+	if res.Queries != pub.Canary.Queries || math.Float64bits(res.Median) != math.Float64bits(pub.Canary.Median) ||
+		math.Float64bits(res.P95) != math.Float64bits(pub.Canary.P95) {
+		t.Errorf("on the printed sample the candidate reads median %v / p95 %v over %d; the lifecycle judged it %v / %v over %d (%s)",
+			res.Median, res.P95, res.Queries, pub.Canary.Median, pub.Canary.P95, pub.Canary.Queries, pub.Canary.Reason)
 	}
 }
 

@@ -181,10 +181,6 @@ type Options struct {
 	// Retain is how many sealed segments survive retention GC. 0 means the
 	// default 8; negative keeps all.
 	Retain int
-	// OnRotate, when non-nil, observes every sealed segment from the writer
-	// goroutine. Keep it cheap — hand heavy work (canary derivation) to
-	// another goroutine.
-	OnRotate func(sealed SegmentInfo)
 	// FS overrides the filesystem (fault injection); nil means the real one.
 	FS store.FS
 	// Clock is the journal's only source of time; nil means clock.Real.
@@ -615,7 +611,6 @@ func (j *Journal) maybeRotate() {
 	j.nextSeg++
 	j.activeBorn = j.opts.Clock.Now()
 	j.activeDirty = false
-	cb := j.opts.OnRotate
 	j.mu.Unlock()
 
 	if records == 0 {
@@ -624,9 +619,6 @@ func (j *Journal) maybeRotate() {
 		// count garbage against the horizon and evict a real segment for it.
 		// Best-effort — recovery truncates and removes leftovers anyway.
 		j.fs.RemoveAll(sealedInfo.Path) //nolint:errcheck
-	}
-	if cb != nil && records > 0 {
-		cb(sealedInfo)
 	}
 	j.gc()
 }

@@ -177,11 +177,9 @@ func TestReopenSealsAndContinuesNumbering(t *testing.T) {
 func TestRotationBySizeAndRetentionGC(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
-	var rotated []journal.SegmentInfo
 	jnl := mustOpen(t, dir, testOptions(func(o *journal.Options) {
 		o.SegmentBytes = 1 // every non-empty flush crosses the threshold
 		o.Retain = 2
-		o.OnRotate = func(seg journal.SegmentInfo) { rotated = append(rotated, seg) }
 	}))
 	for i := 0; i < 5; i++ {
 		appendAll(t, jnl, i, i+1)
@@ -193,13 +191,10 @@ func TestRotationBySizeAndRetentionGC(t *testing.T) {
 	if s.Rotations != 5 || s.GCRemoved != 3 || s.SealedSegments != 2 {
 		t.Fatalf("stats = %+v, want 5 rotations, 3 GC removed, 2 sealed", s)
 	}
-	// OnRotate observed every sealed segment, in order, before GC took any.
-	if len(rotated) != 5 {
-		t.Fatalf("OnRotate fired %d times, want 5", len(rotated))
-	}
-	for i, seg := range rotated {
-		if seg.Number != uint64(i)+1 || seg.Records != 1 || !seg.Sealed {
-			t.Fatalf("rotation %d sealed %+v, want segment #%d with 1 record", i, seg, i+1)
+	// The retained segments are the newest two, sealed with one record each.
+	for i, seg := range jnl.Segments()[:2] {
+		if seg.Number != uint64(i)+4 || seg.Records != 1 || !seg.Sealed {
+			t.Fatalf("retained segment %d is %+v, want sealed #%d with 1 record", i, seg, i+4)
 		}
 	}
 	jnl.Close()
@@ -714,5 +709,30 @@ func TestReadIsTolerantAndReadOnly(t *testing.T) {
 	names, err := os.ReadDir(dir)
 	if err != nil || len(names) != len(files) {
 		t.Fatalf("Read created files: %d entries, want %d", len(names), len(files))
+	}
+}
+
+// TestReadCountsUnreadableSegments: a segment the offline reader cannot read
+// is skipped and counted, so a report scored on the rest says it is partial.
+// Read used to skip it as if retention GC had unlinked it, and report two
+// records out of one segment.
+func TestReadCountsUnreadableSegments(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	dir := t.TempDir()
+	for i, name := range []string{"seg-00000001.qfej", "seg-00000002.qfej"} {
+		if err := os.WriteFile(filepath.Join(dir, name), segBytes(t, testRec(2*i), testRec(2*i+1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi := faultinject.NewFS(nil, faultinject.FSConfig{Kind: faultinject.FSReadError, Op: 1})
+	recs, rep, err := journal.Read(fi, dir)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if want := (journal.ReadReport{Segments: 2, Unreadable: 1, Records: 2}); rep != want {
+		t.Errorf("report = %+v, want %+v", rep, want)
+	}
+	if len(recs) != 2 || recs[0].UnixMicros != 3 {
+		t.Errorf("read %+v, want segment 2's two records", recs)
 	}
 }

@@ -3,6 +3,7 @@ package journal
 import (
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -102,6 +103,7 @@ func scanBytes(data []byte) segScan {
 // ReadReport accounts what a tolerant directory read encountered.
 type ReadReport struct {
 	Segments        int `json:"segments"`        // segment files seen
+	Unreadable      int `json:"unreadable"`      // listed but not readable (an I/O error): skipped wholesale
 	CorruptSegments int `json:"corruptSegments"` // skipped wholesale
 	TornTails       int `json:"tornTails"`       // valid prefix used, tail ignored
 	Quarantined     int `json:"quarantined"`     // pre-existing quarantined-seg- files (not read)
@@ -109,9 +111,11 @@ type ReadReport struct {
 }
 
 // Read returns every record under dir, oldest segment first, tolerating
-// damage: torn tails contribute their valid prefix, corrupt segments are
-// skipped and counted. It never mutates the directory — recovery-with-
-// repair is Open's job. fsys nil means the real filesystem.
+// damage: torn tails contribute their valid prefix, corrupt and unreadable
+// segments are skipped and counted, and a segment unlinked between the listing
+// and its read (retention GC) is skipped as gone. It never mutates the
+// directory — recovery-with-repair is Open's job. fsys nil means the real
+// filesystem.
 func Read(fsys store.FS, dir string) ([]Record, ReadReport, error) {
 	if fsys == nil {
 		fsys = store.OSFS()
@@ -144,10 +148,14 @@ func Read(fsys store.FS, dir string) ([]Record, ReadReport, error) {
 	var out []Record
 	for _, c := range cands {
 		scan, err := scanSegment(fsys, filepath.Join(dir, c.name))
-		if err != nil {
-			continue // unlinked mid-read (retention GC) or unreadable: skip
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // GC won the race; the records are gone by policy
 		}
 		rep.Segments++
+		if err != nil {
+			rep.Unreadable++
+			continue
+		}
 		if scan.corrupt {
 			rep.CorruptSegments++
 			continue

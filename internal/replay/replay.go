@@ -10,8 +10,8 @@
 //     q-error report (median/p95/max, per-table breakdowns) from the
 //     client-reported actuals;
 //   - DeriveCanary turns recent labeled traffic into a workload.Set via a
-//     deterministic reservoir sample, ready to drop into serve's canary
-//     gate;
+//     deterministic reservoir sample; TrafficCanary is the one serve's
+//     lifecycle judges a model on when it admits it;
 //   - ActualIndex is a bounded fingerprint → actual-cardinality map that
 //     only cmd/bench's traced replay still builds;
 //   - Traffic counts a journal's distinct texts and featurization classes,
@@ -28,9 +28,11 @@ import (
 
 	"qfe/internal/core"
 	"qfe/internal/estimator"
+	"qfe/internal/exec"
 	"qfe/internal/journal"
 	"qfe/internal/metrics"
 	"qfe/internal/sqlparse"
+	"qfe/internal/table"
 	"qfe/internal/workload"
 )
 
@@ -130,6 +132,25 @@ func summarize(errs []float64) (median, p95, max float64) {
 	return metrics.Quantile(errs, 0.5), metrics.Quantile(errs, 0.95), max
 }
 
+// CanarySeed seeds the reservoir of every traffic canary, so the sample the
+// serving lifecycle judges a model on and the one cmd/replay -derive-canary
+// prints are the same.
+const CanarySeed = 1
+
+// TrafficCanary is the traffic sample the serving lifecycle judges a model
+// on: DeriveCanary at CanarySeed, less the sampled queries that do not bind
+// against db (their table or column is not served).
+func TrafficCanary(records []journal.Record, n int, db *table.DB) workload.Set {
+	ws := DeriveCanary(records, n, CanarySeed)
+	bound := ws[:0]
+	for _, l := range ws {
+		if exec.Bind(l.Query, db) == nil {
+			bound = append(bound, l)
+		}
+	}
+	return bound
+}
+
 // DeriveCanary reservoir-samples up to n labeled queries from records into
 // a canary workload.Set. The sample is deterministic for a fixed record
 // stream, n, and seed (Vitter's algorithm R over the eligible records, in
@@ -137,7 +158,9 @@ func summarize(errs []float64) (median, p95, max float64) {
 // canary. Records are eligible when they carry an actual of at least one
 // row (the q-error convention scores only non-empty results), parse, and
 // are the first occurrence of their fingerprint — real traffic repeats
-// queries, and a canary of thirty copies of one hot query gates nothing.
+// queries, and a canary of thirty copies of one hot query gates nothing. A
+// record whose journaled fingerprint was already seen is passed over before
+// its SQL is parsed: only a record without one is parsed to name it.
 func DeriveCanary(records []journal.Record, n int, seed int64) workload.Set {
 	if n <= 0 {
 		return nil
@@ -150,16 +173,18 @@ func DeriveCanary(records []journal.Record, n int, seed int64) workload.Set {
 		if !rec.HasActual || rec.Actual < 1 || rec.Actual != math.Trunc(rec.Actual) {
 			continue
 		}
+		fp := rec.Fingerprint
+		if fp != "" && seen[fp] {
+			continue
+		}
 		q, err := sqlparse.Parse(rec.SQL)
 		if err != nil {
 			continue
 		}
-		fp := rec.Fingerprint
 		if fp == "" {
-			fp = core.Fingerprint(q)
-		}
-		if seen[fp] {
-			continue
+			if fp = core.Fingerprint(q); seen[fp] {
+				continue
+			}
 		}
 		seen[fp] = true
 		labeled := workload.Labeled{Query: q, Card: int64(rec.Actual)}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"qfe/internal/replay"
 	"qfe/internal/sqlparse"
 	"qfe/internal/testutil"
+	"qfe/internal/workload"
 )
 
 // constEst answers every estimate with a fixed value.
@@ -130,6 +132,91 @@ func TestDeriveCanaryEligibility(t *testing.T) {
 	}
 	if got := replay.DeriveCanary(records, 0, 1); got != nil {
 		t.Errorf("DeriveCanary(n=0) = %v, want nil", got)
+	}
+}
+
+// deriveCanaryParseFirst is DeriveCanary as it was written first: every
+// record with a usable actual is parsed before its fingerprint is looked up,
+// so a journal of a few hot queries costs one parse per record. It is the
+// oracle for the fingerprint-first order, which parses only unseen records.
+func deriveCanaryParseFirst(records []journal.Record, n int, seed int64) workload.Set {
+	if n <= 0 {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(seed))
+	seen := map[string]bool{}
+	reservoir := make(workload.Set, 0, n)
+	eligible := 0
+	for _, rec := range records {
+		if !rec.HasActual || rec.Actual < 1 || rec.Actual != math.Trunc(rec.Actual) {
+			continue
+		}
+		q, err := sqlparse.Parse(rec.SQL)
+		if err != nil {
+			continue
+		}
+		fp := rec.Fingerprint
+		if fp == "" {
+			fp = core.Fingerprint(q)
+		}
+		if seen[fp] {
+			continue
+		}
+		seen[fp] = true
+		labeled := workload.Labeled{Query: q, Card: int64(rec.Actual)}
+		eligible++
+		if len(reservoir) < n {
+			reservoir = append(reservoir, labeled)
+			continue
+		}
+		if k := rng.Intn(eligible); k < n {
+			reservoir[k] = labeled
+		}
+	}
+	return reservoir
+}
+
+// TestDeriveCanaryMatchesParseFirst: checking the journaled fingerprint
+// before the parse draws the same sample as parsing first, on a stream that
+// mixes hot repeats, records journaled with and without a fingerprint,
+// respellings of one class, a fingerprint first seen on SQL that does not
+// parse, and records with no usable actual.
+func TestDeriveCanaryMatchesParseFirst(t *testing.T) {
+	sqlFor := func(i int) string { return fmt.Sprintf("SELECT count(*) FROM t WHERE a >= %d AND b < %d", i, i+7) }
+	fpOf := func(sql string) string { return core.Fingerprint(sqlparse.MustParse(sql)) }
+	rng := rand.New(rand.NewSource(1))
+	var records []journal.Record
+	for i := 0; i < 3000; i++ {
+		k := rng.Intn(80)
+		rec := journal.Record{SQL: sqlFor(k), Actual: float64(k%9 + 1), HasActual: true}
+		switch i % 7 {
+		case 0: // journaled without a fingerprint: named by parsing
+		case 1: // the same class respelled
+			rec.SQL = fmt.Sprintf("SELECT count(*) FROM t WHERE b < %d AND a >= %d", k+7, k)
+			rec.Fingerprint = fpOf(rec.SQL)
+		case 2: // no usable actual
+			rec.Actual = 0.5
+		case 3: // a fingerprint whose text does not parse: not eligible, and not seen
+			rec.Fingerprint, rec.SQL = fpOf(rec.SQL), "SELECT count(*) FROM t WHERE"
+		default:
+			rec.Fingerprint = fpOf(rec.SQL)
+		}
+		records = append(records, rec)
+	}
+	render := func(ws workload.Set) []string {
+		out := make([]string, len(ws))
+		for i, l := range ws {
+			out[i] = fmt.Sprintf("%s = %d", l.Query, l.Card)
+		}
+		return out
+	}
+	for _, n := range []int{0, 1, 5, 40, 80, 500} {
+		for seed := int64(1); seed <= 5; seed++ {
+			got, want := render(replay.DeriveCanary(records, n, seed)), render(deriveCanaryParseFirst(records, n, seed))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d seed=%d: sample\n%v\nwant the parse-first sample\n%v", n, seed, got, want)
+			}
+		}
 	}
 }
 

@@ -45,6 +45,9 @@ const (
 	// FSBitFlip makes the Op-th ReadFile return the file with one
 	// seed-chosen bit inverted.
 	FSBitFlip
+	// FSReadError makes the Op-th ReadFile fail with ErrReadFailed: a
+	// file that is listed but cannot be read.
+	FSReadError
 )
 
 // String renders the fault kind.
@@ -62,6 +65,8 @@ func (k FSFaultKind) String() string {
 		return "short-read"
 	case FSBitFlip:
 		return "bit-flip"
+	case FSReadError:
+		return "read-error"
 	}
 	return fmt.Sprintf("FSFaultKind(%d)", int(k))
 }
@@ -73,6 +78,9 @@ var ErrCrashed = errors.New("faultinject: filesystem crashed")
 // ErrNoSpace is the injected out-of-space error. It unwraps to ENOSPC-like
 // behavior only in message; callers match on the error value.
 var ErrNoSpace = errors.New("faultinject: no space left on device")
+
+// ErrReadFailed is the injected read error.
+var ErrReadFailed = errors.New("faultinject: input/output error")
 
 // FSConfig places one fault.
 type FSConfig struct {
@@ -249,6 +257,11 @@ func (f *FS) ReadFile(path string) ([]byte, error) {
 	f.reads++
 	fire := f.cfg.Op > 0 && f.reads == f.cfg.Op
 	kind := f.cfg.Kind
+	if fire && kind == FSReadError {
+		f.injected++
+		f.mu.Unlock()
+		return nil, ErrReadFailed
+	}
 	f.mu.Unlock()
 
 	data, err := f.base.ReadFile(path)

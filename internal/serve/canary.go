@@ -59,8 +59,8 @@ type CanaryResult struct {
 	Failed  int     `json:"failed"` // estimation errors (scored as +Inf q-error)
 	Pass    bool    `json:"pass"`
 	Reason  string  `json:"reason,omitempty"`
-	// ProbedUnix is when the run that admitted or re-baselined the model
-	// started (unix seconds).
+	// ProbedUnix is when the run that admitted the model started (unix
+	// seconds).
 	ProbedUnix int64 `json:"probedUnix"`
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,33 +172,80 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 		t.Fatalf("replay report %+v, want every recovered record scored", repA)
 	}
 
-	// Traffic-derived canary gating a Lifecycle publish. The recovered
-	// actuals are true cardinalities, so the canary scores a trained snapshot
-	// honestly: the good one clears it, the one trained on inflated labels
-	// fails by orders of magnitude.
-	canary := replay.DeriveCanary(recs, 8, 7)
-	if len(canary) == 0 {
-		t.Fatal("derived an empty canary from recovered traffic")
-	}
-	db, _, good, bad := lifecycleEnv(t)
-	lc, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry(), DB: db, Canary: looseCanary(nil)})
+	// The recovered traffic judges publishes at the lifecycle's door. The
+	// first default has no live model to vouch for a traffic sample, so it is
+	// judged on the held-out set; once it is live, candidates are judged on a
+	// sample of the recovered records. Their actuals are true cardinalities,
+	// so the sample scores a trained snapshot honestly: the good one clears
+	// it, the one trained on inflated labels fails by orders of magnitude.
+	db, heldOut, good, bad := lifecycleEnv(t)
+	lc, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry(), Journal: jnl2, DB: db, Canary: looseCanary(heldOut)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lc.SetCanaryWorkload(context.Background(), canary); err != nil {
-		t.Fatalf("SetCanaryWorkload: %v", err)
-	}
 	pub, err := lc.Publish(context.Background(), PublishSpec{Name: "good", Snapshot: snapshotBytes(t, good), MakeDefault: true})
-	if err != nil || !pub.Canary.Pass {
-		t.Fatalf("honest model rejected by the traffic canary: %+v, %v", pub.Canary, err)
+	if err != nil || pub.Canary.Queries != len(heldOut) {
+		t.Fatalf("first publish: %+v, %v; want it judged on the %d held-out queries", pub.Canary, err, len(heldOut))
 	}
-	_, err = lc.Publish(context.Background(), PublishSpec{Name: "bad", Snapshot: snapshotBytes(t, bad), MakeDefault: true})
-	if !errors.Is(err, ErrCanaryRejected) {
-		t.Fatalf("broken model passed the traffic canary (err %v)", err)
+	sample := replay.TrafficCanary(recs, len(heldOut), db)
+	if len(sample) < 12 {
+		t.Fatalf("a sample of %d queries from %d recovered records, want at least the 12 acked", len(sample), len(recs))
 	}
-	// Swapping in an empty canary must be refused — it would unlock the gate.
-	if err := lc.SetCanaryWorkload(context.Background(), nil); err == nil {
-		t.Fatal("empty canary workload accepted")
+	pub, err = lc.Publish(context.Background(), PublishSpec{Name: "good", Snapshot: snapshotBytes(t, good), MakeDefault: true})
+	if err != nil || !pub.Canary.Pass || pub.Canary.Queries != len(sample) {
+		t.Fatalf("honest model on the traffic sample: %+v, %v; want a pass over its %d queries", pub.Canary, err, len(sample))
+	}
+	pub, err = lc.Publish(context.Background(), PublishSpec{Name: "bad", Snapshot: snapshotBytes(t, bad), MakeDefault: true})
+	if !errors.Is(err, ErrCanaryRejected) || pub.Canary.Queries != len(sample) {
+		t.Fatalf("broken model on the traffic sample: %+v (err %v), want a refusal over its %d queries", pub.Canary, err, len(sample))
+	}
+}
+
+// TestDoorFallsBackToHeldOut: the lifecycle judges on the traffic sample only
+// when the live model passes it and the journal can be read; otherwise it
+// judges on the held-out set, and the verdict's reason says why.
+func TestDoorFallsBackToHeldOut(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	db, heldOut, good, _ := lifecycleEnv(t)
+	traffic := e2eTraffic(t)
+	for _, tc := range []struct {
+		name    string
+		inflate int64 // the factor the journaled actuals are off by
+		fault   faultinject.FSFaultKind
+		reason  string
+	}{
+		{"live model fails the sample", 1_000_000, faultinject.FSNone, "the live model fails the traffic sample"},
+		{"segment unreadable", 1, faultinject.FSReadError, "traffic unreadable (journal: read seg-00000001.qfej: " + faultinject.ErrReadFailed.Error()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The first ReadFile is the door's: a fresh journal recovers nothing.
+			fi := faultinject.NewFS(nil, faultinject.FSConfig{Kind: tc.fault, Op: 1})
+			opts := journalTestOptions(fi)
+			opts.SegmentBytes = 1 // every commit seals a segment the door can read
+			jnl, err := journal.Open(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jnl.Close()
+			for _, l := range traffic {
+				jnl.Append(journal.Record{SQL: l.Query.String(), Actual: float64(l.Card * tc.inflate), HasActual: true})
+			}
+			if err := jnl.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			lc, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry(), Journal: jnl, DB: db, Canary: looseCanary(heldOut)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := PublishSpec{Name: "live", Snapshot: snapshotBytes(t, good), MakeDefault: true}
+			if _, err := lc.Publish(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+			pub, err := lc.Publish(context.Background(), spec)
+			if err != nil || pub.Canary.Queries != len(heldOut) || !strings.Contains(pub.Canary.Reason, tc.reason) {
+				t.Fatalf("second publish: %+v, %v; want it judged on the %d held-out queries, saying %q", pub.Canary, err, len(heldOut), tc.reason)
+			}
+		})
 	}
 }
 

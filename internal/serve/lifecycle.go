@@ -9,9 +9,10 @@ import (
 	"time"
 
 	"qfe/internal/estimator"
+	"qfe/internal/journal"
+	"qfe/internal/replay"
 	"qfe/internal/store"
 	"qfe/internal/table"
-	"qfe/internal/workload"
 )
 
 // Lifecycle is the one path from snapshot bytes to the registry: it decodes
@@ -23,14 +24,15 @@ import (
 // POST /v1/models/rollback. The default therefore always has a rollbackable
 // generation behind it, and the store holds nothing else. A model
 // is judged once, at its door: an estimator is not altered after it is
-// published, so the verdict that admitted it stands until the model or the
-// canary workload changes, and both re-baseline (Publish, Recover, Rollback,
-// SetCanaryWorkload).
+// published, so the verdict that admitted it stands. The workload it is
+// judged on is picked at the door too (see doorLocked): a sample of the
+// journal's labeled traffic when the live model passes it, else the held-out
+// set.
 //
-// Locking: one mutex serializes lifecycle transitions (publish, rollback,
-// workload swap). Canary runs execute under it — transitions are rare and
-// must not interleave — while estimate traffic keeps resolving models
-// lock-free through the registry snapshot.
+// Locking: one mutex serializes lifecycle transitions (publish, recover,
+// rollback). Canary runs execute under it — transitions are rare and must
+// not interleave — while estimate traffic keeps resolving models lock-free
+// through the registry snapshot.
 
 // ErrCanaryRejected wraps every publish refusal caused by a failed canary.
 var ErrCanaryRejected = errors.New("serve: canary rejected the model")
@@ -51,10 +53,14 @@ type LifecycleConfig struct {
 	// recovery/rollback. May be nil: the canary gate still applies, but
 	// nothing is durable and rollback has nothing to roll back to.
 	Store *store.Store
-	// DB schema-validates every snapshot the lifecycle decodes. Pass the
-	// serving database.
+	// Journal, when non-nil, is the feedback journal whose sealed, labeled
+	// traffic a model may be judged on instead of Canary.Workload (see
+	// doorLocked). The lifecycle only reads it.
+	Journal *journal.Journal
+	// DB schema-validates every snapshot the lifecycle decodes, and binds the
+	// traffic it samples. Pass the serving database.
 	DB *table.DB
-	// Canary parameterizes the gate.
+	// Canary parameterizes the gate; its Workload is the held-out set.
 	Canary CanaryConfig
 }
 
@@ -83,12 +89,12 @@ type PublishSpec struct {
 }
 
 // liveModel tracks the default the lifecycle last admitted: what a rollback
-// quarantines and what a candidate default is compared against.
+// quarantines, what a candidate default is compared against, and what decides
+// whether the traffic sample is fit to judge on.
 type liveModel struct {
-	name     string
-	gen      uint64 // store generation, 0 without a store
-	bare     estimator.Estimator
-	baseline CanaryResult // the admitting run, re-run on a workload swap
+	name string
+	gen  uint64 // store generation, 0 without a store
+	bare estimator.Estimator
 }
 
 // Lifecycle guards the registry. Create with NewLifecycle; pass it to
@@ -97,6 +103,7 @@ type liveModel struct {
 type Lifecycle struct {
 	reg     *Registry
 	st      *store.Store
+	jnl     *journal.Journal
 	db      *table.DB
 	canary  CanaryConfig
 	metrics *Metrics // created here, so verdicts reached before serve.New count
@@ -113,7 +120,7 @@ func NewLifecycle(cfg LifecycleConfig) (*Lifecycle, error) {
 	canary := cfg.Canary.withDefaults()
 	m := newMetrics()
 	m.canaryMaxMedian, m.canaryMaxP95 = canary.MaxMedian, canary.MaxP95
-	return &Lifecycle{reg: cfg.Registry, st: cfg.Store, db: cfg.DB, canary: canary, metrics: m}, nil
+	return &Lifecycle{reg: cfg.Registry, st: cfg.Store, jnl: cfg.Journal, db: cfg.DB, canary: canary, metrics: m}, nil
 }
 
 // lifecycleOf is the lifecycle a server publishes through: cfg's own, or for
@@ -131,42 +138,45 @@ func lifecycleOf(cfg Config) *Lifecycle {
 // Store returns the backing store (nil when none).
 func (lc *Lifecycle) Store() *store.Store { return lc.st }
 
-// SetCanaryWorkload swaps the canary gate's workload — the traffic-derived
-// refresh path: as the feedback journal rotates segments, the daemon
-// derives a canary set from recent real traffic and installs it here, so
-// publish gates score candidates on what production actually asks rather
-// than on a synthetic set frozen at boot. An empty workload is refused (it
-// would disable the gate).
-//
-// The live model, when present, is immediately re-scored on the new
-// workload and its baseline replaced: incumbent-relative publish checks
-// compare medians across runs, which is only meaningful when both ran the
-// same queries. A live model that fails outright on the new workload keeps
-// the old baseline and workload, and the error says so — installing a
-// workload the incumbent cannot pass would refuse every candidate judged
-// against it.
-func (lc *Lifecycle) SetCanaryWorkload(ctx context.Context, ws workload.Set) error {
-	if len(ws) == 0 {
-		return fmt.Errorf("serve: refusing an empty canary workload")
+// door is what a transition judges a model on: the canary configuration
+// with the workload doorLocked picked, and the live model's run on it.
+type door struct {
+	canary CanaryConfig
+	live   *CanaryResult // nil without a live model
+	note   string        // why a traffic sample was passed over, "" otherwise
+}
+
+// doorLocked picks the workload a model is judged on now. It samples the
+// journal's sealed, labeled traffic that binds against the serving database
+// (replay.TrafficCanary), as many queries as the held-out set holds — so an
+// empty held-out set, the gate disabled, samples nothing — and uses the sample
+// when the live model passes it: a workload the incumbent fails would refuse
+// every candidate judged against it. Otherwise, and with no live model, no
+// journal or no labeled traffic, it uses the held-out set. The live model is
+// scored on the set picked, and is what a candidate default must stay within
+// slack of.
+func (lc *Lifecycle) doorLocked(ctx context.Context) door {
+	d := door{canary: lc.canary}
+	if lc.live.bare == nil {
+		return d
 	}
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	next := lc.canary
-	next.Workload = ws
-	if lc.live.bare != nil {
-		res := RunCanary(ctx, lc.live.bare, next, nil)
-		if !res.Pass {
-			if ctx.Err() != nil {
-				return fmt.Errorf("serve: canary workload swap interrupted: %w", ctx.Err())
+	if lc.jnl != nil && len(lc.canary.Workload) > 0 {
+		recs, err := lc.jnl.ReadSealed()
+		if err != nil {
+			d.note = fmt.Sprintf("held-out set: traffic unreadable (%v)", err)
+		} else if ws := replay.TrafficCanary(recs, len(lc.canary.Workload), lc.db); len(ws) > 0 {
+			traffic := lc.canary
+			traffic.Workload = ws
+			res := RunCanary(ctx, lc.live.bare, traffic, nil)
+			if res.Pass {
+				return door{canary: traffic, live: &res}
 			}
-			return fmt.Errorf("serve: live model fails on the proposed canary workload (%s); keeping the current one", res.Reason)
+			d.note = fmt.Sprintf("held-out set: the live model fails the traffic sample (%s)", res.Reason)
 		}
-		lc.live.baseline = res
-		canary := res
-		lc.reg.UpdateInfo(lc.live.name, func(info *ModelInfo) { info.Canary = &canary }) //nolint:errcheck // entry may have been replaced concurrently
 	}
-	lc.canary = next
-	return nil
+	res := RunCanary(ctx, lc.live.bare, d.canary, nil)
+	d.live = &res
+	return d
 }
 
 // Publish decodes spec.Snapshot, runs the model through the canary gate and,
@@ -175,7 +185,8 @@ func (lc *Lifecycle) SetCanaryWorkload(ctx context.Context, ws workload.Set) err
 // of the serving schema are refused with an error wrapping ErrBadSnapshot, a
 // model the canary refuses with one wrapping ErrCanaryRejected (the returned
 // Publication still carries the failing canary result); either way nothing is
-// registered or persisted.
+// registered or persisted. A candidate default is also held to the live
+// model's run on the same workload.
 func (lc *Lifecycle) Publish(ctx context.Context, spec PublishSpec) (Publication, error) {
 	if spec.Name == "" {
 		return Publication{}, fmt.Errorf("serve: publish needs a name")
@@ -186,12 +197,11 @@ func (lc *Lifecycle) Publish(ctx context.Context, spec PublishSpec) (Publication
 	// Registering under the live model's name replaces the default, so it is
 	// judged, tracked and rolled back as a new default.
 	spec.MakeDefault = spec.MakeDefault || spec.Name == lc.live.name
-	var incumbent *CanaryResult
-	if spec.MakeDefault && lc.live.bare != nil {
-		b := lc.live.baseline
-		incumbent = &b
+	d := lc.doorLocked(ctx)
+	if !spec.MakeDefault {
+		d.live = nil
 	}
-	return lc.admitLocked(ctx, spec, 0, incumbent)
+	return lc.admitLocked(ctx, spec, 0, d)
 }
 
 // admitLocked is the one step from snapshot bytes to the registry: decode and
@@ -200,15 +210,18 @@ func (lc *Lifecycle) Publish(ctx context.Context, spec PublishSpec) (Publication
 // persisted as a new generation (when there is a store) before it serves; one
 // that does not is registered without one, so the store holds only defaults
 // and neither a rollback nor a restart can promote a model that never was one.
-// incumbent, when non-nil, is the baseline the candidate must stay within
-// slack of. A failure registers nothing, and its error wraps ErrBadSnapshot or
-// ErrCanaryRejected when the model is at fault.
-func (lc *Lifecycle) admitLocked(ctx context.Context, spec PublishSpec, gen uint64, incumbent *CanaryResult) (Publication, error) {
+// The model is judged on d's workload and, when d.live is non-nil, must stay
+// within slack of it. A failure registers nothing, and its error wraps
+// ErrBadSnapshot or ErrCanaryRejected when the model is at fault.
+func (lc *Lifecycle) admitLocked(ctx context.Context, spec PublishSpec, gen uint64, d door) (Publication, error) {
 	est, kind, err := estimator.LoadEstimator(bytes.NewReader(spec.Snapshot), lc.db)
 	if err != nil {
 		return Publication{}, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	res := RunCanary(ctx, est, lc.canary, incumbent)
+	res := RunCanary(ctx, est, d.canary, d.live)
+	if d.note != "" {
+		res.Reason += "; " + d.note
+	}
 	if !res.Pass && ctx.Err() != nil {
 		// The run was cut short by cancellation, not failed by the model:
 		// report the interruption, not a canary verdict.
@@ -238,7 +251,7 @@ func (lc *Lifecycle) admitLocked(ctx context.Context, spec PublishSpec, gen uint
 func (lc *Lifecycle) Recover(ctx context.Context, name string, makeDefault bool) (Publication, bool, error) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	pub, err := lc.promoteFromStoreLocked(ctx, name, makeDefault)
+	pub, err := lc.promoteFromStoreLocked(ctx, name, makeDefault, lc.doorLocked(ctx))
 	if err != nil {
 		if errors.Is(err, ErrNoRollbackTarget) {
 			return Publication{}, false, nil
@@ -267,6 +280,9 @@ func (lc *Lifecycle) rollbackLocked(ctx context.Context, reason string) (Publica
 	if lc.live.name == "" {
 		return Publication{}, fmt.Errorf("serve: no lifecycle-managed model to roll back")
 	}
+	// The workload is picked while the live model still stands to say
+	// whether the traffic sample is fit to judge on.
+	d := lc.doorLocked(ctx)
 	if err := ctx.Err(); err != nil {
 		// Canceled before any destructive step (e.g. the client behind
 		// POST /v1/models/rollback disconnected): leave everything in place.
@@ -275,7 +291,7 @@ func (lc *Lifecycle) rollbackLocked(ctx context.Context, reason string) (Publica
 	if err := lc.quarantineLocked(lc.live.gen); err != nil {
 		return Publication{}, err
 	}
-	pub, err := lc.promoteFromStoreLocked(ctx, lc.live.name, true)
+	pub, err := lc.promoteFromStoreLocked(ctx, lc.live.name, true, d)
 	if err != nil {
 		return Publication{}, err
 	}
@@ -284,13 +300,14 @@ func (lc *Lifecycle) rollbackLocked(ctx context.Context, reason string) (Publica
 }
 
 // promoteFromStoreLocked walks the store newest-first and admits the first
-// generation that reads, decodes and passes the canary, judged on its own: the
-// model it replaces is gone or distrusted. A generation that fails is
-// quarantined and the walk goes on.
-func (lc *Lifecycle) promoteFromStoreLocked(ctx context.Context, name string, makeDefault bool) (Publication, error) {
+// generation that reads, decodes and passes the canary on d's workload, judged
+// on its own: the model it replaces is gone or distrusted. A generation that
+// fails is quarantined and the walk goes on.
+func (lc *Lifecycle) promoteFromStoreLocked(ctx context.Context, name string, makeDefault bool, d door) (Publication, error) {
 	if lc.st == nil {
 		return Publication{}, ErrNoRollbackTarget
 	}
+	d.live = nil
 	for {
 		g, ok := lc.st.Latest()
 		if !ok {
@@ -303,7 +320,7 @@ func (lc *Lifecycle) promoteFromStoreLocked(ctx context.Context, name string, ma
 				source += " (published as " + man.Name + ")"
 			}
 			spec := PublishSpec{Name: name, Source: source, Snapshot: payload, MakeDefault: makeDefault}
-			pub, err := lc.admitLocked(ctx, spec, g.Number, nil)
+			pub, err := lc.admitLocked(ctx, spec, g.Number, d)
 			if err == nil {
 				return pub, nil
 			}
@@ -355,7 +372,7 @@ func (lc *Lifecycle) registerLocked(name string, est estimator.Estimator, kind, 
 		if err := lc.reg.SetDefault(name); err != nil {
 			return Publication{}, err
 		}
-		lc.live = liveModel{name: name, gen: gen, bare: est, baseline: res}
+		lc.live = liveModel{name: name, gen: gen, bare: est}
 		lc.metrics.storeGeneration.Store(gen)
 	}
 	return Publication{Info: info, Canary: res}, nil

@@ -12,7 +12,7 @@ import (
 // Registry holds the named estimators a server routes requests to. Reads
 // are lock-free: the whole name→entry view lives behind one atomic pointer
 // to an immutable snapshot, so resolving a model costs a single atomic load
-// and a map lookup. Writers (Register, SetDefault, UpdateInfo) serialize on a
+// and a map lookup. Writers (Register, SetDefault) serialize on a
 // mutex, build a fresh snapshot, and publish it atomically — in-flight
 // requests that already resolved an estimator keep the one they hold, which
 // is exactly what makes hot-swapping a model safe: no request ever observes
@@ -42,8 +42,7 @@ type ModelInfo struct {
 	// StoreGeneration is the crash-safe store generation backing this entry
 	// (0 when the model was never persisted through the lifecycle).
 	StoreGeneration uint64 `json:"storeGeneration,omitempty"`
-	// Canary is the entry's canary verdict: the run that admitted it, or
-	// the re-run that re-baselined it on a new canary workload.
+	// Canary is the entry's canary verdict: the run that admitted it.
 	Canary *CanaryResult `json:"canary,omitempty"`
 }
 
@@ -137,30 +136,6 @@ func (r *Registry) List() ([]ModelInfo, string) {
 		out = append(out, s.entries[n].info)
 	}
 	return out, s.def
-}
-
-// UpdateInfo rewrites name's published info in place (same estimator, no
-// re-wrap, no registry generation bump): a canary workload swap uses it to
-// publish the live model's new baseline without disturbing traffic. mutate
-// receives a copy; the mutated copy is published atomically.
-func (r *Registry) UpdateInfo(name string, mutate func(*ModelInfo)) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.snap.Load()
-	e, ok := old.entries[name]
-	if !ok {
-		return fmt.Errorf("serve: unknown model %q (have %v)", name, old.names)
-	}
-	info := e.info
-	mutate(&info)
-	info.Name = name // the key is immutable
-	next := &regSnapshot{entries: make(map[string]*regEntry, len(old.entries)), names: old.names, def: old.def}
-	for k, v := range old.entries {
-		next.entries[k] = v
-	}
-	next.entries[name] = &regEntry{info: info, est: e.est}
-	r.snap.Store(next)
-	return nil
 }
 
 // SetDefault makes name the default model.

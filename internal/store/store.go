@@ -215,9 +215,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Recovery returns what Open found.
 func (s *Store) Recovery() RecoveryReport {
 	s.mu.Lock()
@@ -242,19 +239,6 @@ func (s *Store) Generations() []Generation {
 	out := make([]Generation, len(s.gens))
 	copy(out, s.gens)
 	return out
-}
-
-// PrevValid returns the newest valid generation strictly older than number
-// — the rollback target when generation number goes bad.
-func (s *Store) PrevValid(number uint64) (Generation, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := len(s.gens) - 1; i >= 0; i-- {
-		if s.gens[i].Number < number {
-			return s.gens[i], true
-		}
-	}
-	return Generation{}, false
 }
 
 // Put durably publishes payload as a new generation and returns it. On any

@@ -324,25 +324,6 @@ func TestRootSyncFailureBurnsNumber(t *testing.T) {
 	}
 }
 
-func TestPrevValid(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPut(t, s, "a")
-	mustPut(t, s, "b")
-	mustPut(t, s, "c")
-	if g, ok := s.PrevValid(3); !ok || g.Number != 2 {
-		t.Errorf("PrevValid(3) = %+v, %v, want generation 2", g, ok)
-	}
-	if g, ok := s.PrevValid(2); !ok || g.Number != 1 {
-		t.Errorf("PrevValid(2) = %+v, %v, want generation 1", g, ok)
-	}
-	if _, ok := s.PrevValid(1); ok {
-		t.Error("PrevValid(1) found a generation below the first")
-	}
-}
-
 // TestSweepsTempDirs: a crash mid-Put leaves tmp-gen-N; Open removes it and
 // never treats it as publishable.
 func TestSweepsTempDirs(t *testing.T) {
