@@ -16,12 +16,11 @@ race:
 
 # check is the pre-merge gate: static analysis plus the full test suite under
 # the race detector. The daemon answers every request on its own goroutine
-# over pooled scratch (parser, featurizer, fingerprint), the resilience layer
-# still guards an estimator that takes no context with a goroutine of its
-# own, and labeling/training fan out across worker pools (internal/parallel,
-# exec.CountManyWorkers — whose workers meet each column's lazily built
-# dictionary together — gb/nn Workers), so race-cleanliness is a correctness
-# property here, not a nicety.
+# over pooled scratch (parser, featurizer, fingerprint) and a cache that
+# concurrent identical misses each write, and labeling/training fan out across
+# worker pools (internal/parallel, exec.CountManyWorkers — whose workers meet
+# each column's lazily built dictionary together — gb/nn Workers), so
+# race-cleanliness is a correctness property here, not a nicety.
 check: vet race
 
 # ci is the one-shot pipeline entry point; each step's reason sits above it.
@@ -39,7 +38,7 @@ ci:
 # Local.Estimate <= 6, an inline resilience stage 0, keying and looking up a
 # query text 0, the whole handler on a hit <= 6, or <= 8 with a Feedback hook
 # (it is handed the query the entry kept from its miss: neither hit parses),
-# and on a miss that evicts <= 26 (no timer, no list node, no flight).
+# and on a miss that evicts <= 26 (no timer, no list node).
 	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience ./internal/serve
 # So does the serving-heap pin: a booted daemon holds table + model (+ canary) + <= 192 KiB, -journal or not.
 # A GB model is its flat forest alone; one that also kept the arenas it was fit in reads +0.33 MiB and fails.
@@ -178,6 +177,16 @@ ci:
 # own: a candidate's incumbent is scored at the door, on the same workload.
 	! grep -rnwE 'OnRotate|SetCanaryWorkload|UpdateInfo|coalesced' --include='*.go' internal cmd | grep -v '_test\.go:'
 	! $(GO) doc -u qfe/internal/serve.liveModel | grep -E '^\s+baseline\s'
+# Guard 18, a miss is computed by the request that missed: concurrent
+# identical misses each compute on their own goroutine (a singleflight over
+# them collapsed no request on any cmd/bench workload), and the resilience
+# chain calls every stage on the caller's goroutine. So no flight table, no
+# collapse counter and no estCache.do come back to the estimate cache, and no
+# goroutine to the chain. The journal is reported by the server from the
+# lifecycle that holds it, so the two one-user hooks it rode in on stay gone.
+	! grep -rnE 'flights|cacheCollapsed|func \(c \*estCache\) do\(' --include='*.go' internal/serve | grep -v '_test\.go:'
+	! grep -n 'go func' internal/resilience/resilience.go
+	! grep -rnE 'ExtraMetrics|StatusPages' --include='*.go' internal cmd | grep -v '_test\.go:'
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

@@ -60,16 +60,15 @@
 // The daemon memoizes estimates in a generation-scoped cache
 // (-cache-entries, default 4096; 0 disables): requests are keyed on the live
 // model's registry generation plus the SHA-256 of the query text as sent, so
-// a repeated text is answered before it is parsed, concurrent identical
-// queries collapse into a single model inference, and every publish or
-// rollback invalidates the cache implicitly by changing the generation. A
-// different spelling of a cached query (reordered conjuncts, "a > 5" for
-// "a >= 6") is a different key: it recomputes, a few microseconds, and gets
-// the same estimate. /metrics reports cache_hits, cache_misses,
-// cache_evictions, and cache_collapsed. The journal still files every record
-// under core.Fingerprint, the key of the featurization class; cmd/replay
-// counts how many of a journal's records a class key would have served that a
-// text key does not (its "traffic:" line).
+// a repeated text is answered before it is parsed, a miss is computed on the
+// request goroutine that missed, and every publish or rollback invalidates
+// the cache implicitly by changing the generation. A different spelling of a
+// cached query (reordered conjuncts, "a > 5" for "a >= 6") is a different
+// key: it recomputes, a few microseconds, and gets the same estimate.
+// /metrics reports cache_hits, cache_misses and cache_evictions. The journal
+// still files every record under core.Fingerprint, the key of the
+// featurization class; cmd/replay counts how many of a journal's records a
+// class key would have served that a text key does not (its "traffic:" line).
 //
 // -journal arms the durable query-feedback journal (see internal/journal):
 // every served estimate — SQL, fingerprint, estimate, client-reported
@@ -271,13 +270,10 @@ func arm(b *booted, o options, out io.Writer) (*daemon, error) {
 		Lifecycle:      lc,
 		Cache:          serve.CacheConfig{Entries: o.cacheEntries},
 	}
-	// Every served estimate is appended (shed-not-block) to the journal.
+	// Every served estimate is appended (shed-not-block) to the journal; the
+	// server reports the journal through the lifecycle, which holds it too.
 	if jnl != nil {
 		cfg.Feedback = feedbackHook(jnl)
-		cfg.ExtraMetrics = func() map[string]any { return journalCounters(jnl) }
-		cfg.StatusPages = map[string]func() any{"/v1/journal": func() any {
-			return map[string]any{"dir": jnl.Dir(), "stats": jnl.Stats(), "segments": jnl.Segments()}
-		}}
 	}
 	d := &daemon{jnl: jnl}
 	srv, err := serve.New(cfg)
@@ -308,26 +304,6 @@ func feedbackHook(jnl *journal.Journal) func(serve.FeedbackEvent) {
 			HasActual:     ev.HasActual,
 			LatencyMicros: ev.Latency.Microseconds(),
 		})
-	}
-}
-
-// journalCounters flattens the journal's stats into /metrics keys.
-func journalCounters(jnl *journal.Journal) map[string]any {
-	s := jnl.Stats()
-	return map[string]any{
-		"journal_appended":     s.Appended,
-		"journal_fingerprints": s.Fingerprints,
-		"journal_shed":         s.Shed,
-		"journal_persisted":    s.Persisted,
-		"journal_dropped":      s.Dropped,
-		"journal_staged":       s.Staged,
-		"journal_flushes":      s.Flushes,
-		"journal_flush_micros": s.FlushMicros,
-		"journal_flush_errors": s.FlushErrors,
-		"journal_rotations":    s.Rotations,
-		"journal_gc_removed":   s.GCRemoved,
-		"journal_segments":     s.SealedSegments,
-		"journal_active_bytes": s.ActiveBytes,
 	}
 }
 

@@ -195,9 +195,9 @@ func (l *Local) Estimate(q *sqlparse.Query) (float64, error) {
 
 // EstimateCtx implements ContextEstimator. An estimate is microseconds of
 // bounded arithmetic with nowhere to block, so the context is checked on
-// entry and there is nothing further to interrupt. What the method buys is
-// the type: the resilience chain runs a ContextEstimator on the caller's
-// goroutine instead of guarding it with one of its own.
+// entry and there is nothing further to interrupt: the resilience chain,
+// which calls every stage on the caller's goroutine, relies on it returning
+// within microseconds of a spent deadline.
 func (l *Local) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

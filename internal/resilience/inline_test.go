@@ -18,8 +18,7 @@ import (
 	"qfe/internal/workload"
 )
 
-// ctxStub is a stubEst that also implements estimator.ContextEstimator, so
-// the chain runs it on the caller's goroutine.
+// ctxStub is a stubEst that also implements estimator.ContextEstimator.
 type ctxStub struct{ *stubEst }
 
 func (s ctxStub) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
@@ -52,9 +51,9 @@ func TestInlineStageAllocs(t *testing.T) {
 	}
 }
 
-// TestInlineStageHonorsDeadline: the inline path checks the deadline before
-// the call, and a stage that is only an Estimator still gets a goroutine, so
-// a spent context never reaches either kind of estimator.
+// TestInlineStageHonorsDeadline: the chain checks the deadline before each
+// call, so a spent context reaches neither a stage that takes one nor a stage
+// that is only an Estimator.
 func TestInlineStageHonorsDeadline(t *testing.T) {
 	inline, guarded := healthy(1), healthy(2)
 	r := NewResilient(Config{LastResort: Constant{Value: 17}},

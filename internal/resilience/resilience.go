@@ -15,13 +15,14 @@
 // the estimators are deterministic in-process code, so the same call would
 // fail the same way; the chain moves on, as it does past a stage that refuses
 // the query (core.ErrUnsupported), which its breaker does not count. Every
-// stage is guarded by:
+// stage runs on the caller's goroutine and is guarded by:
 //
-//   - a per-call deadline (context.Context), enforced even when the
-//     underlying estimator ignores contexts: an estimator.ContextEstimator
-//     runs on the caller's goroutine and is trusted to return at the
-//     deadline, any other estimator runs on a goroutine that is abandoned
-//     at it;
+//   - a per-call deadline (context.Context), checked before each stage and
+//     handed to a stage that takes one (estimator.ContextEstimator), which is
+//     trusted to return at it; a stage that takes none is not interrupted,
+//     so the chain bounds a request's time only as far as its stages honour
+//     their contexts (every stage any binary builds does: estimator.Local,
+//     Independence, Sampling);
 //   - panic recovery, converting panics in model code into stage errors;
 //   - a circuit breaker with half-open probing, so a persistently failing
 //     stage stops being invoked on the hot path and is re-admitted only
@@ -238,61 +239,19 @@ func (r *Resilient) attempt(ctx context.Context, s *stageState, q *sqlparse.Quer
 	return 0, err
 }
 
-// callGuarded runs one stage call with panic isolation and deadline
-// enforcement. The estimator's type decides how.
-//
-// A ContextEstimator has promised to return ctx.Err() promptly, so it runs on
-// the caller's goroutine under recover: the deadline is checked before the
-// call and the stage's own return is final. This is the path of every stage
-// the daemon configures, and it costs neither a goroutine nor an allocation.
-//
-// A plain Estimator is uninterruptible. It runs in a goroutine of its own so
-// the deadline holds even while it is stuck; on timeout the goroutine is
-// abandoned (its eventual result goes to a buffered channel and is dropped).
-// Its select on ctx.Done is what arms a WithDeadline context's timer; the
-// inline path only reads ctx.Err and arms none.
-func callGuarded(ctx context.Context, name string, est estimator.Estimator, q *sqlparse.Query) (float64, error) {
-	if ce, ok := est.(estimator.ContextEstimator); ok {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return callInline(ctx, name, ce, q)
-	}
-	type outcome struct {
-		v   float64
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- outcome{err: stagePanic(name, p)}
-			}
-		}()
-		v, err := estimator.EstimateWithContext(ctx, est, q)
-		ch <- outcome{v: v, err: err}
-	}()
-	select {
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case o := <-ch:
-		return o.v, o.err
-	}
-}
-
-// callInline is the ContextEstimator half of callGuarded: the call, with a
-// panic in model code converted into the stage's error.
-func callInline(ctx context.Context, name string, est estimator.ContextEstimator, q *sqlparse.Query) (v float64, err error) {
+// callGuarded runs one stage call on the caller's goroutine, with a panic in
+// model code converted into the stage's error. estimator.EstimateWithContext
+// checks the deadline before the call and hands it to a stage that takes one;
+// the stage's own return is final. It costs neither a goroutine nor an
+// allocation, and it only reads ctx.Err, so a WithDeadline context arms no
+// timer unless the stage itself selects on Done.
+func callGuarded(ctx context.Context, name string, est estimator.Estimator, q *sqlparse.Query) (v float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			v, err = 0, stagePanic(name, p)
+			v, err = 0, fmt.Errorf("resilience: panic in stage %s: %v", name, p)
 		}
 	}()
-	return est.EstimateCtx(ctx, q)
-}
-
-func stagePanic(name string, p any) error {
-	return fmt.Errorf("resilience: panic in stage %s: %v", name, p)
+	return estimator.EstimateWithContext(ctx, est, q)
 }
 
 // lastResortEstimate is total: panics and invalid values collapse to the

@@ -143,13 +143,28 @@ func TestLastResortAlwaysAnswers(t *testing.T) {
 	}
 }
 
-func TestDeadlineBoundsSlowStage(t *testing.T) {
-	slow := &stubEst{name: "slow", fn: func(int) (float64, error) {
-		time.Sleep(2 * time.Second)
+// slowStage takes two seconds to answer unless its context ends first: a
+// stage that honours its context, as every stage a binary builds does.
+type slowStage struct{}
+
+func (slowStage) Name() string { return "slow" }
+
+func (s slowStage) Estimate(q *sqlparse.Query) (float64, error) {
+	return s.EstimateCtx(context.Background(), q)
+}
+
+func (slowStage) EstimateCtx(ctx context.Context, _ *sqlparse.Query) (float64, error) {
+	select {
+	case <-time.After(2 * time.Second):
 		return 123, nil
-	}}
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
+func TestDeadlineBoundsSlowStage(t *testing.T) {
 	r := NewResilient(Config{Timeout: 30 * time.Millisecond, LastResort: Constant{Value: 17}},
-		Stage{Est: slow},
+		Stage{Est: slowStage{}},
 	)
 	start := time.Now()
 	res := r.EstimateDetailed(context.Background(), testQuery)
@@ -157,8 +172,8 @@ func TestDeadlineBoundsSlowStage(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("deadline not enforced: call took %v", elapsed)
 	}
-	if res.Estimate != 17 {
-		t.Fatalf("expected the last resort to answer, got %+v", res)
+	if res.Estimate != 17 || !res.Degraded {
+		t.Fatalf("expected the last resort to answer, degraded, got %+v", res)
 	}
 	if len(res.Errors) == 0 || !errors.Is(res.Errors[0].Err, context.DeadlineExceeded) {
 		t.Fatalf("expected a deadline error, got %v", res.Errors)
@@ -168,11 +183,7 @@ func TestDeadlineBoundsSlowStage(t *testing.T) {
 func TestCallerDeadlineWins(t *testing.T) {
 	// A caller context with its own (shorter) deadline is respected; the
 	// configured Timeout only applies when the caller brought none.
-	slow := &stubEst{name: "slow", fn: func(int) (float64, error) {
-		time.Sleep(2 * time.Second)
-		return 123, nil
-	}}
-	r := NewResilient(Config{Timeout: time.Hour, LastResort: Constant{Value: 3}}, Stage{Est: slow})
+	r := NewResilient(Config{Timeout: time.Hour, LastResort: Constant{Value: 3}}, Stage{Est: slowStage{}})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -180,8 +191,8 @@ func TestCallerDeadlineWins(t *testing.T) {
 	if time.Since(start) > time.Second {
 		t.Fatal("caller deadline ignored")
 	}
-	if res.Estimate != 3 {
-		t.Fatalf("expected last resort, got %+v", res)
+	if res.Estimate != 3 || !res.Degraded {
+		t.Fatalf("expected last resort, degraded, got %+v", res)
 	}
 }
 

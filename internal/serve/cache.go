@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"math"
 	"sync"
 	"unsafe"
@@ -34,9 +32,12 @@ import (
 // parsing the text again (see cacheEntry for the sharing rule); a server
 // without a hook keeps estimates only.
 //
-// Misses are collapsed with a singleflight: when N requests for the same
-// key arrive concurrently, one computes and the rest wait for its result,
-// so a thundering herd of identical queries costs one model inference.
+// A miss is computed by the request that missed, on its own goroutine:
+// concurrent identical misses each compute the same deterministic estimate
+// and each store it (insertLocked refreshes a present key), so no request
+// waits on another's work. A burst of identical misses computes at most
+// MaxInFlight times; a singleflight that made them wait on one compute
+// instead collapsed no request on any of cmd/bench's workloads (DESIGN §6).
 //
 // What is never cached: failed estimates, degraded (fallback-stage)
 // results, and non-finite values. A hit is therefore exactly what the same
@@ -76,15 +77,6 @@ func cacheable(res EstResult) bool {
 		!math.IsNaN(res.Estimate) && !math.IsInf(res.Estimate, 0)
 }
 
-// flight is what requests for a key that is being computed wait on. A
-// leader registers its key in flights with a nil *flight and the first
-// follower makes one, so a miss nobody else asks for allocates neither the
-// flight nor its channel.
-type flight struct {
-	done chan struct{} // closed when res is set
-	res  EstResult
-}
-
 // cacheEntry is one memoized estimate. q is the parsed, bound query the miss
 // produced, kept only for a server with a Feedback hook — the hook is owed
 // the query on every hit, and re-parsing text the cache has just answered was
@@ -115,8 +107,7 @@ type cacheShard struct {
 	mu      sync.Mutex
 	entries map[cacheKey]int32 // key → its slot
 	slots   []cacheEntry
-	head    int32                // most recently used slot; meaningless while slots is empty
-	flights map[cacheKey]*flight // key → its flight; nil until a follower waits
+	head    int32 // most recently used slot; meaningless while slots is empty
 }
 
 // touch makes slot i the most recently used.
@@ -141,14 +132,14 @@ func (s *cacheShard) link(i int32) {
 	s.head = i
 }
 
-// estCache is the sharded LRU + singleflight store. Create with
-// newEstCache; a nil *estCache is a valid always-miss, never-store cache.
+// estCache is the sharded LRU store. Create with newEstCache; a nil
+// *estCache stores nothing (the server then never looks anything up).
 type estCache struct {
 	shards  []*cacheShard
 	mask    uint32
 	perCap  int      // per-shard entry capacity, >= 1
 	keepQ   bool     // entries keep their query (the server has a Feedback hook)
-	metrics *Metrics // hit/miss/eviction/collapse counters
+	metrics *Metrics // hit/miss/eviction counters
 }
 
 func newEstCache(cfg CacheConfig, m *Metrics, keepQ bool) *estCache {
@@ -163,10 +154,7 @@ func newEstCache(cfg CacheConfig, m *Metrics, keepQ bool) *estCache {
 		metrics: m,
 	}
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			entries: make(map[cacheKey]int32),
-			flights: make(map[cacheKey]*flight),
-		}
+		c.shards[i] = &cacheShard{entries: make(map[cacheKey]int32)}
 	}
 	return c
 }
@@ -181,8 +169,8 @@ func (c *estCache) shard(key cacheKey) *cacheShard {
 // lookup returns key's cached result and the query stored with it (nil
 // unless the server keeps them), counting a hit when there is one and
 // nothing otherwise: both request paths ask here first, before they have
-// parsed the text, and count the miss once it has turned out to be a query
-// (the single path in do, the client-batch path itself).
+// parsed the text, and count the miss in put once it has turned out to be a
+// query and been estimated.
 func (c *estCache) lookup(key cacheKey) (EstResult, *sqlparse.Query, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -197,9 +185,15 @@ func (c *estCache) lookup(key cacheKey) (EstResult, *sqlparse.Query, bool) {
 	return EstResult{}, nil, false
 }
 
-// put stores a computed result and the query to hand its hits (batch path);
-// uncacheable results are dropped.
+// put records a miss the caller has just estimated, for the single-query
+// and the client-batch path alike: it counts the miss and stores res with
+// the query to hand its hits; an uncacheable result is counted and dropped.
+// A nil cache counts and stores nothing.
 func (c *estCache) put(key cacheKey, res EstResult, q *sqlparse.Query) {
+	if c == nil {
+		return
+	}
+	c.metrics.cacheMisses.Add(1)
 	if !cacheable(res) {
 		return
 	}
@@ -207,84 +201,6 @@ func (c *estCache) put(key cacheKey, res EstResult, q *sqlparse.Query) {
 	s.mu.Lock()
 	c.insertLocked(s, key, res, q)
 	s.mu.Unlock()
-}
-
-// do returns the cached result for key or computes it, collapsing
-// concurrent identical misses into one compute call; q is stored with a
-// result that is cached. The caller's ctx only bounds its own wait: a
-// follower whose context expires unblocks immediately, and a follower that
-// inherits a leader's context-shaped failure recomputes for itself rather
-// than propagating an error that says nothing about its own request.
-func (c *estCache) do(ctx context.Context, key cacheKey, q *sqlparse.Query, compute func() EstResult) EstResult {
-	s := c.shard(key)
-	s.mu.Lock()
-	if i, ok := s.entries[key]; ok {
-		s.touch(i)
-		res := s.slots[i].res
-		s.mu.Unlock()
-		c.metrics.cacheHits.Add(1)
-		return res
-	}
-	if f, ok := s.flights[key]; ok {
-		if f == nil {
-			f = &flight{done: make(chan struct{})}
-			s.flights[key] = f
-		}
-		s.mu.Unlock()
-		c.metrics.cacheCollapsed.Add(1)
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return EstResult{Err: ctx.Err()}
-		}
-		res := f.res
-		if res.Err != nil && isContextErr(res.Err) && ctx.Err() == nil {
-			// The leader was cut short by its own deadline or client; this
-			// request is still live, so its estimate is still owed — and
-			// cached, as the leader's would have been.
-			res = compute()
-			c.put(key, res, q)
-		}
-		return res
-	}
-	s.flights[key] = nil
-	s.mu.Unlock()
-	c.metrics.cacheMisses.Add(1)
-
-	finished := false
-	defer func() {
-		// On panic (propagated to the HTTP layer's recovery) the flight
-		// still resolves, so followers never hang on a leader that died.
-		if !finished {
-			s.mu.Lock()
-			s.landLocked(key, EstResult{Err: errors.New("serve: estimate computation panicked")})
-			s.mu.Unlock()
-		}
-	}()
-	res := compute()
-	finished = true
-
-	s.mu.Lock()
-	s.landLocked(key, res)
-	if cacheable(res) {
-		c.insertLocked(s, key, res, q)
-	}
-	s.mu.Unlock()
-	return res
-}
-
-// landLocked ends key's flight under s.mu, handing res to its followers if
-// any came.
-func (s *cacheShard) landLocked(key cacheKey, res EstResult) {
-	if f := s.flights[key]; f != nil {
-		f.res = res
-		close(f.done)
-	}
-	delete(s.flights, key)
-}
-
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // insertLocked adds or refreshes key under s.mu as the shard's most recently

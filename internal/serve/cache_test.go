@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"qfe/internal/estimator"
+	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
 	"qfe/internal/testutil"
 )
@@ -52,6 +54,17 @@ func TestCacheDisabledByZeroConfig(t *testing.T) {
 	}
 }
 
+// get is a request's way through the cache: lookup, and on a miss compute
+// and put.
+func get(c *estCache, key cacheKey, compute func() EstResult) EstResult {
+	if res, _, ok := c.lookup(key); ok {
+		return res
+	}
+	res := compute()
+	c.put(key, res, nil)
+	return res
+}
+
 func TestCacheHitMissEvict(t *testing.T) {
 	c, m := newTestCache(2 * cacheShards) // two entries per shard
 	keys := sameShard(c, 3)               // one shard's: LRU order is deterministic
@@ -61,21 +74,20 @@ func TestCacheHitMissEvict(t *testing.T) {
 	compute := func(v float64) func() EstResult {
 		return func() EstResult { calls++; return okRes(v) }
 	}
-	ctx := context.Background()
 
-	if res := c.do(ctx, a, nil, compute(1)); res.Estimate != 1 {
+	if res := get(c, a, compute(1)); res.Estimate != 1 {
 		t.Fatalf("first a: %+v", res)
 	}
-	if res := c.do(ctx, a, nil, compute(99)); res.Estimate != 1 {
+	if res := get(c, a, compute(99)); res.Estimate != 1 {
 		t.Fatalf("cached a: %+v, want the first computation's value", res)
 	}
-	c.do(ctx, b, nil, compute(2))
-	c.do(ctx, a, nil, compute(99)) // refreshes a's recency
-	c.do(ctx, cc, nil, compute(3)) // capacity 2: evicts b, the LRU entry
-	if res := c.do(ctx, a, nil, compute(99)); res.Estimate != 1 {
+	get(c, b, compute(2))
+	get(c, a, compute(99)) // refreshes a's recency
+	get(c, cc, compute(3)) // capacity 2: evicts b, the LRU entry
+	if res := get(c, a, compute(99)); res.Estimate != 1 {
 		t.Fatalf("a must have survived (its hit refreshed recency): %+v", res)
 	}
-	if res := c.do(ctx, b, nil, compute(4)); res.Estimate != 4 {
+	if res := get(c, b, compute(4)); res.Estimate != 4 {
 		t.Fatalf("b after eviction: %+v, want recomputed 4", res)
 	}
 
@@ -129,7 +141,6 @@ func TestCacheGetAllocs(t *testing.T) {
 
 func TestCacheUncacheableResults(t *testing.T) {
 	c, m := newTestCache(8)
-	ctx := context.Background()
 
 	calls := 0
 	for i, res := range []EstResult{
@@ -139,7 +150,7 @@ func TestCacheUncacheableResults(t *testing.T) {
 		res := res
 		key := fmt.Sprintf("k%d", i)
 		for j := 0; j < 2; j++ {
-			got := c.do(ctx, ck(key), nil, func() EstResult { calls++; return res })
+			got := get(c, ck(key), func() EstResult { calls++; return res })
 			if got != res {
 				t.Fatalf("key %s round %d: %+v, want %+v", key, j, got, res)
 			}
@@ -150,186 +161,6 @@ func TestCacheUncacheableResults(t *testing.T) {
 	}
 	if h := m.cacheHits.Load(); h != 0 {
 		t.Errorf("%d hits on uncacheable results, want 0", h)
-	}
-}
-
-func TestCacheSingleflightCollapse(t *testing.T) {
-	c, m := newTestCache(8)
-	const followers = 8
-
-	var computes atomic.Int64
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan EstResult, 1)
-	go func() {
-		leaderDone <- c.do(context.Background(), ck("k"), nil, func() EstResult {
-			computes.Add(1)
-			close(entered)
-			<-release
-			return okRes(42)
-		})
-	}()
-	<-entered
-
-	var wg sync.WaitGroup
-	results := make([]EstResult, followers)
-	for i := 0; i < followers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = c.do(context.Background(), ck("k"), nil, func() EstResult {
-				computes.Add(1)
-				return okRes(-1)
-			})
-		}()
-	}
-	// Wait until every follower has joined the flight, then let it finish.
-	for deadline := time.Now().Add(5 * time.Second); m.cacheCollapsed.Load() < followers; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d followers collapsed", m.cacheCollapsed.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	if res := <-leaderDone; res.Estimate != 42 {
-		t.Fatalf("leader: %+v", res)
-	}
-	for i, res := range results {
-		if res.Err != nil || res.Estimate != 42 {
-			t.Fatalf("follower %d: %+v, want the leader's 42", i, res)
-		}
-	}
-	if n := computes.Load(); n != 1 {
-		t.Errorf("%d computations for %d concurrent identical requests, want 1", n, followers+1)
-	}
-	if col := m.cacheCollapsed.Load(); col != followers {
-		t.Errorf("cache_collapsed = %d, want %d", col, followers)
-	}
-}
-
-// TestCacheFollowerCancellation: a follower whose own context dies must
-// unblock immediately instead of waiting for the leader's flush.
-func TestCacheFollowerCancellation(t *testing.T) {
-	c, _ := newTestCache(8)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	defer close(release)
-	go c.do(context.Background(), ck("k"), nil, func() EstResult {
-		close(entered)
-		<-release
-		return okRes(1)
-	})
-	<-entered
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() { time.Sleep(5 * time.Millisecond); cancel() }()
-	start := time.Now()
-	res := c.do(ctx, ck("k"), nil, func() EstResult { return okRes(-1) })
-	if !errors.Is(res.Err, context.Canceled) {
-		t.Fatalf("canceled follower got %+v, want context.Canceled", res)
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("canceled follower blocked %v", waited)
-	}
-}
-
-// TestCacheLeaderCanceledFollowerRecomputes: a leader cut short by its own
-// deadline must not poison live followers with its context error — they
-// compute for themselves.
-func TestCacheLeaderCanceledFollowerRecomputes(t *testing.T) {
-	c, _ := newTestCache(8)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	go c.do(context.Background(), ck("k"), nil, func() EstResult {
-		close(entered)
-		<-release
-		return EstResult{Err: context.DeadlineExceeded}
-	})
-	<-entered
-
-	followerDone := make(chan EstResult, 1)
-	go func() {
-		followerDone <- c.do(context.Background(), ck("k"), nil, func() EstResult { return okRes(7) })
-	}()
-	// The follower is parked on the flight; release the doomed leader.
-	time.Sleep(5 * time.Millisecond)
-	close(release)
-	res := <-followerDone
-	if res.Err != nil || res.Estimate != 7 {
-		t.Fatalf("follower after canceled leader: %+v, want its own 7", res)
-	}
-}
-
-// TestCacheFollowerRecomputeIsCached: a follower that recomputes after its
-// leader died of the leader's own deadline stores what it computed, as the
-// leader would have, so the next request for the key is a hit.
-func TestCacheFollowerRecomputeIsCached(t *testing.T) {
-	c, m := newTestCache(8)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		c.do(context.Background(), ck("k"), nil, func() EstResult {
-			close(entered)
-			<-release
-			return EstResult{Err: context.DeadlineExceeded}
-		})
-	}()
-	<-entered
-
-	followerDone := make(chan EstResult, 1)
-	go func() {
-		followerDone <- c.do(context.Background(), ck("k"), nil, func() EstResult { return okRes(7) })
-	}()
-	for deadline := time.Now().Add(5 * time.Second); m.cacheCollapsed.Load() < 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("the follower never joined the flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	<-leaderDone
-	if res := <-followerDone; res.Err != nil || res.Estimate != 7 {
-		t.Fatalf("follower after a timed-out leader: %+v, want its own 7", res)
-	}
-	if res, _, ok := c.lookup(ck("k")); !ok || res.Estimate != 7 {
-		t.Errorf("after the follower's recompute: %+v, hit %v; want a hit on its 7", res, ok)
-	}
-}
-
-// TestCollapsedFollowerHonorsItsDeadline: a follower parked on a slow leader
-// under the request's own deadline — whose Done is armed only by that wait —
-// gives up with DeadlineExceeded at that deadline, not at the leader's pace.
-func TestCollapsedFollowerHonorsItsDeadline(t *testing.T) {
-	c, _ := newTestCache(8)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	defer close(release)
-	go c.do(context.Background(), ck("k"), nil, func() EstResult {
-		close(entered)
-		<-release
-		return okRes(1)
-	})
-	<-entered
-
-	const budget, slack = 40 * time.Millisecond, time.Second
-	at := time.Now().Add(budget)
-	ctx, cancel := deadline{parent: context.Background(), at: at}.context()
-	defer cancel()
-	res := c.do(ctx, ck("k"), nil, func() EstResult { return okRes(-1) })
-	now := time.Now()
-	if !errors.Is(res.Err, context.DeadlineExceeded) {
-		t.Fatalf("follower past its deadline got %+v, want DeadlineExceeded", res)
-	}
-	if now.Before(at) {
-		t.Errorf("follower gave up %v before its deadline", at.Sub(now))
-	}
-	if late := now.Sub(at); late > slack {
-		t.Errorf("follower gave up %v after its deadline", late)
 	}
 }
 
@@ -356,7 +187,6 @@ type listShard struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*list.Element
 	lru     *list.List
-	flights map[cacheKey]*flight
 }
 
 func newListCache(cfg CacheConfig, m *Metrics, keepQ bool) *listCache {
@@ -371,7 +201,6 @@ func newListCache(cfg CacheConfig, m *Metrics, keepQ bool) *listCache {
 		c.shards[i] = &listShard{
 			entries: make(map[cacheKey]*list.Element),
 			lru:     list.New(),
-			flights: make(map[cacheKey]*flight),
 		}
 	}
 	return c
@@ -397,6 +226,7 @@ func (c *listCache) lookup(key cacheKey) (EstResult, *sqlparse.Query, bool) {
 }
 
 func (c *listCache) put(key cacheKey, res EstResult, q *sqlparse.Query) {
+	c.metrics.cacheMisses.Add(1)
 	if !cacheable(res) {
 		return
 	}
@@ -404,59 +234,6 @@ func (c *listCache) put(key cacheKey, res EstResult, q *sqlparse.Query) {
 	s.mu.Lock()
 	c.insertLocked(s, key, res, q)
 	s.mu.Unlock()
-}
-
-func (c *listCache) do(ctx context.Context, key cacheKey, q *sqlparse.Query, compute func() EstResult) EstResult {
-	s := c.shard(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(e)
-		res := e.Value.(*listEntry).res
-		s.mu.Unlock()
-		c.metrics.cacheHits.Add(1)
-		return res
-	}
-	if f, ok := s.flights[key]; ok {
-		s.mu.Unlock()
-		c.metrics.cacheCollapsed.Add(1)
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return EstResult{Err: ctx.Err()}
-		}
-		res := f.res
-		if res.Err != nil && isContextErr(res.Err) && ctx.Err() == nil {
-			return compute()
-		}
-		return res
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-	c.metrics.cacheMisses.Add(1)
-
-	finished := false
-	defer func() {
-		if !finished {
-			f.res = EstResult{Err: errors.New("serve: estimate computation panicked")}
-			s.mu.Lock()
-			delete(s.flights, key)
-			s.mu.Unlock()
-			close(f.done)
-		}
-	}()
-	res := compute()
-	finished = true
-
-	s.mu.Lock()
-	delete(s.flights, key)
-	if cacheable(res) {
-		c.insertLocked(s, key, res, q)
-	}
-	s.mu.Unlock()
-	f.res = res
-	close(f.done)
-	return res
 }
 
 func (c *listCache) insertLocked(s *listShard, key cacheKey, res EstResult, q *sqlparse.Query) {
@@ -489,7 +266,7 @@ func (c *listCache) len() int {
 }
 
 // TestSlotLRUMatchesListLRU drives the slot LRU and the list LRU through the
-// same random lookup/put/do sequences, keys drawn from a pool a few times the
+// same random lookup/put sequences, keys drawn from a pool a few times the
 // capacity, results sometimes uncacheable, queries sometimes absent: every
 // call answers the same, and after every call the two hold the same count,
 // and have counted the same hits, misses and evictions. A final sweep of
@@ -524,7 +301,7 @@ func TestSlotLRUMatchesListLRU(t *testing.T) {
 			for step := 0; step < 4000; step++ {
 				key := keys[rng.Intn(len(keys))]
 				q := queries[rng.Intn(len(queries))]
-				switch rng.Intn(3) {
+				switch rng.Intn(2) {
 				case 0:
 					gr, gq, gok := got.lookup(key)
 					wr, wq, wok := want.lookup(key)
@@ -535,13 +312,6 @@ func TestSlotLRUMatchesListLRU(t *testing.T) {
 					res := result()
 					got.put(key, res, q)
 					want.put(key, res, q)
-				case 2:
-					res := result()
-					gr := got.do(context.Background(), key, q, func() EstResult { return res })
-					wr := want.do(context.Background(), key, q, func() EstResult { return res })
-					if gr != wr {
-						t.Fatalf("%s step %d: do = %+v, want %+v", name, step, gr, wr)
-					}
 				}
 				if g, w := got.len(), want.len(); g != w {
 					t.Fatalf("%s step %d: len %d, want %d", name, step, g, w)
@@ -640,7 +410,7 @@ func TestServerCacheBatchPath(t *testing.T) {
 	}
 	first := est.calls.Load()
 	if first != 3 {
-		t.Fatalf("first batch ran the estimator %d times, want 3 (batch path has no in-flight collapse)", first)
+		t.Fatalf("first batch ran the estimator %d times, want 3 (a duplicate within a batch is a second miss)", first)
 	}
 	// Replay: every query now hits.
 	if code, body := postJSON(t, h, "/v1/estimate", batch); code != http.StatusOK {
@@ -655,52 +425,112 @@ func TestServerCacheBatchPath(t *testing.T) {
 	}
 }
 
-// TestServerCacheSingleflightE2E: concurrent identical single requests
-// cost one model inference end to end.
-func TestServerCacheSingleflightE2E(t *testing.T) {
-	est := &blockingEst{started: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := cachedServer(t, est, func(cfg *Config) {
-		cfg.MaxInFlight = 32
-	})
-	h := srv.Handler()
-	const followers = 6
+// gatedEst holds every call to the wrapped estimator until n calls are
+// inside, so n requests for one key are all computing at once.
+type gatedEst struct {
+	estimator.Estimator
+	n       int64
+	entered atomic.Int64
+	all     chan struct{} // closed when the n-th call enters
+}
 
-	results := make(chan float64, followers+1)
-	post := func() {
-		code, body := postJSON(t, h, "/v1/estimate", map[string]any{"sql": stubSQL})
-		if code != http.StatusOK {
-			t.Errorf("POST: %d %v", code, body)
-			results <- -1
-			return
-		}
-		results <- body["estimate"].(float64)
-	}
-	go post()
-	<-est.started // the leader is inside the model
-
-	var wg sync.WaitGroup
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); post() }()
-	}
-	m := srv.Metrics()
-	for deadline := time.Now().Add(5 * time.Second); m.cacheCollapsed.Load() < followers; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d followers collapsed onto the in-flight estimate", m.cacheCollapsed.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(est.release)
-	wg.Wait()
-	for i := 0; i < followers+1; i++ {
-		if v := <-results; v != 42 {
-			t.Fatalf("response %d = %v, want 42", i, v)
-		}
+func (g *gatedEst) Estimate(q *sqlparse.Query) (float64, error) {
+	if g.entered.Add(1) == g.n {
+		close(g.all)
 	}
 	select {
-	case <-est.started:
-		t.Fatal("model ran a second inference for collapsed identical queries")
-	default:
+	case <-g.all:
+	case <-time.After(5 * time.Second): // a request that never came fails the test below, not by hanging it
+	}
+	return g.Estimator.Estimate(q)
+}
+
+// TestConcurrentIdenticalMissesAgree: n requests for one uncached text, in the
+// daemon's shape (a trained model inside the resilience chain), all miss and
+// all compute at once on their own goroutines. Each gets the bit-identical
+// estimate, each is one hit or one miss, their n concurrent puts of one key
+// leave one entry, and the shard's LRU ring is intact: a later insert into
+// the full shard evicts the least recently used slot, not the hot one.
+func TestConcurrentIdenticalMissesAgree(t *testing.T) {
+	const n = 16
+	db, set := testEnv(t)
+	gate := &gatedEst{Estimator: trainLocal(t, db, set[:400], 16), n: n, all: make(chan struct{})}
+	chain := resilience.NewResilient(resilience.Config{}, resilience.Stage{Name: "learned", Est: gate})
+	srv := newStubServer(t, chain, func(cfg *Config) {
+		cfg.DB = db
+		cfg.Cache = CacheConfig{Entries: 2 * cacheShards} // two entries per shard
+	})
+	h := srv.Handler()
+	_, info, err := srv.reg.Resolve("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The hot text and two more that share its shard, so its LRU order is
+	// that shard's.
+	var texts []string
+	for i := 0; len(texts) < 3; i++ {
+		sql := set[i].Query.String()
+		if len(texts) == 0 || srv.cache.shard(textKey(info.Generation, sql)) == srv.cache.shard(textKey(info.Generation, texts[0])) {
+			texts = append(texts, sql)
+		}
+	}
+	hot := texts[0]
+
+	estimates := make([]float64, n)
+	var wg sync.WaitGroup
+	for i := range estimates {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, body := postJSON(t, h, "/v1/estimate", map[string]any{"sql": hot})
+			if code != http.StatusOK || body["stage"] != "learned" {
+				t.Errorf("request %d: %d %v, want 200 from the learned stage", i, code, body)
+				return
+			}
+			estimates[i] = body["estimate"].(float64)
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if got := gate.entered.Load(); got != n {
+		t.Fatalf("the model ran %d times for %d concurrent misses, want %d", got, n, n)
+	}
+	want, err := chain.Estimate(set[0].Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range estimates {
+		if math.Float64bits(v) != math.Float64bits(want) {
+			t.Errorf("request %d: estimate %v, want bit-identical %v", i, v, want)
+		}
+	}
+	m := srv.Metrics()
+	if h, mi := m.cacheHits.Load(), m.cacheMisses.Load(); h+mi != n {
+		t.Errorf("hits %d + misses %d = %d, want %d: each request is one or the other", h, mi, h+mi, n)
+	}
+	if got := srv.cache.len(); got != 1 {
+		t.Fatalf("cache holds %d entries after %d puts of one key, want 1", got, n)
+	}
+
+	post := func(sql string) {
+		t.Helper()
+		if code, body := postJSON(t, h, "/v1/estimate", map[string]any{"sql": sql}); code != http.StatusOK {
+			t.Fatalf("POST %q: %d %v", sql, code, body)
+		}
+	}
+	post(texts[1]) // fills the shard: texts[1] is the head, hot the tail
+	post(hot)      // a hit: hot is the head again
+	post(texts[2]) // evicts the tail, texts[1]
+	if ev := m.cacheEvictions.Load(); ev != 1 {
+		t.Errorf("evictions = %d, want 1", ev)
+	}
+	if _, _, ok := srv.cache.lookup(textKey(info.Generation, hot)); !ok {
+		t.Error("the eviction took the most recently used entry")
+	}
+	if _, _, ok := srv.cache.lookup(textKey(info.Generation, texts[1])); ok {
+		t.Error("the least recently used entry survived the eviction")
 	}
 }
 

@@ -590,10 +590,11 @@ func (c ctxConstEst) EstimateCtx(ctx context.Context, _ *sqlparse.Query) (float6
 // 100 ms default deadline, and a cache so small that every miss evicts (the
 // benchmark's single-cold). Parse, bind and the model's own work are what is
 // left: the deadline arms no timer and registers no child on the request's
-// context, a miss nobody else waits for makes no singleflight flight, and
-// the new entry takes over the evicted one's slot instead of allocating a
-// list node and an entry (measured 26; 32 with a context.WithDeadline per
-// miss and a container/list LRU).
+// context, the miss is computed and put on the request's goroutine with no
+// per-key bookkeeping beside the entry, and the new entry takes over the
+// evicted one's slot instead of allocating a list node and an entry
+// (measured 26; 32 with a context.WithDeadline per miss and a container/list
+// LRU).
 func TestEstimateMissAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector defeats sync.Pool")

@@ -6,13 +6,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"qfe/internal/core"
+	"qfe/internal/journal"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
+	"qfe/internal/testutil"
 )
 
 func TestFiniteActual(t *testing.T) {
@@ -149,43 +152,112 @@ func TestFeedbackHookSkipsFailedEstimates(t *testing.T) {
 	}
 }
 
+// journalServer is a stub server whose lifecycle holds a journal on a fake
+// clock (nothing flushes unless the test syncs), with cardestd's feedback
+// hook appending every served estimate to it.
+func journalServer(t *testing.T) (*Server, *journal.Journal) {
+	t.Helper()
+	testutil.VerifyNoLeaks(t)
+	jnl, err := journal.Open(t.TempDir(), journalTestOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jnl.Close() })
+	reg := NewRegistry()
+	if _, err := reg.Register("stub", constEst(1), ModelInfo{Kind: "stub", Source: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	lc, err := NewLifecycle(LifecycleConfig{Registry: reg, Journal: jnl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Registry: reg, Lifecycle: lc, Feedback: journalFeedback(jnl)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, jnl
+}
+
+// journalKeys are the /metrics keys of the journal's counters; cmd/bench
+// reads four of them.
+var journalKeys = []string{
+	"journal_appended", "journal_fingerprints", "journal_shed", "journal_persisted",
+	"journal_dropped", "journal_staged", "journal_flushes", "journal_flush_micros",
+	"journal_flush_errors", "journal_rotations", "journal_gc_removed",
+	"journal_segments", "journal_active_bytes",
+}
+
+// TestExtraMetricsMergedIntoSnapshot: the lifecycle's journal is rendered in
+// /metrics beside the server's own counters, as the 13 journal_* keys; a
+// server whose lifecycle has no journal renders none of them.
 func TestExtraMetricsMergedIntoSnapshot(t *testing.T) {
-	srv := newStubServer(t, constEst(1), func(cfg *Config) {
-		cfg.ExtraMetrics = func() map[string]any {
-			return map[string]any{
-				"journal_flushes": uint64(3),
-				"requests_total":  int64(999999), // collision: the server's value must win
-			}
+	srv, jnl := journalServer(t)
+	h := srv.Handler()
+	for i := 0; i < 3; i++ {
+		if code, body := postJSON(t, h, "/v1/estimate", map[string]any{"sql": stubSQL, "actual": 1}); code != http.StatusOK {
+			t.Fatalf("POST: %d %v", code, body)
 		}
-	})
-	code, m := getJSON(t, srv.Handler(), "/metrics")
+	}
+	if err := jnl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	code, m := getJSON(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
-	if m["journal_flushes"] != 3.0 {
-		t.Errorf("journal_flushes = %v, want 3", m["journal_flushes"])
+	for _, k := range journalKeys {
+		if _, ok := m[k]; !ok {
+			t.Errorf("/metrics has no %s", k)
+		}
 	}
-	if m["requests_total"] == 999999.0 {
-		t.Error("extra metrics overrode a built-in counter; built-ins must win")
+	if m["journal_appended"] != 3.0 || m["journal_persisted"] != 3.0 || m["journal_flushes"] != 1.0 || m["requests_total"] != 3.0 {
+		t.Errorf("journal_appended/persisted/flushes %v/%v/%v, requests_total %v; want 3/3/1, 3",
+			m["journal_appended"], m["journal_persisted"], m["journal_flushes"], m["requests_total"])
+	}
+
+	_, bare := getJSON(t, newStubServer(t, constEst(1), nil).Handler(), "/metrics")
+	for k := range bare {
+		if strings.HasPrefix(k, "journal_") {
+			t.Errorf("a server without a journal renders %s", k)
+		}
 	}
 }
 
+// TestStatusPages: GET /v1/journal reports the lifecycle's journal as
+// {"dir","stats","segments"}, any other method is a 405, and a server whose
+// lifecycle has no journal has no such page.
 func TestStatusPages(t *testing.T) {
-	srv := newStubServer(t, constEst(1), func(cfg *Config) {
-		cfg.StatusPages = map[string]func() any{
-			"/v1/journal": func() any { return map[string]any{"observed": 7} },
-		}
-	})
+	srv, jnl := journalServer(t)
 	h := srv.Handler()
+	if code, body := postJSON(t, h, "/v1/estimate", map[string]any{"sql": stubSQL}); code != http.StatusOK {
+		t.Fatalf("POST: %d %v", code, body)
+	}
+	if err := jnl.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	code, v := getJSON(t, h, "/v1/journal")
-	if code != http.StatusOK || v["observed"] != 7.0 {
-		t.Fatalf("GET /v1/journal = (%d, %v), want 200 with observed 7", code, v)
+	if code != http.StatusOK || v["dir"] != jnl.Dir() {
+		t.Fatalf("GET /v1/journal = (%d, %v), want 200 naming %s", code, v, jnl.Dir())
+	}
+	stats, _ := v["stats"].(map[string]any)
+	segments, _ := v["segments"].([]any)
+	if stats["appended"] != 1.0 || len(segments) != 1 {
+		t.Fatalf("GET /v1/journal stats %v, segments %v; want 1 appended, 1 segment", v["stats"], v["segments"])
+	}
+	if seg, _ := segments[0].(map[string]any); seg["records"] != 1.0 || seg["bytes"].(float64) <= 0 {
+		t.Errorf("segment %v, want 1 record in a positive number of bytes", seg)
 	}
 	req := httptest.NewRequest(http.MethodPost, "/v1/journal", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/journal status %d, want 405", rec.Code)
+	}
+
+	rec = httptest.NewRecorder()
+	newStubServer(t, constEst(1), nil).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/journal", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("GET /v1/journal without a journal: status %d, want 404", rec.Code)
 	}
 }
 

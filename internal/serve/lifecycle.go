@@ -55,7 +55,8 @@ type LifecycleConfig struct {
 	Store *store.Store
 	// Journal, when non-nil, is the feedback journal whose sealed, labeled
 	// traffic a model may be judged on instead of Canary.Workload (see
-	// doorLocked). The lifecycle only reads it.
+	// doorLocked). The lifecycle only reads it; a server built over the
+	// lifecycle reports it (journal_* in /metrics, GET /v1/journal).
 	Journal *journal.Journal
 	// DB schema-validates every snapshot the lifecycle decodes, and binds the
 	// traffic it samples. Pass the serving database.
@@ -119,7 +120,7 @@ func NewLifecycle(cfg LifecycleConfig) (*Lifecycle, error) {
 	}
 	canary := cfg.Canary.withDefaults()
 	m := newMetrics()
-	m.canaryMaxMedian, m.canaryMaxP95 = canary.MaxMedian, canary.MaxP95
+	m.canaryMaxMedian, m.canaryMaxP95, m.jnl = canary.MaxMedian, canary.MaxP95, cfg.Journal
 	return &Lifecycle{reg: cfg.Registry, st: cfg.Store, jnl: cfg.Journal, db: cfg.DB, canary: canary, metrics: m}, nil
 }
 

@@ -752,6 +752,30 @@ func TestLoadUnderTheLiveNameMovesTheLiveModel(t *testing.T) {
 	}
 }
 
+// TestNewRefusesAForeignLifecycle: a lifecycle that publishes into another
+// registry than the server resolves from would answer a load with 200 and
+// leave the model where neither /v1/estimate nor GET /v1/models looks, so New
+// refuses the pair. A server without a DB over a lifecycle with one is fine:
+// the lifecycle validates snapshots against its own.
+func TestNewRefusesAForeignLifecycle(t *testing.T) {
+	db, _ := testEnv(t)
+	reg := NewRegistry()
+	foreign, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry(), DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv, err := New(Config{Registry: reg, DB: db, Lifecycle: foreign}); err == nil || srv != nil {
+		t.Fatalf("New over a lifecycle of another registry = %v, %v; want an error", srv, err)
+	}
+	own, err := NewLifecycle(LifecycleConfig{Registry: reg, DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Registry: reg, Lifecycle: own}); err != nil {
+		t.Fatalf("New over the registry's own lifecycle, no DB: %v", err)
+	}
+}
+
 // TestRollbackEndpoint drives POST /v1/models/rollback over the handler.
 func TestRollbackEndpoint(t *testing.T) {
 	db, canaryWS, good, _ := lifecycleEnv(t)

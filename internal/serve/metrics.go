@@ -7,6 +7,8 @@ import (
 	"runtime/metrics"
 	"sync/atomic"
 	"time"
+
+	"qfe/internal/journal"
 )
 
 // This file is the servemetrics layer: lock-free atomic counters plus
@@ -94,7 +96,6 @@ type Metrics struct {
 	cacheHits      atomic.Int64 // estimates served from the cache
 	cacheMisses    atomic.Int64 // estimates computed (and possibly stored)
 	cacheEvictions atomic.Int64 // entries displaced by LRU pressure
-	cacheCollapsed atomic.Int64 // requests that waited on an identical in-flight compute
 
 	// Model-lifecycle counters (canary gate, rollback). The lifecycle creates
 	// the Metrics and serve.New adopts them, so a verdict reached at boot,
@@ -119,9 +120,7 @@ type Metrics struct {
 	latency *histogram // per-query estimation latency, microseconds
 	qerror  *histogram // q-error of estimates with reported actuals
 
-	// extra, when non-nil, is merged into Snapshot under the server's own
-	// keys (which win on collision). Written once before traffic starts.
-	extra func() map[string]any
+	jnl *journal.Journal // the lifecycle's feedback journal, rendered as journal_*; nil without one
 }
 
 func newMetrics() *Metrics {
@@ -223,7 +222,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"cache_hits":            m.cacheHits.Load(),
 		"cache_misses":          m.cacheMisses.Load(),
 		"cache_evictions":       m.cacheEvictions.Load(),
-		"cache_collapsed":       m.cacheCollapsed.Load(),
 		"canary_pass_total":     m.canaryPass.Load(),
 		"canary_fail_total":     m.canaryFail.Load(),
 		"rollbacks_total":       m.rollbacks.Load(),
@@ -243,12 +241,21 @@ func (m *Metrics) Snapshot() map[string]any {
 		"latency_micros":        m.latency.snapshot(),
 		"qerror":                m.qerror.snapshot(),
 	}
-	if m.extra != nil {
-		for k, v := range m.extra() {
-			if _, taken := snap[k]; !taken {
-				snap[k] = v
-			}
-		}
+	if m.jnl != nil {
+		js := m.jnl.Stats()
+		snap["journal_appended"] = js.Appended
+		snap["journal_fingerprints"] = js.Fingerprints
+		snap["journal_shed"] = js.Shed
+		snap["journal_persisted"] = js.Persisted
+		snap["journal_dropped"] = js.Dropped
+		snap["journal_staged"] = js.Staged
+		snap["journal_flushes"] = js.Flushes
+		snap["journal_flush_micros"] = js.FlushMicros
+		snap["journal_flush_errors"] = js.FlushErrors
+		snap["journal_rotations"] = js.Rotations
+		snap["journal_gc_removed"] = js.GCRemoved
+		snap["journal_segments"] = js.SealedSegments
+		snap["journal_active_bytes"] = js.ActiveBytes
 	}
 	return snap
 }

@@ -22,8 +22,11 @@
 //	POST /v1/models/rollback — quarantine the live generation and promote
 //	                       the previous good one from the crash-safe store
 //	                       (501 when the lifecycle has no store)
+//	GET  /v1/journal     — the lifecycle's feedback journal: directory,
+//	                       counters, segments (only when it has one)
 //	GET  /healthz        — 200 while serving, 503 while draining
-//	GET  /metrics        — expvar-style JSON counters and histograms
+//	GET  /metrics        — expvar-style JSON counters and histograms (and the
+//	                       lifecycle's journal_* counters)
 //
 // The server never queues unboundedly: past MaxInFlight concurrent estimate
 // requests it sheds with 429 + Retry-After. During drain (SIGTERM) new
@@ -78,8 +81,10 @@ type Config struct {
 	ModelRoot string
 	// Lifecycle publishes every POST /v1/models/load through its canary gate
 	// (409 on rejection) and, when it has a store, persists admitted models
-	// and enables POST /v1/models/rollback. Nil means one with no store and
-	// no canary workload: loads are admitted as they are and rollback is 501.
+	// and enables POST /v1/models/rollback; when it has a journal, the server
+	// reports it (journal_* in /metrics, GET /v1/journal). It must publish
+	// into Registry. Nil means one with no store, no journal and no canary
+	// workload: loads are admitted as they are and rollback is 501.
 	Lifecycle *Lifecycle
 	// Cache enables the generation-scoped, text-keyed estimate cache on the
 	// /v1/estimate hot path (see cache.go). The zero value disables it.
@@ -91,14 +96,6 @@ type Config struct {
 	// path — keep it cheap (the daemon's journal append behind it is a
 	// non-blocking enqueue).
 	Feedback func(ev FeedbackEvent)
-	// ExtraMetrics, when non-nil, is merged into the /metrics snapshot;
-	// the server's own keys win on collision. The journal's counters ride in
-	// this way.
-	ExtraMetrics func() map[string]any
-	// StatusPages maps extra GET paths (e.g. "/v1/journal") to functions whose
-	// result is rendered as JSON. Paths here must not collide with the
-	// built-in endpoints.
-	StatusPages map[string]func() any
 }
 
 // The request limits every server enforces.
@@ -123,10 +120,15 @@ type Server struct {
 	draining atomic.Bool
 }
 
-// New builds a Server from cfg. cfg.Registry must be non-nil.
+// New builds a Server from cfg. cfg.Registry must be non-nil, and a
+// cfg.Lifecycle must publish into it: a load admitted into another registry
+// would answer 200 and never serve.
 func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("serve: Config.Registry is required")
+	}
+	if cfg.Lifecycle != nil && cfg.Lifecycle.reg != cfg.Registry {
+		return nil, fmt.Errorf("serve: Config.Lifecycle publishes into a different registry than Config.Registry")
 	}
 	if cfg.MaxInFlight < 1 {
 		cfg.MaxInFlight = 64
@@ -147,19 +149,22 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/models/rollback", s.handleRollback)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.Handle("/metrics", s.metrics)
-	s.metrics.extra = cfg.ExtraMetrics
-	for path, fn := range cfg.StatusPages {
-		fn := fn
-		s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodGet {
-				w.Header().Set("Allow", http.MethodGet)
-				writeError(w, http.StatusMethodNotAllowed, "use GET")
-				return
-			}
-			writeJSON(w, http.StatusOK, fn())
-		})
+	if lc.jnl != nil {
+		s.mux.HandleFunc("/v1/journal", s.handleJournal)
 	}
 	return s, nil
+}
+
+// handleJournal reports the lifecycle's feedback journal: its directory,
+// counters and segments.
+func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		return
+	}
+	jnl := s.lc.jnl
+	writeJSON(w, http.StatusOK, map[string]any{"dir": jnl.Dir(), "stats": jnl.Stats(), "segments": jnl.Segments()})
 }
 
 // Handler returns the server's HTTP handler (status-code accounting wrapped
@@ -395,12 +400,10 @@ func (s *Server) answer(gen uint64, sql string) (key cacheKey, q *sqlparse.Query
 }
 
 // estimateTimed answers one query on the calling (HTTP request) goroutine:
-// answer, and on a miss estimateOne inline, under the cache's singleflight so
-// concurrent identical misses cost one inference. The serve layer itself
-// never queues, waits on a timer, or hands off to another goroutine here. Nor
-// does the resilience chain the daemon wraps its estimators in: a stage that is an estimator.ContextEstimator runs on this
-// goroutine, and only one that takes no context is guarded by a goroutine of
-// the chain's own (DESIGN §11). The latency it records counts from the
+// answer, and on a miss estimateMiss. Nothing here queues, waits on a timer,
+// waits on another request or hands off to another goroutine, and neither
+// does the resilience chain the daemon wraps its estimators in: every stage
+// runs on this goroutine (DESIGN §11). The latency it records counts from the
 // lookup, so a miss's includes its parse.
 func (s *Server) estimateTimed(dl deadline, est estimator.Estimator, info ModelInfo, sql string, reported *float64) (estimateResult, error) {
 	start := time.Now()
@@ -415,14 +418,13 @@ func (s *Server) estimateTimed(dl deadline, est estimator.Estimator, info ModelI
 }
 
 // estimateMiss computes what lookup did not find, under the request's
-// deadline.
+// deadline, and puts it in the cache as a client batch puts its misses.
 func (s *Server) estimateMiss(dl deadline, key cacheKey, est estimator.Estimator, q *sqlparse.Query) EstResult {
 	ctx, cancel := dl.context()
 	defer cancel()
-	if s.cache == nil {
-		return estimateOne(ctx, est, q)
-	}
-	return s.cache.do(ctx, key, q, func() EstResult { return estimateOne(ctx, est, q) })
+	res := estimateOne(ctx, est, q)
+	s.cache.put(key, res, q)
+	return res
 }
 
 // record accounts one answered query — latency and degradation metrics, the
@@ -456,9 +458,7 @@ func (s *Server) record(info ModelInfo, q *sqlparse.Query, sql string, br EstRes
 // estimateBatch answers a client batch into sc.results, in request order:
 // answer per item (errors are per-item), then only the misses fanned out over
 // the worker pool; a batch the cache answers whole parses nothing and builds
-// no deadline. The batch path skips the singleflight — the client already
-// batched, so there is nothing concurrent to collapse — but reads and feeds
-// the same cache as the single path.
+// no deadline. Its misses go through the same put as a single's.
 func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, info ModelInfo, items []estimateItem, sc *reqScratch) {
 	start := time.Now()
 	sc.results = zeroed(sc.results, len(items))
@@ -491,10 +491,7 @@ func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, info ModelI
 		for k, res := range sc.missOut {
 			j := sc.missIdx[k]
 			sc.out[j] = res
-			if s.cache != nil {
-				s.metrics.cacheMisses.Add(1)
-				s.cache.put(sc.keys[j], res, sc.qs[j])
-			}
+			s.cache.put(sc.keys[j], res, sc.qs[j])
 		}
 	}
 	perQuery := time.Since(start) / time.Duration(max(1, len(sc.idx)))
@@ -538,11 +535,8 @@ func toResult(br EstResult, elapsed time.Duration) estimateResult {
 // deadline is a request's estimation budget before anything has been spent
 // on it: the context is only built by the code that is about to estimate, so
 // a request the cache answers builds none. The one it builds is
-// resilience.WithDeadline's, which arms no timer either unless something
-// selects on its Done (a singleflight follower, the goroutine guarding an
-// estimator that takes no context); a miss the chain answers inline only
-// reads Err. It is not pooled with reqScratch: such a guard goroutine may
-// still hold it after the request has returned.
+// resilience.WithDeadline's, which arms no timer either unless a stage
+// selects on its Done; the daemon's stages only read Err.
 type deadline struct {
 	parent context.Context
 	at     time.Time // zero: no deadline beyond the parent's
