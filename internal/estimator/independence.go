@@ -1,10 +1,12 @@
 package estimator
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
-	"sync"
+	"strings"
 
 	"qfe/internal/core"
 	"qfe/internal/sqlparse"
@@ -16,8 +18,9 @@ import (
 // PostgreSQL's clauselist_selectivity machinery combines per-clause
 // statistics:
 //
-//   - range clauses use a per-column histogram CDF with linear
-//     interpolation inside buckets (PostgreSQL's scalarineqsel);
+//   - range clauses use the column's histogram CDF with linear
+//     interpolation inside buckets (PostgreSQL's scalarineqsel,
+//     table.Column.FractionLE);
 //   - equality uses 1/n_distinct, inequality its complement (eqsel/neqsel
 //     without MCV lists);
 //   - a lower+upper bound pair on the same attribute is recognized as one
@@ -27,117 +30,42 @@ import (
 //
 // Cross-attribute correlations are invisible by construction — the failure
 // mode the paper's Figure 4 measures.
+//
+// It keeps no statistics of its own: a clause reads its column's distinct
+// count and histogram from the catalog (table.Column), one ANALYZE per column.
 type Independence struct {
 	DB *table.DB
-	// Buckets is the histogram resolution; PostgreSQL's
-	// default_statistics_target is 100. Zero means 100.
-	Buckets int
-
-	// mu guards the lazily-built stats cache so the estimator is safe for
-	// concurrent use; a colStats in it is never written again, so it is read
-	// without the lock.
-	mu    sync.Mutex
-	stats map[string]*colStats
 }
 
 // Name implements Estimator.
 func (ind *Independence) Name() string { return "Postgres" }
 
-// colStats is the per-column statistics record: an equi-width histogram plus
-// the distinct count, gathered once per column on first use (ANALYZE).
-type colStats struct {
-	min, max int64
-	n        int
-	distinct int
-	counts   []int64 // equi-width buckets over [min, max]
-}
-
-func (ind *Independence) statsFor(t *table.Table, colName string) (*colStats, error) {
-	key := t.Name + "." + colName
-	ind.mu.Lock()
-	defer ind.mu.Unlock()
-	if ind.stats == nil {
-		ind.stats = make(map[string]*colStats)
-	}
-	if s, ok := ind.stats[key]; ok {
-		return s, nil
-	}
-	col := t.Column(colName)
-	if col == nil {
-		return nil, fmt.Errorf("estimator: table %q has no column %q", t.Name, colName)
-	}
-	b := ind.Buckets
-	if b <= 0 {
-		b = 100
-	}
-	if d := col.DomainSize(); d < int64(b) {
-		b = int(d)
-	}
-	s := &colStats{min: col.Min(), max: col.Max(), n: col.Len(), distinct: col.Distinct(), counts: make([]int64, b)}
-	domain := s.max - s.min + 1
-	for _, v := range col.Vals {
-		idx := int((v - s.min) * int64(b) / domain)
-		s.counts[idx]++
-	}
-	ind.stats[key] = s
-	return s, nil
-}
-
-// cdfLE returns the estimated fraction of rows with value <= v, using linear
-// interpolation within the containing bucket.
-func (s *colStats) cdfLE(v int64) float64 {
-	if v < s.min {
-		return 0
-	}
-	if v >= s.max {
-		return 1
-	}
-	b := int64(len(s.counts))
-	domain := s.max - s.min + 1
-	idx := (v - s.min) * b / domain
-	var below int64
-	for i := int64(0); i < idx; i++ {
-		below += s.counts[i]
-	}
-	// Bucket idx covers values [lo, hi]; assume uniformity inside.
-	lo := s.min + ceilDiv(idx*domain, b)
-	hi := s.min + ceilDiv((idx+1)*domain, b) - 1
-	frac := 1.0
-	if hi > lo {
-		frac = float64(v-lo+1) / float64(hi-lo+1)
-	}
-	return (float64(below) + frac*float64(s.counts[idx])) / float64(s.n)
-}
-
-func ceilDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 {
-		q++
-	}
-	return q
-}
-
 // selPred is the per-clause selectivity (eqsel/neqsel/scalarineqsel).
-func (s *colStats) selPred(op sqlparse.CmpOp, val int64) float64 {
+func selPred(c *table.Column, op sqlparse.CmpOp, val int64) float64 {
 	switch op {
 	case sqlparse.OpEq:
-		if val < s.min || val > s.max {
+		if val < c.Min() || val > c.Max() {
 			return 0
 		}
-		return 1 / float64(s.distinct)
+		return 1 / float64(c.Distinct())
 	case sqlparse.OpNe:
-		if val < s.min || val > s.max {
+		if val < c.Min() || val > c.Max() {
 			return 1
 		}
-		return 1 - 1/float64(s.distinct)
+		return 1 - 1/float64(c.Distinct())
 	case sqlparse.OpLe:
-		return s.cdfLE(val)
-	case sqlparse.OpLt:
-		return s.cdfLE(val - 1)
-	case sqlparse.OpGe:
-		return 1 - s.cdfLE(val-1)
+		return c.FractionLE(val)
+	case sqlparse.OpLt, sqlparse.OpGe:
+		below := 0.0 // the share of rows < val: none below MinInt64, where val-1 wraps
+		if val > math.MinInt64 {
+			below = c.FractionLE(val - 1)
+		}
+		if op == sqlparse.OpLt {
+			return below
+		}
+		return 1 - below
 	case sqlparse.OpGt:
-		return 1 - s.cdfLE(val)
+		return 1 - c.FractionLE(val)
 	}
 	return 0.5
 }
@@ -146,14 +74,14 @@ func (s *colStats) selPred(op sqlparse.CmpOp, val int64) float64 {
 // the way PostgreSQL's clauselist machinery does: conjunctions pair one
 // lower and one upper bound into a range and multiply the rest; disjunctions
 // fold s1 + s2 - s1*s2.
-func (s *colStats) selExpr(expr sqlparse.Expr) float64 {
+func selExpr(c *table.Column, expr sqlparse.Expr) float64 {
 	switch n := expr.(type) {
 	case *sqlparse.Pred:
-		return s.selPred(n.Op, n.Val)
+		return selPred(c, n.Op, n.Val)
 	case *sqlparse.Or:
 		sel := 0.0
 		for _, k := range n.Kids {
-			sk := s.selExpr(k)
+			sk := selExpr(c, k)
 			sel = sel + sk - sel*sk
 		}
 		return sel
@@ -163,7 +91,7 @@ func (s *colStats) selExpr(expr sqlparse.Expr) float64 {
 		for _, k := range n.Kids {
 			p, isPred := k.(*sqlparse.Pred)
 			if !isPred {
-				sel *= s.selExpr(k)
+				sel *= selExpr(c, k)
 				continue
 			}
 			switch p.Op {
@@ -178,22 +106,22 @@ func (s *colStats) selExpr(expr sqlparse.Expr) float64 {
 					continue
 				}
 			}
-			sel *= s.selPred(p.Op, p.Val)
+			sel *= selPred(c, p.Op, p.Val)
 		}
 		switch {
 		case lower != nil && upper != nil:
 			// Range pairing: sel(a <= hi) - sel(a < lo).
-			hiSel := s.selPred(upper.Op, upper.Val)
-			loBelow := 1 - s.selPred(lower.Op, lower.Val)
+			hiSel := selPred(c, upper.Op, upper.Val)
+			loBelow := 1 - selPred(c, lower.Op, lower.Val)
 			r := hiSel - loBelow
 			if r < defaultRangeSel {
 				r = defaultRangeSel
 			}
 			sel *= r
 		case lower != nil:
-			sel *= s.selPred(lower.Op, lower.Val)
+			sel *= selPred(c, lower.Op, lower.Val)
 		case upper != nil:
-			sel *= s.selPred(upper.Op, upper.Val)
+			sel *= selPred(c, upper.Op, upper.Val)
 		}
 		return sel
 	}
@@ -204,8 +132,8 @@ func (s *colStats) selExpr(expr sqlparse.Expr) float64 {
 // degenerate ranges.
 const defaultRangeSel = 0.005
 
-// Estimate implements Estimator. Concurrent calls share only the statistics
-// cache, and hold its lock only while statsFor looks a column up or gathers it.
+// Estimate implements Estimator. It is safe for concurrent use: the only
+// state it reads besides the query is the catalog's per-column statistics.
 func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
 	perTable := make([]sqlparse.And, len(q.Tables))
 	if err := core.SplitWhereByTable(q, q.Tables, perTable); err != nil {
@@ -224,12 +152,11 @@ func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
 			return 0, core.Unsupported(fmt.Errorf("estimator: independence baseline requires per-attribute compounds: %w", err))
 		}
 		for _, cp := range compounds {
-			_, colName := splitTableAttr(cp.Attr, tn)
-			stats, err := ind.statsFor(t, colName)
+			col, err := column(t, cp.Attr[strings.IndexByte(cp.Attr, '.')+1:])
 			if err != nil {
 				return 0, err
 			}
-			est *= stats.selExpr(cp.Expr)
+			est *= selExpr(col, cp.Expr)
 		}
 	}
 	// Join selectivities: 1/max(V(left), V(right)) per equi-join edge
@@ -239,21 +166,12 @@ func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
 		if lt == nil || rt == nil {
 			return 0, fmt.Errorf("estimator: join %s references unknown table", j)
 		}
-		ls, err := ind.statsFor(lt, j.LeftCol)
-		if err != nil {
+		lc, lerr := column(lt, j.LeftCol)
+		rc, rerr := column(rt, j.RightCol)
+		if err := cmp.Or(lerr, rerr); err != nil {
 			return 0, err
 		}
-		rs, err := ind.statsFor(rt, j.RightCol)
-		if err != nil {
-			return 0, err
-		}
-		v := ls.distinct
-		if rs.distinct > v {
-			v = rs.distinct
-		}
-		if v > 0 {
-			est /= float64(v)
-		}
+		est /= float64(max(lc.Distinct(), rc.Distinct()))
 	}
 	if est < 1 {
 		est = 1
@@ -262,8 +180,8 @@ func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
 }
 
 // EstimateCtx implements ContextEstimator: the context is checked on entry;
-// what follows is histogram arithmetic plus, the first time a column is
-// seen, one pass over it to gather its statistics — bounded work with
+// what follows is arithmetic on the catalog's histograms (a column nothing
+// has asked about yet is first gathered in one pass) — bounded work with
 // nowhere to block (see Local.EstimateCtx).
 func (ind *Independence) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
 	if err := ctx.Err(); err != nil {
@@ -272,11 +190,10 @@ func (ind *Independence) EstimateCtx(ctx context.Context, q *sqlparse.Query) (fl
 	return ind.Estimate(q)
 }
 
-func splitTableAttr(attr, deflt string) (tbl, col string) {
-	for i := 0; i < len(attr); i++ {
-		if attr[i] == '.' {
-			return attr[:i], attr[i+1:]
-		}
+// column returns t's column name, or an error naming both.
+func column(t *table.Table, name string) (*table.Column, error) {
+	if c := t.Column(name); c != nil {
+		return c, nil
 	}
-	return deflt, attr
+	return nil, fmt.Errorf("estimator: table %q has no column %q", t.Name, name)
 }

@@ -188,10 +188,10 @@ func TestDifferentialEvalExprVsRowQualifies(t *testing.T) {
 }
 
 // TestIndependenceConcurrentEstimates: concurrent estimates share only the
-// statistics cache, whose lock is held while a column is looked up or
-// gathered, not for the whole estimate. Eight goroutines race to gather the
-// same columns on a fresh estimator and every answer equals the sequential
-// one; under -race this also proves a gathered colStats is read unshared.
+// catalog's per-column statistics, which a column gathers once under its own
+// lock. Eight goroutines race to gather the same columns of a fresh table and
+// every answer equals the one over a table gathered sequentially; under -race
+// this also proves a gathered histogram is read unshared.
 func TestIndependenceConcurrentEstimates(t *testing.T) {
 	db := bigSamplingDB(50_000)
 	qs := []*sqlparse.Query{
@@ -201,7 +201,7 @@ func TestIndependenceConcurrentEstimates(t *testing.T) {
 		sqlparse.MustParse("SELECT count(*) FROM big WHERE b >= 40"),
 	}
 	want := make([]float64, len(qs))
-	seq := &Independence{DB: db}
+	seq := &Independence{DB: bigSamplingDB(50_000)}
 	for i, q := range qs {
 		var err error
 		if want[i], err = seq.Estimate(q); err != nil {

@@ -12,30 +12,26 @@ import (
 // statistics, no model, no error path — so it can always answer, however
 // badly. Selectivities are the textbook magic constants: equality 0.005,
 // inequality/range 1/3, and each equi-join divides by the larger side
-// (the key/foreign-key assumption).
+// (the key/foreign-key assumption). A table the catalog does not know counts
+// defaultRows.
 type RowCount struct {
 	DB *table.DB
-	// DefaultRows stands in for tables the catalog does not know.
-	// Default 1000.
-	DefaultRows float64
 }
+
+const defaultRows = 1000
 
 // Name implements Estimator.
 func (rc RowCount) Name() string { return "row-count heuristic" }
 
 // Estimate implements Estimator. It never returns an error.
 func (rc RowCount) Estimate(q *sqlparse.Query) (float64, error) {
-	defRows := rc.DefaultRows
-	if defRows < 1 {
-		defRows = 1000
-	}
 	rows := func(name string) float64 {
 		if rc.DB != nil {
 			if t := rc.DB.Table(name); t != nil && t.NumRows() > 0 {
 				return float64(t.NumRows())
 			}
 		}
-		return defRows
+		return defaultRows
 	}
 	est := 1.0
 	if q != nil {

@@ -1,12 +1,13 @@
 // Package table implements the in-memory column store that underlies the
 // reproduction: typed columns, per-attribute statistics (min, max, distinct
-// count), per-column value dictionaries (the distinct values in order, with
-// the rows carrying each), bitmap selection vectors, and CSV import/export.
+// count, equi-width histogram), per-column value dictionaries (the distinct
+// values in order, with the rows carrying each), bitmap selection vectors,
+// and CSV import/export.
 //
-// The paper's QFTs are defined over attributes with known min/max domains
-// (Sections 2.1.1 and 3.2); the statistics kept here are exactly the
-// metadata a QFT needs. All attribute values are stored as int64: the
-// paper's formulas use integer-domain semantics (domain size
+// A column's statistics are its one ANALYZE, gathered lazily in one pass: the
+// QFTs read its min/max domain (Sections 2.1.1 and 3.2), the Section 5.2
+// baseline its distinct count and histogram. All attribute values are stored
+// as int64: the paper's formulas use integer-domain semantics (domain size
 // max(A)-min(A)+1), decimal attributes are handled by fixed-point scaling at
 // load time, and string attributes by dictionary encoding (Section 6
 // discusses the string extension implemented in internal/core).
@@ -14,9 +15,15 @@ package table
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
+
+// histogramBuckets is the resolution of a column's equi-width histogram:
+// PostgreSQL's default_statistics_target.
+const histogramBuckets = 100
 
 // Column is a typed, fully materialized attribute of a table.
 type Column struct {
@@ -33,13 +40,14 @@ type Column struct {
 	// statsMu guards the lazily computed statistics and the lazily built
 	// value dictionary below, making their accessors safe under concurrent
 	// readers (parallel labeling and training read Min/Max/Distinct and
-	// Dictionary from many goroutines). Mutating Vals or calling
-	// InvalidateStats concurrently with readers remains the caller's
-	// responsibility to serialize.
+	// Dictionary from many goroutines, concurrent estimates FractionLE).
+	// Mutating Vals or calling InvalidateStats concurrently with readers
+	// remains the caller's responsibility to serialize.
 	statsMu    sync.Mutex
 	statsValid bool
 	min, max   int64
 	distinct   int
+	hist       []int64     // rows in each of min(histogramBuckets, max-min+1) equal buckets over [min, max]
 	dict       *Dictionary // nil until Dictionary builds it
 }
 
@@ -88,6 +96,70 @@ func (c *Column) DomainSize() int64 { c.ensureStats(); return c.max - c.min + 1 
 // Distinct returns the number of distinct values in the column.
 func (c *Column) Distinct() int { c.ensureStats(); return c.distinct }
 
+// FractionLE returns the estimated fraction of the column's rows with value
+// <= v: the rows of the histogram buckets below v's, plus v's bucket's rows
+// taken as spread evenly over the values it covers (PostgreSQL's
+// scalarineqsel).
+func (c *Column) FractionLE(v int64) float64 {
+	c.ensureStats()
+	if v < c.min {
+		return 0
+	}
+	if v >= c.max {
+		return 1
+	}
+	i, lo, hi := c.bucket(v)
+	var below int64
+	for _, n := range c.hist[:i] {
+		below += n
+	}
+	frac := 1.0
+	if hi > lo {
+		frac = float64(v-lo+1) / float64(hi-lo+1)
+	}
+	return (float64(below) + frac*float64(c.hist[i])) / float64(len(c.Vals))
+}
+
+// bucket returns the histogram bucket i that holds v and the values [lo, hi]
+// it covers. The statistics must be gathered and min <= v <= max. Bucket i of
+// b starts at min + ceil(i*(max-min+1)/b), taken in 128 bits so that any
+// int64 domain is exact.
+func (c *Column) bucket(v int64) (i int, lo, hi int64) {
+	span, b := uint64(c.max-c.min), uint64(len(c.hist))
+	i = bucketOf(uint64(v-c.min), span, b)
+	// The offsets are mod 2^64; adding them to min wraps back into [min, max].
+	start := func(k int) int64 { return c.min + int64(bucketStart(uint64(k), span, b)) }
+	return i, start(i), start(i+1) - 1
+}
+
+// bucketOf returns floor(off*b/(span+1)): which of b equal buckets over a
+// domain of span+1 values holds the value off above its minimum.
+func bucketOf(off, span, b uint64) int {
+	hi, lo := bits.Mul64(off, b)
+	if span == math.MaxUint64 { // a domain of 2^64: the quotient is hi
+		return int(hi)
+	}
+	q, _ := bits.Div64(hi, lo, span+1)
+	return int(q)
+}
+
+// bucketStart returns ceil(i*(span+1)/b) mod 2^64, the offset of bucket i's
+// first value (of bucket b: one past the maximum).
+func bucketStart(i, span, b uint64) uint64 {
+	if i == b {
+		return span + 1
+	}
+	hi, lo := i, uint64(0) // i * 2^64
+	if span != math.MaxUint64 {
+		hi, lo = bits.Mul64(i, span+1)
+	}
+	q, r := bits.Div64(hi, lo, b)
+	if r != 0 {
+		q++
+	}
+	return q
+}
+
 // Decode returns the string for a dictionary code; for plain integer columns
 // it formats the value.
 func (c *Column) Decode(v int64) string {
@@ -97,10 +169,10 @@ func (c *Column) Decode(v int64) string {
 	return fmt.Sprintf("%d", v)
 }
 
-// InvalidateStats forces the statistics and the value dictionary to be
-// recomputed on next access. Call it after mutating Vals (e.g. when
-// simulating data drift): everything the executor counts, it counts on the
-// dictionary.
+// InvalidateStats forces the statistics, histogram included, and the value
+// dictionary to be recomputed on next access. Call it after mutating Vals
+// (e.g. when simulating data drift): everything the executor counts, it
+// counts on the dictionary.
 func (c *Column) InvalidateStats() {
 	c.statsMu.Lock()
 	c.statsValid = false
@@ -128,7 +200,13 @@ func (c *Column) ensureStats() {
 		}
 		seen[v] = struct{}{}
 	}
-	c.min, c.max, c.distinct = mn, mx, len(seen)
+	span := uint64(mx - mn) // max-min, exact where the int64 difference is not
+	b := min(span, histogramBuckets-1) + 1
+	hist := make([]int64, b)
+	for _, v := range c.Vals {
+		hist[bucketOf(uint64(v-mn), span, b)]++
+	}
+	c.min, c.max, c.distinct, c.hist = mn, mx, len(seen), hist
 	c.statsValid = true
 }
 

@@ -2,7 +2,9 @@ package table
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,6 +38,98 @@ func TestColumnStatsInvalidate(t *testing.T) {
 	c.InvalidateStats()
 	if c.Max() != 99 {
 		t.Errorf("Max after invalidate = %d, want 99", c.Max())
+	}
+	// The histogram is part of the record: a domain of 99 values has 99
+	// buckets, one per value.
+	if h := c.hist; len(h) != 99 || h[0] != 1 || h[98] != 1 {
+		t.Errorf("histogram after invalidate = %v, want one row in the first and the last of 99 buckets", h)
+	}
+}
+
+// TestHistogram: a column's histogram counts every row once, its buckets
+// tile [Min, Max] in order, and the bucket named for a value holds it and
+// exactly the rows its count says. Where (max-min+1)*buckets fits in an
+// int64, the bucket is the one the int64 formula (v-min)*b/domain gives;
+// where it does not, up to a domain of all of int64, the 128-bit arithmetic
+// neither wraps nor divides by zero. FractionLE is 0 below Min, 1 from Max
+// on, for any int64, and never falls as v grows.
+func TestHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shapes := []struct {
+		name string
+		vals []int64
+	}{
+		{"constant", []int64{-7, -7, -7}},
+		{"small domain", []int64{3, 5, 5, 9, 40}},
+		{"domain of exactly 100", []int64{0, 50, 99}},
+		{"forest-like", nil},
+		{"wide", []int64{0, 1 << 40, 1 << 62, 1<<62 + 5}},
+		{"all of int64", []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}},
+		{"all of int64 but one", []int64{math.MinInt64 + 1, 0, math.MaxInt64}},
+	}
+	for i := 0; i < 2000; i++ {
+		shapes[3].vals = append(shapes[3].vals, int64(rng.Intn(3000))+1800)
+	}
+	for _, sh := range shapes {
+		c := NewColumn("a", sh.vals)
+		c.ensureStats()
+		h := c.hist
+		var sum int64
+		for _, n := range h {
+			sum += n
+		}
+		if sum != int64(c.Len()) || len(h) < 1 || len(h) > histogramBuckets {
+			t.Errorf("%s: %d buckets holding %d rows, want 1..%d holding %d", sh.name, len(h), sum, histogramBuckets, c.Len())
+		}
+		narrow := uint64(c.Max()-c.Min()) < math.MaxInt64/histogramBuckets
+		for _, v := range sh.vals {
+			i, lo, hi := c.bucket(v)
+			var in int64
+			for _, w := range sh.vals {
+				if lo <= w && w <= hi {
+					in++
+				}
+			}
+			if v < lo || v > hi || in != h[i] {
+				t.Errorf("%s: %d in bucket %d = [%d, %d] holding %d rows, counted %d", sh.name, v, i, lo, hi, in, h[i])
+			}
+			if b, domain := int64(len(h)), c.DomainSize(); narrow && int64(i) != (v-c.Min())*b/domain {
+				t.Errorf("%s: %d in bucket %d, the int64 formula says %d", sh.name, v, i, (v-c.Min())*b/domain)
+			}
+		}
+		for _, v := range []int64{math.MinInt64, c.Min() - 1, c.Max() + 1, math.MaxInt64} {
+			want := 1.0 // Min-1 and Max+1 may wrap: whatever they land on, this holds
+			if v < c.Min() {
+				want = 0
+			} else if v < c.Max() {
+				continue
+			}
+			if got := c.FractionLE(v); got != want {
+				t.Errorf("%s: FractionLE(%d) = %v, want %v", sh.name, v, got, want)
+			}
+		}
+		prev, sorted := 0.0, slices.Clone(sh.vals)
+		slices.Sort(sorted)
+		for _, v := range sorted {
+			f := c.FractionLE(v)
+			if f < prev || f <= 0 || f > 1 {
+				t.Errorf("%s: FractionLE(%d) = %v after %v, want in (0, 1] and not falling", sh.name, v, f, prev)
+			}
+			prev = f
+		}
+		for k, v := 0, c.Min(); ; k++ {
+			i, lo, hi := c.bucket(v)
+			if i != k || lo != v || hi < lo {
+				t.Fatalf("%s: bucket %d at %d is %d = [%d, %d]", sh.name, k, v, i, lo, hi)
+			}
+			if hi == c.Max() {
+				if k != len(h)-1 {
+					t.Errorf("%s: buckets end at Max after %d of %d", sh.name, k+1, len(h))
+				}
+				break
+			}
+			v = hi + 1
+		}
 	}
 }
 
