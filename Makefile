@@ -34,14 +34,16 @@ ci:
 	$(GO) test -race -short ./...
 # The request path's allocation pins skip themselves under the race detector,
 # which defeats sync.Pool, so they get a run without it: Parse <= 25 and
-# <= 4 KiB, Bind of a numeric query 0, featurize 0, fingerprint <= 2,
+# <= 4 KiB, a parse into a warm arena 0, Bind of a numeric query 0, featurize 0, fingerprint <= 2,
 # Local.Estimate <= 6, an inline resilience stage 0, keying and looking up a
 # query text 0, the whole handler on a hit <= 6, or <= 8 with a Feedback hook
 # (it is handed the query the entry kept from its miss: neither hit parses),
-# and on a miss that evicts <= 26 (no timer, no list node).
+# and on a miss that evicts <= 5 (the query is parsed into the request's
+# arena; no timer, no list node).
 	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience ./internal/serve
-# So does the serving-heap pin: a booted daemon holds table + model (+ canary) + <= 192 KiB, -journal or not.
-# A GB model is its flat forest alone; one that also kept the arenas it was fit in reads +0.33 MiB and fails.
+# So does the serving-heap pin: a booted daemon holds its columns' statistics + model (+ canary) + <= 96 KiB,
+# -journal or not. It holds no row: one that kept its table reads +0.24 MiB and fails, and a GB model is its
+# flat forest alone; one that also kept the arenas it was fit in reads +0.33 MiB and fails.
 	$(GO) test -short -run 'ServingHeap' ./cmd/cardestd
 # Seven fuzz targets, 5 s each: the parser, the journal reader and the
 # journal's record encoder against encoding/json ...
@@ -196,6 +198,13 @@ ci:
 # table's size is a constant: no caller set it.
 	! grep -nE 'sync\.|statsFor|Buckets|\.Vals' internal/estimator/independence.go
 	! $(GO) doc -u qfe/internal/resilience.RowCount | grep -w 'DefaultRows'
+# Guard 20, the daemon serves without rows: once its queries are labelled,
+# boot frees every table's rows and value dictionaries (table.DB.DropRows), and
+# the daemon trains, publishes and estimates from each column's statistics, so no serving package
+# reads a row — what still would fails loudly instead of counting an empty
+# table (TestDroppedRowsFailLoudly).
+	grep -q 'DB\.DropRows()' cmd/cardestd/boot.go
+	! grep -rn '\.Vals\b' --include='*.go' internal/serve internal/resilience cmd/cardestd | grep -v '_test\.go:'
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

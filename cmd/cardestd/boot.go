@@ -56,8 +56,9 @@ func boot(o options, out io.Writer) (_ *booted, err error) {
 		env.DataTime.Seconds(), labeled, env.LabelTime.Seconds(),
 		float64(labeled)/env.LabelTime.Seconds(), runtime.GOMAXPROCS(0),
 		env.DictBuilt, float64(env.DictTime.Microseconds())/1000)
-	// Nothing counts rows again.
-	env.DB.DropDictionaries()
+	// Nothing counts rows again: training, publishing and serving read each
+	// column's statistics, so the rows and their dictionaries go (DESIGN §6).
+	env.DB.DropRows()
 
 	b := &booted{db: env.DB, reg: serve.NewRegistry()}
 	b.reg.Wrap = func(est estimator.Estimator) estimator.Estimator { return cli.Chain(b.db, est, o.timeout) }

@@ -31,10 +31,14 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
+// statsPerColumn is what a column keeps once its rows are dropped: the
+// 100-bucket int64 histogram (800 B) and the statistics record around it.
+const statsPerColumn = 1 << 10
+
 // servingHeap boots and arms a daemon at -rows 2000 -train 2000 and returns
-// the live heap it holds once it could serve, next to what its table and its
-// model account for.
-func servingHeap(t *testing.T, flags ...string) (held, tableAndModel int64) {
+// the live heap it holds once it could serve, next to what its columns'
+// statistics and its model account for.
+func servingHeap(t *testing.T, flags ...string) (held, statsAndModel int64) {
 	t.Helper()
 	o, err := parseFlags(append(strings.Fields("-qft complex -rows 2000 -train 2000"), flags...))
 	if err != nil {
@@ -46,8 +50,7 @@ func servingHeap(t *testing.T, flags ...string) (held, tableAndModel int64) {
 	if err != nil {
 		t.Fatalf("boot: %v\n%s", err, out.String())
 	}
-	forest := b.db.Table("forest")
-	tableAndModel = int64(forest.NumRows() * forest.NumCols() * 8)
+	statsAndModel = int64(b.db.Table("forest").NumCols() * statsPerColumn)
 	d, err := arm(b, o, &out)
 	if err != nil {
 		t.Fatalf("arm: %v\n%s", err, out.String())
@@ -64,34 +67,39 @@ func servingHeap(t *testing.T, flags ...string) (held, tableAndModel int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return held, tableAndModel + int64(kb*1024)
+	return held, statsAndModel + int64(kb*1024)
 }
 
 // TestServingHeapIsTableAndModel: what a daemon holds once it serves is its
-// table and its model, whichever of -journal and -store is armed — not the
-// 2 000 bound ASTs it trained on. Before boot was a function of its own, -journal's
-// canary-refresh closure named the boot environment and kept all of it alive
-// for the life of the process: with that capture put back this test reads
-// 0.73 MiB held without -journal and 5.32 MiB with it (+4.8 MB, the training
-// set; resident about twice that at GOGC=100). -store hid a second holder, the
-// canary workload being the tail of the array whose head is the training set:
-// 5.79 MiB when the lifecycle is handed env.Test itself. The model is its
-// flat forest alone: while a GB model also kept the per-tree arenas it was fit
-// in, this test read 0.71 MiB held against a 0.34 MiB budget, and 0.38 since.
+// table, which is its columns' statistics, and its model, whichever of
+// -journal and -store is armed — not its rows, and not the 2 000 bound ASTs
+// it trained on. Boot
+// drops the rows once its queries are labelled (table.DB.DropRows): with
+// the rows kept this test reads 0.39 MiB held without -journal against a
+// 0.20 MiB bound (the 2 000 x 16 table is 0.24 MiB), and 0.14 MiB since.
+// Before boot was a function of its own, -journal's canary-refresh closure
+// named the boot environment and kept all of it alive for the life of the
+// process: with that capture put back this test read 0.73 MiB held without
+// -journal and 5.32 MiB with it (+4.8 MB, the training set; resident about
+// twice that at GOGC=100). -store hid a second holder, the canary workload
+// being the tail of the array whose head is the training set: 5.79 MiB when
+// the lifecycle is handed env.Test itself. The model is its flat forest
+// alone: while a GB model also kept the per-tree arenas it was fit in, this
+// test read 0.71 MiB held.
 func TestServingHeapIsTableAndModel(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's shadow allocations are counted in the heap")
 	}
-	const slack, journalSlack = 192 << 10, 512 << 10
+	const slack, journalSlack = 96 << 10, 512 << 10
 	// The canary queries are the lifecycle's to keep, at the ~2.4 KB of bound
 	// AST a drawn query costs (-cache-entries' help does the same sum).
 	const canary = 200 * 2400
 	mib := func(n int64) string { return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20)) }
 
 	bare, budget := servingHeap(t)
-	t.Logf("no -journal: %s held, table + model %s", mib(bare), mib(budget))
+	t.Logf("no -journal: %s held, stats + model %s", mib(bare), mib(budget))
 	if bare > budget+slack {
-		t.Errorf("a daemon without -journal holds %s, want at most table + model (%s) + %s", mib(bare), mib(budget), mib(slack))
+		t.Errorf("a daemon without -journal holds %s, want at most stats + model (%s) + %s: are the rows back?", mib(bare), mib(budget), mib(slack))
 	}
 	for _, tc := range []struct {
 		name   string
@@ -105,9 +113,9 @@ func TestServingHeapIsTableAndModel(t *testing.T) {
 	} {
 		held, budget := servingHeap(t, tc.flags...)
 		budget += tc.canary
-		t.Logf("%s: %s held, table + model + canary %s", tc.name, mib(held), mib(budget))
+		t.Logf("%s: %s held, stats + model + canary %s", tc.name, mib(held), mib(budget))
 		if held > budget+slack {
-			t.Errorf("a %s daemon holds %s, want at most table + model + canary (%s) + %s", tc.name, mib(held), mib(budget), mib(slack))
+			t.Errorf("a %s daemon holds %s, want at most stats + model + canary (%s) + %s", tc.name, mib(held), mib(budget), mib(slack))
 		}
 		if tc.base != 0 && held-tc.base > journalSlack {
 			t.Errorf("%s costs %s of live heap over a daemon without it (%s → %s), want under %s",

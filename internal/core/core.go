@@ -219,8 +219,12 @@ func NewTableMetaWeighted(t *table.Table, n int) *TableMeta {
 
 // AttachWeights computes and stores per-partition row-frequency shares on
 // every attribute of meta from the table's data. The meta's attribute names
-// must match t's columns.
+// must match t's columns. It panics when t's rows were dropped
+// (table.DB.DropRows): the shares of an empty column would all be zero.
 func AttachWeights(meta *TableMeta, t *table.Table) {
+	if err := t.CheckRows(); err != nil {
+		panic(err)
+	}
 	rows := float64(t.NumRows())
 	for i := range meta.Attrs {
 		a := &meta.Attrs[i]

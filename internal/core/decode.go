@@ -119,6 +119,9 @@ func DecodePartitioned(meta *TableMeta, opts Options, vec []float64) ([]DecodedA
 // lossless for the original query, the count equals the query's true
 // cardinality — the checkable form of Definition 3.1.
 func CountDecoded(t *table.Table, decoded []DecodedAttr) (count int64, exact bool, err error) {
+	if err := t.CheckRows(); err != nil {
+		return 0, false, err
+	}
 	cols := make([][]int64, len(decoded))
 	for i, d := range decoded {
 		col := t.Column(d.Attr.Name)
@@ -153,6 +156,9 @@ func CountDecoded(t *table.Table, decoded []DecodedAttr) (count int64, exact boo
 // count: partial partitions count as rejected for the lower bound and
 // admitted for the upper bound. For an exact decoding the bounds coincide.
 func CountDecodedBounds(t *table.Table, decoded []DecodedAttr) (lo, hi int64, err error) {
+	if err := t.CheckRows(); err != nil {
+		return 0, 0, err
+	}
 	cols := make([][]int64, len(decoded))
 	for i, d := range decoded {
 		col := t.Column(d.Attr.Name)

@@ -260,6 +260,9 @@ func combine(acc, bm *table.Bitmap, and bool) *table.Bitmap {
 // qualifier, if present, must match t's name. The returned bitmap is freshly
 // allocated and owned by the caller.
 func EvalExpr(t *table.Table, expr sqlparse.Expr) (*table.Bitmap, error) {
+	if err := t.CheckRows(); err != nil {
+		return nil, err
+	}
 	s, err := evalExpr(t, expr)
 	if err != nil {
 		return nil, err
@@ -269,8 +272,12 @@ func EvalExpr(t *table.Table, expr sqlparse.Expr) (*table.Bitmap, error) {
 
 // countExpr is the number of t's rows qualifying expr. An expression over a
 // single column — one compound predicate of the paper's query class — is
-// answered from the column's dictionary alone.
+// answered from the column's dictionary alone. A table whose rows were
+// dropped is an error, not zero rows.
 func countExpr(t *table.Table, expr sqlparse.Expr) (int, error) {
+	if err := t.CheckRows(); err != nil {
+		return 0, err
+	}
 	s, err := evalExpr(t, expr)
 	if err != nil {
 		return 0, err

@@ -30,24 +30,29 @@ import (
 // string of its own (the feedback hook's consumer, the journal queue, keeps
 // FeedbackEvent.SQL and Query after the response is written); keys, numbers and escapes are read in place and copied nowhere.
 
-// maxPooledBuf and maxPooledQueries bound what a pooled scratch may keep: a
-// request that needed more (a body near maxBodyBytes, a batch near
-// maxQueriesPerRequest) leaves its reqScratch to the garbage collector, so the
-// pool's footprint is set by ordinary traffic and not by the largest request
-// ever seen.
+// maxPooledBuf, maxPooledQueries and maxPooledArena bound what a pooled
+// scratch may keep: a request that needed more (a body near maxBodyBytes, a
+// batch near maxQueriesPerRequest, the ASTs of a batch of long queries)
+// leaves its reqScratch to the garbage collector, so the pool's footprint is
+// set by ordinary traffic and not by the largest request ever seen. A
+// 64-query batch of cmd/bench's traffic grows its arena to about 0.2 MiB.
 const (
 	maxPooledBuf     = 128 << 10
 	maxPooledQueries = 1024
+	maxPooledArena   = 512 << 10
 )
 
 // reqScratch is everything one /v1/estimate request needs besides the values
 // it hands onward: the body, the decoder's unescape buffer, the rendered
-// response, and the per-item slices of a client batch. While pooled, every
-// slice has length zero and holds only zero values up to its capacity.
+// response, the per-item slices of a client batch, and the arena its queries
+// are parsed into when the server has no Feedback hook (parseAndBind). While
+// pooled, every slice has length zero and holds only zero values up to its
+// capacity, and the arena is reset.
 type reqScratch struct {
-	body bytes.Buffer
-	dec  wireDecoder
-	resp []byte
+	body  bytes.Buffer
+	dec   wireDecoder
+	resp  []byte
+	arena sqlparse.Arena
 
 	results []estimateResult  // per item of the batch, in request order
 	idx     []int             // the items that got an answer: j is item idx[j]
@@ -63,12 +68,15 @@ var scratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
 
 // release returns sc to the pool, unless the request grew it past the caps.
 // It zeroes what the request used, so a pooled scratch pins no query, SQL
-// text or error string.
+// text or error string; resetting the arena ends the life of the request's
+// queries.
 func (sc *reqScratch) release() {
-	if sc.body.Cap() > maxPooledBuf || cap(sc.dec.text) > maxPooledBuf || cap(sc.resp) > maxPooledBuf || cap(sc.results) > maxPooledQueries {
+	if sc.body.Cap() > maxPooledBuf || cap(sc.dec.text) > maxPooledBuf || cap(sc.resp) > maxPooledBuf || cap(sc.results) > maxPooledQueries ||
+		sc.arena.Size() > maxPooledArena {
 		return
 	}
 	sc.body.Reset()
+	sc.arena.Reset()
 	sc.dec.data = nil
 	sc.results, sc.qs, sc.out = emptied(sc.results), emptied(sc.qs), emptied(sc.out)
 	sc.missQ, sc.missOut = emptied(sc.missQ), emptied(sc.missOut)

@@ -361,7 +361,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	dl := deadline{parent: r.Context(), at: s.deadlineFrom(entry, req.TimeoutMS)}
 
 	if single {
-		res, err := s.estimateTimed(dl, est, info, req.SQL, req.Actual)
+		res, err := s.estimateTimed(dl, est, info, req.SQL, req.Actual, &sc.arena)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -388,13 +388,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // carries none is parsed for the hook. The error is the client's (unparseable
 // or unbindable text, 4xx); such text was never estimated, so it is never a
 // hit.
-func (s *Server) answer(gen uint64, sql string) (key cacheKey, q *sqlparse.Query, br EstResult, hit bool, err error) {
+func (s *Server) answer(gen uint64, sql string, arena *sqlparse.Arena) (key cacheKey, q *sqlparse.Query, br EstResult, hit bool, err error) {
 	if s.cache != nil {
 		key = textKey(gen, sql)
 		br, q, hit = s.cache.lookup(key)
 	}
 	if !hit || (q == nil && s.cfg.Feedback != nil) {
-		q, err = s.parseAndBind(sql)
+		q, err = s.parseAndBind(sql, arena)
 	}
 	return key, q, br, hit, err
 }
@@ -405,9 +405,9 @@ func (s *Server) answer(gen uint64, sql string) (key cacheKey, q *sqlparse.Query
 // does the resilience chain the daemon wraps its estimators in: every stage
 // runs on this goroutine (DESIGN §11). The latency it records counts from the
 // lookup, so a miss's includes its parse.
-func (s *Server) estimateTimed(dl deadline, est estimator.Estimator, info ModelInfo, sql string, reported *float64) (estimateResult, error) {
+func (s *Server) estimateTimed(dl deadline, est estimator.Estimator, info ModelInfo, sql string, reported *float64, arena *sqlparse.Arena) (estimateResult, error) {
 	start := time.Now()
-	key, q, br, hit, err := s.answer(info.Generation, sql)
+	key, q, br, hit, err := s.answer(info.Generation, sql, arena)
 	if err != nil {
 		return estimateResult{}, err
 	}
@@ -468,7 +468,7 @@ func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, info ModelI
 			s.metrics.estErrors.Add(1)
 			continue
 		}
-		key, q, br, hit, err := s.answer(info.Generation, items[i].SQL)
+		key, q, br, hit, err := s.answer(info.Generation, items[i].SQL, &sc.arena)
 		if err != nil {
 			sc.results[i] = estimateResult{Error: err.Error()}
 			s.metrics.estErrors.Add(1)
@@ -568,8 +568,18 @@ func (s *Server) deadlineFrom(entry time.Time, timeoutMS int64) time.Time {
 // parseAndBind turns SQL text into a bound query. All failures here are the
 // client's (4xx): syntax errors, unknown tables/columns, type mismatches, and
 // a GROUP BY, which parses but asks for a group count no served model has.
-func (s *Server) parseAndBind(sql string) (*sqlparse.Query, error) {
-	q, err := sqlparse.Parse(sql)
+//
+// The query is parsed into arena, the request's, which its scratch resets
+// when the request ends — unless the server has a Feedback hook: the hook's
+// consumer (the journal queue) and the cache entries that hand their query to
+// the hook on a hit keep it past the request, so theirs is Parse's
+// garbage-collected memory (DESIGN §11).
+func (s *Server) parseAndBind(sql string, arena *sqlparse.Arena) (*sqlparse.Query, error) {
+	parse := arena.Parse
+	if s.cfg.Feedback != nil {
+		parse = sqlparse.Parse
+	}
+	q, err := parse(sql)
 	if err != nil {
 		return nil, err
 	}

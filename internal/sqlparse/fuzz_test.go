@@ -28,9 +28,10 @@ var fuzzSeeds = []string{
 
 // FuzzParse feeds arbitrary bytes to the parser: it must never panic, it must
 // agree with the oracle parser (diffOracle: same AST, same error text, the
-// ASCII identifier rule the one divergence), and whenever it accepts an
-// input, the rendered SQL must re-parse to the same rendering
-// (printer/parser agreement). Run the corpus as a normal test, or explore
+// ASCII identifier rule the one divergence), a parse into an arena must agree
+// with Parse (diffArena, over the input and its rendering parsed into one
+// arena), and whenever it accepts an input, the rendered SQL must re-parse to
+// the same rendering (printer/parser agreement). Run the corpus as a normal test, or explore
 // with `go test -fuzz=FuzzParse ./internal/sqlparse`.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
@@ -51,6 +52,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if got := q2.String(); got != rendered {
 			t.Fatalf("printer/parser disagreement:\n  first  %s\n  second %s", rendered, got)
+		}
+		if err := diffArena([]string{src, rendered}); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

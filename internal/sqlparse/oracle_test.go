@@ -43,6 +43,41 @@ func diffOracle(src string) error {
 	return nil
 }
 
+// diffArena parses every src into one arena and checks that each query
+// deep-equals Parse's, and each error is Parse's: as soon as it is parsed,
+// again once the whole corpus has been parsed into the same arena (no later
+// parse may carve over an earlier query), and then once more after a Reset,
+// from the memory the first round grew. With diffOracle, an arena parse is
+// the oracle's parse.
+func diffArena(srcs []string) error {
+	var a Arena
+	for round := 0; round < 2; round++ {
+		held := make([]*Query, len(srcs))
+		for i, src := range srcs {
+			got, gotErr := a.Parse(src)
+			want, wantErr := Parse(src)
+			if gotErr != nil || wantErr != nil {
+				if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+					return fmt.Errorf("arena parse of %q, round %d, error:\n  got  %v\n  want %v", src, round, gotErr, wantErr)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("arena parse of %q, round %d:\n  got  %#v (%s)\n  want %#v (%s)", src, round, got, got, want, want)
+			}
+			held[i] = got
+		}
+		for i, q := range held {
+			if want, err := Parse(srcs[i]); q != nil && (err != nil || !reflect.DeepEqual(q, want)) {
+				return fmt.Errorf("arena query of %q, round %d, changed while %d later queries were parsed into its arena:\n  got  %s\n  want %s",
+					srcs[i], round, len(srcs)-1-i, q, want)
+			}
+		}
+		a.Reset()
+	}
+	return nil
+}
+
 // nonASCIIOutsideStrings reports whether src has a byte >= 0x80 outside its
 // quoted stretches. A ” escape toggles twice, so it needs no special case.
 func nonASCIIOutsideStrings(src string) bool {
@@ -136,6 +171,9 @@ func TestParseMatchesOracle(t *testing.T) {
 		if err := diffOracle(src); err != nil {
 			t.Error(err)
 		}
+	}
+	if err := diffArena(corpus); err != nil {
+		t.Error(err)
 	}
 }
 

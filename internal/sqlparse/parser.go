@@ -28,8 +28,13 @@ import (
 // The returned query is ordinary garbage-collected memory that the caller
 // owns; its names and string literals are substrings of src wherever the
 // source spells them contiguously.
-func Parse(src string) (*Query, error) {
+func Parse(src string) (*Query, error) { return parse(nil, src) }
+
+// parse parses src with a pooled parser, into arena's memory or, when arena
+// is nil, into the heap's.
+func parse(arena *Arena, src string) (*Query, error) {
 	p := parserPool.Get().(*parser)
+	p.arena = arena
 	q, err := p.parse(src)
 	p.release()
 	return q, err
@@ -52,9 +57,11 @@ const maxExprDepth = 100
 
 // parser is a recursive-descent parser over the token stream. Its buffers
 // are scratch that never outlives one Parse, so parsers are pooled; what a
-// parse returns is allocated fresh (the Query, the predicate slab, one
-// exactly-sized Kids per AND/OR node).
+// parse returns (the Query, the predicate slab, one exactly-sized Kids per
+// AND/OR node) is allocated fresh, or carved from the parse's arena.
 type parser struct {
+	arena *Arena // where the AST goes; nil for the heap
+
 	src   string
 	toks  []token
 	pos   int
@@ -165,7 +172,7 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, err
 	}
 
-	q := &Query{Tables: make([]string, 0, p.fromLen())}
+	q := p.newQuery(p.fromLen())
 	for {
 		t, err := p.expect(tokIdent, "table name")
 		if err != nil {
@@ -270,13 +277,7 @@ func (p *parser) parseNary(isAnd bool) (Expr, error) {
 	p.kids = p.kids[:base]
 	e := top[0]
 	if len(top) > 1 {
-		kids := make([]Expr, len(top))
-		copy(kids, top)
-		if isAnd {
-			e = &And{Kids: kids}
-		} else {
-			e = &Or{Kids: kids}
-		}
+		e = p.newNode(top, isAnd)
 	}
 	clear(top)
 	return e, nil
@@ -302,16 +303,60 @@ func (p *parser) parsePrimary() (Expr, error) {
 	return p.parseComparison()
 }
 
-// newPred carves the next leaf from the per-parse slab, allocating the slab
-// on the first call: lex counted a comparison token for every leaf.
+// newPred carves the next leaf from the per-parse slab, making the slab on
+// the first call, from the arena when the parse has one: lex counted a
+// comparison token for every leaf.
 func (p *parser) newPred(pr Pred) *Pred {
 	if p.preds == nil {
-		p.preds = make([]Pred, p.ncmp)
+		if a := p.arena; a != nil {
+			p.preds = a.preds.carve(p.ncmp)
+		} else {
+			p.preds = make([]Pred, p.ncmp)
+		}
 	}
 	leaf := &p.preds[0]
 	p.preds = p.preds[1:]
 	*leaf = pr
 	return leaf
+}
+
+// newQuery and newNode, like newPred, make what a parse returns: carved from
+// the parser's arena when it has one, allocated on the heap when it does not.
+
+// newQuery returns an empty query with room for tables FROM names.
+func (p *parser) newQuery(tables int) *Query {
+	if a := p.arena; a != nil {
+		q := &a.queries.carve(1)[0]
+		q.Tables = a.tables.carve(tables)[:0]
+		return q
+	}
+	return &Query{Tables: make([]string, 0, tables)}
+}
+
+// newNode returns an AND (isAnd) or OR node over a copy of kids of exactly
+// their number.
+func (p *parser) newNode(kids []Expr, isAnd bool) Expr {
+	a := p.arena
+	var own []Expr
+	if a != nil {
+		own = a.kids.carve(len(kids))
+	} else {
+		own = make([]Expr, len(kids))
+	}
+	copy(own, kids)
+	switch {
+	case a == nil && isAnd:
+		return &And{Kids: own}
+	case a == nil:
+		return &Or{Kids: own}
+	case isAnd:
+		n := &a.ands.carve(1)[0]
+		n.Kids = own
+		return n
+	}
+	n := &a.ors.carve(1)[0]
+	n.Kids = own
+	return n
 }
 
 // operand is a comparison operand: either a column reference or a literal.

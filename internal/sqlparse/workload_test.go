@@ -43,7 +43,8 @@ func mixedSQL(t testing.TB, n int) (*table.DB, []string) {
 }
 
 // TestParseMatchesOracleOnWorkloads: 2000 mixed renderings and the JOB-light
-// suite parse to the AST the oracle parser builds.
+// suite parse to the AST the oracle parser builds, with Parse and into an
+// arena that holds them all.
 func TestParseMatchesOracleOnWorkloads(t *testing.T) {
 	n := 2000
 	if testing.Short() {
@@ -66,6 +67,9 @@ func TestParseMatchesOracleOnWorkloads(t *testing.T) {
 		if err := sqlparse.DiffOracle(sql); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := sqlparse.DiffArena(sqls); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -94,6 +98,25 @@ func TestParseSteadyStateAllocs(t *testing.T) {
 	if res.AllocsPerOp() > 25 || res.AllocedBytesPerOp() > 4096 {
 		t.Errorf("Parse of a mixed query: %d allocs/op, %d B/op; want <= 25 and <= 4096",
 			res.AllocsPerOp(), res.AllocedBytesPerOp())
+	}
+
+	// Into an arena reset every 64 parses, as a request of 64 queries resets
+	// its own, the same parses allocate nothing once the arena has grown.
+	var a sqlparse.Arena
+	res = testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%64 == 0 {
+				a.Reset()
+			}
+			if _, err := a.Parse(sqls[i%len(sqls)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	t.Logf("arena: %d allocs/op, %d B/op; arena of %d B", res.AllocsPerOp(), res.AllocedBytesPerOp(), a.Size())
+	if res.AllocsPerOp() > 0 {
+		t.Errorf("Arena.Parse of a mixed query: %d allocs/op, %d B/op; want 0", res.AllocsPerOp(), res.AllocedBytesPerOp())
 	}
 
 	qs := make([]*sqlparse.Query, len(sqls))

@@ -10,6 +10,9 @@ import (
 // WriteCSV writes the table as CSV with a header row. Dictionary-encoded
 // columns are written as their decoded strings.
 func (t *Table) WriteCSV(w io.Writer) error {
+	if err := t.CheckRows(); err != nil {
+		return err
+	}
 	cw := csv.NewWriter(w)
 	if err := cw.Write(t.ColumnNames()); err != nil {
 		return fmt.Errorf("table %s: write header: %w", t.Name, err)

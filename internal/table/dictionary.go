@@ -32,10 +32,12 @@ type Dictionary struct {
 // Dictionary returns the column's value dictionary, building it on first use
 // and after InvalidateStats. Like the statistics it is safe to ask for from
 // many goroutines at once: the first caller builds it under the stats mutex
-// and the rest wait for that one build.
+// and the rest wait for that one build. It panics once DB.DropRows has freed
+// the rows it would be built from.
 func (c *Column) Dictionary() *Dictionary {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
+	c.mustHoldRows()
 	if c.dict == nil {
 		c.dict = buildDictionary(c.Vals)
 	}
@@ -104,9 +106,9 @@ func buildDictionary(vals []int64) *Dictionary {
 // DropDictionaries frees every column's value dictionary; the next evaluation
 // that needs one builds it again. A dictionary is half its column's size
 // again — four bytes a row — which is worth holding while queries are counted
-// by the thousand and not between two such batches: cardestd labels at boot
-// and then only serves, and with forest's 16 dictionaries held served at
-// 22.3 MiB resident where it serves at 19.9 without. Unlike InvalidateStats it is
+// by the thousand and not between two such batches (with forest's 16 held,
+// cardestd served at 22.3 MiB resident where it served at 19.9 without; it
+// now drops them with the rows, DB.DropRows). Unlike InvalidateStats it is
 // safe at any time: a reader that holds a dictionary keeps it.
 func (db *DB) DropDictionaries() {
 	for _, t := range db.tables {

@@ -6,11 +6,14 @@
 //
 // A column's statistics are its one ANALYZE, gathered lazily in one pass: the
 // QFTs read its min/max domain (Sections 2.1.1 and 3.2), the Section 5.2
-// baseline its distinct count and histogram. All attribute values are stored
-// as int64: the paper's formulas use integer-domain semantics (domain size
-// max(A)-min(A)+1), decimal attributes are handled by fixed-point scaling at
-// load time, and string attributes by dictionary encoding (Section 6
-// discusses the string extension implemented in internal/core).
+// baseline its distinct count and histogram. Estimating reads nothing else,
+// so a database that is done counting can free its rows (DB.DropRows) and
+// keep serving from the statistics, as an optimizer does. All attribute
+// values are stored as int64: the paper's formulas use integer-domain
+// semantics (domain size max(A)-min(A)+1), decimal attributes are handled by
+// fixed-point scaling at load time, and string attributes by dictionary
+// encoding (Section 6 discusses the string extension implemented in
+// internal/core).
 package table
 
 import (
@@ -43,12 +46,16 @@ type Column struct {
 	// Dictionary from many goroutines, concurrent estimates FractionLE).
 	// Mutating Vals or calling InvalidateStats concurrently with readers
 	// remains the caller's responsibility to serialize.
-	statsMu    sync.Mutex
-	statsValid bool
-	min, max   int64
-	distinct   int
-	hist       []int64     // rows in each of min(histogramBuckets, max-min+1) equal buckets over [min, max]
-	dict       *Dictionary // nil until Dictionary builds it
+	statsMu        sync.Mutex
+	statsValid     bool
+	min, max       int64
+	rows, distinct int
+	hist           []int64     // rows in each of min(histogramBuckets, max-min+1) equal buckets over [min, max]
+	dict           *Dictionary // nil until Dictionary builds it
+
+	// dropped names the table whose rows DB.DropRows freed, "" while the
+	// column holds them.
+	dropped string
 }
 
 // NewColumn returns a column with the given name and values.
@@ -80,8 +87,14 @@ func NewStringColumn(name string, vals []string) *Column {
 	return &Column{Name: name, Vals: enc, Dict: dict}
 }
 
-// Len returns the number of rows.
-func (c *Column) Len() int { return len(c.Vals) }
+// Len returns the number of rows: len(Vals), and once DB.DropRows has freed
+// them, the row count of the statistics.
+func (c *Column) Len() int {
+	if c.Vals == nil {
+		return c.rows
+	}
+	return len(c.Vals)
+}
 
 // Min returns the minimum value in the column. It panics on empty columns.
 func (c *Column) Min() int64 { c.ensureStats(); return c.min }
@@ -117,7 +130,7 @@ func (c *Column) FractionLE(v int64) float64 {
 	if hi > lo {
 		frac = float64(v-lo+1) / float64(hi-lo+1)
 	}
-	return (float64(below) + frac*float64(c.hist[i])) / float64(len(c.Vals))
+	return (float64(below) + frac*float64(c.hist[i])) / float64(c.rows)
 }
 
 // bucket returns the histogram bucket i that holds v and the values [lo, hi]
@@ -172,12 +185,27 @@ func (c *Column) Decode(v int64) string {
 // InvalidateStats forces the statistics, histogram included, and the value
 // dictionary to be recomputed on next access. Call it after mutating Vals
 // (e.g. when simulating data drift): everything the executor counts, it
-// counts on the dictionary.
+// counts on the dictionary. It panics once DB.DropRows has freed the rows:
+// statistics gathered again would describe an empty column.
 func (c *Column) InvalidateStats() {
 	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	c.mustHoldRows()
 	c.statsValid = false
 	c.dict = nil
-	c.statsMu.Unlock()
+}
+
+// mustHoldRows panics, naming the table, when DB.DropRows has freed the
+// column's rows: a read of them would see an empty column and count or weigh
+// nothing. The stats mutex must be held.
+func (c *Column) mustHoldRows() {
+	if c.dropped != "" {
+		panic(droppedError(c.dropped, c.Name))
+	}
+}
+
+func droppedError(table, col string) error {
+	return fmt.Errorf("table %s: column %q: rows were dropped (DB.DropRows); only the statistics remain", table, col)
 }
 
 func (c *Column) ensureStats() {
@@ -206,7 +234,7 @@ func (c *Column) ensureStats() {
 	for _, v := range c.Vals {
 		hist[bucketOf(uint64(v-mn), span, b)]++
 	}
-	c.min, c.max, c.distinct, c.hist = mn, mx, len(seen), hist
+	c.min, c.max, c.rows, c.distinct, c.hist = mn, mx, len(c.Vals), len(seen), hist
 	c.statsValid = true
 }
 
@@ -277,6 +305,18 @@ func (t *Table) NumRows() int {
 // NumCols returns the number of columns.
 func (t *Table) NumCols() int { return len(t.cols) }
 
+// CheckRows returns an error naming the table when DB.DropRows has freed its
+// rows, nil while it holds them. What counts, weighs or writes rows asks
+// first, so that a dropped table fails loudly instead of reading as empty.
+func (t *Table) CheckRows() error {
+	for _, c := range t.cols {
+		if c.dropped != "" {
+			return droppedError(t.Name, c.Name)
+		}
+	}
+	return nil
+}
+
 // DB is a named collection of tables — the "data" component of the paper's
 // Equation 1 that the estimators are trained against.
 type DB struct {
@@ -308,6 +348,30 @@ func (db *DB) MustAdd(t *Table) {
 
 // Table returns the table with the given name, or nil when absent.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
+
+// DropRows finishes every column's ANALYZE (min, max, row count, distinct
+// count, histogram) and then frees its rows and its value dictionary. What is
+// left is the schema — names and the string dictionaries Bind resolves
+// literals against — and the statistics, which are all that featurizing and
+// the fallback estimators read: Len and NumRows answer from the statistics'
+// row count. A daemon that has labelled its queries serves from this; for
+// forest at 20 000 rows it is 2.5 MB of rows against ~13 kB of statistics.
+// Whatever would read the rows afterwards fails loudly (CheckRows,
+// Dictionary, InvalidateStats) rather than counting an empty table. It must
+// not run concurrently with any reader of the database.
+func (db *DB) DropRows() {
+	for _, name := range db.order {
+		t := db.tables[name]
+		for _, c := range t.cols {
+			if len(c.Vals) > 0 {
+				c.ensureStats()
+			}
+			c.statsMu.Lock()
+			c.Vals, c.dict, c.dropped = nil, nil, t.Name
+			c.statsMu.Unlock()
+		}
+	}
+}
 
 // TableNames returns the table names in registration order.
 func (db *DB) TableNames() []string { return append([]string(nil), db.order...) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -130,6 +131,68 @@ func TestHistogram(t *testing.T) {
 			}
 			v = hi + 1
 		}
+	}
+}
+
+// TestDropRowsKeepsStatistics: DB.DropRows frees the rows and the value
+// dictionaries, and every statistic answers as it did before — the ones
+// gathered already and the ones no reader had asked for yet — as do the row
+// counts, the string dictionary Bind reads and Decode. A table with an empty
+// column drops too; that column stays empty.
+func TestDropRowsKeepsStatistics(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]int64, 5000)
+	for i := range vals {
+		vals[i] = rng.Int63n(700) - 200
+	}
+	type stats struct {
+		min, max, domain int64
+		distinct, rows   int
+		le               []float64
+	}
+	read := func(c *Column) stats {
+		s := stats{min: c.Min(), max: c.Max(), domain: c.DomainSize(), distinct: c.Distinct(), rows: c.Len()}
+		for v := int64(-250); v <= 550; v += 7 {
+			s.le = append(s.le, c.FractionLE(v))
+		}
+		return s
+	}
+	db := NewDB()
+	tbl := New("t")
+	tbl.MustAddColumn(NewColumn("asked", vals))
+	tbl.MustAddColumn(NewColumn("unasked", slices.Clone(vals)))
+	strs := make([]string, len(vals))
+	for i := range strs {
+		strs[i] = []string{"b", "a", "c"}[i%3]
+	}
+	tbl.MustAddColumn(NewStringColumn("s", strs))
+	db.MustAdd(tbl)
+	want := read(tbl.Column("asked"))
+	tbl.Column("asked").Dictionary()
+	db.DropRows()
+	for _, name := range []string{"asked", "unasked"} {
+		c := tbl.Column(name)
+		if c.Vals != nil || c.dict != nil {
+			t.Errorf("%s: the drop kept %d rows and dictionary %v", name, len(c.Vals), c.dict != nil)
+		}
+		if got := read(c); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s after the drop: %+v, want %+v", name, got, want)
+		}
+	}
+	if n := tbl.NumRows(); n != len(vals) {
+		t.Errorf("NumRows after the drop = %d, want %d", n, len(vals))
+	}
+	if s := tbl.Column("s"); s.Dict == nil || s.Decode(0) != "a" {
+		t.Errorf("the drop lost the string dictionary: Dict %v, Decode(0) %q", s.Dict, s.Decode(0))
+	}
+
+	empty := New("e")
+	empty.MustAddColumn(NewColumn("a", nil))
+	edb := NewDB()
+	edb.MustAdd(empty)
+	edb.DropRows()
+	if n := empty.NumRows(); n != 0 {
+		t.Errorf("an empty table reads %d rows after the drop", n)
 	}
 }
 
