@@ -18,8 +18,8 @@ race:
 # the race detector. The daemon answers every request on its own goroutine
 # over pooled scratch (parser, featurizer, fingerprint) and a cache that
 # concurrent identical misses each write, and labeling/training fan out across
-# worker pools (internal/parallel, exec.CountManyWorkers — whose workers meet
-# each column's lazily built dictionary together — gb/nn Workers), so
+# worker pools (internal/parallel, exec.CountManyWorkers — whose workers read
+# each column's dictionary together, without a lock — gb/nn Workers), so
 # race-cleanliness is a correctness property here, not a nicety.
 check: vet race
 
@@ -68,7 +68,8 @@ ci:
 # is the dense input that histograms by subtraction must not slow down), the
 # journal's batched-vs-per-record fsync and a commit's class keys over shared
 # vs distinct queries (reports fingerprints/record), labeling across workers
-# and the boot's label phase with its dictionaries cold.
+# and the boot's label phase over a built table (it reports the tables'
+# construction ANALYZE as analyze-ms).
 	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|FlushFingerprints|CountManyWorkers|LabelBoot' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec
 # Guard 1, one inference path: outside tests and cmd/bench, no reference twin,
 # no batch form of Predict, no EstimateBatch method.
@@ -189,13 +190,14 @@ ci:
 	! grep -rnE 'flights|cacheCollapsed|func \(c \*estCache\) do\(' --include='*.go' internal/serve | grep -v '_test\.go:'
 	! grep -n 'go func' internal/resilience/resilience.go
 	! grep -rnE 'ExtraMetrics|StatusPages' --include='*.go' internal cmd | grep -v '_test\.go:'
-# Guard 19, one ANALYZE per column, held by the table: table.Column gathers
-# min, max, distinct count and the equi-width histogram in one lazy pass, and
-# Independence reads that record, so it keeps no lock, no statistics map, no
-# scan of its own and no bucket knob (the histogram's 100 buckets are
-# table.HistogramBuckets; the scan it replaced is its oracle in
-# independence_test.go). And the row-count heuristic's stand-in for an unknown
-# table's size is a constant: no caller set it.
+# Guard 19, one ANALYZE per column, held by the table: table.Column reads min,
+# max, distinct count and the equi-width histogram off its value dictionary
+# when it is constructed, and Independence reads that record, so it keeps no
+# statistics map, no scan of its own and no bucket knob (the histogram's 100
+# buckets are the table's; the scan it replaced is its oracle in
+# independence_test.go) — and, since the record is immutable, no lock, here or
+# inside internal/table (guard 21). And the row-count heuristic's stand-in for
+# an unknown table's size is a constant: no caller set it.
 	! grep -nE 'sync\.|statsFor|Buckets|\.Vals' internal/estimator/independence.go
 	! $(GO) doc -u qfe/internal/resilience.RowCount | grep -w 'DefaultRows'
 # Guard 20, the daemon serves without rows: once its queries are labelled,
@@ -205,6 +207,13 @@ ci:
 # table (TestDroppedRowsFailLoudly).
 	grep -q 'DB\.DropRows()' cmd/cardestd/boot.go
 	! grep -rn '\.Vals\b' --include='*.go' internal/serve internal/resilience cmd/cardestd | grep -v '_test\.go:'
+# Guard 21, one ANALYZE, at construction: NewColumn and NewStringColumn build
+# a column's value dictionary and read its record off it, and nothing changes
+# either until DB.DropRows frees the rows. So no lazy path, stats mutex,
+# invalidation, dictionary drop or build accounting comes back (the map-based
+# pass it replaced is the oracle of TestStatsMatchOracle).
+	! grep -rnE 'statsMu|statsValid|ensureStats|InvalidateStats|DropDictionaries|DictionaryBuilds|DictBuilt|DictTime' --include='*.go' internal cmd examples | grep -v '_test\.go:'
+	! grep -nw --exclude='*_test.go' 'sync' internal/table/*.go
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

@@ -52,10 +52,9 @@ func boot(o options, out io.Writer) (_ *booted, err error) {
 		return nil, err
 	}
 	labeled := len(env.Train) + len(env.Test)
-	fmt.Fprintf(out, "built table in %.2fs; labeled %d queries in %.2fs, %.0f q/s on %d workers (%d column dictionaries built in %.1f ms)\n",
-		env.DataTime.Seconds(), labeled, env.LabelTime.Seconds(),
-		float64(labeled)/env.LabelTime.Seconds(), runtime.GOMAXPROCS(0),
-		env.DictBuilt, float64(env.DictTime.Microseconds())/1000)
+	fmt.Fprintf(out, "built table (%d columns analyzed) in %.2fs; labeled %d queries in %.2fs, %.0f q/s on %d workers\n",
+		env.Table.NumCols(), env.DataTime.Seconds(), labeled, env.LabelTime.Seconds(),
+		float64(labeled)/env.LabelTime.Seconds(), runtime.GOMAXPROCS(0))
 	// Nothing counts rows again: training, publishing and serving read each
 	// column's statistics, so the rows and their dictionaries go (DESIGN §6).
 	env.DB.DropRows()

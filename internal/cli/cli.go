@@ -90,13 +90,9 @@ type ForestEnv struct {
 	Test  workload.Set
 
 	// DataTime and LabelTime split the build for the boot log: generating
-	// the table, then drawing and labeling the Train and Test queries.
-	// Labeling builds the dictionary of every column a query names, once:
-	// DictBuilt of them, DictTime in all, so LabelTime splits into build and
-	// evaluate.
+	// the table, each column analyzed as it is built, then drawing and
+	// labeling the Train and Test queries.
 	DataTime, LabelTime time.Duration
-	DictBuilt           int
-	DictTime            time.Duration
 }
 
 // BuildForestEnv builds the forest dataset and generates + labels the
@@ -132,11 +128,9 @@ func BuildForestEnv(spec ForestSpec) (*ForestEnv, error) {
 	}
 	labelTime := time.Since(start) - dataTime
 	train, test := set.Split(spec.TrainN)
-	dictBuilt, dictTime := forest.DictionaryBuilds()
 	return &ForestEnv{
 		DB: db, Table: forest, Train: train, Test: test,
 		DataTime: dataTime, LabelTime: labelTime,
-		DictBuilt: dictBuilt, DictTime: dictTime,
 	}, nil
 }
 

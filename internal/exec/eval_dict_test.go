@@ -210,10 +210,12 @@ func TestEvalErrorsMatchKernels(t *testing.T) {
 	}
 }
 
-// TestCountOnColdColumnFromManyGoroutines: N goroutines count on a table no
-// one has touched, as labeling workers do at boot; the first to reach a
-// column builds its dictionary while the others wait for it. Run under -race
-// (make check) this is the test of that hand-over.
+// TestCountOnColdColumnFromManyGoroutines: 8 goroutines count on a fresh
+// table no one has counted on, as labeling workers do at boot, and read each
+// column's statistics, as concurrent estimates do. Every count is the
+// kernels', and every goroutine reads the one record and the one dictionary
+// per column that the table's construction built; run under -race (make
+// check) this is the test that none of those reads needs a lock.
 func TestCountOnColdColumnFromManyGoroutines(t *testing.T) {
 	tbl := genTable(31, 20_000)
 	db := singleDB(tbl)
@@ -226,41 +228,37 @@ func TestCountOnColdColumnFromManyGoroutines(t *testing.T) {
 		}
 		want[i] = int64(bm.Count())
 	}
+	type read struct {
+		min, max int64
+		distinct int
+		le       float64
+		dict     *table.Dictionary
+	}
+	const goroutines = 8
+	seen := make([][]read, goroutines)
 	var wg sync.WaitGroup
-	for i, q := range qs {
+	for g := range goroutines {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got, err := Count(db, q); err != nil || got != want[i] {
-				t.Errorf("query %d: count %d, %v; kernels %d", i, got, err, want[i])
+			for i := g; i < len(qs); i += goroutines {
+				if got, err := Count(db, qs[i]); err != nil || got != want[i] {
+					t.Errorf("query %d: count %d, %v; kernels %d", i, got, err, want[i])
+				}
+			}
+			for _, c := range tbl.Columns() {
+				seen[g] = append(seen[g], read{c.Min(), c.Max(), c.Distinct(), c.FractionLE(c.Min()), c.Dictionary()})
 			}
 		}()
 	}
 	wg.Wait()
-	if built, _ := tbl.DictionaryBuilds(); built != 3 {
-		t.Errorf("%d dictionaries built for 3 columns", built)
+	for g := range seen {
+		for j, r := range seen[g] {
+			if r != seen[0][j] {
+				t.Errorf("goroutine %d read column %s as %+v, goroutine 0 as %+v", g, tbl.Columns()[j].Name, r, seen[0][j])
+			}
+		}
 	}
-}
-
-// TestCountSeesDataAfterInvalidate: a count is taken on the dictionary, so a
-// column whose values changed must be invalidated — and then the next count
-// is of the new data.
-func TestCountSeesDataAfterInvalidate(t *testing.T) {
-	tbl := smallTable()
-	db := singleDB(tbl)
-	q := sqlparse.MustParse("SELECT count(*) FROM t WHERE a >= 9 AND b = 9")
-	if got, err := Count(db, q); err != nil || got != 2 {
-		t.Fatalf("count = %d, %v; want 2", got, err)
-	}
-	col := tbl.Column("a")
-	for i := range col.Vals {
-		col.Vals[i] += 5
-	}
-	col.InvalidateStats()
-	if got, err := Count(db, q); err != nil || got != 4 {
-		t.Errorf("count after the column moved up by 5 = %d, %v; want 4", got, err)
-	}
-	sameAsOracles(t, "after invalidate", tbl, q.Where)
 }
 
 // FuzzEvalExpr holds the dictionary evaluator to the kernels and to the

@@ -3,6 +3,7 @@ package exec_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"qfe/internal/dataset"
 	"qfe/internal/exec"
@@ -72,9 +73,10 @@ func TestGeneratorLabelsMatchKernels(t *testing.T) {
 
 // BenchmarkLabelBoot is the label phase of a cardestd boot (-qft complex
 // -rows 20000 -train 2000): the 2000 mixed queries the boot keeps, counted
-// over the 20 000-row forest on every core, with the 16 column dictionaries
-// cold — each iteration drops them first, so their builds are in the figure,
-// as they are in setup_s. dict-ms is the part of it spent building them.
+// over the 20 000-row forest on every core. The table is built, so its 16
+// columns are analyzed and their dictionaries held; analyze-ms is what that
+// ANALYZE costs when the table is constructed — sixteen NewColumn calls, in
+// setup_s but outside the timed labeling.
 func BenchmarkLabelBoot(b *testing.B) {
 	forest := bootForest(b, 20_000, 1)
 	set, err := workload.Mixed(forest, workload.MixedConfig{
@@ -87,16 +89,20 @@ func BenchmarkLabelBoot(b *testing.B) {
 	db := table.NewDB()
 	db.MustAdd(forest)
 	qs := set.Queries()
-	var dictMS float64
+	var analyze time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.DropDictionaries()
+		b.StopTimer()
+		start := time.Now()
+		for _, c := range forest.Columns() {
+			table.NewColumn(c.Name, c.Vals)
+		}
+		analyze += time.Since(start)
+		b.StartTimer()
 		if _, err := exec.CountManyCtx(context.Background(), db, qs); err != nil {
 			b.Fatal(err)
 		}
-		_, took := forest.DictionaryBuilds()
-		dictMS += float64(took.Microseconds()) / 1000
 	}
-	b.ReportMetric(dictMS/float64(b.N), "dict-ms/op")
+	b.ReportMetric(float64(analyze.Microseconds())/1000/float64(b.N), "analyze-ms/op")
 }

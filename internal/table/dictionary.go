@@ -1,7 +1,5 @@
 package table
 
-import "time"
-
 // Dictionary is a column's value dictionary: its distinct values in ascending
 // order, and for each the rows that carry it. A value's position in Values is
 // its code. It is what the executor evaluates single-column predicates on —
@@ -14,7 +12,8 @@ import "time"
 // It is not the string dictionary Column.Dict, which decodes the values of a
 // string column; a string column has both.
 //
-// A Dictionary is immutable once built and shared by every reader.
+// A Dictionary is built with its column and immutable; every reader shares
+// it.
 type Dictionary struct {
 	// Values holds the distinct values, ascending.
 	Values []int64
@@ -25,21 +24,13 @@ type Dictionary struct {
 	// Rows holds every row id once, grouped by code and ascending within a
 	// code.
 	Rows []uint32
-	// BuildTime is what building the dictionary took: one sort of the column.
-	BuildTime time.Duration
 }
 
-// Dictionary returns the column's value dictionary, building it on first use
-// and after InvalidateStats. Like the statistics it is safe to ask for from
-// many goroutines at once: the first caller builds it under the stats mutex
-// and the rest wait for that one build. It panics once DB.DropRows has freed
-// the rows it would be built from.
+// Dictionary returns the column's value dictionary, built with the column.
+// It panics once DB.DropRows has freed it with the rows.
 func (c *Column) Dictionary() *Dictionary {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	c.mustHoldRows()
-	if c.dict == nil {
-		c.dict = buildDictionary(c.Vals)
+	if c.dropped != "" {
+		panic(droppedError(c.dropped, c.Name))
 	}
 	return c.dict
 }
@@ -51,7 +42,6 @@ func (c *Column) Dictionary() *Dictionary {
 // forest columns took 3.6 ms each, two thirds of the labeling they were
 // built for.
 func buildDictionary(vals []int64) *Dictionary {
-	start := time.Now()
 	n := len(vals)
 	// Flipping the sign bit maps the order of int64 onto that of uint64.
 	keys, rows := make([]uint64, n), make([]uint32, n)
@@ -99,37 +89,5 @@ func buildDictionary(vals []int64) *Dictionary {
 		}
 	}
 	d.Offsets = append(d.Offsets, uint32(n))
-	d.BuildTime = time.Since(start)
 	return d
-}
-
-// DropDictionaries frees every column's value dictionary; the next evaluation
-// that needs one builds it again. A dictionary is half its column's size
-// again — four bytes a row — which is worth holding while queries are counted
-// by the thousand and not between two such batches (with forest's 16 held,
-// cardestd served at 22.3 MiB resident where it served at 19.9 without; it
-// now drops them with the rows, DB.DropRows). Unlike InvalidateStats it is
-// safe at any time: a reader that holds a dictionary keeps it.
-func (db *DB) DropDictionaries() {
-	for _, t := range db.tables {
-		for _, c := range t.cols {
-			c.statsMu.Lock()
-			c.dict = nil
-			c.statsMu.Unlock()
-		}
-	}
-}
-
-// DictionaryBuilds reports how many of the table's columns hold a built
-// dictionary and the time those builds took, summed. It builds nothing.
-func (t *Table) DictionaryBuilds() (built int, took time.Duration) {
-	for _, c := range t.cols {
-		c.statsMu.Lock()
-		if c.dict != nil {
-			built++
-			took += c.dict.BuildTime
-		}
-		c.statsMu.Unlock()
-	}
-	return built, took
 }

@@ -77,67 +77,10 @@ func TestDictionary(t *testing.T) {
 	}
 }
 
-// TestInvalidateStatsDropsDictionary: the dictionary is cached like the
-// statistics, and goes with them.
-func TestInvalidateStatsDropsDictionary(t *testing.T) {
-	c := NewColumn("a", []int64{3, 1, 3})
-	tbl := New("t")
-	tbl.MustAddColumn(c)
-	if n, _ := tbl.DictionaryBuilds(); n != 0 {
-		t.Fatalf("%d dictionaries built before any was asked for", n)
-	}
-	c.Dictionary()
-	c.Vals[1] = 8
-	if d := c.Dictionary(); len(d.Values) != 2 || d.Values[0] != 1 {
-		t.Fatal("dictionary should be cached until invalidated")
-	}
-	if n, _ := tbl.DictionaryBuilds(); n != 1 {
-		t.Fatalf("DictionaryBuilds = %d, want 1", n)
-	}
-	c.InvalidateStats()
-	if n, _ := tbl.DictionaryBuilds(); n != 0 {
-		t.Fatalf("DictionaryBuilds = %d after InvalidateStats, want 0", n)
-	}
-	d := c.Dictionary()
-	checkDictionary(t, c.Vals, d)
-	if len(d.Values) != 2 || d.Values[1] != 8 {
-		t.Errorf("values after invalidate = %v, want [3 8]", d.Values)
-	}
-}
-
-// TestDropDictionaries: the dictionaries go, the statistics and any dictionary
-// a reader already holds stay, and the next call builds an equal one.
-func TestDropDictionaries(t *testing.T) {
-	c := NewColumn("a", []int64{3, 1, 3, 2})
-	tbl := New("t")
-	tbl.MustAddColumn(c)
-	tbl.MustAddColumn(NewColumn("b", []int64{0, 0, 1, 1}))
-	db := NewDB()
-	db.MustAdd(tbl)
-	held := c.Dictionary()
-	tbl.Column("b").Dictionary()
-	if c.Max() != 3 {
-		t.Fatalf("Max = %d, want 3", c.Max())
-	}
-	c.Vals[0] = 9 // shows below which of the two caches a drop empties
-	db.DropDictionaries()
-	if n, _ := tbl.DictionaryBuilds(); n != 0 {
-		t.Fatalf("%d dictionaries left", n)
-	}
-	if c.Max() != 3 {
-		t.Errorf("Max = %d: a drop is not an invalidation, the statistics stay cached", c.Max())
-	}
-	checkDictionary(t, []int64{3, 1, 3, 2}, held)
-	if d := c.Dictionary(); d == held {
-		t.Error("the dropped dictionary came back")
-	} else {
-		checkDictionary(t, c.Vals, d)
-	}
-}
-
-// TestDictionaryFirstTouchFromManyGoroutines: labeling workers meet a cold
-// column together; under -race this is the test of the build's locking, and
-// everywhere that one build serves them all.
+// TestDictionaryFirstTouchFromManyGoroutines: labeling workers and
+// concurrent estimates meet a fresh column together; every one of them reads
+// the one record and the one dictionary its construction built, and under
+// -race this is the test that none of those reads needs a lock.
 func TestDictionaryFirstTouchFromManyGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vals := make([]int64, 10_000)
@@ -145,23 +88,28 @@ func TestDictionaryFirstTouchFromManyGoroutines(t *testing.T) {
 		vals[i] = int64(rng.Intn(300))
 	}
 	c := NewColumn("a", vals)
-	got := make([]*Dictionary, 8)
+	type read struct {
+		min, max int64
+		distinct int
+		le       float64
+		dict     *Dictionary
+	}
+	got := make([]read, 8)
 	var wg sync.WaitGroup
 	for g := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[g] = c.Dictionary()
-			c.Distinct() // the statistics share the mutex
+			got[g] = read{c.Min(), c.Max(), c.Distinct(), c.FractionLE(150), c.Dictionary()}
 		}()
 	}
 	wg.Wait()
-	for g, d := range got {
-		if d != got[0] {
-			t.Fatalf("goroutine %d got its own dictionary", g)
+	for g, r := range got {
+		if r != got[0] {
+			t.Fatalf("goroutine %d read %+v, goroutine 0 %+v", g, r, got[0])
 		}
 	}
-	checkDictionary(t, vals, got[0])
+	checkDictionary(t, vals, got[0].dict)
 }
 
 func BenchmarkBuildDictionary(b *testing.B) {

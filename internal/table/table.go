@@ -4,16 +4,18 @@
 // values in order, with the rows carrying each), bitmap selection vectors,
 // and CSV import/export.
 //
-// A column's statistics are its one ANALYZE, gathered lazily in one pass: the
-// QFTs read its min/max domain (Sections 2.1.1 and 3.2), the Section 5.2
-// baseline its distinct count and histogram. Estimating reads nothing else,
-// so a database that is done counting can free its rows (DB.DropRows) and
-// keep serving from the statistics, as an optimizer does. All attribute
-// values are stored as int64: the paper's formulas use integer-domain
-// semantics (domain size max(A)-min(A)+1), decimal attributes are handled by
-// fixed-point scaling at load time, and string attributes by dictionary
-// encoding (Section 6 discusses the string extension implemented in
-// internal/core).
+// A column is analyzed once, when it is constructed: one sort of its rows
+// yields its value dictionary, and its ANALYZE record is read off that — the
+// min/max domain the QFTs read (Sections 2.1.1 and 3.2), the distinct count
+// and histogram of the Section 5.2 baseline. The column is immutable after,
+// so every reader reads the record and the dictionary without a lock.
+// Estimating reads nothing but the record, so a database that is done
+// counting can free its rows (DB.DropRows) and keep serving from the
+// statistics, as an optimizer does. All attribute values are stored as
+// int64: the paper's formulas use integer-domain semantics (domain size
+// max(A)-min(A)+1), decimal attributes are handled by fixed-point scaling at
+// load time, and string attributes by dictionary encoding (Section 6
+// discusses the string extension implemented in internal/core).
 package table
 
 import (
@@ -21,14 +23,15 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
 )
 
 // histogramBuckets is the resolution of a column's equi-width histogram:
 // PostgreSQL's default_statistics_target.
 const histogramBuckets = 100
 
-// Column is a typed, fully materialized attribute of a table.
+// Column is a typed, fully materialized attribute of a table. It is analyzed
+// when NewColumn or NewStringColumn constructs it and immutable after, Vals
+// included; DB.DropRows, which frees its rows, is its one mutation.
 type Column struct {
 	Name string
 	// Vals holds the attribute value of every row.
@@ -40,27 +43,45 @@ type Column struct {
 	// (Section 6, "String predicates").
 	Dict []string
 
-	// statsMu guards the lazily computed statistics and the lazily built
-	// value dictionary below, making their accessors safe under concurrent
-	// readers (parallel labeling and training read Min/Max/Distinct and
-	// Dictionary from many goroutines, concurrent estimates FractionLE).
-	// Mutating Vals or calling InvalidateStats concurrently with readers
-	// remains the caller's responsibility to serialize.
-	statsMu        sync.Mutex
-	statsValid     bool
-	min, max       int64
-	rows, distinct int
-	hist           []int64     // rows in each of min(histogramBuckets, max-min+1) equal buckets over [min, max]
-	dict           *Dictionary // nil until Dictionary builds it
+	stats stats
+	dict  *Dictionary // nil once DB.DropRows has freed it
 
 	// dropped names the table whose rows DB.DropRows freed, "" while the
 	// column holds them.
 	dropped string
 }
 
-// NewColumn returns a column with the given name and values.
+// stats is a column's ANALYZE record, all that estimating reads of it.
+type stats struct {
+	min, max       int64
+	rows, distinct int
+	hist           []int64 // rows in each of min(histogramBuckets, max-min+1) equal buckets over [min, max]
+}
+
+// NewColumn returns a column with the given name and values, analyzed. vals
+// must not be changed afterwards.
 func NewColumn(name string, vals []int64) *Column {
-	return &Column{Name: name, Vals: vals}
+	d := buildDictionary(vals)
+	return &Column{Name: name, Vals: vals, stats: analyze(d), dict: d}
+}
+
+// analyze reads a column's ANALYZE record off its value dictionary: min and
+// max are its first and last value, the distinct count its length, and each
+// value's rows go to the histogram bucket that holds it. An empty column's
+// record is all zeros.
+func analyze(d *Dictionary) stats {
+	n := len(d.Values)
+	if n == 0 {
+		return stats{}
+	}
+	mn, mx := d.Values[0], d.Values[n-1]
+	span := uint64(mx - mn) // max-min, exact where the int64 difference is not
+	b := min(span, histogramBuckets-1) + 1
+	hist := make([]int64, b)
+	for c, v := range d.Values {
+		hist[bucketOf(uint64(v-mn), span, b)] += int64(d.Offsets[c+1] - d.Offsets[c])
+	}
+	return stats{min: mn, max: mx, rows: len(d.Rows), distinct: n, hist: hist}
 }
 
 // NewStringColumn dictionary-encodes vals into a column. The dictionary is
@@ -84,64 +105,70 @@ func NewStringColumn(name string, vals []string) *Column {
 	for i, v := range vals {
 		enc[i] = code[v]
 	}
-	return &Column{Name: name, Vals: enc, Dict: dict}
+	c := NewColumn(name, enc)
+	c.Dict = dict
+	return c
 }
 
-// Len returns the number of rows: len(Vals), and once DB.DropRows has freed
-// them, the row count of the statistics.
-func (c *Column) Len() int {
-	if c.Vals == nil {
-		return c.rows
+// Len returns the number of rows, which the record keeps when DB.DropRows
+// frees them.
+func (c *Column) Len() int { return c.stats.rows }
+
+// analyzed returns the column's record. It panics on an empty column, which
+// has no minimum, maximum or histogram.
+func (c *Column) analyzed() *stats {
+	if c.stats.rows == 0 {
+		panic(fmt.Sprintf("table: column %q is empty", c.Name))
 	}
-	return len(c.Vals)
+	return &c.stats
 }
 
 // Min returns the minimum value in the column. It panics on empty columns.
-func (c *Column) Min() int64 { c.ensureStats(); return c.min }
+func (c *Column) Min() int64 { return c.analyzed().min }
 
 // Max returns the maximum value in the column. It panics on empty columns.
-func (c *Column) Max() int64 { c.ensureStats(); return c.max }
+func (c *Column) Max() int64 { return c.analyzed().max }
 
 // DomainSize returns max-min+1, the integer domain size the QFT formulas
 // divide by (Algorithm 1, line 4).
-func (c *Column) DomainSize() int64 { c.ensureStats(); return c.max - c.min + 1 }
+func (c *Column) DomainSize() int64 { s := c.analyzed(); return s.max - s.min + 1 }
 
 // Distinct returns the number of distinct values in the column.
-func (c *Column) Distinct() int { c.ensureStats(); return c.distinct }
+func (c *Column) Distinct() int { return c.analyzed().distinct }
 
 // FractionLE returns the estimated fraction of the column's rows with value
 // <= v: the rows of the histogram buckets below v's, plus v's bucket's rows
 // taken as spread evenly over the values it covers (PostgreSQL's
 // scalarineqsel).
 func (c *Column) FractionLE(v int64) float64 {
-	c.ensureStats()
-	if v < c.min {
+	s := c.analyzed()
+	if v < s.min {
 		return 0
 	}
-	if v >= c.max {
+	if v >= s.max {
 		return 1
 	}
-	i, lo, hi := c.bucket(v)
+	i, lo, hi := s.bucket(v)
 	var below int64
-	for _, n := range c.hist[:i] {
+	for _, n := range s.hist[:i] {
 		below += n
 	}
 	frac := 1.0
 	if hi > lo {
 		frac = float64(v-lo+1) / float64(hi-lo+1)
 	}
-	return (float64(below) + frac*float64(c.hist[i])) / float64(c.rows)
+	return (float64(below) + frac*float64(s.hist[i])) / float64(s.rows)
 }
 
 // bucket returns the histogram bucket i that holds v and the values [lo, hi]
-// it covers. The statistics must be gathered and min <= v <= max. Bucket i of
-// b starts at min + ceil(i*(max-min+1)/b), taken in 128 bits so that any
-// int64 domain is exact.
-func (c *Column) bucket(v int64) (i int, lo, hi int64) {
-	span, b := uint64(c.max-c.min), uint64(len(c.hist))
-	i = bucketOf(uint64(v-c.min), span, b)
+// it covers. The column must not be empty and min <= v <= max. Bucket i of b
+// starts at min + ceil(i*(max-min+1)/b), taken in 128 bits so that any int64
+// domain is exact.
+func (s *stats) bucket(v int64) (i int, lo, hi int64) {
+	span, b := uint64(s.max-s.min), uint64(len(s.hist))
+	i = bucketOf(uint64(v-s.min), span, b)
 	// The offsets are mod 2^64; adding them to min wraps back into [min, max].
-	start := func(k int) int64 { return c.min + int64(bucketStart(uint64(k), span, b)) }
+	start := func(k int) int64 { return s.min + int64(bucketStart(uint64(k), span, b)) }
 	return i, start(i), start(i+1) - 1
 }
 
@@ -182,60 +209,8 @@ func (c *Column) Decode(v int64) string {
 	return fmt.Sprintf("%d", v)
 }
 
-// InvalidateStats forces the statistics, histogram included, and the value
-// dictionary to be recomputed on next access. Call it after mutating Vals
-// (e.g. when simulating data drift): everything the executor counts, it
-// counts on the dictionary. It panics once DB.DropRows has freed the rows:
-// statistics gathered again would describe an empty column.
-func (c *Column) InvalidateStats() {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	c.mustHoldRows()
-	c.statsValid = false
-	c.dict = nil
-}
-
-// mustHoldRows panics, naming the table, when DB.DropRows has freed the
-// column's rows: a read of them would see an empty column and count or weigh
-// nothing. The stats mutex must be held.
-func (c *Column) mustHoldRows() {
-	if c.dropped != "" {
-		panic(droppedError(c.dropped, c.Name))
-	}
-}
-
 func droppedError(table, col string) error {
 	return fmt.Errorf("table %s: column %q: rows were dropped (DB.DropRows); only the statistics remain", table, col)
-}
-
-func (c *Column) ensureStats() {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	if c.statsValid {
-		return
-	}
-	if len(c.Vals) == 0 {
-		panic(fmt.Sprintf("table: column %q is empty", c.Name))
-	}
-	mn, mx := c.Vals[0], c.Vals[0]
-	seen := make(map[int64]struct{}, 64)
-	for _, v := range c.Vals {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-		seen[v] = struct{}{}
-	}
-	span := uint64(mx - mn) // max-min, exact where the int64 difference is not
-	b := min(span, histogramBuckets-1) + 1
-	hist := make([]int64, b)
-	for _, v := range c.Vals {
-		hist[bucketOf(uint64(v-mn), span, b)]++
-	}
-	c.min, c.max, c.rows, c.distinct, c.hist = mn, mx, len(c.Vals), len(seen), hist
-	c.statsValid = true
 }
 
 // Table is a named collection of equal-length columns.
@@ -349,26 +324,20 @@ func (db *DB) MustAdd(t *Table) {
 // Table returns the table with the given name, or nil when absent.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
 
-// DropRows finishes every column's ANALYZE (min, max, row count, distinct
-// count, histogram) and then frees its rows and its value dictionary. What is
-// left is the schema — names and the string dictionaries Bind resolves
-// literals against — and the statistics, which are all that featurizing and
-// the fallback estimators read: Len and NumRows answer from the statistics'
-// row count. A daemon that has labelled its queries serves from this; for
-// forest at 20 000 rows it is 2.5 MB of rows against ~13 kB of statistics.
-// Whatever would read the rows afterwards fails loudly (CheckRows,
-// Dictionary, InvalidateStats) rather than counting an empty table. It must
-// not run concurrently with any reader of the database.
+// DropRows frees every column's rows and value dictionary. What is left is
+// the schema — names and the string dictionaries Bind resolves literals
+// against — and each column's ANALYZE record, which is all that featurizing
+// and the fallback estimators read: Len and NumRows answer from its row
+// count. A daemon that has labelled its queries serves from this; for forest
+// at 20 000 rows it is 2.5 MB of rows against ~13 kB of statistics. Whatever
+// would read the rows afterwards fails loudly (CheckRows, Dictionary) rather
+// than counting an empty table. It must not run concurrently with any reader
+// of the database.
 func (db *DB) DropRows() {
 	for _, name := range db.order {
 		t := db.tables[name]
 		for _, c := range t.cols {
-			if len(c.Vals) > 0 {
-				c.ensureStats()
-			}
-			c.statsMu.Lock()
 			c.Vals, c.dict, c.dropped = nil, nil, t.Name
-			c.statsMu.Unlock()
 		}
 	}
 }

@@ -27,34 +27,13 @@ func TestColumnStats(t *testing.T) {
 	}
 }
 
-func TestColumnStatsInvalidate(t *testing.T) {
-	c := NewColumn("a", []int64{1, 2})
-	if c.Max() != 2 {
-		t.Fatalf("Max = %d, want 2", c.Max())
-	}
-	c.Vals[1] = 99
-	if c.Max() != 2 {
-		t.Fatal("stats should be cached until invalidated")
-	}
-	c.InvalidateStats()
-	if c.Max() != 99 {
-		t.Errorf("Max after invalidate = %d, want 99", c.Max())
-	}
-	// The histogram is part of the record: a domain of 99 values has 99
-	// buckets, one per value.
-	if h := c.hist; len(h) != 99 || h[0] != 1 || h[98] != 1 {
-		t.Errorf("histogram after invalidate = %v, want one row in the first and the last of 99 buckets", h)
-	}
-}
-
-// TestHistogram: a column's histogram counts every row once, its buckets
-// tile [Min, Max] in order, and the bucket named for a value holds it and
-// exactly the rows its count says. Where (max-min+1)*buckets fits in an
-// int64, the bucket is the one the int64 formula (v-min)*b/domain gives;
-// where it does not, up to a domain of all of int64, the 128-bit arithmetic
-// neither wraps nor divides by zero. FractionLE is 0 below Min, 1 from Max
-// on, for any int64, and never falls as v grows.
-func TestHistogram(t *testing.T) {
+// histogramShapes are the columns TestHistogram and TestStatsMatchOracle
+// analyze: one value, small and exact domains, a forest-like spread, and
+// spans up to all of int64.
+func histogramShapes() []struct {
+	name string
+	vals []int64
+} {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []struct {
 		name string
@@ -71,10 +50,20 @@ func TestHistogram(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		shapes[3].vals = append(shapes[3].vals, int64(rng.Intn(3000))+1800)
 	}
-	for _, sh := range shapes {
+	return shapes
+}
+
+// TestHistogram: a column's histogram counts every row once, its buckets
+// tile [Min, Max] in order, and the bucket named for a value holds it and
+// exactly the rows its count says. Where (max-min+1)*buckets fits in an
+// int64, the bucket is the one the int64 formula (v-min)*b/domain gives;
+// where it does not, up to a domain of all of int64, the 128-bit arithmetic
+// neither wraps nor divides by zero. FractionLE is 0 below Min, 1 from Max
+// on, for any int64, and never falls as v grows.
+func TestHistogram(t *testing.T) {
+	for _, sh := range histogramShapes() {
 		c := NewColumn("a", sh.vals)
-		c.ensureStats()
-		h := c.hist
+		h := c.stats.hist
 		var sum int64
 		for _, n := range h {
 			sum += n
@@ -84,7 +73,7 @@ func TestHistogram(t *testing.T) {
 		}
 		narrow := uint64(c.Max()-c.Min()) < math.MaxInt64/histogramBuckets
 		for _, v := range sh.vals {
-			i, lo, hi := c.bucket(v)
+			i, lo, hi := c.stats.bucket(v)
 			var in int64
 			for _, w := range sh.vals {
 				if lo <= w && w <= hi {
@@ -119,7 +108,7 @@ func TestHistogram(t *testing.T) {
 			prev = f
 		}
 		for k, v := 0, c.Min(); ; k++ {
-			i, lo, hi := c.bucket(v)
+			i, lo, hi := c.stats.bucket(v)
 			if i != k || lo != v || hi < lo {
 				t.Fatalf("%s: bucket %d at %d is %d = [%d, %d]", sh.name, k, v, i, lo, hi)
 			}
