@@ -69,8 +69,10 @@ ci:
 # journal's batched-vs-per-record fsync and a commit's class keys over shared
 # vs distinct queries (reports fingerprints/record), labeling across workers
 # and the boot's label phase over a built table (it reports the tables'
-# construction ANALYZE as analyze-ms).
-	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|FlushFingerprints|CountManyWorkers|LabelBoot' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec
+# construction ANALYZE as analyze-ms), and a cache miss's parse and
+# featurization alone, on the benchmark's mixed traffic (the per-layer
+# numbers of the cold path: sqlparse.parse_us and core.featurize_us).
+	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|FlushFingerprints|CountManyWorkers|LabelBoot|FeaturizeMixed|ParseMixed' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec ./internal/core ./internal/sqlparse
 # Guard 1, one inference path: outside tests and cmd/bench, no reference twin,
 # no batch form of Predict, no EstimateBatch method.
 	! grep -rnE 'PredictReference|PredictInto|PredictBatch|func \(.*\) EstimateBatch' --include='*.go' internal cmd | grep -vE '_test\.go:|^cmd/bench/'

@@ -42,21 +42,29 @@ func NewComplex(meta *TableMeta, opts Options) *Complex {
 // clamped to 1 — an upper bound that is exact when the disjuncts cover
 // disjoint value ranges, as they do in the paper's mixed workload.
 func FeaturizeAttrCompound(a AttrMeta, expr sqlparse.Expr) ([]float64, float64, error) {
-	sc := getScratch()
-	defer putScratch(sc)
 	merged := make([]float64, a.NEntries)
-	sc.kids = append(sc.kids[:0], expr)
-	sel, err := sc.attrCompound(&a, sc.kids, merged)
+	b := tabulate(&a)
+	sel, err := compound(&b, expr, merged)
 	if err != nil {
 		return nil, 0, err
 	}
 	return merged, sel, nil
 }
 
-// attrCompound is Algorithm 2 for attribute a, whose compound predicate is
-// the conjunction of kids, merging into dst (length a.NEntries, fully
+// compound is FeaturizeAttrCompound over an attribute already tabulated,
+// merging into dst (length NEntries, fully overwritten).
+func compound(b *buckets, expr sqlparse.Expr, dst []float64) (float64, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.kids = append(sc.kids[:0], expr)
+	return sc.attrCompound(b, sc.kids, dst)
+}
+
+// attrCompound is Algorithm 2 for attribute b.a, whose compound predicate is
+// the conjunction of kids, merging into dst (length NEntries, fully
 // overwritten).
-func (sc *scratch) attrCompound(a *AttrMeta, kids []sqlparse.Expr, dst []float64) (float64, error) {
+func (sc *scratch) attrCompound(b *buckets, kids []sqlparse.Expr, dst []float64) (float64, error) {
+	a := b.a
 	sc.preds, sc.terms = sc.preds[:0], sc.terms[:0]
 	if err := sc.dnfAnd(kids); err != nil {
 		return 0, fmt.Errorf("core/complex: attribute %q: %w", a.Name, err)
@@ -68,7 +76,7 @@ func (sc *scratch) attrCompound(a *AttrMeta, kids []sqlparse.Expr, dst []float64
 	fill(dst, 0) // all-zero (Algorithm 2, line 3)
 	var mergedSel float64
 	for _, t := range sc.terms {
-		sel, err := sc.attrConjunction(a, sc.preds[t.lo:t.hi], part)
+		sel, err := sc.attrConjunction(b, sc.preds[t.lo:t.hi], part)
 		if err != nil {
 			return 0, err
 		}

@@ -50,19 +50,73 @@ type partitioned struct {
 	// offsets[ai] is attribute ai's block start in the feature vector;
 	// offsets[NumAttrs] is the total dim.
 	offsets []int
+	// bounds[ai] is attribute ai's partitioning, tabulated once here.
+	bounds []buckets
 	// orErr, when non-nil, is what a disjunction is rejected with.
 	orErr error
 }
 
 func newPartitioned(name string, meta *TableMeta, opts Options, orErr error) partitioned {
-	p := partitioned{name: name, meta: meta, opts: opts, orErr: orErr, offsets: make([]int, meta.NumAttrs()+1)}
-	for i, a := range meta.Attrs {
+	p := partitioned{name: name, meta: meta, opts: opts, orErr: orErr,
+		offsets: make([]int, meta.NumAttrs()+1), bounds: make([]buckets, meta.NumAttrs())}
+	for i := range meta.Attrs {
+		a := &meta.Attrs[i]
+		p.bounds[i] = tabulate(a)
 		p.offsets[i+1] = p.offsets[i] + a.NEntries
 		if opts.AttrSel {
 			p.offsets[i+1]++
 		}
 	}
 	return p
+}
+
+// buckets is one attribute's partitioning as a table: his[k] is the
+// inclusive upper bound of partition k, read off AttrMeta.BucketRange — the
+// one definition of a partition — when the featurizer is built, so Algorithm
+// 1 places a literal without dividing and reads its partition's bounds
+// without computing them. Partition k is [his[k-1]+1, his[k]], starting at
+// a.Min for k = 0; his is strictly ascending and ends at a.Max.
+type buckets struct {
+	a   *AttrMeta
+	his []int64
+	// slope is NEntries over the domain size: where a literal's partition
+	// would be under uniform partitions, and where the search for it starts.
+	slope float64
+}
+
+func tabulate(a *AttrMeta) buckets {
+	his := make([]int64, a.NEntries)
+	for k := range his {
+		_, his[k] = a.BucketRange(k)
+	}
+	span := float64(uint64(a.Max)-uint64(a.Min)) + 1
+	return buckets{a: a, his: his, slope: float64(a.NEntries) / span}
+}
+
+// of returns the partition of val, which must lie in [a.Min, a.Max]: the
+// first whose upper bound admits it, as AttrMeta.BucketOf says. The slope
+// puts it there or next to it under uniform partitions; the table decides.
+func (b *buckets) of(val int64) int {
+	last := len(b.his) - 1 // his[last] is a.Max, which admits val
+	k := last
+	if g := float64(uint64(val)-uint64(b.a.Min)) * b.slope; g < float64(last) {
+		k = int(g)
+	}
+	for b.his[k] < val {
+		k++
+	}
+	for k > 0 && b.his[k-1] >= val {
+		k--
+	}
+	return k
+}
+
+// lo returns the smallest value of partition k.
+func (b *buckets) lo(k int) int64 {
+	if k == 0 {
+		return b.a.Min
+	}
+	return b.his[k-1] + 1
 }
 
 // Name implements Featurizer.
@@ -97,8 +151,9 @@ func (p *partitioned) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 	if err := sc.group(p.name, p.meta, expr, p.orErr); err != nil {
 		return err
 	}
-	for ai := range p.meta.Attrs {
-		a := &p.meta.Attrs[ai]
+	for ai := range p.bounds {
+		b := &p.bounds[ai]
+		a := b.a
 		off := p.offsets[ai]
 		block := dst[off : off+a.NEntries]
 		sel := 1.0
@@ -111,7 +166,7 @@ func (p *partitioned) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 			fill(block, 1)
 		} else {
 			var err error
-			if sel, err = sc.attrCompound(a, sc.attrKids(ai), block); err != nil {
+			if sel, err = sc.attrCompound(b, sc.attrKids(ai), block); err != nil {
 				return err
 			}
 		}
@@ -140,6 +195,11 @@ type scratch struct {
 	nots             []int64          // one term's not-equal literals
 	part             []float64        // one term's partition vector, before the max-merge
 	ands             []sqlparse.And   // the per-table split of a multi-table query (GlobalFeaturizer)
+	// The last attribute name group resolved, and its index: a compound
+	// predicate names its attribute once per simple predicate, so a run of
+	// equal names costs one lookup.
+	lastName string
+	lastAttr int
 }
 
 // span is a half-open index range into one of the scratch arenas.
@@ -160,7 +220,9 @@ func putScratch(sc *scratch) {
 // group walks the top-level conjunction of expr once and chains every
 // conjunct to the attribute it constrains. A conjunct is a simple predicate
 // or, unless orErr forbids it, a disjunction over a single attribute
-// (Definition 3.3); anything else is an error.
+// (Definition 3.3); anything else is an error. A conjunct that names an
+// attribute meta does not have — unknown, or qualified with another table —
+// is refused as Unsupported.
 func (sc *scratch) group(qft string, meta *TableMeta, expr sqlparse.Expr, orErr error) error {
 	sc.conj, sc.next = sc.conj[:0], sc.next[:0]
 	sc.head, sc.tail = sc.head[:0], sc.tail[:0]
@@ -168,7 +230,10 @@ func (sc *scratch) group(qft string, meta *TableMeta, expr sqlparse.Expr, orErr 
 		sc.head = append(sc.head, -1)
 		sc.tail = append(sc.tail, -1)
 	}
-	return sc.addConjuncts(qft, meta, expr, orErr)
+	sc.lastName, sc.lastAttr = "", -1
+	err := sc.addConjuncts(qft, meta, expr, orErr)
+	sc.lastName = "" // pin no query text in the pool
+	return err
 }
 
 func (sc *scratch) addConjuncts(qft string, meta *TableMeta, expr sqlparse.Expr, orErr error) error {
@@ -187,7 +252,7 @@ func (sc *scratch) addConjuncts(qft string, meta *TableMeta, expr sqlparse.Expr,
 			return orErr
 		}
 	}
-	ai, err := conjunctAttr(qft, meta, expr, -1)
+	ai, err := sc.conjunctAttr(qft, meta, expr, -1)
 	if err != nil {
 		return err
 	}
@@ -209,16 +274,19 @@ func (sc *scratch) addConjuncts(qft string, meta *TableMeta, expr sqlparse.Expr,
 // conjunctAttr resolves the one attribute all predicates under expr
 // reference, given that the predicates seen so far reference attribute ai
 // (-1: none yet).
-func conjunctAttr(qft string, meta *TableMeta, expr sqlparse.Expr, ai int) (int, error) {
+func (sc *scratch) conjunctAttr(qft string, meta *TableMeta, expr sqlparse.Expr, ai int) (int, error) {
 	var kids []sqlparse.Expr
 	switch n := expr.(type) {
 	case *sqlparse.Pred:
 		if n.Str != nil {
 			return 0, fmt.Errorf("core/%s: unbound string predicate %s", qft, n)
 		}
-		i := meta.AttrIndex(n.Attr)
+		if sc.lastAttr < 0 || n.Attr != sc.lastName {
+			sc.lastName, sc.lastAttr = n.Attr, meta.AttrIndex(n.Attr)
+		}
+		i := sc.lastAttr
 		if i < 0 {
-			return 0, fmt.Errorf("core/%s: unknown attribute %q", qft, n.Attr)
+			return 0, Unsupported(fmt.Errorf("core/%s: unknown attribute %q", qft, n.Attr))
 		}
 		if ai >= 0 && i != ai {
 			return 0, Unsupported(fmt.Errorf("core/%s: not a mixed query (Definition 3.3): a conjunct mixes attributes %q and %q", qft, meta.Attrs[ai].Name, n.Attr))
@@ -231,7 +299,7 @@ func conjunctAttr(qft string, meta *TableMeta, expr sqlparse.Expr, ai int) (int,
 	}
 	for _, k := range kids {
 		var err error
-		if ai, err = conjunctAttr(qft, meta, k, ai); err != nil {
+		if ai, err = sc.conjunctAttr(qft, meta, k, ai); err != nil {
 			return 0, err
 		}
 	}
@@ -271,17 +339,21 @@ func FeaturizeAttrConjunction(a AttrMeta, preds []*sqlparse.Pred) ([]float64, fl
 	sc := getScratch()
 	defer putScratch(sc)
 	vec := make([]float64, a.NEntries)
-	sel, err := sc.attrConjunction(&a, preds, vec)
+	b := tabulate(&a)
+	sel, err := sc.attrConjunction(&b, preds, vec)
 	if err != nil {
 		return nil, 0, err
 	}
 	return vec, sel, nil
 }
 
-// attrConjunction is Algorithm 1 writing the partition vector into vec
-// (length a.NEntries, fully overwritten) — the one implementation behind
-// every partition-based featurization.
-func (sc *scratch) attrConjunction(a *AttrMeta, preds []*sqlparse.Pred, vec []float64) (float64, error) {
+// attrConjunction is Algorithm 1 writing the partition vector of attribute
+// b.a into vec (length NEntries, fully overwritten) — the one implementation
+// behind every partition-based featurization. A literal inside the domain is
+// placed by b's table; one outside it is decided by comparison with the
+// domain's ends.
+func (sc *scratch) attrConjunction(b *buckets, preds []*sqlparse.Pred, vec []float64) (float64, error) {
+	a := b.a
 	fill(vec, 1)
 	// Running bounds for the selectivity estimate; equality predicates also
 	// narrow them (a refinement over the paper's pseudocode, which tracks
@@ -295,12 +367,7 @@ func (sc *scratch) attrConjunction(a *AttrMeta, preds []*sqlparse.Pred, vec []fl
 			return 0, fmt.Errorf("core: unbound string predicate %s", p)
 		}
 		val := p.Val
-		idx := a.BucketOf(val)
-		inRange := idx >= 0 && idx < a.NEntries
-		var lo, hi int64
-		if inRange {
-			lo, hi = a.BucketRange(idx)
-		}
+		inRange := val >= a.Min && val <= a.Max
 		switch p.Op {
 		case sqlparse.OpEq:
 			if !inRange {
@@ -308,15 +375,16 @@ func (sc *scratch) attrConjunction(a *AttrMeta, preds []*sqlparse.Pred, vec []fl
 				minA, maxA = 1, 0 // empty bounds
 				continue
 			}
+			idx := b.of(val)
 			fill(vec[:idx], 0)
 			fill(vec[idx+1:], 0)
-			if lo != hi {
+			if b.lo(idx) != b.his[idx] {
 				markSplit(vec, idx)
 			}
 			minA, maxA = max(minA, val), min(maxA, val)
 		case sqlparse.OpNe:
 			if inRange {
-				if lo == hi {
+				if idx := b.of(val); b.lo(idx) == b.his[idx] {
 					vec[idx] = 0
 				} else {
 					markSplit(vec, idx)
@@ -339,10 +407,9 @@ func (sc *scratch) attrConjunction(a *AttrMeta, preds []*sqlparse.Pred, vec []fl
 			case bound > a.Max:
 				fill(vec, 0)
 			default:
-				bIdx := a.BucketOf(bound)
-				bLo, _ := a.BucketRange(bIdx)
+				bIdx := b.of(bound)
 				fill(vec[:bIdx], 0)
-				if bound != bLo {
+				if bound != b.lo(bIdx) {
 					markSplit(vec, bIdx)
 				}
 			}
@@ -363,10 +430,9 @@ func (sc *scratch) attrConjunction(a *AttrMeta, preds []*sqlparse.Pred, vec []fl
 			case bound < a.Min:
 				fill(vec, 0)
 			default:
-				bIdx := a.BucketOf(bound)
-				_, bHi := a.BucketRange(bIdx)
+				bIdx := b.of(bound)
 				fill(vec[bIdx+1:], 0)
-				if bound != bHi {
+				if bound != b.his[bIdx] {
 					markSplit(vec, bIdx)
 				}
 			}

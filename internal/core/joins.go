@@ -211,11 +211,12 @@ type MSCNFeaturizer struct {
 	Mode   MSCNMode
 	Opts   Options
 
-	attrIDs   map[string]int // "table.column" -> global attribute id
-	attrList  []string
-	attrMetas []AttrMeta
-	maxN      int // widest per-attribute partition vector
-	joinIDs   map[string]int
+	attrIDs    map[string]int // "table.column" -> global attribute id
+	attrList   []string
+	attrMetas  []AttrMeta
+	attrBounds []buckets // attrMetas[id]'s partitioning, tabulated once
+	maxN       int       // widest per-attribute partition vector
+	joinIDs    map[string]int
 }
 
 // NewMSCNFeaturizer builds the featurizer. Attribute and join ids are
@@ -249,9 +250,11 @@ func NewMSCNFeaturizer(schema *catalog.Schema, metas map[string]*TableMeta, mode
 	sort.Strings(qualified)
 	m.attrList = qualified
 	m.attrMetas = make([]AttrMeta, len(qualified))
+	m.attrBounds = make([]buckets, len(qualified))
 	for i, qn := range qualified {
 		m.attrIDs[qn] = i
 		m.attrMetas[i] = byName[qn]
+		m.attrBounds[i] = tabulate(&m.attrMetas[i])
 	}
 	var joinKeys []string
 	for _, fk := range schema.FKs {
@@ -398,24 +401,24 @@ func (m *MSCNFeaturizer) featurizePreds(q *sqlparse.Query) ([][]float64, error) 
 		if !ok {
 			return nil, fmt.Errorf("core: unknown attribute %q", qn)
 		}
-		a := m.attrMetas[id]
 		vec := make([]float64, m.PredDim())
 		vec[id] = 1
 		if m.Mode == MSCNRange {
 			if !sqlparse.IsConjunctive(cp.Expr) {
 				return nil, fmt.Errorf("core: MSCN range mode does not support disjunctions")
 			}
-			lo, hi := FeaturizeAttrRange(a, sqlparse.CollectPreds(cp.Expr))
+			lo, hi := FeaturizeAttrRange(m.attrMetas[id], sqlparse.CollectPreds(cp.Expr))
 			vec[len(m.attrIDs)] = lo
 			vec[len(m.attrIDs)+1] = hi
 			out = append(out, vec)
 			continue
 		}
-		av, sel, err := FeaturizeAttrCompound(a, cp.Expr)
+		// The partition vector, right-padded with zeros up to maxN.
+		b := &m.attrBounds[id]
+		sel, err := compound(b, cp.Expr, vec[len(m.attrIDs):len(m.attrIDs)+b.a.NEntries])
 		if err != nil {
 			return nil, err
 		}
-		copy(vec[len(m.attrIDs):], av) // right-padded with zeros up to maxN
 		if m.Opts.AttrSel {
 			vec[len(vec)-1] = sel
 		}

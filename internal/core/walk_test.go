@@ -356,7 +356,9 @@ func TestDNFBound(t *testing.T) {
 // TestShapeErrorsAreUnsupported: every error that depends only on the query's
 // shape is marked ErrUnsupported and keeps its text — a disjunction under
 // simple, range and conjunctive, a conjunct mixing attributes or tables or
-// holding no predicates, the DNF bound — and an error about the schema is not.
+// holding no predicates, the DNF bound, a name the featurizer cannot place on
+// one of its attributes (unknown, or qualified with another table) — and a
+// string literal nobody bound is not: that is the caller's broken contract.
 func TestShapeErrorsAreUnsupported(t *testing.T) {
 	meta := NewTableMetaFromAttrs("t", []AttrMeta{{Name: "a", Min: 0, Max: 99}, {Name: "b", Min: 0, Max: 9}}, 10)
 	opts := Options{MaxEntriesPerAttr: 10, AttrSel: true}
@@ -379,6 +381,9 @@ func TestShapeErrorsAreUnsupported(t *testing.T) {
 		{NewComplex(meta, opts), where("a >= 1 OR b <= 3"), `core/complex: not a mixed query (Definition 3.3): a conjunct mixes attributes "a" and "b"`},
 		{NewComplex(meta, opts), empty, `core/complex: conjunct "" has no predicates`},
 		{NewComplex(meta, opts), sqlparse.NewAnd(dnf...), `core/complex: attribute "a": DNF exceeds 4096 terms`},
+		{NewComplex(meta, opts), where("z >= 1"), `core/complex: unknown attribute "z"`},
+		{NewConjunctive(meta, opts), where("a >= 1 AND other.b <= 3"), `core/conjunctive: unknown attribute "other.b"`},
+		{NewRange(meta), where("t.z = 2"), `core/range: unknown attribute "t.z"`},
 	} {
 		err := tc.f.FeaturizeInto(make([]float64, tc.f.Dim()), tc.expr)
 		if !errors.Is(err, ErrUnsupported) || err.Error() != tc.text {
@@ -389,7 +394,7 @@ func TestShapeErrorsAreUnsupported(t *testing.T) {
 	if err := SplitWhereByTable(q, q.Tables, make([]sqlparse.And, 2)); !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), "spans tables") {
 		t.Errorf("a conjunct over two tables: err = %v, want a spans-tables error marked ErrUnsupported", err)
 	}
-	if err := NewComplex(meta, opts).FeaturizeInto(make([]float64, NewComplex(meta, opts).Dim()), where("z >= 1")); err == nil || errors.Is(err, ErrUnsupported) {
-		t.Errorf("an unknown attribute: err = %v, want an error not marked ErrUnsupported", err)
+	if err := NewComplex(meta, opts).FeaturizeInto(make([]float64, NewComplex(meta, opts).Dim()), where("a = 'x'")); err == nil || errors.Is(err, ErrUnsupported) {
+		t.Errorf("an unbound string literal: err = %v, want an error not marked ErrUnsupported", err)
 	}
 }

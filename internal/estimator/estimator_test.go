@@ -516,6 +516,12 @@ func TestRefusalsAreUnsupported(t *testing.T) {
 			`estimator: no local model trained for sub-schema "forest"`},
 		{"OR under conjunctive", conj, "SELECT count(*) FROM forest WHERE A1 <= 2000 OR A1 >= 3000",
 			`table "forest": core/conjunctive: disjunctions require Limited Disjunction Encoding`},
+		// A one-table WHERE reaches the featurizer whole, so a name it cannot
+		// place is refused, not dropped by a per-table split.
+		{"unknown attribute", conj, "SELECT count(*) FROM forest WHERE A1 >= 3 AND NOPE = 5",
+			`table "forest": core/conjunctive: unknown attribute "NOPE"`},
+		{"attribute of another table", conj, "SELECT count(*) FROM forest WHERE A1 >= 3 AND other.A1 = 5",
+			`table "forest": core/conjunctive: unknown attribute "other.A1"`},
 		{"independence, OR across attributes", &Independence{DB: e.db}, "SELECT count(*) FROM forest WHERE A1 >= 3 OR A2 <= 7",
 			"estimator: independence baseline requires per-attribute compounds: sqlparse: not a mixed query"},
 	} {

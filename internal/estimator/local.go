@@ -51,9 +51,10 @@ type localModel struct {
 }
 
 // featScratch is the workspace of one single-query featurization: the
-// feature vector the regressor reads, and the per-table split of the query's
-// WHERE (core.SplitWhereByTable) that feeds each table's featurizer. It is
-// owned by whoever took it from the pool, for one query at a time.
+// feature vector the regressor reads, and, over more than one table, the
+// per-table split of the query's WHERE (core.SplitWhereByTable) that feeds
+// each table's featurizer. It is owned by whoever took it from the pool, for
+// one query at a time.
 type featScratch struct {
 	vec  []float64
 	ands []sqlparse.And
@@ -63,7 +64,11 @@ type featScratch struct {
 // over a fixed number of tables.
 func newVecPool(dim, tables int) *sync.Pool {
 	return &sync.Pool{New: func() any {
-		return &featScratch{vec: make([]float64, dim), ands: make([]sqlparse.And, tables)}
+		fs := &featScratch{vec: make([]float64, dim)}
+		if tables > 1 {
+			fs.ands = make([]sqlparse.And, tables)
+		}
+		return fs
 	}}
 }
 
@@ -161,10 +166,19 @@ func (l *Local) modelFor(tables []string) (*localModel, error) {
 	return lm, nil
 }
 
-// featurizeInto writes q's encoding into dst (lm.dim() long): the WHERE is
-// split by table into fs, and each table's featurization lands in place at
-// its precomputed offset, in the sub-schema's canonical (sorted) table order.
+// featurizeInto writes q's encoding into dst (lm.dim() long): each table's
+// featurization lands in place at its precomputed offset, in the
+// sub-schema's canonical (sorted) table order. A one-table sub-schema's
+// featurizer is handed the WHERE whole — it places every conjunct on one of
+// its attributes or refuses the query — and a wider one's the share
+// core.SplitWhereByTable splits off for its table into fs.
 func featurizeInto(lm *localModel, fs *featScratch, dst []float64, q *sqlparse.Query) error {
+	if len(lm.tables) == 1 {
+		if err := lm.feats[0].FeaturizeInto(dst, q.Where); err != nil {
+			return fmt.Errorf("table %q: %w", lm.tables[0], err)
+		}
+		return nil
+	}
 	if err := core.SplitWhereByTable(q, lm.tables, fs.ands); err != nil {
 		return err
 	}

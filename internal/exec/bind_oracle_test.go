@@ -30,7 +30,7 @@ func oracleBindExpr(expr sqlparse.Expr, db *table.DB, q *sqlparse.Query) (sqlpar
 		if n.Str == nil {
 			return n, nil
 		}
-		col, err := resolveColumn(db, q, n.Attr)
+		col, err := oracleResolveColumn(db, q, n.Attr)
 		if err != nil {
 			return nil, err
 		}
@@ -63,6 +63,27 @@ func oracleBindExpr(expr sqlparse.Expr, db *table.DB, q *sqlparse.Query) (sqlpar
 		return sqlparse.NewOr(kids...), nil
 	}
 	return nil, fmt.Errorf("exec: unknown expr %T", expr)
+}
+
+// oracleResolveColumn finds the column a (possibly qualified) attribute
+// refers to, as Bind did before it resolved every name of a query.
+func oracleResolveColumn(db *table.DB, q *sqlparse.Query, attr string) (*table.Column, error) {
+	tblName, colName := splitAttr(attr)
+	if tblName == "" {
+		if len(q.Tables) != 1 {
+			return nil, fmt.Errorf("exec: unqualified attribute %q in multi-table query", attr)
+		}
+		tblName = q.Tables[0]
+	}
+	t := db.Table(tblName)
+	if t == nil {
+		return nil, fmt.Errorf("exec: unknown table %q", tblName)
+	}
+	col := t.Column(colName)
+	if col == nil {
+		return nil, fmt.Errorf("exec: table %q has no column %q", tblName, colName)
+	}
+	return col, nil
 }
 
 // bindDB has a string column, a second one, and an integer column.
@@ -146,6 +167,36 @@ func TestBindSharesWhatItDoesNotRewrite(t *testing.T) {
 		}
 		if n, err := Count(db, q); err != nil || n != 3 {
 			t.Errorf("count through the bound copy = %d, %v; want 3", n, err)
+		}
+	}
+}
+
+// TestBindResolvesEveryName: every name a query uses must exist — the tables
+// in FROM, both columns of a join, and every predicate's column, numeric
+// ones included — and a qualified column's table must be in FROM. Each
+// failure names what is missing; a query whose names all resolve binds.
+func TestBindResolvesEveryName(t *testing.T) {
+	db := bindDB()
+	casts := table.New("casts")
+	casts.MustAddColumn(table.NewColumn("movie_id", []int64{1, 2, 3}))
+	casts.MustAddColumn(table.NewColumn("role", []int64{1, 1, 2}))
+	db.MustAdd(casts)
+	for _, tc := range []struct{ sql, err string }{
+		{"SELECT count(*) FROM movies WHERE year >= 1990 AND year <= 2000 AND kind = 'tv'", ""},
+		{"SELECT count(*) FROM movies WHERE movies.year >= 1990 OR year = 1987", ""},
+		{"SELECT count(*) FROM movies, casts WHERE movies.year = casts.movie_id AND casts.role = 1", ""},
+		{"SELECT count(*) FROM nosuch", `exec: unknown table "nosuch"`},
+		{"SELECT count(*) FROM movies, nosuch WHERE movies.year > 1", `exec: unknown table "nosuch"`},
+		{"SELECT count(*) FROM movies WHERE NOPE = 5", `exec: table "movies" has no column "NOPE"`},
+		{"SELECT count(*) FROM movies WHERE year >= 1990 AND (year < 2000 OR NOPE = 5)", `exec: table "movies" has no column "NOPE"`},
+		{"SELECT count(*) FROM movies WHERE other.year = 5", `exec: table "other" is not in the query's FROM [movies]`},
+		{"SELECT count(*) FROM movies WHERE casts.role = 1", `exec: table "casts" is not in the query's FROM [movies]`},
+		{"SELECT count(*) FROM movies, casts WHERE movies.year = casts.nope", `exec: table "casts" has no column "nope"`},
+		{"SELECT count(*) FROM movies, casts WHERE movies.nope = casts.movie_id", `exec: table "movies" has no column "nope"`},
+	} {
+		err := Bind(sqlparse.MustParse(tc.sql), db)
+		if got := fmt.Sprint(err); (tc.err == "" && err != nil) || (tc.err != "" && got != tc.err) {
+			t.Errorf("%s: err = %v, want %q", tc.sql, err, tc.err)
 		}
 	}
 }

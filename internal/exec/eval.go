@@ -21,10 +21,16 @@ import (
 	"qfe/internal/table"
 )
 
-// Bind resolves the string literals of every predicate in q against the
-// dictionaries of the referenced columns, rewriting each predicate into an
-// equivalent integer-code predicate. After a successful Bind, no predicate
-// carries a Str literal.
+// Bind resolves every name q uses against db and the string literals of its
+// predicates against the dictionaries of the referenced columns, rewriting
+// each string predicate into an equivalent integer-code predicate. Every
+// table in FROM, both columns of every join and every predicate's column —
+// numeric predicates included — must exist, and a qualified attribute must
+// name a table in FROM: a query that names what db does not have is the
+// caller's error, reported here rather than wherever an estimator or the
+// executor would first trip over it. Consecutive predicates on the same
+// attribute cost one lookup; a query without string literals binds without
+// allocating. After a successful Bind, no predicate carries a Str literal.
 //
 // Literals absent from a dictionary are mapped to equivalent code
 // predicates: equality becomes an unsatisfiable predicate, inequality a
@@ -33,10 +39,26 @@ import (
 // package table). LIKE 'p%' prefix predicates become the contiguous code
 // range of the prefix (the Section 6 string extension).
 func Bind(q *sqlparse.Query, db *table.DB) error {
+	b := binder{db: db, q: q}
+	for _, tn := range q.Tables {
+		t := db.Table(tn)
+		if t == nil {
+			return fmt.Errorf("exec: unknown table %q", tn)
+		}
+		b.tblName, b.tbl = tn, t
+	}
+	for _, j := range q.Joins {
+		if _, err := b.columnOf(j.LeftTable, j.LeftCol); err != nil {
+			return err
+		}
+		if _, err := b.columnOf(j.RightTable, j.RightCol); err != nil {
+			return err
+		}
+	}
 	if q.Where == nil {
 		return nil
 	}
-	bound, err := bindExpr(q.Where, db, q)
+	bound, err := b.expr(q.Where)
 	if err != nil {
 		return err
 	}
@@ -44,21 +66,75 @@ func Bind(q *sqlparse.Query, db *table.DB) error {
 	return nil
 }
 
-// bindExpr rewrites the string predicates under expr and returns expr
-// itself — the same node, nothing allocated — when there is none. A leaf
-// is never mutated (see bindStringPred), and a LIKE leaf may expand into a
+// binder binds one query's names, remembering the last table and the last
+// attribute it resolved: a compound predicate names its attribute once per
+// simple predicate, and those come in runs, over the one table of a
+// single-table query.
+type binder struct {
+	db      *table.DB
+	q       *sqlparse.Query
+	tblName string        // the table tbl was resolved from
+	tbl     *table.Table  // nil until the first resolution
+	attr    string        // the attribute col was resolved from
+	col     *table.Column // nil until the first resolution
+}
+
+// column finds the column a (possibly qualified) attribute of the query
+// refers to.
+func (b *binder) column(attr string) (*table.Column, error) {
+	if b.col != nil && attr == b.attr {
+		return b.col, nil
+	}
+	tblName, colName := splitAttr(attr)
+	if tblName == "" {
+		if len(b.q.Tables) != 1 {
+			return nil, fmt.Errorf("exec: unqualified attribute %q in multi-table query", attr)
+		}
+		tblName = b.q.Tables[0]
+	}
+	col, err := b.columnOf(tblName, colName)
+	if err != nil {
+		return nil, err
+	}
+	b.attr, b.col = attr, col
+	return col, nil
+}
+
+// columnOf finds column colName of table tblName, which the query must name
+// in its FROM and the database must have.
+func (b *binder) columnOf(tblName, colName string) (*table.Column, error) {
+	if b.tbl == nil || tblName != b.tblName {
+		if !slices.Contains(b.q.Tables, tblName) {
+			return nil, fmt.Errorf("exec: table %q is not in the query's FROM %v", tblName, b.q.Tables)
+		}
+		t := b.db.Table(tblName)
+		if t == nil {
+			return nil, fmt.Errorf("exec: unknown table %q", tblName)
+		}
+		b.tblName, b.tbl = tblName, t
+	}
+	col := b.tbl.Column(colName)
+	if col == nil {
+		return nil, fmt.Errorf("exec: table %q has no column %q", tblName, colName)
+	}
+	return col, nil
+}
+
+// expr rewrites the string predicates under expr and returns expr itself —
+// the same node, nothing allocated — when there is none. A leaf is never
+// mutated (see bindStringPred), and a LIKE leaf may expand into a
 // conjunction of two range predicates, so an AND/OR node with a rewritten
-// child is rebuilt around its children; the rest of the tree is shared
-// with the input.
-func bindExpr(expr sqlparse.Expr, db *table.DB, q *sqlparse.Query) (sqlparse.Expr, error) {
+// child is rebuilt around its children; the rest of the tree is shared with
+// the input.
+func (b *binder) expr(expr sqlparse.Expr) (sqlparse.Expr, error) {
 	switch n := expr.(type) {
 	case *sqlparse.Pred:
-		if n.Str == nil {
-			return n, nil
-		}
-		col, err := resolveColumn(db, q, n.Attr)
+		col, err := b.column(n.Attr)
 		if err != nil {
 			return nil, err
+		}
+		if n.Str == nil {
+			return n, nil
 		}
 		if col.Dict == nil {
 			return nil, fmt.Errorf("exec: string literal %q compared to non-string column %s", *n.Str, n.Attr)
@@ -68,7 +144,7 @@ func bindExpr(expr sqlparse.Expr, db *table.DB, q *sqlparse.Query) (sqlparse.Exp
 		}
 		return bindStringPred(n, col.Dict), nil
 	case *sqlparse.And:
-		kids, err := bindKids(n.Kids, db, q)
+		kids, err := b.kids(n.Kids)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +153,7 @@ func bindExpr(expr sqlparse.Expr, db *table.DB, q *sqlparse.Query) (sqlparse.Exp
 		}
 		return sqlparse.NewAnd(kids...), nil
 	case *sqlparse.Or:
-		kids, err := bindKids(n.Kids, db, q)
+		kids, err := b.kids(n.Kids)
 		if err != nil {
 			return nil, err
 		}
@@ -89,22 +165,22 @@ func bindExpr(expr sqlparse.Expr, db *table.DB, q *sqlparse.Query) (sqlparse.Exp
 	return nil, fmt.Errorf("exec: unknown expr %T", expr)
 }
 
-// bindKids binds every child of an AND/OR node. It returns nil when no child
+// kids binds every child of an AND/OR node. It returns nil when no child
 // changed, otherwise a copy of kids with the rewritten children in place.
-func bindKids(kids []sqlparse.Expr, db *table.DB, q *sqlparse.Query) ([]sqlparse.Expr, error) {
+func (b *binder) kids(kids []sqlparse.Expr) ([]sqlparse.Expr, error) {
 	var bound []sqlparse.Expr
 	for i, k := range kids {
-		b, err := bindExpr(k, db, q)
+		e, err := b.expr(k)
 		if err != nil {
 			return nil, err
 		}
-		if b == k {
+		if e == k {
 			continue
 		}
 		if bound == nil {
 			bound = append([]sqlparse.Expr(nil), kids...)
 		}
-		bound[i] = b
+		bound[i] = e
 	}
 	return bound, nil
 }
@@ -157,26 +233,6 @@ func bindStringPred(p *sqlparse.Pred, dict []string) *sqlparse.Pred {
 		bound.Op, bound.Val = sqlparse.OpGe, int64(idx)
 	}
 	return bound
-}
-
-// resolveColumn finds the column a (possibly qualified) attribute refers to.
-func resolveColumn(db *table.DB, q *sqlparse.Query, attr string) (*table.Column, error) {
-	tblName, colName := splitAttr(attr)
-	if tblName == "" {
-		if len(q.Tables) != 1 {
-			return nil, fmt.Errorf("exec: unqualified attribute %q in multi-table query", attr)
-		}
-		tblName = q.Tables[0]
-	}
-	t := db.Table(tblName)
-	if t == nil {
-		return nil, fmt.Errorf("exec: unknown table %q", tblName)
-	}
-	col := t.Column(colName)
-	if col == nil {
-		return nil, fmt.Errorf("exec: table %q has no column %q", tblName, colName)
-	}
-	return col, nil
 }
 
 func splitAttr(attr string) (tbl, col string) {

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -109,11 +111,49 @@ type wireDecoder struct {
 	text []byte // unescaped form of the string being read, when it has one
 }
 
-// plainByte marks the bytes a JSON string literal carries as themselves:
-// printable ASCII other than the quote and the backslash.
-var plainByte = func() (t [256]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\'
+// plainEnd returns the offset of the first byte at or after i that a JSON
+// string literal does not carry as itself — a quote, a backslash, a control
+// character or a byte above ASCII — or len(data). It tests eight bytes at a
+// time (special).
+func plainEnd(data []byte, i int) int {
+	for ; i+8 <= len(data); i += 8 {
+		if m := special(binary.LittleEndian.Uint64(data[i:])); m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for ; i < len(data); i++ {
+		if c := data[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' {
+			return i
+		}
+	}
+	return i
+}
+
+// special sets the high bit of each byte of the little-endian word w that
+// plainEnd stops at, and of no byte below the first such one: (x-ones)&^x
+// flags x's zero bytes, (w-0x20·ones)&^w the bytes below 0x20, w itself the
+// bytes above ASCII, and a borrow can only flag a byte above one truly
+// flagged. So the lowest set bit marks the first byte to stop at.
+func special(w uint64) uint64 {
+	const (
+		ones  = 0x0101010101010101
+		highs = 0x8080808080808080
+	)
+	q, b := w^('"'*ones), w^('\\'*ones)
+	return ((q-ones)&^q | (b-ones)&^b | (w-0x20*ones)&^w | w) & highs
+}
+
+// unhex maps a hex digit to its value and every other byte to 0xff.
+var unhex = func() (t [256]byte) {
+	for c := range t {
+		t[c] = 0xff
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = byte(c - '0')
+	}
+	for c := 'a'; c <= 'f'; c++ {
+		t[c] = byte(c - 'a' + 10)
+		t[c-'a'+'A'] = byte(c - 'a' + 10)
 	}
 	return t
 }()
@@ -398,10 +438,7 @@ func (d *wireDecoder) number() []byte {
 func (d *wireDecoder) str() ([]byte, error) {
 	data := d.data
 	start := d.off + 1
-	i := start
-	for i < len(data) && plainByte[data[i]] {
-		i++
-	}
+	i := plainEnd(data, start)
 	if i < len(data) && data[i] == '"' {
 		d.off = i + 1
 		return data[start:i], nil
@@ -409,17 +446,19 @@ func (d *wireDecoder) str() ([]byte, error) {
 	out := append(d.text[:0], data[start:i]...)
 	for i < len(data) {
 		switch c := data[i]; {
-		case plainByte[c]:
-			j := i + 1
-			for j < len(data) && plainByte[data[j]] {
-				j++
-			}
-			out = append(out, data[i:j]...)
-			i = j
 		case c == '"':
 			d.off, d.text = i+1, out
 			return out, nil
 		case c == '\\':
+			// An ASCII \u00XX, as encoding/json writes every < > & in a
+			// string, is its byte.
+			if i+6 <= len(data) && binary.LittleEndian.Uint32(data[i:]) == '\\'|'u'<<8|'0'<<16|'0'<<24 {
+				if hi, lo := unhex[data[i+4]], unhex[data[i+5]]; hi < 8 && lo < 16 {
+					out = append(out, hi<<4|lo)
+					i += 6
+					break
+				}
+			}
 			i++
 			if i >= len(data) {
 				continue // the loop ends: unterminated
@@ -472,6 +511,13 @@ func (d *wireDecoder) str() ([]byte, error) {
 			out = utf8.AppendRune(out, r)
 			i += size
 		}
+		// The plain run up to the next byte to decode; escapes often come
+		// in pairs ("\u003c\u003e"), with no run between them.
+		if i < len(data) && data[i] != '\\' {
+			j := plainEnd(data, i)
+			out = append(out, data[i:j]...)
+			i = j
+		}
 	}
 	d.off, d.text = len(data), out
 	return nil, fmt.Errorf("unterminated string starting at offset %d", start-1)
@@ -482,21 +528,11 @@ func hex4(b []byte) rune {
 	if len(b) < 4 {
 		return -1
 	}
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
+	h0, h1, h2, h3 := unhex[b[0]], unhex[b[1]], unhex[b[2]], unhex[b[3]]
+	if h0|h1|h2|h3 > 15 {
+		return -1
 	}
-	return r
+	return rune(h0)<<12 | rune(h1)<<8 | rune(h2)<<4 | rune(h3)
 }
 
 // ---- encoding ----

@@ -239,6 +239,44 @@ func TestDecodeMatchesOracle(t *testing.T) {
 	}
 }
 
+// escapeBodies probe what the decoder reads without encoding/json's help:
+// SQL as json.Marshal escapes it (every < > & a \u00XX), ASCII escapes in
+// either case and at the end of a truncated body, the first escapes above
+// ASCII, surrogates paired, lone and followed by an ASCII escape, invalid
+// \u escapes, and every byte class at every offset of an eight-byte word.
+func escapeBodies() []string {
+	var bodies []string
+	for _, sql := range []string{
+		"SELECT count(*) FROM forest WHERE A1 >= 2500 AND A1 <> 2600 AND (A2 < 3 OR A2 > 7)",
+		"SELECT count(*) FROM t WHERE s = '<b>&amp;</b>' AND a <> 1",
+		"<><><>", "a<>b", "&&&&&&&&",
+	} {
+		single, _ := json.Marshal(estimateRequest{SQL: sql})
+		bodies = append(bodies, string(single))
+	}
+	bodies = append(bodies,
+		`{"sql":"\u003C\u003E\u0026\u003c\u003e"}`, `{"sql":"\u0000\u001f\u0020\u007f\u007F"}`,
+		`{"sql":"\u0080\u00ff\u00FF\u0100"}`, `{"sql":"a\u00"}`, `{"sql":"a\u003"}`, `{"sql":"a\u003c`, `{"sql":"a\u00`,
+		`{"sql":"\u00zz"}`, `{"sql":"\u0g3c"}`, `{"sql":"\u00-1"}`, `{"sql":"\u 03c"}`,
+		`{"sql":"\ud83d\ude00\u003c"}`, `{"sql":"\ud83d\u003c"}`, `{"sql":"\ude00\u003e"}`, `{"sql":"\ud83d\ud83d"}`,
+		`{"sql":"\udbff\udfff"}`, `{"sql":"\ud800\udc00x"}`, `{"sql":"\ud83d\ude0g"}`,
+	)
+	for off := 0; off < 9; off++ {
+		pad := strings.Repeat("x", off)
+		for _, b := range []string{`\"`, `\\`, `\u003c`, "\x01", "\x7f", "é", "\xff", `"`} {
+			bodies = append(bodies, `{"sql":"`+pad+b+pad+`"}`, `{"sql":"`+pad+`\u003e`+pad+b+`"}`)
+		}
+	}
+	return bodies
+}
+
+func TestDecodeEscapesMatchOracle(t *testing.T) {
+	var d wireDecoder
+	for _, body := range escapeBodies() {
+		checkDecode(t, &d, []byte(body))
+	}
+}
+
 // TestDecodeTightenings pins the two places where the codec is stricter than
 // encoding/json, so a future change cannot widen or narrow them silently.
 func TestDecodeTightenings(t *testing.T) {
@@ -331,7 +369,7 @@ func TestEncodeMatchesOracle(t *testing.T) {
 //
 // Explore with `go test -fuzz=FuzzEstimateCodec ./internal/serve`.
 func FuzzEstimateCodec(f *testing.F) {
-	bodies := estimateBodySeeds()
+	bodies := append(estimateBodySeeds(), escapeBodies()...)
 	_, singles, batch := benchBodies(f, 4)
 	for _, b := range append(singles, batch) {
 		bodies = append(bodies, string(b))

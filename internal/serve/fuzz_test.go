@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,11 +80,13 @@ func estimateBodySeeds() []string {
 // contract under fuzzing: malformed SQL or JSON is always a client error
 // (4xx) — never a 5xx, never a panic — and the cache changes no answer: the
 // second request, served from whatever the first inserted, gets the status
-// and body (modulo "micros") of the uncached server, a 400 included.
+// and body (modulo "micros") of the uncached server, a 400 included. A query
+// naming a table or column the database does not have is a 4xx as well, not
+// an estimate (unknownNameBodies).
 //
 // Explore with `go test -fuzz=FuzzEstimateHandler ./internal/serve`.
 func FuzzEstimateHandler(f *testing.F) {
-	for _, s := range estimateBodySeeds() {
+	for _, s := range append(estimateBodySeeds(), unknownNameBodies...) {
 		f.Add(s)
 	}
 	db, _ := testEnv(f)
@@ -91,6 +94,11 @@ func FuzzEstimateHandler(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body string) {
 		sameAsUncached(t, cached, uncached, body) // must not panic
+		if slices.Contains(unknownNameBodies, body) {
+			if code, resp := serveBody(t, uncached, body); code < 400 || code >= 500 {
+				t.Fatalf("body %q names what the database does not have: status %d (%s), want 4xx", body, code, resp)
+			}
+		}
 
 		// The class-key contract of core.Fingerprint, on every SQL string the
 		// fuzzer reaches the handler with: raw bodies and the sql fields of

@@ -26,6 +26,25 @@ var fuzzSeeds = []string{
 	"SELECT count(*) FROM t WHERE " + strings.Repeat("(", 10000) + "a = 1" + strings.Repeat(")", 10000),
 }
 
+// intLiterals are the numeric literals whose value the lexer reads itself
+// and the ones it leaves to strconv.ParseInt, on either side of the line:
+// signs, leading zeros, 18, 19 and 20 digits, the int64 extremes and one
+// past each, and decimals.
+var intLiterals = []string{
+	"0", "-0", "+0", "7", "+7", "-7", "007", "-007", "+007",
+	"123456789012345678", "-123456789012345678", "999999999999999999", "-999999999999999999",
+	"000000000000000000", "000000000000000001", "0000000000000000001", "00000000000000000000000042",
+	"1234567890123456789", "-1234567890123456789", "12345678901234567890", "-12345678901234567890",
+	"9223372036854775807", "-9223372036854775808", "9223372036854775808", "-9223372036854775809",
+	"99999999999999999999999", "1.5", "-0.0", ".5", "5.", "-.5", "123456789012345678.9",
+}
+
+func init() {
+	for _, lit := range intLiterals {
+		fuzzSeeds = append(fuzzSeeds, "SELECT count(*) FROM t WHERE a >= "+lit, "SELECT count(*) FROM t WHERE "+lit+" < a")
+	}
+}
+
 // FuzzParse feeds arbitrary bytes to the parser: it must never panic, it must
 // agree with the oracle parser (diffOracle: same AST, same error text, the
 // ASCII identifier rule the one divergence), a parse into an arena must agree

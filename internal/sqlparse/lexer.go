@@ -12,7 +12,8 @@ type tokenKind uint8
 const (
 	tokEOF tokenKind = iota
 	tokIdent
-	tokNumber
+	tokInt    // an integer literal of at most maxFastDigits digits; val holds its value
+	tokNumber // any other numeric literal: a decimal, or a longer integer
 	tokString
 	tokComma
 	tokDot
@@ -29,6 +30,7 @@ const (
 type token struct {
 	kind    tokenKind
 	lo, end int
+	val     int64 // a tokInt's value
 }
 
 // Character classes of the lexer, one table lookup per source byte.
@@ -121,22 +123,27 @@ func (p *parser) lex() error {
 			i = p.emit(tokOp, i, end)
 			p.ncmp++
 		case c == '-' || c == '+' || c == '.' || class&classDigit != 0:
-			end, err := lexNumber(src, i)
+			end, val, isInt, err := lexNumber(src, i)
 			if err != nil {
 				return err
 			}
-			i = p.emit(tokNumber, i, end)
+			if isInt {
+				p.toks = append(p.toks, token{kind: tokInt, lo: i, end: end, val: val})
+				i = end
+			} else {
+				i = p.emit(tokNumber, i, end)
+			}
 		default:
 			return unexpectedCharacter(src, i)
 		}
 	}
-	p.toks = append(p.toks, token{tokEOF, i, i})
+	p.toks = append(p.toks, token{kind: tokEOF, lo: i, end: i})
 	return nil
 }
 
 // emit appends one token and returns the offset lexing resumes at.
 func (p *parser) emit(kind tokenKind, lo, end int) int {
-	p.toks = append(p.toks, token{kind, lo, end})
+	p.toks = append(p.toks, token{kind: kind, lo: lo, end: end})
 	return end
 }
 
@@ -186,22 +193,38 @@ func lexOp(src string, lo int) (int, error) {
 	return lo + 1, nil
 }
 
-func lexNumber(src string, lo int) (int, error) {
+// maxFastDigits is the most digits an integer literal may have for the
+// lexer to read its value: 18 nines are below 2^63, so no sum overflows.
+// A longer integer is left to strconv.ParseInt, range errors and all.
+const maxFastDigits = 18
+
+// lexNumber returns the offset just past the numeric literal starting at lo
+// and, when it is an optionally signed integer of at most maxFastDigits
+// digits, the value strconv.ParseInt would read off it, read in the same pass.
+func lexNumber(src string, lo int) (end int, val int64, isInt bool, err error) {
 	i := lo
+	neg := false
 	if c := src[i]; c == '-' || c == '+' {
+		neg = c == '-'
 		i++
 	}
 	digits := 0
 	for ; i < len(src) && isDigit(src[i]); i++ {
+		val = val*10 + int64(src[i]-'0')
 		digits++
 	}
+	isInt = digits <= maxFastDigits
 	if i < len(src) && src[i] == '.' {
+		isInt = false
 		for i++; i < len(src) && isDigit(src[i]); i++ {
 			digits++
 		}
 	}
 	if digits == 0 {
-		return 0, fmt.Errorf("sqlparse: malformed number at offset %d", lo)
+		return 0, 0, false, fmt.Errorf("sqlparse: malformed number at offset %d", lo)
 	}
-	return i, nil
+	if neg {
+		val = -val
+	}
+	return i, val, isInt, nil
 }

@@ -431,6 +431,9 @@ func (p *parser) parseLike(left operand) (Expr, error) {
 func (p *parser) parseOperand() (operand, error) {
 	t := p.peek()
 	switch t.kind {
+	case tokInt:
+		p.pos++
+		return operand{val: t.val, isLit: true}, nil
 	case tokNumber:
 		p.pos++
 		text := p.text(t)

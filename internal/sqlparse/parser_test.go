@@ -1,9 +1,43 @@
 package sqlparse
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// TestIntegerLiteralsAreParseInt: the value the lexer reads off an integer
+// literal is strconv.ParseInt's, and a literal ParseInt refuses fails with
+// ParseInt's error, on both sides of the lexer's 18-digit line.
+func TestIntegerLiteralsAreParseInt(t *testing.T) {
+	const prefix = "SELECT count(*) FROM t WHERE a >= "
+	for _, lit := range intLiterals {
+		q, err := Parse(prefix + lit)
+		if strings.ContainsRune(lit, '.') {
+			want := fmt.Sprintf("sqlparse: decimal literal %q at offset %d: decimal attributes must be fixed-point scaled at load time", lit, len(prefix))
+			if err == nil || err.Error() != want {
+				t.Errorf("%s: err = %v, want %q", lit, err, want)
+			}
+			continue
+		}
+		v, perr := strconv.ParseInt(lit, 10, 64)
+		if perr != nil {
+			want := fmt.Sprintf("sqlparse: bad integer %q at offset %d: %v", lit, len(prefix), perr)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s: err = %v, want %q", lit, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", lit, err)
+			continue
+		}
+		if got := q.Where.(*Pred).Val; got != v {
+			t.Errorf("%s: value %d, want %d", lit, got, v)
+		}
+	}
+}
 
 func TestParseSingleTable(t *testing.T) {
 	q, err := Parse("SELECT count(*) FROM forest WHERE A7 >= 160 AND A7 <= 225 AND A8 <> 220;")

@@ -179,3 +179,42 @@ func TestConcurrentParsesShareNothing(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// BenchmarkParseMixed is the parse a cache miss pays, alone: the texts
+// BenchmarkFeaturizeMixed (internal/core) featurizes — the benchmark's mixed
+// AND/OR traffic over a 20 000-row forest, rendered — parsed into an arena
+// reset every 64 parses, as a 64-query request resets its own.
+func BenchmarkParseMixed(b *testing.B) {
+	forest, err := dataset.Forest(dataset.ForestConfig{Rows: 20000, QuantAttrs: 12, BinaryAttrs: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := workload.Mixed(forest, workload.MixedConfig{
+		ConjConfig:  workload.ConjConfig{Count: 1024, MaxAttrs: 8, MaxNotEquals: 5, Seed: 1_000_004},
+		MaxBranches: 3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sqls := make([]string, len(set))
+	for i, l := range set {
+		sqls[i] = l.Query.String()
+	}
+	var a sqlparse.Arena
+	for _, sql := range sqls { // grow the arena and the parser pool
+		if _, err := a.Parse(sql); err != nil {
+			b.Fatal(err)
+		}
+	}
+	a.Reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%64 == 0 {
+			a.Reset()
+		}
+		if _, err := a.Parse(sqls[i%len(sqls)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
