@@ -45,7 +45,7 @@ ci:
 # -journal or not. It holds no row: one that kept its table reads +0.24 MiB and fails, and a GB model is its
 # flat forest alone; one that also kept the arenas it was fit in reads +0.33 MiB and fails.
 	$(GO) test -short -run 'ServingHeap' ./cmd/cardestd
-# Seven fuzz targets, 5 s each: the parser, the journal reader and the
+# Eight fuzz targets, 5 s each: the parser, the journal reader and the
 # journal's record encoder against encoding/json ...
 	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/sqlparse
 	$(GO) test -fuzz=FuzzJournalRead -fuzztime=5s ./internal/journal
@@ -61,6 +61,12 @@ ci:
 # whatever bytes they find, seeded with a format-1 (per-tree) and a format-2
 # (packed forest) snapshot: it loads a working estimator or errors, never panics.
 	$(GO) test -fuzz=FuzzLoadEstimator -fuzztime=5s ./internal/estimator
+# ... and the partitioned featurizers on whatever WHERE the parser makes of
+# the input, over a uniform, a weighted, a one-value, two int64-extreme and a
+# boundary-partitioned attribute: Algorithms 1 and 2 in interval form must
+# give the replaced per-term-vector body's vector and selectivity bits, or
+# its error text, under both the conjunctive and the complex QFT.
+	$(GO) test -fuzz=FuzzFeaturize -fuzztime=5s ./internal/core
 # The in-package benchmarks that are the only home of a measurement, one
 # iteration each, because a benchmark nothing executes stops compiling or
 # stops measuring what its comment says: gb training (labels its own training
@@ -216,6 +222,14 @@ ci:
 # pass it replaced is the oracle of TestStatsMatchOracle).
 	! grep -rnE 'statsMu|statsValid|ensureStats|InvalidateStats|DropDictionaries|DictionaryBuilds|DictBuilt|DictTime' --include='*.go' internal cmd examples | grep -v '_test\.go:'
 	! grep -nw --exclude='*_test.go' 'sync' internal/table/*.go
+# Guard 22, Algorithms 1 and 2 on partition intervals: a DNF term is a term
+# (the partitions that may be nonzero, the few a literal splits or empties,
+# the selectivity bounds), each literal placed once and a product the meet of
+# two terms. So no per-term partition vector (attrConjunction writing a
+# scratch part) and no arena of predicate copies per DNF term come back
+# beside it; the replaced body is the oracle in terms_test.go.
+	! grep -nE 'func \(sc \*scratch\) attrConjunction|\bpart +\[\]float64|sc\.part\b' internal/core/*.go | grep -v '_test\.go:'
+	! grep -nE 'append\(sc\.preds, sc\.preds\[' internal/core/*.go | grep -v '_test\.go:'
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

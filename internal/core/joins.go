@@ -90,7 +90,7 @@ func (g *GlobalFeaturizer) FeaturizeInto(dst []float64, q *sqlparse.Query) error
 		block := dst[off : off+f.Dim()]
 		off += len(block)
 		if !slices.Contains(q.Tables, t) {
-			fill(block, 0)
+			clear(block)
 			bits[i] = 0
 			continue
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qfe/internal/exec"
@@ -19,6 +20,9 @@ import (
 //     admission bounds, and beyond n = domain size the vector is stable.
 //   - Conjunction monotonicity: adding a conjunct can only decrease entries.
 //   - Disjunction monotonicity: adding a disjunct can only increase entries.
+//   - Order freedom: Algorithm 1 keeps the entry-wise minimum of its
+//     predicates' vectors, so a conjunction's predicates may come in any
+//     order; and distributing a conjunct over a disjunction changes nothing.
 
 // randTable builds a random 3-attribute table with small domains so that
 // exact partitioning is cheap.
@@ -464,4 +468,130 @@ func TestFeaturizeManyAttrsStress(t *testing.T) {
 			t.Errorf("attribute %s (index %d) should be unconstrained", name, i)
 		}
 	}
+}
+
+// weightedAttr is a with frequency weights attached: partition k holds a
+// share proportional to k+1.
+func weightedAttr(a AttrMeta) AttrMeta {
+	a.Weights = make([]float64, a.NEntries)
+	total := float64(a.NEntries*(a.NEntries+1)) / 2
+	for k := range a.Weights {
+		a.Weights[k] = float64(k+1) / total
+	}
+	return a
+}
+
+// edgeAttrs are extremeAttrs with a weighted twin of each.
+func edgeAttrs() map[string]AttrMeta {
+	attrs := extremeAttrs()
+	for name, a := range extremeAttrs() {
+		attrs[name+", weighted"] = weightedAttr(a)
+	}
+	return attrs
+}
+
+// sortedNames returns the keys of attrs in order, for a deterministic walk.
+func sortedNames(attrs map[string]AttrMeta) []string {
+	names := make([]string, 0, len(attrs))
+	for name := range attrs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// randomPreds draws a conjunction of one to max simple predicates on
+// attribute attr with literals from lits.
+func randomPreds(rng *rand.Rand, attr string, lits []int64, max int) []*sqlparse.Pred {
+	ops := []sqlparse.CmpOp{sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe}
+	preds := make([]*sqlparse.Pred, 1+rng.Intn(max))
+	for i := range preds {
+		preds[i] = &sqlparse.Pred{Attr: attr, Op: ops[rng.Intn(len(ops))], Val: lits[rng.Intn(len(lits))]}
+	}
+	return preds
+}
+
+// vecAndSel is a partition vector with its selectivity estimate appended.
+func vecAndSel(t *testing.T, label string, vec []float64, sel float64, err error) []float64 {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return append(vec, sel)
+}
+
+// TestAlgorithm1IsOrderFree: every permutation tried of a conjunction's
+// predicates gives the vector and the selectivity estimate of the original
+// order, bit for bit — on the edge-case domains, with and without frequency
+// weights, with literals on and around every partition edge and the int64
+// extremes. This is what lets a conjunction be built a predicate at a time or
+// from two halves in either order.
+func TestAlgorithm1IsOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	attrs := edgeAttrs()
+	for _, name := range sortedNames(attrs) {
+		a := attrs[name]
+		lits := domainLiterals(&a, rng, 48)
+		for trial := 0; trial < 200; trial++ {
+			preds := randomPreds(rng, "A", lits, 7)
+			label := fmt.Sprintf("%s: %s", name, sqlparse.NewAnd(predExprs(preds)...))
+			vec, sel, err := FeaturizeAttrConjunction(a, preds)
+			want := vecAndSel(t, label, vec, sel, err)
+			for perm := 0; perm < 4; perm++ {
+				shuffled := slices.Clone(preds)
+				rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				vec, sel, err := FeaturizeAttrConjunction(a, shuffled)
+				got := vecAndSel(t, label, vec, sel, err)
+				sameBits(t, fmt.Sprintf("%s, as %s", label, sqlparse.NewAnd(predExprs(shuffled)...)), want, got)
+			}
+		}
+	}
+}
+
+// TestDistributedAndFeaturizesAlike: on one attribute, A AND (B OR C) and
+// (A AND B) OR (A AND C) featurize alike — partition vector and selectivity
+// estimate bit for bit, alone and as a whole query's block under Limited
+// Disjunction Encoding — for random conjunctions A, B and C on the edge-case
+// domains, with and without frequency weights.
+func TestDistributedAndFeaturizesAlike(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	attrs := edgeAttrs()
+	for _, name := range sortedNames(attrs) {
+		a := attrs[name]
+		meta, err := NewTableMetaFromSpec(MetaSpec{Name: "t", Attrs: []AttrMeta{a}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := NewComplex(meta, Options{MaxEntriesPerAttr: 32, AttrSel: true})
+		lits := domainLiterals(&a, rng, 48)
+		conj := func() sqlparse.Expr { return sqlparse.NewAnd(predExprs(randomPreds(rng, "A", lits, 3))...) }
+		for trial := 0; trial < 300; trial++ {
+			x, y, z := conj(), conj(), conj()
+			factored := sqlparse.NewAnd(x, sqlparse.NewOr(y, z))
+			distributed := sqlparse.NewOr(sqlparse.NewAnd(x, y), sqlparse.NewAnd(x, z))
+			label := fmt.Sprintf("%s: %s vs %s", name, factored, distributed)
+			vec, sel, err := FeaturizeAttrCompound(a, factored)
+			want := vecAndSel(t, label, vec, sel, err)
+			vec, sel, err = FeaturizeAttrCompound(a, distributed)
+			sameBits(t, label, want, vecAndSel(t, label, vec, sel, err))
+			wantQ, err := f.Featurize(factored)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			gotQ, err := f.Featurize(distributed)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameBits(t, label+" (complex)", wantQ, gotQ)
+		}
+	}
+}
+
+// predExprs lifts preds to expressions.
+func predExprs(preds []*sqlparse.Pred) []sqlparse.Expr {
+	out := make([]sqlparse.Expr, len(preds))
+	for i, p := range preds {
+		out[i] = p
+	}
+	return out
 }

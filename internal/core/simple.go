@@ -56,7 +56,7 @@ func (s *Simple) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 	if err := sc.group("simple", s.meta, expr, errSimpleOr); err != nil {
 		return err
 	}
-	fill(dst, 0)
+	clear(dst)
 	for ai := range s.meta.Attrs {
 		first := sc.head[ai]
 		if first < 0 {

@@ -21,7 +21,7 @@ import (
 
 // untabulatedFeaturizeInto is partitioned.FeaturizeInto over the oracles.
 func untabulatedFeaturizeInto(p *partitioned, dst []float64, expr sqlparse.Expr) error {
-	sc := new(scratch)
+	sc, ts := new(scratch), new(termScratch)
 	if err := sc.untabulatedGroup(p.name, p.meta, expr, p.orErr); err != nil {
 		return err
 	}
@@ -34,7 +34,7 @@ func untabulatedFeaturizeInto(p *partitioned, dst []float64, expr sqlparse.Expr)
 			fill(block, 1)
 		} else {
 			var err error
-			if sel, err = sc.untabulatedAttrCompound(a, sc.attrKids(ai), block); err != nil {
+			if sel, err = ts.untabulatedAttrCompound(a, sc.attrKids(ai), block); err != nil {
 				return err
 			}
 		}
@@ -120,7 +120,7 @@ func untabulatedConjunctAttr(qft string, meta *TableMeta, expr sqlparse.Expr, ai
 	return ai, nil
 }
 
-func (sc *scratch) untabulatedAttrCompound(a *AttrMeta, kids []sqlparse.Expr, dst []float64) (float64, error) {
+func (sc *termScratch) untabulatedAttrCompound(a *AttrMeta, kids []sqlparse.Expr, dst []float64) (float64, error) {
 	sc.preds, sc.terms = sc.preds[:0], sc.terms[:0]
 	if err := sc.dnfAnd(kids); err != nil {
 		return 0, fmt.Errorf("core/complex: attribute %q: %w", a.Name, err)
@@ -154,7 +154,7 @@ func (sc *scratch) untabulatedAttrCompound(a *AttrMeta, kids []sqlparse.Expr, ds
 
 // untabulatedAttrConjunction is Algorithm 1 placing every literal with BucketOf
 // and BucketRange, on the attribute's metadata passed by value.
-func (sc *scratch) untabulatedAttrConjunction(a AttrMeta, preds []*sqlparse.Pred, vec []float64) (float64, error) {
+func (sc *termScratch) untabulatedAttrConjunction(a AttrMeta, preds []*sqlparse.Pred, vec []float64) (float64, error) {
 	fill(vec, 1)
 	minA, maxA := a.Min, a.Max
 	sc.nots = sc.nots[:0]
@@ -273,22 +273,26 @@ func sameBits(t *testing.T, label string, want, got []float64) {
 
 // diffPartitioned featurizes every expression with the conjunctive and the
 // complex QFT over meta, through the serving code and through the oracles:
-// the same vectors, and an error from one exactly when the other errs.
+// the same vectors, and an error from one exactly when the other errs — with
+// the same text as the per-term-vector body's (terms_test.go).
 func diffPartitioned(t *testing.T, label string, meta *TableMeta, exprs []sqlparse.Expr) {
 	t.Helper()
 	for _, attrSel := range []bool{false, true} {
 		opts := Options{MaxEntriesPerAttr: 32, AttrSel: attrSel}
 		for _, p := range []*partitioned{&NewConjunctive(meta, opts).partitioned, &NewComplex(meta, opts).partitioned} {
-			got, want := make([]float64, p.Dim()), make([]float64, p.Dim())
+			got, want, terms := make([]float64, p.Dim()), make([]float64, p.Dim()), make([]float64, p.Dim())
 			for i, expr := range exprs {
 				poison(got)
 				err := p.FeaturizeInto(got, expr)
 				wantErr := untabulatedFeaturizeInto(p, want, expr)
-				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("%s %s attrSel=%v expr %d (%s): err %v, oracle err %v", label, p.name, attrSel, i, expr, err, wantErr)
+				termsErr := termsFeaturizeInto(p, terms, expr)
+				where := fmt.Sprintf("%s %s attrSel=%v expr %d (%s)", label, p.name, attrSel, i, expr)
+				if (err == nil) != (wantErr == nil) || !sameErr(err, termsErr) {
+					t.Fatalf("%s: err %v, oracle errs %v and %v", where, err, wantErr, termsErr)
 				}
 				if err == nil {
-					sameBits(t, fmt.Sprintf("%s %s attrSel=%v expr %d (%s)", label, p.name, attrSel, i, expr), want, got)
+					sameBits(t, where, want, got)
+					sameBits(t, where, terms, got)
 				}
 			}
 		}
@@ -524,27 +528,37 @@ func TestWholeWhereMatchesSplit(t *testing.T) {
 
 // BenchmarkFeaturizeMixed is featurization alone on the daemon's
 // configuration: the complex QFT, 32 entries per attribute with selectivity
-// entries, over the benchmark's mixed AND/OR traffic on a 20 000-row forest.
+// entries, over the benchmark's mixed AND/OR traffic on a 20 000-row forest
+// ("mixed"), and over the conjunctive traffic the same generator settings
+// draw ("conjunctive"), where every attribute's compound predicate is one
+// DNF term.
 func BenchmarkFeaturizeMixed(b *testing.B) {
 	forest, err := dataset.Forest(dataset.ForestConfig{Rows: 20000, QuantAttrs: 12, BinaryAttrs: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := workload.Mixed(forest, workload.MixedConfig{
-		ConjConfig:  workload.ConjConfig{Count: 1024, MaxAttrs: 8, MaxNotEquals: 5, Seed: 1_000_004},
-		MaxBranches: 3,
-	})
+	conj := workload.ConjConfig{Count: 1024, MaxAttrs: 8, MaxNotEquals: 5, Seed: 1_000_004}
+	mixed, err := workload.Mixed(forest, workload.MixedConfig{ConjConfig: conj, MaxBranches: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
-	qs := set.Queries()
+	conjunctive, err := workload.Conjunctive(forest, conj)
+	if err != nil {
+		b.Fatal(err)
+	}
 	f := NewComplex(NewTableMeta(forest, 32), Options{MaxEntriesPerAttr: 32, AttrSel: true})
 	dst := make([]float64, f.Dim())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.FeaturizeInto(dst, qs[i%len(qs)].Where); err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range []struct {
+		name string
+		qs   []*sqlparse.Query
+	}{{"mixed", mixed.Queries()}, {"conjunctive", conjunctive.Queries()}} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := f.FeaturizeInto(dst, w.qs[i%len(w.qs)].Where); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

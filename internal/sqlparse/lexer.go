@@ -21,7 +21,7 @@ const (
 	tokRParen
 	tokStar
 	tokSemi
-	tokOp // comparison operator
+	tokOp // comparison operator; val holds its CmpOp
 )
 
 // token is a span of the source: its text is src[lo:end]. It carries no
@@ -30,7 +30,7 @@ const (
 type token struct {
 	kind    tokenKind
 	lo, end int
-	val     int64 // a tokInt's value
+	val     int64 // a tokInt's value, a tokOp's CmpOp
 }
 
 // Character classes of the lexer, one table lookup per source byte.
@@ -116,11 +116,12 @@ func (p *parser) lex() error {
 			}
 			i = p.emit(tokString, i, end)
 		case c == '=' || c == '<' || c == '>' || c == '!':
-			end, err := lexOp(src, i)
+			end, op, err := lexOp(src, i)
 			if err != nil {
 				return err
 			}
-			i = p.emit(tokOp, i, end)
+			p.toks = append(p.toks, token{kind: tokOp, lo: i, end: end, val: int64(op)})
+			i = end
 			p.ncmp++
 		case c == '-' || c == '+' || c == '.' || class&classDigit != 0:
 			end, val, isInt, err := lexNumber(src, i)
@@ -180,17 +181,29 @@ func stringText(quoted string) string {
 	return strings.ReplaceAll(quoted[1:len(quoted)-1], "''", "'")
 }
 
-func lexOp(src string, lo int) (int, error) {
+// lexOp returns the offset just past the comparison operator starting at lo,
+// and the operator: "!=" spells <> as "<>" does.
+func lexOp(src string, lo int) (int, CmpOp, error) {
+	c := src[lo]
 	if lo+1 < len(src) {
-		switch src[lo : lo+2] {
-		case "<=", ">=", "<>", "!=":
-			return lo + 2, nil
+		switch d := src[lo+1]; {
+		case d == '=' && c == '<':
+			return lo + 2, OpLe, nil
+		case d == '=' && c == '>':
+			return lo + 2, OpGe, nil
+		case d == '=' && c == '!', d == '>' && c == '<':
+			return lo + 2, OpNe, nil
 		}
 	}
-	if src[lo] == '!' {
-		return 0, fmt.Errorf("sqlparse: bad operator starting with %q at offset %d", "!", lo)
+	switch c {
+	case '<':
+		return lo + 1, OpLt, nil
+	case '>':
+		return lo + 1, OpGt, nil
+	case '=':
+		return lo + 1, OpEq, nil
 	}
-	return lo + 1, nil
+	return 0, 0, fmt.Errorf("sqlparse: bad operator starting with %q at offset %d", "!", lo)
 }
 
 // maxFastDigits is the most digits an integer literal may have for the

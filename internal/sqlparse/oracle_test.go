@@ -177,6 +177,59 @@ func TestParseMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestLexOpMatchesOracle: the lexer reads each operator's CmpOp off its
+// bytes where it used to read the operator's extent and map its text
+// afterwards (oracleLexOp and oracleCmpOpOf, the replaced bodies): the same
+// extent, operator and error for every operator byte followed by every byte
+// or by the end of the input.
+func TestLexOpMatchesOracle(t *testing.T) {
+	for _, c := range []byte("=<>!") {
+		srcs := []string{string(c)}
+		for d := 0; d < 256; d++ {
+			srcs = append(srcs, string([]byte{c, byte(d)}))
+		}
+		for _, src := range srcs {
+			end, op, err := lexOp(src, 0)
+			wantEnd, wantErr := oracleLexOp(src, 0)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || err == nil && (end != wantEnd || op != oracleCmpOpOf(src[:end])) {
+				t.Errorf("lexOp(%q) = %d, %v, %v; oracle %d, %v, %v", src, end, op, err, wantEnd, oracleCmpOpOf(src[:wantEnd]), wantErr)
+			}
+		}
+	}
+}
+
+// oracleLexOp is lexOp as it was before it read the operator.
+func oracleLexOp(src string, lo int) (int, error) {
+	if lo+1 < len(src) {
+		switch src[lo : lo+2] {
+		case "<=", ">=", "<>", "!=":
+			return lo + 2, nil
+		}
+	}
+	if src[lo] == '!' {
+		return 0, fmt.Errorf("sqlparse: bad operator starting with %q at offset %d", "!", lo)
+	}
+	return lo + 1, nil
+}
+
+// oracleCmpOpOf maps the text of an operator token to its operator, as the
+// parser did before the lexer stored it.
+func oracleCmpOpOf(text string) CmpOp {
+	switch text {
+	case "=":
+		return OpEq
+	case "<":
+		return OpLt
+	case "<=":
+		return OpLe
+	case ">":
+		return OpGt
+	case ">=":
+		return OpGe
+	}
+	return OpNe
+}
+
 // oracleTokenKind classifies the oracle lexer's tokens.
 type oracleTokenKind int
 

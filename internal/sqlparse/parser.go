@@ -106,7 +106,7 @@ func (p *parser) release() {
 	if cap(p.toks) > maxPooledTokens {
 		return
 	}
-	clear(p.kids)
+	clear(p.kids[:cap(p.kids)])
 	clear(p.joinRight)
 	*p = parser{toks: p.toks[:0], kids: p.kids[:0], joinRight: p.joinRight[:0]}
 	parserPool.Put(p)
@@ -279,12 +279,20 @@ func (p *parser) parseNary(isAnd bool) (Expr, error) {
 	if len(top) > 1 {
 		e = p.newNode(top, isAnd)
 	}
-	clear(top)
 	return e, nil
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
-	if t := p.peek(); t.kind == tokLParen {
+	t := p.peek()
+	// The common leaf, "column op integer", is made straight from its three
+	// tokens: what parseComparison would make of them. (A tokOp is never the
+	// final tokEOF, so the token after it exists.)
+	if t.kind == tokIdent && p.toks[p.pos+1].kind == tokOp && p.toks[p.pos+2].kind == tokInt {
+		op, lit := p.toks[p.pos+1], p.toks[p.pos+2]
+		p.pos += 3
+		return p.newPred(Pred{Attr: p.text(t), Op: CmpOp(op.val), Val: lit.val}), nil
+	}
+	if t.kind == tokLParen {
 		p.depth++
 		if p.depth > maxExprDepth {
 			return nil, fmt.Errorf("sqlparse: expression nesting exceeds %d levels at offset %d", maxExprDepth, t.lo)
@@ -379,7 +387,7 @@ func (p *parser) parseComparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := cmpOpOf(p.text(opTok))
+	op := CmpOp(opTok.val)
 	right, err := p.parseOperand()
 	if err != nil {
 		return nil, err
@@ -479,23 +487,6 @@ func (p *parser) parseColumnName() (string, error) {
 		return p.src[t.lo:t2.end], nil
 	}
 	return p.text(t) + "." + p.text(t2), nil
-}
-
-// cmpOpOf maps the text of a tokOp token to its operator.
-func cmpOpOf(text string) CmpOp {
-	switch text {
-	case "=":
-		return OpEq
-	case "<":
-		return OpLt
-	case "<=":
-		return OpLe
-	case ">":
-		return OpGt
-	case ">=":
-		return OpGe
-	}
-	return OpNe // "<>" and "!=": lexOp admits no other spelling
 }
 
 // mirror flips an operator's direction for operand swapping.
