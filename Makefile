@@ -230,6 +230,16 @@ ci:
 # beside it; the replaced body is the oracle in terms_test.go.
 	! grep -nE 'func \(sc \*scratch\) attrConjunction|\bpart +\[\]float64|sc\.part\b' internal/core/*.go | grep -v '_test\.go:'
 	! grep -nE 'append\(sc\.preds, sc\.preds\[' internal/core/*.go | grep -v '_test\.go:'
+# Guard 23, each name resolved once: exec.Bind stamps every predicate with its
+# column (sqlparse.Pred.Col), and the featurizers read the attribute off the
+# stamp through TableMeta's column-to-slot slice, checking one attribute per
+# conjunct as the fold meets each predicate. So the by-name grouping — a
+# conjunctAttr walk resolving names, the scratch's last-name cache, AttrIndex
+# on the featurize path — stays in byname_test.go as the oracle; and sel
+# counts a term's <> literals, which and and meet keep ascending and
+# distinct, without sorting them per call.
+	! grep -nE 'conjunctAttr|lastName|lastAttr|AttrIndex\(' internal/core/conjunctive.go internal/core/complex.go internal/core/simple.go internal/core/rangeenc.go
+	! grep -nE 'slices\.Sort|sort\.' internal/core/conjunctive.go internal/core/complex.go
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

@@ -19,6 +19,7 @@ import (
 	"qfe/internal/resilience"
 	"qfe/internal/serve"
 	"qfe/internal/sqlparse"
+	"qfe/internal/table"
 	"qfe/internal/testutil"
 )
 
@@ -429,6 +430,7 @@ func TestJournaledFingerprint(t *testing.T) {
 			}
 			srv, err := serve.New(serve.Config{
 				Registry: reg,
+				DB:       tDB(),
 				Cache:    serve.CacheConfig{Entries: tc.entries},
 				Feedback: feedbackHook(jnl),
 			})
@@ -491,7 +493,7 @@ func TestFeedbackActualBeyondInt64(t *testing.T) {
 	if _, err := reg.Register("const", resilience.Constant{Value: 5}, serve.ModelInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(serve.Config{Registry: reg, Feedback: feedbackHook(jnl)})
+	srv, err := serve.New(serve.Config{Registry: reg, DB: tDB(), Feedback: feedbackHook(jnl)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,6 +517,17 @@ func TestFeedbackActualBeyondInt64(t *testing.T) {
 	}
 }
 
+// tDB holds the table the constant-model tests' queries name: t, with
+// columns a and b.
+func tDB() *table.DB {
+	t := table.New("t")
+	t.MustAddColumn(table.NewColumn("a", []int64{0, 1}))
+	t.MustAddColumn(table.NewColumn("b", []int64{0, 1}))
+	db := table.NewDB()
+	db.MustAdd(t)
+	return db
+}
+
 // constServer is a serve.Server over one constant model.
 func constServer(t *testing.T) *serve.Server {
 	t.Helper()
@@ -522,7 +535,7 @@ func constServer(t *testing.T) *serve.Server {
 	if _, err := reg.Register("const", resilience.Constant{Value: 5}, serve.ModelInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(serve.Config{Registry: reg})
+	srv, err := serve.New(serve.Config{Registry: reg, DB: tDB()})
 	if err != nil {
 		t.Fatal(err)
 	}

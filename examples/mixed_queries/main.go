@@ -16,6 +16,7 @@ import (
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
+	"qfe/internal/exec"
 	"qfe/internal/metrics"
 	"qfe/internal/ml/gb"
 	"qfe/internal/sqlparse"
@@ -25,16 +26,22 @@ import (
 
 func main() {
 	// --- Part 1: the paper's worked example (Section 3.3). ---
-	// Attributes A in [-9, 50], B in [0, 115], C in {1, 2}; n = 12.
-	meta := core.NewTableMetaFromAttrs("t", []core.AttrMeta{
-		{Name: "A", Min: -9, Max: 50},
-		{Name: "B", Min: 0, Max: 115},
-		{Name: "C", Min: 1, Max: 2},
-	}, 12)
-	f := core.NewComplex(meta, core.Options{MaxEntriesPerAttr: 12, AttrSel: true})
+	// Attributes A in [-9, 50], B in [0, 115], C in {1, 2}; n = 12. The
+	// query is bound against the table first: exec.Bind stamps each
+	// predicate with its column, which is what the featurizer reads.
+	t := table.New("t")
+	t.MustAddColumn(table.NewColumn("A", []int64{-9, 50}))
+	t.MustAddColumn(table.NewColumn("B", []int64{0, 115}))
+	t.MustAddColumn(table.NewColumn("C", []int64{1, 2}))
+	tdb := table.NewDB()
+	tdb.MustAdd(t)
+	f := core.NewComplex(core.NewTableMeta(t, 12), core.Options{MaxEntriesPerAttr: 12, AttrSel: true})
 
 	q := sqlparse.MustParse(
 		"SELECT count(*) FROM t WHERE (A > -2 AND A <= 30 AND A <> 7 OR A >= 42) AND B >= 40")
+	if err := exec.Bind(q, tdb); err != nil {
+		log.Fatal(err)
+	}
 	vec, err := f.Featurize(q.Where)
 	if err != nil {
 		log.Fatal(err)

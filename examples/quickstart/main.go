@@ -64,9 +64,14 @@ func main() {
 	fmt.Printf("trained GB + conjunctive on %d queries (%.1f kB model)\n\n",
 		len(train), float64(est.MemoryBytes())/1024)
 
-	// 4a. Estimate a hand-written query.
+	// 4a. Estimate a hand-written query, bound against the database first:
+	// exec.Bind resolves its names and stamps each predicate with its
+	// column, which is what the featurizer reads.
 	q, err := sqlparse.Parse(
 		"SELECT count(*) FROM forest WHERE A1 >= 2600 AND A1 <= 3100 AND A3 > 20 AND A3 <> 25")
+	if err == nil {
+		err = exec.Bind(q, db)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

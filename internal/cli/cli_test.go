@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"qfe/internal/exec"
 	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
 )
@@ -132,6 +133,9 @@ func TestChain(t *testing.T) {
 		{"A1 >= 3 OR A2 <= 7", "row-count heuristic"},
 	} {
 		q := sqlparse.MustParse("SELECT count(*) FROM forest WHERE " + tc.where)
+		if err := exec.Bind(q, env.DB); err != nil {
+			t.Fatal(err)
+		}
 		if res := chain.EstimateDetailed(context.Background(), q); res.Stage != tc.stage || res.Estimate < 1 {
 			t.Errorf("%s: %+v, want an estimate from %s", tc.where, res, tc.stage)
 		}

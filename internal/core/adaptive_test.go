@@ -57,7 +57,7 @@ func TestAdaptiveMetaUsableByFeaturizers(t *testing.T) {
 	m := NewTableMetaAdaptive(tbl, 64, 2)
 	opts := Options{MaxEntriesPerAttr: 64, AttrSel: true}
 	f := NewConjunctive(m, opts)
-	vec, err := f.Featurize(wherePart(t, "wide >= 100 AND wide <= 2000 AND bin = 1"))
+	vec, err := featurize(f, wherePart(t, "wide >= 100 AND wide <= 2000 AND bin = 1"))
 	if err != nil {
 		t.Fatal(err)
 	}

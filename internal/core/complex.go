@@ -57,18 +57,20 @@ func compound(b *buckets, expr sqlparse.Expr, dst []float64) (float64, error) {
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.kids = append(sc.kids[:0], expr)
-	return sc.attrCompound(b, sc.kids, dst)
+	return sc.attrCompound(b, nil, -1, sc.kids, dst)
 }
 
 // attrCompound is Algorithm 2 for attribute b.a, whose compound predicate is
 // the conjunction of kids, writing into dst (length NEntries, fully
 // overwritten). The DNF terms are folded in interval form as the walk meets
 // them: each literal is placed once, where it appears, and a product term is
-// the meet of two terms.
-func (sc *scratch) attrCompound(b *buckets, kids []sqlparse.Expr, dst []float64) (float64, error) {
+// the meet of two terms. When ai >= 0, b.a is meta's attribute ai, and a
+// predicate over any other stops the fold with errMixed.
+func (sc *scratch) attrCompound(b *buckets, meta *TableMeta, ai int, kids []sqlparse.Expr, dst []float64) (float64, error) {
 	a := b.a
+	sc.meta, sc.ai = meta, ai
 	sc.terms, sc.nes = sc.terms[:0], sc.nes[:0]
-	if err := sc.dnfAnd(b, kids); err != nil {
+	if err := sc.dnfAnd(b, kids, false); err != nil {
 		return 0, fmt.Errorf("core/complex: attribute %q: %w", a.Name, err)
 	}
 	terms := sc.terms
@@ -109,11 +111,14 @@ var errDNFTerms = Unsupported(fmt.Errorf("DNF exceeds %d terms", maxDNFTerms))
 func (sc *scratch) dnf(b *buckets, expr sqlparse.Expr) error {
 	switch n := expr.(type) {
 	case *sqlparse.Pred:
+		if !sc.owns(n) {
+			return errMixed
+		}
 		t := whole(b)
 		sc.and(b, &t, n)
 		sc.terms = append(sc.terms, t)
 	case *sqlparse.And:
-		return sc.dnfAnd(b, n.Kids)
+		return sc.dnfAnd(b, n.Kids, true)
 	case *sqlparse.Or:
 		base := len(sc.terms)
 		for _, k := range n.Kids {
@@ -131,11 +136,16 @@ func (sc *scratch) dnf(b *buckets, expr sqlparse.Expr) error {
 // dnfAnd is dnf for the conjunction of kids. The kids that are simple
 // predicates narrow the stem shared by every term; each remaining kid
 // multiplies the terms so far by its own, earlier kids varying slowest.
-func (sc *scratch) dnfAnd(b *buckets, kids []sqlparse.Expr) error {
+// Unless nested is set, kids are an attribute's conjuncts, chained to it by
+// the grouping, and its simple predicates are not checked again.
+func (sc *scratch) dnfAnd(b *buckets, kids []sqlparse.Expr, nested bool) error {
 	base := len(sc.terms)
 	stem := whole(b)
 	for _, k := range kids {
 		if p, ok := k.(*sqlparse.Pred); ok {
+			if nested && !sc.owns(p) {
+				return errMixed
+			}
 			sc.and(b, &stem, p)
 		}
 	}

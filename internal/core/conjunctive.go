@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -139,18 +138,20 @@ func (p *partitioned) Featurize(expr sqlparse.Expr) ([]float64, error) {
 }
 
 // FeaturizeInto implements Featurizer at fixed per-attribute offsets: one
-// walk chains the top-level conjuncts per attribute, then each attribute's
-// compound predicate is folded into DNF terms in interval form (one term,
-// when it is a plain conjunction), which are max-merged straight into the
-// attribute's block of dst (Algorithms 1 and 2).
+// walk chains the top-level conjuncts per attribute, by the column stamp of
+// each one's first predicate, then each attribute's compound predicate is
+// folded into DNF terms in interval form (one term, when it is a plain
+// conjunction), which are max-merged straight into the attribute's block of
+// dst (Algorithms 1 and 2). The fold checks that every predicate it meets
+// constrains the attribute it folds (Definition 3.3).
 func (p *partitioned) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 	if err := checkDst(p.name, dst, p.Dim()); err != nil {
 		return err
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.group(p.name, p.meta, expr, p.orErr); err != nil {
-		return err
+	if err := sc.group(p.name, p.meta, expr, p.orErr, false); err != nil {
+		return sc.refusal(p.name, p.meta, expr, p.orErr, err)
 	}
 	for ai := range p.bounds {
 		b := &p.bounds[ai]
@@ -167,8 +168,8 @@ func (p *partitioned) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 			fillOnes(block)
 		} else {
 			var err error
-			if sel, err = sc.attrCompound(b, sc.attrKids(ai), block); err != nil {
-				return err
+			if sel, err = sc.attrCompound(b, p.meta, ai, sc.attrKids(ai), block); err != nil {
+				return sc.refusal(p.name, p.meta, expr, p.orErr, err)
 			}
 		}
 		if p.opts.AttrSel {
@@ -196,11 +197,10 @@ type scratch struct {
 	nes              []notEq          // the terms' not-equal literals, placed
 	saved            []saved          // the entries merge puts back
 	ands             []sqlparse.And   // the per-table split of a multi-table query (GlobalFeaturizer)
-	// The last attribute name group resolved, and its index: a compound
-	// predicate names its attribute once per simple predicate, so a run of
-	// equal names costs one lookup.
-	lastName string
-	lastAttr int
+	// The attribute the fold is for: every predicate it meets must be meta's
+	// attribute ai; ai < 0 checks nothing.
+	meta *TableMeta
+	ai   int
 }
 
 // span is a half-open index range into one of the scratch arenas.
@@ -237,31 +237,42 @@ func (sc *scratch) keep() bool {
 }
 
 // group walks the top-level conjunction of expr once and chains every
-// conjunct to the attribute it constrains. A conjunct is a simple predicate
-// or, unless orErr forbids it, a disjunction over a single attribute
-// (Definition 3.3); anything else is an error. A conjunct that names an
-// attribute meta does not have — unknown, or qualified with another table —
-// is refused as Unsupported.
-func (sc *scratch) group(qft string, meta *TableMeta, expr sqlparse.Expr, orErr error) error {
+// conjunct to the attribute its first predicate constrains, read off the
+// column stamp exec.Bind wrote. A conjunct is a simple predicate or, unless
+// orErr forbids it, a disjunction over a single attribute (Definition 3.3);
+// anything else is an error. A predicate without a stamp, or whose stamp
+// names an attribute meta does not have — an unknown column, or one of
+// another table — is refused as Unsupported. With every set, group checks
+// every predicate of every conjunct as it goes, the order in which a query's
+// refusals are reported (see refusal).
+func (sc *scratch) group(qft string, meta *TableMeta, expr sqlparse.Expr, orErr error, every bool) error {
 	sc.conj, sc.next = sc.conj[:0], sc.next[:0]
-	sc.head, sc.tail = sc.head[:0], sc.tail[:0]
-	for range meta.Attrs {
-		sc.head = append(sc.head, -1)
-		sc.tail = append(sc.tail, -1)
+	n := len(meta.Attrs)
+	sc.head, sc.tail = slices.Grow(sc.head[:0], n)[:n], slices.Grow(sc.tail[:0], n)[:n]
+	for i := range sc.head {
+		sc.head[i], sc.tail[i] = -1, -1
 	}
-	sc.lastName, sc.lastAttr = "", -1
-	err := sc.addConjuncts(qft, meta, expr, orErr)
-	sc.lastName = "" // pin no query text in the pool
+	return sc.addConjuncts(qft, meta, expr, orErr, every)
+}
+
+// refusal is the error a query the fast path refused with err is reported
+// with: the first of its conjuncts the grouping refuses, in order of
+// appearance, as if every predicate had been checked before any was folded;
+// else err.
+func (sc *scratch) refusal(qft string, meta *TableMeta, expr sqlparse.Expr, orErr, err error) error {
+	if gerr := sc.group(qft, meta, expr, orErr, true); gerr != nil {
+		return gerr
+	}
 	return err
 }
 
-func (sc *scratch) addConjuncts(qft string, meta *TableMeta, expr sqlparse.Expr, orErr error) error {
+func (sc *scratch) addConjuncts(qft string, meta *TableMeta, expr sqlparse.Expr, orErr error, every bool) error {
 	switch n := expr.(type) {
 	case nil:
 		return nil
 	case *sqlparse.And:
 		for _, k := range n.Kids {
-			if err := sc.addConjuncts(qft, meta, k, orErr); err != nil {
+			if err := sc.addConjuncts(qft, meta, k, orErr, every); err != nil {
 				return err
 			}
 		}
@@ -271,7 +282,7 @@ func (sc *scratch) addConjuncts(qft string, meta *TableMeta, expr sqlparse.Expr,
 			return orErr
 		}
 	}
-	ai, err := sc.conjunctAttr(qft, meta, expr, -1)
+	ai, err := conjunctSlot(qft, meta, expr, -1, every)
 	if err != nil {
 		return err
 	}
@@ -290,20 +301,23 @@ func (sc *scratch) addConjuncts(qft string, meta *TableMeta, expr sqlparse.Expr,
 	return nil
 }
 
-// conjunctAttr resolves the one attribute all predicates under expr
-// reference, given that the predicates seen so far reference attribute ai
-// (-1: none yet).
-func (sc *scratch) conjunctAttr(qft string, meta *TableMeta, expr sqlparse.Expr, ai int) (int, error) {
+// conjunctSlot returns the attribute the first predicate under expr
+// constrains, given that the predicates seen so far constrain attribute ai
+// (-1: none yet). With every set it checks that all of them constrain it.
+func conjunctSlot(qft string, meta *TableMeta, expr sqlparse.Expr, ai int, every bool) (int, error) {
 	var kids []sqlparse.Expr
 	switch n := expr.(type) {
 	case *sqlparse.Pred:
 		if n.Str != nil {
 			return 0, fmt.Errorf("core/%s: unbound string predicate %s", qft, n)
 		}
-		if sc.lastAttr < 0 || n.Attr != sc.lastName {
-			sc.lastName, sc.lastAttr = n.Attr, meta.AttrIndex(n.Attr)
+		if n.Col == 0 {
+			return 0, Unsupported(fmt.Errorf("core/%s: predicate %s is not bound to a column (exec.Bind)", qft, n))
 		}
-		i := sc.lastAttr
+		if meta.slots == nil {
+			return 0, fmt.Errorf("core/%s: table %q is not mapped onto a database's columns (TableMeta.MapColumns)", qft, meta.Name)
+		}
+		i := meta.slot(n)
 		if i < 0 {
 			return 0, Unsupported(fmt.Errorf("core/%s: unknown attribute %q", qft, n.Attr))
 		}
@@ -318,11 +332,20 @@ func (sc *scratch) conjunctAttr(qft string, meta *TableMeta, expr sqlparse.Expr,
 	}
 	for _, k := range kids {
 		var err error
-		if ai, err = sc.conjunctAttr(qft, meta, k, ai); err != nil {
-			return 0, err
+		if ai, err = conjunctSlot(qft, meta, k, ai, every); err != nil || ai >= 0 && !every {
+			return ai, err
 		}
 	}
 	return ai, nil
+}
+
+// errMixed is what the fold stops at when a predicate does not constrain the
+// attribute it folds; refusal reports the query's actual refusal instead.
+var errMixed = Unsupported(errors.New("core: a conjunct mixes attributes"))
+
+// owns reports whether p constrains the attribute the fold is for.
+func (sc *scratch) owns(p *sqlparse.Pred) bool {
+	return sc.ai < 0 || sc.meta.slot(p) == sc.ai
 }
 
 // attrKids gathers attribute ai's conjuncts, in order of appearance.
@@ -377,7 +400,7 @@ type term struct {
 	// (a refinement over the paper's pseudocode, which tracks bounds only for
 	// range operators). They are empty when maxA < minA.
 	minA, maxA int64
-	nes        span  // the in-domain <> literals, in scratch.nes
+	nes        span  // the distinct in-domain <> literals in ascending order, in scratch.nes
 	bad        error // what Algorithm 1 refuses first, in predicate order
 }
 
@@ -412,8 +435,8 @@ func (t *term) below(k int32, split bool) {
 }
 
 // and narrows t by p (Algorithm 1): every operator but <> admits an interval
-// of values, placed by b's table where it cuts the domain. t's <> literals, if
-// any, must end sc.nes.
+// of values, placed by b's table where it cuts the domain; a <> literal is
+// inserted in order, once. t's <> literals, if any, must end sc.nes.
 func (sc *scratch) and(b *buckets, t *term, p *sqlparse.Pred) {
 	if t.bad != nil {
 		return
@@ -427,11 +450,7 @@ func (sc *scratch) and(b *buckets, t *term, p *sqlparse.Pred) {
 	case p.Op == sqlparse.OpNe:
 		if val >= a.Min && val <= a.Max {
 			k := b.of(val)
-			if t.nes.lo == t.nes.hi {
-				t.nes = span{int32(len(sc.nes)), int32(len(sc.nes))}
-			}
-			sc.nes = append(sc.nes, notEq{val: val, part: int32(k), single: b.lo(k) == b.his[k]})
-			t.nes.hi++
+			sc.addNe(t, notEq{val: val, part: int32(k), single: b.lo(k) == b.his[k]})
 		}
 		return
 	case p.Op == sqlparse.OpEq:
@@ -481,10 +500,33 @@ func (sc *scratch) meet(x, y *term) term {
 	default:
 		lo := int32(len(sc.nes))
 		sc.nes = append(sc.nes, sc.nes[x.nes.lo:x.nes.hi]...)
-		sc.nes = append(sc.nes, sc.nes[y.nes.lo:y.nes.hi]...)
 		t.nes = span{lo, int32(len(sc.nes))}
+		for k := y.nes.lo; k < y.nes.hi; k++ {
+			sc.addNe(&t, sc.nes[k])
+		}
 	}
 	return t
+}
+
+// addNe inserts ne into t's <> literals, which must end sc.nes, keeping them
+// ascending and each value once.
+func (sc *scratch) addNe(t *term, ne notEq) {
+	if t.nes.lo == t.nes.hi {
+		t.nes = span{int32(len(sc.nes)), int32(len(sc.nes))}
+	}
+	i := t.nes.hi
+	for i > t.nes.lo && sc.nes[i-1].val > ne.val {
+		i--
+	}
+	if i > t.nes.lo && sc.nes[i-1].val == ne.val {
+		return
+	}
+	sc.nes = append(sc.nes, ne)
+	for j := t.nes.hi; j > i; j-- {
+		sc.nes[j] = sc.nes[j-1]
+	}
+	sc.nes[i] = ne
+	t.nes.hi++
 }
 
 // merge max-merges t's vector into block (Algorithm 2, line 5). t is 0
@@ -525,19 +567,15 @@ type saved struct {
 }
 
 // sel is t's selectivity estimate under the paper's uniformity assumption
-// (gray lines): the qualifying share of the domain, with the distinct <>
-// literals inside the bounds counted out.
+// (gray lines): the qualifying share of the domain, with the <> literals
+// inside the bounds — distinct, as and and meet keep them — counted out.
 func (sc *scratch) sel(a *AttrMeta, t *term) float64 {
 	if t.maxA < t.minA {
 		return 0
 	}
-	// A literal counts once: sorted (any order of a term's literals is the
-	// term's), if the one before it differs.
-	nes := sc.nes[t.nes.lo:t.nes.hi]
-	slices.SortFunc(nes, func(x, y notEq) int { return cmp.Compare(x.val, y.val) })
 	r := t.maxA - t.minA + 1
-	for i, ne := range nes {
-		if ne.val >= t.minA && ne.val <= t.maxA && (i == 0 || nes[i-1].val != ne.val) {
+	for _, ne := range sc.nes[t.nes.lo:t.nes.hi] {
+		if ne.val >= t.minA && ne.val <= t.maxA {
 			r--
 		}
 	}

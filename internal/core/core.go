@@ -27,9 +27,14 @@
 // unchanged by the gradient-boosting, feed-forward, and MSCN models in
 // internal/ml. The package also provides the join adapters of
 // Sections 2.1.2 and 4.2 (global-model table bit-vectors and MSCN predicate
-// sets), the lossless-featurization decoder used to verify Definition 3.1
-// and Lemma 3.2 in tests, and the Section 6 extensions (GROUP BY vectors,
-// string-prefix featurization via dictionary order).
+// sets) and the Section 6 extensions (GROUP BY vectors, string-prefix
+// featurization via dictionary order). The lossless-featurization decoder
+// that verifies Definition 3.1 and Lemma 3.2 lives with its tests
+// (decode_test.go).
+//
+// The featurizers read which attribute a predicate constrains off the column
+// stamp exec.Bind writes (sqlparse.Pred.Col): a query is bound before it is
+// featurized, and a predicate nobody bound is refused as Unsupported.
 package core
 
 import (
@@ -157,6 +162,56 @@ type TableMeta struct {
 	Name  string
 	Attrs []AttrMeta
 	index map[string]int
+	// slots maps a predicate's column stamp (sqlparse.Pred.Col, written by
+	// exec.Bind) to the attribute it constrains: slots[stamp-1] is the
+	// attribute's index in Attrs, -1 for a column the meta does not cover.
+	// A meta built from a table is mapped onto it at construction; one built
+	// from attributes or a spec has no map until MapColumns gives it one.
+	slots []int32
+}
+
+// MapColumns maps the meta's column stamps onto t's columns, so a predicate
+// exec.Bind stamped against t is read as the attribute of its column's name:
+// what a meta built from attributes or a spec needs before it featurizes
+// (Local.ValidateSchema calls it). It returns the first attribute t has no
+// column for, leaving the meta as it was, or "". It must not run while the
+// meta featurizes.
+func (m *TableMeta) MapColumns(t *table.Table) (missing string) {
+	slots := make([]int32, t.NumCols())
+	for i := range slots {
+		slots[i] = -1
+	}
+	for ai, a := range m.Attrs {
+		c := t.ColumnIndex(a.Name)
+		if c < 0 {
+			return a.Name
+		}
+		slots[c] = int32(ai)
+	}
+	m.slots = slots
+	return ""
+}
+
+// slot returns the attribute p constrains, read off its column stamp, or -1:
+// p is unstamped, its column is one the meta does not cover, or it is
+// qualified with another table. A bare name's stamp is read as the meta's
+// table's column with no second look at the name: exec.Bind resolved it
+// against the query's one table, and a query's WHERE (or its per-table
+// share) is handed to its own table's featurizer.
+func (m *TableMeta) slot(p *sqlparse.Pred) int {
+	if c := uint(p.Col) - 1; c < uint(len(m.slots)) {
+		if ai := int(m.slots[c]); ai >= 0 && (!p.Qualified || m.qualifies(p.Attr, ai)) {
+			return ai
+		}
+	}
+	return -1
+}
+
+// qualifies reports whether attr is attribute ai's name qualified with the
+// meta's table.
+func (m *TableMeta) qualifies(attr string, ai int) bool {
+	dot := strings.IndexByte(attr, '.')
+	return dot >= 0 && attr[:dot] == m.Name && attr[dot+1:] == m.Attrs[ai].Name
 }
 
 // Options configures QFT construction.
@@ -202,6 +257,7 @@ func NewTableMeta(t *table.Table, n int) *TableMeta {
 		m.index[a.Name] = len(m.Attrs)
 		m.Attrs = append(m.Attrs, a)
 	}
+	m.MapColumns(t)
 	return m
 }
 
@@ -281,6 +337,7 @@ func NewTableMetaPartitioned(t *table.Table, n int, part Partitioner) (*TableMet
 		m.index[a.Name] = len(m.Attrs)
 		m.Attrs = append(m.Attrs, a)
 	}
+	m.MapColumns(t)
 	return m, nil
 }
 
@@ -337,12 +394,14 @@ func NewTableMetaAdaptive(t *table.Table, budget, minEntries int) *TableMeta {
 		m.index[a.Name] = len(m.Attrs)
 		m.Attrs = append(m.Attrs, a)
 	}
+	m.MapColumns(t)
 	return m
 }
 
 // NewTableMetaFromAttrs builds metadata from explicit attribute bounds; used
 // when the raw data is not materialized (e.g. metadata shipped with a
-// trained model).
+// trained model). It featurizes bound queries once MapColumns has mapped it
+// onto their table.
 func NewTableMetaFromAttrs(name string, attrs []AttrMeta, n int) *TableMeta {
 	if n < 1 {
 		n = 1
@@ -377,7 +436,8 @@ func (m *TableMeta) Spec() MetaSpec {
 }
 
 // NewTableMetaFromSpec restores a TableMeta from its serialized form; the
-// per-attribute entry counts and boundaries are trusted as stored.
+// per-attribute entry counts and boundaries are trusted as stored. It
+// featurizes bound queries once MapColumns has mapped it onto their table.
 func NewTableMetaFromSpec(spec MetaSpec) (*TableMeta, error) {
 	m := &TableMeta{Name: spec.Name, index: make(map[string]int, len(spec.Attrs))}
 	for _, a := range spec.Attrs {
@@ -408,19 +468,15 @@ func NewTableMetaFromSpec(spec MetaSpec) (*TableMeta, error) {
 // ("table.column") match either exactly or, when the qualifier equals the
 // meta's table name, by their column part.
 func (m *TableMeta) Attr(name string) (AttrMeta, bool) {
-	if i, ok := m.index[name]; ok {
+	if i := m.AttrIndex(name); i >= 0 {
 		return m.Attrs[i], true
-	}
-	if dot := strings.IndexByte(name, '.'); dot >= 0 && name[:dot] == m.Name {
-		if i, ok := m.index[name[dot+1:]]; ok {
-			return m.Attrs[i], true
-		}
 	}
 	return AttrMeta{}, false
 }
 
 // AttrIndex returns the position of the named attribute in the meta's
-// attribute order, or -1.
+// attribute order, or -1. The featurizers do not call it: they read the
+// attribute off the column stamp exec.Bind wrote.
 func (m *TableMeta) AttrIndex(name string) int {
 	if i, ok := m.index[name]; ok {
 		return i

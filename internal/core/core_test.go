@@ -131,7 +131,7 @@ func TestConjunctivePaperExample(t *testing.T) {
 	meta := paperMeta()
 	f := NewConjunctive(meta, Options{MaxEntriesPerAttr: 12, AttrSel: false})
 	expr := wherePart(t, "A < 7 AND B >= 30 AND B <= 100 AND B <> 66")
-	got, err := f.Featurize(expr)
+	got, err := featurize(f, expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestConjunctiveAttrSelAppended(t *testing.T) {
 	meta := paperMeta()
 	f := NewConjunctive(meta, Options{MaxEntriesPerAttr: 12, AttrSel: true})
 	expr := wherePart(t, "A < 7 AND B >= 30 AND B <= 100 AND B <> 66")
-	got, err := f.Featurize(expr)
+	got, err := featurize(f, expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestComplexPaperExample(t *testing.T) {
 	meta := paperMeta()
 	f := NewComplex(meta, Options{MaxEntriesPerAttr: 12, AttrSel: false})
 	expr := wherePart(t, "(A > -2 AND A <= 30 AND A <> 7 OR A >= 42) AND B >= 40")
-	got, err := f.Featurize(expr)
+	got, err := featurize(f, expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +228,11 @@ func TestComplexEqualsConjunctiveOnConjunctiveInput(t *testing.T) {
 		"B > 10 AND B < 90 AND B <> 50 AND B <> 51",
 	} {
 		expr := wherePart(t, src)
-		v1, err := conj.Featurize(expr)
+		v1, err := featurize(conj, expr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := comp.Featurize(expr)
+		v2, err := featurize(comp, expr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestComplexEqualsConjunctiveOnConjunctiveInput(t *testing.T) {
 func TestConjunctiveNoPredicatesIsAllOnes(t *testing.T) {
 	meta := paperMeta()
 	f := NewConjunctive(meta, Options{MaxEntriesPerAttr: 12, AttrSel: true})
-	got, err := f.Featurize(nil)
+	got, err := featurize(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestConjunctiveSmallDomainBinaryOnly(t *testing.T) {
 		{"C <= 1", []float64{1, 0}},
 		{"C > 1", []float64{0, 1}},
 	} {
-		got, err := f.Featurize(wherePart(t, tc.src))
+		got, err := featurize(f, wherePart(t, tc.src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestConjunctiveEqualityCoarse(t *testing.T) {
 	// fill its bucket [6, 10]).
 	meta := paperMeta()
 	f := NewConjunctive(meta, Options{MaxEntriesPerAttr: 12, AttrSel: true})
-	got, err := f.Featurize(wherePart(t, "A = 7"))
+	got, err := featurize(f, wherePart(t, "A = 7"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestConjunctiveContradiction(t *testing.T) {
 	// selectivity.
 	meta := paperMeta()
 	f := NewConjunctive(meta, Options{MaxEntriesPerAttr: 12, AttrSel: true})
-	got, err := f.Featurize(wherePart(t, "A < 0 AND A > 10"))
+	got, err := featurize(f, wherePart(t, "A < 0 AND A > 10"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestConjunctiveOutOfDomainLiterals(t *testing.T) {
 	f := NewConjunctive(meta, Options{MaxEntriesPerAttr: 12, AttrSel: true})
 
 	// A > 100 (beyond max): nothing qualifies.
-	got, err := f.Featurize(wherePart(t, "A > 100"))
+	got, err := featurize(f, wherePart(t, "A > 100"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestConjunctiveOutOfDomainLiterals(t *testing.T) {
 	}
 
 	// A < -100 (below min): nothing qualifies.
-	got, err = f.Featurize(wherePart(t, "A < -100"))
+	got, err = featurize(f, wherePart(t, "A < -100"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestConjunctiveOutOfDomainLiterals(t *testing.T) {
 	}
 
 	// A > -100 (below min): everything qualifies.
-	got, err = f.Featurize(wherePart(t, "A > -100"))
+	got, err = featurize(f, wherePart(t, "A > -100"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestConjunctiveOutOfDomainLiterals(t *testing.T) {
 	}
 
 	// A = 1000 (outside domain): impossible.
-	got, err = f.Featurize(wherePart(t, "A = 1000"))
+	got, err = featurize(f, wherePart(t, "A = 1000"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestConjunctiveOutOfDomainLiterals(t *testing.T) {
 	}
 
 	// A <> 1000 (outside domain): no effect.
-	got, err = f.Featurize(wherePart(t, "A <> 1000"))
+	got, err = featurize(f, wherePart(t, "A <> 1000"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,14 +373,14 @@ func TestConjunctiveOutOfDomainLiterals(t *testing.T) {
 
 func TestConjunctiveRejectsDisjunction(t *testing.T) {
 	f := NewConjunctive(paperMeta(), DefaultOptions())
-	if _, err := f.Featurize(wherePart(t, "A = 1 OR A = 2")); err == nil {
+	if _, err := featurize(f, wherePart(t, "A = 1 OR A = 2")); err == nil {
 		t.Error("Universal Conjunction Encoding must reject disjunctions")
 	}
 }
 
 func TestComplexRejectsCrossAttributeOr(t *testing.T) {
 	f := NewComplex(paperMeta(), DefaultOptions())
-	if _, err := f.Featurize(wherePart(t, "A = 1 OR B = 2")); err == nil {
+	if _, err := featurize(f, wherePart(t, "A = 1 OR B = 2")); err == nil {
 		t.Error("Limited Disjunction Encoding must reject non-mixed queries")
 	}
 }
@@ -393,7 +393,7 @@ func TestUnknownAttributeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Featurize(wherePart(t, "nosuch = 1")); err == nil {
+		if _, err := featurize(f, wherePart(t, "nosuch = 1")); err == nil {
 			t.Errorf("%s: expected error for unknown attribute", name)
 		}
 	}
@@ -412,7 +412,7 @@ func TestSimpleEncodingLayout(t *testing.T) {
 		t.Fatalf("Dim = %d, want 12", f.Dim())
 	}
 	// A > 5 AND B = 7 from Section 2.1.1 (adapted to this table's domains).
-	got, err := f.Featurize(wherePart(t, "A > 5 AND B = 7"))
+	got, err := featurize(f, wherePart(t, "A > 5 AND B = 7"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestSimpleOpProjections(t *testing.T) {
 		{"A <> 5", []float64{0, 1, 1}},
 	}
 	for _, tc := range cases {
-		got, err := f.Featurize(wherePart(t, tc.src))
+		got, err := featurize(f, wherePart(t, tc.src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,11 +453,11 @@ func TestSimpleOpProjections(t *testing.T) {
 // the first — two very different queries collide onto one vector.
 func TestSimpleInformationLoss(t *testing.T) {
 	f := NewSimple(paperMeta())
-	wide, err := f.Featurize(wherePart(t, "A > 5"))
+	wide, err := featurize(f, wherePart(t, "A > 5"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := f.Featurize(wherePart(t, "A > 5 AND A < 8"))
+	narrow, err := featurize(f, wherePart(t, "A > 5 AND A < 8"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestSimpleInformationLoss(t *testing.T) {
 
 func TestSimpleRejectsDisjunction(t *testing.T) {
 	f := NewSimple(paperMeta())
-	if _, err := f.Featurize(wherePart(t, "A = 1 OR A = 2")); err == nil {
+	if _, err := featurize(f, wherePart(t, "A = 1 OR A = 2")); err == nil {
 		t.Error("Singular Predicate Encoding must reject disjunctions")
 	}
 }
@@ -477,7 +477,7 @@ func TestRangeEncoding(t *testing.T) {
 	if f.Dim() != 6 {
 		t.Fatalf("Dim = %d, want 6", f.Dim())
 	}
-	got, err := f.Featurize(wherePart(t, "A >= 0 AND A < 10 AND B = 50"))
+	got, err := featurize(f, wherePart(t, "A >= 0 AND A < 10 AND B = 50"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,11 +498,11 @@ func TestRangeEncoding(t *testing.T) {
 func TestRangeIntersectsMultiplePredicates(t *testing.T) {
 	// Several range predicates on one attribute intersect losslessly.
 	f := NewRange(paperMeta())
-	a, err := f.Featurize(wherePart(t, "A >= 0 AND A <= 20 AND A >= 5"))
+	a, err := featurize(f, wherePart(t, "A >= 0 AND A <= 20 AND A >= 5"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.Featurize(wherePart(t, "A >= 5 AND A <= 20"))
+	b, err := featurize(f, wherePart(t, "A >= 5 AND A <= 20"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,11 +513,11 @@ func TestRangeIntersectsMultiplePredicates(t *testing.T) {
 // loss: <> predicates vanish (the Figure 3 spike at three predicates).
 func TestRangeDropsNotEqual(t *testing.T) {
 	f := NewRange(paperMeta())
-	with, err := f.Featurize(wherePart(t, "A >= 0 AND A <= 20 AND A <> 10"))
+	with, err := featurize(f, wherePart(t, "A >= 0 AND A <= 20 AND A <> 10"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := f.Featurize(wherePart(t, "A >= 0 AND A <= 20"))
+	without, err := featurize(f, wherePart(t, "A >= 0 AND A <= 20"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestRangeDropsNotEqual(t *testing.T) {
 
 func TestRangeEmptyRangeEncoding(t *testing.T) {
 	f := NewRange(paperMeta())
-	got, err := f.Featurize(wherePart(t, "A > 10 AND A < 5"))
+	got, err := featurize(f, wherePart(t, "A > 10 AND A < 5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,11 +549,11 @@ func TestFeaturizersAreDeterministic(t *testing.T) {
 		if name == "complex" {
 			e = expr
 		}
-		v1, err := f.Featurize(e)
+		v1, err := featurize(f, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := f.Featurize(e)
+		v2, err := featurize(f, e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func TestWithGroupBy(t *testing.T) {
 		t.Errorf("Name = %q", w.Name())
 	}
 	expr := wherePart(t, "A < 7")
-	vec, err := w.FeaturizeQuery(expr, []string{"C"})
+	vec, err := w.FeaturizeQuery(stampByName(meta, expr), []string{"C"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestWithGroupBy(t *testing.T) {
 		t.Errorf("grouping block = %v, want [0 0 1]", gb)
 	}
 	// Featurize (no grouping) must leave the block zero.
-	vec2, err := w.Featurize(expr)
+	vec2, err := featurize(w, expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPrefixPredsFeaturizable(t *testing.T) {
 	meta := NewTableMeta(tbl, 26)
 	f := NewConjunctive(meta, Options{MaxEntriesPerAttr: 26, AttrSel: true})
 	expr := PrefixPreds("s", "ap", col.Dict)
-	vec, err := f.Featurize(expr)
+	vec, err := featurize(f, expr)
 	if err != nil {
 		t.Fatal(err)
 	}

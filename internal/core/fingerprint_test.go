@@ -110,7 +110,9 @@ func TestFingerprintMatchesFeaturization(t *testing.T) {
 	}
 	for _, p := range pairs {
 		qa := mustParseQ(t, "SELECT count(*) FROM t WHERE "+p[0])
+		stampByName(meta, qa.Where)
 		qb := mustParseQ(t, "SELECT count(*) FROM t WHERE "+p[1])
+		stampByName(meta, qb.Where)
 		if Fingerprint(qa) != Fingerprint(qb) {
 			t.Fatalf("pair %q / %q should share a fingerprint", p[0], p[1])
 		}

@@ -61,7 +61,7 @@ func TestFeaturizeIntoMatchesOracle(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					poison(dst)
-					if err := f.FeaturizeInto(dst, expr); err != nil {
+					if err := featurizeInto(f, dst, expr); err != nil {
 						t.Fatalf("%s: FeaturizeInto: %v", name, err)
 					}
 					sameVec(t, trial, name, want, dst)
@@ -72,7 +72,7 @@ func TestFeaturizeIntoMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: nil expr: %v", name, err)
 				}
 				poison(dst)
-				if err := f.FeaturizeInto(dst, nil); err != nil {
+				if err := featurizeInto(f, dst, nil); err != nil {
 					t.Fatalf("%s: FeaturizeInto nil expr: %v", name, err)
 				}
 				sameVec(t, -1, name+"/nil", want, dst)
@@ -98,7 +98,7 @@ func TestFeaturizeIntoMatchesOracleMixed(t *testing.T) {
 				t.Fatal(err)
 			}
 			poison(dst)
-			if err := f.FeaturizeInto(dst, expr); err != nil {
+			if err := featurizeInto(f, dst, expr); err != nil {
 				t.Fatal(err)
 			}
 			sameVec(t, trial, "complex/mixed", want, dst)
@@ -123,7 +123,7 @@ func TestFeaturizeIntoRepeatedAttrsSimple(t *testing.T) {
 			t.Fatal(err)
 		}
 		poison(dst)
-		if err := f.FeaturizeInto(dst, expr); err != nil {
+		if err := featurizeInto(f, dst, expr); err != nil {
 			t.Fatal(err)
 		}
 		sameVec(t, trial, "simple/repeat", want, dst)
@@ -140,12 +140,12 @@ func TestFeaturizeIntoGroupByWrapper(t *testing.T) {
 	dst := make([]float64, w.Dim())
 	for trial := 0; trial < 200; trial++ {
 		expr := randConjunction(rng, meta, 4)
-		want, err := w.Featurize(expr)
+		want, err := featurize(w, expr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		poison(dst)
-		if err := w.FeaturizeInto(dst, expr); err != nil {
+		if err := featurizeInto(w, dst, expr); err != nil {
 			t.Fatal(err)
 		}
 		sameVec(t, trial, "groupby", want, dst)
@@ -174,7 +174,7 @@ func TestFeaturizeIntoGlobal(t *testing.T) {
 				t.Fatalf("%s: %v", qft, err)
 			}
 			poison(dst)
-			if err := g.FeaturizeInto(dst, q); err != nil {
+			if err := g.FeaturizeInto(dst, stampQuery(metas, q)); err != nil {
 				t.Fatalf("%s: %v", qft, err)
 			}
 			sameVec(t, 0, qft+"/global:"+sql, want, dst)
@@ -201,12 +201,12 @@ func TestFeaturizeIntoErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.FeaturizeInto(make([]float64, f.Dim()+1), nil); err == nil {
+		if err := featurizeInto(f, make([]float64, f.Dim()+1), nil); err == nil {
 			t.Errorf("%s: oversized destination accepted", name)
 		}
 		for _, bad := range []sqlparse.Expr{disj, unknown, unbound} {
 			_, refErr := oracleFeaturize(f, bad)
-			intoErr := f.FeaturizeInto(make([]float64, f.Dim()), bad)
+			intoErr := featurizeInto(f, make([]float64, f.Dim()), bad)
 			if (refErr == nil) != (intoErr == nil) {
 				t.Errorf("%s: oracle err %v but FeaturizeInto err %v", name, refErr, intoErr)
 			}

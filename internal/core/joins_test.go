@@ -40,7 +40,7 @@ func TestGlobalFeaturizerLayout(t *testing.T) {
 		t.Fatalf("Dim = %d, want 38", g.Dim())
 	}
 	q := sqlparse.MustParse("SELECT count(*) FROM title, cast_info WHERE title.id = cast_info.movie_id AND title.year >= 2000 AND cast_info.role_id = 1")
-	vec, err := g.Featurize(q)
+	vec, err := g.Featurize(stampQuery(metas, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestGlobalFeaturizerLayout(t *testing.T) {
 	// Single-table query: absent table contributes an all-zero block, and
 	// its table bit is 0.
 	q2 := sqlparse.MustParse("SELECT count(*) FROM title WHERE year >= 2000")
-	vec2, err := g.Featurize(q2)
+	vec2, err := g.Featurize(stampQuery(metas, q2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestGlobalFeaturizerDistinguishesPresenceFromNoPredicate(t *testing.T) {
 	// cast_info participates but carries no predicates: its block must be
 	// the no-predicate (all-one) encoding, not the absent (all-zero) one.
 	q := sqlparse.MustParse("SELECT count(*) FROM title, cast_info WHERE title.id = cast_info.movie_id AND title.year >= 2000")
-	vec, err := g.Featurize(q)
+	vec, err := g.Featurize(stampQuery(metas, q))
 	if err != nil {
 		t.Fatal(err)
 	}

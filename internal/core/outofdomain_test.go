@@ -56,7 +56,7 @@ func TestLiteralsOutsideTheDomain(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						vec, err := f.Featurize(expr)
+						vec, err := featurize(f, expr)
 						if err != nil {
 							t.Fatalf("%s (%s): %v", label, qft, err)
 						}

@@ -109,7 +109,7 @@ func TestPartitionedDecodedBoundsBracketTruth(t *testing.T) {
 	f := NewConjunctive(meta, opts)
 	for trial := 0; trial < 150; trial++ {
 		expr := randConjunction(rng, meta, 4)
-		vec, err := f.Featurize(expr)
+		vec, err := featurize(f, expr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestEquiDepthTightensBoundsOnSkew(t *testing.T) {
 		qrng := rand.New(rand.NewSource(8))
 		for trial := 0; trial < 200; trial++ {
 			expr := anchoredRange(qrng)
-			vec, err := f.Featurize(expr)
+			vec, err := featurize(f, expr)
 			if err != nil {
 				t.Fatal(err)
 			}

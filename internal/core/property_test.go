@@ -88,7 +88,7 @@ func TestLosslessnessAtFullResolution(t *testing.T) {
 
 	for trial := 0; trial < 300; trial++ {
 		expr := randConjunction(rng, meta, 6)
-		vec, err := f.Featurize(expr)
+		vec, err := featurize(f, expr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestLosslessnessComplexAtFullResolution(t *testing.T) {
 		if expr == nil {
 			continue
 		}
-		vec, err := f.Featurize(expr)
+		vec, err := featurize(f, expr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestDecodedBoundsBracketTruth(t *testing.T) {
 		f := NewConjunctive(meta, opts)
 		for trial := 0; trial < 100; trial++ {
 			expr := randConjunction(rng, meta, 5)
-			vec, err := f.Featurize(expr)
+			vec, err := featurize(f, expr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,11 +209,11 @@ func TestLemma32Convergence(t *testing.T) {
 	fb := NewConjunctive(metaB, optsB)
 	for trial := 0; trial < 100; trial++ {
 		expr := randConjunction(rng, metaA, 5)
-		va, err := fa.Featurize(expr)
+		va, err := featurize(fa, expr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vb, err := fb.Featurize(expr)
+		vb, err := featurize(fb, expr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,11 +239,11 @@ func TestConjunctionMonotonicity(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		base := randConjunction(rng, meta, 4)
 		extra := randConjunction(rng, meta, 1)
-		vBase, err := f.Featurize(base)
+		vBase, err := featurize(f, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vMore, err := f.Featurize(sqlparse.NewAnd(base, extra))
+		vMore, err := featurize(f, sqlparse.NewAnd(base, extra))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestPartitionSemanticsAgainstData(t *testing.T) {
 			a := meta.Attrs[rng.Intn(len(meta.Attrs))]
 			sub := NewTableMetaFromAttrs("t", []AttrMeta{{Name: a.Name, Min: a.Min, Max: a.Max}}, n)
 			expr := randConjunction(rng, sub, 4)
-			vec, err := f.Featurize(expr)
+			vec, err := featurize(f, expr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -441,7 +441,7 @@ func TestFeaturizeManyAttrsStress(t *testing.T) {
 		&sqlparse.Pred{Attr: "c07", Op: sqlparse.OpGe, Val: 10},
 		&sqlparse.Pred{Attr: "c13", Op: sqlparse.OpLt, Val: 5},
 	)
-	vec, err := f.Featurize(expr)
+	vec, err := featurize(f, expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,11 +574,11 @@ func TestDistributedAndFeaturizesAlike(t *testing.T) {
 			want := vecAndSel(t, label, vec, sel, err)
 			vec, sel, err = FeaturizeAttrCompound(a, distributed)
 			sameBits(t, label, want, vecAndSel(t, label, vec, sel, err))
-			wantQ, err := f.Featurize(factored)
+			wantQ, err := featurize(f, factored)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			gotQ, err := f.Featurize(distributed)
+			gotQ, err := featurize(f, distributed)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -51,7 +51,7 @@ func (r *Range) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.group("range", r.meta, expr, errRangeOr); err != nil {
+	if err := sc.group("range", r.meta, expr, errRangeOr, false); err != nil {
 		return err
 	}
 	for i, a := range r.meta.Attrs {

@@ -53,7 +53,7 @@ func (s *Simple) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.group("simple", s.meta, expr, errSimpleOr); err != nil {
+	if err := sc.group("simple", s.meta, expr, errSimpleOr, false); err != nil {
 		return err
 	}
 	clear(dst)

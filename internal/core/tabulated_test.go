@@ -283,7 +283,7 @@ func diffPartitioned(t *testing.T, label string, meta *TableMeta, exprs []sqlpar
 			got, want, terms := make([]float64, p.Dim()), make([]float64, p.Dim()), make([]float64, p.Dim())
 			for i, expr := range exprs {
 				poison(got)
-				err := p.FeaturizeInto(got, expr)
+				err := featurizeInto(p, got, expr)
 				wantErr := untabulatedFeaturizeInto(p, want, expr)
 				termsErr := termsFeaturizeInto(p, terms, expr)
 				where := fmt.Sprintf("%s %s attrSel=%v expr %d (%s)", label, p.name, attrSel, i, expr)
@@ -515,7 +515,7 @@ func TestWholeWhereMatchesSplit(t *testing.T) {
 				expr = q.Where
 				singles++
 			}
-			if err := p.FeaturizeInto(got, expr); err != nil {
+			if err := featurizeInto(p, got, expr); err != nil {
 				t.Fatalf("query %d (%s), table %s: %v", i, q, tn, err)
 			}
 			sameBits(t, fmt.Sprintf("query %d (%s), table %s", i, q, tn), want, got)

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"unsafe"
 
+	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
+	"qfe/internal/table"
 )
 
 // The oracle of the interval form: the partitioned featurizers' body as it
@@ -31,13 +33,13 @@ type termScratch struct {
 }
 
 // termsFeaturizeInto is partitioned.FeaturizeInto over the replaced body,
-// after the same grouping walk.
+// after the by-name grouping walk.
 func termsFeaturizeInto(p *partitioned, dst []float64, expr sqlparse.Expr) error {
 	if err := checkDst(p.name, dst, p.Dim()); err != nil {
 		return err
 	}
 	sc, ts := new(scratch), new(termScratch)
-	if err := sc.group(p.name, p.meta, expr, p.orErr); err != nil {
+	if err := byNameGroup(sc, p.name, p.meta, expr, p.orErr); err != nil {
 		return err
 	}
 	for ai := range p.bounds {
@@ -450,12 +452,27 @@ func fuzzMeta() *TableMeta {
 	return meta
 }
 
-// FuzzFeaturize parses fuzzed WHERE text over fuzzMeta's schema and
-// featurizes whatever parses with the conjunctive and the complex QFT,
-// selectivity entries on: the interval form and the replaced body
-// (termsFeaturizeInto) must agree on every vector and selectivity bit, or on
-// the error text. Run the corpus as a normal test, or explore with
-// `go test -fuzz=FuzzFeaturize ./internal/core`.
+// fuzzDB holds a table t with fuzzMeta's columns, in its order, to bind the
+// fuzzed queries against.
+func fuzzDB() *table.DB {
+	t := table.New("t")
+	for _, a := range fuzzMeta().Attrs {
+		t.MustAddColumn(table.NewColumn(a.Name, []int64{0}))
+	}
+	db := table.NewDB()
+	db.MustAdd(t)
+	return db
+}
+
+// FuzzFeaturize parses fuzzed WHERE text over fuzzMeta's schema, binds it
+// (exec.Bind) and featurizes whatever parses with all four QFTs, selectivity
+// entries on: each must agree with the by-name oracle (byNameFeaturizeInto)
+// on every vector and selectivity bit, or on the error text, and the
+// interval form also with the replaced body (termsFeaturizeInto). A text
+// Bind refuses — an unknown name, another table's — is stamped by name
+// instead, as a table with more columns would stamp it, so the featurizers'
+// own refusals stay fuzzed. Run the corpus as a normal test, or explore
+// with `go test -fuzz=FuzzFeaturize ./internal/core`.
 func FuzzFeaturize(f *testing.F) {
 	for _, s := range []string{
 		"u >= 10",
@@ -473,13 +490,20 @@ func FuzzFeaturize(f *testing.F) {
 	} {
 		f.Add(s)
 	}
-	meta := fuzzMeta()
+	meta, db := fuzzMeta(), fuzzDB()
+	meta.MapColumns(db.Table("t"))
 	opts := Options{MaxEntriesPerAttr: 32, AttrSel: true}
 	feats := []*partitioned{&NewConjunctive(meta, opts).partitioned, &NewComplex(meta, opts).partitioned}
 	f.Fuzz(func(t *testing.T, where string) {
 		q, err := sqlparse.Parse("SELECT count(*) FROM t WHERE " + where)
 		if err != nil {
 			return
+		}
+		if exec.Bind(q, db) != nil {
+			stampByName(meta, q.Where)
+		}
+		for _, f := range allQFTs(meta) {
+			diffByName(t, fmt.Sprintf("%q", where), f, []sqlparse.Expr{q.Where})
 		}
 		for _, p := range feats {
 			got, want := make([]float64, p.Dim()), make([]float64, p.Dim())

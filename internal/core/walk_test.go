@@ -61,7 +61,7 @@ func TestWalkMatchesOracleOnMixedWorkload(t *testing.T) {
 				for i, q := range qs {
 					want, wantErr := oracleFeaturize(f, q.Where)
 					poison(dst)
-					err := f.FeaturizeInto(dst, q.Where)
+					err := featurizeInto(f, dst, q.Where)
 					if (wantErr == nil) != (err == nil) {
 						t.Fatalf("%s query %d: oracle err %v, walk err %v\n%s", name, i, wantErr, err, q)
 					}
@@ -183,7 +183,7 @@ func TestSharedFeaturizerConcurrent(t *testing.T) {
 	f := NewComplex(NewTableMeta(forest, 32), Options{MaxEntriesPerAttr: 32, AttrSel: true})
 	want := make([][]float64, len(qs))
 	for i, q := range qs {
-		v, err := f.Featurize(q.Where)
+		v, err := featurize(f, q.Where)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,20 +235,20 @@ func TestBothSpellingsOfOneAttribute(t *testing.T) {
 	} {
 		expr := wherePart(t, where)
 		for _, f := range []Featurizer{NewConjunctive(meta, opts), NewComplex(meta, opts)} {
-			got, err := f.Featurize(expr)
+			got, err := featurize(f, expr)
 			if err != nil {
 				t.Fatalf("%s %q: %v", f.Name(), where, err)
 			}
 			vecEq(t, got, want, f.Name()+" "+where)
 		}
-		got, err := NewRange(meta).Featurize(expr)
+		got, err := featurize(NewRange(meta), expr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		vecEq(t, got, []float64{50.0 / 99, 59.0 / 99}, "range "+where)
 	}
 	// One compound predicate may mix the spellings too.
-	got, err := NewComplex(meta, opts).Featurize(wherePart(t, "t.a = 55 OR a = 5"))
+	got, err := featurize(NewComplex(meta, opts), wherePart(t, "t.a = 55 OR a = 5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +267,13 @@ func TestStrictComparisonAtInt64Extremes(t *testing.T) {
 	ltMin := &sqlparse.Pred{Attr: "a", Op: sqlparse.OpLt, Val: math.MinInt64}
 	for _, f := range []Featurizer{NewConjunctive(meta, opts), NewComplex(meta, opts)} {
 		for _, p := range []*sqlparse.Pred{gtMax, ltMin} {
-			got, err := f.Featurize(p)
+			got, err := featurize(f, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			vecEq(t, got, empty, f.Name()+" "+p.String())
 			// And it stays empty whatever else the conjunction says.
-			got, err = f.Featurize(sqlparse.NewAnd(&sqlparse.Pred{Attr: "a", Op: sqlparse.OpGe, Val: 0}, p, &sqlparse.Pred{Attr: "a", Op: sqlparse.OpNe, Val: 3}))
+			got, err = featurize(f, sqlparse.NewAnd(&sqlparse.Pred{Attr: "a", Op: sqlparse.OpGe, Val: 0}, p, &sqlparse.Pred{Attr: "a", Op: sqlparse.OpNe, Val: 3}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +286,7 @@ func TestStrictComparisonAtInt64Extremes(t *testing.T) {
 			{Attr: "a", Op: sqlparse.OpLt, Val: math.MaxInt64},
 			{Attr: "a", Op: sqlparse.OpGt, Val: math.MinInt64},
 		} {
-			got, err := f.Featurize(p)
+			got, err := featurize(f, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +331,7 @@ func TestDNFBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.Featurize(expr)
+	got, err := featurize(f, expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,14 +341,14 @@ func TestDNFBound(t *testing.T) {
 	if _, err := sqlparse.ToDNF(expr); err == nil {
 		t.Fatal("sqlparse.ToDNF accepted 8192 terms")
 	}
-	if _, err := f.Featurize(expr); err == nil {
+	if _, err := featurize(f, expr); err == nil {
 		t.Fatal("Complex accepted 8192 terms")
 	}
 	var wide []sqlparse.Expr
 	for i := 0; i <= maxDNFTerms; i++ {
 		wide = append(wide, &sqlparse.Pred{Attr: "a", Op: sqlparse.OpEq, Val: int64(i % 100)})
 	}
-	if _, err := f.Featurize(sqlparse.NewOr(wide...)); err == nil {
+	if _, err := featurize(f, sqlparse.NewOr(wide...)); err == nil {
 		t.Fatal("Complex accepted a 4097-way disjunction")
 	}
 }
@@ -385,7 +385,7 @@ func TestShapeErrorsAreUnsupported(t *testing.T) {
 		{NewConjunctive(meta, opts), where("a >= 1 AND other.b <= 3"), `core/conjunctive: unknown attribute "other.b"`},
 		{NewRange(meta), where("t.z = 2"), `core/range: unknown attribute "t.z"`},
 	} {
-		err := tc.f.FeaturizeInto(make([]float64, tc.f.Dim()), tc.expr)
+		err := featurizeInto(tc.f, make([]float64, tc.f.Dim()), tc.expr)
 		if !errors.Is(err, ErrUnsupported) || err.Error() != tc.text {
 			t.Errorf("%s: err = %v, want %q marked ErrUnsupported", tc.f.Name(), err, tc.text)
 		}

@@ -10,6 +10,7 @@ import (
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
+	"qfe/internal/exec"
 	"qfe/internal/metrics"
 	"qfe/internal/ml/gb"
 	"qfe/internal/ml/mscn"
@@ -506,26 +507,53 @@ func TestRefusalsAreUnsupported(t *testing.T) {
 	if err := conj.Train(e.train[:200]); err != nil {
 		t.Fatal(err)
 	}
+	// wide is the forest with one column more than the model was trained on.
+	wide := table.New("forest")
+	for _, col := range e.tbl.Columns() {
+		wide.MustAddColumn(col)
+	}
+	wide.MustAddColumn(table.NewColumn("NOPE", make([]int64, e.tbl.NumRows())))
+	wideDB := table.NewDB()
+	wideDB.MustAdd(wide)
+	bind := func(db *table.DB) func(*sqlparse.Query) {
+		return func(q *sqlparse.Query) {
+			if err := exec.Bind(q, db); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		est  Estimator
 		sql  string
-		text string // the error's prefix
+		bind func(*sqlparse.Query) // nil: the query stays unbound
+		text string                // the error's prefix
 	}{
-		{"no sub-schema model", newLocal("conjunctive"), "SELECT count(*) FROM forest WHERE A1 >= 3",
+		{"no sub-schema model", newLocal("conjunctive"), "SELECT count(*) FROM forest WHERE A1 >= 3", bind(e.db),
 			`estimator: no local model trained for sub-schema "forest"`},
-		{"OR under conjunctive", conj, "SELECT count(*) FROM forest WHERE A1 <= 2000 OR A1 >= 3000",
+		{"OR under conjunctive", conj, "SELECT count(*) FROM forest WHERE A1 <= 2000 OR A1 >= 3000", bind(e.db),
 			`table "forest": core/conjunctive: disjunctions require Limited Disjunction Encoding`},
 		// A one-table WHERE reaches the featurizer whole, so a name it cannot
-		// place is refused, not dropped by a per-table split.
-		{"unknown attribute", conj, "SELECT count(*) FROM forest WHERE A1 >= 3 AND NOPE = 5",
+		// place is refused, not dropped by a per-table split: a column the
+		// model's table did not have, a column of another table stamped with
+		// a column of this one, a predicate nobody bound.
+		{"unknown attribute", conj, "SELECT count(*) FROM forest WHERE A1 >= 3 AND NOPE = 5", bind(wideDB),
 			`table "forest": core/conjunctive: unknown attribute "NOPE"`},
-		{"attribute of another table", conj, "SELECT count(*) FROM forest WHERE A1 >= 3 AND other.A1 = 5",
-			`table "forest": core/conjunctive: unknown attribute "other.A1"`},
-		{"independence, OR across attributes", &Independence{DB: e.db}, "SELECT count(*) FROM forest WHERE A1 >= 3 OR A2 <= 7",
+		{"attribute of another table", conj, "SELECT count(*) FROM forest WHERE A1 >= 3 AND other.A1 = 5", func(q *sqlparse.Query) {
+			for _, p := range sqlparse.CollectPreds(q.Where) { // as Bind would stamp them against a table other with A1 first
+				p.Col, p.Qualified = int32(e.tbl.ColumnIndex("A1")+1), strings.Contains(p.Attr, ".")
+			}
+		}, `table "forest": core/conjunctive: unknown attribute "other.A1"`},
+		{"unbound predicate", conj, "SELECT count(*) FROM forest WHERE A1 >= 3", nil,
+			`table "forest": core/conjunctive: predicate A1 >= 3 is not bound to a column (exec.Bind)`},
+		{"independence, OR across attributes", &Independence{DB: e.db}, "SELECT count(*) FROM forest WHERE A1 >= 3 OR A2 <= 7", bind(e.db),
 			"estimator: independence baseline requires per-attribute compounds: sqlparse: not a mixed query"},
 	} {
-		_, err := tc.est.Estimate(sqlparse.MustParse(tc.sql))
+		q := sqlparse.MustParse(tc.sql)
+		if tc.bind != nil {
+			tc.bind(q)
+		}
+		_, err := tc.est.Estimate(q)
 		if !errors.Is(err, core.ErrUnsupported) || !strings.HasPrefix(fmt.Sprint(err), tc.text) {
 			t.Errorf("%s: err = %v, want one marked core.ErrUnsupported starting %q", tc.name, err, tc.text)
 		}

@@ -223,7 +223,9 @@ func (l *Local) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, er
 // compatible with db: every table the estimator knows must exist, and every
 // featurized attribute must be a column of that table. A persisted estimator
 // trained on a different schema fails here with a descriptive error at load
-// time instead of failing (or panicking) deep inside estimation.
+// time instead of failing (or panicking) deep inside estimation. On success
+// each meta reads the column stamps exec.Bind writes against db
+// (core.TableMeta.MapColumns), whatever db's column order.
 func (l *Local) ValidateSchema(db *table.DB) error {
 	names := make([]string, 0, len(l.metas))
 	for name := range l.metas {
@@ -236,11 +238,9 @@ func (l *Local) ValidateSchema(db *table.DB) error {
 			return fmt.Errorf("estimator: schema mismatch: estimator was trained on table %q, which the database does not have (tables: %v)",
 				name, db.TableNames())
 		}
-		for _, a := range l.metas[name].Attrs {
-			if t.Column(a.Name) == nil {
-				return fmt.Errorf("estimator: schema mismatch: table %q has no column %q the estimator was trained on (columns: %v)",
-					name, a.Name, t.ColumnNames())
-			}
+		if col := l.metas[name].MapColumns(t); col != "" {
+			return fmt.Errorf("estimator: schema mismatch: table %q has no column %q the estimator was trained on (columns: %v)",
+				name, col, t.ColumnNames())
 		}
 	}
 	return nil

@@ -115,9 +115,11 @@ func marshalRegressor(r Regressor) (json.RawMessage, error) {
 	return nil, fmt.Errorf("regressor %T is not serializable", r)
 }
 
-// LoadLocal restores a trained estimator from r. The returned estimator
-// answers Estimate immediately; Train may be called again to replace the
-// models (e.g. after data drift).
+// LoadLocal restores a trained estimator from r. Its featurizers read the
+// column stamps exec.Bind writes, so it answers Estimate (and Train may be
+// called again to replace the models, e.g. after data drift) once
+// ValidateSchema has mapped it onto the database its queries are bound
+// against; LoadEstimator does that when given one.
 func LoadLocal(r io.Reader) (*Local, error) {
 	var s savedLocal
 	dec := json.NewDecoder(r)

@@ -34,6 +34,9 @@ func TestSaveLoadLocalGB(t *testing.T) {
 		t.Fatal(err)
 	}
 	back, err := LoadLocal(&buf)
+	if err == nil {
+		err = back.ValidateSchema(e.db) // maps the restored metas onto the columns queries are bound against
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,8 @@ func TestSaveLoadLocalGB(t *testing.T) {
 	if back.NumModels() != loc.NumModels() {
 		t.Errorf("restored NumModels = %d, want %d", back.NumModels(), loc.NumModels())
 	}
-	// Restored estimates must be bit-identical — no table access needed.
+	// Restored estimates must be bit-identical — no row access needed, only
+	// the schema the queries were bound against.
 	for _, l := range e.test[:50] {
 		want, err := loc.Estimate(l.Query)
 		if err != nil {
@@ -77,6 +81,9 @@ func TestSaveLoadLocalNN(t *testing.T) {
 		t.Fatal(err)
 	}
 	back, err := LoadLocal(&buf)
+	if err == nil {
+		err = back.ValidateSchema(e.db)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +287,7 @@ func TestFileWorkloadJourney(t *testing.T) {
 	if err := workload.WriteSet(&wl, e.train[:400]); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := workload.ReadSet(&wl)
+	loaded, err := workload.ReadSet(&wl, e.db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +312,9 @@ func TestFileWorkloadJourney(t *testing.T) {
 		t.Fatal(err)
 	}
 	shipped, err := LoadLocal(&model)
+	if err == nil {
+		err = shipped.ValidateSchema(e.db)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"qfe/internal/catalog"
 	"qfe/internal/core"
+	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
 	"qfe/internal/testutil"
 	"qfe/internal/workload"
@@ -173,7 +174,11 @@ func TestEstimateBothSpellingsOfOneAttribute(t *testing.T) {
 			"A1 >= %d AND forest.A1 <= %d",
 			"forest.A1 >= %d AND forest.A1 <= %d",
 		} {
-			est, err := l.Estimate(sqlparse.MustParse(fmt.Sprintf("SELECT count(*) FROM forest WHERE "+where, lo, hi)))
+			q := sqlparse.MustParse(fmt.Sprintf("SELECT count(*) FROM forest WHERE "+where, lo, hi))
+			if err := exec.Bind(q, e.db); err != nil {
+				t.Fatal(err)
+			}
+			est, err := l.Estimate(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +189,11 @@ func TestEstimateBothSpellingsOfOneAttribute(t *testing.T) {
 				t.Errorf("%s: spelling %d estimates %v, all-bare spelling %v", l.Name(), i, est, ests[0])
 			}
 		}
-		oneSided, err := l.Estimate(sqlparse.MustParse(fmt.Sprintf("SELECT count(*) FROM forest WHERE A1 <= %d", hi)))
+		q := sqlparse.MustParse(fmt.Sprintf("SELECT count(*) FROM forest WHERE A1 <= %d", hi))
+		if err := exec.Bind(q, e.db); err != nil {
+			t.Fatal(err)
+		}
+		oneSided, err := l.Estimate(q)
 		if err != nil {
 			t.Fatal(err)
 		}

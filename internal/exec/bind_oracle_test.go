@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"qfe/internal/sqlparse"
@@ -10,8 +11,9 @@ import (
 )
 
 // oracleBind is Bind as it was: every AND/OR node rebuilt bottom-up whether
-// or not a string predicate sits below it. Kept as the differential oracle of
-// TestBindMatchesOracle; only tests call it.
+// or not a string predicate sits below it, every leaf's column resolved on
+// its own. Kept as the differential oracle of TestBindMatchesOracle; only
+// tests call it.
 func oracleBind(q *sqlparse.Query, db *table.DB) error {
 	if q.Where == nil {
 		return nil
@@ -27,20 +29,23 @@ func oracleBind(q *sqlparse.Query, db *table.DB) error {
 func oracleBindExpr(expr sqlparse.Expr, db *table.DB, q *sqlparse.Query) (sqlparse.Expr, error) {
 	switch n := expr.(type) {
 	case *sqlparse.Pred:
-		if n.Str == nil {
-			return n, nil
-		}
-		col, err := oracleResolveColumn(db, q, n.Attr)
+		col, stamp, err := oracleResolveColumn(db, q, n.Attr)
 		if err != nil {
 			return nil, err
+		}
+		qual := strings.Contains(n.Attr, ".")
+		if n.Str == nil {
+			n.Col, n.Qualified = stamp, qual
+			return n, nil
 		}
 		if col.Dict == nil {
 			return nil, fmt.Errorf("exec: string literal %q compared to non-string column %s", *n.Str, n.Attr)
 		}
+		rewrite := &binder{pos: stamp, qual: qual}
 		if n.Like {
-			return bindLikePred(n, col.Dict), nil
+			return rewrite.bindLikePred(n, col.Dict), nil
 		}
-		return bindStringPred(n, col.Dict), nil
+		return rewrite.bindStringPred(n, col.Dict), nil
 	case *sqlparse.And:
 		kids := make([]sqlparse.Expr, len(n.Kids))
 		for i, k := range n.Kids {
@@ -66,24 +71,26 @@ func oracleBindExpr(expr sqlparse.Expr, db *table.DB, q *sqlparse.Query) (sqlpar
 }
 
 // oracleResolveColumn finds the column a (possibly qualified) attribute
-// refers to, as Bind did before it resolved every name of a query.
-func oracleResolveColumn(db *table.DB, q *sqlparse.Query, attr string) (*table.Column, error) {
+// refers to, as Bind did before it remembered the last name it resolved, and
+// its stamp: 1 + the column's position, found by walking the columns.
+func oracleResolveColumn(db *table.DB, q *sqlparse.Query, attr string) (*table.Column, int32, error) {
 	tblName, colName := splitAttr(attr)
 	if tblName == "" {
 		if len(q.Tables) != 1 {
-			return nil, fmt.Errorf("exec: unqualified attribute %q in multi-table query", attr)
+			return nil, 0, fmt.Errorf("exec: unqualified attribute %q in multi-table query", attr)
 		}
 		tblName = q.Tables[0]
 	}
 	t := db.Table(tblName)
 	if t == nil {
-		return nil, fmt.Errorf("exec: unknown table %q", tblName)
+		return nil, 0, fmt.Errorf("exec: unknown table %q", tblName)
 	}
-	col := t.Column(colName)
-	if col == nil {
-		return nil, fmt.Errorf("exec: table %q has no column %q", tblName, colName)
+	for i, col := range t.Columns() {
+		if col.Name == colName {
+			return col, int32(i + 1), nil
+		}
 	}
-	return col, nil
+	return nil, 0, fmt.Errorf("exec: table %q has no column %q", tblName, colName)
 }
 
 // bindDB has a string column, a second one, and an integer column.
@@ -116,6 +123,8 @@ func TestBindMatchesOracle(t *testing.T) {
 		"year = 'x'",
 		"year LIKE 'x%'",
 		"year >= 1990 AND (nosuch = 'x' OR kind = 'tv')",
+		"movies.year >= 1990 AND (movies.name LIKE 'ap%' OR kind = 'tv') AND movies.year < 2005",
+		"movies.nosuch = 1",
 	} {
 		src := "SELECT count(*) FROM movies"
 		if where != "" {
@@ -135,8 +144,9 @@ func TestBindMatchesOracle(t *testing.T) {
 
 // TestBindSharesWhatItDoesNotRewrite: a Where without string literals comes
 // back as the same node (nothing rebuilt, nothing allocated), and a template
-// subtree shared by two queries is never mutated — not its leaves, not the
-// Kids of the nodes above a rewritten leaf.
+// subtree shared by two queries is never mutated — not its string leaves, not
+// the Kids of the nodes above a rewritten leaf — but for its numeric leaf's
+// column stamp, which both binds agree on.
 func TestBindSharesWhatItDoesNotRewrite(t *testing.T) {
 	db := bindDB()
 	q := sqlparse.MustParse("SELECT count(*) FROM movies WHERE year >= 1990 AND (year < 2005 OR year = 2010)")
@@ -151,6 +161,7 @@ func TestBindSharesWhatItDoesNotRewrite(t *testing.T) {
 	const tmpl = "SELECT count(*) FROM movies WHERE year >= 1990 AND (name LIKE 'ap%' OR kind = 'tv')"
 	shared, pristine := sqlparse.MustParse(tmpl).Where, sqlparse.MustParse(tmpl).Where
 	numeric := shared.(*sqlparse.And).Kids[0]
+	pristine.(*sqlparse.And).Kids[0].(*sqlparse.Pred).Col = 3 // year is movies' third column
 	for i := 0; i < 2; i++ {
 		q := &sqlparse.Query{Tables: []string{"movies"}, Where: shared}
 		if err := Bind(q, db); err != nil {

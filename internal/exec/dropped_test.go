@@ -43,14 +43,6 @@ func TestDroppedRowsFailLoudly(t *testing.T) {
 		"Count with no WHERE": func() (int64, error) {
 			return exec.Count(db, sqlparse.MustParse("SELECT count(*) FROM orders"))
 		},
-		"CountDecoded": func() (int64, error) {
-			n, _, err := core.CountDecoded(tbl, nil)
-			return n, err
-		},
-		"CountDecodedBounds": func() (int64, error) {
-			lo, hi, err := core.CountDecodedBounds(tbl, nil)
-			return max(lo, hi), err
-		},
 	}
 	for what, count := range counts {
 		n, err := count()

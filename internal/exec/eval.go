@@ -30,7 +30,9 @@ import (
 // caller's error, reported here rather than wherever an estimator or the
 // executor would first trip over it. Consecutive predicates on the same
 // attribute cost one lookup; a query without string literals binds without
-// allocating. After a successful Bind, no predicate carries a Str literal.
+// allocating. After a successful Bind, no predicate carries a Str literal,
+// and every predicate carries its column stamp (sqlparse.Pred.Col): the one
+// resolution of its name, which the featurizers read back as an integer.
 //
 // Literals absent from a dictionary are mapped to equivalent code
 // predicates: equality becomes an unsatisfiable predicate, inequality a
@@ -48,10 +50,10 @@ func Bind(q *sqlparse.Query, db *table.DB) error {
 		b.tblName, b.tbl = tn, t
 	}
 	for _, j := range q.Joins {
-		if _, err := b.columnOf(j.LeftTable, j.LeftCol); err != nil {
+		if _, _, err := b.columnOf(j.LeftTable, j.LeftCol); err != nil {
 			return err
 		}
-		if _, err := b.columnOf(j.RightTable, j.RightCol); err != nil {
+		if _, _, err := b.columnOf(j.RightTable, j.RightCol); err != nil {
 			return err
 		}
 	}
@@ -62,7 +64,9 @@ func Bind(q *sqlparse.Query, db *table.DB) error {
 	if err != nil {
 		return err
 	}
-	q.Where = bound
+	if bound != q.Where { // binding a bound query writes nothing
+		q.Where = bound
+	}
 	return nil
 }
 
@@ -77,72 +81,92 @@ type binder struct {
 	tbl     *table.Table  // nil until the first resolution
 	attr    string        // the attribute col was resolved from
 	col     *table.Column // nil until the first resolution
+	pos     int32         // col's stamp (sqlparse.Pred.Col)
+	qual    bool          // attr names its table
 }
 
 // column finds the column a (possibly qualified) attribute of the query
-// refers to.
+// refers to; b.pos and b.qual then hold the attribute's stamp.
 func (b *binder) column(attr string) (*table.Column, error) {
 	if b.col != nil && attr == b.attr {
 		return b.col, nil
 	}
 	tblName, colName := splitAttr(attr)
-	if tblName == "" {
+	qual := tblName != ""
+	if !qual {
 		if len(b.q.Tables) != 1 {
 			return nil, fmt.Errorf("exec: unqualified attribute %q in multi-table query", attr)
 		}
 		tblName = b.q.Tables[0]
 	}
-	col, err := b.columnOf(tblName, colName)
+	col, pos, err := b.columnOf(tblName, colName)
 	if err != nil {
 		return nil, err
 	}
-	b.attr, b.col = attr, col
+	b.attr, b.col, b.pos, b.qual = attr, col, pos, qual
 	return col, nil
+}
+
+// stamp resolves the numeric leaf p and writes its stamp, where it differs.
+func (b *binder) stamp(p *sqlparse.Pred) error {
+	if _, err := b.column(p.Attr); err != nil {
+		return err
+	}
+	if p.Col != b.pos || p.Qualified != b.qual {
+		p.Col, p.Qualified = b.pos, b.qual
+	}
+	return nil
+}
+
+// stamped is a copy of p's attribute and stamp, for a leaf p is rewritten to.
+func (b *binder) stamped(p *sqlparse.Pred, op sqlparse.CmpOp, val int64) *sqlparse.Pred {
+	return &sqlparse.Pred{Attr: p.Attr, Op: op, Val: val, Qualified: b.qual, Col: b.pos}
 }
 
 // columnOf finds column colName of table tblName, which the query must name
-// in its FROM and the database must have.
-func (b *binder) columnOf(tblName, colName string) (*table.Column, error) {
+// in its FROM and the database must have, and its stamp: 1 + its position.
+func (b *binder) columnOf(tblName, colName string) (*table.Column, int32, error) {
 	if b.tbl == nil || tblName != b.tblName {
 		if !slices.Contains(b.q.Tables, tblName) {
-			return nil, fmt.Errorf("exec: table %q is not in the query's FROM %v", tblName, b.q.Tables)
+			return nil, 0, fmt.Errorf("exec: table %q is not in the query's FROM %v", tblName, b.q.Tables)
 		}
 		t := b.db.Table(tblName)
 		if t == nil {
-			return nil, fmt.Errorf("exec: unknown table %q", tblName)
+			return nil, 0, fmt.Errorf("exec: unknown table %q", tblName)
 		}
 		b.tblName, b.tbl = tblName, t
 	}
-	col := b.tbl.Column(colName)
-	if col == nil {
-		return nil, fmt.Errorf("exec: table %q has no column %q", tblName, colName)
+	i := b.tbl.ColumnIndex(colName)
+	if i < 0 {
+		return nil, 0, fmt.Errorf("exec: table %q has no column %q", tblName, colName)
 	}
-	return col, nil
+	return b.tbl.Columns()[i], int32(i + 1), nil
 }
 
-// expr rewrites the string predicates under expr and returns expr itself —
-// the same node, nothing allocated — when there is none. A leaf is never
-// mutated (see bindStringPred), and a LIKE leaf may expand into a
-// conjunction of two range predicates, so an AND/OR node with a rewritten
-// child is rebuilt around its children; the rest of the tree is shared with
-// the input.
+// expr stamps the numeric predicates under expr, rewrites the string ones,
+// and returns expr itself — the same node, nothing allocated — when there is
+// no string predicate. A numeric leaf is written only where its stamp
+// differs (see bindStringPred for the contract); a string leaf is never
+// written, and a LIKE leaf may expand into a conjunction of two range
+// predicates, so an AND/OR node with a rewritten child is rebuilt around its
+// children; the rest of the tree is shared with the input.
 func (b *binder) expr(expr sqlparse.Expr) (sqlparse.Expr, error) {
 	switch n := expr.(type) {
 	case *sqlparse.Pred:
+		if n.Str == nil {
+			return n, b.stamp(n)
+		}
 		col, err := b.column(n.Attr)
 		if err != nil {
 			return nil, err
-		}
-		if n.Str == nil {
-			return n, nil
 		}
 		if col.Dict == nil {
 			return nil, fmt.Errorf("exec: string literal %q compared to non-string column %s", *n.Str, n.Attr)
 		}
 		if n.Like {
-			return bindLikePred(n, col.Dict), nil
+			return b.bindLikePred(n, col.Dict), nil
 		}
-		return bindStringPred(n, col.Dict), nil
+		return b.bindStringPred(n, col.Dict), nil
 	case *sqlparse.And:
 		kids, err := b.kids(n.Kids)
 		if err != nil {
@@ -170,6 +194,12 @@ func (b *binder) expr(expr sqlparse.Expr) (sqlparse.Expr, error) {
 func (b *binder) kids(kids []sqlparse.Expr) ([]sqlparse.Expr, error) {
 	var bound []sqlparse.Expr
 	for i, k := range kids {
+		if p, ok := k.(*sqlparse.Pred); ok && p.Str == nil {
+			if err := b.stamp(p); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		e, err := b.expr(k)
 		if err != nil {
 			return nil, err
@@ -188,8 +218,8 @@ func (b *binder) kids(kids []sqlparse.Expr) ([]sqlparse.Expr, error) {
 // bindLikePred rewrites "attr LIKE 'p%'" into the code range covering all
 // dictionary entries with prefix p — contiguous because the dictionary is
 // sorted (Section 6). An unmatched prefix becomes an unsatisfiable
-// predicate.
-func bindLikePred(p *sqlparse.Pred, dict []string) sqlparse.Expr {
+// predicate. The new leaves carry p's stamp, which column has just resolved.
+func (b *binder) bindLikePred(p *sqlparse.Pred, dict []string) sqlparse.Expr {
 	prefix := *p.Str
 	lo := sort.SearchStrings(dict, prefix)
 	hi := lo
@@ -197,24 +227,31 @@ func bindLikePred(p *sqlparse.Pred, dict []string) sqlparse.Expr {
 		hi++
 	}
 	if lo == hi {
-		return &sqlparse.Pred{Attr: p.Attr, Op: sqlparse.OpEq, Val: int64(len(dict))}
+		return b.stamped(p, sqlparse.OpEq, int64(len(dict)))
 	}
-	return sqlparse.NewAnd(
-		&sqlparse.Pred{Attr: p.Attr, Op: sqlparse.OpGe, Val: int64(lo)},
-		&sqlparse.Pred{Attr: p.Attr, Op: sqlparse.OpLe, Val: int64(hi - 1)},
-	)
+	return sqlparse.NewAnd(b.stamped(p, sqlparse.OpGe, int64(lo)), b.stamped(p, sqlparse.OpLe, int64(hi-1)))
 }
 
 // bindStringPred rewrites p (whose Str is non-nil) into an equivalent
-// integer-code predicate against the sorted dictionary dict. It returns a
-// fresh leaf and never mutates p: a Pred node may be shared across queries
-// (workload templates), and Bind runs concurrently with other queries'
-// evaluation under parallel labeling.
-func bindStringPred(p *sqlparse.Pred, dict []string) *sqlparse.Pred {
+// integer-code predicate against the sorted dictionary dict, carrying p's
+// stamp, which column has just resolved. It returns a fresh leaf and never
+// writes p.
+//
+// The contract for a node shared by several queries (a workload template,
+// a query a cache entry keeps) is this: Bind writes nothing to a string
+// leaf, and to a numeric leaf only its stamp, and only where the stamp
+// differs. The stamp depends only on the table and the name, so binding a
+// second query over the same table that shares the node writes nothing, and
+// any number of goroutines may read, count or featurize a bound node at
+// once. Binding one shared, not yet stamped node from two goroutines at once
+// is a race; no caller does it: the daemon binds the query it just parsed,
+// replay, cardest and the benchmark bind theirs one at a time, and the
+// workload generators bind each query once, before labeling it in parallel.
+func (b *binder) bindStringPred(p *sqlparse.Pred, dict []string) *sqlparse.Pred {
 	s := *p.Str
 	idx := sort.SearchStrings(dict, s)
 	found := idx < len(dict) && dict[idx] == s
-	bound := &sqlparse.Pred{Attr: p.Attr, Op: p.Op}
+	bound := b.stamped(p, p.Op, 0)
 	if found {
 		bound.Val = int64(idx)
 		return bound

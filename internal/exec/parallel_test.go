@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"qfe/internal/core"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -165,7 +167,10 @@ func TestCountManyOldWrapper(t *testing.T) {
 // TestBindDoesNotMutateSharedPred: the satellite regression — a *Pred node
 // shared by two queries (workload templates) must survive the first Bind
 // intact so the second query binds correctly, and concurrent evaluation of
-// already-bound queries never observes a mutation.
+// already-bound queries never observes a mutation. The one write Bind makes
+// to a shared node is a numeric leaf's column stamp: two queries over one
+// table that share it, bound one after the other, read the same stamp, the
+// second Bind writes nothing, and the two featurize identically.
 func TestBindDoesNotMutateSharedPred(t *testing.T) {
 	vals := []string{"ash", "beech", "cedar", "beech", "ash", "cedar", "beech"}
 	tbl := table.New("trees")
@@ -196,5 +201,66 @@ func TestBindDoesNotMutateSharedPred(t *testing.T) {
 	}
 	if c1 != 3 || c2 != 3 {
 		t.Errorf("counts after shared-node binds: %d and %d, want 3 and 3", c1, c2)
+	}
+
+	num := genTable(1, 200)
+	ndb := singleDB(num)
+	year := &sqlparse.Pred{Attr: "b", Op: sqlparse.OpGe, Val: 3}
+	n1 := &sqlparse.Query{Tables: []string{num.Name}, Where: sqlparse.NewAnd(year, &sqlparse.Pred{Attr: "a", Op: sqlparse.OpLt, Val: 500})}
+	n2 := &sqlparse.Query{Tables: []string{num.Name}, Where: sqlparse.NewAnd(year,
+		sqlparse.NewOr(&sqlparse.Pred{Attr: "c", Op: sqlparse.OpEq, Val: 1}, &sqlparse.Pred{Attr: "c", Op: sqlparse.OpEq, Val: 2}))}
+	f := core.NewComplex(core.NewTableMeta(num, 16), core.Options{MaxEntriesPerAttr: 16, AttrSel: true})
+	if err := Bind(n1, ndb); err != nil {
+		t.Fatal(err)
+	}
+	stamp := year.Col
+	if want := int32(num.ColumnIndex("b") + 1); stamp != want {
+		t.Fatalf("the shared leaf's stamp after the first Bind = %d, want %d", stamp, want)
+	}
+	before, err := f.Featurize(n1.Where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Bind(n2, ndb); err != nil {
+		t.Fatal(err)
+	}
+	if year.Col != stamp {
+		t.Fatalf("the second Bind changed the shared stamp %d → %d", stamp, year.Col)
+	}
+	after, err := f.Featurize(n1.Where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("the first query featurizes differently after the second Bind:\n  %v\n  %v", before, after)
+	}
+	if _, err := f.Featurize(n2.Where); err != nil {
+		t.Errorf("the second query: %v", err)
+	}
+	// A third Bind of the already-bound query writes nothing: -race sees no
+	// write while other goroutines featurize and count both queries.
+	done := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 50; i++ {
+				if v, err := f.Featurize(n1.Where); err != nil || !reflect.DeepEqual(v, before) {
+					t.Errorf("concurrent featurize: %v, %v", v, err)
+					return
+				}
+				if _, err := Count(ndb, n2); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		if err := Bind(n1, ndb); err != nil {
+			t.Error(err)
+		}
+	}
+	for g := 0; g < 3; g++ {
+		<-done
 	}
 }

@@ -53,7 +53,8 @@ type Report struct {
 	Unlabeled int `json:"unlabeled"`
 	// Unparsed records carry SQL that no longer parses (or empty SQL).
 	Unparsed int `json:"unparsed"`
-	// Failed estimates (errors, cancellations) score as +Inf q-error.
+	// Failed estimates (errors, cancellations, records that do not bind)
+	// score as +Inf q-error.
 	Failed int `json:"failed"`
 	// Scored is how many q-errors the summary aggregates.
 	Scored int     `json:"scored"`
@@ -69,8 +70,10 @@ type Report struct {
 // against the journaled actuals. Replay order is the journal's (oldest
 // first), so the report is deterministic for a fixed estimator and stream.
 // A cancelled context fails the remaining records rather than aborting: the
-// report always accounts for every record it was given.
-func Replay(ctx context.Context, est estimator.Estimator, records []journal.Record) Report {
+// report always accounts for every record it was given. Each record is
+// parsed and bound against db, as the daemon did on receipt; one that does
+// not bind is scored as failed.
+func Replay(ctx context.Context, est estimator.Estimator, records []journal.Record, db *table.DB) Report {
 	rep := Report{Model: est.Name(), Records: len(records), PerTable: map[string]TableStats{}}
 	var all []float64
 	perTable := map[string][]float64{}
@@ -84,8 +87,10 @@ func Replay(ctx context.Context, est estimator.Estimator, records []journal.Reco
 			rep.Unparsed++
 			continue
 		}
-		qerr := math.Inf(1)
-		e, err := estimator.EstimateWithContext(ctx, est, q)
+		qerr, e := math.Inf(1), 0.0
+		if err = exec.Bind(q, db); err == nil {
+			e, err = estimator.EstimateWithContext(ctx, est, q)
+		}
 		if err != nil {
 			rep.Failed++
 		} else {

@@ -13,6 +13,7 @@ import (
 	"qfe/internal/journal"
 	"qfe/internal/replay"
 	"qfe/internal/sqlparse"
+	"qfe/internal/table"
 	"qfe/internal/testutil"
 	"qfe/internal/workload"
 )
@@ -28,6 +29,15 @@ type errEst struct{}
 
 func (errEst) Name() string                              { return "err" }
 func (errEst) Estimate(*sqlparse.Query) (float64, error) { return 0, errors.New("boom") }
+
+// tDB holds the table the records' queries name: t, with a column a.
+func tDB() *table.DB {
+	t := table.New("t")
+	t.MustAddColumn(table.NewColumn("a", []int64{0, 1}))
+	db := table.NewDB()
+	db.MustAdd(t)
+	return db
+}
 
 func labeledRec(i int, actual float64) journal.Record {
 	return journal.Record{
@@ -47,7 +57,7 @@ func TestReplayReport(t *testing.T) {
 		{UnixMicros: 4, SQL: "SELECT count(*) FROM t WHERE a >= 4", Estimate: 5}, // unlabeled
 		{UnixMicros: 5, SQL: "this is not SQL", Actual: 3, HasActual: true},      // unparseable
 	}
-	rep := replay.Replay(context.Background(), constEst(10), records)
+	rep := replay.Replay(context.Background(), constEst(10), records, tDB())
 	if rep.Model != "const" {
 		t.Errorf("Model = %q, want the estimator's name", rep.Model)
 	}
@@ -69,8 +79,8 @@ func TestReplayDeterministic(t *testing.T) {
 	for i := range records {
 		records[i] = labeledRec(i, float64(i%7)+1)
 	}
-	a := replay.Replay(context.Background(), constEst(4), records)
-	b := replay.Replay(context.Background(), constEst(4), records)
+	a := replay.Replay(context.Background(), constEst(4), records, tDB())
+	b := replay.Replay(context.Background(), constEst(4), records, tDB())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two replays of the same stream differ:\n%+v\n%+v", a, b)
 	}
@@ -79,7 +89,7 @@ func TestReplayDeterministic(t *testing.T) {
 func TestReplayScoresFailuresAsInf(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	records := []journal.Record{labeledRec(0, 10), labeledRec(1, 10)}
-	rep := replay.Replay(context.Background(), errEst{}, records)
+	rep := replay.Replay(context.Background(), errEst{}, records, tDB())
 	if rep.Failed != 2 || rep.Scored != 2 {
 		t.Fatalf("accounting = %+v, want both records failed AND scored", rep)
 	}
@@ -252,5 +262,20 @@ func TestTraffic(t *testing.T) {
 	}
 	if got := (replay.TrafficStats{}).SemanticOnlyShare(); got != 0 {
 		t.Errorf("SemanticOnlyShare of an empty journal = %v, want 0", got)
+	}
+}
+
+// TestReplayScoresUnboundAsFailed: a record whose query does not bind
+// against the replay's database — a column it does not have — is scored as a
+// failed estimate, as the daemon would have refused it; the estimator never
+// sees it.
+func TestReplayScoresUnboundAsFailed(t *testing.T) {
+	records := []journal.Record{labeledRec(0, 10), {UnixMicros: 2, SQL: "SELECT count(*) FROM t WHERE z = 1", Actual: 3, HasActual: true}}
+	rep := replay.Replay(context.Background(), constEst(10), records, tDB())
+	if rep.Failed != 1 || rep.Scored != 2 || rep.Unparsed != 0 {
+		t.Fatalf("accounting = %+v, want 2 scored, 1 of them failed", rep)
+	}
+	if !math.IsInf(rep.Max, 1) {
+		t.Errorf("Max = %v, want +Inf for the unbound record", rep.Max)
 	}
 }

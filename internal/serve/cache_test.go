@@ -549,6 +549,7 @@ func TestCachePublishInvalidates(t *testing.T) {
 	}
 	srv, err := New(Config{
 		Registry:  reg,
+		DB:        db,
 		Lifecycle: lc,
 		Cache:     CacheConfig{Entries: 128},
 	})
@@ -610,6 +611,7 @@ func TestCacheRollbackInvalidates(t *testing.T) {
 	lc, reg := newLifecycle(t, t.TempDir(), looseCanary(canaryWS), db)
 	srv, err := New(Config{
 		Registry:  reg,
+		DB:        db,
 		Lifecycle: lc,
 		Cache:     CacheConfig{Entries: 128},
 	})

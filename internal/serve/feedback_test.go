@@ -171,7 +171,7 @@ func journalServer(t *testing.T) (*Server, *journal.Journal) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Registry: reg, Lifecycle: lc, Feedback: journalFeedback(jnl)})
+	srv, err := New(Config{Registry: reg, DB: stubDB(), Lifecycle: lc, Feedback: journalFeedback(jnl)})
 	if err != nil {
 		t.Fatal(err)
 	}

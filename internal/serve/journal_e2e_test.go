@@ -104,6 +104,7 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 	traffic := e2eTraffic(t)
 	srv := newStubServer(t, constEst(8), func(cfg *Config) {
 		cfg.Feedback = journalFeedback(jnl)
+		cfg.DB, _ = testEnv(t) // the traffic is over the test forest
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -163,8 +164,9 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 	}
 
 	// Deterministic replay report over the recovered traffic.
-	repA := replay.Replay(context.Background(), constEst(8), recs)
-	repB := replay.Replay(context.Background(), constEst(8), recs)
+	db, _ := testEnv(t)
+	repA := replay.Replay(context.Background(), constEst(8), recs, db)
+	repB := replay.Replay(context.Background(), constEst(8), recs, db)
 	if !reflect.DeepEqual(repA, repB) {
 		t.Fatalf("replay over recovered journal is not deterministic:\n%+v\n%+v", repA, repB)
 	}
@@ -288,6 +290,7 @@ func TestJournalWedgedDiskShedsNotBlocks(t *testing.T) {
 	traffic := e2eTraffic(t)
 	srv := newStubServer(t, constEst(8), func(cfg *Config) {
 		cfg.Feedback = journalFeedback(jnl)
+		cfg.DB, _ = testEnv(t) // the traffic is over the test forest
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -755,8 +755,8 @@ func TestLoadUnderTheLiveNameMovesTheLiveModel(t *testing.T) {
 // TestNewRefusesAForeignLifecycle: a lifecycle that publishes into another
 // registry than the server resolves from would answer a load with 200 and
 // leave the model where neither /v1/estimate nor GET /v1/models looks, so New
-// refuses the pair. A server without a DB over a lifecycle with one is fine:
-// the lifecycle validates snapshots against its own.
+// refuses the pair. A server needs a DB of its own even over a lifecycle with
+// one: it binds every query it is sent.
 func TestNewRefusesAForeignLifecycle(t *testing.T) {
 	db, _ := testEnv(t)
 	reg := NewRegistry()
@@ -771,8 +771,11 @@ func TestNewRefusesAForeignLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Registry: reg, Lifecycle: own}); err != nil {
-		t.Fatalf("New over the registry's own lifecycle, no DB: %v", err)
+	if srv, err := New(Config{Registry: reg, Lifecycle: own}); err == nil || srv != nil {
+		t.Fatalf("New without a DB = %v, %v; want an error", srv, err)
+	}
+	if _, err := New(Config{Registry: reg, DB: db, Lifecycle: own}); err != nil {
+		t.Fatalf("New over the registry's own lifecycle: %v", err)
 	}
 }
 

@@ -204,7 +204,8 @@ func TestRegistryConcurrentSwap(t *testing.T) {
 // admitted, reports its kind, source and model count, and honors "default".
 func TestRegistryLoadFile(t *testing.T) {
 	r := NewRegistry()
-	srv, err := New(Config{Registry: r})
+	db, set := testEnv(t)
+	srv, err := New(Config{Registry: r, DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,6 @@ func TestRegistryLoadFile(t *testing.T) {
 	}
 
 	// A real snapshot loads, registers, and can be made the default.
-	db, set := testEnv(t)
 	path := filepath.Join(dir, "m.json")
 	if err := os.WriteFile(path, snapshotBytes(t, trainLocal(t, db, set[:200], 8)), 0o644); err != nil {
 		t.Fatal(err)

@@ -56,15 +56,16 @@ import (
 	"qfe/internal/table"
 )
 
-// Config assembles a Server. Registry is required; everything else has
-// serviceable defaults.
+// Config assembles a Server. Registry and DB are required; everything else
+// has serviceable defaults.
 type Config struct {
 	// Registry resolves model names to estimators.
 	Registry *Registry
-	// DB binds string literals in incoming SQL to dictionary codes and, for a
-	// Config without a Lifecycle, schema-validates loaded snapshots (a
-	// Lifecycle validates against its own). May be nil when queries carry no
-	// string predicates and snapshots are trusted.
+	// DB binds every incoming query (exec.Bind): its names are resolved,
+	// its predicates stamped with their columns — which the featurizers
+	// read — and its string literals mapped to dictionary codes. For a
+	// Config without a Lifecycle it also schema-validates loaded snapshots
+	// (a Lifecycle validates against its own).
 	DB *table.DB
 	// Batcher bounds the worker fan-out of client batches.
 	Batcher BatcherConfig
@@ -124,8 +125,8 @@ type Server struct {
 // cfg.Lifecycle must publish into it: a load admitted into another registry
 // would answer 200 and never serve.
 func New(cfg Config) (*Server, error) {
-	if cfg.Registry == nil {
-		return nil, fmt.Errorf("serve: Config.Registry is required")
+	if cfg.Registry == nil || cfg.DB == nil {
+		return nil, fmt.Errorf("serve: Config.Registry and Config.DB are required")
 	}
 	if cfg.Lifecycle != nil && cfg.Lifecycle.reg != cfg.Registry {
 		return nil, fmt.Errorf("serve: Config.Lifecycle publishes into a different registry than Config.Registry")
@@ -586,10 +587,8 @@ func (s *Server) parseAndBind(sql string, arena *sqlparse.Arena) (*sqlparse.Quer
 	if err := estimator.RefuseGroupBy(q); err != nil {
 		return nil, err
 	}
-	if s.cfg.DB != nil {
-		if err := exec.Bind(q, s.cfg.DB); err != nil {
-			return nil, err
-		}
+	if err := exec.Bind(q, s.cfg.DB); err != nil {
+		return nil, err
 	}
 	return q, nil
 }

@@ -115,9 +115,21 @@ func (b *blockingEst) Estimate(*sqlparse.Query) (float64, error) {
 	return 42, nil
 }
 
-// stubSQL parses without needing any particular database (the stub servers
-// run with a nil DB, so nothing binds).
+// stubSQL binds against stubDB, the stub servers' database.
 const stubSQL = "SELECT count(*) FROM t WHERE a >= 1"
+
+// stubDB is what the stub servers bind against: a table t with integer
+// columns a and b and string columns s and n.
+func stubDB() *table.DB {
+	t := table.New("t")
+	t.MustAddColumn(table.NewColumn("a", []int64{0, 5, 9}))
+	t.MustAddColumn(table.NewColumn("b", []int64{1, 2, 3}))
+	t.MustAddColumn(table.NewStringColumn("s", []string{"x", "it's", "<b>"}))
+	t.MustAddColumn(table.NewStringColumn("n", []string{"ab", "abc", "b"}))
+	db := table.NewDB()
+	db.MustAdd(t)
+	return db
+}
 
 // newStubServer builds a server around a single registered stub estimator.
 // Every stub-server test also verifies that the server leaves no goroutine
@@ -129,7 +141,7 @@ func newStubServer(tb testing.TB, est estimator.Estimator, mutate func(*Config))
 	if _, err := reg.Register("stub", est, ModelInfo{Kind: "stub", Source: "test"}); err != nil {
 		tb.Fatal(err)
 	}
-	cfg := Config{Registry: reg}
+	cfg := Config{Registry: reg, DB: stubDB()}
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -91,6 +91,14 @@ type Pred struct {
 	// predicate into dictionary-code ranges (core.PrefixPreds), the
 	// Section 6 extension.
 	Like bool
+	// Qualified and Col are the column stamp exec.Bind writes. Col is 1 +
+	// the position of Attr's column among its table's columns, 0 while the
+	// predicate is unbound; Qualified is set when Attr names its table
+	// ("t.a"). The stamp depends only on the table and Attr, so every query
+	// over one table that shares this node agrees on it. Both sit in Like's
+	// padding: a Pred stays 48 bytes.
+	Qualified bool
+	Col       int32
 }
 
 func (*Pred) isExpr() {}

@@ -5,7 +5,20 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestPredIs48Bytes: the column stamp exec.Bind writes (Pred.Col) sits in the
+// padding after Like, so a predicate stays 48 bytes on a 64-bit machine — the
+// size every parse, arena chunk and cached query pays per leaf.
+func TestPredIs48Bytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit machines")
+	}
+	if got := unsafe.Sizeof(Pred{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(Pred{}) = %d, want 48", got)
+	}
+}
 
 // TestIntegerLiteralsAreParseInt: the value the lexer reads off an integer
 // literal is strconv.ParseInt's, and a literal ParseInt refuses fails with

@@ -256,6 +256,15 @@ func (t *Table) Column(name string) *Column {
 	return nil
 }
 
+// ColumnIndex returns the position of the named column in definition order,
+// or -1 when absent.
+func (t *Table) ColumnIndex(name string) int {
+	if i, ok := t.idx[name]; ok {
+		return i
+	}
+	return -1
+}
+
 // Columns returns the table's columns in definition order. The returned
 // slice must not be mutated.
 func (t *Table) Columns() []*Column { return t.cols }

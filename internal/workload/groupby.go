@@ -79,6 +79,9 @@ func GroupBy(tbl *table.Table, cfg GroupByConfig) (Set, error) {
 			Where:   sqlparse.NewAnd(conj...),
 			GroupBy: grpAttrs,
 		}
+		if err := exec.Bind(q, db); err != nil {
+			return nil, err
+		}
 		groups, err := exec.CountGroups(db, q)
 		if err != nil {
 			return nil, err

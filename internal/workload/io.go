@@ -7,7 +7,9 @@ import (
 	"strconv"
 	"strings"
 
+	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
+	"qfe/internal/table"
 )
 
 // cardMarker separates the SQL text from the label in the workload file
@@ -27,9 +29,10 @@ func WriteSet(w io.Writer, set Set) error {
 	return bw.Flush()
 }
 
-// ReadSet parses a labeled workload file written by WriteSet/cmd/datagen.
+// ReadSet parses a labeled workload file written by WriteSet/cmd/datagen and
+// binds every query against db (exec.Bind), as the generators bind theirs.
 // Blank lines and lines starting with "--" are skipped.
-func ReadSet(r io.Reader) (Set, error) {
+func ReadSet(r io.Reader, db *table.DB) (Set, error) {
 	var out Set
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -51,6 +54,9 @@ func ReadSet(r io.Reader) (Set, error) {
 			return nil, fmt.Errorf("workload: line %d: bad cardinality %q: %w", lineNo, cardText, err)
 		}
 		q, err := sqlparse.Parse(sqlText)
+		if err == nil {
+			err = exec.Bind(q, db)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("workload: line %d: %w", lineNo, err)
 		}

@@ -115,7 +115,9 @@ func (s Set) MeanCard() float64 {
 }
 
 // generate runs the generators' draw-label-reject loop: it returns the first
-// count queries with a non-empty result, in the order draw produces them.
+// count queries with a non-empty result, in the order draw produces them,
+// each bound (exec.Bind: its predicates stamped with their columns) once,
+// before it is labeled.
 // No draw depends on a label, so the queries still outstanding are drawn
 // first and then labeled as one batch — exec.CountManyCtx, one worker per
 // logical CPU — and the rounds repeat until count are kept. A round draws
@@ -136,6 +138,9 @@ func generate(db *table.DB, count int, draw func() (*sqlparse.Query, error)) (Se
 		for i := range qs {
 			q, err := draw()
 			if err != nil {
+				return nil, err
+			}
+			if err := exec.Bind(q, db); err != nil {
 				return nil, err
 			}
 			qs[i] = q

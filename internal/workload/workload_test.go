@@ -329,7 +329,7 @@ func TestReadWriteSetRoundTrip(t *testing.T) {
 	if err := WriteSet(&buf, set); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSet(&buf)
+	back, err := ReadSet(&buf, singleDB(tbl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,14 +346,25 @@ func TestReadWriteSetRoundTrip(t *testing.T) {
 	}
 }
 
+// tinyDB is a table t with one column a, for the workload-file tests.
+func tinyDB() *table.DB {
+	tbl := table.New("t")
+	tbl.MustAddColumn(table.NewColumn("b", []int64{0, 1}))
+	tbl.MustAddColumn(table.NewColumn("a", []int64{0, 1}))
+	return singleDB(tbl)
+}
+
 func TestReadSetSkipsCommentsAndBlanks(t *testing.T) {
 	src := "-- a comment\n\nSELECT count(*) FROM t WHERE a = 1; -- cardinality: 42\n"
-	set, err := ReadSet(strings.NewReader(src))
+	set, err := ReadSet(strings.NewReader(src), tinyDB())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(set) != 1 || set[0].Card != 42 {
 		t.Fatalf("parsed %v", set)
+	}
+	if p := set[0].Query.Where.(*sqlparse.Pred); p.Col != 2 {
+		t.Errorf("a loaded query's predicate carries stamp %d, want 2 (a is t's second column)", p.Col)
 	}
 }
 
@@ -362,9 +373,10 @@ func TestReadSetErrors(t *testing.T) {
 		"SELECT count(*) FROM t WHERE a = 1;\n",                     // no label
 		"SELECT count(*) FROM t WHERE a = 1; -- cardinality: abc\n", // bad number
 		"NOT SQL AT ALL -- cardinality: 5\n",                        // bad SQL
+		"SELECT count(*) FROM t WHERE c = 1; -- cardinality: 5\n",   // unknown column
 	}
 	for _, src := range cases {
-		if _, err := ReadSet(strings.NewReader(src)); err == nil {
+		if _, err := ReadSet(strings.NewReader(src), tinyDB()); err == nil {
 			t.Errorf("ReadSet(%q) succeeded, want error", src)
 		}
 	}
