@@ -100,8 +100,13 @@ ci:
 	! grep -rn 'chan Record' --include='*.go' internal/journal | grep -v _test.go
 # Guard 6, the production tree holds what a serving or training binary can
 # reach: no dependency of a serving, training or benchmark binary lives under
-# internal/bench (cmd/benchrunner is the harness's own binary) ...
-	! $(GO) list -deps ./cmd/cardestd ./cmd/cardest ./cmd/replay ./cmd/datagen ./cmd/bench | grep 'qfe/internal/bench'
+# internal/bench (cmd/benchrunner is the harness's own binary) or is an MSCN
+# package — the paper's global baselines (MSCN, the global model) are
+# trained only by the harness, so they live in it (internal/bench/mscn,
+# internal/bench/global.go) — and neither core nor estimator declares an
+# MSCN or global-model name for them ...
+	! $(GO) list -deps ./cmd/cardestd ./cmd/cardest ./cmd/replay ./cmd/datagen ./cmd/bench | grep -E 'qfe/internal/bench|mscn'
+	! for p in core estimator; do $(GO) doc -all qfe/internal/$$p; done | grep -P '^(func|type|var|const) |^\t\w' | grep -E 'MSCN|Global'
 # ... and the snapshot kinds nothing can write, and the regressor nothing can
 # serve, do not come back outside the harness.
 	! grep -rnE 'KindGlobal|KindHybrid|LoadGlobal|LoadHybrid|NewLinRegFactory' --include='*.go' internal cmd | grep -v '^internal/bench/'

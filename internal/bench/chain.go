@@ -9,7 +9,6 @@ import (
 	"qfe/internal/estimator"
 	"qfe/internal/metrics"
 	"qfe/internal/resilience"
-	"qfe/internal/table"
 	"qfe/internal/workload"
 )
 
@@ -24,8 +23,10 @@ import (
 // per input is the chain cardestd serves (cli.Chain), which never refuses.
 //
 // The inputs: the forest mixed workload through GB + complex (the benchmark's
-// shape); the same queries through GB + conjunctive (cardestd's default -qft,
-// which refuses every OR); the JOB-light-style suite through Table 1's
+// shape) and through NN + complex (the other regressor cardestd's -model
+// accepts; each learned model's training time and size are printed too); the
+// same queries through GB + conjunctive (cardestd's default -qft, which
+// refuses every OR); the JOB-light-style suite through Table 1's
 // GB + conjunctive local models (sampling refuses joins).
 func ExtensionServingChain(env *Env) (*Report, error) {
 	r := &Report{ID: "ext9", Title: "The serving degradation chain, stage by stage"}
@@ -54,39 +55,38 @@ func ExtensionServingChain(env *Env) (*Report, error) {
 		return nil, err
 	}
 	opts := env.coreOptions()
-	complexGB, err := env.trainLocal("complex", "GB", opts, mixTrain)
-	if err != nil {
-		return nil, fmt.Errorf("ext9 GB+complex: %w", err)
-	}
-	conjGB, err := env.trainLocal("conjunctive", "GB", opts, conjTrain)
-	if err != nil {
-		return nil, fmt.Errorf("ext9 GB+conjunctive: %w", err)
-	}
-	joinGB, err := env.trainJoinLocal("conjunctive", "GB", opts, joinTrain)
-	if err != nil {
-		return nil, fmt.Errorf("ext9 GB+conjunctive (JOB-light): %w", err)
-	}
-
 	for _, in := range []struct {
-		label   string
-		db      *table.DB
-		learned estimator.Estimator
-		test    workload.Set
+		label       string
+		qft, model  string
+		join        bool
+		train, test workload.Set
 	}{
-		{"forest mixed, GB + complex", forest, complexGB, mixTest},
-		{"forest mixed, GB + conjunctive", forest, conjGB, mixTest},
-		{"JOB-light, GB + conjunctive (local)", imdb, joinGB, jobLight},
+		{"forest mixed, GB + complex", "complex", "GB", false, mixTrain, mixTest},
+		{"forest mixed, NN + complex", "complex", "NN", false, mixTrain, mixTest},
+		{"forest mixed, GB + conjunctive", "conjunctive", "GB", false, conjTrain, mixTest},
+		{"JOB-light, GB + conjunctive (local)", "conjunctive", "GB", true, joinTrain, jobLight},
 	} {
+		db, train := forest, env.trainLocal
+		if in.join {
+			db, train = imdb, env.trainJoinLocal
+		}
+		start := time.Now()
+		learned, err := train(in.qft, in.model, opts, in.train)
+		if err != nil {
+			return nil, fmt.Errorf("ext9 %s: %w", in.label, err)
+		}
+		trainMS := float64(time.Since(start).Microseconds()) / 1000
 		r.Printf("--- %s (%d queries) ---", in.label, len(in.test))
+		r.Printf("learned model: train %.1f ms, %d bytes", trainMS, learned.MemoryBytes())
 		for _, st := range []struct {
 			name string
 			est  estimator.Estimator
 		}{
-			{"learned", in.learned},
-			{"sampling 0.1%", estimator.NewSampling(in.db, 0.001, 1)},
-			{"independence", &estimator.Independence{DB: in.db}},
-			{"row-count", resilience.RowCount{DB: in.db}},
-			{"chain", cli.Chain(in.db, in.learned, 0)},
+			{"learned", learned},
+			{"sampling 0.1%", estimator.NewSampling(db, 0.001, 1)},
+			{"independence", &estimator.Independence{DB: db}},
+			{"row-count", resilience.RowCount{DB: db}},
+			{"chain", cli.Chain(db, learned, 0)},
 		} {
 			r.Lines = append(r.Lines, stageRow(st.name, scoreStage(st.est, in.test)))
 		}

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"sync"
 
+	"qfe/internal/bench/mscn"
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
 	"qfe/internal/ml/gb"
-	"qfe/internal/ml/mscn"
 	"qfe/internal/ml/nn"
 	"qfe/internal/table"
 	"qfe/internal/workload"

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"qfe/internal/bench/mscn"
 	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/metrics"
@@ -66,20 +67,20 @@ func Figure1(env *Env) (*Report, error) {
 	}
 	mscnModes := []struct {
 		label string
-		mode  core.MSCNMode
+		mode  mscn.Mode
 		mixed bool
 	}{
-		{"MSCN + simple", core.MSCNOriginal, false},
-		{"MSCN + range", core.MSCNRange, false},
-		{"MSCN + conjunctive", core.MSCNPerAttribute, false},
-		{"MSCN + complex", core.MSCNPerAttribute, true},
+		{"MSCN + simple", mscn.Original, false},
+		{"MSCN + range", mscn.Range, false},
+		{"MSCN + conjunctive", mscn.PerAttribute, false},
+		{"MSCN + complex", mscn.PerAttribute, true},
 	}
 	for _, mc := range mscnModes {
 		train, test := conjTrain, conjTest
 		if mc.mixed {
 			train, test = mixTrain, mixTest
 		}
-		est, err := estimator.NewMSCN(db, schema, mc.mode, opts, env.mscnConfig(), false)
+		est, err := mscn.New(db, schema, mc.mode, opts, env.mscnConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +179,7 @@ func Figure4(env *Env) (*Report, error) {
 			estimator.NewSampling(db, 0.001, 99),
 		}
 		if withMSCN {
-			m, err := estimator.NewMSCN(db, schema, core.MSCNOriginal, opts, env.mscnConfig(), false)
+			m, err := mscn.New(db, schema, mscn.Original, opts, env.mscnConfig())
 			if err != nil {
 				return err
 			}

@@ -1,8 +1,10 @@
-// Package mscn implements the Multi-Set Convolutional Network of Kipf et
-// al. [12] from scratch — the global-model architecture the paper extends
-// with its QFTs (Sections 2.2.1, 4.2, and Table 2).
+// Package mscn is the global-model baseline of the paper's Table 2 and
+// Figure 1: the Multi-Set Convolutional Network of Kipf et al. [12], written
+// from scratch, its three-set query encoder with the paper's per-attribute
+// QFT modification (Section 4.2), and the estimator that joins the two. Only
+// the experiment harness trains it; nothing serves it.
 //
-// The architecture follows the original: three input sets (tables, joins,
+// The network follows the original: three input sets (tables, joins,
 // predicates), each element passed through a per-set two-layer MLP (the
 // learned "set convolution"), average-pooled within its set, the three
 // pooled vectors concatenated, and a two-layer output MLP producing the
@@ -13,22 +15,10 @@ package mscn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sync"
 
 	"qfe/internal/ml/mlmath"
 )
-
-// Sets is one featurized query: the three vector sets of Section 4.2. All
-// vectors within a set must share that set's dimension. Empty sets must be
-// represented by a single zero vector (the original implementation's
-// padding convention, produced by core.MSCNFeaturizer).
-type Sets struct {
-	Tables [][]float64
-	Joins  [][]float64
-	Preds  [][]float64
-}
 
 // Config holds the network hyperparameters.
 type Config struct {
@@ -145,15 +135,10 @@ type Model struct {
 	tableMod, joinMod, predMod *setModule
 	out1, out2                 *mlmath.Dense
 	tableDim, joinDim, predDim int
-
-	// pool hands out inference scratch for Predict (see fast.go).
-	pool *sync.Pool
 }
 
 // newModel builds the freshly initialized layer stack for the three per-set
-// vector dimensions, and with it the scratch pool sized from the layer
-// widths. It is the only place a Model is made, so none exists without a
-// pool.
+// vector dimensions.
 func newModel(cfg Config, td, jd, pd int, rng *rand.Rand) *Model {
 	h, ho := cfg.HiddenSet, cfg.HiddenOut
 	return &Model{
@@ -164,16 +149,19 @@ func newModel(cfg Config, td, jd, pd int, rng *rand.Rand) *Model {
 		out1:     mlmath.NewDense(3*h, ho, rng),
 		out2:     mlmath.NewDense(ho, 1, rng),
 		tableDim: td, joinDim: jd, predDim: pd,
-		pool: &sync.Pool{New: func() any {
-			return &inferScratch{
-				h1:     make([]float64, h),
-				h2:     make([]float64, h),
-				pooled: make([]float64, 3*h),
-				o1:     make([]float64, ho),
-				o2:     make([]float64, 1),
-			}
-		}},
 	}
+}
+
+// mods returns the set modules in input order: tables, joins, predicates.
+func (m *Model) mods() [3]*setModule { return [3]*setModule{m.tableMod, m.joinMod, m.predMod} }
+
+// zeroGrad clears every layer's accumulated gradient.
+func (m *Model) zeroGrad() {
+	for _, mod := range m.mods() {
+		mod.zeroGrad()
+	}
+	m.out1.ZeroGrad()
+	m.out2.ZeroGrad()
 }
 
 // Train fits the network. All samples must agree on the three per-set
@@ -206,7 +194,6 @@ func Train(samples []*Sets, y []float64, cfg Config) (*Model, error) {
 		idx[i] = i
 	}
 
-	mods := []*setModule{m.tableMod, m.joinMod, m.predMod}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		mlmath.Shuffle(idx, rng)
 		for start := 0; start < len(idx); start += cfg.BatchSize {
@@ -215,15 +202,11 @@ func Train(samples []*Sets, y []float64, cfg Config) (*Model, error) {
 				end = len(idx)
 			}
 			batch := idx[start:end]
-			for _, mod := range mods {
-				mod.zeroGrad()
-			}
-			m.out1.ZeroGrad()
-			m.out2.ZeroGrad()
+			m.zeroGrad()
 			for _, i := range batch {
 				m.backprop(samples[i], y[i])
 			}
-			for _, mod := range mods {
+			for _, mod := range m.mods() {
 				mod.step(cfg.LearningRate, len(batch))
 			}
 			m.out1.Step(cfg.LearningRate, len(batch))
@@ -261,41 +244,45 @@ func checkDims(s *Sets, td, jd, pd int) error {
 	return check("pred", s.Preds, pd)
 }
 
-func (m *Model) backprop(s *Sets, target float64) {
-	tt := m.tableMod.forward(s.Tables)
-	jt := m.joinMod.forward(s.Joins)
-	pt := m.predMod.forward(s.Preds)
-
-	concat := make([]float64, 0, 3*m.cfg.HiddenSet)
-	concat = append(concat, tt.pooled...)
-	concat = append(concat, jt.pooled...)
-	concat = append(concat, pt.pooled...)
-
-	pre1 := m.out1.Forward(concat)
-	act1 := mlmath.ReLU(append([]float64(nil), pre1...))
-	out := m.out2.Forward(act1)
-
-	_, grad := mlmath.MSEGrad(out[0], target)
-	dAct1 := m.out2.Backward(act1, []float64{grad})
-	mlmath.ReLUBackward(pre1, dAct1)
-	dConcat := m.out1.Backward(concat, dAct1)
-
-	h := m.cfg.HiddenSet
-	m.tableMod.backward(tt, dConcat[0:h])
-	m.joinMod.backward(jt, dConcat[h:2*h])
-	m.predMod.backward(pt, dConcat[2*h:3*h])
+// pass is one forward pass through the network, with the intermediates
+// backprop needs.
+type pass struct {
+	sets               [3]*setTrace // tables, joins, predicates
+	concat, pre1, act1 []float64
+	out                float64
 }
 
-// Predict returns the network output for one featurized query, evaluated in
-// pooled scratch buffers (see fast.go) without allocating.
+func (m *Model) forward(s *Sets) *pass {
+	p := &pass{sets: [3]*setTrace{m.tableMod.forward(s.Tables), m.joinMod.forward(s.Joins), m.predMod.forward(s.Preds)}}
+	p.concat = make([]float64, 0, 3*m.cfg.HiddenSet)
+	for _, tr := range p.sets {
+		p.concat = append(p.concat, tr.pooled...)
+	}
+	p.pre1 = m.out1.Forward(p.concat)
+	p.act1 = mlmath.ReLU(append([]float64(nil), p.pre1...))
+	p.out = m.out2.Forward(p.act1)[0]
+	return p
+}
+
+func (m *Model) backprop(s *Sets, target float64) {
+	p := m.forward(s)
+	_, grad := mlmath.MSEGrad(p.out, target)
+	dAct1 := m.out2.Backward(p.act1, []float64{grad})
+	mlmath.ReLUBackward(p.pre1, dAct1)
+	dConcat := m.out1.Backward(p.concat, dAct1)
+	h := m.cfg.HiddenSet
+	for i, mod := range m.mods() {
+		mod.backward(p.sets[i], dConcat[i*h:(i+1)*h])
+	}
+}
+
+// Predict returns the network output for one featurized query: the forward
+// pass training runs.
 func (m *Model) Predict(s *Sets) float64 {
 	if err := checkDims(s, m.tableDim, m.joinDim, m.predDim); err != nil {
 		panic("mscn: " + err.Error())
 	}
-	sc := m.pool.Get().(*inferScratch)
-	out := m.predictWith(sc, s)
-	m.pool.Put(sc)
-	return out
+	return m.forward(s).out
 }
 
 // NumParams returns the trainable parameter count — the basis of the
@@ -307,55 +294,3 @@ func (m *Model) NumParams() int {
 
 // MemoryBytes estimates the resident model size (8 bytes per parameter).
 func (m *Model) MemoryBytes() int { return m.NumParams() * 8 }
-
-// SanityCheckGradients verifies the hand-written backprop against central
-// finite differences on a tiny instance; exported for the test suite.
-func SanityCheckGradients(seed int64) (maxRelErr float64, err error) {
-	rng := rand.New(rand.NewSource(seed))
-	sample := &Sets{
-		Tables: [][]float64{{1, 0}, {0, 1}},
-		Joins:  [][]float64{{1}},
-		Preds:  [][]float64{{0.2, 0.8, 0.5}, {0.9, 0.1, 0.3}},
-	}
-	target := 0.7
-	cfg := Config{HiddenSet: 4, HiddenOut: 5, LearningRate: 1e-3, Epochs: 1, BatchSize: 1, Seed: seed}
-	m := newModel(cfg, 2, 1, 3, rng)
-	loss := func() float64 {
-		diff := m.Predict(sample) - target
-		return 0.5 * diff * diff
-	}
-	// Analytic gradients.
-	mods := []*setModule{m.tableMod, m.joinMod, m.predMod}
-	for _, mod := range mods {
-		mod.zeroGrad()
-	}
-	m.out1.ZeroGrad()
-	m.out2.ZeroGrad()
-	m.backprop(sample, target)
-
-	layers := []*mlmath.Dense{
-		m.tableMod.l1, m.tableMod.l2, m.joinMod.l1, m.joinMod.l2,
-		m.predMod.l1, m.predMod.l2, m.out1, m.out2,
-	}
-	const h = 1e-6
-	for _, l := range layers {
-		for i := range l.W {
-			orig := l.W[i]
-			l.W[i] = orig + h
-			up := loss()
-			l.W[i] = orig - h
-			down := loss()
-			l.W[i] = orig
-			numeric := (up - down) / (2 * h)
-			analytic := l.GradW(i)
-			denom := math.Max(math.Abs(numeric), math.Abs(analytic))
-			if denom < 1e-8 {
-				continue
-			}
-			if rel := math.Abs(numeric-analytic) / denom; rel > maxRelErr {
-				maxRelErr = rel
-			}
-		}
-	}
-	return maxRelErr, nil
-}

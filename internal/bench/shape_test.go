@@ -3,7 +3,7 @@ package bench
 import (
 	"testing"
 
-	"qfe/internal/core"
+	"qfe/internal/bench/mscn"
 	"qfe/internal/estimator"
 	"qfe/internal/metrics"
 	"qfe/internal/workload"
@@ -194,8 +194,8 @@ func TestShapeMSCNConjImprovesOnOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(mode core.MSCNMode) metrics.Summary {
-		est, err := estimator.NewMSCN(db, schema, mode, shapeEnv.coreOptions(), shapeEnv.mscnConfig(), false)
+	run := func(mode mscn.Mode) metrics.Summary {
+		est, err := mscn.New(db, schema, mode, shapeEnv.coreOptions(), shapeEnv.mscnConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,8 +208,8 @@ func TestShapeMSCNConjImprovesOnOriginal(t *testing.T) {
 		}
 		return sum
 	}
-	orig := run(core.MSCNOriginal)
-	conj := run(core.MSCNPerAttribute)
+	orig := run(mscn.Original)
+	conj := run(mscn.PerAttribute)
 	t.Logf("MSCN original %v | MSCN+conj %v", orig, conj)
 	if conj.Median > 1.5*orig.Median {
 		t.Errorf("MSCN+conj median %v should not be far worse than original %v", conj.Median, orig.Median)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"qfe/internal/bench/engine"
+	"qfe/internal/bench/mscn"
 	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/sqlparse"
@@ -61,8 +62,8 @@ func Table2(env *Env) (*Report, error) {
 	}
 	opts := env.coreOptions()
 
-	for _, mode := range []core.MSCNMode{core.MSCNOriginal, core.MSCNPerAttribute} {
-		est, err := estimator.NewMSCN(db, schema, mode, opts, env.mscnConfig(), false)
+	for _, mode := range []mscn.Mode{mscn.Original, mscn.PerAttribute} {
+		est, err := mscn.New(db, schema, mode, opts, env.mscnConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -161,7 +162,7 @@ func Table4(env *Env) (*Report, error) {
 	}
 	queries := test.Queries()
 
-	ours, err := estimator.NewGlobal(db, schema, "conjunctive", env.coreOptions(), estimator.NewGBFactory(env.gbConfig()), false)
+	ours, err := newGlobal(db, schema, "conjunctive", env.coreOptions(), estimator.NewGBFactory(env.gbConfig()))
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +357,7 @@ func Table7(env *Env) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := estimator.NewMSCN(db, schema, core.MSCNPerAttribute, opts, env.mscnConfig(), false)
+	m, err := mscn.New(db, schema, mscn.PerAttribute, opts, env.mscnConfig())
 	if err != nil {
 		return nil, err
 	}

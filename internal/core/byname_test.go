@@ -124,7 +124,7 @@ func byNameFeaturizeInto(f Featurizer, dst []float64, expr sqlparse.Expr) error 
 			if first := sc.head[ai]; first >= 0 {
 				p := sc.conj[first].(*sqlparse.Pred)
 				block := dst[4*ai : 4*ai+4]
-				block[0], block[1], block[2] = opBits(p.Op)
+				block[0], block[1], block[2] = OpBits(p.Op)
 				block[3] = f.meta.Attrs[ai].Normalize(p.Val)
 			}
 		}

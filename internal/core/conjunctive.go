@@ -196,7 +196,6 @@ type scratch struct {
 	terms            []term           // one attribute's DNF terms, in interval form
 	nes              []notEq          // the terms' not-equal literals, placed
 	saved            []saved          // the entries merge puts back
-	ands             []sqlparse.And   // the per-table split of a multi-table query (GlobalFeaturizer)
 	// The attribute the fold is for: every predicate it meets must be meta's
 	// attribute ai; ai < 0 checks nothing.
 	meta *TableMeta
@@ -224,16 +223,8 @@ const maxPooled = 1 << 12
 // inflates the term arenas, and a WHERE of tens of thousands of conjuncts the
 // grouping's; that memory is better left to the collector than pinned.
 func (sc *scratch) keep() bool {
-	if max(cap(sc.conj), cap(sc.head), cap(sc.tail), cap(sc.next), cap(sc.kids), cap(sc.preds),
-		cap(sc.terms), cap(sc.nes), cap(sc.saved), cap(sc.ands)) > maxPooled {
-		return false
-	}
-	for i := range sc.ands {
-		if cap(sc.ands[i].Kids) > maxPooled {
-			return false
-		}
-	}
-	return true
+	return max(cap(sc.conj), cap(sc.head), cap(sc.tail), cap(sc.next), cap(sc.kids), cap(sc.preds),
+		cap(sc.terms), cap(sc.nes), cap(sc.saved)) <= maxPooled
 }
 
 // group walks the top-level conjunction of expr once and chains every

@@ -24,11 +24,11 @@
 //     per-disjunct vectors merged by entry-wise max.
 //
 // All QFTs are model-independent: they emit plain []float64 vectors consumed
-// unchanged by the gradient-boosting, feed-forward, and MSCN models in
-// internal/ml. The package also provides the join adapters of
-// Sections 2.1.2 and 4.2 (global-model table bit-vectors and MSCN predicate
-// sets) and the Section 6 extensions (GROUP BY vectors, string-prefix
-// featurization via dictionary order). The lossless-featurization decoder
+// unchanged by the gradient-boosting and feed-forward models in internal/ml
+// (and, per attribute, by the experiment harness's MSCN). The package also
+// provides SplitWhereByTable, a join query's WHERE split per table, and the
+// Section 6 extensions (GROUP BY vectors, string-prefix featurization via
+// dictionary order). The lossless-featurization decoder
 // that verifies Definition 3.1 and Lemma 3.2 lives with its tests
 // (decode_test.go).
 //

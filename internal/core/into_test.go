@@ -152,36 +152,6 @@ func TestFeaturizeIntoGroupByWrapper(t *testing.T) {
 	}
 }
 
-// TestFeaturizeIntoGlobal checks the multi-table adapter: per-table blocks
-// at schema-order offsets, absent tables zeroed, bit-vector tail in place.
-func TestFeaturizeIntoGlobal(t *testing.T) {
-	schema, metas := twoTableSchema()
-	for _, qft := range QFTNames() {
-		g, err := NewGlobalFeaturizer(schema, metas, qft, Options{MaxEntriesPerAttr: 8, AttrSel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]float64, g.Dim())
-		for _, sql := range []string{
-			"SELECT count(*) FROM title, cast_info WHERE title.id = cast_info.movie_id AND title.year >= 2000 AND cast_info.role_id = 1",
-			"SELECT count(*) FROM title, cast_info WHERE title.id = cast_info.movie_id AND title.year >= 2000",
-			"SELECT count(*) FROM title WHERE year < 1950",
-			"SELECT count(*) FROM cast_info WHERE role_id = 3 AND movie_id > 40",
-		} {
-			q := sqlparse.MustParse(sql)
-			want, err := oracleGlobal(g, q)
-			if err != nil {
-				t.Fatalf("%s: %v", qft, err)
-			}
-			poison(dst)
-			if err := g.FeaturizeInto(dst, stampQuery(metas, q)); err != nil {
-				t.Fatalf("%s: %v", qft, err)
-			}
-			sameVec(t, 0, qft+"/global:"+sql, want, dst)
-		}
-	}
-}
-
 // TestFeaturizeIntoErrors: walk and oracle must agree on rejection, and a
 // wrong-length destination is refused outright.
 func TestFeaturizeIntoErrors(t *testing.T) {

@@ -58,7 +58,7 @@ func oracleSimple(s *Simple, expr sqlparse.Expr) ([]float64, error) {
 		}
 		seen[ai] = true
 		base := 4 * ai
-		eq, gt, lt := opBits(p.Op)
+		eq, gt, lt := OpBits(p.Op)
 		vec[base+0] = eq
 		vec[base+1] = gt
 		vec[base+2] = lt
@@ -321,65 +321,6 @@ func oracleAttrConjunction(a AttrMeta, preds []*sqlparse.Pred, vec []float64) (f
 		sel = float64(r) / float64(a.DomainSize())
 	}
 	return sel, nil
-}
-
-// oracleSplitWhereByTable is the map-and-NewAnd form of SplitWhereByTable.
-func oracleSplitWhereByTable(q *sqlparse.Query) (map[string]sqlparse.Expr, error) {
-	byTable := make(map[string][]sqlparse.Expr)
-	single := ""
-	if len(q.Tables) == 1 {
-		single = q.Tables[0]
-	}
-	for _, kid := range sqlparse.Conjuncts(q.Where) {
-		tbl := ""
-		for _, p := range sqlparse.CollectPreds(kid) {
-			pt := tableOf(p.Attr, single)
-			if pt == "" {
-				return nil, fmt.Errorf("core: unqualified attribute %q in multi-table query", p.Attr)
-			}
-			if tbl == "" {
-				tbl = pt
-			} else if tbl != pt {
-				return nil, fmt.Errorf("core: conjunct %q spans tables %q and %q", kid, tbl, pt)
-			}
-		}
-		if tbl == "" {
-			continue
-		}
-		byTable[tbl] = append(byTable[tbl], kid)
-	}
-	out := make(map[string]sqlparse.Expr, len(byTable))
-	for t, kids := range byTable {
-		out[t] = sqlparse.NewAnd(kids...)
-	}
-	return out, nil
-}
-
-// oracleGlobal is the append-based GlobalFeaturizer.Featurize.
-func oracleGlobal(g *GlobalFeaturizer, q *sqlparse.Query) ([]float64, error) {
-	perTable, err := oracleSplitWhereByTable(q)
-	if err != nil {
-		return nil, err
-	}
-	inQuery := make(map[string]bool, len(q.Tables))
-	for _, t := range q.Tables {
-		inQuery[t] = true
-	}
-	vec := make([]float64, 0, g.Dim())
-	for _, t := range g.Schema.Tables {
-		f := g.QFTs[t]
-		if !inQuery[t] {
-			vec = append(vec, make([]float64, f.Dim())...)
-			continue
-		}
-		sub, err := oracleFeaturize(f, perTable[t])
-		if err != nil {
-			return nil, fmt.Errorf("core: table %q: %w", t, err)
-		}
-		vec = append(vec, sub...)
-	}
-	vec = append(vec, g.Schema.TableBitvector(q.Tables)...)
-	return vec, nil
 }
 
 // oracleCanonicalQuery is the string-building renderer every fingerprint

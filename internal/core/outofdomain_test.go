@@ -93,7 +93,7 @@ func TestLiteralsOutsideTheDomain(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s (simple): %v", label, err)
 					}
-					eq, gt, lt := opBits(op)
+					eq, gt, lt := OpBits(op)
 					clamped := 0.0
 					if lit > a.Max {
 						clamped = 1

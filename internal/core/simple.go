@@ -65,14 +65,16 @@ func (s *Simple) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 		// Information loss: only one predicate per attribute fits.
 		p := sc.conj[first].(*sqlparse.Pred)
 		block := dst[4*ai : 4*ai+4]
-		block[0], block[1], block[2] = opBits(p.Op)
+		block[0], block[1], block[2] = OpBits(p.Op)
 		block[3] = s.meta.Attrs[ai].Normalize(p.Val)
 	}
 	return nil
 }
 
-// opBits projects a comparison operator onto the {=, >, <} indicator bits.
-func opBits(op sqlparse.CmpOp) (eq, gt, lt float64) {
+// OpBits projects a comparison operator onto the {=, >, <} indicator bits of
+// Singular Predicate Encoding; the harness's MSCN predicate vectors use the
+// same bits.
+func OpBits(op sqlparse.CmpOp) (eq, gt, lt float64) {
 	switch op {
 	case sqlparse.OpEq:
 		return 1, 0, 0

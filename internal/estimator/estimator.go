@@ -4,17 +4,16 @@
 // Section 5.2 (Postgres-style independence assumption, Bernoulli sampling,
 // and the true-cardinality oracle).
 //
-// The package implements both deployment styles of Section 2.1.2:
+// The learned estimator is the local-model deployment of Section 2.1.2: one
+// model per sub-schema (base table or join result), routed by the query's
+// table set. The global models the paper compares against (a regressor over
+// the concatenated per-table encoding plus table bit-vector, and MSCN) are
+// experiment baselines, built in internal/bench over this package's
+// exports.
 //
-//   - local models — one estimator per sub-schema (base table or join
-//     result), routed by the query's table set;
-//   - global models — a single estimator for all sub-schemas, either a
-//     plain regressor over the concatenated per-table encoding plus table
-//     bit-vector, or the MSCN set architecture.
-//
-// All learned estimators regress on log2-transformed cardinalities (the
-// standard choice for q-error training; the raw-label ablation is available
-// via Config.RawLabels).
+// Learned estimators regress on log2-transformed cardinalities (Log2Label,
+// the standard choice for q-error training; the raw-label ablation is
+// available via LocalConfig.RawLabels).
 package estimator
 
 import (
@@ -123,20 +122,29 @@ func (t labelTransform) forward(card float64) float64 {
 	if t.raw {
 		return card
 	}
-	return math.Log2(card + 1)
+	return Log2Label(card)
 }
 
 func (t labelTransform) inverse(pred float64) float64 {
-	var card float64
 	if t.raw {
-		card = pred
-	} else {
-		// Guard against overflow on wild extrapolations.
-		if pred > 62 {
-			pred = 62
-		}
-		card = math.Exp2(pred) - 1
+		return atLeastOne(pred)
 	}
+	return FromLog2Label(pred)
+}
+
+// Log2Label is the regression target of a cardinality: log2(card + 1).
+// Every model this package trains, and the harness's global models, regress
+// on it unless the raw-label ablation is on.
+func Log2Label(card float64) float64 { return math.Log2(card + 1) }
+
+// FromLog2Label inverts Log2Label into an estimate of at least 1, capping
+// wild extrapolations at 2^62.
+func FromLog2Label(pred float64) float64 {
+	return atLeastOne(math.Exp2(min(pred, 62)) - 1)
+}
+
+// atLeastOne clamps an estimate below one row, or NaN, to one row.
+func atLeastOne(card float64) float64 {
 	if card < 1 || math.IsNaN(card) {
 		return 1
 	}

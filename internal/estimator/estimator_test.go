@@ -13,7 +13,6 @@ import (
 	"qfe/internal/exec"
 	"qfe/internal/metrics"
 	"qfe/internal/ml/gb"
-	"qfe/internal/ml/mscn"
 	"qfe/internal/ml/nn"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
@@ -305,10 +304,10 @@ func TestEstimateUnknownSubSchema(t *testing.T) {
 	}
 }
 
-func TestLocalJoinsAndGlobalAndMSCN(t *testing.T) {
+func TestLocalJoins(t *testing.T) {
 	// One end-to-end pass over the join stack: IMDb star schema, training
-	// workload, JOB-light-style suite; local GB, global GB, MSCN original
-	// and modified. Tiny sizes — correctness of plumbing, not accuracy.
+	// workload, JOB-light-style suite, local GB. Tiny sizes — correctness of
+	// plumbing, not accuracy.
 	db, err := dataset.IMDB(dataset.IMDBConfig{Titles: 600, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -363,58 +362,6 @@ func TestLocalJoinsAndGlobalAndMSCN(t *testing.T) {
 	t.Logf("local GB+conj on joins: %v (models: %d)", locSum, loc.NumModels())
 	if math.IsNaN(locSum.Mean) || locSum.Median < 1 {
 		t.Fatalf("degenerate local summary %v", locSum)
-	}
-
-	glob, err := NewGlobal(db, schema, "conjunctive", opts, NewGBFactory(smallGB()), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := glob.Train(train); err != nil {
-		t.Fatal(err)
-	}
-	globSum, err := Summarize(glob, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("global GB+conj on joins: %v", globSum)
-
-	mcfg := mscn.DefaultConfig()
-	mcfg.Epochs = 10
-	mcfg.HiddenSet = 16
-	mcfg.HiddenOut = 32
-	for _, mode := range []core.MSCNMode{core.MSCNOriginal, core.MSCNPerAttribute} {
-		est, err := NewMSCN(db, schema, mode, opts, mcfg, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := est.Train(train); err != nil {
-			t.Fatal(err)
-		}
-		sum, err := Summarize(est, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%s on joins: %v", est.Name(), sum)
-		if math.IsNaN(sum.Mean) || sum.Median < 1 {
-			t.Fatalf("degenerate MSCN summary %v", sum)
-		}
-		if est.MemoryBytes() <= 0 {
-			t.Error("MSCN MemoryBytes not positive")
-		}
-	}
-}
-
-func TestMSCNRejectsEstimateBeforeTrain(t *testing.T) {
-	db, err := dataset.IMDB(dataset.IMDBConfig{Titles: 100, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := NewMSCN(db, dataset.IMDBSchema(), core.MSCNOriginal, core.DefaultOptions(), mscn.DefaultConfig(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := est.Estimate(sqlparse.MustParse("SELECT count(*) FROM title")); err == nil {
-		t.Error("expected error before Train")
 	}
 }
 

@@ -147,12 +147,14 @@ func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
 		}
 		est *= float64(t.NumRows())
 		// A table listed twice (self-join) sees its predicates both times.
-		compounds, err := sqlparse.CompoundPredicates(&perTable[slices.Index(q.Tables, tn)])
+		// The share is one table's, so its attributes are told apart by
+		// column: "A1" and "forest.A1" are one compound.
+		compounds, err := sqlparse.CompoundsBy(&perTable[slices.Index(q.Tables, tn)], columnName)
 		if err != nil {
 			return 0, core.Unsupported(fmt.Errorf("estimator: independence baseline requires per-attribute compounds: %w", err))
 		}
 		for _, cp := range compounds {
-			col, err := column(t, cp.Attr[strings.IndexByte(cp.Attr, '.')+1:])
+			col, err := column(t, cp.Attr)
 			if err != nil {
 				return 0, err
 			}
@@ -189,6 +191,9 @@ func (ind *Independence) EstimateCtx(ctx context.Context, q *sqlparse.Query) (fl
 	}
 	return ind.Estimate(q)
 }
+
+// columnName is a predicate's attribute name without its table qualifier.
+func columnName(attr string) (string, error) { return attr[strings.IndexByte(attr, '.')+1:], nil }
 
 // column returns t's column name, or an error naming both.
 func column(t *table.Table, name string) (*table.Column, error) {

@@ -9,6 +9,7 @@ import (
 
 	"qfe/internal/core"
 	"qfe/internal/dataset"
+	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 	"qfe/internal/testutil"
@@ -306,6 +307,36 @@ func TestIndependenceMatchesItsOracle(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d estimates bit-identical", tc.name, len(tc.qs))
+	}
+}
+
+// TestIndependenceBothSpellingsOfOneAttribute: a table's share is grouped by
+// column, so spelling an attribute bare or qualified changes no estimate by a
+// bit, and an OR over both spellings is one attribute's compound, not a
+// conjunct that mixes two.
+func TestIndependenceBothSpellingsOfOneAttribute(t *testing.T) {
+	_, db := servedForest(t)
+	ind := &Independence{DB: db}
+	for _, pair := range [][2]string{
+		{"A1 >= 2029 AND A1 <= 2579", "A1 >= 2029 AND forest.A1 <= 2579"},
+		{"A1 < 2029 OR A1 > 2579", "A1 < 2029 OR forest.A1 > 2579"},
+		{"(A1 = 2100 OR A1 = 2200) AND A2 > 100 AND A1 <> 2150", "(forest.A1 = 2100 OR A1 = 2200) AND forest.A2 > 100 AND forest.A1 <> 2150"},
+	} {
+		var ests [2]float64
+		for i, where := range pair {
+			q := sqlparse.MustParse("SELECT count(*) FROM forest WHERE " + where)
+			if err := exec.Bind(q, db); err != nil {
+				t.Fatal(err)
+			}
+			est, err := ind.Estimate(q)
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			ests[i] = est
+		}
+		if math.Float64bits(ests[0]) != math.Float64bits(ests[1]) {
+			t.Errorf("%q estimates %v, %q %v", pair[0], ests[0], pair[1], ests[1])
+		}
 	}
 }
 

@@ -62,8 +62,7 @@ const FormatVersion = 2
 func readsFormat(v int) bool { return v == 1 || v == FormatVersion }
 
 // SaveJSON writes the trained estimator to w. Only GB- and NN-backed locals
-// are serializable (MSCN-backed estimators are global models with their own
-// lifecycle).
+// are serializable.
 func (l *Local) SaveJSON(w io.Writer) error {
 	s := savedLocal{
 		Format:    FormatVersion,

@@ -203,37 +203,6 @@ func TestEstimateBothSpellingsOfOneAttribute(t *testing.T) {
 	}
 }
 
-// TestGlobalPooledAndBatch: same contract for the global estimator — pooled
-// Estimate matches the append-based reference. (The name predates the removal
-// of EstimateBatch, whose agreement with Estimate was the other half.)
-func TestGlobalPooledAndBatch(t *testing.T) {
-	e := env(t)
-	schema := &catalog.Schema{Tables: []string{"forest"}}
-	g, err := NewGlobal(e.db, schema, "conjunctive",
-		core.Options{MaxEntriesPerAttr: 16, AttrSel: true}, NewGBFactory(smallGB()), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Train(e.train[:600]); err != nil {
-		t.Fatal(err)
-	}
-	for i, lq := range e.test[:100] {
-		q := lq.Query
-		vec, err := g.feat.Featurize(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := g.transform.inverse(g.reg.Predict(vec))
-		got, err := g.Estimate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("query %d: pooled %v != reference %v", i, got, want)
-		}
-	}
-}
-
 // TestEstimateSteadyStateAllocs pins the per-query garbage of the path a
 // cache miss takes in the daemon — the complex QFT over mixed AND/OR queries,
 // a different query every call — so future changes can't silently

@@ -10,8 +10,8 @@ import (
 // Regressor is the model-agnostic fitting interface the QFT layer plugs
 // into — the paper's point that its featurizations are model-independent
 // (Section 4) made concrete. Both the gradient-boosting and feed-forward
-// models satisfy it; MSCN has its own path because its input is a set
-// structure rather than a flat vector.
+// models satisfy it; the harness's MSCN has its own path because its input
+// is a set structure rather than a flat vector.
 type Regressor interface {
 	// Name is the paper's model abbreviation ("GB", "NN").
 	Name() string

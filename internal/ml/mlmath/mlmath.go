@@ -1,7 +1,7 @@
 // Package mlmath provides the small dense-linear-algebra and optimization
 // kernel shared by the neural models of this reproduction (the feed-forward
 // network of internal/ml/nn and the multi-set convolutional network of
-// internal/ml/mscn): dense layers with manual backpropagation, ReLU, Adam,
+// internal/bench/mscn): dense layers with manual backpropagation, ReLU, Adam,
 // and deterministic weight initialization.
 //
 // Everything is float64 on flat slices — no external numeric libraries, per

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -99,15 +100,33 @@ type Compound struct {
 //
 // A nil expr yields no compounds. A conjunct mixing attributes (e.g.
 // "A > 1 OR B < 2") returns an error: such queries are outside the class
-// Limited Disjunction Encoding supports.
+// Limited Disjunction Encoding supports. Attributes are told apart by their
+// names as written; CompoundsBy tells them apart by a caller's key.
 func CompoundPredicates(expr Expr) ([]Compound, error) {
+	return CompoundsBy(expr, func(attr string) (string, error) { return attr, nil })
+}
+
+// CompoundsBy is CompoundPredicates with attributes told apart by key(name)
+// instead of by name, so that two spellings of one attribute ("A1" and
+// "forest.A1") can form one compound. Each Compound's Attr is its key. An
+// error from key is returned as it is.
+func CompoundsBy(expr Expr, key func(attr string) (string, error)) ([]Compound, error) {
 	if expr == nil {
 		return nil, nil
 	}
 	byAttr := make(map[string][]Expr)
 	var order []string
 	for _, kid := range Conjuncts(expr) {
-		attrs := Attrs(kid)
+		var attrs []string
+		for _, p := range CollectPreds(kid) {
+			a, err := key(p.Attr)
+			if err != nil {
+				return nil, err
+			}
+			if !slices.Contains(attrs, a) {
+				attrs = append(attrs, a)
+			}
+		}
 		switch len(attrs) {
 		case 0:
 			return nil, fmt.Errorf("sqlparse: conjunct %q has no predicates", kid)
@@ -118,6 +137,7 @@ func CompoundPredicates(expr Expr) ([]Compound, error) {
 			}
 			byAttr[a] = append(byAttr[a], kid)
 		default:
+			slices.Sort(attrs)
 			return nil, fmt.Errorf("sqlparse: not a mixed query (Definition 3.3): conjunct %q mixes attributes %v", kid, attrs)
 		}
 	}
