@@ -59,7 +59,8 @@ ci:
 	$(GO) test -fuzz=FuzzEvalExpr -fuzztime=5s ./internal/exec
 # ... and the snapshot loader, which store recovery and hot-load run on
 # whatever bytes they find, seeded with a format-1 (per-tree) and a format-2
-# (packed forest) snapshot: it loads a working estimator or errors, never panics.
+# (packed forest) snapshot and a format-2 document of model type NN: it loads
+# a working GB estimator or errors, never panics.
 	$(GO) test -fuzz=FuzzLoadEstimator -fuzztime=5s ./internal/estimator
 # ... and the partitioned featurizers on whatever WHERE the parser makes of
 # the input, over a uniform, a weighted, a one-value, two int64-extreme and a
@@ -100,13 +101,18 @@ ci:
 	! grep -rn 'chan Record' --include='*.go' internal/journal | grep -v _test.go
 # Guard 6, the production tree holds what a serving or training binary can
 # reach: no dependency of a serving, training or benchmark binary lives under
-# internal/bench (cmd/benchrunner is the harness's own binary) or is an MSCN
-# package — the paper's global baselines (MSCN, the global model) are
-# trained only by the harness, so they live in it (internal/bench/mscn,
-# internal/bench/global.go) — and neither core nor estimator declares an
-# MSCN or global-model name for them ...
-	! $(GO) list -deps ./cmd/cardestd ./cmd/cardest ./cmd/replay ./cmd/datagen ./cmd/bench | grep -E 'qfe/internal/bench|mscn'
+# internal/bench (cmd/benchrunner is the harness's own binary) or is an MSCN,
+# feed-forward network or mlmath package — the paper's global baselines
+# (MSCN, the global model) are trained only by the harness, so they live in
+# it (internal/bench/mscn, internal/bench/global.go), and so does the NN
+# (internal/bench/nn, with the mlmath kernel it shares with MSCN), which lost
+# ext9's bar for a serving slot to GB — and neither core nor estimator
+# declares an MSCN or global-model name for them, nor estimator or cli an NN
+# adapter, factory or by-name resolver: the binaries build and persist GB
+# alone ...
+	! $(GO) list -deps ./cmd/cardestd ./cmd/cardest ./cmd/replay ./cmd/datagen ./cmd/bench | grep -E 'qfe/internal/bench|mscn|/nn$$|mlmath'
 	! for p in core estimator; do $(GO) doc -all qfe/internal/$$p; done | grep -P '^(func|type|var|const) |^\t\w' | grep -E 'MSCN|Global'
+	! for p in estimator cli; do $(GO) doc -all qfe/internal/$$p; done | grep -P '^(func|type|var|const) |^\t\w' | grep -E 'NN|FactoryByName'
 # ... and the snapshot kinds nothing can write, and the regressor nothing can
 # serve, do not come back outside the harness.
 	! grep -rnE 'KindGlobal|KindHybrid|LoadGlobal|LoadHybrid|NewLinRegFactory' --include='*.go' internal cmd | grep -v '^internal/bench/'
@@ -269,7 +275,7 @@ serve-smoke:
 # and journal.append_us; the boot's label phase as BenchmarkLabelBoot and
 # sequential vs parallel labeling and training as
 # BenchmarkCountManyWorkers (internal/exec) and BenchmarkTrainWorkers
-# (internal/ml/gb, internal/ml/nn); batched vs per-record fsync as
+# (internal/ml/gb, internal/bench/nn); batched vs per-record fsync as
 # BenchmarkAppendDurable (internal/journal).
 bench:
 	$(GO) run ./cmd/bench

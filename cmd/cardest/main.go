@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	cardest [-qft conjunctive] [-model GB] [-train 2000] [-rows 20000]
+//	cardest [-qft complex] [-model GB] [-train 2000] [-rows 20000]
 //	        [-entries 32] [-query "SELECT count(*) FROM forest WHERE ..."]
 //	        [-timeout 0] [-fallback]
 //
@@ -39,8 +39,8 @@ import (
 )
 
 func main() {
-	qft := flag.String("qft", "conjunctive", "featurization: simple, range, conjunctive, or complex")
-	model := flag.String("model", "GB", "regressor: GB or NN; any other name is refused before the table is built")
+	qft := flag.String("qft", "complex", "featurization: simple, range, conjunctive, or complex")
+	model := flag.String("model", "GB", "regressor: GB, the one built and served; any other name is refused before the table is built")
 	trainN := flag.Int("train", 2_000, "number of training queries")
 	rows := flag.Int("rows", 20_000, "forest table rows")
 	entries := flag.Int("entries", 32, "per-attribute feature entries (n)")

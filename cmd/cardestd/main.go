@@ -8,7 +8,7 @@
 // Usage:
 //
 //	cardestd [-addr :8482] [-load name=path[,name=path...]] [-default name]
-//	         [-qft conjunctive] [-model GB] [-train 2000] [-rows 20000]
+//	         [-qft complex] [-model GB] [-train 2000] [-rows 20000]
 //	         [-entries 32] [-seed 1] [-workers 0] [-save file]
 //	         [-timeout 100ms] [-max-inflight 64]
 //	         [-drain-timeout 10s] [-smoke] [-pprof addr]
@@ -178,8 +178,8 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.addr, "addr", ":8482", "listen address")
 	fs.StringVar(&o.load, "load", "", "comma-separated name=path model snapshots to serve (default: train one at boot)")
 	fs.StringVar(&o.defName, "default", "", "name of the default model (default: first registered)")
-	fs.StringVar(&o.qft, "qft", "conjunctive", "featurization for the boot-trained model")
-	fs.StringVar(&o.model, "model", "GB", "regressor for the boot-trained model: GB or NN; any other name is refused before the table is built")
+	fs.StringVar(&o.qft, "qft", "complex", "featurization for the boot-trained model: simple, range, conjunctive, or complex (the default, which also encodes OR)")
+	fs.StringVar(&o.model, "model", "GB", "regressor for the boot-trained model: GB, the one served; any other name is refused before the table is built")
 	fs.IntVar(&o.trainN, "train", 2_000, "training queries for the boot-trained model")
 	fs.IntVar(&o.rows, "rows", 20_000, "forest table rows")
 	fs.IntVar(&o.entries, "entries", 32, "per-attribute feature entries (n)")

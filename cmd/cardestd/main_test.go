@@ -120,17 +120,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		t.Errorf("negative workers: err = %v, want a -workers error", err)
 	}
 
-	// LR is ext1's model, not the daemon's: the name is refused with the
-	// flags — before a table is built (Rows 0 would be the next error) — and
-	// not, as it was, after boot-training with "not serializable".
-	o = tinyOptions(t)
-	o.model, o.rows = "LR", 0
-	var out bytes.Buffer
-	if err := run(o, &out); err == nil || !strings.Contains(err.Error(), "-model") || !strings.Contains(err.Error(), "GB or NN") {
-		t.Errorf("-model LR: err = %v, want a -model error naming GB and NN", err)
-	}
-	if strings.Contains(out.String(), "building forest environment") {
-		t.Errorf("-model LR built the table before it was refused:\n%s", out.String())
+	// LR and NN are the harness's models, not the daemon's: the name is
+	// refused with the flags — before a table is built (Rows 0 would be the
+	// next error) — and not, as LR once was, after boot-training with "not
+	// serializable".
+	for _, model := range []string{"LR", "NN"} {
+		o = tinyOptions(t)
+		o.model, o.rows = model, 0
+		var out bytes.Buffer
+		if err := run(o, &out); err == nil || !strings.Contains(err.Error(), "-model") || !strings.Contains(err.Error(), "want GB)") {
+			t.Errorf("-model %s: err = %v, want a -model error naming GB", model, err)
+		}
+		if strings.Contains(out.String(), "building forest environment") {
+			t.Errorf("-model %s built the table before it was refused:\n%s", model, out.String())
+		}
 	}
 
 	o = tinyOptions(t)
@@ -218,6 +221,18 @@ func TestRefusedQueriesLeaveTheModelServing(t *testing.T) {
 				t.Errorf("after %d refusals a query the model encodes got stage %q, want learned", len(tc.refused), stage)
 			}
 		})
+	}
+}
+
+// TestDefaultQFTEncodesOR: -qft defaults to complex, which encodes an OR on
+// one attribute itself, so a daemon booted with the default flags answers
+// one from the learned stage. Under the earlier default, conjunctive, the
+// model refused it and independence answered, as it did most mixed traffic.
+func TestDefaultQFTEncodesOR(t *testing.T) {
+	const or = "SELECT count(*) FROM forest WHERE A1 < 2029 OR A1 > 2579"
+	h := armedDaemon(t, tinyOptions(t).qft).srv.Handler()
+	if stage, _ := estimateOne(t, h, or); stage != "learned" {
+		t.Errorf("%s under the default flags: stage %q, want learned", or, stage)
 	}
 }
 

@@ -8,16 +8,17 @@
 // Everything the evaluation depends on is rebuilt here as well: a SQL
 // parser for the paper's query class (internal/sqlparse), an in-memory
 // column store and exact COUNT(*) executor (internal/table, internal/exec),
-// gradient-boosting / feed-forward / multi-set-convolutional regressors
-// (internal/ml/...), local and global estimator deployments plus the
-// Postgres-style and sampling baselines (internal/estimator), synthetic
-// stand-ins for the forest-covertype and IMDb datasets
-// (internal/dataset), workload generators and exact labeling
+// the gradient-boosting regressor the daemon serves (internal/ml/gb), the
+// local-model estimator plus the Postgres-style and sampling baselines
+// (internal/estimator), synthetic stand-ins for the forest-covertype and IMDb
+// datasets (internal/dataset), workload generators and exact labeling
 // (internal/workload), and an experiment harness regenerating every table
 // and figure of the paper's Section 5 (internal/bench), which also holds what
-// only it reaches: the cardinality-driven join-order optimizer and executor
-// of the end-to-end experiment (internal/bench/engine), the histogram
-// partitioners and the excluded linear model of the extensions.
+// only it reaches: the feed-forward and multi-set convolutional networks
+// (internal/bench/nn, internal/bench/mscn) and the global model, the
+// cardinality-driven join-order optimizer and executor of the end-to-end
+// experiment (internal/bench/engine), the histogram partitioners and the
+// excluded linear model of the extensions.
 //
 // Start with README.md for the tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

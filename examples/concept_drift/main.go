@@ -8,6 +8,9 @@
 // network overfits, and the partition-based encodings drift most gracefully
 // — reproduces here.
 //
+// The daemon serves GB alone; the network is the experiment harness's
+// (internal/bench), which this example borrows it from.
+//
 // Run with: go run ./examples/concept_drift
 package main
 
@@ -15,12 +18,13 @@ import (
 	"fmt"
 	"log"
 
+	"qfe/internal/bench"
+	"qfe/internal/bench/nn"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
 	"qfe/internal/metrics"
 	"qfe/internal/ml/gb"
-	"qfe/internal/ml/nn"
 	"qfe/internal/table"
 	"qfe/internal/workload"
 )
@@ -59,7 +63,7 @@ func main() {
 		factory estimator.RegressorFactory
 	}{
 		{"GB", estimator.NewGBFactory(gbCfg)},
-		{"NN", estimator.NewNNFactory(nnCfg)},
+		{"NN", bench.NewNNFactory(nnCfg)},
 	} {
 		for _, qft := range []string{"simple", "conjunctive"} {
 			est, err := estimator.NewLocal(db, estimator.LocalConfig{

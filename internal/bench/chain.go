@@ -23,11 +23,12 @@ import (
 // per input is the chain cardestd serves (cli.Chain), which never refuses.
 //
 // The inputs: the forest mixed workload through GB + complex (the benchmark's
-// shape) and through NN + complex (the other regressor cardestd's -model
-// accepts; each learned model's training time and size are printed too); the
-// same queries through GB + conjunctive (cardestd's default -qft, which
-// refuses every OR); the JOB-light-style suite through Table 1's
-// GB + conjunctive local models (sampling refuses joins).
+// shape and cardestd's default) and through NN + complex (the paper's other
+// regressor, which lost its serving slot on this measurement; each learned
+// model's training time and size are printed too); the same queries through
+// GB + conjunctive (cardestd's earlier default -qft, which refuses every OR);
+// the JOB-light-style suite through Table 1's GB + conjunctive local models
+// (sampling refuses joins).
 func ExtensionServingChain(env *Env) (*Report, error) {
 	r := &Report{ID: "ext9", Title: "The serving degradation chain, stage by stage"}
 	forest, err := env.ForestDB()

@@ -5,12 +5,12 @@ import (
 	"sync"
 
 	"qfe/internal/bench/mscn"
+	"qfe/internal/bench/nn"
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
 	"qfe/internal/ml/gb"
-	"qfe/internal/ml/nn"
 	"qfe/internal/table"
 	"qfe/internal/workload"
 )
@@ -228,13 +228,17 @@ func (e *Env) coreOptions() core.Options {
 }
 
 // regressorFactory resolves a model name for the harness: the paper's GB and
-// NN at the scale profile's configuration, plus ext1's LR, which only the
-// harness can name.
+// NN at the scale profile's configuration, plus ext1's LR.
 func (e *Env) regressorFactory(model string) (estimator.RegressorFactory, error) {
-	if model == "LR" {
+	switch model {
+	case "GB":
+		return estimator.NewGBFactory(e.gbConfig()), nil
+	case "NN":
+		return NewNNFactory(e.nnConfig()), nil
+	case "LR":
 		return func() estimator.Regressor { return &linRegRegressor{} }, nil
 	}
-	return estimator.FactoryByName(model, e.gbConfig(), e.nnConfig())
+	return nil, fmt.Errorf("bench: unknown model %q (want GB, NN or LR)", model)
 }
 
 // trainLocal builds and trains a local estimator for the given QFT and

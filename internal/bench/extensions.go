@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"qfe/internal/bench/linreg"
+	"qfe/internal/bench/nn"
 	"qfe/internal/core"
 	"qfe/internal/estimator"
 )
@@ -114,6 +115,51 @@ func (r *linRegRegressor) Predict(x []float64) float64 {
 
 // MemoryBytes implements estimator.Regressor.
 func (r *linRegRegressor) MemoryBytes() int {
+	if r.model == nil {
+		return 0
+	}
+	return r.model.MemoryBytes()
+}
+
+// nnRegressor adapts nn.Model to estimator.Regressor. The feed-forward
+// network is the paper's second regressor (Section 4), which the figures
+// and tables run beside GB; it lost ext9's bar for a serving slot (median and p95
+// q-error both worse, at about twice GB's CPU per estimate), so only the
+// harness trains one, and nothing serves or persists one.
+type nnRegressor struct {
+	cfg   nn.Config
+	model *nn.Model
+}
+
+// NewNNFactory returns a factory producing feed-forward regressors with the
+// given configuration.
+func NewNNFactory(cfg nn.Config) estimator.RegressorFactory {
+	return func() estimator.Regressor { return &nnRegressor{cfg: cfg} }
+}
+
+// Name implements estimator.Regressor.
+func (r *nnRegressor) Name() string { return "NN" }
+
+// Fit implements estimator.Regressor.
+func (r *nnRegressor) Fit(X [][]float64, y []float64) error {
+	m, err := nn.Train(X, y, r.cfg)
+	if err != nil {
+		return err
+	}
+	r.model = m
+	return nil
+}
+
+// Predict implements estimator.Regressor.
+func (r *nnRegressor) Predict(x []float64) float64 {
+	if r.model == nil {
+		panic("bench: nnRegressor used before Fit")
+	}
+	return r.model.Predict(x)
+}
+
+// MemoryBytes implements estimator.Regressor.
+func (r *nnRegressor) MemoryBytes() int {
 	if r.model == nil {
 		return 0
 	}

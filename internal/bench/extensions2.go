@@ -112,7 +112,7 @@ func ExtensionDataDrift(env *Env) (*Report, error) {
 	start = time.Now()
 	nnLoc, err := estimator.NewLocal(db, estimator.LocalConfig{
 		QFT: "conjunctive", Opts: opts,
-		NewRegressor: estimator.NewNNFactory(env.nnConfig()),
+		NewRegressor: NewNNFactory(env.nnConfig()),
 	})
 	if err != nil {
 		return nil, err

@@ -6,24 +6,47 @@ import (
 	"math/rand"
 	"testing"
 
+	"qfe/internal/bench/nn"
+	"qfe/internal/core"
+	"qfe/internal/dataset"
+	"qfe/internal/estimator"
 	"qfe/internal/sqlparse"
+	"qfe/internal/table"
 	"qfe/internal/workload"
 )
 
 // TestLinRegRegressor holds ext1's adapter to what estimator.Local asks of a
-// Regressor: fresh instances per factory call, the paper's abbreviation, a
-// panic on use before Fit, and a fit that recovers a linear function.
+// Regressor (checkRegressor) and to a fit within 0.05 of a linear function.
 func TestLinRegRegressor(t *testing.T) {
 	factory, err := smokeEnv().regressorFactory("LR")
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRegressor(t, factory, "LR", 0.05)
+	if _, err := smokeEnv().regressorFactory("svm"); err == nil {
+		t.Error("unknown model accepted")
+	}
+}
+
+// TestNNRegressor holds the network's adapter to the same, within 0.2.
+func TestNNRegressor(t *testing.T) {
+	cfg := nn.DefaultConfig()
+	cfg.Epochs = 20
+	checkRegressor(t, NewNNFactory(cfg), "NN", 0.2)
+}
+
+// checkRegressor holds a factory to what estimator.Local asks of a
+// Regressor: fresh instances per call, the paper's abbreviation, no size
+// before Fit and a panic on use before it, and a fit that recovers
+// y = 2·x0 + x1 within maxErr on every one of 50 training rows.
+func checkRegressor(t *testing.T, factory estimator.RegressorFactory, name string, maxErr float64) {
+	t.Helper()
 	r := factory()
 	if other := factory(); r == other {
 		t.Fatal("factory returned the same instance twice")
 	}
-	if r.Name() != "LR" {
-		t.Errorf("Name = %q, want LR", r.Name())
+	if r.Name() != name {
+		t.Errorf("Name = %q, want %s", r.Name(), name)
 	}
 	if r.MemoryBytes() != 0 {
 		t.Errorf("untrained MemoryBytes = %d, want 0", r.MemoryBytes())
@@ -51,12 +74,49 @@ func TestLinRegRegressor(t *testing.T) {
 		t.Error("trained MemoryBytes not positive")
 	}
 	for i := 0; i < 50; i++ {
-		if e := math.Abs(r.Predict(X[i]) - y[i]); e > 0.05 {
-			t.Fatalf("row %d: error %v, want <= 0.05", i, e)
+		if e := math.Abs(r.Predict(X[i]) - y[i]); e > maxErr {
+			t.Fatalf("row %d: error %v, want <= %v", i, e, maxErr)
 		}
 	}
-	if _, err := smokeEnv().regressorFactory("svm"); err == nil {
-		t.Error("unknown model accepted")
+}
+
+// TestLocalNN: the network behind the conjunctive QFT, as a local model over
+// a small forest, estimates its held-out conjunctive queries at a median
+// q-error under 10.
+func TestLocalNN(t *testing.T) {
+	tbl, err := dataset.Forest(dataset.ForestConfig{Rows: 4000, QuantAttrs: 5, BinaryAttrs: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := table.NewDB()
+	db.MustAdd(tbl)
+	set, err := workload.Conjunctive(tbl, workload.ConjConfig{Count: 2500, MaxAttrs: 5, MaxNotEquals: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test := set.Split(2000)
+	cfg := nn.DefaultConfig()
+	cfg.Hidden = []int{32, 16}
+	cfg.Epochs = 25
+	cfg.Seed = 1
+	loc, err := estimator.NewLocal(db, estimator.LocalConfig{
+		QFT:          "conjunctive",
+		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor: NewNNFactory(cfg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loc.Train(train); err != nil {
+		t.Fatal(err)
+	}
+	s, err := estimator.Summarize(loc, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("NN+conj: %v", s)
+	if s.Median > 10 {
+		t.Errorf("NN+conj median %v, want < 10", s.Median)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package mlmath provides the small dense-linear-algebra and optimization
-// kernel shared by the neural models of this reproduction (the feed-forward
-// network of internal/ml/nn and the multi-set convolutional network of
+// kernel shared by the harness's neural models (the feed-forward network of
+// internal/bench/nn and the multi-set convolutional network of
 // internal/bench/mscn): dense layers with manual backpropagation, ReLU, Adam,
 // and deterministic weight initialization.
 //
@@ -27,25 +27,6 @@ type Dense struct {
 	adamB *Adam
 }
 
-// NewDenseFromParams restores a dense layer from serialized weights; used
-// by model persistence. The optimizer state starts fresh.
-func NewDenseFromParams(in, out int, w, b []float64) (*Dense, error) {
-	if len(w) != in*out || len(b) != out {
-		return nil, fmt.Errorf("mlmath: dense %dx%d needs %d weights and %d biases, got %d and %d",
-			in, out, in*out, out, len(w), len(b))
-	}
-	d := &Dense{
-		In: in, Out: out,
-		W:     append([]float64(nil), w...),
-		B:     append([]float64(nil), b...),
-		gradW: make([]float64, in*out),
-		gradB: make([]float64, out),
-	}
-	d.adamW = NewAdam(len(d.W))
-	d.adamB = NewAdam(len(d.B))
-	return d, nil
-}
-
 // NewDense returns a dense layer with He-uniform initialization (suited to
 // the ReLU activations used throughout) drawn from rng.
 func NewDense(in, out int, rng *rand.Rand) *Dense {
@@ -67,29 +48,19 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 
 // Forward computes W·x + b into a fresh slice.
 func (d *Dense) Forward(x []float64) []float64 {
-	y := make([]float64, d.Out)
-	d.ForwardInto(x, y)
-	return y
-}
-
-// ForwardInto computes W·x + b into dst (length Out). dst must not alias x.
-// The per-output accumulation order is identical to Forward's, so the pooled
-// inference path is bit-identical to the allocating one.
-func (d *Dense) ForwardInto(x, dst []float64) {
 	if len(x) != d.In {
 		panic(fmt.Sprintf("mlmath: dense forward: input dim %d, want %d", len(x), d.In))
 	}
-	if len(dst) != d.Out {
-		panic(fmt.Sprintf("mlmath: dense forward: output dim %d, want %d", len(dst), d.Out))
-	}
+	y := make([]float64, d.Out)
 	for o := 0; o < d.Out; o++ {
 		row := d.W[o*d.In : (o+1)*d.In]
 		sum := d.B[o]
 		for i, w := range row {
 			sum += w * x[i]
 		}
-		dst[o] = sum
+		y[o] = sum
 	}
+	return y
 }
 
 // Backward accumulates gradients for the weights given the layer input x and
@@ -231,16 +202,4 @@ func MSEGrad(pred, target float64) (loss, grad float64) {
 // reshuffle between epochs.
 func Shuffle(idx []int, rng *rand.Rand) {
 	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -181,15 +181,6 @@ func TestShuffleDeterministic(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
-}
-
 func TestStepAveragesBatchGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d1 := NewDense(2, 1, rng)

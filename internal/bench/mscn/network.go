@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"qfe/internal/ml/mlmath"
+	"qfe/internal/bench/mlmath"
 )
 
 // Config holds the network hyperparameters.

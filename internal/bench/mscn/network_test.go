@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"qfe/internal/ml/mlmath"
+	"qfe/internal/bench/mlmath"
 )
 
 // TestGradientsAgainstFiniteDifferences verifies the hand-written backprop

@@ -7,15 +7,18 @@
 // consumes any numeric vector, which is what lets the QFTs vary while the
 // architecture stays put. The paper's Keras/TensorFlow stack is replaced by
 // a from-scratch float64 implementation (see DESIGN.md, substitutions).
+//
+// Only the experiment harness trains it: the daemon serves gradient boosting,
+// which beat the network on accuracy, inference CPU and training time (ext9),
+// so a network is never persisted and has one forward, the one training runs.
 package nn
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
-	"qfe/internal/ml/mlmath"
+	"qfe/internal/bench/mlmath"
 	"qfe/internal/parallel"
 )
 
@@ -84,13 +87,8 @@ func (c Config) validate() error {
 
 // Model is a trained feed-forward regressor.
 type Model struct {
-	cfg    Config
 	layers []*mlmath.Dense
 	dim    int
-
-	// pool hands out per-goroutine activation scratch for Predict (see
-	// fast.go); set wherever layers is.
-	pool *sync.Pool
 }
 
 // Train fits the network on X (row-major samples) and targets y.
@@ -116,14 +114,13 @@ func Train(X [][]float64, y []float64, cfg Config) (*Model, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{cfg: cfg, dim: d}
+	m := &Model{dim: d}
 	prev := d
 	for _, h := range cfg.Hidden {
 		m.layers = append(m.layers, mlmath.NewDense(prev, h, rng))
 		prev = h
 	}
 	m.layers = append(m.layers, mlmath.NewDense(prev, 1, rng))
-	m.initFastPath()
 
 	// Train/validation split for early stopping.
 	idx := make([]int, n)
@@ -260,25 +257,33 @@ func (sg *shardGrads) zero() {
 	}
 }
 
-// backpropInto runs one forward/backward pass, accumulating gradients into
-// the given shard's private buffers so concurrent samples never share
-// accumulation state.
-func (m *Model) backpropInto(x []float64, target float64, sg *shardGrads) {
-	// Forward, keeping pre-activations and inputs per layer.
-	inputs := make([][]float64, len(m.layers))
-	pres := make([][]float64, len(m.layers))
+// forward runs the network on x: Dense.Forward per layer, ReLU between
+// layers. When inputs and pres are non-nil (len(m.layers) each) it keeps
+// every layer's input and pre-activation there, for the backward pass.
+func (m *Model) forward(x []float64, inputs, pres [][]float64) float64 {
 	act := x
 	for li, l := range m.layers {
-		inputs[li] = act
 		pre := l.Forward(act)
-		pres[li] = pre
+		if inputs != nil {
+			inputs[li], pres[li] = act, pre
+		}
 		if li < len(m.layers)-1 {
 			act = mlmath.ReLU(append([]float64(nil), pre...))
 		} else {
 			act = pre
 		}
 	}
-	_, grad := mlmath.MSEGrad(act[0], target)
+	return act[0]
+}
+
+// backpropInto runs one forward/backward pass, accumulating gradients into
+// the given shard's private buffers so concurrent samples never share
+// accumulation state.
+func (m *Model) backpropInto(x []float64, target float64, sg *shardGrads) {
+	inputs := make([][]float64, len(m.layers))
+	pres := make([][]float64, len(m.layers))
+	out := m.forward(x, inputs, pres)
+	_, grad := mlmath.MSEGrad(out, target)
 	dy := []float64{grad}
 	for li := len(m.layers) - 1; li >= 0; li-- {
 		dx := m.layers[li].BackwardInto(inputs[li], dy, sg.w[li], sg.b[li])
@@ -288,26 +293,14 @@ func (m *Model) backpropInto(x []float64, target float64, sg *shardGrads) {
 	}
 }
 
-func predictDimPanic(got, want int) string {
-	return fmt.Sprintf("nn: input dim %d, model dim %d", got, want)
-}
-
-// Predict returns the network output for one feature vector, forwarding
-// through pooled ping-pong activation buffers (see fast.go) without
-// allocating.
+// Predict returns the network output for one feature vector: the forward
+// pass training runs.
 func (m *Model) Predict(x []float64) float64 {
 	if len(x) != m.dim {
-		panic(predictDimPanic(len(x), m.dim))
+		panic(fmt.Sprintf("nn: input dim %d, model dim %d", len(x), m.dim))
 	}
-	sc := m.pool.Get().(*predictScratch)
-	out := m.predictWith(sc, x)
-	m.pool.Put(sc)
-	return out
+	return m.forward(x, nil, nil)
 }
-
-// Dim reports the input width the network was trained for; Predict panics on
-// any other.
-func (m *Model) Dim() int { return m.dim }
 
 // NumParams returns the trainable parameter count.
 func (m *Model) NumParams() int {

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -167,50 +166,5 @@ func TestNumParamsAndMemory(t *testing.T) {
 	}
 	if m.MemoryBytes() != 73*8 {
 		t.Errorf("MemoryBytes = %d, want %d", m.MemoryBytes(), 73*8)
-	}
-}
-
-func TestPersistRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	X, y := makeData(rng, 200, func(x []float64) float64 { return x[0] + 2*x[1] })
-	cfg := DefaultConfig()
-	cfg.Epochs = 5
-	cfg.Seed = 9
-	m, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Model
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if got, want := back.Predict(X[i]), m.Predict(X[i]); got != want {
-			t.Fatalf("restored model predicts %v, original %v", got, want)
-		}
-	}
-	if back.NumParams() != m.NumParams() {
-		t.Errorf("param count changed: %d vs %d", back.NumParams(), m.NumParams())
-	}
-}
-
-func TestPersistRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`{"cfg":{},"dim":3,"layers":[]}`, // no layers
-		`{"cfg":{},"dim":3,"layers":[{"in":2,"out":1,"w":[1,2],"b":[0]}]}`,                                            // dim mismatch
-		`{"cfg":{},"dim":2,"layers":[{"in":2,"out":2,"w":[1,2,3,4],"b":[0,0]}]}`,                                      // final width != 1
-		`{"cfg":{},"dim":2,"layers":[{"in":2,"out":1,"w":[1],"b":[0]}]}`,                                              // wrong weight count
-		`{"cfg":{},"dim":2,"layers":[{"in":2,"out":2,"w":[1,2,3,4],"b":[0,0]},{"in":3,"out":1,"w":[1,2,3],"b":[0]}]}`, // broken chain
-	}
-	for i, src := range cases {
-		var m Model
-		if err := json.Unmarshal([]byte(src), &m); err == nil {
-			t.Errorf("case %d: corrupt model accepted", i)
-		}
 	}
 }

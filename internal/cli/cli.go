@@ -14,7 +14,6 @@ import (
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
 	"qfe/internal/ml/gb"
-	"qfe/internal/ml/nn"
 	"qfe/internal/resilience"
 	"qfe/internal/table"
 	"qfe/internal/workload"
@@ -47,12 +46,14 @@ func ValidateWorkers(n int) error {
 	return nil
 }
 
-// ValidateModel rejects a -model no factory builds while the flags are being
-// validated, so a typo costs nothing: without it the name is first looked at
-// after the table is built and the workload labeled.
+// ValidateModel rejects a -model other than GB while the flags are being
+// validated, so a typo costs nothing. GB is the one regressor the binaries
+// build and serve: ext9 measured it beating the feed-forward network, which
+// only the experiment harness trains, on accuracy, inference CPU and
+// training time.
 func ValidateModel(name string) error {
-	if _, err := estimator.FactoryByName(name, gb.Config{}, nn.Config{}); err != nil {
-		return fmt.Errorf("-model: %w", err)
+	if name != "GB" && name != "gb" {
+		return fmt.Errorf("-model: unknown model %q (want GB)", name)
 	}
 	return nil
 }
@@ -138,28 +139,25 @@ func BuildForestEnv(spec ForestSpec) (*ForestEnv, error) {
 // cardestd's boot-training path.
 type TrainSpec struct {
 	QFT     string
-	Model   string // "GB" or "NN" (estimator.FactoryByName)
+	Model   string // the -model flag, checked by ValidateModel
 	Entries int    // per-attribute feature entries (n)
 	Workers int    // training goroutines (0 = one per CPU)
 }
 
-// NewLocalEstimator builds the (untrained) local estimator for the spec,
-// wiring the worker count into the model configs. Callers run Train.
+// NewLocalEstimator builds the (untrained) GB-backed local estimator for the
+// spec, wiring the worker count into the model config. Callers run Train.
 func NewLocalEstimator(db *table.DB, spec TrainSpec) (*estimator.Local, error) {
+	if err := ValidateModel(spec.Model); err != nil {
+		return nil, err
+	}
 	if err := ValidateWorkers(spec.Workers); err != nil {
 		return nil, err
 	}
-	gbCfg := gb.DefaultConfig()
-	gbCfg.Workers = spec.Workers
-	nnCfg := nn.DefaultConfig()
-	nnCfg.Workers = spec.Workers
-	factory, err := estimator.FactoryByName(spec.Model, gbCfg, nnCfg)
-	if err != nil {
-		return nil, err
-	}
+	cfg := gb.DefaultConfig()
+	cfg.Workers = spec.Workers
 	return estimator.NewLocal(db, estimator.LocalConfig{
 		QFT:          spec.QFT,
 		Opts:         core.Options{MaxEntriesPerAttr: spec.Entries, AttrSel: true},
-		NewRegressor: factory,
+		NewRegressor: estimator.NewGBFactory(cfg),
 	})
 }

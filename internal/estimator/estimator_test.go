@@ -13,7 +13,6 @@ import (
 	"qfe/internal/exec"
 	"qfe/internal/metrics"
 	"qfe/internal/ml/gb"
-	"qfe/internal/ml/nn"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 	"qfe/internal/workload"
@@ -54,14 +53,6 @@ func smallGB() gb.Config {
 	cfg := gb.DefaultConfig()
 	cfg.NumTrees = 60
 	cfg.MaxDepth = 6
-	cfg.Seed = 1
-	return cfg
-}
-
-func smallNN() nn.Config {
-	cfg := nn.DefaultConfig()
-	cfg.Hidden = []int{32, 16}
-	cfg.Epochs = 25
 	cfg.Seed = 1
 	return cfg
 }
@@ -263,29 +254,6 @@ func TestLocalComplexOnMixedWorkload(t *testing.T) {
 	}
 }
 
-func TestLocalNN(t *testing.T) {
-	e := env(t)
-	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: NewNNFactory(smallNN()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loc.Train(e.train); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Summarize(loc, e.test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("NN+conj: %v", s)
-	if s.Median > 10 {
-		t.Errorf("NN+conj median %v, want < 10", s.Median)
-	}
-}
-
 func TestEstimateUnknownSubSchema(t *testing.T) {
 	e := env(t)
 	loc, err := NewLocal(e.db, LocalConfig{
@@ -382,22 +350,6 @@ func TestLabelTransformRoundTrip(t *testing.T) {
 	raw := labelTransform{raw: true}
 	if raw.forward(123) != 123 || raw.inverse(123) != 123 {
 		t.Error("raw transform must be identity above 1")
-	}
-}
-
-func TestFactoryByName(t *testing.T) {
-	if _, err := FactoryByName("GB", gb.DefaultConfig(), nn.DefaultConfig()); err != nil {
-		t.Error(err)
-	}
-	if _, err := FactoryByName("nn", gb.DefaultConfig(), nn.DefaultConfig()); err != nil {
-		t.Error(err)
-	}
-	// LR is the harness's (ext1): nothing that serves or persists can name it.
-	for _, name := range []string{"svm", "LR"} {
-		_, err := FactoryByName(name, gb.DefaultConfig(), nn.DefaultConfig())
-		if err == nil || !strings.Contains(err.Error(), "want GB or NN") {
-			t.Errorf("FactoryByName(%q): err = %v, want one naming GB and NN", name, err)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package estimator
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"qfe/internal/core"
@@ -71,6 +72,7 @@ func FuzzLoadEstimator(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"format":1,"kind":"local"}`))
 	f.Add([]byte(`{"format":2,"kind":"local"}`))
+	f.Add([]byte(nnSnapshot)) // a model type this build does not restore
 	f.Add([]byte(`{"format":1,"kind":"global","tables":["forest"]}`))
 	f.Add([]byte(`{"format":1,"kind":"hybrid","fallback":"independence"}`))
 	f.Add([]byte(`null`))
@@ -96,6 +98,10 @@ func FuzzLoadEstimator(f *testing.F) {
 		}
 		if err := json.Unmarshal(data, &doc); err != nil || (doc.Kind != "" && doc.Kind != KindLocal) {
 			t.Fatalf("LoadEstimator accepted a document of kind %q (decode error %v)", doc.Kind, err)
+		}
+		// GB is the one model type a snapshot restores into.
+		if !strings.HasPrefix(est.Name(), "GB + ") {
+			t.Fatalf("LoadEstimator accepted a %s snapshot", est.Name())
 		}
 		// An accepted snapshot must estimate without panicking.
 		if v, err := est.Estimate(probe); err == nil && v < 0 {

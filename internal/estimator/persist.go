@@ -10,7 +10,6 @@ import (
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/ml/gb"
-	"qfe/internal/ml/nn"
 	"qfe/internal/table"
 )
 
@@ -21,7 +20,8 @@ import (
 // labeled queries), while estimation only needs the model file — no table
 // access at all. Local estimators are the one kind any binary writes, so
 // they are the one kind that persists; the top-level "kind" field is what
-// LoadEstimator checks before it restores one.
+// LoadEstimator checks before it restores one. GB is the one regressor the
+// daemon serves, so it is the one a snapshot holds: its "modelType" is "GB".
 
 // KindLocal is the snapshot kind, stored in the documents' "kind" field.
 // Documents written before the field existed carry no kind and load as
@@ -35,7 +35,7 @@ type savedLocal struct {
 	QFT       string           `json:"qft"`
 	Opts      core.Options     `json:"opts"`
 	RawLabels bool             `json:"rawLabels"`
-	ModelType string           `json:"modelType"` // "GB" or "NN"
+	ModelType string           `json:"modelType"` // "GB"
 	Metas     []core.MetaSpec  `json:"metas"`
 	Models    []savedSubSchema `json:"models"`
 }
@@ -61,8 +61,8 @@ const FormatVersion = 2
 // readsFormat reports whether this build loads snapshots of format v.
 func readsFormat(v int) bool { return v == 1 || v == FormatVersion }
 
-// SaveJSON writes the trained estimator to w. Only GB- and NN-backed locals
-// are serializable.
+// SaveJSON writes the trained estimator to w. Only a GB-backed local is
+// serializable.
 func (l *Local) SaveJSON(w io.Writer) error {
 	s := savedLocal{
 		Format:    FormatVersion,
@@ -99,19 +99,14 @@ func (l *Local) SaveJSON(w io.Writer) error {
 }
 
 func marshalRegressor(r Regressor) (json.RawMessage, error) {
-	switch reg := r.(type) {
-	case *GBRegressor:
-		if reg.model == nil {
-			return nil, fmt.Errorf("GB model not trained")
-		}
-		return json.Marshal(reg.model)
-	case *NNRegressor:
-		if reg.model == nil {
-			return nil, fmt.Errorf("NN model not trained")
-		}
-		return json.Marshal(reg.model)
+	reg, ok := r.(*GBRegressor)
+	if !ok {
+		return nil, fmt.Errorf("regressor %T is not serializable (a snapshot holds a GB model)", r)
 	}
-	return nil, fmt.Errorf("regressor %T is not serializable", r)
+	if reg.model == nil {
+		return nil, fmt.Errorf("GB model not trained")
+	}
+	return json.Marshal(reg.model)
 }
 
 // LoadLocal restores a trained estimator from r. Its featurizers read the
@@ -138,21 +133,15 @@ func LoadLocal(r io.Reader) (*Local, error) {
 		return nil, err
 	}
 
-	var factory RegressorFactory
-	switch s.ModelType {
-	case "GB":
-		factory = NewGBFactory(gb.DefaultConfig())
-	case "NN":
-		factory = NewNNFactory(nn.DefaultConfig())
-	default:
-		return nil, fmt.Errorf("estimator: unknown model type %q", s.ModelType)
+	if s.ModelType != "GB" {
+		return nil, fmt.Errorf("estimator: model type %q is not served (a snapshot holds a GB model)", s.ModelType)
 	}
 
 	l := &Local{
 		cfg: LocalConfig{
 			QFT:          s.QFT,
 			Opts:         s.Opts,
-			NewRegressor: factory,
+			NewRegressor: NewGBFactory(gb.DefaultConfig()),
 			RawLabels:    s.RawLabels,
 		},
 		metas:     make(map[string]*core.TableMeta, len(s.Metas)),
@@ -172,12 +161,17 @@ func LoadLocal(r io.Reader) (*Local, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := unmarshalRegressor(lm.reg, sm.Payload); err != nil {
+		reg, err := unmarshalRegressor(sm.Payload)
+		if err != nil {
 			return nil, fmt.Errorf("estimator: restore sub-schema %v: %w", sm.Tables, err)
 		}
-		if got := regressorDim(lm.reg); got != lm.dim() {
+		// A structurally valid model trained for another schema or another
+		// MaxEntriesPerAttr still has the wrong width, and Predict panics on
+		// it, so the mismatch fails the load, not the first estimate.
+		if got := reg.model.Dim; got != lm.dim() {
 			return nil, fmt.Errorf("estimator: sub-schema %v model expects dim %d but featurizer produces %d", sm.Tables, got, lm.dim())
 		}
+		lm.reg = reg
 		l.models[catalog.SubSchemaKey(lm.tables)] = lm
 	}
 	return l, nil
@@ -221,44 +215,16 @@ func LoadEstimator(r io.Reader, db *table.DB) (Estimator, string, error) {
 	return loc, KindLocal, nil
 }
 
-func unmarshalRegressor(r Regressor, payload json.RawMessage) error {
-	switch reg := r.(type) {
-	case *GBRegressor:
-		var m gb.Model
-		if err := json.Unmarshal(payload, &m); err != nil {
-			return err
-		}
-		// A wrong-kind or hand-damaged payload can unmarshal "successfully"
-		// into a structurally broken model (no trees, child ids outside their
-		// tree); reject it here rather than panic at estimation time.
-		if err := m.Validate(); err != nil {
-			return err
-		}
-		reg.model = &m
-		reg.Cfg = m.Cfg
-		return nil
-	case *NNRegressor:
-		var m nn.Model
-		if err := json.Unmarshal(payload, &m); err != nil {
-			return err
-		}
-		reg.model = &m
-		return nil
+func unmarshalRegressor(payload json.RawMessage) (*GBRegressor, error) {
+	var m gb.Model
+	if err := json.Unmarshal(payload, &m); err != nil {
+		return nil, err
 	}
-	return fmt.Errorf("regressor %T is not restorable", r)
-}
-
-// regressorDim returns the input width of a regressor unmarshalRegressor has
-// restored. A structurally valid model trained for another schema or another
-// MaxEntriesPerAttr still has the wrong width, and Predict panics on it; the
-// loaders compare it with their featurizer's so the mismatch fails the load,
-// not the first estimate.
-func regressorDim(r Regressor) int {
-	switch reg := r.(type) {
-	case *GBRegressor:
-		return reg.model.Dim
-	case *NNRegressor:
-		return reg.model.Dim()
+	// A wrong-kind or hand-damaged payload can unmarshal "successfully" into
+	// a structurally broken model (no trees, child ids outside their tree);
+	// reject it here rather than panic at estimation time.
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
-	return -1
+	return &GBRegressor{Cfg: m.Cfg, model: &m}, nil
 }

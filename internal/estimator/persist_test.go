@@ -63,45 +63,6 @@ func TestSaveLoadLocalGB(t *testing.T) {
 	}
 }
 
-func TestSaveLoadLocalNN(t *testing.T) {
-	e := env(t)
-	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "range",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: false},
-		NewRegressor: NewNNFactory(smallNN()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loc.Train(e.train[:400]); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := loc.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadLocal(&buf)
-	if err == nil {
-		err = back.ValidateSchema(e.db)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range e.test[:30] {
-		want, err := loc.Estimate(l.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.Estimate(l.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("restored NN estimate %v != original %v", got, want)
-		}
-	}
-}
-
 func TestSaveUntrained(t *testing.T) {
 	e := env(t)
 	loc, err := NewLocal(e.db, LocalConfig{
@@ -176,32 +137,48 @@ func TestLoadLocalRejectsTruncatedFile(t *testing.T) {
 	}
 }
 
+// nnShapedPayload is a sub-schema payload in the shape the feed-forward
+// network was persisted in before it left the serving tree: configuration,
+// input width and per-layer weights, no forest.
+const nnShapedPayload = `{"cfg":{"Hidden":[2],"LearningRate":0.001,"Epochs":1,"BatchSize":1},"dim":1,` +
+	`"layers":[{"in":1,"out":2,"w":[0.5,-0.5],"b":[0,0]},{"in":2,"out":1,"w":[1,1],"b":[0]}]}`
+
 func TestLoadLocalRejectsWrongKindPayload(t *testing.T) {
-	// An NN weights file relabeled as GB unmarshals "successfully" into a
-	// gb.Model with zero trees and zero dim; structural validation must
-	// catch it.
-	e := env(t)
-	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "range",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: false},
-		NewRegressor: NewNNFactory(smallNN()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loc.Train(e.train[:400]); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := loc.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	relabeled := strings.Replace(buf.String(), `"modelType":"NN"`, `"modelType":"GB"`, 1)
-	if relabeled == buf.String() {
-		t.Fatal("relabeling did not apply — saved format changed?")
-	}
-	if _, err := LoadLocal(strings.NewReader(relabeled)); err == nil {
+	// A network's weights under a "GB" label unmarshal "successfully" into a
+	// gb.Model with no trees; structural validation must catch it.
+	relabeled := withFirstPayload(t, savedGB(t), nnShapedPayload)
+	_, err := LoadLocal(bytes.NewReader(relabeled))
+	if err == nil {
 		t.Fatal("NN payload accepted as a GB model")
+	}
+	if !strings.Contains(err.Error(), "gb: model has no trees") {
+		t.Errorf("err = %v, want gb.Model.Validate's refusal", err)
+	}
+}
+
+// nnSnapshot is a format-2 local document whose model type is the
+// feed-forward network's. Only GB is served, so only GB is restored.
+const nnSnapshot = `{"format":2,"kind":"local","qft":"conjunctive","opts":{},"rawLabels":false,"modelType":"NN","metas":[],"models":[]}`
+
+// TestLoadEstimatorRefusesNNSnapshot: a snapshot of any model type but GB
+// fails to load — the small document above, and a real snapshot relabelled —
+// with an error naming the type. The lifecycle maps that to ErrBadSnapshot,
+// and POST /v1/models/load to a 400 (serve's TestPublishRefusesBadSnapshots).
+func TestLoadEstimatorRefusesNNSnapshot(t *testing.T) {
+	snap := savedGB(t)
+	relabelled := bytes.Replace(snap, []byte(`"modelType":"GB"`), []byte(`"modelType":"NN"`), 1)
+	if bytes.Equal(relabelled, snap) {
+		t.Fatal("model type not found in the snapshot — format changed?")
+	}
+	for name, doc := range map[string][]byte{"literal": []byte(nnSnapshot), "relabelled": relabelled} {
+		est, _, err := LoadEstimator(bytes.NewReader(doc), env(t).db)
+		if err == nil || est != nil {
+			t.Errorf("%s: LoadEstimator = %v, %v; want a refusal", name, est, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), `model type "NN"`) {
+			t.Errorf("%s: err = %v, want it to name the model type", name, err)
+		}
 	}
 }
 
@@ -336,8 +313,8 @@ func wrongWidthSnapshots(tb testing.TB) []namedSnapshot {
 	tb.Helper()
 	e := env(tb)
 	opts := core.Options{MaxEntriesPerAttr: 16, AttrSel: true}
-	gbCfg, nnCfg := smallGB(), smallNN()
-	gbCfg.NumTrees, nnCfg.Epochs = 5, 2
+	gbCfg := smallGB()
+	gbCfg.NumTrees = 5
 	relabelled := func(est *Local, err error) []byte {
 		tb.Helper()
 		if err != nil {
@@ -357,7 +334,6 @@ func wrongWidthSnapshots(tb testing.TB) []namedSnapshot {
 	}
 	return []namedSnapshot{
 		{"local GB", relabelled(NewLocal(e.db, LocalConfig{QFT: "conjunctive", Opts: opts, NewRegressor: NewGBFactory(gbCfg)}))},
-		{"local NN", relabelled(NewLocal(e.db, LocalConfig{QFT: "conjunctive", Opts: opts, NewRegressor: NewNNFactory(nnCfg)}))},
 	}
 }
 
@@ -474,31 +450,29 @@ func TestLoadsFormat1Snapshot(t *testing.T) {
 // saved again is the same bytes, so a model moved between stores, or
 // re-published, is recognisably the same file.
 func TestSnapshotRoundTripIsByteStable(t *testing.T) {
-	for _, factory := range []RegressorFactory{NewGBFactory(smallGB()), NewNNFactory(smallNN())} {
-		loc, err := NewLocal(env(t).db, LocalConfig{
-			QFT:          "conjunctive",
-			Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-			NewRegressor: factory,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := loc.Train(env(t).train[:300]); err != nil {
-			t.Fatal(err)
-		}
-		var first, second bytes.Buffer
-		if err := loc.SaveJSON(&first); err != nil {
-			t.Fatal(err)
-		}
-		back, err := LoadLocal(bytes.NewReader(first.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := back.SaveJSON(&second); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Errorf("%s: save → load → save changed the snapshot (%d → %d bytes)", loc.Name(), first.Len(), second.Len())
-		}
+	loc, err := NewLocal(env(t).db, LocalConfig{
+		QFT:          "conjunctive",
+		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor: NewGBFactory(smallGB()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loc.Train(env(t).train[:300]); err != nil {
+		t.Fatal(err)
+	}
+	var first, second bytes.Buffer
+	if err := loc.SaveJSON(&first); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadLocal(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.SaveJSON(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("save → load → save changed the snapshot (%d → %d bytes)", first.Len(), second.Len())
 	}
 }

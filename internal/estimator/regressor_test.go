@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qfe/internal/ml/gb"
-	"qfe/internal/ml/nn"
 )
 
 func regressionProblem(n int) ([][]float64, []float64) {
@@ -23,60 +22,40 @@ func regressionProblem(n int) ([][]float64, []float64) {
 
 func TestRegressorAdapters(t *testing.T) {
 	X, y := regressionProblem(400)
-	gbCfg := gb.DefaultConfig()
-	gbCfg.NumTrees = 30
-	nnCfg := nn.DefaultConfig()
-	nnCfg.Epochs = 20
-
-	factories := []struct {
-		name    string
-		factory RegressorFactory
-		maxErr  float64
-	}{
-		{"GB", NewGBFactory(gbCfg), 0.2},
-		{"NN", NewNNFactory(nnCfg), 0.2},
+	cfg := gb.DefaultConfig()
+	cfg.NumTrees = 30
+	r := NewGBFactory(cfg)()
+	if r.Name() != "GB" {
+		t.Errorf("Name = %q, want GB", r.Name())
 	}
-	for _, f := range factories {
-		r := f.factory()
-		if r.Name() != f.name {
-			t.Errorf("factory %s produced Name %q", f.name, r.Name())
+	if r.MemoryBytes() != 0 {
+		t.Errorf("untrained MemoryBytes = %d, want 0", r.MemoryBytes())
+	}
+	if err := r.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if r.MemoryBytes() <= 0 {
+		t.Error("trained MemoryBytes not positive")
+	}
+	var worst float64
+	for i := 0; i < 50; i++ {
+		if e := math.Abs(r.Predict(X[i]) - y[i]); e > worst {
+			worst = e
 		}
-		if r.MemoryBytes() != 0 {
-			t.Errorf("%s: untrained MemoryBytes = %d, want 0", f.name, r.MemoryBytes())
-		}
-		if err := r.Fit(X, y); err != nil {
-			t.Fatalf("%s: %v", f.name, err)
-		}
-		if r.MemoryBytes() <= 0 {
-			t.Errorf("%s: trained MemoryBytes not positive", f.name)
-		}
-		var worst float64
-		for i := 0; i < 50; i++ {
-			if e := math.Abs(r.Predict(X[i]) - y[i]); e > worst {
-				worst = e
-			}
-		}
-		if worst > f.maxErr {
-			t.Errorf("%s: worst error %v, want <= %v", f.name, worst, f.maxErr)
-		}
+	}
+	if worst > 0.2 {
+		t.Errorf("worst error %v, want <= 0.2", worst)
 	}
 }
 
 func TestRegressorPredictBeforeFitPanics(t *testing.T) {
-	for _, factory := range []RegressorFactory{
-		NewGBFactory(gb.DefaultConfig()),
-		NewNNFactory(nn.DefaultConfig()),
-	} {
-		r := factory()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Predict before Fit did not panic", r.Name())
-				}
-			}()
-			r.Predict([]float64{1})
-		}()
-	}
+	r := NewGBFactory(gb.DefaultConfig())()
+	defer func() {
+		if recover() == nil {
+			t.Error("Predict before Fit did not panic")
+		}
+	}()
+	r.Predict([]float64{1})
 }
 
 func TestFactoriesProduceFreshInstances(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package parallel provides the small worker-pool primitives that drive the
 // reproduction's hot paths — workload labeling (internal/exec), gradient-
-// boosting split search (internal/ml/gb), and mini-batch neural training
-// (internal/ml/nn) — across GOMAXPROCS cores.
+// boosting split search (internal/ml/gb), and the harness's mini-batch
+// neural training (internal/bench/nn) — across GOMAXPROCS cores.
 //
 // The package enforces one discipline everywhere it is used: parallel
 // execution must be *observationally deterministic*. Work items write only
