@@ -251,6 +251,15 @@ ci:
 # distinct, without sorting them per call.
 	! grep -nE 'conjunctAttr|lastName|lastAttr|AttrIndex\(' internal/core/conjunctive.go internal/core/complex.go internal/core/simple.go internal/core/rangeenc.go
 	! grep -nE 'slices\.Sort|sort\.' internal/core/conjunctive.go internal/core/complex.go
+# Guard 24, partitions fixed in one place: every TableMeta comes through
+# core's one constructor, which refuses a meta a featurizer cannot run on. The
+# partition policies the daemon never builds (histogram.PartitionedMeta for
+# ext3, bench's adaptiveMeta for ext2) and the Section 6 GROUP BY wrapper
+# (ext6) live in the harness beside their experiments and reach core through
+# its spec constructor; exec.Bind alone rewrites LIKE 'p%'; and BucketOf is
+# the oracle in _test.go that the tabulated lookup is held to.
+	! grep -nE 'NewTableMetaPartitioned|NewTableMetaAdaptive|type Partitioner|WithGroupBy|GroupByVector|PrefixPreds|func \(a AttrMeta\) BucketOf' internal/core/*.go | grep -v '_test\.go:'
+	test "$$(ls internal/core/*.go | grep -v '_test\.go$$' | xargs cat | grep -c '&TableMeta{')" = 1
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

@@ -74,9 +74,7 @@ func main() {
 
 	// Equi-depth partitions absorb the yyyymmdd encoding's impossible gaps
 	// (month 13..99 never occurs): boundaries land where the data lives.
-	meta, err := core.NewTableMetaPartitioned(orders, 32, func(col *table.Column, n int) ([]int64, error) {
-		return histogram.EquiDepth(col.Vals, n)
-	})
+	meta, err := histogram.PartitionedMeta(orders, 32, histogram.EquiDepth)
 	if err != nil {
 		log.Fatal(err)
 	}

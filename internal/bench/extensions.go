@@ -2,11 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"qfe/internal/bench/linreg"
 	"qfe/internal/bench/nn"
 	"qfe/internal/core"
 	"qfe/internal/estimator"
+	"qfe/internal/table"
 )
 
 // This file hosts the paper's sketched-but-unevaluated extensions, made
@@ -59,7 +61,10 @@ func ExtensionAdaptiveEntries(env *Env) (*Report, error) {
 	for _, a := range uniform.Attrs {
 		budget += a.NEntries
 	}
-	adaptive := core.NewTableMetaAdaptive(forest, budget, 2)
+	adaptive, err := adaptiveMeta(forest, budget, 2)
+	if err != nil {
+		return nil, err
+	}
 	adaptiveEntries := 0
 	for _, a := range adaptive.Attrs {
 		adaptiveEntries += a.NEntries
@@ -82,6 +87,42 @@ func ExtensionAdaptiveEntries(env *Env) (*Report, error) {
 		r.Lines = append(r.Lines, summaryRow(variant.label, sum))
 	}
 	return r, nil
+}
+
+// adaptiveMeta derives featurization metadata with an attribute-specific
+// number of partitions, the extension Section 3.2 sketches ("it is easy to
+// extend our approach to choose an attribute-specific n"). A total
+// per-table entry budget is distributed over the attributes proportionally
+// to the logarithm of their distinct counts: attributes with more distinct
+// values (where uniform partitions lose more information) receive more
+// entries, while binary indicators get exactly their domain size. Every
+// attribute receives at least minEntries (clamped to its domain size). The
+// partitions stay uniform; only their number varies.
+func adaptiveMeta(t *table.Table, budget, minEntries int) (*core.TableMeta, error) {
+	cols := t.Columns()
+	weights := make([]float64, len(cols))
+	var totalWeight float64
+	for i, col := range cols {
+		// log2(distinct)+1 grows slowly, so wide attributes gain entries
+		// without starving the rest.
+		weights[i] = max(math.Log2(float64(col.Distinct()))+1, 1)
+		totalWeight += weights[i]
+	}
+	spec := core.MetaSpec{Name: t.Name}
+	for i, col := range cols {
+		a := core.AttrMeta{Name: col.Name, Min: col.Min(), Max: col.Max()}
+		a.NEntries = max(int(float64(budget)*weights[i]/totalWeight), minEntries, 1)
+		if d := a.DomainSize(); d < int64(a.NEntries) {
+			a.NEntries = int(d)
+		}
+		spec.Attrs = append(spec.Attrs, a)
+	}
+	meta, err := core.NewTableMetaFromSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	meta.MapColumns(t)
+	return meta, nil
 }
 
 // linRegRegressor adapts linreg.Model to estimator.Regressor. Linear

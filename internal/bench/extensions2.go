@@ -39,13 +39,11 @@ func ExtensionPartitioning(env *Env) (*Report, error) {
 	}{
 		{"equi-width (Alg. 1)", func() (*core.TableMeta, error) { return core.NewTableMeta(forest, n), nil }},
 		{"equi-depth", func() (*core.TableMeta, error) {
-			return core.NewTableMetaPartitioned(forest, n, func(col *table.Column, nn int) ([]int64, error) {
-				return histogram.EquiDepth(col.Vals, nn)
-			})
+			return histogram.PartitionedMeta(forest, n, histogram.EquiDepth)
 		}},
 		{"v-optimal", func() (*core.TableMeta, error) {
-			return core.NewTableMetaPartitioned(forest, n, func(col *table.Column, nn int) ([]int64, error) {
-				return histogram.VOptimal(col.Vals, nn, 128)
+			return histogram.PartitionedMeta(forest, n, func(vals []int64, nn int) ([]int64, error) {
+				return histogram.VOptimal(vals, nn, 128)
 			})
 		}},
 	}
@@ -358,7 +356,7 @@ func ExtensionGroupBy(env *Env) (*Report, error) {
 
 	opts := env.coreOptions()
 	meta := core.NewTableMeta(forest, opts.MaxEntriesPerAttr)
-	wrapped := &core.WithGroupBy{Base: core.NewConjunctive(meta, opts), Meta: meta}
+	wrapped := &WithGroupBy{Base: core.NewConjunctive(meta, opts), Meta: meta}
 
 	// Learned estimator: featurize selection + grouping block, regress
 	// log2(#groups).
@@ -416,6 +414,44 @@ func ExtensionGroupBy(env *Env) (*Report, error) {
 	r.Lines = append(r.Lines, summaryRow("classic min(prod V, rows)", metrics.Summarize(classic)))
 	r.Printf("(the Section 6 grouping bit-vector makes #groups learnable: the learned estimator wins the mean and tail; the classic bound overshoots on selective queries)")
 	return r, nil
+}
+
+// WithGroupBy featurizes a grouped query as Section 6 proposes: the base
+// QFT's encoding of the selection, with the query's GROUP BY block
+// (GroupByVector) appended after it. ext6 is its one user; no served model
+// estimates group counts (estimator.RefuseGroupBy).
+type WithGroupBy struct {
+	Base core.Featurizer
+	Meta *core.TableMeta
+}
+
+// FeaturizeQuery encodes the selection expression and the grouping
+// attributes into one vector; no grouping attributes leave the block zero.
+func (w *WithGroupBy) FeaturizeQuery(expr sqlparse.Expr, groupBy []string) ([]float64, error) {
+	base, err := w.Base.Featurize(expr)
+	if err != nil {
+		return nil, err
+	}
+	gb, err := GroupByVector(w.Meta, groupBy)
+	if err != nil {
+		return nil, err
+	}
+	return append(base, gb...), nil
+}
+
+// GroupByVector encodes a GROUP BY clause as the binary vector of Section 6:
+// one entry per attribute of the table, set to 1 for each grouping
+// attribute.
+func GroupByVector(meta *core.TableMeta, groupBy []string) ([]float64, error) {
+	vec := make([]float64, meta.NumAttrs())
+	for _, g := range groupBy {
+		i := meta.AttrIndex(g)
+		if i < 0 {
+			return nil, fmt.Errorf("bench: unknown grouping attribute %q", g)
+		}
+		vec[i] = 1
+	}
+	return vec, nil
 }
 
 // mustConj returns the conjunctive training workload, for sizing only.

@@ -14,7 +14,8 @@
 //
 // All partitioners return the inclusive upper boundaries of every partition
 // except the last (which is implied by the attribute maximum), the form
-// core.AttrMeta consumes.
+// core.AttrMeta consumes; PartitionedMeta builds a table's metadata from
+// them.
 package histogram
 
 import (

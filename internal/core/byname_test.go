@@ -230,8 +230,6 @@ func metaOf(f Featurizer) *TableMeta {
 		return f.meta
 	case *partitioned:
 		return f.meta
-	case *WithGroupBy:
-		return f.Meta
 	}
 	return nil
 }

@@ -94,7 +94,7 @@ func tabulate(a *AttrMeta) buckets {
 }
 
 // of returns the partition of val, which must lie in [a.Min, a.Max]: the
-// first whose upper bound admits it, as AttrMeta.BucketOf says. The slope
+// first whose upper bound admits it, the one BucketRange says holds it. The slope
 // puts it there or next to it under uniform partitions; the table decides.
 func (b *buckets) of(val int64) int {
 	last := len(b.his) - 1 // his[last] is a.Max, which admits val

@@ -24,12 +24,13 @@
 //     per-disjunct vectors merged by entry-wise max.
 //
 // All QFTs are model-independent: they emit plain []float64 vectors consumed
-// unchanged by the gradient-boosting and feed-forward models in internal/ml
-// (and, per attribute, by the experiment harness's MSCN). The package also
-// provides SplitWhereByTable, a join query's WHERE split per table, and the
-// Section 6 extensions (GROUP BY vectors, string-prefix featurization via
-// dictionary order). The lossless-featurization decoder
-// that verifies Definition 3.1 and Lemma 3.2 lives with its tests
+// unchanged by the gradient-boosting model in internal/ml/gb and the
+// experiment harness's feed-forward network (and, per attribute, its MSCN).
+// The package also provides SplitWhereByTable, a join query's WHERE split per
+// table. A TableMeta fixes each attribute's partitions: Algorithm 1's uniform
+// ones, or any others a spec carries (the Section 3.2 extensions, whose
+// policies live in the experiment harness). The lossless-featurization
+// decoder that verifies Definition 3.1 and Lemma 3.2 lives with its tests
 // (decode_test.go).
 //
 // The featurizers read which attribute a predicate constrains off the column
@@ -40,7 +41,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"qfe/internal/sqlparse"
@@ -78,39 +80,12 @@ func (a AttrMeta) DomainSize() int64 { return a.Max - a.Min + 1 }
 // entries (end of Section 3.2).
 func (a AttrMeta) Exact() bool { return int64(a.NEntries) == a.DomainSize() }
 
-// BucketOf returns the zero-based feature-vector index of value val. For
-// uniform partitions this is floor((val-min) / (max-min+1) * n_A), the
-// index formula of Algorithm 1, line 4; with explicit Boundaries the index
-// is found by binary search. Values outside the domain yield -1 (below Min)
-// or NEntries (above Max), decided before any arithmetic: the index formula
-// truncates toward zero, so it would put Min-1 into bucket 0, and its product
-// overflows for values near the ends of int64. Callers handle clamping per
-// operator semantics.
-func (a AttrMeta) BucketOf(val int64) int {
-	if val < a.Min {
-		return -1
-	}
-	if val > a.Max {
-		return a.NEntries
-	}
-	if a.Boundaries == nil {
-		return int((val - a.Min) * int64(a.NEntries) / a.DomainSize())
-	}
-	// First partition whose inclusive upper bound admits val.
-	lo, hi := 0, len(a.Boundaries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a.Boundaries[mid] >= val {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 // BucketRange returns the closed value interval [lo, hi] that bucket idx
-// represents. It is the inverse of BucketOf and drives the lossless decoder.
+// represents: under uniform partitions bucket k holds the values v with
+// floor((v-min) / (max-min+1) * n_A) = k, the index formula of Algorithm 1,
+// line 4; with explicit Boundaries it ends at Boundaries[idx]. It is the one
+// definition of a partition: the featurizers tabulate it, and the lossless
+// decoder reads it.
 func (a AttrMeta) BucketRange(idx int) (lo, hi int64) {
 	if a.Boundaries != nil {
 		lo = a.Min
@@ -123,19 +98,16 @@ func (a AttrMeta) BucketRange(idx int) (lo, hi int64) {
 		}
 		return lo, hi
 	}
-	d := a.DomainSize()
-	n := int64(a.NEntries)
-	lo = a.Min + ceilDiv(int64(idx)*d, n)
-	hi = a.Min + ceilDiv(int64(idx+1)*d, n) - 1
-	if hi > a.Max {
-		hi = a.Max
-	}
-	return lo, hi
+	d, n := uint64(a.DomainSize()), uint64(a.NEntries)
+	return a.Min + int64(ceilMulDiv(uint64(idx), d, n)), a.Min + int64(ceilMulDiv(uint64(idx+1), d, n)) - 1
 }
 
-func ceilDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 {
+// ceilMulDiv returns ceil(i*d/n) for i <= n, the product taken in 128 bits:
+// on a wide domain i*d overflows int64.
+func ceilMulDiv(i, d, n uint64) uint64 {
+	hi, lo := bits.Mul64(i, d)
+	q, r := bits.Div64(hi, lo, n)
+	if r != 0 {
 		q++
 	}
 	return q
@@ -243,30 +215,74 @@ func (o Options) Normalized() Options {
 	return o
 }
 
-// NewTableMeta derives featurization metadata from a materialized table,
-// reading each column's min/max statistics. n is the maximum number of
-// per-attribute entries (Options.MaxEntriesPerAttr).
-func NewTableMeta(t *table.Table, n int) *TableMeta {
-	if n < 1 {
-		n = 1
+// newTableMeta is the one constructor of a TableMeta: it indexes attrs by
+// name, refuses a meta a featurizer cannot run on, and, given the table the
+// attributes were read off, maps its columns. Every attribute needs
+// 1 <= NEntries <= its domain size; Boundaries, when set, are NEntries-1
+// strictly ascending values in [Min, Max); Weights, when set, hold NEntries
+// shares; and no name occurs twice. The error names the attribute.
+func newTableMeta(name string, attrs []AttrMeta, t *table.Table) (*TableMeta, error) {
+	m := &TableMeta{Name: name, Attrs: attrs, index: make(map[string]int, len(attrs))}
+	for i, a := range attrs {
+		if err := a.check(); err != nil {
+			return nil, fmt.Errorf("core: attribute %q %w", a.Name, err)
+		}
+		if _, dup := m.index[a.Name]; dup {
+			return nil, fmt.Errorf("core: duplicate attribute %q", a.Name)
+		}
+		m.index[a.Name] = i
 	}
-	m := &TableMeta{Name: t.Name, index: make(map[string]int, t.NumCols())}
-	for _, col := range t.Columns() {
-		a := AttrMeta{Name: col.Name, Min: col.Min(), Max: col.Max()}
-		a.NEntries = entriesFor(a, n)
-		m.index[a.Name] = len(m.Attrs)
-		m.Attrs = append(m.Attrs, a)
+	if t != nil {
+		m.MapColumns(t)
 	}
-	m.MapColumns(t)
+	return m, nil
+}
+
+// check is newTableMeta's contract for one attribute.
+func (a AttrMeta) check() error {
+	if a.NEntries < 1 || int64(a.NEntries) > a.DomainSize() {
+		return fmt.Errorf("has %d entries for domain [%d, %d]", a.NEntries, a.Min, a.Max)
+	}
+	if a.Boundaries != nil && len(a.Boundaries) != a.NEntries-1 {
+		return fmt.Errorf("has %d boundaries for %d entries", len(a.Boundaries), a.NEntries)
+	}
+	for i, b := range a.Boundaries {
+		if b < a.Min || b >= a.Max || i > 0 && b <= a.Boundaries[i-1] {
+			return fmt.Errorf("boundary %d (%d) is not ascending in [%d, %d)", i, b, a.Min, a.Max)
+		}
+	}
+	if a.Weights != nil && len(a.Weights) != a.NEntries {
+		return fmt.Errorf("has %d weights for %d entries", len(a.Weights), a.NEntries)
+	}
+	return nil
+}
+
+// mustMeta is newTableMeta for the constructors without an error result:
+// they panic with its error at construction, never later in FeaturizeInto.
+func mustMeta(m *TableMeta, err error) *TableMeta {
+	if err != nil {
+		panic(err)
+	}
 	return m
+}
+
+// NewTableMeta derives featurization metadata from a materialized table,
+// reading each column's min/max statistics, with Algorithm 1's uniform
+// partitions. n is the maximum number of per-attribute entries
+// (Options.MaxEntriesPerAttr). It panics on a column whose domain an int64
+// cannot count.
+func NewTableMeta(t *table.Table, n int) *TableMeta {
+	var attrs []AttrMeta
+	for _, col := range t.Columns() {
+		attrs = append(attrs, uniformAttr(AttrMeta{Name: col.Name, Min: col.Min(), Max: col.Max()}, n))
+	}
+	return mustMeta(newTableMeta(t.Name, attrs, t))
 }
 
 // NewTableMetaWeighted derives featurization metadata like NewTableMeta and
 // additionally records each partition's row-frequency share, upgrading the
 // appended selectivity estimate from the uniformity assumption to a
-// frequency-weighted one (see AttrMeta.Weights). The partitions themselves
-// stay uniform (Algorithm 1); combine with NewTableMetaPartitioned by
-// setting Weights on its result via AttachWeights.
+// frequency-weighted one (see AttrMeta.Weights).
 func NewTableMetaWeighted(t *table.Table, n int) *TableMeta {
 	m := NewTableMeta(t, n)
 	AttachWeights(m, t)
@@ -274,7 +290,8 @@ func NewTableMetaWeighted(t *table.Table, n int) *TableMeta {
 }
 
 // AttachWeights computes and stores per-partition row-frequency shares on
-// every attribute of meta from the table's data. The meta's attribute names
+// every attribute of meta from the table's data, placing each value in its
+// partition as the featurizers place a literal. The meta's attribute names
 // must match t's columns. It panics when t's rows were dropped
 // (table.DB.DropRows): the shares of an empty column would all be zero.
 func AttachWeights(meta *TableMeta, t *table.Table) {
@@ -288,138 +305,40 @@ func AttachWeights(meta *TableMeta, t *table.Table) {
 		if col == nil || rows == 0 {
 			continue
 		}
+		b := tabulate(a)
 		w := make([]float64, a.NEntries)
 		for _, v := range col.Vals {
-			idx := a.BucketOf(v)
-			if idx >= 0 && idx < a.NEntries {
-				w[idx]++
+			if v >= a.Min && v <= a.Max {
+				w[b.of(v)]++
 			}
 		}
-		for b := range w {
-			w[b] /= rows
+		for k := range w {
+			w[k] /= rows
 		}
 		a.Weights = w
 	}
 }
 
-// Partitioner produces the inclusive upper boundaries (all but the last)
-// for partitioning one column's domain into at most n parts. It is the
-// plug-in point for the histogram-based partitioning schemes of
-// internal/histogram (the Section 3.2 extension); returning fewer than n-1
-// boundaries simply yields fewer partitions.
-type Partitioner func(col *table.Column, n int) ([]int64, error)
-
-// NewTableMetaPartitioned derives featurization metadata whose partitions
-// come from the given Partitioner instead of Algorithm 1's uniform split —
-// e.g. equi-depth or v-optimal boundaries from internal/histogram. The
-// small-domain case (domain size <= n) keeps the exact one-value-per-entry
-// partitioning regardless of the partitioner.
-func NewTableMetaPartitioned(t *table.Table, n int, part Partitioner) (*TableMeta, error) {
-	if n < 1 {
-		n = 1
-	}
-	m := &TableMeta{Name: t.Name, index: make(map[string]int, t.NumCols())}
-	for _, col := range t.Columns() {
-		a := AttrMeta{Name: col.Name, Min: col.Min(), Max: col.Max()}
-		if d := a.DomainSize(); d <= int64(n) {
-			a.NEntries = int(d)
-		} else {
-			bounds, err := part(col, n)
-			if err != nil {
-				return nil, fmt.Errorf("core: partition column %q: %w", col.Name, err)
-			}
-			if err := validBoundaries(a, bounds); err != nil {
-				return nil, fmt.Errorf("core: column %q: %w", col.Name, err)
-			}
-			a.Boundaries = bounds
-			a.NEntries = len(bounds) + 1
-		}
-		m.index[a.Name] = len(m.Attrs)
-		m.Attrs = append(m.Attrs, a)
-	}
-	m.MapColumns(t)
-	return m, nil
-}
-
-// validBoundaries checks the Boundaries contract: strictly ascending values
-// in [Min, Max).
-func validBoundaries(a AttrMeta, bounds []int64) error {
-	prev := a.Min - 1
-	for i, b := range bounds {
-		if b <= prev {
-			return fmt.Errorf("boundary %d (%d) not ascending", i, b)
-		}
-		if b < a.Min || b >= a.Max {
-			return fmt.Errorf("boundary %d (%d) outside [%d, %d)", i, b, a.Min, a.Max)
-		}
-		prev = b
-	}
-	return nil
-}
-
-// NewTableMetaAdaptive derives featurization metadata with an
-// attribute-specific number of partitions — the extension Section 3.2
-// sketches ("it is easy to extend our approach to choose an
-// attribute-specific n"). A total per-table entry budget is distributed over
-// the attributes proportionally to the logarithm of their distinct counts:
-// attributes with more distinct values (where uniform partitions lose more
-// information) receive more entries, while binary indicators get exactly
-// their domain size. Every attribute receives at least minEntries (clamped
-// to its domain size).
-func NewTableMetaAdaptive(t *table.Table, budget, minEntries int) *TableMeta {
-	if minEntries < 1 {
-		minEntries = 1
-	}
-	cols := t.Columns()
-	weights := make([]float64, len(cols))
-	var totalWeight float64
-	for i, col := range cols {
-		// log2(distinct)+1 grows slowly, so wide attributes gain entries
-		// without starving the rest.
-		w := math.Log2(float64(col.Distinct())) + 1
-		if w < 1 {
-			w = 1
-		}
-		weights[i] = w
-		totalWeight += w
-	}
-	m := &TableMeta{Name: t.Name, index: make(map[string]int, len(cols))}
-	for i, col := range cols {
-		a := AttrMeta{Name: col.Name, Min: col.Min(), Max: col.Max()}
-		share := int(float64(budget) * weights[i] / totalWeight)
-		if share < minEntries {
-			share = minEntries
-		}
-		a.NEntries = entriesFor(a, share)
-		m.index[a.Name] = len(m.Attrs)
-		m.Attrs = append(m.Attrs, a)
-	}
-	m.MapColumns(t)
-	return m
-}
-
-// NewTableMetaFromAttrs builds metadata from explicit attribute bounds; used
-// when the raw data is not materialized (e.g. metadata shipped with a
-// trained model). It featurizes bound queries once MapColumns has mapped it
-// onto their table.
+// NewTableMetaFromAttrs builds metadata with Algorithm 1's uniform
+// partitions from explicit attribute bounds; used when the raw data is not
+// materialized. It featurizes bound queries once MapColumns has mapped it
+// onto their table, and panics on attributes newTableMeta refuses.
 func NewTableMetaFromAttrs(name string, attrs []AttrMeta, n int) *TableMeta {
-	if n < 1 {
-		n = 1
-	}
-	m := &TableMeta{Name: name, index: make(map[string]int, len(attrs))}
+	var own []AttrMeta
 	for _, a := range attrs {
-		a.NEntries = entriesFor(a, n)
-		m.index[a.Name] = len(m.Attrs)
-		m.Attrs = append(m.Attrs, a)
+		own = append(own, uniformAttr(a, n))
 	}
-	return m
+	return mustMeta(newTableMeta(name, own, nil))
 }
 
-func entriesFor(a AttrMeta, n int) int {
-	if d := a.DomainSize(); d < int64(n) {
-		return int(d)
+// uniformAttr sets a's entry count to n_A = min(n, max(A)-min(A)+1)
+// (Section 3.2), n being at least 1.
+func uniformAttr(a AttrMeta, n int) AttrMeta {
+	a.NEntries = max(n, 1)
+	if d := a.DomainSize(); d < int64(a.NEntries) {
+		a.NEntries = int(d)
 	}
-	return n
+	return a
 }
 
 // MetaSpec is the serializable form of a TableMeta: everything a featurizer
@@ -435,33 +354,13 @@ func (m *TableMeta) Spec() MetaSpec {
 	return MetaSpec{Name: m.Name, Attrs: append([]AttrMeta(nil), m.Attrs...)}
 }
 
-// NewTableMetaFromSpec restores a TableMeta from its serialized form; the
-// per-attribute entry counts and boundaries are trusted as stored. It
-// featurizes bound queries once MapColumns has mapped it onto their table.
+// NewTableMetaFromSpec builds a TableMeta from its serialized form, whose
+// per-attribute entry counts, boundaries and weights are taken as given: how
+// a snapshot's metas are restored, and how a partitioning policy other than
+// Algorithm 1's hands its partitions to the featurizers. It featurizes bound
+// queries once MapColumns has mapped it onto their table.
 func NewTableMetaFromSpec(spec MetaSpec) (*TableMeta, error) {
-	m := &TableMeta{Name: spec.Name, index: make(map[string]int, len(spec.Attrs))}
-	for _, a := range spec.Attrs {
-		if a.NEntries < 1 {
-			return nil, fmt.Errorf("core: attribute %q has %d entries", a.Name, a.NEntries)
-		}
-		if a.Boundaries != nil {
-			if len(a.Boundaries) != a.NEntries-1 {
-				return nil, fmt.Errorf("core: attribute %q has %d boundaries for %d entries", a.Name, len(a.Boundaries), a.NEntries)
-			}
-			if err := validBoundaries(a, a.Boundaries); err != nil {
-				return nil, fmt.Errorf("core: attribute %q: %w", a.Name, err)
-			}
-		}
-		if a.Weights != nil && len(a.Weights) != a.NEntries {
-			return nil, fmt.Errorf("core: attribute %q has %d weights for %d entries", a.Name, len(a.Weights), a.NEntries)
-		}
-		if _, dup := m.index[a.Name]; dup {
-			return nil, fmt.Errorf("core: duplicate attribute %q", a.Name)
-		}
-		m.index[a.Name] = len(m.Attrs)
-		m.Attrs = append(m.Attrs, a)
-	}
-	return m, nil
+	return newTableMeta(spec.Name, append([]AttrMeta(nil), spec.Attrs...), nil)
 }
 
 // Attr returns the metadata for the named attribute. Qualified names
@@ -553,7 +452,16 @@ func New(name string, meta *TableMeta, opts Options) (Featurizer, error) {
 	case "complex":
 		return NewComplex(meta, opts), nil
 	}
-	return nil, fmt.Errorf("core: unknown QFT %q (want simple, range, conjunctive, or complex)", name)
+	return nil, CheckQFT(name)
+}
+
+// CheckQFT returns New's error for a name New refuses, and nil for one of
+// QFTNames.
+func CheckQFT(name string) error {
+	if slices.Contains(QFTNames(), name) {
+		return nil
+	}
+	return fmt.Errorf("core: unknown QFT %q (want simple, range, conjunctive, or complex)", name)
 }
 
 // QFTNames lists the QFT names accepted by New, in the paper's order.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -561,5 +563,31 @@ func TestFeaturizersAreDeterministic(t *testing.T) {
 		if len(v1) != f.Dim() {
 			t.Errorf("%s: len(vec) = %d, Dim() = %d", name, len(v1), f.Dim())
 		}
+	}
+}
+
+// TestPrefixPredsFeaturizable: a string-prefix predicate, once exec.Bind has
+// rewritten it into the code range its prefix covers in the sorted
+// dictionary, flows through Universal Conjunction Encoding like any range —
+// the Section 6 claim.
+func TestPrefixPredsFeaturizable(t *testing.T) {
+	tbl := table.New("t")
+	tbl.MustAddColumn(table.NewStringColumn("s", []string{"apple", "apricot", "banana", "cherry"}))
+	db := table.NewDB()
+	db.MustAdd(tbl)
+	q := sqlparse.MustParse("SELECT count(*) FROM t WHERE s LIKE 'ap%'")
+	if err := exec.Bind(q, db); err != nil {
+		t.Fatal(err)
+	}
+	meta := NewTableMeta(tbl, 26)
+	vec, err := NewConjunctive(meta, Options{MaxEntriesPerAttr: 26, AttrSel: true}).Featurize(q.Where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Domain is 4 codes; apple(0), apricot(1) qualify; banana(2), cherry(3)
+	// do not.
+	want := []float64{1, 1, 0, 0, 0.5}
+	if !slices.Equal(vec, want) {
+		t.Fatalf("prefix featurization = %v, want %v", vec, want)
 	}
 }

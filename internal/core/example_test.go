@@ -73,17 +73,3 @@ func ExampleComplex() {
 	// Output:
 	// [0 0.5 1 0.5 1 1 1 1 0 0 0.5 1]
 }
-
-// ExampleGroupByVector shows the Section 6 GROUP BY encoding: one bit per
-// attribute, set for each grouping attribute.
-func ExampleGroupByVector() {
-	meta := core.NewTableMetaFromAttrs("t", []core.AttrMeta{
-		{Name: "A1", Min: 0, Max: 9}, {Name: "A2", Min: 0, Max: 9},
-		{Name: "A3", Min: 0, Max: 9}, {Name: "A4", Min: 0, Max: 9},
-		{Name: "A5", Min: 0, Max: 9},
-	}, 4)
-	vec, _ := core.GroupByVector(meta, []string{"A2", "A4"})
-	fmt.Println(vec)
-	// Output:
-	// [0 1 0 1 0]
-}

@@ -130,28 +130,6 @@ func TestFeaturizeIntoRepeatedAttrsSimple(t *testing.T) {
 	}
 }
 
-// TestFeaturizeIntoGroupByWrapper checks the WithGroupBy adapter: base block
-// plus zeroed GROUP BY tail.
-func TestFeaturizeIntoGroupByWrapper(t *testing.T) {
-	rng := rand.New(rand.NewSource(7575))
-	tbl := randTable(rng, 100)
-	meta := NewTableMeta(tbl, 8)
-	w := &WithGroupBy{Base: NewConjunctive(meta, Options{MaxEntriesPerAttr: 8, AttrSel: true}), Meta: meta}
-	dst := make([]float64, w.Dim())
-	for trial := 0; trial < 200; trial++ {
-		expr := randConjunction(rng, meta, 4)
-		want, err := featurize(w, expr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		poison(dst)
-		if err := featurizeInto(w, dst, expr); err != nil {
-			t.Fatal(err)
-		}
-		sameVec(t, trial, "groupby", want, dst)
-	}
-}
-
 // TestFeaturizeIntoErrors: walk and oracle must agree on rejection, and a
 // wrong-length destination is refused outright.
 func TestFeaturizeIntoErrors(t *testing.T) {

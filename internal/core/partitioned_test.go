@@ -2,22 +2,94 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
-	"qfe/internal/bench/histogram"
 	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
 
-// equiDepthPartitioner adapts histogram.EquiDepth to the core.Partitioner
-// plug-in point.
-func equiDepthPartitioner(col *table.Column, n int) ([]int64, error) {
-	return histogram.EquiDepth(col.Vals, n)
+// BucketOf returns the zero-based feature-vector index of value val: for
+// uniform partitions floor((val-min) / (max-min+1) * n_A), the index formula
+// of Algorithm 1, line 4; with explicit Boundaries the first partition whose
+// bound admits val, by binary search. Values outside the domain yield -1
+// (below Min) or NEntries (above Max). It is the oracle the tabulated lookup
+// (buckets.of) and BucketRange are held to.
+func (a AttrMeta) BucketOf(val int64) int {
+	if val < a.Min {
+		return -1
+	}
+	if val > a.Max {
+		return a.NEntries
+	}
+	if a.Boundaries == nil {
+		return int((val - a.Min) * int64(a.NEntries) / a.DomainSize())
+	}
+	lo, hi := 0, len(a.Boundaries)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if a.Boundaries[mid] >= val {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
-func vOptimalPartitioner(col *table.Column, n int) ([]int64, error) {
-	return histogram.VOptimal(col.Vals, n, 128)
+// specMeta is NewTableMetaFromSpec mapped onto t's columns, failing tb on a
+// refusal: how a partitioning policy other than Algorithm 1's reaches the
+// featurizers.
+func specMeta(tb testing.TB, spec MetaSpec, t *table.Table) *TableMeta {
+	tb.Helper()
+	m, err := NewTableMetaFromSpec(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if missing := m.MapColumns(t); missing != "" {
+		tb.Fatalf("spec attribute %q is not a column of %s", missing, t.Name)
+	}
+	return m
+}
+
+// quantileMeta is t's metadata with data-driven partitions from a spec: at
+// most n-1 boundaries at the column's value quantiles (equi-depth, with the
+// repeats dropped), and the exact one-value-per-entry partitioning where the
+// domain holds at most n values.
+func quantileMeta(tb testing.TB, t *table.Table, n int) *TableMeta {
+	spec := NewTableMeta(t, n).Spec()
+	for i := range spec.Attrs {
+		a := &spec.Attrs[i]
+		if a.Exact() {
+			continue
+		}
+		vals := slices.Clone(t.Column(a.Name).Vals)
+		slices.Sort(vals)
+		var bounds []int64
+		for k := 1; k < n; k++ {
+			if b := vals[k*len(vals)/n]; b < a.Max && (len(bounds) == 0 || b > bounds[len(bounds)-1]) {
+				bounds = append(bounds, b)
+			}
+		}
+		a.Boundaries, a.NEntries = bounds, len(bounds)+1
+	}
+	return specMeta(tb, spec, t)
+}
+
+// powersMeta is t's metadata with boundaries at Min+2^k-1: partitions that
+// double in width, finest at the bottom of each domain.
+func powersMeta(tb testing.TB, t *table.Table) *TableMeta {
+	spec := NewTableMeta(t, 1).Spec()
+	for i := range spec.Attrs {
+		a := &spec.Attrs[i]
+		a.Boundaries = nil
+		for w := int64(1); a.Min+w-1 < a.Max; w *= 2 {
+			a.Boundaries = append(a.Boundaries, a.Min+w-1)
+		}
+		a.NEntries = len(a.Boundaries) + 1
+	}
+	return specMeta(tb, spec, t)
 }
 
 // skewedTable builds a table whose value frequencies are heavily skewed, the
@@ -65,11 +137,7 @@ func TestBoundaryPartitionInvariants(t *testing.T) {
 	// or overlaps, the same invariant the uniform path guarantees.
 	rng := rand.New(rand.NewSource(5))
 	tbl := skewedTable(rng, 3000)
-	for _, part := range []Partitioner{equiDepthPartitioner, vOptimalPartitioner} {
-		meta, err := NewTableMetaPartitioned(tbl, 16, part)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, meta := range []*TableMeta{quantileMeta(t, tbl, 16), powersMeta(t, tbl)} {
 		a := meta.Attrs[0]
 		prevHi := a.Min - 1
 		for idx := 0; idx < a.NEntries; idx++ {
@@ -101,10 +169,7 @@ func TestBoundaryPartitionInvariants(t *testing.T) {
 func TestPartitionedDecodedBoundsBracketTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tbl := skewedTable(rng, 2000)
-	meta, err := NewTableMetaPartitioned(tbl, 12, equiDepthPartitioner)
-	if err != nil {
-		t.Fatal(err)
-	}
+	meta := quantileMeta(t, tbl, 12)
 	opts := Options{MaxEntriesPerAttr: 12, AttrSel: false}
 	f := NewConjunctive(meta, opts)
 	for trial := 0; trial < 150; trial++ {
@@ -132,87 +197,35 @@ func TestPartitionedDecodedBoundsBracketTruth(t *testing.T) {
 	}
 }
 
-// TestEquiDepthTightensBoundsOnSkew: on skewed data, equi-depth partitions
-// concentrate resolution where the rows are, so the decoded count bounds
-// are tighter (in expectation over anchored range queries) than uniform
-// partitions at equal entry budget.
-func TestEquiDepthTightensBoundsOnSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tbl := skewedTable(rng, 4000)
-	n := 12
-	uniform := NewTableMeta(tbl, n)
-	depth, err := NewTableMetaPartitioned(tbl, n, equiDepthPartitioner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{MaxEntriesPerAttr: n, AttrSel: false}
-	col := tbl.Column("a")
-	// Literals anchored at data values, like the paper's workloads: the
-	// advantage of data-driven partitions materializes when queries touch
-	// the data where it actually lives.
-	anchoredRange := func(qrng *rand.Rand) sqlparse.Expr {
-		v := col.Vals[qrng.Intn(col.Len())]
-		w := int64(qrng.ExpFloat64() * 60)
-		return sqlparse.NewAnd(
-			&sqlparse.Pred{Attr: "a", Op: sqlparse.OpGe, Val: v - w},
-			&sqlparse.Pred{Attr: "a", Op: sqlparse.OpLe, Val: v + w},
-		)
-	}
-	width := func(meta *TableMeta) int64 {
-		f := NewConjunctive(meta, opts)
-		var total int64
-		qrng := rand.New(rand.NewSource(8))
-		for trial := 0; trial < 200; trial++ {
-			expr := anchoredRange(qrng)
-			vec, err := featurize(f, expr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := DecodePartitioned(meta, opts, vec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lo, hi, err := CountDecodedBounds(tbl, decoded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += hi - lo
-		}
-		return total
-	}
-	wu, wd := width(uniform), width(depth)
-	t.Logf("total decoded bound width: uniform=%d equi-depth=%d", wu, wd)
-	if wd >= wu {
-		t.Errorf("equi-depth bound width %d should beat uniform %d on skewed data", wd, wu)
-	}
-}
-
-func TestNewTableMetaPartitionedRejectsBadBoundaries(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tbl := skewedTable(rng, 100)
-	bad := func(*table.Column, int) ([]int64, error) {
-		return []int64{50, 40}, nil // not ascending
-	}
-	if _, err := NewTableMetaPartitioned(tbl, 8, bad); err == nil {
-		t.Error("descending boundaries accepted")
-	}
-	outOfRange := func(col *table.Column, int2 int) ([]int64, error) {
-		return []int64{col.Max() + 10}, nil
-	}
-	if _, err := NewTableMetaPartitioned(tbl, 8, outOfRange); err == nil {
-		t.Error("out-of-range boundary accepted")
-	}
-}
-
-func TestPartitionedSmallDomainStaysExact(t *testing.T) {
-	tbl := table.New("t")
-	tbl.MustAddColumn(table.NewColumn("bin", []int64{0, 1, 0, 1, 1}))
-	meta, err := NewTableMetaPartitioned(tbl, 16, equiDepthPartitioner)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestWideDomainPartitions: uniform partitions of a domain near 2^62 values,
+// where k·(max-min+1) overflows int64 for every k > 1. BucketRange computes
+// the product in 128 bits, so the partitions still tile the domain in equal
+// widths, and a literal lands where Algorithm 1's index formula puts it
+// instead of past the last partition.
+func TestWideDomainPartitions(t *testing.T) {
+	meta := NewTableMetaFromAttrs("t", []AttrMeta{{Name: "a", Min: 0, Max: 1 << 62}}, 64)
 	a := meta.Attrs[0]
-	if !a.Exact() || a.NEntries != 2 || a.Boundaries != nil {
-		t.Errorf("small domain should keep the exact uniform partitioning: %+v", a)
+	next := a.Min
+	for k := 0; k < a.NEntries; k++ {
+		lo, hi := a.BucketRange(k)
+		if lo != next || hi-lo+1 < 1<<56 || hi-lo+1 > 1<<56+1 {
+			t.Fatalf("partition %d = [%d, %d], want it to start at %d and hold 2^56 values", k, lo, hi, next)
+		}
+		next = hi + 1
+	}
+	if next != a.Max+1 {
+		t.Fatalf("partitions end at %d, want %d", next-1, a.Max)
+	}
+	// 2^61 is the last value of partition 31: a >= 2^61 splits it and
+	// admits every partition above.
+	vec, err := featurize(NewConjunctive(meta, Options{MaxEntriesPerAttr: 64}), &sqlparse.Pred{Attr: "a", Op: sqlparse.OpGe, Val: 1 << 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, 64)
+	want[31] = h
+	fill(want[32:], 1)
+	if !slices.Equal(vec, want) {
+		t.Fatalf("a >= 2^61 featurized as %v, want %v", vec, want)
 	}
 }

@@ -57,10 +57,7 @@ func TestStampedMatchesByNameOnWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partitioned, err := NewTableMetaPartitioned(forest, 32, equiDepthPartitioner)
-	if err != nil {
-		t.Fatal(err)
-	}
+	partitioned := quantileMeta(t, forest, 32)
 	for seed := int64(1); seed <= 2; seed++ {
 		conj := workload.ConjConfig{Count: n, MaxAttrs: 8, MaxNotEquals: 5, Seed: seed}
 		mixed, err := workload.Mixed(forest, workload.MixedConfig{ConjConfig: conj, MaxBranches: 3})

@@ -445,15 +445,17 @@ func TestTabulatedMatchesOracleOnWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partitioned, err := NewTableMetaPartitioned(forest, 32, equiDepthPartitioner)
-	if err != nil {
-		t.Fatal(err)
+	// Attribute-specific entry counts (the Section 3.2 extension), from 2
+	// to 41 per attribute.
+	adaptive := NewTableMeta(forest, 64).Spec()
+	for i := range adaptive.Attrs {
+		adaptive.Attrs[i].NEntries = min(adaptive.Attrs[i].NEntries, 2+7*i%40)
 	}
 	metas := map[string]*TableMeta{
 		"uniform":     NewTableMeta(forest, 32),
 		"weighted":    NewTableMetaWeighted(forest, 32),
-		"adaptive":    NewTableMetaAdaptive(forest, 16*24, 2),
-		"partitioned": partitioned,
+		"adaptive":    specMeta(t, adaptive, forest),
+		"partitioned": quantileMeta(t, forest, 32),
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		conj := workload.ConjConfig{Count: n, MaxAttrs: 8, MaxNotEquals: 5, Seed: seed}

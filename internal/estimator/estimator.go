@@ -52,8 +52,8 @@ type ContextEstimator interface {
 // parse step, cardest -query): a GROUP BY query's cardinality is its number
 // of groups, every Estimator here is trained on row counts, and answering
 // with the estimate of the WHERE alone would be a silently wrong number. The
-// group-count featurization of the paper's Section 6 (core.WithGroupBy) has a
-// model only in the experiment harness (ext6).
+// group-count featurization of the paper's Section 6 (bench.WithGroupBy) has
+// a model only in the experiment harness (ext6).
 func RefuseGroupBy(q *sqlparse.Query) error {
 	if len(q.GroupBy) == 0 {
 		return nil

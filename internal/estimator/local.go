@@ -81,7 +81,7 @@ func NewLocal(db *table.DB, cfg LocalConfig) (*Local, error) {
 		return nil, fmt.Errorf("estimator: LocalConfig.NewRegressor is nil")
 	}
 	cfg.Opts = cfg.Opts.Normalized()
-	if _, err := core.New(cfg.QFT, core.NewTableMetaFromAttrs("probe", []core.AttrMeta{{Name: "x", Min: 0, Max: 1}}, 2), cfg.Opts); err != nil {
+	if err := core.CheckQFT(cfg.QFT); err != nil {
 		return nil, err
 	}
 	l := &Local{

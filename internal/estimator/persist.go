@@ -127,9 +127,7 @@ func LoadLocal(r io.Reader) (*Local, error) {
 		return nil, fmt.Errorf("estimator: snapshot kind %q is not a local estimator", s.Kind)
 	}
 
-	// Validate the QFT name eagerly, mirroring NewLocal.
-	probe := core.NewTableMetaFromAttrs("probe", []core.AttrMeta{{Name: "x", Min: 0, Max: 1}}, 2)
-	if _, err := core.New(s.QFT, probe, s.Opts); err != nil {
+	if err := core.CheckQFT(s.QFT); err != nil {
 		return nil, err
 	}
 

@@ -148,12 +148,6 @@ func CompoundsBy(expr Expr, key func(attr string) (string, error)) ([]Compound, 
 	return out, nil
 }
 
-// IsMixed reports whether expr is a mixed query per Definition 3.3.
-func IsMixed(expr Expr) bool {
-	_, err := CompoundPredicates(expr)
-	return err == nil
-}
-
 // maxDNFTerms bounds the disjunction blow-up of ToDNF. Compound predicates
 // in the paper's workloads have at most a handful of OR branches; the bound
 // exists to turn adversarial inputs into errors instead of memory blow-ups.

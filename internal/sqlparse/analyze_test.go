@@ -51,13 +51,10 @@ func TestCompoundPredicatesRejectsCrossAttrOr(t *testing.T) {
 	if _, err := CompoundPredicates(q.Where); err == nil {
 		t.Error("cross-attribute OR must not be a mixed query")
 	}
-	if IsMixed(q.Where) {
-		t.Error("IsMixed should be false for cross-attribute OR")
-	}
 	// But per-attribute ORs are fine.
 	q2 := MustParse("SELECT count(*) FROM t WHERE (a = 1 OR a = 2) AND b = 3")
-	if !IsMixed(q2.Where) {
-		t.Error("IsMixed should be true for per-attribute OR")
+	if _, err := CompoundPredicates(q2.Where); err != nil {
+		t.Errorf("per-attribute OR must be a mixed query: %v", err)
 	}
 }
 

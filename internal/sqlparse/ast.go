@@ -88,8 +88,8 @@ type Pred struct {
 	Str  *string // unresolved string literal, nil for numeric predicates
 	// Like marks a string-prefix predicate (SQL "attr LIKE 'p%'"); Str
 	// holds the prefix without the trailing %. Binding rewrites the
-	// predicate into dictionary-code ranges (core.PrefixPreds), the
-	// Section 6 extension.
+	// predicate into the range of dictionary codes the prefix covers
+	// (exec.Bind), the Section 6 extension.
 	Like bool
 	// Qualified and Col are the column stamp exec.Bind writes. Col is 1 +
 	// the position of Attr's column among its table's columns, 0 while the
