@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"qfe/internal/bench"
+	"qfe/internal/bench/qft"
 	"qfe/internal/core"
 	"qfe/internal/sqlparse"
 	"qfe/internal/workload"
@@ -142,7 +143,7 @@ func BenchmarkExtensionPruning(b *testing.B) { runExperiment(b, "ext8") }
 // with testing.B directly. Each benchmark featurizes the appropriate test
 // workload round-robin.
 
-func benchmarkFeaturize(b *testing.B, qft string) {
+func benchmarkFeaturize(b *testing.B, name string) {
 	b.Helper()
 	env := experimentEnv()
 	forest, err := env.Forest()
@@ -150,7 +151,7 @@ func benchmarkFeaturize(b *testing.B, qft string) {
 		b.Fatal(err)
 	}
 	var set workload.Set
-	if qft == "complex" {
+	if name == "complex" {
 		_, set, err = env.MixedWorkload()
 	} else {
 		_, set, err = env.ConjWorkload()
@@ -160,7 +161,7 @@ func benchmarkFeaturize(b *testing.B, qft string) {
 	}
 	opts := core.Options{MaxEntriesPerAttr: 64, AttrSel: true}
 	meta := core.NewTableMeta(forest, opts.MaxEntriesPerAttr)
-	f, err := core.New(qft, meta, opts)
+	f, err := qft.New(name, meta, opts)
 	if err != nil {
 		b.Fatal(err)
 	}

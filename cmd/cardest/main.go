@@ -1,18 +1,19 @@
 // Command cardest is the interactive face of the reproduction: it builds
-// the synthetic forest dataset, trains a (QFT × model) cardinality
-// estimator, and then estimates queries — either the ones supplied on the
-// command line or a held-out evaluation set.
+// the synthetic forest dataset, trains the cardinality estimator the daemon
+// serves — Limited Disjunction Encoding ("complex", Algorithm 2) feeding a
+// gradient-boosting model — and then estimates queries: either the one
+// supplied on the command line or a held-out evaluation set.
 //
 // Usage:
 //
-//	cardest [-qft complex] [-model GB] [-train 2000] [-rows 20000]
-//	        [-entries 32] [-query "SELECT count(*) FROM forest WHERE ..."]
-//	        [-timeout 0] [-fallback]
+//	cardest [-train 2000] [-rows 20000] [-entries 32] [-seed 1]
+//	        [-query "SELECT count(*) FROM forest WHERE ..."]
+//	        [-save file] [-load file] [-timeout 0] [-fallback] [-workers 0]
 //
-// Without -query, the tool evaluates a held-out test workload and prints
-// the paper's q-error summary (mean, median, 99th percentile, max). The
-// workload style follows the QFT: mixed queries (AND + OR) for "complex",
-// conjunctive queries for everything else.
+// Without -query, the tool evaluates a held-out test workload of mixed
+// queries (AND + OR) and prints the paper's q-error summary (mean, median,
+// 99th percentile, max). The other QFTs and regressors are the experiment
+// harness's (cmd/benchrunner).
 //
 // -timeout bounds each estimation call; it and -fallback each wrap the
 // learned estimator in the degradation chain cardestd serves (cli.Chain:
@@ -39,8 +40,6 @@ import (
 )
 
 func main() {
-	qft := flag.String("qft", "complex", "featurization: simple, range, conjunctive, or complex")
-	model := flag.String("model", "GB", "regressor: GB, the one built and served; any other name is refused before the table is built")
 	trainN := flag.Int("train", 2_000, "number of training queries")
 	rows := flag.Int("rows", 20_000, "forest table rows")
 	entries := flag.Int("entries", 32, "per-attribute feature entries (n)")
@@ -53,17 +52,14 @@ func main() {
 	workers := flag.Int("workers", 0, "training goroutines for the learned models (0 = one per logical CPU); trained models are bit-identical for every value")
 	flag.Parse()
 
-	if err := run(*qft, *model, *trainN, *rows, *entries, *query, *seed, *save, *load, *timeout, *fallback, *workers); err != nil {
+	if err := run(*trainN, *rows, *entries, *query, *seed, *save, *load, *timeout, *fallback, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "cardest:", err)
 		os.Exit(1)
 	}
 }
 
-func run(qft, model string, trainN, rows, entries int, query string, seed int64, savePath, loadPath string, timeout time.Duration, fallback bool, workers int) error {
+func run(trainN, rows, entries int, query string, seed int64, savePath, loadPath string, timeout time.Duration, fallback bool, workers int) error {
 	if err := cli.ValidateWorkers(workers); err != nil {
-		return err
-	}
-	if err := cli.ValidateModel(model); err != nil {
 		return err
 	}
 	// -query is read with the flags too: text that does not parse, or asks
@@ -82,7 +78,7 @@ func run(qft, model string, trainN, rows, entries int, query string, seed int64,
 	fmt.Printf("building forest dataset (%d rows)...\n", rows)
 	fmt.Printf("generating and labeling %d training queries...\n", trainN+500)
 	env, err := cli.BuildForestEnv(cli.ForestSpec{
-		Rows: rows, TrainN: trainN, TestN: 500, Seed: seed, QFT: qft,
+		Rows: rows, TrainN: trainN, TestN: 500, Seed: seed,
 	})
 	if err != nil {
 		return err
@@ -105,13 +101,11 @@ func run(qft, model string, trainN, rows, entries int, query string, seed int64,
 		}
 		fmt.Printf("loaded %s from %s (%d models)\n", loc.Name(), loadPath, loc.NumModels())
 	} else {
-		loc, err = cli.NewLocalEstimator(db, cli.TrainSpec{
-			QFT: qft, Model: model, Entries: entries, Workers: workers,
-		})
+		loc, err = cli.NewLocalEstimator(db, cli.TrainSpec{Entries: entries, Workers: workers})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("training %s + %s...\n", model, qft)
+		fmt.Println("training GB + complex...")
 		start := time.Now()
 		if err := loc.Train(train); err != nil {
 			return err

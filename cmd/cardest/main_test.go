@@ -15,7 +15,7 @@ import (
 )
 
 func TestRunWithSingleQuery(t *testing.T) {
-	err := run("conjunctive", "GB", 300, 2_000, 16,
+	err := run(300, 2_000, 16,
 		"SELECT count(*) FROM forest WHERE A1 >= 2500 AND A1 <= 3200", 1, "", "", 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -23,29 +23,19 @@ func TestRunWithSingleQuery(t *testing.T) {
 }
 
 func TestRunHeldOutEvaluation(t *testing.T) {
-	if err := run("complex", "GB", 300, 2_000, 16, "", 2, "", "", 0, false, 0); err != nil {
+	if err := run(300, 2_000, 16, "", 2, "", "", 0, false, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run("nope", "GB", 100, 1_000, 16, "", 1, "", "", 0, false, 0); err == nil {
-		t.Error("unknown QFT accepted")
-	}
-	// A model other than GB (NN and LR are the harness's) is refused with the
-	// flags, before a table is built: Rows 0 would be the next error.
-	for _, model := range []string{"SVM", "LR", "NN"} {
-		err := run("conjunctive", model, 100, 0, 16, "", 1, "", "", 0, false, 0)
-		if err == nil || !strings.Contains(err.Error(), "-model") || !strings.Contains(err.Error(), "want GB)") {
-			t.Errorf("-model %s: err = %v, want a -model error naming GB", model, err)
-		}
-	}
-	if err := run("conjunctive", "GB", 100, 1_000, 16, "not sql", 1, "", "", 0, false, 0); err == nil {
+	if err := run(100, 1_000, 16, "not sql", 1, "", "", 0, false, 0); err == nil {
 		t.Error("unparseable query accepted")
 	}
 	// A grouped query asks for a group count; the row estimate of its WHERE
-	// is not an answer to it. Refused with the flags, like the model name.
-	err := run("conjunctive", "GB", 100, 0, 16, "SELECT count(*) FROM forest WHERE A1 >= 3 GROUP BY A2", 1, "", "", 0, false, 0)
+	// is not an answer to it. Refused with the flags, before a table is built:
+	// Rows 0 would be the next error.
+	err := run(100, 0, 16, "SELECT count(*) FROM forest WHERE A1 >= 3 GROUP BY A2", 1, "", "", 0, false, 0)
 	if err == nil || !strings.Contains(err.Error(), "group counts") {
 		t.Errorf("GROUP BY query: err = %v, want a refusal naming group counts", err)
 	}
@@ -53,10 +43,10 @@ func TestRunRejectsBadInputs(t *testing.T) {
 
 func TestRunSaveAndLoad(t *testing.T) {
 	path := t.TempDir() + "/model.json"
-	if err := run("conjunctive", "GB", 200, 1_500, 16, "", 3, path, "", 0, false, 0); err != nil {
+	if err := run(200, 1_500, 16, "", 3, path, "", 0, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("conjunctive", "GB", 200, 1_500, 16,
+	if err := run(200, 1_500, 16,
 		"SELECT count(*) FROM forest WHERE A1 >= 2500", 3, "", path, 0, false, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +55,11 @@ func TestRunSaveAndLoad(t *testing.T) {
 func TestRunWithFallbackAndTimeout(t *testing.T) {
 	// The resilient chain must serve both the single-query and the
 	// evaluation path; a generous deadline keeps the learned stage in play.
-	if err := run("conjunctive", "GB", 200, 1_500, 16,
+	if err := run(200, 1_500, 16,
 		"SELECT count(*) FROM forest WHERE A1 >= 2500", 4, "", "", 5*time.Second, true, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("conjunctive", "GB", 200, 1_500, 16, "", 4, "", "", 5*time.Second, true, 0); err != nil {
+	if err := run(200, 1_500, 16, "", 4, "", "", 5*time.Second, true, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -94,9 +84,9 @@ func TestRunRejectsMismatchedSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	loc, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 8},
-		NewRegressor: estimator.NewGBFactory(gb.DefaultConfig()),
+		NewFeaturizer: func(m *core.TableMeta, o core.Options) core.Featurizer { return core.NewComplex(m, o) },
+		Opts:          core.Options{MaxEntriesPerAttr: 8},
+		NewRegressor:  estimator.NewGBFactory(gb.DefaultConfig()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +106,7 @@ func TestRunRejectsMismatchedSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err = run("conjunctive", "GB", 100, 1_000, 8, "", 1, "", path, 0, false, 0)
+	err = run(100, 1_000, 8, "", 1, "", path, 0, false, 0)
 	if err == nil {
 		t.Fatal("estimator trained on a different schema was accepted")
 	}

@@ -46,7 +46,7 @@ func boot(o options, out io.Writer) (_ *booted, err error) {
 		canaryN = o.canaryN
 	}
 	env, err := cli.BuildForestEnv(cli.ForestSpec{
-		Rows: o.rows, TrainN: o.trainN, TestN: canaryN, Seed: o.seed, QFT: o.qft,
+		Rows: o.rows, TrainN: o.trainN, TestN: canaryN, Seed: o.seed,
 	})
 	if err != nil {
 		return nil, err
@@ -132,9 +132,7 @@ func boot(o options, out io.Writer) (_ *booted, err error) {
 			}
 		}
 	} else if !recovered {
-		loc, err := cli.NewLocalEstimator(b.db, cli.TrainSpec{
-			QFT: o.qft, Model: o.model, Entries: o.entries, Workers: o.workers,
-		})
+		loc, err := cli.NewLocalEstimator(b.db, cli.TrainSpec{Entries: o.entries, Workers: o.workers})
 		if err != nil {
 			return nil, err
 		}

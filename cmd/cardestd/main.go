@@ -89,7 +89,7 @@
 //
 // Every registered model serves inside cli.Chain, as in cardest: learned →
 // independence → row-count heuristic, so the daemon always answers; a query
-// the model does not encode (an OR under -qft conjunctive) passes on without
+// the model does not encode (an OR across attributes) passes on without
 // counting against the model's breaker. -timeout bounds each estimate (0 =
 // none). SIGTERM/SIGINT drain gracefully: in-flight requests finish, new ones
 // get 503, and the listener closes within -drain-timeout.
@@ -178,7 +178,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.addr, "addr", ":8482", "listen address")
 	fs.StringVar(&o.load, "load", "", "comma-separated name=path model snapshots to serve (default: train one at boot)")
 	fs.StringVar(&o.defName, "default", "", "name of the default model (default: first registered)")
-	fs.StringVar(&o.qft, "qft", "complex", "featurization for the boot-trained model: simple, range, conjunctive, or complex (the default, which also encodes OR)")
+	fs.StringVar(&o.qft, "qft", "complex", "featurization for the boot-trained model: complex (Limited Disjunction Encoding, which also encodes OR), the one served; any other name is refused before the table is built")
 	fs.StringVar(&o.model, "model", "GB", "regressor for the boot-trained model: GB, the one served; any other name is refused before the table is built")
 	fs.IntVar(&o.trainN, "train", 2_000, "training queries for the boot-trained model")
 	fs.IntVar(&o.rows, "rows", 20_000, "forest table rows")
@@ -208,6 +208,9 @@ func run(o options, out io.Writer) error {
 		return err
 	}
 	if err := cli.ValidateModel(o.model); err != nil {
+		return err
+	}
+	if err := cli.ValidateQFT(o.qft); err != nil {
 		return err
 	}
 	b, err := boot(o, out)

@@ -15,12 +15,14 @@ import (
 	"testing"
 
 	"qfe/internal/core"
+	"qfe/internal/dataset"
 	"qfe/internal/journal"
 	"qfe/internal/resilience"
 	"qfe/internal/serve"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 	"qfe/internal/testutil"
+	"qfe/internal/workload"
 )
 
 // tinyOptions keeps boot training fast enough for a unit test. It goes
@@ -149,11 +151,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// armedDaemon boots and arms a daemon of the test size with -qft qft.
-func armedDaemon(t *testing.T, qft string) *daemon {
+// armedDaemon boots and arms a daemon of the test size.
+func armedDaemon(t *testing.T) *daemon {
 	t.Helper()
 	o := tinyOptions(t)
-	o.qft = qft
 	b, err := boot(o, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -185,43 +186,54 @@ func estimateOne(t *testing.T, h http.Handler, sql string) (stage string, estima
 	return resp.Stage, resp.Estimate
 }
 
+// TestQFTRefusedWithTheFlags: complex is the one QFT the daemon trains, so
+// any other -qft is refused in run beside -model — before the table is built
+// (Rows 0 would be the next error), the journal opened or a snapshot loaded,
+// and under -load as well, where the name was once never checked.
+func TestQFTRefusedWithTheFlags(t *testing.T) {
+	for _, load := range []string{"", "m=missing.json"} {
+		for _, qft := range []string{"range", "conjunctive", "bogus"} {
+			o := tinyOptions(t)
+			o.qft, o.load, o.rows = qft, load, 0
+			var out bytes.Buffer
+			err := run(o, &out)
+			if err == nil || !strings.Contains(err.Error(), "-qft") || !strings.Contains(err.Error(), "want complex)") {
+				t.Errorf("-qft %s -load %q: err = %v, want a -qft error naming complex", qft, load, err)
+			}
+			if strings.Contains(out.String(), "building forest environment") {
+				t.Errorf("-qft %s -load %q built the table before it was refused:\n%s", qft, load, out.String())
+			}
+		}
+	}
+}
+
 // TestRefusedQueriesLeaveTheModelServing: a query the learned model does not
-// encode — an OR under -qft conjunctive, an OR across attributes under -qft
-// complex — is answered further down the chain, and it is not a failure of
-// the model. Each used to count as one: five in a row opened the learned
-// stage's breaker for its 30 s cooldown, and the conjunctive query the model
-// had just answered was then answered "stage":"sampling", estimate 1.
+// encode — an OR across attributes — is answered further down the chain, and
+// it is not a failure of the model. Each used to count as one: five in a row
+// opened the learned stage's breaker for its 30 s cooldown, and the
+// conjunctive query the model had just answered was then answered
+// "stage":"sampling", estimate 1.
 func TestRefusedQueriesLeaveTheModelServing(t *testing.T) {
 	const conj = "SELECT count(*) FROM forest WHERE A1 >= 2500 AND A2 <= 200"
-	for _, tc := range []struct {
-		qft, stage string // the stage that answers the refused queries
-		refused    []string
-	}{
-		{"conjunctive", "independence", []string{
-			"A1 <= 1 OR A1 >= 30", "A1 <= 2000 OR A1 >= 3000", "A2 < 90 OR A2 > 270",
-			"A3 <= 5 OR A3 >= 40", "A4 = 0 OR A4 > 500", "A2 = 7 OR A2 = 9",
-		}},
-		// Independence refuses these too: the row-count heuristic answers.
-		{"complex", "row-count heuristic", []string{
-			"A1 >= 3 OR A2 <= 7", "A1 <= 2000 OR A3 >= 30", "A2 < 90 OR A4 > 500",
-			"A3 <= 5 OR A1 >= 3000", "A4 = 0 OR A2 = 9", "A1 = 2500 OR A2 = 180",
-		}},
-	} {
-		t.Run(tc.qft, func(t *testing.T) {
-			h := armedDaemon(t, tc.qft).srv.Handler()
-			if stage, _ := estimateOne(t, h, conj); stage != "learned" {
-				t.Fatalf("%s before any refusal: stage %q, want learned", conj, stage)
-			}
-			for _, where := range tc.refused {
-				if stage, _ := estimateOne(t, h, "SELECT count(*) FROM forest WHERE "+where); stage != tc.stage {
-					t.Errorf("%s: stage %q, want %q", where, stage, tc.stage)
-				}
-			}
-			if stage, _ := estimateOne(t, h, conj+" AND A3 >= 2"); stage != "learned" {
-				t.Errorf("after %d refusals a query the model encodes got stage %q, want learned", len(tc.refused), stage)
-			}
-		})
+	// Independence refuses these too: the row-count heuristic answers.
+	refused := []string{
+		"A1 >= 3 OR A2 <= 7", "A1 <= 2000 OR A3 >= 30", "A2 < 90 OR A4 > 500",
+		"A3 <= 5 OR A1 >= 3000", "A4 = 0 OR A2 = 9", "A1 = 2500 OR A2 = 180",
 	}
+	t.Run("complex", func(t *testing.T) {
+		h := armedDaemon(t).srv.Handler()
+		if stage, _ := estimateOne(t, h, conj); stage != "learned" {
+			t.Fatalf("%s before any refusal: stage %q, want learned", conj, stage)
+		}
+		for _, where := range refused {
+			if stage, _ := estimateOne(t, h, "SELECT count(*) FROM forest WHERE "+where); stage != "row-count heuristic" {
+				t.Errorf("%s: stage %q, want row-count heuristic", where, stage)
+			}
+		}
+		if stage, _ := estimateOne(t, h, conj+" AND A3 >= 2"); stage != "learned" {
+			t.Errorf("after %d refusals a query the model encodes got stage %q, want learned", len(refused), stage)
+		}
+	})
 }
 
 // TestDefaultQFTEncodesOR: -qft defaults to complex, which encodes an OR on
@@ -230,9 +242,45 @@ func TestRefusedQueriesLeaveTheModelServing(t *testing.T) {
 // model refused it and independence answered, as it did most mixed traffic.
 func TestDefaultQFTEncodesOR(t *testing.T) {
 	const or = "SELECT count(*) FROM forest WHERE A1 < 2029 OR A1 > 2579"
-	h := armedDaemon(t, tinyOptions(t).qft).srv.Handler()
+	h := armedDaemon(t).srv.Handler()
 	if stage, _ := estimateOne(t, h, or); stage != "learned" {
 		t.Errorf("%s under the default flags: stage %q, want learned", or, stage)
+	}
+}
+
+// TestServedTrafficIsLearned is the stage census of the served traffic: a
+// daemon booted with the default flags at the test size answers held-out
+// mixed queries in cmd/bench's shape — 8 attributes, 5 <>, 3 branches, the
+// generator's seed offset away from the boot's — every one from the learned
+// stage. With complex the one QFT served, independence answers no refusal
+// there; what it still answers is a query no QFT encodes (an OR across
+// attributes, TestRefusedQueriesLeaveTheModelServing).
+func TestServedTrafficIsLearned(t *testing.T) {
+	o := tinyOptions(t)
+	n := 300
+	if testing.Short() {
+		n = 100
+	}
+	forest, err := dataset.Forest(dataset.ForestConfig{Rows: o.rows, QuantAttrs: 12, BinaryAttrs: 4, Seed: o.seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := workload.Mixed(forest, workload.MixedConfig{
+		ConjConfig:  workload.ConjConfig{Count: n, MaxAttrs: 8, MaxNotEquals: 5, Seed: o.seed + 1_000_003},
+		MaxBranches: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := armedDaemon(t).srv.Handler()
+	stages := map[string]int{}
+	for _, l := range set {
+		stage, _ := estimateOne(t, h, l.Query.String())
+		stages[stage]++
+	}
+	t.Logf("stages over %d held-out mixed queries: %v", len(set), stages)
+	if stages["learned"] != len(set) {
+		t.Errorf("stages over %d held-out mixed queries: %v, want every one learned", len(set), stages)
 	}
 }
 
@@ -241,11 +289,11 @@ func TestDefaultQFTEncodesOR(t *testing.T) {
 // of the 20 POSTs recomputes it; the sampling stage drew each call's sample
 // from a call counter and answered this query differently from call to call.
 func TestDegradedAnswerIsStable(t *testing.T) {
-	const or = "SELECT count(*) FROM forest WHERE A1 <= 2500 OR A1 >= 3000"
-	h := armedDaemon(t, "conjunctive").srv.Handler()
+	const or = "SELECT count(*) FROM forest WHERE A1 <= 2500 OR A2 >= 200"
+	h := armedDaemon(t).srv.Handler()
 	stage, first := estimateOne(t, h, or)
 	if stage == "learned" {
-		t.Fatalf("a conjunctive model answered %s itself: nothing degraded", or)
+		t.Fatalf("the model answered %s, an OR across attributes, itself: nothing degraded", or)
 	}
 	for i := 1; i < 20; i++ {
 		if s, v := estimateOne(t, h, or); s != stage || math.Float64bits(v) != math.Float64bits(first) {

@@ -54,9 +54,9 @@ func trainSnapshot(t *testing.T, db *table.DB, set workload.Set, trees int) []by
 	cfg := gb.DefaultConfig()
 	cfg.NumTrees = trees
 	loc, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 8, AttrSel: true},
-		NewRegressor: estimator.NewGBFactory(cfg),
+		NewFeaturizer: func(m *core.TableMeta, o core.Options) core.Featurizer { return core.NewConjunctive(m, o) },
+		Opts:          core.Options{MaxEntriesPerAttr: 8, AttrSel: true},
+		NewRegressor:  estimator.NewGBFactory(cfg),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,10 @@
 // of Queries with Mixed Combinations of Predicates for ML-based Cardinality
 // Estimation" (Müller, Woltmann, Lehner — EDBT 2023).
 //
-// The paper's contribution — four query featurization techniques (QFTs)
-// that encode a query's selection predicates into fixed-length numeric
-// vectors for learned cardinality estimators — lives in internal/core.
+// The paper's contribution — query featurization techniques (QFTs) that
+// encode a query's selection predicates into fixed-length numeric vectors for
+// learned cardinality estimators — lives in internal/core, its two encodings,
+// and internal/bench/qft, the two baselines they are measured against.
 // Everything the evaluation depends on is rebuilt here as well: a SQL
 // parser for the paper's query class (internal/sqlparse), an in-memory
 // column store and exact COUNT(*) executor (internal/table, internal/exec),

@@ -20,6 +20,7 @@ import (
 
 	"qfe/internal/bench"
 	"qfe/internal/bench/nn"
+	"qfe/internal/bench/qft"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
@@ -65,11 +66,11 @@ func main() {
 		{"GB", estimator.NewGBFactory(gbCfg)},
 		{"NN", bench.NewNNFactory(nnCfg)},
 	} {
-		for _, qft := range []string{"simple", "conjunctive"} {
+		for _, name := range []string{"simple", "conjunctive"} {
 			est, err := estimator.NewLocal(db, estimator.LocalConfig{
-				QFT:          qft,
-				Opts:         core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
-				NewRegressor: m.factory,
+				NewFeaturizer: qft.Factory(name),
+				Opts:          core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
+				NewRegressor:  m.factory,
 			})
 			if err != nil {
 				log.Fatal(err)
@@ -88,7 +89,7 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("%s + %-12s train-regime median %6.2f  |  drifted: %v\n",
-				m.name, qft, metrics.Summarize(ref).Median, metrics.Summarize(drift))
+				m.name, name, metrics.Summarize(ref).Median, metrics.Summarize(drift))
 		}
 	}
 	fmt.Println("\n(watch the gap between train-regime and drifted errors: it stays small")

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
@@ -45,11 +46,11 @@ func main() {
 	fmt.Printf("training queries: %d   JOB-light-style test queries: %d\n", len(train), len(test))
 	fmt.Printf("example test query:\n  %s\n\n", test[0].Query)
 
-	for _, qft := range []string{"simple", "range", "conjunctive"} {
+	for _, name := range []string{"simple", "range", "conjunctive"} {
 		est, err := estimator.NewLocal(db, estimator.LocalConfig{
-			QFT:          qft,
-			Opts:         core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
-			NewRegressor: estimator.NewGBFactory(gb.DefaultConfig()),
+			NewFeaturizer: qft.Factory(name),
+			Opts:          core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
+			NewRegressor:  estimator.NewGBFactory(gb.DefaultConfig()),
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -61,7 +62,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("GB + %-12s %v  (%d models)\n", qft+":", metrics.Summarize(qerrs), est.NumModels())
+		fmt.Printf("GB + %-12s %v  (%d models)\n", name+":", metrics.Summarize(qerrs), est.NumModels())
 	}
 
 	// Show the routing: which sub-schema one query lands on.

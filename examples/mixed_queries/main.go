@@ -75,9 +75,9 @@ func main() {
 	fmt.Printf("mixed workload example query:\n  %s\n\n", train[0].Query)
 
 	est, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          "complex",
-		Opts:         core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
-		NewRegressor: estimator.NewGBFactory(gb.DefaultConfig()),
+		NewFeaturizer: func(m *core.TableMeta, o core.Options) core.Featurizer { return core.NewComplex(m, o) },
+		Opts:          core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
+		NewRegressor:  estimator.NewGBFactory(gb.DefaultConfig()),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -51,9 +51,9 @@ func main() {
 	// 3. A local estimator: Universal Conjunction Encoding (Algorithm 1 of
 	// the paper) feeding a gradient-boosting regressor.
 	est, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
-		NewRegressor: estimator.NewGBFactory(gb.DefaultConfig()),
+		NewFeaturizer: func(m *core.TableMeta, o core.Options) core.Featurizer { return core.NewConjunctive(m, o) },
+		Opts:          core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
+		NewRegressor:  estimator.NewGBFactory(gb.DefaultConfig()),
 	})
 	if err != nil {
 		log.Fatal(err)

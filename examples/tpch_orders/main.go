@@ -21,7 +21,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"qfe/internal/bench/histogram"
 	"qfe/internal/core"
@@ -97,7 +96,7 @@ func main() {
 			log.Fatal(err)
 		}
 		X[i] = vec
-		y[i] = math.Log2(float64(l.Card) + 1)
+		y[i] = estimator.Log2Label(float64(l.Card))
 	}
 	model, err := gb.Train(X, y, gb.DefaultConfig())
 	if err != nil {
@@ -108,10 +107,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est := math.Exp2(model.Predict(vec)) - 1
-	if est < 1 {
-		est = 1
-	}
+	est := estimator.FromLog2Label(model.Predict(vec))
 	truth, err := exec.Count(db, q)
 	if err != nil {
 		log.Fatal(err)

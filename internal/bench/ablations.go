@@ -16,39 +16,64 @@ import (
 // They are not paper artifacts; they justify implementation decisions the
 // paper leaves open.
 
-// trainEvalCustom is the single-table harness for ablations that need a
-// featurizer outside the core registry: featurize, fit GB on log2 labels,
-// evaluate q-errors.
-func trainEvalCustom(featurize func(sqlparse.Expr) ([]float64, error), cfg gb.Config, train, test workload.Set) (metrics.Summary, error) {
+// labels is a regression target for cardinalities: to maps a cardinality to
+// the target the model fits, from a prediction back to an estimate.
+type labels struct{ to, from func(float64) float64 }
+
+var (
+	// log2Labels is the target every served model regresses on.
+	log2Labels = labels{estimator.Log2Label, estimator.FromLog2Label}
+	// rawLabels is abl4's alternative: the cardinality itself, a prediction
+	// below one row (or NaN) read as one row.
+	rawLabels = labels{func(card float64) float64 { return card }, func(pred float64) float64 {
+		if pred < 1 || math.IsNaN(pred) {
+			return 1
+		}
+		return pred
+	}}
+)
+
+// fitCustom is the single-table harness for experiments that need a
+// featurizer outside the core registry, or labels other than the served ones:
+// featurize train, fit GB on lab's targets, and estimate a WHERE through the
+// same featurizer and lab.from.
+func fitCustom(featurize func(sqlparse.Expr) ([]float64, error), cfg gb.Config, lab labels, train workload.Set) (func(sqlparse.Expr) (float64, error), error) {
 	X := make([][]float64, len(train))
 	y := make([]float64, len(train))
 	for i, l := range train {
 		vec, err := featurize(l.Query.Where)
 		if err != nil {
-			return metrics.Summary{}, err
+			return nil, err
 		}
 		X[i] = vec
-		y[i] = math.Log2(float64(l.Card) + 1)
+		y[i] = lab.to(float64(l.Card))
 	}
 	model, err := gb.Train(X, y, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return func(expr sqlparse.Expr) (float64, error) {
+		vec, err := featurize(expr)
+		if err != nil {
+			return 0, err
+		}
+		return lab.from(model.Predict(vec)), nil
+	}, nil
+}
+
+// trainEvalCustom is fitCustom scored on test: the q-error summary.
+func trainEvalCustom(featurize func(sqlparse.Expr) ([]float64, error), cfg gb.Config, lab labels, train, test workload.Set) (metrics.Summary, error) {
+	estimate, err := fitCustom(featurize, cfg, lab, train)
 	if err != nil {
 		return metrics.Summary{}, err
 	}
 	qerrs := make([]float64, len(test))
 	for i, l := range test {
-		vec, err := featurize(l.Query.Where)
+		est, err := estimate(l.Query.Where)
 		if err != nil {
 			return metrics.Summary{}, err
 		}
-		pred := model.Predict(vec)
-		if pred > 62 {
-			pred = 62
-		}
-		card := math.Exp2(pred) - 1
-		if card < 1 {
-			card = 1
-		}
-		qerrs[i] = metrics.QError(float64(l.Card), card)
+		qerrs[i] = metrics.QError(float64(l.Card), est)
 	}
 	return metrics.Summarize(qerrs), nil
 }
@@ -77,7 +102,7 @@ func AblationGBSplit(env *Env) (*Report, error) {
 		cfg := env.gbConfig()
 		cfg.ExactSplits = exact
 		start := time.Now()
-		sum, err := trainEvalCustom(f.Featurize, cfg, train, test)
+		sum, err := trainEvalCustom(f.Featurize, cfg, log2Labels, train, test)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +163,7 @@ func AblationHalfEntries(env *Env) (*Report, error) {
 			}
 			return vec, nil
 		}
-		sum, err := trainEvalCustom(featurize, env.gbConfig(), train, test)
+		sum, err := trainEvalCustom(featurize, env.gbConfig(), log2Labels, train, test)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +254,7 @@ func AblationLDEMerge(env *Env) (*Report, error) {
 		{"entry-wise max (Alg. 2)", false},
 		{"sum-clamp", true},
 	} {
-		sum, err := trainEvalCustom(makeFeaturizer(variant.sumClamp), env.gbConfig(), train, test)
+		sum, err := trainEvalCustom(makeFeaturizer(variant.sumClamp), env.gbConfig(), log2Labels, train, test)
 		if err != nil {
 			return nil, err
 		}
@@ -247,32 +272,23 @@ func AblationLabelTransform(env *Env) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := env.ForestDB()
+	forest, err := env.Forest()
 	if err != nil {
 		return nil, err
 	}
-	for _, raw := range []bool{false, true} {
-		loc, err := estimator.NewLocal(db, estimator.LocalConfig{
-			QFT:          "conjunctive",
-			Opts:         env.coreOptions(),
-			NewRegressor: estimator.NewGBFactory(env.gbConfig()),
-			RawLabels:    raw,
-		})
+	f := core.NewConjunctive(core.NewTableMeta(forest, env.Scale.Entries), env.coreOptions())
+	for _, arm := range []struct {
+		label string
+		lab   labels
+	}{
+		{"log2 labels (default)", log2Labels},
+		{"raw labels", rawLabels},
+	} {
+		sum, err := trainEvalCustom(f.Featurize, env.gbConfig(), arm.lab, train, test)
 		if err != nil {
 			return nil, err
 		}
-		if err := loc.Train(train); err != nil {
-			return nil, err
-		}
-		sum, err := estimator.Summarize(loc, test)
-		if err != nil {
-			return nil, err
-		}
-		label := "log2 labels (default)"
-		if raw {
-			label = "raw labels"
-		}
-		r.Lines = append(r.Lines, summaryRow(label, sum))
+		r.Lines = append(r.Lines, summaryRow(arm.label, sum))
 	}
 	r.Printf("(squared error on raw labels optimizes absolute error, mismatching the q-error metric)")
 	return r, nil

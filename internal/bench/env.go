@@ -6,6 +6,7 @@ import (
 
 	"qfe/internal/bench/mscn"
 	"qfe/internal/bench/nn"
+	"qfe/internal/bench/qft"
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
@@ -241,53 +242,35 @@ func (e *Env) regressorFactory(model string) (estimator.RegressorFactory, error)
 	return nil, fmt.Errorf("bench: unknown model %q (want GB, NN or LR)", model)
 }
 
-// trainLocal builds and trains a local estimator for the given QFT and
-// model name over the forest table.
-func (e *Env) trainLocal(qft, model string, opts core.Options, train workload.Set) (*estimator.Local, error) {
+// trainLocal builds and trains a local estimator for the named QFT and
+// model over the forest table.
+func (e *Env) trainLocal(name, model string, opts core.Options, train workload.Set) (*estimator.Local, error) {
 	db, err := e.ForestDB()
 	if err != nil {
 		return nil, err
 	}
-	factory, err := e.regressorFactory(model)
-	if err != nil {
-		return nil, err
-	}
-	loc, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          qft,
-		Opts:         opts,
-		NewRegressor: factory,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := loc.Train(train); err != nil {
-		return nil, err
-	}
-	return loc, nil
+	return e.trainLocalOn(db, name, model, opts, train)
 }
 
-// trainJoinLocal builds and trains a local estimator over the IMDb schema.
-func (e *Env) trainJoinLocal(qft, model string, opts core.Options, train workload.Set) (*estimator.Local, error) {
+// trainJoinLocal is trainLocal over the IMDb schema.
+func (e *Env) trainJoinLocal(name, model string, opts core.Options, train workload.Set) (*estimator.Local, error) {
 	db, _, err := e.IMDB()
 	if err != nil {
 		return nil, err
 	}
+	return e.trainLocalOn(db, name, model, opts, train)
+}
+
+func (e *Env) trainLocalOn(db *table.DB, name, model string, opts core.Options, train workload.Set) (*estimator.Local, error) {
 	factory, err := e.regressorFactory(model)
 	if err != nil {
 		return nil, err
 	}
-	loc, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          qft,
-		Opts:         opts,
-		NewRegressor: factory,
-	})
+	loc, err := estimator.NewLocal(db, estimator.LocalConfig{NewFeaturizer: qft.Factory(name), Opts: opts, NewRegressor: factory})
 	if err != nil {
 		return nil, err
 	}
-	if err := loc.Train(train); err != nil {
-		return nil, err
-	}
-	return loc, nil
+	return loc, loc.Train(train)
 }
 
 func (e *Env) String() string {

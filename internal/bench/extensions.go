@@ -80,7 +80,7 @@ func ExtensionAdaptiveEntries(env *Env) (*Report, error) {
 		{"adaptive n (log-distinct)", adaptive},
 	} {
 		f := core.NewConjunctive(variant.meta, opts)
-		sum, err := trainEvalCustom(f.Featurize, env.gbConfig(), train, test)
+		sum, err := trainEvalCustom(f.Featurize, env.gbConfig(), log2Labels, train, test)
 		if err != nil {
 			return nil, err
 		}

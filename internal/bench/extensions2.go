@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qfe/internal/bench/histogram"
+	"qfe/internal/bench/qft"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
@@ -53,7 +54,7 @@ func ExtensionPartitioning(env *Env) (*Report, error) {
 			return nil, fmt.Errorf("ext3 %s: %w", v.label, err)
 		}
 		f := core.NewConjunctive(meta, opts)
-		sum, err := trainEvalCustom(f.Featurize, env.gbConfig(), train, test)
+		sum, err := trainEvalCustom(f.Featurize, env.gbConfig(), log2Labels, train, test)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +93,7 @@ func ExtensionDataDrift(env *Env) (*Report, error) {
 			return nil, err
 		}
 		X[i] = vec
-		y[i] = math.Log2(float64(l.Card) + 1)
+		y[i] = estimator.Log2Label(float64(l.Card))
 	}
 	featTime := time.Since(start)
 	r.Printf("featurization: %v for %d queries", featTime.Round(time.Millisecond), len(train))
@@ -109,7 +110,7 @@ func ExtensionDataDrift(env *Env) (*Report, error) {
 	}
 	start = time.Now()
 	nnLoc, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT: "conjunctive", Opts: opts,
+		NewFeaturizer: qft.Factory("conjunctive"), Opts: opts,
 		NewRegressor: NewNNFactory(env.nnConfig()),
 	})
 	if err != nil {
@@ -164,7 +165,7 @@ func ExtensionDataDrift(env *Env) (*Report, error) {
 	r.Lines = append(r.Lines, summaryRow("stale GB on drifted data", staleSum))
 
 	rebuilt, err := estimator.NewLocal(driftDB, estimator.LocalConfig{
-		QFT: "conjunctive", Opts: opts,
+		NewFeaturizer: qft.Factory("conjunctive"), Opts: opts,
 		NewRegressor: estimator.NewGBFactory(env.gbConfig()),
 	})
 	if err != nil {
@@ -214,14 +215,17 @@ func ExtensionIEP(env *Env) (*Report, error) {
 
 	// The IEP path uses a conjunctive estimator (trained on the
 	// conjunctive workload, its native class).
+	// Both estimate on log2 labels clamped at zero rather than one: IEP adds
+	// and subtracts its terms' estimates.
+	counts := labels{estimator.Log2Label, func(pred float64) float64 { return max(math.Exp2(min(pred, 62))-1, 0) }}
 	conjF := core.NewConjunctive(meta, opts)
-	predictConj, err := trainGBPredictor(conjF.Featurize, env.gbConfig(), conjTrain)
+	predictConj, err := fitCustom(conjF.Featurize, env.gbConfig(), counts, conjTrain)
 	if err != nil {
 		return nil, err
 	}
 	// The direct path uses GB + complex trained on mixed queries.
 	compF := core.NewComplex(meta, opts)
-	predictComp, err := trainGBPredictor(compF.Featurize, env.gbConfig(), mixTrain)
+	predictComp, err := fitCustom(compF.Featurize, env.gbConfig(), counts, mixTrain)
 	if err != nil {
 		return nil, err
 	}
@@ -258,40 +262,6 @@ func ExtensionIEP(env *Env) (*Report, error) {
 	r.Printf("model invocations: IEP=%d  LDE=%d  (%.0fx)", iepCalls, ldeCalls, float64(iepCalls)/float64(ldeCalls))
 	r.Printf("estimation time:   IEP=%v  LDE=%v", iepTime.Round(time.Millisecond), ldeTime.Round(time.Millisecond))
 	return r, nil
-}
-
-// trainGBPredictor trains a GB model over a custom featurizer and returns a
-// closure estimating cardinalities (log2 transform inverted, clamped >= 0).
-func trainGBPredictor(featurize func(sqlparse.Expr) ([]float64, error), cfg gb.Config, train workload.Set) (func(sqlparse.Expr) (float64, error), error) {
-	X := make([][]float64, len(train))
-	y := make([]float64, len(train))
-	for i, l := range train {
-		vec, err := featurize(l.Query.Where)
-		if err != nil {
-			return nil, err
-		}
-		X[i] = vec
-		y[i] = math.Log2(float64(l.Card) + 1)
-	}
-	model, err := gb.Train(X, y, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return func(expr sqlparse.Expr) (float64, error) {
-		vec, err := featurize(expr)
-		if err != nil {
-			return 0, err
-		}
-		pred := model.Predict(vec)
-		if pred > 62 {
-			pred = 62
-		}
-		card := math.Exp2(pred) - 1
-		if card < 0 {
-			card = 0
-		}
-		return card, nil
-	}, nil
 }
 
 // iepEstimate applies the inclusion-exclusion principle over the DNF terms:
@@ -368,7 +338,7 @@ func ExtensionGroupBy(env *Env) (*Report, error) {
 			return nil, err
 		}
 		X[i] = vec
-		y[i] = math.Log2(float64(l.Card) + 1)
+		y[i] = estimator.Log2Label(float64(l.Card))
 	}
 	model, err := gb.Train(X, y, env.gbConfig())
 	if err != nil {
@@ -382,15 +352,7 @@ func ExtensionGroupBy(env *Env) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred := model.Predict(vec)
-		if pred > 62 {
-			pred = 62
-		}
-		est := math.Exp2(pred) - 1
-		if est < 1 {
-			est = 1
-		}
-		learned = append(learned, metrics.QError(float64(l.Card), est))
+		learned = append(learned, metrics.QError(float64(l.Card), estimator.FromLog2Label(model.Predict(vec))))
 
 		// Classic formula: groups <= prod of grouping-attr distinct counts,
 		// and <= qualifying rows (estimated under independence).
@@ -506,7 +468,7 @@ func ExtensionWeightedSel(env *Env) (*Report, error) {
 		}, mixTrain, mixTest},
 	}
 	for _, v := range variants {
-		sum, err := trainEvalCustom(v.featurizer(), env.gbConfig(), v.train, v.test)
+		sum, err := trainEvalCustom(v.featurizer(), env.gbConfig(), log2Labels, v.train, v.test)
 		if err != nil {
 			return nil, err
 		}
@@ -536,9 +498,9 @@ func ExtensionPruning(env *Env) (*Report, error) {
 		return nil, err
 	}
 	localCfg := estimator.LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         env.coreOptions(),
-		NewRegressor: estimator.NewGBFactory(env.gbConfig()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          env.coreOptions(),
+		NewRegressor:  estimator.NewGBFactory(env.gbConfig()),
 	}
 	fallback := &estimator.Independence{DB: db}
 

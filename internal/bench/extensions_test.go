@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qfe/internal/bench/nn"
+	"qfe/internal/bench/qft"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
@@ -100,9 +101,9 @@ func TestLocalNN(t *testing.T) {
 	cfg.Epochs = 25
 	cfg.Seed = 1
 	loc, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: NewNNFactory(cfg),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor:  NewNNFactory(cfg),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"qfe/internal/bench/mscn"
-	"qfe/internal/core"
+	"qfe/internal/bench/qft"
 	"qfe/internal/estimator"
 	"qfe/internal/metrics"
 	"qfe/internal/workload"
@@ -39,20 +39,20 @@ func Figure1(env *Env) (*Report, error) {
 
 	// Local GB and NN for all four QFTs.
 	for _, model := range []string{"GB", "NN"} {
-		for _, qft := range core.QFTNames() {
+		for _, name := range qft.Names() {
 			train, test := conjTrain, conjTest
-			if qft == "complex" {
+			if name == "complex" {
 				train, test = mixTrain, mixTest
 			}
-			loc, err := env.trainLocal(qft, model, opts, train)
+			loc, err := env.trainLocal(name, model, opts, train)
 			if err != nil {
-				return nil, fmt.Errorf("fig1 %s+%s: %w", model, qft, err)
+				return nil, fmt.Errorf("fig1 %s+%s: %w", model, name, err)
 			}
 			box, err := evalBox(loc, test)
 			if err != nil {
 				return nil, err
 			}
-			r.Lines = append(r.Lines, boxplotRow(model+" + "+qft, box))
+			r.Lines = append(r.Lines, boxplotRow(model+" + "+name, box))
 		}
 	}
 
@@ -124,14 +124,14 @@ func figureByGroup(env *Env, id, title string, group func(workload.Set) map[int]
 		return nil, err
 	}
 	opts := env.coreOptions()
-	for _, qft := range core.QFTNames() {
+	for _, name := range qft.Names() {
 		train, test := conjTrain, conjTest
-		if qft == "complex" {
+		if name == "complex" {
 			train, test = mixTrain, mixTest
 		}
-		loc, err := env.trainLocal(qft, "GB", opts, train)
+		loc, err := env.trainLocal(name, "GB", opts, train)
 		if err != nil {
-			return nil, fmt.Errorf("%s GB+%s: %w", id, qft, err)
+			return nil, fmt.Errorf("%s GB+%s: %w", id, name, err)
 		}
 		grouped := group(test)
 		for _, k := range sortedKeys(grouped) {
@@ -143,7 +143,7 @@ func figureByGroup(env *Env, id, title string, group func(workload.Set) map[int]
 			if err != nil {
 				return nil, err
 			}
-			r.Lines = append(r.Lines, boxplotRow(fmt.Sprintf("%s %s=%d (n=%d)", qft, axis, k, len(sub)), box))
+			r.Lines = append(r.Lines, boxplotRow(fmt.Sprintf("%s %s=%d (n=%d)", name, axis, k, len(sub)), box))
 		}
 	}
 	return r, nil
@@ -245,14 +245,14 @@ func Figure5(env *Env) (*Report, error) {
 
 	opts := env.coreOptions()
 	for _, model := range []string{"GB", "NN"} {
-		for _, qft := range core.QFTNames() {
+		for _, name := range qft.Names() {
 			train, testLo, testHi := conjTrain, conjHiTrain, conjHi
-			if qft == "complex" {
+			if name == "complex" {
 				train, testLo, testHi = mixTrain, mixHiTrain, mixHi
 			}
-			loc, err := env.trainLocal(qft, model, opts, train)
+			loc, err := env.trainLocal(name, model, opts, train)
 			if err != nil {
-				return nil, fmt.Errorf("fig5 %s+%s: %w", model, qft, err)
+				return nil, fmt.Errorf("fig5 %s+%s: %w", model, name, err)
 			}
 			// Reference rows: the training regime (1-2 attributes).
 			if len(testLo) >= 5 {
@@ -260,7 +260,7 @@ func Figure5(env *Env) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				r.Lines = append(r.Lines, boxplotRow(fmt.Sprintf("%s+%s attrs<=2 (train regime)", model, qft), box))
+				r.Lines = append(r.Lines, boxplotRow(fmt.Sprintf("%s+%s attrs<=2 (train regime)", model, name), box))
 			}
 			grouped := testHi.GroupByAttrs()
 			for _, k := range sortedKeys(grouped) {
@@ -272,7 +272,7 @@ func Figure5(env *Env) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				r.Lines = append(r.Lines, boxplotRow(fmt.Sprintf("%s+%s attrs=%d (drift)", model, qft, k), box))
+				r.Lines = append(r.Lines, boxplotRow(fmt.Sprintf("%s+%s attrs=%d (drift)", model, name, k), box))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/estimator"
@@ -30,15 +31,15 @@ type global struct {
 
 // newGlobal builds the estimator over the schema's tables in db, with one
 // featurizer of the named QFT per table.
-func newGlobal(db *table.DB, schema *catalog.Schema, qft string, opts core.Options, factory estimator.RegressorFactory) (*global, error) {
+func newGlobal(db *table.DB, schema *catalog.Schema, name string, opts core.Options, factory estimator.RegressorFactory) (*global, error) {
 	opts = opts.Normalized()
-	g := &global{schema: schema, qft: qft, reg: factory()}
+	g := &global{schema: schema, qft: name, reg: factory()}
 	for _, tn := range schema.Tables {
 		t := db.Table(tn)
 		if t == nil {
 			return nil, fmt.Errorf("bench: schema table %q not in database", tn)
 		}
-		f, err := core.New(qft, core.NewTableMeta(t, opts.MaxEntriesPerAttr), opts)
+		f, err := qft.New(name, core.NewTableMeta(t, opts.MaxEntriesPerAttr), opts)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
@@ -52,12 +53,12 @@ func bound(t *testing.T, db *table.DB, sql string) *sqlparse.Query {
 // the table vector ends the vector.
 func TestGlobalFeaturizerLayout(t *testing.T) {
 	db, schema := twoTables(t)
-	for _, qft := range core.QFTNames() {
-		g, err := newGlobal(db, schema, qft, core.Options{MaxEntriesPerAttr: 8, AttrSel: true}, estimator.NewGBFactory(gb.DefaultConfig()))
+	for _, name := range qft.Names() {
+		g, err := newGlobal(db, schema, name, core.Options{MaxEntriesPerAttr: 8, AttrSel: true}, estimator.NewGBFactory(gb.DefaultConfig()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if qft == "conjunctive" && g.feats[0].Dim()+g.feats[1].Dim() != 18+18 {
+		if name == "conjunctive" && g.feats[0].Dim()+g.feats[1].Dim() != 18+18 {
 			// (8+1)+(8+1) per table.
 			t.Fatalf("conjunctive block widths %d + %d, want 18 + 18", g.feats[0].Dim(), g.feats[1].Dim())
 		}
@@ -73,7 +74,7 @@ func TestGlobalFeaturizerLayout(t *testing.T) {
 		} {
 			vec, err := g.featurize(bound(t, db, tc.sql))
 			if err != nil {
-				t.Fatalf("%s: %s: %v", qft, tc.sql, err)
+				t.Fatalf("%s: %s: %v", name, tc.sql, err)
 			}
 			var want []float64
 			for i, share := range tc.shares {
@@ -88,7 +89,7 @@ func TestGlobalFeaturizerLayout(t *testing.T) {
 			}
 			want = append(want, tc.bits[:]...)
 			if !slices.Equal(vec, want) {
-				t.Errorf("%s: %s:\n got %v\nwant %v", qft, tc.sql, vec, want)
+				t.Errorf("%s: %s:\n got %v\nwant %v", name, tc.sql, vec, want)
 			}
 		}
 	}

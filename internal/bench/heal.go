@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/metrics"
@@ -101,7 +102,7 @@ func ExtensionFeedbackHeal(env *Env) (*Report, error) {
 			r.Lines = append(r.Lines, healRow(variant, label, pairs, s, stale, secs, bytes))
 			return nil
 		}
-		feat, err := core.New(in.qft, meta, opts)
+		feat, err := qft.New(in.qft, meta, opts)
 		if err != nil {
 			return nil, err
 		}

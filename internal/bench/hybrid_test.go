@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
@@ -31,9 +32,9 @@ func TestHybridPrunesAndRoutes(t *testing.T) {
 
 	fallback := &estimator.Independence{DB: imdb}
 	localCfg := estimator.LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: estimator.NewGBFactory(smokeEnv().gbConfig()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor:  estimator.NewGBFactory(smokeEnv().gbConfig()),
 	}
 
 	// A loose bar prunes everything; a bar of 1 keeps everything.
@@ -132,9 +133,9 @@ func TestHybridValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	localCfg := estimator.LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 8, AttrSel: false},
-		NewRegressor: estimator.NewGBFactory(smokeEnv().gbConfig()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 8, AttrSel: false},
+		NewRegressor:  estimator.NewGBFactory(smokeEnv().gbConfig()),
 	}
 	if _, err := newHybrid(imdb, hybridConfig{Local: localCfg, MaxQuantileError: 2}, nil); err == nil {
 		t.Error("nil fallback accepted")

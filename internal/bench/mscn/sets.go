@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/sqlparse"
@@ -200,7 +201,7 @@ func (e *Encoder) encodePreds(q *sqlparse.Query) ([][]float64, error) {
 			}
 			vec := make([]float64, e.PredDim())
 			vec[ai] = 1
-			vec[base], vec[base+1], vec[base+2] = core.OpBits(p.Op)
+			vec[base], vec[base+1], vec[base+2] = qft.OpBits(p.Op)
 			vec[base+3] = e.attrMetas[ai].Normalize(p.Val)
 			out = append(out, vec)
 		}
@@ -228,7 +229,7 @@ func (e *Encoder) encodePreds(q *sqlparse.Query) ([][]float64, error) {
 			if !sqlparse.IsConjunctive(cp.Expr) {
 				return nil, fmt.Errorf("mscn: range mode does not support disjunctions")
 			}
-			vec[base], vec[base+1] = core.FeaturizeAttrRange(a, sqlparse.CollectPreds(cp.Expr))
+			vec[base], vec[base+1] = qft.FeaturizeAttrRange(a, sqlparse.CollectPreds(cp.Expr))
 			out = append(out, vec)
 			continue
 		}

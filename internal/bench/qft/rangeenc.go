@@ -1,9 +1,9 @@
-package core
+package qft
 
 import (
-	"errors"
 	"math"
 
+	"qfe/internal/core"
 	"qfe/internal/sqlparse"
 )
 
@@ -21,67 +21,66 @@ import (
 // information loss behind the 99%-quantile spike at three predicates in
 // Figure 3. Disjunctions are not supported.
 type Range struct {
-	meta *TableMeta
+	meta *core.TableMeta
 }
 
 // NewRange returns Range Predicate Encoding over meta.
-func NewRange(meta *TableMeta) *Range { return &Range{meta: meta} }
+func NewRange(meta *core.TableMeta) *Range { return &Range{meta: meta} }
 
-// Name implements Featurizer.
+// Name implements core.Featurizer.
 func (r *Range) Name() string { return "range" }
 
-// Dim implements Featurizer: 2 entries (normalized lo, hi) per attribute.
+// Dim implements core.Featurizer: 2 entries (normalized lo, hi) per attribute.
 func (r *Range) Dim() int { return 2 * r.meta.NumAttrs() }
 
-// Featurize implements Featurizer. expr must be conjunctive.
-func (r *Range) Featurize(expr sqlparse.Expr) ([]float64, error) {
-	vec := make([]float64, r.Dim())
-	if err := r.FeaturizeInto(vec, expr); err != nil {
-		return nil, err
-	}
-	return vec, nil
-}
+// Featurize implements core.Featurizer. expr must be conjunctive.
+func (r *Range) Featurize(expr sqlparse.Expr) ([]float64, error) { return featurize(r, expr) }
 
-var errRangeOr = Unsupported(errors.New("core/range: disjunctions are not supported by Range Predicate Encoding"))
-
-// FeaturizeInto implements Featurizer: attribute i owns dst[2*i : 2*i+2].
+// FeaturizeInto implements core.Featurizer: attribute i owns
+// dst[2*i : 2*i+2].
 func (r *Range) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 	if err := checkDst("range", dst, r.Dim()); err != nil {
 		return err
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	if err := sc.group("range", r.meta, expr, errRangeOr, false); err != nil {
-		return err
+	// span[2*i : 2*i+2] is the closed range attribute i is narrowed to so far.
+	span := make([]int64, 0, 2*len(r.meta.Attrs))
+	for _, a := range r.meta.Attrs {
+		span = append(span, a.Min, a.Max)
 	}
+	err := walk("range", "Range Predicate Encoding", r.meta, expr, func(ai int, p *sqlparse.Pred) {
+		span[2*ai], span[2*ai+1] = narrow(span[2*ai], span[2*ai+1], p)
+	})
 	for i, a := range r.meta.Attrs {
-		dst[2*i], dst[2*i+1] = FeaturizeAttrRange(a, sc.attrPreds(i))
+		dst[2*i], dst[2*i+1] = normalized(a, span[2*i], span[2*i+1])
 	}
-	return nil
+	return err
 }
 
 // FeaturizeAttrRange intersects the conjunction of preds on attribute a into
 // one closed range and returns its [0,1]-normalized bounds. Attributes
 // without predicates yield the full range [0, 1]; an unsatisfiable
 // intersection yields the inverted marker [1, 0] so the model can
-// distinguish it from a point query. Not-equal predicates are dropped — the
-// encoding's documented information loss.
-func FeaturizeAttrRange(a AttrMeta, preds []*sqlparse.Pred) (lo, hi float64) {
+// distinguish it from a point query.
+func FeaturizeAttrRange(a core.AttrMeta, preds []*sqlparse.Pred) (lo, hi float64) {
 	cl, ch := a.Min, a.Max
 	for _, p := range preds {
-		l, h, ok := closedRange(p.Op, p.Val)
-		if !ok {
-			continue // <>: not representable as a closed range — dropped
-		}
-		// Intersect with the range accumulated so far: further conjuncts
-		// can only narrow the query.
-		if l > cl {
-			cl = l
-		}
-		if h < ch {
-			ch = h
-		}
+		cl, ch = narrow(cl, ch, p)
 	}
+	return normalized(a, cl, ch)
+}
+
+// narrow intersects [cl, ch] with the closed range p admits: further
+// conjuncts can only narrow the query. A not-equal predicate has no closed
+// range and is dropped — the encoding's documented information loss.
+func narrow(cl, ch int64, p *sqlparse.Pred) (int64, int64) {
+	if l, h, ok := closedRange(p.Op, p.Val); ok {
+		return max(cl, l), min(ch, h)
+	}
+	return cl, ch
+}
+
+// normalized is [cl, ch] normalized over a's domain, or [1, 0] when empty.
+func normalized(a core.AttrMeta, cl, ch int64) (lo, hi float64) {
 	if cl > ch {
 		return 1, 0
 	}

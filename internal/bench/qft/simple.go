@@ -1,8 +1,7 @@
-package core
+package qft
 
 import (
-	"errors"
-
+	"qfe/internal/core"
 	"qfe/internal/sqlparse"
 )
 
@@ -18,57 +17,41 @@ import (
 // represented and the rest are silently dropped — exactly the information
 // loss the paper measures. Disjunctions are not supported at all.
 type Simple struct {
-	meta *TableMeta
+	meta *core.TableMeta
 }
 
 // NewSimple returns Singular Predicate Encoding over meta.
-func NewSimple(meta *TableMeta) *Simple { return &Simple{meta: meta} }
+func NewSimple(meta *core.TableMeta) *Simple { return &Simple{meta: meta} }
 
-// Name implements Featurizer.
+// Name implements core.Featurizer.
 func (s *Simple) Name() string { return "simple" }
 
-// Dim implements Featurizer: 4 entries per attribute.
+// Dim implements core.Featurizer: 4 entries per attribute.
 func (s *Simple) Dim() int { return 4 * s.meta.NumAttrs() }
 
-// Featurize implements Featurizer. expr must be conjunctive; the first
+// Featurize implements core.Featurizer. expr must be conjunctive; the first
 // predicate per attribute wins, later ones are dropped (the paper's
 // described information loss, not an error). Non-strict and negated
 // operators are projected onto the 3-entry {=, >, <} vector: >= sets both =
 // and >, <= sets both = and <, <> sets > and < ("at most two entries can be
 // meaningfully set").
-func (s *Simple) Featurize(expr sqlparse.Expr) ([]float64, error) {
-	vec := make([]float64, s.Dim())
-	if err := s.FeaturizeInto(vec, expr); err != nil {
-		return nil, err
-	}
-	return vec, nil
-}
+func (s *Simple) Featurize(expr sqlparse.Expr) ([]float64, error) { return featurize(s, expr) }
 
-var errSimpleOr = Unsupported(errors.New("core/simple: disjunctions are not supported by Singular Predicate Encoding"))
-
-// FeaturizeInto implements Featurizer: attribute ai owns dst[4*ai : 4*ai+4].
+// FeaturizeInto implements core.Featurizer: attribute ai owns
+// dst[4*ai : 4*ai+4].
 func (s *Simple) FeaturizeInto(dst []float64, expr sqlparse.Expr) error {
 	if err := checkDst("simple", dst, s.Dim()); err != nil {
 		return err
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	if err := sc.group("simple", s.meta, expr, errSimpleOr, false); err != nil {
-		return err
-	}
 	clear(dst)
-	for ai := range s.meta.Attrs {
-		first := sc.head[ai]
-		if first < 0 {
-			continue
+	return walk("simple", "Singular Predicate Encoding", s.meta, expr, func(ai int, p *sqlparse.Pred) {
+		// Information loss: only the first predicate on an attribute fits.
+		// Every operator sets one of its block's operator bits at least.
+		if block := dst[4*ai : 4*ai+4]; block[0] == 0 && block[1] == 0 && block[2] == 0 {
+			block[0], block[1], block[2] = OpBits(p.Op)
+			block[3] = s.meta.Attrs[ai].Normalize(p.Val)
 		}
-		// Information loss: only one predicate per attribute fits.
-		p := sc.conj[first].(*sqlparse.Pred)
-		block := dst[4*ai : 4*ai+4]
-		block[0], block[1], block[2] = OpBits(p.Op)
-		block[3] = s.meta.Attrs[ai].Normalize(p.Val)
-	}
-	return nil
+	})
 }
 
 // OpBits projects a comparison operator onto the {=, >, <} indicator bits of

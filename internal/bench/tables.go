@@ -6,6 +6,7 @@ import (
 
 	"qfe/internal/bench/engine"
 	"qfe/internal/bench/mscn"
+	"qfe/internal/bench/qft"
 	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/sqlparse"
@@ -310,13 +311,13 @@ func Table7(env *Env) (*Report, error) {
 	opts := env.coreOptions()
 	meta := core.NewTableMeta(forest, opts.MaxEntriesPerAttr)
 
-	for _, qft := range core.QFTNames() {
-		f, err := core.New(qft, meta, opts)
+	for _, name := range qft.Names() {
+		f, err := qft.New(name, meta, opts)
 		if err != nil {
 			return nil, err
 		}
 		test := conjTest
-		if qft == "complex" {
+		if name == "complex" {
 			test = mixTest
 		}
 		exprs := make([]sqlparse.Expr, len(test))
@@ -334,7 +335,7 @@ func Table7(env *Env) (*Report, error) {
 			reps++
 		}
 		perQuery := time.Since(start) / time.Duration(reps*len(exprs))
-		r.Printf("%-14s %8.1f µs per query", qft, float64(perQuery.Nanoseconds())/1e3)
+		r.Printf("%-14s %8.1f µs per query", name, float64(perQuery.Nanoseconds())/1e3)
 	}
 
 	// Memory accounting (Section 5.7).
@@ -370,11 +371,4 @@ func Table7(env *Env) (*Report, error) {
 		"Sampling", float64(sampleRows*forest.NumCols()*8)/1024, sampleRows, forest.NumCols())
 	r.Printf("%-28s %8.1f kB (per-column histograms)", "Postgres", float64(forest.NumCols()*100*8)/1024)
 	return r, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

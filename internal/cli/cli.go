@@ -7,6 +7,7 @@
 package cli
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -58,18 +59,32 @@ func ValidateModel(name string) error {
 	return nil
 }
 
+// ValidateQFT rejects a -qft other than complex, as ValidateModel does a
+// -model: Limited Disjunction Encoding, the one QFT the binaries build,
+// encodes what Universal Conjunction Encoding does, to the same vector, and
+// ORs besides; the paper's baselines are the harness's (internal/bench/qft).
+func ValidateQFT(name string) error {
+	if name != "complex" {
+		return fmt.Errorf("-qft: unknown QFT %q (want complex)", name)
+	}
+	return nil
+}
+
 // ForestSpec describes the synthetic forest environment the CLIs share:
-// dataset shape, workload style (derived from the QFT), and sizes.
+// dataset shape and sizes.
 type ForestSpec struct {
-	Rows   int   // forest table rows
-	TrainN int   // training queries; TestN more are generated for held-out use
-	TestN  int   // held-out queries appended after the training split
-	Seed   int64 // generation seed for both data and workload
-	QFT    string
+	Rows   int    // forest table rows
+	TrainN int    // training queries; TestN more are generated for held-out use
+	TestN  int    // held-out queries appended after the training split
+	Seed   int64  // generation seed for both data and workload
+	QFT    string // "complex" or empty; anything else is refused
 }
 
 // Validate checks the spec before any expensive work happens.
 func (s ForestSpec) Validate() error {
+	if err := ValidateQFT(cmp.Or(s.QFT, "complex")); err != nil {
+		return err
+	}
 	if s.Rows < 1 {
 		return fmt.Errorf("-rows must be >= 1, got %d", s.Rows)
 	}
@@ -96,9 +111,9 @@ type ForestEnv struct {
 	DataTime, LabelTime time.Duration
 }
 
-// BuildForestEnv builds the forest dataset and generates + labels the
-// workload (mixed AND/OR queries for the "complex" QFT, conjunctive
-// otherwise), exactly as the paper's single-table evaluation does.
+// BuildForestEnv builds the forest dataset and generates + labels the mixed
+// AND/OR workload the complex QFT is trained on, exactly as the paper's
+// single-table evaluation does.
 func BuildForestEnv(spec ForestSpec) (*ForestEnv, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -112,18 +127,10 @@ func BuildForestEnv(spec ForestSpec) (*ForestEnv, error) {
 	db.MustAdd(forest)
 	dataTime := time.Since(start)
 
-	count := spec.TrainN + spec.TestN
-	var set workload.Set
-	if spec.QFT == "complex" {
-		set, err = workload.Mixed(forest, workload.MixedConfig{
-			ConjConfig:  workload.ConjConfig{Count: count, MaxAttrs: 8, MaxNotEquals: 5, Seed: spec.Seed},
-			MaxBranches: 3,
-		})
-	} else {
-		set, err = workload.Conjunctive(forest, workload.ConjConfig{
-			Count: count, MaxAttrs: 8, MaxNotEquals: 5, Seed: spec.Seed,
-		})
-	}
+	set, err := workload.Mixed(forest, workload.MixedConfig{
+		ConjConfig:  workload.ConjConfig{Count: spec.TrainN + spec.TestN, MaxAttrs: 8, MaxNotEquals: 5, Seed: spec.Seed},
+		MaxBranches: 3,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -136,18 +143,22 @@ func BuildForestEnv(spec ForestSpec) (*ForestEnv, error) {
 }
 
 // TrainSpec configures a local estimator build shared by cardest and
-// cardestd's boot-training path.
+// cardestd's boot-training path: GB over complex, the one configuration the
+// binaries train.
 type TrainSpec struct {
-	QFT     string
-	Model   string // the -model flag, checked by ValidateModel
+	QFT     string // "complex" or empty; anything else is refused
+	Model   string // "GB" or empty; anything else is refused
 	Entries int    // per-attribute feature entries (n)
 	Workers int    // training goroutines (0 = one per CPU)
 }
 
-// NewLocalEstimator builds the (untrained) GB-backed local estimator for the
-// spec, wiring the worker count into the model config. Callers run Train.
+// NewLocalEstimator builds the (untrained) GB + complex local estimator for
+// the spec, wiring the worker count into the model config. Callers run Train.
 func NewLocalEstimator(db *table.DB, spec TrainSpec) (*estimator.Local, error) {
-	if err := ValidateModel(spec.Model); err != nil {
+	if err := ValidateQFT(cmp.Or(spec.QFT, "complex")); err != nil {
+		return nil, err
+	}
+	if err := ValidateModel(cmp.Or(spec.Model, "GB")); err != nil {
 		return nil, err
 	}
 	if err := ValidateWorkers(spec.Workers); err != nil {
@@ -156,8 +167,8 @@ func NewLocalEstimator(db *table.DB, spec TrainSpec) (*estimator.Local, error) {
 	cfg := gb.DefaultConfig()
 	cfg.Workers = spec.Workers
 	return estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          spec.QFT,
-		Opts:         core.Options{MaxEntriesPerAttr: spec.Entries, AttrSel: true},
-		NewRegressor: estimator.NewGBFactory(cfg),
+		NewFeaturizer: func(m *core.TableMeta, o core.Options) core.Featurizer { return core.NewComplex(m, o) },
+		Opts:          core.Options{MaxEntriesPerAttr: spec.Entries, AttrSel: true},
+		NewRegressor:  estimator.NewGBFactory(cfg),
 	})
 }

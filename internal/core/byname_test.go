@@ -115,28 +115,6 @@ func byNameFeaturizeInto(f Featurizer, dst []float64, expr sqlparse.Expr) error 
 	}
 	sc := new(scratch)
 	switch f := f.(type) {
-	case *Simple:
-		if err := byNameGroup(sc, "simple", f.meta, expr, errSimpleOr); err != nil {
-			return err
-		}
-		clear(dst)
-		for ai := range f.meta.Attrs {
-			if first := sc.head[ai]; first >= 0 {
-				p := sc.conj[first].(*sqlparse.Pred)
-				block := dst[4*ai : 4*ai+4]
-				block[0], block[1], block[2] = OpBits(p.Op)
-				block[3] = f.meta.Attrs[ai].Normalize(p.Val)
-			}
-		}
-		return nil
-	case *Range:
-		if err := byNameGroup(sc, "range", f.meta, expr, errRangeOr); err != nil {
-			return err
-		}
-		for i, a := range f.meta.Attrs {
-			dst[2*i], dst[2*i+1] = FeaturizeAttrRange(a, sc.attrPreds(i))
-		}
-		return nil
 	case *Conjunctive:
 		return byNamePartitioned(sc, &f.partitioned, dst, expr)
 	case *Complex:
@@ -220,10 +198,6 @@ func stampByName(meta *TableMeta, expr sqlparse.Expr) sqlparse.Expr {
 // metaOf is the meta f featurizes over, or nil.
 func metaOf(f Featurizer) *TableMeta {
 	switch f := f.(type) {
-	case *Simple:
-		return f.meta
-	case *Range:
-		return f.meta
 	case *Conjunctive:
 		return f.meta
 	case *Complex:

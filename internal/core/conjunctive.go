@@ -191,11 +191,10 @@ type scratch struct {
 	// after conjunct i, -1 ending a chain; tail makes appending O(1).
 	conj             []sqlparse.Expr
 	head, tail, next []int32
-	kids             []sqlparse.Expr  // one attribute's chain, gathered
-	preds            []*sqlparse.Pred // one attribute's chain under Range Predicate Encoding
-	terms            []term           // one attribute's DNF terms, in interval form
-	nes              []notEq          // the terms' not-equal literals, placed
-	saved            []saved          // the entries merge puts back
+	kids             []sqlparse.Expr // one attribute's chain, gathered
+	terms            []term          // one attribute's DNF terms, in interval form
+	nes              []notEq         // the terms' not-equal literals, placed
+	saved            []saved         // the entries merge puts back
 	// The attribute the fold is for: every predicate it meets must be meta's
 	// attribute ai; ai < 0 checks nothing.
 	meta *TableMeta
@@ -223,7 +222,7 @@ const maxPooled = 1 << 12
 // inflates the term arenas, and a WHERE of tens of thousands of conjuncts the
 // grouping's; that memory is better left to the collector than pinned.
 func (sc *scratch) keep() bool {
-	return max(cap(sc.conj), cap(sc.head), cap(sc.tail), cap(sc.next), cap(sc.kids), cap(sc.preds),
+	return max(cap(sc.conj), cap(sc.head), cap(sc.tail), cap(sc.next), cap(sc.kids),
 		cap(sc.terms), cap(sc.nes), cap(sc.saved)) <= maxPooled
 }
 
@@ -299,18 +298,9 @@ func conjunctSlot(qft string, meta *TableMeta, expr sqlparse.Expr, ai int, every
 	var kids []sqlparse.Expr
 	switch n := expr.(type) {
 	case *sqlparse.Pred:
-		if n.Str != nil {
-			return 0, fmt.Errorf("core/%s: unbound string predicate %s", qft, n)
-		}
-		if n.Col == 0 {
-			return 0, Unsupported(fmt.Errorf("core/%s: predicate %s is not bound to a column (exec.Bind)", qft, n))
-		}
-		if meta.slots == nil {
-			return 0, fmt.Errorf("core/%s: table %q is not mapped onto a database's columns (TableMeta.MapColumns)", qft, meta.Name)
-		}
-		i := meta.slot(n)
-		if i < 0 {
-			return 0, Unsupported(fmt.Errorf("core/%s: unknown attribute %q", qft, n.Attr))
+		i, err := meta.Slot(qft, n)
+		if err != nil {
+			return 0, err
 		}
 		if ai >= 0 && i != ai {
 			return 0, Unsupported(fmt.Errorf("core/%s: not a mixed query (Definition 3.3): a conjunct mixes attributes %q and %q", qft, meta.Attrs[ai].Name, n.Attr))
@@ -346,16 +336,6 @@ func (sc *scratch) attrKids(ai int) []sqlparse.Expr {
 		sc.kids = append(sc.kids, sc.conj[i])
 	}
 	return sc.kids
-}
-
-// attrPreds is attrKids for a grouping made with disjunctions forbidden,
-// where every conjunct is a simple predicate.
-func (sc *scratch) attrPreds(ai int) []*sqlparse.Pred {
-	sc.preds = sc.preds[:0]
-	for i := sc.head[ai]; i >= 0; i = sc.next[i] {
-		sc.preds = append(sc.preds, sc.conj[i].(*sqlparse.Pred))
-	}
-	return sc.preds
 }
 
 // FeaturizeAttrConjunction runs Algorithm 1 for a single attribute: it

@@ -3,14 +3,9 @@
 // COUNT(*) query into a fixed-length numerical feature vector for ML-based
 // cardinality estimation.
 //
-// Four QFTs are provided, under the paper's abbreviations (Section 5):
+// The paper's two encodings are provided, under its abbreviations
+// (Section 5):
 //
-//   - Singular Predicate Encoding ("simple", Section 2.1.1) — the
-//     established baseline: 4 entries per attribute (operator one-hot plus
-//     normalized literal); at most one predicate per attribute survives.
-//   - Range Predicate Encoding ("range", Section 3.1) — every point or range
-//     predicate is rewritten to a closed, normalized range [lo, hi]; one
-//     range per attribute.
 //   - Universal Conjunction Encoding ("conjunctive", Section 3.2,
 //     Algorithm 1) — the attribute domain is partitioned into up to n
 //     buckets; each bucket entry is 1 (all values qualify), ½ (some
@@ -23,6 +18,11 @@
 //     its disjuncts, each disjunct featurized with Algorithm 1, and the
 //     per-disjunct vectors merged by entry-wise max.
 //
+// The baselines the paper measures them against, Singular Predicate Encoding
+// ("simple", Section 2.1.1) and Range Predicate Encoding ("range", Section
+// 3.1), are built only by the experiment harness and live with it, in
+// internal/bench/qft, over this package's exports.
+//
 // All QFTs are model-independent: they emit plain []float64 vectors consumed
 // unchanged by the gradient-boosting model in internal/ml/gb and the
 // experiment harness's feed-forward network (and, per attribute, its MSCN).
@@ -34,8 +34,9 @@
 // (decode_test.go).
 //
 // The featurizers read which attribute a predicate constrains off the column
-// stamp exec.Bind writes (sqlparse.Pred.Col): a query is bound before it is
-// featurized, and a predicate nobody bound is refused as Unsupported.
+// stamp exec.Bind writes (sqlparse.Pred.Col), through TableMeta.Slot: a query
+// is bound before it is featurized, and a predicate nobody bound is refused
+// as Unsupported.
 package core
 
 import (
@@ -114,9 +115,10 @@ func ceilMulDiv(i, d, n uint64) uint64 {
 }
 
 // Normalize maps val into [0, 1] relative to the attribute domain, the
-// literal encoding used by Singular Predicate Encoding and Range Predicate
-// Encoding (Section 2.1.1). Out-of-domain values are clamped — by comparison,
-// before any arithmetic that could wrap at the int64 extremes.
+// literal encoding of the harness's baselines, Singular Predicate Encoding
+// and Range Predicate Encoding (Section 2.1.1). Out-of-domain values are
+// clamped — by comparison, before any arithmetic that could wrap at the
+// int64 extremes.
 func (a AttrMeta) Normalize(val int64) float64 {
 	switch {
 	case a.Max == a.Min, val <= a.Min:
@@ -177,6 +179,28 @@ func (m *TableMeta) slot(p *sqlparse.Pred) int {
 		}
 	}
 	return -1
+}
+
+// Slot returns the attribute p constrains, read off its column stamp, or
+// the error the QFT named qft refuses p with: a string literal exec.Bind did
+// not rewrite, a predicate nobody bound, a meta MapColumns has not mapped
+// onto a database's columns, or a column the meta does not cover. It is the
+// featurizers' one way from a predicate to its attribute.
+func (m *TableMeta) Slot(qft string, p *sqlparse.Pred) (int, error) {
+	if p.Str != nil {
+		return 0, fmt.Errorf("core/%s: unbound string predicate %s", qft, p)
+	}
+	if p.Col == 0 {
+		return 0, Unsupported(fmt.Errorf("core/%s: predicate %s is not bound to a column (exec.Bind)", qft, p))
+	}
+	if m.slots == nil {
+		return 0, fmt.Errorf("core/%s: table %q is not mapped onto a database's columns (TableMeta.MapColumns)", qft, m.Name)
+	}
+	i := m.slot(p)
+	if i < 0 {
+		return 0, Unsupported(fmt.Errorf("core/%s: unknown attribute %q", qft, p.Attr))
+	}
+	return i, nil
 }
 
 // qualifies reports whether attr is attribute ai's name qualified with the
@@ -395,8 +419,9 @@ func (m *TableMeta) NumAttrs() int { return len(m.Attrs) }
 // sub-schema) into a fixed-length feature vector. Implementations are
 // stateless and safe for concurrent use.
 type Featurizer interface {
-	// Name returns the paper's abbreviation for the QFT ("simple", "range",
-	// "conjunctive", "complex").
+	// Name returns the paper's abbreviation for the QFT: "conjunctive" or
+	// "complex" here, "simple" or "range" for the harness's baselines
+	// (internal/bench/qft).
 	Name() string
 	// Dim returns the feature-vector length. Every Featurize call returns a
 	// vector of exactly this length.
@@ -440,13 +465,9 @@ func checkDst(qft string, dst []float64, dim int) error {
 }
 
 // New constructs the named QFT over meta. Valid names are the paper's
-// abbreviations: "simple", "range", "conjunctive", "complex".
+// abbreviations for its two encodings: "conjunctive" and "complex".
 func New(name string, meta *TableMeta, opts Options) (Featurizer, error) {
 	switch name {
-	case "simple":
-		return NewSimple(meta), nil
-	case "range":
-		return NewRange(meta), nil
 	case "conjunctive":
 		return NewConjunctive(meta, opts), nil
 	case "complex":
@@ -461,8 +482,8 @@ func CheckQFT(name string) error {
 	if slices.Contains(QFTNames(), name) {
 		return nil
 	}
-	return fmt.Errorf("core: unknown QFT %q (want simple, range, conjunctive, or complex)", name)
+	return fmt.Errorf("core: unknown QFT %q (want conjunctive or complex)", name)
 }
 
 // QFTNames lists the QFT names accepted by New, in the paper's order.
-func QFTNames() []string { return []string{"simple", "range", "conjunctive", "complex"} }
+func QFTNames() []string { return []string{"conjunctive", "complex"} }

@@ -407,137 +407,6 @@ func TestNewUnknownQFT(t *testing.T) {
 	}
 }
 
-func TestSimpleEncodingLayout(t *testing.T) {
-	meta := paperMeta()
-	f := NewSimple(meta)
-	if f.Dim() != 12 {
-		t.Fatalf("Dim = %d, want 12", f.Dim())
-	}
-	// A > 5 AND B = 7 from Section 2.1.1 (adapted to this table's domains).
-	got, err := featurize(f, wherePart(t, "A > 5 AND B = 7"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A block: [eq gt lt lit] = [0 1 0 (5+9)/59].
-	vecEq(t, got[0:3], []float64{0, 1, 0}, "A op bits")
-	if got[3] != 14.0/59.0 {
-		t.Errorf("A literal = %v, want %v", got[3], 14.0/59.0)
-	}
-	vecEq(t, got[4:7], []float64{1, 0, 0}, "B op bits")
-	if got[7] != 7.0/115.0 {
-		t.Errorf("B literal = %v, want %v", got[7], 7.0/115.0)
-	}
-	// C block all zero: no predicate.
-	vecEq(t, got[8:12], []float64{0, 0, 0, 0}, "C block")
-}
-
-func TestSimpleOpProjections(t *testing.T) {
-	f := NewSimple(paperMeta())
-	cases := []struct {
-		src  string
-		want []float64 // eq, gt, lt
-	}{
-		{"A >= 5", []float64{1, 1, 0}},
-		{"A <= 5", []float64{1, 0, 1}},
-		{"A <> 5", []float64{0, 1, 1}},
-	}
-	for _, tc := range cases {
-		got, err := featurize(f, wherePart(t, tc.src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		vecEq(t, got[0:3], tc.want, tc.src)
-	}
-}
-
-// TestSimpleInformationLoss documents the failure mode of Section 3: with
-// two predicates on one attribute, Singular Predicate Encoding keeps only
-// the first — two very different queries collide onto one vector.
-func TestSimpleInformationLoss(t *testing.T) {
-	f := NewSimple(paperMeta())
-	wide, err := featurize(f, wherePart(t, "A > 5"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrow, err := featurize(f, wherePart(t, "A > 5 AND A < 8"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecEq(t, narrow, wide, "collision of one- and two-predicate queries")
-}
-
-func TestSimpleRejectsDisjunction(t *testing.T) {
-	f := NewSimple(paperMeta())
-	if _, err := featurize(f, wherePart(t, "A = 1 OR A = 2")); err == nil {
-		t.Error("Singular Predicate Encoding must reject disjunctions")
-	}
-}
-
-func TestRangeEncoding(t *testing.T) {
-	meta := paperMeta()
-	f := NewRange(meta)
-	if f.Dim() != 6 {
-		t.Fatalf("Dim = %d, want 6", f.Dim())
-	}
-	got, err := featurize(f, wherePart(t, "A >= 0 AND A < 10 AND B = 50"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A: [0, 9] normalized over [-9, 50].
-	if got[0] != 9.0/59.0 || got[1] != 18.0/59.0 {
-		t.Errorf("A range = [%v, %v], want [%v, %v]", got[0], got[1], 9.0/59.0, 18.0/59.0)
-	}
-	// B: point [50, 50].
-	if got[2] != got[3] || got[2] != 50.0/115.0 {
-		t.Errorf("B range = [%v, %v], want equal at %v", got[2], got[3], 50.0/115.0)
-	}
-	// C: untouched, full range.
-	if got[4] != 0 || got[5] != 1 {
-		t.Errorf("C range = [%v, %v], want [0, 1]", got[4], got[5])
-	}
-}
-
-func TestRangeIntersectsMultiplePredicates(t *testing.T) {
-	// Several range predicates on one attribute intersect losslessly.
-	f := NewRange(paperMeta())
-	a, err := featurize(f, wherePart(t, "A >= 0 AND A <= 20 AND A >= 5"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := featurize(f, wherePart(t, "A >= 5 AND A <= 20"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecEq(t, a, b, "range intersection")
-}
-
-// TestRangeDropsNotEqual documents Range Predicate Encoding's information
-// loss: <> predicates vanish (the Figure 3 spike at three predicates).
-func TestRangeDropsNotEqual(t *testing.T) {
-	f := NewRange(paperMeta())
-	with, err := featurize(f, wherePart(t, "A >= 0 AND A <= 20 AND A <> 10"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := featurize(f, wherePart(t, "A >= 0 AND A <= 20"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecEq(t, with, without, "<> dropped")
-}
-
-func TestRangeEmptyRangeEncoding(t *testing.T) {
-	f := NewRange(paperMeta())
-	got, err := featurize(f, wherePart(t, "A > 10 AND A < 5"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Inverted marker [1, 0]: distinguishable from any satisfiable range.
-	if got[0] != 1 || got[1] != 0 {
-		t.Errorf("empty range encoded as [%v, %v], want [1, 0]", got[0], got[1])
-	}
-}
-
 func TestFeaturizersAreDeterministic(t *testing.T) {
 	meta := paperMeta()
 	expr := wherePart(t, "(A > -2 AND A <= 30 AND A <> 7 OR A >= 42) AND B >= 40")

@@ -106,30 +106,6 @@ func TestFeaturizeIntoMatchesOracleMixed(t *testing.T) {
 	}
 }
 
-// TestFeaturizeIntoRepeatedAttrsSimple pins Simple's first-of-the-chain
-// dedupe against the map-based oracle on expressions that repeat attributes
-// (first predicate wins).
-func TestFeaturizeIntoRepeatedAttrsSimple(t *testing.T) {
-	rng := rand.New(rand.NewSource(6464))
-	tbl := randTable(rng, 100)
-	meta := NewTableMeta(tbl, 16)
-	f := NewSimple(meta)
-	dst := make([]float64, f.Dim())
-	for trial := 0; trial < 500; trial++ {
-		// High predicate count over 3 attributes guarantees repeats.
-		expr := randConjunction(rng, meta, 8)
-		want, err := oracleSimple(f, expr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		poison(dst)
-		if err := featurizeInto(f, dst, expr); err != nil {
-			t.Fatal(err)
-		}
-		sameVec(t, trial, "simple/repeat", want, dst)
-	}
-}
-
 // TestFeaturizeIntoErrors: walk and oracle must agree on rejection, and a
 // wrong-length destination is refused outright.
 func TestFeaturizeIntoErrors(t *testing.T) {

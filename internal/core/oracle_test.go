@@ -27,60 +27,12 @@ import (
 
 func oracleFeaturize(f Featurizer, expr sqlparse.Expr) ([]float64, error) {
 	switch f := f.(type) {
-	case *Simple:
-		return oracleSimple(f, expr)
-	case *Range:
-		return oracleRange(f, expr)
 	case *Conjunctive:
 		return oracleConjunctive(f, expr)
 	case *Complex:
 		return oracleComplex(f, expr)
 	}
 	return nil, fmt.Errorf("no oracle for %T", f)
-}
-
-func oracleSimple(s *Simple, expr sqlparse.Expr) ([]float64, error) {
-	if !sqlparse.IsConjunctive(expr) {
-		return nil, fmt.Errorf("core/simple: disjunctions are not supported by Singular Predicate Encoding")
-	}
-	vec := make([]float64, s.Dim())
-	seen := make(map[int]bool)
-	for _, p := range sqlparse.CollectPreds(expr) {
-		if p.Str != nil {
-			return nil, fmt.Errorf("core/simple: unbound string predicate %s", p)
-		}
-		ai := s.meta.AttrIndex(p.Attr)
-		if ai < 0 {
-			return nil, fmt.Errorf("core/simple: unknown attribute %q", p.Attr)
-		}
-		if seen[ai] {
-			continue
-		}
-		seen[ai] = true
-		base := 4 * ai
-		eq, gt, lt := OpBits(p.Op)
-		vec[base+0] = eq
-		vec[base+1] = gt
-		vec[base+2] = lt
-		vec[base+3] = s.meta.Attrs[ai].Normalize(p.Val)
-	}
-	return vec, nil
-}
-
-func oracleRange(r *Range, expr sqlparse.Expr) ([]float64, error) {
-	if !sqlparse.IsConjunctive(expr) {
-		return nil, fmt.Errorf("core/range: disjunctions are not supported by Range Predicate Encoding")
-	}
-	perAttr := sqlparse.PredsPerAttr(expr)
-	if err := oracleCheckKnownAttrs(r.meta, perAttr); err != nil {
-		return nil, fmt.Errorf("core/range: %w", err)
-	}
-	vec := make([]float64, 0, r.Dim())
-	for _, a := range r.meta.Attrs {
-		lo, hi := FeaturizeAttrRange(a, oraclePredsFor(perAttr, r.meta, a))
-		vec = append(vec, lo, hi)
-	}
-	return vec, nil
 }
 
 func oracleConjunctive(c *Conjunctive, expr sqlparse.Expr) ([]float64, error) {

@@ -421,7 +421,7 @@ func TestScratchKeepBoundsEverySlice(t *testing.T) {
 			}
 		}
 	}
-	if slicesSeen < 9 {
+	if slicesSeen < 8 {
 		t.Fatalf("only %d slice fields seen in scratch", slicesSeen)
 	}
 }
@@ -458,7 +458,7 @@ func fuzzDB() *table.DB {
 }
 
 // FuzzFeaturize parses fuzzed WHERE text over fuzzMeta's schema, binds it
-// (exec.Bind) and featurizes whatever parses with all four QFTs, selectivity
+// (exec.Bind) and featurizes whatever parses with both QFTs, selectivity
 // entries on: each must agree with the by-name oracle (byNameFeaturizeInto)
 // on every vector and selectivity bit, or on the error text, and the
 // interval form also with the replaced body (termsFeaturizeInto). A text

@@ -241,11 +241,6 @@ func TestBothSpellingsOfOneAttribute(t *testing.T) {
 			}
 			vecEq(t, got, want, f.Name()+" "+where)
 		}
-		got, err := featurize(NewRange(meta), expr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vecEq(t, got, []float64{50.0 / 99, 59.0 / 99}, "range "+where)
 	}
 	// One compound predicate may mix the spellings too.
 	got, err := featurize(NewComplex(meta, opts), wherePart(t, "t.a = 55 OR a = 5"))
@@ -293,22 +288,6 @@ func TestStrictComparisonAtInt64Extremes(t *testing.T) {
 			vecEq(t, got, full, f.Name()+" "+p.String())
 		}
 	}
-	// Range Predicate Encoding had the same wrap in closedRange: the empty
-	// intersection is the inverted marker [1, 0].
-	for _, p := range []*sqlparse.Pred{gtMax, ltMin} {
-		got, err := NewRange(meta).Featurize(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vecEq(t, got, []float64{1, 0}, "range "+p.String())
-	}
-	// Singular Predicate Encoding only normalizes the literal; the clamp must
-	// not wrap either (MaxInt64 - (-20) overflows).
-	got, err := NewSimple(meta).Featurize(gtMax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecEq(t, got, []float64{0, 1, 0, 1}, "simple "+gtMax.String())
 }
 
 // TestDNFBound: the arena enumerates exactly sqlparse.ToDNF's terms up to
@@ -355,7 +334,7 @@ func TestDNFBound(t *testing.T) {
 
 // TestShapeErrorsAreUnsupported: every error that depends only on the query's
 // shape is marked ErrUnsupported and keeps its text — a disjunction under
-// simple, range and conjunctive, a conjunct mixing attributes or tables or
+// conjunctive, a conjunct mixing attributes or tables or
 // holding no predicates, the DNF bound, a name the featurizer cannot place on
 // one of its attributes (unknown, or qualified with another table) — and a
 // string literal nobody bound is not: that is the caller's broken contract.
@@ -375,15 +354,13 @@ func TestShapeErrorsAreUnsupported(t *testing.T) {
 		expr sqlparse.Expr
 		text string
 	}{
-		{NewSimple(meta), where("a >= 1 OR a <= 0"), "core/simple: disjunctions are not supported by Singular Predicate Encoding"},
-		{NewRange(meta), where("a >= 1 OR a <= 0"), "core/range: disjunctions are not supported by Range Predicate Encoding"},
 		{NewConjunctive(meta, opts), where("a >= 1 OR a <= 0"), "core/conjunctive: disjunctions require Limited Disjunction Encoding"},
 		{NewComplex(meta, opts), where("a >= 1 OR b <= 3"), `core/complex: not a mixed query (Definition 3.3): a conjunct mixes attributes "a" and "b"`},
 		{NewComplex(meta, opts), empty, `core/complex: conjunct "" has no predicates`},
 		{NewComplex(meta, opts), sqlparse.NewAnd(dnf...), `core/complex: attribute "a": DNF exceeds 4096 terms`},
 		{NewComplex(meta, opts), where("z >= 1"), `core/complex: unknown attribute "z"`},
 		{NewConjunctive(meta, opts), where("a >= 1 AND other.b <= 3"), `core/conjunctive: unknown attribute "other.b"`},
-		{NewRange(meta), where("t.z = 2"), `core/range: unknown attribute "t.z"`},
+		{NewConjunctive(meta, opts), where("t.z = 2"), `core/conjunctive: unknown attribute "t.z"`},
 	} {
 		err := featurizeInto(tc.f, make([]float64, tc.f.Dim()), tc.expr)
 		if !errors.Is(err, ErrUnsupported) || err.Error() != tc.text {

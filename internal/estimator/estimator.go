@@ -12,8 +12,8 @@
 // exports.
 //
 // Learned estimators regress on log2-transformed cardinalities (Log2Label,
-// the standard choice for q-error training; the raw-label ablation is
-// available via LocalConfig.RawLabels).
+// the standard choice for q-error training; the harness's abl4 measures raw
+// labels against it).
 package estimator
 
 import (
@@ -111,51 +111,17 @@ func Summarize(est Estimator, set workload.Set) (metrics.Summary, error) {
 	return metrics.Summarize(qerrs), nil
 }
 
-// labelTransform maps cardinalities to regression targets and back. The
+// Log2Label is the regression target of a cardinality: log2(card + 1). The
 // log2 transform compresses the heavy-tailed cardinality distribution so a
-// squared-error loss approximates a q-error objective.
-type labelTransform struct {
-	raw bool
-}
-
-func (t labelTransform) forward(card float64) float64 {
-	if t.raw {
-		return card
-	}
-	return Log2Label(card)
-}
-
-func (t labelTransform) inverse(pred float64) float64 {
-	if t.raw {
-		return atLeastOne(pred)
-	}
-	return FromLog2Label(pred)
-}
-
-// Log2Label is the regression target of a cardinality: log2(card + 1).
-// Every model this package trains, and the harness's global models, regress
-// on it unless the raw-label ablation is on.
+// squared-error loss approximates a q-error objective. Every model this
+// package trains, and the harness's global models, regress on it.
 func Log2Label(card float64) float64 { return math.Log2(card + 1) }
 
-// FromLog2Label inverts Log2Label into an estimate of at least 1, capping
-// wild extrapolations at 2^62.
+// FromLog2Label inverts Log2Label into an estimate of at least 1 (NaN reads
+// as 1), capping wild extrapolations at 2^62.
 func FromLog2Label(pred float64) float64 {
-	return atLeastOne(math.Exp2(min(pred, 62)) - 1)
-}
-
-// atLeastOne clamps an estimate below one row, or NaN, to one row.
-func atLeastOne(card float64) float64 {
-	if card < 1 || math.IsNaN(card) {
-		return 1
+	if card := math.Exp2(min(pred, 62)) - 1; card >= 1 {
+		return card
 	}
-	return card
-}
-
-// transformAll applies the forward transform to a label slice.
-func (t labelTransform) transformAll(cards []float64) []float64 {
-	out := make([]float64, len(cards))
-	for i, c := range cards {
-		out[i] = t.forward(c)
-	}
-	return out
+	return 1
 }

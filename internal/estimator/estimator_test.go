@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
@@ -138,9 +139,9 @@ func TestSamplingBaseline(t *testing.T) {
 func TestLocalGBConjunctiveBeatsIndependence(t *testing.T) {
 	e := env(t)
 	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +186,11 @@ func TestLocalConjunctiveBeatsSimple(t *testing.T) {
 	// predicates per attribute, Universal Conjunction Encoding must beat
 	// Singular Predicate Encoding under the same model.
 	e := env(t)
-	run := func(qft string) metrics.Summary {
+	run := func(name string) metrics.Summary {
 		loc, err := NewLocal(e.db, LocalConfig{
-			QFT:          qft,
-			Opts:         core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
-			NewRegressor: NewGBFactory(smallGB()),
+			NewFeaturizer: qft.Factory(name),
+			Opts:          core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
+			NewRegressor:  NewGBFactory(smallGB()),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -222,9 +223,9 @@ func TestLocalComplexOnMixedWorkload(t *testing.T) {
 	}
 	train, test := mixed.Split(450)
 	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "complex",
-		Opts:         core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("complex"),
+		Opts:          core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,9 +243,9 @@ func TestLocalComplexOnMixedWorkload(t *testing.T) {
 	}
 	// The conjunctive-only QFTs must refuse the mixed workload.
 	conjLoc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,9 +258,9 @@ func TestLocalComplexOnMixedWorkload(t *testing.T) {
 func TestEstimateUnknownSubSchema(t *testing.T) {
 	e := env(t)
 	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 8, AttrSel: false},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 8, AttrSel: false},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +314,7 @@ func TestLocalJoins(t *testing.T) {
 
 	opts := core.Options{MaxEntriesPerAttr: 16, AttrSel: true}
 
-	loc, err := NewLocal(db, LocalConfig{QFT: "conjunctive", Opts: opts, NewRegressor: NewGBFactory(smallGB())})
+	loc, err := NewLocal(db, LocalConfig{NewFeaturizer: qft.Factory("conjunctive"), Opts: opts, NewRegressor: NewGBFactory(smallGB())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,31 +335,26 @@ func TestLocalJoins(t *testing.T) {
 }
 
 func TestLabelTransformRoundTrip(t *testing.T) {
-	tr := labelTransform{}
 	for _, card := range []float64{1, 2, 10, 1e6} {
-		got := tr.inverse(tr.forward(card))
+		got := FromLog2Label(Log2Label(card))
 		if math.Abs(got-card)/card > 1e-9 {
 			t.Errorf("round trip %v -> %v", card, got)
 		}
 	}
-	if tr.inverse(-100) != 1 {
+	if FromLog2Label(-100) != 1 {
 		t.Error("negative predictions must clamp to 1")
 	}
-	if tr.inverse(1e9) <= 0 || math.IsInf(tr.inverse(1e9), 0) {
+	if FromLog2Label(1e9) <= 0 || math.IsInf(FromLog2Label(1e9), 0) {
 		t.Error("huge predictions must stay finite")
-	}
-	raw := labelTransform{raw: true}
-	if raw.forward(123) != 123 || raw.inverse(123) != 123 {
-		t.Error("raw transform must be identity above 1")
 	}
 }
 
 func TestNewLocalValidation(t *testing.T) {
 	e := env(t)
-	if _, err := NewLocal(e.db, LocalConfig{QFT: "conjunctive"}); err == nil {
-		t.Error("nil factory accepted")
+	if _, err := NewLocal(e.db, LocalConfig{NewFeaturizer: qft.Factory("conjunctive")}); err == nil {
+		t.Error("nil regressor factory accepted")
 	}
-	if _, err := NewLocal(e.db, LocalConfig{QFT: "nope", NewRegressor: NewGBFactory(smallGB())}); err == nil {
+	if _, err := NewLocal(e.db, LocalConfig{NewFeaturizer: qft.Factory("nope"), NewRegressor: NewGBFactory(smallGB())}); err == nil {
 		t.Error("unknown QFT accepted")
 	}
 }
@@ -366,8 +362,8 @@ func TestNewLocalValidation(t *testing.T) {
 func TestZeroOptionsGetPaperDefaults(t *testing.T) {
 	e := env(t)
 	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		NewRegressor:  NewGBFactory(smallGB()),
 		// Opts left zero: MaxEntriesPerAttr must default to 64, not 1.
 	})
 	if err != nil {
@@ -393,10 +389,10 @@ func TestZeroOptionsGetPaperDefaults(t *testing.T) {
 // the data is not.
 func TestRefusalsAreUnsupported(t *testing.T) {
 	e := env(t)
-	newLocal := func(qft string) *Local {
+	newLocal := func(name string) *Local {
 		cfg := smallGB()
 		cfg.NumTrees = 5
-		loc, err := NewLocal(e.db, LocalConfig{QFT: qft, Opts: core.Options{MaxEntriesPerAttr: 8}, NewRegressor: NewGBFactory(cfg)})
+		loc, err := NewLocal(e.db, LocalConfig{NewFeaturizer: qft.Factory(name), Opts: core.Options{MaxEntriesPerAttr: 8}, NewRegressor: NewGBFactory(cfg)})
 		if err != nil {
 			t.Fatal(err)
 		}

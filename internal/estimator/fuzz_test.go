@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/core"
 )
 
@@ -20,9 +21,9 @@ func snapshotSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 
 	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		tb.Fatal(err)

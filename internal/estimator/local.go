@@ -16,25 +16,24 @@ import (
 // LocalConfig configures a local-model estimator (Section 2.1.2): one
 // (QFT, regressor) pair per sub-schema, routed by the query's table set.
 type LocalConfig struct {
-	// QFT is the featurization technique name ("simple", "range",
-	// "conjunctive", "complex").
-	QFT string
+	// NewFeaturizer builds the QFT over each table of a sub-schema, as
+	// NewRegressor builds its model.
+	NewFeaturizer func(meta *core.TableMeta, opts core.Options) core.Featurizer
 	// Opts are the QFT options (per-attribute entries, attrSel).
 	Opts core.Options
 	// NewRegressor builds a fresh model per sub-schema.
 	NewRegressor RegressorFactory
-	// RawLabels disables the log2 label transform (ablation).
-	RawLabels bool
 }
 
 // Local is the local-model estimator: per sub-schema, the selection
 // predicates are featurized with the configured QFT (per-table vectors
-// concatenated in canonical order) and regressed by a dedicated model.
+// concatenated in canonical order) and regressed by a dedicated model on
+// log2 labels (Log2Label).
 type Local struct {
 	cfg       LocalConfig
 	metas     map[string]*core.TableMeta
 	models    map[string]*localModel
-	transform labelTransform
+	qftName   string
 	modelName string
 }
 
@@ -77,29 +76,32 @@ func (lm *localModel) dim() int { return lm.offsets[len(lm.offsets)-1] }
 // NewLocal builds the estimator skeleton over the database's tables. Models
 // are created lazily per sub-schema during Train.
 func NewLocal(db *table.DB, cfg LocalConfig) (*Local, error) {
-	if cfg.NewRegressor == nil {
-		return nil, fmt.Errorf("estimator: LocalConfig.NewRegressor is nil")
+	if cfg.NewFeaturizer == nil || cfg.NewRegressor == nil {
+		return nil, fmt.Errorf("estimator: LocalConfig needs both NewFeaturizer and NewRegressor")
 	}
-	cfg.Opts = cfg.Opts.Normalized()
-	if err := core.CheckQFT(cfg.QFT); err != nil {
-		return nil, err
-	}
-	l := &Local{
-		cfg:       cfg,
-		metas:     make(map[string]*core.TableMeta),
-		models:    make(map[string]*localModel),
-		transform: labelTransform{raw: cfg.RawLabels},
-		modelName: cfg.NewRegressor().Name(),
-	}
+	l := newLocal(cfg)
 	for _, tn := range db.TableNames() {
-		l.metas[tn] = core.NewTableMeta(db.Table(tn), cfg.Opts.MaxEntriesPerAttr)
+		l.metas[tn] = core.NewTableMeta(db.Table(tn), l.cfg.Opts.MaxEntriesPerAttr)
 	}
 	return l, nil
 }
 
+// newLocal is a Local without metas or models, named after what cfg builds:
+// a featurizer over no attributes and a fresh regressor.
+func newLocal(cfg LocalConfig) *Local {
+	cfg.Opts = cfg.Opts.Normalized()
+	return &Local{
+		cfg:       cfg,
+		metas:     make(map[string]*core.TableMeta),
+		models:    make(map[string]*localModel),
+		qftName:   cfg.NewFeaturizer(core.NewTableMetaFromAttrs("", nil, 1), cfg.Opts).Name(),
+		modelName: cfg.NewRegressor().Name(),
+	}
+}
+
 // Name implements Estimator, e.g. "GB + conjunctive (local)".
 func (l *Local) Name() string {
-	return fmt.Sprintf("%s + %s (local)", l.modelName, l.cfg.QFT)
+	return fmt.Sprintf("%s + %s (local)", l.modelName, l.qftName)
 }
 
 // Train fits one model per sub-schema occurring in the training set, in
@@ -134,7 +136,11 @@ func (l *Local) Train(train workload.Set) error {
 			}
 		}
 		lm.vecPool.Put(fs)
-		if err := lm.reg.Fit(X, l.transform.transformAll(set.Cards())); err != nil {
+		y := set.Cards()
+		for i, c := range y {
+			y[i] = Log2Label(c)
+		}
+		if err := lm.reg.Fit(X, y); err != nil {
 			return fmt.Errorf("estimator: fit sub-schema %s: %w", key, err)
 		}
 		l.models[key] = lm
@@ -152,11 +158,7 @@ func (l *Local) modelFor(tables []string) (*localModel, error) {
 		if !ok {
 			return nil, fmt.Errorf("estimator: unknown table %q", tn)
 		}
-		f, err := core.New(l.cfg.QFT, meta, l.cfg.Opts)
-		if err != nil {
-			return nil, err
-		}
-		lm.feats = append(lm.feats, f)
+		lm.feats = append(lm.feats, l.cfg.NewFeaturizer(meta, l.cfg.Opts))
 	}
 	lm.offsets = make([]int, len(lm.feats)+1)
 	for i, f := range lm.feats {
@@ -192,7 +194,7 @@ func featurizeInto(lm *localModel, fs *featScratch, dst []float64, q *sqlparse.Q
 
 // Estimate implements Estimator: route to the sub-schema's model, featurize
 // into a pooled buffer, predict through the model's compiled layout, invert
-// the label transform.
+// the log2 label.
 func (l *Local) Estimate(q *sqlparse.Query) (float64, error) {
 	key := catalog.SubSchemaKey(q.Tables)
 	lm, ok := l.models[key]
@@ -204,7 +206,7 @@ func (l *Local) Estimate(q *sqlparse.Query) (float64, error) {
 	if err := featurizeInto(lm, fs, fs.vec, q); err != nil {
 		return 0, err
 	}
-	return l.transform.inverse(lm.reg.Predict(fs.vec)), nil
+	return FromLog2Label(lm.reg.Predict(fs.vec)), nil
 }
 
 // EstimateCtx implements ContextEstimator. An estimate is microseconds of

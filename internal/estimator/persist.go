@@ -34,7 +34,7 @@ type savedLocal struct {
 	Kind      string           `json:"kind,omitempty"` // "" or "local"
 	QFT       string           `json:"qft"`
 	Opts      core.Options     `json:"opts"`
-	RawLabels bool             `json:"rawLabels"`
+	RawLabels bool             `json:"rawLabels"` // always false: a Local regresses on log2 labels
 	ModelType string           `json:"modelType"` // "GB"
 	Metas     []core.MetaSpec  `json:"metas"`
 	Models    []savedSubSchema `json:"models"`
@@ -67,9 +67,8 @@ func (l *Local) SaveJSON(w io.Writer) error {
 	s := savedLocal{
 		Format:    FormatVersion,
 		Kind:      KindLocal,
-		QFT:       l.cfg.QFT,
+		QFT:       l.qftName,
 		Opts:      l.cfg.Opts,
-		RawLabels: l.cfg.RawLabels,
 		ModelType: l.modelName,
 	}
 	tableNames := make([]string, 0, len(l.metas))
@@ -127,26 +126,24 @@ func LoadLocal(r io.Reader) (*Local, error) {
 		return nil, fmt.Errorf("estimator: snapshot kind %q is not a local estimator", s.Kind)
 	}
 
-	if err := core.CheckQFT(s.QFT); err != nil {
-		return nil, err
+	// The paper's two encodings are served: complex, which the binaries
+	// train, and conjunctive, which format-1 snapshots were written under.
+	if core.CheckQFT(s.QFT) != nil {
+		return nil, fmt.Errorf("estimator: QFT %q is not served (a snapshot holds complex or conjunctive)", s.QFT)
 	}
-
+	if s.RawLabels {
+		return nil, fmt.Errorf("estimator: a model on raw labels is not served (a snapshot's model regresses on log2 labels)")
+	}
 	if s.ModelType != "GB" {
 		return nil, fmt.Errorf("estimator: model type %q is not served (a snapshot holds a GB model)", s.ModelType)
 	}
 
-	l := &Local{
-		cfg: LocalConfig{
-			QFT:          s.QFT,
-			Opts:         s.Opts,
-			NewRegressor: NewGBFactory(gb.DefaultConfig()),
-			RawLabels:    s.RawLabels,
-		},
-		metas:     make(map[string]*core.TableMeta, len(s.Metas)),
-		models:    make(map[string]*localModel, len(s.Models)),
-		transform: labelTransform{raw: s.RawLabels},
-		modelName: s.ModelType,
+	qft := s.QFT // the closure lives as long as the estimator: it must not hold s's payloads
+	newFeat := func(m *core.TableMeta, o core.Options) core.Featurizer {
+		f, _ := core.New(qft, m, o) // New refuses only a name, and CheckQFT passed it
+		return f
 	}
+	l := newLocal(LocalConfig{NewFeaturizer: newFeat, Opts: s.Opts, NewRegressor: NewGBFactory(gb.DefaultConfig())})
 	for _, spec := range s.Metas {
 		meta, err := core.NewTableMetaFromSpec(spec)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/core"
 	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
@@ -18,9 +19,9 @@ import (
 func TestSaveLoadLocalGB(t *testing.T) {
 	e := env(t)
 	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +67,9 @@ func TestSaveLoadLocalGB(t *testing.T) {
 func TestSaveUntrained(t *testing.T) {
 	e := env(t)
 	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 8, AttrSel: false},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 8, AttrSel: false},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +99,16 @@ func TestLoadLocalErrors(t *testing.T) {
 	if _, err := LoadLocal(strings.NewReader(`{"format":1,"qft":"conjunctive","modelType":"SVM"}`)); err == nil {
 		t.Error("unknown model type accepted")
 	}
-	if _, err := LoadLocal(strings.NewReader(`{"format":1,"qft":"bogus","modelType":"GB"}`)); err == nil {
-		t.Error("unknown QFT accepted only at model build; must fail on use")
+	// The harness's baselines are not served: their snapshots are refused by
+	// name, and so is a model on raw labels (the harness's abl4).
+	for _, name := range []string{"bogus", "simple", "range"} {
+		_, err := LoadLocal(strings.NewReader(`{"format":2,"qft":"` + name + `","modelType":"GB"}`))
+		if err == nil || !strings.Contains(err.Error(), `QFT "`+name+`" is not served`) {
+			t.Errorf("QFT %s: err = %v, want a refusal naming it", name, err)
+		}
+	}
+	if _, err := LoadLocal(strings.NewReader(`{"format":2,"qft":"complex","rawLabels":true,"modelType":"GB"}`)); err == nil || !strings.Contains(err.Error(), "raw labels") {
+		t.Errorf("rawLabels: err = %v, want a refusal naming raw labels", err)
 	}
 }
 
@@ -108,9 +117,9 @@ func savedGB(t *testing.T) []byte {
 	t.Helper()
 	e := env(t)
 	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,9 +282,9 @@ func TestFileWorkloadJourney(t *testing.T) {
 	}
 
 	loc, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,10 +314,10 @@ func TestFileWorkloadJourney(t *testing.T) {
 	}
 }
 
-// wrongWidthSnapshots are real snapshots relabelled from the conjunctive QFT
-// to range — what a daemon restarted with another -qft or -entries finds in
-// its store. The model inside is a valid one of its kind; only its input
-// width disagrees with the featurizer the loader rebuilds around it.
+// wrongWidthSnapshots are real snapshots relabelled from per-attribute
+// selectivity entries on to off — what a store written by a build with other
+// featurizer options holds. The model inside is a valid one of its kind; only
+// its input width disagrees with the featurizer the loader rebuilds around it.
 func wrongWidthSnapshots(tb testing.TB) []namedSnapshot {
 	tb.Helper()
 	e := env(tb)
@@ -327,13 +336,13 @@ func wrongWidthSnapshots(tb testing.TB) []namedSnapshot {
 		if err := est.SaveJSON(&buf); err != nil {
 			tb.Fatal(err)
 		}
-		if !bytes.Contains(buf.Bytes(), []byte(`"qft":"conjunctive"`)) {
-			tb.Fatal("the snapshot does not name its QFT as expected")
+		if !bytes.Contains(buf.Bytes(), []byte(`"AttrSel":true`)) {
+			tb.Fatal("the snapshot does not carry its options as expected")
 		}
-		return bytes.Replace(buf.Bytes(), []byte(`"qft":"conjunctive"`), []byte(`"qft":"range"`), 1)
+		return bytes.Replace(buf.Bytes(), []byte(`"AttrSel":true`), []byte(`"AttrSel":false`), 1)
 	}
 	return []namedSnapshot{
-		{"local GB", relabelled(NewLocal(e.db, LocalConfig{QFT: "conjunctive", Opts: opts, NewRegressor: NewGBFactory(gbCfg)}))},
+		{"local GB", relabelled(NewLocal(e.db, LocalConfig{NewFeaturizer: qft.Factory("conjunctive"), Opts: opts, NewRegressor: NewGBFactory(gbCfg)}))},
 	}
 }
 
@@ -451,9 +460,9 @@ func TestLoadsFormat1Snapshot(t *testing.T) {
 // re-published, is recognisably the same file.
 func TestSnapshotRoundTripIsByteStable(t *testing.T) {
 	loc, err := NewLocal(env(t).db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)

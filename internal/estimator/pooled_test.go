@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/catalog"
 	"qfe/internal/core"
 	"qfe/internal/exec"
@@ -16,9 +17,9 @@ func trainedLocalGB(t testing.TB) (*Local, *testEnv) {
 	t.Helper()
 	e := env(t)
 	l, err := NewLocal(e.db, LocalConfig{
-		QFT:          "conjunctive",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("conjunctive"),
+		Opts:          core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,9 +47,9 @@ func trainedLocalComplex(t testing.TB) (*Local, []*sqlparse.Query) {
 		t.Fatal(err)
 	}
 	l, err := NewLocal(e.db, LocalConfig{
-		QFT:          "complex",
-		Opts:         core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
-		NewRegressor: NewGBFactory(smallGB()),
+		NewFeaturizer: qft.Factory("complex"),
+		Opts:          core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
+		NewRegressor:  NewGBFactory(smallGB()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func referenceEstimate(t testing.TB, l *Local, q *sqlparse.Query) float64 {
 		}
 		vec = append(vec, sub...)
 	}
-	return l.transform.inverse(lm.reg.Predict(vec))
+	return FromLog2Label(lm.reg.Predict(vec))
 }
 
 // TestPooledEstimateBitIdentical: the pooled featurize-into path must give

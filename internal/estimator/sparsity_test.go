@@ -3,6 +3,7 @@ package estimator
 import (
 	"testing"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/table"
@@ -41,9 +42,9 @@ func TestQFTVectorsSitAtTheColumnMaximum(t *testing.T) {
 		set workload.Set
 	}{{"conjunctive", conjunctive}, {"complex", mixed}} {
 		loc, err := NewLocal(db, LocalConfig{
-			QFT:          tc.qft,
-			Opts:         core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
-			NewRegressor: NewGBFactory(smallGB()),
+			NewFeaturizer: qft.Factory(tc.qft),
+			Opts:          core.Options{MaxEntriesPerAttr: 32, AttrSel: true},
+			NewRegressor:  NewGBFactory(smallGB()),
 		})
 		if err != nil {
 			t.Fatal(err)

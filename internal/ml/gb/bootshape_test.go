@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"qfe/internal/bench/qft"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/workload"
@@ -17,9 +18,10 @@ type bootSet struct {
 }
 
 // bootMatrices builds, for each of the four QFTs, what a boot trains on at a
-// chosen size: the forest table, the workload cli.BuildForestEnv draws for
-// the QFT (mixed AND/OR queries for complex, conjunctive for the other
-// three, which share one), 32 entries per attribute, log2(card+1) labels.
+// chosen size: the forest table, the mixed AND/OR workload cli.BuildForestEnv
+// draws for complex (the one QFT a boot trains) or, for the other three,
+// which share one, the conjunctive workload the harness trains them on; 32
+// entries per attribute, log2(card+1) labels.
 func bootMatrices(t testing.TB, rows, queries int) []bootSet {
 	t.Helper()
 	forest, err := dataset.Forest(dataset.ForestConfig{Rows: rows, QuantAttrs: 12, BinaryAttrs: 4, Seed: 1})
@@ -37,16 +39,16 @@ func bootMatrices(t testing.TB, rows, queries int) []bootSet {
 	}
 	meta := core.NewTableMeta(forest, 32)
 	var sets []bootSet
-	for _, qft := range core.QFTNames() {
+	for _, name := range qft.Names() {
 		set := conjunctive
-		if qft == "complex" {
+		if name == "complex" {
 			set = mixed
 		}
-		feat, err := core.New(qft, meta, core.Options{MaxEntriesPerAttr: 32, AttrSel: true})
+		feat, err := qft.New(name, meta, core.Options{MaxEntriesPerAttr: 32, AttrSel: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := bootSet{qft: qft, X: make([][]float64, len(set)), y: make([]float64, len(set))}
+		bs := bootSet{qft: name, X: make([][]float64, len(set)), y: make([]float64, len(set))}
 		for i, lq := range set {
 			if bs.X[i], err = feat.Featurize(lq.Query.Where); err != nil {
 				t.Fatal(err)

@@ -114,9 +114,9 @@ func TestInlinePanicIsIsolated(t *testing.T) {
 	var armed atomic.Bool
 	newGB := estimator.NewGBFactory(gb.Config{NumTrees: 8, LearningRate: 0.3, MaxDepth: 3, MinSamplesLeaf: 2, MaxBins: 16, SubsampleRows: 1, SubsampleCols: 1, Seed: 1})
 	local, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          "complex",
-		Opts:         core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
-		NewRegressor: func() estimator.Regressor { return trippingRegressor{newGB(), &armed} },
+		NewFeaturizer: func(m *core.TableMeta, o core.Options) core.Featurizer { return core.NewComplex(m, o) },
+		Opts:          core.Options{MaxEntriesPerAttr: 16, AttrSel: true},
+		NewRegressor:  func() estimator.Regressor { return trippingRegressor{newGB(), &armed} },
 	})
 	if err != nil {
 		t.Fatal(err)

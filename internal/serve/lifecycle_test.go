@@ -635,7 +635,7 @@ func TestCanaryRerunMatchesBaseline(t *testing.T) {
 	db, set := testEnv(t)
 	ctx := context.Background()
 	t.Run("GB", func(t *testing.T) {
-		loc, err := cli.NewLocalEstimator(db, cli.TrainSpec{QFT: "conjunctive", Model: "GB", Entries: 8, Workers: 1})
+		loc, err := cli.NewLocalEstimator(db, cli.TrainSpec{Entries: 8, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -200,7 +201,8 @@ func TestRegistryConcurrentSwap(t *testing.T) {
 // TestRegistryLoadFile: a snapshot file reaches the registry only through
 // POST /v1/models/load, which a server configured without a lifecycle still
 // publishes through one with no store and no canary workload. A missing or
-// junk file is the client's 400 and registers nothing; a real snapshot is
+// junk file, or a snapshot of a model no binary serves, is the client's 400
+// and registers nothing; a real snapshot is
 // admitted, reports its kind, source and model count, and honors "default".
 func TestRegistryLoadFile(t *testing.T) {
 	r := NewRegistry()
@@ -215,7 +217,26 @@ func TestRegistryLoadFile(t *testing.T) {
 	if err := os.WriteFile(junk, []byte("definitely not a model"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/no/such/file.json", junk} {
+	// A snapshot of a featurization or a label transform only the harness
+	// trains (a baseline QFT, abl4's raw labels) decodes to no served model.
+	snap := snapshotBytes(t, trainLocal(t, db, set[:200], 8))
+	paths := []string{"/no/such/file.json", junk}
+	for name, from := range map[string]string{"simple": `"qft":"conjunctive"`, "range": `"qft":"conjunctive"`, "raw": `"rawLabels":false`} {
+		to := `"qft":"` + name + `"`
+		if name == "raw" {
+			to = `"rawLabels":true`
+		}
+		doc := bytes.Replace(snap, []byte(from), []byte(to), 1)
+		if bytes.Equal(doc, snap) {
+			t.Fatalf("%s not found in the snapshot — format changed?", from)
+		}
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	for _, path := range paths {
 		if code, resp := postJSON(t, h, "/v1/models/load", map[string]any{"name": "m", "path": path}); code != http.StatusBadRequest {
 			t.Errorf("load of %s: status %d body %v, want 400", path, code, resp)
 		}
@@ -226,7 +247,7 @@ func TestRegistryLoadFile(t *testing.T) {
 
 	// A real snapshot loads, registers, and can be made the default.
 	path := filepath.Join(dir, "m.json")
-	if err := os.WriteFile(path, snapshotBytes(t, trainLocal(t, db, set[:200], 8)), 0o644); err != nil {
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code, resp := postJSON(t, h, "/v1/models/load", map[string]any{"name": "real", "path": path, "default": true})

@@ -73,9 +73,9 @@ func trainLocalQFT(tb testing.TB, db *table.DB, qft string, train workload.Set, 
 	cfg.MaxDepth = 5
 	cfg.Seed = 1
 	loc, err := estimator.NewLocal(db, estimator.LocalConfig{
-		QFT:          qft,
-		Opts:         core.Options{MaxEntriesPerAttr: entries, AttrSel: true},
-		NewRegressor: estimator.NewGBFactory(cfg),
+		NewFeaturizer: func(m *core.TableMeta, o core.Options) core.Featurizer { f, _ := core.New(qft, m, o); return f },
+		Opts:          core.Options{MaxEntriesPerAttr: entries, AttrSel: true},
+		NewRegressor:  estimator.NewGBFactory(cfg),
 	})
 	if err != nil {
 		tb.Fatal(err)
