@@ -133,7 +133,8 @@ ci:
 # Guard 10, a miss arms no timer and allocates no list node: the estimate
 # cache is a slot array per shard (container/list lives on in cache_test.go as
 # its oracle), and the request path's deadline is resilience.WithDeadline,
-# which arms a timer only for a caller that selects on Done. The canary's
+# which arms a timer only for a caller that selects on Done — and none does:
+# the chain, its one reader, reads Err (guard 26). The canary's
 # once-per-canary timeout (canary.go) is not on the request path.
 	! grep -rn 'container/list' --include='*.go' internal/serve | grep -v '_test\.go:'
 	! grep -nE 'context\.With(Deadline|Timeout)' internal/serve/serve.go internal/serve/estimate.go internal/serve/cache.go internal/resilience/resilience.go
@@ -272,6 +273,15 @@ ci:
 	! grep -rnE 'type (Simple|Range) |NewSimple|NewRange|FeaturizeAttrRange|OpBits|closedRange' --include='*.go' internal/core internal/estimator internal/cli cmd/cardest cmd/cardestd | grep -v '_test\.go:'
 	! $(GO) doc -all qfe/internal/core | grep -P '^(func|type|var|const) |^\t\w' | grep -wE 'Simple|Range|OpBits|FeaturizeAttrRange'
 	! $(GO) doc -u qfe/internal/estimator.LocalConfig | grep -E '^\s+(RawLabels|QFT)\s'
+# Guard 26, the chain alone reads a request's deadline: Resilient checks Err
+# before each stage, and every stage is a plain estimator.Estimator — an
+# estimate is microseconds of arithmetic with nothing to wait on — so a
+# deadline that lapses inside a stage is never the model's failure. No
+# context-taking estimator interface, dispatch helper or EstimateCtx method
+# comes back outside tests, nor faultinject's count of latency cut short by a
+# context; and cardest, which serves no request, declares no -timeout.
+	! grep -rnE 'ContextEstimator|EstimateWithContext|EstimateCtx|LatencyTimeouts' --include='*.go' internal cmd examples | grep -v '_test\.go:'
+	! grep -n '"timeout"' cmd/cardest/main.go
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

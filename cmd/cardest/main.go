@@ -8,18 +8,18 @@
 //
 //	cardest [-train 2000] [-rows 20000] [-entries 32] [-seed 1]
 //	        [-query "SELECT count(*) FROM forest WHERE ..."]
-//	        [-save file] [-load file] [-timeout 0] [-fallback] [-workers 0]
+//	        [-save file] [-load file] [-fallback] [-workers 0]
 //
 // Without -query, the tool evaluates a held-out test workload of mixed
 // queries (AND + OR) and prints the paper's q-error summary (mean, median,
 // 99th percentile, max). The other QFTs and regressors are the experiment
 // harness's (cmd/benchrunner).
 //
-// -timeout bounds each estimation call; it and -fallback each wrap the
-// learned estimator in the degradation chain cardestd serves (cli.Chain:
-// learned → independence → row-count heuristic, see internal/resilience), so
-// an estimate is always produced even when the learned model fails, refuses
-// the query or the deadline is spent.
+// -fallback wraps the learned estimator in the degradation chain cardestd
+// serves (cli.Chain: learned → independence → row-count heuristic, see
+// internal/resilience), so an estimate is always produced even when the
+// learned model fails or refuses the query. A one-shot run has no request
+// deadline to bound: the daemon's -timeout is the one there is.
 package main
 
 import (
@@ -47,18 +47,17 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	save := flag.String("save", "", "write the trained estimator to this JSON file")
 	load := flag.String("load", "", "load a trained estimator from this JSON file instead of training")
-	timeout := flag.Duration("timeout", 0, "per-call estimation deadline (0 = none); implies -fallback")
 	fallback := flag.Bool("fallback", false, "degrade through independence → row-count when the learned model fails or refuses a query")
 	workers := flag.Int("workers", 0, "training goroutines for the learned models (0 = one per logical CPU); trained models are bit-identical for every value")
 	flag.Parse()
 
-	if err := run(*trainN, *rows, *entries, *query, *seed, *save, *load, *timeout, *fallback, *workers); err != nil {
+	if err := run(*trainN, *rows, *entries, *query, *seed, *save, *load, *fallback, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "cardest:", err)
 		os.Exit(1)
 	}
 }
 
-func run(trainN, rows, entries int, query string, seed int64, savePath, loadPath string, timeout time.Duration, fallback bool, workers int) error {
+func run(trainN, rows, entries int, query string, seed int64, savePath, loadPath string, fallback bool, workers int) error {
 	if err := cli.ValidateWorkers(workers); err != nil {
 		return err
 	}
@@ -128,16 +127,16 @@ func run(trainN, rows, entries int, query string, seed int64, savePath, loadPath
 		fmt.Printf("saved estimator to %s\n", savePath)
 	}
 
-	// -timeout / -fallback arm the serving chain: the learned model is the
+	// -fallback arms the serving chain: the learned model is the
 	// first stage, independence degrades behind it, and the row-count
 	// heuristic guarantees an answer.
 	var serving estimator.Estimator = loc
 	var resilient *resilience.Resilient
-	if timeout > 0 || fallback {
-		resilient = cli.Chain(db, loc, timeout)
+	if fallback {
+		resilient = cli.Chain(db, loc)
 		serving = resilient
-		fmt.Printf("resilience: %d-stage chain, timeout %v, last resort %s\n",
-			len(resilient.Stats()), timeout, resilience.RowCount{}.Name())
+		fmt.Printf("resilience: %d-stage chain, last resort %s\n",
+			len(resilient.Stats()), resilience.RowCount{}.Name())
 	}
 
 	if q != nil {

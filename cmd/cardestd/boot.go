@@ -60,7 +60,7 @@ func boot(o options, out io.Writer) (_ *booted, err error) {
 	env.DB.DropRows()
 
 	b := &booted{db: env.DB, reg: serve.NewRegistry()}
-	b.reg.Wrap = func(est estimator.Estimator) estimator.Estimator { return cli.Chain(b.db, est, o.timeout) }
+	b.reg.Wrap = func(est estimator.Estimator) estimator.Estimator { return cli.Chain(b.db, est) }
 
 	if o.journalDir != "" {
 		b.jnl, err = journal.Open(o.journalDir, journal.Options{SegmentBytes: o.journalSegSz, Retain: o.journalRetain, FS: o.journalFS})

@@ -90,8 +90,11 @@
 // Every registered model serves inside cli.Chain, as in cardest: learned →
 // independence → row-count heuristic, so the daemon always answers; a query
 // the model does not encode (an OR across attributes) passes on without
-// counting against the model's breaker. -timeout bounds each estimate (0 =
-// none). SIGTERM/SIGINT drain gracefully: in-flight requests finish, new ones
+// counting against the model's breaker. -timeout is a request's estimation
+// deadline (0 = none), counted from the handler's entry; the chain alone
+// reads it, before each stage, so a request whose deadline is spent is
+// answered by the row-count heuristic and a late one is never held against
+// the model. SIGTERM/SIGINT drain gracefully: in-flight requests finish, new ones
 // get 503, and the listener closes within -drain-timeout.
 //
 // -smoke runs a self-test instead of serving: boot on a random port, fire a
@@ -186,7 +189,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "generation seed")
 	fs.IntVar(&o.workers, "workers", 0, "goroutines for training and for each client batch (0 = one per logical CPU)")
 	fs.StringVar(&o.save, "save", "", "write the boot-trained model snapshot to this file")
-	fs.DurationVar(&o.timeout, "timeout", 100*time.Millisecond, "default per-request estimation deadline (0 = none); past it, or when the learned model fails or refuses a query, independence and then the row-count heuristic answer")
+	fs.DurationVar(&o.timeout, "timeout", 100*time.Millisecond, "default per-request estimation deadline, counted from the request's arrival (0 = none); past it the row-count heuristic answers, and when the learned model fails or refuses a query, independence and then the row-count heuristic do")
 	fs.IntVar(&o.maxInFly, "max-inflight", 64, "concurrent estimate requests admitted before shedding with 429")
 	fs.DurationVar(&o.drainTO, "drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM")
 	fs.BoolVar(&o.smoke, "smoke", false, "run the self-test (random port, batched estimate, metrics scrape) and exit")

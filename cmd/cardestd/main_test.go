@@ -248,19 +248,24 @@ func TestDefaultQFTEncodesOR(t *testing.T) {
 	}
 }
 
-// TestServedTrafficIsLearned is the stage census of the served traffic: a
-// daemon booted with the default flags at the test size answers held-out
-// mixed queries in cmd/bench's shape — 8 attributes, 5 <>, 3 branches, the
-// generator's seed offset away from the boot's — every one from the learned
-// stage. With complex the one QFT served, independence answers no refusal
-// there; what it still answers is a query no QFT encodes (an OR across
-// attributes, TestRefusedQueriesLeaveTheModelServing).
+// TestServedTrafficIsLearned is the stage census of the served traffic, in
+// cmd/bench's four shapes: daemons booted with the default flags at the test
+// size answer held-out mixed queries in cmd/bench's shape — 8 attributes, 5
+// <>, 3 branches, the generator's seed offset away from the boot's — every one
+// from the learned stage: cold (each text once), single-hot (64 keys warmed
+// and re-sent) and, under -journal, feedback-hot (the same keys carrying their
+// true count). Then the chain itself is read through the registry: no stage
+// failed or was skipped, both breakers are closed, independence answered
+// nothing, and no response was degraded. With complex the one QFT served,
+// independence answers no refusal there; what it still answers is a query no
+// QFT encodes (an OR across attributes, TestRefusedQueriesLeaveTheModelServing).
 func TestServedTrafficIsLearned(t *testing.T) {
-	o := tinyOptions(t)
+	const hotKeys, hotRounds = 64, 4
 	n := 300
 	if testing.Short() {
 		n = 100
 	}
+	o := tinyOptions(t)
 	forest, err := dataset.Forest(dataset.ForestConfig{Rows: o.rows, QuantAttrs: 12, BinaryAttrs: 4, Seed: o.seed})
 	if err != nil {
 		t.Fatal(err)
@@ -272,15 +277,82 @@ func TestServedTrafficIsLearned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := armedDaemon(t).srv.Handler()
-	stages := map[string]int{}
-	for _, l := range set {
-		stage, _ := estimateOne(t, h, l.Query.String())
-		stages[stage]++
+	type census struct {
+		stages   map[string]int
+		degraded int
 	}
-	t.Logf("stages over %d held-out mixed queries: %v", len(set), stages)
-	if stages["learned"] != len(set) {
-		t.Errorf("stages over %d held-out mixed queries: %v, want every one learned", len(set), stages)
+	post := func(h http.Handler, c *census, body map[string]any) {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", bytes.NewReader(buf)))
+		var resp struct {
+			Stage    string `json:"stage"`
+			Degraded bool   `json:"degraded"`
+		}
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			t.Fatalf("POST %s: status %d: %s", buf, rec.Code, rec.Body)
+		}
+		c.stages[resp.Stage]++
+		if resp.Degraded {
+			c.degraded++
+		}
+	}
+	for _, shape := range []struct {
+		name     string
+		journal  bool
+		keys     int
+		rounds   int
+		feedback bool
+	}{
+		{"cold", false, len(set), 1, false},
+		{"single-hot", false, hotKeys, 1 + hotRounds, false},
+		{"feedback-hot", true, hotKeys, 1 + hotRounds, true},
+	} {
+		o := tinyOptions(t)
+		if shape.journal {
+			o.journalDir = t.TempDir()
+		}
+		b, err := boot(o, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := arm(b, o, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := d.srv.Handler()
+		c := census{stages: map[string]int{}}
+		for range shape.rounds {
+			for _, l := range set[:shape.keys] {
+				body := map[string]any{"sql": l.Query.String()}
+				if shape.feedback {
+					body["actual"] = l.Card
+				}
+				post(h, &c, body)
+			}
+		}
+		d.close()
+		est, _, err := b.reg.Resolve("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := est.(*resilience.Resilient).Stats()
+		t.Logf("%s: %d requests over %d keys: stages %v, %d degraded; chain %+v",
+			shape.name, shape.keys*shape.rounds, shape.keys, c.stages, c.degraded, stats)
+		if c.stages["learned"] != shape.keys*shape.rounds || c.degraded != 0 {
+			t.Errorf("%s: stages %v, %d degraded, want every one of %d learned", shape.name, c.stages, c.degraded, shape.keys*shape.rounds)
+		}
+		for _, st := range stats {
+			if st.Failed != 0 || st.Skipped != 0 || st.State != resilience.StateClosed {
+				t.Errorf("%s: stage %+v, want no failure, no skip, breaker closed", shape.name, st)
+			}
+			if st.Name == "independence" && st.Served != 0 {
+				t.Errorf("%s: independence served %d, want 0", shape.name, st.Served)
+			}
+		}
 	}
 }
 

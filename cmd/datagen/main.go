@@ -111,10 +111,8 @@ func writeWorkload(path string, set workload.Set) error {
 		return err
 	}
 	defer f.Close()
-	for _, l := range set {
-		if _, err := fmt.Fprintf(f, "%s -- cardinality: %d\n", l.Query, l.Card); err != nil {
-			return err
-		}
+	if err := workload.WriteSet(f, set); err != nil {
+		return err
 	}
 	return f.Close()
 }

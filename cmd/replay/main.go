@@ -40,7 +40,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -130,7 +129,7 @@ func run(o options, out io.Writer) error {
 
 	reports := make([]replay.Report, 0, len(ests))
 	for _, ne := range ests {
-		r := replay.Replay(context.Background(), ne.est, records, db)
+		r := replay.Replay(ne.est, records, db)
 		r.Model = ne.name // registry-style name, not the estimator's self-description
 		reports = append(reports, r)
 	}

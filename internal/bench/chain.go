@@ -87,7 +87,7 @@ func ExtensionServingChain(env *Env) (*Report, error) {
 			{"sampling 0.1%", estimator.NewSampling(db, 0.001, 1)},
 			{"independence", &estimator.Independence{DB: db}},
 			{"row-count", resilience.RowCount{DB: db}},
-			{"chain", cli.Chain(db, learned, 0)},
+			{"chain", cli.Chain(db, learned)},
 		} {
 			r.Lines = append(r.Lines, stageRow(st.name, scoreStage(st.est, in.test)))
 		}

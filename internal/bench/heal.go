@@ -179,7 +179,7 @@ func fitResidual(live estimator.Estimator, feat core.Featurizer, set workload.Se
 		if X[i], err = feat.Featurize(l.Query.Where); err != nil {
 			return nil, err
 		}
-		y[i] = math.Log2(float64(l.Card)+1) - math.Log2(est+1)
+		y[i] = estimator.Log2Label(float64(l.Card)) - estimator.Log2Label(est)
 	}
 	trees, err := gb.Train(X, y, cfg)
 	if err != nil {
@@ -201,7 +201,7 @@ func (h *residualHeal) Estimate(q *sqlparse.Query) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return max(math.Exp2(math.Min(math.Log2(est+1)+h.trees.Predict(x), 62))-1, 1), nil
+	return estimator.FromLog2Label(estimator.Log2Label(est) + h.trees.Predict(x)), nil
 }
 
 // healScore is one model's q-error on the drifted and in-distribution

@@ -65,7 +65,7 @@ func TestMSCNRejectsEstimateBeforeTrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := New(db, dataset.IMDBSchema(), Original, core.DefaultOptions(), DefaultConfig())
+	est, err := New(db, dataset.IMDBSchema(), Original, core.Options{MaxEntriesPerAttr: 64, AttrSel: true}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

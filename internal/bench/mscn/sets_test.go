@@ -146,7 +146,7 @@ func TestEncoderPadding(t *testing.T) {
 
 func TestEncoderErrors(t *testing.T) {
 	schema, metas := twoTableSchema()
-	m, err := NewEncoder(schema, metas, Original, core.DefaultOptions())
+	m, err := NewEncoder(schema, metas, Original, core.Options{MaxEntriesPerAttr: 64, AttrSel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,14 @@ func TestEncoderErrors(t *testing.T) {
 	if _, err := m.Encode(q); err == nil {
 		t.Error("non-FK join accepted")
 	}
-	if _, err := NewEncoder(schema, map[string]*core.TableMeta{}, Original, core.DefaultOptions()); err == nil {
+	if _, err := NewEncoder(schema, map[string]*core.TableMeta{}, Original, core.Options{MaxEntriesPerAttr: 64, AttrSel: true}); err == nil {
 		t.Error("missing metas accepted")
 	}
 }
 
 func TestEncoderJoinOrientationSymmetric(t *testing.T) {
 	schema, metas := twoTableSchema()
-	m, err := NewEncoder(schema, metas, Original, core.DefaultOptions())
+	m, err := NewEncoder(schema, metas, Original, core.Options{MaxEntriesPerAttr: 64, AttrSel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

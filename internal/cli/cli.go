@@ -24,13 +24,10 @@ import (
 // learned → independence (the Postgres-style baseline), with the row-count
 // heuristic as the last resort. ext9 (EXPERIMENTS.md) scored each stage alone;
 // Bernoulli sampling lost to independence wherever it answers, refuses joins,
-// and is not in it. timeout bounds a call that brings no deadline of its own;
-// 0 means none.
-func Chain(db *table.DB, learned estimator.Estimator, timeout time.Duration) *resilience.Resilient {
-	return resilience.NewResilient(resilience.Config{
-		Timeout:    timeout,
-		LastResort: resilience.RowCount{DB: db},
-	},
+// and is not in it. A call is bounded by the deadline its context carries, if
+// any (the daemon's request deadline); the chain sets none of its own.
+func Chain(db *table.DB, learned estimator.Estimator) *resilience.Resilient {
+	return resilience.NewResilient(resilience.Config{LastResort: resilience.RowCount{DB: db}},
 		resilience.Stage{Name: "learned", Est: learned},
 		resilience.Stage{Name: "independence", Est: &estimator.Independence{DB: db}},
 	)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"qfe/internal/core"
 	"qfe/internal/estimator"
@@ -181,7 +180,7 @@ func TestChain(t *testing.T) {
 	if err := loc.Train(train); err != nil {
 		t.Fatal(err)
 	}
-	chain := Chain(env.DB, loc, time.Second)
+	chain := Chain(env.DB, loc)
 	for _, tc := range []struct{ where, stage string }{
 		{"A1 >= 2500 AND A2 <= 200", "learned"},
 		{"A1 <= 2000 OR A1 >= 3000", "independence"},
@@ -204,5 +203,49 @@ func TestChain(t *testing.T) {
 	}
 	if got := strings.Join(names, " → "); got != "learned → independence" {
 		t.Errorf("stages %s, want learned → independence", got)
+	}
+}
+
+// lapsingCtx reads alive at its first Err and spent from the second: a
+// request whose deadline lapses just after the chain has checked it.
+type lapsingCtx struct {
+	context.Context
+	reads int
+}
+
+func (c *lapsingCtx) Err() error {
+	if c.reads++; c.reads == 1 {
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// TestLapsedDeadlineIsNotAModelFailure: the chain alone reads a request's
+// deadline, so a request it admitted to the learned stage is that stage's to
+// answer, however late, and is never a failure of the model. While each stage
+// read the deadline again, five requests whose deadline lapsed between the
+// chain's check and the stage's were five failures: they opened the learned
+// stage's breaker, and the next request, with time to spare, was answered by
+// independence, degraded, for the breaker's cooldown.
+func TestLapsedDeadlineIsNotAModelFailure(t *testing.T) {
+	env, err := BuildForestEnv(ForestSpec{Rows: 500, TrainN: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := sqlparse.MustParse("SELECT count(*) FROM forest WHERE A1 >= 2500")
+	if err := exec.Bind(q, env.DB); err != nil {
+		t.Fatal(err)
+	}
+	chain := Chain(env.DB, resilience.Constant{Value: 42})
+	for i := 0; i < 5; i++ {
+		if res := chain.EstimateDetailed(&lapsingCtx{Context: context.Background()}, q); res.Stage != "learned" || res.Estimate != 42 {
+			t.Errorf("lapsing request %d: %+v, want learned's 42", i+1, res)
+		}
+	}
+	if res := chain.EstimateDetailed(context.Background(), q); res.Stage != "learned" || res.Degraded {
+		t.Errorf("a request with time to spare after five lapsed ones: %+v, want learned, not degraded", res)
+	}
+	if st := chain.Stats()[0]; st.Name != "learned" || st.Failed != 0 || st.State != resilience.StateClosed || st.Served != 6 {
+		t.Errorf("learned stage %+v, want 6 served, 0 failed, breaker closed", st)
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"qfe/internal/sqlparse"
@@ -221,12 +220,6 @@ type Options struct {
 	// lines of Algorithm 1) to each per-attribute vector. Table 3 studies
 	// its effect.
 	AttrSel bool
-}
-
-// DefaultOptions mirrors the paper's evaluation defaults: 64 per-attribute
-// entries with per-attribute selectivity estimates appended.
-func DefaultOptions() Options {
-	return Options{MaxEntriesPerAttr: 64, AttrSel: true}
 }
 
 // Normalized fills unset fields with the paper's defaults: a zero
@@ -473,17 +466,5 @@ func New(name string, meta *TableMeta, opts Options) (Featurizer, error) {
 	case "complex":
 		return NewComplex(meta, opts), nil
 	}
-	return nil, CheckQFT(name)
+	return nil, fmt.Errorf("core: unknown QFT %q (want conjunctive or complex)", name)
 }
-
-// CheckQFT returns New's error for a name New refuses, and nil for one of
-// QFTNames.
-func CheckQFT(name string) error {
-	if slices.Contains(QFTNames(), name) {
-		return nil
-	}
-	return fmt.Errorf("core: unknown QFT %q (want conjunctive or complex)", name)
-}
-
-// QFTNames lists the QFT names accepted by New, in the paper's order.
-func QFTNames() []string { return []string{"conjunctive", "complex"} }

@@ -48,7 +48,7 @@ func TestFeaturizeIntoMatchesOracle(t *testing.T) {
 				meta = NewTableMeta(tbl, 16)
 			}
 			opts := Options{MaxEntriesPerAttr: 16, AttrSel: attrSel}
-			for _, name := range QFTNames() {
+			for _, name := range []string{"conjunctive", "complex"} {
 				f, err := New(name, meta, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -120,7 +120,7 @@ func TestFeaturizeIntoErrors(t *testing.T) {
 	unknown := &sqlparse.Pred{Attr: "nope", Op: sqlparse.OpEq, Val: 1}
 	str := "x"
 	unbound := &sqlparse.Pred{Attr: "a", Op: sqlparse.OpEq, Str: &str}
-	for _, name := range QFTNames() {
+	for _, name := range []string{"conjunctive", "complex"} {
 		f, err := New(name, meta, opts)
 		if err != nil {
 			t.Fatal(err)

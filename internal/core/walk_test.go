@@ -52,7 +52,7 @@ func TestWalkMatchesOracleOnMixedWorkload(t *testing.T) {
 			meta = NewTableMetaWeighted(forest, 32)
 		}
 		for _, attrSel := range []bool{false, true} {
-			for _, name := range QFTNames() {
+			for _, name := range []string{"conjunctive", "complex"} {
 				f, err := New(name, meta, Options{MaxEntriesPerAttr: 32, AttrSel: attrSel})
 				if err != nil {
 					t.Fatal(err)

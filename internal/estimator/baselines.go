@@ -1,7 +1,6 @@
 package estimator
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -22,13 +21,7 @@ func (o *Oracle) Name() string { return "True cardinalities" }
 
 // Estimate implements Estimator by exact execution.
 func (o *Oracle) Estimate(q *sqlparse.Query) (float64, error) {
-	return o.EstimateCtx(context.Background(), q)
-}
-
-// EstimateCtx implements ContextEstimator: exact execution is the most
-// expensive "estimator" in the system, so it honors deadlines.
-func (o *Oracle) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
-	c, err := exec.CountCtx(ctx, o.DB, q)
+	c, err := exec.Count(o.DB, q)
 	if err != nil {
 		return 0, err
 	}
@@ -59,8 +52,7 @@ type Sampling struct {
 	// its sample from an RNG derived from (Seed, i), so a fixed seed still
 	// yields a reproducible sequence of estimates. Deriving a fresh RNG per
 	// call keeps the table scan lock-free — mu only guards the call
-	// counter, so a slow or abandoned scan never blocks concurrent callers
-	// and their deadlines stay enforceable.
+	// counter, so a slow scan never blocks concurrent callers.
 	Seed int64
 
 	mu    sync.Mutex
@@ -78,19 +70,9 @@ func NewSampling(db *table.DB, fraction float64, seed int64) *Sampling {
 // Name implements Estimator.
 func (s *Sampling) Name() string { return "Sampling" }
 
-// Estimate implements Estimator.
+// Estimate implements Estimator. The per-query table scan runs without
+// holding any lock, so concurrent calls proceed independently.
 func (s *Sampling) Estimate(q *sqlparse.Query) (float64, error) {
-	return s.EstimateCtx(context.Background(), q)
-}
-
-// EstimateCtx implements ContextEstimator: the per-query table scan checks
-// for cancellation every few thousand rows, and runs without holding any
-// lock, so concurrent calls proceed independently even while one scan is
-// slow or abandoned.
-func (s *Sampling) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
 	// A short critical section derives this call's RNG stream; the scan
 	// itself is lock-free.
 	s.mu.Lock()
@@ -109,17 +91,10 @@ func (s *Sampling) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64,
 	}
 	n := t.NumRows()
 	hits := 0
-	sampled := 0
 	for r := 0; r < n; r++ {
-		if r%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
 		if rng.Float64() >= s.Fraction {
 			continue
 		}
-		sampled++
 		ok, err := rowQualifies(t, q.Where, r)
 		if err != nil {
 			return 0, err

@@ -14,6 +14,11 @@
 // Learned estimators regress on log2-transformed cardinalities (Log2Label,
 // the standard choice for q-error training; the harness's abl4 measures raw
 // labels against it).
+//
+// An Estimator takes no context: a served estimate is featurization and one
+// forest walk, microseconds of bounded arithmetic with nothing to wait on. A
+// request's deadline is read by the serving chain that calls it
+// (internal/resilience), before each stage, and by nothing here.
 package estimator
 
 import (
@@ -37,17 +42,6 @@ type Estimator interface {
 	Estimate(q *sqlparse.Query) (float64, error)
 }
 
-// ContextEstimator is an Estimator that additionally honors context
-// cancellation and deadlines. Estimators whose per-call work is non-trivial
-// (exact execution, row sampling, deep model inference) implement it so a
-// serving layer can bound estimation latency; cheap estimators need not.
-type ContextEstimator interface {
-	Estimator
-	// EstimateCtx is Estimate under a context: it returns ctx.Err() promptly
-	// once the context is cancelled or its deadline passes.
-	EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error)
-}
-
 // RefuseGroupBy is the serving edge's answer to a grouped query (the daemon's
 // parse step, cardest -query): a GROUP BY query's cardinality is its number
 // of groups, every Estimator here is trained on row counts, and answering
@@ -69,22 +63,6 @@ func RefuseGroupBy(q *sqlparse.Query) error {
 type BatchEstimator interface {
 	Estimator
 	EstimateBatch(ctx context.Context, qs []*sqlparse.Query) (ests []float64, errs []error)
-}
-
-// EstimateWithContext estimates q with est under ctx: estimators that
-// implement ContextEstimator get the context threaded through; for plain
-// estimators the context is checked before the (uninterruptible) call. It is
-// the single dispatch point the engine and serving layers use, so adding
-// EstimateCtx to an estimator automatically makes it deadline-aware
-// everywhere.
-func EstimateWithContext(ctx context.Context, est Estimator, q *sqlparse.Query) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if ce, ok := est.(ContextEstimator); ok {
-		return ce.EstimateCtx(ctx, q)
-	}
-	return est.Estimate(q)
 }
 
 // Evaluate runs the estimator over a labeled query set and returns the

@@ -2,7 +2,6 @@ package estimator
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -179,17 +178,6 @@ func (ind *Independence) Estimate(q *sqlparse.Query) (float64, error) {
 		est = 1
 	}
 	return est, nil
-}
-
-// EstimateCtx implements ContextEstimator: the context is checked on entry;
-// what follows is arithmetic on the catalog's histograms (a column nothing
-// has asked about yet is first gathered in one pass) — bounded work with
-// nowhere to block (see Local.EstimateCtx).
-func (ind *Independence) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return ind.Estimate(q)
 }
 
 // columnName is a predicate's attribute name without its table qualifier.

@@ -1,7 +1,6 @@
 package estimator
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -207,18 +206,6 @@ func (l *Local) Estimate(q *sqlparse.Query) (float64, error) {
 		return 0, err
 	}
 	return FromLog2Label(lm.reg.Predict(fs.vec)), nil
-}
-
-// EstimateCtx implements ContextEstimator. An estimate is microseconds of
-// bounded arithmetic with nowhere to block, so the context is checked on
-// entry and there is nothing further to interrupt: the resilience chain,
-// which calls every stage on the caller's goroutine, relies on it returning
-// within microseconds of a spent deadline.
-func (l *Local) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return l.Estimate(q)
 }
 
 // ValidateSchema checks that the estimator's featurization metadata is

@@ -1,12 +1,9 @@
 package estimator
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
@@ -29,40 +26,6 @@ func bigSamplingDB(rows int) *table.DB {
 	db := table.NewDB()
 	db.MustAdd(t)
 	return db
-}
-
-// TestSamplingExpiredContextNotBlockedByInflightScan: the satellite fix —
-// a second call with an expired context must return promptly even while a
-// first scan is in flight, because the scan no longer runs under the
-// estimator's mutex.
-func TestSamplingExpiredContextNotBlockedByInflightScan(t *testing.T) {
-	db := bigSamplingDB(2_000_000)
-	s := NewSampling(db, 0.5, 42)
-	q := sqlparse.MustParse("SELECT count(*) FROM big WHERE a <= 500 AND b <= 25")
-
-	started := make(chan struct{})
-	firstDone := make(chan struct{})
-	go func() {
-		close(started)
-		if _, err := s.Estimate(q); err != nil {
-			t.Errorf("in-flight scan failed: %v", err)
-		}
-		close(firstDone)
-	}()
-	<-started
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	begin := time.Now()
-	_, err := s.EstimateCtx(ctx, q)
-	elapsed := time.Since(begin)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if elapsed > 500*time.Millisecond {
-		t.Errorf("expired-context call took %v; it must not wait for the in-flight scan", elapsed)
-	}
-	<-firstDone
 }
 
 // TestSamplingDeterministicSequence: a fixed seed still yields a

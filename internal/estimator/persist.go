@@ -128,7 +128,7 @@ func LoadLocal(r io.Reader) (*Local, error) {
 
 	// The paper's two encodings are served: complex, which the binaries
 	// train, and conjunctive, which format-1 snapshots were written under.
-	if core.CheckQFT(s.QFT) != nil {
+	if s.QFT != "complex" && s.QFT != "conjunctive" {
 		return nil, fmt.Errorf("estimator: QFT %q is not served (a snapshot holds complex or conjunctive)", s.QFT)
 	}
 	if s.RawLabels {
@@ -140,7 +140,7 @@ func LoadLocal(r io.Reader) (*Local, error) {
 
 	qft := s.QFT // the closure lives as long as the estimator: it must not hold s's payloads
 	newFeat := func(m *core.TableMeta, o core.Options) core.Featurizer {
-		f, _ := core.New(qft, m, o) // New refuses only a name, and CheckQFT passed it
+		f, _ := core.New(qft, m, o) // New refuses only a name, and this one was checked above
 		return f
 	}
 	l := newLocal(LocalConfig{NewFeaturizer: newFeat, Opts: s.Opts, NewRegressor: NewGBFactory(gb.DefaultConfig())})

@@ -20,7 +20,6 @@
 package replay
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -53,7 +52,7 @@ type Report struct {
 	Unlabeled int `json:"unlabeled"`
 	// Unparsed records carry SQL that no longer parses (or empty SQL).
 	Unparsed int `json:"unparsed"`
-	// Failed estimates (errors, cancellations, records that do not bind)
+	// Failed estimates (errors, records that do not bind)
 	// score as +Inf q-error.
 	Failed int `json:"failed"`
 	// Scored is how many q-errors the summary aggregates.
@@ -68,12 +67,11 @@ type Report struct {
 
 // Replay estimates every labeled record with est and aggregates q-errors
 // against the journaled actuals. Replay order is the journal's (oldest
-// first), so the report is deterministic for a fixed estimator and stream.
-// A cancelled context fails the remaining records rather than aborting: the
-// report always accounts for every record it was given. Each record is
-// parsed and bound against db, as the daemon did on receipt; one that does
-// not bind is scored as failed.
-func Replay(ctx context.Context, est estimator.Estimator, records []journal.Record, db *table.DB) Report {
+// first), so the report is deterministic for a fixed estimator and stream,
+// and it accounts for every record it was given. Each record is parsed and
+// bound against db, as the daemon did on receipt; one that does not bind is
+// scored as failed.
+func Replay(est estimator.Estimator, records []journal.Record, db *table.DB) Report {
 	rep := Report{Model: est.Name(), Records: len(records), PerTable: map[string]TableStats{}}
 	var all []float64
 	perTable := map[string][]float64{}
@@ -89,7 +87,7 @@ func Replay(ctx context.Context, est estimator.Estimator, records []journal.Reco
 		}
 		qerr, e := math.Inf(1), 0.0
 		if err = exec.Bind(q, db); err == nil {
-			e, err = estimator.EstimateWithContext(ctx, est, q)
+			e, err = est.Estimate(q)
 		}
 		if err != nil {
 			rep.Failed++

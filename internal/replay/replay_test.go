@@ -1,7 +1,6 @@
 package replay_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -57,7 +56,7 @@ func TestReplayReport(t *testing.T) {
 		{UnixMicros: 4, SQL: "SELECT count(*) FROM t WHERE a >= 4", Estimate: 5}, // unlabeled
 		{UnixMicros: 5, SQL: "this is not SQL", Actual: 3, HasActual: true},      // unparseable
 	}
-	rep := replay.Replay(context.Background(), constEst(10), records, tDB())
+	rep := replay.Replay(constEst(10), records, tDB())
 	if rep.Model != "const" {
 		t.Errorf("Model = %q, want the estimator's name", rep.Model)
 	}
@@ -79,8 +78,8 @@ func TestReplayDeterministic(t *testing.T) {
 	for i := range records {
 		records[i] = labeledRec(i, float64(i%7)+1)
 	}
-	a := replay.Replay(context.Background(), constEst(4), records, tDB())
-	b := replay.Replay(context.Background(), constEst(4), records, tDB())
+	a := replay.Replay(constEst(4), records, tDB())
+	b := replay.Replay(constEst(4), records, tDB())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two replays of the same stream differ:\n%+v\n%+v", a, b)
 	}
@@ -89,7 +88,7 @@ func TestReplayDeterministic(t *testing.T) {
 func TestReplayScoresFailuresAsInf(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	records := []journal.Record{labeledRec(0, 10), labeledRec(1, 10)}
-	rep := replay.Replay(context.Background(), errEst{}, records, tDB())
+	rep := replay.Replay(errEst{}, records, tDB())
 	if rep.Failed != 2 || rep.Scored != 2 {
 		t.Fatalf("accounting = %+v, want both records failed AND scored", rep)
 	}
@@ -271,7 +270,7 @@ func TestTraffic(t *testing.T) {
 // sees it.
 func TestReplayScoresUnboundAsFailed(t *testing.T) {
 	records := []journal.Record{labeledRec(0, 10), {UnixMicros: 2, SQL: "SELECT count(*) FROM t WHERE z = 1", Actual: 3, HasActual: true}}
-	rep := replay.Replay(context.Background(), constEst(10), records, tDB())
+	rep := replay.Replay(constEst(10), records, tDB())
 	if rep.Failed != 1 || rep.Scored != 2 || rep.Unparsed != 0 {
 		t.Fatalf("accounting = %+v, want 2 scored, 1 of them failed", rep)
 	}

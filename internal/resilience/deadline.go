@@ -9,14 +9,12 @@ import (
 
 // WithDeadline is context.WithDeadline(parent, at) to every observer, except
 // that it arms no timer until something asks for Done. An estimation
-// deadline is read through Err by nearly everything that honours it — the
-// chain's loop, estimator.EstimateWithContext's pre-check, estimator.Local's
-// EstimateCtx — and for those a timer, and the child it registers on the
-// parent's cancelCtx, are pure overhead: Err compares the clock with at
-// instead. A caller that
-// selects on Done (a stage that blocks, such as faultinject's injected
-// latency) arms the real context.WithDeadline at its first call and wakes
-// exactly when it would have.
+// deadline is read through Err alone, by the one reader it has — Resilient's
+// loop, before each stage — and for that a timer, and the child it registers
+// on the parent's cancelCtx, are pure overhead: Err compares the clock with at
+// instead. A caller that selects on Done (nothing on the request path does)
+// arms the real context.WithDeadline at its first call and wakes exactly when
+// it would have.
 //
 // If the parent's deadline is no later than at, the parent is returned as it
 // is with a no-op cancel. The cancel returned otherwise releases the timer, if

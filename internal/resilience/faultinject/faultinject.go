@@ -7,7 +7,6 @@
 package faultinject
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -35,8 +34,7 @@ type Config struct {
 	InfRate float64
 	// NegativeRate is the probability a call returns -1.
 	NegativeRate float64
-	// Latency is added to every call. Context-aware paths abort the sleep
-	// (and the call) when the context expires first.
+	// Latency is slept before every call's fault is drawn.
 	Latency time.Duration
 }
 
@@ -82,14 +80,13 @@ func (k Kind) String() string {
 
 // Counts tallies calls by outcome.
 type Counts struct {
-	Calls           int
-	Clean           int
-	Panics          int
-	Errors          int
-	NaNs            int
-	Infs            int
-	Negatives       int
-	LatencyTimeouts int // calls whose injected latency outlived the context
+	Calls     int
+	Clean     int
+	Panics    int
+	Errors    int
+	NaNs      int
+	Infs      int
+	Negatives int
 }
 
 // Injector wraps an estimator with deterministic faults. It is safe for
@@ -150,28 +147,10 @@ func (in *Injector) draw() Kind {
 	return k
 }
 
-// Estimate implements Estimator (no deadline: injected latency sleeps in
-// full).
+// Estimate implements Estimator: latency is injected first, then the drawn
+// fault fires, then — for clean calls — the wrapped estimator runs.
 func (in *Injector) Estimate(q *sqlparse.Query) (float64, error) {
-	return in.EstimateCtx(context.Background(), q)
-}
-
-// EstimateCtx implements ContextEstimator: latency is injected first (bounded
-// by the context), then the drawn fault fires, then — for clean calls — the
-// wrapped estimator runs.
-func (in *Injector) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
-	if in.cfg.Latency > 0 {
-		t := time.NewTimer(in.cfg.Latency)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			in.mu.Lock()
-			in.counts.LatencyTimeouts++
-			in.mu.Unlock()
-			return 0, ctx.Err()
-		case <-t.C:
-		}
-	}
+	time.Sleep(in.cfg.Latency)
 	switch in.draw() {
 	case Panicked:
 		panic("faultinject: injected panic")
@@ -184,7 +163,7 @@ func (in *Injector) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64
 	case ReturnedNegative:
 		return -1, nil
 	}
-	return estimator.EstimateWithContext(ctx, in.inner, q)
+	return in.inner.Estimate(q)
 }
 
 // Counts snapshots the outcome tallies.

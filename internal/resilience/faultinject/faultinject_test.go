@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -97,23 +96,6 @@ func TestCleanCallsPassThrough(t *testing.T) {
 	}
 	if c := in.Counts(); c.Clean != 1 || c.Calls != 1 {
 		t.Fatalf("counts %+v", c)
-	}
-}
-
-func TestLatencyRespectsContext(t *testing.T) {
-	in := New(constEst{v: 5}, Config{Seed: 1, Latency: 5 * time.Second})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := in.EstimateCtx(ctx, q)
-	if time.Since(start) > time.Second {
-		t.Fatal("injected latency ignored the context deadline")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if c := in.Counts(); c.LatencyTimeouts != 1 {
-		t.Fatalf("latency timeout not counted: %+v", c)
 	}
 }
 

@@ -12,33 +12,22 @@ import (
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
 	"qfe/internal/ml/gb"
-	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 	"qfe/internal/testutil"
 	"qfe/internal/workload"
 )
 
-// ctxStub is a stubEst that also implements estimator.ContextEstimator.
-type ctxStub struct{ *stubEst }
-
-func (s ctxStub) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.Estimate(q)
-}
-
-// TestInlineStageAllocs: a healthy ContextEstimator stage under a context
-// that already carries a deadline (as every request context the daemon
-// builds does) is answered without a single allocation — so no goroutine
-// and no channel were made for it.
+// TestInlineStageAllocs: a healthy stage under a context that already
+// carries a deadline (as every request context the daemon builds does) is
+// answered without a single allocation — so no goroutine and no channel were
+// made for it.
 func TestInlineStageAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	r := NewResilient(Config{Timeout: time.Second, LastResort: Constant{Value: 1}},
-		Stage{Name: "learned", Est: ctxStub{healthy(42)}},
-		Stage{Name: "fallback", Est: ctxStub{healthy(7)}},
+		Stage{Name: "learned", Est: healthy(42)},
+		Stage{Name: "fallback", Est: healthy(7)},
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -52,24 +41,21 @@ func TestInlineStageAllocs(t *testing.T) {
 }
 
 // TestInlineStageHonorsDeadline: the chain checks the deadline before each
-// call, so a spent context reaches neither a stage that takes one nor a stage
-// that is only an Estimator.
+// call, so a context spent before the chain runs reaches no stage; the last
+// resort answers, degraded.
 func TestInlineStageHonorsDeadline(t *testing.T) {
-	inline, guarded := healthy(1), healthy(2)
+	first, second := healthy(1), healthy(2)
 	r := NewResilient(Config{LastResort: Constant{Value: 17}},
-		Stage{Name: "inline", Est: ctxStub{inline}},
-		Stage{Name: "guarded", Est: guarded},
+		Stage{Name: "first", Est: first},
+		Stage{Name: "second", Est: second},
 	)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if v, err := callGuarded(ctx, "inline", ctxStub{inline}, testQuery); err != context.Canceled || v != 0 {
-		t.Errorf("inline call under a cancelled context = %v, %v", v, err)
+	if res := r.EstimateDetailed(ctx, testQuery); res.Estimate != 17 || res.Stage != "constant" || !res.Degraded {
+		t.Errorf("cancelled context: %+v, want the last resort, degraded", res)
 	}
-	if res := r.EstimateDetailed(ctx, testQuery); res.Estimate != 17 {
-		t.Errorf("cancelled context: %+v, want the last resort", res)
-	}
-	if inline.callCount() != 0 || guarded.callCount() != 0 {
-		t.Errorf("a stage ran under a cancelled context: inline %d, guarded %d calls", inline.callCount(), guarded.callCount())
+	if first.callCount() != 0 || second.callCount() != 0 {
+		t.Errorf("a stage ran under a cancelled context: first %d, second %d calls", first.callCount(), second.callCount())
 	}
 }
 

@@ -17,12 +17,14 @@
 // the query (core.ErrUnsupported), which its breaker does not count. Every
 // stage runs on the caller's goroutine and is guarded by:
 //
-//   - a per-call deadline (context.Context), checked before each stage and
-//     handed to a stage that takes one (estimator.ContextEstimator), which is
-//     trusted to return at it; a stage that takes none is not interrupted,
-//     so the chain bounds a request's time only as far as its stages honour
-//     their contexts (every stage any binary builds does: estimator.Local,
-//     Independence, Sampling);
+//   - a per-call deadline (context.Context), which the chain alone reads:
+//     it checks Err before each stage and, once the deadline is spent, tries
+//     no further stage and answers with the last resort. A stage is a plain
+//     estimator.Estimator and never sees the deadline — an estimate is
+//     microseconds of bounded arithmetic with nothing to wait on — so a stage
+//     that has started runs to its return, and what it returns is its own
+//     doing, never the deadline's: a late request does not count against the
+//     stage's breaker;
 //   - panic recovery, converting panics in model code into stage errors;
 //   - a circuit breaker with half-open probing, so a persistently failing
 //     stage stops being invoked on the hot path and is re-admitted only
@@ -107,9 +109,9 @@ type StageStats struct {
 	Skipped int
 }
 
-// Resilient chains estimators with graceful degradation. It implements
-// estimator.ContextEstimator and never returns an error or a non-finite
-// estimate: the worst case is the last-resort heuristic.
+// Resilient chains estimators with graceful degradation. It never returns an
+// error or a non-finite estimate: the worst case is the last-resort
+// heuristic.
 type Resilient struct {
 	cfg        Config
 	stages     []*stageState
@@ -164,16 +166,10 @@ type Result struct {
 }
 
 // Estimate implements Estimator (background context, so only the configured
-// Timeout applies). The returned error is always nil.
+// Timeout applies). The returned error is always nil: degradation replaces
+// failure.
 func (r *Resilient) Estimate(q *sqlparse.Query) (float64, error) {
-	return r.EstimateCtx(context.Background(), q)
-}
-
-// EstimateCtx implements ContextEstimator. The returned error is always nil:
-// degradation replaces failure.
-func (r *Resilient) EstimateCtx(ctx context.Context, q *sqlparse.Query) (float64, error) {
-	res := r.EstimateDetailed(ctx, q)
-	return res.Estimate, nil
+	return r.EstimateDetailed(context.Background(), q).Estimate, nil
 }
 
 // EstimateDetailed runs the chain and reports which stage answered and what
@@ -199,7 +195,7 @@ func (r *Resilient) EstimateDetailed(ctx context.Context, q *sqlparse.Query) Res
 			res.Errors = append(res.Errors, StageError{s.name, ErrBreakerOpen})
 			continue
 		}
-		v, err := r.attempt(ctx, s, q)
+		v, err := r.attempt(s, q)
 		if err == nil {
 			res.Estimate = v
 			res.Stage = s.name
@@ -217,10 +213,11 @@ func (r *Resilient) EstimateDetailed(ctx context.Context, q *sqlparse.Query) Res
 // attempt runs one stage once, counts the call and reports exactly one breaker
 // outcome, pairing the Allow that admitted the call: Success on a valid
 // estimate, Release on a refusal (the query's shape decided it, not the
-// stage's health), Failure on any other error, a panic, a spent deadline or an
-// invalid value.
-func (r *Resilient) attempt(ctx context.Context, s *stageState, q *sqlparse.Query) (float64, error) {
-	v, err := callGuarded(ctx, s.name, s.est, q)
+// stage's health), Failure on any other error, a panic or an invalid value.
+// The stage never sees the request's deadline, so nothing it returns is the
+// deadline's doing.
+func (r *Resilient) attempt(s *stageState, q *sqlparse.Query) (float64, error) {
+	v, err := callGuarded(s.name, s.est, q)
 	if err == nil && !validEstimate(v) {
 		err = fmt.Errorf("resilience: stage %s returned invalid estimate %v", s.name, v)
 	}
@@ -240,18 +237,15 @@ func (r *Resilient) attempt(ctx context.Context, s *stageState, q *sqlparse.Quer
 }
 
 // callGuarded runs one stage call on the caller's goroutine, with a panic in
-// model code converted into the stage's error. estimator.EstimateWithContext
-// checks the deadline before the call and hands it to a stage that takes one;
-// the stage's own return is final. It costs neither a goroutine nor an
-// allocation, and it only reads ctx.Err, so a WithDeadline context arms no
-// timer unless the stage itself selects on Done.
-func callGuarded(ctx context.Context, name string, est estimator.Estimator, q *sqlparse.Query) (v float64, err error) {
+// model code converted into the stage's error. It costs neither a goroutine
+// nor an allocation.
+func callGuarded(name string, est estimator.Estimator, q *sqlparse.Query) (v float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			v, err = 0, fmt.Errorf("resilience: panic in stage %s: %v", name, p)
 		}
 	}()
-	return estimator.EstimateWithContext(ctx, est, q)
+	return est.Estimate(q)
 }
 
 // lastResortEstimate is total: panics and invalid values collapse to the

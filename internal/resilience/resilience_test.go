@@ -137,62 +137,35 @@ func TestLastResortAlwaysAnswers(t *testing.T) {
 	// Even with no stages and no last resort configured, an estimate comes
 	// back.
 	empty := NewResilient(Config{})
-	v, err := empty.EstimateCtx(context.Background(), testQuery)
+	v, err := empty.Estimate(testQuery)
 	if err != nil || v < 1 {
 		t.Fatalf("empty chain: v=%v err=%v", v, err)
 	}
 }
 
-// slowStage takes two seconds to answer unless its context ends first: a
-// stage that honours its context, as every stage a binary builds does.
-type slowStage struct{}
-
-func (slowStage) Name() string { return "slow" }
-
-func (s slowStage) Estimate(q *sqlparse.Query) (float64, error) {
-	return s.EstimateCtx(context.Background(), q)
-}
-
-func (slowStage) EstimateCtx(ctx context.Context, _ *sqlparse.Query) (float64, error) {
-	select {
-	case <-time.After(2 * time.Second):
-		return 123, nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-}
-
-func TestDeadlineBoundsSlowStage(t *testing.T) {
-	r := NewResilient(Config{Timeout: 30 * time.Millisecond, LastResort: Constant{Value: 17}},
-		Stage{Est: slowStage{}},
-	)
-	start := time.Now()
-	res := r.EstimateDetailed(context.Background(), testQuery)
-	elapsed := time.Since(start)
-	if elapsed > time.Second {
-		t.Fatalf("deadline not enforced: call took %v", elapsed)
-	}
-	if res.Estimate != 17 || !res.Degraded {
-		t.Fatalf("expected the last resort to answer, degraded, got %+v", res)
-	}
-	if len(res.Errors) == 0 || !errors.Is(res.Errors[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("expected a deadline error, got %v", res.Errors)
-	}
-}
-
+// TestCallerDeadlineWins: a caller context with its own (shorter) deadline is
+// respected; the configured Timeout only applies when the caller brought
+// none. The chain reads it before each stage, so a stage that sleeps past it
+// and fails leaves the next stage untried: the last resort answers.
 func TestCallerDeadlineWins(t *testing.T) {
-	// A caller context with its own (shorter) deadline is respected; the
-	// configured Timeout only applies when the caller brought none.
-	r := NewResilient(Config{Timeout: time.Hour, LastResort: Constant{Value: 3}}, Stage{Est: slowStage{}})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	sleepy := &stubEst{name: "sleepy", fn: func(int) (float64, error) {
+		time.Sleep(40 * time.Millisecond)
+		return 0, errors.New("late and wrong")
+	}}
+	next := healthy(7)
+	r := NewResilient(Config{Timeout: time.Hour, LastResort: Constant{Value: 3}},
+		Stage{Est: sleepy}, Stage{Name: "next", Est: next})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	res := r.EstimateDetailed(ctx, testQuery)
-	if time.Since(start) > time.Second {
-		t.Fatal("caller deadline ignored")
+	if res.Estimate != 3 || res.Stage != "constant" || !res.Degraded {
+		t.Fatalf("expected the last resort, degraded, got %+v", res)
 	}
-	if res.Estimate != 3 || !res.Degraded {
-		t.Fatalf("expected last resort, degraded, got %+v", res)
+	if next.callCount() != 0 {
+		t.Errorf("the next stage ran %d times past the caller's deadline", next.callCount())
+	}
+	if len(res.Errors) != 2 || res.Errors[1].Stage != "next" || !errors.Is(res.Errors[1].Err, context.DeadlineExceeded) {
+		t.Errorf("errors %v, want the sleepy stage's failure, then next skipped at the deadline", res.Errors)
 	}
 }
 
@@ -314,7 +287,7 @@ func TestBreakerShortCircuitsHotPath(t *testing.T) {
 		Stage{Est: backup},
 	)
 	for i := 0; i < 10; i++ {
-		v, err := r.EstimateCtx(context.Background(), testQuery)
+		v, err := r.Estimate(testQuery)
 		if err != nil || v != 5 {
 			t.Fatalf("call %d: v=%v err=%v", i, v, err)
 		}
@@ -336,7 +309,7 @@ func TestBreakerShortCircuitsHotPath(t *testing.T) {
 	dead.mu.Unlock()
 	clk.Advance(cooldown)
 	for i := 0; i < halfOpenProbes; i++ {
-		v, err := r.EstimateCtx(context.Background(), testQuery)
+		v, err := r.Estimate(testQuery)
 		if err != nil || v != 99 {
 			t.Fatalf("probe call %d: v=%v err=%v", i, v, err)
 		}
@@ -344,7 +317,7 @@ func TestBreakerShortCircuitsHotPath(t *testing.T) {
 	if st := r.Stats()[0]; st.State != StateClosed {
 		t.Fatalf("breaker did not close after its successful probes: %+v", st)
 	}
-	v, _ := r.EstimateCtx(context.Background(), testQuery)
+	v, _ := r.Estimate(testQuery)
 	if v != 99 {
 		t.Fatalf("recovered stage not serving, got %v", v)
 	}

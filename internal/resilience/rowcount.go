@@ -1,8 +1,6 @@
 package resilience
 
 import (
-	"context"
-
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -57,13 +55,6 @@ func (rc RowCount) Estimate(q *sqlparse.Query) (float64, error) {
 		est = 1
 	}
 	return est, nil
-}
-
-// EstimateCtx implements ContextEstimator trivially: the arithmetic is
-// cheaper than the context check, but implementing it keeps the estimator
-// usable anywhere a ContextEstimator is expected.
-func (rc RowCount) EstimateCtx(_ context.Context, q *sqlparse.Query) (float64, error) {
-	return rc.Estimate(q)
 }
 
 // Constant is an estimator that always answers Value — the degenerate last

@@ -88,7 +88,7 @@ func RunCanary(ctx context.Context, est estimator.Estimator, cfg CanaryConfig, i
 			res.Median, res.P95 = math.Inf(1), math.Inf(1)
 			return res
 		}
-		v, err := estimator.EstimateWithContext(ctx, est, l.Query)
+		v, err := est.Estimate(l.Query)
 		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			res.Failed++
 			qerrs = append(qerrs, math.Inf(1))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -537,6 +538,40 @@ func TestDeadlineIsAnchoredAtEntry(t *testing.T) {
 	if ctx, _ := (deadline{parent: parent}).context(); ctx != parent {
 		t.Error("without a deadline the context must be the parent itself")
 	}
+
+	// End to end: a body that takes longer to arrive than its timeoutMs has
+	// spent its budget before the chain runs, and is answered degraded; the
+	// same body sent promptly is the learned stage's.
+	chain := resilience.NewResilient(resilience.Config{LastResort: resilience.Constant{Value: 77}},
+		resilience.Stage{Name: "learned", Est: constEst(5)})
+	h := newStubServer(t, chain, nil).Handler()
+	body := `{"sql":"` + stubSQL + `","timeoutMs":50}`
+	for _, c := range []struct {
+		delay time.Duration
+		stage string
+	}{{0, "learned"}, {150 * time.Millisecond, "constant"}} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", &slowReader{delay: c.delay, r: strings.NewReader(body)}))
+		var resp map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("body delayed %v: status %d, %q", c.delay, rec.Code, rec.Body)
+		}
+		if resp["stage"] != c.stage || (resp["degraded"] == true) != (c.stage != "learned") {
+			t.Errorf("body delayed %v against timeoutMs 50: %v, want stage %s", c.delay, resp, c.stage)
+		}
+	}
+}
+
+// slowReader is a request body whose bytes arrive delay after the first read.
+type slowReader struct {
+	delay time.Duration
+	r     io.Reader
+}
+
+func (s *slowReader) Read(p []byte) (int, error) {
+	time.Sleep(s.delay)
+	s.delay = 0
+	return s.r.Read(p)
 }
 
 // ---- allocation pins ----
@@ -609,23 +644,9 @@ func TestEstimateTextHitAllocs(t *testing.T) {
 	}
 }
 
-// ctxConstEst is a constant estimator that takes a context, as the daemon's
-// learned stage does: behind a resilience chain it runs inline and only reads
-// its context's Err.
-type ctxConstEst float64
-
-func (c ctxConstEst) Name() string                              { return "learned" }
-func (c ctxConstEst) Estimate(*sqlparse.Query) (float64, error) { return float64(c), nil }
-func (c ctxConstEst) EstimateCtx(ctx context.Context, _ *sqlparse.Query) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return float64(c), nil
-}
-
 // TestEstimateMissAllocs pins the whole handler on a single-query miss in the
-// daemon's shape — a resilience chain whose first stage takes a context, the
-// 100 ms default deadline, and a cache so small that every miss evicts (the
+// daemon's shape — a resilience chain over a learned stage, the 100 ms
+// default deadline, and a cache so small that every miss evicts (the
 // benchmark's single-cold). The model's own work is what is left: the query
 // is parsed into the request's arena, the deadline arms no timer and
 // registers no child on the request's context, the miss is computed and put
@@ -639,7 +660,7 @@ func TestEstimateMissAllocs(t *testing.T) {
 	}
 	db, singles, _ := benchBodies(t, 128)
 	chain := resilience.NewResilient(resilience.Config{LastResort: resilience.Constant{Value: 1}},
-		resilience.Stage{Est: ctxConstEst(77)})
+		resilience.Stage{Name: "learned", Est: constEst(77)})
 	srv := cachedServer(t, chain, func(c *Config) {
 		c.DB = db
 		c.Cache = CacheConfig{Entries: cacheShards} // 128 keys in turn through one slot per shard: every request misses

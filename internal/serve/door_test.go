@@ -3,7 +3,6 @@ package serve
 import (
 	"net/http"
 	"testing"
-	"time"
 
 	"qfe/internal/cli"
 	"qfe/internal/estimator"
@@ -28,7 +27,7 @@ func TestUnknownNamesStayAtTheDoor(t *testing.T) {
 	db, set := testEnv(t)
 	learned := trainLocalQFT(t, db, "complex", set[:300], 8)
 	reg := NewRegistry()
-	reg.Wrap = func(e estimator.Estimator) estimator.Estimator { return cli.Chain(db, e, 100*time.Millisecond) }
+	reg.Wrap = func(e estimator.Estimator) estimator.Estimator { return cli.Chain(db, e) }
 	if _, err := reg.Register("boot", learned, ModelInfo{Kind: estimator.KindLocal, Source: "test"}); err != nil {
 		t.Fatal(err)
 	}

@@ -39,13 +39,17 @@ type EstResult struct {
 }
 
 // estimateOne dispatches one query, preserving the resilience chain's
-// detailed outcome when available.
+// detailed outcome when available. The chain reads ctx itself; a bare
+// estimator is not called once ctx is spent.
 func estimateOne(ctx context.Context, est estimator.Estimator, q *sqlparse.Query) EstResult {
 	if res, ok := est.(*resilience.Resilient); ok {
 		d := res.EstimateDetailed(ctx, q)
 		return EstResult{Estimate: d.Estimate, Stage: d.Stage, Degraded: d.Degraded}
 	}
-	v, err := estimator.EstimateWithContext(ctx, est, q)
+	if err := ctx.Err(); err != nil {
+		return EstResult{Err: err}
+	}
+	v, err := est.Estimate(q)
 	return EstResult{Estimate: v, Err: err}
 }
 

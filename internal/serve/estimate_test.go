@@ -63,14 +63,24 @@ func TestDoBatchKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestEstimateOneContextCancelled: a cancelled context surfaces as an error
-// result from a bare estimator, not a hang and not an estimate.
+// TestEstimateOneContextCancelled: a cancelled context reaches no estimator.
+// A bare estimator has nothing to degrade to, so it is an error result, not a
+// hang and not an estimate; behind the chain the last resort answers,
+// degraded.
 func TestEstimateOneContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := estimateOne(ctx, constEst(5), parseQ(t, stubSQL))
-	if !errors.Is(r.Err, context.Canceled) {
-		t.Errorf("cancelled context produced %+v, want context.Canceled", r)
+	est := &countingEst{value: 5}
+	if r := estimateOne(ctx, est, parseQ(t, stubSQL)); !errors.Is(r.Err, context.Canceled) {
+		t.Errorf("bare estimator: cancelled context produced %+v, want context.Canceled", r)
+	}
+	chain := resilience.NewResilient(resilience.Config{LastResort: resilience.Constant{Value: 77}},
+		resilience.Stage{Name: "learned", Est: est})
+	if r := estimateOne(ctx, chain, parseQ(t, stubSQL)); r.Err != nil || r.Estimate != 77 || r.Stage != "constant" || !r.Degraded {
+		t.Errorf("chain: cancelled context produced %+v, want the last resort's 77, degraded", r)
+	}
+	if n := est.calls.Load(); n != 0 {
+		t.Errorf("the estimator ran %d times under a cancelled context", n)
 	}
 }
 
@@ -192,9 +202,11 @@ func TestOnePathSameAnswer(t *testing.T) {
 // TestExpiredDeadline pins what a query whose deadline is already spent gets
 // back. Behind the resilience chain the answer is the chain's last resort
 // (200, degraded) — for a single exactly as for a client-batch item; the
-// coalescing server instead failed a single that timed out in its queue.
-// A bare estimator has nothing to degrade to: the expired context is an
-// error result (422 for a single, a per-item error in a batch).
+// coalescing server instead failed a single that timed out in its queue. The
+// model never ran, and the degraded answer is not cached: the same text sent
+// in time is the model's. A bare estimator has nothing to degrade to: the
+// expired context is an error result (422 for a single, a per-item error in
+// a batch).
 func TestExpiredDeadline(t *testing.T) {
 	post := func(h http.Handler, body string) (int, map[string]any) {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -215,10 +227,11 @@ func TestExpiredDeadline(t *testing.T) {
 	}
 
 	{
+		learned := &countingEst{value: 5}
 		chain := resilience.NewResilient(
 			resilience.Config{LastResort: resilience.Constant{Value: 77}},
-			resilience.Stage{Name: "learned", Est: constEst(5)})
-		h := newStubServer(t, chain, nil).Handler()
+			resilience.Stage{Name: "learned", Est: learned})
+		h := cachedServer(t, chain, nil).Handler()
 		code, single := post(h, singleBody)
 		bcode, batch := post(h, batchBody)
 		if code != http.StatusOK || bcode != http.StatusOK {
@@ -228,6 +241,13 @@ func TestExpiredDeadline(t *testing.T) {
 			if r["estimate"] != 77.0 || r["degraded"] != true || r["stage"] != "constant" || r["error"] != nil {
 				t.Errorf("resilient %s = %v, want the last resort's 77, degraded", name, r)
 			}
+		}
+		if n := learned.calls.Load(); n != 0 {
+			t.Errorf("the learned stage ran %d times past the deadline", n)
+		}
+		if code, r := postJSON(t, h, "/v1/estimate", map[string]any{"sql": stubSQL}); code != http.StatusOK ||
+			r["estimate"] != 5.0 || r["stage"] != "learned" || r["degraded"] != nil {
+			t.Errorf("the same text in time: status %d %v, want learned's 5: a degraded answer must not be cached", code, r)
 		}
 	}
 	{
@@ -248,39 +268,36 @@ func TestExpiredDeadline(t *testing.T) {
 	}
 }
 
-// ctxBlockingEst answers only when released, unless its context ends first:
-// a stage that honours its context.
-type ctxBlockingEst struct{ release chan struct{} }
-
-func (b ctxBlockingEst) Name() string { return "blocking" }
-
-func (b ctxBlockingEst) Estimate(q *sqlparse.Query) (float64, error) {
-	return b.EstimateCtx(context.Background(), q)
-}
-
-func (b ctxBlockingEst) EstimateCtx(ctx context.Context, _ *sqlparse.Query) (float64, error) {
-	select {
-	case <-b.release:
-		return 42, nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-}
-
-// TestAbandonedStageDoesNotOutliveRequest: behind the chain a stage still
-// running at the request's deadline returns there, on the request's own
-// goroutine, so the request answers at the deadline (plus the last resort's
-// arithmetic), degraded, and leaves nothing running behind it.
+// TestAbandonedStageDoesNotOutliveRequest: behind the chain a stage that
+// overruns the request's deadline runs out on the request's own goroutine —
+// nothing is abandoned to run on behind the response — and the chain, its
+// deadline spent when the stage fails, tries no further stage: the request
+// answers degraded, from the last resort.
 func TestAbandonedStageDoesNotOutliveRequest(t *testing.T) {
-	est := ctxBlockingEst{release: make(chan struct{})} // never released
-	chain := resilience.NewResilient(resilience.Config{}, resilience.Stage{Name: "learned", Est: est})
+	next := &countingEst{value: 9}
+	chain := resilience.NewResilient(resilience.Config{},
+		resilience.Stage{Name: "learned", Est: sleepyErrEst(40 * time.Millisecond)},
+		resilience.Stage{Name: "independence", Est: next})
 	srv := newStubServer(t, chain, nil)
 	start := time.Now()
-	code, resp := postJSON(t, srv.Handler(), "/v1/estimate", map[string]any{"sql": stubSQL, "timeoutMs": 20})
-	if code != http.StatusOK || resp["degraded"] != true {
-		t.Fatalf("status %d body %v, want 200 degraded", code, resp)
+	code, resp := postJSON(t, srv.Handler(), "/v1/estimate", map[string]any{"sql": stubSQL, "timeoutMs": 10})
+	if code != http.StatusOK || resp["degraded"] != true || resp["stage"] != "constant" {
+		t.Fatalf("status %d body %v, want 200 degraded, from the last resort", code, resp)
 	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond || elapsed > 2*time.Second {
-		t.Errorf("request took %v against a 20ms deadline; the blocked stage must return at it", elapsed)
+	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
+		t.Errorf("request took %v: the overrunning stage must have run out on the request's goroutine", elapsed)
 	}
+	if n := next.calls.Load(); n != 0 {
+		t.Errorf("the next stage ran %d times past the deadline", n)
+	}
+}
+
+// sleepyErrEst sleeps its duration and then fails: a stage that overruns the
+// request's deadline without knowing of it.
+type sleepyErrEst time.Duration
+
+func (sleepyErrEst) Name() string { return "sleepy" }
+func (d sleepyErrEst) Estimate(*sqlparse.Query) (float64, error) {
+	time.Sleep(time.Duration(d))
+	return 0, errors.New("late and wrong")
 }

@@ -165,8 +165,8 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 
 	// Deterministic replay report over the recovered traffic.
 	db, _ := testEnv(t)
-	repA := replay.Replay(context.Background(), constEst(8), recs, db)
-	repB := replay.Replay(context.Background(), constEst(8), recs, db)
+	repA := replay.Replay(constEst(8), recs, db)
+	repB := replay.Replay(constEst(8), recs, db)
 	if !reflect.DeepEqual(repA, repB) {
 		t.Fatalf("replay over recovered journal is not deterministic:\n%+v\n%+v", repA, repB)
 	}
