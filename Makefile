@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check ci serve-smoke fmt fuzz fuzz-serve fuzz-store fuzz-journal soak bench lint
+.PHONY: build test vet race check ci serve-smoke fmt fuzz fuzz-serve fuzz-store fuzz-journal soak bench pgo lint
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,11 @@ ci:
 # and on a miss that evicts <= 5 (the query is parsed into the request's
 # arena; no timer, no list node).
 	$(GO) test -short -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience ./internal/serve
+# The daemon ships built with cmd/cardestd/default.pgo, and the inlining the
+# profile buys changes escape analysis; go test builds these packages without
+# it (-pgo=auto reads only a main package's profile), so the pins run again
+# under the daemon's profile: they hold for the build that ships.
+	$(GO) test -short -pgo=$(CURDIR)/cmd/cardestd/default.pgo -run 'Allocs' ./internal/core ./internal/estimator ./internal/sqlparse ./internal/resilience ./internal/serve
 # So does the serving-heap pin: a booted daemon holds its columns' statistics + model (+ canary) + <= 96 KiB,
 # -journal or not. It holds no row: one that kept its table reads +0.24 MiB and fails, and a GB model is its
 # flat forest alone; one that also kept the arenas it was fit in reads +0.33 MiB and fails.
@@ -80,6 +85,11 @@ ci:
 # featurization alone, on the benchmark's mixed traffic (the per-layer
 # numbers of the cold path: sqlparse.parse_us and core.featurize_us).
 	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|FlushFingerprints|CountManyWorkers|LabelBoot|FeaturizeMixed|ParseMixed' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec ./internal/core ./internal/sqlparse
+# The generator make pgo profiles, 0.5 s per workload instead of 7.5: it
+# fails if any answer is not a 200 from the learned stage, a cold workload
+# hits the cache, a warmed one misses it, or a feedback answer never
+# reaches the journal.
+	$(GO) test -short -run '^$$' -bench '^BenchmarkServeProfile$$' -benchtime 1x ./cmd/cardestd
 # Guard 1, one inference path: outside tests and cmd/bench, no reference twin,
 # no batch form of Predict, no EstimateBatch method.
 	! grep -rnE 'PredictReference|PredictInto|PredictBatch|func \(.*\) EstimateBatch' --include='*.go' internal cmd | grep -vE '_test\.go:|^cmd/bench/'
@@ -282,6 +292,18 @@ ci:
 # context; and cardest, which serves no request, declares no -timeout.
 	! grep -rnE 'ContextEstimator|EstimateWithContext|EstimateCtx|LatencyTimeouts' --include='*.go' internal cmd examples | grep -v '_test\.go:'
 	! grep -n '"timeout"' cmd/cardest/main.go
+# Guard 27, the daemon ships profile-guided: cmd/cardestd/default.pgo is
+# there, go tool pprof reads it, it sampled the handler, the featurizer and
+# the forest walk (a profile of other traffic would guide the request path
+# nowhere), and go build applies it to cardestd (go version -m names it).
+	test -f cmd/cardestd/default.pgo
+	$(GO) tool pprof -top -cum -nodefraction=0 -nodecount=1000000 cmd/cardestd/default.pgo | awk ' \
+		{ sub(/ \(inline\)$$/, ""); seen[$$NF] = 1 } \
+		END { n = split("qfe/internal/serve.(*Server).handleEstimate qfe/internal/core.(*partitioned).FeaturizeInto qfe/internal/ml/gb.(*flatForest).predict", want, " "); \
+			for (i = 1; i <= n; i++) if (!(want[i] in seen)) { print "cmd/cardestd/default.pgo has no samples in " want[i]; bad = 1 }; \
+			exit bad }'
+	tmp=$$(mktemp -d) && $(GO) build -o $$tmp/cardestd ./cmd/cardestd && \
+	$(GO) version -m $$tmp/cardestd | grep -qE 'build[[:space:]]+-pgo=.+default\.pgo'; s=$$?; rm -rf $$tmp; exit $$s
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint
@@ -310,6 +332,18 @@ serve-smoke:
 # BenchmarkAppendDurable (internal/journal).
 bench:
 	$(GO) run ./cmd/bench
+
+# pgo writes cmd/cardestd/default.pgo, the profile go build applies to the
+# daemon alone (its default -pgo=auto reads default.pgo in the main package's
+# directory; cmd/bench's build of the daemon included). BenchmarkServeProfile
+# drives cmd/bench's four workloads, 7.5 s each, through the daemon's handler
+# on a loopback server under go test -cpuprofile, and checks what it drove; the
+# profile replaces the committed one only if those checks pass. Rerun it after
+# moving request-path code (DESIGN "Profile-guided build").
+pgo:
+	tmp=$$(mktemp -d) && \
+	$(GO) test -run '^$$' -bench '^BenchmarkServeProfile$$' -benchtime 1x -o $$tmp/cardestd.test -cpuprofile $$tmp/cpu.pprof ./cmd/cardestd && \
+	mv $$tmp/cpu.pprof cmd/cardestd/default.pgo; s=$$?; rm -rf $$tmp; exit $$s
 
 fmt:
 	gofmt -l -w .

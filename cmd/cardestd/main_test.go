@@ -15,14 +15,12 @@ import (
 	"testing"
 
 	"qfe/internal/core"
-	"qfe/internal/dataset"
 	"qfe/internal/journal"
 	"qfe/internal/resilience"
 	"qfe/internal/serve"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 	"qfe/internal/testutil"
-	"qfe/internal/workload"
 )
 
 // tinyOptions keeps boot training fast enough for a unit test. It goes
@@ -249,70 +247,28 @@ func TestDefaultQFTEncodesOR(t *testing.T) {
 }
 
 // TestServedTrafficIsLearned is the stage census of the served traffic, in
-// cmd/bench's four shapes: daemons booted with the default flags at the test
-// size answer held-out mixed queries in cmd/bench's shape — 8 attributes, 5
-// <>, 3 branches, the generator's seed offset away from the boot's — every one
-// from the learned stage: cold (each text once), single-hot (64 keys warmed
-// and re-sent) and, under -journal, feedback-hot (the same keys carrying their
-// true count). Then the chain itself is read through the registry: no stage
+// cmd/bench's four shapes (traffic_test.go, which BenchmarkServeProfile drives
+// into default.pgo): daemons booted with the default flags at the test size
+// answer held-out mixed queries in cmd/bench's shape — 8 attributes, 5 <>, 3
+// branches, the generator's seed offset away from the boot's — every one from
+// the learned stage: single-cold (each text once), single-hot (64 texts warmed
+// and re-sent), batch-cold (the cold texts 64 to a POST) and, under -journal,
+// feedback-hot (the hot texts carrying their true count, every answer
+// journaled). Then the chain itself is read through the registry: no stage
 // failed or was skipped, both breakers are closed, independence answered
 // nothing, and no response was degraded. With complex the one QFT served,
 // independence answers no refusal there; what it still answers is a query no
 // QFT encodes (an OR across attributes, TestRefusedQueriesLeaveTheModelServing).
 func TestServedTrafficIsLearned(t *testing.T) {
-	const hotKeys, hotRounds = 64, 4
-	n := 300
+	const hotRounds = 4
+	coldKeys := 5 * benchBatch
 	if testing.Short() {
-		n = 100
+		coldKeys = 2 * benchBatch
 	}
-	o := tinyOptions(t)
-	forest, err := dataset.Forest(dataset.ForestConfig{Rows: o.rows, QuantAttrs: 12, BinaryAttrs: 4, Seed: o.seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := workload.Mixed(forest, workload.MixedConfig{
-		ConjConfig:  workload.ConjConfig{Count: n, MaxAttrs: 8, MaxNotEquals: 5, Seed: o.seed + 1_000_003},
-		MaxBranches: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type census struct {
-		stages   map[string]int
-		degraded int
-	}
-	post := func(h http.Handler, c *census, body map[string]any) {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", bytes.NewReader(buf)))
-		var resp struct {
-			Stage    string `json:"stage"`
-			Degraded bool   `json:"degraded"`
-		}
-		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
-			t.Fatalf("POST %s: status %d: %s", buf, rec.Code, rec.Body)
-		}
-		c.stages[resp.Stage]++
-		if resp.Degraded {
-			c.degraded++
-		}
-	}
-	for _, shape := range []struct {
-		name     string
-		journal  bool
-		keys     int
-		rounds   int
-		feedback bool
-	}{
-		{"cold", false, len(set), 1, false},
-		{"single-hot", false, hotKeys, 1 + hotRounds, false},
-		{"feedback-hot", true, hotKeys, 1 + hotRounds, true},
-	} {
+	tr := heldOut(t, tinyOptions(t), coldKeys)
+	for _, s := range shapes(coldKeys) {
 		o := tinyOptions(t)
-		if shape.journal {
+		if s.feedback {
 			o.journalDir = t.TempDir()
 		}
 		b, err := boot(o, io.Discard)
@@ -324,14 +280,24 @@ func TestServedTrafficIsLearned(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := d.srv.Handler()
-		c := census{stages: map[string]int{}}
-		for range shape.rounds {
-			for _, l := range set[:shape.keys] {
-				body := map[string]any{"sql": l.Query.String()}
-				if shape.feedback {
-					body["actual"] = l.Card
+		rounds := 1
+		if s.hot {
+			rounds += hotRounds
+		}
+		bodies := s.bodies(t, tr)
+		var c census
+		for range rounds {
+			for _, body := range bodies {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", bytes.NewReader(body)))
+				if err := c.add(rec.Code, rec.Body.Bytes(), s.batch); err != nil {
+					t.Fatalf("%s: POST %s: %v", s.name, body, err)
 				}
-				post(h, &c, body)
+			}
+		}
+		if d.jnl != nil {
+			if st := d.jnl.Stats(); st.Appended != uint64(c.queries) {
+				t.Errorf("%s: journal appended %d records (%d shed) for %d answers", s.name, st.Appended, st.Shed, c.queries)
 			}
 		}
 		d.close()
@@ -340,17 +306,17 @@ func TestServedTrafficIsLearned(t *testing.T) {
 			t.Fatal(err)
 		}
 		stats := est.(*resilience.Resilient).Stats()
-		t.Logf("%s: %d requests over %d keys: stages %v, %d degraded; chain %+v",
-			shape.name, shape.keys*shape.rounds, shape.keys, c.stages, c.degraded, stats)
-		if c.stages["learned"] != shape.keys*shape.rounds || c.degraded != 0 {
-			t.Errorf("%s: stages %v, %d degraded, want every one of %d learned", shape.name, c.stages, c.degraded, shape.keys*shape.rounds)
+		t.Logf("%s: %d queries over %d texts: stages %v, %d degraded; chain %+v",
+			s.name, c.queries, s.keys, c.stages, c.degraded, stats)
+		if !c.learned() || c.queries != s.keys*rounds {
+			t.Errorf("%s: stages %v, %d degraded, want every one of %d learned", s.name, c.stages, c.degraded, s.keys*rounds)
 		}
 		for _, st := range stats {
 			if st.Failed != 0 || st.Skipped != 0 || st.State != resilience.StateClosed {
-				t.Errorf("%s: stage %+v, want no failure, no skip, breaker closed", shape.name, st)
+				t.Errorf("%s: stage %+v, want no failure, no skip, breaker closed", s.name, st)
 			}
 			if st.Name == "independence" && st.Served != 0 {
-				t.Errorf("%s: independence served %d, want 0", shape.name, st.Served)
+				t.Errorf("%s: independence served %d, want 0", s.name, st.Served)
 			}
 		}
 	}
