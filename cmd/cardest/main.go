@@ -179,8 +179,7 @@ func run(trainN, rows, entries int, query string, seed int64, savePath, loadPath
 	fmt.Printf("held-out evaluation over %d queries: %v\n", len(test), sum)
 	if resilient != nil {
 		for _, st := range resilient.Stats() {
-			fmt.Printf("stage %-12s breaker=%s served=%d failed=%d refused=%d skipped=%d\n",
-				st.Name, st.State, st.Served, st.Failed, st.Refused, st.Skipped)
+			fmt.Printf("stage %-12s served=%d failed=%d refused=%d\n", st.Name, st.Served, st.Failed, st.Refused)
 		}
 	}
 	return nil

@@ -88,9 +88,10 @@
 // counters; the cmd/replay CLI replays segments offline against saved models.
 //
 // Every registered model serves inside cli.Chain, as in cardest: learned →
-// independence → row-count heuristic, so the daemon always answers; a query
-// the model does not encode (an OR across attributes) passes on without
-// counting against the model's breaker. -timeout is a request's estimation
+// independence → row-count heuristic, every stage asked on every request, so
+// the daemon always answers; a query the model does not encode (an OR across
+// attributes) passes on to the next stage and says nothing about the query
+// after it. -timeout is a request's estimation
 // deadline (0 = none), counted from the handler's entry; the chain alone
 // reads it, before each stage, so a request whose deadline is spent is
 // answered by the row-count heuristic and a late one is never held against

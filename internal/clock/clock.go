@@ -1,8 +1,8 @@
-// Package clock is the daemon's time source for work a test must drive
-// without waiting: the feedback journal's record stamps, segment age, flush
-// timer and flush timing, and the circuit breakers' cooldowns. The request
-// path and the lifecycle's timestamps read time.Now directly: WithDeadline
-// must stay inlinable, and no test needs those readings replaced.
+// Package clock is the feedback journal's time source, for work a test must
+// drive without waiting: its record stamps, segment age, flush timer and
+// flush timing. The request path and the lifecycle's timestamps read time.Now
+// directly: resilience.WithDeadline must stay inlinable, and no test needs
+// those readings replaced.
 package clock
 
 import (

@@ -8,16 +8,14 @@ import (
 	"testing"
 	"time"
 
-	"qfe/internal/clock"
 	"qfe/internal/resilience/faultinject"
 )
 
 // This file is the fault-injection acceptance suite: under injected
 // error/latency/panic/NaN faults at every chain stage, Resilient must always
 // return a finite estimate >= 1 within the deadline and never propagate a
-// panic; the circuit breaker must open after the configured failure
-// threshold and recover via half-open probes. Everything is driven from
-// fixed seeds and fake clocks, so a failure here reproduces exactly.
+// panic, and must ask every stage on every request. Everything is driven from
+// fixed seeds, so a failure here reproduces exactly.
 
 // buildFaultyChain wires a three-stage chain (each stage a fault-injected
 // constant estimator) with a row-count last resort.
@@ -46,7 +44,6 @@ func withSeed(cfg faultinject.Config, seed int64) faultinject.Config {
 // TestChainSurvivesMixedFaultStorm hammers the chain with every fault kind
 // at once at every stage and asserts the serving invariant on each call.
 func TestChainSurvivesMixedFaultStorm(t *testing.T) {
-	clk := clock.NewFake(epoch)
 	r, injectors := buildFaultyChain(faultinject.Config{
 		Seed:         12345,
 		PanicRate:    0.15,
@@ -54,11 +51,10 @@ func TestChainSurvivesMixedFaultStorm(t *testing.T) {
 		NaNRate:      0.10,
 		InfRate:      0.05,
 		NegativeRate: 0.05,
-	}, Config{Clock: clk})
+	}, Config{})
 	const calls = 1000
 	degraded := 0
 	for i := 0; i < calls; i++ {
-		clk.Advance(cooldown / 10) // an open breaker probes again every tenth call
 		res := r.EstimateDetailed(context.Background(), testQuery)
 		if math.IsNaN(res.Estimate) || math.IsInf(res.Estimate, 0) || res.Estimate < 1 {
 			t.Fatalf("call %d: unusable estimate %v (stage %s)", i, res.Estimate, res.Stage)
@@ -83,7 +79,9 @@ func TestChainSurvivesMixedFaultStorm(t *testing.T) {
 }
 
 // TestChainSurvivesEveryFaultKindAtFullRate pins each fault kind at rate 1.0
-// on every stage: the chain must ride the last resort and still answer.
+// on every stage: the chain must ride the last resort and still answer, and
+// it asks every stage on every request — fifty failures in a row bar no stage
+// from the fifty-first.
 func TestChainSurvivesEveryFaultKindAtFullRate(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -97,8 +95,9 @@ func TestChainSurvivesEveryFaultKindAtFullRate(t *testing.T) {
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
-			r, _ := buildFaultyChain(k.cfg, Config{Clock: clock.NewFake(epoch)})
-			for i := 0; i < 50; i++ {
+			const calls = 50
+			r, injectors := buildFaultyChain(k.cfg, Config{})
+			for i := 0; i < calls; i++ {
 				res := r.EstimateDetailed(context.Background(), testQuery)
 				if math.IsNaN(res.Estimate) || math.IsInf(res.Estimate, 0) || res.Estimate < 1 {
 					t.Fatalf("call %d: unusable estimate %v", i, res.Estimate)
@@ -107,14 +106,9 @@ func TestChainSurvivesEveryFaultKindAtFullRate(t *testing.T) {
 					t.Fatalf("call %d: fault kind %s at rate 1.0 was served by %q", i, k.name, res.Stage)
 				}
 			}
-			// Every stage's breaker must have opened after the threshold
-			// and stayed open (the fake clock never reaches the cooldown).
 			for i, st := range r.Stats() {
-				if st.State != StateOpen {
-					t.Errorf("stage %d breaker state %v, want open", i, st.State)
-				}
-				if st.Failed != failureThreshold {
-					t.Errorf("stage %d failed %d times before opening, want %d", i, st.Failed, failureThreshold)
+				if got := injectors[i].Counts().Calls; got != calls || st.Failed != calls || st.Served != 0 {
+					t.Errorf("stage %d: %d calls, %+v; want %d calls, all failed", i, got, st, calls)
 				}
 			}
 		})
@@ -165,7 +159,7 @@ func TestChainIsDeterministic(t *testing.T) {
 			ErrorRate:    0.2,
 			NaNRate:      0.1,
 			NegativeRate: 0.1,
-		}, Config{Clock: clock.NewFake(epoch)})
+		}, Config{})
 		out := make([]outcome, 300)
 		for i := range out {
 			res := r.EstimateDetailed(context.Background(), testQuery)
@@ -181,76 +175,21 @@ func TestChainIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestChainBreakerRecoversViaHalfOpenProbes scripts a stage outage and
-// recovery end to end inside the chain, on a fake clock: threshold failures
-// open the breaker, traffic is served degraded while it is open, and after
-// the cooldown the configured number of half-open probes restores the stage.
-func TestChainBreakerRecoversViaHalfOpenProbes(t *testing.T) {
-	clk := clock.NewFake(epoch)
-	primary := failing(faultinject.ErrInjected)
-	r := NewResilient(Config{Clock: clk, LastResort: RowCount{}},
-		Stage{Name: "primary", Est: primary},
-		Stage{Name: "backup", Est: healthy(40)},
-	)
-
-	// Outage: threshold failures open the breaker.
-	for i := 0; i < failureThreshold; i++ {
-		if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 40 {
-			t.Fatalf("outage call %d: %+v", i, res)
-		}
-	}
-	if st := r.Stats()[0]; st.State != StateOpen {
-		t.Fatalf("breaker state %v after threshold failures, want open", st.State)
-	}
-	// While open, the primary is skipped entirely.
-	before := primary.callCount()
-	for i := 0; i < 5; i++ {
-		if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 40 {
-			t.Fatalf("open-state call %d: %+v", i, res)
-		}
-	}
-	if primary.callCount() != before {
-		t.Fatal("open breaker did not short-circuit the primary")
-	}
-
-	// Recovery: the stage heals; cooldown elapses; two probes must succeed
-	// before the breaker closes.
-	primary.mu.Lock()
-	primary.fn = func(int) (float64, error) { return 80, nil }
-	primary.mu.Unlock()
-	clk.Advance(cooldown)
-
-	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 80 || res.Degraded {
-		t.Fatalf("first probe: %+v", res)
-	}
-	if st := r.Stats()[0]; st.State != StateHalfOpen {
-		t.Fatalf("breaker state %v after first probe, want half-open", st.State)
-	}
-	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 80 {
-		t.Fatalf("second probe: %+v", res)
-	}
-	if st := r.Stats()[0]; st.State != StateClosed {
-		t.Fatalf("breaker state %v after %d successful probes, want closed", st.State, halfOpenProbes)
-	}
-}
-
 // TestChainUnderConcurrentLoad drives the faulty chain from many goroutines
 // with -race in mind: the invariant must hold on every call and the internal
 // counters must stay consistent.
 func TestChainUnderConcurrentLoad(t *testing.T) {
-	clk := clock.NewFake(epoch)
-	r, _ := buildFaultyChain(faultinject.Config{
+	r, injectors := buildFaultyChain(faultinject.Config{
 		Seed:      99,
 		PanicRate: 0.2,
 		ErrorRate: 0.2,
 		NaNRate:   0.1,
-	}, Config{Clock: clk})
+	}, Config{})
 	const workers, perWorker = 8, 100
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := 0; i < perWorker; i++ {
-				clk.Advance(cooldown / 10) // breakers open, probe and close under the load
 				v, err := r.Estimate(testQuery)
 				if err != nil {
 					errs <- err
@@ -270,11 +209,17 @@ func TestChainUnderConcurrentLoad(t *testing.T) {
 		}
 	}
 	total := 0
-	for _, st := range r.Stats() {
+	for i, st := range r.Stats() {
 		total += st.Served
+		if calls := injectors[i].Counts().Calls; st.Served+st.Failed+st.Refused != calls {
+			t.Errorf("stage %d: %+v counts %d outcomes for %d calls", i, st, st.Served+st.Failed+st.Refused, calls)
+		}
 	}
 	if total > workers*perWorker {
 		t.Fatalf("stages served %d calls for %d requests", total, workers*perWorker)
+	}
+	if calls := injectors[0].Counts().Calls; calls != workers*perWorker {
+		t.Errorf("the first stage was asked %d times for %d requests", calls, workers*perWorker)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package resilience hardens the estimation pipeline for serving: it wraps
-// any estimator.Estimator in deadlines, panic isolation, a circuit breaker,
-// and a graceful-degradation chain so that an estimate is *always*
-// returned — a failing learned model degrades the answer's quality, never
-// the system's availability.
+// any estimator.Estimator in deadlines, panic isolation and a
+// graceful-degradation chain so that an estimate is *always* returned — a
+// failing learned model degrades the answer's quality, never the system's
+// availability.
 //
 // The degradation chain mirrors the paper's own framing of the learned
 // estimator as one option among cheaper baselines; every binary serves the one
@@ -10,12 +10,15 @@
 //
 //	learned model → independence assumption → row-count heuristic
 //
-// where each stage is tried in order and the first valid (finite, >= 1)
-// estimate wins. A stage that fails is not tried again within the request —
-// the estimators are deterministic in-process code, so the same call would
-// fail the same way; the chain moves on, as it does past a stage that refuses
-// the query (core.ErrUnsupported), which its breaker does not count. Every
-// stage runs on the caller's goroutine and is guarded by:
+// where each stage is asked in order, on every request, and the first valid
+// (finite, >= 1) estimate wins. A stage that fails is not tried again within
+// the request — the estimators are deterministic in-process code, so the same
+// call would fail the same way; the chain moves on, as it does past a stage
+// that refuses the query (core.ErrUnsupported). What a stage did with one
+// query decides nothing about the next: an estimator is a pure function of
+// its query and a published model never changes, so a failure belongs to the
+// query that caused it. Every stage runs on the caller's goroutine and is
+// guarded by:
 //
 //   - a per-call deadline (context.Context), which the chain alone reads:
 //     it checks Err before each stage and, once the deadline is spent, tries
@@ -23,12 +26,8 @@
 //     estimator.Estimator and never sees the deadline — an estimate is
 //     microseconds of bounded arithmetic with nothing to wait on — so a stage
 //     that has started runs to its return, and what it returns is its own
-//     doing, never the deadline's: a late request does not count against the
-//     stage's breaker;
-//   - panic recovery, converting panics in model code into stage errors;
-//   - a circuit breaker with half-open probing, so a persistently failing
-//     stage stops being invoked on the hot path and is re-admitted only
-//     after it proves healthy again.
+//     doing, never the deadline's;
+//   - panic recovery, converting panics in model code into stage errors.
 //
 // The sibling package faultinject provides a seeded, deterministic
 // fault-injecting wrapper used by the test suite to prove the chain degrades
@@ -41,18 +40,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 	"time"
 
-	"qfe/internal/clock"
 	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/sqlparse"
 )
-
-// ErrBreakerOpen is recorded in Result.Errors when a stage was skipped
-// because its circuit breaker was open.
-var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 
 // Stage is one link of the degradation chain.
 type Stage struct {
@@ -73,40 +67,26 @@ type Config struct {
 	// deadline is spent. It should be total (never error); RowCount is the
 	// intended choice. Nil means a constant estimate of defaultEstimate.
 	LastResort estimator.Estimator
-	// Clock times every stage's circuit-breaker cooldown; nil means clock.Real.
-	Clock clock.Clock
 }
 
 const defaultEstimate = 1 // returned if even LastResort fails: the paper's minimum cardinality
 
-// stageState is a Stage plus its runtime guards and counters.
+// stageState is a Stage plus its counters.
 type stageState struct {
-	name    string
-	est     estimator.Estimator
-	breaker *Breaker
+	name string
+	est  estimator.Estimator
 
-	mu      sync.Mutex
-	served  int // calls this stage answered
-	failed  int // calls this stage failed
-	refused int // calls whose query this stage does not encode
-	skipped int // calls skipped because the breaker was open
-}
-
-// count adds one to the counter n of s.
-func (s *stageState) count(n *int) {
-	s.mu.Lock()
-	*n++
-	s.mu.Unlock()
+	served  atomic.Int64 // calls this stage answered
+	failed  atomic.Int64 // calls this stage failed
+	refused atomic.Int64 // calls whose query this stage does not encode
 }
 
 // StageStats is a snapshot of one stage's counters.
 type StageStats struct {
 	Name    string
-	State   BreakerState
 	Served  int
 	Failed  int
 	Refused int
-	Skipped int
 }
 
 // Resilient chains estimators with graceful degradation. It never returns an
@@ -120,9 +100,6 @@ type Resilient struct {
 
 // NewResilient builds the degradation chain over stages, tried in order.
 func NewResilient(cfg Config, stages ...Stage) *Resilient {
-	if cfg.Clock == nil {
-		cfg.Clock = clock.Real{}
-	}
 	r := &Resilient{cfg: cfg, lastResort: cfg.LastResort}
 	if r.lastResort == nil {
 		r.lastResort = Constant{Value: defaultEstimate}
@@ -132,7 +109,7 @@ func NewResilient(cfg Config, stages ...Stage) *Resilient {
 		if name == "" {
 			name = s.Est.Name()
 		}
-		r.stages = append(r.stages, &stageState{name: name, est: s.Est, breaker: &Breaker{clk: cfg.Clock}})
+		r.stages = append(r.stages, &stageState{name: name, est: s.Est})
 	}
 	return r
 }
@@ -160,8 +137,8 @@ type Result struct {
 	Stage string
 	// Degraded is true when the first stage did not answer.
 	Degraded bool
-	// Errors lists, in chain order, the failures and skips encountered
-	// before the answer.
+	// Errors lists, in chain order, why each stage asked before the answer
+	// did not give it, and the stage the spent deadline stopped at.
 	Errors []StageError
 }
 
@@ -190,11 +167,6 @@ func (r *Resilient) EstimateDetailed(ctx context.Context, q *sqlparse.Query) Res
 			res.Errors = append(res.Errors, StageError{s.name, ctx.Err()})
 			break
 		}
-		if !s.breaker.Allow() {
-			s.count(&s.skipped)
-			res.Errors = append(res.Errors, StageError{s.name, ErrBreakerOpen})
-			continue
-		}
 		v, err := r.attempt(s, q)
 		if err == nil {
 			res.Estimate = v
@@ -210,12 +182,10 @@ func (r *Resilient) EstimateDetailed(ctx context.Context, q *sqlparse.Query) Res
 	return res
 }
 
-// attempt runs one stage once, counts the call and reports exactly one breaker
-// outcome, pairing the Allow that admitted the call: Success on a valid
-// estimate, Release on a refusal (the query's shape decided it, not the
-// stage's health), Failure on any other error, a panic or an invalid value.
-// The stage never sees the request's deadline, so nothing it returns is the
-// deadline's doing.
+// attempt runs one stage once and counts the call under exactly one outcome:
+// served on a valid estimate, refused when the stage does not encode the query,
+// failed on any other error, a panic or an invalid value. The stage never sees
+// the request's deadline, so nothing it returns is the deadline's doing.
 func (r *Resilient) attempt(s *stageState, q *sqlparse.Query) (float64, error) {
 	v, err := callGuarded(s.name, s.est, q)
 	if err == nil && !validEstimate(v) {
@@ -223,15 +193,12 @@ func (r *Resilient) attempt(s *stageState, q *sqlparse.Query) (float64, error) {
 	}
 	switch {
 	case err == nil:
-		s.breaker.Success()
-		s.count(&s.served)
+		s.served.Add(1)
 		return max(v, 1), nil
 	case errors.Is(err, core.ErrUnsupported):
-		s.breaker.Release()
-		s.count(&s.refused)
+		s.refused.Add(1)
 	default:
-		s.breaker.Failure()
-		s.count(&s.failed)
+		s.failed.Add(1)
 	}
 	return 0, err
 }
@@ -267,20 +234,16 @@ func (r *Resilient) lastResortEstimate(q *sqlparse.Query) (v float64) {
 	return v
 }
 
-// Stats snapshots every stage's counters and breaker state, in chain order.
+// Stats snapshots every stage's counters, in chain order.
 func (r *Resilient) Stats() []StageStats {
 	out := make([]StageStats, len(r.stages))
 	for i, s := range r.stages {
-		s.mu.Lock()
 		out[i] = StageStats{
 			Name:    s.name,
-			State:   s.breaker.State(),
-			Served:  s.served,
-			Failed:  s.failed,
-			Refused: s.refused,
-			Skipped: s.skipped,
+			Served:  int(s.served.Load()),
+			Failed:  int(s.failed.Load()),
+			Refused: int(s.refused.Load()),
 		}
-		s.mu.Unlock()
 	}
 	return out
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"qfe/internal/clock"
 	"qfe/internal/core"
 	"qfe/internal/sqlparse"
 )
@@ -53,9 +52,6 @@ func failing(err error) *stubEst {
 func panicking() *stubEst {
 	return &stubEst{name: "panicking", fn: func(int) (float64, error) { panic("model exploded") }}
 }
-
-// epoch is where each test's fake clock starts.
-var epoch = time.Unix(1_700_000_000, 0)
 
 func TestHealthyFirstStageServes(t *testing.T) {
 	r := NewResilient(Config{}, Stage{Est: healthy(42)})
@@ -169,158 +165,43 @@ func TestCallerDeadlineWins(t *testing.T) {
 	}
 }
 
-func TestBreakerLifecycle(t *testing.T) {
-	clk := clock.NewFake(epoch)
-	b := &Breaker{clk: clk}
-	if b.State() != StateClosed {
-		t.Fatal("new breaker not closed")
-	}
-	for i := 0; i < failureThreshold; i++ {
-		if !b.Allow() {
-			t.Fatalf("closed breaker rejected call %d", i)
-		}
-		b.Failure()
-	}
-	if b.State() != StateOpen {
-		t.Fatalf("breaker not open after threshold, state %v", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted a call before cooldown")
-	}
-	clk.Advance(cooldown)
-	if !b.Allow() {
-		t.Fatal("breaker did not admit a probe after cooldown")
-	}
-	if b.State() != StateHalfOpen {
-		t.Fatalf("state %v after cooldown, want half-open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	b.Success()
-	if !b.Allow() {
-		t.Fatal("half-open breaker rejected the next probe after a success")
-	}
-	b.Success()
-	if b.State() != StateClosed {
-		t.Fatalf("breaker not closed after %d probe successes, state %v", halfOpenProbes, b.State())
-	}
-
-	// Re-open on a half-open failure.
-	for i := 0; i < failureThreshold; i++ {
-		b.Allow()
-		b.Failure()
-	}
-	clk.Advance(cooldown)
-	if !b.Allow() {
-		t.Fatal("no probe admitted")
-	}
-	b.Failure()
-	if b.State() != StateOpen {
-		t.Fatalf("half-open failure did not re-open, state %v", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("re-opened breaker admitted a call")
-	}
-}
-
-// TestBreakerAutomatonAsShipped drives a chain built with no override through
-// the breaker's shipped sizes on a fake clock: four failures leave the breaker
-// closed and the fifth opens it; it is still open one nanosecond before 30 s
-// and half-open at 30 s, where a call that arrives while the probe is in
-// flight is not admitted; two successful probes close it.
-func TestBreakerAutomatonAsShipped(t *testing.T) {
-	clk := clock.NewFake(epoch)
-	var r *Resilient
-	var overlapped Result
-	stage := &stubEst{name: "learned", fn: func(call int) (float64, error) {
-		switch {
-		case call <= 5:
-			return 0, errors.New("down")
-		case call == 6: // the first probe: another request arrives meanwhile
-			overlapped = r.EstimateDetailed(context.Background(), testQuery)
-		}
-		return 42, nil
-	}}
-	r = NewResilient(Config{Clock: clk}, Stage{Est: stage}, Stage{Est: healthy(5)})
-	state := func() BreakerState { return r.Stats()[0].State }
-
-	for i := 1; i <= 4; i++ {
-		r.EstimateDetailed(context.Background(), testQuery)
-		if st := state(); st != StateClosed {
-			t.Fatalf("after %d failures: %v, want closed", i, st)
-		}
-	}
-	r.EstimateDetailed(context.Background(), testQuery)
-	if st := state(); st != StateOpen {
-		t.Fatalf("after 5 failures: %v, want open", st)
-	}
-	clk.Advance(30*time.Second - time.Nanosecond)
-	if res := r.EstimateDetailed(context.Background(), testQuery); res.Stage != "healthy" || stage.callCount() != 5 {
-		t.Fatalf("at 30 s - 1 ns: %+v after %d stage calls, want the breaker still open", res, stage.callCount())
-	}
-	clk.Advance(time.Nanosecond)
-	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 42 {
-		t.Fatalf("the first probe at 30 s: %+v, want the stage's 42", res)
-	}
-	if overlapped.Stage != "healthy" || len(overlapped.Errors) != 1 || !errors.Is(overlapped.Errors[0].Err, ErrBreakerOpen) {
-		t.Fatalf("a request during the probe: %+v, want it skipped past the half-open breaker", overlapped)
-	}
-	if st := state(); st != StateHalfOpen {
-		t.Fatalf("after one successful probe: %v, want half-open", st)
-	}
-	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 42 {
-		t.Fatalf("the second probe: %+v, want the stage's 42", res)
-	}
-	if st := state(); st != StateClosed {
-		t.Fatalf("after two successful probes: %v, want closed", st)
-	}
-}
-
-func TestBreakerShortCircuitsHotPath(t *testing.T) {
-	clk := clock.NewFake(epoch)
-	boom := errors.New("down")
-	dead := failing(boom)
-	backup := healthy(5)
-	r := NewResilient(Config{Clock: clk},
-		Stage{Est: dead},
-		Stage{Est: backup},
+// TestOneQueryFailureSaysNothingOfTheNext: a stage that fails on one query
+// shape, five times running, is still asked the next query, and a query it
+// answers is its own — served by it, not degraded, with no errors.
+func TestOneQueryFailureSaysNothingOfTheNext(t *testing.T) {
+	bad := sqlparse.MustParse("SELECT count(*) FROM t WHERE z = 3")
+	learned := healthy(42)
+	r := NewResilient(Config{LastResort: RowCount{}},
+		Stage{Name: "learned", Est: shapeFailing{stubEst: learned, bad: bad}},
+		Stage{Name: "independence", Est: healthy(5)},
 	)
-	for i := 0; i < 10; i++ {
-		v, err := r.Estimate(testQuery)
-		if err != nil || v != 5 {
-			t.Fatalf("call %d: v=%v err=%v", i, v, err)
+	for i := 0; i < 5; i++ {
+		res := r.EstimateDetailed(context.Background(), bad)
+		if res.Stage != "independence" || !res.Degraded || len(res.Errors) != 1 || res.Errors[0].Stage != "learned" {
+			t.Fatalf("failing query %d: %+v, want independence, degraded past learned's error", i, res)
 		}
 	}
-	// After failureThreshold failures the breaker opened; the dead stage
-	// must not have been invoked for the remaining calls.
-	if got := dead.callCount(); got != failureThreshold {
-		t.Fatalf("dead stage called %d times, want %d (breaker should short-circuit)", got, failureThreshold)
+	res := r.EstimateDetailed(context.Background(), testQuery)
+	if res.Estimate != 42 || res.Stage != "learned" || res.Degraded || len(res.Errors) != 0 {
+		t.Fatalf("a healthy query after five failures: %+v, want learned's 42, not degraded, no errors", res)
 	}
-	st := r.Stats()[0]
-	if st.State != StateOpen || st.Skipped != 10-failureThreshold || st.Failed != failureThreshold {
-		t.Fatalf("unexpected first-stage stats %+v", st)
+	if st := r.Stats()[0]; st.Served != 1 || st.Failed != 5 || learned.callCount() != 1 {
+		t.Errorf("learned stage %+v after %d answers, want 1 served, 5 failed", st, learned.callCount())
 	}
+}
 
-	// Recovery: the stage comes back; after the cooldown the probes close
-	// the breaker and the stage serves again.
-	dead.mu.Lock()
-	dead.fn = func(int) (float64, error) { return 99, nil }
-	dead.mu.Unlock()
-	clk.Advance(cooldown)
-	for i := 0; i < halfOpenProbes; i++ {
-		v, err := r.Estimate(testQuery)
-		if err != nil || v != 99 {
-			t.Fatalf("probe call %d: v=%v err=%v", i, v, err)
-		}
+// shapeFailing fails every estimate of bad and hands every other query to
+// the stub.
+type shapeFailing struct {
+	*stubEst
+	bad *sqlparse.Query
+}
+
+func (s shapeFailing) Estimate(q *sqlparse.Query) (float64, error) {
+	if q == s.bad {
+		return 0, errors.New("no estimate for this shape")
 	}
-	if st := r.Stats()[0]; st.State != StateClosed {
-		t.Fatalf("breaker did not close after its successful probes: %+v", st)
-	}
-	v, _ := r.Estimate(testQuery)
-	if v != 99 {
-		t.Fatalf("recovered stage not serving, got %v", v)
-	}
+	return s.stubEst.Estimate(q)
 }
 
 func TestEstimateNeverErrors(t *testing.T) {
@@ -367,9 +248,8 @@ func refusing() *stubEst {
 }
 
 // TestRefusalIsNotAFailure: the chain passes over a stage that refuses the
-// query, but the refusal is not a failure. Five in a row used to open the
-// stage's breaker, and every query was then served by the fallback for the
-// cooldown, whether the stage encoded it or not.
+// query, asks it again on the next request, and counts the refusal as
+// refused, not failed.
 func TestRefusalIsNotAFailure(t *testing.T) {
 	refuser := refusing()
 	r := NewResilient(Config{}, Stage{Name: "learned", Est: refuser}, Stage{Est: healthy(7)})
@@ -384,47 +264,7 @@ func TestRefusalIsNotAFailure(t *testing.T) {
 		}
 	}
 	st := r.Stats()[0]
-	if st.State != StateClosed || st.Refused != 10 || st.Failed != 0 || st.Skipped != 0 || refuser.callCount() != 10 {
-		t.Fatalf("after ten refusals: %+v, %d calls; want closed, 10 refused, 0 failed or skipped, 10 calls", st, refuser.callCount())
-	}
-}
-
-// TestRefusalFreesTheHalfOpenProbe: a refusal while the breaker is half-open
-// reports no outcome, so the probe slot it held is free and the next call is
-// the probe; it used to count as the probe's failure and re-open the breaker.
-func TestRefusalFreesTheHalfOpenProbe(t *testing.T) {
-	clk := clock.NewFake(epoch)
-	refused := core.Unsupported(errors.New("refused"))
-	stage := &stubEst{name: "learned", fn: func(call int) (float64, error) {
-		switch {
-		case call <= failureThreshold:
-			return 0, errors.New("down")
-		case call == failureThreshold+1:
-			return 0, refused
-		}
-		return 42, nil
-	}}
-	r := NewResilient(Config{Clock: clk}, Stage{Est: stage}, Stage{Est: healthy(5)})
-
-	for i := 0; i < failureThreshold; i++ {
-		r.EstimateDetailed(context.Background(), testQuery) // the failures open the breaker
-	}
-	if st := r.Stats()[0].State; st != StateOpen {
-		t.Fatalf("after the failures: %v, want open", st)
-	}
-	clk.Advance(cooldown)
-	if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 5 {
-		t.Fatalf("the refused probe: %+v, want the fallback's 5", res)
-	}
-	if st := r.Stats()[0].State; st != StateHalfOpen {
-		t.Fatalf("after a refused probe: %v, want still half-open", st)
-	}
-	for i := 0; i < halfOpenProbes; i++ {
-		if res := r.EstimateDetailed(context.Background(), testQuery); res.Estimate != 42 || res.Stage != "learned" {
-			t.Fatalf("call %d after the refusal: %+v, want it admitted as a probe and served by the stage", i, res)
-		}
-	}
-	if st := r.Stats()[0].State; st != StateClosed {
-		t.Fatalf("after the successful probes: %v, want closed", st)
+	if st.Refused != 10 || st.Failed != 0 || st.Served != 0 || refuser.callCount() != 10 {
+		t.Fatalf("after ten refusals: %+v, %d calls; want 10 refused, 0 failed, 10 calls", st, refuser.callCount())
 	}
 }

@@ -19,10 +19,9 @@ var unknownNameBodies = []string{
 
 // TestUnknownNamesStayAtTheDoor: a request naming an unknown column or table
 // is a 400 (inside a client batch, that item's error) and never reaches the
-// serving chain, so a client's typos cannot open the learned or the
-// independence stage's breaker — five failures would, for the cooldown, and
-// hand every valid query to the row-count heuristic. The chain is cardestd's:
-// cli.Chain around a GB model on the complex QFT.
+// serving chain, so a client's typos are never counted as a stage's failure,
+// and the valid query after them is the learned stage's. The chain is
+// cardestd's: cli.Chain around a GB model on the complex QFT.
 func TestUnknownNamesStayAtTheDoor(t *testing.T) {
 	db, set := testEnv(t)
 	learned := trainLocalQFT(t, db, "complex", set[:300], 8)

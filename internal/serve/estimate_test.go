@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -300,4 +301,58 @@ func (sleepyErrEst) Name() string { return "sleepy" }
 func (d sleepyErrEst) Estimate(*sqlparse.Query) (float64, error) {
 	time.Sleep(time.Duration(d))
 	return 0, errors.New("late and wrong")
+}
+
+// TestPanickingModelStillAnswers200: a learned model that panics on one query
+// shape costs those queries their model, never their answer. Each is a 200,
+// degraded, from the next stage; the healthy query sent after six of them is
+// the model's, not degraded, and cached.
+func TestPanickingModelStillAnswers200(t *testing.T) {
+	db, set := testEnv(t)
+	learned := trainLocalQFT(t, db, "complex", set[:300], 8)
+	reg := NewRegistry()
+	reg.Wrap = func(e estimator.Estimator) estimator.Estimator {
+		return resilience.NewResilient(resilience.Config{LastResort: resilience.RowCount{DB: db}},
+			resilience.Stage{Name: "learned", Est: panicsOnA2{e}},
+			resilience.Stage{Name: "independence", Est: &estimator.Independence{DB: db}})
+	}
+	if _, err := reg.Register("boot", learned, ModelInfo{Kind: estimator.KindLocal, Source: "test"}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Registry: reg, DB: db, Cache: CacheConfig{Entries: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+
+	for i := range 6 {
+		sql := fmt.Sprintf("SELECT count(*) FROM forest WHERE A2 <= %d", 100+10*i)
+		code, resp := postJSON(t, h, "/v1/estimate", map[string]any{"sql": sql})
+		if code != http.StatusOK || resp["degraded"] != true || resp["stage"] != "independence" {
+			t.Fatalf("%s: status %d body %v, want 200 degraded, from independence", sql, code, resp)
+		}
+	}
+	const healthy = "SELECT count(*) FROM forest WHERE A1 >= 2500"
+	for round := range 2 {
+		code, resp := postJSON(t, h, "/v1/estimate", map[string]any{"sql": healthy})
+		if code != http.StatusOK || resp["degraded"] != nil || resp["stage"] != "learned" {
+			t.Fatalf("round %d, %s: status %d body %v, want 200 from learned, not degraded", round, healthy, code, resp)
+		}
+	}
+	if hits := srv.Metrics().cacheHits.Load(); hits != 1 {
+		t.Errorf("cache_hits = %d after the healthy query twice, want 1", hits)
+	}
+}
+
+// panicsOnA2 panics on any query with a predicate on A2 and asks the model
+// otherwise.
+type panicsOnA2 struct{ estimator.Estimator }
+
+func (p panicsOnA2) Estimate(q *sqlparse.Query) (float64, error) {
+	for _, pr := range sqlparse.CollectPreds(q.Where) {
+		if pr.Attr == "A2" {
+			panic("model exploded on A2")
+		}
+	}
+	return p.Estimator.Estimate(q)
 }

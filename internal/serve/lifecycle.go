@@ -279,7 +279,7 @@ func (lc *Lifecycle) rollbackLocked(ctx context.Context, reason string) (Publica
 		return Publication{}, fmt.Errorf("serve: rollback needs a snapshot store")
 	}
 	if lc.live.name == "" {
-		return Publication{}, fmt.Errorf("serve: no lifecycle-managed model to roll back")
+		return Publication{}, fmt.Errorf("serve: no lifecycle-managed model to roll back: %w", ErrNoRollbackTarget)
 	}
 	// The workload is picked while the live model still stands to say
 	// whether the traffic sample is fit to judge on.

@@ -819,10 +819,58 @@ func TestRollbackEndpoint(t *testing.T) {
 		t.Errorf("rollback without target: status %d body %v, want 409", code, resp)
 	}
 
+	// A store-backed lifecycle that has published nothing has no target: 409.
+	empty, emptyReg := newLifecycle(t, t.TempDir(), looseCanary(canaryWS), db)
+	emptySrv, err := New(Config{Registry: emptyReg, DB: db, Lifecycle: empty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer emptySrv.Close()
+	if code, resp := rawPost(t, emptySrv.Handler(), "/v1/models/rollback", nil); code != http.StatusConflict {
+		t.Errorf("rollback before any publish: status %d body %v, want 409", code, resp)
+	}
+
 	// Without a lifecycle the endpoint is 501.
 	plain := newStubServer(t, constEst(1), nil)
 	if code, _ := rawPost(t, plain.Handler(), "/v1/models/rollback", nil); code != http.StatusNotImplemented {
 		t.Errorf("no lifecycle: status %d, want 501", code)
+	}
+}
+
+// TestRollbackStoreFaultIs500: a store that cannot quarantine the live
+// generation fails the rollback on the server's side, not the client's: 500,
+// the incumbent still the default, and both generations still valid.
+func TestRollbackStoreFaultIs500(t *testing.T) {
+	db, canaryWS, good, _ := lifecycleEnv(t)
+	st, err := store.Open(t.TempDir(), store.Options{FS: quarantineFailFS{store.OSFS()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	lc, err := NewLifecycle(LifecycleConfig{Registry: reg, Store: st, DB: db, Canary: looseCanary(canaryWS)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live Publication
+	for i := 0; i < 2; i++ {
+		if live, err = lc.Publish(context.Background(), PublishSpec{Name: "live", Snapshot: snapshotBytes(t, good), MakeDefault: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := New(Config{Registry: reg, DB: db, Lifecycle: lc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	if code, resp := rawPost(t, srv.Handler(), "/v1/models/rollback", nil); code != http.StatusInternalServerError {
+		t.Errorf("rollback over a store that cannot quarantine: status %d body %v, want 500", code, resp)
+	}
+	if _, info, err := reg.Resolve(""); err != nil || info.StoreGeneration != live.Info.StoreGeneration {
+		t.Errorf("default after the failed rollback = %+v (err %v), want generation %d", info, err, live.Info.StoreGeneration)
+	}
+	if got := len(st.Generations()); got != 2 {
+		t.Errorf("%d valid generations after the failed rollback, want 2", got)
 	}
 }
 

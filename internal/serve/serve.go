@@ -21,7 +21,9 @@
 //	                       without dropping in-flight requests
 //	POST /v1/models/rollback — quarantine the live generation and promote
 //	                       the previous good one from the crash-safe store
-//	                       (501 when the lifecycle has no store)
+//	                       (501 when the lifecycle has no store, 409 when
+//	                       there is nothing to roll back to, 500 when the
+//	                       store fails)
 //	GET  /v1/journal     — the lifecycle's feedback journal: directory,
 //	                       counters, segments (only when it has one)
 //	GET  /healthz        — 200 while serving, 503 while draining
@@ -746,11 +748,13 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	}
 	pub, err := s.lc.Rollback(r.Context(), reason)
 	if err != nil {
+		// Only a missing target is the request's conflict with the store's
+		// state; a store that cannot quarantine or read is the server's fault.
+		code := http.StatusInternalServerError
 		if errors.Is(err, ErrNoRollbackTarget) {
-			writeError(w, http.StatusConflict, "%v", err)
-			return
+			code = http.StatusConflict
 		}
-		writeError(w, http.StatusConflict, "rollback: %v", err)
+		writeError(w, code, "rollback: %v", err)
 		return
 	}
 	s.metrics.swaps.Add(1)
