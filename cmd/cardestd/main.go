@@ -331,7 +331,7 @@ func serveUntil(ctx context.Context, srv *serve.Server, o options, out io.Writer
 	// the serving address, so the fast path can be profiled in production
 	// without widening the public API surface. Off by default.
 	if o.pprofAddr != "" {
-		pp := &http.Server{Addr: o.pprofAddr, Handler: pprofMux()}
+		pp := httpServer(o.pprofAddr, pprofMux(), profileReadTimeout)
 		go func() {
 			if err := pp.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(out, "pprof listener: %v\n", err)
@@ -345,7 +345,7 @@ func serveUntil(ctx context.Context, srv *serve.Server, o options, out io.Writer
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := httpServer("", srv.Handler(), readTimeout)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(out, "cardestd listening on %s\n", ln.Addr())
@@ -366,6 +366,35 @@ func serveUntil(ctx context.Context, srv *serve.Server, o options, out io.Writer
 	}
 	fmt.Fprintln(out, "drained cleanly")
 	return nil
+}
+
+// The daemon's read timeouts. A client has readHeaderTimeout to send its
+// request line and headers and readTimeout to send the whole request, body
+// included; a keep-alive connection waits at most idleTimeout for its next
+// request. The estimate handler reads its body before it takes an admission
+// slot, so a client that stalls holds a goroutine and a descriptor for at
+// most readTimeout, and a slot never. net/http also cancels a request's
+// context when its read deadline passes, so the -pprof listener allows
+// profileReadTimeout: /debug/pprof/profile and /trace sample for 30 s by
+// default and stop early when their context ends. No write timeout, for the
+// same reason.
+const (
+	readHeaderTimeout  = 2 * time.Second
+	readTimeout        = 10 * time.Second
+	profileReadTimeout = 2 * time.Minute
+	idleTimeout        = 60 * time.Second
+)
+
+// httpServer is the http.Server each of the daemon's listeners runs; read
+// is how long it gives a request to arrive.
+func httpServer(addr string, h http.Handler, read time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       read,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // pprofMux registers the net/http/pprof handlers on a dedicated mux (not

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"qfe/internal/core"
 	"qfe/internal/journal"
@@ -694,6 +696,51 @@ func TestServeAnnouncesBoundAddress(t *testing.T) {
 	}
 	if got := strings.Join(rest, ""); !strings.Contains(got, "drained cleanly") {
 		t.Errorf("after cancel the daemon printed %q, want a clean drain", got)
+	}
+}
+
+// TestStalledHeadersAreClosed: a client that opens a connection and never
+// finishes its headers is disconnected once readHeaderTimeout has passed,
+// and the daemon still drains cleanly with no goroutine of its own left.
+func TestStalledHeadersAreClosed(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	o := tinyOptions(t)
+	o.addr = "127.0.0.1:0"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := make(lineWriter, 8)
+	done := make(chan error, 1)
+	go func() { done <- serveUntil(ctx, constServer(t), o, out) }()
+	var line string
+	select {
+	case line = <-out:
+	case err := <-done:
+		t.Fatalf("serveUntil returned before announcing: %v", err)
+	}
+	addr, _ := strings.CutPrefix(strings.TrimSpace(line), "cardestd listening on ")
+
+	start := time.Now() // before the daemon can start the header clock
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/estimate HTTP/1.1\r\nHost: cardestd\r\nContent-Le"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, conn) // returns when the daemon closes the connection
+	var ne net.Error
+	if elapsed := time.Since(start); errors.As(err, &ne) && ne.Timeout() || elapsed < readHeaderTimeout {
+		t.Fatalf("stalled headers: connection ended after %v (%d bytes, %v), want a close at the %v header timeout",
+			elapsed, n, err, readHeaderTimeout)
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }
 

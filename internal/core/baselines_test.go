@@ -231,16 +231,15 @@ func oracleFeaturize(f core.Featurizer, meta *core.TableMeta, expr sqlparse.Expr
 		}
 		return vec, nil
 	}
-	perAttr := sqlparse.PredsPerAttr(expr)
-	for name, ps := range perAttr {
-		if meta.AttrIndex(name) < 0 {
-			return nil, fmt.Errorf("core/range: unknown attribute %q", name)
+	perAttr := make(map[string][]*sqlparse.Pred)
+	for _, p := range sqlparse.CollectPreds(expr) {
+		if meta.AttrIndex(p.Attr) < 0 {
+			return nil, fmt.Errorf("core/range: unknown attribute %q", p.Attr)
 		}
-		for _, p := range ps {
-			if p.Str != nil {
-				return nil, fmt.Errorf("core/range: unbound string predicate %s", p)
-			}
+		if p.Str != nil {
+			return nil, fmt.Errorf("core/range: unbound string predicate %s", p)
 		}
+		perAttr[p.Attr] = append(perAttr[p.Attr], p)
 	}
 	for i, a := range meta.Attrs {
 		ps, ok := perAttr[a.Name]

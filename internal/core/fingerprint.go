@@ -36,10 +36,10 @@ import (
 // not found, never a wrong one.
 
 // Fingerprint returns a fixed-length, collision-resistant key for q's
-// featurization equivalence class: the hex-encoded SHA-256 of
-// CanonicalQuery(q). Queries that differ only in predicate order,
-// duplicated conjuncts/disjuncts, strict-vs-closed integer comparisons,
-// equi-join side order, or FROM / GROUP BY list order collide on purpose.
+// featurization equivalence class: the hex-encoded SHA-256 of q's canonical
+// form. Queries that differ only in predicate order, duplicated
+// conjuncts/disjuncts, strict-vs-closed integer comparisons, equi-join side
+// order, or FROM / GROUP BY list order collide on purpose.
 // The returned string is the call's only allocation.
 func Fingerprint(q *sqlparse.Query) string {
 	c := canonPool.Get().(*canon)
@@ -49,17 +49,6 @@ func Fingerprint(q *sqlparse.Query) string {
 	var dst [2 * sha256.Size]byte
 	hex.Encode(dst[:], sum[:])
 	return string(dst[:])
-}
-
-// CanonicalQuery renders q in a canonical textual form: two queries render
-// identically iff Fingerprint treats them as equivalent. Exposed for tests
-// and debugging; the journal keys on the hash.
-func CanonicalQuery(q *sqlparse.Query) string {
-	c := canonPool.Get().(*canon)
-	c.query(q)
-	s := string(c.buf)
-	canonPool.Put(c)
-	return s
 }
 
 // canon is the pooled workspace the canonical form is rendered in. The

@@ -16,6 +16,16 @@ func mustParseQ(t *testing.T, sql string) *sqlparse.Query {
 	return q
 }
 
+// canonicalQuery renders q in the canonical textual form Fingerprint hashes:
+// two queries render identically iff Fingerprint treats them as equivalent.
+func canonicalQuery(q *sqlparse.Query) string {
+	c := canonPool.Get().(*canon)
+	c.query(q)
+	s := string(c.buf)
+	canonPool.Put(c)
+	return s
+}
+
 // TestFingerprintEquivalences: every pair here is semantically identical
 // and featurized identically by the paper's QFTs, so the fingerprints must
 // collide — that collision is the estimate cache's whole value.
@@ -44,7 +54,7 @@ func TestFingerprintEquivalences(t *testing.T) {
 		qa, qb := mustParseQ(t, p[0]), mustParseQ(t, p[1])
 		if Fingerprint(qa) != Fingerprint(qb) {
 			t.Errorf("fingerprints differ:\n  %s -> %s\n  %s -> %s",
-				p[0], CanonicalQuery(qa), p[1], CanonicalQuery(qb))
+				p[0], canonicalQuery(qa), p[1], canonicalQuery(qb))
 		}
 	}
 }
@@ -70,7 +80,7 @@ func TestFingerprintInequivalences(t *testing.T) {
 		qa, qb := mustParseQ(t, p[0]), mustParseQ(t, p[1])
 		if Fingerprint(qa) == Fingerprint(qb) {
 			t.Errorf("inequivalent queries collide:\n  %s\n  %s\n  canon: %s",
-				p[0], p[1], CanonicalQuery(qa))
+				p[0], p[1], canonicalQuery(qa))
 		}
 	}
 }

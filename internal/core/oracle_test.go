@@ -13,11 +13,11 @@ import (
 )
 
 // The differential oracles: the allocating implementations that served
-// Featurize, SplitWhereByTable and CanonicalQuery before the scratch-based
+// Featurize, SplitWhereByTable and the canonical renderer before the scratch-based
 // walks replaced them, kept as the ground truth the new code is compared
 // against (vectors bit for bit, canonical forms byte for byte).
 // They go through the generic sqlparse analyses — CompoundPredicates, ToDNF,
-// PredsPerAttr — and build maps, nested slices and strings per call, which
+// a per-attribute grouping of CollectPreds — and build maps, nested slices and strings per call, which
 // is exactly why they no longer serve queries.
 //
 // Two known defects are part of the record and excluded from the
@@ -39,7 +39,7 @@ func oracleConjunctive(c *Conjunctive, expr sqlparse.Expr) ([]float64, error) {
 	if !sqlparse.IsConjunctive(expr) {
 		return nil, fmt.Errorf("core/conjunctive: disjunctions require Limited Disjunction Encoding")
 	}
-	perAttr := sqlparse.PredsPerAttr(expr)
+	perAttr := predsPerAttr(expr)
 	if err := oracleCheckKnownAttrs(c.meta, perAttr); err != nil {
 		return nil, fmt.Errorf("core/conjunctive: %w", err)
 	}
@@ -56,6 +56,16 @@ func oracleConjunctive(c *Conjunctive, expr sqlparse.Expr) ([]float64, error) {
 		}
 	}
 	return vec, nil
+}
+
+// predsPerAttr groups the simple predicates of a conjunctive expr by
+// attribute, in order of appearance.
+func predsPerAttr(expr sqlparse.Expr) map[string][]*sqlparse.Pred {
+	out := make(map[string][]*sqlparse.Pred)
+	for _, p := range sqlparse.CollectPreds(expr) {
+		out[p.Attr] = append(out[p.Attr], p)
+	}
+	return out
 }
 
 func oraclePredsFor(perAttr map[string][]*sqlparse.Pred, meta *TableMeta, a AttrMeta) []*sqlparse.Pred {

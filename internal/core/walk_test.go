@@ -135,7 +135,7 @@ func canonCorpus(t *testing.T) []*sqlparse.Query {
 func TestCanonicalQueryMatchesOracle(t *testing.T) {
 	_, mixed := mixedForest(t, 2000)
 	for i, q := range append(canonCorpus(t), mixed...) {
-		if got, want := CanonicalQuery(q), oracleCanonicalQuery(q); got != want {
+		if got, want := canonicalQuery(q), oracleCanonicalQuery(q); got != want {
 			t.Fatalf("query %d (%s):\n got  %q\n want %q", i, q, got, want)
 		}
 		if got, want := Fingerprint(q), oracleFingerprint(q); got != want {

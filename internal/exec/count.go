@@ -18,13 +18,13 @@ import (
 //
 // Queries with string literals must be Bind-ed first.
 func Count(db *table.DB, q *sqlparse.Query) (int64, error) {
-	return CountCtx(context.Background(), db, q)
+	return countCtx(context.Background(), db, q)
 }
 
-// CountCtx is Count under a context: cancellation is checked before each
+// countCtx is Count under a context: cancellation is checked before each
 // per-table evaluation step, so a deadline bounds the work at table
 // granularity rather than letting a large join run to completion.
-func CountCtx(ctx context.Context, db *table.DB, q *sqlparse.Query) (int64, error) {
+func countCtx(ctx context.Context, db *table.DB, q *sqlparse.Query) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -256,7 +256,7 @@ func CountManyWorkers(ctx context.Context, db *table.DB, qs []*sqlparse.Query, w
 	out := make([]int64, len(qs))
 	errs := make([]error, len(qs))
 	parallel.Do(len(qs), parallel.Workers(workers), func(i int) {
-		out[i], errs[i] = CountCtx(ctx, db, qs[i])
+		out[i], errs[i] = countCtx(ctx, db, qs[i])
 		if errs[i] != nil {
 			out[i] = -1
 		}

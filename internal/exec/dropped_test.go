@@ -38,8 +38,11 @@ func TestDroppedRowsFailLoudly(t *testing.T) {
 		}
 	}
 	counts := map[string]func() (int64, error){
-		"Count":    func() (int64, error) { return exec.Count(db, q) },
-		"CountCtx": func() (int64, error) { return exec.CountCtx(context.Background(), db, q) },
+		"Count": func() (int64, error) { return exec.Count(db, q) },
+		"CountManyCtx": func() (int64, error) {
+			n, err := exec.CountManyCtx(context.Background(), db, []*sqlparse.Query{q})
+			return n[0], err
+		},
 		"Count with no WHERE": func() (int64, error) {
 			return exec.Count(db, sqlparse.MustParse("SELECT count(*) FROM orders"))
 		},

@@ -483,15 +483,3 @@ kids:
 	}
 	return selection{rows: rows}, nil
 }
-
-// Selectivity returns the fraction of t's rows qualifying expr.
-func Selectivity(t *table.Table, expr sqlparse.Expr) (float64, error) {
-	if t.NumRows() == 0 {
-		return 0, nil
-	}
-	n, err := countExpr(t, expr)
-	if err != nil {
-		return 0, err
-	}
-	return float64(n) / float64(t.NumRows()), nil
-}

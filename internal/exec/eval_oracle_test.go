@@ -43,7 +43,13 @@ func evalPredKernels(t *table.Table, p *sqlparse.Pred) (*table.Bitmap, error) {
 		copy(tail[:], vals[full<<6:])
 		words[full] = predWord(p.Op, &tail, p.Val)
 	}
-	return table.BitmapFromWords(words, len(vals)), nil
+	b := table.NewBitmap(len(vals))
+	for i := range vals {
+		if words[i>>6]>>(i&63)&1 != 0 {
+			b.Set(i)
+		}
+	}
+	return b, nil
 }
 
 // predWord evaluates "row op lit" over 64 rows, bit j for rows[j]. Three

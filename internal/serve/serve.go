@@ -312,17 +312,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	if !s.limiter.tryAcquire() {
-		s.metrics.shed.Add(1)
-		w.Header().Set("Retry-After", retryAfter)
-		writeError(w, http.StatusTooManyRequests, "at capacity (%d requests in flight); retry later", s.limiter.capacity())
-		return
-	}
-	defer s.limiter.release()
-	s.metrics.requests.Add(1)
-	s.metrics.inFlight.Add(1)
-	defer s.metrics.inFlight.Add(-1)
-
+	// The body is read before a slot is taken: a client that sends headers
+	// and withholds its body waits on its own connection (bounded by the
+	// http.Server's ReadTimeout), not in one of the slots every client shares.
 	sc := scratchPool.Get().(*reqScratch)
 	defer sc.release()
 	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
@@ -334,6 +326,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	if !s.limiter.tryAcquire() {
+		s.metrics.shed.Add(1)
+		w.Header().Set("Retry-After", retryAfter)
+		writeError(w, http.StatusTooManyRequests, "at capacity (%d requests in flight); retry later", s.limiter.capacity())
+		return
+	}
+	defer s.limiter.release()
+	s.metrics.requests.Add(1)
+	s.metrics.inFlight.Add(1)
+	defer s.metrics.inFlight.Add(-1)
+
 	var req estimateRequest
 	if err := sc.dec.decode(sc.body.Bytes(), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)

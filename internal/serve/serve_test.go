@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -494,6 +495,45 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if snap["in_flight"] != int64(0) {
 		t.Errorf("in_flight = %v after completion, want 0", snap["in_flight"])
+	}
+}
+
+// TestStalledBodyHoldsNoSlot: a client that sends its headers and one byte
+// of a promised body waits on its own connection, not in an admission slot,
+// so MaxInFlight such clients shed no one: a well-formed request still
+// answers 200 within its deadline.
+func TestStalledBodyHoldsNoSlot(t *testing.T) {
+	srv := newStubServer(t, constEst(5), func(c *Config) {
+		c.MaxInFlight = 2
+		c.DefaultTimeout = 100 * time.Millisecond
+	})
+	entered := make(chan struct{}, 3) // one per request this test sends
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	for i := 0; i < 2; i++ {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := fmt.Fprint(conn, "POST /v1/estimate HTTP/1.1\r\nHost: stub\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{"); err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", strings.NewReader(`{"sql":"`+stubSQL+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK || out["estimate"] != 5.0 {
+		t.Fatalf("beside two stalled bodies: status %d, %v (%v), want 200 with the model's 5", resp.StatusCode, out, err)
 	}
 }
 

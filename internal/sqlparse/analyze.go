@@ -205,14 +205,3 @@ func ToDNF(expr Expr) ([][]*Pred, error) {
 	}
 	return nil, fmt.Errorf("sqlparse: unknown expr %T", expr)
 }
-
-// PredsPerAttr groups the simple predicates of expr by attribute, preserving
-// per-attribute order of appearance. It ignores the boolean structure; use
-// it only for conjunctive expressions, where structure is irrelevant.
-func PredsPerAttr(expr Expr) map[string][]*Pred {
-	out := make(map[string][]*Pred)
-	for _, p := range CollectPreds(expr) {
-		out[p.Attr] = append(out[p.Attr], p)
-	}
-	return out
-}

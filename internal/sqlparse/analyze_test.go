@@ -217,14 +217,3 @@ func TestConjuncts(t *testing.T) {
 		t.Errorf("Conjuncts of Or = %d, want 1", got)
 	}
 }
-
-func TestPredsPerAttr(t *testing.T) {
-	q := MustParse("SELECT count(*) FROM t WHERE a > 1 AND b = 2 AND a < 5")
-	per := PredsPerAttr(q.Where)
-	if len(per["a"]) != 2 || len(per["b"]) != 1 {
-		t.Errorf("PredsPerAttr = %v", per)
-	}
-	if per["a"][0].Op != OpGt || per["a"][1].Op != OpLt {
-		t.Error("per-attribute order not preserved")
-	}
-}

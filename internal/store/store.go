@@ -58,10 +58,10 @@ const (
 const (
 	// PayloadSnapshot frames a published model snapshot (or its manifest).
 	PayloadSnapshot uint32 = 0
-	// PayloadCheckpoint framed a resumable training checkpoint. Nothing
-	// writes one any more; the number stays reserved so that a checkpoint
-	// file an older build left behind, renamed into a generation, is refused.
-	PayloadCheckpoint uint32 = 1
+	// Kind 1 framed a resumable training checkpoint. Nothing writes one any
+	// more; the number stays reserved so that a checkpoint file an older
+	// build left behind, renamed into a generation, is refused.
+
 	// PayloadJournal frames one feedback-journal record (internal/journal).
 	// Journal segments are a concatenation of these frames, so a segment can
 	// never be confused with a snapshot even if renamed.

@@ -357,6 +357,10 @@ func TestSweepsTempDirs(t *testing.T) {
 	}
 }
 
+// payloadCheckpoint is the envelope kind resumable training checkpoints
+// were framed with, reserved in store.go.
+const payloadCheckpoint uint32 = 1
+
 // TestOpenSweepsRetiredCheckpoints: a store a -retrain daemon of an older
 // build used holds its training checkpoint (ckpt-<name>, committed) and may
 // hold a torn write of the next one (tmp-ckpt-<name>). Nothing reads either
@@ -371,7 +375,7 @@ func TestOpenSweepsRetiredCheckpoints(t *testing.T) {
 	}
 	mustPut(t, s, "real")
 	progress := []byte(`{"labels":[1,2,3],"train":"e30="}`)
-	ckpt := frameKind(PayloadCheckpoint, progress)
+	ckpt := frameKind(payloadCheckpoint, progress)
 	if err := os.WriteFile(filepath.Join(dir, ckptPrefix+"retrain"), ckpt, 0o644); err != nil {
 		t.Fatal(err)
 	}

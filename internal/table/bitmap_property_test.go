@@ -148,45 +148,6 @@ func TestBitmapBooleanAlgebra(t *testing.T) {
 	}
 }
 
-// TestBitmapFromWords: wrapping prebuilt words gives, word for word, the
-// bitmap Set builds from the same rows, with whatever the caller left past
-// the last row cleared; a word slice of the wrong length is a caller bug and
-// panics.
-func TestBitmapFromWords(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range lengths {
-		want, ref := randomBitmap(rng, n)
-		words := make([]uint64, (n+63)/64)
-		for i := range words {
-			words[i] = ^uint64(0) // garbage everywhere, the tail included
-		}
-		for i, set := range ref {
-			if !set {
-				words[i>>6] &^= 1 << uint(i&63)
-			}
-		}
-		got := BitmapFromWords(words, n)
-		if got.Len() != n || got.Count() != want.Count() {
-			t.Fatalf("n=%d: Len %d Count %d, want %d and %d", n, got.Len(), got.Count(), n, want.Count())
-		}
-		for i := range want.words {
-			if got.words[i] != want.words[i] {
-				t.Fatalf("n=%d: word %d is %#x, want %#x", n, i, got.words[i], want.words[i])
-			}
-		}
-	}
-	for _, bad := range []struct{ words, n int }{{0, 1}, {1, 0}, {1, 65}, {3, 128}, {0, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%d words accepted for %d rows", bad.words, bad.n)
-				}
-			}()
-			BitmapFromWords(make([]uint64, bad.words), bad.n)
-		}()
-	}
-}
-
 // TestBitmapSetRange: every range of every length in lengths, both ends on,
 // before and past each word boundary, sets exactly its rows and leaves the
 // others — set or not — as they were.

@@ -1,12 +1,10 @@
 package table
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -249,42 +247,6 @@ func TestDBManagement(t *testing.T) {
 	}
 	if db.Table("y") == nil || db.Table("z") != nil {
 		t.Error("Table lookup misbehaves")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tbl := New("t")
-	tbl.MustAddColumn(NewColumn("id", []int64{1, 2, 3}))
-	tbl.MustAddColumn(NewStringColumn("name", []string{"x", "y", "x"}))
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV("t", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumRows() != 3 || back.NumCols() != 2 {
-		t.Fatalf("round-trip shape = (%d, %d)", back.NumRows(), back.NumCols())
-	}
-	for r, want := range []string{"x", "y", "x"} {
-		if got := back.Column("name").Decode(back.Column("name").Vals[r]); got != want {
-			t.Errorf("row %d name = %q, want %q", r, got, want)
-		}
-	}
-	for r, want := range []int64{1, 2, 3} {
-		if got := back.Column("id").Vals[r]; got != want {
-			t.Errorf("row %d id = %d, want %d", r, got, want)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV("t", strings.NewReader("")); err == nil {
-		t.Error("expected error for empty input")
-	}
-	if _, err := ReadCSV("t", strings.NewReader("a,b\n1\n")); err == nil {
-		t.Error("expected error for ragged row")
 	}
 }
 

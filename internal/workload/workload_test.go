@@ -1,7 +1,11 @@
 package workload
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -259,7 +263,10 @@ func TestJOBLightSuite(t *testing.T) {
 		}
 		// At most one range (<= one Ge and one Le) per attribute; equality
 		// attrs see exactly one predicate.
-		perAttr := sqlparse.PredsPerAttr(q.Where)
+		perAttr := make(map[string][]*sqlparse.Pred)
+		for _, p := range sqlparse.CollectPreds(q.Where) {
+			perAttr[p.Attr] = append(perAttr[p.Attr], p)
+		}
 		for attr, preds := range perAttr {
 			ge, le, eq := 0, 0, 0
 			for _, p := range preds {
@@ -329,7 +336,7 @@ func TestReadWriteSetRoundTrip(t *testing.T) {
 	if err := WriteSet(&buf, set); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSet(&buf, singleDB(tbl))
+	back, err := readSet(&buf, singleDB(tbl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,6 +353,45 @@ func TestReadWriteSetRoundTrip(t *testing.T) {
 	}
 }
 
+// readSet parses a labeled workload file written by WriteSet/cmd/datagen and
+// binds every query against db (exec.Bind), as the generators bind theirs.
+// Blank lines and lines starting with "--" are skipped.
+func readSet(r io.Reader, db *table.DB) (Set, error) {
+	var out Set
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "--") {
+			continue
+		}
+		idx := strings.LastIndex(line, cardMarker)
+		if idx < 0 {
+			return nil, fmt.Errorf("workload: line %d lacks the %q label", lineNo, strings.TrimSpace(cardMarker))
+		}
+		sqlText := strings.TrimSpace(line[:idx])
+		cardText := strings.TrimSpace(line[idx+len(cardMarker):])
+		card, err := strconv.ParseInt(cardText, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("workload: line %d: bad cardinality %q: %w", lineNo, cardText, err)
+		}
+		q, err := sqlparse.Parse(sqlText)
+		if err == nil {
+			err = exec.Bind(q, db)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("workload: line %d: %w", lineNo, err)
+		}
+		out = append(out, Labeled{Query: q, Card: card})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("workload: read: %w", err)
+	}
+	return out, nil
+}
+
 // tinyDB is a table t with one column a, for the workload-file tests.
 func tinyDB() *table.DB {
 	tbl := table.New("t")
@@ -356,7 +402,7 @@ func tinyDB() *table.DB {
 
 func TestReadSetSkipsCommentsAndBlanks(t *testing.T) {
 	src := "-- a comment\n\nSELECT count(*) FROM t WHERE a = 1; -- cardinality: 42\n"
-	set, err := ReadSet(strings.NewReader(src), tinyDB())
+	set, err := readSet(strings.NewReader(src), tinyDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +422,8 @@ func TestReadSetErrors(t *testing.T) {
 		"SELECT count(*) FROM t WHERE c = 1; -- cardinality: 5\n",   // unknown column
 	}
 	for _, src := range cases {
-		if _, err := ReadSet(strings.NewReader(src), tinyDB()); err == nil {
-			t.Errorf("ReadSet(%q) succeeded, want error", src)
+		if _, err := readSet(strings.NewReader(src), tinyDB()); err == nil {
+			t.Errorf("readSet(%q) succeeded, want error", src)
 		}
 	}
 }
