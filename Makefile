@@ -41,8 +41,8 @@ ci:
 # Local.Estimate <= 6, an inline resilience stage 0, keying and looking up a
 # query text 0, the whole handler on a hit <= 6, or <= 8 with a Feedback hook
 # (it is handed the query the entry kept from its miss: neither hit parses),
-# and on a miss that evicts <= 5 (the query is parsed into the request's
-# arena; no timer, no list node).
+# and on a miss that evicts <= 3 (the query is parsed into the request's
+# arena; no deadline context, no timer, no list node).
 	$(GO) test -short -run 'Allocs' $(ALLOC_PKGS)
 # The daemon ships built with cmd/cardestd/default.pgo, and the inlining the
 # profile buys changes escape analysis; go test builds these packages without

@@ -37,6 +37,7 @@ import (
 	"qfe/internal/metrics"
 	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
+	"qfe/internal/workload"
 )
 
 func main() {
@@ -130,13 +131,11 @@ func run(trainN, rows, entries int, query string, seed int64, savePath, loadPath
 	// -fallback arms the serving chain: the learned model is the
 	// first stage, independence degrades behind it, and the row-count
 	// heuristic guarantees an answer.
-	var serving estimator.Estimator = loc
-	var resilient *resilience.Resilient
+	var tally *stageTally
 	if fallback {
-		resilient = cli.Chain(db, loc)
-		serving = resilient
+		tally = newStageTally(cli.Chain(db, loc))
 		fmt.Printf("resilience: %d-stage chain, last resort %s\n",
-			len(resilient.Stats()), resilience.RowCount{}.Name())
+			len(tally.stages), resilience.RowCount{}.Name())
 	}
 
 	if q != nil {
@@ -144,8 +143,8 @@ func run(trainN, rows, entries int, query string, seed int64, savePath, loadPath
 			return err
 		}
 		var est float64
-		if resilient != nil {
-			res := resilient.EstimateDetailed(context.Background(), q)
+		if tally != nil {
+			res := tally.estimate(q)
 			est = res.Estimate
 			for _, se := range res.Errors {
 				verb := "failed"
@@ -172,15 +171,68 @@ func run(trainN, rows, entries int, query string, seed int64, savePath, loadPath
 		return nil
 	}
 
-	sum, err := estimator.Summarize(serving, test)
-	if err != nil {
+	var sum metrics.Summary
+	if tally != nil {
+		sum = tally.summarize(test)
+	} else if sum, err = estimator.Summarize(loc, test); err != nil {
 		return err
 	}
 	fmt.Printf("held-out evaluation over %d queries: %v\n", len(test), sum)
-	if resilient != nil {
-		for _, st := range resilient.Stats() {
-			fmt.Printf("stage %-12s served=%d failed=%d refused=%d\n", st.Name, st.Served, st.Failed, st.Refused)
+	if tally != nil {
+		for _, st := range tally.stages {
+			fmt.Printf("stage %-12s served=%d failed=%d refused=%d\n", st.name, st.served, st.failed, st.refused)
 		}
 	}
 	return nil
+}
+
+// stageCount is what one chain stage did with the evaluation's queries.
+type stageCount struct {
+	name                    string
+	served, failed, refused int
+}
+
+// stageTally is the serving chain as the evaluation calls it: each answer's
+// Result is read into per-stage counts — served by the stage that answered,
+// refused or failed by each stage the chain passed over.
+type stageTally struct {
+	chain  *resilience.Resilient
+	stages []stageCount
+}
+
+// newStageTally tallies cli.Chain's stages, in chain order; the summary
+// prints a line for each, whether or not a query reached it.
+func newStageTally(chain *resilience.Resilient) *stageTally {
+	return &stageTally{chain: chain, stages: []stageCount{{name: "learned"}, {name: "independence"}}}
+}
+
+// estimate runs q through the chain and tallies the answer.
+func (t *stageTally) estimate(q *sqlparse.Query) resilience.Result {
+	res := t.chain.EstimateDetailed(context.Background(), q)
+	for i := range t.stages {
+		st := &t.stages[i]
+		for _, se := range res.Errors {
+			if se.Stage != st.name {
+				continue
+			}
+			if errors.Is(se.Err, core.ErrUnsupported) {
+				st.refused++
+			} else {
+				st.failed++
+			}
+		}
+		if res.Stage == st.name {
+			st.served++
+		}
+	}
+	return res
+}
+
+// summarize is estimator.Summarize over the chain, every answer tallied.
+func (t *stageTally) summarize(set workload.Set) metrics.Summary {
+	qerrs := make([]float64, len(set))
+	for i, l := range set {
+		qerrs[i] = metrics.QError(float64(l.Card), t.estimate(l.Query).Estimate)
+	}
+	return metrics.Summarize(qerrs)
 }

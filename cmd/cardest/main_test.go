@@ -1,14 +1,18 @@
 package main
 
 import (
+	"errors"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/ml/gb"
+	"qfe/internal/resilience"
+	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 	"qfe/internal/workload"
 )
@@ -111,5 +115,46 @@ func TestRunRejectsMismatchedSchema(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "schema mismatch") {
 		t.Errorf("error does not name the schema mismatch: %v", err)
+	}
+}
+
+// scripted is a stage whose answer to each query the test chooses.
+type scripted func(q *sqlparse.Query) (float64, error)
+
+func (scripted) Name() string                                  { return "scripted" }
+func (f scripted) Estimate(q *sqlparse.Query) (float64, error) { return f(q) }
+
+// TestStageTallyReadsResults: the -fallback summary counts, per stage, what
+// each answer's Result says — served by the stage that answered, refused or
+// failed by each stage passed over — and a stage no query reached reads all
+// zeros.
+func TestStageTallyReadsResults(t *testing.T) {
+	refused, failed, served := sqlparse.MustParse("SELECT count(*) FROM t WHERE a = 1"),
+		sqlparse.MustParse("SELECT count(*) FROM t WHERE a = 2"),
+		sqlparse.MustParse("SELECT count(*) FROM t WHERE a = 3")
+	refuse := core.Unsupported(errors.New("not encoded"))
+	learned := scripted(func(q *sqlparse.Query) (float64, error) {
+		switch q {
+		case refused:
+			return 0, refuse
+		case failed:
+			return 0, errors.New("model broke")
+		}
+		return 9, nil
+	})
+	tally := newStageTally(resilience.NewResilient(resilience.Config{LastResort: resilience.RowCount{}},
+		resilience.Stage{Name: "learned", Est: learned},
+		resilience.Stage{Name: "independence", Est: scripted(func(*sqlparse.Query) (float64, error) { return 0, refuse })}))
+	for _, q := range []*sqlparse.Query{refused, failed, served, served} {
+		tally.estimate(q)
+	}
+	want := []stageCount{{"learned", 2, 1, 1}, {"independence", 0, 0, 2}}
+	if !slices.Equal(tally.stages, want) {
+		t.Errorf("tally %+v, want %+v", tally.stages, want)
+	}
+	empty := newStageTally(resilience.NewResilient(resilience.Config{}, resilience.Stage{Name: "learned", Est: learned}))
+	empty.estimate(served)
+	if want := []stageCount{{"learned", 1, 0, 0}, {"independence", 0, 0, 0}}; !slices.Equal(empty.stages, want) {
+		t.Errorf("tally %+v, want %+v", empty.stages, want)
 	}
 }

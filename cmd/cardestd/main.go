@@ -211,6 +211,14 @@ func run(o options, out io.Writer) error {
 	if err := cli.ValidateWorkers(o.workers); err != nil {
 		return err
 	}
+	// Neither is left to a silent default: a negative -timeout would mean no
+	// deadline at all, and -max-inflight below 1 the server's 64.
+	if o.timeout < 0 {
+		return fmt.Errorf("-timeout must be >= 0 (0 means no deadline), got %v", o.timeout)
+	}
+	if o.maxInFly < 1 {
+		return fmt.Errorf("-max-inflight must be >= 1, got %d", o.maxInFly)
+	}
 	if err := cli.ValidateModel(o.model); err != nil {
 		return err
 	}

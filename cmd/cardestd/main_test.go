@@ -121,6 +121,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(o, io.Discard); err == nil || !strings.Contains(err.Error(), "-workers") {
 		t.Errorf("negative workers: err = %v, want a -workers error", err)
 	}
+	o = tinyOptions(t)
+	o.timeout = -5 * time.Millisecond
+	if err := run(o, io.Discard); err == nil || !strings.Contains(err.Error(), "-timeout") {
+		t.Errorf("-timeout -5ms: err = %v, want a -timeout error (it read as no deadline)", err)
+	}
+	for _, n := range []int{0, -3} {
+		o = tinyOptions(t)
+		o.maxInFly = n
+		if err := run(o, io.Discard); err == nil || !strings.Contains(err.Error(), "-max-inflight") {
+			t.Errorf("-max-inflight %d: err = %v, want a -max-inflight error (it read as 64)", n, err)
+		}
+	}
 
 	// LR and NN are the harness's models, not the daemon's: the name is
 	// refused with the flags — before a table is built (Rows 0 would be the
@@ -254,8 +266,8 @@ func TestDefaultQFTEncodesOR(t *testing.T) {
 // the learned stage: single-cold (each text once), single-hot (64 texts warmed
 // and re-sent), batch-cold (the cold texts 64 to a POST) and, under -journal,
 // feedback-hot (the hot texts carrying their true count, every answer
-// journaled). Then the chain itself is read through the registry: no stage
-// failed, independence answered nothing, and no response was degraded. With
+// journaled). The responses are the census: each names the learned stage and
+// none is degraded, so no stage failed and independence answered nothing. With
 // complex the one QFT served, independence answers no refusal there; what it
 // still answers is a query no QFT encodes (an OR across attributes,
 // TestRefusedQueriesLeaveTheModelServing).
@@ -301,23 +313,10 @@ func TestServedTrafficIsLearned(t *testing.T) {
 			}
 		}
 		d.close()
-		est, _, err := b.reg.Resolve("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := est.(*resilience.Resilient).Stats()
-		t.Logf("%s: %d queries over %d texts: stages %v, %d degraded; chain %+v",
-			s.name, c.queries, s.keys, c.stages, c.degraded, stats)
+		t.Logf("%s: %d queries over %d texts: stages %v, %d degraded",
+			s.name, c.queries, s.keys, c.stages, c.degraded)
 		if !c.learned() || c.queries != s.keys*rounds {
 			t.Errorf("%s: stages %v, %d degraded, want every one of %d learned", s.name, c.stages, c.degraded, s.keys*rounds)
-		}
-		for _, st := range stats {
-			if st.Failed != 0 {
-				t.Errorf("%s: stage %+v, want no failure", s.name, st)
-			}
-			if st.Name == "independence" && st.Served != 0 {
-				t.Errorf("%s: independence served %d, want 0", s.name, st.Served)
-			}
 		}
 	}
 }

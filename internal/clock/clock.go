@@ -1,8 +1,8 @@
 // Package clock is the feedback journal's time source, for work a test must
 // drive without waiting: its record stamps, segment age, flush timer and
 // flush timing. The request path and the lifecycle's timestamps read time.Now
-// directly: resilience.WithDeadline must stay inlinable, and no test needs
-// those readings replaced.
+// directly: the chain reads the clock against a request's deadline before
+// each stage, and no test needs those readings replaced.
 package clock
 
 import (

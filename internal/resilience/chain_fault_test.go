@@ -102,13 +102,13 @@ func TestChainSurvivesEveryFaultKindAtFullRate(t *testing.T) {
 				if math.IsNaN(res.Estimate) || math.IsInf(res.Estimate, 0) || res.Estimate < 1 {
 					t.Fatalf("call %d: unusable estimate %v", i, res.Estimate)
 				}
-				if res.Stage != "row-count heuristic" {
-					t.Fatalf("call %d: fault kind %s at rate 1.0 was served by %q", i, k.name, res.Stage)
+				if res.Stage != "row-count heuristic" || len(res.Errors) != len(injectors) {
+					t.Fatalf("call %d: fault kind %s at rate 1.0 was served by %q past %v, want the last resort past every stage's failure", i, k.name, res.Stage, res.Errors)
 				}
 			}
-			for i, st := range r.Stats() {
-				if got := injectors[i].Counts().Calls; got != calls || st.Failed != calls || st.Served != 0 {
-					t.Errorf("stage %d: %d calls, %+v; want %d calls, all failed", i, got, st, calls)
+			for i, in := range injectors {
+				if got := in.Counts().Calls; got != calls {
+					t.Errorf("stage %d: %d calls, want %d", i, got, calls)
 				}
 			}
 		})
@@ -176,8 +176,9 @@ func TestChainIsDeterministic(t *testing.T) {
 }
 
 // TestChainUnderConcurrentLoad drives the faulty chain from many goroutines
-// with -race in mind: the invariant must hold on every call and the internal
-// counters must stay consistent.
+// with -race in mind: the invariant must hold on every call, and the answers
+// must account for every stage call — each stage was asked exactly as often
+// as the results name it, as the one that served or one passed over.
 func TestChainUnderConcurrentLoad(t *testing.T) {
 	r, injectors := buildFaultyChain(faultinject.Config{
 		Seed:      99,
@@ -187,18 +188,20 @@ func TestChainUnderConcurrentLoad(t *testing.T) {
 	}, Config{})
 	const workers, perWorker = 8, 100
 	errs := make(chan error, workers)
+	asked := make([]map[string]int, workers) // per worker: stage name → calls its results name
 	for w := 0; w < workers; w++ {
+		asked[w] = map[string]int{}
 		go func() {
 			for i := 0; i < perWorker; i++ {
-				v, err := r.Estimate(testQuery)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if math.IsNaN(v) || math.IsInf(v, 0) || v < 1 {
+				res := r.EstimateDetailed(context.Background(), testQuery)
+				if v := res.Estimate; math.IsNaN(v) || math.IsInf(v, 0) || v < 1 {
 					errs <- &unusableErr{v}
 					return
 				}
+				for _, se := range res.Errors {
+					asked[w][se.Stage]++
+				}
+				asked[w][res.Stage]++
 			}
 			errs <- nil
 		}()
@@ -208,15 +211,14 @@ func TestChainUnderConcurrentLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	total := 0
-	for i, st := range r.Stats() {
-		total += st.Served
-		if calls := injectors[i].Counts().Calls; st.Served+st.Failed+st.Refused != calls {
-			t.Errorf("stage %d: %+v counts %d outcomes for %d calls", i, st, st.Served+st.Failed+st.Refused, calls)
+	for i, name := range []string{"learned", "sampling", "independence"} {
+		named := 0
+		for _, a := range asked {
+			named += a[name]
 		}
-	}
-	if total > workers*perWorker {
-		t.Fatalf("stages served %d calls for %d requests", total, workers*perWorker)
+		if calls := injectors[i].Counts().Calls; named != calls {
+			t.Errorf("stage %s: the results name it %d times for %d calls", name, named, calls)
+		}
 	}
 	if calls := injectors[0].Counts().Calls; calls != workers*perWorker {
 		t.Errorf("the first stage was asked %d times for %d requests", calls, workers*perWorker)

@@ -20,13 +20,14 @@
 // query that caused it. Every stage runs on the caller's goroutine and is
 // guarded by:
 //
-//   - a per-call deadline (context.Context), which the chain alone reads:
-//     it checks Err before each stage and, once the deadline is spent, tries
-//     no further stage and answers with the last resort. A stage is a plain
-//     estimator.Estimator and never sees the deadline — an estimate is
-//     microseconds of bounded arithmetic with nothing to wait on — so a stage
-//     that has started runs to its return, and what it returns is its own
-//     doing, never the deadline's;
+//   - a per-call deadline (a time.Time) and the caller's cancellation (a
+//     context.Context), which the chain alone reads: it checks both before
+//     each stage and, once either says stop, tries no further stage and
+//     answers with the last resort. A stage is a plain estimator.Estimator
+//     and never sees the deadline — an estimate is microseconds of bounded
+//     arithmetic with nothing to wait on — so a stage that has started runs
+//     to its return, and what it returns is its own doing, never the
+//     deadline's;
 //   - panic recovery, converting panics in model code into stage errors.
 //
 // The sibling package faultinject provides a seeded, deterministic
@@ -37,21 +38,18 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
-	"qfe/internal/core"
 	"qfe/internal/estimator"
 	"qfe/internal/sqlparse"
 )
 
 // Stage is one link of the degradation chain.
 type Stage struct {
-	// Name identifies the stage in results and stats; empty means the
-	// estimator's own Name().
+	// Name identifies the stage in results; empty means the estimator's own
+	// Name().
 	Name string
 	// Est is the wrapped estimator.
 	Est estimator.Estimator
@@ -59,9 +57,9 @@ type Stage struct {
 
 // Config tunes a Resilient estimator. The zero value is usable.
 type Config struct {
-	// Timeout is the per-call estimation budget applied when the caller's
-	// context carries no deadline of its own, as a WithDeadline context.
-	// Zero means no implicit deadline.
+	// Timeout is the per-call estimation budget EstimateDetailed applies when
+	// the caller's context carries no deadline of its own. Zero means no
+	// implicit deadline.
 	Timeout time.Duration
 	// LastResort produces the estimate when every stage fails or the
 	// deadline is spent. It should be total (never error); RowCount is the
@@ -71,30 +69,12 @@ type Config struct {
 
 const defaultEstimate = 1 // returned if even LastResort fails: the paper's minimum cardinality
 
-// stageState is a Stage plus its counters.
-type stageState struct {
-	name string
-	est  estimator.Estimator
-
-	served  atomic.Int64 // calls this stage answered
-	failed  atomic.Int64 // calls this stage failed
-	refused atomic.Int64 // calls whose query this stage does not encode
-}
-
-// StageStats is a snapshot of one stage's counters.
-type StageStats struct {
-	Name    string
-	Served  int
-	Failed  int
-	Refused int
-}
-
 // Resilient chains estimators with graceful degradation. It never returns an
 // error or a non-finite estimate: the worst case is the last-resort
 // heuristic.
 type Resilient struct {
 	cfg        Config
-	stages     []*stageState
+	stages     []Stage // each named
 	lastResort estimator.Estimator
 }
 
@@ -105,11 +85,10 @@ func NewResilient(cfg Config, stages ...Stage) *Resilient {
 		r.lastResort = Constant{Value: defaultEstimate}
 	}
 	for _, s := range stages {
-		name := s.Name
-		if name == "" {
-			name = s.Est.Name()
+		if s.Name == "" {
+			s.Name = s.Est.Name()
 		}
-		r.stages = append(r.stages, &stageState{name: name, est: s.Est})
+		r.stages = append(r.stages, s)
 	}
 	return r
 }
@@ -119,7 +98,7 @@ func (r *Resilient) Name() string {
 	if len(r.stages) == 0 {
 		return "resilient(" + r.lastResort.Name() + ")"
 	}
-	return "resilient(" + r.stages[0].name + ")"
+	return "resilient(" + r.stages[0].Name + ")"
 }
 
 // StageError pairs a stage name with the error that made the chain move past
@@ -149,58 +128,50 @@ func (r *Resilient) Estimate(q *sqlparse.Query) (float64, error) {
 	return r.EstimateDetailed(context.Background(), q).Estimate, nil
 }
 
-// EstimateDetailed runs the chain and reports which stage answered and what
-// failed along the way.
+// EstimateDetailed is EstimateBy for a caller that holds a context: the
+// deadline is the context's, else the configured Timeout from now, else none.
 func (r *Resilient) EstimateDetailed(ctx context.Context, q *sqlparse.Query) Result {
-	if r.cfg.Timeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = WithDeadline(ctx, time.Now().Add(r.cfg.Timeout))
-			defer cancel()
-		}
+	at, ok := ctx.Deadline()
+	if !ok && r.cfg.Timeout > 0 {
+		at = time.Now().Add(r.cfg.Timeout)
 	}
+	return r.EstimateBy(ctx, at, q)
+}
+
+// EstimateBy runs the chain and reports which stage answered and what failed
+// along the way. Before each stage it reads ctx's cancellation and the clock
+// against at (zero: no deadline); once either says stop, no further stage
+// runs and the last resort answers. A stage that fails, refuses the query
+// (core.ErrUnsupported), panics or returns an invalid value is passed over.
+func (r *Resilient) EstimateBy(ctx context.Context, at time.Time, q *sqlparse.Query) Result {
 	var res Result
 	for i, s := range r.stages {
-		if ctx.Err() != nil {
-			// Deadline spent: no stage may run; fall through to the last
-			// resort, which is synchronous and cheap.
-			res.Errors = append(res.Errors, StageError{s.name, ctx.Err()})
+		err := ctx.Err()
+		if err == nil && !at.IsZero() && !time.Now().Before(at) {
+			err = context.DeadlineExceeded
+		}
+		if err != nil {
+			// No stage may run; fall through to the last resort, which is
+			// synchronous and cheap.
+			res.Errors = append(res.Errors, StageError{s.Name, err})
 			break
 		}
-		v, err := r.attempt(s, q)
+		v, err := callGuarded(s.Name, s.Est, q)
+		if err == nil && !validEstimate(v) {
+			err = fmt.Errorf("resilience: stage %s returned invalid estimate %v", s.Name, v)
+		}
 		if err == nil {
-			res.Estimate = v
-			res.Stage = s.name
+			res.Estimate = max(v, 1)
+			res.Stage = s.Name
 			res.Degraded = i > 0
 			return res
 		}
-		res.Errors = append(res.Errors, StageError{s.name, err})
+		res.Errors = append(res.Errors, StageError{s.Name, err})
 	}
 	res.Estimate = r.lastResortEstimate(q)
 	res.Stage = r.lastResort.Name()
 	res.Degraded = len(r.stages) > 0
 	return res
-}
-
-// attempt runs one stage once and counts the call under exactly one outcome:
-// served on a valid estimate, refused when the stage does not encode the query,
-// failed on any other error, a panic or an invalid value. The stage never sees
-// the request's deadline, so nothing it returns is the deadline's doing.
-func (r *Resilient) attempt(s *stageState, q *sqlparse.Query) (float64, error) {
-	v, err := callGuarded(s.name, s.est, q)
-	if err == nil && !validEstimate(v) {
-		err = fmt.Errorf("resilience: stage %s returned invalid estimate %v", s.name, v)
-	}
-	switch {
-	case err == nil:
-		s.served.Add(1)
-		return max(v, 1), nil
-	case errors.Is(err, core.ErrUnsupported):
-		s.refused.Add(1)
-	default:
-		s.failed.Add(1)
-	}
-	return 0, err
 }
 
 // callGuarded runs one stage call on the caller's goroutine, with a panic in
@@ -232,20 +203,6 @@ func (r *Resilient) lastResortEstimate(q *sqlparse.Query) (v float64) {
 		v = 1
 	}
 	return v
-}
-
-// Stats snapshots every stage's counters, in chain order.
-func (r *Resilient) Stats() []StageStats {
-	out := make([]StageStats, len(r.stages))
-	for i, s := range r.stages {
-		out[i] = StageStats{
-			Name:    s.name,
-			Served:  int(s.served.Load()),
-			Failed:  int(s.failed.Load()),
-			Refused: int(s.refused.Load()),
-		}
-	}
-	return out
 }
 
 // validEstimate reports whether v can be served: finite and non-negative.

@@ -39,15 +39,19 @@ type EstResult struct {
 }
 
 // estimateOne dispatches one query, preserving the resilience chain's
-// detailed outcome when available. The chain reads ctx itself; a bare
-// estimator is not called once ctx is spent.
-func estimateOne(ctx context.Context, est estimator.Estimator, q *sqlparse.Query) EstResult {
+// detailed outcome when available. The chain reads ctx's cancellation and the
+// deadline at (zero: none) itself; a bare estimator is not called once either
+// is spent.
+func estimateOne(ctx context.Context, at time.Time, est estimator.Estimator, q *sqlparse.Query) EstResult {
 	if res, ok := est.(*resilience.Resilient); ok {
-		d := res.EstimateDetailed(ctx, q)
+		d := res.EstimateBy(ctx, at, q)
 		return EstResult{Estimate: d.Estimate, Stage: d.Stage, Degraded: d.Degraded}
 	}
 	if err := ctx.Err(); err != nil {
 		return EstResult{Err: err}
+	}
+	if !at.IsZero() && !time.Now().Before(at) {
+		return EstResult{Err: context.DeadlineExceeded}
 	}
 	v, err := est.Estimate(q)
 	return EstResult{Estimate: v, Err: err}
@@ -56,12 +60,12 @@ func estimateOne(ctx context.Context, est estimator.Estimator, q *sqlparse.Query
 // doBatch estimates a client-supplied batch — estimateOne per query, over
 // at most Batcher.Workers goroutines, out[i] answering qs[i] — and counts it
 // in /metrics (batches_total, batched_queries_total).
-func (s *Server) doBatch(ctx context.Context, est estimator.Estimator, qs []*sqlparse.Query, out []EstResult) {
+func (s *Server) doBatch(ctx context.Context, at time.Time, est estimator.Estimator, qs []*sqlparse.Query, out []EstResult) {
 	if len(qs) == 0 {
 		return
 	}
 	s.metrics.observeBatch(len(qs))
 	parallel.Do(len(qs), parallel.Workers(s.cfg.Batcher.Workers), func(i int) {
-		out[i] = estimateOne(ctx, est, qs[i])
+		out[i] = estimateOne(ctx, at, est, qs[i])
 	})
 }

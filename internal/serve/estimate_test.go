@@ -50,13 +50,13 @@ func TestDoBatchKeepsOrder(t *testing.T) {
 		est[qs[i]] = float64(i * 10)
 	}
 	out := make([]EstResult, len(qs))
-	srv.doBatch(context.Background(), est, qs, out)
+	srv.doBatch(context.Background(), time.Time{}, est, qs, out)
 	for i, r := range out {
 		if r.Err != nil || r.Estimate != float64(i*10) {
 			t.Errorf("result %d = %+v, want estimate %d", i, r, i*10)
 		}
 	}
-	srv.doBatch(context.Background(), est, nil, nil)
+	srv.doBatch(context.Background(), time.Time{}, est, nil, nil)
 	snap := srv.Metrics().Snapshot()
 	if snap["batches_total"] != int64(1) || snap["batched_queries_total"] != int64(8) {
 		t.Errorf("recorded %v batches carrying %v queries, want one batch of 8 (an empty batch is not one)",
@@ -72,12 +72,12 @@ func TestEstimateOneContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	est := &countingEst{value: 5}
-	if r := estimateOne(ctx, est, parseQ(t, stubSQL)); !errors.Is(r.Err, context.Canceled) {
+	if r := estimateOne(ctx, time.Time{}, est, parseQ(t, stubSQL)); !errors.Is(r.Err, context.Canceled) {
 		t.Errorf("bare estimator: cancelled context produced %+v, want context.Canceled", r)
 	}
 	chain := resilience.NewResilient(resilience.Config{LastResort: resilience.Constant{Value: 77}},
 		resilience.Stage{Name: "learned", Est: est})
-	if r := estimateOne(ctx, chain, parseQ(t, stubSQL)); r.Err != nil || r.Estimate != 77 || r.Stage != "constant" || !r.Degraded {
+	if r := estimateOne(ctx, time.Time{}, chain, parseQ(t, stubSQL)); r.Err != nil || r.Estimate != 77 || r.Stage != "constant" || !r.Degraded {
 		t.Errorf("chain: cancelled context produced %+v, want the last resort's 77, degraded", r)
 	}
 	if n := est.calls.Load(); n != 0 {
@@ -100,7 +100,7 @@ func TestDoBatchSteadyStateAllocs(t *testing.T) {
 	ctx := context.Background()
 	out := make([]EstResult, len(qs))
 	allocs := testing.AllocsPerRun(100, func() {
-		srv.doBatch(ctx, constEst(7), qs, out)
+		srv.doBatch(ctx, time.Time{}, constEst(7), qs, out)
 	})
 	t.Logf("doBatch(64) allocs/op = %v", allocs)
 	if allocs > 8 {

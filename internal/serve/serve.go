@@ -53,7 +53,6 @@ import (
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
 	"qfe/internal/metrics"
-	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -301,7 +300,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // ---- handlers ----
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	entry := time.Now() // the request's deadline, if it comes to need one, counts from here
+	entry := time.Now() // the request's deadline counts from here
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -364,10 +363,16 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	dl := deadline{parent: r.Context(), at: s.deadlineFrom(entry, req.TimeoutMS)}
+	// The deadline is a time the chain compares the clock with; no context
+	// or timer is built for it. The request context's own, if earlier, wins.
+	ctx := r.Context()
+	at := s.deadlineFrom(entry, req.TimeoutMS)
+	if d, ok := ctx.Deadline(); ok && (at.IsZero() || d.Before(at)) {
+		at = d
+	}
 
 	if single {
-		res, err := s.estimateTimed(dl, est, info, req.SQL, req.Actual, &sc.arena)
+		res, err := s.estimateTimed(ctx, at, est, info, req.SQL, req.Actual, &sc.arena)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -381,17 +386,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeEstimate(w, sc, code, &estimateResponse{Model: info.Name, estimateResult: res})
 		return
 	}
-	s.estimateBatch(dl, est, info, req.Queries, sc)
+	s.estimateBatch(ctx, at, est, info, req.Queries, sc)
 	writeEstimate(w, sc, http.StatusOK, &estimateResponse{Model: info.Name, Results: sc.results})
 }
 
 // answer resolves one query text as far as the calling goroutine can without
 // estimating: a lookup in the estimate cache under the text's key, then — only
-// when that missed — parse and bind. A hit therefore returns before a parse,
-// a deadline context or a timer exists, with or without a Feedback hook: the
-// hook is owed the query, and the entry of a server that has one carries the
-// query its miss bound (shared and read-only, see cacheEntry); a hit that
-// carries none is parsed for the hook. The error is the client's (unparseable
+// when that missed — parse and bind. A hit therefore returns before a parse
+// or an estimate, with or without a Feedback hook: the hook is owed the
+// query, and the entry of a server that has one carries the query its miss
+// bound (shared and read-only, see cacheEntry); a hit that carries none is
+// parsed for the hook. The error is the client's (unparseable
 // or unbindable text, 4xx); such text was never estimated, so it is never a
 // hit.
 func (s *Server) answer(gen uint64, sql string, arena *sqlparse.Arena) (key cacheKey, q *sqlparse.Query, br EstResult, hit bool, err error) {
@@ -411,24 +416,23 @@ func (s *Server) answer(gen uint64, sql string, arena *sqlparse.Arena) (key cach
 // does the resilience chain the daemon wraps its estimators in: every stage
 // runs on this goroutine (DESIGN §11). The latency it records counts from the
 // lookup, so a miss's includes its parse.
-func (s *Server) estimateTimed(dl deadline, est estimator.Estimator, info ModelInfo, sql string, reported *float64, arena *sqlparse.Arena) (estimateResult, error) {
+func (s *Server) estimateTimed(ctx context.Context, at time.Time, est estimator.Estimator, info ModelInfo, sql string, reported *float64, arena *sqlparse.Arena) (estimateResult, error) {
 	start := time.Now()
 	key, q, br, hit, err := s.answer(info.Generation, sql, arena)
 	if err != nil {
 		return estimateResult{}, err
 	}
 	if !hit {
-		br = s.estimateMiss(dl, key, est, q)
+		br = s.estimateMiss(ctx, at, key, est, q)
 	}
 	return s.record(info, q, sql, br, reported, time.Since(start)), nil
 }
 
 // estimateMiss computes what lookup did not find, under the request's
-// deadline, and puts it in the cache as a client batch puts its misses.
-func (s *Server) estimateMiss(dl deadline, key cacheKey, est estimator.Estimator, q *sqlparse.Query) EstResult {
-	ctx, cancel := dl.context()
-	defer cancel()
-	res := estimateOne(ctx, est, q)
+// cancellation and deadline, and puts it in the cache as a client batch puts
+// its misses.
+func (s *Server) estimateMiss(ctx context.Context, at time.Time, key cacheKey, est estimator.Estimator, q *sqlparse.Query) EstResult {
+	res := estimateOne(ctx, at, est, q)
 	s.cache.put(key, res, q)
 	return res
 }
@@ -463,9 +467,9 @@ func (s *Server) record(info ModelInfo, q *sqlparse.Query, sql string, br EstRes
 
 // estimateBatch answers a client batch into sc.results, in request order:
 // answer per item (errors are per-item), then only the misses fanned out over
-// the worker pool; a batch the cache answers whole parses nothing and builds
-// no deadline. Its misses go through the same put as a single's.
-func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, info ModelInfo, items []estimateItem, sc *reqScratch) {
+// the worker pool; a batch the cache answers whole parses nothing. Its misses
+// go through the same put as a single's.
+func (s *Server) estimateBatch(ctx context.Context, at time.Time, est estimator.Estimator, info ModelInfo, items []estimateItem, sc *reqScratch) {
 	start := time.Now()
 	sc.results = zeroed(sc.results, len(items))
 	for i := range items {
@@ -490,10 +494,8 @@ func (s *Server) estimateBatch(dl deadline, est estimator.Estimator, info ModelI
 		sc.out = append(sc.out, br)
 	}
 	if len(sc.missQ) > 0 {
-		ctx, cancel := dl.context()
-		defer cancel()
 		sc.missOut = zeroed(sc.missOut, len(sc.missQ))
-		s.doBatch(ctx, est, sc.missQ, sc.missOut)
+		s.doBatch(ctx, at, est, sc.missQ, sc.missOut)
 		for k, res := range sc.missOut {
 			j := sc.missIdx[k]
 			sc.out[j] = res
@@ -538,27 +540,11 @@ func toResult(br EstResult, elapsed time.Duration) estimateResult {
 	return res
 }
 
-// deadline is a request's estimation budget before anything has been spent
-// on it: the context is only built by the code that is about to estimate, so
-// a request the cache answers builds none. The one it builds is
-// resilience.WithDeadline's, which arms no timer either unless a stage
-// selects on its Done; the daemon's stages only read Err.
-type deadline struct {
-	parent context.Context
-	at     time.Time // zero: no deadline beyond the parent's
-}
-
-func (dl deadline) context() (context.Context, context.CancelFunc) {
-	if dl.at.IsZero() {
-		return dl.parent, func() {}
-	}
-	return resilience.WithDeadline(dl.parent, dl.at)
-}
-
 // deadlineFrom places the estimation deadline: the client's timeoutMs or the
 // server default, capped at maxTimeout, counted from the handler's entry —
-// building the context late must not lengthen the budget. timeoutMs is capped
-// before it becomes a Duration: past ~2^63 ns the product wraps around.
+// the time a request spent before its miss is part of its budget. timeoutMs
+// is capped before it becomes a Duration: past ~2^63 ns the product wraps
+// around. The zero time means no deadline.
 func (s *Server) deadlineFrom(entry time.Time, timeoutMS int64) time.Time {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
