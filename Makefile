@@ -81,13 +81,12 @@ ci:
 # stops measuring what its comment says: gb training (labels its own training
 # sets, reports the share of the matrix split search accumulates; TrainHistogram
 # is the dense input that histograms by subtraction must not slow down), the
-# journal's batched-vs-per-record fsync and a commit's class keys over shared
-# vs distinct queries (reports fingerprints/record), labeling across workers
+# journal's batched-vs-per-record fsync, labeling across workers
 # and the boot's label phase over a built table (it reports the tables'
 # construction ANALYZE as analyze-ms), and a cache miss's parse and
 # featurization alone, on the benchmark's mixed traffic (the per-layer
 # numbers of the cold path: sqlparse.parse_us and core.featurize_us).
-	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|FlushFingerprints|CountManyWorkers|LabelBoot|FeaturizeMixed|ParseMixed' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec ./internal/core ./internal/sqlparse
+	$(GO) test -run '^$$' -bench 'TrainQFT|TrainHistogram|TrainWorkers|AppendDurable|CountManyWorkers|LabelBoot|FeaturizeMixed|ParseMixed' -benchtime 1x ./internal/ml/gb ./internal/journal ./internal/exec ./internal/core ./internal/sqlparse
 # The generator make pgo profiles, 0.5 s per workload instead of 7.5: it
 # fails if any answer is not a 200 from the learned stage, a cold workload
 # hits the cache, a warmed one misses it, or a feedback answer never
@@ -107,9 +106,12 @@ ci:
 	! grep -rn 'chan Record' --include='*.go' internal/journal | grep -v _test.go
 # Guard 7, gb accumulates the smaller child and subtracts for its sibling.
 	! grep -rnE 'func \(b \*builder\) (rangeSplits|cellSplits)' --include='*.go' internal/ml/gb | grep -v '_test\.go:'
-# Guard 8, the journal writer names each query's class and frames records by hand.
+# Guard 8, the journal writes what was served, framed by hand: the daemon
+# computes no class key (replay computes it where it reads a record), and the
+# journal links neither the fingerprint nor the parser.
 	! grep -n 'core\.Fingerprint(' cmd/cardestd/main.go
 	! grep -rn 'json\.Marshal(' --include='*.go' internal/journal | grep -v _test.go
+	! grep -nE '"qfe/internal/(core|sqlparse)"' internal/journal/*.go | grep -v '_test\.go:'
 # Guard 9, a GB model is its flat forest: nothing compiles a model's trees.
 	! grep -rn 'compileForest(m\.' --include='*.go' internal/ml/gb | grep -v '_test\.go:'
 # Guard 10, a miss arms no timer (and allocates no list node: the miss pin).

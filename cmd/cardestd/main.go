@@ -65,15 +65,16 @@
 // the cache implicitly by changing the generation. A different spelling of a
 // cached query (reordered conjuncts, "a > 5" for "a >= 6") is a different
 // key: it recomputes, a few microseconds, and gets the same estimate.
-// /metrics reports cache_hits, cache_misses and cache_evictions. The journal
-// still files every record under core.Fingerprint, the key of the
-// featurization class; cmd/replay counts how many of a journal's records a
-// class key would have served that a text key does not (its "traffic:" line).
+// /metrics reports cache_hits, cache_misses and cache_evictions. The key of
+// the featurization class, core.Fingerprint, is computed only where it is
+// read, from a record's SQL: cmd/replay counts how many of a journal's
+// records a class key would have served that a text key does not (its
+// "traffic:" line), and the traffic canary deduplicates by it.
 //
 // -journal arms the durable query-feedback journal (see internal/journal):
-// every served estimate — SQL, fingerprint, estimate, client-reported
-// actual (with an explicit has-actual bit), latency, model generation,
-// timestamp — is appended to a segmented, CRC-framed, crash-recoverable
+// every served estimate — SQL, estimate, client-reported actual (with an
+// explicit has-actual bit), latency, model generation, timestamp — is
+// appended to a segmented, CRC-framed, crash-recoverable
 // log under the directory. The append path never blocks serving: a slow or
 // wedged journal sheds records (journal_shed in /metrics) instead of
 // stalling /v1/estimate. Segments rotate at -journal-segment-size bytes and
@@ -301,17 +302,15 @@ func arm(b *booted, o options, out io.Writer) (*daemon, error) {
 }
 
 // feedbackHook is the daemon's serve.Config.Feedback under -journal: every
-// served estimate is appended to the feedback journal. The hook computes no
-// class key: it stages the bound query — on a cache hit the entry's shared
-// one, which the journal writer only reads — and the writer fingerprints each
-// distinct query once per commit.
+// served estimate is appended to the feedback journal, as served. The record
+// carries no class key: package replay computes it from the SQL where it is
+// read.
 func feedbackHook(jnl *journal.Journal) func(serve.FeedbackEvent) {
 	return func(ev serve.FeedbackEvent) {
 		// Append stages the record and returns: a wedged journal sheds records
 		// (counted in journal_shed) and the estimate path never waits.
 		jnl.Append(journal.Record{
 			SQL:           ev.SQL,
-			Query:         ev.Query,
 			Model:         ev.Model,
 			Generation:    ev.Generation,
 			Estimate:      ev.Estimate,
@@ -526,14 +525,11 @@ func smoke(srv *serve.Server, cacheOn, journalOn bool, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "smoke: memory ok (%.1f MiB live heap, %.1f MiB mapped)\n", live/(1<<20), mapped/(1<<20))
 	if journalOn {
-		// The writer names the records' classes: journal_fingerprints over
-		// journal_appended is the share of records that cost one.
-		appended, okA := m["journal_appended"].(float64)
-		fps, okF := m["journal_fingerprints"].(float64)
-		if !okA || !okF || appended < 5 {
-			return fmt.Errorf("smoke: metrics report journal_appended %v, journal_fingerprints %v, want both, >= 5 appended", m["journal_appended"], m["journal_fingerprints"])
+		appended, _ := m["journal_appended"].(float64)
+		if appended < 5 {
+			return fmt.Errorf("smoke: metrics report journal_appended %v, want >= 5", m["journal_appended"])
 		}
-		fmt.Fprintf(out, "smoke: journal ok (%v appended, %v fingerprints)\n", appended, fps)
+		fmt.Fprintf(out, "smoke: journal ok (%v appended)\n", appended)
 	}
 
 	srv.Drain()

@@ -16,11 +16,10 @@ import (
 	"testing"
 	"time"
 
-	"qfe/internal/core"
 	"qfe/internal/journal"
+	"qfe/internal/replay"
 	"qfe/internal/resilience"
 	"qfe/internal/serve"
-	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 	"qfe/internal/testutil"
 )
@@ -63,7 +62,7 @@ func TestRetiredFlagsRejected(t *testing.T) {
 // TestRunSmoke drives the daemon's built-in self-test: boot-train, serve on
 // a random port, single + batched estimates, model listing, metrics scrape,
 // clean shutdown.
-// With -journal it also finds journal_fingerprints beside journal_appended.
+// With -journal it also finds the five estimates in journal_appended.
 func TestRunSmoke(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		var out strings.Builder
@@ -502,15 +501,16 @@ func TestArmFailureStopsWhatItStarted(t *testing.T) {
 	})
 }
 
-// TestJournaledFingerprint: the request path never fingerprints (the estimate
-// cache is keyed on the query text) and neither does the feedback hook: it
-// stages the bound query the server owes it even on a cache hit, and the
-// journal writer names it. The journal must hold exactly
-// core.Fingerprint of the served query — on a miss, a hit, inside a client
-// batch, and with the cache off.
+// TestJournaledFingerprint: the journal writes what was served and no class
+// key — the request path never fingerprints (the estimate cache is keyed on
+// the query text) and neither do the feedback hook or the journal writer —
+// and replay.Traffic names the records' classes from their SQL: on a miss, a
+// hit, inside a client batch that respells a served query, and with the
+// cache off.
 func TestJournaledFingerprint(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	const sqlA = "SELECT count(*) FROM t WHERE a >= 1 AND b < 7"
+	const sqlA2 = "SELECT count(*) FROM t WHERE b < 7 AND a >= 1" // sqlA's class, another text
 	const sqlB = "SELECT count(*) FROM t WHERE b <> 3"
 	for _, tc := range []struct {
 		name    string
@@ -538,11 +538,11 @@ func TestJournaledFingerprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			// A miss, a hit on the same query, then a client batch holding a
-			// hit and a miss.
+			// hit, a miss and a miss on a respelling of the first query.
 			bodies := []string{
 				`{"sql":"` + sqlA + `","actual":4}`,
 				`{"sql":"` + sqlA + `"}`,
-				`{"queries":[{"sql":"` + sqlA + `"},{"sql":"` + sqlB + `"}]}`,
+				`{"queries":[{"sql":"` + sqlA + `"},{"sql":"` + sqlB + `"},{"sql":"` + sqlA2 + `"}]}`,
 			}
 			for _, body := range bodies {
 				rec := httptest.NewRecorder()
@@ -561,17 +561,17 @@ func TestJournaledFingerprint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(recs) != 4 {
-				t.Fatalf("journal holds %d records, want 4", len(recs))
+			if len(recs) != 5 {
+				t.Fatalf("journal holds %d records, want 5", len(recs))
 			}
 			for _, r := range recs {
-				q, err := sqlparse.Parse(r.SQL)
-				if err != nil {
-					t.Fatal(err)
+				if r.Fingerprint != "" {
+					t.Errorf("%q journaled under fingerprint %q, want none", r.SQL, r.Fingerprint)
 				}
-				if want := core.Fingerprint(q); r.Fingerprint != want {
-					t.Errorf("journaled fingerprint of %q = %q, want %q", r.SQL, r.Fingerprint, want)
-				}
+			}
+			want := replay.TrafficStats{Records: 5, DistinctTexts: 3, DistinctFingerprints: 2, SemanticOnly: 1}
+			if got := replay.Traffic(recs); got != want {
+				t.Errorf("Traffic over the journal = %+v, want %+v", got, want)
 			}
 		})
 	}

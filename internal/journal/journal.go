@@ -1,8 +1,8 @@
 // Package journal is the durable query-feedback log of the serving stack: a
 // segmented, append-only, CRC-framed record of every served estimate — SQL
-// text, canonical fingerprint, estimate, client-reported actual cardinality
-// (with an explicit has-actual bit, so a genuine zero-row actual is never
-// confused with "no feedback"), latency, model generation, timestamp.
+// text, estimate, client-reported actual cardinality (with an explicit
+// has-actual bit, so a genuine zero-row actual is never confused with "no
+// feedback"), latency, model generation, timestamp.
 //
 // The write path is built for a serving hot path that must never block on
 // disk: Append stages the record in a bounded slice under the journal's
@@ -12,10 +12,8 @@
 // Append when the staging depth reaches flushBatch (the count trigger, there
 // so a burst is written out before it sheds) and by a timer flushEvery after
 // its last flush (the bound on how long an accepted record waits un-fsynced).
-// Either way it takes everything staged, fingerprints each distinct query of
-// the batch once (a record may be staged with its parsed query instead of its
-// class key, so the request path never computes one), encodes the records by
-// hand into QFES frames (the same checksummed envelope the model store uses,
+// Either way it takes everything staged, encodes the records by hand into
+// QFES frames (the same checksummed envelope the model store uses,
 // payload kind PayloadJournal; the bytes are json.Marshal's), and commits them
 // with one write and one fsync. The segment rotates on size or age; sealed
 // segments beyond the retention horizon are garbage-collected.
@@ -45,9 +43,7 @@ import (
 	"time"
 
 	"qfe/internal/clock"
-	"qfe/internal/core"
 	"qfe/internal/jsonenc"
-	"qfe/internal/sqlparse"
 	"qfe/internal/store"
 )
 
@@ -72,15 +68,10 @@ type Record struct {
 	UnixMicros int64 `json:"t"`
 	// SQL is the query text as served (re-parseable for replay).
 	SQL string `json:"sql"`
-	// Query is the parsed, bound form of SQL, in memory only: a record
-	// staged with a Query and no Fingerprint is named by the writer, which
-	// computes core.Fingerprint once per distinct *Query in a commit and
-	// only reads the query, so a query shared by many records (a cache
-	// entry's) is fingerprinted once per commit. The writer drops the
-	// reference once the commit is done.
-	Query *sqlparse.Query `json:"-"`
-	// Fingerprint is core.Fingerprint(query) — the featurization
-	// equivalence class, usable as a dedup/label key without re-parsing.
+	// Fingerprint is the featurization equivalence class of SQL, when the
+	// writer of the record filed one. The daemon files none: its readers
+	// (package replay) compute the class from SQL, so a record without one
+	// loses nothing.
 	Fingerprint string `json:"fp,omitempty"`
 	// Model and Generation identify which registry entry answered.
 	Model      string `json:"model,omitempty"`
@@ -151,17 +142,16 @@ type SegmentInfo struct {
 // Stats are the journal's cumulative counters, served under /v1/journal and
 // merged into /metrics as journal_*.
 type Stats struct {
-	Appended     uint64 `json:"appended"`     // accepted into staging
-	Shed         uint64 `json:"shed"`         // rejected without blocking (staging full / closed)
-	Persisted    uint64 `json:"persisted"`    // durably committed (their batch fsync returned)
-	Dropped      uint64 `json:"dropped"`      // lost to a failed flush (ENOSPC, I/O error) or unencodable (NaN, ±Inf)
-	Fingerprints uint64 `json:"fingerprints"` // class keys the writer computed: one per distinct Query of a commit
-	Staged       int    `json:"staged"`       // accepted, not yet taken by the writer
-	Flushes      uint64 `json:"flushes"`
-	FlushMicros  int64  `json:"flushMicros"` // cumulative time inside AppendFile (write + fsync)
-	FlushErrors  uint64 `json:"flushErrors"`
-	Rotations    uint64 `json:"rotations"`
-	GCRemoved    int    `json:"gcRemoved"` // sealed segments removed by retention GC
+	Appended    uint64 `json:"appended"`  // accepted into staging
+	Shed        uint64 `json:"shed"`      // rejected without blocking (staging full / closed)
+	Persisted   uint64 `json:"persisted"` // durably committed (their batch fsync returned)
+	Dropped     uint64 `json:"dropped"`   // lost to a failed flush (ENOSPC, I/O error) or unencodable (NaN, ±Inf)
+	Staged      int    `json:"staged"`    // accepted, not yet taken by the writer
+	Flushes     uint64 `json:"flushes"`
+	FlushMicros int64  `json:"flushMicros"` // cumulative time inside AppendFile (write + fsync)
+	FlushErrors uint64 `json:"flushErrors"`
+	Rotations   uint64 `json:"rotations"`
+	GCRemoved   int    `json:"gcRemoved"` // sealed segments removed by retention GC
 
 	// Recovery counters, set by Open.
 	TornTailsRepaired   int `json:"tornTailsRepaired"`
@@ -216,14 +206,11 @@ type Journal struct {
 	quit chan struct{}
 	done chan struct{}
 
-	// Writer goroutine only: the batch being committed, its frames, one
-	// record's payload, and the class keys named in this commit by query.
-	// batch and staged swap backing arrays at every flush; named is emptied
-	// by each flush, so it pins no query past its commit.
+	// Writer goroutine only: the batch being committed, its frames, and one
+	// record's payload. batch and staged swap backing arrays at every flush.
 	batch   []Record
 	buf     []byte
 	payload []byte
-	named   map[*sqlparse.Query]string
 
 	mu          sync.Mutex
 	staged      []Record // accepted, not yet taken by the writer; len <= queueCap
@@ -243,14 +230,13 @@ type Journal struct {
 func Open(dir string, opts Options) (*Journal, error) {
 	opts = opts.withDefaults()
 	j := &Journal{
-		dir:   dir,
-		fs:    opts.FS,
-		opts:  opts,
-		wake:  make(chan struct{}, 1),
-		sync:  make(chan chan error),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-		named: make(map[*sqlparse.Query]string),
+		dir:  dir,
+		fs:   opts.FS,
+		opts: opts,
+		wake: make(chan struct{}, 1),
+		sync: make(chan chan error),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	if err := j.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("journal: create %s: %w", dir, err)
@@ -499,7 +485,6 @@ func (j *Journal) flush() error {
 	if len(j.batch) == 0 {
 		return nil
 	}
-	fingerprints := j.name(j.batch)
 	// Frame every record json.Marshal would encode, and compact the batch
 	// to them in place: those are the records the commit puts on disk.
 	j.buf = j.buf[:0]
@@ -515,8 +500,8 @@ func (j *Journal) flush() error {
 	}
 	start := j.opts.Clock.Now()
 	err := j.fs.AppendFile(j.activePath(), j.buf)
-	j.noteFlush(framed, len(j.batch)-len(framed), fingerprints, int64(len(j.buf)), j.opts.Clock.Now().Sub(start), err)
-	clear(j.batch) // the array is the next staging area: do not pin the texts and queries
+	j.noteFlush(framed, len(j.batch)-len(framed), int64(len(j.buf)), j.opts.Clock.Now().Sub(start), err)
+	clear(j.batch) // the array is the next staging area: do not pin the texts
 	j.maybeRotate()
 	if err != nil {
 		return fmt.Errorf("journal: flush: %w", err)
@@ -524,41 +509,16 @@ func (j *Journal) flush() error {
 	return nil
 }
 
-// name fills in the Fingerprint of every record in batch that carries a
-// Query and no Fingerprint, computing core.Fingerprint once per distinct
-// *Query — records that share a cache entry's query share its key — and
-// returns how many it computed. A record that arrived with a Fingerprint
-// keeps it.
-func (j *Journal) name(batch []Record) uint64 {
-	var computed uint64
-	for i := range batch {
-		rec := &batch[i]
-		if rec.Fingerprint != "" || rec.Query == nil {
-			continue
-		}
-		fp, ok := j.named[rec.Query]
-		if !ok {
-			fp = core.Fingerprint(rec.Query)
-			j.named[rec.Query] = fp
-			computed++
-		}
-		rec.Fingerprint = fp
-	}
-	clear(j.named)
-	return computed
-}
-
 // noteFlush books one commit attempt of the framed records (unencodable ones
 // are dropped and counted as such). A failed append may have torn the active
 // segment's tail, so the segment is marked dirty and the next maybeRotate
 // seals it — appending more frames after a torn one would make the committed
 // prefix unreadable.
-func (j *Journal) noteFlush(framed []Record, unencodable int, fingerprints uint64, bytes int64, took time.Duration, err error) {
+func (j *Journal) noteFlush(framed []Record, unencodable int, bytes int64, took time.Duration, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.stats.Flushes++
 	j.stats.FlushMicros += took.Microseconds()
-	j.stats.Fingerprints += fingerprints
 	j.stats.Dropped += uint64(unencodable)
 	if err != nil {
 		j.stats.FlushErrors++

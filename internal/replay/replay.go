@@ -160,34 +160,30 @@ func TrafficCanary(records []journal.Record, n int, db *table.DB) workload.Set {
 // journal order), so two recoveries of the same journal derive the same
 // canary. Records are eligible when they carry an actual of at least one
 // row (the q-error convention scores only non-empty results), parse, and
-// are the first occurrence of their fingerprint — real traffic repeats
-// queries, and a canary of thirty copies of one hot query gates nothing. A
-// record whose journaled fingerprint was already seen is passed over before
-// its SQL is parsed: only a record without one is parsed to name it.
+// are the first occurrence of their fingerprint, core.Fingerprint of the
+// parsed SQL — real traffic repeats queries, and a canary of thirty copies of
+// one hot query gates nothing. A record whose text was already taken is
+// passed over before it is parsed, so each distinct text is parsed once.
 func DeriveCanary(records []journal.Record, n int, seed int64) workload.Set {
 	if n <= 0 {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	seen := map[string]bool{}
+	texts, seen := map[string]bool{}, map[string]bool{}
 	reservoir := make(workload.Set, 0, n)
 	eligible := 0
 	for _, rec := range records {
-		if !rec.HasActual || rec.Actual < 1 || rec.Actual != math.Trunc(rec.Actual) {
+		if !rec.HasActual || rec.Actual < 1 || rec.Actual != math.Trunc(rec.Actual) || texts[rec.SQL] {
 			continue
 		}
-		fp := rec.Fingerprint
-		if fp != "" && seen[fp] {
-			continue
-		}
+		texts[rec.SQL] = true
 		q, err := sqlparse.Parse(rec.SQL)
 		if err != nil {
 			continue
 		}
-		if fp == "" {
-			if fp = core.Fingerprint(q); seen[fp] {
-				continue
-			}
+		fp := core.Fingerprint(q)
+		if seen[fp] {
+			continue
 		}
 		seen[fp] = true
 		labeled := workload.Labeled{Query: q, Card: int64(rec.Actual)}
@@ -224,29 +220,30 @@ func (t TrafficStats) SemanticOnlyShare() float64 {
 	return float64(t.SemanticOnly) / float64(t.Records)
 }
 
-// Traffic computes TrafficStats over records in journal order. A record
-// journaled without a fingerprint gets the one its SQL parses to; one that
-// has neither is counted by its text alone (no cache ever held it).
+// Traffic computes TrafficStats over records in journal order. A record's
+// class is the fingerprint its SQL parses to, computed once per distinct
+// text; a record whose SQL does not parse is counted by its text alone (no
+// cache ever held it).
 func Traffic(records []journal.Record) TrafficStats {
 	st := TrafficStats{Records: len(records)}
-	texts, fps := map[string]bool{}, map[string]bool{}
+	keys, fps := map[string]string{}, map[string]bool{} // text → its class ("" when it does not parse)
 	for _, rec := range records {
-		newText := !texts[rec.SQL]
-		texts[rec.SQL] = true
-		fp := rec.Fingerprint
-		if fp == "" {
-			q, err := sqlparse.Parse(rec.SQL)
-			if err != nil {
-				continue
+		fp, seenText := keys[rec.SQL]
+		if !seenText {
+			if q, err := sqlparse.Parse(rec.SQL); err == nil {
+				fp = core.Fingerprint(q)
 			}
-			fp = core.Fingerprint(q)
+			keys[rec.SQL] = fp
 		}
-		if fps[fp] && newText {
+		if fp == "" {
+			continue
+		}
+		if fps[fp] && !seenText {
 			st.SemanticOnly++
 		}
 		fps[fp] = true
 	}
-	st.DistinctTexts, st.DistinctFingerprints = len(texts), len(fps)
+	st.DistinctTexts, st.DistinctFingerprints = len(keys), len(fps)
 	return st
 }
 

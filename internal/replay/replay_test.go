@@ -147,7 +147,7 @@ func TestDeriveCanaryEligibility(t *testing.T) {
 // deriveCanaryParseFirst is DeriveCanary as it was written first: every
 // record with a usable actual is parsed before its fingerprint is looked up,
 // so a journal of a few hot queries costs one parse per record. It is the
-// oracle for the fingerprint-first order, which parses only unseen records.
+// oracle for the text-first order, which parses each distinct text once.
 func deriveCanaryParseFirst(records []journal.Record, n int, seed int64) workload.Set {
 	if n <= 0 {
 		return nil
@@ -185,10 +185,10 @@ func deriveCanaryParseFirst(records []journal.Record, n int, seed int64) workloa
 	return reservoir
 }
 
-// TestDeriveCanaryMatchesParseFirst: checking the journaled fingerprint
+// TestDeriveCanaryMatchesParseFirst: passing over a text already taken
 // before the parse draws the same sample as parsing first, on a stream that
 // mixes hot repeats, records journaled with and without a fingerprint,
-// respellings of one class, a fingerprint first seen on SQL that does not
+// respellings of one class, a fingerprint journaled on SQL that does not
 // parse, and records with no usable actual.
 func TestDeriveCanaryMatchesParseFirst(t *testing.T) {
 	sqlFor := func(i int) string { return fmt.Sprintf("SELECT count(*) FROM t WHERE a >= %d AND b < %d", i, i+7) }
@@ -226,6 +226,56 @@ func TestDeriveCanaryMatchesParseFirst(t *testing.T) {
 				t.Fatalf("n=%d seed=%d: sample\n%v\nwant the parse-first sample\n%v", n, seed, got, want)
 			}
 		}
+	}
+}
+
+// TestClassKeyFromText: the daemon journals no fingerprint, and replay
+// computes the class from the SQL where it reads it. Over such records
+// DeriveCanary draws the sample, and Traffic counts the stats, that it does
+// over the same records with Fingerprint filled in, as cmd/bench's hook and
+// older segments file them. The stream mixes hot repeats, respellings of one
+// class, text that does not parse, and records with no usable actual.
+func TestClassKeyFromText(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var bare, filled []journal.Record
+	for i := 0; i < 2000; i++ {
+		k := rng.Intn(60)
+		rec := journal.Record{SQL: fmt.Sprintf("SELECT count(*) FROM t WHERE a >= %d AND b < %d", k, k+7), Actual: float64(k%9 + 1), HasActual: true}
+		switch i % 5 {
+		case 1: // the same class respelled
+			rec.SQL = fmt.Sprintf("SELECT count(*) FROM t WHERE b < %d AND a >= %d", k+7, k)
+		case 2: // no usable actual
+			rec.Actual = 0
+		case 3: // text that does not parse
+			rec.SQL = fmt.Sprintf("SELECT count(*) FROM t WHERE a >= %d AND", k)
+		}
+		bare = append(bare, rec)
+		if q, err := sqlparse.Parse(rec.SQL); err == nil {
+			rec.Fingerprint = core.Fingerprint(q)
+		}
+		filled = append(filled, rec)
+	}
+	render := func(ws workload.Set) []string {
+		out := make([]string, len(ws))
+		for i, l := range ws {
+			out[i] = fmt.Sprintf("%s = %d", l.Query, l.Card)
+		}
+		return out
+	}
+	for _, n := range []int{1, 10, 60, 500} {
+		for seed := int64(1); seed <= 3; seed++ {
+			got, want := render(replay.DeriveCanary(bare, n, seed)), render(replay.DeriveCanary(filled, n, seed))
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d seed=%d: sample without fingerprints\n%v\nwant the sample with them\n%v", n, seed, got, want)
+			}
+		}
+	}
+	got, want := replay.Traffic(bare), replay.Traffic(filled)
+	if want.SemanticOnly == 0 || want.DistinctTexts == want.DistinctFingerprints {
+		t.Fatalf("Traffic = %+v: the stream does not respell any class", want)
+	}
+	if got != want {
+		t.Errorf("Traffic without fingerprints = %+v, want %+v as with them", got, want)
 	}
 }
 

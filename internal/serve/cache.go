@@ -3,6 +3,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"math"
 	"sync"
 	"unsafe"
@@ -20,8 +21,8 @@ import (
 // "a > 5" for "a >= 6") is a different key, recomputes, and gets the
 // bit-identical estimate anyway, because the estimate is a function of the
 // featurization class and not of the cache (DESIGN §6 prices the trade; the
-// class's own key, the fingerprint of package core, stays with the journal
-// and replay — `make ci` greps that this package does not call it). Text that does not parse or bind is never
+// class's own key, package core's fingerprint, is replay's — `make ci` greps
+// that this package does not call it). Text that does not parse or bind is never
 // estimated, so never inserted, so never served. The registry generation in
 // the key makes invalidation free: every Lifecycle.Publish or Rollback
 // registers a fresh entry with a new generation, so all keys minted against
@@ -62,11 +63,27 @@ type cacheKey struct {
 	sum [sha256.Size]byte
 }
 
-// textKey mints sql's key. The digest reads the string's bytes in place
+// keyHasher mints cache keys through one digest state and one output buffer
+// it keeps, so minting a key allocates nothing whatever the compiler inlines:
+// sha256.Sum256's state is a local that escapes once a profile-guided build
+// stops inlining sha256.New into it. Each request's scratch holds one.
+type keyHasher struct {
+	h   hash.Hash // from sha256.New, made on first use
+	out [sha256.Size]byte
+}
+
+// key mints sql's key under gen. The digest reads the string's bytes in place
 // ([]byte(sql) would copy them to the heap on every request); nothing writes
 // through the slice and it does not outlive the call.
-func textKey(gen uint64, sql string) cacheKey {
-	return cacheKey{gen: gen, sum: sha256.Sum256(unsafe.Slice(unsafe.StringData(sql), len(sql)))}
+func (k *keyHasher) key(gen uint64, sql string) cacheKey {
+	if k.h == nil {
+		k.h = sha256.New()
+	}
+	k.h.Reset()
+	k.h.Write(unsafe.Slice(unsafe.StringData(sql), len(sql))) // a hash.Hash never returns an error
+	key := cacheKey{gen: gen}
+	copy(key.sum[:], k.h.Sum(k.out[:0]))
+	return key
 }
 
 // cacheable reports whether an estimate may be served again: only clean,

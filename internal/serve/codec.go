@@ -46,15 +46,16 @@ const (
 
 // reqScratch is everything one /v1/estimate request needs besides the values
 // it hands onward: the body, the decoder's unescape buffer, the rendered
-// response, the per-item slices of a client batch, and the arena its queries
-// are parsed into when the server has no Feedback hook (parseAndBind). While
-// pooled, every slice has length zero and holds only zero values up to its
-// capacity, and the arena is reset.
+// response, the cache's key hasher, the per-item slices of a client batch, and
+// the arena its queries are parsed into when the server has no Feedback hook
+// (parseAndBind). While pooled, every slice has length zero and holds only
+// zero values up to its capacity, and the arena is reset.
 type reqScratch struct {
-	body  bytes.Buffer
-	dec   wireDecoder
-	resp  []byte
-	arena sqlparse.Arena
+	body   bytes.Buffer
+	dec    wireDecoder
+	resp   []byte
+	hasher keyHasher
+	arena  sqlparse.Arena
 
 	results []estimateResult  // per item of the batch, in request order
 	idx     []int             // the items that got an answer: j is item idx[j]

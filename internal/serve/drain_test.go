@@ -48,8 +48,8 @@ func TestGracefulDrain(t *testing.T) {
 
 	// Drain. The in-flight request is still blocked; new work is refused.
 	srv.Drain()
-	if !srv.Draining() {
-		t.Fatal("Draining() = false after Drain")
+	if !srv.draining.Load() {
+		t.Fatal("draining = false after Drain")
 	}
 	resp, err := http.Post(ts.URL+"/v1/estimate", "application/json",
 		bytes.NewReader([]byte(`{"sql":"`+stubSQL+`"}`)))

@@ -181,14 +181,14 @@ func journalServer(t *testing.T) (*Server, *journal.Journal) {
 // journalKeys are the /metrics keys of the journal's counters; cmd/bench
 // reads four of them.
 var journalKeys = []string{
-	"journal_appended", "journal_fingerprints", "journal_shed", "journal_persisted",
+	"journal_appended", "journal_shed", "journal_persisted",
 	"journal_dropped", "journal_staged", "journal_flushes", "journal_flush_micros",
 	"journal_flush_errors", "journal_rotations", "journal_gc_removed",
 	"journal_segments", "journal_active_bytes",
 }
 
 // TestExtraMetricsMergedIntoSnapshot: the lifecycle's journal is rendered in
-// /metrics beside the server's own counters, as the 13 journal_* keys; a
+// /metrics beside the server's own counters, as the 12 journal_* keys; a
 // server whose lifecycle has no journal renders none of them.
 func TestExtraMetricsMergedIntoSnapshot(t *testing.T) {
 	srv, jnl := journalServer(t)

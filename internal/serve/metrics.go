@@ -244,7 +244,6 @@ func (m *Metrics) Snapshot() map[string]any {
 	if m.jnl != nil {
 		js := m.jnl.Stats()
 		snap["journal_appended"] = js.Appended
-		snap["journal_fingerprints"] = js.Fingerprints
 		snap["journal_shed"] = js.Shed
 		snap["journal_persisted"] = js.Persisted
 		snap["journal_dropped"] = js.Dropped

@@ -182,9 +182,6 @@ func (s *Server) Handler() http.Handler {
 // Metrics exposes the server's counters (tests and embedding daemons).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain puts the server into drain mode: new estimate requests are refused
 // with 503 while requests already admitted keep running. Call before
 // http.Server.Shutdown so the listener close has nothing left to wait for
@@ -372,7 +369,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if single {
-		res, err := s.estimateTimed(ctx, at, est, info, req.SQL, req.Actual, &sc.arena)
+		res, err := s.estimateTimed(ctx, at, est, info, req.SQL, req.Actual, sc)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -399,13 +396,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // parsed for the hook. The error is the client's (unparseable
 // or unbindable text, 4xx); such text was never estimated, so it is never a
 // hit.
-func (s *Server) answer(gen uint64, sql string, arena *sqlparse.Arena) (key cacheKey, q *sqlparse.Query, br EstResult, hit bool, err error) {
+func (s *Server) answer(gen uint64, sql string, sc *reqScratch) (key cacheKey, q *sqlparse.Query, br EstResult, hit bool, err error) {
 	if s.cache != nil {
-		key = textKey(gen, sql)
+		key = sc.hasher.key(gen, sql)
 		br, q, hit = s.cache.lookup(key)
 	}
 	if !hit || (q == nil && s.cfg.Feedback != nil) {
-		q, err = s.parseAndBind(sql, arena)
+		q, err = s.parseAndBind(sql, &sc.arena)
 	}
 	return key, q, br, hit, err
 }
@@ -416,9 +413,9 @@ func (s *Server) answer(gen uint64, sql string, arena *sqlparse.Arena) (key cach
 // does the resilience chain the daemon wraps its estimators in: every stage
 // runs on this goroutine (DESIGN §11). The latency it records counts from the
 // lookup, so a miss's includes its parse.
-func (s *Server) estimateTimed(ctx context.Context, at time.Time, est estimator.Estimator, info ModelInfo, sql string, reported *float64, arena *sqlparse.Arena) (estimateResult, error) {
+func (s *Server) estimateTimed(ctx context.Context, at time.Time, est estimator.Estimator, info ModelInfo, sql string, reported *float64, sc *reqScratch) (estimateResult, error) {
 	start := time.Now()
-	key, q, br, hit, err := s.answer(info.Generation, sql, arena)
+	key, q, br, hit, err := s.answer(info.Generation, sql, sc)
 	if err != nil {
 		return estimateResult{}, err
 	}
@@ -478,7 +475,7 @@ func (s *Server) estimateBatch(ctx context.Context, at time.Time, est estimator.
 			s.metrics.estErrors.Add(1)
 			continue
 		}
-		key, q, br, hit, err := s.answer(info.Generation, items[i].SQL, &sc.arena)
+		key, q, br, hit, err := s.answer(info.Generation, items[i].SQL, sc)
 		if err != nil {
 			sc.results[i] = estimateResult{Error: err.Error()}
 			s.metrics.estErrors.Add(1)
