@@ -159,6 +159,9 @@ ci:
 			exit bad }'
 	tmp=$$(mktemp -d) && $(GO) build -o $$tmp/cardestd ./cmd/cardestd && \
 	$(GO) version -m $$tmp/cardestd | grep -qE 'build[[:space:]]+-pgo=.+default\.pgo'; s=$$?; rm -rf $$tmp; exit $$s
+# Guard 29, one owner of the P count: the daemon's serving-P governor. No
+# other program file sets GOMAXPROCS (cmd/bench, which reports it, aside).
+	! grep -rnE 'runtime\.GOMAXPROCS(\(([^0)]|0[^)])|[^(]|$$)' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^cmd/bench/|^cmd/cardestd/governor\.go:'
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

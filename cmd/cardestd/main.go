@@ -3,7 +3,7 @@
 // API, with a hot-swappable model registry, an estimate cache keyed on the
 // query text, admission control, and graceful drain (see internal/serve). A
 // single query is estimated on its own request goroutine; a client batch fans
-// out over -workers goroutines.
+// out over the Ps serving it.
 //
 // Usage:
 //
@@ -99,6 +99,15 @@
 // the model. SIGTERM/SIGINT drain gracefully: in-flight requests finish, new ones
 // get 503, and the listener closes within -drain-timeout.
 //
+// Boot, labeling and training run on every P (-workers bounds training's
+// goroutines). Serving runs on as few as its load needs: a governor starts
+// at the Ps the process has, reads its CPU time and the time its goroutines
+// waited for a P every 100 ms, goes back to every P at once when the Ps
+// serving are short (busy, or work waits for them), drops one when one fewer
+// would do, and logs each step with the load of the window that made it. A
+// sequential client then costs no wake-up of an idle P per request (DESIGN
+// §6); the drain runs on every P again.
+//
 // -smoke runs a self-test instead of serving: boot on a random port, fire a
 // single and a batched estimate, hot-list the models, scrape /metrics, and
 // shut down cleanly; the exit code reports success.
@@ -189,7 +198,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.rows, "rows", 20_000, "forest table rows")
 	fs.IntVar(&o.entries, "entries", 32, "per-attribute feature entries (n)")
 	fs.Int64Var(&o.seed, "seed", 1, "generation seed")
-	fs.IntVar(&o.workers, "workers", 0, "goroutines for training and for each client batch (0 = one per logical CPU)")
+	fs.IntVar(&o.workers, "workers", 0, "goroutines for training (0 = one per logical CPU)")
 	fs.StringVar(&o.save, "save", "", "write the boot-trained model snapshot to this file")
 	fs.DurationVar(&o.timeout, "timeout", 100*time.Millisecond, "default per-request estimation deadline, counted from the request's arrival (0 = none); past it the row-count heuristic answers, and when the learned model fails or refuses a query, independence and then the row-count heuristic do")
 	fs.IntVar(&o.maxInFly, "max-inflight", 64, "concurrent estimate requests admitted before shedding with 429")
@@ -279,7 +288,6 @@ func arm(b *booted, o options, out io.Writer) (*daemon, error) {
 	cfg := serve.Config{
 		Registry:       reg,
 		DB:             db,
-		Batcher:        serve.BatcherConfig{Workers: o.workers},
 		MaxInFlight:    o.maxInFly,
 		DefaultTimeout: o.timeout,
 		ModelRoot:      modelRoot,
@@ -356,12 +364,17 @@ func serveUntil(ctx context.Context, srv *serve.Server, o options, out io.Writer
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(out, "cardestd listening on %s\n", ln.Addr())
+	// The governor serves on as few Ps as the load needs (governor.go); it
+	// is joined, and every P given back, before the daemon drains.
+	stopGovernor := govern(ctx, out)
 
 	select {
 	case err := <-errCh:
+		stopGovernor()
 		return err
 	case <-ctx.Done():
 	}
+	stopGovernor()
 	fmt.Fprintln(out, "signal received; draining...")
 	srv.Drain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), o.drainTO)
@@ -524,6 +537,9 @@ func smoke(srv *serve.Server, cacheOn, journalOn bool, out io.Writer) error {
 		return fmt.Errorf("smoke: metrics report heap_live_bytes %v, heap_goal_bytes %v, mem_mapped_bytes %v, want all three positive", live, goal, mapped)
 	}
 	fmt.Fprintf(out, "smoke: memory ok (%.1f MiB live heap, %.1f MiB mapped)\n", live/(1<<20), mapped/(1<<20))
+	if procs, _ := m["gomaxprocs"].(float64); procs < 1 {
+		return fmt.Errorf("smoke: metrics report gomaxprocs %v, want >= 1", m["gomaxprocs"])
+	}
 	if journalOn {
 		appended, _ := m["journal_appended"].(float64)
 		if appended < 5 {

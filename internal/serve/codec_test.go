@@ -794,7 +794,6 @@ func TestConcurrentRequestsShareNoScratch(t *testing.T) {
 	srv := newStubServer(t, textEst{}, func(c *Config) {
 		c.DB = db
 		c.Cache = CacheConfig{Entries: 16}
-		c.Batcher.Workers = 2
 		c.Feedback = func(FeedbackEvent) {}
 	})
 	h := srv.Handler()

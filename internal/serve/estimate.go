@@ -12,20 +12,18 @@ import (
 
 // Every query is estimated by one function, estimateOne, on the goroutine
 // that asked: a single-query request calls it on its HTTP request goroutine,
-// and a client batch fans it out over Workers goroutines (internal/parallel,
-// the same worker discipline as the labeling and training pools). There is
-// no queue, timer or background goroutine between a request and its model.
+// and a client batch fans it out over one goroutine per P serving it
+// (internal/parallel, the same worker discipline as the labeling and training
+// pools). There is no queue, timer or background goroutine between a request
+// and its model.
 
-// BatcherConfig bounds the fan-out of client batches. The name predates the
-// removal of request coalescing.
+// BatcherConfig configured request coalescing, which was removed; nothing
+// reads it.
 type BatcherConfig struct {
 	// Deprecated: ignored; coalescing was removed. Kept only so cmd/bench compiles — delete with the next benchmark change.
 	MaxBatch int
 	// Deprecated: ignored; coalescing was removed. Kept only so cmd/bench compiles — delete with the next benchmark change.
 	MaxDelay time.Duration
-	// Workers bounds the goroutines a client batch fans out over
-	// (internal/parallel semantics: <1 means one per logical CPU).
-	Workers int
 }
 
 // EstResult is one query's outcome.
@@ -58,14 +56,14 @@ func estimateOne(ctx context.Context, at time.Time, est estimator.Estimator, q *
 }
 
 // doBatch estimates a client-supplied batch — estimateOne per query, over
-// at most Batcher.Workers goroutines, out[i] answering qs[i] — and counts it
+// one goroutine per P serving it, out[i] answering qs[i] — and counts it
 // in /metrics (batches_total, batched_queries_total).
 func (s *Server) doBatch(ctx context.Context, at time.Time, est estimator.Estimator, qs []*sqlparse.Query, out []EstResult) {
 	if len(qs) == 0 {
 		return
 	}
 	s.metrics.observeBatch(len(qs))
-	parallel.Do(len(qs), parallel.Workers(s.cfg.Batcher.Workers), func(i int) {
+	parallel.Do(len(qs), parallel.Workers(0), func(i int) {
 		out[i] = estimateOne(ctx, at, est, qs[i])
 	})
 }

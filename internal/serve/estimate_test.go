@@ -43,7 +43,7 @@ func (p pickyEst) Estimate(q *sqlparse.Query) (float64, error) {
 // must return results in input order, and count as one batch in /metrics.
 func TestDoBatchKeepsOrder(t *testing.T) {
 	est := pickyEst{}
-	srv := newStubServer(t, est, func(c *Config) { c.Batcher.Workers = 3 })
+	srv := newStubServer(t, est, nil)
 	qs := make([]*sqlparse.Query, 8)
 	for i := range qs {
 		qs[i] = parseQ(t, stubSQL)
@@ -87,12 +87,13 @@ func TestEstimateOneContextCancelled(t *testing.T) {
 
 // TestDoBatchSteadyStateAllocs pins the serve layer's own cost of a client
 // batch on the per-query path: the worker pool's fixed overhead, nothing per
-// query.
+// query. AllocsPerRun runs at one P, where the pool is the calling goroutine
+// (a governed daemon's batch at one P).
 func TestDoBatchSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	srv := newStubServer(t, constEst(7), func(c *Config) { c.Batcher.Workers = 2 })
+	srv := newStubServer(t, constEst(7), nil)
 	qs := make([]*sqlparse.Query, 64)
 	for i := range qs {
 		qs[i] = parseQ(t, stubSQL)

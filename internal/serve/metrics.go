@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"runtime"
 	"runtime/metrics"
 	"sync/atomic"
 	"time"
@@ -238,6 +239,7 @@ func (m *Metrics) Snapshot() map[string]any {
 		"heap_live_bytes":       heapLive,
 		"heap_goal_bytes":       heapGoal,
 		"mem_mapped_bytes":      memMapped,
+		"gomaxprocs":            runtime.GOMAXPROCS(0),
 		"latency_micros":        m.latency.snapshot(),
 		"qerror":                m.qerror.snapshot(),
 	}

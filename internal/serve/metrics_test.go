@@ -149,6 +149,22 @@ func TestSnapshotReportsMemory(t *testing.T) {
 	}
 }
 
+// TestSnapshotReportsGOMAXPROCS: /metrics reports the Ps the process runs
+// on, read at scrape time, so it follows whoever sets them (the daemon's
+// governor) without being told.
+func TestSnapshotReportsGOMAXPROCS(t *testing.T) {
+	m := newMetrics()
+	start := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(start)
+	if got := m.Snapshot()["gomaxprocs"]; got != 1 {
+		t.Errorf("gomaxprocs = %v at 1 P, want 1", got)
+	}
+	runtime.GOMAXPROCS(start)
+	if got := m.Snapshot()["gomaxprocs"]; got != start {
+		t.Errorf("gomaxprocs = %v at %d Ps, want %d", got, start, start)
+	}
+}
+
 // TestLatencyBucketsResolveHitFromMiss: with no timer on the single-query
 // path a cache hit is ~20µs and an inline miss ~100µs; latency_micros must
 // put them in different buckets, and count/sum keep their meaning.

@@ -68,7 +68,7 @@ type Config struct {
 	// Config without a Lifecycle it also schema-validates loaded snapshots
 	// (a Lifecycle validates against its own).
 	DB *table.DB
-	// Batcher bounds the worker fan-out of client batches.
+	// Deprecated: ignored (see BatcherConfig). Kept only so cmd/bench compiles.
 	Batcher BatcherConfig
 	// MaxInFlight bounds concurrent estimate requests; excess is shed with
 	// 429. Default 64.
