@@ -42,7 +42,8 @@ ci:
 # query text 0, the whole handler on a hit <= 6, or <= 8 with a Feedback hook
 # (it is handed the query the entry kept from its miss: neither hit parses),
 # and on a miss that evicts <= 3 (the query is parsed into the request's
-# arena; no deadline context, no timer, no list node).
+# arena; no deadline context, no timer, no list node, no pool closure), and a
+# 64-query doBatch <= 8 at one P and at two (the fan-out: a cost per batch).
 	$(GO) test -short -run 'Allocs' $(ALLOC_PKGS)
 # The daemon ships built with cmd/cardestd/default.pgo, and the inlining the
 # profile buys changes escape analysis; go test builds these packages without
@@ -162,6 +163,10 @@ ci:
 # Guard 29, one owner of the P count: the daemon's serving-P governor. No
 # other program file sets GOMAXPROCS (cmd/bench, which reports it, aside).
 	! grep -rnE 'runtime\.GOMAXPROCS(\(([^0)]|0[^)])|[^(]|$$)' --include='*.go' internal cmd examples | grep -vE '_test\.go:|^cmd/bench/|^cmd/cardestd/governor\.go:'
+# Guard 30, one request path: every model is served behind the chain, which
+# serve asks in one place, and only the registry checks that a model is one.
+	test "$$(ls internal/serve/*.go | grep -v '_test\.go$$' | xargs cat | grep -c 'EstimateBy(')" = 1
+	! grep -n '\.(\*resilience\.Resilient)' internal/serve/*.go | grep -vE '_test\.go:|^internal/serve/registry\.go:'
 # staticcheck and govulncheck run when installed and are skipped (not failed)
 # when absent, so the target works in a container without network access.
 	$(MAKE) lint

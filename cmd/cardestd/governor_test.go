@@ -77,8 +77,11 @@ func serveGoverned(t *testing.T, ctx context.Context, stepped func()) string {
 	o := tinyOptions(t)
 	o.addr = "127.0.0.1:0"
 	out := make(lineWriter, 16) // read as it goes; the lines after the last read (a step, the drain's two) fit
+	// Built here: a t.Fatal in constServer must end the test, not a goroutine
+	// the loop below waits on for ever.
+	srv := constServer(t)
 	done := make(chan error, 1)
-	go func() { done <- serveUntil(ctx, constServer(t), o, out) }()
+	go func() { done <- serveUntil(ctx, srv, o, out) }()
 	var printed strings.Builder
 	for {
 		select {

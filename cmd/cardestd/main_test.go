@@ -525,7 +525,7 @@ func TestJournaledFingerprint(t *testing.T) {
 			}
 			defer jnl.Close()
 			reg := serve.NewRegistry()
-			if _, err := reg.Register("const", resilience.Constant{Value: 5}, serve.ModelInfo{}); err != nil {
+			if _, err := reg.Register("const", constChain(5), serve.ModelInfo{}); err != nil {
 				t.Fatal(err)
 			}
 			srv, err := serve.New(serve.Config{
@@ -590,7 +590,7 @@ func TestFeedbackActualBeyondInt64(t *testing.T) {
 	}
 	defer jnl.Close()
 	reg := serve.NewRegistry()
-	if _, err := reg.Register("const", resilience.Constant{Value: 5}, serve.ModelInfo{}); err != nil {
+	if _, err := reg.Register("const", constChain(5), serve.ModelInfo{}); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := serve.New(serve.Config{Registry: reg, DB: tDB(), Feedback: feedbackHook(jnl)})
@@ -632,7 +632,7 @@ func tDB() *table.DB {
 func constServer(t *testing.T) *serve.Server {
 	t.Helper()
 	reg := serve.NewRegistry()
-	if _, err := reg.Register("const", resilience.Constant{Value: 5}, serve.ModelInfo{}); err != nil {
+	if _, err := reg.Register("const", constChain(5), serve.ModelInfo{}); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := serve.New(serve.Config{Registry: reg, DB: tDB()})
@@ -762,4 +762,10 @@ func TestServeBindFailureAnnouncesNothing(t *testing.T) {
 	if out.Len() != 0 {
 		t.Errorf("a failed bind printed %q, want nothing", out.String())
 	}
+}
+
+// constChain is a model that answers v for every query, behind the one-stage
+// resilience chain the registry serves it through.
+func constChain(v float64) *resilience.Resilient {
+	return resilience.NewResilient(resilience.Config{}, resilience.Stage{Est: resilience.Constant{Value: v}})
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"qfe/internal/cli"
 	"qfe/internal/core"
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
@@ -215,7 +216,9 @@ func TestDerivedCanaryIsTheDoorsSample(t *testing.T) {
 	ceilings := serve.CanaryConfig{MaxMedian: 1e18, MaxP95: 1e18}
 	gate := ceilings
 	gate.Workload = set[100 : 100+n]
-	lc, err := serve.NewLifecycle(serve.LifecycleConfig{Registry: serve.NewRegistry(), Journal: jnl, DB: db, Canary: gate})
+	reg := serve.NewRegistry()
+	reg.Wrap = func(e estimator.Estimator) estimator.Estimator { return cli.Chain(db, e) }
+	lc, err := serve.NewLifecycle(serve.LifecycleConfig{Registry: reg, Journal: jnl, DB: db, Canary: gate})
 	if err != nil {
 		t.Fatal(err)
 	}

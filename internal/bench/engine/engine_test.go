@@ -14,6 +14,15 @@ import (
 	"qfe/internal/workload"
 )
 
+// trueCards estimates by exact execution: the optimizer's oracle.
+type trueCards struct{ db *table.DB }
+
+func (trueCards) Name() string { return "True cardinalities" }
+func (o trueCards) Estimate(q *sqlparse.Query) (float64, error) {
+	c, err := exec.Count(o.db, q)
+	return float64(max(c, 1)), err
+}
+
 func testDB(t *testing.T) *table.DB {
 	t.Helper()
 	db, err := dataset.IMDB(dataset.IMDBConfig{Titles: 800, Seed: 17})
@@ -33,7 +42,7 @@ func TestExecuteMatchesExactCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := &Optimizer{Est: &estimator.Oracle{DB: db}}
+	opt := &Optimizer{Est: trueCards{db}}
 	for i, l := range set {
 		plan, err := opt.ChoosePlan(l.Query)
 		if err != nil {
@@ -61,7 +70,7 @@ func TestExecuteResultIndependentOfPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := &Optimizer{Est: &estimator.Oracle{DB: db}}
+	opt := &Optimizer{Est: trueCards{db}}
 	plan, err := opt.ChoosePlan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +108,7 @@ func TestOptimizerPrefersSelectiveSatelliteFirst(t *testing.T) {
 	q := sqlparse.MustParse(`SELECT count(*) FROM title, cast_info, movie_keyword
 		WHERE title.id = cast_info.movie_id AND title.id = movie_keyword.movie_id
 		AND cast_info.role_id = 9 AND title.production_year >= 1950`)
-	opt := &Optimizer{Est: &estimator.Oracle{DB: db}}
+	opt := &Optimizer{Est: trueCards{db}}
 	plan, err := opt.ChoosePlan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +142,7 @@ func TestOptimizerPrefersSelectiveSatelliteFirst(t *testing.T) {
 func TestChoosePlanSingleTable(t *testing.T) {
 	db := testDB(t)
 	q := sqlparse.MustParse("SELECT count(*) FROM title WHERE kind_id = 1")
-	opt := &Optimizer{Est: &estimator.Oracle{DB: db}}
+	opt := &Optimizer{Est: trueCards{db}}
 	plan, err := opt.ChoosePlan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +250,7 @@ func TestRunWorkloadOrdersEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oraTime, oraStats, err := RunWorkload(db, &Optimizer{Est: &estimator.Oracle{DB: db}}, queries)
+	oraTime, oraStats, err := RunWorkload(db, &Optimizer{Est: trueCards{db}}, queries)
 	if err != nil {
 		t.Fatal(err)
 	}

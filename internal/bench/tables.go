@@ -173,7 +173,7 @@ func Table4(env *Env) (*Report, error) {
 	ests := []estimator.Estimator{
 		&estimator.Independence{DB: db},
 		ours,
-		&estimator.Oracle{DB: db},
+		&Oracle{DB: db},
 	}
 	for _, est := range ests {
 		total, stats, err := runWorkloadFor(db, est, queries)

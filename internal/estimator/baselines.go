@@ -5,31 +5,9 @@ import (
 	"math/rand"
 	"sync"
 
-	"qfe/internal/exec"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
-
-// Oracle returns the true result cardinality by executing the query — the
-// "True cardinalities" column of Table 4 and the labeling reference.
-type Oracle struct {
-	DB *table.DB
-}
-
-// Name implements Estimator.
-func (o *Oracle) Name() string { return "True cardinalities" }
-
-// Estimate implements Estimator by exact execution.
-func (o *Oracle) Estimate(q *sqlparse.Query) (float64, error) {
-	c, err := exec.Count(o.DB, q)
-	if err != nil {
-		return 0, err
-	}
-	if c < 1 {
-		return 1, nil
-	}
-	return float64(c), nil
-}
 
 // Sampling is the Bernoulli-sampling baseline of Section 5.2: a fresh
 // p-fraction sample of the table is drawn per query, the predicates are

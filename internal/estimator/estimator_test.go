@@ -58,20 +58,6 @@ func smallGB() gb.Config {
 	return cfg
 }
 
-func TestOracleIsPerfect(t *testing.T) {
-	e := env(t)
-	o := &Oracle{DB: e.db}
-	qerrs, err := Evaluate(o, e.test[:50])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qerrs {
-		if q != 1 {
-			t.Fatalf("oracle q-error %v at query %d", q, i)
-		}
-	}
-}
-
 func TestIndependenceBaseline(t *testing.T) {
 	e := env(t)
 	ind := &Independence{DB: e.db}

@@ -155,15 +155,6 @@ func TestBoxplotKnown(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{2, 4, 6}); got != 4 {
-		t.Errorf("Mean = %v, want 4", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summarize([]float64{1, 2})
 	if got := s.String(); got == "" {

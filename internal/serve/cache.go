@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
-	"math"
 	"sync"
 	"unsafe"
 
@@ -40,9 +39,9 @@ import (
 // MaxInFlight times; a singleflight that made them wait on one compute
 // instead collapsed no request on any of cmd/bench's workloads (DESIGN §6).
 //
-// What is never cached: failed estimates, degraded (fallback-stage)
-// results, and non-finite values. A hit is therefore exactly what the same
-// generation would recompute.
+// What is never cached: a degraded (fallback-stage) answer, and a text that
+// did not parse or bind, which was never estimated. A hit is therefore
+// exactly what the same generation would recompute.
 
 // CacheConfig tunes the estimate cache. The zero value disables it;
 // embedders (and cmd/cardestd) opt in by setting Entries.
@@ -84,14 +83,6 @@ func (k *keyHasher) key(gen uint64, sql string) cacheKey {
 	key := cacheKey{gen: gen}
 	copy(key.sum[:], k.h.Sum(k.out[:0]))
 	return key
-}
-
-// cacheable reports whether an estimate may be served again: only clean,
-// finite, primary-stage results. Degraded results reflect a fallback the
-// next request may not need, and errors must re-run to heal.
-func cacheable(res EstResult) bool {
-	return res.Err == nil && !res.Degraded &&
-		!math.IsNaN(res.Estimate) && !math.IsInf(res.Estimate, 0)
 }
 
 // cacheEntry is one memoized estimate. q is the parsed, bound query the miss
@@ -202,16 +193,16 @@ func (c *estCache) lookup(key cacheKey) (EstResult, *sqlparse.Query, bool) {
 	return EstResult{}, nil, false
 }
 
-// put records a miss the caller has just estimated, for the single-query
-// and the client-batch path alike: it counts the miss and stores res with
-// the query to hand its hits; an uncacheable result is counted and dropped.
-// A nil cache counts and stores nothing.
+// put records a miss the caller has just estimated: it counts the miss and
+// stores res with the query to hand its hits. A degraded result — a fallback
+// the next request may not need — is counted and dropped; the chain's answers
+// are always finite and >= 1. A nil cache counts and stores nothing.
 func (c *estCache) put(key cacheKey, res EstResult, q *sqlparse.Query) {
 	if c == nil {
 		return
 	}
 	c.metrics.cacheMisses.Add(1)
-	if !cacheable(res) {
+	if res.Degraded {
 		return
 	}
 	s := c.shard(key)

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -151,8 +150,8 @@ func TestCacheUncacheableResults(t *testing.T) {
 
 	calls := 0
 	for i, res := range []EstResult{
-		{Err: errors.New("boom")},
-		{Estimate: 7, Degraded: true, Stage: "sampling"},
+		{Estimate: 7, Degraded: true, Stage: "independence"},
+		{Estimate: 1, Degraded: true, Stage: "row-count heuristic"},
 	} {
 		res := res
 		key := fmt.Sprintf("k%d", i)
@@ -164,7 +163,7 @@ func TestCacheUncacheableResults(t *testing.T) {
 		}
 	}
 	if calls != 4 {
-		t.Errorf("computed %d times, want 4: errors and degraded results must never be cached", calls)
+		t.Errorf("computed %d times, want 4: degraded results must never be cached", calls)
 	}
 	if h := m.cacheHits.Load(); h != 0 {
 		t.Errorf("%d hits on uncacheable results, want 0", h)
@@ -234,7 +233,7 @@ func (c *listCache) lookup(key cacheKey) (EstResult, *sqlparse.Query, bool) {
 
 func (c *listCache) put(key cacheKey, res EstResult, q *sqlparse.Query) {
 	c.metrics.cacheMisses.Add(1)
-	if !cacheable(res) {
+	if res.Degraded {
 		return
 	}
 	s := c.shard(key)
@@ -279,7 +278,6 @@ func (c *listCache) len() int {
 // and have counted the same hits, misses and evictions. A final sweep of
 // lookups over the whole pool compares what each retained, queries included.
 func TestSlotLRUMatchesListLRU(t *testing.T) {
-	boom := errors.New("boom")
 	queries := []*sqlparse.Query{nil, {}, {}, {}}
 	for _, perCap := range []int{1, 2, 3, 8} {
 		for _, keepQ := range []bool{false, true} {
@@ -298,7 +296,7 @@ func TestSlotLRUMatchesListLRU(t *testing.T) {
 			result := func() EstResult {
 				switch rng.Intn(8) {
 				case 0:
-					return EstResult{Err: boom}
+					return EstResult{Estimate: 1, Stage: "row-count heuristic", Degraded: true}
 				case 1:
 					return EstResult{Estimate: 3, Stage: "sampling", Degraded: true}
 				default:
@@ -549,7 +547,7 @@ func TestConcurrentIdenticalMissesAgree(t *testing.T) {
 func TestCachePublishInvalidates(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	db, canaryWS, good, other := lifecycleEnv(t)
-	reg := NewRegistry()
+	reg := newChainRegistry()
 	lc, err := NewLifecycle(LifecycleConfig{Registry: reg, DB: db})
 	if err != nil {
 		t.Fatal(err)

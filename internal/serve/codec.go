@@ -46,7 +46,8 @@ const (
 
 // reqScratch is everything one /v1/estimate request needs besides the values
 // it hands onward: the body, the decoder's unescape buffer, the rendered
-// response, the cache's key hasher, the per-item slices of a client batch, and
+// response, the cache's key hasher, the one-item batch a single query is
+// answered as, the per-item slices of a batch, and
 // the arena its queries are parsed into when the server has no Feedback hook
 // (parseAndBind). While pooled, every slice has length zero and holds only
 // zero values up to its capacity, and the arena is reset.
@@ -56,6 +57,7 @@ type reqScratch struct {
 	resp   []byte
 	hasher keyHasher
 	arena  sqlparse.Arena
+	single [1]estimateItem // a single query, as a batch of one
 
 	results []estimateResult  // per item of the batch, in request order
 	idx     []int             // the items that got an answer: j is item idx[j]
@@ -81,6 +83,7 @@ func (sc *reqScratch) release() {
 	sc.body.Reset()
 	sc.arena.Reset()
 	sc.dec.data = nil
+	sc.single = [1]estimateItem{}
 	sc.results, sc.qs, sc.out = emptied(sc.results), emptied(sc.qs), emptied(sc.out)
 	sc.missQ, sc.missOut = emptied(sc.missQ), emptied(sc.missOut)
 	sc.idx, sc.keys, sc.missIdx = sc.idx[:0], sc.keys[:0], sc.missIdx[:0]

@@ -4,18 +4,10 @@ import (
 	"context"
 	"time"
 
-	"qfe/internal/estimator"
 	"qfe/internal/parallel"
 	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
 )
-
-// Every query is estimated by one function, estimateOne, on the goroutine
-// that asked: a single-query request calls it on its HTTP request goroutine,
-// and a client batch fans it out over one goroutine per P serving it
-// (internal/parallel, the same worker discipline as the labeling and training
-// pools). There is no queue, timer or background goroutine between a request
-// and its model.
 
 // BatcherConfig configured request coalescing, which was removed; nothing
 // reads it.
@@ -26,44 +18,37 @@ type BatcherConfig struct {
 	MaxDelay time.Duration
 }
 
-// EstResult is one query's outcome.
+// EstResult is one query's outcome, as the resilience chain gave it: an
+// estimate that is always finite and >= 1, the stage that gave it, and
+// whether that stage was a fallback.
 type EstResult struct {
 	Estimate float64
-	// Stage and Degraded carry through from the resilience chain when the
-	// estimator is a *resilience.Resilient; otherwise Stage is empty.
 	Stage    string
 	Degraded bool
-	Err      error
 }
 
-// estimateOne dispatches one query, preserving the resilience chain's
-// detailed outcome when available. The chain reads ctx's cancellation and the
-// deadline at (zero: none) itself; a bare estimator is not called once either
-// is spent.
-func estimateOne(ctx context.Context, at time.Time, est estimator.Estimator, q *sqlparse.Query) EstResult {
-	if res, ok := est.(*resilience.Resilient); ok {
-		d := res.EstimateBy(ctx, at, q)
-		return EstResult{Estimate: d.Estimate, Stage: d.Stage, Degraded: d.Degraded}
-	}
-	if err := ctx.Err(); err != nil {
-		return EstResult{Err: err}
-	}
-	if !at.IsZero() && !time.Now().Before(at) {
-		return EstResult{Err: context.DeadlineExceeded}
-	}
-	v, err := est.Estimate(q)
-	return EstResult{Estimate: v, Err: err}
+// estimate asks the chain for q's estimate. It reads ctx's cancellation and
+// the deadline at (zero: none) itself, and answers from its last resort once
+// either is spent.
+func estimate(ctx context.Context, at time.Time, est *resilience.Resilient, q *sqlparse.Query) EstResult {
+	d := est.EstimateBy(ctx, at, q)
+	return EstResult{Estimate: d.Estimate, Stage: d.Stage, Degraded: d.Degraded}
 }
 
-// doBatch estimates a client-supplied batch — estimateOne per query, over
-// one goroutine per P serving it, out[i] answering qs[i] — and counts it
-// in /metrics (batches_total, batched_queries_total).
-func (s *Server) doBatch(ctx context.Context, at time.Time, est estimator.Estimator, qs []*sqlparse.Query, out []EstResult) {
-	if len(qs) == 0 {
+// doBatch estimates qs, out[i] answering qs[i]: over one goroutine per P
+// serving them (internal/parallel, the labeling and training pools'
+// discipline), or inline on the calling goroutine when there is one query or
+// one P — a branch that builds no closure, so a single's miss costs the pool
+// nothing. No queue, timer or background goroutine stands between a request
+// and its model.
+func (s *Server) doBatch(ctx context.Context, at time.Time, est *resilience.Resilient, qs []*sqlparse.Query, out []EstResult) {
+	if workers := parallel.Workers(0); len(qs) > 1 && workers > 1 {
+		parallel.Do(len(qs), workers, func(i int) {
+			out[i] = estimate(ctx, at, est, qs[i])
+		})
 		return
 	}
-	s.metrics.observeBatch(len(qs))
-	parallel.Do(len(qs), parallel.Workers(0), func(i int) {
-		out[i] = estimateOne(ctx, at, est, qs[i])
-	})
+	for i, q := range qs {
+		out[i] = estimate(ctx, at, est, q)
+	}
 }

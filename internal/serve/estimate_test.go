@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
+	"qfe/internal/cli"
 	"qfe/internal/estimator"
 	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
@@ -39,46 +41,62 @@ func (p pickyEst) Estimate(q *sqlparse.Query) (float64, error) {
 	return v, nil
 }
 
-// TestDoBatchKeepsOrder: client batches fan out over the worker pool but
-// must return results in input order, and count as one batch in /metrics.
+// TestDoBatchKeepsOrder: a client batch's misses fan out over the worker
+// pool but come back in input order, and the batch counts once in /metrics
+// with its misses; a single counts as no batch.
 func TestDoBatchKeepsOrder(t *testing.T) {
 	est := pickyEst{}
 	srv := newStubServer(t, est, nil)
+	chain := stubChain(est).(*resilience.Resilient)
 	qs := make([]*sqlparse.Query, 8)
 	for i := range qs {
 		qs[i] = parseQ(t, stubSQL)
-		est[qs[i]] = float64(i * 10)
+		est[qs[i]] = float64(i*10 + 1)
 	}
 	out := make([]EstResult, len(qs))
-	srv.doBatch(context.Background(), time.Time{}, est, qs, out)
+	srv.doBatch(context.Background(), time.Time{}, chain, qs, out)
 	for i, r := range out {
-		if r.Err != nil || r.Estimate != float64(i*10) {
-			t.Errorf("result %d = %+v, want estimate %d", i, r, i*10)
+		if want := (EstResult{Estimate: float64(i*10 + 1), Stage: "picky"}); r != want {
+			t.Errorf("result %d = %+v, want %+v", i, r, want)
 		}
 	}
-	srv.doBatch(context.Background(), time.Time{}, est, nil, nil)
+
+	srv = newStubServer(t, constEst(7), nil)
+	items := make([]map[string]any, 8)
+	for i := range items {
+		items[i] = map[string]any{"sql": stubSQL}
+	}
+	for _, body := range []map[string]any{{"queries": items}, {"sql": stubSQL}} {
+		if code, resp := postJSON(t, srv.Handler(), "/v1/estimate", body); code != http.StatusOK {
+			t.Fatalf("status %d body %v", code, resp)
+		}
+	}
 	snap := srv.Metrics().Snapshot()
 	if snap["batches_total"] != int64(1) || snap["batched_queries_total"] != int64(8) {
-		t.Errorf("recorded %v batches carrying %v queries, want one batch of 8 (an empty batch is not one)",
+		t.Errorf("recorded %v batches carrying %v queries, want one batch of 8 (a single is not one)",
 			snap["batches_total"], snap["batched_queries_total"])
 	}
 }
 
-// TestEstimateOneContextCancelled: a cancelled context reaches no estimator.
-// A bare estimator has nothing to degrade to, so it is an error result, not a
-// hang and not an estimate; behind the chain the last resort answers,
-// degraded.
+// TestEstimateOneContextCancelled: a cancelled context reaches no model.
+// The chain answers from its last resort, degraded — a single's one query as
+// much as a fanned-out batch's — not with a hang and not with an error.
 func TestEstimateOneContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	est := &countingEst{value: 5}
-	if r := estimateOne(ctx, time.Time{}, est, parseQ(t, stubSQL)); !errors.Is(r.Err, context.Canceled) {
-		t.Errorf("bare estimator: cancelled context produced %+v, want context.Canceled", r)
-	}
 	chain := resilience.NewResilient(resilience.Config{LastResort: resilience.Constant{Value: 77}},
 		resilience.Stage{Name: "learned", Est: est})
-	if r := estimateOne(ctx, time.Time{}, chain, parseQ(t, stubSQL)); r.Err != nil || r.Estimate != 77 || r.Stage != "constant" || !r.Degraded {
-		t.Errorf("chain: cancelled context produced %+v, want the last resort's 77, degraded", r)
+	srv := newStubServer(t, chain, nil)
+	qs := []*sqlparse.Query{parseQ(t, stubSQL), parseQ(t, stubSQL), parseQ(t, stubSQL)}
+	for _, n := range []int{1, len(qs)} {
+		out := make([]EstResult, n)
+		srv.doBatch(ctx, time.Time{}, chain, qs[:n], out)
+		for i, r := range out {
+			if want := (EstResult{Estimate: 77, Stage: "constant", Degraded: true}); r != want {
+				t.Errorf("%d queries: result %d = %+v under a cancelled context, want the last resort's %+v", n, i, r, want)
+			}
+		}
 	}
 	if n := est.calls.Load(); n != 0 {
 		t.Errorf("the estimator ran %d times under a cancelled context", n)
@@ -86,14 +104,15 @@ func TestEstimateOneContextCancelled(t *testing.T) {
 }
 
 // TestDoBatchSteadyStateAllocs pins the serve layer's own cost of a client
-// batch on the per-query path: the worker pool's fixed overhead, nothing per
-// query. AllocsPerRun runs at one P, where the pool is the calling goroutine
-// (a governed daemon's batch at one P).
+// batch on the per-query path: nothing per query. AllocsPerRun runs at one P,
+// where doBatch estimates inline (a governed daemon's batch at one P, and
+// every single's miss); TestDoBatchFanOutAllocs counts the fan-out.
 func TestDoBatchSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	srv := newStubServer(t, constEst(7), nil)
+	chain := stubChain(constEst(7)).(*resilience.Resilient)
 	qs := make([]*sqlparse.Query, 64)
 	for i := range qs {
 		qs[i] = parseQ(t, stubSQL)
@@ -101,11 +120,49 @@ func TestDoBatchSteadyStateAllocs(t *testing.T) {
 	ctx := context.Background()
 	out := make([]EstResult, len(qs))
 	allocs := testing.AllocsPerRun(100, func() {
-		srv.doBatch(ctx, time.Time{}, constEst(7), qs, out)
+		srv.doBatch(ctx, time.Time{}, chain, qs, out)
 	})
 	t.Logf("doBatch(64) allocs/op = %v", allocs)
 	if allocs > 8 {
 		t.Errorf("doBatch allocs/op = %v, want <= 8 (64 queries: anything more is per-query overhead)", allocs)
+	}
+}
+
+// TestDoBatchFanOutAllocs counts what TestDoBatchSteadyStateAllocs cannot:
+// testing.AllocsPerRun sets GOMAXPROCS to 1, so the batch it measures never
+// fans out. At 2 Ps doBatch hands its queries to the worker pool, and the pool
+// costs a fixed number of allocations per batch — the closure over the batch,
+// the pool's shared counter and wait group, the workers' goroutines — and
+// nothing per query: at most 8 a batch, at 8 queries as at 256. The count is
+// runtime.MemStats.Mallocs over many batches, so an allocation elsewhere in
+// the process during the loop is spread thin.
+func TestDoBatchFanOutAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	srv := newStubServer(t, constEst(7), nil)
+	chain := stubChain(constEst(7)).(*resilience.Resilient)
+	ctx := context.Background()
+	for _, n := range []int{8, 64, 256} {
+		qs := make([]*sqlparse.Query, n)
+		for i := range qs {
+			qs[i] = parseQ(t, stubSQL)
+		}
+		out := make([]EstResult, n)
+		srv.doBatch(ctx, time.Time{}, chain, qs, out)
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			srv.doBatch(ctx, time.Time{}, chain, qs, out)
+		}
+		runtime.ReadMemStats(&after)
+		perBatch := float64(after.Mallocs-before.Mallocs) / runs
+		t.Logf("doBatch(%d) at 2 Ps: %.2f allocs/batch", n, perBatch)
+		if perBatch > 8 {
+			t.Errorf("doBatch(%d) at 2 Ps allocates %.2f times a batch, want <= 8: a fixed cost per batch, nothing per query", n, perBatch)
+		}
 	}
 }
 
@@ -137,7 +194,7 @@ func TestSinglesDoNotWaitOnATimer(t *testing.T) {
 // TestOnePathSameAnswer: serve has one way to estimate a query, so the same
 // query must get the same estimate, stage and degraded bit as a single and
 // inside a client batch, on a cache miss and a cache hit, with the cache on
-// and off — through the resilience chain and through a bare model.
+// and off — behind a one-stage chain and behind the daemon's (cli.Chain).
 func TestOnePathSameAnswer(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	db, set := testEnv(t)
@@ -147,14 +204,15 @@ func TestOnePathSameAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := func(est estimator.Estimator) estimator.Estimator {
-		return resilience.NewResilient(resilience.Config{Timeout: time.Second}, resilience.Stage{Name: "learned", Est: est})
-	}
 	for _, wrap := range []struct {
-		name  string
-		wrap  func(estimator.Estimator) estimator.Estimator
-		stage any // JSON: omitted when empty
-	}{{"resilient", chain, "learned"}, {"bare", nil, nil}} {
+		name string
+		wrap func(estimator.Estimator) estimator.Estimator
+	}{
+		{"one stage", func(est estimator.Estimator) estimator.Estimator {
+			return resilience.NewResilient(resilience.Config{Timeout: time.Second}, resilience.Stage{Name: "learned", Est: est})
+		}},
+		{"daemon's", func(est estimator.Estimator) estimator.Estimator { return cli.Chain(db, est) }},
+	} {
 		for _, cache := range []struct {
 			name    string
 			entries int
@@ -185,9 +243,9 @@ func TestOnePathSameAnswer(t *testing.T) {
 				if rs, ok := resp["results"].([]any); ok {
 					resp = rs[0].(map[string]any)
 				}
-				if resp["estimate"] != want || resp["stage"] != wrap.stage || resp["degraded"] != nil {
-					t.Errorf("%s: request %d answered estimate %v stage %v degraded %v, want %v / %v / not degraded",
-						name, i, resp["estimate"], resp["stage"], resp["degraded"], want, wrap.stage)
+				if resp["estimate"] != want || resp["stage"] != "learned" || resp["degraded"] != nil {
+					t.Errorf("%s: request %d answered estimate %v stage %v degraded %v, want %v / learned / not degraded",
+						name, i, resp["estimate"], resp["stage"], resp["degraded"], want)
 				}
 			}
 			wantHits := int64(0)
@@ -202,13 +260,12 @@ func TestOnePathSameAnswer(t *testing.T) {
 }
 
 // TestExpiredDeadline pins what a query whose deadline is already spent gets
-// back. Behind the resilience chain the answer is the chain's last resort
-// (200, degraded) — for a single exactly as for a client-batch item; the
-// coalescing server instead failed a single that timed out in its queue. The
-// model never ran, and the degraded answer is not cached: the same text sent
-// in time is the model's. A bare estimator has nothing to degrade to: the
-// expired context is an error result (422 for a single, a per-item error in
-// a batch).
+// back: the chain's last resort (200, degraded) — for a single exactly as for
+// a client-batch item; the coalescing server instead failed a single that
+// timed out in its queue. The model never ran, and the degraded answer is not
+// cached: the same text sent in time is the model's. Behind the least chain a
+// model can be registered with (one stage, no last resort configured) that
+// answer is the constant 1.
 func TestExpiredDeadline(t *testing.T) {
 	post := func(h http.Handler, body string) (int, map[string]any) {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -228,44 +285,32 @@ func TestExpiredDeadline(t *testing.T) {
 		return resp["results"].([]any)[0].(map[string]any)
 	}
 
-	{
+	for _, c := range []struct {
+		name       string
+		lastResort estimator.Estimator
+		want       float64
+	}{{"last resort 77", resilience.Constant{Value: 77}, 77}, {"no last resort", nil, 1}} {
 		learned := &countingEst{value: 5}
 		chain := resilience.NewResilient(
-			resilience.Config{LastResort: resilience.Constant{Value: 77}},
+			resilience.Config{LastResort: c.lastResort},
 			resilience.Stage{Name: "learned", Est: learned})
 		h := cachedServer(t, chain, nil).Handler()
 		code, single := post(h, singleBody)
 		bcode, batch := post(h, batchBody)
 		if code != http.StatusOK || bcode != http.StatusOK {
-			t.Fatalf("resilient: status single %d / batch %d, want 200 / 200: the chain always answers", code, bcode)
+			t.Fatalf("%s: status single %d / batch %d, want 200 / 200: the chain always answers", c.name, code, bcode)
 		}
 		for name, r := range map[string]map[string]any{"single": single, "batch item": firstItem(batch)} {
-			if r["estimate"] != 77.0 || r["degraded"] != true || r["stage"] != "constant" || r["error"] != nil {
-				t.Errorf("resilient %s = %v, want the last resort's 77, degraded", name, r)
+			if r["estimate"] != c.want || r["degraded"] != true || r["stage"] != "constant" || r["error"] != nil {
+				t.Errorf("%s: %s = %v, want the last resort's %v, degraded", c.name, name, r, c.want)
 			}
 		}
 		if n := learned.calls.Load(); n != 0 {
-			t.Errorf("the learned stage ran %d times past the deadline", n)
+			t.Errorf("%s: the learned stage ran %d times past the deadline", c.name, n)
 		}
 		if code, r := postJSON(t, h, "/v1/estimate", map[string]any{"sql": stubSQL}); code != http.StatusOK ||
 			r["estimate"] != 5.0 || r["stage"] != "learned" || r["degraded"] != nil {
-			t.Errorf("the same text in time: status %d %v, want learned's 5: a degraded answer must not be cached", code, r)
-		}
-	}
-	{
-		h := newStubServer(t, constEst(5), nil).Handler()
-		code, single := post(h, singleBody)
-		if code != http.StatusUnprocessableEntity {
-			t.Errorf("bare single: status %d, want 422", code)
-		}
-		bcode, batch := post(h, batchBody)
-		if bcode != http.StatusOK {
-			t.Errorf("bare batch: status %d, want 200 with a per-item error", bcode)
-		}
-		for name, r := range map[string]map[string]any{"single": single, "batch item": firstItem(batch)} {
-			if r["error"] != context.DeadlineExceeded.Error() || r["estimate"] != nil {
-				t.Errorf("bare %s = %v, want error %q and no estimate", name, r, context.DeadlineExceeded)
-			}
+			t.Errorf("%s: the same text in time: status %d %v, want learned's 5: a degraded answer must not be cached", c.name, code, r)
 		}
 	}
 }

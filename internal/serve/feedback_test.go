@@ -141,14 +141,61 @@ func TestFeedbackHookObservesServedQueries(t *testing.T) {
 	}
 }
 
+// TestFeedbackHookSkipsFailedEstimates: a model that fails gets its query no
+// error, only a degraded answer from the chain, and the hook sees that answer
+// as it was served — estimate, actual and all. Only a text that does not
+// parse or bind, never estimated, reaches no hook.
 func TestFeedbackHookSkipsFailedEstimates(t *testing.T) {
-	var calls int
+	var events []FeedbackEvent
 	srv := newStubServer(t, errEst{}, func(cfg *Config) {
+		cfg.Feedback = func(ev FeedbackEvent) { events = append(events, ev) }
+	})
+	code, resp := postJSON(t, srv.Handler(), "/v1/estimate", map[string]any{"sql": stubSQL, "actual": 10})
+	if code != http.StatusOK || resp["estimate"] != 1.0 || resp["degraded"] != true {
+		t.Fatalf("status %d body %v, want 200 with the last resort's 1, degraded", code, resp)
+	}
+	if len(events) != 1 || events[0].Estimate != 1 || events[0].Actual != 10 || !events[0].HasActual || events[0].SQL != stubSQL {
+		t.Errorf("feedback events = %+v, want the one degraded answer as served", events)
+	}
+	if code, _ := postJSON(t, srv.Handler(), "/v1/estimate", map[string]any{"sql": "SELECT count(*) FROM t WHERE zz = 1", "actual": 10}); code != http.StatusBadRequest {
+		t.Errorf("an unbindable single: status %d, want 400", code)
+	}
+	if len(events) != 1 {
+		t.Errorf("the hook ran %d times, want once: an unbindable text is never estimated", len(events))
+	}
+}
+
+// TestBatchTopLevelActualIs400: a batch's feedback goes with each of its
+// queries. A top-level "actual" on a batch names no query; it was once
+// answered 200 and dropped without a word, so no feedback was recorded. It is
+// the client's 400 now, saying where "actual" goes, and nothing is estimated
+// or handed to the hook.
+func TestBatchTopLevelActualIs400(t *testing.T) {
+	var calls int
+	srv := newStubServer(t, constEst(42), func(cfg *Config) {
 		cfg.Feedback = func(FeedbackEvent) { calls++ }
 	})
-	postJSON(t, srv.Handler(), "/v1/estimate", map[string]any{"sql": stubSQL, "actual": 10})
-	if calls != 0 {
-		t.Errorf("feedback hook ran %d times for a failed estimate, want 0", calls)
+	code, resp := postJSON(t, srv.Handler(), "/v1/estimate", map[string]any{
+		"actual":  84,
+		"queries": []map[string]any{{"sql": stubSQL}},
+	})
+	if msg, _ := resp["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, `"actual" in each query`) {
+		t.Errorf("status %d body %v, want 400 saying \"actual\" goes in each query", code, resp)
+	}
+	if snap := srv.Metrics().Snapshot(); calls != 0 || snap["queries_total"] != int64(0) {
+		t.Errorf("the refused batch was answered: %d feedback events, queries_total %v", calls, snap["queries_total"])
+	}
+	// A per-query actual, and a top-level null, are fine.
+	for _, body := range []string{
+		`{"queries":[{"sql":"` + stubSQL + `","actual":84}]}`,
+		`{"actual":null,"queries":[{"sql":"` + stubSQL + `"}]}`,
+	} {
+		if code, resp := rawPost(t, srv.Handler(), "/v1/estimate", []byte(body)); code != http.StatusOK {
+			t.Errorf("%s: status %d body %v, want 200", body, code, resp)
+		}
+	}
+	if calls != 2 {
+		t.Errorf("feedback events = %d, want 2", calls)
 	}
 }
 
@@ -163,7 +210,7 @@ func journalServer(t *testing.T) (*Server, *journal.Journal) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { jnl.Close() })
-	reg := NewRegistry()
+	reg := newChainRegistry()
 	if _, err := reg.Register("stub", constEst(1), ModelInfo{Kind: "stub", Source: "test"}); err != nil {
 		t.Fatal(err)
 	}

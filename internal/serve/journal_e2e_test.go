@@ -179,7 +179,7 @@ func TestJournalFeedbackEndToEnd(t *testing.T) {
 	// so the sample scores a trained snapshot honestly: the good one clears
 	// it, the one trained on inflated labels fails by orders of magnitude.
 	db, heldOut, good, bad := lifecycleEnv(t)
-	lc, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry(), Journal: jnl2, DB: db, Canary: looseCanary(heldOut)})
+	lc, err := NewLifecycle(LifecycleConfig{Registry: newChainRegistry(), Journal: jnl2, DB: db, Canary: looseCanary(heldOut)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestDoorFallsBackToHeldOut(t *testing.T) {
 			if err := jnl.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			lc, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry(), Journal: jnl, DB: db, Canary: looseCanary(heldOut)})
+			lc, err := NewLifecycle(LifecycleConfig{Registry: newChainRegistry(), Journal: jnl, DB: db, Canary: looseCanary(heldOut)})
 			if err != nil {
 				t.Fatal(err)
 			}

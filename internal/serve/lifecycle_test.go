@@ -74,7 +74,7 @@ func newLifecycle(tb testing.TB, dir string, canary CanaryConfig, db *table.DB) 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newChainRegistry()
 	lc, err := NewLifecycle(LifecycleConfig{Registry: reg, Store: st, DB: db, Canary: canary})
 	if err != nil {
 		tb.Fatal(err)
@@ -396,7 +396,7 @@ func TestQuarantineFailureAbortsWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc2, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry(), Store: st, DB: db, Canary: looseCanary(canaryWS)})
+	lc2, err := NewLifecycle(LifecycleConfig{Registry: newChainRegistry(), Store: st, DB: db, Canary: looseCanary(canaryWS)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestLoadRefusesDeletedSnapshotKinds(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"no lifecycle", Config{Registry: NewRegistry(), DB: db, ModelRoot: root}},
+		{"no lifecycle", Config{Registry: newChainRegistry(), DB: db, ModelRoot: root}},
 		{"lifecycle", Config{Registry: gated, DB: db, ModelRoot: root, Lifecycle: lc}},
 	} {
 		srv, err := New(path.cfg)
@@ -760,8 +760,8 @@ func TestLoadUnderTheLiveNameMovesTheLiveModel(t *testing.T) {
 // one: it binds every query it is sent.
 func TestNewRefusesAForeignLifecycle(t *testing.T) {
 	db, _ := testEnv(t)
-	reg := NewRegistry()
-	foreign, err := NewLifecycle(LifecycleConfig{Registry: NewRegistry(), DB: db})
+	reg := newChainRegistry()
+	foreign, err := NewLifecycle(LifecycleConfig{Registry: newChainRegistry(), DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -846,7 +846,7 @@ func TestRollbackStoreFaultIs500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := newChainRegistry()
 	lc, err := NewLifecycle(LifecycleConfig{Registry: reg, Store: st, DB: db, Canary: looseCanary(canaryWS)})
 	if err != nil {
 		t.Fatal(err)

@@ -90,7 +90,7 @@ type Metrics struct {
 	shed      atomic.Int64 // requests rejected by admission control (429)
 	drained   atomic.Int64 // requests rejected because the server is draining (503)
 	degraded  atomic.Int64 // queries answered by a non-primary resilience stage
-	estErrors atomic.Int64 // queries whose estimation failed (client-visible 4xx)
+	estErrors atomic.Int64 // queries given no estimate (text that does not parse or bind, a non-finite "actual"): a batch item's error, and a single's 400 for it
 	swaps     atomic.Int64 // model registry loads/swaps
 
 	// Estimate-cache counters (generation-scoped semantic cache, cache.go).
@@ -137,18 +137,15 @@ func newMetrics() *Metrics {
 }
 
 // observeQuery records one estimated query's latency and degradation.
-func (m *Metrics) observeQuery(d time.Duration, degraded bool, err error) {
+func (m *Metrics) observeQuery(d time.Duration, degraded bool) {
 	m.queries.Add(1)
 	m.latency.Observe(float64(d.Microseconds()))
 	if degraded {
 		m.degraded.Add(1)
 	}
-	if err != nil {
-		m.estErrors.Add(1)
-	}
 }
 
-// observeBatch records one client batch of n queries sent to the worker pool.
+// observeBatch records one client batch whose n misses were estimated.
 func (m *Metrics) observeBatch(n int) {
 	m.batches.Add(1)
 	m.batchedQs.Add(int64(n))

@@ -89,8 +89,9 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestMetricsSnapshotAndServeHTTP(t *testing.T) {
 	m := newMetrics()
-	m.observeQuery(250*time.Microsecond, true, nil)
-	m.observeQuery(time.Millisecond, false, errTest)
+	m.observeQuery(250*time.Microsecond, true)
+	m.observeQuery(time.Millisecond, false)
+	m.estErrors.Add(1)
 	m.observeBatch(2)
 	m.ObserveQError(3.5)
 	m.observeStatus(200)
@@ -170,8 +171,8 @@ func TestSnapshotReportsGOMAXPROCS(t *testing.T) {
 // put them in different buckets, and count/sum keep their meaning.
 func TestLatencyBucketsResolveHitFromMiss(t *testing.T) {
 	m := newMetrics()
-	m.observeQuery(20*time.Microsecond, false, nil)
-	m.observeQuery(100*time.Microsecond, false, nil)
+	m.observeQuery(20*time.Microsecond, false)
+	m.observeQuery(100*time.Microsecond, false)
 	snap := m.latency.snapshot()
 	for _, b := range snap["buckets"].([]bucket) {
 		want := int64(0)
@@ -186,13 +187,6 @@ func TestLatencyBucketsResolveHitFromMiss(t *testing.T) {
 		t.Errorf("count/sum = %v/%v, want 2/120", snap["count"], snap["sum"])
 	}
 }
-
-// errTest is a fixed error for metrics accounting.
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test failure" }
 
 func TestLimiter(t *testing.T) {
 	l := newLimiter(2)

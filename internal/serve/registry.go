@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"qfe/internal/estimator"
+	"qfe/internal/resilience"
 )
 
 // Registry holds the named estimators a server routes requests to. Reads
@@ -19,8 +20,9 @@ import (
 // a half-replaced registry or loses its estimator mid-call.
 type Registry struct {
 	// Wrap, when non-nil, is applied to every estimator entering the
-	// registry. The server uses it to put the resilience chain in front of
-	// each model.
+	// registry: it puts the resilience chain in front of each model. The
+	// server serves chains only, so what Wrap returns (or, with no Wrap, what
+	// is registered) must be a *resilience.Resilient.
 	Wrap func(estimator.Estimator) estimator.Estimator
 
 	mu   sync.Mutex // serializes writers
@@ -48,7 +50,7 @@ type ModelInfo struct {
 
 type regEntry struct {
 	info ModelInfo
-	est  estimator.Estimator
+	est  *resilience.Resilient
 }
 
 type regSnapshot struct {
@@ -66,7 +68,9 @@ func NewRegistry() *Registry {
 
 // Register installs est under name (replacing any previous entry with that
 // name atomically) and returns the completed info. The first model ever
-// registered becomes the default.
+// registered becomes the default. An estimator that is not a resilience chain
+// once Wrap has been applied is refused: every answer the server gives comes
+// from a chain, which always has one.
 func (r *Registry) Register(name string, est estimator.Estimator, info ModelInfo) (ModelInfo, error) {
 	if name == "" {
 		return ModelInfo{}, fmt.Errorf("serve: model name must not be empty")
@@ -85,8 +89,12 @@ func (r *Registry) Register(name string, est estimator.Estimator, info ModelInfo
 	if r.Wrap != nil {
 		est = r.Wrap(est)
 	}
+	chain, ok := est.(*resilience.Resilient)
+	if !ok || chain == nil {
+		return ModelInfo{}, fmt.Errorf("serve: model %q would be served as %T, not behind a *resilience.Resilient (set Registry.Wrap)", name, est)
+	}
 	info.Name = name
-	info.Estimator = est.Name()
+	info.Estimator = chain.Name()
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -96,7 +104,7 @@ func (r *Registry) Register(name string, est estimator.Estimator, info ModelInfo
 	for k, v := range old.entries {
 		next.entries[k] = v
 	}
-	next.entries[name] = &regEntry{info: info, est: est}
+	next.entries[name] = &regEntry{info: info, est: chain}
 	if next.def == "" {
 		next.def = name
 	}
@@ -109,11 +117,10 @@ func (r *Registry) Register(name string, est estimator.Estimator, info ModelInfo
 	return info, nil
 }
 
-// Resolve returns the estimator registered under name; the empty string (or
-// "default") resolves to the default model. The returned estimator stays
-// valid for the caller's whole request even if the entry is swapped
-// concurrently.
-func (r *Registry) Resolve(name string) (estimator.Estimator, ModelInfo, error) {
+// Resolve returns the chain registered under name; the empty string (or
+// "default") resolves to the default model. The returned chain stays valid
+// for the caller's whole request even if the entry is swapped concurrently.
+func (r *Registry) Resolve(name string) (*resilience.Resilient, ModelInfo, error) {
 	s := r.snap.Load()
 	if name == "" || name == "default" {
 		name = s.def

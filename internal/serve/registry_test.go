@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,8 +15,14 @@ import (
 	"qfe/internal/sqlparse"
 )
 
+// answerOf is what a resolved chain answers for any query of a constEst.
+func answerOf(est *resilience.Resilient) float64 {
+	v, _ := est.Estimate(nil)
+	return v
+}
+
 func TestRegistryDefaultAndResolve(t *testing.T) {
-	r := NewRegistry()
+	r := newChainRegistry()
 	if _, _, err := r.Resolve(""); err == nil {
 		t.Error("empty registry resolved a default")
 	}
@@ -40,7 +47,7 @@ func TestRegistryDefaultAndResolve(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Resolve(%q): %v", name, err)
 		}
-		if est.(constEst) != 2 || info.Name != "b" {
+		if answerOf(est) != 2 || info.Name != "b" {
 			t.Errorf("Resolve(%q) = %v/%v, want model b", name, est, info.Name)
 		}
 	}
@@ -59,13 +66,13 @@ func TestRegistryDefaultAndResolve(t *testing.T) {
 	if err := r.SetDefault("a"); err != nil {
 		t.Fatal(err)
 	}
-	if est, _, _ := r.Resolve(""); est.(constEst) != 1 {
+	if est, _, _ := r.Resolve(""); answerOf(est) != 1 {
 		t.Errorf("after SetDefault(a), default resolves to %v", est)
 	}
 }
 
 func TestRegistryReplaceBumpsGeneration(t *testing.T) {
-	r := NewRegistry()
+	r := newChainRegistry()
 	i1, err := r.Register("m", constEst(1), ModelInfo{})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +88,7 @@ func TestRegistryReplaceBumpsGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.(constEst) != 2 || info.Generation != i2.Generation {
+	if answerOf(est) != 2 || info.Generation != i2.Generation {
 		t.Errorf("resolved %v gen %d, want the replacement", est, info.Generation)
 	}
 	if models, _ := r.List(); len(models) != 1 {
@@ -89,7 +96,7 @@ func TestRegistryReplaceBumpsGeneration(t *testing.T) {
 	}
 }
 
-// wrapEst proves registry.Wrap intercepted the registration.
+// wrapEst is a wrapper that is no resilience chain.
 type wrapEst struct{ inner estimator.Estimator }
 
 func (w wrapEst) Name() string { return "wrapped(" + w.inner.Name() + ")" }
@@ -98,23 +105,61 @@ func (w wrapEst) Estimate(q *sqlparse.Query) (float64, error) {
 	return v * 2, err
 }
 
+// TestRegistryWrap: what Wrap returns is what the registry serves and
+// names, and a chain registered as it is needs no Wrap.
 func TestRegistryWrap(t *testing.T) {
 	r := NewRegistry()
-	r.Wrap = func(e estimator.Estimator) estimator.Estimator { return wrapEst{inner: e} }
+	r.Wrap = func(e estimator.Estimator) estimator.Estimator {
+		return resilience.NewResilient(resilience.Config{}, resilience.Stage{Est: wrapEst{inner: e}})
+	}
 	info, err := r.Register("m", constEst(21), ModelInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Estimator != "wrapped(const)" {
-		t.Errorf("info.Estimator = %q, want the wrapper's name", info.Estimator)
+	if info.Estimator != "resilient(wrapped(const))" {
+		t.Errorf("info.Estimator = %q, want the chain's name", info.Estimator)
 	}
 	est, _, err := r.Resolve("m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := est.Estimate(nil)
-	if err != nil || v != 42 {
-		t.Errorf("wrapped estimate = %v, %v; want 42", v, err)
+	if v := answerOf(est); v != 42 {
+		t.Errorf("wrapped estimate = %v, want 42", v)
+	}
+
+	direct := NewRegistry()
+	chain := resilience.NewResilient(resilience.Config{}, resilience.Stage{Est: constEst(5)})
+	if _, err := direct.Register("m", chain, ModelInfo{}); err != nil {
+		t.Fatalf("a chain registered without Wrap: %v", err)
+	}
+	if est, _, _ := direct.Resolve("m"); est != chain {
+		t.Errorf("resolved %p, want the registered chain %p", est, chain)
+	}
+}
+
+// TestRegisterRefusesBareModels: the server serves chains only, so a model
+// that would reach the registry bare — no Wrap, or a Wrap that returns
+// something other than a *resilience.Resilient, nil included — is refused
+// by name, and registers nothing.
+func TestRegisterRefusesBareModels(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		wrap func(estimator.Estimator) estimator.Estimator
+	}{
+		{"no Wrap", nil},
+		{"a Wrap that is no chain", func(e estimator.Estimator) estimator.Estimator { return wrapEst{inner: e} }},
+		{"a Wrap that returns nil", func(estimator.Estimator) estimator.Estimator { return nil }},
+		{"a Wrap that returns a nil chain", func(estimator.Estimator) estimator.Estimator { return (*resilience.Resilient)(nil) }},
+	} {
+		r := NewRegistry()
+		r.Wrap = c.wrap
+		_, err := r.Register("bare", constEst(3), ModelInfo{})
+		if err == nil || !strings.Contains(err.Error(), `"bare"`) || !strings.Contains(err.Error(), "resilience.Resilient") {
+			t.Errorf("%s: Register = %v, want a refusal naming the model and the chain", c.name, err)
+		}
+		if models, _ := r.List(); len(models) != 0 {
+			t.Errorf("%s: the refused model was registered: %v", c.name, models)
+		}
 	}
 }
 
@@ -158,8 +203,8 @@ func TestModelsReportTheWrappedModel(t *testing.T) {
 // a fully-formed entry — one of the registered values, never nil, never a
 // partial snapshot.
 func TestRegistryConcurrentSwap(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.Register("m", constEst(0), ModelInfo{}); err != nil {
+	r := newChainRegistry()
+	if _, err := r.Register("m", constEst(1), ModelInfo{}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -193,7 +238,7 @@ func TestRegistryConcurrentSwap(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if est, _, _ := r.Resolve("m"); est.(constEst) != 200 {
+	if est, _, _ := r.Resolve("m"); answerOf(est) != 200 {
 		t.Errorf("final entry = %v, want the last write", est)
 	}
 }
@@ -205,7 +250,7 @@ func TestRegistryConcurrentSwap(t *testing.T) {
 // and registers nothing; a real snapshot is
 // admitted, reports its kind, source and model count, and honors "default".
 func TestRegistryLoadFile(t *testing.T) {
-	r := NewRegistry()
+	r := newChainRegistry()
 	db, set := testEnv(t)
 	srv, err := New(Config{Registry: r, DB: db})
 	if err != nil {

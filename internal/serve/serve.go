@@ -1,9 +1,10 @@
 // Package serve is the production front door of the estimation system: a
 // long-lived HTTP server that routes estimate requests to a hot-swappable
-// model registry, answers each single query on its own request goroutine
-// (behind a generation-scoped estimate cache) and fans client batches out
-// over a bounded worker pool, and protects itself with admission control,
-// per-request deadlines, and graceful drain.
+// registry of models, each served behind its resilience chain, answers every
+// query through one path — a single is a batch of one, on its own request
+// goroutine, and a client batch fans its misses out over a bounded worker
+// pool, both behind a generation-scoped estimate cache — and protects itself
+// with admission control, per-request deadlines, and graceful drain.
 //
 // Endpoints:
 //
@@ -53,6 +54,7 @@ import (
 	"qfe/internal/estimator"
 	"qfe/internal/exec"
 	"qfe/internal/metrics"
+	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 )
@@ -91,8 +93,9 @@ type Config struct {
 	// Cache enables the generation-scoped, text-keyed estimate cache on the
 	// /v1/estimate hot path (see cache.go). The zero value disables it.
 	Cache CacheConfig
-	// Feedback, when non-nil, observes every successfully estimated query.
-	// The event says explicitly whether the client reported a true
+	// Feedback, when non-nil, observes every answered query, cached and
+	// degraded answers included: the chain always answers, so only a text
+	// that does not parse or bind goes unseen. The event says explicitly whether the client reported a true
 	// cardinality (HasActual) — an actual of zero rows is real feedback,
 	// distinct from no feedback at all. Called synchronously on the request
 	// path — keep it cheap (the daemon's journal append behind it is a
@@ -220,8 +223,7 @@ func (w *statusWriter) status() int {
 	return w.code
 }
 
-// FeedbackEvent is one successfully served estimate as observed by
-// Config.Feedback: everything the feedback journal needs, with the
+// FeedbackEvent is one served estimate as observed by Config.Feedback: everything the feedback journal needs, with the
 // has-actual bit made explicit so a genuine zero-row actual is never mistaken
 // for absent feedback.
 type FeedbackEvent struct {
@@ -343,11 +345,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, `provide exactly one of "sql" or "queries"`)
 		return
 	}
-	// Feedback values enter detectors and histograms downstream; a NaN or
-	// ±Inf actual is rejected here at the edge so nothing past this point
-	// needs to re-check. (Negative actuals already mean "no feedback".)
-	if !finiteActual(req.Actual) {
-		writeError(w, http.StatusBadRequest, `"actual" must be a finite number`)
+	// Feedback goes with each query (a single's is its one): a batch's
+	// top-level "actual" would name no query, and dropping it loses it.
+	if !single && req.Actual != nil {
+		writeError(w, http.StatusBadRequest, `a batch carries "actual" in each query, not at the top level`)
 		return
 	}
 	if len(req.Queries) > maxQueriesPerRequest {
@@ -368,23 +369,23 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		at = d
 	}
 
+	// A single is a batch of one, rendered in the single's top-level shape;
+	// what would be a batch item's error is the single's 400.
+	items := req.Queries
 	if single {
-		res, err := s.estimateTimed(ctx, at, est, info, req.SQL, req.Actual, sc)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+		sc.single[0] = estimateItem{SQL: req.SQL, Actual: req.Actual}
+		items = sc.single[:]
+	}
+	s.estimateBatch(ctx, at, est, info, items, !single, sc)
+	resp := estimateResponse{Model: info.Name, Results: sc.results}
+	if single {
+		resp.estimateResult, resp.Results = sc.results[0], nil
+		if resp.Error != "" {
+			writeError(w, http.StatusBadRequest, "%s", resp.Error)
 			return
 		}
-		code := http.StatusOK
-		if res.Error != "" {
-			// The query parsed but could not be estimated (e.g. no model for
-			// its sub-schema): the request, not the server, is at fault.
-			code = http.StatusUnprocessableEntity
-		}
-		writeEstimate(w, sc, code, &estimateResponse{Model: info.Name, estimateResult: res})
-		return
 	}
-	s.estimateBatch(ctx, at, est, info, req.Queries, sc)
-	writeEstimate(w, sc, http.StatusOK, &estimateResponse{Model: info.Name, Results: sc.results})
+	writeEstimate(w, sc, http.StatusOK, &resp)
 }
 
 // answer resolves one query text as far as the calling goroutine can without
@@ -407,66 +408,39 @@ func (s *Server) answer(gen uint64, sql string, sc *reqScratch) (key cacheKey, q
 	return key, q, br, hit, err
 }
 
-// estimateTimed answers one query on the calling (HTTP request) goroutine:
-// answer, and on a miss estimateMiss. Nothing here queues, waits on a timer,
-// waits on another request or hands off to another goroutine, and neither
-// does the resilience chain the daemon wraps its estimators in: every stage
-// runs on this goroutine (DESIGN §11). The latency it records counts from the
-// lookup, so a miss's includes its parse.
-func (s *Server) estimateTimed(ctx context.Context, at time.Time, est estimator.Estimator, info ModelInfo, sql string, reported *float64, sc *reqScratch) (estimateResult, error) {
-	start := time.Now()
-	key, q, br, hit, err := s.answer(info.Generation, sql, sc)
-	if err != nil {
-		return estimateResult{}, err
-	}
-	if !hit {
-		br = s.estimateMiss(ctx, at, key, est, q)
-	}
-	return s.record(info, q, sql, br, reported, time.Since(start)), nil
-}
-
-// estimateMiss computes what lookup did not find, under the request's
-// cancellation and deadline, and puts it in the cache as a client batch puts
-// its misses.
-func (s *Server) estimateMiss(ctx context.Context, at time.Time, key cacheKey, est estimator.Estimator, q *sqlparse.Query) EstResult {
-	res := estimateOne(ctx, at, est, q)
-	s.cache.put(key, res, q)
-	return res
-}
-
 // record accounts one answered query — latency and degradation metrics, the
 // q-error when the client reported a true cardinality, the Feedback hook —
 // and renders its wire result. Feedback (the journal, q-error accounting)
-// observes cached answers too: the client still received that estimate, so
-// the record of what was served must still hold it.
+// observes cached and degraded answers too: the client received that
+// estimate, so the record of what was served must hold it.
 func (s *Server) record(info ModelInfo, q *sqlparse.Query, sql string, br EstResult, reported *float64, latency time.Duration) estimateResult {
-	s.metrics.observeQuery(latency, br.Degraded, br.Err)
-	if br.Err == nil {
-		actual, hasActual := actualValue(reported)
-		if hasActual && actual > 0 {
-			s.metrics.ObserveQError(metrics.QError(actual, br.Estimate))
-		}
-		if s.cfg.Feedback != nil {
-			s.cfg.Feedback(FeedbackEvent{
-				Query:      q,
-				SQL:        sql,
-				Model:      info.Name,
-				Generation: info.Generation,
-				Estimate:   br.Estimate,
-				Actual:     actual,
-				HasActual:  hasActual,
-				Latency:    latency,
-			})
-		}
+	s.metrics.observeQuery(latency, br.Degraded)
+	actual, hasActual := actualValue(reported)
+	if hasActual && actual > 0 {
+		s.metrics.ObserveQError(metrics.QError(actual, br.Estimate))
 	}
-	return toResult(br, latency)
+	if s.cfg.Feedback != nil {
+		s.cfg.Feedback(FeedbackEvent{
+			Query:      q,
+			SQL:        sql,
+			Model:      info.Name,
+			Generation: info.Generation,
+			Estimate:   br.Estimate,
+			Actual:     actual,
+			HasActual:  hasActual,
+			Latency:    latency,
+		})
+	}
+	return estimateResult{Estimate: br.Estimate, Stage: br.Stage, Degraded: br.Degraded, Micros: latency.Microseconds()}
 }
 
-// estimateBatch answers a client batch into sc.results, in request order:
-// answer per item (errors are per-item), then only the misses fanned out over
-// the worker pool; a batch the cache answers whole parses nothing. Its misses
-// go through the same put as a single's.
-func (s *Server) estimateBatch(ctx context.Context, at time.Time, est estimator.Estimator, info ModelInfo, items []estimateItem, sc *reqScratch) {
+// estimateBatch answers items into sc.results, in request order: answer per
+// item (errors are per-item), then only the misses estimated (doBatch) and
+// put; a batch the cache answers whole parses nothing. A single comes here as
+// a batch of one; only a client batch counts in batches_total, by its misses.
+// Nothing here queues or waits on a timer or another request (DESIGN §11).
+// The latency counts from the first lookup, so a miss's includes its parse.
+func (s *Server) estimateBatch(ctx context.Context, at time.Time, est *resilience.Resilient, info ModelInfo, items []estimateItem, client bool, sc *reqScratch) {
 	start := time.Now()
 	sc.results = zeroed(sc.results, len(items))
 	for i := range items {
@@ -491,6 +465,9 @@ func (s *Server) estimateBatch(ctx context.Context, at time.Time, est estimator.
 		sc.out = append(sc.out, br)
 	}
 	if len(sc.missQ) > 0 {
+		if client {
+			s.metrics.observeBatch(len(sc.missQ))
+		}
 		sc.missOut = zeroed(sc.missOut, len(sc.missQ))
 		s.doBatch(ctx, at, est, sc.missQ, sc.missOut)
 		for k, res := range sc.missOut {
@@ -523,18 +500,6 @@ func actualValue(v *float64) (float64, bool) {
 		return 0, false
 	}
 	return *v, true
-}
-
-func toResult(br EstResult, elapsed time.Duration) estimateResult {
-	res := estimateResult{Micros: elapsed.Microseconds()}
-	if br.Err != nil {
-		res.Error = br.Err.Error()
-		return res
-	}
-	res.Estimate = br.Estimate
-	res.Stage = br.Stage
-	res.Degraded = br.Degraded
-	return res
 }
 
 // deadlineFrom places the estimation deadline: the client's timeoutMs or the

@@ -20,6 +20,7 @@ import (
 	"qfe/internal/dataset"
 	"qfe/internal/estimator"
 	"qfe/internal/ml/gb"
+	"qfe/internal/resilience"
 	"qfe/internal/sqlparse"
 	"qfe/internal/table"
 	"qfe/internal/testutil"
@@ -94,7 +95,8 @@ type constEst float64
 func (c constEst) Name() string                              { return "const" }
 func (c constEst) Estimate(*sqlparse.Query) (float64, error) { return float64(c), nil }
 
-// errEst always fails, driving the 422 path.
+// errEst always fails: behind the chain its queries are answered degraded,
+// by the last resort.
 type errEst struct{}
 
 func (errEst) Name() string { return "err" }
@@ -132,13 +134,31 @@ func stubDB() *table.DB {
 	return db
 }
 
+// stubChain puts est behind a one-stage resilience chain whose last resort
+// is the constant 1, the least the registry serves; a chain is served as it
+// is.
+func stubChain(est estimator.Estimator) estimator.Estimator {
+	if chain, ok := est.(*resilience.Resilient); ok {
+		return chain
+	}
+	return resilience.NewResilient(resilience.Config{}, resilience.Stage{Est: est})
+}
+
+// newChainRegistry is an empty registry that serves every model behind
+// stubChain.
+func newChainRegistry() *Registry {
+	reg := NewRegistry()
+	reg.Wrap = stubChain
+	return reg
+}
+
 // newStubServer builds a server around a single registered stub estimator.
 // Every stub-server test also verifies that the server leaves no goroutine
 // behind — without calling Close: New starts none.
 func newStubServer(tb testing.TB, est estimator.Estimator, mutate func(*Config)) *Server {
 	tb.Helper()
 	testutil.VerifyNoLeaks(tb)
-	reg := NewRegistry()
+	reg := newChainRegistry()
 	if _, err := reg.Register("stub", est, ModelInfo{Kind: "stub", Source: "test"}); err != nil {
 		tb.Fatal(err)
 	}
@@ -323,10 +343,18 @@ func TestEstimateValidation(t *testing.T) {
 			t.Errorf("status %d, want 404", code)
 		}
 	})
+	// A single is answered as a batch of one, but a text that does not parse
+	// is still the request's 400, with the parser's own message, and counts
+	// as an estimate error as a batch item's does.
 	t.Run("unparseable sql", func(t *testing.T) {
-		code, _ := postJSON(t, h, "/v1/estimate", map[string]any{"sql": "DROP TABLE t"})
-		if code != http.StatusBadRequest {
-			t.Errorf("status %d, want 400", code)
+		_, perr := sqlparse.Parse("DROP TABLE t")
+		before := srv.Metrics().Snapshot()["estimate_errors_total"].(int64)
+		code, resp := postJSON(t, h, "/v1/estimate", map[string]any{"sql": "DROP TABLE t"})
+		if code != http.StatusBadRequest || perr == nil || resp["error"] != perr.Error() {
+			t.Errorf("status %d body %v, want 400 with the parser's %v", code, resp, perr)
+		}
+		if after := srv.Metrics().Snapshot()["estimate_errors_total"].(int64); after != before+1 {
+			t.Errorf("estimate_errors_total %d -> %d, want one more", before, after)
 		}
 	})
 
@@ -371,20 +399,6 @@ func TestEstimateValidation(t *testing.T) {
 	}
 	if snap["responses_5xx"] != int64(0) {
 		t.Errorf("responses_5xx = %v, want 0", snap["responses_5xx"])
-	}
-}
-
-func TestEstimateFailureIs422(t *testing.T) {
-	srv := newStubServer(t, errEst{}, nil)
-	code, resp := postJSON(t, srv.Handler(), "/v1/estimate", map[string]any{"sql": stubSQL})
-	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422", code)
-	}
-	if resp["error"] == nil || resp["error"] == "" {
-		t.Errorf("error = %v, want the estimation failure", resp["error"])
-	}
-	if got := srv.Metrics().Snapshot()["estimate_errors_total"]; got != int64(1) {
-		t.Errorf("estimate_errors_total = %v, want 1", got)
 	}
 }
 
@@ -594,7 +608,7 @@ func TestHotSwapEndToEnd(t *testing.T) {
 		t.Fatal("no probe query distinguishes the two models")
 	}
 
-	reg := NewRegistry()
+	reg := newChainRegistry()
 	f, err := os.Open(pathA)
 	if err != nil {
 		t.Fatal(err)

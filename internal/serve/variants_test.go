@@ -288,7 +288,7 @@ func sameAsUncached(t testing.TB, cached []http.Handler, uncached http.Handler, 
 // server, over one database and one deterministic estimator.
 func diffServers(tb testing.TB, db *table.DB) (cached []http.Handler, uncached http.Handler) {
 	build := func(entries int, hook func(FeedbackEvent)) http.Handler {
-		reg := NewRegistry()
+		reg := newChainRegistry()
 		if _, err := reg.Register("indep", &estimator.Independence{DB: db}, ModelInfo{Kind: "baseline"}); err != nil {
 			tb.Fatal(err)
 		}

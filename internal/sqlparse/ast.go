@@ -50,26 +50,6 @@ func (op CmpOp) String() string {
 	return fmt.Sprintf("CmpOp(%d)", int(op))
 }
 
-// Negate returns the complementary operator (e.g. < becomes >=). Useful for
-// rewriting and for tests.
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case OpEq:
-		return OpNe
-	case OpNe:
-		return OpEq
-	case OpLt:
-		return OpGe
-	case OpLe:
-		return OpGt
-	case OpGt:
-		return OpLe
-	case OpGe:
-		return OpLt
-	}
-	panic("sqlparse: unknown operator")
-}
-
 // Expr is a boolean selection expression: a Pred leaf or an And/Or node.
 type Expr interface {
 	isExpr()

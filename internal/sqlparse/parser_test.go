@@ -269,18 +269,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestCmpOpNegate(t *testing.T) {
-	ops := []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
-	for _, op := range ops {
-		if op.Negate().Negate() != op {
-			t.Errorf("Negate not involutive for %v", op)
-		}
-	}
-	if OpLt.Negate() != OpGe || OpEq.Negate() != OpNe {
-		t.Error("Negate gives wrong complements")
-	}
-}
-
 func TestNewAndOrFlattening(t *testing.T) {
 	p := func(attr string) Expr { return &Pred{Attr: attr, Op: OpEq, Val: 1} }
 	e := NewAnd(NewAnd(p("a"), p("b")), p("c"))

@@ -122,13 +122,13 @@ var budgets = []struct {
 	ceiling int
 	dirs    []string
 }{
-	{"daemon", 5617, []string{
+	{"daemon", 5565, []string{
 		"internal/serve", "internal/store", "internal/journal", "internal/jsonenc",
 		"internal/replay", "internal/resilience", "internal/resilience/faultinject",
 		"internal/clock", "internal/cli",
 	}},
 	{"core", 1542, []string{"internal/core"}},
-	{"estimator", 1013, []string{"internal/estimator"}},
+	{"estimator", 991, []string{"internal/estimator"}},
 }
 
 // binaries are the programs whose qfe/ dependencies api/deps.txt lists:
