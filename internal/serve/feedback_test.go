@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -17,24 +16,6 @@ import (
 	"qfe/internal/table"
 	"qfe/internal/testutil"
 )
-
-func TestFiniteActual(t *testing.T) {
-	if !finiteActual(nil) {
-		t.Error("finiteActual(nil) = false, want true (absent feedback is fine)")
-	}
-	for _, v := range []float64{0, -1, 1, 1e308} {
-		v := v
-		if !finiteActual(&v) {
-			t.Errorf("finiteActual(%v) = false, want true", v)
-		}
-	}
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		v := v
-		if finiteActual(&v) {
-			t.Errorf("finiteActual(%v) = true, want false", v)
-		}
-	}
-}
 
 // TestActualValue pins the has-actual decision table: nil and negative mean
 // "no feedback", while an explicit zero is a genuine empty result — the
@@ -57,22 +38,26 @@ func TestActualValue(t *testing.T) {
 	}
 }
 
-// TestEstimateRejectsNonFiniteActual proves the ingestion edge is closed:
-// an out-of-range JSON number fails at the decoder, and a crafted non-finite
-// value that somehow got past it would fail the explicit check — either
-// way the request gets a 400, and nothing non-finite reaches the q-error
-// histogram or the journal.
+// TestEstimateRejectsNonFiniteActual proves the ingestion edge is closed,
+// and that the wire codec closes it: a literal outside float64's range
+// fails strconv.ParseFloat in the decoder, and NaN and Infinity are not JSON
+// numbers, so every "actual" the handler sees is finite. Either way the
+// request gets a 400 naming "actual", single or batch item, and nothing
+// non-finite reaches the q-error histogram or the journal.
 func TestEstimateRejectsNonFiniteActual(t *testing.T) {
 	srv := newStubServer(t, constEst(42), nil)
 	h := srv.Handler()
 
-	code, _ := rawPost(t, h, "/v1/estimate", []byte(`{"sql": "SELECT count(*) FROM t WHERE a >= 1", "actual": 1e400}`))
-	if code != http.StatusBadRequest {
-		t.Errorf("single with actual=1e400: status %d, want 400", code)
-	}
-	code, resp := rawPost(t, h, "/v1/estimate", []byte(`{"queries": [{"sql": "q", "actual": 1e400}]}`))
-	if code != http.StatusBadRequest {
-		t.Errorf("batch with actual=1e400: status %d, body %v, want 400", code, resp)
+	for _, lit := range []string{"1e400", "-1e400", "1e309", "NaN", "Infinity", "-Infinity"} {
+		for _, body := range []string{
+			`{"sql": "` + stubSQL + `", "actual": ` + lit + `}`,
+			`{"queries": [{"sql": "` + stubSQL + `"}, {"sql": "` + stubSQL + `", "actual": ` + lit + `}]}`,
+		} {
+			code, resp := rawPost(t, h, "/v1/estimate", []byte(body))
+			if msg, _ := resp["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, `"actual"`) {
+				t.Errorf("%s: status %d, body %v; want 400 naming \"actual\"", body, code, resp)
+			}
+		}
 	}
 	if qe := srv.Metrics().Snapshot()["qerror"].(map[string]any); qe["count"] != int64(0) {
 		t.Errorf("qerror histogram count = %v after rejected feedback, want 0", qe["count"])

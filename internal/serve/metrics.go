@@ -90,7 +90,7 @@ type Metrics struct {
 	shed      atomic.Int64 // requests rejected by admission control (429)
 	drained   atomic.Int64 // requests rejected because the server is draining (503)
 	degraded  atomic.Int64 // queries answered by a non-primary resilience stage
-	estErrors atomic.Int64 // queries given no estimate (text that does not parse or bind, a non-finite "actual"): a batch item's error, and a single's 400 for it
+	estErrors atomic.Int64 // queries given no estimate (text that does not parse or bind): a batch item's error, and a single's 400 for it
 	swaps     atomic.Int64 // model registry loads/swaps
 
 	// Estimate-cache counters (generation-scoped semantic cache, cache.go).

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -256,7 +255,8 @@ type estimateItem struct {
 	// cardinality (post-execution feedback); the server records the
 	// estimate's q-error and forwards it to Config.Feedback. Absent (null)
 	// or negative means no feedback; an explicit 0 is a genuine empty
-	// result.
+	// result. It is finite: the codec (floatValue) refuses a literal outside
+	// float64's range, and JSON has no NaN or Infinity.
 	Actual *float64 `json:"actual,omitempty"`
 }
 
@@ -444,11 +444,6 @@ func (s *Server) estimateBatch(ctx context.Context, at time.Time, est *resilienc
 	start := time.Now()
 	sc.results = zeroed(sc.results, len(items))
 	for i := range items {
-		if !finiteActual(items[i].Actual) {
-			sc.results[i] = estimateResult{Error: `"actual" must be a finite number`}
-			s.metrics.estErrors.Add(1)
-			continue
-		}
 		key, q, br, hit, err := s.answer(info.Generation, items[i].SQL, sc)
 		if err != nil {
 			sc.results[i] = estimateResult{Error: err.Error()}
@@ -480,13 +475,6 @@ func (s *Server) estimateBatch(ctx context.Context, at time.Time, est *resilienc
 	for j, i := range sc.idx {
 		sc.results[i] = s.record(info, sc.qs[j], items[i].SQL, sc.out[j], items[i].Actual, perQuery)
 	}
-}
-
-// finiteActual vets a client-reported true cardinality at the ingestion
-// edge. Absent (nil) and negative values are fine — they mean "no
-// feedback" — but NaN and ±Inf are malformed.
-func finiteActual(v *float64) bool {
-	return v == nil || (!math.IsNaN(*v) && !math.IsInf(*v, 0))
 }
 
 // actualValue resolves a client-reported actual into (value, hasActual).
