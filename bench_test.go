@@ -100,9 +100,6 @@ func BenchmarkTable7_QFTTime(b *testing.B) { runExperiment(b, "tab7") }
 
 // Ablation benchmarks (DESIGN.md section 4).
 
-// BenchmarkAblationGBSplit compares histogram vs exact split search.
-func BenchmarkAblationGBSplit(b *testing.B) { runExperiment(b, "abl1") }
-
 // BenchmarkAblationHalfEntries compares ½ entries vs binarized partitions.
 func BenchmarkAblationHalfEntries(b *testing.B) { runExperiment(b, "abl2") }
 

@@ -7,7 +7,7 @@
 //	benchrunner [-scale smoke|default|full] [-exp id[,id...]] [-list]
 //
 // Experiment ids follow DESIGN.md's per-experiment index (fig1..fig5,
-// tab1..tab7, abl1..abl4). Without -exp, every experiment runs in paper
+// tab1..tab7, abl2..abl4). Without -exp, every experiment runs in paper
 // order. The QFE_SCALE environment variable is an alternative to -scale.
 package main
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"math"
-	"time"
 
 	"qfe/internal/core"
 	"qfe/internal/estimator"
@@ -76,45 +75,6 @@ func trainEvalCustom(featurize func(sqlparse.Expr) ([]float64, error), cfg gb.Co
 		qerrs[i] = metrics.QError(float64(l.Card), est)
 	}
 	return metrics.Summarize(qerrs), nil
-}
-
-// AblationGBSplit compares histogram against exact split search in the
-// gradient-boosting trees: accuracy and training time.
-func AblationGBSplit(env *Env) (*Report, error) {
-	r := &Report{ID: "abl1", Title: "Ablation: GB histogram vs exact split search"}
-	train, test, err := env.ConjWorkload()
-	if err != nil {
-		return nil, err
-	}
-	// Exact split search is O(n log n) per feature per node; cap the
-	// training set so the ablation stays tractable.
-	if cap := 1200; len(train) > cap {
-		train = train[:cap]
-	}
-	forest, err := env.Forest()
-	if err != nil {
-		return nil, err
-	}
-	meta := core.NewTableMeta(forest, env.Scale.Entries)
-	f := core.NewConjunctive(meta, env.coreOptions())
-
-	for _, exact := range []bool{false, true} {
-		cfg := env.gbConfig()
-		cfg.ExactSplits = exact
-		start := time.Now()
-		sum, err := trainEvalCustom(f.Featurize, cfg, log2Labels, train, test)
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		label := "histogram"
-		if exact {
-			label = "exact"
-		}
-		r.Printf("%-12s train+eval=%8v  %s", label, elapsed.Round(time.Millisecond), sum)
-	}
-	r.Printf("(expect near-identical accuracy; histogram much faster — the LightGBM design point)")
-	return r, nil
 }
 
 // AblationHalfEntries compares the paper's three-valued partition entries

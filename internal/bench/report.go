@@ -78,7 +78,6 @@ func Experiments() []Experiment {
 		{"tab5", "Accuracy for different feature vector lengths", Table5},
 		{"tab6", "Training convergence (avg q-error vs #training queries)", Table6},
 		{"tab7", "QFT time & estimator memory consumption", Table7},
-		{"abl1", "Ablation: GB histogram vs exact split search", AblationGBSplit},
 		{"abl2", "Ablation: ½ entries vs binarized partitions", AblationHalfEntries},
 		{"abl3", "Ablation: LDE entry-wise max vs sum-clamp merge", AblationLDEMerge},
 		{"abl4", "Ablation: log2 vs raw label transform", AblationLabelTransform},

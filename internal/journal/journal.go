@@ -627,24 +627,11 @@ func (j *Journal) bumpNext(n uint64) {
 	}
 }
 
-// parseSegNumber extracts the segment number from "<prefix>NNNNNNNN.qfej".
+// parseSegNumber extracts the segment number, in (0, 2^62], from
+// "<prefix>NNNNNNNN.qfej"; zero-padded and unpadded forms both parse.
 func parseSegNumber(name, prefix string) (uint64, bool) {
-	digits := strings.TrimPrefix(name, prefix)
-	digits = strings.TrimSuffix(digits, segSuffix)
-	if digits == "" {
-		return 0, false
-	}
-	var n uint64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + uint64(c-'0')
-		if n > 1<<62 {
-			return 0, false
-		}
-	}
-	if n == 0 {
+	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), segSuffix), 10, 64)
+	if err != nil || n == 0 || n > 1<<62 {
 		return 0, false
 	}
 	return n, true

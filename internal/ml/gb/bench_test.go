@@ -59,22 +59,6 @@ func BenchmarkTrainQFT(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainExact measures the exact-split ablation path at a reduced
-// size (it is the slow reference).
-func BenchmarkTrainExact(b *testing.B) {
-	X, y := benchData(500, 50)
-	cfg := DefaultConfig()
-	cfg.NumTrees = 10
-	cfg.ExactSplits = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(X, y, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPredict measures single-vector inference latency, the per-query
 // cost a query optimizer would pay.
 func BenchmarkPredict(b *testing.B) {

@@ -92,8 +92,9 @@ func TestResidualsRefuseOverflow(t *testing.T) {
 }
 
 // TestTrainRefusesNonFiniteTargets: a NaN or infinite target used to be fit
-// silently; it is an error naming the first offending sample. Finite targets
-// of any magnitude whose sum is finite train.
+// silently; it is an error naming the first offending sample. So is a NaN or
+// infinite feature, which has no bin whose code orders as its value does.
+// Finite targets of any magnitude whose sum is finite train.
 func TestTrainRefusesNonFiniteTargets(t *testing.T) {
 	X, y := makeRegression(rand.New(rand.NewSource(1)), 200, 3)
 	cfg := DefaultConfig()
@@ -104,6 +105,14 @@ func TestTrainRefusesNonFiniteTargets(t *testing.T) {
 		_, err := Train(X, y2, cfg)
 		if err == nil || !strings.Contains(err.Error(), "target 17 ") {
 			t.Errorf("target 17 = %v: error %v, want one naming target 17", bad, err)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		X2 := append([][]float64(nil), X...)
+		X2[23] = []float64{X[23][0], bad, X[23][2]}
+		_, err := Train(X2, y, cfg)
+		if err == nil || !strings.Contains(err.Error(), "sample 23 feature 1 ") {
+			t.Errorf("sample 23 feature 1 = %v: error %v, want one naming them", bad, err)
 		}
 	}
 	for _, scale := range []float64{0, 1e-300, 1e300} {
@@ -130,60 +139,55 @@ func TestTrainRefusesNonFiniteTargets(t *testing.T) {
 
 // TestLeafUpdatesMatchTreeWalk: a leaf advances the running predictions of
 // the rows it owns while the tree is grown, and only the rows the tree did
-// not sample walk it afterwards. The sweep that was replaced — every row
-// walks every finished tree — is the oracle: after each tree the two agree
-// bit for bit, with every row sampled, nine in ten and half, on histogram and
-// exact splits. The stages driven here are the ones Train runs (their arenas
+// not sample walk it afterwards, on their codes. The sweep that was replaced —
+// every row walks every finished tree on its floats — is the oracle: after
+// each tree the two agree bit for bit, with every row sampled, nine in ten and
+// half. The stages driven here are the ones Train runs (their arenas
 // pack, tree by tree, into the forest Train returns, node for node). After
 // every tree the histograms are all back on the free list.
 func TestLeafUpdatesMatchTreeWalk(t *testing.T) {
 	X, y := qftLike(rand.New(rand.NewSource(9)), 700, 23)
-	for _, exact := range []bool{false, true} {
-		for _, rate := range []float64{1, 0.9, 0.5} {
-			name := fmt.Sprintf("exact=%v rows=%v", exact, rate)
-			cfg := DefaultConfig()
-			cfg.NumTrees, cfg.SubsampleRows, cfg.ExactSplits, cfg.Seed = 8, rate, exact, 4
-			if exact {
-				cfg.NumTrees = 4
-			}
-			m, err := Train(X, y, cfg)
+	for _, rate := range []float64{1, 0.9, 0.5} {
+		name := fmt.Sprintf("rows=%v", rate)
+		cfg := DefaultConfig()
+		cfg.NumTrees, cfg.SubsampleRows, cfg.Seed = 8, rate, 4
+		m, err := Train(X, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		b := newBuilder(X, cfg)
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		n := len(X)
+		pred, sweep, resid := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range pred {
+			pred[i], sweep[i] = m.Base, m.Base
+		}
+		var packed flatForest
+		for k := 0; k < cfg.NumTrees; k++ {
+			tr, err := b.boost(rng, y, pred, resid)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			b := newBuilder(X, cfg)
-			rng := rand.New(rand.NewSource(cfg.Seed))
-			n := len(X)
-			pred, sweep, resid := make([]float64, n), make([]float64, n), make([]float64, n)
-			for i := range pred {
-				pred[i], sweep[i] = m.Base, m.Base
+			for i := range sweep {
+				sweep[i] += cfg.LearningRate * tr.predict(X[i])
 			}
-			var packed flatForest
-			for k := 0; k < cfg.NumTrees; k++ {
-				tr, err := b.boost(rng, y, pred, resid)
-				if err != nil {
-					t.Fatal(err)
+			for i := range sweep {
+				if math.Float64bits(pred[i]) != math.Float64bits(sweep[i]) {
+					t.Fatalf("%s: after tree %d row %d is at %v, the sweep puts it at %v", name, k+1, i, pred[i], sweep[i])
 				}
-				for i := range sweep {
-					sweep[i] += cfg.LearningRate * tr.predict(X[i])
-				}
-				for i := range sweep {
-					if math.Float64bits(pred[i]) != math.Float64bits(sweep[i]) {
-						t.Fatalf("%s: after tree %d row %d is at %v, the sweep puts it at %v", name, k+1, i, pred[i], sweep[i])
-					}
-				}
-				if err := packed.appendTree(tr); err != nil {
-					t.Fatal(err)
-				}
-				if n := len(packed.nodes); n > len(m.flat.nodes) || !reflect.DeepEqual(packed.nodes, m.flat.nodes[:n]) ||
-					!reflect.DeepEqual(packed.roots, m.flat.roots[:k+1]) {
-					t.Fatalf("%s: tree %d is not the one Train fit", name, k+1)
-				}
-				if len(tr.Nodes) < 3 {
-					t.Fatalf("%s: tree %d did not split", name, k+1)
-				}
-				assertHistsFree(t, b)
 			}
+			if err := packed.appendTree(tr); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(packed.nodes); n > len(m.flat.nodes) || !reflect.DeepEqual(packed.nodes, m.flat.nodes[:n]) ||
+				!reflect.DeepEqual(packed.roots, m.flat.roots[:k+1]) {
+				t.Fatalf("%s: tree %d is not the one Train fit", name, k+1)
+			}
+			if len(tr.Nodes) < 3 {
+				t.Fatalf("%s: tree %d did not split", name, k+1)
+			}
+			assertHistsFree(t, b)
 		}
 	}
 }

@@ -66,6 +66,23 @@ func format1(t testing.TB, cfg Config, base float64, dim int, trees []*tree) []b
 	return data
 }
 
+// predict walks the arena on x's floats: the walk Predict did before the
+// flat forest, and the oracle of the fit's walk on codes.
+func (t *tree) predict(x []float64) float64 {
+	i := int32(0)
+	for {
+		n := &t.Nodes[i]
+		if n.Leaf {
+			return n.Value
+		}
+		if x[n.Feature] <= n.Threshold {
+			i = n.Left
+		} else {
+			i = n.Right
+		}
+	}
+}
+
 // predictReference evaluates a forest through the per-tree arena walk — the
 // Predict before the flat forest, kept as the ground truth the packed walk
 // is held to (and timed against in BenchmarkPredictReference).
@@ -92,7 +109,7 @@ func TestFlatPredictBitIdentical(t *testing.T) {
 	cfgs := []Config{
 		{NumTrees: 30, LearningRate: 0.2, MaxDepth: 5, MinSamplesLeaf: 2, MaxBins: 32, SubsampleRows: 0.8, SubsampleCols: 0.7, Seed: 1},
 		{NumTrees: 7, LearningRate: 0.5, MaxDepth: 1, MinSamplesLeaf: 1, MaxBins: 8, SubsampleRows: 1, SubsampleCols: 1, Seed: 2},
-		{NumTrees: 50, LearningRate: 0.07, MaxDepth: 9, MinSamplesLeaf: 5, MaxBins: 64, SubsampleRows: 0.6, SubsampleCols: 0.5, ExactSplits: true, Seed: 3},
+		{NumTrees: 50, LearningRate: 0.07, MaxDepth: 9, MinSamplesLeaf: 5, MaxBins: 64, SubsampleRows: 0.6, SubsampleCols: 0.5, Seed: 3},
 	}
 	for ci, cfg := range cfgs {
 		rng := rand.New(rand.NewSource(int64(100 + ci)))

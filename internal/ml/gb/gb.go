@@ -5,9 +5,10 @@
 // The estimator is the paper's Equation 5: a sum of P weak predictors — here
 // depth-limited regression trees fit to the residuals of their predecessors
 // — each shrunk by a learning rate, plus a constant. Split search uses
-// feature histograms (the strategy of LightGBM, which the paper uses), with
-// an exact-search mode retained for the ablation benchmark. The histograms
-// are sparse — only the occupied bins below a feature's last one are
+// feature histograms (the strategy of LightGBM, which the paper uses): every
+// feature is cut once into MaxBins uniform bins, and the fit reads the
+// training rows only as their bin codes from then on. The histograms are
+// sparse — only the occupied bins below a feature's last one are
 // accumulated, which is what a QFT matrix rewards (its "no predicate" is a
 // column's last bin) — and their sums are exact: each stage rounds its
 // residuals to a grid on which float64 addition commutes (residuals), so a
@@ -41,9 +42,6 @@ type Config struct {
 	// SubsampleCols is the fraction of features considered per tree;
 	// 1 disables column subsampling.
 	SubsampleCols float64
-	// ExactSplits switches from histogram to exact threshold search — far
-	// slower, kept for the DESIGN.md split-search ablation.
-	ExactSplits bool
 	// Seed drives subsampling; training is deterministic given a seed.
 	Seed int64
 	// Workers bounds the goroutines used for feature binning and split
@@ -114,7 +112,7 @@ type Model struct {
 }
 
 // Train fits a gradient-boosting model on X (row-major samples) and targets
-// y. X must be rectangular and len(X) == len(y).
+// y. X must be rectangular, finite and len(X) == len(y).
 func Train(X [][]float64, y []float64, cfg Config) (*Model, error) {
 	n := len(X)
 	d := 0
@@ -130,6 +128,11 @@ func Train(X [][]float64, y []float64, cfg Config) (*Model, error) {
 	for i, row := range X {
 		if len(row) != d {
 			return nil, fmt.Errorf("gb: sample %d has %d features, want %d", i, len(row), d)
+		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("gb: sample %d feature %d is %v, want a finite value", i, f, v)
+			}
 		}
 		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
 			return nil, fmt.Errorf("gb: target %d is %v, want a finite value", i, y[i])
@@ -169,25 +172,24 @@ func Train(X [][]float64, y []float64, cfg Config) (*Model, error) {
 
 // boost fits the next tree of the ensemble to the residuals of pred, on the
 // rows and columns it draws, and advances pred by it: the leaves do so for
-// the rows the tree is grown on, the others walk the tree. The tree is an
-// arena the caller packs onto the forest and drops.
+// the rows the tree is grown on, the others walk the tree on their codes. The
+// tree is an arena the caller packs onto the forest and drops.
 func (b *builder) boost(rng *rand.Rand, y, pred, resid []float64) (*tree, error) {
 	if err := residuals(resid, y, pred); err != nil {
 		return nil, err
 	}
 	// One tree's row and column samples; a rate of 1 draws nothing.
-	n, d := b.n, len(b.X[0])
-	rows := sampleInts(rng, n, int(math.Ceil(b.cfg.SubsampleRows*float64(n))))
-	cols := sampleInts(rng, d, int(math.Ceil(b.cfg.SubsampleCols*float64(d))))
+	rows := sampleInts(rng, b.n, int(math.Ceil(b.cfg.SubsampleRows*float64(b.n))))
+	cols := sampleInts(rng, b.d, int(math.Ceil(b.cfg.SubsampleCols*float64(b.d))))
 	t := &tree{}
 	var hist []histCell
-	if !b.cfg.ExactSplits && b.searches(len(rows), 1) {
+	if b.searches(len(rows), 1) {
 		hist = b.takeHist()
 		b.accumulate(hist, rows, resid)
 	}
 	b.grow(t, rows, cols, resid, pred, 1, hist)
 	for _, i := range rows[len(rows):cap(rows)] { // sampleInts keeps the rows it left out there
-		pred[i] += b.cfg.LearningRate * t.predict(b.X[i])
+		pred[i] += b.cfg.LearningRate * b.leaf(t, i)
 	}
 	return t, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -123,61 +124,35 @@ func TestConstantFeaturesNoSplit(t *testing.T) {
 	}
 }
 
-func TestExactSplitsMatchHistogramOnBinAligned(t *testing.T) {
-	// When feature values land exactly on bin representatives, exact and
-	// histogram split search must find equally good trees. We compare
-	// training MSE rather than identical structure.
-	rng := rand.New(rand.NewSource(4))
-	n := 800
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		v := float64(rng.Intn(16)) / 16 // 16 distinct values < 64 bins
-		w := float64(rng.Intn(16)) / 16
-		X[i] = []float64{v, w}
-		y[i] = 2*v - w
-	}
-	cfg := DefaultConfig()
-	cfg.Seed = 4
-	cfg.SubsampleRows, cfg.SubsampleCols = 1, 1
-	cfg.NumTrees = 40
-
-	hist, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ExactSplits = true
-	exact, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mh, me := mse(hist, X, y), mse(exact, X, y)
-	if mh > 2*me+1e-6 && mh > 1e-4 {
-		t.Errorf("histogram mse %v far worse than exact mse %v", mh, me)
-	}
-}
-
-// TestCellsAgreeWithTheSplitsTheyPrice: split search prices a split at a
-// cell's edge with the rows of that cell and every cell below it on the left,
-// and grow partitions on X <= edge. So for every row, feature and cell edge,
-// the row must fall in a cell at or below that edge's exactly when its value
-// is <= the edge. Values that sit exactly on an edge are the case: on a [0,1]
-// feature ½ is bin 31's upper edge at 64 bins, and QFT vectors are full of
-// them (2.7 % of all values of the complex boot matrix). The matrices are a
-// grid of k/64 and k/128 with a little off-grid mass, and the real complex
-// and range boot matrices.
-func TestCellsAgreeWithTheSplitsTheyPrice(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	grid := make([][]float64, 600)
-	for i := range grid {
-		grid[i] = []float64{
+// gridMatrix is a grid of k/64 and k/128 with a little off-grid mass, and a
+// column whose edges, at 3 + k·0.1, are not binary fractions; y is a
+// function of every column.
+func gridMatrix(rng *rand.Rand, n int) ([][]float64, []float64) {
+	X, y := make([][]float64, n), make([]float64, n)
+	for i := range X {
+		X[i] = []float64{
 			float64(rng.Intn(65)) / 64,
 			float64(rng.Intn(129)) / 128,
 			[]float64{0, 0.49, 0.5, 1}[rng.Intn(4)],
 			3 + float64(rng.Intn(7))*0.1, // edges that are not exact binary fractions
 			rng.Float64(),
 		}
+		y[i] = 4*X[i][0] - 3*X[i][1]*X[i][2] + 2*X[i][3] + X[i][4]
 	}
+	return X, y
+}
+
+// TestCellsAgreeWithTheSplitsTheyPrice: split search prices a split at a
+// cell's edge with the rows of that cell and every cell below it on the left,
+// grow partitions on the codes <= the cell's bin, and Predict sends X <= edge
+// left. So for every row, feature and cell, the row must fall in a cell at or
+// below that one, and carry a code at or below its bin, exactly when its value
+// is <= the edge. Values that sit exactly on an edge are the case: on a [0,1]
+// feature ½ is bin 31's upper edge at 64 bins, and QFT vectors are full of
+// them (2.7 % of all values of the complex boot matrix). The matrices are
+// gridMatrix's and the real complex and range boot matrices.
+func TestCellsAgreeWithTheSplitsTheyPrice(t *testing.T) {
+	grid, _ := gridMatrix(rand.New(rand.NewSource(5)), 600)
 	matrices := map[string][][]float64{"grid": grid}
 	for _, bs := range bootMatrices(t, 4_000, 400) {
 		if bs.qft == "complex" || bs.qft == "range" {
@@ -210,10 +185,11 @@ func TestCellsAgreeWithTheSplitsTheyPrice(t *testing.T) {
 					onEdge++
 				}
 				left := cellOf[f] >= 0 && cellOf[f] <= c
-				if left != (X[r][f] <= edge) {
+				code := b.codes[f*b.n+r]
+				if left != (X[r][f] <= edge) || left != (code <= b.cellBin[c]) {
 					if bad++; bad <= 3 {
-						t.Errorf("%s: row %d feature %d value %v is in cell %d, a split at cell %d's edge %v sends it the other way",
-							name, r, f, X[r][f], cellOf[f], c, edge)
+						t.Errorf("%s: row %d feature %d value %v is in cell %d with code %d, a split at cell %d's edge %v (bin %d) sends it the other way",
+							name, r, f, X[r][f], cellOf[f], code, c, edge, b.cellBin[c])
 					}
 				}
 			}
@@ -405,6 +381,43 @@ func TestValidate(t *testing.T) {
 	for _, b := range bad {
 		if err := b.m.Validate(); err == nil {
 			t.Errorf("%s: validated", b.name)
+		}
+	}
+}
+
+// TestLoadsSnapshotsWithExactSplits: every format-2 snapshot written while
+// Config had an ExactSplits field holds it in its cfg, false for every model
+// a daemon fit. Such a payload, with the field true or false, decodes and
+// validates, and predicts every training row bit for bit as the model it was
+// written from.
+func TestLoadsSnapshotsWithExactSplits(t *testing.T) {
+	X, y := makeRegression(rand.New(rand.NewSource(8)), 300, 3)
+	cfg := DefaultConfig()
+	cfg.NumTrees = 10
+	m, err := Train(X, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exact := range []string{"true", "false"} {
+		old := strings.Replace(string(data), `"cfg":{`, `"cfg":{"ExactSplits":`+exact+`,`, 1)
+		if old == string(data) {
+			t.Fatal("the snapshot has no cfg object")
+		}
+		var back Model
+		if err := json.Unmarshal([]byte(old), &back); err != nil {
+			t.Fatalf("ExactSplits %s: %v", exact, err)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("ExactSplits %s: %v", exact, err)
+		}
+		for i, x := range X {
+			if got, want := back.Predict(x), m.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("ExactSplits %s: row %d predicted %v, the model it was written from %v", exact, i, got, want)
+			}
 		}
 	}
 }

@@ -94,7 +94,7 @@ func (b *oracleBuilder) bestSplit(rows, cols []int, resid []float64, sumTotal fl
 	histCnt := make([]int, b.cfg.MaxBins)
 	for _, f := range cols {
 		res := b.histFeatureSplit(rows, f, resid, sumTotal, parentScore, histSum, histCnt)
-		if res.ok && res.gain > gain {
+		if res.gain > gain {
 			gain, feat, thr, ok = res.gain, f, res.thr, true
 		}
 	}
@@ -129,7 +129,7 @@ func (b *oracleBuilder) histFeatureSplit(rows []int, f int, resid []float64, sum
 		rSum := sumTotal - accSum
 		score := accSum*accSum/float64(accCnt) + rSum*rSum/float64(cnt-accCnt)
 		if g := score - parentScore; g > best.gain {
-			best = splitResult{thr: edges[k], gain: g, ok: true}
+			best = splitResult{thr: edges[k], bin: uint8(k), gain: g}
 		}
 	}
 	return best
@@ -225,13 +225,15 @@ type oracleCase struct {
 	cfg  Config
 }
 
-// oracleCases spans what the sparse search must not get wrong: where the
-// rows of a column sit relative to its last bin (nearly all in it, as in the
-// QFTs that start from ones; spread evenly; nearly all in the first bin, as
-// in the simple QFT; all in it but one; all in it), how many cells there are
-// (MaxBins 2 makes one per feature, MaxBins 256 over 300 dense features more
-// than a uint16 could number), whether a tree samples its columns, and
-// whether a node is large enough to be searched by several goroutines.
+// oracleCases spans what the sparse search and the partition on codes must
+// not get wrong: where the rows of a column sit relative to its last bin
+// (nearly all in it, as in the QFTs that start from ones; spread evenly;
+// nearly all in the first bin, as in the simple QFT; all in it but one; all
+// in it), values on bin edges, some of them not binary fractions, how many
+// cells there are (MaxBins 2 makes one per feature, MaxBins 256 over 300
+// dense features more than a uint16 could number), whether a tree samples its
+// columns, and whether a node is large enough to be searched by several
+// goroutines.
 func oracleCases(t testing.TB) []oracleCase {
 	small := DefaultConfig()
 	small.NumTrees = 6
@@ -268,6 +270,13 @@ func oracleCases(t testing.TB) []oracleCase {
 	}
 	add("first bin modal", X, y, nil)
 
+	// Values on the bin edges, among them edges that are not binary
+	// fractions: where a code and its value could order differently
+	// against an edge, the fit's partition on codes and the oracle's on
+	// floats would part.
+	X, y = gridMatrix(rand.New(rand.NewSource(5)), 600)
+	add("grid", X, y, nil)
+
 	// One row below the last bin: a single cell, with a single entry.
 	X, y = qftLike(rng, 500, 12)
 	for i := range X {
@@ -293,10 +302,11 @@ func oracleCases(t testing.TB) []oracleCase {
 }
 
 // TestTrainMatchesSingleFeatureOracle: the sparse split search, most of its
-// histograms a parent's less a sibling's, trains, byte for byte, the model
-// the dense one-feature-per-pass search trains from scratch at every node — on every
-// input of oracleCases, for worker counts that cut the features into one,
-// two, three and seven ranges.
+// histograms a parent's less a sibling's, its nodes partitioned on codes,
+// trains, byte for byte, the model the dense one-feature-per-pass search
+// trains from scratch at every node, partitioning on floats — on every input
+// of oracleCases, for worker counts that cut the features into one, two,
+// three and seven ranges.
 func TestTrainMatchesSingleFeatureOracle(t *testing.T) {
 	for _, tc := range oracleCases(t) {
 		cfg := tc.cfg
@@ -347,12 +357,18 @@ func TestSplitGainsMatchOracleBitForBit(t *testing.T) {
 				sumTotal += resid[r]
 			}
 			parentScore := sumTotal * sumTotal / float64(len(rows))
-			b.bestSplit(rows, cols, resid, sumTotal, hist)
 			for _, f := range cols {
+				got := b.scanCells(hist, f, len(rows), sumTotal, parentScore)
 				want := ob.histFeatureSplit(rows, f, resid, sumTotal, parentScore, histSum, histCnt)
-				if b.results[f] != want {
-					t.Fatalf("%s, %s, feature %d: split %+v, oracle %+v", tc.name, where, f, b.results[f], want)
+				if got != want {
+					t.Fatalf("%s, %s, feature %d: split %+v, oracle %+v", tc.name, where, f, got, want)
 				}
+			}
+			feat, split, ok := b.bestSplit(cols, len(rows), sumTotal, hist)
+			wantFeat, wantThr, wantGain, wantOK := ob.bestSplit(rows, cols, resid, sumTotal)
+			if feat != wantFeat || split.thr != wantThr || split.gain != wantGain || ok != (wantOK && wantGain > 1e-12) {
+				t.Fatalf("%s, %s: best split on feature %d at %+v (ok %v), oracle feature %d at %v gain %v",
+					tc.name, where, feat, split, ok, wantFeat, wantThr, wantGain)
 			}
 		}
 		for trial := 0; trial < 12; trial++ {

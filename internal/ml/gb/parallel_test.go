@@ -21,35 +21,31 @@ func marshalNormalized(t *testing.T, m *Model) string {
 
 // TestTrainDeterministicAcrossWorkers: the tentpole guarantee for gb —
 // training is bit-identical (same trees, thresholds, leaf values, split
-// choices) for every Workers value, on both the histogram and the exact
-// split paths.
+// choices) for every Workers value.
 func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	X, y := makeRegression(rng, 1200, 6)
 
-	for _, exact := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.Seed = 11
-		cfg.NumTrees = 12
-		cfg.ExactSplits = exact
-		cfg.SubsampleRows, cfg.SubsampleCols = 0.8, 0.8
+	cfg := DefaultConfig()
+	cfg.Seed = 11
+	cfg.NumTrees = 12
+	cfg.SubsampleRows, cfg.SubsampleCols = 0.8, 0.8
 
-		cfg.Workers = 1
-		seq, err := Train(X, y, cfg)
+	cfg.Workers = 1
+	seq, err := Train(X, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshalNormalized(t, seq)
+
+	for _, workers := range []int{0, 2, 4, 8} {
+		cfg.Workers = workers
+		par, err := Train(X, y, cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		want := marshalNormalized(t, seq)
-
-		for _, workers := range []int{0, 2, 4, 8} {
-			cfg.Workers = workers
-			par, err := Train(X, y, cfg)
-			if err != nil {
-				t.Fatalf("exact=%v workers=%d: %v", exact, workers, err)
-			}
-			if got := marshalNormalized(t, par); got != want {
-				t.Errorf("exact=%v workers=%d: trained model differs from sequential", exact, workers)
-			}
+		if got := marshalNormalized(t, par); got != want {
+			t.Errorf("workers=%d: trained model differs from sequential", workers)
 		}
 	}
 }

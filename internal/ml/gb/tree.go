@@ -1,21 +1,19 @@
 package gb
 
-import (
-	"math"
-	"sort"
-
-	"qfe/internal/parallel"
-)
+import "qfe/internal/parallel"
 
 // node is one node of a tree being grown. Leaves carry Value; internal nodes
-// send x[Feature] <= Threshold left. The JSON tags are format 1's, which
-// stored these arenas (flat.go decodes it).
+// send x[Feature] <= Threshold left, which for a training row is its code of
+// Feature <= bin, the bin Threshold is the upper edge of. The JSON tags are
+// format 1's, which stored these arenas (flat.go decodes it); bin is the
+// fit's alone.
 type node struct {
 	Feature   int     `json:"f"`
 	Threshold float64 `json:"t"`
 	Left      int32   `json:"l"`
 	Right     int32   `json:"r"`
 	Leaf      bool    `json:"leaf"`
+	bin       uint8   // in the padding after Leaf: the arena stays 40 bytes a node
 	Value     float64 `json:"v"`
 }
 
@@ -26,24 +24,10 @@ type tree struct {
 	Nodes []node `json:"nodes"`
 }
 
-func (t *tree) predict(x []float64) float64 {
-	i := int32(0)
-	for {
-		n := &t.Nodes[i]
-		if n.Leaf {
-			return n.Value
-		}
-		if x[n.Feature] <= n.Threshold {
-			i = n.Left
-		} else {
-			i = n.Right
-		}
-	}
-}
-
-// builder holds the per-training-run state shared by all trees: the binned
-// features in the sparse form split search walks, the buffers a tree is grown
-// in, and the resolved worker count.
+// builder holds the per-training-run state shared by all trees: the bin codes
+// of the training rows, which are all the fit reads of them, the same codes in
+// the sparse form split search walks, the buffers a tree is grown in, and the
+// resolved worker count.
 //
 // A cell is one bin of one feature that at least one training row falls in
 // and that lies below the feature's last bin. The last bin is left out
@@ -54,18 +38,18 @@ func (t *tree) predict(x []float64) float64 {
 // QFTs) put most of their mass exactly there. Cells are numbered by feature,
 // then by bin, so a feature's cells are consecutive and ascending.
 type builder struct {
-	X       [][]float64
 	cfg     Config
-	n       int // training rows
+	n, d    int // training rows, features
 	workers int
 
-	cellLo   []int         // per feature f: its cells are cellLo[f] .. cellLo[f+1]-1
-	cellEdge []float64     // per cell: inclusive upper edge of its bin, the threshold of a split after it
-	free     [][]histCell  // zeroed per-cell accumulators no node holds
-	made     int           // histograms allocated so far, free or held: fewer than MaxDepth
-	ranges   []cellRange   // the features in contiguous blocks, each walked by one worker
-	entries  int           // (row, cell) pairs over all training rows: the additions one pass over them costs
-	results  []splitResult // per feature: its best split at the current node
+	codes    []uint8      // feature-major: codes[f*n+r] is row r's bin of feature f
+	cellLo   []int        // per feature f: its cells are cellLo[f] .. cellLo[f+1]-1
+	cellEdge []float64    // per cell: inclusive upper edge of its bin, the threshold of a split after it
+	cellBin  []uint8      // per cell: its bin; a split after it sends the codes <= it left
+	free     [][]histCell // zeroed per-cell accumulators no node holds
+	made     int          // histograms allocated so far, free or held: fewer than MaxDepth
+	ranges   []cellRange  // the features in contiguous blocks, each walked by one worker
+	entries  int          // (row, cell) pairs over all training rows: the additions one pass over them costs
 }
 
 // histCell accumulates one cell over the rows of a node.
@@ -82,14 +66,12 @@ type cellRange struct {
 	ids      []uint32 // cell ids; maxFeatures keeps them in range
 }
 
-// splitResult is one feature's best split, computed independently so the
-// per-feature search can fan out across workers. The cross-feature winner
-// is chosen afterwards in feature order, which keeps the parallel search
-// bit-identical to the sequential scan.
+// splitResult is a split after one cell of a feature: the cell's edge and
+// bin, and the gain, which is 0 where no split was found.
 type splitResult struct {
 	thr  float64
+	bin  uint8
 	gain float64
-	ok   bool
 }
 
 // fanOutEntries is the least work — histogram additions, entries of the
@@ -104,13 +86,12 @@ const fanOutEntries = 1 << 18
 // feature-major code matrix and notes which bins are occupied; the second,
 // once cells are numbered and the features are cut into ranges of about
 // equal entry count, turns each range's columns into per-row cell lists. The
-// code matrix is garbage after that.
+// code matrix is kept: grow partitions a node's rows on it, and boost walks
+// the rows a tree was not grown on through it.
 func newBuilder(X [][]float64, cfg Config) *builder {
 	n, d := len(X), len(X[0])
-	b := &builder{X: X, cfg: cfg, n: n, workers: parallel.Workers(cfg.Workers)}
-	b.results = make([]splitResult, d)
+	b := &builder{cfg: cfg, n: n, d: d, workers: parallel.Workers(cfg.Workers), codes: make([]uint8, n*d)}
 
-	codes := make([]uint8, n*d)
 	last := make([]uint8, d)      // per feature: the code of its last bin
 	edges := make([][]float64, d) // per feature: the edges of its cells
 	cellBin := make([][]uint8, d) // per feature: the bins of its cells
@@ -134,7 +115,7 @@ func newBuilder(X [][]float64, cfg Config) *builder {
 			// Uniform bins over [mn, mx]: bin k's inclusive upper edge is
 			// mn + width*(k+1); the last bin is unbounded above.
 			width := (mx - mn) / float64(bins)
-			col := codes[f*n : (f+1)*n]
+			col := b.codes[f*n : (f+1)*n]
 			var rowsIn [256]int
 			for i := range col {
 				col[i] = binCode(X[i][f], mn, width, bins)
@@ -155,6 +136,7 @@ func newBuilder(X [][]float64, cfg Config) *builder {
 	for f := 0; f < d; f++ {
 		b.cellLo[f+1] = b.cellLo[f] + len(edges[f])
 		b.cellEdge = append(b.cellEdge, edges[f]...)
+		b.cellBin = append(b.cellBin, cellBin[f]...)
 		b.entries += featEntries[f]
 	}
 
@@ -174,7 +156,7 @@ func newBuilder(X [][]float64, cfg Config) *builder {
 		rg := &b.ranges[i]
 		rg.start = make([]int, n+1)
 		for f := rg.flo; f < rg.fhi; f++ {
-			for r, c := range codes[f*n : (f+1)*n] {
+			for r, c := range b.codes[f*n : (f+1)*n] {
 				if c < last[f] {
 					rg.start[r+1]++
 				}
@@ -190,7 +172,7 @@ func newBuilder(X [][]float64, cfg Config) *builder {
 			for j, k := range cellBin[f] {
 				cellOf[k] = uint32(b.cellLo[f] + j)
 			}
-			for r, c := range codes[f*n : (f+1)*n] {
+			for r, c := range b.codes[f*n : (f+1)*n] {
 				if c < last[f] {
 					rg.ids[next[r]] = cellOf[c]
 					next[r]++
@@ -204,8 +186,9 @@ func newBuilder(X [][]float64, cfg Config) *builder {
 // binCode returns v's bin among bins uniform bins of width from mn: the k
 // whose edges hold mn+width*k < v <= mn+width*(k+1), with the first bin
 // unbounded below and the last above. The upper edge is the threshold a split
-// after bin k is priced at, and grow partitions on X <= thr, so a value on an
-// edge belongs to the bin below it, not the one the quotient floors to. The
+// after bin k is priced at and Predict sends X <= thr left, so a value on an
+// edge belongs to the bin below it, not the one the quotient floors to: then
+// code <= k exactly when X <= thr, and the fit partitions on codes. The
 // quotient lands at most one bin off at an edge, so one compare each way,
 // against the edge expression newBuilder uses, settles it.
 func binCode(v, mn, width float64, bins int) uint8 {
@@ -261,14 +244,15 @@ func (b *builder) grow(t *tree, rows, cols []int, resid, pred []float64, depth i
 	}
 
 	var feat, nl int
-	var thr float64
+	var split splitResult
 	var ok bool
 	if b.searches(len(rows), depth) {
-		feat, thr, ok = b.bestSplit(rows, cols, resid, sum, hist)
+		feat, split, ok = b.bestSplit(cols, len(rows), sum, hist)
 	}
 	if ok {
+		col := b.codes[feat*b.n : (feat+1)*b.n]
 		for i, r := range rows {
-			if b.X[r][feat] <= thr {
+			if col[r] <= split.bin {
 				rows[i], rows[nl] = rows[nl], r
 				nl++
 			}
@@ -289,8 +273,25 @@ func (b *builder) grow(t *tree, rows, cols []int, resid, pred []float64, depth i
 	hl, hr := b.childHists(hist, rows, nl, resid, depth+1)
 	l := b.grow(t, rows[:nl], cols, resid, pred, depth+1, hl)
 	r := b.grow(t, rows[nl:], cols, resid, pred, depth+1, hr)
-	t.Nodes[idx] = node{Feature: feat, Threshold: thr, Left: l, Right: r}
+	t.Nodes[idx] = node{Feature: feat, Threshold: split.thr, Left: l, Right: r, bin: split.bin}
 	return idx
+}
+
+// leaf returns the value of the leaf training row r reaches in t, walked on
+// the row's codes: the float Predict reads off the packed tree for the row.
+func (b *builder) leaf(t *tree, r int) float64 {
+	i := int32(0)
+	for {
+		n := &t.Nodes[i]
+		if n.Leaf {
+			return n.Value
+		}
+		if b.codes[n.Feature*b.n+r] <= n.bin {
+			i = n.Left
+		} else {
+			i = n.Right
+		}
+	}
 }
 
 // childHists turns the histogram of a node split after its first nl rows
@@ -324,37 +325,18 @@ func (b *builder) childHists(hist []histCell, rows []int, nl int, resid []float6
 	return hist, hs
 }
 
-// bestSplit searches every candidate feature for the variance-reduction-
-// maximizing split and leaves each one's best in b.results: scored from the
-// node's finished histogram, or by the exact scan fanned out over chunks of
-// cols. The winner is then reduced in cols order with a strictly-greater
-// comparison, so ties break toward the earlier feature and the chosen split
-// is bit-identical for every worker count.
-func (b *builder) bestSplit(rows, cols []int, resid []float64, sumTotal float64, hist []histCell) (feat int, thr float64, ok bool) {
-	parentScore := sumTotal * sumTotal / float64(len(rows))
-	if b.cfg.ExactSplits {
-		workers := b.workers
-		if len(rows)*len(cols) < 8192 {
-			workers = 1 // too little per feature to amortize goroutine dispatch
-		}
-		parallel.DoChunks(len(cols), workers, func(lo, hi int) {
-			pairs := make([]splitPair, 0, len(rows))
-			for _, f := range cols[lo:hi] {
-				b.results[f] = b.exactFeatureSplit(rows, f, resid, sumTotal, parentScore, pairs)
-			}
-		})
-	}
-	var gain float64
+// bestSplit scores every candidate feature's cells from the node's finished
+// histogram and returns the variance-reduction-maximizing split. The winner
+// is reduced in cols order with a strictly-greater comparison, so ties break
+// toward the earlier feature.
+func (b *builder) bestSplit(cols []int, total int, sumTotal float64, hist []histCell) (feat int, best splitResult, ok bool) {
+	parentScore := sumTotal * sumTotal / float64(total)
 	for _, f := range cols {
-		if !b.cfg.ExactSplits {
-			lo, hi := b.cellLo[f], b.cellLo[f+1]
-			b.results[f] = b.scanCells(hist[lo:hi], b.cellEdge[lo:hi], len(rows), sumTotal, parentScore)
-		}
-		if res := b.results[f]; res.ok && res.gain > gain {
-			gain, feat, thr = res.gain, f, res.thr
+		if res := b.scanCells(hist, f, total, sumTotal, parentScore); res.gain > best.gain {
+			feat, best = f, res
 		}
 	}
-	return feat, thr, gain > 1e-12
+	return feat, best, best.gain > 1e-12
 }
 
 // accumulate adds rows to hist, one worker per range, so no two write the
@@ -381,71 +363,29 @@ func (b *builder) accumulate(hist []histCell, rows []int, resid []float64) {
 	})
 }
 
-// scanCells picks the best threshold among a feature's cell edges from its
-// finished accumulators. The gain of a split is
+// scanCells picks the best split among feature f's cells from their
+// finished accumulators in hist. The gain of a split is
 //
 //	sumL^2/cntL + sumR^2/cntR - sumTotal^2/cntTotal,
 //
 // the standard decomposition of squared-error reduction.
-func (b *builder) scanCells(cells []histCell, edges []float64, total int, sumTotal, parentScore float64) splitResult {
+func (b *builder) scanCells(hist []histCell, f, total int, sumTotal, parentScore float64) splitResult {
 	var best splitResult
 	var accSum float64
 	accCnt := 0
-	for k, c := range cells {
-		accSum += c.sum
-		accCnt += int(c.cnt)
+	for c := b.cellLo[f]; c < b.cellLo[f+1]; c++ {
+		accSum += hist[c].sum
+		accCnt += int(hist[c].cnt)
 		// A cell none of the node's rows fall in leaves both sides as they
 		// were at the edge before it: the gain is the same float, which
 		// never beats itself.
-		if c.cnt == 0 || accCnt < b.cfg.MinSamplesLeaf || total-accCnt < b.cfg.MinSamplesLeaf {
+		if hist[c].cnt == 0 || accCnt < b.cfg.MinSamplesLeaf || total-accCnt < b.cfg.MinSamplesLeaf {
 			continue
 		}
 		rSum := sumTotal - accSum
 		score := accSum*accSum/float64(accCnt) + rSum*rSum/float64(total-accCnt)
 		if g := score - parentScore; g > best.gain {
-			best = splitResult{thr: edges[k], gain: g, ok: true}
-		}
-	}
-	return best
-}
-
-// splitPair is one (value, residual) sample of the exact-split scan.
-type splitPair struct {
-	v, r float64
-}
-
-// exactFeatureSplit scans every distinct threshold of feature f — the slow
-// reference implementation kept for the split-search ablation and for
-// cross-checking the histogram path in tests. pairs is a reusable scratch
-// buffer owned by the calling worker.
-func (b *builder) exactFeatureSplit(rows []int, f int, resid []float64, sumTotal, parentScore float64, pairs []splitPair) splitResult {
-	cnt := len(rows)
-	pairs = pairs[:0]
-	for _, r := range rows {
-		pairs = append(pairs, splitPair{b.X[r][f], resid[r]})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
-	var best splitResult
-	var accSum float64
-	for i := 0; i < cnt-1; i++ {
-		accSum += pairs[i].r
-		if pairs[i].v == pairs[i+1].v {
-			continue // can only split between distinct values
-		}
-		accCnt := i + 1
-		if accCnt < b.cfg.MinSamplesLeaf || cnt-accCnt < b.cfg.MinSamplesLeaf {
-			continue
-		}
-		rSum := sumTotal - accSum
-		score := accSum*accSum/float64(accCnt) + rSum*rSum/float64(cnt-accCnt)
-		if g := score - parentScore; g > best.gain {
-			// Split midway between the neighboring distinct values so
-			// prediction-time comparisons are robust.
-			mid := pairs[i].v + (pairs[i+1].v-pairs[i].v)/2
-			if math.IsInf(mid, 0) {
-				mid = pairs[i].v
-			}
-			best = splitResult{thr: mid, gain: g, ok: true}
+			best = splitResult{thr: b.cellEdge[c], bin: b.cellBin[c], gain: g}
 		}
 	}
 	return best

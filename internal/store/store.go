@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -547,24 +548,12 @@ func (s *Store) bumpNext(n uint64) {
 
 func genDirName(n uint64) string { return fmt.Sprintf("%s%08d", genPrefix, n) }
 
-// parseGenNumber extracts the generation number from a directory name with
-// the given prefix; zero-padded and unpadded forms both parse.
+// parseGenNumber extracts the generation number, in (0, 2^62], from a
+// directory name with the given prefix; zero-padded and unpadded forms both
+// parse.
 func parseGenNumber(name, prefix string) (uint64, bool) {
-	digits := strings.TrimPrefix(name, prefix)
-	if digits == "" {
-		return 0, false
-	}
-	var n uint64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + uint64(c-'0')
-		if n > 1<<62 {
-			return 0, false
-		}
-	}
-	if n == 0 {
+	n, err := strconv.ParseUint(strings.TrimPrefix(name, prefix), 10, 64)
+	if err != nil || n == 0 || n > 1<<62 {
 		return 0, false
 	}
 	return n, true

@@ -461,3 +461,39 @@ func TestUnframeErrors(t *testing.T) {
 		t.Errorf("good envelope: %q, %v", payload, err)
 	}
 }
+
+// TestParseGenNumber: a generation's directory name parses to its number in
+// (0, 2^62], padded or not; anything else, a 20-digit number that would wrap
+// a uint64 on its last digit included, is not a generation.
+func TestParseGenNumber(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want uint64
+		ok   bool
+	}{
+		{"gen-00000001", 1, true},
+		{"gen-1", 1, true},
+		{"gen-00000042", 42, true},
+		{"gen-123456789", 123456789, true},
+		{"gen-4611686018427387904", 1 << 62, true},
+		{"gen-0004611686018427387904", 1 << 62, true},
+		{"gen-4611686018427387905", 0, false},
+		{"gen-20000000000000000000", 0, false},
+		{"gen-18446744073709551621", 0, false},
+		{"gen-99999999999999999999", 0, false},
+		{"gen-00000000", 0, false},
+		{"gen-", 0, false},
+		{"gen-+1", 0, false},
+		{"gen-1_000", 0, false},
+		{"gen-12a", 0, false},
+	} {
+		if n, ok := parseGenNumber(tc.name, genPrefix); n != tc.want || ok != tc.ok {
+			t.Errorf("parseGenNumber(%q) = %d, %v; want %d, %v", tc.name, n, ok, tc.want, tc.ok)
+		}
+	}
+	for _, prefix := range []string{tmpPrefix, quarantinePrefix} {
+		if n, ok := parseGenNumber(prefix+"00000007", prefix); n != 7 || !ok {
+			t.Errorf("%s00000007 parses to %d, %v; want 7, true", prefix, n, ok)
+		}
+	}
+}

@@ -116,20 +116,21 @@ func TestTreeShape(t *testing.T) {
 
 // budgets are the line ceilings the tree is held to (DESIGN §10): the
 // daemon's serving, persistence and feedback packages, and the paper's
-// featurizers and estimator. A ceiling is lowered by hand when a package
+// featurizers, estimator and gradient-boosted trees. A ceiling is lowered by hand when a package
 // shrinks for good.
 var budgets = []struct {
 	name    string
 	ceiling int
 	dirs    []string
 }{
-	{"daemon", 5553, []string{
+	{"daemon", 5529, []string{
 		"internal/serve", "internal/store", "internal/journal", "internal/jsonenc",
 		"internal/replay", "internal/resilience", "internal/resilience/faultinject",
 		"internal/clock", "internal/cli",
 	}},
 	{"core", 1531, []string{"internal/core"}},
 	{"estimator", 991, []string{"internal/estimator"}},
+	{"gb", 949, []string{"internal/ml/gb"}},
 }
 
 // binaries are the programs whose qfe/ dependencies api/deps.txt lists:
